@@ -40,6 +40,31 @@ func BenchmarkSendRecv(b *testing.B) {
 	}
 }
 
+// BenchmarkEventParkResume is the event engine's hand-off in
+// isolation: two ranks ping-pong, so every message costs each side one
+// park and one resume — two coroutine switches through the loop and
+// one queue push/pop — and nothing may allocate.
+func BenchmarkEventParkResume(b *testing.B) {
+	b.ReportAllocs()
+	cfg := benchCfg(1, 2)
+	cfg.Engine, cfg.Phantom = EngineEvent, true
+	_, err := Run(cfg, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			switch p.Rank() {
+			case 0:
+				p.Send(1, 0, 8, nil, nil)
+				p.Recv(1, 1)
+			case 1:
+				p.Recv(0, 0)
+				p.Send(0, 1, 8, nil, nil)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMatchIndexed receives from a mailbox holding pending
 // messages on many other (src, tag) lists. With the indexed match
 // lists this is O(1) per receive regardless of backlog; the old linear

@@ -1,7 +1,9 @@
 package mpirt
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -32,17 +34,23 @@ type calEvent struct {
 	seq  uint64
 }
 
-// calLess is the deterministic total order: virtual time, then rank,
+// calCmp is the deterministic total order: virtual time, then rank,
 // then push sequence.
-func calLess(a, b calEvent) bool {
-	if a.vt != b.vt {
-		return a.vt < b.vt
+func calCmp(a, b calEvent) int {
+	switch {
+	case a.vt != b.vt:
+		if a.vt < b.vt {
+			return -1
+		}
+		return 1
+	case a.rank != b.rank:
+		return int(a.rank - b.rank)
+	default:
+		return cmp.Compare(a.seq, b.seq)
 	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
 }
+
+func calLess(a, b calEvent) bool { return calCmp(a, b) < 0 }
 
 // calQueue is the ladder queue. The zero value is an empty queue.
 //
@@ -137,6 +145,12 @@ func (q *calQueue) bucketOf(vt float64) int {
 //
 //lint:allocok — amortized front maintenance; buffers reuse capacity at steady state
 func (q *calQueue) insertFront(e calEvent) {
+	if len(q.front) == cap(q.front) && q.head >= len(q.front)/2 {
+		// Full, and at least half is the popped prefix: reclaim it
+		// instead of growing.
+		q.front = q.front[:copy(q.front, q.front[q.head:])]
+		q.head = 0
+	}
 	live := q.front[q.head:]
 	i := sort.Search(len(live), func(i int) bool { return calLess(e, live[i]) })
 	q.front = append(q.front, calEvent{})
@@ -175,12 +189,13 @@ func (q *calQueue) advance() {
 			continue
 		}
 		q.spill(q.rung[b])
-		q.rung[b] = nil
+		q.rung[b] = q.rung[b][:0]
 		return
 	}
-	// Rung exhausted: build a new one from the overflow.
+	// Rung exhausted: build a new one from the overflow. Every event is
+	// copied out of ov below, so its storage serves the next overflow.
 	ov := q.overflow
-	q.overflow = nil
+	q.overflow = ov[:0]
 	if len(ov) == 0 {
 		// q.n > 0 with every region empty would be a bookkeeping bug;
 		// panic loudly rather than loop forever.
@@ -198,7 +213,7 @@ func (q *calQueue) advance() {
 	if cap(q.rung) >= nb {
 		q.rung = q.rung[:nb]
 		for i := range q.rung {
-			q.rung[i] = nil
+			q.rung[i] = q.rung[i][:0]
 		}
 	} else {
 		q.rung = make([][]calEvent, nb)
@@ -220,7 +235,7 @@ func (q *calQueue) advance() {
 // above its largest key, so later pushes that tie any front element
 // still insert into the front and keep the total order exact.
 func (q *calQueue) spill(batch []calEvent) {
-	sort.Slice(batch, func(i, j int) bool { return calLess(batch[i], batch[j]) })
+	slices.SortFunc(batch, calCmp)
 	q.front = append(q.front[:0], batch...)
 	q.head = 0
 	q.bar = math.Nextafter(batch[len(batch)-1].vt, math.Inf(1))

@@ -2,6 +2,8 @@ package mpirt
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,6 +239,119 @@ func TestEventYieldMakesProgress(t *testing.T) {
 		}
 		if p.Rank() == 7 {
 			p.Send(0, 9, 1, []byte{1}, nil)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventTeardownUnwindsEveryCoroutine: a failed event-engine run
+// returns the same typed error as the threaded engine and leaves no
+// coroutine behind — the loop's stop() unwinds every parked rank, so
+// the goroutine count settles back to its pre-run value.
+func TestEventTeardownUnwindsEveryCoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kills []Kill
+		body  func(*Proc)
+		check func(error) bool
+	}{
+		{"deadlock", nil, cycleBody3, func(err error) bool {
+			var derr *DeadlockError
+			return errors.Is(err, ErrDeadlock) && errors.As(err, &derr)
+		}},
+		{"usage", nil, func(p *Proc) {
+			if p.Rank() == 3 {
+				p.Send(99, 0, 0, nil, nil)
+			}
+			p.Barrier()
+		}, func(err error) bool {
+			var ue *UsageError
+			return errors.As(err, &ue) && ue.Rank == 3
+		}},
+		{"kill", []Kill{{Rank: 3}}, func(p *Proc) {
+			if p.Rank() == 3 {
+				p.Barrier() // dies here
+			}
+			p.Recv(3, 1) // every survivor parks on the victim
+		}, func(err error) bool { return isRankFailed(err, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Cluster: failureCluster(), Ranks: 4, Kills: tc.kills, WallLimit: 30 * time.Second}
+			cfg.Engine = EngineThreaded
+			if _, err := Run(cfg, tc.body); !tc.check(err) {
+				t.Fatalf("threaded engine: unexpected error %v", err)
+			}
+			before := runtime.NumGoroutine()
+			cfg.Engine = EngineEvent
+			if _, err := Run(cfg, tc.body); !tc.check(err) {
+				t.Fatalf("event engine: unexpected error %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines before the run, %d after: parked coroutines abandoned", before, n)
+			}
+		})
+	}
+}
+
+// TestEventGoexitFailsRun: a rank body leaving through runtime.Goexit
+// (t.FailNow inside a body) ends the event loop's goroutine with it;
+// Run must report that rather than return a report of half a run.
+func TestEventGoexitFailsRun(t *testing.T) {
+	_, err := Run(Config{Cluster: smallCluster(), Engine: EngineEvent}, func(p *Proc) {
+		if p.Rank() == 2 {
+			runtime.Goexit()
+		}
+		p.Barrier()
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 2") || !strings.Contains(err.Error(), "Goexit") {
+		t.Fatalf("expected rank 2's Goexit to fail the run, got %v", err)
+	}
+}
+
+// TestEventTelemetry: the event loop's counters are exact — identical
+// run to run, consistent with each other — and stay zero on the
+// threaded engine.
+func TestEventTelemetry(t *testing.T) {
+	rep1, _ := engineExchange(t, EngineEvent)
+	rep2, _ := engineExchange(t, EngineEvent)
+	if rep1.Events != rep2.Events || rep1.Parks != rep2.Parks || rep1.PeakQueue != rep2.PeakQueue {
+		t.Fatalf("telemetry diverges across runs: %d/%d/%d vs %d/%d/%d",
+			rep1.Events, rep1.Parks, rep1.PeakQueue, rep2.Events, rep2.Parks, rep2.PeakQueue)
+	}
+	// Every rank is resumed once to start and once per park, and all 8
+	// start-up wakes are queued together.
+	if rep1.Parks == 0 || rep1.Events != rep1.Parks+8 || rep1.PeakQueue < 8 {
+		t.Fatalf("telemetry inconsistent: events %d parks %d peak queue %d", rep1.Events, rep1.Parks, rep1.PeakQueue)
+	}
+	repT, _ := engineExchange(t, EngineThreaded)
+	if repT.Events != 0 || repT.Parks != 0 || repT.PeakQueue != 0 {
+		t.Fatalf("threaded engine reports event telemetry: %d/%d/%d", repT.Events, repT.Parks, repT.PeakQueue)
+	}
+}
+
+// TestEventParkResumeZeroAlloc: a park/resume round trip — send, park
+// in Recv, get resumed by the reply — allocates nothing once warm.
+func TestEventParkResumeZeroAlloc(t *testing.T) {
+	const rounds = 1000
+	_, err := Run(Config{Cluster: smallCluster(), Ranks: 2, Phantom: true, Engine: EngineEvent}, func(p *Proc) {
+		if p.Rank() == 1 {
+			for i := 0; i <= rounds; i++ { // AllocsPerRun adds one warm-up call
+				p.Recv(0, 0)
+				p.Send(0, 1, 8, nil, nil)
+			}
+			return
+		}
+		if a := testing.AllocsPerRun(rounds, func() {
+			p.Send(1, 0, 8, nil, nil)
+			p.Recv(1, 1)
+		}); a != 0 {
+			t.Errorf("park/resume round trip allocates %v per op, want 0", a)
 		}
 	})
 	if err != nil {

@@ -2,8 +2,8 @@ package mpirt
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sync"
 )
 
 // This file implements the event engine (Config{Engine: EngineEvent}):
@@ -12,16 +12,17 @@ import (
 // run from a calendar queue (calq.go) of rank resumptions keyed by
 // virtual time with a deterministic (vt, rank, seq) tie-break.
 //
-// Ranks still execute on goroutines — the rank body is arbitrary user
-// code that must be able to block mid-call — but they run as
+// Ranks still execute on their own stacks — the rank body is arbitrary
+// user code that must be able to block mid-call — but as iter.Pull
 // coroutines of the loop: exactly one entity (the loop or one rank) is
-// ever running, handing control over cap-1 channels. A rank runs until
-// it parks (recv with nothing matching, barrier, agreement round) or
-// finishes; parking yields to the loop, which pops the next event and
-// resumes that rank. Rank goroutines are spawned lazily, on their
-// first event, so an aborted run never pays for ranks that haven't
-// started; a parked rank's goroutine costs only its (small) stack,
-// which with phantom payloads is what lets 100k+-rank sweeps fit.
+// ever running, and control moves by a direct coroutine switch that
+// never enters the Go scheduler. A rank runs until it parks (recv with
+// nothing matching, barrier, agreement round) or finishes; parking
+// yields to the loop, which pops the next event and resumes that rank.
+// Coroutines are created lazily, on their first event, so an aborted
+// run never pays for ranks that haven't started; a parked rank costs
+// only its (small) stack, which with phantom payloads is what lets
+// 100k+-rank sweeps fit.
 //
 // Semantics match the threaded engine: the same mailbox matching, the
 // same typed-error surface, the same fail-stop rules, and the same
@@ -42,8 +43,8 @@ import (
 type evState uint8
 
 const (
-	// evUnborn: no event has targeted the rank yet; its goroutine is
-	// not spawned.
+	// evUnborn: no event has targeted the rank yet; its coroutine does
+	// not exist.
 	evUnborn evState = iota
 	// evRunning: the rank is the running entity.
 	evRunning
@@ -60,14 +61,19 @@ const (
 	evFinished
 )
 
+// evCoro is one rank's coroutine.
+type evCoro struct {
+	next  func() (struct{}, bool) // the loop resumes the rank
+	yield func(struct{}) bool     // the rank hands control back
+	stop  func()                  // the loop unwinds the rank if parked
+}
+
 // eventRT is the event engine's state. All fields are owned by "the
-// running entity": the loop and the rank goroutines hand execution
-// around one at a time through resume/yieldCh, and those channel
-// operations order every access.
+// running entity": the loop and the rank coroutines hand execution
+// around one at a time, and each coroutine switch orders every access.
 type eventRT struct {
 	rt   *Runtime
 	body func(*Proc)
-	wg   *sync.WaitGroup
 
 	q       calQueue
 	pushSeq uint64
@@ -78,25 +84,21 @@ type eventRT struct {
 
 	state      []evState
 	wakeQueued []bool // one pending wake per rank, max
-	resume     []chan struct{}
-	yieldCh    chan struct{}
+	co         []evCoro
 	nFinished  int
+
+	// Report telemetry: events popped, parks taken, deepest queue.
+	events, parks, peakQueue int64
 }
 
-func newEventRT(rt *Runtime, wg *sync.WaitGroup, body func(*Proc)) *eventRT {
-	ev := &eventRT{
+func newEventRT(rt *Runtime, body func(*Proc)) *eventRT {
+	return &eventRT{
 		rt:         rt,
 		body:       body,
-		wg:         wg,
 		state:      make([]evState, rt.n),
 		wakeQueued: make([]bool, rt.n),
-		resume:     make([]chan struct{}, rt.n),
-		yieldCh:    make(chan struct{}, 1),
+		co:         make([]evCoro, rt.n),
 	}
-	for r := range ev.resume {
-		ev.resume[r] = make(chan struct{}, 1)
-	}
-	return ev
 }
 
 // schedule queues a wake for rank r at virtual time vt (clamped to the
@@ -162,33 +164,20 @@ func (ev *eventRT) wakeRevoked() {
 	}
 }
 
-// yield hands control to the loop. Non-blocking on a cap-1 channel:
-// the one-running-entity invariant means the slot is free in normal
-// operation, and after an abort the loop is gone and the signal is
-// irrelevant — a blocking send there would wedge the unwind.
-func (ev *eventRT) yield() {
-	select {
-	case ev.yieldCh <- struct{}{}:
-	default:
-	}
-}
-
-// park yields to the loop and blocks until this rank's next event.
+// park switches to the loop and returns at this rank's next event.
 // The caller must have set ev.state[p.rank] to the wait state first.
+// A false yield is the loop's stop(): the run failed, the rank unwinds.
 func (ev *eventRT) park(p *Proc) {
-	ev.yield()
-	//lint:blockok — THE sanctioned event-engine park point: coroutines block here until the loop schedules their next event
-	select {
-	case <-ev.resume[p.rank]:
-	case <-p.rt.failedCh:
+	ev.parks++
+	if !ev.co[p.rank].yield(struct{}{}) { //lint:allocok — THE event-engine park point: iter.Pull's yield is a bare coroutine switch to the loop
 		panic(errAborted)
 	}
 }
 
 // loop is the engine: pop the next event, run that rank until it
-// yields, repeat. An empty queue before every rank has finished is a
-// proven deadlock — every possible wake is queued as an event, so no
-// event means no rank can ever run again.
+// parks or finishes, repeat. An empty queue before every rank has
+// finished is a proven deadlock — every possible wake is queued as an
+// event, so no event means no rank can ever run again.
 //
 //lint:hotpath
 func (ev *eventRT) loop() {
@@ -196,56 +185,66 @@ func (ev *eventRT) loop() {
 	for r := 0; r < rt.n; r++ {
 		ev.schedule(r, 0)
 	}
-	for ev.nFinished < rt.n {
-		if rt.aborted.Load() {
-			return
-		}
+	for ev.nFinished < rt.n && !rt.aborted.Load() {
+		// The queue only shrinks by pops, so its peak is seen here.
+		ev.peakQueue = max(ev.peakQueue, int64(ev.q.len()))
 		e, ok := ev.q.pop()
 		if !ok {
 			ev.failDeadlock()
-			return
+			break
 		}
+		ev.events++
 		ev.now = e.vt
 		r := int(e.rank)
 		ev.wakeQueued[r] = false
 		switch ev.state[r] {
 		case evUnborn:
-			ev.state[r] = evRunning
-			ev.wg.Add(1)
-			go ev.rankMain(rt.procs[r]) //lint:allocok — one coroutine per rank, spawned once at startup
+			ev.spawn(rt.procs[r])
 		case evRecvWait, evBarrierWait, evFTWait, evYield:
-			ev.state[r] = evRunning
-			ev.resume[r] <- struct{}{} //lint:blockok — cap-1 resume slot of a rank proven parked; this send is the loop's wake
 		default:
 			// A wake can race a state change only through an abort;
 			// nothing to resume.
 			continue
 		}
-		//lint:blockok — the loop's own hand-off: wait for the running rank to yield back
-		select {
-		case <-ev.yieldCh:
-		case <-rt.failedCh:
-			return
+		ev.state[r] = evRunning
+		if _, parked := ev.co[r].next(); !parked { //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+			ev.state[r] = evFinished
+			ev.nFinished++
+		}
+	}
+	// Teardown: stop makes the yield of every rank still parked return false.
+	for r := range ev.co {
+		if stop := ev.co[r].stop; stop != nil {
+			stop() //lint:allocok — abort teardown, once per started rank
 		}
 	}
 }
 
-// rankMain is a rank's goroutine under the event engine: the shared
-// exit protocol (rankRecover) plus the loop hand-off.
+// spawn creates rank p's coroutine.
 //
-//lint:allocok — per-rank coroutine bootstrap; the rank body is user code, inherently dynamic
+//lint:allocok — one coroutine per rank, created once on its first event
+func (ev *eventRT) spawn(p *Proc) {
+	co := &ev.co[p.rank]
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		ev.rankMain(p)
+	})
+}
+
+// rankMain is a rank's coroutine body: the user's rank body under the
+// shared exit protocol (rankRecover). A body that leaves by
+// runtime.Goexit takes the driver goroutine with it (iter.Pull hands
+// the exit on to next's caller), so that has to fail the run first.
 func (ev *eventRT) rankMain(p *Proc) {
-	rt := ev.rt
+	rec := any("rank body called runtime.Goexit")
 	defer func() {
-		rt.rankRecover(p, recover())
-		if !rt.aborted.Load() {
-			ev.state[p.rank] = evFinished
-			ev.nFinished++
-			ev.yield()
+		if r := recover(); r != nil {
+			rec = r
 		}
-		ev.wg.Done()
+		ev.rt.rankRecover(p, rec)
 	}()
 	ev.body(p)
+	rec = nil
 }
 
 // failDeadlock reports the exact deadlock the empty queue proves,

@@ -70,6 +70,9 @@ type Msg struct {
 	// seq is the mailbox enqueue stamp: wildcard receives take the
 	// minimum across match lists, reproducing single-queue FIFO order.
 	seq uint64
+	// next links the message into its mailbox match list; nil whenever
+	// the message is not queued.
+	next *Msg
 }
 
 // Config describes one runtime execution.
@@ -166,6 +169,14 @@ type Report struct {
 	// virtual-time cost.
 	LinkDetections int64
 	LinkDetectTime float64
+	// Event-engine telemetry, exact and identical run to run; zero on
+	// the threaded engine and under chaos. Events counts rank
+	// resumptions popped off the queue, Parks the times a rank gave up
+	// the execution to wait (Parks/Msgs() is what a cheaper park is
+	// worth), PeakQueue the deepest the event queue got.
+	Events    int64
+	Parks     int64
+	PeakQueue int64
 }
 
 // MsgImbalance returns MaxRankMsgs divided by the mean per-rank
@@ -211,45 +222,34 @@ func (r *Report) OffSocketMsgs() int64 {
 		r.MsgsByDist[topology.DistGlobal]
 }
 
-// matchKey indexes a mailbox match list by exact (source, tag).
-type matchKey struct{ src, tag int }
-
-// msgFIFO is one (src, tag) match list: a slice-backed FIFO whose
-// storage is reused once drained, so steady-state traffic on a key
-// enqueues and dequeues without allocating.
-type msgFIFO struct {
-	q    []*Msg
-	head int
-}
-
-func (f *msgFIFO) empty() bool { return f.head == len(f.q) }
-func (f *msgFIFO) peek() *Msg  { return f.q[f.head] }
-
-func (f *msgFIFO) pop() *Msg {
-	m := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return m
+// matchList is one (src, tag) match list: a slot of the mailbox's
+// open-addressed table holding an intrusive FIFO threaded through
+// Msg.next, so enqueue and take touch no memory but the slot and the
+// message. The list is circular — tail.next is the head — which keeps
+// the slot at three words. src1 is src+1; 0 marks a never-used slot,
+// which makes the zero table empty.
+type matchList struct {
+	src1, tag int
+	tail      *Msg // nil when drained
 }
 
 // mailbox holds one rank's pending messages, indexed by (src, tag) so
 // a specific receive matches in O(1) instead of rescanning a single
-// linear queue on every wakeup. Wildcard (AnySource/AnyTag) receives
-// fall back to scanning the match lists and taking the earliest
-// enqueue stamp, which reproduces the old single-queue FIFO selection
-// exactly — independent of map iteration order. Empty lists stay in
-// the map (the key population is bounded by the tag registry), so a
-// busy key reaches a steady state with no map churn at all.
+// linear queue on every wakeup. The index is a linear-probed table
+// hashed from uint64(src)<<32 | uint32(tag) and compared on the exact
+// pair. Wildcard (AnySource/AnyTag) receives scan the table and take
+// the earliest enqueue stamp, which reproduces single-queue FIFO
+// selection exactly — independent of slot order. Drained lists keep
+// their slot (the key population is bounded by the tag registry), so
+// there are no deletions and a busy key reaches a steady state with no
+// table churn at all.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	lists map[matchKey]*msgFIFO
-	count int    // queued messages across all lists
-	enq   uint64 // enqueue stamp source for Msg.seq
+	table []matchList // len is 0 or a power of two
+	keys  int         // used slots
+	count int         // queued messages across all lists
+	enq   uint64      // enqueue stamp source for Msg.seq
 	// waiter marks a rank parked in recvErr; wSrc and wTag are the
 	// posted (source, tag) while waiter is set, for the wait-for-graph
 	// detector and the blocked summary; wVT is the rank's virtual
@@ -260,70 +260,102 @@ type mailbox struct {
 	wVT        float64
 }
 
+// slot returns the table slot for exact key (src, tag): its list if
+// the key is present, else the free slot where it would go. The table
+// must be non-empty; it is never full.
+func (b *mailbox) slot(src, tag int) *matchList {
+	mask := uint64(len(b.table) - 1)
+	// Fibonacci hash of the packed key; the top bits are the well-mixed ones.
+	i := ((uint64(src)<<32 | uint64(uint32(tag))) * 0x9e3779b97f4a7c15) >> 32 & mask
+	for {
+		l := &b.table[i]
+		if l.src1 == 0 || (l.src1 == src+1 && l.tag == tag) {
+			return l
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// grow doubles the table (from 8 slots) and re-places the used lists.
+func (b *mailbox) grow() {
+	old := b.table
+	b.table = make([]matchList, max(8, 2*len(old))) //lint:allocok — amortized index growth, bounded by the live (src, tag) key population
+	for i := range old {
+		if l := &old[i]; l.src1 != 0 {
+			*b.slot(l.src1-1, l.tag) = *l
+		}
+	}
+}
+
 // enqueueLocked stamps m and appends it to its match list.
 func (b *mailbox) enqueueLocked(m *Msg) {
 	b.enq++
 	m.seq = b.enq
-	k := matchKey{m.Src, m.Tag}
-	f := b.lists[k]
-	if f == nil {
-		if b.lists == nil {
-			b.lists = make(map[matchKey]*msgFIFO) //lint:allocok — lazy per-mailbox init, once per destination
-		}
-		f = &msgFIFO{} //lint:allocok — once per live (src, tag) match key
-		b.lists[k] = f
+	if 4*(b.keys+1) > 3*len(b.table) {
+		b.grow()
 	}
-	f.q = append(f.q, m) //lint:allocok — amortized FIFO growth; capacity is reused across matches
+	l := b.slot(m.Src, m.Tag)
+	if l.src1 == 0 {
+		l.src1, l.tag = m.Src+1, m.Tag
+		b.keys++
+	}
+	if l.tail == nil {
+		m.next = m
+	} else {
+		m.next, l.tail.next = l.tail.next, m
+	}
+	l.tail = m
 	b.count++
+}
+
+// findLocked returns the non-empty match list a receive of (src, tag)
+// takes from — for wildcards the one whose head was enqueued first —
+// or nil when nothing queued matches.
+func (b *mailbox) findLocked(src, tag int) *matchList {
+	if b.count == 0 {
+		return nil
+	}
+	if src != AnySource && tag != AnyTag {
+		if l := b.slot(src, tag); l.tail != nil {
+			return l
+		}
+		return nil
+	}
+	var best *matchList
+	for i := range b.table {
+		l := &b.table[i]
+		if l.tail == nil || (src != AnySource && l.src1 != src+1) || (tag != AnyTag && l.tag != tag) {
+			continue
+		}
+		if best == nil || l.tail.next.seq < best.tail.next.seq {
+			best = l
+		}
+	}
+	return best
 }
 
 // takeLocked removes and returns the earliest-enqueued message
 // matching (src, tag), or nil when none is queued.
 func (b *mailbox) takeLocked(src, tag int) *Msg {
-	if b.count == 0 {
+	l := b.findLocked(src, tag)
+	if l == nil {
 		return nil
 	}
-	if src != AnySource && tag != AnyTag {
-		f := b.lists[matchKey{src, tag}]
-		if f == nil || f.empty() {
-			return nil
-		}
-		b.count--
-		return f.pop()
+	m := l.tail.next
+	if m == l.tail {
+		l.tail = nil
+	} else {
+		l.tail.next = m.next
 	}
-	var best *msgFIFO
-	for k, f := range b.lists {
-		if f.empty() || (src != AnySource && k.src != src) || (tag != AnyTag && k.tag != tag) {
-			continue
-		}
-		if best == nil || f.peek().seq < best.peek().seq {
-			best = f
-		}
-	}
-	if best == nil {
-		return nil
-	}
+	m.next = nil
 	b.count--
-	return best.pop()
+	return m
 }
 
 // matchesLocked reports whether a message matching (src, tag) is
 // queued, without removing it.
 func (b *mailbox) matchesLocked(src, tag int) bool {
-	if b.count == 0 {
-		return false
-	}
-	if src != AnySource && tag != AnyTag {
-		f := b.lists[matchKey{src, tag}]
-		return f != nil && !f.empty()
-	}
-	for k, f := range b.lists {
-		if f.empty() || (src != AnySource && k.src != src) || (tag != AnyTag && k.tag != tag) {
-			continue
-		}
-		return true
-	}
-	return false
+	return b.findLocked(src, tag) != nil
 }
 
 // Runtime is the shared state of one execution.
@@ -588,7 +620,9 @@ func (rt *Runtime) runThreaded(start time.Time, body func(*Proc)) {
 // runEvent executes the run on the event engine. There is no
 // watchdog: deadlock detection is exact (an empty event queue, or the
 // chaos scheduler running out of options), so only the wall-clock
-// limit needs a host timer.
+// limit needs a host timer. The event loop runs on a driver goroutine
+// of its own: a rank body hogging the host holds the loop inside its
+// coroutine switch, and awaitRanks can still abandon both at WallLimit.
 func (rt *Runtime) runEvent(body func(*Proc)) {
 	limit := time.AfterFunc(rt.cfg.WallLimit, func() { //lint:wallclock — harness safety net, outside the model
 		rt.fail(fmt.Errorf("mpirt: wall-clock limit %v exceeded", rt.cfg.WallLimit))
@@ -607,8 +641,12 @@ func (rt *Runtime) runEvent(body func(*Proc)) {
 		}
 		rt.chaos.runLoop()
 	} else {
-		rt.ev = newEventRT(rt, &wg, body)
-		rt.ev.loop()
+		rt.ev = newEventRT(rt, body)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.ev.loop()
+		}()
 	}
 	rt.awaitRanks(&wg)
 }
@@ -641,6 +679,9 @@ func (rt *Runtime) buildReport(start time.Time) *Report {
 		rep.BytesByDist[d] = rt.bytesByDist[d].Load()
 	}
 	rep.DeadRanks = rt.deadRanksOf()
+	if ev := rt.ev; ev != nil {
+		rep.Events, rep.Parks, rep.PeakQueue = ev.events, ev.parks, ev.peakQueue
+	}
 	rep.RankMsgs = make([]int64, rt.n)
 	rep.RankBytes = make([]int64, rt.n)
 	rep.NICMsgs = make([]int64, len(rt.nicMsgs))

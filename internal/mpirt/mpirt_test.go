@@ -292,20 +292,26 @@ func TestRankPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestWallLimitAborts: a rank body hogging the host (not parked in the
+// runtime) must not keep Run past WallLimit on either engine — on the
+// event engine the hog holds the loop inside its coroutine switch, so
+// Run has to be able to walk away from both.
 func TestWallLimitAborts(t *testing.T) {
-	start := time.Now()
-	_, err := Run(Config{Cluster: smallCluster(), WallLimit: 300 * time.Millisecond}, func(p *Proc) {
-		if p.Rank() == 0 {
-			time.Sleep(5 * time.Second) // hog: not blocked in recv, so no deadlock verdict
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		start := time.Now()
+		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 300 * time.Millisecond, Engine: eng}, func(p *Proc) {
+			if p.Rank() == 0 {
+				time.Sleep(5 * time.Second) // hog: not blocked in recv, so no deadlock verdict
+			}
+			p.Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "wall-clock") {
+			t.Fatalf("expected wall-limit error, got %v", err)
 		}
-		p.Barrier()
+		if time.Since(start) > 3*time.Second {
+			t.Fatal("wall limit did not abort promptly")
+		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "wall-clock") {
-		t.Fatalf("expected wall-limit error, got %v", err)
-	}
-	if time.Since(start) > 3*time.Second {
-		t.Fatal("wall limit did not abort promptly")
-	}
 }
 
 func TestInvalidConfig(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -134,7 +135,8 @@ func TestMapConcurrent(t *testing.T) {
 		t.Skip("single CPU: pool runs serially")
 	}
 	var inflight, peak atomic.Int64
-	barrier := make(chan struct{})
+	var barrier sync.WaitGroup
+	barrier.Add(2)
 	Map(context.Background(), 2, func(i int) (int, error) {
 		cur := inflight.Add(1)
 		for {
@@ -144,8 +146,8 @@ func TestMapConcurrent(t *testing.T) {
 			}
 		}
 		// Rendezvous: both items must be in flight at once.
-		barrier <- struct{}{}
-		<-barrier
+		barrier.Done()
+		barrier.Wait()
 		inflight.Add(-1)
 		return i, nil
 	})
