@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-baseline verify-plans verify-plans-sarif alloc-guard test race cover bench plan-bench chaos faults linkfaults fuzz mega repro examples clean
+.PHONY: all build vet lint lint-sarif lint-baseline verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc plan-bench chaos faults linkfaults fuzz mega repro examples clean
 
 all: build lint verify-plans test
 
@@ -106,6 +106,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
 	$(GO) run ./cmd/nbr-bench -json results/BENCH_pr5.json -micro
 	$(GO) run ./cmd/nbr-bench -degradation -json results/BENCH_pr7.json
+
+# The repo benchmark (BENCHMARK.json) at smoke scale: all four workloads
+# must run end to end with no failed operation.
+perf-smoke:
+	@out=$$($(GO) run ./cmd/nbr-perf -scale smoke) || { echo "$$out"; exit 1; }; echo "$$out"; \
+	test $$(echo "$$out" | grep -c 'failed_share 0/') -eq 4
+
+# Non-test Go lines per package, so "net LOC went down" is a command.
+loc:
+	@for d in internal/* cmd/*; do printf '%6d %s\n' \
+		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done
 
 # Planner heavy-traffic benchmark (DESIGN.md §13): millions of
 # Zipf-distributed plan requests over thousands of neighborhoods

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/pattern"
-	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -15,14 +13,14 @@ import (
 // shape). counts is identical on all ranks, as MPI's recvcounts
 // argument makes receive sizes known everywhere. The receive buffer is
 // the concatenation of incoming neighbors' payloads in ascending rank
-// order, each at its own size. All three algorithms in this package
-// implement VOp; their uniform Run methods delegate here.
+// order, each at its own size. All four algorithms in this package
+// implement VOp; their uniform Run is RunV with memoised uniform counts.
 type VOp interface {
 	Op
 	RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte)
 }
 
-// checkArgsV validates the RunV contract and returns the receive total.
+// checkArgsV validates the RunV contract.
 func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rbuf []byte) {
 	if p.Size() != g.N() {
 		panic(fmt.Sprintf("collective: runtime has %d ranks, graph %d", p.Size(), g.N()))
@@ -51,18 +49,6 @@ func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rb
 	}
 }
 
-// rbufOffsets returns, for rank r, the receive-buffer offset of each
-// incoming neighbor's payload under the given counts.
-func rbufOffsets(g *vgraph.Graph, r int, counts []int) map[int]int {
-	off := make(map[int]int, g.InDegree(r))
-	pos := 0
-	for _, u := range g.In(r) {
-		off[u] = pos
-		pos += counts[u]
-	}
-	return off
-}
-
 // uniformCounts materialises the allgather special case.
 func uniformCounts(n, m int) []int {
 	c := make([]int, n)
@@ -72,9 +58,9 @@ func uniformCounts(n, m int) []int {
 	return c
 }
 
-// ucCache memoises one shared uniform-counts slice per algorithm
-// instance. Every rank's Run materialises the same n-entry slice and
-// every RunV treats it as read-only, so the ranks can share a single
+// ucCache memoises one shared uniform-counts slice per op. Every
+// rank's Run, RunFT and AllgatherInit needs the same n-entry slice and
+// the interpreter treats it as read-only, so the ranks share a single
 // copy; without the cache the per-rank O(n) allocation dominates the
 // whole run at mega scale (100k ranks × 100k entries ≈ 80 GB of
 // churn). Racing first calls may each build a slice and the last
@@ -100,235 +86,11 @@ func (c *ucCache) get(n, m int) []int {
 	return e.counts
 }
 
-// RunV implements VOp for the naive algorithm.
-func (a *Naive) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
-	checkArgsV(p, a.g, sbuf, counts, rbuf)
-	r := p.Rank()
-	in := a.g.In(r)
-	reqs := make([]*mpirt.Request, 0, len(in))
-	for _, u := range in {
-		reqs = append(reqs, p.Irecv(u, tags.Naive))
+// uniformFor returns the counts of op's uniform allgather with message
+// size m: the op's memoised shared slice when it keeps one.
+func uniformFor(op VOp, m int) []int {
+	if u, ok := op.(interface{ uniform(m int) []int }); ok {
+		return u.uniform(m)
 	}
-	for _, v := range a.g.Out(r) {
-		p.Send(v, tags.Naive, counts[r], sbuf, nil)
-	}
-	pos := 0
-	for i, req := range reqs {
-		msg := req.Wait()
-		u := in[i]
-		if msg.Size != counts[u] {
-			panic(fmt.Sprintf("collective: rank %d expected %d bytes from %d, got %d", r, counts[u], u, msg.Size))
-		}
-		if !p.Phantom() {
-			copy(rbuf[pos:pos+counts[u]], msg.Data)
-		}
-		msg.Release()
-		pos += counts[u]
-	}
-}
-
-// RunV implements VOp for Distance Halving: identical pattern and data
-// movement to Run, with per-source segment sizes. The halving phase's
-// growth bound becomes the sum of merged sources' counts rather than a
-// strict doubling.
-func (a *DistanceHalving) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
-	checkArgsV(p, a.g, sbuf, counts, rbuf)
-	r := p.Rank()
-	plan := &a.pat.Plans[r]
-	phantom := p.Phantom()
-
-	// Main-buffer layout: segment i holds BufSources[i]'s payload at
-	// srcOff, sized counts[src].
-	srcOff := make(map[int]int, len(plan.BufSources))
-	prefix := make([]int, len(plan.BufSources)+1)
-	for i, src := range plan.BufSources {
-		srcOff[src] = prefix[i]
-		prefix[i+1] = prefix[i] + counts[src]
-	}
-	rOff := rbufOffsets(a.g, r, counts)
-
-	var main []byte
-	if !phantom {
-		main = make([]byte, prefix[len(plan.BufSources)])
-		copy(main[:counts[r]], sbuf)
-	}
-	p.ChargeCopy(counts[r])
-
-	deliverToSelf := func(src int) {
-		off, ok := srcOff[src]
-		if !ok {
-			panic(fmt.Sprintf("collective: rank %d self-copy of %d not in buffer", r, src))
-		}
-		dst, ok := rOff[src]
-		if !ok {
-			panic(fmt.Sprintf("collective: rank %d self-copy of non-in-neighbor %d", r, src))
-		}
-		if !phantom {
-			copy(rbuf[dst:dst+counts[src]], main[off:off+counts[src]])
-		}
-		p.ChargeCopy(counts[src])
-	}
-
-	for t := range plan.Steps {
-		s := &plan.Steps[t]
-		var req *mpirt.Request
-		if s.Origin != pattern.NoRank {
-			req = p.Irecv(s.Origin, tags.DHStep+t)
-		}
-		if s.Agent != pattern.NoRank {
-			size := prefix[s.SendCount]
-			var payload []byte
-			if !phantom {
-				payload = main[:size]
-			}
-			p.Send(s.Agent, tags.DHStep+t, size, payload, nil)
-		}
-		if req != nil {
-			msg := req.Wait()
-			want := 0
-			for _, src := range s.RecvSources {
-				want += counts[src]
-			}
-			if msg.Size != want {
-				panic(fmt.Sprintf("collective: rank %d step %d expected %d bytes from %d, got %d",
-					r, t, want, s.Origin, msg.Size))
-			}
-			if !phantom {
-				pos := 0
-				for _, src := range s.RecvSources {
-					copy(main[srcOff[src]:srcOff[src]+counts[src]], msg.Data[pos:pos+counts[src]])
-					pos += counts[src]
-				}
-			}
-			msg.Release()
-		}
-		for _, src := range s.SelfCopies {
-			deliverToSelf(src)
-		}
-	}
-
-	reqs := make([]*mpirt.Request, 0, len(plan.FinalRecvs))
-	for _, sender := range plan.FinalRecvs {
-		reqs = append(reqs, p.Irecv(sender, tags.DHFinal))
-	}
-	for _, fs := range plan.FinalSends {
-		size := 0
-		for _, src := range fs.Sources {
-			size += counts[src]
-		}
-		var tmp []byte
-		if !phantom {
-			tmp = make([]byte, 0, size)
-			for _, src := range fs.Sources {
-				tmp = append(tmp, main[srcOff[src]:srcOff[src]+counts[src]]...)
-			}
-		}
-		p.ChargeCopy(size)
-		p.Send(fs.Dst, tags.DHFinal, size, tmp, fs.Sources)
-	}
-	for _, src := range plan.FinalSelfCopies {
-		deliverToSelf(src)
-	}
-	for _, req := range reqs {
-		msg := req.Wait()
-		sources := msg.Meta.([]int)
-		pos := 0
-		for _, src := range sources {
-			dst, ok := rOff[src]
-			if !ok {
-				panic(fmt.Sprintf("collective: rank %d got final payload of non-in-neighbor %d from %d", r, src, msg.Src))
-			}
-			if !phantom {
-				copy(rbuf[dst:dst+counts[src]], msg.Data[pos:pos+counts[src]])
-			}
-			pos += counts[src]
-			p.ChargeCopy(counts[src])
-		}
-		if msg.Size != pos {
-			panic(fmt.Sprintf("collective: rank %d final message from %d size %d != %d",
-				r, msg.Src, msg.Size, pos))
-		}
-		msg.Release()
-	}
-}
-
-// RunV implements VOp for the Common Neighbor algorithm.
-func (a *CommonNeighbor) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
-	checkArgsV(p, a.g, sbuf, counts, rbuf)
-	r := p.Rank()
-	plan := &a.pat.Plans[r]
-	phantom := p.Phantom()
-	rOff := rbufOffsets(a.g, r, counts)
-
-	shareReqs := make([]*mpirt.Request, 0, len(plan.Group)-1)
-	for _, g := range plan.Group {
-		if g != r {
-			shareReqs = append(shareReqs, p.Irecv(g, tags.CNShare))
-		}
-	}
-	for _, g := range plan.Group {
-		if g != r {
-			p.Send(g, tags.CNShare, counts[r], sbuf, nil)
-		}
-	}
-	groupData := map[int][]byte{r: sbuf}
-	// shareMsgs keeps the received share messages alive while
-	// groupData aliases their payloads; they are released after the
-	// delivery sends have snapshotted everything they need.
-	shareMsgs := make([]mpirt.Msg, 0, len(plan.Group)-1)
-	gi := 0
-	for _, g := range plan.Group {
-		if g == r {
-			continue
-		}
-		msg := shareReqs[gi].Wait()
-		gi++
-		if msg.Size != counts[g] {
-			panic(fmt.Sprintf("collective: rank %d CN share from %d size %d != %d", r, msg.Src, msg.Size, counts[g]))
-		}
-		if !phantom {
-			groupData[msg.Src] = msg.Data
-		}
-		shareMsgs = append(shareMsgs, msg)
-	}
-
-	reqs := make([]*mpirt.Request, 0, len(plan.RecvFrom))
-	for _, s := range plan.RecvFrom {
-		reqs = append(reqs, p.Irecv(s, tags.CNDeliv))
-	}
-	for _, fs := range plan.Sends {
-		size := 0
-		for _, src := range fs.Sources {
-			size += counts[src]
-		}
-		var tmp []byte
-		if !phantom {
-			tmp = make([]byte, 0, size)
-			for _, src := range fs.Sources {
-				tmp = append(tmp, groupData[src][:counts[src]]...)
-			}
-		}
-		p.ChargeCopy(size)
-		p.Send(fs.Dst, tags.CNDeliv, size, tmp, fs.Sources)
-	}
-	for i := range shareMsgs {
-		shareMsgs[i].Release()
-	}
-	for _, req := range reqs {
-		msg := req.Wait()
-		sources := msg.Meta.([]int)
-		pos := 0
-		for _, src := range sources {
-			dst, ok := rOff[src]
-			if !ok {
-				panic(fmt.Sprintf("collective: rank %d got CN payload of non-in-neighbor %d", r, src))
-			}
-			if !phantom {
-				copy(rbuf[dst:dst+counts[src]], msg.Data[pos:pos+counts[src]])
-			}
-			pos += counts[src]
-			p.ChargeCopy(counts[src])
-		}
-		msg.Release()
-	}
+	return uniformCounts(op.Graph().N(), m)
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/tags"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
@@ -351,4 +355,170 @@ func TestMultiLeaderRelievesBottleneck(t *testing.T) {
 		t.Fatalf("4 leaders (%.3g s) not faster than 1 (%.3g s) for 256KB messages", four, one)
 	}
 	t.Logf("256KB leader-based: 1 leader %.3gms, 4 leaders %.3gms (%.2fx)", one*1e3, four*1e3, one/four)
+}
+
+// TestPlanOpSize pins the IR's footprint: the mega-scale cells
+// materialise millions of ops.
+func TestPlanOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(PlanOp{}); got != planOpBytes || got > 24 {
+		t.Fatalf("PlanOp is %d bytes, planOpBytes %d, budget 24", got, planOpBytes)
+	}
+}
+
+// TestInterpreterRejectsBrokenPlans: a hand-broken plan must stop the
+// receiving rank with a message naming it, in phantom and real mode
+// alike, never mis-deliver silently.
+func TestInterpreterRejectsBrokenPlans(t *testing.T) {
+	c := topology.Cluster{Nodes: 1, SocketsPerNode: 1, RanksPerSocket: 3}
+	both, err := vgraph.FromOutLists(3, [][]int{{1}, {}, {1}}) // 0→1, 2→1
+	if err != nil {
+		t.Fatal(err)
+	}
+	only0, err := vgraph.FromOutLists(3, [][]int{{1}, {}, {}}) // 0→1
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int{3, 5, 7}
+	const tag = 1
+	for _, tc := range []struct {
+		name  string
+		g     *vgraph.Graph
+		ranks [3]func(b *PlanBuilder)
+		want  string
+	}{
+		{"dropped block", both, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(1, tag, 0, 0) },
+			func(b *PlanBuilder) { b.Recv(0, tag, 0, 0, 2); b.Wait(0, 1) },
+			func(b *PlanBuilder) {},
+		}, "rank 1 expected 10 bytes from 0, got 3"},
+		{"wrong block size", both, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
+			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 2); b.Wait(0, 1) },
+			func(b *PlanBuilder) {},
+		}, "rank 1 expected 7 bytes from 0, got 3"},
+		{"wait on a non-receive", both, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
+			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 0); b.Wait(0, 2) },
+			func(b *PlanBuilder) {},
+		}, "rank 1 wait at op 1 names op 1, not a pending receive"},
+		{"non-in-neighbor delivery", only0, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
+			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 0); b.Recv(2, tag, Deliver, 2); b.Wait(0, 2) },
+			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 2) },
+		}, "rank 1 received payload of non-in-neighbor 2 from 2"},
+	} {
+		b := NewPlanBuilder(tc.g, 0, 0)
+		for _, f := range tc.ranks {
+			f(b)
+			b.EndRank()
+		}
+		op := &Naive{planBase{name: "broken", plan: b.Plan()}}
+		for _, phantom := range []bool{true, false} {
+			_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: phantom}, func(p *mpirt.Proc) {
+				r := p.Rank()
+				want := 0
+				for _, u := range tc.g.In(r) {
+					want += counts[u]
+				}
+				op.RunV(p, make([]byte, counts[r]), counts, make([]byte, want))
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (phantom=%v): error %v, want it to contain %q", tc.name, phantom, err, tc.want)
+			}
+		}
+	}
+}
+
+// referenceNaive is the hand-written naive body the interpreter
+// replaced, kept as the allocation yardstick.
+func referenceNaive(g *vgraph.Graph, p mpirt.Endpoint, counts []int) {
+	r := p.Rank()
+	in := g.In(r)
+	reqs := make([]*mpirt.Request, 0, len(in))
+	for _, u := range in {
+		reqs = append(reqs, p.Irecv(u, tags.Naive))
+	}
+	for _, v := range g.Out(r) {
+		p.Send(v, tags.Naive, counts[r], nil, nil)
+	}
+	for _, req := range reqs {
+		msg := req.Wait()
+		msg.Release()
+	}
+}
+
+// TestInterpreterPhantomAllocs: a phantom-mode interpreter pass
+// allocates no more than the hand-written naive body did — one request
+// slice per rank, no maps — for every algorithm's per-rank overhead.
+func TestInterpreterPhantomAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				// The counts cover the whole run, runtime included, and the
+				// race detector makes sync.Pool drop items at random.
+				t.Skip("allocation counts are not repeatable under -race")
+			}
+		}
+	}
+	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
+	g := erGraph(t, c.Ranks(), 0.4, 3)
+	counts := uniformCounts(g.N(), 64)
+	measure := func(body func(p *mpirt.Proc)) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: true, Engine: mpirt.EngineEvent}, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ref := measure(func(p *mpirt.Proc) { referenceNaive(g, p, counts) })
+	naive := NewNaive(g)
+	got := measure(func(p *mpirt.Proc) { naive.RunV(p, nil, counts, nil) })
+	t.Logf("interpreter %.0f allocs per run, hand-written naive body %.0f", got, ref)
+	if got > ref {
+		t.Errorf("interpreter pass allocates %.0f objects per run, the hand-written naive body %.0f", got, ref)
+	}
+}
+
+// spyOp records the counts slice each rank's RunV receives.
+type spyOp struct {
+	*Naive
+	seen []*int
+}
+
+func (s *spyOp) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+	s.seen[p.Rank()] = &counts[0]
+	s.Naive.RunV(p, sbuf, counts, rbuf)
+}
+
+// TestUniformCountsShared: every rank's Run, RunFT and AllgatherInit on
+// one op reads the same memoised uniform-counts array — an n-entry
+// slice per rank per call is O(n²) churn at mega scale.
+func TestUniformCountsShared(t *testing.T) {
+	c := topology.Cluster{Nodes: 1, SocketsPerNode: 2, RanksPerSocket: 2}
+	g := erGraph(t, c.Ranks(), 0.6, 5)
+	const m = 16
+	n := g.N()
+	spy := &spyOp{Naive: NewNaive(g), seen: make([]*int, n)}
+	ft, init := make([]*int, n), make([]*int, n)
+	_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: true}, func(p *mpirt.Proc) {
+		r := p.Rank()
+		if _, err := RunFT(p, spy, nil, m, nil); err != nil {
+			panic(err)
+		}
+		ft[r] = spy.seen[r]
+		pr, err := AllgatherInit(spy, p, nil, m, nil)
+		if err != nil {
+			panic(err)
+		}
+		init[r] = &pr.counts[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &spy.uniform(m)[0] // what Run passes the interpreter
+	for r := 0; r < n; r++ {
+		if ft[r] != want || init[r] != want {
+			t.Errorf("rank %d: RunFT counts %p, AllgatherInit counts %p, want the op's memoised %p", r, ft[r], init[r], want)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"nbrallgather/internal/pattern"
@@ -13,10 +12,9 @@ import (
 // Plan-cache wiring: when a cache is installed, the plan-build entry
 // points (NewDistanceHalving, NewCommonNeighborAvoiding, the leader
 // constructors, and the rebuildFT repair path) consult it before
-// negotiating, keyed by content fingerprints of their inputs. Built
-// patterns are immutable after construction and the per-op ucCache is
-// atomic, so cached artifacts are safely shared across ops and
-// goroutines.
+// negotiating, keyed by content fingerprints of their inputs. The
+// cached artifact is always a *Plan, costed at Plan.Bytes(); plans are
+// immutable, so one instance serves any number of ops and goroutines.
 //
 // All in-engine consultation goes through GetOrBuildLocal — the
 // mutex-only path — because rebuildFT runs inside mpirt rank bodies,
@@ -47,29 +45,29 @@ const (
 	saltLeader
 )
 
-// dhKey is the content address of a Distance Halving pattern: the
-// pattern depends only on the graph, the stop threshold, the agent
-// policy and the avoid set.
-func dhKey(g *vgraph.Graph, l int, policy pattern.Policy, avoid []bool) plancache.Key {
+// planKey assembles a content address: topo folds the algorithm's salt
+// with whatever shape it reads besides the graph and the avoid set.
+func planKey(algo string, g *vgraph.Graph, avoid []bool, param int, topo ...uint64) plancache.Key {
 	return plancache.Key{
-		Topo:  plancache.HashWords(saltDH, uint64(l), uint64(policy)),
+		Topo:  plancache.HashWords(topo...),
 		Graph: g.Fingerprint(),
 		Avoid: pattern.AvoidHash(avoid),
-		Algo:  "dh",
-		Param: l,
+		Algo:  algo,
+		Param: param,
 	}
 }
 
+// dhKey is the content address of a Distance Halving plan: it depends
+// only on the graph, the stop threshold, the agent policy and the
+// avoid set.
+func dhKey(g *vgraph.Graph, l int, policy pattern.Policy, avoid []bool) plancache.Key {
+	return planKey("dh", g, avoid, l, saltDH, uint64(l), uint64(policy))
+}
+
 // cnKey is the content address of a (consecutive-grouping) Common
-// Neighbor pattern.
+// Neighbor plan.
 func cnKey(g *vgraph.Graph, k int, avoid []bool) plancache.Key {
-	return plancache.Key{
-		Topo:  plancache.HashWords(saltCN, uint64(k)),
-		Graph: g.Fingerprint(),
-		Avoid: pattern.AvoidHash(avoid),
-		Algo:  "cn",
-		Param: k,
-	}
+	return planKey("cn", g, avoid, k, saltCN, uint64(k))
 }
 
 // leaderKey is the content address of a leader hierarchy. The placement
@@ -77,77 +75,28 @@ func cnKey(g *vgraph.Graph, k int, avoid []bool) plancache.Key {
 // survivor placements must never share a plan even when their projected
 // graphs fingerprint equally.
 func leaderKey(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) plancache.Key {
-	return plancache.Key{
-		Topo:  plancache.HashWords(saltLeader, c.Fingerprint(), plancache.HashInts(place)),
-		Graph: g.Fingerprint(),
-		Avoid: pattern.AvoidHash(avoid),
-		Algo:  "leader",
-		Param: k,
-	}
+	return planKey("leader", g, avoid, k, saltLeader, c.Fingerprint(), plancache.HashInts(place))
 }
 
-// buildDHPattern returns the DH pattern for (g, l, policy, avoid),
-// consulting the installed plan cache. Safe inside rank bodies.
-func buildDHPattern(g *vgraph.Graph, l int, policy pattern.Policy, avoid []bool) (*pattern.Pattern, error) {
+// cachedPlan returns the plan under key from the installed plan cache,
+// emitting and inserting it on a miss; with no cache installed it just
+// emits. Safe inside rank bodies.
+func cachedPlan(key plancache.Key, emit func() (*Plan, error)) (*Plan, error) {
 	pc := ActivePlanCache()
 	if pc == nil {
-		return pattern.BuildAvoiding(g, l, policy, avoid)
+		return emit()
 	}
-	v, err := pc.GetOrBuildLocal(dhKey(g, l, policy, avoid), func() (any, int64, error) {
-		pat, err := pattern.BuildAvoiding(g, l, policy, avoid)
+	v, err := pc.GetOrBuildLocal(key, func() (any, int64, error) {
+		pl, err := emit()
 		if err != nil {
 			return nil, 0, err
 		}
-		return pat, patternCost(pat), nil
+		return pl, pl.Bytes(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*pattern.Pattern), nil
-}
-
-// cachedCNPattern returns the consecutive-grouping CN pattern for
-// (g, k, avoid), consulting the installed plan cache. Safe inside rank
-// bodies.
-func cachedCNPattern(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
-	pc := ActivePlanCache()
-	if pc == nil {
-		return BuildCNAvoiding(g, k, avoid)
-	}
-	v, err := pc.GetOrBuildLocal(cnKey(g, k, avoid), func() (any, int64, error) {
-		pat, err := BuildCNAvoiding(g, k, avoid)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pat, cnCost(pat), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CNPattern), nil
-}
-
-// cachedLeader returns the leader hierarchy for (g, c, k, place, avoid),
-// consulting the installed plan cache. The cached artifact is the
-// *LeaderBased op itself: its plan is immutable after construction and
-// its counts memo is atomic, so one instance serves all callers. Safe
-// inside rank bodies.
-func cachedLeader(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
-	pc := ActivePlanCache()
-	if pc == nil {
-		return newLeaderBased(g, c, k, place, avoid)
-	}
-	v, err := pc.GetOrBuildLocal(leaderKey(g, c, k, place, avoid), func() (any, int64, error) {
-		op, err := newLeaderBased(g, c, k, place, avoid)
-		if err != nil {
-			return nil, 0, err
-		}
-		return op, leaderCost(op), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LeaderBased), nil
+	return v.(*Plan), nil
 }
 
 // PlanKey returns the content-addressed cache key a planner service
@@ -160,164 +109,46 @@ func cachedLeader(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 // service keying by PlanKey shares artifacts across all message sizes
 // in a class while keeping per-class hit statistics honest.
 func PlanKey(algo string, g *vgraph.Graph, c topology.Cluster, msgBytes, param int, avoid []bool) plancache.Key {
-	param = normalizePlanParam(algo, c, param)
+	prm := planParam(algo, param).resolve(c)
 	var k plancache.Key
 	switch algo {
 	case "naive":
-		k = plancache.Key{
-			Topo:  plancache.HashWords(saltNaive),
-			Graph: g.Fingerprint(),
-			Avoid: pattern.AvoidHash(avoid),
-			Algo:  "naive",
-		}
+		k = planKey("naive", g, avoid, 0, saltNaive)
 	case "dh":
-		k = dhKey(g, param, pattern.PolicyLoadAware, avoid)
+		k = dhKey(g, prm.L, prm.Policy, avoid)
 	case "cn":
-		k = cnKey(g, param, avoid)
+		k = cnKey(g, prm.CNGroup, avoid)
 	case "leader":
-		k = leaderKey(g, c, param, nil, avoid)
+		k = leaderKey(g, c, prm.Leaders, nil, avoid)
 	default:
-		k = plancache.Key{
-			Topo:  plancache.HashWords(0, c.Fingerprint()),
-			Graph: g.Fingerprint(),
-			Avoid: pattern.AvoidHash(avoid),
-			Algo:  algo,
-			Param: param,
-		}
+		k = planKey(algo, g, avoid, param, 0, c.Fingerprint())
 	}
 	k.Size = plancache.SizeClass(msgBytes)
 	return k
 }
 
-// normalizePlanParam resolves param 0 to each algorithm's
-// conformance-suite default (planverify.Params.normalized mirrors
-// these).
-func normalizePlanParam(algo string, c topology.Cluster, param int) int {
-	if param != 0 {
-		return param
-	}
+// planParam places a plan request's one integer knob in the field its
+// algorithm reads.
+func planParam(algo string, param int) PlanParams {
 	switch algo {
 	case "dh":
-		return c.L()
+		return PlanParams{L: param}
 	case "cn":
-		return 3
+		return PlanParams{CNGroup: param}
 	case "leader":
-		return 1
+		return PlanParams{Leaders: param}
 	}
-	return 0
+	return PlanParams{}
 }
 
-// BuildPlan negotiates one plan from scratch — no cache consultation —
-// and returns the artifact plus its estimated resident cost in bytes:
-// the Builder a planner service pairs with PlanKey, and the no-cache
-// baseline of the heavy-traffic benchmark.
+// BuildPlan negotiates and emits one plan from scratch — no cache
+// consultation — and returns it (a *Plan) with its resident size in
+// bytes: the Builder a planner service pairs with PlanKey, and the
+// no-cache baseline of the heavy-traffic benchmark.
 func BuildPlan(algo string, g *vgraph.Graph, c topology.Cluster, param int, avoid []bool) (any, int64, error) {
-	param = normalizePlanParam(algo, c, param)
-	switch algo {
-	case "naive":
-		op := NewNaive(g)
-		return op, 64, nil
-	case "dh":
-		pat, err := pattern.BuildAvoiding(g, param, pattern.PolicyLoadAware, avoid)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pat, patternCost(pat), nil
-	case "cn":
-		pat, err := BuildCNAvoiding(g, param, avoid)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pat, cnCost(pat), nil
-	case "leader":
-		var op *LeaderBased
-		var err error
-		if avoid == nil {
-			op, err = NewLeaderBasedK(g, c, param)
-		} else {
-			place := make([]int, g.N())
-			for i := range place {
-				place[i] = i
-			}
-			op, err = NewLeaderBasedPlacedAvoiding(g, c, param, place, avoid)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return op, leaderCost(op), nil
+	pl, err := Emit(algo, g, c, planParam(algo, param), avoid)
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil, 0, fmt.Errorf("collective: unknown plan algorithm %q", algo)
-}
-
-// Cost estimators: approximate resident bytes of a cached artifact,
-// counting slice payloads at 8 bytes per int plus per-slice and
-// per-rank overheads. Eviction only needs costs monotonic in real
-// footprint, not exact.
-
-const (
-	wordBytes   = 8
-	sliceBytes  = 24 // slice header
-	perRankOver = 64
-)
-
-func intsCost(n int) int64 { return sliceBytes + wordBytes*int64(n) }
-
-func patternCost(p *pattern.Pattern) int64 {
-	c := int64(256)
-	for i := range p.Plans {
-		pl := &p.Plans[i]
-		c += perRankOver
-		for j := range pl.Steps {
-			st := &pl.Steps[j]
-			c += 96 + intsCost(len(st.RecvSources)) + intsCost(len(st.SelfCopies))
-		}
-		for j := range pl.FinalSends {
-			c += intsCost(len(pl.FinalSends[j].Sources)) + wordBytes
-		}
-		c += intsCost(len(pl.FinalRecvs)) + intsCost(len(pl.FinalSelfCopies)) + intsCost(len(pl.BufSources))
-	}
-	return c
-}
-
-func cnCost(p *CNPattern) int64 {
-	c := int64(128)
-	groups := map[*int]bool{}
-	for i := range p.Plans {
-		pl := &p.Plans[i]
-		c += perRankOver + intsCost(len(pl.RecvFrom))
-		// Group slices are shared across members; charge each distinct
-		// backing array once.
-		if len(pl.Group) > 0 && !groups[&pl.Group[0]] {
-			groups[&pl.Group[0]] = true
-			c += intsCost(len(pl.Group))
-		}
-		for j := range pl.Sends {
-			c += intsCost(len(pl.Sends[j].Sources)) + wordBytes
-		}
-	}
-	for i := range p.NegRounds {
-		for _, cand := range p.NegRounds[i] {
-			c += intsCost(len(cand))
-		}
-	}
-	return c
-}
-
-func leaderCost(op *LeaderBased) int64 {
-	c := int64(128) + intsCost(len(op.place))
-	for i := range op.plan {
-		pl := &op.plan[i]
-		c += perRankOver +
-			intsCost(len(pl.directSends)) + intsCost(len(pl.directRecvs)) +
-			intsCost(len(pl.gatherTo)) + intsCost(len(pl.gatherFrom)) +
-			intsCost(len(pl.nodeRecvs)) + intsCost(len(pl.selfDeliver)) +
-			intsCost(len(pl.fromLeaders))
-		for j := range pl.nodeSends {
-			c += intsCost(len(pl.nodeSends[j].Sources)) + wordBytes
-		}
-		for j := range pl.distribute {
-			c += intsCost(len(pl.distribute[j].Sources)) + wordBytes
-		}
-	}
-	return c
+	return pl, pl.Bytes(), nil
 }

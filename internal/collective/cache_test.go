@@ -58,15 +58,15 @@ func TestCachedPlansDeepEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fresh.Pattern(), first.Pattern()) {
-			t.Fatal("cached DH pattern differs from fresh negotiation")
+		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
+			t.Fatal("cached DH plan differs from fresh negotiation")
 		}
 		second, err := NewDistanceHalving(g, c.L())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second.Pattern() != first.Pattern() {
-			t.Fatal("second construction did not reuse the cached pattern")
+		if second.Plan() != first.Plan() {
+			t.Fatal("second construction did not reuse the cached plan")
 		}
 		if st := pc.Stats(); st.Hits == 0 || st.Misses == 0 {
 			t.Fatalf("stats = %+v, want one miss then a hit", st)
@@ -83,15 +83,15 @@ func TestCachedPlansDeepEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fresh.Pattern(), first.Pattern()) {
-			t.Fatal("cached CN pattern differs from fresh negotiation")
+		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
+			t.Fatal("cached CN plan differs from fresh negotiation")
 		}
 		second, err := NewCommonNeighbor(g, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second.Pattern() != first.Pattern() {
-			t.Fatal("second construction did not reuse the cached pattern")
+		if second.Plan() != first.Plan() {
+			t.Fatal("second construction did not reuse the cached plan")
 		}
 	})
 
@@ -105,15 +105,15 @@ func TestCachedPlansDeepEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fresh.plan, first.plan) {
+		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
 			t.Fatal("cached leader plan differs from fresh negotiation")
 		}
 		second, err := NewLeaderBasedK(g, c, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second != first {
-			t.Fatal("second construction did not reuse the cached op")
+		if second.Plan() != first.Plan() {
+			t.Fatal("second construction did not reuse the cached plan")
 		}
 	})
 }
@@ -229,8 +229,8 @@ func TestRebuildFTRepairCaching(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatalf("repair degraded to %s / %s, want distance-halving", first.Name(), second.Name())
 	}
-	if fp.Pattern() != sp.Pattern() {
-		t.Fatal("identical recoveries hold different pattern instances")
+	if fp.Plan() != sp.Plan() {
+		t.Fatal("identical recoveries hold different plan instances")
 	}
 	// A different avoid set must key separately.
 	avoid2 := make([]bool, g2.N())

@@ -141,55 +141,15 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	return p, nil
 }
 
-// Validate checks that the CN pattern covers every graph edge exactly
-// once and that delegates only ship payloads their group shares.
-func (p *CNPattern) Validate() error {
-	g := p.Graph
-	n := g.N()
-	covered := make([]map[int]bool, n)
-	for v := range covered {
-		covered[v] = map[int]bool{}
-	}
-	for r := 0; r < n; r++ {
-		plan := &p.Plans[r]
-		inGroup := map[int]bool{}
-		for _, m := range plan.Group {
-			inGroup[m] = true
-		}
-		if !inGroup[r] {
-			return fmt.Errorf("collective: rank %d not in its own CN group", r)
-		}
-		for _, fs := range plan.Sends {
-			for _, src := range fs.Sources {
-				if !inGroup[src] {
-					return fmt.Errorf("collective: rank %d delivers payload of %d outside its group", r, src)
-				}
-				if !g.HasEdge(src, fs.Dst) {
-					return fmt.Errorf("collective: CN delivers %d→%d which is not an edge", src, fs.Dst)
-				}
-				if covered[fs.Dst][src] {
-					return fmt.Errorf("collective: CN edge %d→%d delivered twice", src, fs.Dst)
-				}
-				covered[fs.Dst][src] = true
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		for _, u := range g.In(v) {
-			if !covered[v][u] {
-				return fmt.Errorf("collective: CN edge %d→%d never delivered", u, v)
-			}
-		}
-	}
-	return nil
+// CommonNeighbor is the message-combining baseline: an intra-group
+// payload exchange, then delegated combined deliveries (see emitCN).
+type CommonNeighbor struct {
+	planBase
+	k int
 }
 
-// CommonNeighbor is the message-combining baseline bound to a prebuilt
-// CN pattern.
-type CommonNeighbor struct {
-	g   *vgraph.Graph
-	pat *CNPattern
-	uc  ucCache
+func newCN(k int, plan *Plan) *CommonNeighbor {
+	return &CommonNeighbor{planBase{name: fmt.Sprintf("common-neighbor(K=%d)", k), plan: plan}, k}
 }
 
 // NewCommonNeighbor builds the CN pattern for group size k and binds
@@ -202,30 +162,17 @@ func NewCommonNeighbor(g *vgraph.Graph, k int) (*CommonNeighbor, error) {
 // BuildCNAvoiding) and binds the collective to it, consulting the
 // installed plan cache (UsePlanCache) before negotiating.
 func NewCommonNeighborAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CommonNeighbor, error) {
-	pat, err := cachedCNPattern(g, k, avoid)
+	plan, err := cachedPlan(cnKey(g, k, avoid), func() (*Plan, error) {
+		pat, err := BuildCNAvoiding(g, k, avoid)
+		if err != nil {
+			return nil, err
+		}
+		return emitCN(pat), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &CommonNeighbor{g: g, pat: pat}, nil
-}
-
-// Name implements Op.
-func (a *CommonNeighbor) Name() string {
-	return fmt.Sprintf("common-neighbor(K=%d)", a.pat.K)
-}
-
-// Graph implements Op.
-func (a *CommonNeighbor) Graph() *vgraph.Graph { return a.g }
-
-// Pattern returns the bound CN pattern.
-func (a *CommonNeighbor) Pattern() *CNPattern { return a.pat }
-
-// Run implements Op: an intra-group payload exchange, then delegated
-// combined deliveries. The general variable-size data movement lives in
-// RunV (allgatherv.go).
-func (a *CommonNeighbor) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
-	checkUniform(m)
-	a.RunV(p, sbuf, a.uc.get(a.g.N(), m), rbuf)
+	return newCN(k, plan), nil
 }
 
 // BuildCNRank models one rank's share of the Common Neighbor pattern

@@ -155,7 +155,7 @@ func NewCommonNeighborAffinity(g *vgraph.Graph, k int) (*CommonNeighbor, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &CommonNeighbor{g: g, pat: pat}, nil
+	return newCN(k, emitCN(pat)), nil
 }
 
 // BuildCNAffinityRank models one rank's share of the affinity

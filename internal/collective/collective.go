@@ -12,9 +12,10 @@
 //     halving phase relays growing buffers through negotiated agents,
 //     then a remainder phase delivers the rest, mostly within sockets.
 //
-// All three run against the mpirt runtime with real payload bytes
-// (verified against each other in tests) or phantom payloads for
-// paper-scale timing.
+// Each algorithm is an emitter producing a Plan (plan.go); the one
+// interpreter (interp.go) runs any plan against the mpirt runtime with
+// real payload bytes (verified against each other in tests) or phantom
+// payloads for paper-scale timing.
 package collective
 
 import (
@@ -50,69 +51,83 @@ func checkUniform(m int) {
 	}
 }
 
-// Naive is the direct point-to-point algorithm (default Open MPI).
-type Naive struct {
-	g  *vgraph.Graph
-	uc ucCache
+// planBase is what the four algorithms share: a name, the emitted plan
+// the interpreter runs, and the memoised uniform counts.
+type planBase struct {
+	name string
+	plan *Plan
+	uc   ucCache
 }
-
-// NewNaive binds the naive algorithm to a graph.
-func NewNaive(g *vgraph.Graph) *Naive { return &Naive{g: g} }
 
 // Name implements Op.
-func (*Naive) Name() string { return "naive" }
+func (a *planBase) Name() string { return a.name }
 
 // Graph implements Op.
-func (a *Naive) Graph() *vgraph.Graph { return a.g }
+func (a *planBase) Graph() *vgraph.Graph { return a.plan.Graph }
 
-// Run implements Op: isend to every outgoing neighbor, irecv from every
-// incoming neighbor, wait all.
-func (a *Naive) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
+// Plan returns the program the op runs. Read-only.
+func (a *planBase) Plan() *Plan { return a.plan }
+
+func (a *planBase) uniform(m int) []int { return a.uc.get(a.plan.Graph.N(), m) }
+
+// Run implements Op: RunV with every count equal to m.
+func (a *planBase) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
 	checkUniform(m)
-	a.RunV(p, sbuf, a.uc.get(a.g.N(), m), rbuf)
+	a.plan.run(p, sbuf, a.uniform(m), rbuf)
 }
 
-// DistanceHalving is the paper's algorithm bound to a prebuilt
-// communication pattern.
+// RunV implements VOp.
+func (a *planBase) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+	a.plan.run(p, sbuf, counts, rbuf)
+}
+
+// Naive is the direct point-to-point algorithm (default Open MPI):
+// isend to every outgoing neighbor, irecv from every incoming neighbor,
+// wait all.
+type Naive struct{ planBase }
+
+// NewNaive binds the naive algorithm to a graph.
+func NewNaive(g *vgraph.Graph) *Naive {
+	return &Naive{planBase{name: "naive", plan: emitNaive(g)}}
+}
+
+// DistanceHalving is the paper's algorithm (Algorithm 4; see emitDH).
 type DistanceHalving struct {
-	g   *vgraph.Graph
+	planBase
+	l   int
 	pat *pattern.Pattern
-	uc  ucCache
 }
 
 // NewDistanceHalving builds the communication pattern centrally for
 // stop threshold l and binds the collective to it, consulting the
 // installed plan cache (UsePlanCache) before negotiating.
 func NewDistanceHalving(g *vgraph.Graph, l int) (*DistanceHalving, error) {
-	pat, err := buildDHPattern(g, l, pattern.PolicyLoadAware, nil)
+	return newDH(g, l, nil)
+}
+
+// newDH negotiates and emits (or fetches from the installed plan
+// cache) the DH plan for (g, l, avoid).
+func newDH(g *vgraph.Graph, l int, avoid []bool) (*DistanceHalving, error) {
+	var pat *pattern.Pattern
+	plan, err := cachedPlan(dhKey(g, l, pattern.PolicyLoadAware, avoid), func() (*Plan, error) {
+		var err error
+		if pat, err = pattern.BuildAvoiding(g, l, pattern.PolicyLoadAware, avoid); err != nil {
+			return nil, err
+		}
+		return emitDH(pat), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &DistanceHalving{g: g, pat: pat}, nil
+	return &DistanceHalving{planBase: planBase{name: "distance-halving", plan: plan}, l: l, pat: pat}, nil
 }
 
 // NewDistanceHalvingFromPattern binds the collective to an existing
 // pattern (e.g. one produced by the distributed builder).
 func NewDistanceHalvingFromPattern(pat *pattern.Pattern) *DistanceHalving {
-	return &DistanceHalving{g: pat.Graph, pat: pat}
+	return &DistanceHalving{planBase: planBase{name: "distance-halving", plan: emitDH(pat)}, l: pat.L, pat: pat}
 }
 
-// Name implements Op.
-func (*DistanceHalving) Name() string { return "distance-halving" }
-
-// Graph implements Op.
-func (a *DistanceHalving) Graph() *vgraph.Graph { return a.g }
-
-// Pattern returns the bound communication pattern.
+// Pattern returns the negotiated pattern the plan was emitted from, or
+// nil when the plan came out of the plan cache.
 func (a *DistanceHalving) Pattern() *pattern.Pattern { return a.pat }
-
-// Run implements Op as the paper's Algorithm 4: the halving phase ships
-// the growing main buffer to each step's agent while merging the
-// origin's buffer, then the remainder phase packs per-destination
-// temporary buffers and delivers them (mostly within the socket). The
-// general variable-size data movement lives in RunV (allgatherv.go);
-// the uniform allgather is its counts[i] = m special case.
-func (a *DistanceHalving) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
-	checkUniform(m)
-	a.RunV(p, sbuf, a.uc.get(a.g.N(), m), rbuf)
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
@@ -85,7 +84,7 @@ func attemptFT(f func()) (err error) {
 // RunFT is RunFTV with a uniform message size.
 func RunFT(p *mpirt.Proc, op VOp, sbuf []byte, m int, rbuf []byte) (*FTResult, error) {
 	checkUniform(m)
-	return RunFTV(p, op, sbuf, uniformCounts(op.Graph().N(), m), rbuf)
+	return RunFTV(p, op, sbuf, uniformFor(op, m), rbuf)
 }
 
 // RunFTV runs op as a fault-tolerant neighborhood allgatherv: all
@@ -203,12 +202,14 @@ func identityComm(n int) *mpirt.Comm {
 	return mpirt.NewComm(all, n)
 }
 
-// rebuildFT rebuilds op's algorithm over the survivor-projected graph
+// rebuildFT re-emits op's algorithm over the survivor-projected graph
 // g2 (alive lists the surviving original ranks, defining shrunken rank
-// i ↔ original rank alive[i]). A non-nil avoid set (indexed by shrunken
-// rank) marks link-impaired survivors the rebuilt pattern must keep out
-// of relay roles. Repair is algorithm-specific; if the specialised
-// rebuild fails, the collective degrades to naive over the shrunken
+// i ↔ original rank alive[i]) with an avoid set (indexed by shrunken
+// rank, nil for none) marking link-impaired survivors the new plan must
+// keep out of relay roles. The re-emitted plan caches under the
+// avoid-set key, so repeated recoveries over the same survivor graph
+// and fault set reuse one negotiation. If the algorithm cannot be
+// re-emitted, the collective degrades to naive over the shrunken
 // communicator — always well-defined.
 func rebuildFT(op VOp, g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
 	switch a := op.(type) {
@@ -220,20 +221,13 @@ func rebuildFT(op VOp, g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
 		// the plan's direct final sends. With an avoid set, impaired
 		// ranks sit the matching out entirely and deliveries to them
 		// stay pinned to their original sources.
-		// The rebuilt pattern caches under the avoid-set key: repeated
-		// recoveries over the same survivor graph and fault set reuse
-		// one negotiation.
-		if pat, err := buildDHPattern(g2, a.pat.L, pattern.PolicyLoadAware, avoid); err == nil {
-			return NewDistanceHalvingFromPattern(pat)
+		if r, err := newDH(g2, a.l, avoid); err == nil {
+			return r
 		}
 	case *CommonNeighbor:
-		k := a.pat.K
-		if k > g2.N() {
-			k = g2.N()
-		}
-		if k >= 1 {
-			// Impaired survivors re-group as singletons so the share
-			// exchange never crosses their wounded resource.
+		// Impaired survivors re-group as singletons so the share
+		// exchange never crosses their wounded resource.
+		if k := min(a.k, g2.N()); k >= 1 {
 			if r, err := NewCommonNeighborAvoiding(g2, k, avoid); err == nil {
 				return r
 			}

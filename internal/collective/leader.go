@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/order"
 	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/tags"
@@ -23,17 +22,16 @@ import (
 // load-aware multi-leader mechanism), relieving the single leader's
 // port bottleneck for bandwidth-bound messages.
 type LeaderBased struct {
-	g       *vgraph.Graph
+	planBase
 	c       topology.Cluster
 	leaders int
 	// place maps graph rank -> cluster rank (nil = identity): the
 	// shrunken-communicator placement after fail-stop recovery.
 	place []int
-	plan  []lbPlan
-	uc    ucCache
 }
 
-// lbPlan is one rank's precomputed role.
+// lbPlan is one rank's routed role, the intermediate emitLeader turns
+// into ops.
 type lbPlan struct {
 	// directSends / directRecvs are same-node edges (dst / src ranks).
 	directSends []int
@@ -62,32 +60,24 @@ func NewLeaderBased(g *vgraph.Graph, c topology.Cluster) (*LeaderBased, error) {
 // (the node's first k ranks); node-pair traffic is spread across them
 // by descending segment count onto the least-loaded leader.
 func NewLeaderBasedK(g *vgraph.Graph, c topology.Cluster, k int) (*LeaderBased, error) {
-	return cachedLeader(g, c, k, nil, nil)
+	return newLeader(g, c, k, nil, nil)
 }
 
-// NewLeaderBasedPlaced builds the hierarchy for a communicator whose
-// rank i occupies cluster rank place[i] — the shrunken-communicator
-// case after fail-stop recovery, where survivors are renumbered
-// densely but keep their physical placement. Leadership is re-elected:
-// each node's leaders are its first k surviving ranks, so a dead
-// leader's role moves to the next live rank of the node.
-func NewLeaderBasedPlaced(g *vgraph.Graph, c topology.Cluster, k int, place []int) (*LeaderBased, error) {
-	return NewLeaderBasedPlacedAvoiding(g, c, k, place, nil)
-}
-
-// NewLeaderBasedPlacedAvoiding is NewLeaderBasedPlaced with a link-aware
-// avoid set: ranks whose port carries a fault are passed over in leader
-// election whenever their node has an unimpaired leader candidate, so
-// the hierarchy's heavy combined messages route through healthy ports.
-// (A down node NIC impairs the whole node equally; avoidance cannot
-// help there, and such nodes only survive feasibility when all their
-// edges stay intra-node — in which case they carry no leader traffic.)
+// NewLeaderBasedPlacedAvoiding builds the hierarchy for a communicator
+// whose rank i occupies cluster rank place[i] — the shrunken-communicator
+// case after fail-stop recovery, where survivors are renumbered densely
+// but keep their physical placement. Leadership is re-elected: each
+// node's leaders are its first k surviving ranks, so a dead leader's
+// role moves to the next live rank of the node. With a link-aware avoid
+// set (nil for none), ranks whose port carries a fault are passed over
+// whenever their node has an unimpaired leader candidate, so the
+// hierarchy's heavy combined messages route through healthy ports. (A
+// down node NIC impairs the whole node equally; avoidance cannot help
+// there, and such nodes only survive feasibility when all their edges
+// stay intra-node — in which case they carry no leader traffic.)
 func NewLeaderBasedPlacedAvoiding(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
 	if len(place) != g.N() {
 		return nil, fmt.Errorf("collective: placement has %d entries for %d ranks", len(place), g.N())
-	}
-	if avoid != nil && len(avoid) != g.N() {
-		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), g.N())
 	}
 	seen := make(map[int]bool, len(place))
 	for i, cr := range place {
@@ -99,10 +89,31 @@ func NewLeaderBasedPlacedAvoiding(g *vgraph.Graph, c topology.Cluster, k int, pl
 		}
 		seen[cr] = true
 	}
-	return cachedLeader(g, c, k, append([]int(nil), place...), avoid)
+	return newLeader(g, c, k, append([]int(nil), place...), avoid)
 }
 
-func newLeaderBased(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
+// newLeader emits (or fetches from the installed plan cache) the
+// hierarchy's plan and binds the op to it.
+func newLeader(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
+	plan, err := cachedPlan(leaderKey(g, c, k, place, avoid), func() (*Plan, error) {
+		return emitLeader(g, c, k, place, avoid)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if k > c.RanksPerNode() {
+		k = c.RanksPerNode()
+	}
+	name := "leader-based"
+	if k > 1 {
+		name = fmt.Sprintf("leader-based(%d)", k)
+	}
+	return &LeaderBased{planBase: planBase{name: name, plan: plan}, c: c, leaders: k, place: place}, nil
+}
+
+// leaderTables routes the hierarchy: which leaders gather whom, which
+// leader pair carries each node pair, who distributes to whom.
+func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) ([]lbPlan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,6 +122,9 @@ func newLeaderBased(g *vgraph.Graph, c topology.Cluster, k int, place []int, avo
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("collective: leaders per node %d must be positive", k)
+	}
+	if avoid != nil && len(avoid) != g.N() {
+		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), g.N())
 	}
 	if k > c.RanksPerNode() {
 		k = c.RanksPerNode()
@@ -286,172 +300,57 @@ func newLeaderBased(g *vgraph.Graph, c topology.Cluster, k int, place []int, avo
 			return plans[r].distribute[i].Sources[0] < plans[r].distribute[j].Sources[0]
 		})
 	}
-	return &LeaderBased{g: g, c: c, leaders: k, place: place, plan: plans}, nil
+	return plans, nil
 }
 
-// Name implements Op.
-func (a *LeaderBased) Name() string {
-	if a.leaders > 1 {
-		return fmt.Sprintf("leader-based(%d)", a.leaders)
+// emitLeader converts the routed hierarchy into each rank's program:
+// all four receive classes are posted up front, then direct sends,
+// gathers, the packed node-pair shipments and the distributions proceed
+// phase by phase with the waits between them.
+func emitLeader(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*Plan, error) {
+	tables, err := leaderTables(g, c, k, place, avoid)
+	if err != nil {
+		return nil, err
 	}
-	return "leader-based"
-}
-
-// Graph implements Op.
-func (a *LeaderBased) Graph() *vgraph.Graph { return a.g }
-
-// Run implements Op; the general path is RunV.
-func (a *LeaderBased) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
-	checkUniform(m)
-	a.RunV(p, sbuf, a.uc.get(a.g.N(), m), rbuf)
-}
-
-// RunV implements VOp: direct intra-node edges, gather to the routed
-// leaders, leader exchange, distribution.
-func (a *LeaderBased) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
-	checkArgsV(p, a.g, sbuf, counts, rbuf)
-	r := p.Rank()
-	plan := &a.plan[r]
-	phantom := p.Phantom()
-	rOff := rbufOffsets(a.g, r, counts)
-
-	put := func(src int, data []byte) {
-		off, ok := rOff[src]
-		if !ok {
-			panic(fmt.Sprintf("collective: rank %d received payload of non-in-neighbor %d", r, src))
+	b := NewPlanBuilder(g, 0, 0)
+	for r := range tables {
+		t := &tables[r]
+		for _, u := range t.directRecvs {
+			b.Recv(u, tags.LBDirect, Deliver, u)
 		}
-		if !phantom {
-			copy(rbuf[off:off+counts[src]], data)
+		gather := b.Len()
+		for _, u := range t.gatherFrom {
+			b.Recv(u, tags.LBGather, 0, u)
 		}
-	}
-
-	// Post all receives first; tags resolve phase ordering.
-	directReqs := make([]*mpirt.Request, 0, len(plan.directRecvs))
-	for _, u := range plan.directRecvs {
-		directReqs = append(directReqs, p.Irecv(u, tags.LBDirect))
-	}
-	gatherReqs := make([]*mpirt.Request, 0, len(plan.gatherFrom))
-	for _, u := range plan.gatherFrom {
-		gatherReqs = append(gatherReqs, p.Irecv(u, tags.LBGather))
-	}
-	nodeReqs := make([]*mpirt.Request, 0, len(plan.nodeRecvs))
-	for _, l := range plan.nodeRecvs {
-		nodeReqs = append(nodeReqs, p.Irecv(l, tags.LBNode))
-	}
-	distReqs := make([]*mpirt.Request, 0, len(plan.fromLeaders))
-	for _, l := range plan.fromLeaders {
-		distReqs = append(distReqs, p.Irecv(l, tags.LBDist))
-	}
-
-	// Phase 0: direct intra-node edges.
-	for _, v := range plan.directSends {
-		p.Send(v, tags.LBDirect, counts[r], sbuf, nil)
-	}
-	// Phase 1: gather to each routed leader.
-	for _, l := range plan.gatherTo {
-		p.Send(l, tags.LBGather, counts[r], sbuf, nil)
-	}
-	nodeData := map[int][]byte{r: sbuf}
-	// gatherMsgs keeps gathered messages alive while nodeData aliases
-	// their payloads; released after the leader-exchange sends.
-	gatherMsgs := make([]mpirt.Msg, 0, len(gatherReqs))
-	for i, req := range gatherReqs {
-		msg := req.Wait()
-		u := plan.gatherFrom[i]
-		if msg.Size != counts[u] {
-			panic(fmt.Sprintf("collective: leader %d gathered %d bytes from %d, want %d", r, msg.Size, u, counts[u]))
+		node := b.Len()
+		for _, l := range t.nodeRecvs {
+			b.Recv(l, tags.LBNode, SelfDescribing|Packed)
 		}
-		if !phantom {
-			nodeData[u] = msg.Data
+		dist := b.Len()
+		for _, l := range t.fromLeaders {
+			b.Recv(l, tags.LBDist, Deliver|SelfDescribing|Packed)
 		}
-		gatherMsgs = append(gatherMsgs, msg)
-	}
-	// Phase 2: leader exchange.
-	for _, ns := range plan.nodeSends {
-		size := 0
-		var payload []byte
-		for _, src := range ns.Sources {
-			if !phantom {
-				payload = append(payload, nodeData[src][:counts[src]]...)
-			}
-			size += counts[src]
+		end := b.Len()
+		for _, v := range t.directSends {
+			b.Send(v, tags.LBDirect, Deliver, r)
 		}
-		p.ChargeCopy(size)
-		p.Send(ns.Dst, tags.LBNode, size, payload, ns.Sources)
-	}
-	for i := range gatherMsgs {
-		gatherMsgs[i].Release()
-	}
-	// remote[src] holds payloads received from other nodes' leaders;
-	// nodeMsgs keeps those messages alive until the distribution phase
-	// has copied every aliased segment out.
-	remote := map[int][]byte{}
-	nodeMsgs := make([]mpirt.Msg, 0, len(nodeReqs))
-	for _, req := range nodeReqs {
-		msg := req.Wait()
-		sources := msg.Meta.([]int)
-		pos := 0
-		for _, src := range sources {
-			if !phantom {
-				remote[src] = msg.Data[pos : pos+counts[src]]
-			}
-			pos += counts[src]
+		for _, l := range t.gatherTo {
+			b.Send(l, tags.LBGather, 0, r)
 		}
-		if msg.Size != pos {
-			panic(fmt.Sprintf("collective: leader %d node message size %d != %d", r, msg.Size, pos))
+		b.Wait(gather, node)
+		for _, ns := range t.nodeSends {
+			b.Send(ns.Dst, tags.LBNode, SelfDescribing|Packed, ns.Sources...)
 		}
-		nodeMsgs = append(nodeMsgs, msg)
-	}
-	// Phase 3: distribution to members (and to the leader itself).
-	for _, d := range plan.distribute {
-		size := 0
-		var payload []byte
-		for _, src := range d.Sources {
-			if !phantom {
-				payload = append(payload, remote[src][:counts[src]]...)
-			}
-			size += counts[src]
+		b.Wait(node, dist)
+		for _, d := range t.distribute {
+			b.Send(d.Dst, tags.LBDist, Deliver|SelfDescribing|Packed, d.Sources...)
 		}
-		p.ChargeCopy(size)
-		p.Send(d.Dst, tags.LBDist, size, payload, d.Sources)
-	}
-	for _, src := range plan.selfDeliver {
-		var data []byte
-		if !phantom {
-			data = remote[src]
+		for _, src := range t.selfDeliver {
+			b.Copy(src, Deliver)
 		}
-		put(src, data)
-		p.ChargeCopy(counts[src])
+		b.Wait(dist, end)
+		b.Wait(0, gather)
+		b.EndRank()
 	}
-	for i := range nodeMsgs {
-		nodeMsgs[i].Release()
-	}
-	for _, req := range distReqs {
-		msg := req.Wait()
-		sources := msg.Meta.([]int)
-		pos := 0
-		for _, src := range sources {
-			var data []byte
-			if !phantom {
-				data = msg.Data[pos : pos+counts[src]]
-			}
-			pos += counts[src]
-			put(src, data)
-			p.ChargeCopy(counts[src])
-		}
-		msg.Release()
-	}
-	for i, req := range directReqs {
-		msg := req.Wait()
-		u := plan.directRecvs[i]
-		if msg.Size != counts[u] {
-			panic(fmt.Sprintf("collective: rank %d direct recv from %d size %d != %d", r, u, msg.Size, counts[u]))
-		}
-		var data []byte
-		if !phantom {
-			data = msg.Data
-		}
-		put(u, data)
-		msg.Release()
-	}
+	return b.Plan(), nil
 }

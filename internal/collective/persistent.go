@@ -32,7 +32,7 @@ func AllgatherInit(op VOp, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) (*
 	}
 	return &Persistent{
 		op: op, p: p,
-		sbuf: sbuf, counts: uniformCounts(op.Graph().N(), m), rbuf: rbuf,
+		sbuf: sbuf, counts: uniformFor(op, m), rbuf: rbuf,
 	}, nil
 }
 

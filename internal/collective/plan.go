@@ -1,0 +1,229 @@
+package collective
+
+import (
+	"fmt"
+	"slices"
+
+	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/vgraph"
+)
+
+// The plan IR (DESIGN.md "Plan IR contract"): every allgather(v)
+// algorithm in this package is an emitter producing a Plan, the one
+// interpreter in interp.go runs it, and internal/planverify proves its
+// invariants on this same object.
+
+// OpKind discriminates the plan's operations.
+type OpKind uint8
+
+const (
+	// OpRecv posts a nonblocking receive.
+	OpRecv OpKind = iota
+	// OpSend sends one message.
+	OpSend
+	// OpWait completes a run of previously posted receives, in order.
+	OpWait
+	// OpCopy moves one locally held block without a message: into the
+	// result buffer (Deliver), or the rank's own send buffer into its
+	// hold buffer (no Deliver).
+	OpCopy
+)
+
+// OpFlags qualify a send, its matching receive (both sides carry the
+// same flags) or a copy.
+type OpFlags uint8
+
+const (
+	// Deliver marks a payload that lands in the receiver's result
+	// buffer — a terminal delivery that must cover graph edges exactly
+	// once. Other messages are forwards extending the receiver's
+	// holdings.
+	Deliver OpFlags = 1 << iota
+	// SelfDescribing marks a message carrying its block list in-band,
+	// so the receiver learns the blocks from the message rather than
+	// from its own receive op.
+	SelfDescribing
+	// Packed marks a message assembled into a temporary buffer: the
+	// sender is charged one copy of the whole payload, and a Deliver
+	// receiver one copy per block unpacked.
+	Packed
+)
+
+// AnySource marks a wildcard receive.
+const AnySource = mpirt.AnySource
+
+// PlanOp is one operation of a rank's program.
+type PlanOp struct {
+	Kind  OpKind
+	Flags OpFlags
+	// Tag is the message tag of a send or receive.
+	Tag int16
+	// Peer is the send destination or the receive source (AnySource
+	// for a wildcard receive). Unused for OpWait/OpCopy.
+	Peer int32
+	// off, n locate the op's blocks in the plan's shared arena: the
+	// blocks a send carries in payload order, the blocks a receive that
+	// is not self-describing expects, or a copy's single block. For
+	// OpWait they are instead the range of op indices it completes.
+	off, n uint32
+}
+
+// planOpBytes is the size of a PlanOp (pinned by TestPlanOpSize).
+const planOpBytes = 16
+
+// Waits returns the op-index range [lo, hi), within the same rank's
+// ops, of the receives an OpWait completes, in order.
+func (op *PlanOp) Waits() (lo, hi int) { return int(op.off), int(op.off + op.n) }
+
+// span is a sub-slice of the block arena.
+type span struct{ off, n uint32 }
+
+// Plan is the complete program of one allgather(v): per-rank op lists
+// in exact issue order, flattened into one slice, with every block
+// list a sub-slice of one arena. Plans are immutable once built and
+// safe to share across ops, ranks and goroutines.
+type Plan struct {
+	Graph *vgraph.Graph
+	ops   []PlanOp
+	// first[r]..first[r+1] bound rank r's ops.
+	first []uint32
+	// arena opens with the identity 0..n-1, so a single block b is
+	// arena[b:b+1] at no cost.
+	arena []int32
+	// hold[r] is rank r's hold-buffer order (nil when no rank stages a
+	// contiguous hold buffer).
+	hold []span
+}
+
+// Ops returns rank r's ops in program order. Read-only.
+func (pl *Plan) Ops(r int) []PlanOp { return pl.ops[pl.first[r]:pl.first[r+1]] }
+
+// Blocks returns op's block list. Read-only.
+func (pl *Plan) Blocks(op *PlanOp) []int32 { return pl.arena[op.off : op.off+op.n] }
+
+// Hold returns rank r's hold-buffer order, empty when the rank keeps no
+// contiguous hold buffer. Read-only.
+func (pl *Plan) Hold(r int) []int32 {
+	if pl.hold == nil {
+		return nil
+	}
+	h := pl.hold[r]
+	return pl.arena[h.off : h.off+h.n]
+}
+
+// Bytes is the plan's resident size: the plan cache's cost.
+func (pl *Plan) Bytes() int64 {
+	const header = 8 + 4*24 // graph pointer + four slice headers
+	return header + planOpBytes*int64(cap(pl.ops)) + 4*int64(cap(pl.first)) +
+		4*int64(cap(pl.arena)) + 8*int64(cap(pl.hold))
+}
+
+// PlanBuilder assembles a Plan rank by rank: ops are appended to the
+// current rank until EndRank, which must be called once per rank in
+// rank order.
+type PlanBuilder struct {
+	pl   *Plan
+	rank int
+}
+
+// NewPlanBuilder starts a plan over g. ops and blocks size the op list
+// and the multi-block lists up front (0 = grow as needed): a plan built
+// at 100k ranks between two collections is all resident memory, and
+// append's growth would allocate five times the final size.
+func NewPlanBuilder(g *vgraph.Graph, ops, blocks int) *PlanBuilder {
+	n := g.N()
+	pl := &Plan{Graph: g, ops: make([]PlanOp, 0, ops), first: make([]uint32, 1, n+1), arena: make([]int32, n, n+blocks)}
+	for i := range pl.arena {
+		pl.arena[i] = int32(i)
+	}
+	return &PlanBuilder{pl: pl}
+}
+
+// Hold declares rank r's hold-buffer order: the rank stages a
+// contiguous buffer laid out in this order, forwards it receives are
+// copied into their slot, and an unpacked send of a prefix of the order
+// ships in place. Declare holds before emitting ops, so sends and
+// receives naming a prefix alias it instead of storing a copy.
+func (b *PlanBuilder) Hold(r int, order []int) {
+	if b.pl.hold == nil {
+		b.pl.hold = make([]span, b.pl.Graph.N())
+	}
+	b.pl.hold[r] = b.intern(order, -1)
+}
+
+// intern stores blocks in the arena, aliasing a prefix of holder's
+// hold order or the identity when it can.
+func (b *PlanBuilder) intern(blocks []int, holder int) span {
+	pl := b.pl
+	n := pl.Graph.N()
+	if k := uint32(len(blocks)); pl.hold != nil && holder >= 0 && holder < n && k > 0 {
+		h := pl.hold[holder]
+		if h.n >= k && slices.EqualFunc(pl.arena[h.off:h.off+k], blocks, func(a int32, b int) bool { return int(a) == b }) {
+			return span{h.off, k}
+		}
+	}
+	for _, v := range blocks {
+		if v < 0 || v >= n {
+			panic(fmt.Sprintf("collective: plan block %d outside [0,%d)", v, n))
+		}
+	}
+	if len(blocks) == 1 {
+		return span{uint32(blocks[0]), 1}
+	}
+	off := uint32(len(pl.arena))
+	for _, v := range blocks {
+		pl.arena = append(pl.arena, int32(v))
+	}
+	return span{off, uint32(len(blocks))}
+}
+
+func (b *PlanBuilder) add(kind OpKind, flags OpFlags, peer, tag int, s span) {
+	if int(int16(tag)) != tag {
+		panic(fmt.Sprintf("collective: plan tag %d does not fit 16 bits", tag))
+	}
+	b.pl.ops = append(b.pl.ops, PlanOp{Kind: kind, Flags: flags, Tag: int16(tag), Peer: int32(peer), off: s.off, n: s.n})
+}
+
+// Len returns the number of ops emitted for the current rank so far —
+// the index the next op will get.
+func (b *PlanBuilder) Len() int { return len(b.pl.ops) - int(b.pl.first[b.rank]) }
+
+// Recv posts a receive from peer. blocks are the blocks the message
+// must carry; leave them out for a SelfDescribing receive.
+func (b *PlanBuilder) Recv(peer, tag int, flags OpFlags, blocks ...int) {
+	b.add(OpRecv, flags, peer, tag, b.intern(blocks, peer))
+}
+
+// Send sends blocks, in payload order, to peer.
+func (b *PlanBuilder) Send(peer, tag int, flags OpFlags, blocks ...int) {
+	b.add(OpSend, flags, peer, tag, b.intern(blocks, b.rank))
+}
+
+// Wait completes, in order, the receives at op indices lo..hi-1; an
+// empty range emits nothing.
+func (b *PlanBuilder) Wait(lo, hi int) {
+	if lo < hi {
+		b.add(OpWait, 0, 0, 0, span{uint32(lo), uint32(hi - lo)})
+	}
+}
+
+// Copy emits a charged local copy of block: with Deliver, a held block
+// into the result buffer; without, the rank's own block into its hold
+// buffer.
+func (b *PlanBuilder) Copy(block int, flags OpFlags) {
+	b.add(OpCopy, flags, 0, 0, b.intern([]int{block}, -1))
+}
+
+// EndRank closes the current rank's program.
+func (b *PlanBuilder) EndRank() {
+	b.pl.first = append(b.pl.first, uint32(len(b.pl.ops)))
+	b.rank++
+}
+
+// Plan returns the finished plan; every rank must have been closed.
+func (b *PlanBuilder) Plan() *Plan {
+	if n := b.pl.Graph.N(); b.rank != n {
+		panic(fmt.Sprintf("collective: plan closed %d of %d ranks", b.rank, n))
+	}
+	return b.pl
+}

@@ -3,6 +3,7 @@ package planverify
 import (
 	"fmt"
 
+	"nbrallgather/internal/collective"
 	"nbrallgather/internal/perfmodel"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/topology"
@@ -52,25 +53,27 @@ func (l *Load) Bytes() int64 {
 // Load computes the schedule's static resource accounting.
 func (s *Schedule) Load() *Load {
 	c := s.Cluster
+	n := s.Plan.Graph.N()
 	l := &Load{
-		RankMsgs:    make([]int64, s.Graph.N()),
-		RankBytes:   make([]int64, s.Graph.N()),
+		RankMsgs:    make([]int64, n),
+		RankBytes:   make([]int64, n),
 		NICMsgs:     make([]int64, c.Nodes),
 		NICBytes:    make([]int64, c.Nodes),
 		UplinkMsgs:  make([]int64, c.Groups()),
 		UplinkBytes: make([]int64, c.Groups()),
 	}
-	for r, ops := range s.Ranks {
+	for r := 0; r < n; r++ {
+		ops := s.Plan.Ops(r)
 		for i := range ops {
 			op := &ops[i]
-			if op.Kind != OpSend {
+			if op.Kind != collective.OpSend {
 				continue
 			}
 			var size int64
-			for _, b := range op.Blocks {
+			for _, b := range s.Plan.Blocks(op) {
 				size += int64(s.Counts[b])
 			}
-			d := c.Dist(r, op.Peer)
+			d := c.Dist(r, int(op.Peer))
 			l.MsgsByDist[d]++
 			l.BytesByDist[d] += size
 			l.RankMsgs[r]++
@@ -136,22 +139,26 @@ func RatioMaxMean(xs []int64) float64 {
 // perfParams instantiates the perfmodel for this schedule's shape.
 func (s *Schedule) perfParams() perfmodel.Params {
 	return perfmodel.Params{
-		N: s.Graph.N(),
+		N: s.Plan.Graph.N(),
 		S: s.Cluster.SocketsPerNode,
 		L: s.Cluster.RanksPerSocket,
 	}
 }
 
-// halvingSends counts rank r's halving-phase sends (DH step tags).
-func (s *Schedule) halvingSends(r int) int {
-	n := 0
-	for i := range s.Ranks[r] {
-		op := &s.Ranks[r][i]
-		if op.Kind == OpSend && op.Tag >= tags.DHStep {
-			n++
+// sendCounts returns rank r's send count and how many of those are
+// halving-phase sends (DH step tags).
+func (s *Schedule) sendCounts(r int) (sends, halving int) {
+	ops := s.Plan.Ops(r)
+	for i := range ops {
+		if ops[i].Kind != collective.OpSend {
+			continue
+		}
+		sends++
+		if ops[i].Tag >= tags.DHStep {
+			halving++
 		}
 	}
-	return n
+	return sends, halving
 }
 
 // checkLoadBounds cross-checks the static send counts against the
@@ -161,25 +168,18 @@ func (s *Schedule) halvingSends(r int) int {
 // out-degree (the δ·n term of Eq. (4) realized per rank).
 func (s *Schedule) checkLoadBounds() []Finding {
 	var out []Finding
-	switch s.Algo {
-	case "dh":
-		bound := int(s.perfParams().HalvingSteps())
-		for r := range s.Ranks {
-			if got := s.halvingSends(r); got > bound {
+	bound := int(s.perfParams().HalvingSteps())
+	for r := 0; r < s.Plan.Graph.N(); r++ {
+		sends, halving := s.sendCounts(r)
+		switch s.Algo {
+		case "dh":
+			if halving > bound {
 				out = append(out, Finding{InvLoadBound, r, fmt.Sprintf(
 					"rank %d issues %d halving-phase sends, above the ⌈log2(n/L)⌉+1 = %d perfmodel bound",
-					r, got, bound)})
+					r, halving, bound)})
 			}
-		}
-	case "naive":
-		for r := range s.Ranks {
-			sends := 0
-			for i := range s.Ranks[r] {
-				if s.Ranks[r][i].Kind == OpSend {
-					sends++
-				}
-			}
-			if deg := s.Graph.OutDegree(r); sends != deg {
+		case "naive":
+			if deg := s.Plan.Graph.OutDegree(r); sends != deg {
 				out = append(out, Finding{InvLoadBound, r, fmt.Sprintf(
 					"rank %d issues %d sends for out-degree %d", r, sends, deg)})
 			}
@@ -210,16 +210,13 @@ type CrossCheck struct {
 // CrossCheck computes the perfmodel comparison for this schedule.
 func (s *Schedule) CrossCheck() CrossCheck {
 	p := s.perfParams()
-	delta := s.Graph.Density()
-	n := s.Graph.N()
+	delta := s.Plan.Graph.Density()
+	n := s.Plan.Graph.N()
 	var sends, halving int
-	for r := range s.Ranks {
-		for i := range s.Ranks[r] {
-			if s.Ranks[r][i].Kind == OpSend {
-				sends++
-			}
-		}
-		halving += s.halvingSends(r)
+	for r := 0; r < n; r++ {
+		sr, hr := s.sendCounts(r)
+		sends += sr
+		halving += hr
 	}
 	return CrossCheck{
 		Delta:             delta,

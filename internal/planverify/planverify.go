@@ -1,5 +1,5 @@
-// Package planverify is the static plan verifier: it takes a built
-// communication schedule (the send/receive/copy program each rank of a
+// Package planverify is the static plan verifier: it takes an emitted
+// collective.Plan (the send/receive/copy program each rank of a
 // neighborhood-allgather plan executes — naive, Distance Halving,
 // Common Neighbor, or leader-based, including the BuildAvoiding repair
 // variants) plus the cluster topology, and proves four invariants
@@ -21,79 +21,68 @@
 //     max/min and max/mean link-load ratios, cross-checked against the
 //     perfmodel cost equations' message-count terms.
 //
-// The schedule IR mirrors the runtime ops the collectives issue, in
-// the exact program order their RunV methods issue them, so the static
-// per-resource byte charges equal mpirt.Report traffic bit-for-bit on
-// clean runs — a differential test pins that equality on both engines.
+// The schedule is not a model of the plan: it wraps the very
+// collective.Plan the interpreter executes (collective's emitters are
+// the only code that knows how an algorithm becomes ops), so what
+// Verify proves and what Load counts is the object that runs, and the
+// static per-resource byte charges equal mpirt.Report traffic
+// bit-for-bit on clean runs.
 package planverify
 
 import (
 	"fmt"
 
+	"nbrallgather/internal/collective"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
 
-// AnySource marks a wildcard receive, mirroring mpirt.AnySource.
-const AnySource = -1
-
-// OpKind discriminates the schedule IR's operations.
-type OpKind uint8
-
-const (
-	// OpRecv posts a nonblocking receive.
-	OpRecv OpKind = iota
-	// OpSend sends one message.
-	OpSend
-	// OpWait completes a previously posted receive.
-	OpWait
-	// OpCopy delivers one locally held block into the result buffer.
-	OpCopy
-)
-
-// Op is one operation of a rank's schedule.
-type Op struct {
-	Kind OpKind
-	// Peer is the send destination, or the receive source (AnySource
-	// for a wildcard receive). Unused for OpWait/OpCopy.
-	Peer int
-	// Tag is the message tag of a send or receive.
-	Tag int
-	// Blocks lists the source blocks a send's payload carries, in
-	// payload order; for OpCopy, the single delivered block. A send's
-	// byte size is the sum of its blocks' counts.
-	Blocks []int
-	// Deliver marks a send or copy whose payload lands in the
-	// receiver's result buffer — a terminal delivery that must cover
-	// graph edges exactly once. Non-Deliver sends are forwards that
-	// extend the receiver's holdings.
-	Deliver bool
-	// SelfDescribing marks a send that carries its source list in-band
-	// (the runtime's Meta argument), so a wildcard receiver can
-	// interpret it without relying on (src, tag) identity.
-	SelfDescribing bool
-	// Recv is, for OpWait, the index (into the same rank's op list) of
-	// the receive it completes.
-	Recv int
-}
-
-// Schedule is the symbolic communication program of one plan: per-rank
-// op lists in exact runtime issue order, over a graph mapped onto a
-// cluster with per-source payload sizes.
+// Schedule is one plan under verification: the plan itself plus the
+// cluster it is mapped onto rank for rank and the per-source payload
+// sizes.
 type Schedule struct {
 	// Algo names the algorithm ("naive", "dh", "cn", "leader").
 	Algo    string
 	Cluster topology.Cluster
-	Graph   *vgraph.Graph
+	// Plan holds each rank's ops in program order.
+	Plan *collective.Plan
 	// Counts is the per-source payload size in bytes (the allgatherv
 	// counts argument; uniform counts model plain allgather).
 	Counts []int
-	// Ranks holds each rank's ops in program order.
-	Ranks [][]Op
 	// Avoid is the repair avoid set the plan was built for (nil for
 	// the unrestricted builders). Verification additionally checks the
 	// avoidance discipline when set.
 	Avoid []bool
+}
+
+// Params selects the emitters' knobs; the zero value resolves to the
+// conformance-suite choices, so Extract(algo, g, c, counts, nil,
+// Params{}) verifies exactly the plans the conformance matrix executes.
+type Params = collective.PlanParams
+
+// Algos lists the extractable algorithms in canonical order.
+func Algos() []string { return []string{"naive", "dh", "cn", "leader"} }
+
+// Extract emits one algorithm's plan over graph g mapped rank-for-rank
+// onto cluster c and wraps it for verification with per-source payload
+// counts. A non-nil avoid set selects the repair builders and arms the
+// avoidance checks.
+func Extract(algo string, g *vgraph.Graph, c topology.Cluster, counts []int, avoid []bool, prm Params) (*Schedule, error) {
+	n := g.N()
+	if len(counts) != n {
+		return nil, fmt.Errorf("planverify: %d counts for %d ranks", len(counts), n)
+	}
+	if n > c.Ranks() {
+		return nil, fmt.Errorf("planverify: graph has %d ranks, cluster only %d", n, c.Ranks())
+	}
+	if avoid != nil && len(avoid) != n {
+		return nil, fmt.Errorf("planverify: avoid set has %d entries for %d ranks", len(avoid), n)
+	}
+	plan, err := collective.Emit(algo, g, c, prm, avoid)
+	if err != nil {
+		return nil, err
+	}
+	return &Schedule{Algo: algo, Cluster: c, Plan: plan, Counts: counts, Avoid: avoid}, nil
 }
 
 // Invariant names, used as finding analyzers / SARIF rule IDs.
@@ -136,26 +125,21 @@ func (f Finding) String() string {
 }
 
 // opString renders an op for cycle and matching messages.
-func opString(r int, op *Op) string {
+func (s *Schedule) opString(ref opRef) string {
+	r, op := ref.rank, s.op(ref)
 	switch op.Kind {
-	case OpSend:
+	case collective.OpSend:
 		return fmt.Sprintf("rank %d send→%d tag %d", r, op.Peer, op.Tag)
-	case OpRecv:
-		if op.Peer == AnySource {
-			return fmt.Sprintf("rank %d recv←* tag %d", r, op.Tag)
+	case collective.OpRecv:
+		return fmt.Sprintf("rank %d recv←%s tag %d", r, peerString(int(op.Peer)), op.Tag)
+	case collective.OpWait:
+		lo, hi := op.Waits()
+		if hi-lo == 1 {
+			return fmt.Sprintf("rank %d wait#%d", r, lo)
 		}
-		return fmt.Sprintf("rank %d recv←%d tag %d", r, op.Peer, op.Tag)
-	case OpWait:
-		return fmt.Sprintf("rank %d wait#%d", r, op.Recv)
-	case OpCopy:
-		return fmt.Sprintf("rank %d copy %d", r, blockOf(op))
+		return fmt.Sprintf("rank %d wait#%d..%d", r, lo, hi-1)
+	case collective.OpCopy:
+		return fmt.Sprintf("rank %d copy %d", r, s.Plan.Blocks(op)[0])
 	}
 	return fmt.Sprintf("rank %d op?", r)
-}
-
-func blockOf(op *Op) int {
-	if len(op.Blocks) == 1 {
-		return op.Blocks[0]
-	}
-	return -1
 }

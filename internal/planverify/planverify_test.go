@@ -1,6 +1,7 @@
 package planverify
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,65 +40,89 @@ func TestMatrixClean(t *testing.T) {
 	}
 }
 
-// buildRuntimeOp constructs the runtime collective matching a case's
-// builder parameters exactly, so the differential test executes the
-// very plan the verifier reasoned about.
+// orDefault mirrors collective.PlanParams' zero-means-default rule for
+// the constructor calls below, which take explicit values.
+func orDefault(v, d int) int {
+	if v == 0 {
+		return d
+	}
+	return v
+}
+
+// buildRuntimeOp constructs the case's collective through the public
+// constructors, so the differential tests compare the plan Extract
+// emitted against the op a caller would actually run.
 func buildRuntimeOp(t *testing.T, cs Case) collective.VOp {
 	t.Helper()
 	g, c := cs.Shape.Graph, cs.Shape.Cluster
-	prm := cs.Params.normalized()
+	var op collective.VOp
+	var err error
 	switch cs.Algo {
 	case "naive":
-		return collective.NewNaive(g)
+		op = collective.NewNaive(g)
 	case "dh":
-		pat, err := pattern.BuildAvoiding(g, c.L(), prm.Policy, cs.Avoid)
-		if err != nil {
-			t.Fatal(err)
+		var pat *pattern.Pattern
+		if pat, err = pattern.BuildAvoiding(g, c.L(), cs.Params.Policy, cs.Avoid); err == nil {
+			op = collective.NewDistanceHalvingFromPattern(pat)
 		}
-		return collective.NewDistanceHalvingFromPattern(pat)
 	case "cn":
-		op, err := collective.NewCommonNeighborAvoiding(g, prm.CNGroup, cs.Avoid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return op
+		op, err = collective.NewCommonNeighborAvoiding(g, orDefault(cs.Params.CNGroup, 3), cs.Avoid)
 	case "leader":
-		var op *collective.LeaderBased
-		var err error
+		k := orDefault(cs.Params.Leaders, 1)
 		if cs.Avoid == nil {
-			op, err = collective.NewLeaderBasedK(g, c, prm.Leaders)
+			op, err = collective.NewLeaderBasedK(g, c, k)
 		} else {
 			place := make([]int, g.N())
 			for i := range place {
 				place[i] = i
 			}
-			op, err = collective.NewLeaderBasedPlacedAvoiding(g, c, prm.Leaders, place, cs.Avoid)
+			op, err = collective.NewLeaderBasedPlacedAvoiding(g, c, k, place, cs.Avoid)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return op
+	default:
+		t.Fatalf("no runtime op for algorithm %q", cs.Algo)
 	}
-	t.Fatalf("no runtime op for algorithm %q", cs.Algo)
-	return nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
 }
 
-// runReport executes the case's collective on the given engine in
-// phantom mode and returns the traffic report.
+// fill writes rank r's verification payload.
+func fill(buf []byte, r int) {
+	for i := range buf {
+		buf[i] = byte(r*131 + i*7 + 3)
+	}
+}
+
+// runReport executes the case's collective on the given engine with
+// real payloads, checks every rank's receive buffer byte for byte, and
+// returns the traffic report.
 func runReport(t *testing.T, eng mpirt.Engine, cs Case, op collective.VOp) *mpirt.Report {
 	t.Helper()
 	g, counts := cs.Shape.Graph, cs.Counts
-	rep, err := mpirt.Run(mpirt.Config{Cluster: cs.Shape.Cluster, Phantom: true, Engine: eng},
+	bad := make([]bool, g.N())
+	rep, err := mpirt.Run(mpirt.Config{Cluster: cs.Shape.Cluster, Ranks: g.N(), Engine: eng},
 		func(p *mpirt.Proc) {
 			r := p.Rank()
-			total := 0
+			sbuf := make([]byte, counts[r])
+			fill(sbuf, r)
+			var want []byte
 			for _, u := range g.In(r) {
-				total += counts[u]
+				seg := make([]byte, counts[u])
+				fill(seg, u)
+				want = append(want, seg...)
 			}
-			op.RunV(p, make([]byte, counts[r]), counts, make([]byte, total))
+			rbuf := make([]byte, len(want))
+			op.RunV(p, sbuf, counts, rbuf)
+			bad[r] = !bytes.Equal(rbuf, want)
 		})
 	if err != nil {
 		t.Fatalf("%s on %q: %v", cs.Name, eng, err)
+	}
+	for r, b := range bad {
+		if b {
+			t.Errorf("%s on %q: rank %d receive buffer differs from the in-neighbor payloads", cs.Name, eng, r)
+		}
 	}
 	return rep
 }
@@ -106,6 +131,10 @@ func runReport(t *testing.T, eng mpirt.Engine, cs Case, op collective.VOp) *mpir
 // measured traffic bit-for-bit on every resource class.
 func compareLoad(t *testing.T, label string, l *Load, rep *mpirt.Report) {
 	t.Helper()
+	if l.Msgs() != rep.Msgs() || l.Bytes() != rep.Bytes() {
+		t.Errorf("%s: totals differ: static %d msgs / %d bytes, simulated %d / %d",
+			label, l.Msgs(), l.Bytes(), rep.Msgs(), rep.Bytes())
+	}
 	if l.MsgsByDist != rep.MsgsByDist || l.BytesByDist != rep.BytesByDist {
 		t.Errorf("%s: distance histograms differ: static %v/%v, simulated %v/%v",
 			label, l.MsgsByDist, l.BytesByDist, rep.MsgsByDist, rep.BytesByDist)
@@ -128,34 +157,55 @@ func compareLoad(t *testing.T, label string, l *Load, rep *mpirt.Report) {
 	}
 }
 
+// randomCounts draws per-source sizes in [0, 2m], a third of them zero.
+func randomCounts(rng *rand.Rand, n, m int) []int {
+	counts := make([]int, n)
+	for i := range counts {
+		if rng.Intn(3) > 0 {
+			counts[i] = rng.Intn(2*m + 1)
+		}
+	}
+	return counts
+}
+
 // TestDifferentialTraffic pins the central equality of the verifier:
 // static per-resource byte counts equal simulator-measured traffic on
-// clean runs, on both execution engines, across the whole matrix.
+// clean runs, on both execution engines, across the whole matrix — and
+// again per case under random counts including zeros — with every
+// receive buffer checked byte for byte.
 func TestDifferentialTraffic(t *testing.T) {
 	cases, err := Cases()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(20260928))
 	for _, cs := range cases {
 		cs := cs
+		random := randomCounts(rng, cs.Shape.Graph.N(), payloadM)
 		t.Run(cs.Name, func(t *testing.T) {
-			s, err := cs.Extract()
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := s.Load()
 			op := buildRuntimeOp(t, cs)
-			for _, eng := range []mpirt.Engine{mpirt.EngineThreaded, mpirt.EngineEvent} {
-				rep := runReport(t, eng, cs, op)
-				compareLoad(t, cs.Name+"/"+string(eng), l, rep)
+			for _, counts := range [][]int{cs.Counts, random} {
+				cs.Counts = counts
+				s, err := cs.Extract()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(s.Plan, op.(interface{ Plan() *collective.Plan }).Plan()) {
+					t.Fatalf("%s: Extract and the constructor emitted different plans", cs.Name)
+				}
+				l := s.Load()
+				for _, eng := range []mpirt.Engine{mpirt.EngineThreaded, mpirt.EngineEvent} {
+					compareLoad(t, cs.Name+"/"+string(eng), l, runReport(t, eng, cs, op))
+				}
 			}
 		})
 	}
 }
 
 // TestQuickRandomPlans is the property sweep: random neighborhoods on
-// random cluster shapes verify clean for every algorithm, and the
-// static load equals the measured traffic on both engines.
+// random cluster shapes with random counts (zeros included) verify
+// clean for every algorithm, the static load equals the measured
+// traffic on both engines, and the receive buffers are byte-exact.
 func TestQuickRandomPlans(t *testing.T) {
 	prop := func(seed uint32, nodesU, socketsU, rpsU, densU, grpU uint8) bool {
 		c := topology.Cluster{
@@ -176,7 +226,7 @@ func TestQuickRandomPlans(t *testing.T) {
 			t.Logf("graph: %v", err)
 			return false
 		}
-		counts := conformance.RaggedCounts(n, 7)
+		counts := randomCounts(rand.New(rand.NewSource(int64(seed))), n, 7)
 		for _, algo := range Algos() {
 			s, err := Extract(algo, g, c, counts, nil, Params{})
 			if err != nil {
@@ -193,21 +243,47 @@ func TestQuickRandomPlans(t *testing.T) {
 				Counts: counts}
 			op := buildRuntimeOp(t, cs)
 			for _, eng := range []mpirt.Engine{mpirt.EngineThreaded, mpirt.EngineEvent} {
-				rep := runReport(t, eng, cs, op)
-				if l.MsgsByDist != rep.MsgsByDist || l.BytesByDist != rep.BytesByDist ||
-					!reflect.DeepEqual(l.RankBytes, rep.RankBytes) ||
-					!reflect.DeepEqual(l.NICBytes, rep.NICBytes) ||
-					!reflect.DeepEqual(l.UplinkBytes, rep.UplinkBytes) {
-					t.Logf("%s on %q: static/simulated traffic differ", algo, eng)
-					return false
-				}
+				compareLoad(t, algo+"/"+string(eng), l, runReport(t, eng, cs, op))
 			}
 		}
-		return true
+		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(20260808))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractMatchesBuildPlan: planverify's Params and the planner's
+// BuildPlan resolve their defaults in one place, so the zero Params and
+// param 0 emit the same plan for every algorithm, with and without an
+// avoid set.
+func TestExtractMatchesBuildPlan(t *testing.T) {
+	c := topology.Cluster{Nodes: 3, SocketsPerNode: 2, RanksPerSocket: 3, NodesPerGroup: 3}
+	g, err := vgraph.ErdosRenyi(c.Ranks(), 0.3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := conformance.RaggedCounts(g.N(), payloadM)
+	avoid := make([]bool, g.N())
+	avoid[2], avoid[9] = true, true
+	for _, algo := range Algos() {
+		for _, av := range [][]bool{nil, avoid} {
+			s, err := Extract(algo, g, c, counts, av, Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, cost, err := collective.BuildPlan(algo, g, c, 0, av)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s.Plan, v) {
+				t.Errorf("%s (avoid=%v): Extract and BuildPlan emitted different plans", algo, av != nil)
+			}
+			if cost != s.Plan.Bytes() {
+				t.Errorf("%s: BuildPlan cost %d != Plan.Bytes() %d", algo, cost, s.Plan.Bytes())
+			}
+		}
 	}
 }
 
@@ -223,21 +299,23 @@ func mustGraph(t *testing.T, n int, out [][]int) *vgraph.Graph {
 	return g
 }
 
+// broken wraps a hand-built plan over g as a schedule with counts 3, 5.
+func broken(b *collective.PlanBuilder) *Schedule {
+	return &Schedule{Algo: "broken", Cluster: fixtureCluster, Plan: b.Plan(), Counts: []int{3, 5}}
+}
+
+const deliver = collective.Deliver
+
 // TestBrokenDroppedBlock: a builder that forgets one delivery is
 // caught by the completeness invariant with a canonical message.
 func TestBrokenDroppedBlock(t *testing.T) {
-	g := mustGraph(t, 2, [][]int{{1}, {0}})
-	s := &Schedule{Algo: "broken", Cluster: fixtureCluster, Graph: g, Counts: []int{3, 5},
-		Ranks: [][]Op{
-			{ // rank 0 never sends its block to 1
-				{Kind: OpRecv, Peer: 1, Tag: 1},
-				{Kind: OpWait, Recv: 0},
-			},
-			{
-				{Kind: OpSend, Peer: 0, Tag: 1, Blocks: []int{1}, Deliver: true},
-			},
-		}}
-	fs := s.Verify()
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {0}}), 0, 0)
+	b.Recv(1, 1, deliver, 1) // rank 0 never sends its block to 1
+	b.Wait(0, 1)
+	b.EndRank()
+	b.Send(0, 1, deliver, 1)
+	b.EndRank()
+	fs := broken(b).Verify()
 	if len(fs) != 1 || fs[0].Invariant != InvCompleteness ||
 		fs[0].Message != "edge 0→1 never delivered" {
 		t.Fatalf("dropped block not caught canonically: %v", fs)
@@ -247,24 +325,18 @@ func TestBrokenDroppedBlock(t *testing.T) {
 // TestBrokenDuplicateDelivery: delivering the same block twice (on
 // distinct tags, so matching stays clean) trips completeness.
 func TestBrokenDuplicateDelivery(t *testing.T) {
-	g := mustGraph(t, 2, [][]int{{1}, {0}})
-	s := &Schedule{Algo: "broken", Cluster: fixtureCluster, Graph: g, Counts: []int{3, 5},
-		Ranks: [][]Op{
-			{
-				{Kind: OpSend, Peer: 1, Tag: 1, Blocks: []int{0}, Deliver: true},
-				{Kind: OpSend, Peer: 1, Tag: 2, Blocks: []int{0}, Deliver: true},
-				{Kind: OpRecv, Peer: 1, Tag: 1},
-				{Kind: OpWait, Recv: 2},
-			},
-			{
-				{Kind: OpRecv, Peer: 0, Tag: 1},
-				{Kind: OpRecv, Peer: 0, Tag: 2},
-				{Kind: OpSend, Peer: 0, Tag: 1, Blocks: []int{1}, Deliver: true},
-				{Kind: OpWait, Recv: 0},
-				{Kind: OpWait, Recv: 1},
-			},
-		}}
-	fs := s.Verify()
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {0}}), 0, 0)
+	b.Send(1, 1, deliver, 0)
+	b.Send(1, 2, deliver, 0)
+	b.Recv(1, 1, deliver, 1)
+	b.Wait(2, 3)
+	b.EndRank()
+	b.Recv(0, 1, deliver, 0)
+	b.Recv(0, 2, deliver, 0)
+	b.Send(0, 1, deliver, 1)
+	b.Wait(0, 2)
+	b.EndRank()
+	fs := broken(b).Verify()
 	if len(fs) != 1 || fs[0].Invariant != InvCompleteness ||
 		fs[0].Message != "edge 0→1 delivered twice" {
 		t.Fatalf("duplicate delivery not caught canonically: %v", fs)
@@ -274,21 +346,15 @@ func TestBrokenDuplicateDelivery(t *testing.T) {
 // TestBrokenTagCollision: two in-flight messages on one (src,dst,tag)
 // channel trip the matching invariant on both endpoints.
 func TestBrokenTagCollision(t *testing.T) {
-	g := mustGraph(t, 2, [][]int{{1}, {}})
-	s := &Schedule{Algo: "broken", Cluster: fixtureCluster, Graph: g, Counts: []int{3, 5},
-		Ranks: [][]Op{
-			{
-				{Kind: OpSend, Peer: 1, Tag: 7, Blocks: []int{0}, Deliver: true},
-				{Kind: OpSend, Peer: 1, Tag: 7, Blocks: []int{0}, Deliver: true},
-			},
-			{
-				{Kind: OpRecv, Peer: 0, Tag: 7},
-				{Kind: OpRecv, Peer: 0, Tag: 7},
-				{Kind: OpWait, Recv: 0},
-				{Kind: OpWait, Recv: 1},
-			},
-		}}
-	fs := s.Verify()
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {}}), 0, 0)
+	b.Send(1, 7, deliver, 0)
+	b.Send(1, 7, deliver, 0)
+	b.EndRank()
+	b.Recv(0, 7, deliver, 0)
+	b.Recv(0, 7, deliver, 0)
+	b.Wait(0, 2)
+	b.EndRank()
+	fs := broken(b).Verify()
 	if len(fs) != 3 {
 		t.Fatalf("tag collision findings = %v, want send+recv collision and duplicate delivery", fs)
 	}
@@ -307,21 +373,16 @@ func TestBrokenTagCollision(t *testing.T) {
 // the matching receive are eager-safe but deadlock under rendezvous
 // semantics; the cycle is printed canonically, minimum rank first.
 func TestBrokenRendezvousCycle(t *testing.T) {
-	g := mustGraph(t, 2, [][]int{{1}, {0}})
-	s := &Schedule{Algo: "broken", Cluster: fixtureCluster, Graph: g, Counts: []int{3, 5},
-		Ranks: [][]Op{
-			{
-				{Kind: OpSend, Peer: 1, Tag: 5, Blocks: []int{0}, Deliver: true},
-				{Kind: OpRecv, Peer: 1, Tag: 6},
-				{Kind: OpWait, Recv: 1},
-			},
-			{
-				{Kind: OpSend, Peer: 0, Tag: 6, Blocks: []int{1}, Deliver: true},
-				{Kind: OpRecv, Peer: 0, Tag: 5},
-				{Kind: OpWait, Recv: 1},
-			},
-		}}
-	fs := s.Verify()
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {0}}), 0, 0)
+	b.Send(1, 5, deliver, 0)
+	b.Recv(1, 6, deliver, 1)
+	b.Wait(1, 2)
+	b.EndRank()
+	b.Send(0, 6, deliver, 1)
+	b.Recv(0, 5, deliver, 0)
+	b.Wait(1, 2)
+	b.EndRank()
+	fs := broken(b).Verify()
 	want := "happens-before cycle under rendezvous semantics: " +
 		"rank 0 send→1 tag 5 → rank 0 recv←1 tag 6 → rank 1 send→0 tag 6 → " +
 		"rank 1 recv←0 tag 5 → rank 0 send→1 tag 5"
@@ -333,20 +394,16 @@ func TestBrokenRendezvousCycle(t *testing.T) {
 // TestAvailabilityViolation: a send of a block the rank cannot yet
 // hold is a completeness violation even when every edge is covered.
 func TestAvailabilityViolation(t *testing.T) {
-	g := mustGraph(t, 2, [][]int{{1}, {0}})
-	s := &Schedule{Algo: "broken", Cluster: fixtureCluster, Graph: g, Counts: []int{3, 5},
-		Ranks: [][]Op{
-			{ // rank 0 forwards block 1 before ever receiving it
-				{Kind: OpSend, Peer: 1, Tag: 1, Blocks: []int{0, 1}, Deliver: true},
-				{Kind: OpRecv, Peer: 1, Tag: 1},
-				{Kind: OpWait, Recv: 1},
-			},
-			{
-				{Kind: OpRecv, Peer: 0, Tag: 1},
-				{Kind: OpSend, Peer: 0, Tag: 1, Blocks: []int{1}, Deliver: true},
-				{Kind: OpWait, Recv: 0},
-			},
-		}}
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {0}}), 0, 0)
+	b.Send(1, 1, deliver, 0, 1) // rank 0 forwards block 1 before ever receiving it
+	b.Recv(1, 1, deliver, 1)
+	b.Wait(1, 2)
+	b.EndRank()
+	b.Recv(0, 1, deliver, 0, 1)
+	b.Send(0, 1, deliver, 1)
+	b.Wait(0, 1)
+	b.EndRank()
+	s := broken(b)
 	found := false
 	for _, f := range s.Verify() {
 		if f.Invariant == InvCompleteness &&
@@ -356,6 +413,39 @@ func TestAvailabilityViolation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("data-availability violation not caught: %v", s.Verify())
+	}
+}
+
+// TestBrokenReceiverDisagrees: the interpreter acts on the receive
+// op's flags and expected blocks and on a wait's receive index, so
+// Verify rejects a receive that disagrees with its send, a wait naming
+// a non-receive, and a staging copy of a foreign block.
+func TestBrokenReceiverDisagrees(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		recv func(b *collective.PlanBuilder) // rank 1's side of 0's Deliver send of block 0
+		want string
+	}{
+		{"flags", func(b *collective.PlanBuilder) { b.Recv(0, 1, 0, 0); b.Wait(0, 1) },
+			"receive posted by 1 from 0 tag 1 has flags 000, its send 001"},
+		{"blocks", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 1); b.Wait(0, 1) },
+			"receive posted by 1 from 0 tag 1 expects blocks [1], its send carries [0]"},
+		{"wait", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 2) },
+			"wait at op 1 names op 1, which is not a receive"},
+		{"twice", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Wait(0, 1) },
+			"receive at op 0 is waited on twice"},
+		{"stage", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Copy(0, 0) },
+			"rank 1 stages block 0, not its own"},
+	} {
+		b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {}}), 0, 0)
+		b.Send(1, 1, deliver, 0)
+		b.EndRank()
+		tc.recv(b)
+		b.EndRank()
+		fs := broken(b).Verify()
+		if len(fs) != 1 || fs[0].Message != tc.want {
+			t.Errorf("%s: findings %v, want exactly %q", tc.name, fs, tc.want)
+		}
 	}
 }
 

@@ -2,14 +2,19 @@ package planverify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"nbrallgather/internal/collective"
 )
 
 // opRef addresses one op as (rank, index into that rank's op list).
 type opRef struct {
 	rank, idx int
 }
+
+func (s *Schedule) op(ref opRef) *collective.PlanOp { return &s.Plan.Ops(ref.rank)[ref.idx] }
 
 // chanKey identifies a message channel within the epoch.
 type chanKey struct {
@@ -75,24 +80,37 @@ func (s *Schedule) match() *matchState {
 		tag int
 	}
 	var wilds []wildRef
-	for r, ops := range s.Ranks {
+	n := s.Plan.Graph.N()
+	for r := 0; r < n; r++ {
+		ops := s.Plan.Ops(r)
 		for i := range ops {
 			op := &ops[i]
 			switch op.Kind {
-			case OpSend:
-				k := chanKey{src: r, dst: op.Peer, tag: op.Tag}
+			case collective.OpSend:
+				k := chanKey{src: r, dst: int(op.Peer), tag: int(op.Tag)}
 				note(k)
 				sends[k] = append(sends[k], opRef{r, i})
-			case OpRecv:
-				if op.Peer == AnySource {
-					wilds = append(wilds, wildRef{opRef{r, i}, op.Tag})
+			case collective.OpRecv:
+				if op.Peer == collective.AnySource {
+					wilds = append(wilds, wildRef{opRef{r, i}, int(op.Tag)})
 					continue
 				}
-				k := chanKey{src: op.Peer, dst: r, tag: op.Tag}
+				k := chanKey{src: int(op.Peer), dst: r, tag: int(op.Tag)}
 				note(k)
 				recvs[k] = append(recvs[k], opRef{r, i})
-			case OpWait:
-				m.waits[opRef{r, op.Recv}] = opRef{r, i}
+			case collective.OpWait:
+				for j, hi := op.Waits(); j < hi; j++ {
+					rref := opRef{r, j}
+					if j >= len(ops) || ops[j].Kind != collective.OpRecv {
+						m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
+							"wait at op %d names op %d, which is not a receive", i, j)})
+					} else if _, dup := m.waits[rref]; dup {
+						m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
+							"receive at op %d is waited on twice", j)})
+					} else {
+						m.waits[rref] = opRef{r, i}
+					}
+				}
 			}
 		}
 	}
@@ -140,7 +158,7 @@ func (s *Schedule) match() *matchState {
 		described := true
 		for _, c := range cands {
 			srcs[c.rank] = true
-			if !s.Ranks[c.rank][c.idx].SelfDescribing {
+			if s.op(c).Flags&collective.SelfDescribing == 0 {
 				described = false
 			}
 		}
@@ -152,27 +170,36 @@ func (s *Schedule) match() *matchState {
 		m.sendRecv[cands[0]] = w.ref
 		m.recvSend[w.ref] = cands[0]
 	}
-	// Sweep for unmatched ops in (rank, index) order.
-	for r, ops := range s.Ranks {
+	// Sweep for unmatched and disagreeing ops in (rank, index) order.
+	// The interpreter acts on the receive op's flags and, unless the
+	// message is self-describing, on its block list, so both must equal
+	// the matched send's.
+	for r := 0; r < n; r++ {
+		ops := s.Plan.Ops(r)
 		for i := range ops {
 			op := &ops[i]
 			ref := opRef{r, i}
 			switch op.Kind {
-			case OpSend:
+			case collective.OpSend:
 				if _, ok := m.sendRecv[ref]; !ok {
 					m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
 						"send %d→%d tag %d is never received", r, op.Peer, op.Tag)})
 				}
-			case OpRecv:
-				if _, ok := m.recvSend[ref]; !ok {
+			case collective.OpRecv:
+				report := func(format string, args ...any) {
 					m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
-						"receive posted by %d from %s tag %d is never satisfied",
-						r, peerString(op.Peer), op.Tag)})
+						"receive posted by %d from %s tag %d ", r, peerString(int(op.Peer)), op.Tag) +
+						fmt.Sprintf(format, args...)})
+				}
+				if sref, ok := m.recvSend[ref]; !ok {
+					report("is never satisfied")
+				} else if send := s.op(sref); send.Flags != op.Flags {
+					report("has flags %03b, its send %03b", op.Flags, send.Flags)
+				} else if want, got := s.Plan.Blocks(op), s.Plan.Blocks(send); op.Flags&collective.SelfDescribing == 0 && !slices.Equal(want, got) {
+					report("expects blocks %v, its send carries %v", want, got)
 				}
 				if _, ok := m.waits[ref]; !ok {
-					m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
-						"receive posted by %d from %s tag %d is never waited on",
-						r, peerString(op.Peer), op.Tag)})
+					report("is never waited on")
 				}
 			}
 		}
@@ -181,7 +208,7 @@ func (s *Schedule) match() *matchState {
 }
 
 func peerString(p int) string {
-	if p == AnySource {
+	if p == collective.AnySource {
 		return "*"
 	}
 	return fmt.Sprintf("%d", p)
@@ -194,38 +221,33 @@ func peerString(p int) string {
 // send waiting for its partner).
 func (s *Schedule) hbGraph(m *matchState, rendezvous bool) ([][]int, []opRef) {
 	var nodes []opRef
-	id := map[opRef]int{}
-	for r, ops := range s.Ranks {
-		for i := range ops {
-			id[opRef{r, i}] = len(nodes)
+	n := s.Plan.Graph.N()
+	base := make([]int, n) // node id of each rank's first op
+	for r := 0; r < n; r++ {
+		base[r] = len(nodes)
+		for i := range s.Plan.Ops(r) {
 			nodes = append(nodes, opRef{r, i})
 		}
 	}
 	succ := make([][]int, len(nodes))
 	edge := func(a, b opRef) {
-		succ[id[a]] = append(succ[id[a]], id[b])
+		succ[base[a.rank]+a.idx] = append(succ[base[a.rank]+a.idx], base[b.rank]+b.idx)
 	}
-	for r, ops := range s.Ranks {
-		for i := 1; i < len(ops); i++ {
-			edge(opRef{r, i - 1}, opRef{r, i})
+	for _, ref := range nodes {
+		if ref.idx > 0 {
+			edge(opRef{ref.rank, ref.idx - 1}, ref)
 		}
 	}
-	for r, ops := range s.Ranks {
-		for i := range ops {
-			if ops[i].Kind != OpSend {
-				continue
-			}
-			sref := opRef{r, i}
-			rref, ok := m.sendRecv[sref]
-			if !ok {
-				continue
-			}
-			if wref, ok := m.waits[rref]; ok {
-				edge(sref, wref)
-			}
-			if rendezvous {
-				edge(rref, sref)
-			}
+	for _, sref := range nodes {
+		rref, ok := m.sendRecv[sref] // only sends are keys
+		if !ok {
+			continue
+		}
+		if wref, ok := m.waits[rref]; ok {
+			edge(sref, wref)
+		}
+		if rendezvous {
+			edge(rref, sref)
 		}
 	}
 	return succ, nodes
@@ -252,11 +274,10 @@ func (s *Schedule) checkDeadlock(m *matchState) []Finding {
 	}
 	var parts []string
 	for i := 0; i < len(cycle); i++ {
-		ref := nodes[cycle[(min+i)%len(cycle)]]
-		parts = append(parts, opString(ref.rank, &s.Ranks[ref.rank][ref.idx]))
+		parts = append(parts, s.opString(nodes[cycle[(min+i)%len(cycle)]]))
 	}
 	first := nodes[cycle[min]]
-	parts = append(parts, opString(first.rank, &s.Ranks[first.rank][first.idx]))
+	parts = append(parts, s.opString(first))
 	return []Finding{{InvDeadlock, first.rank, fmt.Sprintf(
 		"happens-before cycle under rendezvous semantics: %s",
 		strings.Join(parts, " → "))}}
@@ -326,16 +347,17 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 		return []Finding{{InvCompleteness, -1,
 			"eager happens-before order is cyclic; completeness not evaluable"}}
 	}
-	n := s.Graph.N()
-	holdings := make([]map[int]bool, n)
+	g := s.Plan.Graph
+	n := g.N()
+	holdings := make([]map[int32]bool, n)
 	for r := 0; r < n; r++ {
-		holdings[r] = map[int]bool{r: true}
+		holdings[r] = map[int32]bool{int32(r): true}
 	}
 	// deliveries[src*n+dst] counts result-buffer deliveries per edge.
 	deliveries := make([]int, n*n)
 	var out []Finding
 	deliver := func(src, dst, via int) {
-		if !s.Graph.HasEdge(src, dst) {
+		if !g.HasEdge(src, dst) {
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
 				"rank %d delivers block %d to %d but edge %d→%d does not exist",
 				via, src, dst, src, dst)})
@@ -349,44 +371,47 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	}
 	for _, ni := range order {
 		ref := nodes[ni]
-		op := &s.Ranks[ref.rank][ref.idx]
+		op := s.op(ref)
 		switch op.Kind {
-		case OpSend:
-			for _, b := range op.Blocks {
+		case collective.OpSend:
+			for _, b := range s.Plan.Blocks(op) {
 				if !holdings[ref.rank][b] {
 					out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
 						"rank %d sends block %d to %d (tag %d) before holding it",
 						ref.rank, b, op.Peer, op.Tag)})
 				}
 			}
-		case OpWait:
-			sref, ok := m.recvSend[opRef{ref.rank, op.Recv}]
-			if !ok {
-				continue // unmatched receive already reported
-			}
-			send := &s.Ranks[sref.rank][sref.idx]
-			if send.Deliver {
-				for _, b := range send.Blocks {
-					deliver(b, ref.rank, sref.rank)
+		case collective.OpWait:
+			for j, hi := op.Waits(); j < hi; j++ {
+				rref := opRef{ref.rank, j}
+				sref, ok := m.recvSend[rref]
+				if !ok || m.waits[rref] != ref {
+					continue // unmatched receive or stray wait, already reported
+				}
+				send := s.op(sref)
+				for _, b := range s.Plan.Blocks(send) {
+					if send.Flags&collective.Deliver != 0 {
+						deliver(int(b), ref.rank, sref.rank)
+					}
+					holdings[ref.rank][b] = true
 				}
 			}
-			for _, b := range send.Blocks {
-				holdings[ref.rank][b] = true
+		case collective.OpCopy:
+			b := s.Plan.Blocks(op)[0]
+			if !holdings[ref.rank][b] {
+				out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
+					"rank %d copies block %d before holding it", ref.rank, b)})
 			}
-		case OpCopy:
-			for _, b := range op.Blocks {
-				if !holdings[ref.rank][b] {
-					out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
-						"rank %d copies block %d before holding it", ref.rank, b)})
-				}
-				if op.Deliver {
-					deliver(b, ref.rank, ref.rank)
-				}
+			if op.Flags&collective.Deliver != 0 {
+				deliver(int(b), ref.rank, ref.rank)
+			} else if int(b) != ref.rank {
+				out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
+					"rank %d stages block %d, not its own", ref.rank, b)})
 			}
 		}
 	}
 	for src := 0; src < n; src++ {
-		for _, dst := range s.Graph.Out(src) {
+		for _, dst := range g.Out(src) {
 			if deliveries[src*n+dst] == 0 {
 				out = append(out, Finding{InvCompleteness, -1, fmt.Sprintf(
 					"edge %d→%d never delivered", src, dst)})
@@ -448,30 +473,28 @@ func (s *Schedule) checkAvoidance(m *matchState) []Finding {
 		return nil
 	}
 	var out []Finding
-	for r, ops := range s.Ranks {
+	for r, avoided := range s.Avoid {
+		if !avoided {
+			continue
+		}
+		ops := s.Plan.Ops(r)
 		for i := range ops {
 			op := &ops[i]
 			switch op.Kind {
-			case OpSend:
-				if !s.Avoid[r] {
-					continue
-				}
-				for _, b := range op.Blocks {
-					if b != r {
+			case collective.OpSend:
+				for _, b := range s.Plan.Blocks(op) {
+					if int(b) != r {
 						out = append(out, Finding{InvAvoidance, r, fmt.Sprintf(
 							"avoided rank %d relays block %d to %d (tag %d)",
 							r, b, op.Peer, op.Tag)})
 					}
 				}
-			case OpRecv:
-				if !s.Avoid[r] {
-					continue
-				}
+			case collective.OpRecv:
 				sref, ok := m.recvSend[opRef{r, i}]
 				if !ok {
 					continue
 				}
-				if !s.Ranks[sref.rank][sref.idx].Deliver {
+				if s.op(sref).Flags&collective.Deliver == 0 {
 					out = append(out, Finding{InvAvoidance, r, fmt.Sprintf(
 						"avoided rank %d receives a forward from %d (tag %d)",
 						r, sref.rank, op.Tag)})
