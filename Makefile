@@ -55,44 +55,47 @@ alloc-guard:
 test:
 	$(GO) test ./...
 
+# The race detector is the threaded engine's job: the only driver with
+# real host concurrency, kept as the oracle for this and the plain
+# differential.
 race:
 	$(GO) test -race ./...
 
 cover:
 	$(GO) test -cover ./...
 
-# Differential conformance sweep: every algorithm × collective under
-# adversarial schedules and injected faults, run on BOTH execution
-# engines with shared seeds — equal buffers, bit-identical decision
-# schedules, virtual times and detection totals (the acceptance run).
-chaos:
-	$(GO) run ./cmd/nbr-chaos -engine both -seeds 10
-
-# Fail-stop sweep: the whole fail-stop case family (every algorithm ×
-# crash-before/mid/agent/leader/multi/raw) across 10 seeds on both
-# engines. Failing seeds print a `nbr-chaos -faults -case ... -replay N`
+# Conformance, per family: one chaos sweep — every case against its
+# ground truth under adversarial schedules and injected faults; chaos is
+# a driver of its own and takes no engine — plus one plain differential,
+# threaded vs event, the only place the engines can differ. Failing
+# chaos seeds print a `nbr-chaos [-faults|-linkfaults] -case ... -replay N`
 # reproduce line.
-faults:
+chaos:
+	$(GO) run ./cmd/nbr-chaos -seeds 10
+	$(GO) run ./cmd/nbr-chaos -engine both -seeds 1
+
+# Both fault families: link faults (below), then fail-stop (every
+# algorithm × crash-before/mid/agent/leader/multi/raw).
+faults: linkfaults
+	$(GO) run ./cmd/nbr-chaos -faults -seeds 10
 	$(GO) run ./cmd/nbr-chaos -faults -engine both -seeds 10
-	$(GO) run ./cmd/nbr-chaos -linkfaults -engine both -seeds 10
 
-# Link-fault sweep alone: the link-fault case family (every algorithm ×
-# {down NIC/port/uplink, partitions, degraded fabrics} × before/mid/raw)
-# across 10 seeds on both engines. Failing seeds print a
-# `nbr-chaos -linkfaults -case ... -replay N` reproduce line.
+# Link-fault family alone (every algorithm × {down NIC/port/uplink,
+# partitions, degraded fabrics} × before/mid/raw).
 linkfaults:
+	$(GO) run ./cmd/nbr-chaos -linkfaults -seeds 10
 	$(GO) run ./cmd/nbr-chaos -linkfaults -engine both -seeds 10
 
-# Brief fuzz of the MatrixMarket parser and the cross-engine
-# divergence oracle (longer runs: go test -fuzz with -fuzztime of your
-# choice).
+# Brief fuzz of the MatrixMarket parser and the divergence oracles
+# (plain: threaded vs event; chaos: a seed against its own replay;
+# longer runs: go test -fuzz with -fuzztime of your choice).
 fuzz:
 	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=20s ./internal/sparse
 	$(GO) test -fuzz=FuzzEngineDivergence -fuzztime=20s ./internal/conformance
 	$(GO) test -fuzz=FuzzLinkFaultDivergence -fuzztime=20s ./internal/conformance
 
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
-# payloads on the event engine, heap statistics included (budget a few
+# payloads, heap statistics included (budget a few
 # GB of RAM and tens of minutes on a laptop core).
 mega:
 	$(GO) run ./cmd/nbr-bench -mega -json results/BENCH_pr6.json
@@ -113,10 +116,12 @@ perf-smoke:
 	@out=$$($(GO) run ./cmd/nbr-perf -scale smoke) || { echo "$$out"; exit 1; }; echo "$$out"; \
 	test $$(echo "$$out" | grep -c 'failed_share 0/') -eq 4
 
-# Non-test Go lines per package, so "net LOC went down" is a command.
+# Non-test Go lines per package and in total, so "net LOC went down"
+# is a command.
 loc:
 	@for d in internal/* cmd/*; do printf '%6d %s\n' \
-		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done
+		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done; \
+	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 # Planner heavy-traffic benchmark (DESIGN.md §13): millions of
 # Zipf-distributed plan requests over thousands of neighborhoods

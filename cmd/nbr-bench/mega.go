@@ -91,12 +91,16 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 	if err != nil {
 		return err
 	}
+	eng, err := mpirt.ResolveEngine(mpirt.EngineDefault) // what the zero harness.Config.Engine runs on
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "mega sweep: %d ranks (Moore %v r=1, %d neighbors/rank), engine %s, phantom %d B payloads\n",
-		g.N(), dims, g.OutDegree(0), mpirt.EngineEvent, msgSize)
+		g.N(), dims, g.OutDegree(0), eng, msgSize)
 
 	doc := megaDoc{
 		Schema:   "nbr-bench/pr6-mega",
-		Engine:   string(mpirt.EngineEvent),
+		Engine:   string(eng),
 		Cluster:  c.String(),
 		Ranks:    g.N(),
 		Dims:     dims,
@@ -109,7 +113,6 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 		Trials:    1,
 		Phantom:   true,
 		WallLimit: wall,
-		Engine:    mpirt.EngineEvent,
 	}
 
 	dh, err := collective.NewDistanceHalving(g, c.L())

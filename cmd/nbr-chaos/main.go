@@ -32,22 +32,21 @@
 // fabrics, partitions, topology-aware repair):
 //
 //	nbr-chaos -linkfaults -seeds 10
-//	nbr-chaos -linkfaults -engine both -seeds 10
 //	nbr-chaos -linkfaults -case linkfault/cn/nicdown/before -replay 3
 //
-// Execution engine selection: -engine threaded (default), -engine
-// event (the serial calendar-queue engine), or -engine both, which
-// runs every (case, seed) pair on both engines and additionally
-// demands bit-identical decision schedules, virtual times, and
-// detection totals across them (the cross-engine differential oracle):
+// Everything above runs under the chaos driver, which takes no engine.
+// -engine sweeps the same family under plain scheduling instead: on
+// the threaded oracle, on the event engine, or — the cross-engine
+// differential — on both, demanding equal outcomes and, where the
+// case makes them comparable, equal traffic censuses. Replay and
+// -schedule-only are chaos options and are rejected with -engine:
 //
-//	nbr-chaos -engine both -seeds 10
-//	nbr-chaos -faults -engine both -seeds 10
-//	nbr-chaos -engine both -case 2n2s3l/er35/dh/allgather -replay 17
+//	nbr-chaos -engine both -seeds 1
+//	nbr-chaos -faults -engine both -seeds 5
+//	nbr-chaos -linkfaults -engine threaded -seeds 5
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,7 +58,6 @@ import (
 	"nbrallgather/internal/conformance"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/prof"
-	sweeppkg "nbrallgather/internal/sweep"
 	"nbrallgather/internal/trace"
 )
 
@@ -73,25 +71,20 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nbr-chaos", flag.ContinueOnError)
 	fs.SetOutput(out)
-	seeds := fs.Int("seeds", 50, "number of adversarial seeds to sweep")
+	seeds := fs.Int("seeds", 50, "number of seeds to sweep")
 	seedBase := fs.Int64("seed-base", 0, "first seed of the sweep")
-	caseName := fs.String("case", "", "restrict to one matrix case (see -list)")
-	replay := fs.Int64("replay", -1, "replay one seed instead of sweeping: record, re-run, compare, force-replay")
-	scheduleOnly := fs.Bool("schedule-only", false, "adversarial scheduling only, no fault injection")
+	caseName := fs.String("case", "", "restrict to one case of the family (see -list)")
+	replay := fs.Int64("replay", -1, "replay one chaos seed instead of sweeping: record, re-run, compare, force-replay")
+	scheduleOnly := fs.Bool("schedule-only", false, "chaos with adversarial scheduling only, no fault injection")
 	faults := fs.Bool("faults", false, "run the fail-stop case family (injected rank crashes) instead of the conformance matrix")
 	linkFaults := fs.Bool("linkfaults", false, "run the link-fault case family (down/degraded NICs, ports, uplinks, partitions) instead of the conformance matrix")
-	killSpec := fs.String("kill", "", "with -faults, override the kill schedule: rank@afterOps[@vt], comma-separated")
+	killSpec := fs.String("kill", "", "with -faults -case, override the kill schedule: rank@afterOps[@vt], comma-separated")
 	dump := fs.Bool("dump", false, "with -replay, print the recorded decision schedule")
-	list := fs.Bool("list", false, "list the conformance matrix cases and exit")
+	list := fs.Bool("list", false, "list the family's cases and exit")
 	verbose := fs.Bool("v", false, "per-seed progress")
-	engineFlag := fs.String("engine", "", "execution engine: threaded, event, or both (cross-engine differential); default threaded or $NBR_MPIRT_ENGINE")
+	engineFlag := fs.String("engine", "", "sweep under plain scheduling instead of chaos: on threaded, on event, or on both (the cross-engine differential)")
 	pf := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	eng, both, err := parseEngineFlag(*engineFlag)
-	if err != nil {
 		return err
 	}
 
@@ -99,60 +92,101 @@ func run(args []string, out io.Writer) error {
 	if *scheduleOnly {
 		mk = mpirt.ScheduleOnly
 	}
+	check, mode := conformance.UnderChaos(mk), "under chaos"
+	switch *engineFlag {
+	case "":
+	case "both":
+		check, mode = conformance.Diff, "threaded vs event"
+	default:
+		eng, err := mpirt.ResolveEngine(mpirt.Engine(*engineFlag))
+		if err != nil {
+			return fmt.Errorf("-engine: %w", err)
+		}
+		check, mode = conformance.On(eng), "on "+string(eng)
+	}
+	if *engineFlag != "" && (*replay >= 0 || *scheduleOnly) {
+		return fmt.Errorf("-replay and -schedule-only are chaos options; -engine selects plain scheduling")
+	}
 
 	return pf.Wrap(func() error {
-		if *faults && *linkFaults {
-			return fmt.Errorf("-faults and -linkfaults are mutually exclusive")
-		}
-		if *faults {
-			return runFaults(out, *caseName, *killSpec, *seeds, *seedBase, *replay, mk, eng, both, *list, *dump, *verbose)
-		}
-		if *killSpec != "" {
-			return fmt.Errorf("-kill requires -faults")
-		}
-		if *linkFaults {
-			return runLinkFaults(out, *caseName, *seeds, *seedBase, *replay, mk, eng, both, *list, *dump, *verbose)
-		}
-
-		cases, err := conformance.Matrix()
+		fam, err := loadFamily(*faults, *linkFaults)
 		if err != nil {
 			return err
 		}
 		if *list {
-			for _, c := range cases {
-				fmt.Fprintln(out, c.Name)
+			for _, c := range fam.cases {
+				fmt.Fprintln(out, c.CaseName())
 			}
 			return nil
 		}
 		if *caseName != "" {
-			c, err := conformance.FindCase(*caseName)
+			c, err := conformance.Find(fam.cases, *caseName)
 			if err != nil {
 				return err
 			}
-			cases = []conformance.Case{c}
+			fam.cases = []conformance.Runner{c}
 		}
-
+		if *killSpec != "" {
+			fc, ok := fam.cases[0].(conformance.FailStopCase)
+			if !ok || *caseName == "" {
+				return fmt.Errorf("-kill requires -faults and -case (an ad-hoc schedule applies to one fail-stop case)")
+			}
+			kills, err := parseKills(*killSpec)
+			if err != nil {
+				return err
+			}
+			fam.cases[0] = adHocKills{fc, kills}
+		}
 		if *replay >= 0 {
-			return replaySeed(out, cases, *replay, mk, eng, both, *dump)
+			return replaySeed(out, fam.cases, *replay, mk, *dump)
 		}
-		return sweep(out, cases, *seeds, *seedBase, mk, eng, both, *verbose)
+		return sweep(out, fam, *seeds, *seedBase, check, mode, *verbose)
 	})
 }
 
-// parseEngineFlag resolves -engine into a pinned engine or the
-// cross-engine differential mode.
-func parseEngineFlag(s string) (mpirt.Engine, bool, error) {
-	if s == "both" {
-		return mpirt.EngineDefault, true, nil
-	}
-	eng, err := mpirt.ParseEngine(s)
-	if err != nil {
-		return mpirt.EngineDefault, false, fmt.Errorf("-engine: %w", err)
-	}
-	return eng, false, nil
+// family is one conformance case family as the command line sees it.
+type family struct {
+	flag  string // selects the family, for reproduce lines
+	what  string // names its runs
+	pass  string // what a passing run established
+	cases []conformance.Runner
 }
 
-func sweep(out io.Writer, cases []conformance.Case, nseeds int, base int64, mk func(int64) *mpirt.Chaos, eng mpirt.Engine, both, verbose bool) error {
+func loadFamily(faults, linkFaults bool) (family, error) {
+	switch {
+	case faults && linkFaults:
+		return family{}, fmt.Errorf("-faults and -linkfaults are mutually exclusive")
+	case faults:
+		cs, err := conformance.FailStopMatrix()
+		return family{"-faults ", "fail-stop ", "recovered or failed fast with typed errors", runners(cs)}, err
+	case linkFaults:
+		cs, err := conformance.LinkFaultMatrix()
+		return family{"-linkfaults ", "link-fault ", "recovered, degraded gracefully, or returned identical partition verdicts", runners(cs)}, err
+	}
+	cs, err := conformance.Matrix()
+	return family{"", "", "byte-identical to ground truth", runners(cs)}, err
+}
+
+func runners[C conformance.Runner](cs []C) []conformance.Runner {
+	out := make([]conformance.Runner, len(cs))
+	for i, c := range cs {
+		out[i] = c
+	}
+	return out
+}
+
+// adHocKills is a fail-stop case run under the -kill schedule instead
+// of its seed-derived one.
+type adHocKills struct {
+	conformance.FailStopCase
+	kills []mpirt.Kill
+}
+
+func (a adHocKills) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
+	return a.RunKills(eng, chaos, a.kills)
+}
+
+func sweep(out io.Writer, fam family, nseeds int, base int64, check conformance.Check, mode string, verbose bool) error {
 	if nseeds < 1 {
 		return fmt.Errorf("-seeds %d must be positive", nseeds)
 	}
@@ -160,101 +194,68 @@ func sweep(out io.Writer, cases []conformance.Case, nseeds int, base int64, mk f
 	for i := range seeds {
 		seeds[i] = base + int64(i)
 	}
-	mode := "sweeping"
-	if both {
-		mode = "differential-sweeping (threaded vs event)"
-	}
-	fmt.Fprintf(out, "%s %d cases × %d seeds (seeds %d..%d)\n",
-		mode, len(cases), nseeds, base, base+int64(nseeds)-1)
-	progress := func(done, failures int) {
+	fmt.Fprintf(out, "%ssweep %s: %d cases × %d seeds (seeds %d..%d)\n",
+		fam.what, mode, len(fam.cases), nseeds, base, base+int64(nseeds)-1)
+	failures := conformance.Sweep(fam.cases, seeds, check, func(done, failures int) {
 		if verbose || done == len(seeds) {
 			fmt.Fprintf(out, "  seed %d/%d done, %d failures\n", done, len(seeds), failures)
 		}
-	}
-	var failures []conformance.Failure
-	if both {
-		failures = conformance.DiffSweep(cases, seeds, mk, progress)
-	} else {
-		failures = conformance.SweepOn(eng, cases, seeds, mk, progress)
-	}
+	})
+	runs := len(fam.cases) * nseeds
 	if len(failures) == 0 {
-		if both {
-			fmt.Fprintf(out, "PASS: %d runs byte-identical under adversarial schedules on both engines\n", len(cases)*nseeds)
-		} else {
-			fmt.Fprintf(out, "PASS: %d runs byte-identical under adversarial schedules\n", len(cases)*nseeds)
-		}
+		fmt.Fprintf(out, "PASS: %d %sruns %s %s\n", runs, fam.what, mode, fam.pass)
 		return nil
 	}
 	for _, f := range failures {
-		fmt.Fprintf(out, "FAIL %s\n  reproduce: nbr-chaos -case %s -replay %d\n", f, f.Case.Name, f.Seed)
+		fmt.Fprintf(out, "FAIL %s\n  reproduce: nbr-chaos %s-case %s -replay %d\n", f, fam.flag, f.Case.CaseName(), f.Seed)
 	}
-	return fmt.Errorf("%d of %d runs failed", len(failures), len(cases)*nseeds)
+	return fmt.Errorf("%d of %d %sruns failed", len(failures), runs, fam.what)
 }
 
-func replaySeed(out io.Writer, cases []conformance.Case, seed int64, mk func(int64) *mpirt.Chaos, eng mpirt.Engine, both bool, dump bool) error {
+func replaySeed(out io.Writer, cases []conformance.Runner, seed int64, mk func(int64) *mpirt.Chaos, dump bool) error {
 	for _, c := range cases {
-		runOn := func(e mpirt.Engine) func(*trace.Schedule) (*trace.Schedule, error) {
-			return func(replayFrom *trace.Schedule) (*trace.Schedule, error) {
-				ch := mk(seed)
-				s := trace.NewSchedule()
-				ch.Record = s
-				ch.Replay = replayFrom
-				_, err := conformance.RunCaseOn(e, c, ch)
-				return s, err
-			}
+		switch c := c.(type) {
+		case adHocKills:
+			fmt.Fprintf(out, "%s: kill schedule %s\n", c.Name, formatKills(c.kills))
+		case conformance.FailStopCase:
+			fmt.Fprintf(out, "%s: kill schedule %s\n", c.Name, formatKills(conformance.FailStopKills(c, seed)))
+		case conformance.LinkFaultCase:
+			fmt.Fprintf(out, "%s: fault schedule %v\n", c.Name, conformance.LinkFaultSchedule(c, seed))
 		}
-		if !both {
-			if _, err := replayTriple(out, c.Name, seed, runOn(eng), dump); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := replayBoth(out, c.Name, seed, runOn, dump); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayBoth runs the replay contract on each engine and then demands
-// the two engines' recorded schedules agree bit for bit.
-func replayBoth(out io.Writer, name string, seed int64, runOn func(mpirt.Engine) func(*trace.Schedule) (*trace.Schedule, error), dump bool) error {
-	var scheds [2]*trace.Schedule
-	for i, e := range []mpirt.Engine{mpirt.EngineThreaded, mpirt.EngineEvent} {
-		fmt.Fprintf(out, "[%s] ", e)
-		s, err := replayTriple(out, name, seed, runOn(e), dump && i == 0)
+		err := replayTriple(out, c.CaseName(), seed, func(replayFrom *trace.Schedule) (*trace.Schedule, error) {
+			ch := mk(seed)
+			s := trace.NewSchedule()
+			ch.Record = s
+			ch.Replay = replayFrom
+			_, err := c.Run(mpirt.EngineDefault, seed, ch)
+			return s, err
+		}, dump)
 		if err != nil {
 			return err
 		}
-		scheds[i] = s
 	}
-	if scheds[0].Hash() != scheds[1].Hash() {
-		return fmt.Errorf("%s seed %d: engines diverge at decision %d — cross-engine determinism broken",
-			name, seed, scheds[0].Diverge(scheds[1]))
-	}
-	fmt.Fprintf(out, "cross-engine: schedules identical (%016x)\n", scheds[0].Hash())
 	return nil
 }
 
-// replayTriple implements the determinism contract shared by matrix
-// and fail-stop replays: record twice, compare hashes, then force the
-// first schedule back through the scheduler and demand equality.
-func replayTriple(out io.Writer, name string, seed int64, runOnce func(*trace.Schedule) (*trace.Schedule, error), dump bool) (*trace.Schedule, error) {
+// replayTriple implements the determinism contract every family's
+// replay shares: record twice, compare hashes, then force the first
+// schedule back through the scheduler and demand equality.
+func replayTriple(out io.Writer, name string, seed int64, runOnce func(*trace.Schedule) (*trace.Schedule, error), dump bool) error {
 	s1, err1 := runOnce(nil)
 	s2, err2 := runOnce(nil)
 	if (err1 == nil) != (err2 == nil) {
-		return nil, fmt.Errorf("%s seed %d: nondeterministic outcome: %v vs %v", name, seed, err1, err2)
+		return fmt.Errorf("%s seed %d: nondeterministic outcome: %v vs %v", name, seed, err1, err2)
 	}
 	if s1.Hash() != s2.Hash() {
-		return nil, fmt.Errorf("%s seed %d: schedules diverge at decision %d — determinism broken",
+		return fmt.Errorf("%s seed %d: schedules diverge at decision %d — determinism broken",
 			name, seed, s1.Diverge(s2))
 	}
 	s3, err3 := runOnce(s1)
 	if err3 != nil && err1 == nil {
-		return nil, fmt.Errorf("%s seed %d: forced replay failed: %v", name, seed, err3)
+		return fmt.Errorf("%s seed %d: forced replay failed: %v", name, seed, err3)
 	}
 	if !s1.Equal(s3) {
-		return nil, fmt.Errorf("%s seed %d: forced replay produced a different schedule (diverge at %d)",
+		return fmt.Errorf("%s seed %d: forced replay produced a different schedule (diverge at %d)",
 			name, seed, s1.Diverge(s3))
 	}
 
@@ -279,7 +280,7 @@ func replayTriple(out io.Writer, name string, seed int64, runOnce func(*trace.Sc
 			}
 			var d3 *mpirt.DeadlockError
 			if !errors.As(err3, &d3) || !d1.SameCycle(d3) {
-				return nil, fmt.Errorf("%s seed %d: forced replay did not reproduce the deadlock cycle (%v vs %v)",
+				return fmt.Errorf("%s seed %d: forced replay did not reproduce the deadlock cycle (%v vs %v)",
 					name, seed, err1, err3)
 			}
 			fmt.Fprintln(out, "  replay reproduced the identical cycle")
@@ -287,232 +288,10 @@ func replayTriple(out io.Writer, name string, seed int64, runOnce func(*trace.Sc
 	}
 	if dump {
 		if err := s1.Write(out); err != nil {
-			return nil, err
-		}
-	}
-	return s1, nil
-}
-
-// runFaults drives the fail-stop family: list, sweep, or replay, with
-// an optional ad-hoc kill schedule.
-func runFaults(out io.Writer, caseName, killSpec string, nseeds int, base, replay int64, mk func(int64) *mpirt.Chaos, eng mpirt.Engine, both, list, dump, verbose bool) error {
-	cases, err := conformance.FailStopMatrix()
-	if err != nil {
-		return err
-	}
-	if list {
-		for _, c := range cases {
-			fmt.Fprintln(out, c.Name)
-		}
-		return nil
-	}
-	if caseName != "" {
-		c, err := conformance.FindFailStopCase(caseName)
-		if err != nil {
 			return err
 		}
-		cases = []conformance.FailStopCase{c}
 	}
-	kills, err := parseKills(killSpec)
-	if err != nil {
-		return err
-	}
-	if kills != nil && caseName == "" {
-		return fmt.Errorf("-kill requires -case (an ad-hoc schedule applies to one case)")
-	}
-
-	runCase := func(e mpirt.Engine, c conformance.FailStopCase, seed int64, ch *mpirt.Chaos) error {
-		if kills != nil {
-			_, err := conformance.RunFailStopCaseKillsOn(e, c, ch, kills)
-			return err
-		}
-		_, err := conformance.RunFailStopCaseOn(e, c, seed, ch)
-		return err
-	}
-
-	if replay >= 0 {
-		for _, c := range cases {
-			ks := kills
-			if ks == nil {
-				ks = conformance.FailStopKills(c, replay)
-			}
-			fmt.Fprintf(out, "%s: kill schedule %s\n", c.Name, formatKills(ks))
-			runOn := func(e mpirt.Engine) func(*trace.Schedule) (*trace.Schedule, error) {
-				return func(replayFrom *trace.Schedule) (*trace.Schedule, error) {
-					ch := mk(replay)
-					s := trace.NewSchedule()
-					ch.Record = s
-					ch.Replay = replayFrom
-					err := runCase(e, c, replay, ch)
-					return s, err
-				}
-			}
-			if !both {
-				if _, err := replayTriple(out, c.Name, replay, runOn(eng), dump); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := replayBoth(out, c.Name, replay, runOn, dump); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if nseeds < 1 {
-		return fmt.Errorf("-seeds %d must be positive", nseeds)
-	}
-	seeds := make([]int64, nseeds)
-	for i := range seeds {
-		seeds[i] = base + int64(i)
-	}
-	mode := "fail-stop sweep"
-	if both {
-		mode = "fail-stop differential sweep (threaded vs event)"
-	}
-	fmt.Fprintf(out, "%s: %d cases × %d seeds (seeds %d..%d)\n",
-		mode, len(cases), nseeds, base, base+int64(nseeds)-1)
-	// Cases within a seed are independent simulations; run them on the
-	// sweep pool and collect failures in case order so the report is
-	// byte-identical to a serial loop.
-	var failures []conformance.FailStopFailure
-	if both && kills == nil {
-		progress := func(done, nfail int) {
-			if verbose || done == len(seeds) {
-				fmt.Fprintf(out, "  seed %d/%d done, %d failures\n", done, len(seeds), nfail)
-			}
-		}
-		failures = conformance.DiffFailStopSweep(cases, seeds, mk, progress)
-	} else {
-		for i, seed := range seeds {
-			_, err := sweeppkg.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-				if both {
-					// Ad-hoc kills with -engine both: run each engine and
-					// demand agreeing outcomes (the seed-derived path above
-					// additionally compares schedules and reports).
-					errT := runCase(mpirt.EngineThreaded, cases[j], seed, mk(seed))
-					errE := runCase(mpirt.EngineEvent, cases[j], seed, mk(seed))
-					if (errT == nil) != (errE == nil) {
-						return struct{}{}, fmt.Errorf("engines disagree: threaded %v, event %v", errT, errE)
-					}
-					return struct{}{}, errT
-				}
-				return struct{}{}, runCase(eng, cases[j], seed, mk(seed))
-			})
-			var agg *sweeppkg.Error
-			if errors.As(err, &agg) {
-				for _, it := range agg.Items {
-					failures = append(failures, conformance.FailStopFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-				}
-			}
-			if verbose || i == len(seeds)-1 {
-				fmt.Fprintf(out, "  seed %d/%d done, %d failures\n", i+1, len(seeds), len(failures))
-			}
-		}
-	}
-	if len(failures) == 0 {
-		fmt.Fprintf(out, "PASS: %d fail-stop runs recovered or failed fast with typed errors\n", len(cases)*nseeds)
-		return nil
-	}
-	for _, f := range failures {
-		fmt.Fprintf(out, "FAIL %s\n  reproduce: nbr-chaos -faults -case %s -replay %d\n", f, f.Case.Name, f.Seed)
-	}
-	return fmt.Errorf("%d of %d fail-stop runs failed", len(failures), len(cases)*nseeds)
-}
-
-// runLinkFaults drives the link-fault family: list, sweep, or replay.
-func runLinkFaults(out io.Writer, caseName string, nseeds int, base, replay int64, mk func(int64) *mpirt.Chaos, eng mpirt.Engine, both, list, dump, verbose bool) error {
-	cases, err := conformance.LinkFaultMatrix()
-	if err != nil {
-		return err
-	}
-	if list {
-		for _, c := range cases {
-			fmt.Fprintln(out, c.Name)
-		}
-		return nil
-	}
-	if caseName != "" {
-		c, err := conformance.FindLinkFaultCase(caseName)
-		if err != nil {
-			return err
-		}
-		cases = []conformance.LinkFaultCase{c}
-	}
-
-	if replay >= 0 {
-		for _, c := range cases {
-			fmt.Fprintf(out, "%s: fault schedule %v\n", c.Name, conformance.LinkFaultSchedule(c, replay))
-			runOn := func(e mpirt.Engine) func(*trace.Schedule) (*trace.Schedule, error) {
-				return func(replayFrom *trace.Schedule) (*trace.Schedule, error) {
-					ch := mk(replay)
-					s := trace.NewSchedule()
-					ch.Record = s
-					ch.Replay = replayFrom
-					_, err := conformance.RunLinkFaultCaseOn(e, c, replay, ch)
-					return s, err
-				}
-			}
-			if !both {
-				if _, err := replayTriple(out, c.Name, replay, runOn(eng), dump); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := replayBoth(out, c.Name, replay, runOn, dump); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if nseeds < 1 {
-		return fmt.Errorf("-seeds %d must be positive", nseeds)
-	}
-	seeds := make([]int64, nseeds)
-	for i := range seeds {
-		seeds[i] = base + int64(i)
-	}
-	mode := "link-fault sweep"
-	if both {
-		mode = "link-fault differential sweep (threaded vs event)"
-	}
-	fmt.Fprintf(out, "%s: %d cases × %d seeds (seeds %d..%d)\n",
-		mode, len(cases), nseeds, base, base+int64(nseeds)-1)
-	progress := func(done, nfail int) {
-		if verbose || done == len(seeds) {
-			fmt.Fprintf(out, "  seed %d/%d done, %d failures\n", done, len(seeds), nfail)
-		}
-	}
-	var failures []conformance.LinkFaultFailure
-	if both {
-		failures = conformance.DiffLinkFaultSweep(cases, seeds, mk, progress)
-	} else if eng == mpirt.EngineDefault {
-		failures = conformance.LinkFaultSweep(cases, seeds, mk, progress)
-	} else {
-		for i, seed := range seeds {
-			_, err := sweeppkg.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-				_, err := conformance.RunLinkFaultCaseOn(eng, cases[j], seed, mk(seed))
-				return struct{}{}, err
-			})
-			var agg *sweeppkg.Error
-			if errors.As(err, &agg) {
-				for _, it := range agg.Items {
-					failures = append(failures, conformance.LinkFaultFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-				}
-			}
-			progress(i+1, len(failures))
-		}
-	}
-	if len(failures) == 0 {
-		fmt.Fprintf(out, "PASS: %d link-fault runs recovered, degraded gracefully, or returned identical partition verdicts\n", len(cases)*nseeds)
-		return nil
-	}
-	for _, f := range failures {
-		fmt.Fprintf(out, "FAIL %s\n  reproduce: nbr-chaos -linkfaults -case %s -replay %d\n", f, f.Case.Name, f.Seed)
-	}
-	return fmt.Errorf("%d of %d link-fault runs failed", len(failures), len(cases)*nseeds)
+	return nil
 }
 
 // parseKills parses the -kill spec: "rank@afterOps" or

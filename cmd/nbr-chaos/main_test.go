@@ -81,7 +81,7 @@ func TestReplayTriplePrintsDeadlockCycle(t *testing.T) {
 		return trace.NewSchedule(), derr
 	}
 	var out bytes.Buffer
-	if _, err := replayTriple(&out, "fake-case", 1, runOnce, false); err != nil {
+	if err := replayTriple(&out, "fake-case", 1, runOnce, false); err != nil {
 		t.Fatalf("replayTriple: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{
@@ -116,33 +116,59 @@ func TestReplayTripleRejectsDivergentCycle(t *testing.T) {
 		return trace.NewSchedule(), &mpirt.DeadlockError{Cycle: cycle, VT: 3}
 	}
 	var out bytes.Buffer
-	_, err := replayTriple(&out, "fake-case", 1, runOnce, false)
+	err := replayTriple(&out, "fake-case", 1, runOnce, false)
 	if err == nil || !strings.Contains(err.Error(), "did not reproduce the deadlock cycle") {
 		t.Fatalf("want cycle-divergence error, got %v", err)
 	}
 }
 
-// TestRunEngineBoth drives the cross-engine differential modes from
-// the command line: a two-seed matrix sweep, a one-seed fail-stop
-// sweep, and a replay that must report identical schedules.
+// TestRunEngineBoth drives the cross-engine differential — plain
+// scheduling, threaded vs event — from the command line: a matrix
+// sweep, a fail-stop sweep, and one fail-stop case under an ad-hoc
+// kill schedule.
 func TestRunEngineBoth(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-engine", "both", "-seeds", "2"}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	for _, args := range [][]string{
+		{"-engine", "both", "-seeds", "1"},
+		{"-faults", "-engine", "both", "-seeds", "1"},
+		{"-faults", "-engine", "both", "-seeds", "2", "-case", "failstop/2n2s3l/er35/cn/allgatherv/mid", "-kill", "5@3,1@0"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("run %v: %v\n%s", args, err, out.String())
+		}
+		if !strings.Contains(out.String(), "threaded vs event") || !strings.Contains(out.String(), "PASS:") {
+			t.Errorf("run %v did not report a differential PASS:\n%s", args, out.String())
+		}
 	}
-	if !strings.Contains(out.String(), "on both engines") {
-		t.Errorf("differential sweep did not report both-engine PASS:\n%s", out.String())
+}
+
+// TestRunEnginePlain sweeps one case under plain scheduling on each
+// engine alone.
+func TestRunEnginePlain(t *testing.T) {
+	for _, eng := range mpirt.Engines() {
+		var out bytes.Buffer
+		if err := run([]string{"-engine", string(eng), "-case", "2n2s3l/er35/dh/allgather", "-seeds", "1"}, &out); err != nil {
+			t.Fatalf("run on %s: %v\n%s", eng, err, out.String())
+		}
+		if !strings.Contains(out.String(), "on "+string(eng)) || !strings.Contains(out.String(), "PASS:") {
+			t.Errorf("plain sweep on %s did not report PASS:\n%s", eng, out.String())
+		}
 	}
-	out.Reset()
-	if err := run([]string{"-faults", "-engine", "both", "-seeds", "1"}, &out); err != nil {
-		t.Fatalf("faults run: %v\n%s", err, out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-engine", "both", "-case", "2n2s3l/er35/dh/allgather", "-replay", "3"}, &out); err != nil {
-		t.Fatalf("replay run: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "cross-engine: schedules identical") {
-		t.Errorf("replay did not confirm cross-engine identity:\n%s", out.String())
+}
+
+// TestRunEngineRejectsChaosOptions: replay and -schedule-only are chaos
+// concepts, and chaos takes no engine.
+func TestRunEngineRejectsChaosOptions(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine", "event", "-case", "2n2s3l/er35/dh/allgather", "-replay", "3"},
+		{"-engine", "both", "-replay", "3"},
+		{"-engine", "threaded", "-schedule-only", "-seeds", "1"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "chaos options") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run %v: got %v, want the one-line usage error", args, err)
+		}
 	}
 }
 
@@ -219,12 +245,12 @@ func TestRunLinkFaultsReplay(t *testing.T) {
 // TestRunLinkFaultsEngineBoth runs one link-fault case differentially.
 func TestRunLinkFaultsEngineBoth(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-linkfaults", "-engine", "both", "-case", "linkfault/cn/uplinkdown/before", "-replay", "1"}, &out)
+	err := run([]string{"-linkfaults", "-engine", "both", "-case", "linkfault/cn/uplinkdown/before", "-seeds", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "cross-engine: schedules identical") {
-		t.Errorf("differential replay did not compare schedules:\n%s", out.String())
+	if !strings.Contains(out.String(), "link-fault sweep threaded vs event") || !strings.Contains(out.String(), "PASS:") {
+		t.Errorf("differential sweep did not compare the engines:\n%s", out.String())
 	}
 }
 

@@ -36,9 +36,9 @@ func TestConformanceAdversarial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failures := conformance.Sweep(cases, conformanceSeeds(t), mpirt.DefaultChaos, nil)
+	failures := conformance.Sweep(cases, conformanceSeeds(t), conformance.UnderChaos(mpirt.DefaultChaos), nil)
 	for _, f := range failures {
-		t.Errorf("%s\n  replay: nbr-chaos -case %s -replay %d", f, f.Case.Name, f.Seed)
+		t.Errorf("%s\n  replay: nbr-chaos -case %s -replay %d", f, f.Case.CaseName(), f.Seed)
 	}
 }
 
@@ -50,9 +50,9 @@ func TestConformanceScheduleOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failures := conformance.Sweep(cases, conformanceSeeds(t), mpirt.ScheduleOnly, nil)
+	failures := conformance.Sweep(cases, conformanceSeeds(t), conformance.UnderChaos(mpirt.ScheduleOnly), nil)
 	for _, f := range failures {
-		t.Errorf("%s\n  replay: nbr-chaos -case %s -replay %d -schedule-only", f, f.Case.Name, f.Seed)
+		t.Errorf("%s\n  replay: nbr-chaos -case %s -replay %d -schedule-only", f, f.Case.CaseName(), f.Seed)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestConformanceReplayableSchedules(t *testing.T) {
 				s := trace.NewSchedule()
 				ch := mpirt.DefaultChaos(99)
 				ch.Record = s
-				if err := conformance.RunCase(c, ch); err != nil {
+				if _, err := c.Run(mpirt.EngineDefault, 0, ch); err != nil {
 					t.Fatal(err)
 				}
 				return s
@@ -84,7 +84,7 @@ func TestConformanceReplayableSchedules(t *testing.T) {
 			// And the recorded schedule force-replays cleanly.
 			ch := mpirt.DefaultChaos(99)
 			ch.Replay = s1
-			if err := conformance.RunCase(c, ch); err != nil {
+			if _, err := c.Run(mpirt.EngineDefault, 0, ch); err != nil {
 				t.Fatalf("forced replay: %v", err)
 			}
 		})

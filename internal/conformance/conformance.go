@@ -2,11 +2,16 @@
 // the collective algorithms: it runs every algorithm × collective
 // combination over a deterministic matrix of cluster shapes and
 // virtual graphs under seeded adversarial schedules (internal/mpirt's
-// chaos mode) and demands byte-identical buffers against an
+// chaos driver) and demands byte-identical buffers against an
 // analytically computed ground truth, plus intact pattern invariants.
 // Any failing (case, seed) pair is reported with the exact seed;
-// because chaos-mode execution is a pure function of the seed,
+// because chaos execution is a pure function of the seed,
 // `nbr-chaos -replay` reproduces the identical schedule.
+//
+// Three case families — the matrix here, fail-stop crashes
+// (failstop.go) and link faults (linkfault.go) — share one Runner
+// interface, so there is one Failure, one Find, one Sweep and one
+// cross-engine Diff (differential.go) for all of them.
 package conformance
 
 import (
@@ -57,15 +62,39 @@ type Case struct {
 	M int
 }
 
+// CaseName returns the case's matrix name.
+func (c Case) CaseName() string { return c.Name }
+
+// TrafficComparable: a matrix case injects nothing, so its message
+// and byte censuses are a property of the program alone.
+func (c Case) TrafficComparable() bool { return true }
+
+// Runner is one conformance case of any family.
+type Runner interface {
+	// CaseName is the name Find looks up and nbr-chaos -case takes.
+	CaseName() string
+	// Run executes the case once and checks it against its ground
+	// truth: under the chaos driver when chaos is non-nil, else under
+	// plain scheduling on eng. seed derives the family's injected
+	// fault schedule; matrix cases ignore it.
+	Run(eng mpirt.Engine, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error)
+	// TrafficComparable reports whether any two passing plain runs of
+	// the case must count the same messages and bytes. It is false when
+	// an injected fault races the traffic: how much flows before peers
+	// observe a death or a dead link depends on host scheduling, even
+	// between two runs on the threaded engine.
+	TrafficComparable() bool
+}
+
 // Failure is one (case, seed) conformance violation.
 type Failure struct {
-	Case Case
+	Case Runner
 	Seed int64
 	Err  error
 }
 
 func (f Failure) String() string {
-	return fmt.Sprintf("%s seed=%d: %v", f.Case.Name, f.Seed, f.Err)
+	return fmt.Sprintf("%s seed=%d: %v", f.Case.CaseName(), f.Seed, f.Err)
 }
 
 // graphSpec names one deterministic graph family instantiation.
@@ -174,32 +203,20 @@ func RaggedCounts(n, m int) []int {
 	return ragged(n, m)
 }
 
-// FindCase returns the matrix case with the given name.
-func FindCase(name string) (Case, error) {
-	cases, err := Matrix()
-	if err != nil {
-		return Case{}, err
-	}
+// Find returns the case of the family with the given name.
+func Find[C Runner](cases []C, name string) (C, error) {
 	for _, c := range cases {
-		if c.Name == name {
+		if c.CaseName() == name {
 			return c, nil
 		}
 	}
-	return Case{}, fmt.Errorf("conformance: unknown case %q", name)
+	var none C
+	return none, fmt.Errorf("conformance: unknown case %q", name)
 }
 
-// RunCase executes one case under the given chaos configuration
-// (nil = plain scheduling) and returns an error describing the first
-// conformance violation, if any.
-func RunCase(c Case, chaos *mpirt.Chaos) error {
-	_, err := RunCaseOn(mpirt.EngineDefault, c, chaos)
-	return err
-}
-
-// RunCaseOn is RunCase pinned to an execution engine, returning the
-// run report so differential callers can compare traffic counts,
-// virtual times, and detection totals across engines.
-func RunCaseOn(eng mpirt.Engine, c Case, chaos *mpirt.Chaos) (*mpirt.Report, error) {
+// Run executes the case (see Runner) and returns an error describing
+// the first conformance violation, if any.
+func (c Case) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
 	if c.Coll == CollPattern {
 		return runPatternCase(c, chaos, eng)
 	}
@@ -210,26 +227,39 @@ func RunCaseOn(eng mpirt.Engine, c Case, chaos *mpirt.Chaos) (*mpirt.Report, err
 	return mpirt.Run(mpirt.Config{Cluster: c.Cluster, Chaos: chaos, Engine: eng}, body)
 }
 
-// Sweep runs every case under every seed, building each seed's chaos
-// configuration with mk (e.g. mpirt.DefaultChaos). progress, when
-// non-nil, is called after each completed seed with the running
-// failure count.
+// A Check runs one (case, seed) pair and returns its violation, if
+// any: UnderChaos, On, and Diff are the three a sweep is made of.
+type Check func(c Runner, seed int64) error
+
+// UnderChaos checks each pair under the chaos driver, building the
+// seed's configuration with mk (e.g. mpirt.DefaultChaos).
+func UnderChaos(mk func(int64) *mpirt.Chaos) Check {
+	return func(c Runner, seed int64) error {
+		_, err := c.Run(mpirt.EngineDefault, seed, mk(seed))
+		return err
+	}
+}
+
+// On checks each pair under plain scheduling on one engine.
+func On(eng mpirt.Engine) Check {
+	return func(c Runner, seed int64) error {
+		_, err := c.Run(eng, seed, nil)
+		return err
+	}
+}
+
+// Sweep checks every case under every seed. progress, when non-nil, is
+// called after each completed seed with the running failure count.
 //
 // Cases within a seed run concurrently on a sweep worker pool (every
 // case is an independent simulation); failures are collected in case
 // order and progress still fires once per seed, so the output is
 // byte-identical to the sequential loop.
-func Sweep(cases []Case, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done int, failures int)) []Failure {
-	return SweepOn(mpirt.EngineDefault, cases, seeds, mk, progress)
-}
-
-// SweepOn is Sweep pinned to an execution engine.
-func SweepOn(eng mpirt.Engine, cases []Case, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done int, failures int)) []Failure {
+func Sweep[C Runner](cases []C, seeds []int64, check Check, progress func(done, failures int)) []Failure {
 	var failures []Failure
 	for i, seed := range seeds {
 		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			_, err := RunCaseOn(eng, cases[j], mk(seed))
-			return struct{}{}, err
+			return struct{}{}, check(cases[j], seed)
 		})
 		var agg *sweep.Error
 		if errors.As(err, &agg) {

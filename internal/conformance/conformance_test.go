@@ -61,14 +61,14 @@ func TestFindCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FindCase(cases[0].Name)
+	got, err := Find(cases, cases[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != cases[0].Name {
-		t.Fatalf("FindCase returned %q", got.Name)
+		t.Fatalf("Find returned %q", got.Name)
 	}
-	if _, err := FindCase("no-such-case"); err == nil {
+	if _, err := Find(cases, "no-such-case"); err == nil {
 		t.Fatal("unknown case accepted")
 	}
 }
@@ -80,13 +80,13 @@ func TestRunCaseRejectsUnknown(t *testing.T) {
 	}
 	bad := cases[0]
 	bad.Coll = "reduce-scatter"
-	if err := RunCase(bad, nil); err == nil {
+	if _, err := bad.Run(mpirt.EngineDefault, 0, nil); err == nil {
 		t.Fatal("unknown collective accepted")
 	}
 	bad = cases[0]
 	bad.Coll = CollAlltoall
 	bad.Algo = AlgoLeader
-	if err := RunCase(bad, nil); err == nil {
+	if _, err := bad.Run(mpirt.EngineDefault, 0, nil); err == nil {
 		t.Fatal("leader-based alltoall should not exist")
 	}
 }
@@ -116,7 +116,7 @@ func TestRunCaseDetectsBrokenSetup(t *testing.T) {
 	}
 	mismatched := a
 	mismatched.Graph = b.Graph // 12-rank graph on an 8-rank cluster (or vice versa)
-	if err := RunCase(mismatched, mpirt.ScheduleOnly(1)); err == nil {
+	if _, err := mismatched.Run(mpirt.EngineDefault, 0, mpirt.ScheduleOnly(1)); err == nil {
 		t.Fatal("graph/cluster mismatch accepted")
 	}
 }
@@ -136,17 +136,15 @@ type testErr struct{}
 func (*testErr) Error() string { return "boom" }
 
 // TestSweepPlainScheduler: the matrix also passes with chaos disabled
-// entirely (nil Chaos), guarding the harness itself against false
-// positives from its ground-truth computation.
+// entirely (nil Chaos) on the default engine, guarding the harness
+// itself against false positives from its ground-truth computation.
 func TestSweepPlainScheduler(t *testing.T) {
 	cases, err := Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if err := RunCase(c, nil); err != nil {
-			t.Errorf("%s under plain scheduling: %v", c.Name, err)
-		}
+	for _, f := range Sweep(cases, []int64{0}, On(mpirt.EngineDefault), nil) {
+		t.Errorf("under plain scheduling: %s", f)
 	}
 }
 
@@ -158,7 +156,7 @@ func TestSweepProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls []int
-	Sweep(cases[:2], []int64{1, 2, 3}, mpirt.ScheduleOnly, func(done, failures int) {
+	Sweep(cases[:2], []int64{1, 2, 3}, UnderChaos(mpirt.ScheduleOnly), func(done, failures int) {
 		calls = append(calls, done)
 		if failures != 0 {
 			t.Fatalf("unexpected failures: %d", failures)

@@ -1,215 +1,68 @@
-// Differential conformance: every case runs once per execution engine
-// (threaded goroutine-per-rank and the serial event loop) and the two
-// runs are compared. What must agree depends on the scheduling mode:
+// Differential conformance: a case runs once per execution engine —
+// the threaded goroutine-per-rank oracle and the serial event loop —
+// under plain scheduling, and the two runs are compared. (Chaos is a
+// driver of its own and never enters this comparison: a chaos run is
+// checked against ground truth and against its own replay.) The ladder
+// has two rungs:
 //
-//   - Always: both runs pass their own analytic ground-truth checks
-//     (buffers, pattern invariants, recovery agreement). When the
-//     program is deterministic — no injected kills, or chaos
-//     serialising their observation — the traffic censuses (messages
-//     and bytes by distance class) are identical too, because both
+//   - Outcome, always: both runs pass their own analytic ground-truth
+//     checks (buffers, pattern invariants, recovery agreement), or both
+//     prove the identical deadlock cycle.
+//
+//   - Traffic, when the case says it is comparable: the message and
+//     byte censuses by distance class are identical, because both
 //     engines execute the same program against the same cost model.
 //
-//   - Under chaos: execution is serialised through the shared decision
-//     core, so the recorded decision schedules must be bit-identical
-//     (equal trace hashes), and with them the virtual times, failure
-//     detection counts, and detection-time totals.
-//
-// Without chaos the threaded engine's virtual times depend on host
-// scheduling order (resource acquisition in the network model is
-// first-come-first-served across racing goroutines), so times are
-// deliberately not compared in that mode; the event engine's times are
-// still self-deterministic, which TestEventEngineSelfDeterministic in
-// internal/mpirt pins separately.
+// Virtual times are deliberately not compared: the threaded engine's
+// depend on host scheduling order (resource acquisition in the network
+// model is first-come-first-served across racing goroutines); the
+// event engine's are self-deterministic, which
+// TestEventEngineSelfDeterministic in internal/mpirt pins separately.
 package conformance
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/sweep"
-	"nbrallgather/internal/trace"
 )
 
-// diffEngines is the fixed engine pair every differential run compares.
-var diffEngines = [2]mpirt.Engine{mpirt.EngineThreaded, mpirt.EngineEvent}
+// errBothFailed marks a Diff whose two runs both failed without
+// proving a common deadlock: a violation in a sweep, but consistent
+// behaviour to a fuzzer feeding both engines arbitrary programs.
+var errBothFailed = errors.New("both engines failed")
 
-// engineRun is one engine's half of a differential comparison.
-type engineRun struct {
-	eng   mpirt.Engine
-	rep   *mpirt.Report
-	sched *trace.Schedule // non-nil iff the run was recorded under chaos
-	err   error
-}
-
-// diffLevel selects which cross-engine assertions hold for a run pair.
-type diffLevel int
-
-const (
-	// diffOutcome: only outcomes are comparable — both runs pass their
-	// own invariants, or both prove the identical deadlock cycle. This
-	// is all a plain-scheduled run with kills supports: how much
-	// traffic flows before peers observe a death depends on host
-	// scheduling, even between two runs on the same engine.
-	diffOutcome diffLevel = iota
-	// diffTraffic adds the message/byte censuses: valid whenever the
-	// program itself is deterministic (no kills, or chaos serialising
-	// the kill observations).
-	diffTraffic
-	// diffStrict adds the chaos-only bit-exactness: schedule hash,
-	// virtual time, detection totals, per-rank load maxima.
-	diffStrict
-)
-
-// diffRuns compares the two halves at the given assertion level.
-func diffRuns(a, b engineRun, level diffLevel) error {
+// Diff runs one case of any family on both engines under plain
+// scheduling and returns the first cross-engine divergence or
+// single-engine violation. It is a Check: Sweep(cases, seeds, Diff, …)
+// is the differential sweep.
+func Diff(c Runner, seed int64) error {
+	engs := mpirt.Engines()
+	repA, errA := c.Run(engs[0], seed, nil)
+	repB, errB := c.Run(engs[1], seed, nil)
 	switch {
-	case a.err != nil && b.err != nil:
-		if sameDeadlock(a.err, b.err) {
-			return nil // both engines proved the identical cycle
+	case errA != nil && errB != nil:
+		var da, db *mpirt.DeadlockError
+		if !errors.As(errA, &da) || !errors.As(errB, &db) {
+			return fmt.Errorf("%w: %s: %v; %s: %v", errBothFailed, engs[0], errA, engs[1], errB)
 		}
-		return fmt.Errorf("both engines failed: %s: %v; %s: %v", a.eng, a.err, b.eng, b.err)
-	case a.err != nil:
-		return fmt.Errorf("engine %s failed where %s passed: %w", a.eng, b.eng, a.err)
-	case b.err != nil:
-		return fmt.Errorf("engine %s failed where %s passed: %w", b.eng, a.eng, b.err)
+		if !da.SameCycle(db) {
+			return fmt.Errorf("deadlock cycles diverge: %s %v, %s %v", engs[0], da.Cycle, engs[1], db.Cycle)
+		}
+		return nil // both engines proved the identical cycle
+	case errA != nil:
+		return fmt.Errorf("engine %s failed where %s passed: %w", engs[0], engs[1], errA)
+	case errB != nil:
+		return fmt.Errorf("engine %s failed where %s passed: %w", engs[1], engs[0], errB)
 	}
-	if a.rep == nil || b.rep == nil || level < diffTraffic {
+	if repA == nil || repB == nil || !c.TrafficComparable() {
 		return nil
 	}
-	if a.rep.MsgsByDist != b.rep.MsgsByDist {
-		return fmt.Errorf("message census diverges: %s %v, %s %v", a.eng, a.rep.MsgsByDist, b.eng, b.rep.MsgsByDist)
+	if repA.MsgsByDist != repB.MsgsByDist {
+		return fmt.Errorf("message census diverges: %s %v, %s %v", engs[0], repA.MsgsByDist, engs[1], repB.MsgsByDist)
 	}
-	if a.rep.BytesByDist != b.rep.BytesByDist {
-		return fmt.Errorf("byte census diverges: %s %v, %s %v", a.eng, a.rep.BytesByDist, b.eng, b.rep.BytesByDist)
-	}
-	if level < diffStrict {
-		return nil
-	}
-	if a.sched != nil && b.sched != nil && a.sched.Hash() != b.sched.Hash() {
-		return fmt.Errorf("chaos schedule hash diverges: %s %016x (%d decisions), %s %016x (%d decisions)",
-			a.eng, a.sched.Hash(), a.sched.Len(), b.eng, b.sched.Hash(), b.sched.Len())
-	}
-	if a.rep.Time != b.rep.Time {
-		return fmt.Errorf("virtual time diverges: %s %g, %s %g", a.eng, a.rep.Time, b.eng, b.rep.Time)
-	}
-	if a.rep.Detections != b.rep.Detections || a.rep.DetectTime != b.rep.DetectTime {
-		return fmt.Errorf("failure detection diverges: %s (%d, %g), %s (%d, %g)",
-			a.eng, a.rep.Detections, a.rep.DetectTime, b.eng, b.rep.Detections, b.rep.DetectTime)
-	}
-	if a.rep.LinkDetections != b.rep.LinkDetections || a.rep.LinkDetectTime != b.rep.LinkDetectTime {
-		return fmt.Errorf("link detection diverges: %s (%d, %g), %s (%d, %g)",
-			a.eng, a.rep.LinkDetections, a.rep.LinkDetectTime, b.eng, b.rep.LinkDetections, b.rep.LinkDetectTime)
-	}
-	if a.rep.MaxRankMsgs != b.rep.MaxRankMsgs || a.rep.MaxRankBytes != b.rep.MaxRankBytes {
-		return fmt.Errorf("per-rank load maxima diverge: %s (%d, %d), %s (%d, %d)",
-			a.eng, a.rep.MaxRankMsgs, a.rep.MaxRankBytes, b.eng, b.rep.MaxRankMsgs, b.rep.MaxRankBytes)
+	if repA.BytesByDist != repB.BytesByDist {
+		return fmt.Errorf("byte census diverges: %s %v, %s %v", engs[0], repA.BytesByDist, engs[1], repB.BytesByDist)
 	}
 	return nil
-}
-
-// sameDeadlock reports whether both errors carry the identical
-// canonical wait-for cycle.
-func sameDeadlock(a, b error) bool {
-	var da, db *mpirt.DeadlockError
-	if !errors.As(a, &da) || !errors.As(b, &db) {
-		return false
-	}
-	return da.SameCycle(db) && da.VT == db.VT
-}
-
-// attachRecord clones nothing: it wires a fresh recording schedule
-// into the chaos config and returns it, or nil for plain scheduling.
-func attachRecord(chaos *mpirt.Chaos) *trace.Schedule {
-	if chaos == nil {
-		return nil
-	}
-	rec := trace.NewSchedule()
-	chaos.Record = rec
-	return rec
-}
-
-// DiffCase runs one conformance case on both engines and returns the
-// first cross-engine divergence or single-engine violation. mk builds
-// a fresh chaos configuration per engine from the shared seed (nil mk
-// = plain scheduling on both).
-func DiffCase(c Case, seed int64, mk func(int64) *mpirt.Chaos) error {
-	var runs [2]engineRun
-	for i, eng := range diffEngines {
-		var chaos *mpirt.Chaos
-		if mk != nil {
-			chaos = mk(seed)
-		}
-		rec := attachRecord(chaos)
-		rep, err := RunCaseOn(eng, c, chaos)
-		runs[i] = engineRun{eng: eng, rep: rep, sched: rec, err: err}
-	}
-	level := diffTraffic
-	if mk != nil {
-		level = diffStrict
-	}
-	return diffRuns(runs[0], runs[1], level)
-}
-
-// DiffFailStopCase is DiffCase for the fail-stop family: the same
-// seed derives the same kill schedule on both engines.
-func DiffFailStopCase(c FailStopCase, seed int64, mk func(int64) *mpirt.Chaos) error {
-	var runs [2]engineRun
-	for i, eng := range diffEngines {
-		var chaos *mpirt.Chaos
-		if mk != nil {
-			chaos = mk(seed)
-		}
-		rec := attachRecord(chaos)
-		rep, err := RunFailStopCaseOn(eng, c, seed, chaos)
-		runs[i] = engineRun{eng: eng, rep: rep, sched: rec, err: err}
-	}
-	level := diffOutcome
-	if mk != nil {
-		level = diffStrict
-	}
-	return diffRuns(runs[0], runs[1], level)
-}
-
-// DiffSweep runs the differential oracle over every (case, seed) pair.
-// Cases within a seed run concurrently on the sweep worker pool with
-// failures collected in case order, exactly like Sweep.
-func DiffSweep(cases []Case, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done, failures int)) []Failure {
-	var failures []Failure
-	for i, seed := range seeds {
-		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			return struct{}{}, DiffCase(cases[j], seed, mk)
-		})
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			for _, it := range agg.Items {
-				failures = append(failures, Failure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-			}
-		}
-		if progress != nil {
-			progress(i+1, len(failures))
-		}
-	}
-	return failures
-}
-
-// DiffFailStopSweep is DiffSweep over the fail-stop matrix.
-func DiffFailStopSweep(cases []FailStopCase, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done, failures int)) []FailStopFailure {
-	var failures []FailStopFailure
-	for i, seed := range seeds {
-		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			return struct{}{}, DiffFailStopCase(cases[j], seed, mk)
-		})
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			for _, it := range agg.Items {
-				failures = append(failures, FailStopFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-			}
-		}
-		if progress != nil {
-			progress(i+1, len(failures))
-		}
-	}
-	return failures
 }

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"nbrallgather/internal/mpirt"
@@ -10,29 +11,68 @@ import (
 )
 
 // diffTestSeeds is the reduced seed set the regular `go test` run uses;
-// `make chaos` / `make faults` drive the full 10-seed sweep through
-// nbr-chaos -engine both.
+// `make chaos` / `make faults` drive the full sweeps through nbr-chaos.
 var diffTestSeeds = []int64{3, 11}
 
-// TestDiffSweepChaos: the full conformance matrix agrees across
-// engines under chaos — bit-identical decision schedules, virtual
-// times, and traffic — for the reduced seed set.
+// replayExact is the chaos determinism contract as a Check: the seed's
+// run passes its ground truth; recording it twice yields one schedule
+// hash and one set of virtual-time and detection totals; and forcing
+// the recording back through the scheduler reproduces it decision for
+// decision. A run that fails must fail the same way every time, which
+// is reported as errSameFailure.
+var errSameFailure = errors.New("failed identically on every run")
+
+func replayExact(mk func(int64) *mpirt.Chaos) Check {
+	return func(c Runner, seed int64) error {
+		record := func(replay *trace.Schedule) (*trace.Schedule, *mpirt.Report, error) {
+			ch := mk(seed)
+			s := trace.NewSchedule()
+			ch.Record, ch.Replay = s, replay
+			rep, err := c.Run(mpirt.EngineDefault, seed, ch)
+			return s, rep, err
+		}
+		s1, rep1, err1 := record(nil)
+		s2, rep2, err2 := record(nil)
+		if (err1 == nil) != (err2 == nil) {
+			return fmt.Errorf("nondeterministic outcome: %v vs %v", err1, err2)
+		}
+		if s1.Hash() != s2.Hash() {
+			return fmt.Errorf("same seed, different schedules: diverge at decision %d", s1.Diverge(s2))
+		}
+		s3, _, err3 := record(s1)
+		if !s1.Equal(s3) {
+			return fmt.Errorf("forced replay diverged at decision %d (%v)", s1.Diverge(s3), err3)
+		}
+		if err1 != nil {
+			return fmt.Errorf("%w: %v", errSameFailure, err1)
+		}
+		if rep1.Time != rep2.Time || rep1.MsgsByDist != rep2.MsgsByDist || rep1.BytesByDist != rep2.BytesByDist ||
+			rep1.Detections != rep2.Detections || rep1.DetectTime != rep2.DetectTime ||
+			rep1.LinkDetections != rep2.LinkDetections || rep1.LinkDetectTime != rep2.LinkDetectTime {
+			return fmt.Errorf("same seed, same schedule, different reports: %+v vs %+v", rep1, rep2)
+		}
+		return nil
+	}
+}
+
+// TestDiffSweepChaos: every matrix case under chaos passes its ground
+// truth and is a pure function of the seed — recorded twice and forced
+// back, for the reduced seed set.
 func TestDiffSweepChaos(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential matrix sweep is not short")
+		t.Skip("matrix replay sweep is not short")
 	}
 	cases, err := Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range DiffSweep(cases, diffTestSeeds, mpirt.DefaultChaos, nil) {
+	for _, f := range Sweep(cases, diffTestSeeds, replayExact(mpirt.DefaultChaos), nil) {
 		t.Errorf("%s", f)
 	}
 }
 
-// TestDiffSweepPlain: without chaos the engines still agree on ground
-// truth and traffic censuses over the whole matrix (one pass; plain
-// runs take no seed).
+// TestDiffSweepPlain: the engines agree on ground truth and traffic
+// censuses over the whole matrix (one pass; plain runs take no seed).
 func TestDiffSweepPlain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix sweep is not short")
@@ -41,15 +81,15 @@ func TestDiffSweepPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range DiffSweep(cases, []int64{0}, nil, nil) {
+	for _, f := range Sweep(cases, []int64{0}, Diff, nil) {
 		t.Errorf("%s", f)
 	}
 }
 
-// TestDiffFailStopSweep: the fail-stop matrix agrees across engines —
-// same recovery outcomes and, under chaos, the same detection counts
-// and virtual times decision for decision.
-func TestDiffFailStopSweep(t *testing.T) {
+// TestFailStopDifferential: the fail-stop matrix reaches the same
+// recovery outcomes on both engines, and under chaos its kills,
+// fail-notifies and detection totals replay exactly.
+func TestFailStopDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential fail-stop sweep is not short")
 	}
@@ -57,34 +97,32 @@ func TestDiffFailStopSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range DiffFailStopSweep(cases, diffTestSeeds[:1], mpirt.DefaultChaos, nil) {
-		t.Errorf("%s", f)
+	for _, f := range Sweep(cases, diffTestSeeds[:1], replayExact(mpirt.DefaultChaos), nil) {
+		t.Errorf("chaos: %s", f)
 	}
-	for _, f := range DiffFailStopSweep(cases, []int64{5}, nil, nil) {
-		t.Errorf("%s", f)
+	for _, f := range Sweep(cases, []int64{5}, Diff, nil) {
+		t.Errorf("plain: %s", f)
 	}
 }
 
 // TestDiffCaseReportsDivergence: the oracle itself must fail loudly
-// when one engine violates a case — here forced by running a case
-// whose graph disagrees with the cluster on one engine only. (A
-// crafted mismatch beats trusting that a real divergence never
-// happens to exercise the reporting path.)
+// when a case is violated — here forced by an impossible payload that
+// both engines must refuse. (A crafted mismatch beats trusting that a
+// real divergence never happens to exercise the reporting path.)
 func TestDiffCaseReportsDivergence(t *testing.T) {
 	cases, err := Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cases[0]
-	c.M = -1 // impossible payload: both engines must refuse identically
-	if err := DiffCase(c, 1, nil); err == nil {
+	c.M = -1
+	if err := Diff(c, 1); err == nil {
 		t.Skip("negative payload accepted; divergence path covered elsewhere")
 	}
 }
 
 // TestDiffDeadlockCycleAcrossEngines: a deliberate receive cycle
-// proves the identical canonical wait-for cycle on both engines, with
-// and without chaos, at the same virtual time under chaos.
+// proves the identical canonical wait-for cycle on all three drivers.
 func TestDiffDeadlockCycleAcrossEngines(t *testing.T) {
 	cluster := topology.Cluster{Nodes: 1, SocketsPerNode: 2, RanksPerSocket: 2}
 	body := func(p *mpirt.Proc) {
@@ -103,28 +141,14 @@ func TestDiffDeadlockCycleAcrossEngines(t *testing.T) {
 		}
 		return d
 	}
-	// Plain scheduling: cycles must match (virtual times need chaos).
 	dT := cycle(mpirt.EngineThreaded, nil)
 	dE := cycle(mpirt.EngineEvent, nil)
 	if !dT.SameCycle(dE) {
 		t.Fatalf("plain cycles diverge: threaded %v, event %v", dT.Cycle, dE.Cycle)
 	}
-	// Chaos: cycles, virtual times, and decision schedules all match.
 	for seed := int64(0); seed < 3; seed++ {
-		chT := mpirt.ScheduleOnly(seed)
-		recT := trace.NewSchedule()
-		chT.Record = recT
-		chE := mpirt.ScheduleOnly(seed)
-		recE := trace.NewSchedule()
-		chE.Record = recE
-		dT := cycle(mpirt.EngineThreaded, chT)
-		dE := cycle(mpirt.EngineEvent, chE)
-		if !dT.SameCycle(dE) || dT.VT != dE.VT {
-			t.Fatalf("seed %d: chaos cycles diverge: threaded %v@%g, event %v@%g",
-				seed, dT.Cycle, dT.VT, dE.Cycle, dE.VT)
-		}
-		if recT.Hash() != recE.Hash() {
-			t.Fatalf("seed %d: schedules diverge at decision %d", seed, recT.Diverge(recE))
+		if dC := cycle(mpirt.EngineDefault, mpirt.ScheduleOnly(seed)); !dC.SameCycle(dE) || dC.VT != dE.VT {
+			t.Fatalf("seed %d: chaos cycle %v@%g, event %v@%g", seed, dC.Cycle, dC.VT, dE.Cycle, dE.VT)
 		}
 	}
 }

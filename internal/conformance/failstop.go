@@ -6,13 +6,11 @@
 // runs must leave every survivor with bitwise-correct buffers for the
 // survivor-projected graph; raw (non-recovering) runs must either
 // complete cleanly or fail fast with a typed error naming a dead rank,
-// never hang. Chaos-mode failures replay bit-exactly from (case, seed)
-// via nbr-chaos.
+// never hang. Chaos failures replay bit-exactly from (case, seed) via
+// nbr-chaos.
 package conformance
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -20,7 +18,6 @@ import (
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/pattern"
-	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -45,16 +42,12 @@ type FailStopCase struct {
 	Recover bool
 }
 
-// FailStopFailure is one (case, seed) fail-stop violation.
-type FailStopFailure struct {
-	Case FailStopCase
-	Seed int64
-	Err  error
-}
+// CaseName returns the case's name in the fail-stop family.
+func (c FailStopCase) CaseName() string { return c.Name }
 
-func (f FailStopFailure) String() string {
-	return fmt.Sprintf("%s seed=%d: %v", f.Case.Name, f.Seed, f.Err)
-}
+// TrafficComparable: how much traffic flows before peers observe a
+// death depends on host scheduling.
+func (c FailStopCase) TrafficComparable() bool { return false }
 
 // FailStopMatrix returns the deterministic fail-stop case family:
 // every algorithm crosses the crash kinds it is eligible for (agent
@@ -91,20 +84,6 @@ func FailStopMatrix() ([]FailStopCase, error) {
 		}
 	}
 	return cases, nil
-}
-
-// FindFailStopCase returns the fail-stop case with the given name.
-func FindFailStopCase(name string) (FailStopCase, error) {
-	cases, err := FailStopMatrix()
-	if err != nil {
-		return FailStopCase{}, err
-	}
-	for _, c := range cases {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return FailStopCase{}, fmt.Errorf("conformance: unknown fail-stop case %q", name)
 }
 
 // FailStopKills derives the case's deterministic kill schedule. The
@@ -154,30 +133,15 @@ func firstAgent(b Case) int {
 	return 1
 }
 
-// RunFailStopCase executes one fail-stop case under the given chaos
-// configuration (nil = threaded scheduling) and returns an error
-// describing the first violation, if any.
-func RunFailStopCase(c FailStopCase, seed int64, chaos *mpirt.Chaos) error {
-	_, err := RunFailStopCaseOn(mpirt.EngineDefault, c, seed, chaos)
-	return err
+// Run executes the case (see Runner) with the kill schedule seed
+// derives.
+func (c FailStopCase) Run(eng mpirt.Engine, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
+	return c.RunKills(eng, chaos, FailStopKills(c, seed))
 }
 
-// RunFailStopCaseOn is RunFailStopCase pinned to an execution engine,
-// returning the run report for differential comparison.
-func RunFailStopCaseOn(eng mpirt.Engine, c FailStopCase, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
-	return RunFailStopCaseKillsOn(eng, c, chaos, FailStopKills(c, seed))
-}
-
-// RunFailStopCaseKills is RunFailStopCase with an explicit kill
-// schedule replacing the seed-derived one (ad-hoc injection from
-// nbr-chaos -kill).
-func RunFailStopCaseKills(c FailStopCase, chaos *mpirt.Chaos, kills []mpirt.Kill) error {
-	_, err := RunFailStopCaseKillsOn(mpirt.EngineDefault, c, chaos, kills)
-	return err
-}
-
-// RunFailStopCaseKillsOn is RunFailStopCaseKills pinned to an engine.
-func RunFailStopCaseKillsOn(eng mpirt.Engine, c FailStopCase, chaos *mpirt.Chaos, kills []mpirt.Kill) (*mpirt.Report, error) {
+// RunKills is Run with an explicit kill schedule replacing the
+// seed-derived one (ad-hoc injection from nbr-chaos -kill).
+func (c FailStopCase) RunKills(eng mpirt.Engine, chaos *mpirt.Chaos, kills []mpirt.Kill) (*mpirt.Report, error) {
 	op, _, err := buildVOp(c.Base)
 	if err != nil {
 		return nil, err
@@ -357,32 +321,4 @@ func diffBuf(got, want []byte) error {
 		return fmt.Errorf("mismatch at byte %d/%d (got %d want %d)", i, len(want), at(got, i), at(want, i))
 	}
 	return fmt.Errorf("length %d, want %d", len(got), len(want))
-}
-
-// FailStopSweep runs every fail-stop case under every seed. mk builds
-// each seed's chaos configuration (nil chaos = threaded execution).
-// Like Sweep, cases within a seed run concurrently on a sweep worker
-// pool with failures collected in case order, so parallelism never
-// changes the report.
-func FailStopSweep(cases []FailStopCase, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done, failures int)) []FailStopFailure {
-	var failures []FailStopFailure
-	for i, seed := range seeds {
-		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			var chaos *mpirt.Chaos
-			if mk != nil {
-				chaos = mk(seed)
-			}
-			return struct{}{}, RunFailStopCase(cases[j], seed, chaos)
-		})
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			for _, it := range agg.Items {
-				failures = append(failures, FailStopFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-			}
-		}
-		if progress != nil {
-			progress(i+1, len(failures))
-		}
-	}
-	return failures
 }

@@ -77,7 +77,7 @@ func TestFailStopThreaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		if err := RunFailStopCase(c, 1, nil); err != nil {
+		if _, err := c.Run(mpirt.EngineThreaded, 1, nil); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestFailStopChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failures := FailStopSweep(cases, []int64{1, 2}, mpirt.DefaultChaos, nil)
+	failures := Sweep(cases, []int64{1, 2}, UnderChaos(mpirt.DefaultChaos), nil)
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
@@ -120,12 +120,12 @@ func TestFailStopChaosReplay(t *testing.T) {
 		s1, s2 := trace.NewSchedule(), trace.NewSchedule()
 		ch1 := mpirt.DefaultChaos(seed)
 		ch1.Record = s1
-		if err := RunFailStopCase(c, seed, ch1); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch1); err != nil {
 			t.Fatalf("%s record 1: %v", c.Name, err)
 		}
 		ch2 := mpirt.DefaultChaos(seed)
 		ch2.Record = s2
-		if err := RunFailStopCase(c, seed, ch2); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch2); err != nil {
 			t.Fatalf("%s record 2: %v", c.Name, err)
 		}
 		if s1.Hash() != s2.Hash() {
@@ -136,7 +136,7 @@ func TestFailStopChaosReplay(t *testing.T) {
 		}
 		ch3 := mpirt.DefaultChaos(seed)
 		ch3.Replay = s1
-		if err := RunFailStopCase(c, seed, ch3); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch3); err != nil {
 			t.Fatalf("%s replay: %v", c.Name, err)
 		}
 	}

@@ -6,19 +6,43 @@ import (
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/topology"
-	"nbrallgather/internal/trace"
 	"nbrallgather/internal/vgraph"
 )
 
+// fixedKills is a fail-stop case with an explicit kill schedule in
+// place of the seed-derived one.
+type fixedKills struct {
+	FailStopCase
+	kills []mpirt.Kill
+}
+
+func (f fixedKills) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
+	return f.RunKills(eng, chaos, f.kills)
+}
+
+// fuzzCheck picks the oracle a fuzz input's scheduling mode selects:
+// the cross-engine Diff for plain scheduling, the replay contract for
+// the two chaos mixes.
+func fuzzCheck(mode uint8) Check {
+	switch mode % 3 {
+	case 1:
+		return replayExact(mpirt.ScheduleOnly)
+	case 2:
+		return replayExact(mpirt.DefaultChaos)
+	}
+	return Diff
+}
+
 // FuzzEngineDivergence derives a small cluster, a random neighborhood
 // graph, an algorithm × collective pair, a scheduling mode, and an
-// optional kill from the fuzz input, runs the case on both execution
-// engines, and fails on any cross-engine divergence: one engine
-// passing where the other fails, unequal traffic censuses on
-// deterministic programs, or unequal chaos decision schedules /
-// virtual times. Inputs where both engines reject or fail identically
-// are consistent by definition and are not divergences. Seeds run in
-// the normal suite; `make fuzz` explores further.
+// optional kill from the fuzz input and fails on any divergence: under
+// plain scheduling, one engine passing where the other fails, unequal
+// deadlock cycles, or unequal traffic censuses on deterministic
+// programs; under chaos, a seed whose outcome, decision schedule or
+// virtual time differs between two recordings or under forced replay.
+// Inputs that are rejected or fail identically every time are
+// consistent by definition and are not divergences. Seeds run in the
+// normal suite; `make fuzz` explores further.
 func FuzzEngineDivergence(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(2), uint8(3), uint8(128), uint8(0), uint8(2), uint8(0), int64(7))
 	f.Add(uint8(3), uint8(2), uint8(1), uint8(9), uint8(200), uint8(2), uint8(1), uint8(0), int64(1))
@@ -52,86 +76,27 @@ func FuzzEngineDivergence(f *testing.F) {
 		co := combos[int(combo)%len(combos)]
 		c := Case{Name: "fuzz", Cluster: cluster, Graph: g, Algo: co.algo, Coll: co.coll, M: 7}
 
-		var mk func(int64) *mpirt.Chaos
-		switch mode % 3 {
-		case 1:
-			mk = mpirt.ScheduleOnly
-		case 2:
-			mk = mpirt.DefaultChaos
-		}
-
-		run := func(eng mpirt.Engine) (*mpirt.Report, *trace.Schedule, error) {
-			var chaos *mpirt.Chaos
-			var rec *trace.Schedule
-			if mk != nil {
-				chaos = mk(seed)
-				rec = trace.NewSchedule()
-				chaos.Record = rec
-			}
-			var rep *mpirt.Report
-			if kill != 0 {
-				fc := FailStopCase{
-					Name:    "fuzz",
-					Base:    c,
-					Kind:    KindMid,
-					Recover: kill%2 == 0,
-				}
-				kills := []mpirt.Kill{{Rank: int(kill) % n, AfterOps: int(kill) / 16}}
-				rep, err = RunFailStopCaseKillsOn(eng, fc, chaos, kills)
-			} else {
-				rep, err = RunCaseOn(eng, c, chaos)
-			}
-			return rep, rec, err
-		}
-		repT, recT, errT := run(mpirt.EngineThreaded)
-		repE, recE, errE := run(mpirt.EngineEvent)
-
-		switch {
-		case errT != nil && errE != nil:
-			// Consistent rejection or consistent failure: only a
-			// deadlock pair must agree on the proven cycle.
-			var dT, dE *mpirt.DeadlockError
-			if errors.As(errT, &dT) && errors.As(errE, &dE) && !dT.SameCycle(dE) {
-				t.Fatalf("deadlock cycles diverge:\nthreaded %v\nevent    %v", dT.Cycle, dE.Cycle)
-			}
-			return
-		case (errT == nil) != (errE == nil):
-			t.Fatalf("engines disagree on outcome:\nthreaded err=%v\nevent err=%v", errT, errE)
-		}
-		if repT == nil || repE == nil {
-			return
-		}
-		// Kills without chaos leave traffic host-order-dependent; every
-		// other configuration must agree on the census.
-		if kill == 0 || mk != nil {
-			if repT.MsgsByDist != repE.MsgsByDist || repT.BytesByDist != repE.BytesByDist {
-				t.Fatalf("traffic diverges:\nthreaded %v %v\nevent    %v %v",
-					repT.MsgsByDist, repT.BytesByDist, repE.MsgsByDist, repE.BytesByDist)
+		var r Runner = c
+		if kill != 0 {
+			r = fixedKills{
+				FailStopCase: FailStopCase{Name: "fuzz", Base: c, Kind: KindMid, Recover: kill%2 == 0},
+				kills:        []mpirt.Kill{{Rank: int(kill) % n, AfterOps: int(kill) / 16}},
 			}
 		}
-		if mk != nil {
-			if recT.Hash() != recE.Hash() {
-				t.Fatalf("chaos schedules diverge at decision %d (threaded %d decisions, event %d)",
-					recT.Diverge(recE), recT.Len(), recE.Len())
-			}
-			if repT.Time != repE.Time {
-				t.Fatalf("virtual time diverges: threaded %g, event %g", repT.Time, repE.Time)
-			}
-			if repT.Detections != repE.Detections || repT.DetectTime != repE.DetectTime {
-				t.Fatalf("detection totals diverge: threaded (%d, %g), event (%d, %g)",
-					repT.Detections, repT.DetectTime, repE.Detections, repE.DetectTime)
-			}
+		if err := fuzzCheck(mode)(r, seed); err != nil && !errors.Is(err, errBothFailed) && !errors.Is(err, errSameFailure) {
+			t.Fatalf("mode %d kill %d seed %d: %v", mode%3, kill, seed, err)
 		}
 	})
 }
 
-// FuzzLinkFaultDivergence explores the link-fault matrix across both
-// execution engines: a fuzz input selects a case, a seed (which jitters
-// mid-schedule fault times), and a scheduling mode, and any cross-engine
-// divergence — split outcomes, unequal chaos schedules or virtual
-// times, unequal link-detection totals — fails. Per-run validity
-// (all-or-nothing recovery, identical partition verdicts, correct
-// buffers) is checked inside each leg by the link-fault runner.
+// FuzzLinkFaultDivergence explores the link-fault matrix: a fuzz input
+// selects a case, a seed (which jitters mid-schedule fault times), and
+// a scheduling mode, and any divergence — split outcomes across the
+// engines under plain scheduling, unequal schedules, virtual times or
+// link-detection totals between two chaos recordings of a seed — fails.
+// Per-run validity (all-or-nothing recovery, identical partition
+// verdicts, correct buffers) is checked inside each run by the
+// link-fault runner.
 func FuzzLinkFaultDivergence(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(1))
 	f.Add(uint8(17), uint8(1), int64(3))
@@ -145,14 +110,7 @@ func FuzzLinkFaultDivergence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, ci, mode uint8, seed int64) {
 		c := cases[int(ci)%len(cases)]
-		var mk func(int64) *mpirt.Chaos
-		switch mode % 3 {
-		case 1:
-			mk = mpirt.ScheduleOnly
-		case 2:
-			mk = mpirt.DefaultChaos
-		}
-		if err := DiffLinkFaultCase(c, seed, mk); err != nil {
+		if err := fuzzCheck(mode)(c, seed); err != nil {
 			t.Fatalf("%s seed=%d mode=%d: %v", c.Name, seed, mode%3, err)
 		}
 	})

@@ -17,15 +17,14 @@
 //   - Raw runs must fail fast with typed link errors, never hang.
 //
 // Faults injected at virtual time 0 make the whole outcome a pure
-// function of the case, so "before" cases assert exact expectations
-// across both engines; mid-schedule outcomes depend on virtual timing,
-// so "mid" cases assert the per-run invariants (all-or-nothing success
-// or identical partition verdicts) and leave bit-exact cross-engine
-// comparison to the chaos legs, where serial scheduling pins timing.
+// function of the case, so "before" cases assert exact expectations on
+// every driver; mid-schedule outcomes depend on virtual timing, so
+// "mid" cases assert the per-run invariants (all-or-nothing success or
+// identical partition verdicts), and bit-exact reproduction is the
+// chaos replay's job, where serial scheduling pins timing.
 package conformance
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,7 +32,6 @@ import (
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/netmodel"
-	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
@@ -79,16 +77,13 @@ type LinkFaultCase struct {
 	ExpectRepair string
 }
 
-// LinkFaultFailure is one (case, seed) link-fault violation.
-type LinkFaultFailure struct {
-	Case LinkFaultCase
-	Seed int64
-	Err  error
-}
+// CaseName returns the case's name in the link-fault family.
+func (c LinkFaultCase) CaseName() string { return c.Name }
 
-func (f LinkFaultFailure) String() string {
-	return fmt.Sprintf("%s seed=%d: %v", f.Case.Name, f.Seed, f.Err)
-}
+// TrafficComparable: the per-run checker internalises what each
+// timing may legitimately produce; how much traffic flows before a
+// rank observes the fault depends on host scheduling.
+func (c LinkFaultCase) TrafficComparable() bool { return false }
 
 // lfCluster is the matrix's machine: 8 ranks on 4 single-socket nodes
 // of 2, two nodes per group — node 1 hosts ranks {2,3}, group 1 hosts
@@ -257,20 +252,6 @@ func LinkFaultMatrix() ([]LinkFaultCase, error) {
 	return cases, nil
 }
 
-// FindLinkFaultCase returns the link-fault case with the given name.
-func FindLinkFaultCase(name string) (LinkFaultCase, error) {
-	cases, err := LinkFaultMatrix()
-	if err != nil {
-		return LinkFaultCase{}, err
-	}
-	for _, c := range cases {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return LinkFaultCase{}, fmt.Errorf("conformance: unknown link-fault case %q", name)
-}
-
 // LinkFaultSchedule derives the case's deterministic fault schedule.
 // Mid-schedule timings are jittered by the seed (2–5 µs, around the
 // middle of these runs' microsecond-scale spans) so a sweep lands the
@@ -305,17 +286,9 @@ func LinkFaultSchedule(c LinkFaultCase, seed int64) []netmodel.LinkFault {
 	}
 }
 
-// RunLinkFaultCase executes one link-fault case under the given chaos
-// configuration (nil = threaded scheduling) and returns an error
-// describing the first violation, if any.
-func RunLinkFaultCase(c LinkFaultCase, seed int64, chaos *mpirt.Chaos) error {
-	_, err := RunLinkFaultCaseOn(mpirt.EngineDefault, c, seed, chaos)
-	return err
-}
-
-// RunLinkFaultCaseOn is RunLinkFaultCase pinned to an execution engine,
-// returning the run report for differential comparison.
-func RunLinkFaultCaseOn(eng mpirt.Engine, c LinkFaultCase, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
+// Run executes the case (see Runner) with the fault schedule seed
+// derives.
+func (c LinkFaultCase) Run(eng mpirt.Engine, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
 	op, _, err := buildVOp(c.Base)
 	if err != nil {
 		return nil, err
@@ -511,76 +484,4 @@ func runLinkFaultRaw(c LinkFaultCase, cfg mpirt.Config, op collective.VOp) (*mpi
 		return nil, fmt.Errorf("%s", violations[0])
 	}
 	return rep, nil
-}
-
-// LinkFaultSweep runs every link-fault case under every seed. mk builds
-// each seed's chaos configuration (nil chaos = threaded execution).
-// Cases within a seed run concurrently on the sweep worker pool with
-// failures collected in case order, so parallelism never changes the
-// report.
-func LinkFaultSweep(cases []LinkFaultCase, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done, failures int)) []LinkFaultFailure {
-	var failures []LinkFaultFailure
-	for i, seed := range seeds {
-		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			var chaos *mpirt.Chaos
-			if mk != nil {
-				chaos = mk(seed)
-			}
-			return struct{}{}, RunLinkFaultCase(cases[j], seed, chaos)
-		})
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			for _, it := range agg.Items {
-				failures = append(failures, LinkFaultFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-			}
-		}
-		if progress != nil {
-			progress(i+1, len(failures))
-		}
-	}
-	return failures
-}
-
-// DiffLinkFaultCase runs one link-fault case on both engines and
-// returns the first cross-engine divergence or single-engine violation.
-// The per-run checker internalises what each timing may legitimately
-// produce (pinned outcomes for before-cases, all-or-nothing invariants
-// for mid-cases), so plain runs compare at outcome level; chaos runs
-// demand bit-exact schedules, times, and link-detection totals.
-func DiffLinkFaultCase(c LinkFaultCase, seed int64, mk func(int64) *mpirt.Chaos) error {
-	var runs [2]engineRun
-	for i, eng := range diffEngines {
-		var chaos *mpirt.Chaos
-		if mk != nil {
-			chaos = mk(seed)
-		}
-		rec := attachRecord(chaos)
-		rep, err := RunLinkFaultCaseOn(eng, c, seed, chaos)
-		runs[i] = engineRun{eng: eng, rep: rep, sched: rec, err: err}
-	}
-	level := diffOutcome
-	if mk != nil {
-		level = diffStrict
-	}
-	return diffRuns(runs[0], runs[1], level)
-}
-
-// DiffLinkFaultSweep is DiffSweep over the link-fault matrix.
-func DiffLinkFaultSweep(cases []LinkFaultCase, seeds []int64, mk func(int64) *mpirt.Chaos, progress func(done, failures int)) []LinkFaultFailure {
-	var failures []LinkFaultFailure
-	for i, seed := range seeds {
-		_, err := sweep.Map(context.Background(), len(cases), func(j int) (struct{}, error) {
-			return struct{}{}, DiffLinkFaultCase(cases[j], seed, mk)
-		})
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			for _, it := range agg.Items {
-				failures = append(failures, LinkFaultFailure{Case: cases[it.Index], Seed: seed, Err: it.Err})
-			}
-		}
-		if progress != nil {
-			progress(i+1, len(failures))
-		}
-	}
-	return failures
 }

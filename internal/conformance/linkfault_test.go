@@ -92,7 +92,7 @@ func TestLinkFaultThreaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		if err := RunLinkFaultCase(c, 1, nil); err != nil {
+		if _, err := c.Run(mpirt.EngineThreaded, 1, nil); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestLinkFaultEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		if _, err := RunLinkFaultCaseOn(mpirt.EngineEvent, c, 1, nil); err != nil {
+		if _, err := c.Run(mpirt.EngineEvent, 1, nil); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 	}
@@ -119,24 +119,24 @@ func TestLinkFaultChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failures := LinkFaultSweep(cases, []int64{1, 2}, mpirt.DefaultChaos, nil)
+	failures := Sweep(cases, []int64{1, 2}, UnderChaos(mpirt.DefaultChaos), nil)
 	for _, f := range failures {
 		t.Errorf("%s", f)
 	}
 }
 
-// TestLinkFaultDifferential runs the family across both engines: plain
-// legs at outcome level, chaos legs demanding bit-exact schedules,
+// TestLinkFaultDifferential runs the family across both engines at
+// outcome level, and under chaos demands exactly replayable schedules,
 // virtual times and link-detection totals.
 func TestLinkFaultDifferential(t *testing.T) {
 	cases, err := LinkFaultMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range DiffLinkFaultSweep(cases, []int64{1}, nil, nil) {
+	for _, f := range Sweep(cases, []int64{1}, Diff, nil) {
 		t.Errorf("plain: %s", f)
 	}
-	for _, f := range DiffLinkFaultSweep(cases, []int64{1}, mpirt.DefaultChaos, nil) {
+	for _, f := range Sweep(cases, []int64{1}, replayExact(mpirt.DefaultChaos), nil) {
 		t.Errorf("chaos: %s", f)
 	}
 }
@@ -165,12 +165,12 @@ func TestLinkFaultChaosReplay(t *testing.T) {
 		s1, s2 := trace.NewSchedule(), trace.NewSchedule()
 		ch1 := mpirt.DefaultChaos(seed)
 		ch1.Record = s1
-		if err := RunLinkFaultCase(c, seed, ch1); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch1); err != nil {
 			t.Fatalf("%s record 1: %v", c.Name, err)
 		}
 		ch2 := mpirt.DefaultChaos(seed)
 		ch2.Record = s2
-		if err := RunLinkFaultCase(c, seed, ch2); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch2); err != nil {
 			t.Fatalf("%s record 2: %v", c.Name, err)
 		}
 		if s1.Hash() != s2.Hash() {
@@ -184,7 +184,7 @@ func TestLinkFaultChaosReplay(t *testing.T) {
 		}
 		ch3 := mpirt.DefaultChaos(seed)
 		ch3.Replay = s1
-		if err := RunLinkFaultCase(c, seed, ch3); err != nil {
+		if _, err := c.Run(mpirt.EngineDefault, seed, ch3); err != nil {
 			t.Fatalf("%s replay: %v", c.Name, err)
 		}
 	}

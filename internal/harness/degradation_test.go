@@ -26,9 +26,9 @@ func TestMeasureDegradation(t *testing.T) {
 	}
 	// Messages big enough that bandwidth terms dominate latency, so an
 	// 8× effective-bandwidth cut is visible in the completion time.
-	// The event engine makes the comparison a pure function of the
-	// config; on the threaded engine both times move with host scheduling.
-	cfg := Config{Cluster: c, MsgSize: 1 << 20, Phantom: true, Engine: mpirt.EngineEvent}
+	// The default (event) engine makes the comparison a pure function
+	// of the config.
+	cfg := Config{Cluster: c, MsgSize: 1 << 20, Phantom: true}
 	res, err := MeasureDegradation(cfg, dh, []netmodel.LinkFault{
 		netmodel.LinkDegraded(netmodel.UplinkOf(0), 0, 8),
 		netmodel.LinkDegraded(netmodel.UplinkOf(1), 0, 8),

@@ -43,10 +43,9 @@ type Config struct {
 	// knob for robustness studies: how much do latency spikes, retries
 	// and slow ranks cost each algorithm?
 	Chaos *mpirt.Chaos
-	// Engine selects the mpirt execution engine (threaded
-	// goroutine-per-rank or the serial event loop); the zero value
-	// defers to the NBR_MPIRT_ENGINE environment knob, then the
-	// threaded default.
+	// Engine selects the mpirt engine of a plain (Chaos == nil)
+	// measurement; the zero value is the deterministic event engine
+	// every published number comes from. See mpirt.Engine.
 	Engine mpirt.Engine
 }
 

@@ -435,7 +435,7 @@ func isEngineRoot(n *FuncNode) bool {
 	}
 	if pathContains(path, "internal/mpirt") {
 		switch n.Fn.Name() {
-		case "loop", "rankMain", "eventRecvErr", "eventReduceMax", "eventFTRound":
+		case "loop", "rankMain":
 			return true
 		}
 	}

@@ -23,7 +23,8 @@ import (
 // nondeterministic choice flows through that one RNG in a serial
 // execution, a run is a pure function of (program, seed): re-running
 // the same seed reproduces the identical schedule, which Record
-// captures and Replay can force.
+// captures and Replay can force. Chaos is a driver of its own:
+// Config.Engine plays no part in a chaos run.
 type Chaos struct {
 	// Seed drives every scheduling and fault decision.
 	Seed int64
@@ -94,26 +95,6 @@ func ScheduleOnly(seed int64) *Chaos {
 	return &Chaos{Seed: seed, DupProb: 0.05}
 }
 
-// chaosState is the scheduling state of one rank.
-type chaosState uint8
-
-const (
-	// chaosRunning: the rank holds the execution token.
-	chaosRunning chaosState = iota
-	// chaosRunnable: ready to run, waiting for the token.
-	chaosRunnable
-	// chaosRecvWait: blocked in Recv until a message is delivered.
-	chaosRecvWait
-	// chaosBarrierWait: blocked in a barrier/reduce until the last
-	// live rank arrives (dead ranks are excused).
-	chaosBarrierWait
-	// chaosFTWait: blocked in a fault-tolerant agreement round
-	// (Agree/Shrink) until every rank has contributed or died.
-	chaosFTWait
-	// chaosFinished: the rank body returned (or the rank died).
-	chaosFinished
-)
-
 // chaosWake is what the execution token carries to a parked rank: a
 // delivered message, a failure/revocation error, or neither (a plain
 // resume).
@@ -152,9 +133,9 @@ type chaosRT struct {
 	// sequence has to stay identical to the recorded run's anyway.
 	schedRNG *rand.Rand
 	faultRNG *rand.Rand
-	state    []chaosState
-	reqSrc   []int // posted receive source, valid in chaosRecvWait
-	reqTag   []int // posted receive tag, valid in chaosRecvWait
+	state    []waitState
+	reqSrc   []int // posted receive source, valid in stRecvWait
+	reqTag   []int // posted receive tag, valid in stRecvWait
 	token    []chan chaosWake
 	// wakeErr holds a pending error for a rank flipped runnable by a
 	// revocation while it was blocked in a receive; delivered with the
@@ -184,11 +165,6 @@ type chaosRT struct {
 	cycleScratch []WaitEdge
 	// flightFree recycles flightMsg containers between deliveries.
 	flightFree []*flightMsg
-	// loop, when non-nil, marks the event engine hosting the decision
-	// loop on the Run goroutine (chaosRT.runLoop): yielding ranks nudge
-	// it through this cap-1 channel instead of deciding inline. Nil on
-	// the threaded engine.
-	loop chan struct{}
 }
 
 // newFlightLocked draws a flightMsg container from the freelist.
@@ -217,7 +193,7 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 		cfg:       cfg,
 		schedRNG:  rand.New(rand.NewSource(cfg.Seed)),
 		faultRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x6e624eb7)),
-		state:     make([]chaosState, rt.n),
+		state:     make([]waitState, rt.n),
 		reqSrc:    make([]int, rt.n),
 		reqTag:    make([]int, rt.n),
 		token:     make([]chan chaosWake, rt.n),
@@ -229,7 +205,7 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 		seenSrc:   make([]bool, rt.n),
 	}
 	for r := 0; r < rt.n; r++ {
-		cs.state[r] = chaosRunnable
+		cs.state[r] = stRunnable
 		cs.token[r] = make(chan chaosWake, 1)
 		cs.slow[r] = 1
 		if cfg.SlowProb > 0 && cs.faultRNG.Float64() < cfg.SlowProb {
@@ -243,12 +219,19 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 	return cs
 }
 
-// start hands the token to the first rank. Called once by Run after
-// every rank goroutine is parked.
-func (cs *chaosRT) start() {
+// run executes the ranks as goroutines that only ever run one at a
+// time: each starts parked, so the seeded scheduler — not goroutine
+// spawn order — decides who runs first, and passes the token on when
+// its body returns or panics.
+func (cs *chaosRT) run(body func(*Proc)) {
 	cs.mu.Lock()
 	cs.scheduleLocked()
 	cs.mu.Unlock()
+	cs.rt.runRanks(func(p *Proc) {
+		defer cs.release(p, stFinished)
+		p.chaosPark()
+		body(p)
+	})
 }
 
 // chaosOption is one candidate scheduling action: resume a runnable
@@ -267,26 +250,24 @@ const (
 	optFail
 )
 
-// scheduleLocked makes one scheduling decision and wakes the chosen
-// rank, reporting whether a token was handed out (false: the run
-// completed, deadlocked, or aborted). It must run with cs.mu held —
-// by the rank that just yielded the token (threaded engine), by Run
-// at start-up, or by the hosted decision loop (event engine). When
-// every live rank is blocked in a receive with no deliverable
-// message, it fails the run with a deadlock error — exact detection,
-// no watchdog heuristics needed.
-func (cs *chaosRT) scheduleLocked() bool {
+// scheduleLocked makes one scheduling decision and hands the token to
+// the chosen rank (none when the run completed, deadlocked, or
+// aborted). It must run with cs.mu held — by the rank that is giving
+// the token up, or by run at start-up. When every live rank is blocked
+// in a receive with no deliverable message, it fails the run with a
+// deadlock error — exact detection, no watchdog heuristics needed.
+func (cs *chaosRT) scheduleLocked() {
 	for {
 		if cs.rt.aborted.Load() {
-			return false
+			return
 		}
 		opts := cs.opts[:0]
 		finished := 0
 		for r, st := range cs.state {
 			switch st {
-			case chaosRunnable:
+			case stRunnable:
 				opts = append(opts, chaosOption{kind: optResume, rank: r})
-			case chaosRecvWait:
+			case stRecvWait:
 				// MPI non-overtaking: of the in-flight messages from one
 				// sender that match the posted receive, only the earliest
 				// may be delivered. Cross-sender order stays fully
@@ -328,17 +309,17 @@ func (cs *chaosRT) scheduleLocked() bool {
 						opts = append(opts, chaosOption{kind: optFail, rank: r, src: d})
 					}
 				}
-			case chaosFinished:
+			case stFinished:
 				finished++
 			}
 		}
 		cs.opts = opts // retain the scratch capacity across decisions
 		if len(opts) == 0 {
 			if finished == cs.rt.n {
-				return false // run complete
+				return // run complete
 			}
 			cs.rt.fail(fmt.Errorf("%w: %s", ErrDeadlock, cs.blockedSummaryLocked()))
-			return false
+			return
 		}
 
 		var pick chaosOption
@@ -346,7 +327,7 @@ func (cs *chaosRT) scheduleLocked() bool {
 			var ok bool
 			pick, ok = cs.replayPickLocked(opts)
 			if !ok {
-				return false // replayPickLocked failed the run
+				return // replayPickLocked failed the run
 			}
 		} else {
 			pick = opts[cs.schedRNG.Intn(len(opts))]
@@ -362,17 +343,17 @@ func (cs *chaosRT) scheduleLocked() bool {
 				cs.wakeErr[pick.rank] = nil
 			}
 			cs.recordLocked(trace.Decision{Kind: kind, Rank: pick.rank})
-			cs.state[pick.rank] = chaosRunning
+			cs.state[pick.rank] = stRunning
 			cs.token[pick.rank] <- chaosWake{err: werr} //lint:blockok — token hand-off to a rank proven parked; this send IS the chaos scheduling point
-			return true
+			return
 		}
 		if pick.kind == optFail {
 			cs.recordLocked(trace.Decision{
 				Kind: trace.DecisionFailNotify, Rank: pick.rank, Src: pick.src,
 			})
-			cs.state[pick.rank] = chaosRunning
+			cs.state[pick.rank] = stRunning
 			cs.token[pick.rank] <- chaosWake{err: &RankFailedError{Rank: pick.src}} //lint:blockok — token hand-off to a rank proven parked
-			return true
+			return
 		}
 		fm := cs.inflight[pick.rank][pick.fi]
 		cs.removeInflightLocked(pick.rank, pick.fi)
@@ -392,50 +373,11 @@ func (cs *chaosRT) scheduleLocked() bool {
 			Kind: trace.DecisionDeliver, Rank: pick.rank,
 			Src: fm.msg.Src, Tag: fm.msg.Tag, SendSeq: fm.sendSeq, Size: fm.msg.Size,
 		})
-		cs.state[pick.rank] = chaosRunning
+		cs.state[pick.rank] = stRunning
 		msg := fm.msg
 		cs.freeFlightLocked(fm)
 		cs.token[pick.rank] <- chaosWake{msg: msg} //lint:blockok — token hand-off to a rank proven parked
-		return true
-	}
-}
-
-// yieldLocked hands scheduling control onward after the calling rank
-// blocked or finished. On the threaded engine the yielding rank makes
-// the next decision inline; on the event engine the decision loop is
-// hosted on the Run goroutine, so the yield just nudges it. The
-// decision logic, RNG draws, and token protocol are shared either
-// way — which is what keeps chaos schedules bit-equal across engines.
-// The nudge is non-blocking on a cap-1 channel: the serial token
-// protocol guarantees at most one un-consumed yield, and after an
-// abort the loop is gone.
-func (cs *chaosRT) yieldLocked() {
-	if cs.loop != nil {
-		select {
-		case cs.loop <- struct{}{}:
-		default:
-		}
 		return
-	}
-	cs.scheduleLocked()
-}
-
-// runLoop is the event engine's chaos driver: make one decision, wait
-// for the woken rank to yield the token back, repeat. Returns when
-// the run completes, deadlocks, or aborts.
-func (cs *chaosRT) runLoop() {
-	for {
-		cs.mu.Lock()
-		woke := cs.scheduleLocked()
-		cs.mu.Unlock()
-		if !woke {
-			return
-		}
-		select {
-		case <-cs.loop:
-		case <-cs.rt.failedCh:
-			return
-		}
 	}
 }
 
@@ -515,7 +457,7 @@ func (cs *chaosRT) blockedSummaryLocked() string {
 	var barrier, ft []int
 	for r, st := range cs.state {
 		switch st {
-		case chaosRecvWait:
+		case stRecvWait:
 			src, dead := "any", ""
 			if s := cs.reqSrc[r]; s != AnySource {
 				src = fmt.Sprintf("%d", s)
@@ -528,9 +470,9 @@ func (cs *chaosRT) blockedSummaryLocked() string {
 				tag = fmt.Sprintf("%d", t)
 			}
 			parts = append(parts, fmt.Sprintf("rank %d: recv src=%s tag=%s%s", r, src, tag, dead))
-		case chaosBarrierWait:
+		case stBarrierWait:
 			barrier = append(barrier, r)
-		case chaosFTWait:
+		case stFTWait:
 			ft = append(ft, r)
 		}
 	}
@@ -552,33 +494,78 @@ func (cs *chaosRT) blockedSummaryLocked() string {
 	return strings.Join(parts, "; ")
 }
 
-// park blocks the calling rank until the scheduler wakes it, returning
-// the wake payload (message, failure error, or neither for a plain
-// resume). Aborting the run also unparks every rank.
+// chaosPark blocks the calling rank until the scheduler hands it the
+// token, returning the wake payload (message, failure error, or
+// neither for a plain resume). Aborting the run also unparks every
+// rank.
 func (p *Proc) chaosPark() chaosWake {
-	cs := p.rt.chaos
 	//lint:blockok — THE sanctioned chaos park point: ranks block here until the scheduler hands back the token
 	select {
-	case w := <-cs.token[p.rank]:
+	case w := <-p.rt.chaos.token[p.rank]:
 		return w
 	case <-p.rt.failedCh:
 		panic(errAborted)
 	}
 }
 
-// chaosAwaitStart parks the rank before its body runs, so the seeded
-// scheduler — not goroutine spawn order — decides who runs first.
-func (p *Proc) chaosAwaitStart() {
+// park gives the token up in wait-state st: the seeded scheduler picks
+// who runs next, and resumes this rank once a wake has flipped it
+// runnable.
+//
+//lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the plain drivers
+func (cs *chaosRT) park(p *Proc, st waitState, c *sync.Cond) {
+	c.L.Unlock()
+	cs.release(p, st)
+	p.chaosPark()
+	c.L.Lock()
+}
+
+func (cs *chaosRT) yield(p *Proc) {
+	cs.release(p, stRunnable)
 	p.chaosPark()
 }
 
-// chaosFinish marks the rank finished and passes the token on. Called
-// from the rank goroutine's defer for both normal and panic exits.
-func (p *Proc) chaosFinish() {
-	cs := p.rt.chaos
+// release gives the token up, leaving p in state st.
+func (cs *chaosRT) release(p *Proc, st waitState) {
 	cs.mu.Lock()
-	cs.state[p.rank] = chaosFinished
-	cs.yieldLocked()
+	cs.state[p.rank] = st
+	cs.scheduleLocked()
+	cs.mu.Unlock()
+}
+
+// wake flips the waiters of a completed round runnable; the scheduler
+// resumes them in seeded order.
+func (cs *chaosRT) wake(st waitState, _ float64) {
+	cs.mu.Lock()
+	for r := range cs.state {
+		if cs.state[r] == st {
+			cs.state[r] = stRunnable
+		}
+	}
+	cs.mu.Unlock()
+}
+
+// died records the injected crash in the schedule. The dying rank
+// holds the token, so the kill's position in the decision stream is
+// deterministic; nobody needs waking — the scheduler offers parked
+// receives their fail-notify options from the dead mask.
+func (cs *chaosRT) died(r int) {
+	cs.mu.Lock()
+	cs.recordLocked(trace.Decision{Kind: trace.DecisionKill, Rank: r})
+	cs.mu.Unlock()
+}
+
+// wakeRevoked flips every recv-blocked rank runnable with a pending
+// revocation error, so it observes the revoke instead of waiting on a
+// message that may never come.
+func (cs *chaosRT) wakeRevoked() {
+	cs.mu.Lock()
+	for r, st := range cs.state {
+		if st == stRecvWait {
+			cs.state[r] = stRunnable
+			cs.wakeErr[r] = &CommRevokedError{}
+		}
+	}
 	cs.mu.Unlock()
 }
 
@@ -622,43 +609,35 @@ func (cs *chaosRT) chaosEnqueue(src, dst int, m *Msg) {
 }
 
 // chaosRecvErr is recvErr under the chaos scheduler: post the request,
-// yield the token, and block until the scheduler matches a message to
-// it or notifies it of a peer failure / revocation.
+// give the token up, and block until the scheduler matches a message
+// to it or notifies it of a peer failure / revocation. What the plain
+// drivers read off the dead mask at post time is here a seeded
+// decision (a receive on a dead source may lose the race against a
+// message still in flight), so only the revocation and link-down rungs
+// of the receive ladder run inline.
 //
-//lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the production engines
+//lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the plain drivers
 func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 	p.rt.checkAborted()
 	cs := p.rt.chaos
-	if src != AnySource && (src < 0 || src >= p.rt.n) {
-		panic(&UsageError{Rank: p.rank, Op: "recv",
-			Msg: fmt.Sprintf("invalid source rank %d", src)})
-	}
+	p.checkSource(src)
 	if p.rt.revoked.Load() {
 		return Msg{}, &CommRevokedError{}
 	}
 	cs.mu.Lock()
-	if src != AnySource && p.rt.model.HasLinkFaults() {
-		// Same rule as the other engines, evaluated at the token-holding
-		// rank's deterministic position in the serial stream: if nothing
-		// matching is in flight (undelivered) and the src→self path is
-		// down, the receive can never complete. In-flight copies stay
-		// deliverable — their eager transfer finished before the fault.
-		deliverable := false
-		for _, fm := range cs.inflight[p.rank] {
-			if chaosMatch(src, tag, fm.msg) && !cs.delivered[delivKey{fm.msg.Src, fm.sendSeq}] {
-				deliverable = true
-				break
-			}
-		}
-		if !deliverable {
-			if blk, bad := p.rt.model.PathBlocked(src, p.rank, p.vt); bad {
-				cs.mu.Unlock()
-				return Msg{}, p.linkBlockedErr(blk, src, p.rank)
-			}
+	if src != AnySource && p.rt.model.HasLinkFaults() && !cs.deliverableLocked(p.rank, src, tag) {
+		// Same rule as the plain drivers, evaluated at the token-holding
+		// rank's deterministic position in the serial stream: nothing
+		// matching in flight and the src→self path down means the receive
+		// can never complete. In-flight copies stay deliverable — their
+		// eager transfer finished before the fault.
+		if blk, bad := p.rt.model.PathBlocked(src, p.rank, p.vt); bad {
+			cs.mu.Unlock()
+			return Msg{}, p.linkBlockedErr(blk, src, p.rank)
 		}
 	}
 	cs.reqSrc[p.rank], cs.reqTag[p.rank] = src, tag
-	cs.state[p.rank] = chaosRecvWait
+	cs.state[p.rank] = stRecvWait
 	// A wait-for cycle can only close when a rank blocks, and all chaos
 	// state is under cs.mu, so this single check at post time is exact.
 	// It sits at a deterministic position in the decision stream:
@@ -666,7 +645,7 @@ func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 	if derr := cs.detectRecvCycleLocked(p.rank); derr != nil {
 		cs.rt.fail(derr)
 	}
-	cs.yieldLocked()
+	cs.scheduleLocked()
 	cs.mu.Unlock()
 	w := p.chaosPark()
 	if w.err != nil {
@@ -681,7 +660,6 @@ func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 		// message or an error; a bare resume here is a scheduler bug.
 		panic(fmt.Sprintf("mpirt: chaos scheduler resumed recv-blocked rank %d without a message", p.rank))
 	}
-	p.rt.progress.Add(1)
 	if w.msg.arrival > p.vt {
 		p.vt = w.msg.arrival
 	}
@@ -689,123 +667,24 @@ func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 	return *w.msg, nil
 }
 
-// chaosProbe reports whether a matching message is in flight. Serial
-// execution makes the answer deterministic.
-func (p *Proc) chaosProbe(src, tag int) bool {
-	cs := p.rt.chaos
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for _, fm := range cs.inflight[p.rank] {
-		if chaosMatch(src, tag, fm.msg) &&
-			!cs.delivered[delivKey{fm.msg.Src, fm.sendSeq}] {
+// deliverableLocked reports whether an undelivered in-flight copy to
+// rank r matches (src, tag); delivered duplicates only ever get
+// dropped. Serial execution makes the answer deterministic.
+func (cs *chaosRT) deliverableLocked(r, src, tag int) bool {
+	for _, fm := range cs.inflight[r] {
+		if chaosMatch(src, tag, fm.msg) && !cs.delivered[delivKey{fm.msg.Src, fm.sendSeq}] {
 			return true
 		}
 	}
 	return false
 }
 
-// chaosReduceMax is reduceMax under the chaos scheduler: non-final
-// arrivals park until the generation is covered (every rank arrived or
-// died) and the completer marks them runnable; the seeded scheduler
-// then chooses the resume order.
-func (p *Proc) chaosReduceMax(v float64) float64 {
-	rt := p.rt
-	cs := rt.chaos
+// chaosProbe reports whether a matching message is in flight.
+func (p *Proc) chaosProbe(src, tag int) bool {
+	cs := p.rt.chaos
 	cs.mu.Lock()
-	rt.reduceVals[p.rank] = v
-	rt.bArr[p.rank] = true
-	rt.bcnt++
-	if rt.completeBarrierLocked() {
-		cs.wakeBarrierWaitersLocked()
-		cs.mu.Unlock()
-	} else {
-		cs.state[p.rank] = chaosBarrierWait
-		cs.yieldLocked()
-		cs.mu.Unlock()
-		p.chaosPark()
-	}
-	if rt.aborted.Load() {
-		panic(errAborted)
-	}
-	cs.mu.Lock()
-	res := rt.reduceRes
-	cs.mu.Unlock()
-	if p.vt < res {
-		p.vt = res
-	}
-	rt.progress.Add(1)
-	return res
-}
-
-// chaosFTRound is ftRound under the chaos scheduler: contribute,
-// park until the round is covered by arrivals ∪ dead, and read the
-// agreed results.
-func (p *Proc) chaosFTRound(ok, clear bool) (bool, []int) {
-	rt := p.rt
-	cs := rt.chaos
-	rt.checkAborted()
-	cs.mu.Lock()
-	rt.ftArr[p.rank] = true
-	rt.ftCnt++
-	rt.ftOK = rt.ftOK && ok
-	rt.ftClear = rt.ftClear || clear
-	rt.ftVals[p.rank] = p.vt
-	if rt.completeFTLocked() {
-		cs.wakeFTWaitersLocked()
-		cs.mu.Unlock()
-	} else {
-		cs.state[p.rank] = chaosFTWait
-		cs.yieldLocked()
-		cs.mu.Unlock()
-		p.chaosPark()
-	}
-	if rt.aborted.Load() {
-		panic(errAborted)
-	}
-	cs.mu.Lock()
-	res, maxVT, alive := rt.ftRes, rt.ftMax, rt.ftAlive
-	cs.mu.Unlock()
-	p.finishFTRound(maxVT, len(alive))
-	return res, alive
-}
-
-// wakeBarrierWaitersLocked flips barrier waiters runnable after a
-// completed generation; the scheduler resumes them in seeded order.
-func (cs *chaosRT) wakeBarrierWaitersLocked() {
-	for r, st := range cs.state {
-		if st == chaosBarrierWait {
-			cs.state[r] = chaosRunnable
-		}
-	}
-}
-
-// wakeFTWaitersLocked flips agreement-round waiters runnable after a
-// completed round.
-func (cs *chaosRT) wakeFTWaitersLocked() {
-	for r, st := range cs.state {
-		if st == chaosFTWait {
-			cs.state[r] = chaosRunnable
-		}
-	}
-}
-
-// revokeWaitersLocked flips every recv-blocked rank runnable with a
-// pending revocation error, so it observes the revoke instead of
-// waiting on a message that may never come.
-func (cs *chaosRT) revokeWaitersLocked() {
-	for r, st := range cs.state {
-		if st == chaosRecvWait {
-			cs.state[r] = chaosRunnable
-			cs.wakeErr[r] = &CommRevokedError{}
-		}
-	}
-}
-
-// recordKillLocked records an injected crash in the schedule. Called
-// by the dying rank (which holds the execution token), so the kill's
-// position in the decision stream is deterministic.
-func (cs *chaosRT) recordKillLocked(rank int) {
-	cs.recordLocked(trace.Decision{Kind: trace.DecisionKill, Rank: rank})
+	defer cs.mu.Unlock()
+	return cs.deliverableLocked(p.rank, src, tag)
 }
 
 // slowScale returns the rank's chaos slowdown multiplier (1 outside

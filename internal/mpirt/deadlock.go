@@ -93,7 +93,7 @@ func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 	return out
 }
 
-// recvEdge returns rank r's outgoing wait-for edge in threaded mode, or
+// recvEdge returns rank r's outgoing wait-for edge on the plain drivers, or
 // ok=false when r is not provably stuck: not parked in a receive,
 // waiting on AnySource (any live peer could satisfy it), waiting on a
 // dead peer (the receive fails rather than blocks), or a matching
@@ -175,18 +175,15 @@ func (cs *chaosRT) detectRecvCycleLocked(start int) *DeadlockError {
 		return nil
 	}
 	edge := func(r int) (WaitEdge, bool) {
-		if cs.state[r] != chaosRecvWait {
+		if cs.state[r] != stRecvWait {
 			return WaitEdge{}, false
 		}
 		src, tag := cs.reqSrc[r], cs.reqTag[r]
 		if src == AnySource || cs.rt.deadMask[src].Load() {
 			return WaitEdge{}, false
 		}
-		for _, fm := range cs.inflight[r] {
-			if fm.msg.Src == src && (tag == AnyTag || fm.msg.Tag == tag) &&
-				!cs.delivered[delivKey{fm.msg.Src, fm.sendSeq}] {
-				return WaitEdge{}, false
-			}
+		if cs.deliverableLocked(r, src, tag) {
+			return WaitEdge{}, false
 		}
 		return WaitEdge{Rank: r, Op: "recv", Peer: src, Tag: tag}, true
 	}

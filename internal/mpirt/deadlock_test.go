@@ -16,7 +16,7 @@ import (
 // all-blocked condition never holds — only the instant detector can
 // produce the DeadlockError this test demands.
 func TestDeadlockCycleThreaded(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 3, WallLimit: 30 * time.Second}, func(p *Proc) {
+	_, err := Run(Config{Cluster: failureCluster(), Ranks: 3, WallLimit: 30 * time.Second, Engine: EngineThreaded}, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Recv(1, 5)

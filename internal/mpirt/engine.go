@@ -1,77 +1,49 @@
 package mpirt
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
-// Engine selects the execution substrate a Run uses. Both engines
-// implement the same Endpoint API, typed-error surface, chaos
-// record/replay contract, and fail-stop semantics, so every collective
-// runs unmodified on either; the conformance differential oracle holds
-// them to identical buffers, schedule hashes, and deadlock cycles.
+// Engine selects which driver executes a plain (non-chaos) Run. Both
+// implement the same Endpoint API, typed-error surface and fail-stop
+// semantics over one blocking core (see driver), so every collective
+// runs unmodified on either. A non-nil Config.Chaos selects the chaos
+// driver instead, whatever Engine says.
 type Engine string
 
 const (
-	// EngineDefault resolves the engine from the NBR_MPIRT_ENGINE
-	// environment variable, falling back to the threaded engine.
+	// EngineDefault is the zero Config.Engine; it resolves to
+	// EngineEvent.
 	EngineDefault Engine = ""
 
-	// EngineThreaded is the original goroutine-per-rank engine: every
-	// rank is a goroutine, blocked ranks wait on condition variables,
-	// and a wall-clock watchdog backstops deadlock detection. It
-	// exercises real concurrency (the -race target of choice) but its
-	// per-rank stacks and cond contention cap it at tens of thousands
-	// of ranks.
+	// EngineThreaded runs every rank as a free-running goroutine:
+	// blocked ranks wait on condition variables and a sampling
+	// watchdog backstops deadlock detection. Shared cost-model
+	// resources are claimed in host-scheduling order, so its virtual
+	// times are not reproducible; it is kept as the host-parallel
+	// oracle — the target of `go test -race` and the other half of the
+	// plain differential (internal/conformance) — not as a measurement
+	// path.
 	EngineThreaded Engine = "threaded"
 
-	// EngineEvent runs each rank as a resumable state machine over a
-	// central calendar/ladder event queue keyed by virtual time with a
-	// deterministic (vt, rank, seq) tie-break. Execution is serial —
-	// one rank at a time, resumed by the event loop — which makes
-	// non-chaos runs deterministic, deadlock detection exact (no
-	// watchdog sampling), and 100k–1M-rank phantom sweeps affordable.
+	// EngineEvent runs each rank as a coroutine of one serial loop
+	// over a calendar queue keyed by virtual time with a deterministic
+	// (vt, rank, seq) tie-break. One rank runs at a time, so results
+	// are a pure function of the configuration, deadlock detection is
+	// exact, and 100k–1M-rank phantom sweeps are affordable. Every
+	// published number comes from this engine.
 	EngineEvent Engine = "event"
 )
 
-// EngineEnv is the environment variable EngineDefault resolves
-// through: set NBR_MPIRT_ENGINE=event to flip every default-engine
-// Run in a process (the conformance and bench CLIs also take explicit
-// -engine flags).
-const EngineEnv = "NBR_MPIRT_ENGINE"
-
-// Engines lists the concrete engines, for CLIs and differential
-// sweeps.
+// Engines lists the concrete engines, for differential sweeps.
 func Engines() []Engine { return []Engine{EngineThreaded, EngineEvent} }
 
-// ResolveEngine maps a Config.Engine value to a concrete engine,
-// consulting NBR_MPIRT_ENGINE for the default. Unknown names are an
-// error rather than a silent fallback.
+// ResolveEngine maps a Config.Engine value to a concrete engine.
+// Unknown names are an error rather than a silent fallback.
 func ResolveEngine(e Engine) (Engine, error) {
 	switch e {
 	case EngineThreaded, EngineEvent:
 		return e, nil
 	case EngineDefault:
-		switch v := os.Getenv(EngineEnv); v {
-		case "", string(EngineThreaded):
-			return EngineThreaded, nil
-		case string(EngineEvent):
-			return EngineEvent, nil
-		default:
-			return "", fmt.Errorf("mpirt: %s=%q: unknown engine (want %q or %q)",
-				EngineEnv, v, EngineThreaded, EngineEvent)
-		}
-	default:
-		return "", fmt.Errorf("mpirt: unknown engine %q (want %q or %q)", e, EngineThreaded, EngineEvent)
+		return EngineEvent, nil
 	}
-}
-
-// ParseEngine validates a CLI-supplied engine name ("" selects the
-// default resolution path).
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case EngineDefault, EngineThreaded, EngineEvent:
-		return Engine(s), nil
-	}
-	return "", fmt.Errorf("unknown engine %q (want %q or %q)", s, EngineThreaded, EngineEvent)
+	return "", fmt.Errorf("mpirt: unknown engine %q (want %q or %q)", e, EngineThreaded, EngineEvent)
 }

@@ -10,43 +10,39 @@ import (
 	"nbrallgather/internal/trace"
 )
 
-// Tests for the engine knob and for the two-engine equivalence
+// Tests for engine selection and for the two-engine equivalence
 // contract at the mpirt layer: identical ground-truth buffers and
-// traffic counts always; identical schedules, hashes, and virtual
-// times whenever chaos serialises execution; identical canonical
-// deadlock cycles on both substrates. The full differential matrix
-// lives in internal/conformance; these are the unit-sized anchors.
+// traffic counts always, identical canonical deadlock cycles, and —
+// on the event engine alone — identical virtual times run to run. The
+// full differential matrix lives in internal/conformance; these are
+// the unit-sized anchors.
 
 func TestEngineResolve(t *testing.T) {
-	t.Setenv(EngineEnv, "")
 	for _, tc := range []struct {
 		in   Engine
-		env  string
 		want Engine
 		ok   bool
 	}{
-		{EngineDefault, "", EngineThreaded, true},
-		{EngineDefault, "threaded", EngineThreaded, true},
-		{EngineDefault, "event", EngineEvent, true},
-		{EngineDefault, "quantum", "", false},
-		{EngineThreaded, "event", EngineThreaded, true}, // explicit beats env
-		{EngineEvent, "", EngineEvent, true},
-		{Engine("bogus"), "", "", false},
+		{EngineDefault, EngineEvent, true},
+		{EngineThreaded, EngineThreaded, true},
+		{EngineEvent, EngineEvent, true},
+		{Engine("bogus"), "", false},
 	} {
-		t.Setenv(EngineEnv, tc.env)
 		got, err := ResolveEngine(tc.in)
 		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("ResolveEngine(%q) with env %q = %q, %v; want %q", tc.in, tc.env, got, err, tc.want)
+			t.Errorf("ResolveEngine(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
 		}
 		if !tc.ok && err == nil {
-			t.Errorf("ResolveEngine(%q) with env %q accepted; want error", tc.in, tc.env)
+			t.Errorf("ResolveEngine(%q) accepted; want error", tc.in)
 		}
 	}
-	if _, err := ParseEngine("event"); err != nil {
-		t.Errorf("ParseEngine(event): %v", err)
+	if _, err := Run(Config{Cluster: smallCluster(), Engine: "bogus"}, func(*Proc) {}); err == nil {
+		t.Error("Run accepted an unknown engine")
 	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Error("ParseEngine(warp) accepted")
+	// The default is the event engine: only it reports loop telemetry.
+	rep, err := Run(Config{Cluster: smallCluster()}, func(p *Proc) { p.Barrier() })
+	if err != nil || rep.Events == 0 {
+		t.Errorf("default-engine run: events %d, err %v; want the event engine", rep.Events, err)
 	}
 }
 
@@ -118,9 +114,10 @@ func TestEnginesAgreeOnTraffic(t *testing.T) {
 	}
 }
 
-// TestChaosOnEventBitExact: under chaos both engines share the
-// decision core, so the same seed must produce the identical decision
-// schedule (hash and all) and identical virtual time on either one.
+// TestChaosOnEventBitExact: chaos is a driver of its own, so
+// Config.Engine plays no part in a chaos run — whatever it names, the
+// same seed produces the identical decision schedule, virtual time and
+// traffic, and none of the event loop's telemetry.
 func TestChaosOnEventBitExact(t *testing.T) {
 	once := func(eng Engine, seed int64) (*trace.Schedule, *Report) {
 		var got [8][]int
@@ -139,17 +136,21 @@ func TestChaosOnEventBitExact(t *testing.T) {
 		return rec, rep
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		schedT, repT := once(EngineThreaded, seed)
-		schedE, repE := once(EngineEvent, seed)
-		if schedT.Hash() != schedE.Hash() {
-			t.Fatalf("seed %d: schedule hash diverges: %x vs %x", seed, schedT.Hash(), schedE.Hash())
+		schedD, repD := once(EngineDefault, seed)
+		for _, eng := range Engines() {
+			sched, rep := once(eng, seed)
+			if sched.Hash() != schedD.Hash() || rep.Time != repD.Time ||
+				rep.MsgsByDist != repD.MsgsByDist || rep.BytesByDist != repD.BytesByDist {
+				t.Fatalf("seed %d: chaos run with Engine %q differs from the default's: %x/%g vs %x/%g",
+					seed, eng, sched.Hash(), rep.Time, schedD.Hash(), repD.Time)
+			}
+			if rep.Events != 0 || rep.Parks != 0 || rep.PeakQueue != 0 {
+				t.Fatalf("seed %d: chaos run with Engine %q reports event telemetry", seed, eng)
+			}
 		}
-		if repT.Time != repE.Time {
-			t.Fatalf("seed %d: vt diverges: %g vs %g", seed, repT.Time, repE.Time)
-		}
-		if repT.MsgsByDist != repE.MsgsByDist || repT.BytesByDist != repE.BytesByDist {
-			t.Fatalf("seed %d: traffic diverges", seed)
-		}
+	}
+	if _, err := Run(Config{Cluster: smallCluster(), Chaos: DefaultChaos(1), Engine: "bogus"}, func(*Proc) {}); err == nil {
+		t.Error("chaos run accepted an unknown engine")
 	}
 }
 

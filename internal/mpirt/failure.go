@@ -78,8 +78,8 @@ type Kill struct {
 
 // enterOp counts one blocking operation entry and fires any pending
 // kill whose trigger point has been reached. It runs at the top of
-// every P2P/collective primitive, in both execution modes, so kill
-// points are stable across threaded and chaos runs.
+// every P2P/collective primitive, before anything driver-specific, so
+// kill points are the same on every driver.
 func (p *Proc) enterOp() {
 	p.ops++
 	if p.dead || len(p.kills) == 0 {
@@ -104,55 +104,23 @@ func (p *Proc) die() {
 }
 
 // markDead records rank r's permanent failure and re-evaluates every
-// synchronisation the death may complete: mailbox waiters blocked on r
-// and barrier / agreement rounds now covered by arrivals ∪ dead.
+// synchronisation the death may complete: barrier / agreement rounds
+// now covered by arrivals ∪ dead, and parked receives that can now
+// observe the failure. The dying rank is still the one executing, so
+// on the serial drivers the wakes only queue work for after it unwinds.
 func (rt *Runtime) markDead(r int) {
 	if rt.deadMask[r].Swap(true) {
 		return
 	}
-	if cs := rt.chaos; cs != nil {
-		// Chaos mode: the dying rank holds the execution token, so no
-		// scheduling happens here — just flip any now-complete barrier
-		// or agreement waiters to runnable; the scheduler sees them when
-		// the dying rank's goroutine yields the token in chaosFinish.
-		cs.mu.Lock()
-		cs.recordKillLocked(r)
-		if rt.completeBarrierLocked() {
-			cs.wakeBarrierWaitersLocked()
-		}
-		if rt.completeFTLocked() {
-			cs.wakeFTWaitersLocked()
-		}
-		cs.mu.Unlock()
-	} else if ev := rt.ev; ev != nil {
-		// Event mode: the dying rank is the running entity; queue wake
-		// events for whatever the death completes or unblocks, and keep
-		// unwinding.
-		rt.bmu.Lock()
-		wb := rt.completeBarrierLocked()
-		res := rt.reduceRes
-		wf := rt.completeFTLocked()
-		fmax := rt.ftMax
-		rt.bmu.Unlock()
-		if wb {
-			ev.wakeWaiters(evBarrierWait, res)
-		}
-		if wf {
-			ev.wakeWaiters(evFTWait, fmax)
-		}
-		ev.wakeDeathObservers(r)
-	} else {
-		rt.bmu.Lock()
-		if rt.completeBarrierLocked() || rt.completeFTLocked() {
-			rt.bcond.Broadcast()
-		}
-		rt.bmu.Unlock()
-		for _, b := range rt.boxes {
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		}
+	rt.bmu.Lock()
+	if rt.completeBarrierLocked() {
+		rt.drv.wake(stBarrierWait, rt.reduceRes)
 	}
+	if rt.completeFTLocked() {
+		rt.drv.wake(stFTWait, rt.ftMax)
+	}
+	rt.bmu.Unlock()
+	rt.drv.died(r)
 	rt.progress.Add(1)
 }
 
@@ -221,27 +189,10 @@ func (p *Proc) Revoked() bool { return p.rt.revoked.Load() }
 // they observe the revocation instead of waiting on messages that will
 // never arrive.
 func (p *Proc) Revoke() {
-	rt := p.rt
-	if cs := rt.chaos; cs != nil {
-		cs.mu.Lock()
-		if !rt.revoked.Swap(true) {
-			cs.revokeWaitersLocked()
-		}
-		cs.mu.Unlock()
-	} else if ev := rt.ev; ev != nil {
-		if !rt.revoked.Swap(true) {
-			ev.wakeRevoked()
-		}
-	} else {
-		if !rt.revoked.Swap(true) {
-			for _, b := range rt.boxes {
-				b.mu.Lock()
-				b.cond.Broadcast()
-				b.mu.Unlock()
-			}
-		}
+	if !p.rt.revoked.Swap(true) {
+		p.rt.drv.wakeRevoked()
 	}
-	rt.progress.Add(1)
+	p.rt.progress.Add(1)
 }
 
 // Agree is fault-tolerant agreement (ULFM MPI_Comm_agree): a logical
@@ -271,12 +222,6 @@ func (p *Proc) Shrink() *Comm {
 // at completion. The caller must not mutate the returned slice.
 func (p *Proc) ftRound(ok, clear bool) (bool, []int) {
 	p.enterOp()
-	if p.rt.chaos != nil {
-		return p.chaosFTRound(ok, clear)
-	}
-	if p.rt.ev != nil {
-		return p.eventFTRound(ok, clear)
-	}
 	rt := p.rt
 	rt.checkAborted()
 	rt.bmu.Lock()
@@ -287,18 +232,11 @@ func (p *Proc) ftRound(ok, clear bool) (bool, []int) {
 	rt.ftVals[p.rank] = p.vt
 	gen := rt.ftGen
 	if rt.completeFTLocked() {
-		rt.bcond.Broadcast()
+		rt.drv.wake(stFTWait, rt.ftMax)
 	}
-	for gen == rt.ftGen && !rt.aborted.Load() {
-		rt.blocked.Add(1)
-		rt.bcond.Wait() //lint:blockok — threaded-engine FT-round park; the event engine routes through eventFTRound instead
-		rt.blocked.Add(-1)
-	}
+	p.awaitRound(stFTWait, &rt.ftGen, gen)
 	res, maxVT, alive := rt.ftRes, rt.ftMax, rt.ftAlive
 	rt.bmu.Unlock()
-	if rt.aborted.Load() {
-		panic(errAborted)
-	}
 	p.finishFTRound(maxVT, len(alive))
 	return res, alive
 }
@@ -315,14 +253,13 @@ func (p *Proc) finishFTRound(maxVT float64, survivors int) {
 		hops = math.Ceil(math.Log2(float64(survivors)))
 	}
 	p.vt += 2 * hops * (p.rt.model.SendOverhead() + p.rt.model.RecvOverhead()) * p.slowScale()
-	p.rt.progress.Add(1)
 }
 
 // completeFTLocked checks whether the pending agreement round is
 // covered (every rank contributed or is dead); if so it publishes the
 // round results, resets the round state, advances the generation, and
-// returns true. The caller holds the mode's synchronisation mutex and
-// is responsible for waking waiters when it returns true.
+// returns true. The caller holds rt.bmu and is responsible for waking
+// waiters when it returns true.
 func (rt *Runtime) completeFTLocked() bool {
 	if rt.ftCnt == 0 {
 		return false

@@ -27,35 +27,37 @@ func awaitDead(p *Proc, peer int) {
 // messages still probe true and deliver; after the queue drains, the
 // dead peer probes false and Recv returns the typed failure.
 func TestProbeDeadPeer(t *testing.T) {
-	rep, err := Run(Config{Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1, AfterOps: 1}}}, func(p *Proc) {
-		switch p.Rank() {
-		case 1:
-			p.Send(0, 7, 1, []byte{42}, nil) // delivered: the kill fires on the next operation
-			p.Send(0, 8, 1, []byte{43}, nil) // dies here, before sending
-			panic("rank 1 survived its kill")
-		case 0:
-			awaitDead(p, 1)
-			if !p.Probe(1, 7) {
-				panic("pre-crash message did not probe true")
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		rep, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1, AfterOps: 1}}}, func(p *Proc) {
+			switch p.Rank() {
+			case 1:
+				p.Send(0, 7, 1, []byte{42}, nil) // delivered: the kill fires on the next operation
+				p.Send(0, 8, 1, []byte{43}, nil) // dies here, before sending
+				panic("rank 1 survived its kill")
+			case 0:
+				awaitDead(p, 1)
+				if !p.Probe(1, 7) {
+					panic("pre-crash message did not probe true")
+				}
+				m := p.Recv(1, 7)
+				if m.Src != 1 || len(m.Data) != 1 || m.Data[0] != 42 {
+					panic(fmt.Sprintf("pre-crash message corrupted: %+v", m))
+				}
+				if p.Probe(1, 7) || p.Probe(1, 8) {
+					panic("dead peer with no queued message probed true")
+				}
+				if _, rerr := p.RecvErr(1, 8); !isRankFailed(rerr, 1) {
+					panic(fmt.Sprintf("RecvErr(dead) = %v, want rank 1 failure", rerr))
+				}
 			}
-			m := p.Recv(1, 7)
-			if m.Src != 1 || len(m.Data) != 1 || m.Data[0] != 42 {
-				panic(fmt.Sprintf("pre-crash message corrupted: %+v", m))
-			}
-			if p.Probe(1, 7) || p.Probe(1, 8) {
-				panic("dead peer with no queued message probed true")
-			}
-			if _, rerr := p.RecvErr(1, 8); !isRankFailed(rerr, 1) {
-				panic(fmt.Sprintf("RecvErr(dead) = %v, want rank 1 failure", rerr))
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(rep.DeadRanks) != "[1]" {
+			t.Fatalf("DeadRanks = %v, want [1]", rep.DeadRanks)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(rep.DeadRanks) != "[1]" {
-		t.Fatalf("DeadRanks = %v, want [1]", rep.DeadRanks)
-	}
 }
 
 // TestIrecvAnySourceDeadPeer pins the wildcard-receive failure: with
@@ -63,186 +65,201 @@ func TestProbeDeadPeer(t *testing.T) {
 // returns RankFailedError naming the lowest dead rank, with the exact
 // ULFM-style message.
 func TestIrecvAnySourceDeadPeer(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1}}}, func(p *Proc) {
-		switch p.Rank() {
-		case 1:
-			p.Send(0, 1, 1, []byte{1}, nil) // dies at this first operation
-			panic("rank 1 survived its kill")
-		case 0:
-			awaitDead(p, 1)
-			req := p.Irecv(AnySource, AnyTag)
-			_, werr := req.WaitErr()
-			var rf *RankFailedError
-			if !errors.As(werr, &rf) || rf.Rank != 1 {
-				panic(fmt.Sprintf("WaitErr = %v, want RankFailedError{Rank: 1}", werr))
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1}}}, func(p *Proc) {
+			switch p.Rank() {
+			case 1:
+				p.Send(0, 1, 1, []byte{1}, nil) // dies at this first operation
+				panic("rank 1 survived its kill")
+			case 0:
+				awaitDead(p, 1)
+				req := p.Irecv(AnySource, AnyTag)
+				_, werr := req.WaitErr()
+				var rf *RankFailedError
+				if !errors.As(werr, &rf) || rf.Rank != 1 {
+					panic(fmt.Sprintf("WaitErr = %v, want RankFailedError{Rank: 1}", werr))
+				}
+				if got, want := rf.Error(), "mpirt: rank 1 failed (fail-stop)"; got != want {
+					panic(fmt.Sprintf("error text %q, want %q", got, want))
+				}
 			}
-			if got, want := rf.Error(), "mpirt: rank 1 failed (fail-stop)"; got != want {
-				panic(fmt.Sprintf("error text %q, want %q", got, want))
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWaitObservesAbort pins that a rank parked in Request.Wait is
 // released when another rank aborts the run with a usage error: the
 // run fails with the typed UsageError instead of hanging.
 func TestWaitObservesAbort(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			p.Irecv(1, 3).Wait()
-			panic("Wait returned despite peer abort")
-		case 1:
-			p.Send(99, 0, 1, nil, nil) // invalid destination: aborts the run
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				p.Irecv(1, 3).Wait()
+				panic("Wait returned despite peer abort")
+			case 1:
+				p.Send(99, 0, 1, nil, nil) // invalid destination: aborts the run
+			}
+		})
+		var ue *UsageError
+		if !errors.As(err, &ue) {
+			t.Fatalf("run error = %v, want UsageError", err)
+		}
+		if ue.Rank != 1 || ue.Op != "send" {
+			t.Fatalf("UsageError = %+v, want rank 1 op send", ue)
 		}
 	})
-	var ue *UsageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("run error = %v, want UsageError", err)
-	}
-	if ue.Rank != 1 || ue.Op != "send" {
-		t.Fatalf("UsageError = %+v, want rank 1 op send", ue)
-	}
 }
 
 // TestSendRecvErrTyped pins the error-returning P2P surface against a
 // dead peer, including that detection cost lands on the virtual clock
 // exactly once per (observer, peer) pair.
 func TestSendRecvErrTyped(t *testing.T) {
-	rep, err := Run(Config{Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1}}}, func(p *Proc) {
-		switch p.Rank() {
-		case 1:
-			p.Send(0, 1, 1, []byte{1}, nil)
-		case 0:
-			awaitDead(p, 1)
-			before := p.VT()
-			if serr := p.SendErr(1, 1, 1, []byte{0}, nil); !isRankFailed(serr, 1) {
-				panic(fmt.Sprintf("SendErr(dead) = %v", serr))
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		rep, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2, Kills: []Kill{{Rank: 1}}}, func(p *Proc) {
+			switch p.Rank() {
+			case 1:
+				p.Send(0, 1, 1, []byte{1}, nil)
+			case 0:
+				awaitDead(p, 1)
+				before := p.VT()
+				if serr := p.SendErr(1, 1, 1, []byte{0}, nil); !isRankFailed(serr, 1) {
+					panic(fmt.Sprintf("SendErr(dead) = %v", serr))
+				}
+				if p.VT() < before+100e-6 {
+					panic("first detection did not charge the detect timeout")
+				}
+				mid := p.VT()
+				if _, rerr := p.RecvErr(1, 1); !isRankFailed(rerr, 1) {
+					panic(fmt.Sprintf("RecvErr(dead) = %v", rerr))
+				}
+				if p.VT() >= mid+100e-6 {
+					panic("second detection of the same peer charged again")
+				}
 			}
-			if p.VT() < before+100e-6 {
-				panic("first detection did not charge the detect timeout")
-			}
-			mid := p.VT()
-			if _, rerr := p.RecvErr(1, 1); !isRankFailed(rerr, 1) {
-				panic(fmt.Sprintf("RecvErr(dead) = %v", rerr))
-			}
-			if p.VT() >= mid+100e-6 {
-				panic("second detection of the same peer charged again")
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Detections != 1 {
+			t.Fatalf("Detections = %d, want 1 (memoised per peer)", rep.Detections)
+		}
+		if rep.DetectTime <= 0 {
+			t.Fatalf("DetectTime = %v, want > 0", rep.DetectTime)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detections != 1 {
-		t.Fatalf("Detections = %d, want 1 (memoised per peer)", rep.Detections)
-	}
-	if rep.DetectTime <= 0 {
-		t.Fatalf("DetectTime = %v, want > 0", rep.DetectTime)
-	}
 }
 
 // TestRevokeWakesBlockedRecv pins Revoke's liveness contract: a rank
 // blocked in a receive on a live peer returns CommRevokedError once
 // any rank revokes, regardless of ordering.
 func TestRevokeWakesBlockedRecv(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			_, rerr := p.RecvErr(1, 42)
-			var cr *CommRevokedError
-			if !errors.As(rerr, &cr) {
-				panic(fmt.Sprintf("RecvErr under revoke = %v, want CommRevokedError", rerr))
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				_, rerr := p.RecvErr(1, 42)
+				var cr *CommRevokedError
+				if !errors.As(rerr, &cr) {
+					panic(fmt.Sprintf("RecvErr under revoke = %v, want CommRevokedError", rerr))
+				}
+			case 1:
+				p.Revoke()
 			}
-		case 1:
-			p.Revoke()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestAgreeShrinkTranslation pins the survivor communicator: Agree
 // completes despite the dead rank, Shrink densifies the survivors, and
 // SubProc traffic translates ranks and tags both ways.
 func TestAgreeShrinkTranslation(t *testing.T) {
-	c := failureCluster()
-	_, err := Run(Config{Cluster: c, Ranks: 4, Kills: []Kill{{Rank: 2}}}, func(p *Proc) {
-		if p.Rank() == 2 {
-			p.Send(0, 1, 1, []byte{1}, nil) // dies here
-			panic("rank 2 survived its kill")
-		}
-		if !p.Agree(true) {
-			panic("survivor agreement failed")
-		}
-		comm := p.Shrink()
-		if comm.Size() != 3 || fmt.Sprint(comm.Ranks()) != "[0 1 3]" {
-			panic(fmt.Sprintf("shrink produced %v", comm))
-		}
-		if comm.Contains(2) || comm.NewRank(3) != 2 || comm.OldRank(2) != 3 {
-			panic(fmt.Sprintf("translation wrong in %v", comm))
-		}
-		sub := p.Sub(comm, 1000)
-		// Ring over shrunken ranks 0→1→2→0, tag 5 in sub space.
-		next := (sub.Rank() + 1) % sub.Size()
-		prev := (sub.Rank() + 2) % sub.Size()
-		sub.Send(next, 5, 1, []byte{byte(sub.Rank())}, nil)
-		m := sub.Recv(prev, 5)
-		if m.Src != prev || m.Tag != 5 || m.Data[0] != byte(prev) {
-			panic(fmt.Sprintf("sub rank %d got %+v, want src=%d tag=5", sub.Rank(), m, prev))
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		c := failureCluster()
+		_, err := Run(Config{Engine: eng, Cluster: c, Ranks: 4, Kills: []Kill{{Rank: 2}}}, func(p *Proc) {
+			if p.Rank() == 2 {
+				p.Send(0, 1, 1, []byte{1}, nil) // dies here
+				panic("rank 2 survived its kill")
+			}
+			if !p.Agree(true) {
+				panic("survivor agreement failed")
+			}
+			comm := p.Shrink()
+			if comm.Size() != 3 || fmt.Sprint(comm.Ranks()) != "[0 1 3]" {
+				panic(fmt.Sprintf("shrink produced %v", comm))
+			}
+			if comm.Contains(2) || comm.NewRank(3) != 2 || comm.OldRank(2) != 3 {
+				panic(fmt.Sprintf("translation wrong in %v", comm))
+			}
+			sub := p.Sub(comm, 1000)
+			// Ring over shrunken ranks 0→1→2→0, tag 5 in sub space.
+			next := (sub.Rank() + 1) % sub.Size()
+			prev := (sub.Rank() + 2) % sub.Size()
+			sub.Send(next, 5, 1, []byte{byte(sub.Rank())}, nil)
+			m := sub.Recv(prev, 5)
+			if m.Src != prev || m.Tag != 5 || m.Data[0] != byte(prev) {
+				panic(fmt.Sprintf("sub rank %d got %+v, want src=%d tag=5", sub.Rank(), m, prev))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBarrierDeadTolerant pins that Barrier completes for survivors
 // once the missing rank is dead instead of hanging.
 func TestBarrierDeadTolerant(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 4, Kills: []Kill{{Rank: 3}}}, func(p *Proc) {
-		if p.Rank() == 3 {
-			p.Send(0, 1, 1, []byte{1}, nil) // dies here
-			return
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 4, Kills: []Kill{{Rank: 3}}}, func(p *Proc) {
+			if p.Rank() == 3 {
+				p.Send(0, 1, 1, []byte{1}, nil) // dies here
+				return
+			}
+			p.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBlockedSummaryNamesPeers pins the deadlock diagnostics: the
 // error names each blocked rank's pending receive (peer and tag) and
 // lists dead ranks. The blocked shape is an acyclic chain ending in a
 // barrier (0 waits on 1, 1 waits on 2, 2 in a barrier nobody else
-// joins), so it is the watchdog — not the wait-for-graph detector,
-// which only proves cycles — that reports it.
+// joins), so it is the threaded watchdog or the event loop's empty
+// queue — not the wait-for-graph detector, which only proves cycles —
+// that reports it.
 func TestBlockedSummaryNamesPeers(t *testing.T) {
-	_, err := Run(Config{Cluster: failureCluster(), Ranks: 4, Kills: []Kill{{Rank: 3}}}, func(p *Proc) {
-		switch p.Rank() {
-		case 3:
-			p.Send(0, 99, 1, []byte{1}, nil) // dies here
-		case 0:
-			p.Recv(1, 5)
-		case 1:
-			p.Recv(2, 6)
-		case 2:
-			p.Barrier()
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 4, Kills: []Kill{{Rank: 3}}}, func(p *Proc) {
+			switch p.Rank() {
+			case 3:
+				p.Send(0, 99, 1, []byte{1}, nil) // dies here
+			case 0:
+				p.Recv(1, 5)
+			case 1:
+				p.Recv(2, 6)
+			case 2:
+				p.Barrier()
+			}
+		})
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("expected deadlock, got %v", err)
+		}
+		for _, want := range []string{"rank 0: recv src=1 tag=5", "rank 1: recv src=2 tag=6", "rank 2: barrier", "dead ranks [3]"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("deadlock summary %q lacks %q", err, want)
+			}
 		}
 	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock, got %v", err)
-	}
-	for _, want := range []string{"rank 0: recv src=1 tag=5", "rank 1: recv src=2 tag=6", "rank 2: barrier", "dead ranks [3]"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("deadlock summary %q lacks %q", err, want)
-		}
-	}
 }
 
 // TestChaosKillDeterminism pins fail-stop chaos runs: the same seed

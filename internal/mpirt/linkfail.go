@@ -6,8 +6,7 @@
 // a down link fails fast with a typed error instead of injecting a
 // message that can never be delivered, a receive posted against a down
 // path (with nothing matching already queued) fails instead of parking
-// forever — on every engine, including exact behaviour on the event
-// engine's ladder queue — and the first observation of each down
+// forever — on every driver — and the first observation of each down
 // resource charges the detection timeout to the observer's virtual
 // clock, memoised per (observer, resource) exactly like chargeDetect.
 // Messages that were already in flight or queued when the fault hit
@@ -17,7 +16,7 @@
 // Under the chaos scheduler, first observations are recorded inline in
 // the decision schedule (trace.DecisionLinkFault) by the observing rank
 // while it holds the execution token, so recorded link-fault schedules
-// replay bit-exactly on both engines.
+// replay bit-exactly.
 package mpirt
 
 import (
@@ -135,7 +134,7 @@ func (p *Proc) linkSendBlocked(dst int) error {
 // linkRecvBlocked checks, for a receive posted on a specific source
 // with nothing matching queued, whether the src→self path is down at
 // the receiver's current virtual time. The check runs at post time and
-// on every re-wake, so the serial engines evaluate it at deterministic
+// on every re-wake, so the event driver evaluates it at deterministic
 // points; AnySource receives are exempt (another source may still
 // deliver, and a sender that cannot reach us observes its own typed
 // error and revokes).

@@ -15,14 +15,6 @@ func twoGroups() topology.Cluster {
 	return topology.Cluster{Nodes: 2, SocketsPerNode: 1, RanksPerSocket: 2, NodesPerGroup: 1}
 }
 
-// bothEngines runs the subtest under the threaded and the event engine.
-func bothEngines(t *testing.T, f func(t *testing.T, eng Engine)) {
-	t.Helper()
-	for _, eng := range []Engine{EngineThreaded, EngineEvent} {
-		t.Run(string(eng), func(t *testing.T) { f(t, eng) })
-	}
-}
-
 // TestSendAcrossDownNIC pins the exact error a send across a dead NIC
 // fails with: typed *LinkFailedError carrying the blocking resource and
 // the transfer endpoints, matching the ErrLinkFailed sentinel, with the

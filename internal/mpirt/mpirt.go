@@ -1,7 +1,7 @@
-// Package mpirt is a goroutine-based MPI-like runtime: the execution
+// Package mpirt is an MPI-like simulated runtime: the execution
 // substrate that stands in for Open MPI in this reproduction.
 //
-// Each rank is a goroutine with a *Proc handle offering MPI-shaped
+// Each rank runs its body with a *Proc handle offering MPI-shaped
 // point-to-point primitives — tagged sends and receives with
 // (source, tag) matching including AnySource/AnyTag wildcards,
 // nonblocking operations with requests and WaitAll, and barriers.
@@ -14,10 +14,15 @@
 // Every rank also carries a virtual clock. Sends and receives advance
 // clocks through the netmodel cost model, so the completion time of a
 // collective — the quantity every figure in the paper plots — is the
-// maximum virtual time over ranks, independent of host scheduling.
+// maximum virtual time over ranks.
 //
-// The runtime detects deadlocks (all live ranks blocked in receives with
-// no progress) and converts rank panics into errors returned from Run.
+// The blocking primitives are written once, against a small seam (see
+// driver) that three drivers implement: the serial event loop — the
+// default, deterministic, and the one every published number comes
+// from — the goroutine-per-rank threaded engine kept as the
+// host-parallel oracle for -race and differential testing, and the
+// seeded chaos scheduler. All three detect deadlocks and convert rank
+// panics into errors returned from Run.
 package mpirt
 
 import (
@@ -88,16 +93,16 @@ type Config struct {
 	// Phantom selects size-only payloads.
 	Phantom bool
 	// WallLimit aborts the run if host wall-clock exceeds it
-	// (default 120 s). This is a harness safety net, distinct from
-	// virtual time.
+	// (default 120 s), on every driver. This is a harness safety net,
+	// distinct from virtual time.
 	WallLimit time.Duration
 	// Trace, when non-nil, records every sent message for post-hoc
 	// analysis (phase breakdowns, distance histograms).
 	Trace *trace.Trace
 	// Chaos, when non-nil, runs the execution under the deterministic
-	// chaos scheduler: serial token-passing execution with seeded
-	// adversarial message-matching order, fault injection, and full
-	// schedule record/replay. See the Chaos type.
+	// chaos scheduler — whatever Engine says: serial token-passing
+	// execution with seeded adversarial message-matching order, fault
+	// injection, and full schedule record/replay. See the Chaos type.
 	Chaos *Chaos
 	// Kills schedules injected fail-stop crashes: each victim rank dies
 	// permanently once it has passed the kill's operation count and
@@ -117,11 +122,10 @@ type Config struct {
 	// degraded resources divide their effective bandwidth. See
 	// netmodel.LinkFault.
 	LinkFaults []netmodel.LinkFault
-	// Engine selects the execution substrate: EngineThreaded (one
-	// goroutine per rank) or EngineEvent (a serial event loop over a
-	// calendar queue). The zero value resolves through the
-	// NBR_MPIRT_ENGINE environment variable and defaults to threaded.
-	// Both engines implement identical semantics; see the Engine type.
+	// Engine selects the driver of a plain (Chaos == nil) run:
+	// EngineEvent, the deterministic serial event loop and the zero
+	// value's meaning, or EngineThreaded, the goroutine-per-rank oracle.
+	// See the Engine type.
 	Engine Engine
 }
 
@@ -170,7 +174,7 @@ type Report struct {
 	LinkDetections int64
 	LinkDetectTime float64
 	// Event-engine telemetry, exact and identical run to run; zero on
-	// the threaded engine and under chaos. Events counts rank
+	// threaded and chaos. Events counts rank
 	// resumptions popped off the queue, Parks the times a rank gave up
 	// the execution to wait (Parks/Msgs() is what a cheaper park is
 	// worth), PeakQueue the deepest the event queue got.
@@ -368,10 +372,12 @@ type Runtime struct {
 	aborted  atomic.Bool
 	failErr  atomic.Pointer[error]
 	failedCh chan struct{}
-	chaos    *chaosRT
-	// ev is non-nil when the run executes on the event engine without
-	// chaos (chaos keeps its own serial driver; see event.go).
-	ev *eventRT
+	// drv executes the ranks; chaos and ev are drv's concrete value
+	// when it is that driver (nil otherwise), for the per-message
+	// paths that must not pay an interface call.
+	drv   driver
+	chaos *chaosRT
+	ev    *eventRT
 
 	// fail-stop state: deadMask marks permanently failed ranks,
 	// revoked the ULFM-style communicator revocation epoch.
@@ -392,7 +398,7 @@ type Runtime struct {
 	reduceRes  float64
 
 	// fault-tolerant agreement round state (Agree/Shrink), guarded by
-	// bmu in threaded mode and by the chaos mutex in chaos mode.
+	// bmu.
 	ftArr   []bool
 	ftCnt   int
 	ftGen   int
@@ -403,7 +409,7 @@ type Runtime struct {
 	ftMax   float64
 	ftAlive []int
 
-	// watchdog state
+	// threaded-driver watchdog state
 	blocked  atomic.Int64
 	finished atomic.Int64
 	progress atomic.Uint64
@@ -521,9 +527,6 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 		b.cond = sync.NewCond(&b.mu)
 		rt.boxes[i] = b
 	}
-	if cfg.Chaos != nil {
-		rt.chaos = newChaosRT(rt, *cfg.Chaos)
-	}
 	for r := 0; r < n; r++ {
 		p := &Proc{rt: rt, rank: r}
 		for _, k := range cfg.Kills {
@@ -533,16 +536,27 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 		}
 		rt.procs[r] = p
 	}
+	switch {
+	case cfg.Chaos != nil:
+		rt.chaos = newChaosRT(rt, *cfg.Chaos)
+		rt.drv = rt.chaos
+	case eng == EngineEvent:
+		rt.ev = newEventRT(rt)
+		rt.drv = rt.ev
+	default:
+		rt.drv = threadedRT{rt}
+	}
 
 	// Wall-clock reporting only: Report.Wall measures host execution
 	// time for the operator's benefit and never feeds the virtual
 	// clocks, message ordering, or any modelled result.
 	start := time.Now() //lint:wallclock
-	if eng == EngineEvent {
-		rt.runEvent(body)
-	} else {
-		rt.runThreaded(start, body)
-	}
+
+	limit := time.AfterFunc(cfg.WallLimit, func() { //lint:wallclock — harness safety net, outside the model
+		rt.fail(fmt.Errorf("mpirt: wall-clock limit %v exceeded", cfg.WallLimit))
+	})
+	rt.drv.run(body)
+	limit.Stop()
 
 	if errp := rt.failErr.Load(); errp != nil {
 		return nil, *errp
@@ -550,28 +564,24 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 	return rt.buildReport(start), nil
 }
 
-// rankBody runs body on p with the engine-shared exit protocol: panic
-// classification via rankRecover and — under the chaos scheduler —
-// the start parking and token hand-off. The threaded engine and
-// chaos-mode event runs execute every rank on one of these.
-func (rt *Runtime) rankBody(p *Proc, wg *sync.WaitGroup, body func(*Proc)) {
-	defer wg.Done()
-	defer func() {
-		rt.rankRecover(p, recover())
-	}()
-	if rt.chaos != nil {
-		// Park until the seeded scheduler — not goroutine spawn
-		// order — decides who runs first, and pass the token on
-		// when this rank's body returns or panics.
-		defer p.chaosFinish()
-		p.chaosAwaitStart()
+// runRanks runs body on one goroutine per rank — the threaded and
+// chaos drivers' substrate — and waits for them all.
+func (rt *Runtime) runRanks(body func(*Proc)) {
+	var wg sync.WaitGroup
+	wg.Add(rt.n)
+	for _, p := range rt.procs {
+		go func() {
+			defer wg.Done()
+			defer func() { rt.rankRecover(p, recover()) }()
+			body(p)
+		}()
 	}
-	body(p)
+	rt.awaitRanks(&wg)
 }
 
 // rankRecover classifies a rank's exit (rec is its recover() value,
-// nil for a clean return) and performs the shared bookkeeping. Both
-// engines route every rank exit through here so the error surface is
+// nil for a clean return) and performs the shared bookkeeping. Every
+// driver routes every rank exit through here so the error surface is
 // identical.
 func (rt *Runtime) rankRecover(p *Proc, rec any) {
 	rt.finished.Add(1)
@@ -598,57 +608,6 @@ func (rt *Runtime) rankRecover(p *Proc, rec any) {
 	// A finished rank may leave peers blocked on it; kick
 	// the watchdog's progress view so it re-evaluates.
 	rt.progress.Add(1)
-}
-
-// runThreaded executes the run on the goroutine-per-rank engine with
-// the wall-clock watchdog as the deadlock backstop.
-func (rt *Runtime) runThreaded(start time.Time, body func(*Proc)) {
-	var wg sync.WaitGroup
-	wg.Add(rt.n)
-	for r := 0; r < rt.n; r++ {
-		go rt.rankBody(rt.procs[r], &wg, body)
-	}
-	if rt.chaos != nil {
-		rt.chaos.start()
-	}
-	watchdogDone := make(chan struct{})
-	go rt.watchdog(start, watchdogDone)
-	rt.awaitRanks(&wg)
-	close(watchdogDone)
-}
-
-// runEvent executes the run on the event engine. There is no
-// watchdog: deadlock detection is exact (an empty event queue, or the
-// chaos scheduler running out of options), so only the wall-clock
-// limit needs a host timer. The event loop runs on a driver goroutine
-// of its own: a rank body hogging the host holds the loop inside its
-// coroutine switch, and awaitRanks can still abandon both at WallLimit.
-func (rt *Runtime) runEvent(body func(*Proc)) {
-	limit := time.AfterFunc(rt.cfg.WallLimit, func() { //lint:wallclock — harness safety net, outside the model
-		rt.fail(fmt.Errorf("mpirt: wall-clock limit %v exceeded", rt.cfg.WallLimit))
-	})
-	defer limit.Stop()
-	var wg sync.WaitGroup
-	if rt.chaos != nil {
-		// Chaos execution is already serial token-passing; host its
-		// unmodified decision loop on this goroutine so the decision
-		// stream — and therefore the schedule hash — is bit-identical
-		// to the threaded engine's.
-		rt.chaos.loop = make(chan struct{}, 1)
-		wg.Add(rt.n)
-		for r := 0; r < rt.n; r++ {
-			go rt.rankBody(rt.procs[r], &wg, body)
-		}
-		rt.chaos.runLoop()
-	} else {
-		rt.ev = newEventRT(rt, body)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt.ev.loop()
-		}()
-	}
-	rt.awaitRanks(&wg)
 }
 
 // awaitRanks waits for every spawned rank goroutine, with a short
@@ -740,12 +699,9 @@ func (rt *Runtime) fail(err error) {
 		rt.failErr.Store(&err)
 		close(rt.failedCh)
 	}
-	// Wake everything so blocked ranks observe the abort.
-	for _, b := range rt.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
+	// Wake every goroutine parked on a condition so it observes the
+	// abort (the serial drivers unwind their parked ranks themselves).
+	rt.broadcastBoxes()
 	rt.bmu.Lock()
 	rt.bcond.Broadcast()
 	rt.bmu.Unlock()
@@ -754,54 +710,6 @@ func (rt *Runtime) fail(err error) {
 func (rt *Runtime) checkAborted() {
 	if rt.aborted.Load() {
 		panic(errAborted)
-	}
-}
-
-// watchdog aborts the run on wall-clock overrun or distributed deadlock
-// (all live ranks blocked in receives/barriers across two samples with
-// no delivery progress).
-func (rt *Runtime) watchdog(start time.Time, done <-chan struct{}) {
-	tick := time.NewTicker(50 * time.Millisecond) //lint:wallclock — host watchdog, outside the model
-	defer tick.Stop()
-	var lastProgress uint64
-	stale := 0
-	for {
-		select {
-		case <-done:
-			return
-		case <-tick.C:
-		}
-		if time.Since(start) > rt.cfg.WallLimit { //lint:wallclock — host watchdog, outside the model
-			rt.fail(fmt.Errorf("mpirt: wall-clock limit %v exceeded", rt.cfg.WallLimit))
-			return
-		}
-		live := int64(rt.n) - rt.finished.Load()
-		blocked := rt.blocked.Load()
-		prog := rt.progress.Load()
-		if live > 0 && blocked >= live && prog == lastProgress {
-			stale++
-			if stale >= 4 {
-				// Specific-source receive cycles are proven and reported
-				// the instant they form (detectRecvCycle at block time);
-				// the watchdog remains the backstop for AnySource waits,
-				// barrier/agreement stalls, and mixed shapes. If a cycle
-				// is nevertheless visible, report it as the proven form.
-				var scratch []WaitEdge
-				for r := 0; r < rt.n; r++ {
-					if derr := rt.detectRecvCycle(r, &scratch); derr != nil {
-						derr.Summary = rt.blockedSummary()
-						rt.fail(derr)
-						return
-					}
-				}
-				rt.fail(fmt.Errorf("%w: %d live ranks all blocked (%s)",
-					ErrDeadlock, live, rt.blockedSummary()))
-				return
-			}
-		} else {
-			stale = 0
-		}
-		lastProgress = prog
 	}
 }
 
@@ -889,30 +797,11 @@ func (p *Proc) ChargeCopy(n int) { p.AdvanceVT(p.rt.model.CopyTime(n)) }
 // message, advancing virtual time, or counting as a blocking
 // operation. Polling loops (Probe, Failed, Revoked) only make
 // progress on the threaded engine by accident of goroutine
-// preemption; on the serial engines (event, chaos) the poller holds
+// preemption; on the serial drivers (event, chaos) the poller holds
 // the execution until it yields, so any poll loop must call Yield.
 func (p *Proc) Yield() {
-	rt := p.rt
-	rt.checkAborted()
-	if cs := rt.chaos; cs != nil {
-		cs.mu.Lock()
-		cs.state[p.rank] = chaosRunnable
-		cs.yieldLocked()
-		cs.mu.Unlock()
-		p.chaosPark()
-		return
-	}
-	if ev := rt.ev; ev != nil {
-		// Key the wake one ulp after the loop's current instant: the
-		// (vt, rank, seq) order would otherwise sort a low rank's
-		// re-wake ahead of same-vt events already queued for higher
-		// ranks, and a Yield poll loop would starve them forever.
-		ev.schedule(p.rank, math.Nextafter(ev.now, math.Inf(1)))
-		ev.state[p.rank] = evYield
-		ev.park(p)
-		return
-	}
-	runtime.Gosched()
+	p.rt.checkAborted()
+	p.rt.drv.yield(p)
 }
 
 // Alloc returns a payload buffer of n bytes, or nil in phantom mode.
@@ -1031,7 +920,6 @@ func (p *Proc) sendErr(dst, tag, size int, data []byte, meta any) error {
 		cs.mu.Lock()
 		cs.chaosEnqueue(p.rank, dst, m)
 		cs.mu.Unlock()
-		p.rt.progress.Add(1)
 		return nil
 	}
 	m := msgPool.Get().(*Msg)
@@ -1148,100 +1036,109 @@ func (p *Proc) Recv(src, tag int) Msg {
 	return m
 }
 
-// recvErr implements Recv/RecvErr/Request.WaitErr. Messages already
-// queued from a now-dead sender remain deliverable (eager sends
-// completed before the crash); once none match, a posted receive on a
-// dead source — or on any source when every peer is dead — fails with
-// *RankFailedError rather than waiting forever.
+// recvErr implements Recv/RecvErr/Request.WaitErr on the threaded and
+// event drivers (chaos matches from its in-flight pool instead; see
+// chaosRecvErr). Messages already queued from a now-dead sender remain
+// deliverable (eager sends completed before the crash); once none
+// match, a posted receive that can never complete fails with its typed
+// error (recvBlocked) rather than waiting forever.
 func (p *Proc) recvErr(src, tag int) (Msg, error) {
 	p.enterOp()
-	if p.rt.chaos != nil {
+	rt := p.rt
+	if rt.chaos != nil {
 		return p.chaosRecvErr(src, tag)
 	}
-	if p.rt.ev != nil {
-		return p.eventRecvErr(src, tag)
-	}
-	p.rt.checkAborted()
-	if src != AnySource && (src < 0 || src >= p.rt.n) {
-		panic(&UsageError{Rank: p.rank, Op: "recv",
-			Msg: fmt.Sprintf("invalid source rank %d", src)})
-	}
-	box := p.rt.boxes[p.rank]
+	rt.checkAborted()
+	p.checkSource(src)
+	box := rt.boxes[p.rank]
 	// checked guards the wait-for-graph probe: one cycle chase per
 	// posted receive, run after this rank publishes its wait so that
 	// concurrent probes on other ranks can observe the closing edge.
 	checked := false
 	box.mu.Lock()
 	for {
-		// Indexed matching: a specific (src, tag) receive is one map
+		// Indexed matching: a specific (src, tag) receive is one table
 		// lookup, and a wakeup re-checks only that list instead of
 		// rescanning a whole queue from zero.
 		if m := box.takeLocked(src, tag); m != nil {
 			box.waiter = false
 			box.mu.Unlock()
-			p.rt.progress.Add(1)
-			p.vt = math.Max(p.vt, m.arrival) + p.rt.model.RecvOverhead()
+			p.vt = math.Max(p.vt, m.arrival) + rt.model.RecvOverhead()
 			out := *m
 			*m = Msg{}
 			msgPool.Put(m)
 			return out, nil
 		}
-		if p.rt.aborted.Load() {
+		if err := p.recvBlocked(src); err != nil {
 			box.waiter = false
 			box.mu.Unlock()
-			panic(errAborted)
-		}
-		if p.rt.revoked.Load() {
-			box.waiter = false
-			box.mu.Unlock()
-			return Msg{}, &CommRevokedError{} //lint:allocok — typed failure error, failure path only
-		}
-		if src != AnySource && p.rt.deadMask[src].Load() {
-			box.waiter = false
-			box.mu.Unlock()
-			p.chargeDetect(src)
-			return Msg{}, &RankFailedError{Rank: src} //lint:allocok — typed failure error, failure path only
-		}
-		if src == AnySource {
-			if d := p.rt.firstDeadPeer(p.rank); d >= 0 {
-				box.waiter = false
-				box.mu.Unlock()
-				p.chargeDetect(d)
-				return Msg{}, &RankFailedError{Rank: d} //lint:allocok — typed failure error, failure path only
+			if err == errAborted {
+				panic(err)
 			}
-		}
-		if src != AnySource && p.rt.model.HasLinkFaults() {
-			// Nothing matching is queued (takeLocked above) and the
-			// src→self path is down: the receive can never complete.
-			if err := p.linkRecvBlocked(src); err != nil {
-				box.waiter = false
-				box.mu.Unlock()
-				return Msg{}, err
-			}
+			return Msg{}, err
 		}
 		box.waiter = true
 		box.wSrc, box.wTag = src, tag
 		box.wVT = p.vt
 		if !checked && src != AnySource {
 			// The wait is now published; chase the wait-for chain with no
-			// box lock held, then re-scan the queue — a delivery may have
-			// landed during the unlocked window. waiter stays set across
-			// the re-scan so a concurrent chase on another rank still sees
-			// this edge; whichever rank publishes last proves the cycle.
+			// box lock held, then re-scan the queue — on the threaded
+			// driver a delivery may have landed during the unlocked
+			// window. waiter stays set across the re-scan so a concurrent
+			// chase on another rank still sees this edge; whichever rank
+			// publishes last proves the cycle.
 			checked = true
 			box.mu.Unlock()
-			if derr := p.rt.detectRecvCycle(p.rank, &p.cycleScratch); derr != nil {
-				derr.Summary = p.rt.blockedSummary()
-				p.rt.fail(derr)
+			if derr := rt.detectRecvCycle(p.rank, &p.cycleScratch); derr != nil {
+				derr.Summary = rt.blockedSummary()
+				rt.fail(derr)
 			}
 			box.mu.Lock()
 			continue
 		}
-		p.rt.blocked.Add(1)
-		box.cond.Wait() //lint:blockok — threaded-engine receive park; the event engine routes through eventRecvErr instead
-		p.rt.blocked.Add(-1)
+		rt.drv.park(p, stRecvWait, box.cond)
 		box.waiter = false
 	}
+}
+
+// checkSource panics with the usage error for a receive posted on a
+// source that is neither AnySource nor a rank.
+func (p *Proc) checkSource(src int) {
+	if src != AnySource && (src < 0 || src >= p.rt.n) {
+		panic(&UsageError{Rank: p.rank, Op: "recv",
+			Msg: fmt.Sprintf("invalid source rank %d", src)})
+	}
+}
+
+// recvBlocked is the receive error ladder: why a receive posted on src
+// with nothing matching queued must not park. In order — the run
+// aborted (errAborted, for the caller to panic with), the communicator
+// revoked, the source dead, every peer of an AnySource receive dead,
+// the src→self path down; nil when waiting is sound. Failure
+// detections are charged to the clock here. It runs with the rank's
+// mailbox locked, at post time and after every wake, so the serial
+// drivers evaluate it at deterministic points.
+//
+//lint:allocok — typed failure errors, failure path only
+func (p *Proc) recvBlocked(src int) error {
+	rt := p.rt
+	switch {
+	case rt.aborted.Load():
+		return errAborted
+	case rt.revoked.Load():
+		return &CommRevokedError{}
+	case src == AnySource:
+		if d := rt.firstDeadPeer(p.rank); d >= 0 {
+			p.chargeDetect(d)
+			return &RankFailedError{Rank: d}
+		}
+	case rt.deadMask[src].Load():
+		p.chargeDetect(src)
+		return &RankFailedError{Rank: src}
+	case rt.model.HasLinkFaults():
+		return p.linkRecvBlocked(src)
+	}
+	return nil
 }
 
 // Probe reports whether a message matching (src, tag) is currently
@@ -1294,40 +1191,41 @@ func (p *Proc) CollectiveTime() float64 {
 // injected crash cannot wedge survivors in a barrier.
 func (p *Proc) reduceMax(v float64) float64 {
 	p.enterOp()
-	if p.rt.chaos != nil {
-		return p.chaosReduceMax(v)
-	}
-	if p.rt.ev != nil {
-		return p.eventReduceMax(v)
-	}
 	rt := p.rt
+	rt.checkAborted()
 	rt.bmu.Lock()
 	rt.reduceVals[p.rank] = v
 	rt.bArr[p.rank] = true
 	rt.bcnt++
 	gen := rt.bgen
 	if rt.completeBarrierLocked() {
-		// reduceRes cannot be clobbered by the next generation before
-		// every rank of this one has read it: completing generation
-		// g+1 requires all live ranks to have left generation g, and a
-		// parked rank cannot die.
-		rt.bcond.Broadcast()
+		rt.drv.wake(stBarrierWait, rt.reduceRes)
 	}
-	for gen == rt.bgen && !rt.aborted.Load() {
-		rt.blocked.Add(1)
-		rt.bcond.Wait()
-		rt.blocked.Add(-1)
-	}
+	p.awaitRound(stBarrierWait, &rt.bgen, gen)
+	// reduceRes cannot be clobbered by the next generation before every
+	// rank of this one has read it: completing generation g+1 requires
+	// all live ranks to have left generation g, and a parked rank
+	// cannot die.
 	res := rt.reduceRes
 	rt.bmu.Unlock()
-	if rt.aborted.Load() {
-		panic(errAborted)
-	}
 	if p.vt < res {
 		p.vt = res
 	}
-	rt.progress.Add(1)
 	return res
+}
+
+// awaitRound parks p, with rt.bmu held, until the round generation
+// *gen has moved past g: the completer (whose completion just advanced
+// it) falls straight through, everyone else waits for the wake.
+func (p *Proc) awaitRound(st waitState, gen *int, g int) {
+	rt := p.rt
+	for *gen == g {
+		if rt.aborted.Load() {
+			rt.bmu.Unlock()
+			panic(errAborted)
+		}
+		rt.drv.park(p, st, rt.bcond)
+	}
 }
 
 func (p *Proc) barrierSync() { p.reduceMax(0) }

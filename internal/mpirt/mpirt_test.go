@@ -16,13 +16,29 @@ func smallCluster() topology.Cluster {
 	return topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 2, NodesPerGroup: 2}
 }
 
-func run(t *testing.T, body func(*Proc)) *Report {
+// bothEngines runs f as one subtest per plain driver, so `go test`
+// exercises the threaded oracle and the event default alike on any
+// machine.
+func bothEngines(t *testing.T, f func(t *testing.T, eng Engine)) {
 	t.Helper()
-	rep, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second}, body)
-	if err != nil {
-		t.Fatal(err)
+	for _, eng := range Engines() {
+		t.Run(string(eng), func(t *testing.T) { f(t, eng) })
 	}
-	return rep
+}
+
+// run executes body on the small cluster under each engine; check, if
+// given, inspects each engine's report.
+func run(t *testing.T, body func(*Proc), check ...func(t *testing.T, rep *Report)) {
+	t.Helper()
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		rep, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second, Engine: eng}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range check {
+			c(t, rep)
+		}
+	})
 }
 
 func TestPingPong(t *testing.T) {
@@ -170,15 +186,16 @@ func TestCollectiveTimeIdentical(t *testing.T) {
 		p.SyncResetTime()
 		p.AdvanceVT(float64(p.Rank()+1) * 1e-3)
 		times[p.Rank()] = p.CollectiveTime()
-	})
-	for r, v := range times {
-		if v != times[0] {
-			t.Fatalf("rank %d got %.4g, rank 0 %.4g", r, v, times[0])
+	}, func(t *testing.T, _ *Report) {
+		for r, v := range times {
+			if v != times[0] {
+				t.Fatalf("rank %d got %.4g, rank 0 %.4g", r, v, times[0])
+			}
 		}
-	}
-	if times[0] < 8e-3 {
-		t.Fatalf("collective time %.4g below slowest rank", times[0])
-	}
+		if times[0] < 8e-3 {
+			t.Fatalf("collective time %.4g below slowest rank", times[0])
+		}
+	})
 }
 
 func TestSyncResetTime(t *testing.T) {
@@ -211,7 +228,7 @@ func TestVirtualTimeAdvancesOnRecv(t *testing.T) {
 }
 
 func TestReportCounters(t *testing.T) {
-	rep := run(t, func(p *Proc) {
+	run(t, func(p *Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(1, 0, 100, make([]byte, 100), nil) // socket
@@ -221,75 +238,84 @@ func TestReportCounters(t *testing.T) {
 		case 1, 2, 4, 7:
 			p.Recv(0, 0)
 		}
+	}, func(t *testing.T, rep *Report) {
+		if rep.Msgs() != 4 || rep.Bytes() != 400 {
+			t.Fatalf("Msgs=%d Bytes=%d", rep.Msgs(), rep.Bytes())
+		}
+		if rep.MsgsByDist[topology.DistSocket] != 1 || rep.MsgsByDist[topology.DistNode] != 1 {
+			t.Fatalf("distance histogram wrong: %v", rep.MsgsByDist)
+		}
+		if rep.OffSocketMsgs() != 3 {
+			t.Fatalf("OffSocketMsgs = %d", rep.OffSocketMsgs())
+		}
+		if rep.MaxRankMsgs != 4 {
+			t.Fatalf("MaxRankMsgs = %d", rep.MaxRankMsgs)
+		}
 	})
-	if rep.Msgs() != 4 || rep.Bytes() != 400 {
-		t.Fatalf("Msgs=%d Bytes=%d", rep.Msgs(), rep.Bytes())
-	}
-	if rep.MsgsByDist[topology.DistSocket] != 1 || rep.MsgsByDist[topology.DistNode] != 1 {
-		t.Fatalf("distance histogram wrong: %v", rep.MsgsByDist)
-	}
-	if rep.OffSocketMsgs() != 3 {
-		t.Fatalf("OffSocketMsgs = %d", rep.OffSocketMsgs())
-	}
-	if rep.MaxRankMsgs != 4 {
-		t.Fatalf("MaxRankMsgs = %d", rep.MaxRankMsgs)
-	}
 }
 
 func TestPhantomMode(t *testing.T) {
-	rep, err := Run(Config{Cluster: smallCluster(), Phantom: true}, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			if p.Alloc(10) != nil {
-				panic("Alloc returned real buffer in phantom mode")
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		rep, err := Run(Config{Cluster: smallCluster(), Phantom: true, Engine: eng}, func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				if p.Alloc(10) != nil {
+					panic("Alloc returned real buffer in phantom mode")
+				}
+				p.Send(1, 0, 1<<20, nil, "meta survives")
+			case 1:
+				msg := p.Recv(0, 0)
+				if msg.Data != nil || msg.Size != 1<<20 || msg.Meta.(string) != "meta survives" {
+					panic("phantom message wrong")
+				}
 			}
-			p.Send(1, 0, 1<<20, nil, "meta survives")
-		case 1:
-			msg := p.Recv(0, 0)
-			if msg.Data != nil || msg.Size != 1<<20 || msg.Meta.(string) != "meta survives" {
-				panic("phantom message wrong")
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Bytes() != 1<<20 {
+			t.Fatalf("phantom bytes not counted: %d", rep.Bytes())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bytes() != 1<<20 {
-		t.Fatalf("phantom bytes not counted: %d", rep.Bytes())
-	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	_, err := Run(Config{Cluster: smallCluster(), WallLimit: 30 * time.Second}, func(p *Proc) {
-		p.Recv(AnySource, 0) // nobody sends
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 30 * time.Second, Engine: eng}, func(p *Proc) {
+			p.Recv(AnySource, 0) // nobody sends
+		})
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("expected deadlock error, got %v", err)
+		}
 	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock error, got %v", err)
-	}
 }
 
 func TestPartialDeadlockDetected(t *testing.T) {
 	// Half the ranks finish; the rest block forever.
-	_, err := Run(Config{Cluster: smallCluster(), WallLimit: 30 * time.Second}, func(p *Proc) {
-		if p.Rank()%2 == 0 {
-			p.Recv(AnySource, 9)
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 30 * time.Second, Engine: eng}, func(p *Proc) {
+			if p.Rank()%2 == 0 {
+				p.Recv(AnySource, 9)
+			}
+		})
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("expected deadlock error, got %v", err)
 		}
 	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("expected deadlock error, got %v", err)
-	}
 }
 
 func TestRankPanicPropagates(t *testing.T) {
-	_, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second}, func(p *Proc) {
-		if p.Rank() == 3 {
-			panic("boom")
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second, Engine: eng}, func(p *Proc) {
+			if p.Rank() == 3 {
+				panic("boom")
+			}
+			p.Barrier() // would deadlock without abort propagation
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("expected rank panic error, got %v", err)
 		}
-		p.Barrier() // would deadlock without abort propagation
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("expected rank panic error, got %v", err)
-	}
 }
 
 // TestWallLimitAborts: a rank body hogging the host (not parked in the
@@ -330,13 +356,16 @@ func TestSendValidation(t *testing.T) {
 		"size mismatch":       func(p *Proc) { p.Send(1, 0, 5, []byte{1}, nil) },
 	}
 	for name, f := range cases {
-		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second}, func(p *Proc) {
-			if p.Rank() == 0 {
-				f(p)
+		for _, eng := range Engines() {
+			_, err := Run(Config{Cluster: smallCluster(), WallLimit: 20 * time.Second, Engine: eng}, func(p *Proc) {
+				if p.Rank() == 0 {
+					f(p)
+				}
+			})
+			var ue *UsageError
+			if !errors.As(err, &ue) {
+				t.Errorf("%s on %s: got %v, want a UsageError", name, eng, err)
 			}
-		})
-		if err == nil {
-			t.Errorf("%s: not rejected", name)
 		}
 	}
 }
@@ -363,42 +392,46 @@ func TestProbe(t *testing.T) {
 
 func TestManyRanksStress(t *testing.T) {
 	c := topology.Cluster{Nodes: 8, SocketsPerNode: 2, RanksPerSocket: 8, NodesPerGroup: 4}
-	var total atomic.Int64
-	rep, err := Run(Config{Cluster: c, WallLimit: 60 * time.Second}, func(p *Proc) {
-		// Ring exchange, 3 rounds.
-		n := p.Size()
-		for round := 0; round < 3; round++ {
-			nxt := (p.Rank() + 1) % n
-			prv := (p.Rank() - 1 + n) % n
-			p.Send(nxt, round, 8, make([]byte, 8), nil)
-			p.Recv(prv, round)
-			total.Add(1)
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		var total atomic.Int64
+		rep, err := Run(Config{Cluster: c, WallLimit: 60 * time.Second, Engine: eng}, func(p *Proc) {
+			// Ring exchange, 3 rounds.
+			n := p.Size()
+			for round := 0; round < 3; round++ {
+				nxt := (p.Rank() + 1) % n
+				prv := (p.Rank() - 1 + n) % n
+				p.Send(nxt, round, 8, make([]byte, 8), nil)
+				p.Recv(prv, round)
+				total.Add(1)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := total.Load(); got != int64(c.Ranks()*3) {
+			t.Fatalf("completed %d receives, want %d", got, c.Ranks()*3)
+		}
+		if rep.Msgs() != int64(c.Ranks()*3) {
+			t.Fatalf("counted %d msgs", rep.Msgs())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := total.Load(); got != int64(c.Ranks()*3) {
-		t.Fatalf("completed %d receives, want %d", got, c.Ranks()*3)
-	}
-	if rep.Msgs() != int64(c.Ranks()*3) {
-		t.Fatalf("counted %d msgs", rep.Msgs())
-	}
 }
 
 func TestUniformParamsAccepted(t *testing.T) {
-	_, err := Run(Config{Cluster: smallCluster(), Params: netmodel.UniformParams()}, func(p *Proc) {
-		p.Barrier()
+	bothEngines(t, func(t *testing.T, eng Engine) {
+		_, err := Run(Config{Cluster: smallCluster(), Params: netmodel.UniformParams(), Engine: eng}, func(p *Proc) {
+			p.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBarrierStress interleaves hundreds of reduceMax generations to
 // shake out the generation bookkeeping.
 func TestBarrierStress(t *testing.T) {
-	rep, err := Run(Config{Cluster: smallCluster(), WallLimit: 60 * time.Second}, func(p *Proc) {
+	run(t, func(p *Proc) {
 		for i := 0; i < 300; i++ {
 			p.SyncResetTime()
 			p.AdvanceVT(float64(p.Rank()+i) * 1e-6)
@@ -409,15 +442,11 @@ func TestBarrierStress(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rep
 }
 
 // TestImbalanceAccounting checks the per-rank load indicators.
 func TestImbalanceAccounting(t *testing.T) {
-	rep := run(t, func(p *Proc) {
+	run(t, func(p *Proc) {
 		switch p.Rank() {
 		case 0: // heavy rank: 3 msgs, 300 bytes
 			for i := 0; i < 3; i++ {
@@ -432,17 +461,18 @@ func TestImbalanceAccounting(t *testing.T) {
 		case 3:
 			p.Recv(2, 0)
 		}
+	}, func(t *testing.T, rep *Report) {
+		if rep.MaxRankMsgs != 3 || rep.MaxRankBytes != 300 {
+			t.Fatalf("max rank load %d msgs %d bytes", rep.MaxRankMsgs, rep.MaxRankBytes)
+		}
+		// 4 msgs over 8 ranks → mean 0.5, max 3 → imbalance 6.
+		if got := rep.MsgImbalance(); got != 6 {
+			t.Fatalf("MsgImbalance = %v, want 6", got)
+		}
+		if got := rep.ByteImbalance(); got != 6 {
+			t.Fatalf("ByteImbalance = %v, want 6", got)
+		}
 	})
-	if rep.MaxRankMsgs != 3 || rep.MaxRankBytes != 300 {
-		t.Fatalf("max rank load %d msgs %d bytes", rep.MaxRankMsgs, rep.MaxRankBytes)
-	}
-	// 4 msgs over 8 ranks → mean 0.5, max 3 → imbalance 6.
-	if got := rep.MsgImbalance(); got != 6 {
-		t.Fatalf("MsgImbalance = %v, want 6", got)
-	}
-	if got := rep.ByteImbalance(); got != 6 {
-		t.Fatalf("ByteImbalance = %v, want 6", got)
-	}
 }
 
 // TestZeroSizeMessages: zero-byte payloads are legal and still charge

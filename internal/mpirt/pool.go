@@ -12,7 +12,7 @@ import (
 //   - payload buffers, size-classed in powers of two, so the eager
 //     snapshot every Send takes stops allocating once traffic reaches
 //     steady state;
-//   - Msg containers, recycled in threaded mode the moment Recv hands
+//   - Msg containers, recycled on the plain drivers the moment Recv hands
 //     the caller its value copy.
 //
 // Ownership contract: a pooled payload belongs to exactly one Msg at
@@ -92,7 +92,7 @@ func (m *Msg) Release() {
 	m.Data = nil
 }
 
-// msgPool recycles Msg containers in threaded mode: Send draws the
+// msgPool recycles Msg containers on the plain drivers: Send draws the
 // container here and Recv returns it once the caller has its value
 // copy. Chaos mode bypasses it — duplicated in-flight copies share
 // one *Msg whose lifetime the scheduler, not the receiver, ends.
