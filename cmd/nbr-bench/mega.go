@@ -55,14 +55,19 @@ type megaRow struct {
 }
 
 type megaDoc struct {
-	Schema   string    `json:"schema"`
-	Engine   string    `json:"engine"`
-	Cluster  string    `json:"cluster"`
-	Ranks    int       `json:"ranks"`
-	Dims     []int     `json:"dims"`
-	Radius   int       `json:"radius"`
-	MsgBytes int       `json:"msg_bytes"`
-	Rows     []megaRow `json:"rows"`
+	Schema   string `json:"schema"`
+	Engine   string `json:"engine"`
+	Cluster  string `json:"cluster"`
+	Ranks    int    `json:"ranks"`
+	Dims     []int  `json:"dims"`
+	Radius   int    `json:"radius"`
+	MsgBytes int    `json:"msg_bytes"`
+	// Host wall of the phases that precede the cells: graph
+	// generation, DH negotiation + emit, CN build.
+	GraphMS   int64     `json:"graph_ms"`
+	DHBuildMS int64     `json:"dh_build_ms"`
+	CNBuildMS int64     `json:"cn_build_ms"`
+	Rows      []megaRow `json:"rows"`
 }
 
 // megaCluster shapes a Niagara-like machine hosting exactly n ranks
@@ -87,10 +92,12 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 	if err != nil {
 		return err
 	}
+	t0 := time.Now()
 	g, err := vgraph.Moore(dims, 1)
 	if err != nil {
 		return err
 	}
+	graphWall := time.Since(t0)
 	eng, err := mpirt.ResolveEngine(mpirt.EngineDefault) // what the zero harness.Config.Engine runs on
 	if err != nil {
 		return err
@@ -106,6 +113,7 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 		Dims:     dims,
 		Radius:   1,
 		MsgBytes: msgSize,
+		GraphMS:  graphWall.Milliseconds(),
 	}
 	cfg := harness.Config{
 		Cluster:   c,
@@ -115,14 +123,21 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 		WallLimit: wall,
 	}
 
+	t0 = time.Now()
 	dh, err := collective.NewDistanceHalving(g, c.L())
 	if err != nil {
 		return err
 	}
+	dhWall := time.Since(t0)
+	t0 = time.Now()
 	cn, err := collective.NewCommonNeighbor(g, megaCNK)
 	if err != nil {
 		return err
 	}
+	cnWall := time.Since(t0)
+	doc.DHBuildMS, doc.CNBuildMS = dhWall.Milliseconds(), cnWall.Milliseconds()
+	fmt.Fprintf(out, "mega set-up: graph %s, DH build %s, CN build %s\n",
+		graphWall.Round(time.Millisecond), dhWall.Round(time.Millisecond), cnWall.Round(time.Millisecond))
 	cells := []struct {
 		algo string
 		cnk  int

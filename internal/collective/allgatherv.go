@@ -20,11 +20,10 @@ type VOp interface {
 	RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte)
 }
 
-// checkArgsV validates the RunV contract.
-func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rbuf []byte) {
-	if p.Size() != g.N() {
-		panic(fmt.Sprintf("collective: runtime has %d ranks, graph %d", p.Size(), g.N()))
-	}
+// checkCounts validates caller-supplied counts, the O(n) half of the
+// RunV contract. The uniform Run skips it (n² per collective): its
+// counts are the op's own n copies of an m checkUniform found positive.
+func checkCounts(g *vgraph.Graph, counts []int) {
 	if len(counts) != g.N() {
 		panic(fmt.Sprintf("collective: %d counts for %d ranks", len(counts), g.N()))
 	}
@@ -32,6 +31,14 @@ func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rb
 		if c < 0 {
 			panic(fmt.Sprintf("collective: negative count %d for rank %d", c, r))
 		}
+	}
+}
+
+// checkArgsV validates what every run checks, in O(degree): the
+// communicator size and, in real mode, the calling rank's buffers.
+func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rbuf []byte) {
+	if p.Size() != g.N() {
+		panic(fmt.Sprintf("collective: runtime has %d ranks, graph %d", p.Size(), g.N()))
 	}
 	if p.Phantom() {
 		return

@@ -167,6 +167,59 @@ func TestAllgathervValidation(t *testing.T) {
 	}
 }
 
+// TestRunContractAfterSplit pins what the checkCounts/checkArgsV split
+// must keep: the uniform Run, which no longer scans its own counts,
+// still rejects a bad m and (in real mode) mis-sized buffers with the
+// messages it always had; phantom mode still ignores the buffers; and
+// RunV still scans every count on the calling rank, including entries
+// outside that rank's neighborhood.
+func TestRunContractAfterSplit(t *testing.T) {
+	c := topology.Cluster{Nodes: 1, SocketsPerNode: 2, RanksPerSocket: 2}
+	g, err := vgraph.FromOutLists(4, [][]int{{1}, {0}, {3}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := NewNaive(g)
+	for _, tc := range []struct {
+		name    string
+		phantom bool
+		f       func(p *mpirt.Proc)
+		want    string // "" = accepted
+	}{
+		{"zero m, real", false, func(p *mpirt.Proc) { naive.Run(p, nil, 0, nil) },
+			"collective: message size 0 must be positive"},
+		{"zero m, phantom", true, func(p *mpirt.Proc) { naive.Run(p, nil, 0, nil) },
+			"collective: message size 0 must be positive"},
+		{"short sbuf, real", false, func(p *mpirt.Proc) { naive.Run(p, make([]byte, 3), 8, make([]byte, 8)) },
+			"collective: rank 0 sbuf length 3 != counts[0] 8"},
+		{"long rbuf, real", false, func(p *mpirt.Proc) { naive.Run(p, make([]byte, 8), 8, make([]byte, 9)) },
+			"collective: rank 0 rbuf length 9 != Σ incoming counts 8"},
+		{"buffers ignored, phantom", true, func(p *mpirt.Proc) { naive.Run(p, make([]byte, 3), 8, nil) }, ""},
+		// Rank 0 sends to and receives from rank 1 only: it never reads
+		// counts[3].
+		{"negative count elsewhere, real", false, func(p *mpirt.Proc) {
+			naive.RunV(p, make([]byte, 8), []int{8, 8, 8, -1}, make([]byte, 8))
+		}, "collective: negative count -1 for rank 3"},
+		{"negative count elsewhere, phantom", true, func(p *mpirt.Proc) {
+			naive.RunV(p, nil, []int{8, 8, 8, -1}, nil)
+		}, "collective: negative count -1 for rank 3"},
+	} {
+		_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: tc.phantom}, func(p *mpirt.Proc) {
+			if p.Rank() == 0 {
+				tc.f(p)
+			} else if tc.want == "" && p.Rank() == 1 {
+				naive.Run(p, nil, 8, nil)
+			}
+		})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "rank 0 panicked: "+tc.want+"\n")):
+			t.Errorf("%s: got %v, want a rank 0 panic %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestUniformRunMatchesRunV pins the delegation: Run(m) must behave as
 // RunV with uniform counts.
 func TestUniformRunMatchesRunV(t *testing.T) {

@@ -78,6 +78,7 @@ func (a *planBase) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
 
 // RunV implements VOp.
 func (a *planBase) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+	checkCounts(a.plan.Graph, counts)
 	a.plan.run(p, sbuf, counts, rbuf)
 }
 

@@ -192,3 +192,34 @@ func TestPhantomMatchesRealCosts(t *testing.T) {
 		t.Fatalf("times diverge beyond scheduling jitter: phantom %.3g, real %.3g", phTime, realTime)
 	}
 }
+
+// TestRoundScansLinear is the count-based guard on round completion:
+// three trials of a naive Moore allgather — nine barrier generations —
+// may examine at most two passes' worth of rank slots per generation on
+// either engine. A completion check that scans on every arrival
+// examines about n/2 per arrival, n²/2 per generation.
+func TestRoundScansLinear(t *testing.T) {
+	const n, trials = 4096, 3
+	g, err := vgraph.Moore([]int{64, 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := NewNaive(g)
+	for _, eng := range mpirt.Engines() {
+		rep, err := mpirt.Run(mpirt.Config{Cluster: topology.Niagara(n/64, 32), Phantom: true, Engine: eng}, func(p *mpirt.Proc) {
+			for tr := 0; tr < trials; tr++ {
+				p.SyncResetTime()
+				naive.Run(p, nil, 1024, nil)
+				p.CollectiveTime()
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		const rounds = 3 * trials // SyncResetTime is two barriers, CollectiveTime one
+		if rep.RoundScans < n*rounds || rep.RoundScans > 2*n*rounds {
+			t.Errorf("%s: %d rank slots scanned over %d rounds of %d ranks, want within [n, 2n] per round",
+				eng, rep.RoundScans, rounds, n)
+		}
+	}
+}

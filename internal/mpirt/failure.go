@@ -112,6 +112,9 @@ func (rt *Runtime) markDead(r int) {
 	if rt.deadMask[r].Swap(true) {
 		return
 	}
+	// Counted before bmu is taken: an arrival that reads the old count
+	// defers to the completion checks below, which then see it.
+	rt.nDead.Add(1)
 	rt.bmu.Lock()
 	if rt.completeBarrierLocked() {
 		rt.drv.wake(stBarrierWait, rt.reduceRes)
@@ -259,12 +262,15 @@ func (p *Proc) finishFTRound(maxVT float64, survivors int) {
 // covered (every rank contributed or is dead); if so it publishes the
 // round results, resets the round state, advances the generation, and
 // returns true. The caller holds rt.bmu and is responsible for waking
-// waiters when it returns true.
+// waiters when it returns true. It runs on every arrival and death, so
+// the scan is gated on what coverage implies: contributions plus deaths
+// reach n, which happens once per round when nobody dies.
 func (rt *Runtime) completeFTLocked() bool {
-	if rt.ftCnt == 0 {
+	if rt.ftCnt == 0 || rt.ftCnt+int(rt.nDead.Load()) < rt.n {
 		return false
 	}
 	for r := 0; r < rt.n; r++ {
+		rt.roundScans++
 		if !rt.ftArr[r] && !rt.deadMask[r].Load() {
 			return false
 		}
@@ -298,13 +304,14 @@ func (rt *Runtime) completeFTLocked() bool {
 // completeBarrierLocked is the dead-tolerant barrier completion check:
 // the pending reduceMax generation completes when every rank has
 // arrived or died, with the maximum taken over arrivals. Same contract
-// as completeFTLocked.
+// and same gate as completeFTLocked.
 func (rt *Runtime) completeBarrierLocked() bool {
-	if rt.bcnt == 0 {
+	if rt.bcnt == 0 || rt.bcnt+int(rt.nDead.Load()) < rt.n {
 		return false
 	}
 	max := math.Inf(-1)
 	for r := 0; r < rt.n; r++ {
+		rt.roundScans++
 		if !rt.bArr[r] {
 			if !rt.deadMask[r].Load() {
 				return false

@@ -181,6 +181,9 @@ type Report struct {
 	Events    int64
 	Parks     int64
 	PeakQueue int64
+	// RoundScans counts the rank slots barrier and agreement completion
+	// checks examined, on every driver: one pass per round, deaths aside.
+	RoundScans int64
 }
 
 // MsgImbalance returns MaxRankMsgs divided by the mean per-rank
@@ -379,19 +382,21 @@ type Runtime struct {
 	chaos *chaosRT
 	ev    *eventRT
 
-	// fail-stop state: deadMask marks permanently failed ranks,
-	// revoked the ULFM-style communicator revocation epoch.
+	// fail-stop state: deadMask marks permanently failed ranks, nDead
+	// counts them, revoked is the ULFM-style revocation epoch.
 	deadMask []atomic.Bool
+	nDead    atomic.Int64
 	revoked  atomic.Bool
 
 	// barrier state; bArr marks which ranks have arrived in the
 	// pending generation (a generation completes when every rank has
 	// arrived or died).
-	bmu   sync.Mutex
-	bcond *sync.Cond
-	bgen  int
-	bcnt  int
-	bArr  []bool
+	bmu        sync.Mutex
+	bcond      *sync.Cond
+	bgen       int
+	bcnt       int
+	bArr       []bool
+	roundScans int64 // Report.RoundScans, guarded by bmu
 
 	// collective-time reduction scratch
 	reduceVals []float64
@@ -638,6 +643,7 @@ func (rt *Runtime) buildReport(start time.Time) *Report {
 		rep.BytesByDist[d] = rt.bytesByDist[d].Load()
 	}
 	rep.DeadRanks = rt.deadRanksOf()
+	rep.RoundScans = rt.roundScans
 	if ev := rt.ev; ev != nil {
 		rep.Events, rep.Parks, rep.PeakQueue = ev.events, ev.parks, ev.peakQueue
 	}

@@ -1,0 +1,125 @@
+package pattern
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"nbrallgather/internal/vgraph"
+)
+
+// buildForced builds with candidates pinned to one enumeration.
+func buildForced(g *vgraph.Graph, l int, policy Policy, avoid []bool, enum int8) *Pattern {
+	p, err := (&builder{g: g, n: g.N(), l: l, policy: policy, avoid: avoid, enum: enum}).build()
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestEnumerationsEquivalent: intersecting out-sets and counting over
+// in-lists find the same candidates, so whichever the cost rule picks
+// per proposer, the pattern is the same — over ER graphs from sparse to
+// near-complete, Moore grids, both policies, with and without avoid
+// sets.
+func TestEnumerationsEquivalent(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var g *vgraph.Graph
+		var err error
+		if rng.Intn(4) == 0 {
+			g, err = vgraph.Moore([]int{2 + rng.Intn(9), 2 + rng.Intn(9)}, 1+rng.Intn(2))
+		} else {
+			g, err = vgraph.ErdosRenyi(2+rng.Intn(150), 0.02+0.93*rng.Float64(), seed)
+		}
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		l := 1 + rng.Intn(8)
+		policy := Policy(rng.Intn(2))
+		var avoid []bool
+		if rng.Intn(2) == 0 {
+			avoid = make([]bool, g.N())
+			for i := range avoid {
+				avoid[i] = rng.Intn(5) == 0
+			}
+		}
+		want := buildForced(g, l, policy, avoid, enumIntersect)
+		for _, enum := range []int8{enumCount, 0} {
+			got := buildForced(g, l, policy, avoid, enum)
+			if got.Stats != want.Stats || !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: n=%d l=%d policy=%d avoid=%v: enumeration %d differs from intersect", seed, g.N(), l, policy, avoid != nil, enum)
+				return false
+			}
+		}
+		return want.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnumerationChoice: the cost rule sends a bounded-degree grid to
+// counting and a dense graph to intersection at the first level, where
+// the two differ most.
+func TestEnumerationChoice(t *testing.T) {
+	moore, err := vgraph.Moore([]int{32, 32}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := vgraph.ErdosRenyi(540, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g     *vgraph.Graph
+		count bool
+	}{{moore, true}, {dense, false}} {
+		n := tc.g.N()
+		b := &builder{g: tc.g, n: n}
+		mid := Halves(0, n)
+		for p := 0; p < mid; p++ {
+			if got := b.countCheaper(p, mid, n); got != tc.count {
+				t.Fatalf("n=%d proposer %d: counting chosen = %v, want %v", n, p, got, tc.count)
+			}
+		}
+	}
+}
+
+var benchPattern *Pattern
+
+func benchBuild(b *testing.B, g *vgraph.Graph, l int) {
+	b.Helper()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := Build(g, l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPattern = p
+	}
+}
+
+// BenchmarkBuildMoore10k is the counting side of the enumeration
+// choice: the 10 240-rank Moore grid of the moore10k-scale workload.
+func BenchmarkBuildMoore10k(b *testing.B) {
+	g, err := vgraph.Moore([]int{128, 80}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	benchBuild(b, g, 32)
+}
+
+// BenchmarkBuildER540 is the intersect side: the 540-rank δ=0.3 random
+// graph of the rsg540-lat workload.
+func BenchmarkBuildER540(b *testing.B) {
+	g, err := vgraph.ErdosRenyi(540, 0.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	benchBuild(b, g, 18)
+}

@@ -15,7 +15,7 @@ func TestAvoidHash(t *testing.T) {
 		t.Error("equal sets hash differently")
 	}
 	variants := [][]bool{
-		{true, false, false, true},  // different members
+		{true, false, false, true},   // different members
 		{false, true, false},         // different length
 		{false, true, true, true},    // superset
 		{false, false, false, false}, // empty restriction, same length

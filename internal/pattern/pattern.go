@@ -173,7 +173,10 @@ func BuildAvoiding(g *vgraph.Graph, l int, policy Policy, avoid []bool) (*Patter
 	if avoid != nil && len(avoid) != n {
 		return nil, fmt.Errorf("pattern: avoid set has %d entries for %d ranks", len(avoid), n)
 	}
-	b := &builder{g: g, n: n, l: l, policy: policy, avoid: avoid}
+	return (&builder{g: g, n: n, l: l, policy: policy, avoid: avoid}).build()
+}
+
+func (b *builder) build() (*Pattern, error) {
 	b.init()
 	for len(b.active) > 0 {
 		b.step()
@@ -208,9 +211,15 @@ type builder struct {
 	// active lists ranks whose current half still exceeds L.
 	active []int
 	stats  Stats
+	// candidates' scratch: per acceptor, the out-neighbors shared with
+	// the current proposer, and the acceptors with a non-zero entry.
+	shared  []int32
+	touched []int
+	enum    int8 // set only by tests: pins candidates to one enumeration
 }
 
 func (b *builder) init() {
+	b.shared = make([]int32, b.n)
 	b.states = make([]*rankState, b.n)
 	for r := 0; r < b.n; r++ {
 		st := &rankState{
@@ -260,31 +269,21 @@ func (b *builder) step() {
 		// Two independent matchings: lower-half proposers with
 		// upper-half acceptors, then the reverse (the paper's two
 		// find_agent/find_origin phases).
-		agentOfLow := b.match(k.lo, mid, mid, k.hi)
-		agentOfHigh := b.match(mid, k.hi, k.lo, mid)
+		agentOfLow, originOfHigh := b.match(k.lo, mid, mid, k.hi)
+		agentOfHigh, originOfLow := b.match(mid, k.hi, k.lo, mid)
 
 		for _, r := range groups[k] {
 			st := b.states[r]
 			var s Step
-			var agent, origin int
 			if r < mid {
 				st.lo, st.hi = k.lo, mid
 				s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = k.lo, mid, mid, k.hi
-				agent = agentOfLow[r-k.lo]
-				origin = NoRank
-				if m := b.originOf(agentOfHigh, mid, r); m != NoRank {
-					origin = m
-				}
+				s.Agent, s.Origin = agentOfLow[r-k.lo], originOfLow[r-k.lo]
 			} else {
 				st.lo, st.hi = mid, k.hi
 				s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, k.hi, k.lo, mid
-				agent = agentOfHigh[r-mid]
-				origin = NoRank
-				if m := b.originOf(agentOfLow, k.lo, r); m != NoRank {
-					origin = m
-				}
+				s.Agent, s.Origin = agentOfHigh[r-mid], originOfHigh[r-mid]
 			}
-			s.Agent, s.Origin = agent, origin
 			st.steps = append(st.steps, s)
 		}
 
@@ -303,33 +302,29 @@ func (b *builder) step() {
 	b.active = nextActive
 }
 
-// originOf inverts an agent assignment: returns the proposer (if any)
-// whose agent is rank r, given the proposers' assignment slice starting
-// at base.
-func (b *builder) originOf(agents []int, base, r int) int {
-	for i, a := range agents {
-		if a == r {
-			return base + i
-		}
-	}
-	return NoRank
+// cand is one scored proposer/acceptor pair of a matching.
+type cand struct {
+	w    int
+	p, a int
 }
+
+const enumIntersect, enumCount int8 = 1, 2
 
 // match computes the stable matching between proposers [plo, phi) and
 // acceptors [alo, ahi) under the symmetric weight
 // w(p, a) = |O(p) ∩ O(a) ∩ [alo, ahi)| (shared outgoing neighbors in
 // the proposers' opposite half). Pairs with zero weight never match. A
 // proposer only participates if it currently wants an agent: it must
-// have outstanding deliveries in the opposite half. The result maps
-// proposer offset → agent rank or NoRank.
-func (b *builder) match(plo, phi, alo, ahi int) []int {
-	res := make([]int, phi-plo)
-	for i := range res {
-		res[i] = NoRank
+// have outstanding deliveries in the opposite half. The results map
+// proposer offset → agent rank and, inverted, acceptor offset → origin
+// rank, NoRank where unmatched.
+func (b *builder) match(plo, phi, alo, ahi int) (agentOf, originOf []int) {
+	agentOf, originOf = make([]int, phi-plo), make([]int, ahi-alo)
+	for i := range agentOf {
+		agentOf[i] = NoRank
 	}
-	type cand struct {
-		w    int
-		p, a int
+	for i := range originOf {
+		originOf[i] = NoRank
 	}
 	var cands []cand
 	for p := plo; p < phi; p++ {
@@ -339,20 +334,10 @@ func (b *builder) match(plo, phi, alo, ahi int) []int {
 			// direct final sends.
 			continue
 		}
-		st := b.states[p]
-		if !b.wantsAgent(st, alo, ahi) {
+		if !b.wantsAgent(b.states[p], alo, ahi) {
 			continue
 		}
-		po := b.g.OutSet(p)
-		for a := alo; a < ahi; a++ {
-			if b.avoid != nil && b.avoid[a] {
-				continue
-			}
-			w := po.AndCountRange(b.g.OutSet(a), alo, ahi)
-			if w > 0 {
-				cands = append(cands, cand{w, p, a})
-			}
-		}
+		cands = b.candidates(cands, p, alo, ahi)
 		b.stats.AgentAttempts++
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -364,18 +349,72 @@ func (b *builder) match(plo, phi, alo, ahi int) []int {
 		}
 		return cands[i].a < cands[j].a
 	})
-	pTaken := map[int]bool{}
-	aTaken := map[int]bool{}
 	for _, c := range cands {
-		if pTaken[c.p] || aTaken[c.a] {
+		if agentOf[c.p-plo] != NoRank || originOf[c.a-alo] != NoRank {
 			continue
 		}
-		pTaken[c.p] = true
-		aTaken[c.a] = true
-		res[c.p-plo] = c.a
+		agentOf[c.p-plo], originOf[c.a-alo] = c.a, c.p
 		b.stats.AgentSuccesses++
 	}
-	return res
+	return agentOf, originOf
+}
+
+// candidates appends proposer p's scored pairs: every unavoided
+// acceptor a in [alo, ahi) with w(p, a) > 0. Two enumerations yield the
+// same set (match's sort is a total order, so their order is moot):
+// intersect p's out-set with every acceptor's over the range, or walk
+// the in-lists of p's out-neighbors in the range and count how often
+// each acceptor turns up. The cheaper one runs: counting on
+// bounded-degree graphs, where it keeps a level linear in ranks,
+// intersecting on dense ones, where a word covers 64 neighbors.
+func (b *builder) candidates(cands []cand, p, alo, ahi int) []cand {
+	count := b.enum == enumCount || b.enum == 0 && b.countCheaper(p, alo, ahi)
+	if !count {
+		po := b.g.OutSet(p)
+		for a := alo; a < ahi; a++ {
+			if b.avoid != nil && b.avoid[a] {
+				continue
+			}
+			if w := po.AndCountRange(b.g.OutSet(a), alo, ahi); w > 0 {
+				cands = append(cands, cand{w, p, a})
+			}
+		}
+		return cands
+	}
+	b.touched = b.touched[:0]
+	for _, d := range b.g.Out(p) {
+		if d < alo || d >= ahi {
+			continue
+		}
+		for _, a := range b.g.In(d) {
+			if a < alo || a >= ahi || b.avoid != nil && b.avoid[a] {
+				continue
+			}
+			if b.shared[a] == 0 {
+				b.touched = append(b.touched, a)
+			}
+			b.shared[a]++
+		}
+	}
+	for _, a := range b.touched {
+		cands = append(cands, cand{int(b.shared[a]), p, a})
+		b.shared[a] = 0
+	}
+	return cands
+}
+
+// countCheaper is candidates' cost rule: the in-degrees counting would
+// walk against the acceptors × range words intersecting would.
+func (b *builder) countCheaper(p, alo, ahi int) bool {
+	limit := (ahi - alo) * ((ahi-1)>>6 - alo>>6 + 1)
+	out, work := b.g.Out(p), 0
+	for _, d := range out[sort.SearchInts(out, alo):] {
+		if d >= ahi || work >= limit {
+			break
+		}
+		work += b.g.InDegree(d)
+	}
+	return work < limit
 }
 
 // wantsAgent reports whether st has any outstanding delivery into

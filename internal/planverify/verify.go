@@ -353,18 +353,25 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	for r := 0; r < n; r++ {
 		holdings[r] = map[int32]bool{int32(r): true}
 	}
-	// deliveries[src*n+dst] counts result-buffer deliveries per edge.
-	deliveries := make([]int, n*n)
+	// deliveries counts result-buffer deliveries per edge, the edges
+	// numbered by out-list position (an n×n matrix is 800 MiB at
+	// 10 240 ranks).
+	outOff := make([]int, n+1)
+	for r := 0; r < n; r++ {
+		outOff[r+1] = outOff[r] + g.OutDegree(r)
+	}
+	deliveries := make([]int, outOff[n])
 	var out []Finding
 	deliver := func(src, dst, via int) {
-		if !g.HasEdge(src, dst) {
+		j := g.IndexOfOut(src, dst)
+		if j < 0 {
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
 				"rank %d delivers block %d to %d but edge %d→%d does not exist",
 				via, src, dst, src, dst)})
 			return
 		}
-		deliveries[src*n+dst]++
-		if deliveries[src*n+dst] == 2 {
+		deliveries[outOff[src]+j]++
+		if deliveries[outOff[src]+j] == 2 {
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
 				"edge %d→%d delivered twice", src, dst)})
 		}
@@ -411,8 +418,8 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 		}
 	}
 	for src := 0; src < n; src++ {
-		for _, dst := range g.Out(src) {
-			if deliveries[src*n+dst] == 0 {
+		for j, dst := range g.Out(src) {
+			if deliveries[outOff[src]+j] == 0 {
 				out = append(out, Finding{InvCompleteness, -1, fmt.Sprintf(
 					"edge %d→%d never delivered", src, dst)})
 			}
