@@ -105,12 +105,14 @@ mega:
 	$(GO) run ./cmd/nbr-bench -mega -json results/BENCH_pr6.json
 
 # One benchmark per paper table/figure plus ablations (CI scale), the
-# mpirt hot-path micro-benchmarks, and the machine-readable snapshot
+# mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
+# algorithm at the rsg216-real shape, and the machine-readable snapshot
 # consumed by the perf-regression harness (ns/op + allocs/op per hot
 # path; diff it across PRs).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
+	$(GO) test -run '^$$' -bench=InterpReal -benchmem ./internal/collective/
 	$(GO) run ./cmd/nbr-bench -json results/BENCH_pr5.json -micro
 	$(GO) run ./cmd/nbr-bench -degradation -json results/BENCH_pr7.json
 

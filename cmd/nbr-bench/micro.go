@@ -43,6 +43,8 @@ func runMicro(out io.Writer) []microBench {
 		{"p2p/sendrecv", microSendRecv},
 		{"p2p/match-indexed", microMatchIndexed},
 		{"p2p/match-wildcard", microMatchWildcard},
+		{"p2p/gather-send", microGatherSend},
+		{"p2p/shared-snapshot", microSharedSnapshot},
 		{"pool/payload-roundtrip", microPoolRoundtrip},
 		{"cache/hit-lookup", microCacheHit},
 		{"collective/barrier", microBarrier},
@@ -146,6 +148,64 @@ func microMatchWildcard(b *testing.B) {
 				p.Recv(1, tags.BenchPong)
 			case 1:
 				p.Recv(mpirt.AnySource, mpirt.AnyTag)
+				p.Send(0, tags.BenchPong, 8, nil, nil)
+			}
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// microGatherSend is the packed send: eight 1 KiB parts gathered
+// straight into one pooled snapshot, sent, and released on receipt.
+func microGatherSend(b *testing.B) {
+	b.ReportAllocs()
+	src := make([]byte, 8<<10)
+	parts := make([][]byte, 8)
+	for i := range parts {
+		parts[i] = src[i<<10 : (i+1)<<10]
+	}
+	if _, err := mpirt.Run(microCfg(1, 2), func(p *mpirt.Proc) {
+		for i := 0; i < b.N; i++ {
+			switch p.Rank() {
+			case 0:
+				snap := p.Gather(parts)
+				p.SendSnapshot(1, tags.BenchPing, len(src), snap, nil)
+				snap.Release()
+				p.Recv(1, tags.BenchPong)
+			case 1:
+				m := p.Recv(0, tags.BenchPing)
+				m.Release()
+				p.Send(0, tags.BenchPong, 8, nil, nil)
+			}
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// microSharedSnapshot is the fan-out: one 8 KiB snapshot sent to eight
+// destinations, each of which releases its message; the last release
+// returns the buffer to the pool.
+func microSharedSnapshot(b *testing.B) {
+	b.ReportAllocs()
+	src := make([]byte, 8<<10)
+	parts := [][]byte{src}
+	if _, err := mpirt.Run(microCfg(1, 5), func(p *mpirt.Proc) { // 10 ranks; 0 feeds 1..8
+		for i := 0; i < b.N; i++ {
+			switch r := p.Rank(); {
+			case r == 0:
+				snap := p.Gather(parts)
+				for dst := 1; dst <= 8; dst++ {
+					p.SendSnapshot(dst, tags.BenchPing, len(src), snap, nil)
+				}
+				snap.Release()
+				for dst := 1; dst <= 8; dst++ {
+					p.Recv(dst, tags.BenchPong)
+				}
+			case r <= 8:
+				m := p.Recv(0, tags.BenchPing)
+				m.Release()
 				p.Send(0, tags.BenchPong, 8, nil, nil)
 			}
 		}

@@ -63,18 +63,6 @@ func checkArgsAV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts CountFun
 	}
 }
 
-// sendOffsets returns the sbuf offset of each outgoing neighbor's
-// segment for rank r.
-func sendOffsets(g *vgraph.Graph, r int, counts CountFunc) map[int]int {
-	off := make(map[int]int, g.OutDegree(r))
-	pos := 0
-	for _, v := range g.Out(r) {
-		off[v] = pos
-		pos += counts(r, v)
-	}
-	return off
-}
-
 // recvOffsetsAV returns the rbuf offset of each incoming neighbor's
 // segment for rank r.
 func recvOffsetsAV(g *vgraph.Graph, r int, counts CountFunc) map[int]int {
@@ -144,6 +132,25 @@ func (a *DistanceHalvingAlltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts Co
 		pos += c
 		held[edge{r, v}] = seg
 	}
+	// kept are the step messages held aliases into, released when the
+	// pass ends. take moves a held segment into the next message; send
+	// ships what was taken, gathered into one snapshot (size-only in
+	// phantom mode, where every segment is nil).
+	var kept []mpirt.Msg
+	var parts [][]byte
+	size := 0
+	take := func(e edge) {
+		parts = append(parts, held[e])
+		size += counts(e.Src, e.Dst)
+		delete(held, e)
+	}
+	send := func(dst, tag int, meta any) {
+		p.ChargeCopy(size)
+		snap := p.Gather(parts)
+		p.SendSnapshot(dst, tag, size, snap, meta)
+		snap.Release()
+		parts, size = parts[:0], 0
+	}
 
 	deliverLocal := func(e edge, data []byte) {
 		off, ok := rOff[e.Src]
@@ -173,20 +180,10 @@ func (a *DistanceHalvingAlltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts Co
 			}) {
 				if e.Dst >= s.H2Lo && e.Dst < s.H2Hi {
 					moved = append(moved, e)
+					take(e)
 				}
 			}
-			size := 0
-			var payload []byte
-			for _, e := range moved {
-				c := counts(e.Src, e.Dst)
-				if !phantom {
-					payload = append(payload, held[e][:c]...)
-				}
-				size += c
-				delete(held, e)
-			}
-			p.ChargeCopy(size)
-			p.Send(s.Agent, tags.A2AStep+t, size, payload, moved)
+			send(s.Agent, tags.A2AStep+t, moved)
 		}
 		if req != nil {
 			msg := req.Wait()
@@ -203,14 +200,12 @@ func (a *DistanceHalvingAlltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts Co
 					deliverLocal(e, data)
 					continue
 				}
-				// held retains an alias into msg.Data across later
-				// steps, so this message is deliberately not Released;
-				// its buffer falls to the garbage collector instead.
-				held[e] = data
+				held[e] = data // an alias into msg.Data across later steps
 			}
 			if msg.Size != apos {
 				panic(fmt.Sprintf("collective: rank %d step %d alltoallv size %d != %d", r, t, msg.Size, apos))
 			}
+			kept = append(kept, msg)
 		}
 	}
 
@@ -219,23 +214,14 @@ func (a *DistanceHalvingAlltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts Co
 		reqs = append(reqs, p.Irecv(sender, tags.A2AFinal))
 	}
 	for _, fs := range plan.FinalSends {
-		size := 0
-		var payload []byte
 		for _, src := range fs.Sources {
 			e := edge{src, fs.Dst}
-			data, ok := held[e]
-			if !ok {
+			if _, ok := held[e]; !ok {
 				panic(fmt.Sprintf("collective: rank %d final alltoallv send missing segment %v", r, e))
 			}
-			c := counts(src, fs.Dst)
-			if !phantom {
-				payload = append(payload, data[:c]...)
-			}
-			size += c
-			delete(held, e)
+			take(e)
 		}
-		p.ChargeCopy(size)
-		p.Send(fs.Dst, tags.A2AFinal, size, payload, fs.Sources)
+		send(fs.Dst, tags.A2AFinal, fs.Sources)
 	}
 	for _, src := range plan.FinalSelfCopies {
 		e := edge{src, r}
@@ -266,5 +252,8 @@ func (a *DistanceHalvingAlltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts Co
 			panic(fmt.Sprintf("collective: rank %d final alltoallv size %d != %d", r, msg.Size, fpos))
 		}
 		msg.Release()
+	}
+	for i := range kept {
+		kept[i].Release()
 	}
 }

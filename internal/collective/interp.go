@@ -11,8 +11,9 @@ import (
 // and ChargeCopy is charged by three rules only — once, for the whole
 // payload, before a Packed send; once per block when a Packed Deliver
 // message is unpacked; once per OpCopy — so the virtual clock sees the
-// same call sequence whichever emitter produced the plan. Phantom mode
-// moves no bytes and tracks no holdings.
+// same call sequence whichever emitter produced the plan: the modelled
+// copies, not the host's two per byte (gather in, deliver out). Phantom
+// mode moves no bytes and tracks no holdings.
 func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	g := pl.Graph
 	checkArgsV(p, g, sbuf, counts, rbuf)
@@ -37,10 +38,6 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 		case OpSend:
 			blocks := pl.Blocks(op)
 			size := blockBytes(blocks, counts)
-			var data []byte
-			if st != nil {
-				data = st.payload(op, blocks, size)
-			}
 			if op.Flags&Packed != 0 {
 				p.ChargeCopy(size)
 			}
@@ -48,7 +45,11 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 			if op.Flags&SelfDescribing != 0 {
 				meta = op
 			}
-			p.Send(int(op.Peer), int(op.Tag), size, data, meta)
+			var snap mpirt.Snapshot // zero in phantom mode: a size-only send
+			if st != nil {
+				snap = st.snapshot(p, op, blocks)
+			}
+			p.SendSnapshot(int(op.Peer), int(op.Tag), size, snap, meta)
 		case OpWait:
 			for j, hi := op.Waits(); j < hi; j++ {
 				if j >= len(reqs) || reqs[j] == nil {
@@ -67,18 +68,14 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 				if st != nil {
 					st.deliver(b, st.block(b))
 				}
-			} else {
-				if int(b) != r {
-					panic(fmt.Sprintf("collective: rank %d stages block %d, not its own", r, b))
-				}
-				if st != nil && st.main != nil {
-					copy(st.block(b), sbuf)
-				}
+			} else if int(b) != r { // staging is a modelled copy: sends gather from sbuf
+				panic(fmt.Sprintf("collective: rank %d stages block %d, not its own", r, b))
 			}
 			p.ChargeCopy(counts[b])
 		}
 	}
 	if st != nil {
+		st.snap.Release()
 		for i := range st.kept {
 			st.kept[i].Release()
 		}
@@ -115,14 +112,12 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg
 			if rv.Flags&Packed != 0 {
 				p.ChargeCopy(c)
 			}
-		} else if st != nil && st.main != nil {
-			copy(st.block(b), msg.Data[pos:pos+c]) // a forward lands in its hold slot,
 		} else if st != nil {
-			st.held[b] = msg.Data[pos : pos+c] // or stays aliased in the kept message
+			st.held[b] = msg.Data[pos : pos+c] // a forward stays aliased in the kept message
 		}
 		pos += c
 	}
-	if st != nil && !deliver && st.main == nil {
+	if st != nil && !deliver {
 		st.kept = append(st.kept, msg) // held aliases its payload
 	} else {
 		msg.Release()
@@ -138,7 +133,10 @@ func blockBytes(blocks []int32, counts []int) int {
 	return size
 }
 
-// payloads is one rank's real-mode byte bookkeeping for one pass.
+// payloads is one rank's real-mode byte bookkeeping for one pass. A
+// block stays where it already is — the rank's send buffer, or the
+// forward that brought it, kept until the pass ends — and every send
+// gathers its blocks from there.
 type payloads struct {
 	pl     *Plan
 	r      int
@@ -146,35 +144,25 @@ type payloads struct {
 	rbuf   []byte
 	// roff[i] is the result-buffer offset of in-neighbor In(r)[i].
 	roff []int
-	// main is the contiguous hold buffer, laid out in the rank's hold
-	// order; nil when the rank declares none.
-	main []byte
-	// held locates every block the rank holds: the slots of main, or
-	// else its send buffer and forwards aliased inside kept messages.
+	// held locates every block the rank holds.
 	held map[int32][]byte
 	kept []mpirt.Msg
+	// snap is the latest send's snapshot and sent its block span; a
+	// fan-out, the same span again, shares it: a block's bytes are its
+	// origin's send buffer and cannot change within a pass.
+	snap  mpirt.Snapshot
+	sent  span
+	parts [][]byte // gather scratch
 }
 
 func newPayloads(pl *Plan, r int, sbuf []byte, counts []int, rbuf []byte) *payloads {
-	st := &payloads{pl: pl, r: r, counts: counts, rbuf: rbuf}
+	st := &payloads{pl: pl, r: r, counts: counts, rbuf: rbuf, held: map[int32][]byte{int32(r): sbuf}}
 	in := pl.Graph.In(r)
 	st.roff = make([]int, len(in))
 	pos := 0
 	for i, u := range in {
 		st.roff[i] = pos
 		pos += counts[u]
-	}
-	hold := pl.Hold(r)
-	st.held = make(map[int32][]byte, len(hold)+1)
-	if len(hold) == 0 {
-		st.held[int32(r)] = sbuf
-		return st
-	}
-	st.main = make([]byte, blockBytes(hold, counts))
-	pos = 0
-	for _, b := range hold {
-		st.held[b] = st.main[pos : pos+counts[b]]
-		pos += counts[b]
 	}
 	return st
 }
@@ -188,23 +176,24 @@ func (st *payloads) block(b int32) []byte {
 	return d
 }
 
-// payload returns a send's bytes: a hold-order prefix and a single held
-// block ship in place, a Packed send is gathered into a temporary.
-func (st *payloads) payload(op *PlanOp, blocks []int32, size int) []byte {
-	if op.Flags&Packed != 0 {
-		tmp := make([]byte, 0, size)
-		for _, b := range blocks {
-			tmp = append(tmp, st.block(b)...)
-		}
-		return tmp
-	}
-	if st.main != nil && op.off == st.pl.hold[st.r].off {
-		return st.main[:size]
-	}
-	if len(blocks) != 1 {
+// snapshot returns a send's payload, gathered from the rank's holdings
+// unless the previous send carried the same span. An unpacked send
+// models shipping in place, which only a prefix of the declared hold
+// order or a single block can do.
+func (st *payloads) snapshot(p mpirt.Endpoint, op *PlanOp, blocks []int32) mpirt.Snapshot {
+	h := st.pl.hold
+	if op.Flags&Packed == 0 && len(blocks) != 1 && (h == nil || op.off != h[st.r].off || op.n > h[st.r].n) {
 		panic(fmt.Sprintf("collective: rank %d unpacked send of %d blocks is not a hold-buffer prefix", st.r, len(blocks)))
 	}
-	return st.block(blocks[0])
+	if sp := (span{op.off, op.n}); sp != st.sent {
+		st.parts = st.parts[:0]
+		for _, b := range blocks {
+			st.parts = append(st.parts, st.block(b))
+		}
+		st.snap.Release()
+		st.snap, st.sent = p.Gather(st.parts), sp
+	}
+	return st.snap
 }
 
 // deliver copies block b's bytes to its place in the result buffer.

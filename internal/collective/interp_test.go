@@ -1,0 +1,210 @@
+package collective
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/topology"
+	"nbrallgather/internal/vgraph"
+)
+
+// fourOps are the four allgather algorithms over g.
+func fourOps(tb testing.TB, g *vgraph.Graph, c topology.Cluster, cnK int) []Op {
+	tb.Helper()
+	dh, err := NewDistanceHalving(g, c.L())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cn, err := NewCommonNeighbor(g, cnK)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lb, err := NewLeaderBased(g, c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []Op{NewNaive(g), dh, cn, lb}
+}
+
+// TestSenderMayOverwrite pins the eager-snapshot semantics against a
+// later borrowed-send "optimisation": every rank scribbles over its
+// send buffer the moment Run returns — while peers are still receiving —
+// and every receive buffer must come out byte-exact all the same.
+func TestSenderMayOverwrite(t *testing.T) {
+	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
+	g := erGraph(t, c.Ranks(), 0.4, 9)
+	const m = 256
+	for _, eng := range mpirt.Engines() {
+		for _, op := range fourOps(t, g, c, 3) {
+			t.Run(fmt.Sprintf("%s/%s", eng, op.Name()), func(t *testing.T) {
+				rbufs := make([][]byte, g.N())
+				_, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: eng}, func(p *mpirt.Proc) {
+					r := p.Rank()
+					sbuf := make([]byte, m)
+					fillPattern(sbuf, r)
+					rbufs[r] = make([]byte, g.InDegree(r)*m)
+					op.Run(p, sbuf, m, rbufs[r])
+					for i := range sbuf {
+						sbuf[i] = 0xEE
+					}
+					p.Barrier()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, rbuf := range rbufs {
+					if !bytes.Equal(rbuf, expectedRbuf(g, r, m)) {
+						t.Errorf("rank %d receive buffer corrupted by a sender's overwrite", r)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSnapshotBytes: a real-mode naive pass copies each sending rank's
+// block into a snapshot once, however many neighbours it feeds; no
+// algorithm snapshots more bytes than it sends; phantom mode snapshots
+// nothing. On every driver.
+func TestSnapshotBytes(t *testing.T) {
+	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
+	g := erGraph(t, c.Ranks(), 0.4, 9)
+	const m, trials = 128, 3
+	senders := 0
+	for r := 0; r < g.N(); r++ {
+		if g.OutDegree(r) > 0 {
+			senders++
+		}
+	}
+	run := func(cfg mpirt.Config, op Op) *mpirt.Report {
+		cfg.Cluster = c
+		rep, err := mpirt.Run(cfg, func(p *mpirt.Proc) {
+			var sbuf, rbuf []byte
+			if !p.Phantom() {
+				sbuf, rbuf = make([]byte, m), make([]byte, g.InDegree(p.Rank())*m)
+			}
+			for tr := 0; tr < trials; tr++ {
+				op.Run(p, sbuf, m, rbuf)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", op.Name(), err)
+		}
+		return rep
+	}
+	drivers := map[string]mpirt.Config{
+		"threaded": {Engine: mpirt.EngineThreaded},
+		"event":    {Engine: mpirt.EngineEvent},
+		"chaos":    {Chaos: mpirt.DefaultChaos(5)},
+	}
+	for name, cfg := range drivers {
+		for i, op := range fourOps(t, g, c, 3) {
+			rep := run(cfg, op)
+			if rep.SnapshotBytes > rep.Bytes() || rep.SnapshotBytes == 0 {
+				t.Errorf("%s/%s: SnapshotBytes %d, Bytes() %d: want 0 < snapshots ≤ sent", name, op.Name(), rep.SnapshotBytes, rep.Bytes())
+			}
+			if i == 0 {
+				if want := int64(senders * m * trials); rep.SnapshotBytes != want {
+					t.Errorf("%s/naive: SnapshotBytes %d, want senders·m·trials = %d", name, rep.SnapshotBytes, want)
+				}
+				if want := int64(g.Edges() * m * trials); rep.Bytes() != want {
+					t.Errorf("%s/naive: Bytes() %d, want edges·m·trials = %d", name, rep.Bytes(), want)
+				}
+			}
+		}
+	}
+	if rep := run(mpirt.Config{Phantom: true}, NewNaive(g)); rep.SnapshotBytes != 0 || rep.PoolHits != 0 || rep.PoolMisses != 0 {
+		t.Errorf("phantom: SnapshotBytes %d, PoolHits %d, PoolMisses %d, want all zero", rep.SnapshotBytes, rep.PoolHits, rep.PoolMisses)
+	}
+}
+
+// TestInterpreterRealAllocs: once the payload pool is warm a real-mode
+// pass allocates bookkeeping only — requests, the holdings map — and no
+// payload-sized temporary: under 5 % of the bytes it sends. (The Packed
+// temporary plus the hold buffer used to make it more than 100 %.)
+func TestInterpreterRealAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector makes sync.Pool drop items at random")
+			}
+		}
+	}
+	// No collection may empty the pool between the warm pass and the
+	// measured one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := topology.Cluster{Nodes: 4, SocketsPerNode: 2, RanksPerSocket: 8, NodesPerGroup: 2}
+	g := erGraph(t, c.Ranks(), 0.3, 11)
+	const m = 8 << 10
+	for _, op := range fourOps(t, g, c, 4)[1:3] { // dh, cn
+		var before, after runtime.MemStats
+		// stamp reads the heap counters on rank 0 while every other rank
+		// waits between the two barriers.
+		stamp := func(p *mpirt.Proc, ms *runtime.MemStats) {
+			p.Barrier()
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(ms)
+			}
+			p.Barrier()
+		}
+		rep, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: mpirt.EngineEvent}, func(p *mpirt.Proc) {
+			sbuf, rbuf := make([]byte, m), make([]byte, g.InDegree(p.Rank())*m)
+			op.Run(p, sbuf, m, rbuf)
+			stamp(p, &before)
+			op.Run(p, sbuf, m, rbuf)
+			stamp(p, &after)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, alloc := rep.Bytes()/2, int64(after.TotalAlloc-before.TotalAlloc)
+		t.Logf("%s: warm pass allocates %d bytes sending %d (%.2f %%), pool %d hits / %d misses",
+			op.Name(), alloc, sent, 100*float64(alloc)/float64(sent), rep.PoolHits, rep.PoolMisses)
+		if alloc*20 >= sent {
+			t.Errorf("%s: warm real-mode pass allocates %d bytes, want < 5 %% of the %d it sends", op.Name(), alloc, sent)
+		}
+	}
+}
+
+// BenchmarkInterpReal is one real-payload pass of the interpreter at the
+// repo benchmark's rsg216-real shape: 216 ranks, ER δ=0.3, 8 KiB blocks.
+// Throughput is payload bytes sent per pass.
+func BenchmarkInterpReal(b *testing.B) {
+	c := topology.Niagara(6, 18)
+	g, err := vgraph.ErdosRenyi(c.Ranks(), 0.3, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const m = 8 << 10
+	sbufs, rbufs := make([][]byte, g.N()), make([][]byte, g.N())
+	for r := range sbufs {
+		sbufs[r], rbufs[r] = make([]byte, m), make([]byte, g.InDegree(r)*m)
+		fillPattern(sbufs[r], r)
+	}
+	ops := fourOps(b, g, c, 4)
+	for i, name := range []string{"naive", "dh", "cn"} {
+		op := ops[i]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			rep, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: mpirt.EngineEvent}, func(p *mpirt.Proc) {
+				r := p.Rank()
+				op.Run(p, sbufs[r], m, rbufs[r]) // warm the pool
+				p.Barrier()
+				if r == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					op.Run(p, sbufs[r], m, rbufs[r])
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(rep.Bytes() / int64(b.N+1))
+		})
+	}
+}

@@ -23,9 +23,9 @@ const (
 	OpSend
 	// OpWait completes a run of previously posted receives, in order.
 	OpWait
-	// OpCopy moves one locally held block without a message: into the
-	// result buffer (Deliver), or the rank's own send buffer into its
-	// hold buffer (no Deliver).
+	// OpCopy is a charged local copy of one held block: into the result
+	// buffer (Deliver), or the modelled staging of the rank's own block
+	// into its hold buffer (no Deliver; a charge, no host copy).
 	OpCopy
 )
 
@@ -43,9 +43,9 @@ const (
 	// so the receiver learns the blocks from the message rather than
 	// from its own receive op.
 	SelfDescribing
-	// Packed marks a message assembled into a temporary buffer: the
-	// sender is charged one copy of the whole payload, and a Deliver
-	// receiver one copy per block unpacked.
+	// Packed marks a message modelled as assembled into a temporary
+	// buffer: the sender is charged one copy of the whole payload, and a
+	// Deliver receiver one copy per block unpacked.
 	Packed
 )
 
@@ -90,7 +90,7 @@ type Plan struct {
 	// arena opens with the identity 0..n-1, so a single block b is
 	// arena[b:b+1] at no cost.
 	arena []int32
-	// hold[r] is rank r's hold-buffer order (nil when no rank stages a
+	// hold[r] is rank r's hold-buffer order (nil when no rank models a
 	// contiguous hold buffer).
 	hold []span
 }
@@ -139,11 +139,11 @@ func NewPlanBuilder(g *vgraph.Graph, ops, blocks int) *PlanBuilder {
 	return &PlanBuilder{pl: pl}
 }
 
-// Hold declares rank r's hold-buffer order: the rank stages a
-// contiguous buffer laid out in this order, forwards it receives are
-// copied into their slot, and an unpacked send of a prefix of the order
-// ships in place. Declare holds before emitting ops, so sends and
-// receives naming a prefix alias it instead of storing a copy.
+// Hold declares rank r's hold-buffer order: the contiguous buffer the
+// algorithm models, of which an unpacked send may ship any prefix in
+// place (the interpreter gathers it; nothing is staged on the host).
+// Declare holds before emitting ops, so sends and receives naming a
+// prefix alias it instead of storing a copy.
 func (b *PlanBuilder) Hold(r int, order []int) {
 	if b.pl.hold == nil {
 		b.pl.hold = make([]span, b.pl.Graph.N())
@@ -208,8 +208,8 @@ func (b *PlanBuilder) Wait(lo, hi int) {
 }
 
 // Copy emits a charged local copy of block: with Deliver, a held block
-// into the result buffer; without, the rank's own block into its hold
-// buffer.
+// into the result buffer; without, the rank's own block into its
+// modelled hold buffer.
 func (b *PlanBuilder) Copy(block int, flags OpFlags) {
 	b.add(OpCopy, flags, 0, 0, b.intern([]int{block}, -1))
 }

@@ -8,8 +8,8 @@ import (
 
 // BufferPoolAnalyzer keeps buffer recycling centralized. The runtime's
 // payload pool (internal/mpirt/pool.go) is the module's single
-// sync.Pool site: its ownership contract — one Msg owns a pooled
-// buffer until Release, Data capacity-capped at Size — is what makes
+// sync.Pool site: its ownership contract — an immutable snapshot, its
+// holders counted, Data capacity-capped at Size — is what makes
 // recycling invisible to determinism and to the race detector. An
 // ad-hoc sync.Pool elsewhere reintroduces exactly the aliasing and
 // lifetime hazards that contract rules out, without any analyzer

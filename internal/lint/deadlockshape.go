@@ -40,7 +40,7 @@ var collectiveMethods = map[string]bool{
 // blockingSends and blockingRecvs split the blocking point-to-point
 // surface for the ordering check (nonblocking Isend/Irecv never
 // deadlock on ordering).
-var blockingSends = map[string]bool{"Send": true, "SendErr": true}
+var blockingSends = map[string]bool{"Send": true, "SendErr": true, "SendSnapshot": true}
 var blockingRecvs = map[string]bool{"Recv": true, "RecvErr": true}
 
 func runDeadlockShape(p *Pass) {

@@ -53,13 +53,14 @@ func funcPkgPath(f *types.Func) string {
 // invocation order is part of the modelled schedule. The tag parameter
 // sits at argument index 1 for all of them.
 var commMethods = map[string]bool{
-	"Send":    true,
-	"Recv":    true,
-	"Isend":   true,
-	"Irecv":   true,
-	"Probe":   true,
-	"SendErr": true,
-	"RecvErr": true,
+	"Send":         true,
+	"SendSnapshot": true,
+	"Recv":         true,
+	"Isend":        true,
+	"Irecv":        true,
+	"Probe":        true,
+	"SendErr":      true,
+	"RecvErr":      true,
 }
 
 // isMpirtComm reports whether f is one of the runtime's point-to-point

@@ -23,6 +23,12 @@ func (r *Request) Wait() Msg { return Msg{} }
 // WaitErr is Wait with the typed fail-stop error surface.
 func (r *Request) WaitErr() (Msg, error) { return Msg{}, nil }
 
+// Snapshot is an eager payload handle.
+type Snapshot struct{}
+
+// Release gives up the handle's hold.
+func (s *Snapshot) Release() {}
+
 // Comm is a communicator stub.
 type Comm struct{}
 
@@ -33,6 +39,8 @@ func (p *Proc) Rank() int { return 0 }
 func (p *Proc) Size() int { return 1 }
 
 func (p *Proc) Send(dst, tag, size int, data []byte, meta any)           {}
+func (p *Proc) Gather(parts [][]byte) Snapshot                           { return Snapshot{} }
+func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any)    {}
 func (p *Proc) Recv(src, tag int) Msg                                    { return Msg{} }
 func (p *Proc) Isend(dst, tag, size int, data []byte, meta any) *Request { return &Request{} }
 func (p *Proc) Irecv(src, tag int) *Request                              { return &Request{} }
@@ -53,6 +61,8 @@ func (p *Proc) Sub(c *Comm, tagShift int) *SubProc { return &SubProc{} }
 type SubProc struct{}
 
 func (s *SubProc) Send(dst, tag, size int, data []byte, meta any)           {}
+func (s *SubProc) Gather(parts [][]byte) Snapshot                           { return Snapshot{} }
+func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any) {}
 func (s *SubProc) Recv(src, tag int) Msg                                    { return Msg{} }
 func (s *SubProc) Isend(dst, tag, size int, data []byte, meta any) *Request { return &Request{} }
 func (s *SubProc) Irecv(src, tag int) *Request                              { return &Request{} }

@@ -407,6 +407,8 @@ type Endpoint interface {
 	Phantom() bool
 	ChargeCopy(n int)
 	Send(dst, tag, size int, data []byte, meta any)
+	Gather(parts [][]byte) Snapshot
+	SendSnapshot(dst, tag, size int, s Snapshot, meta any)
 	Recv(src, tag int) Msg
 	Isend(dst, tag, size int, data []byte, meta any) *Request
 	Irecv(src, tag int) *Request
@@ -469,6 +471,12 @@ func (s *SubProc) Send(dst, tag, size int, data []byte, meta any) {
 	s.p.Send(s.xlate(dst, "send"), tag+s.tagShift, size, data, meta)
 }
 
+// Gather snapshots parts; SendSnapshot sends one to shrunken rank dst.
+func (s *SubProc) Gather(parts [][]byte) Snapshot { return s.p.Gather(parts) }
+func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any) {
+	s.p.SendSnapshot(s.xlate(dst, "send"), tag+s.tagShift, size, snap, meta)
+}
+
 // Recv receives from shrunken rank src (AnySource allowed); the
 // returned Msg.Src is in shrunken-rank space.
 func (s *SubProc) Recv(src, tag int) Msg {
@@ -507,11 +515,19 @@ func (p *Proc) FTEpoch() int {
 // SendErr is Send with error propagation instead of panics for
 // failure conditions: it returns *RankFailedError if dst is dead and
 // *CommRevokedError if the communicator is revoked. Usage errors
-// still panic (and abort the run).
+// still panic (and abort the run). It is the shared-snapshot path:
+// Gather, one send, the handle's Release.
 //
 //lint:hotpath
 func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
-	return p.sendErr(dst, tag, size, data, meta)
+	var s Snapshot
+	if data != nil {
+		part := [1][]byte{data}
+		s = p.Gather(part[:])
+	}
+	err := p.sendErr(dst, tag, size, s, meta)
+	s.Release()
+	return err
 }
 
 // RecvErr is Recv with error propagation: instead of blocking forever

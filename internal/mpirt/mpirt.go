@@ -61,7 +61,8 @@ type Msg struct {
 	Tag int
 	// Size is the payload size in bytes as charged to the cost model.
 	Size int
-	// Data is the payload; nil in phantom mode even when Size > 0.
+	// Data is the payload, a read-only snapshot other receivers may
+	// share; nil in phantom mode even when Size > 0.
 	Data []byte
 	// Meta carries structured side data (segment maps, protocol
 	// signals). It is not charged to the cost model; real
@@ -70,7 +71,7 @@ type Msg struct {
 
 	arrival float64
 	// pooled, when non-nil, is the size-classed pool buffer backing
-	// Data; Release returns it (see pool.go for the ownership rules).
+	// Data; Release lets go of it (see pool.go for the ownership rules).
 	pooled *pbuf
 	// seq is the mailbox enqueue stamp: wildcard receives take the
 	// minimum across match lists, reproducing single-queue FIFO order.
@@ -184,6 +185,10 @@ type Report struct {
 	// RoundScans counts the rank slots barrier and agreement completion
 	// checks examined, on every driver: one pass per round, deaths aside.
 	RoundScans int64
+	// SnapshotBytes counts the bytes Gather copied — every send-side
+	// payload copy there is — and PoolHits/PoolMisses the snapshots whose
+	// buffer was recycled/allocated; every driver, zero in phantom mode.
+	SnapshotBytes, PoolHits, PoolMisses int64
 }
 
 // MsgImbalance returns MaxRankMsgs divided by the mean per-rank
@@ -441,6 +446,8 @@ type Proc struct {
 	vt        float64
 	sent      int64
 	sentBytes int64
+	// this rank's share of Report.SnapshotBytes/PoolHits/PoolMisses
+	snapBytes, poolHits, poolMisses int64
 
 	// fail-stop state: ops counts blocking-operation entries (the kill
 	// trigger), kills are this rank's scheduled crashes, dead is set
@@ -678,6 +685,9 @@ func (rt *Runtime) buildReport(start time.Time) *Report {
 		rep.DetectTime += p.detectTime
 		rep.LinkDetections += p.linkDetections
 		rep.LinkDetectTime += p.linkDetectTime
+		rep.SnapshotBytes += p.snapBytes
+		rep.PoolHits += p.poolHits
+		rep.PoolMisses += p.poolMisses
 	}
 	return rep
 }
@@ -818,23 +828,78 @@ func (p *Proc) Alloc(n int) []byte {
 	return make([]byte, n)
 }
 
-// Send delivers a message of the given size to dst. data may be nil
-// (phantom mode or metadata-only protocol signals). Sends are eager:
-// the call returns once the message is enqueued at the destination;
-// the cost model decides when it becomes receivable. Sending to a
-// dead rank or on a revoked communicator panics with the typed
-// failure error (use SendErr to handle it).
+// Snapshot is an eager payload: bytes gathered once into a pool buffer,
+// immutable from then on, held once by this handle and once by every
+// message it is sent in (see pool.go). The zero Snapshot has no bytes.
+type Snapshot struct {
+	data []byte
+	pb   *pbuf
+}
+
+// Release gives up the handle's hold; messages already sent keep
+// theirs. On the zero Snapshot, or a second time, it is a no-op.
+func (s *Snapshot) Release() {
+	releasePayload(s.pb)
+	*s = Snapshot{}
+}
+
+// Gather copies parts, in order, into one snapshot: the eager
+// protocol's copy, the only one on the send side. The caller's memory
+// is never borrowed — it may be overwritten the moment Gather returns,
+// as MPI guarantees of a send buffer. Phantom mode moves no bytes.
 //
 //lint:hotpath
-func (p *Proc) Send(dst, tag, size int, data []byte, meta any) {
-	if err := p.sendErr(dst, tag, size, data, meta); err != nil {
+func (p *Proc) Gather(parts [][]byte) Snapshot {
+	if p.rt.cfg.Phantom {
+		return Snapshot{}
+	}
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	pb, data := allocPayload(n)
+	if pb != nil && pb.recycled {
+		p.poolHits++
+	} else if n > 0 {
+		p.poolMisses++
+	}
+	pos := 0
+	for _, part := range parts {
+		pos += copy(data[pos:], part)
+	}
+	p.snapBytes += int64(n)
+	return Snapshot{data: data, pb: pb}
+}
+
+// SendSnapshot sends s — size bytes, or size-only if s is zero — to dst:
+// the general send, of which Send is the one-part, one-destination
+// case. One snapshot may go to any number of destinations, and its
+// handle may be Released any time after. Sends are eager: the call
+// returns once the message is enqueued at dst; the cost model decides
+// when it becomes receivable. Failures panic with the typed error.
+//
+//lint:hotpath
+func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any) {
+	if err := p.sendErr(dst, tag, size, s, meta); err != nil {
 		panic(err)
 	}
 }
 
-// sendErr implements Send/SendErr. Usage errors panic (they abort the
-// run); failure conditions are returned.
-func (p *Proc) sendErr(dst, tag, size int, data []byte, meta any) error {
+// Send snapshots data (see Gather) and sends it to dst. data may be nil
+// (phantom mode or metadata-only protocol signals). Failure conditions
+// panic with the typed failure error (use SendErr to handle them).
+//
+//lint:hotpath
+func (p *Proc) Send(dst, tag, size int, data []byte, meta any) {
+	if err := p.SendErr(dst, tag, size, data, meta); err != nil {
+		panic(err)
+	}
+}
+
+// sendErr implements every send: s is the payload snapshot, zero for a
+// size-only message. Usage errors panic (they abort the run); failure
+// conditions are returned.
+func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any) error {
 	p.enterOp()
 	p.rt.checkAborted()
 	if dst < 0 || dst >= p.rt.n {
@@ -845,9 +910,9 @@ func (p *Proc) sendErr(dst, tag, size int, data []byte, meta any) error {
 		panic(&UsageError{Rank: p.rank, Op: "send",
 			Msg: fmt.Sprintf("negative size %d", size)})
 	}
-	if data != nil && len(data) != size {
+	if s.data != nil && len(s.data) != size {
 		panic(&UsageError{Rank: p.rank, Op: "send",
-			Msg: fmt.Sprintf("size %d != len(data) %d", size, len(data))})
+			Msg: fmt.Sprintf("size %d != len(data) %d", size, len(s.data))})
 	}
 	if p.rt.revoked.Load() {
 		return &CommRevokedError{} //lint:allocok — typed failure error, failure path only
@@ -867,18 +932,8 @@ func (p *Proc) sendErr(dst, tag, size int, data []byte, meta any) error {
 			return err
 		}
 	}
-	var pooled *pbuf
-	if p.rt.cfg.Phantom {
-		data = nil
-	} else if data != nil {
-		// Eager protocol: snapshot the payload so the sender may reuse
-		// its buffer immediately, as MPI guarantees after send returns.
-		// The snapshot comes from the size-classed pool; the receiving
-		// collective hands it back via Msg.Release.
-		var cp []byte
-		pooled, cp = allocPayload(size)
-		copy(cp, data)
-		data = cp
+	if s.pb != nil {
+		s.pb.refs.Add(1) // the message's hold, let go by Msg.Release
 	}
 
 	var arrival float64
@@ -922,14 +977,14 @@ func (p *Proc) sendErr(dst, tag, size int, data []byte, meta any) error {
 		// (possibly duplicated) instead of the destination mailbox; a
 		// later delivery decision releases it. The container is not
 		// recycled — duplicated in-flight copies share this one *Msg.
-		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: data, Meta: meta, arrival: arrival, pooled: pooled} //lint:allocok — chaos-mode container, deliberately unpooled
+		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb} //lint:allocok — chaos-mode container, deliberately unpooled
 		cs.mu.Lock()
 		cs.chaosEnqueue(p.rank, dst, m)
 		cs.mu.Unlock()
 		return nil
 	}
 	m := msgPool.Get().(*Msg)
-	*m = Msg{Src: p.rank, Tag: tag, Size: size, Data: data, Meta: meta, arrival: arrival, pooled: pooled}
+	*m = Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb}
 	box := p.rt.boxes[dst]
 	box.mu.Lock()
 	box.enqueueLocked(m)
@@ -959,8 +1014,9 @@ type Request struct {
 	// tagShift is subtracted from the delivered Msg.Tag for SubProc
 	// requests (the posted tag was shifted into the comm's epoch).
 	tagShift int
-	// msg holds the delivered message by value once done, so repeated
-	// Waits return it without a per-request heap copy.
+	// msg is the delivered message once done, by value so repeated Waits
+	// need no heap copy, and without the first completion's hold on the
+	// payload buffer: only that Msg can release it.
 	msg  Msg
 	done bool
 }
@@ -1014,6 +1070,7 @@ func (r *Request) WaitErr() (Msg, error) {
 		m.Tag -= r.tagShift
 	}
 	r.msg = m
+	r.msg.pooled = nil
 	r.done = true
 	return m, nil
 }

@@ -3,6 +3,7 @@ package mpirt
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the runtime's only memory pool (enforced by the
@@ -10,19 +11,18 @@ import (
 // else in the module). Two pools back the point-to-point hot path:
 //
 //   - payload buffers, size-classed in powers of two, so the eager
-//     snapshot every Send takes stops allocating once traffic reaches
+//     snapshot every send takes stops allocating once traffic reaches
 //     steady state;
 //   - Msg containers, recycled on the plain drivers the moment Recv hands
 //     the caller its value copy.
 //
-// Ownership contract: a pooled payload belongs to exactly one Msg at
-// a time. The receiving collective — the final consumer of Msg.Data —
-// returns it with Msg.Release once it has copied or merged the bytes
-// it needs; a message that is never released simply falls to the
-// garbage collector (a pool miss, never a correctness problem).
-// Determinism is preserved because Send copies exactly Size bytes
-// into the recycled buffer and Data is capped to Size, so stale bytes
-// from a previous life are unobservable.
+// Ownership contract (DESIGN.md §9): a pooled payload is an immutable
+// snapshot with a count of holders — the sender's Snapshot handle and
+// one per message it was sent in. The last holder to let go returns the
+// buffer; one that never does leaves it to the garbage collector (a
+// pool miss, never a correctness problem). Gather writes exactly Size
+// bytes and Data is capped to Size, so stale bytes from a previous life
+// are unobservable and reuse cannot disturb determinism.
 
 // Payload size classes: 1<<poolMinShift .. 1<<poolMaxShift bytes.
 // Larger payloads (and empty ones) bypass the pool.
@@ -35,8 +35,10 @@ const (
 // round-trips through sync.Pool do not allocate, and it remembers its
 // size class so release never has to re-derive it.
 type pbuf struct {
-	b     []byte
-	class int
+	b        []byte
+	class    int
+	refs     atomic.Int32 // holders; threaded receivers of a shared snapshot release concurrently
+	recycled bool         // this life began as a pool hit (Report.PoolHits/PoolMisses)
 }
 
 var payloadPools [poolMaxShift - poolMinShift + 1]sync.Pool
@@ -55,9 +57,9 @@ func payloadClass(n int) int {
 }
 
 // allocPayload returns an n-byte buffer and, when it came from the
-// pool, the pbuf that must accompany the Msg so Release can return
-// it. The data slice is capacity-capped at n: appends by a consumer
-// can never scribble on the pooled tail.
+// pool, the pbuf — held once, by the caller — that must accompany it so
+// the last release can return it. The data slice is capacity-capped at
+// n: appends by a consumer can never scribble on the pooled tail.
 func allocPayload(n int) (*pbuf, []byte) {
 	c := payloadClass(n)
 	if c < 0 {
@@ -66,30 +68,34 @@ func allocPayload(n int) (*pbuf, []byte) {
 	pb, _ := payloadPools[c].Get().(*pbuf)
 	if pb == nil {
 		pb = &pbuf{b: make([]byte, 1<<(uint(c)+poolMinShift)), class: c} //lint:allocok — pool-miss refill; amortized across reuses
+	} else {
+		pb.recycled = true
 	}
+	pb.refs.Store(1)
 	return pb, pb.b[:n:n]
 }
 
-// releasePayload returns a pooled buffer for reuse.
+// releasePayload drops one holder of a pooled buffer (nil: unpooled, a
+// no-op); the last one returns it for reuse.
 func releasePayload(pb *pbuf) {
-	payloadPools[pb.class].Put(pb)
+	if pb != nil && pb.refs.Add(-1) == 0 {
+		payloadPools[pb.class].Put(pb)
+	}
 }
 
-// Release returns the message's payload buffer to the runtime's
-// size-classed pool and clears Data. Call it when the payload bytes
-// are no longer needed — after the receiving collective has copied or
-// merged them — and at most once per received message; the Data slice
-// (and any alias into it) must not be read afterwards. Release on a
-// zero Msg, a phantom-mode message, or an unpooled payload is a no-op
-// beyond clearing Data, so callers need no conditionals.
+// Release gives up the message's hold on its payload buffer — the last
+// holder's returns it to the pool — and clears Data. Call it once the
+// payload bytes are no longer needed; Data (and any alias into it) must
+// not be read afterwards. The copy a Request retains for repeated Waits
+// holds nothing: only the first completion's Msg releases, and the
+// copy's Data dies with it. On a zero Msg, a phantom-mode message, an
+// unpooled payload or a second time Release only clears Data, so
+// callers need no conditionals.
 //
 //lint:hotpath
 func (m *Msg) Release() {
-	if m.pooled != nil {
-		releasePayload(m.pooled)
-		m.pooled = nil
-	}
-	m.Data = nil
+	releasePayload(m.pooled)
+	m.pooled, m.Data = nil, nil
 }
 
 // msgPool recycles Msg containers on the plain drivers: Send draws the

@@ -94,11 +94,13 @@ func checkPattern(t *testing.T, buf []byte, r, i int, when string) {
 // copies share the held message's buffer.
 func TestPoolNoAliasing(t *testing.T) {
 	modes := []struct {
-		name string
-		mk   func() *Chaos
+		name   string
+		engine Engine
+		mk     func() *Chaos
 	}{
-		{"threaded", func() *Chaos { return nil }},
-		{"chaos", func() *Chaos { return DefaultChaos(7) }},
+		{"threaded", EngineThreaded, func() *Chaos { return nil }},
+		{"event", EngineEvent, func() *Chaos { return nil }},
+		{"chaos", EngineThreaded, func() *Chaos { return DefaultChaos(7) }},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -107,6 +109,7 @@ func TestPoolNoAliasing(t *testing.T) {
 			_, err := Run(Config{
 				Cluster:   topology.Niagara(1, 4),
 				Chaos:     mode.mk(),
+				Engine:    mode.engine,
 				WallLimit: time.Minute,
 			}, func(p *Proc) {
 				n := p.Size()
@@ -134,7 +137,180 @@ func TestPoolNoAliasing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sharedSnapshotNoAliasing(t, Config{
+				Cluster:   topology.Niagara(1, 4),
+				Chaos:     mode.mk(),
+				Engine:    mode.engine,
+				WallLimit: time.Minute,
+			})
 		})
+	}
+}
+
+// sharedSnapshotNoAliasing sends one snapshot from rank 0 to every other
+// rank. The sender scribbles over its source the moment the sends
+// return and drops its handle; every receiver holds its message
+// un-Released across full ring rounds of same-class traffic and
+// re-verifies the bytes. The buffer's holder count — what decides when
+// it re-enters the pool — is read between barriers: all receivers, then
+// one, then none.
+func sharedSnapshotNoAliasing(t *testing.T, cfg Config) {
+	const m = 96
+	const tagShare, tagRing = 6, 7
+	var shared *pbuf // rank 0's view of the snapshot's buffer
+	holders := func(p *Proc, when string, want int32) {
+		p.Barrier()
+		if p.Rank() == 0 {
+			if got := shared.refs.Load(); got != want {
+				t.Errorf("%s: snapshot has %d holders, want %d", when, got, want)
+			}
+		}
+		p.Barrier()
+	}
+	_, err := Run(cfg, func(p *Proc) {
+		n, r := p.Size(), p.Rank()
+		last := n - 1
+		var held Msg
+		if r == 0 {
+			src := make([]byte, m)
+			fillPattern(src, 0, 99)
+			snap := p.Gather([][]byte{src[:m/3], src[m/3:]})
+			shared = snap.pb
+			for dst := 1; dst < n; dst++ {
+				p.SendSnapshot(dst, tagShare, m, snap, nil)
+			}
+			for j := range src {
+				src[j] = 0xEE // MPI lets the sender reuse its buffer now
+			}
+			snap.Release()
+		} else {
+			held = p.Recv(0, tagShare)
+			checkPattern(t, held.Data, 0, 99, "shared snapshot on receipt")
+		}
+		ring := func(round int) {
+			sbuf := make([]byte, m)
+			for i := 0; i < 10; i++ {
+				fillPattern(sbuf, r, round+i)
+				req := p.Irecv((r+n-1)%n, tagRing)
+				p.Send((r+1)%n, tagRing, m, sbuf, nil)
+				msg := req.Wait()
+				checkPattern(t, msg.Data, (r+n-1)%n, round+i, "ring traffic")
+				msg.Release()
+			}
+		}
+		ring(0)
+		holders(p, "every receiver holding", int32(n-1))
+		if r != 0 {
+			checkPattern(t, held.Data, 0, 99, "shared snapshot after ring traffic")
+			if r != last {
+				held.Release()
+			}
+		}
+		holders(p, "one receiver holding", 1)
+		ring(100)
+		if r == last {
+			checkPattern(t, held.Data, 0, 99, "last holder after the others let go")
+			held.Release()
+		}
+		holders(p, "all released", 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitTwiceReleasesOnce: the copy a Request retains carries no
+// ownership, so waiting twice and releasing both results lets go of the
+// buffer once — it used to enter the pool twice and back two live
+// payloads.
+func TestWaitTwiceReleasesOnce(t *testing.T) {
+	for _, eng := range Engines() {
+		t.Run(string(eng), func(t *testing.T) {
+			_, err := Run(Config{Cluster: topology.Niagara(1, 1), Engine: eng, WallLimit: time.Minute}, func(p *Proc) {
+				if p.Rank() == 0 {
+					p.Send(1, 5, 4096, make([]byte, 4096), nil)
+					return
+				}
+				if p.Rank() != 1 {
+					return
+				}
+				req := p.Irecv(0, 5)
+				m1 := req.Wait()
+				pb := m1.pooled
+				m1.Release()
+				m2 := req.Wait()
+				if m2.pooled != nil {
+					t.Errorf("the Request's retained copy still owns the pool buffer")
+				}
+				m2.Release()
+				if got := pb.refs.Load(); got != 0 {
+					t.Errorf("buffer has %d holders after one receive and two Releases, want 0", got)
+				}
+				pa, a := allocPayload(4096)
+				pb2, b := allocPayload(4096)
+				if &a[0] == &b[0] {
+					t.Errorf("two live payloads share one buffer")
+				}
+				releasePayload(pa)
+				releasePayload(pb2)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSnapshotCounters: Report.SnapshotBytes counts every byte Gather
+// copied and each snapshot is a pool hit or a miss, on all three
+// drivers; a shared snapshot is counted once however many messages
+// carry it, and phantom mode counts nothing.
+func TestSnapshotCounters(t *testing.T) {
+	body := func(p *Proc) {
+		n, r := p.Size(), p.Rank()
+		buf := make([]byte, 100)
+		if r == 0 {
+			snap := p.Gather([][]byte{buf[:40], buf[40:]})
+			for dst := 1; dst < n; dst++ {
+				p.SendSnapshot(dst, 5, len(buf), snap, nil)
+			}
+			snap.Release()
+		} else {
+			m := p.Recv(0, 5)
+			m.Release()
+		}
+		p.Send((r+1)%n, 6, len(buf), buf, nil)
+		m := p.Recv((r+n-1)%n, 6)
+		m.Release()
+	}
+	c := topology.Niagara(1, 2)
+	n := int64(c.Ranks())
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		phantom bool
+	}{
+		{"threaded", Config{Engine: EngineThreaded}, false},
+		{"event", Config{Engine: EngineEvent}, false},
+		{"chaos", Config{Chaos: DefaultChaos(3)}, false},
+		{"phantom", Config{Phantom: true}, true},
+	} {
+		tc.cfg.Cluster, tc.cfg.WallLimit = c, time.Minute
+		rep, err := Run(tc.cfg, body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantBytes, wantSnaps := 100*(n+1), n+1 // one shared snapshot + one ring send per rank
+		if tc.phantom {
+			wantBytes, wantSnaps = 0, 0
+		}
+		if rep.SnapshotBytes != wantBytes || rep.PoolHits+rep.PoolMisses != wantSnaps {
+			t.Errorf("%s: SnapshotBytes %d (want %d), hits %d + misses %d (want %d snapshots)",
+				tc.name, rep.SnapshotBytes, wantBytes, rep.PoolHits, rep.PoolMisses, wantSnaps)
+		}
+		if got, want := rep.Bytes(), 100*(2*n-1); got != want {
+			t.Errorf("%s: Bytes() = %d, want %d", tc.name, got, want)
+		}
 	}
 }
 

@@ -10,7 +10,8 @@
 // The cache provides three lookups with different concurrency
 // contracts:
 //
-//   - Get is the allocation-free hit path: one mutex acquisition, one
+//   - Get is the allocation-free hit path: the key is digested to one
+//     word before the lock, then one mutex acquisition, one word-keyed
 //     map probe, an intrusive LRU touch. It is safe from any goroutine
 //     and never blocks beyond the mutex.
 //   - GetOrBuildLocal consults the cache and, on a miss, builds inline
@@ -67,6 +68,20 @@ type Key struct {
 	// Param is the algorithm's integer knob: DH stop threshold L, CN
 	// group size K, leaders per node.
 	Param int
+}
+
+// digest folds the key to the word the cache indexes by. Every lookup
+// computes it before taking the lock, so the mutex covers a one-word
+// map probe instead of hashing and comparing a 56-byte struct with a
+// string in it: two clients on one cache stop convoying on the lock
+// (EXPERIMENTS.md, "The planner hit path under two clients"). Keys
+// whose digests collide share a map slot and chain through entry.chain.
+func (k Key) digest() uint64 {
+	h := HashWords(k.Topo, k.Graph, k.Avoid, uint64(k.Size), uint64(k.Param))
+	for i := 0; i < len(k.Algo); i++ {
+		h = (h ^ uint64(k.Algo[i])) * fnvPrime
+	}
+	return h
 }
 
 func (k Key) String() string {
@@ -207,9 +222,11 @@ func (s Stats) CoalescingFactor() float64 {
 // entry is one cached artifact on the intrusive LRU list (MRU at head).
 type entry struct {
 	key        Key
+	hash       uint64 // key.digest()
 	val        any
 	cost       int64
 	prev, next *entry
+	chain      *entry // next entry with the same digest
 }
 
 // flight is one in-progress build on the singleflight table. Waiters
@@ -223,8 +240,9 @@ type flight struct {
 // Cache is a concurrent content-addressed plan cache. Use New.
 type Cache struct {
 	mu       sync.Mutex
-	slotFree *sync.Cond // signalled when a planner slot frees up
-	entries  map[Key]*entry
+	slotFree *sync.Cond        // signalled when a planner slot frees up
+	entries  map[uint64]*entry // by Key.digest(); collisions chain
+	n        int               // resident entries
 	inflight map[Key]*flight
 	head     *entry // MRU
 	tail     *entry // LRU
@@ -252,7 +270,7 @@ func New(cfg Config) *Cache {
 		cfg.MaxQueue = 4 * cfg.MaxPlanners
 	}
 	c := &Cache{
-		entries:     make(map[Key]*entry),
+		entries:     make(map[uint64]*entry),
 		inflight:    make(map[Key]*flight),
 		maxBytes:    cfg.MaxBytes,
 		maxPlanners: cfg.MaxPlanners,
@@ -268,8 +286,9 @@ func New(cfg Config) *Cache {
 //
 //lint:hotpath
 func (c *Cache) Get(k Key) (any, bool) {
+	h := k.digest()
 	c.mu.Lock()
-	e := c.entries[k]
+	e := c.find(h, k)
 	if e == nil {
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -285,9 +304,10 @@ func (c *Cache) Get(k Key) (any, bool) {
 // Peek returns the cached artifact without touching the LRU or the
 // counters (diagnostics only).
 func (c *Cache) Peek(k Key) (any, bool) {
+	h := k.digest()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[k]; e != nil {
+	if e := c.find(h, k); e != nil {
 		return e.val, true
 	}
 	return nil, false
@@ -313,11 +333,8 @@ func (c *Cache) GetOrBuildLocal(k Key, build Builder) (any, error) {
 	if c.onInsert != nil {
 		// Re-check first: if a racing builder already published this
 		// key its artifact was already verified.
-		c.mu.Lock()
-		e := c.entries[k]
-		c.mu.Unlock()
-		if e != nil {
-			return e.val, nil
+		if v, ok := c.Peek(k); ok {
+			return v, nil
 		}
 		if verr := c.onInsert(k, v); verr != nil {
 			c.mu.Lock()
@@ -326,8 +343,9 @@ func (c *Cache) GetOrBuildLocal(k Key, build Builder) (any, error) {
 			return nil, verr
 		}
 	}
+	h := k.digest()
 	c.mu.Lock()
-	v = c.insertLocked(k, v, cost)
+	v = c.insertLocked(k, h, v, cost)
 	c.mu.Unlock()
 	return v, nil
 }
@@ -337,9 +355,10 @@ func (c *Cache) GetOrBuildLocal(k Key, build Builder) (any, error) {
 // bounds. It blocks on channel/condition waits and must not be called
 // from inside mpirt rank bodies — use GetOrBuildLocal there.
 func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
+	h := k.digest()
 	c.mu.Lock()
 	for {
-		if e := c.entries[k]; e != nil {
+		if e := c.find(h, k); e != nil {
 			c.stats.Hits++
 			c.touch(e)
 			v := e.val
@@ -385,7 +404,7 @@ func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
 	c.active--
 	c.slotFree.Signal()
 	if err == nil {
-		v = c.insertLocked(k, v, cost)
+		v = c.insertLocked(k, h, v, cost)
 	} else {
 		c.stats.BuildErrors++
 	}
@@ -403,7 +422,7 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Bytes = c.bytes
 	s.Capacity = c.maxBytes
-	s.Entries = len(c.entries)
+	s.Entries = c.n
 	return s
 }
 
@@ -411,15 +430,15 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.n
 }
 
-// insertLocked publishes (k, v) and evicts past the byte budget. The
-// first insert of a key wins: if k is already present (a racing
-// GetOrBuildLocal builder lost), the existing artifact is returned so
-// every caller converges on one identity.
-func (c *Cache) insertLocked(k Key, v any, cost int64) any {
-	if e := c.entries[k]; e != nil {
+// insertLocked publishes (k, v), h being k's digest, and evicts past the
+// byte budget. The first insert of a key wins: if k is already present
+// (a racing GetOrBuildLocal builder lost), the existing artifact is
+// returned so every caller converges on one identity.
+func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
+	if e := c.find(h, k); e != nil {
 		c.touch(e)
 		return e.val
 	}
@@ -430,8 +449,9 @@ func (c *Cache) insertLocked(k Key, v any, cost int64) any {
 		c.stats.TooBig++
 		return v
 	}
-	e := &entry{key: k, val: v, cost: cost}
-	c.entries[k] = e
+	e := &entry{key: k, hash: h, val: v, cost: cost, chain: c.entries[h]}
+	c.entries[h] = e
+	c.n++
 	c.pushFront(e)
 	c.bytes += cost
 	c.stats.Inserts++
@@ -443,9 +463,28 @@ func (c *Cache) insertLocked(k Key, v any, cost int64) any {
 
 func (c *Cache) evictLocked(e *entry) {
 	c.unlink(e)
-	delete(c.entries, e.key)
+	if head := c.entries[e.hash]; head != e {
+		for head.chain != e {
+			head = head.chain
+		}
+		head.chain = e.chain
+	} else if e.chain != nil {
+		c.entries[e.hash] = e.chain
+	} else {
+		delete(c.entries, e.hash)
+	}
+	c.n--
 	c.bytes -= e.cost
 	c.stats.Evictions++
+}
+
+// find returns the entry of k, whose digest is h, or nil.
+func (c *Cache) find(h uint64, k Key) *entry {
+	e := c.entries[h]
+	for e != nil && e.key != k {
+		e = e.chain
+	}
+	return e
 }
 
 // touch moves e to the MRU end.

@@ -327,6 +327,64 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
+// TestDigestCollisionsChain drives the index with keys forced onto one
+// digest (no two real keys are known to collide): each stays findable
+// under its own identity, and evicting the chain's head, middle and
+// tail in any order leaves the rest linked and the occupancy exact.
+func TestDigestCollisionsChain(t *testing.T) {
+	const h = 7
+	for _, order := range [][]int{{1, 2, 3}, {3, 2, 1}, {2, 1, 3}, {2, 3, 1}} {
+		c := New(Config{MaxBytes: 1 << 20})
+		live := 0
+		resident := [4]bool{}
+		check := func(when string) {
+			t.Helper()
+			for i := 1; i <= 3; i++ {
+				e := c.find(h, key(i))
+				if (e != nil) != resident[i] || (e != nil && e.val != i) {
+					t.Fatalf("order %v, %s: key %d -> %+v, want resident=%v", order, when, i, e, resident[i])
+				}
+			}
+			if st := c.Stats(); st.Entries != live || st.Bytes != int64(10*live) || len(c.entries) != min(live, 1) {
+				t.Fatalf("order %v, %s: %+v in %d slots, want %d entries in one", order, when, st, len(c.entries), live)
+			}
+		}
+		for i := 1; i <= 3; i++ {
+			c.insertLocked(key(i), h, i, 10)
+			resident[i] = true
+			live++
+			check(fmt.Sprintf("after inserting %d", i))
+		}
+		for _, victim := range order {
+			c.evictLocked(c.find(h, key(victim)))
+			resident[victim] = false
+			live--
+			check(fmt.Sprintf("after evicting %d", victim))
+		}
+	}
+}
+
+// TestDigestCoversEveryField: a field the digest skipped would still
+// look up correctly (colliding keys chain) but pile a whole key family
+// onto one slot.
+func TestDigestCoversEveryField(t *testing.T) {
+	base := Key{Topo: 1, Graph: 2, Avoid: 3, Algo: "dh", Size: 4, Param: 5}
+	for field, change := range map[string]func(*Key){
+		"Topo":  func(k *Key) { k.Topo++ },
+		"Graph": func(k *Key) { k.Graph++ },
+		"Avoid": func(k *Key) { k.Avoid++ },
+		"Algo":  func(k *Key) { k.Algo = "cn" },
+		"Size":  func(k *Key) { k.Size++ },
+		"Param": func(k *Key) { k.Param++ },
+	} {
+		k := base
+		change(&k)
+		if k.digest() == base.digest() {
+			t.Errorf("digest ignores %s", field)
+		}
+	}
+}
+
 func TestSizeClass(t *testing.T) {
 	cases := []struct{ bytes, class int }{
 		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {1024, 10}, {1025, 11},
