@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif lint-baseline verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc plan-bench chaos faults linkfaults fuzz mega repro examples clean
+.PHONY: all build vet fmt-check lint lint-sarif lint-baseline verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc chaos faults linkfaults fuzz mega repro examples clean
 
 all: build lint verify-plans test
 
@@ -128,14 +128,6 @@ loc:
 	@for d in internal/* cmd/*; do printf '%6d %s\n' \
 		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done; \
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
-
-# Planner heavy-traffic benchmark (DESIGN.md §13): millions of
-# Zipf-distributed plan requests over thousands of neighborhoods
-# through the content-addressed plan cache — plans/sec, hit rate,
-# coalescing proof and tail latency vs. the negotiate-every-request
-# baseline, snapshot in results/BENCH_pr10.json.
-plan-bench:
-	$(GO) run ./cmd/nbr-plan -json results/BENCH_pr10.json
 
 # Regenerate the experiment outputs in results/ (~15 min at medium scale).
 repro:

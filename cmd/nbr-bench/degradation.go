@@ -122,22 +122,18 @@ func degradationScenarios(c topology.Cluster, seed int64) ([]degScenario, error)
 	}, nil
 }
 
-// degOps builds the measured algorithm set over g with the scenario's
-// CN share-group size.
-func degOps(g *vgraph.Graph, c topology.Cluster, cnK int) ([]collective.VOp, error) {
-	dh, err := collective.NewDistanceHalving(g, c.L())
-	if err != nil {
-		return nil, err
+// allOps builds every algorithm of the table over g with CN share-group
+// size cnK: the set the recovery and degradation tables measure.
+func allOps(g *vgraph.Graph, c topology.Cluster, cnK int) ([]collective.VOp, error) {
+	var ops []collective.VOp
+	for _, algo := range collective.Algos() {
+		op, err := collective.New(algo, g, c, collective.PlanParams{CNGroup: cnK}, nil)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
 	}
-	cn, err := collective.NewCommonNeighbor(g, cnK)
-	if err != nil {
-		return nil, err
-	}
-	lb, err := collective.NewLeaderBased(g, c)
-	if err != nil {
-		return nil, err
-	}
-	return []collective.VOp{collective.NewNaive(g), dh, cn, lb}, nil
+	return ops, nil
 }
 
 func runDegradation(out io.Writer, path string, c topology.Cluster, msgSize int, seed int64, wall time.Duration) error {
@@ -157,7 +153,7 @@ func runDegradation(out io.Writer, path string, c topology.Cluster, msgSize int,
 	}
 	var jobs []job
 	for _, sc := range scenarios {
-		ops, err := degOps(sc.graph, c, sc.cnK)
+		ops, err := allOps(sc.graph, c, sc.cnK)
 		if err != nil {
 			return err
 		}

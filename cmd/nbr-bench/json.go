@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"nbrallgather/internal/collective"
 	"nbrallgather/internal/harness"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/sweep"
@@ -137,7 +136,7 @@ func runJSON(out io.Writer, path string, c topology.Cluster, trials int, seed in
 	if err != nil {
 		return err
 	}
-	ops, err := recoveryOps(g, c)
+	ops, err := allOps(g, c, 2)
 	if err != nil {
 		return err
 	}
@@ -193,20 +192,4 @@ func runJSON(out io.Writer, path string, c topology.Cluster, trials int, seed in
 	}
 	fmt.Fprintf(out, "wrote %s (%d fig4 cells, %d recovery rows)\n", path, len(doc.Fig4), len(doc.Recovery))
 	return nil
-}
-
-func recoveryOps(g *vgraph.Graph, c topology.Cluster) ([]collective.VOp, error) {
-	dh, err := collective.NewDistanceHalving(g, c.L())
-	if err != nil {
-		return nil, err
-	}
-	cn, err := collective.NewCommonNeighbor(g, 2)
-	if err != nil {
-		return nil, err
-	}
-	lb, err := collective.NewLeaderBased(g, c)
-	if err != nil {
-		return nil, err
-	}
-	return []collective.VOp{collective.NewNaive(g), dh, cn, lb}, nil
 }

@@ -34,9 +34,11 @@ func checkCounts(g *vgraph.Graph, counts []int) {
 	}
 }
 
-// checkArgsV validates what every run checks, in O(degree): the
-// communicator size and, in real mode, the calling rank's buffers.
-func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rbuf []byte) {
+// checkArgs validates what every run checks, in O(degree): the
+// communicator size and, in real mode, the calling rank's buffers
+// against the blocks the plan's layout puts in them.
+func (pl *Plan) checkArgs(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+	g := pl.Graph
 	if p.Size() != g.N() {
 		panic(fmt.Sprintf("collective: runtime has %d ranks, graph %d", p.Size(), g.N()))
 	}
@@ -44,12 +46,21 @@ func checkArgsV(p mpirt.Endpoint, g *vgraph.Graph, sbuf []byte, counts []int, rb
 		return
 	}
 	r := p.Rank()
-	if len(sbuf) != counts[r] {
-		panic(fmt.Sprintf("collective: rank %d sbuf length %d != counts[%d] %d", r, len(sbuf), r, counts[r]))
-	}
+	lo, hi := pl.Owned(r)
 	want := 0
+	for _, c := range counts[lo:hi] {
+		want += c
+	}
+	if len(sbuf) != want {
+		what := fmt.Sprintf("counts[%d]", r)
+		if pl.Alltoall() {
+			what = "Σ send counts"
+		}
+		panic(fmt.Sprintf("collective: rank %d sbuf length %d != %s %d", r, len(sbuf), what, want))
+	}
+	want = 0
 	for _, u := range g.In(r) {
-		want += counts[u]
+		want += counts[pl.InBlock(u, r)]
 	}
 	if len(rbuf) != want {
 		panic(fmt.Sprintf("collective: rank %d rbuf length %d != Σ incoming counts %d", r, len(rbuf), want))

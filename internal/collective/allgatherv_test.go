@@ -420,7 +420,8 @@ func TestPlanOpSize(t *testing.T) {
 
 // TestInterpreterRejectsBrokenPlans: a hand-broken plan must stop the
 // receiving rank with a message naming it, in phantom and real mode
-// alike, never mis-deliver silently.
+// alike, never mis-deliver silently. The edge rows are alltoall-layout
+// plans over the same graph (block 0 = segment 0→1, block 1 = 2→1).
 func TestInterpreterRejectsBrokenPlans(t *testing.T) {
 	c := topology.Cluster{Nodes: 1, SocketsPerNode: 1, RanksPerSocket: 3}
 	both, err := vgraph.FromOutLists(3, [][]int{{1}, {}, {1}}) // 0→1, 2→1
@@ -433,47 +434,76 @@ func TestInterpreterRejectsBrokenPlans(t *testing.T) {
 	}
 	counts := []int{3, 5, 7}
 	const tag = 1
+	none := func(*PlanBuilder) {}
 	for _, tc := range []struct {
 		name  string
 		g     *vgraph.Graph
+		edge  bool
 		ranks [3]func(b *PlanBuilder)
 		want  string
+		// realOnly: phantom mode tracks no holdings to miss the block in.
+		realOnly bool
 	}{
-		{"dropped block", both, [3]func(*PlanBuilder){
+		{"dropped block", both, false, [3]func(*PlanBuilder){
 			func(b *PlanBuilder) { b.Send(1, tag, 0, 0) },
 			func(b *PlanBuilder) { b.Recv(0, tag, 0, 0, 2); b.Wait(0, 1) },
-			func(b *PlanBuilder) {},
-		}, "rank 1 expected 10 bytes from 0, got 3"},
-		{"wrong block size", both, [3]func(*PlanBuilder){
+			none,
+		}, "rank 1 expected 10 bytes from 0, got 3", false},
+		{"wrong block size", both, false, [3]func(*PlanBuilder){
 			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
 			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 2); b.Wait(0, 1) },
-			func(b *PlanBuilder) {},
-		}, "rank 1 expected 7 bytes from 0, got 3"},
-		{"wait on a non-receive", both, [3]func(*PlanBuilder){
+			none,
+		}, "rank 1 expected 7 bytes from 0, got 3", false},
+		{"wait on a non-receive", both, false, [3]func(*PlanBuilder){
 			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
 			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 0); b.Wait(0, 2) },
-			func(b *PlanBuilder) {},
-		}, "rank 1 wait at op 1 names op 1, not a pending receive"},
-		{"non-in-neighbor delivery", only0, [3]func(*PlanBuilder){
+			none,
+		}, "rank 1 wait at op 1 names op 1, not a pending receive", false},
+		{"non-in-neighbor delivery", only0, false, [3]func(*PlanBuilder){
 			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 0) },
 			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 0); b.Recv(2, tag, Deliver, 2); b.Wait(0, 2) },
 			func(b *PlanBuilder) { b.Send(1, tag, Deliver, 2) },
-		}, "rank 1 received payload of non-in-neighbor 2 from 2"},
+		}, "rank 1 received payload of non-in-neighbor 2 from 2", false},
+		{"dropped segment", both, true, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(1, tag, 0, 0) },
+			func(b *PlanBuilder) { b.Recv(0, tag, 0, 0, 1); b.Wait(0, 1) },
+			none,
+		}, "rank 1 expected 8 bytes from 0, got 3", false},
+		{"segment delivered off its edge", both, true, [3]func(*PlanBuilder){
+			func(b *PlanBuilder) { b.Send(2, tag, Deliver, 0) },
+			none,
+			func(b *PlanBuilder) { b.Recv(0, tag, Deliver, 0); b.Wait(0, 1) },
+		}, "rank 2 received payload of segment 0→1, addressed elsewhere from 0", false},
+		{"segment sent before it is held", both, true, [3]func(*PlanBuilder){
+			none,
+			func(b *PlanBuilder) { b.Send(2, tag, 0, 0) },
+			func(b *PlanBuilder) { b.Recv(1, tag, 0, 0); b.Wait(0, 1) },
+		}, "rank 1 uses block 0 not in buffer", true},
 	} {
 		b := NewPlanBuilder(tc.g, 0, 0)
+		if tc.edge {
+			b = NewAlltoallPlanBuilder(tc.g, 0, 0)
+		}
 		for _, f := range tc.ranks {
 			f(b)
 			b.EndRank()
 		}
-		op := &Naive{planBase{name: "broken", plan: b.Plan()}}
+		pl := b.Plan()
 		for _, phantom := range []bool{true, false} {
+			if phantom && tc.realOnly {
+				continue
+			}
 			_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: phantom}, func(p *mpirt.Proc) {
 				r := p.Rank()
-				want := 0
-				for _, u := range tc.g.In(r) {
-					want += counts[u]
+				lo, hi := pl.Owned(r)
+				send, recv := 0, 0
+				for _, n := range counts[lo:hi] {
+					send += n
 				}
-				op.RunV(p, make([]byte, counts[r]), counts, make([]byte, want))
+				for _, u := range tc.g.In(r) {
+					recv += counts[pl.InBlock(u, r)]
+				}
+				pl.run(p, make([]byte, send), counts, make([]byte, recv))
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s (phantom=%v): error %v, want it to contain %q", tc.name, phantom, err, tc.want)
@@ -534,13 +564,13 @@ func TestInterpreterPhantomAllocs(t *testing.T) {
 
 // spyOp records the counts slice each rank's RunV receives.
 type spyOp struct {
-	*Naive
+	*Allgather
 	seen []*int
 }
 
 func (s *spyOp) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	s.seen[p.Rank()] = &counts[0]
-	s.Naive.RunV(p, sbuf, counts, rbuf)
+	s.Allgather.RunV(p, sbuf, counts, rbuf)
 }
 
 // TestUniformCountsShared: every rank's Run, RunFT and AllgatherInit on
@@ -551,7 +581,7 @@ func TestUniformCountsShared(t *testing.T) {
 	g := erGraph(t, c.Ranks(), 0.6, 5)
 	const m = 16
 	n := g.N()
-	spy := &spyOp{Naive: NewNaive(g), seen: make([]*int, n)}
+	spy := &spyOp{Allgather: NewNaive(g), seen: make([]*int, n)}
 	ft, init := make([]*int, n), make([]*int, n)
 	_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: true}, func(p *mpirt.Proc) {
 		r := p.Rank()

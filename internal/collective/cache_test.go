@@ -210,9 +210,9 @@ func TestRebuildFTRepairCaching(t *testing.T) {
 	avoid[2] = true
 
 	before := pc.Stats()
-	first := rebuildFT(dh, g2, alive, avoid)
+	first := dh.rebuild(g2, alive, avoid)
 	mid := pc.Stats()
-	second := rebuildFT(dh, g2, alive, avoid)
+	second := dh.rebuild(g2, alive, avoid)
 	after := pc.Stats()
 
 	if mid.Misses != before.Misses+1 {
@@ -224,9 +224,9 @@ func TestRebuildFTRepairCaching(t *testing.T) {
 	if after.Hits != mid.Hits+1 {
 		t.Fatalf("second repair: hits %d → %d, want a cache hit", mid.Hits, after.Hits)
 	}
-	fp, ok1 := first.(*DistanceHalving)
-	sp, ok2 := second.(*DistanceHalving)
-	if !ok1 || !ok2 {
+	fp, ok1 := first.(*Allgather)
+	sp, ok2 := second.(*Allgather)
+	if !ok1 || !ok2 || fp.algo != dh.algo || sp.algo != dh.algo {
 		t.Fatalf("repair degraded to %s / %s, want distance-halving", first.Name(), second.Name())
 	}
 	if fp.Plan() != sp.Plan() {
@@ -235,7 +235,7 @@ func TestRebuildFTRepairCaching(t *testing.T) {
 	// A different avoid set must key separately.
 	avoid2 := make([]bool, g2.N())
 	avoid2[3] = true
-	rebuildFT(dh, g2, alive, avoid2)
+	dh.rebuild(g2, alive, avoid2)
 	if st := pc.Stats(); st.Misses != after.Misses+1 {
 		t.Fatal("distinct avoid set did not trigger a fresh negotiation")
 	}
@@ -274,7 +274,7 @@ func TestPlanKeyDistinct(t *testing.T) {
 		t.Error("explicit default param does not share the default key")
 	}
 	// The in-process constructor key differs only by size class.
-	ck := dhKey(g, c.L(), pattern.PolicyLoadAware, nil)
+	ck := row("dh").cacheKey(planReq{g: g, prm: PlanParams{L: c.L(), Policy: pattern.PolicyLoadAware}})
 	ck.Size = plancache.SizeClass(1024)
 	if ck != base {
 		t.Error("PlanKey(dh) does not align with the constructor key")

@@ -141,40 +141,6 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	return p, nil
 }
 
-// CommonNeighbor is the message-combining baseline: an intra-group
-// payload exchange, then delegated combined deliveries (see emitCN).
-type CommonNeighbor struct {
-	planBase
-	k int
-}
-
-func newCN(k int, plan *Plan) *CommonNeighbor {
-	return &CommonNeighbor{planBase{name: fmt.Sprintf("common-neighbor(K=%d)", k), plan: plan}, k}
-}
-
-// NewCommonNeighbor builds the CN pattern for group size k and binds
-// the collective to it.
-func NewCommonNeighbor(g *vgraph.Graph, k int) (*CommonNeighbor, error) {
-	return NewCommonNeighborAvoiding(g, k, nil)
-}
-
-// NewCommonNeighborAvoiding builds the link-aware CN pattern (see
-// BuildCNAvoiding) and binds the collective to it, consulting the
-// installed plan cache (UsePlanCache) before negotiating.
-func NewCommonNeighborAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CommonNeighbor, error) {
-	plan, err := cachedPlan(cnKey(g, k, avoid), func() (*Plan, error) {
-		pat, err := BuildCNAvoiding(g, k, avoid)
-		if err != nil {
-			return nil, err
-		}
-		return emitCN(pat), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newCN(k, plan), nil
-}
-
 // BuildCNRank models one rank's share of the Common Neighbor pattern
 // construction cost (the Fig. 8 comparator): the calculate_A
 // neighbor-list allgather, an intra-group list exchange, and delegate

@@ -148,16 +148,6 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, group []int, senders []map[i
 	}
 }
 
-// NewCommonNeighborAffinity builds the affinity-grouped Common Neighbor
-// collective (the [IPDPS'19]-faithful baseline the harness sweeps).
-func NewCommonNeighborAffinity(g *vgraph.Graph, k int) (*CommonNeighbor, error) {
-	pat, err := BuildCNAffinity(g, k)
-	if err != nil {
-		return nil, err
-	}
-	return newCN(k, emitCN(pat)), nil
-}
-
 // BuildCNAffinityRank models one rank's share of the affinity
 // pattern-construction cost (the Fig. 8 comparator): the shared
 // calculate_A neighbor-list allgather, one pairing negotiation round

@@ -12,10 +12,11 @@
 //     halving phase relays growing buffers through negotiated agents,
 //     then a remainder phase delivers the rest, mostly within sockets.
 //
-// Each algorithm is an emitter producing a Plan (plan.go); the one
-// interpreter (interp.go) runs any plan against the mpirt runtime with
-// real payload bytes (verified against each other in tests) or phantom
-// payloads for paper-scale timing.
+// Each algorithm is one row of the algorithm table (emit.go): an
+// emitter producing a Plan (plan.go). The one interpreter (interp.go)
+// runs any plan against the mpirt runtime with real payload bytes
+// (verified against each other in tests) or phantom payloads for
+// paper-scale timing.
 package collective
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -51,84 +53,143 @@ func checkUniform(m int) {
 	}
 }
 
-// planBase is what the four algorithms share: a name, the emitted plan
-// the interpreter runs, and the memoised uniform counts.
-type planBase struct {
+// bound is what every op shares: a name, the emitted plan the
+// interpreter runs, the pattern it was emitted from when one was
+// negotiated here, and the memoised uniform counts.
+type bound struct {
 	name string
 	plan *Plan
+	pat  *pattern.Pattern
 	uc   ucCache
 }
 
 // Name implements Op.
-func (a *planBase) Name() string { return a.name }
+func (a *bound) Name() string { return a.name }
 
 // Graph implements Op.
-func (a *planBase) Graph() *vgraph.Graph { return a.plan.Graph }
+func (a *bound) Graph() *vgraph.Graph { return a.plan.Graph }
 
 // Plan returns the program the op runs. Read-only.
-func (a *planBase) Plan() *Plan { return a.plan }
+func (a *bound) Plan() *Plan { return a.plan }
 
-func (a *planBase) uniform(m int) []int { return a.uc.get(a.plan.Graph.N(), m) }
+// Pattern returns the Distance Halving pattern the plan was emitted
+// from: nil for other algorithms and for a plan out of the plan cache.
+func (a *bound) Pattern() *pattern.Pattern { return a.pat }
+
+func (a *bound) uniform(m int) []int { return a.uc.get(a.plan.NumBlocks(), m) }
+
+// Allgather is a row of the algorithm table bound to a virtual
+// topology: the op every allgather constructor returns. It keeps the
+// request its plan answers, which a repair re-emits from (ft.go).
+type Allgather struct {
+	bound
+	algo *algorithm
+	req  planReq
+}
 
 // Run implements Op: RunV with every count equal to m.
-func (a *planBase) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
+func (a *Allgather) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
 	checkUniform(m)
 	a.plan.run(p, sbuf, a.uniform(m), rbuf)
 }
 
 // RunV implements VOp.
-func (a *planBase) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+func (a *Allgather) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	checkCounts(a.plan.Graph, counts)
 	a.plan.run(p, sbuf, counts, rbuf)
 }
 
-// Naive is the direct point-to-point algorithm (default Open MPI):
-// isend to every outgoing neighbor, irecv from every incoming neighbor,
-// wait all.
-type Naive struct{ planBase }
-
-// NewNaive binds the naive algorithm to a graph.
-func NewNaive(g *vgraph.Graph) *Naive {
-	return &Naive{planBase{name: "naive", plan: emitNaive(g)}}
+// op binds an op of this row to an emitted plan.
+func (a *algorithm) op(pl *Plan, pat *pattern.Pattern, q planReq) *Allgather {
+	return &Allgather{bound: bound{name: a.title(q), plan: pl, pat: pat}, algo: a, req: q}
 }
 
-// DistanceHalving is the paper's algorithm (Algorithm 4; see emitDH).
-type DistanceHalving struct {
-	planBase
-	l   int
-	pat *pattern.Pattern
-}
-
-// NewDistanceHalving builds the communication pattern centrally for
-// stop threshold l and binds the collective to it, consulting the
-// installed plan cache (UsePlanCache) before negotiating.
-func NewDistanceHalving(g *vgraph.Graph, l int) (*DistanceHalving, error) {
-	return newDH(g, l, nil)
-}
-
-// newDH negotiates and emits (or fetches from the installed plan
-// cache) the DH plan for (g, l, avoid).
-func newDH(g *vgraph.Graph, l int, avoid []bool) (*DistanceHalving, error) {
+// bind emits the row's plan for q — or fetches it from the installed
+// plan cache (UsePlanCache), where it costs Plan.Bytes() and is keyed by
+// a.cacheKey(q), hashed only then — and binds an op to it. Safe inside rank
+// bodies.
+func (a *algorithm) bind(q planReq) (*Allgather, error) {
 	var pat *pattern.Pattern
-	plan, err := cachedPlan(dhKey(g, l, pattern.PolicyLoadAware, avoid), func() (*Plan, error) {
-		var err error
-		if pat, err = pattern.BuildAvoiding(g, l, pattern.PolicyLoadAware, avoid); err != nil {
-			return nil, err
+	build := func() (any, int64, error) {
+		pl, p, err := a.emit(q)
+		if err != nil {
+			return nil, 0, err
 		}
-		return emitDH(pat), nil
-	})
+		pat = p
+		return pl, pl.Bytes(), nil
+	}
+	var v any
+	var err error
+	if pc := ActivePlanCache(); pc != nil {
+		v, err = pc.GetOrBuildLocal(a.cacheKey(q), build)
+	} else {
+		v, _, err = build()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &DistanceHalving{planBase: planBase{name: "distance-halving", plan: plan}, l: l, pat: pat}, nil
+	return a.op(v.(*Plan), pat, q), nil
+}
+
+// New binds the named algorithm (see Algos) to graph g mapped rank for
+// rank onto cluster c, consulting the installed plan cache before
+// negotiating. A zero prm field selects the conformance-suite default.
+// A non-nil avoid set (indexed by rank) marks the ranks the plan keeps
+// out of relay roles: the op a repair over g would run.
+func New(name string, g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) (*Allgather, error) {
+	a, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return a.bind(request(g, c, prm, avoid))
+}
+
+// The constructors below take a knob as given: zero is an error, not a default.
+
+// NewNaive binds the direct point-to-point algorithm (default Open
+// MPI): isend to every outgoing neighbor, irecv from every incoming
+// neighbor, wait all.
+func NewNaive(g *vgraph.Graph) *Allgather {
+	return row("naive").op(emitNaive(g), nil, planReq{g: g})
+}
+
+// NewDistanceHalving builds the paper's communication pattern
+// (Algorithm 4; see emitDH) centrally for stop threshold l and binds
+// the collective to it.
+func NewDistanceHalving(g *vgraph.Graph, l int) (*Allgather, error) {
+	return row("dh").bind(planReq{g: g, prm: PlanParams{L: l}})
 }
 
 // NewDistanceHalvingFromPattern binds the collective to an existing
 // pattern (e.g. one produced by the distributed builder).
-func NewDistanceHalvingFromPattern(pat *pattern.Pattern) *DistanceHalving {
-	return &DistanceHalving{planBase: planBase{name: "distance-halving", plan: emitDH(pat)}, l: pat.L, pat: pat}
+func NewDistanceHalvingFromPattern(pat *pattern.Pattern) *Allgather {
+	return row("dh").op(emitDH(pat), pat, planReq{g: pat.Graph, prm: PlanParams{L: pat.L}})
 }
 
-// Pattern returns the negotiated pattern the plan was emitted from, or
-// nil when the plan came out of the plan cache.
-func (a *DistanceHalving) Pattern() *pattern.Pattern { return a.pat }
+// NewCommonNeighbor builds the message-combining baseline (see
+// BuildCN, emitCN) for group size k and binds the collective to it.
+func NewCommonNeighbor(g *vgraph.Graph, k int) (*Allgather, error) {
+	return row("cn").bind(planReq{g: g, prm: PlanParams{CNGroup: k}})
+}
+
+// NewCommonNeighborAffinity builds the affinity-grouped Common Neighbor
+// collective (the [IPDPS'19]-faithful baseline the harness sweeps).
+func NewCommonNeighborAffinity(g *vgraph.Graph, k int) (*Allgather, error) {
+	pat, err := BuildCNAffinity(g, k)
+	if err != nil {
+		return nil, err
+	}
+	return row("cn").op(emitCN(pat), nil, planReq{g: g, prm: PlanParams{CNGroup: k}}), nil
+}
+
+// NewLeaderBased builds the single-leader hierarchy (see emitLeader).
+func NewLeaderBased(g *vgraph.Graph, c topology.Cluster) (*Allgather, error) {
+	return NewLeaderBasedK(g, c, 1)
+}
+
+// NewLeaderBasedK builds the hierarchy with up to k leaders per node
+// (the node's first k ranks); node-pair traffic is spread across them
+// by descending segment count onto the least-loaded leader.
+func NewLeaderBasedK(g *vgraph.Graph, c topology.Cluster, k int) (*Allgather, error) {
+	return row("leader").bind(planReq{g: g, c: c, prm: PlanParams{Leaders: k}})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/plancache"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
@@ -37,42 +38,174 @@ func (prm PlanParams) resolve(c topology.Cluster) PlanParams {
 	return prm
 }
 
+// planReq is one plan request, everything an emitter reads: graph g
+// mapped onto cluster c through place (graph rank → cluster rank, nil =
+// identity: the placement survivors keep after fail-stop recovery), the
+// knobs, and the link-aware avoid set (by rank, nil for none) of ranks
+// to keep out of relay roles.
+type planReq struct {
+	g     *vgraph.Graph
+	c     topology.Cluster
+	prm   PlanParams
+	place []int
+	avoid []bool
+}
+
+// emitFunc emits a request's plan, with the DH pattern if it built one.
+type emitFunc func(planReq) (*Plan, *pattern.Pattern, error)
+
+// algorithm is one row of the algorithm table: everything that differs
+// between two algorithms. Emit, New, PlanKey, BuildPlan, Algos and the
+// repair path (ft.go) all read it, so a new algorithm is one row.
+type algorithm struct {
+	// name is what requests, conformance cases and cache keys call it.
+	name string
+	// knob sets the PlanParams field a plan request's one integer means
+	// (nil: the algorithm has none).
+	knob func(PlanParams, int) PlanParams
+	// title is the bound op's Name().
+	title func(planReq) string
+	// key is the cache key's Topo — a salt keeping rows that hash the same
+	// inputs apart, folded with what the row reads besides graph and avoid
+	// set — and its Param, the knob. All by value: keying allocates nothing.
+	key  func(planReq) (topo uint64, param int)
+	emit emitFunc
+	// alltoall emits the neighborhood alltoall form (nil: it has none).
+	alltoall emitFunc
+}
+
+var algorithms = []algorithm{{
+	name:     "naive",
+	title:    func(planReq) string { return "naive" },
+	key:      func(planReq) (uint64, int) { return plancache.HashWords(1), 0 },
+	emit:     func(q planReq) (*Plan, *pattern.Pattern, error) { return emitNaive(q.g), nil, nil },
+	alltoall: func(q planReq) (*Plan, *pattern.Pattern, error) { return emitNaiveAlltoall(q.g), nil, nil },
+}, {
+	// Consecutive grouping; avoided ranks re-group as singletons so the
+	// share exchange never crosses their wounded resource.
+	name:  "cn",
+	knob:  func(prm PlanParams, k int) PlanParams { prm.CNGroup = k; return prm },
+	title: func(q planReq) string { return fmt.Sprintf("common-neighbor(K=%d)", q.prm.CNGroup) },
+	key:   func(q planReq) (uint64, int) { return plancache.HashWords(3, uint64(q.prm.CNGroup)), q.prm.CNGroup },
+	emit: func(q planReq) (*Plan, *pattern.Pattern, error) {
+		pat, err := BuildCNAvoiding(q.g, q.prm.CNGroup, q.avoid)
+		if err != nil {
+			return nil, nil, err
+		}
+		return emitCN(pat), nil, nil
+	},
+}, {
+	// The key depends only on the graph, the stop threshold, the agent
+	// policy and the avoid set. Re-running the stable matching over a
+	// survivor graph is the agent re-negotiation: a dead agent's origin
+	// re-matches to a live rank of the opposite half, a step whose
+	// opposite half is empty elects NoRank (its deliveries fall to the
+	// direct final sends), and avoided ranks sit the matching out with
+	// deliveries to them pinned to their original sources.
+	name:  "dh",
+	knob:  func(prm PlanParams, l int) PlanParams { prm.L = l; return prm },
+	title: func(planReq) string { return "distance-halving" },
+	key: func(q planReq) (uint64, int) {
+		return plancache.HashWords(2, uint64(q.prm.L), uint64(q.prm.Policy)), q.prm.L
+	},
+	emit:     func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDH) },
+	alltoall: func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDHAlltoall) },
+}, {
+	// The placement vector is part of the key: two recoveries with
+	// different survivor placements must never share a plan even when
+	// their projected graphs fingerprint equally.
+	name: "leader",
+	knob: func(prm PlanParams, k int) PlanParams { prm.Leaders = k; return prm },
+	title: func(q planReq) string {
+		if k := min(q.prm.Leaders, q.c.RanksPerNode()); k > 1 {
+			return fmt.Sprintf("leader-based(%d)", k)
+		}
+		return "leader-based"
+	},
+	key: func(q planReq) (uint64, int) {
+		return plancache.HashWords(4, q.c.Fingerprint(), plancache.HashInts(q.place)), q.prm.Leaders
+	},
+	emit: func(q planReq) (*Plan, *pattern.Pattern, error) {
+		pl, err := emitLeader(q.g, q.c, q.prm.Leaders, q.place, q.avoid)
+		return pl, nil, err
+	},
+}}
+
+func negotiateDH(q planReq, emit func(*pattern.Pattern) *Plan) (*Plan, *pattern.Pattern, error) {
+	pat, err := pattern.BuildAvoiding(q.g, q.prm.L, q.prm.Policy, q.avoid)
+	if err != nil {
+		return nil, nil, err
+	}
+	return emit(pat), pat, nil
+}
+
+// row returns the table row called name, nil when there is none.
+func row(name string) *algorithm {
+	for i := range algorithms {
+		if algorithms[i].name == name {
+			return &algorithms[i]
+		}
+	}
+	return nil
+}
+
+// lookup is row for a name that came from outside the package.
+func lookup(name string) (*algorithm, error) {
+	if a := row(name); a != nil {
+		return a, nil
+	}
+	return nil, fmt.Errorf("collective: unknown plan algorithm %q", name)
+}
+
+// request is the plan request over g and c whose zero knobs are the
+// conformance-suite defaults.
+func request(g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) planReq {
+	return planReq{g: g, c: c, prm: prm.resolve(c), avoid: avoid}
+}
+
+// Algos lists the algorithms in canonical (table) order.
+func Algos() []string {
+	names := make([]string, len(algorithms))
+	for i := range algorithms {
+		names[i] = algorithms[i].name
+	}
+	return names
+}
+
+// HasAlltoall reports whether the named algorithm has an alltoall form.
+func HasAlltoall(name string) bool { a := row(name); return a != nil && a.alltoall != nil }
+
 // Emit negotiates algo over g (mapped rank for rank onto c) and emits
 // its plan, from scratch — no cache consultation. A non-nil avoid set
 // selects the link-aware repair builders.
 func Emit(algo string, g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) (*Plan, error) {
-	prm = prm.resolve(c)
-	switch algo {
-	case "naive":
-		return emitNaive(g), nil
-	case "dh":
-		pat, err := pattern.BuildAvoiding(g, prm.L, prm.Policy, avoid)
-		if err != nil {
-			return nil, err
-		}
-		return emitDH(pat), nil
-	case "cn":
-		pat, err := BuildCNAvoiding(g, prm.CNGroup, avoid)
-		if err != nil {
-			return nil, err
-		}
-		return emitCN(pat), nil
-	case "leader":
-		return emitLeader(g, c, prm.Leaders, nil, avoid)
+	a, err := lookup(algo)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("collective: unknown plan algorithm %q", algo)
+	pl, _, err := a.emit(request(g, c, prm, avoid))
+	return pl, err
 }
 
-// emitNaive: post a receive per in-neighbor, send the own block to
-// every out-neighbor, wait in post order.
+// emitNaive: post a receive per in-neighbor, send every out-neighbor
+// the block that lands there — the own block, or in the alltoall layout
+// that neighbor's segment — and wait in post order.
 func emitNaive(g *vgraph.Graph) *Plan {
-	b := NewPlanBuilder(g, 2*g.Edges()+g.N(), 0)
+	return emitDirect(NewPlanBuilder(g, 2*g.Edges()+g.N(), 0), tags.Naive)
+}
+
+func emitNaiveAlltoall(g *vgraph.Graph) *Plan {
+	return emitDirect(NewAlltoallPlanBuilder(g, 2*g.Edges()+g.N(), 0), tags.A2ANaive)
+}
+
+func emitDirect(b *PlanBuilder, tag int) *Plan {
+	g := b.pl.Graph
 	for r := 0; r < g.N(); r++ {
 		for _, u := range g.In(r) {
-			b.Recv(u, tags.Naive, Deliver, u)
+			b.Recv(u, tag, Deliver, b.pl.InBlock(u, r))
 		}
 		for _, v := range g.Out(r) {
-			b.Send(v, tags.Naive, Deliver, r)
+			b.Send(v, tag, Deliver, b.pl.InBlock(r, v))
 		}
 		b.Wait(0, g.InDegree(r))
 		b.EndRank()

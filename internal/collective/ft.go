@@ -140,11 +140,11 @@ func RunFTV(p *mpirt.Proc, op VOp, sbuf []byte, counts []int, rbuf []byte) (*FTR
 		// are feasible — fall back to naive over exactly those edges.
 		degraded := model.HasLinkFaults() && sameRanks(alive, lastAlive)
 		lastAlive = alive
-		var op2 VOp
-		if degraded {
-			op2 = NewNaive(g2)
-		} else {
-			op2 = rebuildFT(op, g2, alive, linkAvoidSet(model, alive))
+		op2 := VOp(NewNaive(g2))
+		if rb, ok := op.(interface {
+			rebuild(*vgraph.Graph, []int, []bool) VOp
+		}); ok && !degraded {
+			op2 = rb.rebuild(g2, alive, linkAvoidSet(model, alive))
 		}
 		counts2 := make([]int, len(alive))
 		for i, o := range alive {
@@ -202,51 +202,28 @@ func identityComm(n int) *mpirt.Comm {
 	return mpirt.NewComm(all, n)
 }
 
-// rebuildFT re-emits op's algorithm over the survivor-projected graph
+// rebuild re-emits the op's table row over the survivor-projected graph
 // g2 (alive lists the surviving original ranks, defining shrunken rank
 // i ↔ original rank alive[i]) with an avoid set (indexed by shrunken
 // rank, nil for none) marking link-impaired survivors the new plan must
-// keep out of relay roles. The re-emitted plan caches under the
-// avoid-set key, so repeated recoveries over the same survivor graph
-// and fault set reuse one negotiation. If the algorithm cannot be
-// re-emitted, the collective degrades to naive over the shrunken
+// keep out of relay roles. Survivors keep their physical placement, and
+// a group cannot outgrow the communicator. The re-emitted plan caches
+// under the avoid-set key, so repeated recoveries over the same
+// survivor graph and fault set reuse one negotiation. If the row cannot
+// be re-emitted, the collective degrades to naive over the shrunken
 // communicator — always well-defined.
-func rebuildFT(op VOp, g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
-	switch a := op.(type) {
-	case *DistanceHalving:
-		// Re-running the stable matching over the survivor graph is the
-		// agent re-negotiation: a dead agent's origin re-matches to a
-		// live rank of the opposite half, and a step whose opposite
-		// half is empty elects NoRank, which routes its deliveries to
-		// the plan's direct final sends. With an avoid set, impaired
-		// ranks sit the matching out entirely and deliveries to them
-		// stay pinned to their original sources.
-		if r, err := newDH(g2, a.l, avoid); err == nil {
-			return r
+func (a *Allgather) rebuild(g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
+	q := planReq{g: g2, c: a.req.c, prm: a.req.prm, place: make([]int, len(alive)), avoid: avoid}
+	q.prm.CNGroup = min(q.prm.CNGroup, g2.N())
+	q.prm.Leaders = min(q.prm.Leaders, q.c.RanksPerNode())
+	for i, o := range alive {
+		q.place[i] = o
+		if a.req.place != nil {
+			q.place[i] = a.req.place[o]
 		}
-	case *CommonNeighbor:
-		// Impaired survivors re-group as singletons so the share
-		// exchange never crosses their wounded resource.
-		if k := min(a.k, g2.N()); k >= 1 {
-			if r, err := NewCommonNeighborAvoiding(g2, k, avoid); err == nil {
-				return r
-			}
-		}
-	case *LeaderBased:
-		// Survivors keep their physical placement; leadership is
-		// re-elected among each node's survivors, preferring survivors
-		// with healthy ports.
-		place := make([]int, len(alive))
-		for i, o := range alive {
-			if a.place != nil {
-				place[i] = a.place[o]
-			} else {
-				place[i] = o
-			}
-		}
-		if r, err := NewLeaderBasedPlacedAvoiding(g2, a.c, a.leaders, place, avoid); err == nil {
-			return r
-		}
+	}
+	if op, err := a.algo.bind(q); err == nil {
+		return op
 	}
 	return NewNaive(g2)
 }

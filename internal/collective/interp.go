@@ -6,8 +6,8 @@ import (
 	"nbrallgather/internal/mpirt"
 )
 
-// run executes the calling rank's program of the plan: the one place
-// allgather(v) touches the runtime. Ops run strictly in program order,
+// run executes the calling rank's program of the plan: the one place a
+// collective touches the runtime. Ops run strictly in program order,
 // and ChargeCopy is charged by three rules only — once, for the whole
 // payload, before a Packed send; once per block when a Packed Deliver
 // message is unpacked; once per OpCopy — so the virtual clock sees the
@@ -15,8 +15,7 @@ import (
 // copies, not the host's two per byte (gather in, deliver out). Phantom
 // mode moves no bytes and tracks no holdings.
 func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
-	g := pl.Graph
-	checkArgsV(p, g, sbuf, counts, rbuf)
+	pl.checkArgs(p, sbuf, counts, rbuf)
 	r := p.Rank()
 	ops := pl.Ops(r)
 	posted := 0 // one past the last receive's op index
@@ -62,13 +61,14 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 		case OpCopy:
 			b := pl.Blocks(op)[0]
 			if op.Flags&Deliver != 0 {
-				if !g.HasEdge(int(b), r) {
-					panic(fmt.Sprintf("collective: rank %d self-copy of non-in-neighbor %d", r, b))
+				origin, ok := pl.Lands(b, r)
+				if !ok {
+					panic(fmt.Sprintf("collective: rank %d self-copy of %s", r, pl.stray(b)))
 				}
 				if st != nil {
-					st.deliver(b, st.block(b))
+					st.deliver(origin, st.block(b))
 				}
-			} else if int(b) != r { // staging is a modelled copy: sends gather from sbuf
+			} else if lo, hi := pl.Owned(r); int(b) < lo || int(b) >= hi { // staging is a modelled copy: sends gather from sbuf
 				panic(fmt.Sprintf("collective: rank %d stages block %d, not its own", r, b))
 			}
 			p.ChargeCopy(counts[b])
@@ -84,7 +84,9 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 
 // arrive handles the message that completed receive rv: checks its size
 // against the blocks it must carry, then delivers each block into the
-// result buffer or keeps it as a forward.
+// result buffer or keeps it as a forward. The layout is read once per
+// message, so the allgather loop does what it always did per block:
+// HasEdge, and in real mode one IndexOfIn.
 func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg, counts []int) {
 	r := p.Rank()
 	blocks := pl.Blocks(rv)
@@ -98,16 +100,22 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg
 	if want := blockBytes(blocks, counts); msg.Size != want {
 		panic(fmt.Sprintf("collective: rank %d expected %d bytes from %d, got %d", r, want, msg.Src, msg.Size))
 	}
-	deliver := rv.Flags&Deliver != 0
+	deliver, gather := rv.Flags&Deliver != 0, pl.edgeOff == nil
 	pos := 0
 	for _, b := range blocks {
 		c := counts[b]
 		if deliver {
-			if !pl.Graph.HasEdge(int(b), r) {
-				panic(fmt.Sprintf("collective: rank %d received payload of non-in-neighbor %d from %d", r, b, msg.Src))
+			origin, ok := int(b), false
+			if gather {
+				ok = pl.Graph.HasEdge(origin, r)
+			} else {
+				origin, ok = pl.Lands(b, r)
+			}
+			if !ok {
+				panic(fmt.Sprintf("collective: rank %d received payload of %s from %d", r, pl.stray(b), msg.Src))
 			}
 			if st != nil {
-				st.deliver(b, msg.Data[pos:pos+c])
+				st.deliver(origin, msg.Data[pos:pos+c])
 			}
 			if rv.Flags&Packed != 0 {
 				p.ChargeCopy(c)
@@ -124,6 +132,16 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg
 	}
 }
 
+// stray names a block that arrived where it does not land, for the
+// interpreter's panics.
+func (pl *Plan) stray(b int32) string {
+	if pl.edgeOff == nil {
+		return fmt.Sprintf("non-in-neighbor %d", b)
+	}
+	src, dst := pl.Edge(b)
+	return fmt.Sprintf("segment %d→%d, addressed elsewhere", src, dst)
+}
+
 // blockBytes is the payload size of a block list under counts.
 func blockBytes(blocks []int32, counts []int) int {
 	size := 0
@@ -138,10 +156,9 @@ func blockBytes(blocks []int32, counts []int) int {
 // forward that brought it, kept until the pass ends — and every send
 // gathers its blocks from there.
 type payloads struct {
-	pl     *Plan
-	r      int
-	counts []int
-	rbuf   []byte
+	pl   *Plan
+	r    int
+	rbuf []byte
 	// roff[i] is the result-buffer offset of in-neighbor In(r)[i].
 	roff []int
 	// held locates every block the rank holds.
@@ -156,13 +173,19 @@ type payloads struct {
 }
 
 func newPayloads(pl *Plan, r int, sbuf []byte, counts []int, rbuf []byte) *payloads {
-	st := &payloads{pl: pl, r: r, counts: counts, rbuf: rbuf, held: map[int32][]byte{int32(r): sbuf}}
+	lo, hi := pl.Owned(r)
+	st := &payloads{pl: pl, r: r, rbuf: rbuf, held: make(map[int32][]byte, hi-lo)}
+	pos := 0
+	for b := lo; b < hi; b++ {
+		st.held[int32(b)] = sbuf[pos : pos+counts[b]]
+		pos += counts[b]
+	}
 	in := pl.Graph.In(r)
 	st.roff = make([]int, len(in))
-	pos := 0
+	pos = 0
 	for i, u := range in {
 		st.roff[i] = pos
-		pos += counts[u]
+		pos += counts[pl.InBlock(u, r)]
 	}
 	return st
 }
@@ -196,8 +219,9 @@ func (st *payloads) snapshot(p mpirt.Endpoint, op *PlanOp, blocks []int32) mpirt
 	return st.snap
 }
 
-// deliver copies block b's bytes to its place in the result buffer.
-func (st *payloads) deliver(b int32, data []byte) {
-	i := st.pl.Graph.IndexOfIn(st.r, int(b))
-	copy(st.rbuf[st.roff[i]:st.roff[i]+st.counts[b]], data)
+// deliver copies a landed block's bytes to its origin's slot in the
+// result buffer.
+func (st *payloads) deliver(origin int, data []byte) {
+	i := st.pl.Graph.IndexOfIn(st.r, origin)
+	copy(st.rbuf[st.roff[i]:st.roff[i]+len(data)], data)
 }

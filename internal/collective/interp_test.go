@@ -15,19 +15,54 @@ import (
 // fourOps are the four allgather algorithms over g.
 func fourOps(tb testing.TB, g *vgraph.Graph, c topology.Cluster, cnK int) []Op {
 	tb.Helper()
-	dh, err := NewDistanceHalving(g, c.L())
-	if err != nil {
-		tb.Fatal(err)
+	var ops []Op
+	for _, algo := range Algos() {
+		op, err := New(algo, g, c, PlanParams{CNGroup: cnK}, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ops = append(ops, op)
 	}
-	cn, err := NewCommonNeighbor(g, cnK)
-	if err != nil {
-		tb.Fatal(err)
+	return ops
+}
+
+// uniformRun is one collective with uniform m-byte blocks, allgather or
+// alltoall alike: sendBlocks(r) blocks out of rank r, InDegree(r) in,
+// block i of rank r's send buffer filled by fill(buf, r, i) and the
+// receive buffer expected to equal want(r).
+type uniformRun struct {
+	name       string
+	sendBlocks func(r int) int
+	fill       func(buf []byte, r, i int)
+	want       func(r int) []byte
+	run        func(p mpirt.Endpoint, sbuf, rbuf []byte)
+}
+
+// sixRuns are fourOps and the two alltoall ops over g, with m-byte
+// blocks.
+func sixRuns(tb testing.TB, g *vgraph.Graph, c topology.Cluster, cnK, m int) []uniformRun {
+	tb.Helper()
+	var runs []uniformRun
+	for _, op := range fourOps(tb, g, c, cnK) {
+		runs = append(runs, uniformRun{op.Name(), func(int) int { return 1 },
+			func(buf []byte, r, _ int) { fillPattern(buf, r) },
+			func(r int) []byte { return expectedRbuf(g, r, m) },
+			func(p mpirt.Endpoint, sbuf, rbuf []byte) { op.Run(p, sbuf, m, rbuf) }})
 	}
-	lb, err := NewLeaderBased(g, c)
-	if err != nil {
-		tb.Fatal(err)
+	for _, algo := range Algos() {
+		if !HasAlltoall(algo) {
+			continue
+		}
+		op, err := NewAlltoall(algo, g, c, PlanParams{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		runs = append(runs, uniformRun{op.Name(), g.OutDegree,
+			func(buf []byte, r, i int) { fillEdgePattern(buf, r, g.Out(r)[i]) },
+			func(r int) []byte { return expectedAlltoallRbuf(g, r, m) },
+			func(p mpirt.Endpoint, sbuf, rbuf []byte) { op.RunA(p, sbuf, m, rbuf) }})
 	}
-	return []Op{NewNaive(g), dh, cn, lb}
+	return runs
 }
 
 // TestSenderMayOverwrite pins the eager-snapshot semantics against a
@@ -39,15 +74,17 @@ func TestSenderMayOverwrite(t *testing.T) {
 	g := erGraph(t, c.Ranks(), 0.4, 9)
 	const m = 256
 	for _, eng := range mpirt.Engines() {
-		for _, op := range fourOps(t, g, c, 3) {
-			t.Run(fmt.Sprintf("%s/%s", eng, op.Name()), func(t *testing.T) {
+		for _, op := range sixRuns(t, g, c, 3, m) {
+			t.Run(fmt.Sprintf("%s/%s", eng, op.name), func(t *testing.T) {
 				rbufs := make([][]byte, g.N())
 				_, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: eng}, func(p *mpirt.Proc) {
 					r := p.Rank()
-					sbuf := make([]byte, m)
-					fillPattern(sbuf, r)
+					sbuf := make([]byte, op.sendBlocks(r)*m)
+					for i := 0; i < op.sendBlocks(r); i++ {
+						op.fill(sbuf[i*m:(i+1)*m], r, i)
+					}
 					rbufs[r] = make([]byte, g.InDegree(r)*m)
-					op.Run(p, sbuf, m, rbufs[r])
+					op.run(p, sbuf, rbufs[r])
 					for i := range sbuf {
 						sbuf[i] = 0xEE
 					}
@@ -57,7 +94,7 @@ func TestSenderMayOverwrite(t *testing.T) {
 					t.Fatal(err)
 				}
 				for r, rbuf := range rbufs {
-					if !bytes.Equal(rbuf, expectedRbuf(g, r, m)) {
+					if !bytes.Equal(rbuf, op.want(r)) {
 						t.Errorf("rank %d receive buffer corrupted by a sender's overwrite", r)
 					}
 				}
@@ -67,9 +104,10 @@ func TestSenderMayOverwrite(t *testing.T) {
 }
 
 // TestSnapshotBytes: a real-mode naive pass copies each sending rank's
-// block into a snapshot once, however many neighbours it feeds; no
-// algorithm snapshots more bytes than it sends; phantom mode snapshots
-// nothing. On every driver.
+// block into a snapshot once, however many neighbours it feeds — and a
+// naive alltoall pass each segment once, which is everything it sends;
+// no algorithm snapshots more bytes than it sends; phantom mode
+// snapshots nothing. On every driver.
 func TestSnapshotBytes(t *testing.T) {
 	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
 	g := erGraph(t, c.Ranks(), 0.4, 9)
@@ -80,19 +118,19 @@ func TestSnapshotBytes(t *testing.T) {
 			senders++
 		}
 	}
-	run := func(cfg mpirt.Config, op Op) *mpirt.Report {
+	run := func(cfg mpirt.Config, op uniformRun) *mpirt.Report {
 		cfg.Cluster = c
 		rep, err := mpirt.Run(cfg, func(p *mpirt.Proc) {
 			var sbuf, rbuf []byte
 			if !p.Phantom() {
-				sbuf, rbuf = make([]byte, m), make([]byte, g.InDegree(p.Rank())*m)
+				sbuf, rbuf = make([]byte, op.sendBlocks(p.Rank())*m), make([]byte, g.InDegree(p.Rank())*m)
 			}
 			for tr := 0; tr < trials; tr++ {
-				op.Run(p, sbuf, m, rbuf)
+				op.run(p, sbuf, rbuf)
 			}
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", op.Name(), err)
+			t.Fatalf("%s: %v", op.name, err)
 		}
 		return rep
 	}
@@ -101,11 +139,15 @@ func TestSnapshotBytes(t *testing.T) {
 		"event":    {Engine: mpirt.EngineEvent},
 		"chaos":    {Chaos: mpirt.DefaultChaos(5)},
 	}
+	runs := sixRuns(t, g, c, 3, m)
 	for name, cfg := range drivers {
-		for i, op := range fourOps(t, g, c, 3) {
+		for i, op := range runs {
 			rep := run(cfg, op)
 			if rep.SnapshotBytes > rep.Bytes() || rep.SnapshotBytes == 0 {
-				t.Errorf("%s/%s: SnapshotBytes %d, Bytes() %d: want 0 < snapshots ≤ sent", name, op.Name(), rep.SnapshotBytes, rep.Bytes())
+				t.Errorf("%s/%s: SnapshotBytes %d, Bytes() %d: want 0 < snapshots ≤ sent", name, op.name, rep.SnapshotBytes, rep.Bytes())
+			}
+			if op.name == "naive-alltoall" && rep.SnapshotBytes != rep.Bytes() {
+				t.Errorf("%s/%s: SnapshotBytes %d, want every segment snapshotted once = Bytes() %d", name, op.name, rep.SnapshotBytes, rep.Bytes())
 			}
 			if i == 0 {
 				if want := int64(senders * m * trials); rep.SnapshotBytes != want {
@@ -117,7 +159,7 @@ func TestSnapshotBytes(t *testing.T) {
 			}
 		}
 	}
-	if rep := run(mpirt.Config{Phantom: true}, NewNaive(g)); rep.SnapshotBytes != 0 || rep.PoolHits != 0 || rep.PoolMisses != 0 {
+	if rep := run(mpirt.Config{Phantom: true}, runs[0]); rep.SnapshotBytes != 0 || rep.PoolHits != 0 || rep.PoolMisses != 0 {
 		t.Errorf("phantom: SnapshotBytes %d, PoolHits %d, PoolMisses %d, want all zero", rep.SnapshotBytes, rep.PoolHits, rep.PoolMisses)
 	}
 }
@@ -140,7 +182,7 @@ func TestInterpreterRealAllocs(t *testing.T) {
 	c := topology.Cluster{Nodes: 4, SocketsPerNode: 2, RanksPerSocket: 8, NodesPerGroup: 2}
 	g := erGraph(t, c.Ranks(), 0.3, 11)
 	const m = 8 << 10
-	for _, op := range fourOps(t, g, c, 4)[1:3] { // dh, cn
+	for _, op := range fourOps(t, g, c, 4)[1:3] { // cn, dh
 		var before, after runtime.MemStats
 		// stamp reads the heap counters on rank 0 while every other rank
 		// waits between the two barriers.
@@ -186,7 +228,7 @@ func BenchmarkInterpReal(b *testing.B) {
 		fillPattern(sbufs[r], r)
 	}
 	ops := fourOps(b, g, c, 4)
-	for i, name := range []string{"naive", "dh", "cn"} {
+	for i, name := range []string{"naive", "cn", "dh"} {
 		op := ops[i]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -11,24 +11,26 @@ import (
 	"nbrallgather/internal/vgraph"
 )
 
-// LeaderBased is the hierarchical neighborhood allgather in the style
-// of the paper's related work on large-message designs (Ghazimirsaeed
-// et al., SC'20): per-node leaders gather their members' payloads,
-// exchange combined per-node-pair messages, and distribute the
-// incoming remote payloads. Intra-node edges bypass the hierarchy and
-// go direct. With one leader per node this is the basic hierarchy;
+// The leader-based algorithm is the hierarchical neighborhood allgather
+// in the style of the paper's related work on large-message designs
+// (Ghazimirsaeed et al., SC'20): per-node leaders gather their members'
+// payloads, exchange combined per-node-pair messages, and distribute
+// the incoming remote payloads. Intra-node edges bypass the hierarchy
+// and go direct. With one leader per node this is the basic hierarchy;
 // with several, node-pair traffic is spread across leaders by a
-// longest-processing-time assignment (the published design's
-// load-aware multi-leader mechanism), relieving the single leader's
-// port bottleneck for bandwidth-bound messages.
-type LeaderBased struct {
-	planBase
-	c       topology.Cluster
-	leaders int
-	// place maps graph rank -> cluster rank (nil = identity): the
-	// shrunken-communicator placement after fail-stop recovery.
-	place []int
-}
+// longest-processing-time assignment (the published design's load-aware
+// multi-leader mechanism), relieving the single leader's port
+// bottleneck for bandwidth-bound messages.
+//
+// Under a placement (planReq.place: survivors renumbered densely but
+// keeping their physical placement) leadership is re-elected: each
+// node's leaders are its first k surviving ranks, so a dead leader's
+// role moves to the next live rank of the node. With an avoid set, ranks
+// whose port carries a fault are passed over whenever their node has an
+// unimpaired leader candidate, so the heavy combined messages route
+// through healthy ports. (A down node NIC impairs the whole node
+// equally; such nodes only survive feasibility when all their edges
+// stay intra-node, and then carry no leader traffic.)
 
 // lbPlan is one rank's routed role, the intermediate emitLeader turns
 // into ops.
@@ -51,66 +53,6 @@ type lbPlan struct {
 	fromLeaders []int
 }
 
-// NewLeaderBased builds the single-leader hierarchy.
-func NewLeaderBased(g *vgraph.Graph, c topology.Cluster) (*LeaderBased, error) {
-	return NewLeaderBasedK(g, c, 1)
-}
-
-// NewLeaderBasedK builds the hierarchy with up to k leaders per node
-// (the node's first k ranks); node-pair traffic is spread across them
-// by descending segment count onto the least-loaded leader.
-func NewLeaderBasedK(g *vgraph.Graph, c topology.Cluster, k int) (*LeaderBased, error) {
-	return newLeader(g, c, k, nil, nil)
-}
-
-// NewLeaderBasedPlacedAvoiding builds the hierarchy for a communicator
-// whose rank i occupies cluster rank place[i] — the shrunken-communicator
-// case after fail-stop recovery, where survivors are renumbered densely
-// but keep their physical placement. Leadership is re-elected: each
-// node's leaders are its first k surviving ranks, so a dead leader's
-// role moves to the next live rank of the node. With a link-aware avoid
-// set (nil for none), ranks whose port carries a fault are passed over
-// whenever their node has an unimpaired leader candidate, so the
-// hierarchy's heavy combined messages route through healthy ports. (A
-// down node NIC impairs the whole node equally; avoidance cannot help
-// there, and such nodes only survive feasibility when all their edges
-// stay intra-node — in which case they carry no leader traffic.)
-func NewLeaderBasedPlacedAvoiding(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
-	if len(place) != g.N() {
-		return nil, fmt.Errorf("collective: placement has %d entries for %d ranks", len(place), g.N())
-	}
-	seen := make(map[int]bool, len(place))
-	for i, cr := range place {
-		if cr < 0 || cr >= c.Ranks() {
-			return nil, fmt.Errorf("collective: rank %d placed on cluster rank %d outside [0,%d)", i, cr, c.Ranks())
-		}
-		if seen[cr] {
-			return nil, fmt.Errorf("collective: cluster rank %d placed twice", cr)
-		}
-		seen[cr] = true
-	}
-	return newLeader(g, c, k, append([]int(nil), place...), avoid)
-}
-
-// newLeader emits (or fetches from the installed plan cache) the
-// hierarchy's plan and binds the op to it.
-func newLeader(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) (*LeaderBased, error) {
-	plan, err := cachedPlan(leaderKey(g, c, k, place, avoid), func() (*Plan, error) {
-		return emitLeader(g, c, k, place, avoid)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k > c.RanksPerNode() {
-		k = c.RanksPerNode()
-	}
-	name := "leader-based"
-	if k > 1 {
-		name = fmt.Sprintf("leader-based(%d)", k)
-	}
-	return &LeaderBased{planBase: planBase{name: name, plan: plan}, c: c, leaders: k, place: place}, nil
-}
-
 // leaderTables routes the hierarchy: which leaders gather whom, which
 // leader pair carries each node pair, who distributes to whom.
 func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid []bool) ([]lbPlan, error) {
@@ -125,6 +67,21 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 	}
 	if avoid != nil && len(avoid) != g.N() {
 		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), g.N())
+	}
+	if place != nil {
+		if len(place) != g.N() {
+			return nil, fmt.Errorf("collective: placement has %d entries for %d ranks", len(place), g.N())
+		}
+		seen := make(map[int]bool, len(place))
+		for i, cr := range place {
+			if cr < 0 || cr >= c.Ranks() {
+				return nil, fmt.Errorf("collective: rank %d placed on cluster rank %d outside [0,%d)", i, cr, c.Ranks())
+			}
+			if seen[cr] {
+				return nil, fmt.Errorf("collective: cluster rank %d placed twice", cr)
+			}
+			seen[cr] = true
+		}
 	}
 	if k > c.RanksPerNode() {
 		k = c.RanksPerNode()

@@ -3,15 +3,16 @@ package collective
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/vgraph"
 )
 
-// The plan IR (DESIGN.md "Plan IR contract"): every allgather(v)
-// algorithm in this package is an emitter producing a Plan, the one
-// interpreter in interp.go runs it, and internal/planverify proves its
-// invariants on this same object.
+// The plan IR (DESIGN.md "Plan IR contract"): every allgather(v) and
+// alltoall(v) algorithm in this package is an emitter producing a Plan,
+// the one interpreter in interp.go runs it, and internal/planverify
+// proves its invariants on this same object.
 
 // OpKind discriminates the plan's operations.
 type OpKind uint8
@@ -78,21 +79,74 @@ func (op *PlanOp) Waits() (lo, hi int) { return int(op.off), int(op.off + op.n) 
 // span is a sub-slice of the block arena.
 type span struct{ off, n uint32 }
 
-// Plan is the complete program of one allgather(v): per-rank op lists
+// Plan is the complete program of one collective: per-rank op lists
 // in exact issue order, flattened into one slice, with every block
-// list a sub-slice of one arena. Plans are immutable once built and
-// safe to share across ops, ranks and goroutines.
+// list a sub-slice of one arena. A block is an index into the run's
+// counts. Plans are immutable once built and safe to share across ops,
+// ranks and goroutines.
 type Plan struct {
 	Graph *vgraph.Graph
 	ops   []PlanOp
 	// first[r]..first[r+1] bound rank r's ops.
 	first []uint32
-	// arena opens with the identity 0..n-1, so a single block b is
-	// arena[b:b+1] at no cost.
+	// arena opens with the identity over the blocks, so a single block b
+	// is arena[b:b+1] at no cost.
 	arena []int32
 	// hold[r] is rank r's hold-buffer order (nil when no rank models a
 	// contiguous hold buffer).
 	hold []span
+	// edgeOff declares the block layout (DESIGN.md "Block layout"). nil
+	// is the allgather layout: block b is rank b's send buffer and lands
+	// at every out-neighbor of b. Otherwise blocks number the graph's
+	// edges by out-list position: edgeOff[u]+j is u's segment for
+	// Out(u)[j], lands at that rank alone, and u's send buffer
+	// concatenates edgeOff[u]..edgeOff[u+1]. Either way rank r's result
+	// buffer takes one block per in-neighbor, at its origin's slot.
+	edgeOff []uint32
+}
+
+// Alltoall reports whether the plan's blocks are the graph's edges.
+func (pl *Plan) Alltoall() bool { return pl.edgeOff != nil }
+
+// NumBlocks is the layout's block count: the length of a run's counts.
+func (pl *Plan) NumBlocks() int {
+	if pl.edgeOff == nil {
+		return pl.Graph.N()
+	}
+	return int(pl.edgeOff[pl.Graph.N()])
+}
+
+// Owned returns the blocks [lo, hi) rank r's send buffer concatenates,
+// in order: what the rank holds when a pass begins.
+func (pl *Plan) Owned(r int) (lo, hi int) {
+	if pl.edgeOff == nil {
+		return r, r + 1
+	}
+	return int(pl.edgeOff[r]), int(pl.edgeOff[r+1])
+}
+
+// Edge returns the edge whose segment an alltoall plan's block b is.
+func (pl *Plan) Edge(b int32) (src, dst int) {
+	src = sort.Search(pl.Graph.N(), func(u int) bool { return pl.edgeOff[u+1] > uint32(b) })
+	return src, pl.Graph.Out(src)[uint32(b)-pl.edgeOff[src]]
+}
+
+// InBlock returns the block that lands at rank r from in-neighbor u.
+func (pl *Plan) InBlock(u, r int) int {
+	if pl.edgeOff == nil {
+		return u
+	}
+	return int(pl.edgeOff[u]) + pl.Graph.IndexOfOut(u, r)
+}
+
+// Lands reports whether block b lands in rank r's result buffer, and
+// the origin whose slot it takes there.
+func (pl *Plan) Lands(b int32, r int) (origin int, ok bool) {
+	if pl.edgeOff == nil {
+		return int(b), pl.Graph.HasEdge(int(b), r)
+	}
+	src, dst := pl.Edge(b)
+	return src, dst == r
 }
 
 // Ops returns rank r's ops in program order. Read-only.
@@ -115,7 +169,7 @@ func (pl *Plan) Hold(r int) []int32 {
 func (pl *Plan) Bytes() int64 {
 	const header = 8 + 4*24 // graph pointer + four slice headers
 	return header + planOpBytes*int64(cap(pl.ops)) + 4*int64(cap(pl.first)) +
-		4*int64(cap(pl.arena)) + 8*int64(cap(pl.hold))
+		4*int64(cap(pl.arena)) + 8*int64(cap(pl.hold)) + 4*int64(cap(pl.edgeOff))
 }
 
 // PlanBuilder assembles a Plan rank by rank: ops are appended to the
@@ -126,13 +180,29 @@ type PlanBuilder struct {
 	rank int
 }
 
-// NewPlanBuilder starts a plan over g. ops and blocks size the op list
-// and the multi-block lists up front (0 = grow as needed): a plan built
-// at 100k ranks between two collections is all resident memory, and
-// append's growth would allocate five times the final size.
+// NewPlanBuilder starts an allgather-layout plan over g. ops and blocks
+// size the op list and the multi-block lists up front (0 = grow as
+// needed): a plan built at 100k ranks between two collections is all
+// resident memory, and append's growth would allocate five times the
+// final size.
 func NewPlanBuilder(g *vgraph.Graph, ops, blocks int) *PlanBuilder {
-	n := g.N()
-	pl := &Plan{Graph: g, ops: make([]PlanOp, 0, ops), first: make([]uint32, 1, n+1), arena: make([]int32, n, n+blocks)}
+	return newPlanBuilder(g, nil, ops, blocks)
+}
+
+// NewAlltoallPlanBuilder starts an alltoall-layout plan over g: its
+// blocks are g's edges, numbered by out-list position.
+func NewAlltoallPlanBuilder(g *vgraph.Graph, ops, blocks int) *PlanBuilder {
+	off := make([]uint32, g.N()+1)
+	for u := 0; u < g.N(); u++ {
+		off[u+1] = off[u] + uint32(g.OutDegree(u))
+	}
+	return newPlanBuilder(g, off, ops, blocks)
+}
+
+func newPlanBuilder(g *vgraph.Graph, edgeOff []uint32, ops, blocks int) *PlanBuilder {
+	pl := &Plan{Graph: g, ops: make([]PlanOp, 0, ops), first: make([]uint32, 1, g.N()+1), edgeOff: edgeOff}
+	nb := pl.NumBlocks()
+	pl.arena = make([]int32, nb, nb+blocks)
 	for i := range pl.arena {
 		pl.arena[i] = int32(i)
 	}
@@ -155,16 +225,15 @@ func (b *PlanBuilder) Hold(r int, order []int) {
 // hold order or the identity when it can.
 func (b *PlanBuilder) intern(blocks []int, holder int) span {
 	pl := b.pl
-	n := pl.Graph.N()
-	if k := uint32(len(blocks)); pl.hold != nil && holder >= 0 && holder < n && k > 0 {
+	if k := uint32(len(blocks)); pl.hold != nil && holder >= 0 && holder < pl.Graph.N() && k > 0 {
 		h := pl.hold[holder]
 		if h.n >= k && slices.EqualFunc(pl.arena[h.off:h.off+k], blocks, func(a int32, b int) bool { return int(a) == b }) {
 			return span{h.off, k}
 		}
 	}
 	for _, v := range blocks {
-		if v < 0 || v >= n {
-			panic(fmt.Sprintf("collective: plan block %d outside [0,%d)", v, n))
+		if nb := pl.NumBlocks(); v < 0 || v >= nb {
+			panic(fmt.Sprintf("collective: plan block %d outside [0,%d)", v, nb))
 		}
 	}
 	if len(blocks) == 1 {

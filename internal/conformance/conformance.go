@@ -39,14 +39,9 @@ const (
 	CollPattern    = "pattern"    // distributed pattern builder vs central
 )
 
-// Algorithm names a Case can exercise. Alltoall collectives support
-// only AlgoNaive and AlgoDH; CollPattern ignores the field.
-const (
-	AlgoNaive  = "naive"
-	AlgoCN     = "cn"
-	AlgoDH     = "dh"
-	AlgoLeader = "leader"
-)
+// The algorithm a Case exercises is a collective.Algos name; the
+// alltoall collectives run those with collective.HasAlltoall and
+// CollPattern ignores the field.
 
 // Case is one cell of the conformance matrix: a machine shape, a
 // virtual neighborhood graph over its ranks, and one algorithm ×
@@ -172,14 +167,23 @@ func Matrix() ([]Case, error) {
 	if err != nil {
 		return nil, err
 	}
-	combos := []struct{ algo, coll string }{
-		{AlgoNaive, CollAllgather}, {AlgoCN, CollAllgather}, {AlgoDH, CollAllgather}, {AlgoLeader, CollAllgather},
-		{AlgoNaive, CollAllgatherv}, {AlgoCN, CollAllgatherv}, {AlgoDH, CollAllgatherv}, {AlgoLeader, CollAllgatherv},
-		{AlgoNaive, CollAlltoall}, {AlgoDH, CollAlltoall},
-		{AlgoNaive, CollAlltoallv}, {AlgoDH, CollAlltoallv},
-		{AlgoNaive, CollPersistent}, {AlgoDH, CollPersistent},
-		{AlgoDH, CollPattern},
+	type combo struct{ algo, coll string }
+	var combos []combo
+	for _, coll := range []string{CollAllgather, CollAllgatherv} {
+		for _, algo := range collective.Algos() {
+			combos = append(combos, combo{algo, coll})
+		}
 	}
+	for _, coll := range []string{CollAlltoall, CollAlltoallv} {
+		for _, algo := range collective.Algos() {
+			if collective.HasAlltoall(algo) {
+				combos = append(combos, combo{algo, coll})
+			}
+		}
+	}
+	// The persistent handle only wraps RunV: the direct and the relayed
+	// extreme cover it.
+	combos = append(combos, combo{"naive", CollPersistent}, combo{"dh", CollPersistent}, combo{"dh", CollPattern})
 	var cases []Case
 	for _, sh := range shapes {
 		for _, co := range combos {
@@ -288,9 +292,10 @@ func ragged(n, m int) []int {
 	return counts
 }
 
-// raggedEdge returns the deterministic alltoallv CountFunc: per-edge
-// sizes in [0, m], including genuinely empty segments.
-func raggedEdge(m int) collective.CountFunc {
+// RaggedEdgeCounts returns the deterministic alltoallv CountFunc of the
+// matrix's ragged cases: per-edge sizes in [0, m], including genuinely
+// empty segments. Exported for the plan verifier, like RaggedCounts.
+func RaggedEdgeCounts(m int) collective.CountFunc {
 	return func(src, dst int) int {
 		return (src*3 + dst*5) % (m + 1)
 	}
@@ -369,42 +374,23 @@ func at(b []byte, i int) int {
 	return -1
 }
 
-// buildVOp constructs the allgather-family operation for a case.
+// buildVOp constructs the allgather-family operation for a case, with
+// the conformance-suite parameters.
 func buildVOp(c Case) (collective.VOp, *pattern.Pattern, error) {
-	switch c.Algo {
-	case AlgoNaive:
-		return collective.NewNaive(c.Graph), nil, nil
-	case AlgoCN:
-		op, err := collective.NewCommonNeighbor(c.Graph, 3)
-		return op, nil, err
-	case AlgoDH:
-		op, err := collective.NewDistanceHalving(c.Graph, c.Cluster.L())
-		if err != nil {
-			return nil, nil, err
-		}
-		return op, op.Pattern(), nil
-	case AlgoLeader:
-		op, err := collective.NewLeaderBased(c.Graph, c.Cluster)
-		return op, nil, err
-	default:
-		return nil, nil, fmt.Errorf("conformance: algorithm %q has no allgather", c.Algo)
+	op, err := collective.New(c.Algo, c.Graph, c.Cluster, collective.PlanParams{}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
+	return op, op.Pattern(), nil
 }
 
 // buildAVOp constructs the alltoall-family operation for a case.
 func buildAVOp(c Case) (collective.AVOp, *pattern.Pattern, error) {
-	switch c.Algo {
-	case AlgoNaive:
-		return collective.NewNaiveAlltoall(c.Graph), nil, nil
-	case AlgoDH:
-		op, err := collective.NewDistanceHalvingAlltoall(c.Graph, c.Cluster.L())
-		if err != nil {
-			return nil, nil, err
-		}
-		return op, op.Pattern(), nil
-	default:
-		return nil, nil, fmt.Errorf("conformance: algorithm %q has no alltoall", c.Algo)
+	op, err := collective.NewAlltoall(c.Algo, c.Graph, c.Cluster, collective.PlanParams{})
+	if err != nil {
+		return nil, nil, err
 	}
+	return op, op.Pattern(), nil
 }
 
 // caseBody builds the per-rank body for a collective case, including
@@ -466,7 +452,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			return nil, err
 		}
 		pat = pt
-		counts := raggedEdge(c.M)
+		counts := RaggedEdgeCounts(c.M)
 		runRank = func(p *mpirt.Proc) {
 			r := p.Rank()
 			sbuf := sendBufAV(g, r, counts)

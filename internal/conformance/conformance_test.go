@@ -42,7 +42,7 @@ func TestMatrixDeterministic(t *testing.T) {
 			t.Errorf("matrix lacks collective %q", want)
 		}
 	}
-	for _, want := range []string{AlgoNaive, AlgoCN, AlgoDH, AlgoLeader} {
+	for _, want := range []string{"naive", "cn", "dh", "leader"} {
 		found := false
 		for _, c := range a {
 			if c.Algo == want {
@@ -85,7 +85,7 @@ func TestRunCaseRejectsUnknown(t *testing.T) {
 	}
 	bad = cases[0]
 	bad.Coll = CollAlltoall
-	bad.Algo = AlgoLeader
+	bad.Algo = "leader"
 	if _, err := bad.Run(mpirt.EngineDefault, 0, nil); err == nil {
 		t.Fatal("leader-based alltoall should not exist")
 	}

@@ -12,6 +12,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,12 +60,9 @@ func FailStopMatrix() ([]FailStopCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := map[string][]string{
-		AlgoNaive:  {KindPre, KindMid, KindMulti, KindRaw},
-		AlgoCN:     {KindPre, KindMid, KindMulti, KindRaw},
-		AlgoDH:     {KindPre, KindMid, KindAgent, KindMulti, KindRaw},
-		AlgoLeader: {KindPre, KindMid, KindLeader, KindMulti, KindRaw},
-	}
+	// Every algorithm crosses the four generic kinds; these name the
+	// role-specific crash an algorithm adds, after KindMid.
+	roleKind := map[string]string{"dh": KindAgent, "leader": KindLeader}
 	var cases []FailStopCase
 	for _, b := range base {
 		// One collective per algorithm is enough: fail-stop recovery
@@ -74,7 +72,11 @@ func FailStopMatrix() ([]FailStopCase, error) {
 		if b.Coll != CollAllgatherv || b.Cluster.Nodes < 2 || !strings.Contains(b.Name, "/er") {
 			continue
 		}
-		for _, k := range kinds[b.Algo] {
+		kinds := []string{KindPre, KindMid, KindMulti, KindRaw}
+		if k, ok := roleKind[b.Algo]; ok {
+			kinds = slices.Insert(kinds, 2, k)
+		}
+		for _, k := range kinds {
 			cases = append(cases, FailStopCase{
 				Name:    fmt.Sprintf("failstop/%s/%s", b.Name, k),
 				Base:    b,

@@ -51,9 +51,9 @@ func FuzzEngineDivergence(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(3), uint8(7), uint8(60), uint8(1), uint8(1), uint8(5), int64(13))
 
 	combos := []struct{ algo, coll string }{
-		{AlgoNaive, CollAllgather}, {AlgoCN, CollAllgather}, {AlgoDH, CollAllgather},
-		{AlgoLeader, CollAllgather}, {AlgoNaive, CollAllgatherv}, {AlgoDH, CollAllgatherv},
-		{AlgoNaive, CollAlltoall}, {AlgoDH, CollAlltoallv}, {AlgoDH, CollPattern},
+		{"naive", CollAllgather}, {"cn", CollAllgather}, {"dh", CollAllgather},
+		{"leader", CollAllgather}, {"naive", CollAllgatherv}, {"dh", CollAllgatherv},
+		{"naive", CollAlltoall}, {"dh", CollAlltoallv}, {"dh", CollPattern},
 	}
 
 	f.Fuzz(func(t *testing.T, nodes, socks, rps, gseed, pb, combo, mode, kill uint8, seed int64) {

@@ -188,9 +188,8 @@ func LinkFaultMatrix() ([]LinkFaultCase, error) {
 		LFNicDown, LFPortDown, LFUplinkDown, LFPartition,
 		LFPartitionOK, LFNicDeg, LFUplinkDeg, LFMixed,
 	}
-	algos := []string{AlgoNaive, AlgoCN, AlgoDH, AlgoLeader}
 	var cases []LinkFaultCase
-	for _, algo := range algos {
+	for _, algo := range collective.Algos() {
 		for _, fault := range faults {
 			for _, timing := range []string{LFBefore, LFMid} {
 				lc := LinkFaultCase{
@@ -217,12 +216,12 @@ func LinkFaultMatrix() ([]LinkFaultCase, error) {
 					case fault == LFNicDeg || fault == LFUplinkDeg:
 						// Degraded fabrics are slower, never broken.
 						lc.ExpectClean = true
-					case algo == AlgoCN && (fault == LFPartitionOK || fault == LFUplinkDown):
+					case algo == "cn" && (fault == LFPartitionOK || fault == LFUplinkDown):
 						// CN's rank-chunked share group {3,4,5} straddles
 						// the cut; no avoid set can express that, so the
 						// repair loop must land on the naive floor.
 						lc.ExpectRepair = "naive"
-					case algo == AlgoNaive:
+					case algo == "naive":
 						// Naive only uses direct graph edges; every
 						// non-partition fault above keeps them feasible.
 						lc.ExpectClean = true

@@ -228,10 +228,9 @@ func (cs *chaosRT) run(body func(*Proc)) {
 	cs.scheduleLocked()
 	cs.mu.Unlock()
 	cs.rt.runRanks(func(p *Proc) {
-		defer cs.release(p, stFinished)
 		p.chaosPark()
 		body(p)
-	})
+	}, func(p *Proc) { cs.release(p, stFinished) })
 }
 
 // chaosOption is one candidate scheduling action: resume a runnable

@@ -75,7 +75,7 @@ func (t threadedRT) run(body func(*Proc)) {
 	done := make(chan struct{})
 	defer close(done)
 	go t.watchdog(done)
-	t.rt.runRanks(body)
+	t.rt.runRanks(body, func(*Proc) {})
 }
 
 //lint:blockok — THE threaded park point: the rank's goroutine waits on the condition its wait was published under

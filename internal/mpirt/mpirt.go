@@ -577,14 +577,21 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 }
 
 // runRanks runs body on one goroutine per rank — the threaded and
-// chaos drivers' substrate — and waits for them all.
-func (rt *Runtime) runRanks(body func(*Proc)) {
+// chaos drivers' substrate — and waits for them all. exited is the
+// driver's hand-off after a rank's exit, and runs once the exit is
+// classified: whatever it decides next (the chaos scheduler may find
+// the ranks left behind deadlocked), an aborting rank's own error has
+// already reached Runtime.fail, which keeps the first.
+func (rt *Runtime) runRanks(body, exited func(*Proc)) {
 	var wg sync.WaitGroup
 	wg.Add(rt.n)
 	for _, p := range rt.procs {
 		go func() {
 			defer wg.Done()
-			defer func() { rt.rankRecover(p, recover()) }()
+			defer func() {
+				rt.rankRecover(p, recover())
+				exited(p)
+			}()
 			body(p)
 		}()
 	}

@@ -146,15 +146,20 @@ func (s *Schedule) perfParams() perfmodel.Params {
 }
 
 // sendCounts returns rank r's send count and how many of those are
-// halving-phase sends (DH step tags).
+// halving-phase sends: the DH step tags of the plan's collective, each
+// family's step ladder being the top of its tag block.
 func (s *Schedule) sendCounts(r int) (sends, halving int) {
+	step := tags.DHStep
+	if s.Plan.Alltoall() {
+		step = tags.A2AStep
+	}
 	ops := s.Plan.Ops(r)
 	for i := range ops {
 		if ops[i].Kind != collective.OpSend {
 			continue
 		}
 		sends++
-		if ops[i].Tag >= tags.DHStep {
+		if int(ops[i].Tag) >= step {
 			halving++
 		}
 	}

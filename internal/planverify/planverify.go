@@ -1,14 +1,16 @@
 // Package planverify is the static plan verifier: it takes an emitted
 // collective.Plan (the send/receive/copy program each rank of a
-// neighborhood-allgather plan executes — naive, Distance Halving,
-// Common Neighbor, or leader-based, including the BuildAvoiding repair
+// neighborhood allgather or alltoall plan executes — any row of
+// collective's algorithm table, including the avoid-set repair
 // variants) plus the cluster topology, and proves four invariants
 // about the plan symbolically, without executing it on the runtime:
 //
-//  1. delivery completeness — every rank's block reaches each
-//     out-neighbor exactly once, tracking forwarding through agents,
-//     delegates, and leaders (no loss, no duplicate delivery), and no
-//     rank ships a block its buffer does not hold;
+//  1. delivery completeness — every graph edge receives the block that
+//     lands on it exactly once (an allgather rank's block at each
+//     out-neighbor, an alltoall segment at its one destination),
+//     tracking forwarding through agents, delegates, and leaders (no
+//     loss, no duplicate delivery), and no rank ships a block its buffer
+//     does not hold;
 //  2. matching discipline — every send pairs with exactly one receive
 //     on (src, dst, tag), no tag collisions within the epoch, and
 //     wildcard receives are unambiguous;
@@ -38,16 +40,17 @@ import (
 )
 
 // Schedule is one plan under verification: the plan itself plus the
-// cluster it is mapped onto rank for rank and the per-source payload
+// cluster it is mapped onto rank for rank and the per-block payload
 // sizes.
 type Schedule struct {
-	// Algo names the algorithm ("naive", "dh", "cn", "leader").
+	// Algo names the algorithm (an Algos name).
 	Algo    string
 	Cluster topology.Cluster
 	// Plan holds each rank's ops in program order.
 	Plan *collective.Plan
-	// Counts is the per-source payload size in bytes (the allgatherv
-	// counts argument; uniform counts model plain allgather).
+	// Counts is the per-block payload size in bytes: per source rank for
+	// an allgather plan (the allgatherv counts argument), per edge in
+	// collective.EdgeCounts order for an alltoall plan.
 	Counts []int
 	// Avoid is the repair avoid set the plan was built for (nil for
 	// the unrestricted builders). Verification additionally checks the
@@ -61,7 +64,7 @@ type Schedule struct {
 type Params = collective.PlanParams
 
 // Algos lists the extractable algorithms in canonical order.
-func Algos() []string { return []string{"naive", "dh", "cn", "leader"} }
+func Algos() []string { return collective.Algos() }
 
 // Extract emits one algorithm's plan over graph g mapped rank-for-rank
 // onto cluster c and wraps it for verification with per-source payload
@@ -85,6 +88,23 @@ func Extract(algo string, g *vgraph.Graph, c topology.Cluster, counts []int, avo
 	return &Schedule{Algo: algo, Cluster: c, Plan: plan, Counts: counts, Avoid: avoid}, nil
 }
 
+// ExtractAlltoall is Extract for algo's neighborhood alltoall form
+// (collective.HasAlltoall), with per-edge payload counts in
+// collective.EdgeCounts order.
+func ExtractAlltoall(algo string, g *vgraph.Graph, c topology.Cluster, counts []int, prm Params) (*Schedule, error) {
+	if g.N() > c.Ranks() {
+		return nil, fmt.Errorf("planverify: graph has %d ranks, cluster only %d", g.N(), c.Ranks())
+	}
+	op, err := collective.NewAlltoall(algo, g, c, prm)
+	if err != nil {
+		return nil, err
+	}
+	if len(counts) != op.Plan().NumBlocks() {
+		return nil, fmt.Errorf("planverify: %d counts for %d edges", len(counts), op.Plan().NumBlocks())
+	}
+	return &Schedule{Algo: algo, Cluster: c, Plan: op.Plan(), Counts: counts}, nil
+}
+
 // Invariant names, used as finding analyzers / SARIF rule IDs.
 const (
 	InvCompleteness = "completeness"
@@ -98,7 +118,7 @@ const (
 // the CLI's SARIF rule table.
 func Invariants() map[string]string {
 	return map[string]string{
-		InvCompleteness: "every rank's block reaches each out-neighbor exactly once through the plan's forwarding",
+		InvCompleteness: "every graph edge receives the block that lands on it exactly once through the plan's forwarding",
 		InvMatching:     "every send pairs with exactly one receive on (src,dst,tag); no tag collisions; wildcards unambiguous",
 		InvDeadlock:     "the plan's happens-before graph is acyclic under rendezvous semantics",
 		InvLoadBound:    "static per-resource load respects the perfmodel message-count bounds",

@@ -10,7 +10,6 @@ import (
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/conformance"
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
@@ -40,51 +39,65 @@ func TestMatrixClean(t *testing.T) {
 	}
 }
 
-// orDefault mirrors collective.PlanParams' zero-means-default rule for
-// the constructor calls below, which take explicit values.
-func orDefault(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
+// runtimeOp is the case's collective as a caller would run it: real
+// payloads in, the ground truth rank r must receive out.
+type runtimeOp struct {
+	plan *collective.Plan
+	run  func(p *mpirt.Proc, counts []int) (rbuf, want []byte)
 }
 
 // buildRuntimeOp constructs the case's collective through the public
 // constructors, so the differential tests compare the plan Extract
 // emitted against the op a caller would actually run.
-func buildRuntimeOp(t *testing.T, cs Case) collective.VOp {
+func buildRuntimeOp(t *testing.T, cs Case) runtimeOp {
 	t.Helper()
 	g, c := cs.Shape.Graph, cs.Shape.Cluster
-	var op collective.VOp
-	var err error
-	switch cs.Algo {
-	case "naive":
-		op = collective.NewNaive(g)
-	case "dh":
-		var pat *pattern.Pattern
-		if pat, err = pattern.BuildAvoiding(g, c.L(), cs.Params.Policy, cs.Avoid); err == nil {
-			op = collective.NewDistanceHalvingFromPattern(pat)
+	if cs.Alltoall {
+		op, err := collective.NewAlltoall(cs.Algo, g, c, cs.Params)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case "cn":
-		op, err = collective.NewCommonNeighborAvoiding(g, orDefault(cs.Params.CNGroup, 3), cs.Avoid)
-	case "leader":
-		k := orDefault(cs.Params.Leaders, 1)
-		if cs.Avoid == nil {
-			op, err = collective.NewLeaderBasedK(g, c, k)
-		} else {
-			place := make([]int, g.N())
-			for i := range place {
-				place[i] = i
+		return runtimeOp{op.Plan(), func(p *mpirt.Proc, counts []int) (rbuf, want []byte) {
+			r := p.Rank()
+			size := func(src, dst int) int { return counts[op.Plan().InBlock(src, dst)] }
+			var sbuf []byte
+			for _, v := range g.Out(r) {
+				sbuf = append(sbuf, edgeFill(r, v, size(r, v))...)
 			}
-			op, err = collective.NewLeaderBasedPlacedAvoiding(g, c, k, place, cs.Avoid)
-		}
-	default:
-		t.Fatalf("no runtime op for algorithm %q", cs.Algo)
+			for _, u := range g.In(r) {
+				want = append(want, edgeFill(u, r, size(u, r))...)
+			}
+			rbuf = make([]byte, len(want))
+			op.RunAV(p, sbuf, size, rbuf)
+			return rbuf, want
+		}}
 	}
+	op, err := collective.New(cs.Algo, g, c, cs.Params, cs.Avoid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return op
+	return runtimeOp{op.Plan(), func(p *mpirt.Proc, counts []int) (rbuf, want []byte) {
+		r := p.Rank()
+		sbuf := make([]byte, counts[r])
+		fill(sbuf, r)
+		for _, u := range g.In(r) {
+			seg := make([]byte, counts[u])
+			fill(seg, u)
+			want = append(want, seg...)
+		}
+		rbuf = make([]byte, len(want))
+		op.RunV(p, sbuf, counts, rbuf)
+		return rbuf, want
+	}}
+}
+
+// edgeFill is the verification payload of alltoall segment src → dst.
+func edgeFill(src, dst, size int) []byte {
+	seg := make([]byte, size)
+	for i := range seg {
+		seg[i] = byte(src*251 + dst*17 + i*3 + 1)
+	}
+	return seg
 }
 
 // fill writes rank r's verification payload.
@@ -97,24 +110,14 @@ func fill(buf []byte, r int) {
 // runReport executes the case's collective on the given engine with
 // real payloads, checks every rank's receive buffer byte for byte, and
 // returns the traffic report.
-func runReport(t *testing.T, eng mpirt.Engine, cs Case, op collective.VOp) *mpirt.Report {
+func runReport(t *testing.T, eng mpirt.Engine, cs Case, op runtimeOp) *mpirt.Report {
 	t.Helper()
-	g, counts := cs.Shape.Graph, cs.Counts
+	g := cs.Shape.Graph
 	bad := make([]bool, g.N())
 	rep, err := mpirt.Run(mpirt.Config{Cluster: cs.Shape.Cluster, Ranks: g.N(), Engine: eng},
 		func(p *mpirt.Proc) {
-			r := p.Rank()
-			sbuf := make([]byte, counts[r])
-			fill(sbuf, r)
-			var want []byte
-			for _, u := range g.In(r) {
-				seg := make([]byte, counts[u])
-				fill(seg, u)
-				want = append(want, seg...)
-			}
-			rbuf := make([]byte, len(want))
-			op.RunV(p, sbuf, counts, rbuf)
-			bad[r] = !bytes.Equal(rbuf, want)
+			rbuf, want := op.run(p, cs.Counts)
+			bad[p.Rank()] = !bytes.Equal(rbuf, want)
 		})
 	if err != nil {
 		t.Fatalf("%s on %q: %v", cs.Name, eng, err)
@@ -181,7 +184,7 @@ func TestDifferentialTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	for _, cs := range cases {
 		cs := cs
-		random := randomCounts(rng, cs.Shape.Graph.N(), payloadM)
+		random := randomCounts(rng, len(cs.Counts), payloadM)
 		t.Run(cs.Name, func(t *testing.T) {
 			op := buildRuntimeOp(t, cs)
 			for _, counts := range [][]int{cs.Counts, random} {
@@ -190,7 +193,7 @@ func TestDifferentialTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(s.Plan, op.(interface{ Plan() *collective.Plan }).Plan()) {
+				if !reflect.DeepEqual(s.Plan, op.plan) {
 					t.Fatalf("%s: Extract and the constructor emitted different plans", cs.Name)
 				}
 				l := s.Load()
@@ -419,32 +422,66 @@ func TestAvailabilityViolation(t *testing.T) {
 // TestBrokenReceiverDisagrees: the interpreter acts on the receive
 // op's flags and expected blocks and on a wait's receive index, so
 // Verify rejects a receive that disagrees with its send, a wait naming
-// a non-receive, and a staging copy of a foreign block.
+// a non-receive, and a staging copy of a foreign block. The edge rows
+// build the same two ranks in the alltoall layout (block 0 is the one
+// segment 0→1): a dropped segment, one landed where it is not
+// addressed, and one sent before it is held.
 func TestBrokenReceiverDisagrees(t *testing.T) {
+	send := func(b *collective.PlanBuilder) { b.Send(1, 1, deliver, 0) }
+	recv := func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1) }
 	for _, tc := range []struct {
 		name string
-		recv func(b *collective.PlanBuilder) // rank 1's side of 0's Deliver send of block 0
+		edge bool
+		send func(b *collective.PlanBuilder) // rank 0: its Deliver send of block 0, unless the row breaks it
+		recv func(b *collective.PlanBuilder) // rank 1's side
 		want string
 	}{
-		{"flags", func(b *collective.PlanBuilder) { b.Recv(0, 1, 0, 0); b.Wait(0, 1) },
+		{"flags", false, send, func(b *collective.PlanBuilder) { b.Recv(0, 1, 0, 0); b.Wait(0, 1) },
 			"receive posted by 1 from 0 tag 1 has flags 000, its send 001"},
-		{"blocks", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 1); b.Wait(0, 1) },
+		{"blocks", false, send, func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 1); b.Wait(0, 1) },
 			"receive posted by 1 from 0 tag 1 expects blocks [1], its send carries [0]"},
-		{"wait", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 2) },
+		{"wait", false, send, func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 2) },
 			"wait at op 1 names op 1, which is not a receive"},
-		{"twice", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Wait(0, 1) },
+		{"twice", false, send, func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Wait(0, 1) },
 			"receive at op 0 is waited on twice"},
-		{"stage", func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Copy(0, 0) },
+		{"stage", false, send, func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Wait(0, 1); b.Copy(0, 0) },
 			"rank 1 stages block 0, not its own"},
+		{"edge dropped", true, func(*collective.PlanBuilder) {}, func(*collective.PlanBuilder) {},
+			"edge 0→1 never delivered"},
+		{"edge misdelivered", true, func(b *collective.PlanBuilder) { send(b); b.Copy(0, deliver) }, recv,
+			"rank 0 delivers block 0 to 0 but it is the segment of edge 0→1"},
+		{"edge sent early", true, func(b *collective.PlanBuilder) { b.Recv(1, 2, 0, 0); send(b); b.Wait(0, 1) },
+			func(b *collective.PlanBuilder) { b.Recv(0, 1, deliver, 0); b.Send(0, 2, 0, 0); b.Wait(0, 1) },
+			"rank 1 sends block 0 to 0 (tag 2) before holding it"},
 	} {
-		b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {}}), 0, 0)
-		b.Send(1, 1, deliver, 0)
+		g := mustGraph(t, 2, [][]int{{1}, {}})
+		b := collective.NewPlanBuilder(g, 0, 0)
+		if tc.edge {
+			b = collective.NewAlltoallPlanBuilder(g, 0, 0)
+		}
+		tc.send(b)
 		b.EndRank()
 		tc.recv(b)
 		b.EndRank()
 		fs := broken(b).Verify()
 		if len(fs) != 1 || fs[0].Message != tc.want {
 			t.Errorf("%s: findings %v, want exactly %q", tc.name, fs, tc.want)
+		}
+	}
+}
+
+// TestPlanBytesPinned: the plan cache's cost of the four allgather
+// plans over the first conformance shape, as the pre-layout IR had it.
+func TestPlanBytesPinned(t *testing.T) {
+	shapes, err := conformance.Shapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shapes[0] // 2n2s3l/er35
+	for algo, want := range map[string]int64{"naive": 1644, "dh": 2192, "cn": 2408, "leader": 2396} {
+		_, cost, err := collective.BuildPlan(algo, sh.Graph, sh.Cluster, 0, nil)
+		if err != nil || cost != want {
+			t.Errorf("%s/%s: Plan.Bytes() %d (err %v), want %d", sh.Name, algo, cost, err, want)
 		}
 	}
 }

@@ -337,7 +337,8 @@ func findCycle(succ [][]int) []int {
 // topological order (program order plus matched send→wait edges) and
 // proves that every graph edge receives exactly one delivery, that no
 // rank ships a block its buffer does not hold, and that no delivery
-// lands off-graph.
+// lands off-graph. What a rank starts out holding and where a block
+// lands are the plan's layout's to say, not assumed.
 func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	succ, nodes := s.hbGraph(m, false)
 	order, ok := topoOrder(succ, nodes)
@@ -351,7 +352,10 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	n := g.N()
 	holdings := make([]map[int32]bool, n)
 	for r := 0; r < n; r++ {
-		holdings[r] = map[int32]bool{int32(r): true}
+		holdings[r] = map[int32]bool{}
+		for b, hi := s.Plan.Owned(r); b < hi; b++ {
+			holdings[r][int32(b)] = true
+		}
 	}
 	// deliveries counts result-buffer deliveries per edge, the edges
 	// numbered by out-list position (an n×n matrix is 800 MiB at
@@ -362,14 +366,19 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	}
 	deliveries := make([]int, outOff[n])
 	var out []Finding
-	deliver := func(src, dst, via int) {
-		j := g.IndexOfOut(src, dst)
-		if j < 0 {
+	deliver := func(b int32, dst, via int) {
+		src, ok := s.Plan.Lands(b, dst)
+		if !ok {
+			why := fmt.Sprintf("edge %d→%d does not exist", src, dst)
+			if s.Plan.Alltoall() {
+				es, ed := s.Plan.Edge(b)
+				why = fmt.Sprintf("it is the segment of edge %d→%d", es, ed)
+			}
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
-				"rank %d delivers block %d to %d but edge %d→%d does not exist",
-				via, src, dst, src, dst)})
+				"rank %d delivers block %d to %d but %s", via, b, dst, why)})
 			return
 		}
+		j := g.IndexOfOut(src, dst)
 		deliveries[outOff[src]+j]++
 		if deliveries[outOff[src]+j] == 2 {
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
@@ -398,7 +407,7 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 				send := s.op(sref)
 				for _, b := range s.Plan.Blocks(send) {
 					if send.Flags&collective.Deliver != 0 {
-						deliver(int(b), ref.rank, sref.rank)
+						deliver(b, ref.rank, sref.rank)
 					}
 					holdings[ref.rank][b] = true
 				}
@@ -410,8 +419,8 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 					"rank %d copies block %d before holding it", ref.rank, b)})
 			}
 			if op.Flags&collective.Deliver != 0 {
-				deliver(int(b), ref.rank, ref.rank)
-			} else if int(b) != ref.rank {
+				deliver(b, ref.rank, ref.rank)
+			} else if lo, hi := s.Plan.Owned(ref.rank); int(b) < lo || int(b) >= hi {
 				out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
 					"rank %d stages block %d, not its own", ref.rank, b)})
 			}
@@ -473,8 +482,8 @@ func topoOrder(succ [][]int, nodes []opRef) ([]int, bool) {
 
 // checkAvoidance enforces the repair discipline when an avoid set is
 // armed: an avoided rank never relays another rank's block (its sends
-// carry only its own), and never receives a forward (non-Deliver
-// message) that would draft it into a relay role.
+// carry only the blocks it owns), and never receives a forward
+// (non-Deliver message) that would draft it into a relay role.
 func (s *Schedule) checkAvoidance(m *matchState) []Finding {
 	if s.Avoid == nil {
 		return nil
@@ -485,12 +494,13 @@ func (s *Schedule) checkAvoidance(m *matchState) []Finding {
 			continue
 		}
 		ops := s.Plan.Ops(r)
+		lo, hi := s.Plan.Owned(r)
 		for i := range ops {
 			op := &ops[i]
 			switch op.Kind {
 			case collective.OpSend:
 				for _, b := range s.Plan.Blocks(op) {
-					if int(b) != r {
+					if int(b) < lo || int(b) >= hi {
 						out = append(out, Finding{InvAvoidance, r, fmt.Sprintf(
 							"avoided rank %d relays block %d to %d (tag %d)",
 							r, b, op.Peer, op.Tag)})

@@ -23,7 +23,9 @@
 //   - internal/mpirt — the goroutine-per-rank MPI-like runtime
 //   - internal/vgraph — virtual topologies and workload generators
 //   - internal/pattern — Distance Halving pattern builders (Algorithms 1–3)
-//   - internal/collective — the three allgather algorithms (Algorithm 4)
+//   - internal/collective — one algorithm table over one plan IR and one
+//     interpreter: naive, Common Neighbor, Distance Halving (Algorithm 4)
+//     and leader-based allgather(v); naive and Distance Halving alltoall(v)
 //   - internal/perfmodel — the Section V analytical model
 //   - internal/sparse, internal/spmm — the SpMM kernel workload
 //   - internal/harness — experiment drivers for every figure
@@ -189,13 +191,15 @@ func NewLeaderBasedK(g *Graph, c Cluster, k int) (VOp, error) {
 }
 
 // NewNaiveAlltoall returns the direct point-to-point neighborhood
-// alltoall.
+// alltoall: like every collective here, a plan the one interpreter runs
+// and the static verifier proves.
 func NewNaiveAlltoall(g *Graph) AOp { return collective.NewNaiveAlltoall(g) }
 
 // NewDistanceHalvingAlltoall routes neighborhood alltoall segments
 // through the Distance Halving pattern's agents — the paper's future
-// work, prototyped: many small distant sends combine into one message
-// per halving step with no payload replication.
+// work: many small distant sends combine into one message per halving
+// step with no payload replication. The pattern's per-edge
+// responsibility movement is replayed once, when the plan is emitted.
 func NewDistanceHalvingAlltoall(g *Graph, l int) (AOp, error) {
 	return collective.NewDistanceHalvingAlltoall(g, l)
 }
