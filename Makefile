@@ -99,20 +99,25 @@ fuzz:
 	$(GO) test -fuzz=FuzzLinkFaultDivergence -fuzztime=20s ./internal/conformance
 
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
-# payloads, heap statistics and per-phase wall included (measured on
-# two cores: 27 s, 19 s of it DH negotiation, 4.9 GiB peak resident).
+# payloads, heap statistics and per-phase wall included; the last line
+# is the whole run's wall and peak resident set (measured on two cores:
+# 12 s, 0.4 s of it DH negotiation, 1.7 GiB).
 mega:
 	$(GO) run ./cmd/nbr-bench -mega -json results/BENCH_pr6.json
 
 # One benchmark per paper table/figure plus ablations (CI scale), the
 # mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
-# algorithm at the rsg216-real shape, and the machine-readable snapshot
+# algorithm at the rsg216-real shape, the plan path (pattern build and
+# plan verify at the moore10k-scale and rsg540-lat shapes:
+# BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), and the
+# machine-readable snapshot
 # consumed by the perf-regression harness (ns/op + allocs/op per hot
 # path; diff it across PRs).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
 	$(GO) test -run '^$$' -bench=InterpReal -benchmem ./internal/collective/
+	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) run ./cmd/nbr-bench -json results/BENCH_pr5.json -micro
 	$(GO) run ./cmd/nbr-bench -degradation -json results/BENCH_pr7.json
 

@@ -12,6 +12,7 @@ import (
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/harness"
 	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/prof"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
@@ -92,7 +93,8 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	start := time.Now()
+	t0 := start
 	g, err := vgraph.Moore(dims, 1)
 	if err != nil {
 		return err
@@ -190,5 +192,7 @@ func runMega(out io.Writer, path string, ranks, msgSize int, wall time.Duration)
 		return err
 	}
 	fmt.Fprintf(out, "wrote %s (%d mega rows)\n", path, len(doc.Rows))
+	// What ROADMAP item 4's target is stated in; stdout only.
+	fmt.Fprintf(out, "mega total: wall %s, peak RSS %.0f MiB\n", time.Since(start).Round(time.Millisecond), prof.PeakRSSMiB())
 	return nil
 }

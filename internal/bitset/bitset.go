@@ -30,12 +30,6 @@ func (s *Set) Add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Remove deletes i. It panics if i is out of range.
-func (s *Set) Remove(i int) {
-	s.check(i)
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Has reports whether i is present. It panics if i is out of range.
 func (s *Set) Has(i int) bool {
 	s.check(i)
@@ -105,47 +99,6 @@ func (s *Set) AndCountRange(t *Set, lo, hi int) int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// CountRange returns |s ∩ [lo, hi)|.
-func (s *Set) CountRange(lo, hi int) int {
-	lo, hi = s.clamp(lo, hi)
-	if lo >= hi {
-		return 0
-	}
-	c := 0
-	loW, hiW := lo>>6, (hi-1)>>6
-	for i := loW; i <= hiW; i++ {
-		c += bits.OnesCount64(s.words[i] & rangeMask(i, lo, hi))
-	}
-	return c
-}
-
-// AnyInRange reports whether s has any element in [lo, hi).
-func (s *Set) AnyInRange(lo, hi int) bool {
-	lo, hi = s.clamp(lo, hi)
-	if lo >= hi {
-		return false
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	for i := loW; i <= hiW; i++ {
-		if s.words[i]&rangeMask(i, lo, hi) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// RemoveRange deletes every element in [lo, hi).
-func (s *Set) RemoveRange(lo, hi int) {
-	lo, hi = s.clamp(lo, hi)
-	if lo >= hi {
-		return
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	for i := loW; i <= hiW; i++ {
-		s.words[i] &^= rangeMask(i, lo, hi)
-	}
 }
 
 // Elems appends the elements of s in ascending order to dst and returns

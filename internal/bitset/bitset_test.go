@@ -23,10 +23,6 @@ func TestBasicOps(t *testing.T) {
 	if s.Count() != 8 {
 		t.Fatalf("Count = %d, want 8", s.Count())
 	}
-	s.Remove(64)
-	if s.Has(64) || s.Count() != 7 {
-		t.Fatalf("Remove(64) failed: count %d", s.Count())
-	}
 	s.Clear()
 	if s.Count() != 0 {
 		t.Fatalf("Clear left %d elements", s.Count())
@@ -39,7 +35,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { s.Add(10) },
 		func() { s.Add(-1) },
 		func() { s.Has(10) },
-		func() { s.Remove(-1) },
 	} {
 		func() {
 			defer func() {
@@ -84,18 +79,11 @@ func TestRangeOpsAgainstModel(t *testing.T) {
 		if got := s.AndCountRange(s2, lo, hi); got != want {
 			return false
 		}
-		// Model CountRange and AnyInRange.
 		cnt := 0
 		for x := range ref {
 			if x >= lo && x < hi {
 				cnt++
 			}
-		}
-		if got := s.CountRange(lo, hi); got != cnt {
-			return false
-		}
-		if got := s.AnyInRange(lo, hi); got != (cnt > 0) {
-			return false
 		}
 		// Model ElemsRange ordering and content.
 		el := s.ElemsRange(nil, lo, hi)
@@ -107,15 +95,6 @@ func TestRangeOpsAgainstModel(t *testing.T) {
 				return false
 			}
 			if i > 0 && el[i-1] >= x {
-				return false
-			}
-		}
-		// Model RemoveRange.
-		c := s.Clone()
-		c.RemoveRange(lo, hi)
-		for x := range ref {
-			inRange := x >= lo && x < hi
-			if c.Has(x) == inRange {
 				return false
 			}
 		}
@@ -178,7 +157,7 @@ func TestElemsFullWord(t *testing.T) {
 
 func TestZeroCapacity(t *testing.T) {
 	s := New(0)
-	if s.Count() != 0 || s.AnyInRange(0, 10) {
+	if s.Count() != 0 || len(s.ElemsRange(nil, 0, 10)) != 0 {
 		t.Fatal("zero-capacity set misbehaves")
 	}
 	s2 := New(-5)

@@ -179,6 +179,9 @@ func (ev *eventRT) run(body func(*Proc)) {
 //
 //lint:hotpath
 func (ev *eventRT) loop() {
+	// Deferred, so that it also runs when a rank body's runtime.Goexit
+	// ends this goroutine from inside next.
+	defer ev.teardown()
 	rt := ev.rt
 	for r := 0; r < rt.n; r++ {
 		ev.schedule(r, 0)
@@ -210,7 +213,11 @@ func (ev *eventRT) loop() {
 			ev.nFinished++
 		}
 	}
-	// Teardown: stop makes the yield of every rank still parked return false.
+}
+
+// teardown unwinds every rank still parked: stop makes its yield return
+// false.
+func (ev *eventRT) teardown() {
 	for r := range ev.co {
 		if stop := ev.co[r].stop; stop != nil {
 			stop() //lint:allocok — abort teardown, once per started rank
@@ -232,7 +239,8 @@ func (ev *eventRT) spawn(p *Proc) {
 // rankMain is a rank's coroutine body: the user's rank body under the
 // shared exit protocol (rankRecover). A body that leaves by
 // runtime.Goexit takes the driver goroutine with it (iter.Pull hands
-// the exit on to next's caller), so that has to fail the run first.
+// the exit on to next's caller), so that has to fail the run first;
+// loop's deferred teardown then unwinds the ranks it leaves parked.
 func (ev *eventRT) rankMain(p *Proc) {
 	rec := any("rank body called runtime.Goexit")
 	defer func() {

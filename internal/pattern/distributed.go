@@ -2,7 +2,7 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"nbrallgather/internal/bitset"
@@ -41,19 +41,21 @@ const noteBytes = 8
 // asynchronously progressing ranks never mismatch messages.
 
 // descMsg is the meta payload of the descriptor transfer: the origin's
-// buffer source order plus the delivery entries it offloads.
+// buffer source order plus the deliveries it offloads.
 type descMsg struct {
 	sources []int
-	entries map[int][]int
+	moved   []owed
 }
 
-// descMsgBytes models the wire size of a descriptor transfer.
+// descMsgBytes models the wire size of a descriptor transfer: the
+// buffer order, then per source with a delivery its destination list.
 func descMsgBytes(d *descMsg) int {
-	n := len(d.sources) + 2
-	for _, v := range d.entries {
-		n += len(v) + 1
+	srcs := make([]int, len(d.moved))
+	for i, e := range d.moved {
+		srcs[i] = e.src()
 	}
-	return 8 * n
+	slices.Sort(srcs)
+	return 8 * (len(d.sources) + 2 + len(d.moved) + len(slices.Compact(srcs)))
 }
 
 // finalNote announces count remainder-phase edges from its sender.
@@ -114,44 +116,28 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 	// exchanged.
 	ChargeNeighborListExchange(p, g)
 
-	st := &rankState{
-		rank:   r,
-		lo:     0,
-		hi:     n,
-		buf:    []int{r},
-		hasSrc: bitset.New(n),
-		del:    deliv{},
-	}
-	st.hasSrc.Add(r)
-	if g.OutDegree(r) > 0 {
-		st.del[r] = g.OutSet(r).Clone()
-	}
-	selfCopied := bitset.New(n)
+	st := newRankState(g, r, make([]Step, 0, levels(n, l)))
+	selfCopies := 0
 
-	for t := 0; st.hi-st.lo > l; t++ {
-		mid := Halves(st.lo, st.hi)
-		lower := r < mid
-		var s Step
-		if lower {
-			s = Step{H1Lo: st.lo, H1Hi: mid, H2Lo: mid, H2Hi: st.hi}
+	for lo, hi, t := 0, n, 0; hi-lo > l; t++ {
+		mid := Halves(lo, hi)
+		s := Step{H1Lo: lo, H1Hi: mid, H2Lo: mid, H2Hi: hi, Agent: NoRank, Origin: NoRank}
+		if r < mid {
+			hi = mid
 		} else {
-			s = Step{H1Lo: mid, H1Hi: st.hi, H2Lo: st.lo, H2Hi: mid}
+			s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, hi, lo, mid
+			lo = mid
 		}
-		s.Agent, s.Origin = NoRank, NoRank
 
 		// Two negotiation phases: the lower half proposes first
 		// (Algorithm 1 lines 14–24).
 		for phase := 0; phase < 2; phase++ {
-			proposing := (phase == 0) == lower
-			if proposing {
-				wants := wantsAgentLocal(st, s.H2Lo, s.H2Hi)
-				if wants {
+			if (phase == 0) == (r < mid) { // this rank's half proposes
+				if st.wantsAgent(s.H2Lo, s.H2Hi, nil) {
 					attempts++
 				}
-				agent := findAgent(p, g, t, phase, r, s.H2Lo, s.H2Hi)
-				if agent != NoRank {
+				if s.Agent = findAgent(p, g, t, phase, r, s.H2Lo, s.H2Hi); s.Agent != NoRank {
 					successes++
-					s.Agent = agent
 				}
 			} else {
 				s.Origin = findOrigin(p, g, t, phase, r, s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi)
@@ -162,92 +148,36 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 		// selected agent; symmetrically absorb notifications from
 		// incoming neighbors in h2. Content is advisory; the cost is
 		// what matters here.
-		for _, v := range g.OutSet(r).ElemsRange(nil, s.H2Lo, s.H2Hi) {
+		for _, v := range within(g.Out(r), s.H2Lo, s.H2Hi) {
 			p.Send(v, tags.NoteBase+t, noteBytes, nil, nil)
 		}
-		for range inRange(g, r, s.H2Lo, s.H2Hi) {
+		for range within(g.In(r), s.H2Lo, s.H2Hi) {
 			p.Recv(mpirt.AnySource, tags.NoteBase+t)
 		}
 
 		// Descriptor exchange (Algorithm 1 lines 31–49).
 		if s.Agent != NoRank {
-			d := &descMsg{sources: append([]int(nil), st.buf...), entries: map[int][]int{}}
 			s.SendCount = len(st.buf)
-			for src, dests := range st.del {
-				moved := dests.ElemsRange(nil, s.H2Lo, s.H2Hi)
-				if len(moved) == 0 {
-					continue
-				}
-				d.entries[src] = moved
-				dests.RemoveRange(s.H2Lo, s.H2Hi)
-				if dests.Count() == 0 {
-					delete(st.del, src)
-				}
-			}
+			d := &descMsg{sources: slices.Clone(st.buf), moved: st.offload(s.H2Lo, s.H2Hi, nil, nil)}
 			p.Send(s.Agent, tags.DescBase+t, descMsgBytes(d), nil, d)
 		}
 		if s.Origin != NoRank {
-			msg := p.Recv(s.Origin, tags.DescBase+t)
-			d := msg.Meta.(*descMsg)
-			s.RecvSources = append([]int(nil), d.sources...)
-			for _, src := range d.sources {
-				if !st.hasSrc.Has(src) {
-					st.hasSrc.Add(src)
-					st.buf = append(st.buf, src)
-				}
-			}
-			for _, src := range order.SortedKeys(d.entries) {
-				set := st.del[src]
-				for _, dst := range d.entries[src] {
-					if dst == r {
-						s.SelfCopies = append(s.SelfCopies, src)
-						selfCopied.Add(src)
-						continue
-					}
-					if set == nil {
-						set = bitset.New(n)
-						st.del[src] = set
-					}
-					set.Add(dst)
-				}
-				if set != nil && set.Count() == 0 {
-					delete(st.del, src)
-				}
-			}
-			sort.Ints(s.SelfCopies)
-		}
-
-		if lower {
-			st.hi = mid
-		} else {
-			st.lo = mid
+			d := p.Recv(s.Origin, tags.DescBase+t).Meta.(*descMsg)
+			st.onload(&s, d.sources, d.moved)
+			selfCopies += len(s.SelfCopies)
 		}
 		st.steps = append(st.steps, s)
 	}
 
 	// Final phase derivation, with sender announcements so each rank
 	// learns its remainder-phase senders (the paper's I_on tracking).
-	plan = &RankPlan{Rank: r, Steps: st.steps, BufSources: st.buf}
-	bySrcDst := map[int][]int{}
-	for _, src := range order.SortedKeys(st.del) {
-		for _, dst := range st.del[src].Elems(nil) {
-			if dst == r {
-				plan.FinalSelfCopies = append(plan.FinalSelfCopies, src)
-				selfCopied.Add(src)
-				continue
-			}
-			bySrcDst[dst] = append(bySrcDst[dst], src)
-		}
+	final := st.final()
+	plan = &final
+	for _, fs := range plan.FinalSends {
+		p.Send(fs.Dst, tags.FinalNote, noteBytes, nil, finalNote{count: len(fs.Sources)})
 	}
-	for _, d := range order.SortedKeys(bySrcDst) {
-		srcs := bySrcDst[d]
-		sort.Ints(srcs)
-		plan.FinalSends = append(plan.FinalSends, FinalSend{Dst: d, Sources: srcs})
-		p.Send(d, tags.FinalNote, noteBytes, nil, finalNote{count: len(srcs)})
-	}
-	sort.Ints(plan.FinalSelfCopies)
 
-	expect := g.InDegree(r) - selfCopied.Count()
+	expect := g.InDegree(r) - selfCopies - len(plan.FinalSelfCopies)
 	senders := map[int]bool{}
 	for expect > 0 {
 		msg := p.Recv(mpirt.AnySource, tags.FinalNote)
@@ -261,55 +191,19 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 	return plan, attempts, successes
 }
 
-// wantsAgentLocal mirrors builder.wantsAgent for the protocol's local
-// state.
-func wantsAgentLocal(st *rankState, lo, hi int) bool {
-	for _, dests := range st.del {
-		if dests.AnyInRange(lo, hi) {
-			return true
-		}
-	}
-	return false
-}
-
-// inRange returns the incoming neighbors of r inside [lo, hi).
-func inRange(g *vgraph.Graph, r, lo, hi int) []int {
-	var out []int
-	for _, u := range g.In(r) {
-		if u >= lo && u < hi {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // candidatesOf returns, in preference order (weight desc, rank asc),
 // the ranks in [clo, chi) sharing at least one outgoing neighbor with r
 // inside the weight range [wlo, whi) — the active rows of matrix A. For
 // an agent search both ranges are the opposite half; for an origin
 // search candidates live in the opposite half while shared neighbors
-// are counted in this rank's own half.
+// are counted in this rank's own half. The enumeration is the central
+// builder's, scratch and cost rule included.
 func candidatesOf(g *vgraph.Graph, r, clo, chi, wlo, whi int) []int {
-	type cand struct{ w, rank int }
-	var cs []cand
-	ro := g.OutSet(r)
-	for c := clo; c < chi; c++ {
-		if c == r {
-			continue
-		}
-		if w := ro.AndCountRange(g.OutSet(c), wlo, whi); w > 0 {
-			cs = append(cs, cand{w, c})
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].w != cs[j].w {
-			return cs[i].w > cs[j].w
-		}
-		return cs[i].rank < cs[j].rank
-	})
+	b := &builder{g: g}
+	cs := b.preferred(b.candidates(nil, r, clo, chi, wlo, whi))
 	ranks := make([]int, len(cs))
 	for i, c := range cs {
-		ranks[i] = c.rank
+		ranks[i] = int(c.a)
 	}
 	return ranks
 }

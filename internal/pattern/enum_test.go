@@ -54,7 +54,7 @@ func TestEnumerationsEquivalent(t *testing.T) {
 				return false
 			}
 		}
-		return want.Validate() == nil
+		return want.Validate() == nil && candidatesAscend(t, g, avoid)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -17,19 +17,25 @@
 //     mpirt runtime, and is what the Fig. 8 overhead experiment
 //     measures.
 //
-// Pattern invariants (checked by Validate): delivery responsibility for
-// every edge u→v rests with exactly one rank at every step; a rank only
-// holds responsibility for sources whose payload its buffer contains;
-// every edge is eventually satisfied by a step self-copy, a final-phase
-// message, or a final self-copy.
+// Both keep one rankState per rank (state.go) and enumerate candidates
+// with one function (builder.candidates), so they differ only in how a
+// level's matching is found.
+//
+// Pattern invariants (the first two hold after every level, and Validate
+// checks their consequences): delivery responsibility for every edge
+// u→v rests with exactly one rank — the edge is an entry of exactly one
+// rank's delivery list, so the lists together hold Edges() entries
+// whatever the rank count; a rank only holds responsibility for sources
+// whose payload its buffer contains; every edge is eventually satisfied
+// by a step self-copy, a final-phase message, or a final self-copy.
 package pattern
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
-	"nbrallgather/internal/bitset"
-	"nbrallgather/internal/order"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -184,22 +190,8 @@ func (b *builder) build() (*Pattern, error) {
 	return b.finish()
 }
 
-// deliv tracks one rank's outstanding delivery responsibilities:
-// source → destination set. Destinations are ranks the source's payload
-// must still be delivered to by this rank.
-type deliv map[int]*bitset.Set
-
-type rankState struct {
-	rank   int
-	lo, hi int // current h1 before the next split
-	steps  []Step
-	// buf is the ordered source list of the rank's main buffer.
-	buf []int
-	// hasSrc marks membership in buf.
-	hasSrc *bitset.Set
-	// del is the outstanding delivery map.
-	del deliv
-}
+// block is a rank interval [lo, hi) still being halved.
+type block struct{ lo, hi int }
 
 type builder struct {
 	g      *vgraph.Graph
@@ -207,105 +199,73 @@ type builder struct {
 	policy Policy
 	// avoid marks ranks excluded from relay roles (nil = none).
 	avoid  []bool
-	states []*rankState
-	// active lists ranks whose current half still exceeds L.
-	active []int
+	states []rankState
+	// active lists, ascending, the blocks still larger than L.
+	active []block
 	stats  Stats
-	// candidates' scratch: per acceptor, the out-neighbors shared with
-	// the current proposer, and the acceptors with a non-zero entry.
-	shared  []int32
-	touched []int
-	enum    int8 // set only by tests: pins candidates to one enumeration
+	// One level's matching, by rank, NoRank where unmatched; a level's
+	// blocks are disjoint, so they share the two arrays.
+	agentOf, originOf []int
+	// cands and sorted are match's candidate buffers, moved the
+	// transfers' descriptors back to back: scratch reused by every block.
+	cands, sorted []cand
+	moved         []owed
+	xfers         []xfer
+	// The counting enumeration's scratch, by candidate offset: the
+	// out-neighbors shared with the current rank, and a bit per non-zero
+	// entry.
+	shared []int32
+	marks  []uint64
+	enum   int8 // set only by tests: pins candidates to one enumeration
 }
 
 func (b *builder) init() {
-	b.shared = make([]int32, b.n)
-	b.states = make([]*rankState, b.n)
-	for r := 0; r < b.n; r++ {
-		st := &rankState{
-			rank:   r,
-			lo:     0,
-			hi:     b.n,
-			buf:    []int{r},
-			hasSrc: bitset.New(b.n),
-			del:    deliv{},
-		}
-		st.hasSrc.Add(r)
-		if b.g.OutDegree(r) > 0 {
-			st.del[r] = b.g.OutSet(r).Clone()
-		}
-		b.states[r] = st
+	b.states = make([]rankState, b.n)
+	b.agentOf, b.originOf = make([]int, b.n), make([]int, b.n)
+	// The level count is known up front: every rank's steps are one
+	// slice of a single allocation.
+	k := levels(b.n, b.l)
+	steps := make([]Step, b.n*k)
+	for r := range b.states {
+		b.states[r] = newRankState(b.g, r, steps[r*k:r*k:(r+1)*k])
 	}
-	for r := 0; r < b.n; r++ {
-		if b.n > b.l {
-			b.active = append(b.active, r)
-		}
+	if b.n > b.l {
+		b.active = []block{{0, b.n}}
 	}
 }
 
-// pairKey identifies a sibling block pair by its parent interval.
-type pairKey struct{ lo, hi int }
-
-// step performs one global halving level: splits every active rank's
-// half, matches agents within each sibling block pair (both
-// directions), and applies the offload/onload bookkeeping.
+// step performs one global halving level: splits every active block,
+// matches agents between its halves (both directions), and applies the
+// offload/onload bookkeeping.
 func (b *builder) step() {
-	// Group active ranks by parent block.
-	groups := map[pairKey][]int{}
-	var keys []pairKey
-	for _, r := range b.active {
-		st := b.states[r]
-		k := pairKey{st.lo, st.hi}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].lo < keys[j].lo })
-
-	var nextActive []int
-	for _, k := range keys {
+	var next []block
+	for _, k := range b.active {
 		mid := Halves(k.lo, k.hi)
 		// Two independent matchings: lower-half proposers with
 		// upper-half acceptors, then the reverse (the paper's two
 		// find_agent/find_origin phases).
-		agentOfLow, originOfHigh := b.match(k.lo, mid, mid, k.hi)
-		agentOfHigh, originOfLow := b.match(mid, k.hi, k.lo, mid)
-
-		for _, r := range groups[k] {
-			st := b.states[r]
-			var s Step
-			if r < mid {
-				st.lo, st.hi = k.lo, mid
-				s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = k.lo, mid, mid, k.hi
-				s.Agent, s.Origin = agentOfLow[r-k.lo], originOfLow[r-k.lo]
-			} else {
-				st.lo, st.hi = mid, k.hi
+		b.match(k.lo, mid, mid, k.hi)
+		b.match(mid, k.hi, k.lo, mid)
+		for r := k.lo; r < k.hi; r++ {
+			s := Step{H1Lo: k.lo, H1Hi: mid, H2Lo: mid, H2Hi: k.hi, Agent: b.agentOf[r], Origin: b.originOf[r]}
+			if r >= mid {
 				s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, k.hi, k.lo, mid
-				s.Agent, s.Origin = agentOfHigh[r-mid], originOfHigh[r-mid]
 			}
-			st.steps = append(st.steps, s)
+			b.states[r].steps = append(b.states[r].steps, s)
 		}
-
-		// Apply the step's data/delivery movement. Offloads must read
-		// the pre-step state of every participant, so: first collect
-		// all transfers, then apply.
-		b.applyTransfers(groups[k])
-	}
-
-	for _, r := range b.active {
-		st := b.states[r]
-		if st.hi-st.lo > b.l {
-			nextActive = append(nextActive, r)
+		b.applyTransfers(k)
+		for _, h := range []block{{k.lo, mid}, {mid, k.hi}} {
+			if h.hi-h.lo > b.l {
+				next = append(next, h)
+			}
 		}
 	}
-	b.active = nextActive
+	b.active = next
 }
 
 // cand is one scored proposer/acceptor pair of a matching.
 type cand struct {
-	w    int
-	p, a int
+	w, p, a int32
 }
 
 const enumIntersect, enumCount int8 = 1, 2
@@ -315,18 +275,16 @@ const enumIntersect, enumCount int8 = 1, 2
 // w(p, a) = |O(p) ∩ O(a) ∩ [alo, ahi)| (shared outgoing neighbors in
 // the proposers' opposite half). Pairs with zero weight never match. A
 // proposer only participates if it currently wants an agent: it must
-// have outstanding deliveries in the opposite half. The results map
-// proposer offset → agent rank and, inverted, acceptor offset → origin
-// rank, NoRank where unmatched.
-func (b *builder) match(plo, phi, alo, ahi int) (agentOf, originOf []int) {
-	agentOf, originOf = make([]int, phi-plo), make([]int, ahi-alo)
-	for i := range agentOf {
-		agentOf[i] = NoRank
+// have outstanding deliveries in the opposite half. The results land in
+// agentOf[plo:phi] and, inverted, originOf[alo:ahi].
+func (b *builder) match(plo, phi, alo, ahi int) {
+	for p := plo; p < phi; p++ {
+		b.agentOf[p] = NoRank
 	}
-	for i := range originOf {
-		originOf[i] = NoRank
+	for a := alo; a < ahi; a++ {
+		b.originOf[a] = NoRank
 	}
-	var cands []cand
+	cands := b.cands[:0]
 	for p := plo; p < phi; p++ {
 		if b.avoid != nil && b.avoid[p] {
 			// An avoided proposer would have to ship its buffer across
@@ -334,82 +292,117 @@ func (b *builder) match(plo, phi, alo, ahi int) (agentOf, originOf []int) {
 			// direct final sends.
 			continue
 		}
-		if !b.wantsAgent(b.states[p], alo, ahi) {
+		if !b.states[p].wantsAgent(alo, ahi, b.avoid) {
 			continue
 		}
-		cands = b.candidates(cands, p, alo, ahi)
+		cands = b.candidates(cands, p, alo, ahi, alo, ahi)
 		b.stats.AgentAttempts++
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if b.policy == PolicyLoadAware && cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
-		}
-		if cands[i].p != cands[j].p {
-			return cands[i].p < cands[j].p
-		}
-		return cands[i].a < cands[j].a
-	})
-	for _, c := range cands {
-		if agentOf[c.p-plo] != NoRank || originOf[c.a-alo] != NoRank {
+	b.cands = cands
+	for _, c := range b.preferred(cands) {
+		if b.agentOf[c.p] != NoRank || b.originOf[c.a] != NoRank {
 			continue
 		}
-		agentOf[c.p-plo], originOf[c.a-alo] = c.a, c.p
+		b.agentOf[c.p], b.originOf[c.a] = int(c.a), int(c.p)
 		b.stats.AgentSuccesses++
 	}
-	return agentOf, originOf
 }
 
-// candidates appends proposer p's scored pairs: every unavoided
-// acceptor a in [alo, ahi) with w(p, a) > 0. Two enumerations yield the
-// same set (match's sort is a total order, so their order is moot):
-// intersect p's out-set with every acceptor's over the range, or walk
-// the in-lists of p's out-neighbors in the range and count how often
-// each acceptor turns up. The cheaper one runs: counting on
-// bounded-degree graphs, where it keeps a level linear in ranks,
-// intersecting on dense ones, where a word covers 64 neighbors.
-func (b *builder) candidates(cands []cand, p, alo, ahi int) []cand {
-	count := b.enum == enumCount || b.enum == 0 && b.countCheaper(p, alo, ahi)
+// preferred returns cands in the policy's preference order: (p, a)
+// for first fit, (w desc, p, a) for the load-aware selection. cands
+// must ascend by (p, a) — candidates' contract — so a stable
+// distribution over the weights, which are small integers (at most an
+// out-degree), is that total order with no comparison sort.
+func (b *builder) preferred(cands []cand) []cand {
+	if b.policy != PolicyLoadAware {
+		return cands
+	}
+	var maxW int32
+	for _, c := range cands {
+		maxW = max(maxW, c.w)
+	}
+	// start[w] is where the next candidate of weight w goes.
+	start := make([]int, maxW+1)
+	for _, c := range cands {
+		start[c.w]++
+	}
+	at := 0
+	for w := maxW; w >= 0; w-- {
+		start[w], at = at, at+start[w]
+	}
+	b.sorted = slices.Grow(b.sorted[:0], len(cands))[:len(cands)]
+	for _, c := range cands {
+		b.sorted[start[c.w]] = c
+		start[c.w]++
+	}
+	return b.sorted
+}
+
+// within returns the part of an ascending rank list inside [lo, hi).
+func within(list []int, lo, hi int) []int {
+	list = list[sort.SearchInts(list, lo):]
+	return list[:sort.SearchInts(list, hi)]
+}
+
+// candidates appends rank r's scored pairs, ascending by candidate:
+// every unavoided c in [clo, chi) with w(r, c) > 0, the weight counted
+// over [wlo, whi). A proposer's two ranges are both the opposite half;
+// the distributed builder's acceptors rank origins of the opposite half
+// by the neighbors shared in their own. Two enumerations yield the same
+// list: intersect r's out-set with every candidate's over the weight
+// range, or walk the in-lists of r's out-neighbors in that range and
+// count how often each candidate turns up. The cheaper one runs:
+// counting on bounded-degree graphs, where it keeps a level linear in
+// ranks, intersecting on dense ones, where a word covers 64 neighbors.
+func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
+	count := b.enum == enumCount || b.enum == 0 && b.countCheaper(r, wlo, whi)
 	if !count {
-		po := b.g.OutSet(p)
-		for a := alo; a < ahi; a++ {
-			if b.avoid != nil && b.avoid[a] {
+		ro := b.g.OutSet(r)
+		for c := clo; c < chi; c++ {
+			if b.avoid != nil && b.avoid[c] {
 				continue
 			}
-			if w := po.AndCountRange(b.g.OutSet(a), alo, ahi); w > 0 {
-				cands = append(cands, cand{w, p, a})
+			if w := ro.AndCountRange(b.g.OutSet(c), wlo, whi); w > 0 {
+				cands = append(cands, cand{int32(w), int32(r), int32(c)})
 			}
 		}
 		return cands
 	}
-	b.touched = b.touched[:0]
-	for _, d := range b.g.Out(p) {
-		if d < alo || d >= ahi {
-			continue
-		}
-		for _, a := range b.g.In(d) {
-			if a < alo || a >= ahi || b.avoid != nil && b.avoid[a] {
+	if len(b.shared) < chi-clo {
+		b.shared, b.marks = make([]int32, chi-clo), make([]uint64, (chi-clo+63)/64)
+	}
+	first, last := len(b.marks), -1 // the marked words
+	for _, d := range within(b.g.Out(r), wlo, whi) {
+		for _, c := range within(b.g.In(d), clo, chi) {
+			if b.avoid != nil && b.avoid[c] {
 				continue
 			}
-			if b.shared[a] == 0 {
-				b.touched = append(b.touched, a)
-			}
-			b.shared[a]++
+			off := c - clo
+			b.shared[off]++
+			b.marks[off>>6] |= 1 << (off & 63)
+			first, last = min(first, off>>6), max(last, off>>6)
 		}
 	}
-	for _, a := range b.touched {
-		cands = append(cands, cand{int(b.shared[a]), p, a})
-		b.shared[a] = 0
+	for i := first; i <= last; i++ {
+		for m := b.marks[i]; m != 0; m &= m - 1 {
+			off := i<<6 + bits.TrailingZeros64(m)
+			cands = append(cands, cand{b.shared[off], int32(r), int32(clo + off)})
+			b.shared[off] = 0
+		}
+		b.marks[i] = 0
 	}
 	return cands
 }
 
-// countCheaper is candidates' cost rule: the in-degrees counting would
-// walk against the acceptors × range words intersecting would.
-func (b *builder) countCheaper(p, alo, ahi int) bool {
-	limit := (ahi - alo) * ((ahi-1)>>6 - alo>>6 + 1)
-	out, work := b.g.Out(p), 0
-	for _, d := range out[sort.SearchInts(out, alo):] {
-		if d >= ahi || work >= limit {
+// countCheaper is candidates' cost rule, for both builders: the
+// in-degrees counting would walk against the words intersecting would
+// read — the weight range's, once per candidate, and the candidates'
+// half has as many ranks as the weight range, give or take one.
+func (b *builder) countCheaper(r, wlo, whi int) bool {
+	limit := (whi - wlo) * ((whi-1)>>6 - wlo>>6 + 1)
+	out, work := b.g.Out(r), 0
+	for _, d := range out[sort.SearchInts(out, wlo):] {
+		if d >= whi || work >= limit {
 			break
 		}
 		work += b.g.InDegree(d)
@@ -417,147 +410,53 @@ func (b *builder) countCheaper(p, alo, ahi int) bool {
 	return work < limit
 }
 
-// wantsAgent reports whether st has any outstanding delivery into
-// [lo, hi) — its own remaining out-neighbors there or inherited origin
-// deliveries. Deliveries to avoided destinations don't count: they are
-// pinned to their original source and cannot be offloaded.
-func (b *builder) wantsAgent(st *rankState, lo, hi int) bool {
-	for _, dests := range st.del {
-		if b.avoid == nil {
-			if dests.AnyInRange(lo, hi) {
-				return true
-			}
-			continue
-		}
-		for _, d := range dests.ElemsRange(nil, lo, hi) {
-			if !b.avoid[d] {
-				return true
-			}
-		}
-	}
-	return false
+// xfer is one agreed offload: the origin's buffer content as it stood
+// before the step, and its descriptor D as moved[lo:hi].
+type xfer struct {
+	to      int
+	sources []int
+	lo, hi  int
 }
 
 // applyTransfers realises this step's agreed agent/origin relations for
-// every rank in the two sibling blocks: buffers travel to agents along
-// with the descriptor D (the h2 slice of each delivery entry).
-func (b *builder) applyTransfers(ranks []int) {
-	type xfer struct {
-		from, to int
-		sources  []int         // buffer content shipped (pre-step order)
-		entries  map[int][]int // descriptor D: source → destinations
-	}
-	var xfers []xfer
-	for _, r := range ranks {
-		st := b.states[r]
+// every rank of the block: buffers travel to agents along with the
+// descriptor D (the h2 run of each delivery list). Offloads must read
+// the pre-step buffer of every participant, so: first collect all
+// transfers, then apply.
+func (b *builder) applyTransfers(k block) {
+	b.moved, b.xfers = b.moved[:0], b.xfers[:0]
+	for r := k.lo; r < k.hi; r++ {
+		st := &b.states[r]
 		s := &st.steps[len(st.steps)-1]
 		if s.Agent == NoRank {
 			continue
 		}
-		x := xfer{from: r, to: s.Agent, entries: map[int][]int{}}
-		x.sources = append([]int(nil), st.buf...)
 		s.SendCount = len(st.buf)
-		for src, dests := range st.del {
-			moved := dests.ElemsRange(nil, s.H2Lo, s.H2Hi)
-			if b.avoid != nil {
-				// Deliveries to avoided destinations stay pinned to the
-				// current holder (inductively the original source), so
-				// they surface as direct final sends along graph edges.
-				kept := moved[:0]
-				for _, d := range moved {
-					if b.avoid[d] {
-						continue
-					}
-					kept = append(kept, d)
-					dests.Remove(d)
-				}
-				moved = kept
-			} else {
-				dests.RemoveRange(s.H2Lo, s.H2Hi)
-			}
-			if len(moved) == 0 {
-				continue
-			}
-			x.entries[src] = moved
-			if dests.Count() == 0 {
-				delete(st.del, src)
-			}
-		}
-		xfers = append(xfers, x)
+		from := len(b.moved)
+		b.moved = st.offload(s.H2Lo, s.H2Hi, b.avoid, b.moved)
+		// The agent keeps the origin's buffer prefix, not a copy of it:
+		// a buffer only ever grows, and never into the capped slice.
+		b.xfers = append(b.xfers, xfer{s.Agent, st.buf[:len(st.buf):len(st.buf)], from, len(b.moved)})
 	}
-	for _, x := range xfers {
-		st := b.states[x.to]
-		s := &st.steps[len(st.steps)-1]
-		s.RecvSources = append([]int(nil), x.sources...)
-		for _, src := range x.sources {
-			if !st.hasSrc.Has(src) {
-				st.hasSrc.Add(src)
-				st.buf = append(st.buf, src)
-			}
-		}
-		for _, src := range order.SortedKeys(x.entries) {
-			dests := x.entries[src]
-			set := st.del[src]
-			if set == nil {
-				set = bitset.New(b.n)
-				st.del[src] = set
-			}
-			for _, d := range dests {
-				if d == x.to {
-					// Delivery to self: satisfied by a local copy the
-					// moment the payload arrives.
-					s.SelfCopies = append(s.SelfCopies, src)
-					continue
-				}
-				set.Add(d)
-			}
-		}
-		for src, dests := range st.del {
-			if dests.Count() == 0 {
-				delete(st.del, src)
-			}
-		}
-		sort.Ints(s.SelfCopies)
+	for _, x := range b.xfers {
+		st := &b.states[x.to]
+		st.onload(&st.steps[len(st.steps)-1], x.sources, b.moved[x.lo:x.hi])
 	}
 }
 
 // finish derives final-phase sends/recvs from residual deliveries and
 // assembles the Pattern.
 func (b *builder) finish() (*Pattern, error) {
-	p := &Pattern{Graph: b.g, L: b.l, Plans: make([]RankPlan, b.n)}
-	// destSenders[v] accumulates ranks that send v a final message.
-	destSenders := make([][]int, b.n)
-	for r := 0; r < b.n; r++ {
-		st := b.states[r]
-		plan := RankPlan{Rank: r, Steps: st.steps, BufSources: st.buf}
-		bySrcDst := map[int][]int{} // dst → sources
-		for _, src := range order.SortedKeys(st.del) {
-			for _, d := range st.del[src].Elems(nil) {
-				if d == r {
-					plan.FinalSelfCopies = append(plan.FinalSelfCopies, src)
-					continue
-				}
-				bySrcDst[d] = append(bySrcDst[d], src)
-			}
-		}
-		for _, d := range order.SortedKeys(bySrcDst) {
-			srcs := bySrcDst[d]
-			sort.Ints(srcs)
-			plan.FinalSends = append(plan.FinalSends, FinalSend{Dst: d, Sources: srcs})
-			destSenders[d] = append(destSenders[d], r)
-		}
-		sort.Ints(plan.FinalSelfCopies)
-		if len(st.buf) > p.Stats.MaxBufSources {
-			p.Stats.MaxBufSources = len(st.buf)
-		}
-		p.Plans[r] = plan
+	p := &Pattern{Graph: b.g, L: b.l, Plans: make([]RankPlan, b.n), Stats: b.stats}
+	for r := range b.states {
+		p.Plans[r] = b.states[r].final()
+		p.Stats.MaxBufSources = max(p.Stats.MaxBufSources, len(b.states[r].buf))
 	}
-	for r := 0; r < b.n; r++ {
-		senders := destSenders[r]
-		sort.Ints(senders)
-		p.Plans[r].FinalRecvs = senders
+	// Senders arrive in rank order, so every FinalRecvs ascends.
+	for r := range p.Plans {
+		for _, fs := range p.Plans[r].FinalSends {
+			p.Plans[fs.Dst].FinalRecvs = append(p.Plans[fs.Dst].FinalRecvs, r)
+		}
 	}
-	p.Stats.AgentAttempts = b.stats.AgentAttempts
-	p.Stats.AgentSuccesses = b.stats.AgentSuccesses
 	return p, nil
 }

@@ -1,0 +1,144 @@
+package pattern
+
+import (
+	"slices"
+
+	"nbrallgather/internal/vgraph"
+)
+
+// owed is one outstanding delivery — src's payload must still reach dst
+// — packed dst<<32 | src, so integer order is (dst, src) order.
+type owed uint64
+
+func owe(dst, src int) owed { return owed(dst)<<32 | owed(src) }
+
+func (e owed) dst() int { return int(e >> 32) }
+func (e owed) src() int { return int(uint32(e)) }
+
+// rankState is what one rank knows while the pattern is negotiated;
+// both builders keep exactly this and move it with the same three
+// methods: offload (what leaves with the buffer for the agent), onload
+// (what arrives from the origin) and final (what is left when halving
+// stops).
+type rankState struct {
+	rank  int
+	steps []Step
+	// buf is the ordered source list of the rank's main buffer. A source
+	// never arrives twice: its holders sit in different blocks of every
+	// level (one to begin with; a level adds at most the one agent of a
+	// block's holder, in the sibling block), and an origin and its agent
+	// share the parent block.
+	buf []int
+	// del lists the deliveries this rank is responsible for, ascending:
+	// grouped by destination, sources ascending within one. A level
+	// concerns one run of it, found by binary search.
+	del []owed
+}
+
+// newRankState is rank r before the first level: its own payload, owed
+// to each of its out-neighbors, and room for the levels to come.
+func newRankState(g *vgraph.Graph, r int, steps []Step) rankState {
+	st := rankState{rank: r, steps: steps, buf: []int{r}, del: make([]owed, g.OutDegree(r))}
+	for i, d := range g.Out(r) {
+		st.del[i] = owe(d, r)
+	}
+	return st
+}
+
+// levels bounds the halving steps of any rank: how often n halves,
+// rounding up, before it is at most l.
+func levels(n, l int) int {
+	k := 0
+	for ; n > l; n = Halves(0, n) {
+		k++
+	}
+	return k
+}
+
+// run returns the bounds within the ascending list of the deliveries
+// into [lo, hi).
+func run(list []owed, lo, hi int) (i, j int) {
+	i, _ = slices.BinarySearch(list, owe(lo, 0))
+	j, _ = slices.BinarySearch(list[i:], owe(hi, 0))
+	return i, i + j
+}
+
+// wantsAgent reports whether the rank has any outstanding delivery into
+// [lo, hi) — its own remaining out-neighbors there or inherited origin
+// deliveries. Deliveries to avoided destinations don't count: they are
+// pinned to their original source and cannot be offloaded.
+func (st *rankState) wantsAgent(lo, hi int, avoid []bool) bool {
+	i, j := run(st.del, lo, hi)
+	return slices.ContainsFunc(st.del[i:j], func(e owed) bool { return avoid == nil || !avoid[e.dst()] })
+}
+
+// offload cuts the deliveries into [lo, hi) out of the list and appends
+// them to moved: the descriptor D that travels with the buffer.
+// Deliveries to avoided destinations stay with the current holder
+// (inductively the original source), so they surface as direct final
+// sends along graph edges.
+func (st *rankState) offload(lo, hi int, avoid []bool, moved []owed) []owed {
+	i, j := run(st.del, lo, hi)
+	kept := i
+	for _, e := range st.del[i:j] {
+		if avoid != nil && avoid[e.dst()] {
+			st.del[kept] = e
+			kept++
+		} else {
+			moved = append(moved, e)
+		}
+	}
+	st.del = append(st.del[:kept], st.del[j:]...)
+	return moved
+}
+
+// onload is the agent's side of step s: the origin's buffer content
+// joins the rank's own, and the origin's descriptor is merged into the
+// delivery list — except the deliveries to this rank itself, which a
+// local copy satisfies the moment the payload arrives. sources is kept,
+// not copied.
+func (st *rankState) onload(s *Step, sources []int, moved []owed) {
+	s.RecvSources = sources
+	st.buf = append(st.buf, sources...)
+	// The deliveries to this rank are one run of moved, sources ascending.
+	i, j := run(moved, st.rank, st.rank+1)
+	if i < j {
+		s.SelfCopies = make([]int, j-i)
+		for k, e := range moved[i:j] {
+			s.SelfCopies[k] = e.src()
+		}
+	}
+	// Merge the rest in from the back, in place: what lies above the
+	// self-copies first, then what lies below them.
+	old := len(st.del)
+	st.del = slices.Grow(st.del, len(moved)-(j-i))[:old+len(moved)-(j-i)]
+	w, a := len(st.del)-1, old-1
+	for _, part := range [2][]owed{moved[j:], moved[:i]} {
+		for q := len(part) - 1; q >= 0; q, w = q-1, w-1 {
+			for ; a >= 0 && st.del[a] > part[q]; a, w = a-1, w-1 {
+				st.del[w] = st.del[a]
+			}
+			st.del[w] = part[q]
+		}
+	}
+}
+
+// final turns what the rank still owes when halving stops into its
+// remainder phase. The list is already grouped by destination with
+// sources ascending, so one walk emits FinalSends in destination order.
+func (st *rankState) final() RankPlan {
+	plan := RankPlan{Rank: st.rank, Steps: st.steps, BufSources: st.buf}
+	srcs := make([]int, len(st.del))
+	for i := 0; i < len(st.del); {
+		d, from := st.del[i].dst(), i
+		for ; i < len(st.del) && st.del[i].dst() == d; i++ {
+			srcs[i] = st.del[i].src()
+		}
+		if d == st.rank {
+			plan.FinalSelfCopies = srcs[from:i:i]
+		} else {
+			plan.FinalSends = append(plan.FinalSends, FinalSend{Dst: d, Sources: srcs[from:i:i]})
+		}
+	}
+	return plan
+}

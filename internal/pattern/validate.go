@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 
 	"nbrallgather/internal/bitset"
 )
@@ -208,12 +207,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// sortedCopy returns a sorted copy of s (test helper shared with the
-// distributed builder).
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
 }

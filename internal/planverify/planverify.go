@@ -145,8 +145,8 @@ func (f Finding) String() string {
 }
 
 // opString renders an op for cycle and matching messages.
-func (s *Schedule) opString(ref opRef) string {
-	r, op := ref.rank, s.op(ref)
+func (s *Schedule) opString(m *matchState, id int32) string {
+	r, op := s.op(m, id)
 	switch op.Kind {
 	case collective.OpSend:
 		return fmt.Sprintf("rank %d send→%d tag %d", r, op.Peer, op.Tag)

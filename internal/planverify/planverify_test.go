@@ -512,3 +512,81 @@ func TestLoadAccountingSmall(t *testing.T) {
 		t.Fatalf("RatioMaxMean = %v", r)
 	}
 }
+
+// TestBrokenFindingOrder pins the order of the findings, not only their
+// text: collisions come in the order their channels first appear in a
+// (rank, index) scan — through a send or a receive, and not in channel
+// order — then the (rank, index) sweep for unmatched and never-waited
+// ops, then completeness in the eager order. Each row gives one program
+// per rank.
+func TestBrokenFindingOrder(t *testing.T) {
+	type prog = func(b *collective.PlanBuilder)
+	for _, tc := range []struct {
+		name  string
+		out   [][]int
+		ranks []prog
+		want  []string
+	}{
+		{"collisions", [][]int{{1, 2}, {}, {0}}, []prog{
+			func(b *collective.PlanBuilder) {
+				b.Recv(2, 3, deliver, 2) // first sight of channel 2→0; never waited on
+				b.Send(2, 9, deliver, 0)
+				b.Send(2, 9, deliver, 0) // collides, and rank 2 posts one receive
+				b.Send(1, 7, deliver, 0)
+				b.Send(1, 7, deliver, 0) // collides on a channel that sorts first
+				b.Send(1, 8, deliver, 0) // nobody receives tag 8
+			},
+			func(b *collective.PlanBuilder) {
+				b.Recv(0, 7, deliver, 0)
+				b.Recv(0, 7, deliver, 0)
+				b.Wait(0, 2)
+			},
+			func(b *collective.PlanBuilder) {
+				b.Recv(0, 9, deliver, 0)
+				b.Wait(0, 1)
+				b.Send(0, 3, deliver, 2)
+			},
+		}, []string{
+			"[matching] rank 0: tag collision: 2 sends on channel 0→2 tag 9 within one epoch",
+			"[matching] rank 0: tag collision: 2 sends on channel 0→1 tag 7 within one epoch",
+			"[matching] rank 1: tag collision: 2 receives posted on channel 0→1 tag 7 within one epoch",
+			"[matching] rank 0: receive posted by 0 from 2 tag 3 is never waited on",
+			"[matching] rank 0: send 0→2 tag 9 is never received",
+			"[matching] rank 0: send 0→1 tag 8 is never received",
+			"[completeness] rank 0: edge 0→1 delivered twice",
+			"[completeness] edge 2→0 never delivered",
+		}},
+		{"wildcards", [][]int{{2}, {2}, {}}, []prog{
+			func(b *collective.PlanBuilder) {
+				b.Send(2, 5, deliver, 0)
+				b.Send(2, 5, deliver, 0) // the collision's second send is the wildcard's first candidate
+			},
+			func(b *collective.PlanBuilder) { b.Send(2, 5, deliver, 1) },
+			func(b *collective.PlanBuilder) {
+				b.Recv(0, 5, deliver, 0)
+				b.Recv(collective.AnySource, 5, deliver, 0)
+				b.Recv(collective.AnySource, 5, deliver, 1)
+				b.Recv(collective.AnySource, 6, deliver, 1)
+				b.Wait(0, 4)
+			},
+		}, []string{
+			"[matching] rank 0: tag collision: 2 sends on channel 0→2 tag 5 within one epoch",
+			"[matching] rank 2: wildcard receive tag 5 is ambiguous: 2 candidate sources and payloads are not self-describing",
+			"[matching] rank 2: receive posted by 2 from * tag 6 is never satisfied",
+			"[completeness] rank 0: edge 0→2 delivered twice",
+		}},
+	} {
+		b := collective.NewPlanBuilder(mustGraph(t, len(tc.out), tc.out), 0, 0)
+		for _, emit := range tc.ranks {
+			emit(b)
+			b.EndRank()
+		}
+		var got []string
+		for _, f := range broken(b).Verify() {
+			got = append(got, f.String())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: findings\n  %q\nwant\n  %q", tc.name, got, tc.want)
+		}
+	}
+}

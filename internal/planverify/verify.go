@@ -1,37 +1,76 @@
 package planverify
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"nbrallgather/internal/collective"
 )
 
-// opRef addresses one op as (rank, index into that rank's op list).
-type opRef struct {
-	rank, idx int
-}
-
-func (s *Schedule) op(ref opRef) *collective.PlanOp { return &s.Plan.Ops(ref.rank)[ref.idx] }
-
-// chanKey identifies a message channel within the epoch.
-type chanKey struct {
-	src, dst, tag int
-}
-
 // matchState is the schedule's resolved send↔receive pairing plus the
-// matching-discipline findings it produced.
+// matching-discipline findings it produced. An op's number is its
+// position in the plan — base[rank] + index, the order Plan stores and a
+// (rank, index) scan visits — and every relation is a flat array over
+// those numbers, −1 for none.
 type matchState struct {
+	base []int32 // number of each rank's first op; base[n] counts them all
+	rank []int32 // by op number
 	// sendRecv maps each matched send to the receive post it pairs
 	// with; recvSend is the inverse. waits maps a receive post to the
 	// wait completing it.
-	sendRecv map[opRef]opRef
-	recvSend map[opRef]opRef
-	waits    map[opRef]opRef
-	findings []Finding
+	sendRecv, recvSend, waits []int32
+	findings                  []Finding
 }
+
+const none = -1
+
+func (s *Schedule) newMatchState() *matchState {
+	n := s.Plan.Graph.N()
+	m := &matchState{base: make([]int32, n+1)}
+	for r := 0; r < n; r++ {
+		m.base[r+1] = m.base[r] + int32(len(s.Plan.Ops(r)))
+	}
+	ops := int(m.base[n])
+	flat := make([]int32, 4*ops)
+	for i := range flat[ops:] {
+		flat[ops+i] = none
+	}
+	m.rank, m.sendRecv, m.recvSend, m.waits = flat[:ops], flat[ops:2*ops], flat[2*ops:3*ops], flat[3*ops:]
+	for r := 0; r < n; r++ {
+		for id := m.base[r]; id < m.base[r+1]; id++ {
+			m.rank[id] = int32(r)
+		}
+	}
+	return m
+}
+
+// op returns op id and the rank it belongs to.
+func (s *Schedule) op(m *matchState, id int32) (int, *collective.PlanOp) {
+	r := int(m.rank[id])
+	return r, &s.Plan.Ops(r)[id-m.base[r]]
+}
+
+// chanOp files a send or an exact-source receive under its channel.
+// Sorted, the list reads destination by destination and, within one,
+// channel by channel: a channel's sends in op order, then its receives.
+type chanOp struct {
+	ends uint64 // dst<<32 | src
+	rest int64  // tag<<33 | receive<<32 | op number
+}
+
+func fileOp(src, dst int32, tag int16, recv, id int32) chanOp {
+	return chanOp{uint64(uint32(dst))<<32 | uint64(uint32(src)), int64(tag)<<33 | int64(recv)<<32 | int64(id)}
+}
+
+func (c chanOp) dst() int         { return int(int32(c.ends >> 32)) }
+func (c chanOp) src() int         { return int(int32(c.ends)) }
+func (c chanOp) tag() int         { return int(c.rest >> 33) }
+func (c chanOp) recv() bool       { return c.rest>>32&1 != 0 }
+func (c chanOp) id() int32        { return int32(uint32(c.rest)) }
+func (c chanOp) on(d chanOp) bool { return c.ends == d.ends && c.tag() == d.tag() }
 
 // Verify runs every invariant check and returns the findings in
 // deterministic order: matching, deadlock, completeness, loadbound,
@@ -60,147 +99,144 @@ func (s *Schedule) Verify() []Finding {
 // order and must be unambiguous unless every candidate message is
 // self-describing.
 func (s *Schedule) match() *matchState {
-	m := &matchState{
-		sendRecv: map[opRef]opRef{},
-		recvSend: map[opRef]opRef{},
-		waits:    map[opRef]opRef{},
-	}
-	sends := map[chanKey][]opRef{}
-	recvs := map[chanKey][]opRef{}
-	var order []chanKey
-	seen := map[chanKey]bool{}
-	note := func(k chanKey) {
-		if !seen[k] {
-			seen[k] = true
-			order = append(order, k)
-		}
-	}
-	type wildRef struct {
-		ref opRef
-		tag int
-	}
-	var wilds []wildRef
+	m := s.newMatchState()
 	n := s.Plan.Graph.N()
+	filed := make([]chanOp, 0, m.base[n])
+	var wilds []int32
 	for r := 0; r < n; r++ {
 		ops := s.Plan.Ops(r)
 		for i := range ops {
-			op := &ops[i]
+			op, id := &ops[i], m.base[r]+int32(i)
 			switch op.Kind {
 			case collective.OpSend:
-				k := chanKey{src: r, dst: int(op.Peer), tag: int(op.Tag)}
-				note(k)
-				sends[k] = append(sends[k], opRef{r, i})
+				filed = append(filed, fileOp(int32(r), op.Peer, op.Tag, 0, id))
 			case collective.OpRecv:
 				if op.Peer == collective.AnySource {
-					wilds = append(wilds, wildRef{opRef{r, i}, int(op.Tag)})
-					continue
+					wilds = append(wilds, id)
+				} else {
+					filed = append(filed, fileOp(op.Peer, int32(r), op.Tag, 1, id))
 				}
-				k := chanKey{src: int(op.Peer), dst: r, tag: int(op.Tag)}
-				note(k)
-				recvs[k] = append(recvs[k], opRef{r, i})
 			case collective.OpWait:
 				for j, hi := op.Waits(); j < hi; j++ {
-					rref := opRef{r, j}
 					if j >= len(ops) || ops[j].Kind != collective.OpRecv {
 						m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
 							"wait at op %d names op %d, which is not a receive", i, j)})
-					} else if _, dup := m.waits[rref]; dup {
+					} else if m.waits[m.base[r]+int32(j)] != none {
 						m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
 							"receive at op %d is waited on twice", j)})
 					} else {
-						m.waits[rref] = opRef{r, i}
+						m.waits[m.base[r]+int32(j)] = id
 					}
 				}
 			}
 		}
 	}
-	for _, k := range order {
-		ss, rr := sends[k], recvs[k]
-		if len(ss) > 1 {
-			m.findings = append(m.findings, Finding{InvMatching, k.src, fmt.Sprintf(
-				"tag collision: %d sends on channel %d→%d tag %d within one epoch",
-				len(ss), k.src, k.dst, k.tag)})
+	slices.SortFunc(filed, func(a, b chanOp) int {
+		if a.ends != b.ends {
+			return cmp.Compare(a.ends, b.ends)
 		}
-		if len(rr) > 1 {
-			m.findings = append(m.findings, Finding{InvMatching, k.dst, fmt.Sprintf(
-				"tag collision: %d receives posted on channel %d→%d tag %d within one epoch",
-				len(rr), k.src, k.dst, k.tag)})
-		}
-		for i := 0; i < len(ss) && i < len(rr); i++ {
-			m.sendRecv[ss[i]] = rr[i]
-			m.recvSend[rr[i]] = ss[i]
-		}
+		return cmp.Compare(a.rest, b.rest)
+	})
+	// Pair channel by channel, FIFO. Collisions are reported in the
+	// order their channels first appear in the scan above, which is the
+	// order of each channel's least op number.
+	type collision struct {
+		seen int32
+		Finding
 	}
-	// Wildcard receives: collect each destination's unmatched sends by
-	// tag and pair in deterministic (src, send index) order.
+	var collisions []collision
+	for lo := 0; lo < len(filed); {
+		k := filed[lo]
+		mid, hi := lo, lo
+		for ; hi < len(filed) && filed[hi].on(k); hi++ {
+			if !filed[hi].recv() {
+				mid = hi + 1
+			}
+		}
+		seen := k.id()
+		if mid < hi {
+			seen = min(seen, filed[mid].id())
+		}
+		if mid-lo > 1 {
+			collisions = append(collisions, collision{seen, Finding{InvMatching, k.src(), fmt.Sprintf(
+				"tag collision: %d sends on channel %d→%d tag %d within one epoch",
+				mid-lo, k.src(), k.dst(), k.tag())}})
+		}
+		if hi-mid > 1 {
+			collisions = append(collisions, collision{seen, Finding{InvMatching, k.dst(), fmt.Sprintf(
+				"tag collision: %d receives posted on channel %d→%d tag %d within one epoch",
+				hi-mid, k.src(), k.dst(), k.tag())}})
+		}
+		for a, b := lo, mid; a < mid && b < hi; a, b = a+1, b+1 {
+			m.sendRecv[filed[a].id()], m.recvSend[filed[b].id()] = filed[b].id(), filed[a].id()
+		}
+		lo = hi
+	}
+	slices.SortStableFunc(collisions, func(a, b collision) int { return cmp.Compare(a.seen, b.seen) })
+	for _, c := range collisions {
+		m.findings = append(m.findings, c.Finding)
+	}
+	// Wildcard receives: a destination's sends are one run of the list
+	// in (src, tag, op) order, so its unmatched sends of one tag come up
+	// in (src, send index) order; the first of them is paired.
 	for _, w := range wilds {
-		var cands []opRef
-		for _, k := range order {
-			if k.dst != w.ref.rank || k.tag != w.tag {
+		r, wop := s.op(m, w)
+		at, _ := slices.BinarySearchFunc(filed, uint64(r)<<32, func(c chanOp, ends uint64) int { return cmp.Compare(c.ends, ends) })
+		first, srcs, last, described := int32(none), 0, none, true
+		for _, c := range filed[at:] {
+			if c.dst() != r {
+				break
+			}
+			if c.recv() || c.tag() != int(wop.Tag) || m.sendRecv[c.id()] != none {
 				continue
 			}
-			for _, sref := range sends[k] {
-				if _, ok := m.sendRecv[sref]; !ok {
-					cands = append(cands, sref)
-				}
+			if first == none {
+				first = c.id()
 			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].rank != cands[j].rank {
-				return cands[i].rank < cands[j].rank
+			if c.src() != last {
+				srcs, last = srcs+1, c.src()
 			}
-			return cands[i].idx < cands[j].idx
-		})
-		if len(cands) == 0 {
-			continue // reported below as an unmatched receive
-		}
-		srcs := map[int]bool{}
-		described := true
-		for _, c := range cands {
-			srcs[c.rank] = true
-			if s.op(c).Flags&collective.SelfDescribing == 0 {
+			if _, send := s.op(m, c.id()); send.Flags&collective.SelfDescribing == 0 {
 				described = false
 			}
 		}
-		if len(srcs) > 1 && !described {
-			m.findings = append(m.findings, Finding{InvMatching, w.ref.rank, fmt.Sprintf(
-				"wildcard receive tag %d is ambiguous: %d candidate sources and payloads are not self-describing",
-				w.tag, len(srcs))})
+		if first == none {
+			continue // reported below as an unmatched receive
 		}
-		m.sendRecv[cands[0]] = w.ref
-		m.recvSend[w.ref] = cands[0]
+		if srcs > 1 && !described {
+			m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
+				"wildcard receive tag %d is ambiguous: %d candidate sources and payloads are not self-describing",
+				wop.Tag, srcs)})
+		}
+		m.sendRecv[first], m.recvSend[w] = w, first
 	}
 	// Sweep for unmatched and disagreeing ops in (rank, index) order.
 	// The interpreter acts on the receive op's flags and, unless the
 	// message is self-describing, on its block list, so both must equal
 	// the matched send's.
-	for r := 0; r < n; r++ {
-		ops := s.Plan.Ops(r)
-		for i := range ops {
-			op := &ops[i]
-			ref := opRef{r, i}
-			switch op.Kind {
-			case collective.OpSend:
-				if _, ok := m.sendRecv[ref]; !ok {
-					m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
-						"send %d→%d tag %d is never received", r, op.Peer, op.Tag)})
-				}
-			case collective.OpRecv:
-				report := func(format string, args ...any) {
-					m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
-						"receive posted by %d from %s tag %d ", r, peerString(int(op.Peer)), op.Tag) +
-						fmt.Sprintf(format, args...)})
-				}
-				if sref, ok := m.recvSend[ref]; !ok {
-					report("is never satisfied")
-				} else if send := s.op(sref); send.Flags != op.Flags {
-					report("has flags %03b, its send %03b", op.Flags, send.Flags)
-				} else if want, got := s.Plan.Blocks(op), s.Plan.Blocks(send); op.Flags&collective.SelfDescribing == 0 && !slices.Equal(want, got) {
-					report("expects blocks %v, its send carries %v", want, got)
-				}
-				if _, ok := m.waits[ref]; !ok {
-					report("is never waited on")
-				}
+	for id := int32(0); id < m.base[n]; id++ {
+		r, op := s.op(m, id)
+		switch op.Kind {
+		case collective.OpSend:
+			if m.sendRecv[id] == none {
+				m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
+					"send %d→%d tag %d is never received", r, op.Peer, op.Tag)})
+			}
+		case collective.OpRecv:
+			report := func(format string, args ...any) {
+				m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
+					"receive posted by %d from %s tag %d ", r, peerString(int(op.Peer)), op.Tag) +
+					fmt.Sprintf(format, args...)})
+			}
+			if m.recvSend[id] == none {
+				report("is never satisfied")
+			} else if _, send := s.op(m, m.recvSend[id]); send.Flags != op.Flags {
+				report("has flags %03b, its send %03b", op.Flags, send.Flags)
+			} else if want, got := s.Plan.Blocks(op), s.Plan.Blocks(send); op.Flags&collective.SelfDescribing == 0 && !slices.Equal(want, got) {
+				report("expects blocks %v, its send carries %v", want, got)
+			}
+			if m.waits[id] == none {
+				report("is never waited on")
 			}
 		}
 	}
@@ -214,43 +250,24 @@ func peerString(p int) string {
 	return fmt.Sprintf("%d", p)
 }
 
-// hbGraph builds the happens-before successor lists over all ops.
-// Program order always applies; a matched send precedes the receiver's
-// wait; under rendezvous semantics the receive post additionally
-// precedes the send's completion (the static analogue of a blocking
-// send waiting for its partner).
-func (s *Schedule) hbGraph(m *matchState, rendezvous bool) ([][]int, []opRef) {
-	var nodes []opRef
-	n := s.Plan.Graph.N()
-	base := make([]int, n) // node id of each rank's first op
-	for r := 0; r < n; r++ {
-		base[r] = len(nodes)
-		for i := range s.Plan.Ops(r) {
-			nodes = append(nodes, opRef{r, i})
-		}
+// successors returns op id's happens-before successors, in order; there
+// are at most two, so the graph is never materialised. Program order
+// always applies; a matched send precedes the receiver's wait; under
+// rendezvous semantics the receive post additionally precedes the
+// send's completion (the static analogue of a blocking send waiting for
+// its partner).
+func (s *Schedule) successors(m *matchState, id int32, rendezvous bool) (succ [2]int32, k int) {
+	if id+1 < m.base[m.rank[id]+1] {
+		succ[0], k = id+1, 1
 	}
-	succ := make([][]int, len(nodes))
-	edge := func(a, b opRef) {
-		succ[base[a.rank]+a.idx] = append(succ[base[a.rank]+a.idx], base[b.rank]+b.idx)
+	if rref := m.sendRecv[id]; rref != none {
+		if wref := m.waits[rref]; wref != none {
+			succ[k], k = wref, k+1
+		}
+	} else if sref := m.recvSend[id]; rendezvous && sref != none {
+		succ[k], k = sref, k+1
 	}
-	for _, ref := range nodes {
-		if ref.idx > 0 {
-			edge(opRef{ref.rank, ref.idx - 1}, ref)
-		}
-	}
-	for _, sref := range nodes {
-		rref, ok := m.sendRecv[sref] // only sends are keys
-		if !ok {
-			continue
-		}
-		if wref, ok := m.waits[rref]; ok {
-			edge(sref, wref)
-		}
-		if rendezvous {
-			edge(rref, sref)
-		}
-	}
-	return succ, nodes
+	return succ, k
 }
 
 // checkDeadlock proves the rendezvous happens-before graph acyclic, or
@@ -259,53 +276,49 @@ func (s *Schedule) hbGraph(m *matchState, rendezvous bool) ([][]int, []opRef) {
 // runtime needs, matching the runtime wait-for-graph detector's
 // rendezvous-mode semantics.
 func (s *Schedule) checkDeadlock(m *matchState) []Finding {
-	succ, nodes := s.hbGraph(m, true)
-	cycle := findCycle(succ)
+	cycle := s.findCycle(m)
 	if cycle == nil {
 		return nil
 	}
-	// Rotate so the minimum (rank, idx) node leads.
-	min := 0
-	for i := 1; i < len(cycle); i++ {
-		a, b := nodes[cycle[i]], nodes[cycle[min]]
-		if a.rank < b.rank || (a.rank == b.rank && a.idx < b.idx) {
-			min = i
-		}
-	}
+	// Rotate so the minimum (rank, idx) op, the least number, leads.
+	first := slices.Index(cycle, slices.Min(cycle))
 	var parts []string
-	for i := 0; i < len(cycle); i++ {
-		parts = append(parts, s.opString(nodes[cycle[(min+i)%len(cycle)]]))
+	for i := 0; i <= len(cycle); i++ {
+		parts = append(parts, s.opString(m, cycle[(first+i)%len(cycle)]))
 	}
-	first := nodes[cycle[min]]
-	parts = append(parts, s.opString(first))
-	return []Finding{{InvDeadlock, first.rank, fmt.Sprintf(
+	return []Finding{{InvDeadlock, int(m.rank[cycle[first]]), fmt.Sprintf(
 		"happens-before cycle under rendezvous semantics: %s",
 		strings.Join(parts, " → "))}}
 }
 
-// findCycle returns the node ids of one cycle in succ (in cycle
-// order), or nil if the graph is acyclic. Iterative colored DFS from
-// every node in id order keeps the answer deterministic.
-func findCycle(succ [][]int) []int {
+// findCycle returns the op numbers of one cycle of the rendezvous
+// happens-before graph (in cycle order), or nil if it is acyclic.
+// Iterative colored DFS from every op in number order keeps the answer
+// deterministic.
+func (s *Schedule) findCycle(m *matchState) []int32 {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, len(succ))
-	parent := make([]int, len(succ))
-	for start := range succ {
+	color := make([]uint8, len(m.rank))
+	parent := make([]int32, len(m.rank))
+	type frame struct {
+		node int32
+		next int
+	}
+	var stack []frame
+	for start := range color {
 		if color[start] != white {
 			continue
 		}
-		type frame struct{ node, next int }
-		stack := []frame{{start, 0}}
+		stack = append(stack[:0], frame{int32(start), 0})
 		color[start] = gray
-		parent[start] = -1
+		parent[start] = none
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(succ[f.node]) {
-				t := succ[f.node][f.next]
+			if succ, k := s.successors(m, f.node, true); f.next < k {
+				t := succ[f.next]
 				f.next++
 				switch color[t] {
 				case white:
@@ -314,14 +327,12 @@ func findCycle(succ [][]int) []int {
 					stack = append(stack, frame{t, 0})
 				case gray:
 					// Back edge f.node → t closes a cycle.
-					cycle := []int{t}
+					cycle := []int32{t}
 					for v := f.node; v != t; v = parent[v] {
 						cycle = append(cycle, v)
 					}
 					// Reverse into forward cycle order t → … → f.node.
-					for i, j := 1, len(cycle)-1; i < j; i, j = i+1, j-1 {
-						cycle[i], cycle[j] = cycle[j], cycle[i]
-					}
+					slices.Reverse(cycle[1:])
 					return cycle
 				}
 				continue
@@ -333,6 +344,38 @@ func findCycle(succ [][]int) []int {
 	return nil
 }
 
+// held is the symbolic execution's holdings: one open-addressed set of
+// (rank, block) pairs, sized once for everything the plan can move.
+type held struct {
+	slots []uint64 // rank<<32 | block, plus one; 0 is empty
+	shift uint
+}
+
+func newHeld(entries int) *held {
+	width := uint(bits.Len(uint(2 * entries))) // load at most a half
+	return &held{make([]uint64, 1<<width), 64 - width}
+}
+
+// slot returns where (rank, block) is or would go.
+func (h *held) slot(rank int, block int32) (*uint64, uint64) {
+	key := (uint64(rank)<<32 | uint64(uint32(block))) + 1
+	for i := (key * 0x9E3779B97F4A7C15) >> h.shift; ; i = (i + 1) & uint64(len(h.slots)-1) {
+		if h.slots[i] == key || h.slots[i] == 0 {
+			return &h.slots[i], key
+		}
+	}
+}
+
+func (h *held) add(rank int, block int32) {
+	slot, key := h.slot(rank, block)
+	*slot = key
+}
+
+func (h *held) has(rank int, block int32) bool {
+	slot, _ := h.slot(rank, block)
+	return *slot != 0
+}
+
 // checkCompleteness symbolically executes the plan in an eager
 // topological order (program order plus matched send→wait edges) and
 // proves that every graph edge receives exactly one delivery, that no
@@ -340,8 +383,7 @@ func findCycle(succ [][]int) []int {
 // lands off-graph. What a rank starts out holding and where a block
 // lands are the plan's layout's to say, not assumed.
 func (s *Schedule) checkCompleteness(m *matchState) []Finding {
-	succ, nodes := s.hbGraph(m, false)
-	order, ok := topoOrder(succ, nodes)
+	order, ok := s.topoOrder(m)
 	if !ok {
 		// Unreachable when checkDeadlock passed (its edge set is a
 		// superset), but guard against direct calls on broken IR.
@@ -350,11 +392,19 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	}
 	g := s.Plan.Graph
 	n := g.N()
-	holdings := make([]map[int32]bool, n)
+	// A rank holds what it owns and what its waits bring in: at most
+	// every block of every matched send.
+	entries := s.Plan.NumBlocks()
+	for id, rref := range m.sendRecv {
+		if rref != none { // only sends have an entry
+			_, send := s.op(m, int32(id))
+			entries += len(s.Plan.Blocks(send))
+		}
+	}
+	holdings := newHeld(entries)
 	for r := 0; r < n; r++ {
-		holdings[r] = map[int32]bool{}
 		for b, hi := s.Plan.Owned(r); b < hi; b++ {
-			holdings[r][int32(b)] = true
+			holdings.add(r, int32(b))
 		}
 	}
 	// deliveries counts result-buffer deliveries per edge, the edges
@@ -385,44 +435,42 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 				"edge %d→%d delivered twice", src, dst)})
 		}
 	}
-	for _, ni := range order {
-		ref := nodes[ni]
-		op := s.op(ref)
+	for _, id := range order {
+		rank, op := s.op(m, id)
 		switch op.Kind {
 		case collective.OpSend:
 			for _, b := range s.Plan.Blocks(op) {
-				if !holdings[ref.rank][b] {
-					out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
+				if !holdings.has(rank, b) {
+					out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
 						"rank %d sends block %d to %d (tag %d) before holding it",
-						ref.rank, b, op.Peer, op.Tag)})
+						rank, b, op.Peer, op.Tag)})
 				}
 			}
 		case collective.OpWait:
 			for j, hi := op.Waits(); j < hi; j++ {
-				rref := opRef{ref.rank, j}
-				sref, ok := m.recvSend[rref]
-				if !ok || m.waits[rref] != ref {
+				rref := m.base[rank] + int32(j)
+				if rref >= m.base[rank+1] || m.recvSend[rref] == none || m.waits[rref] != id {
 					continue // unmatched receive or stray wait, already reported
 				}
-				send := s.op(sref)
+				via, send := s.op(m, m.recvSend[rref])
 				for _, b := range s.Plan.Blocks(send) {
 					if send.Flags&collective.Deliver != 0 {
-						deliver(b, ref.rank, sref.rank)
+						deliver(b, rank, via)
 					}
-					holdings[ref.rank][b] = true
+					holdings.add(rank, b)
 				}
 			}
 		case collective.OpCopy:
 			b := s.Plan.Blocks(op)[0]
-			if !holdings[ref.rank][b] {
-				out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
-					"rank %d copies block %d before holding it", ref.rank, b)})
+			if !holdings.has(rank, b) {
+				out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
+					"rank %d copies block %d before holding it", rank, b)})
 			}
 			if op.Flags&collective.Deliver != 0 {
-				deliver(b, ref.rank, ref.rank)
-			} else if lo, hi := s.Plan.Owned(ref.rank); int(b) < lo || int(b) >= hi {
-				out = append(out, Finding{InvCompleteness, ref.rank, fmt.Sprintf(
-					"rank %d stages block %d, not its own", ref.rank, b)})
+				deliver(b, rank, rank)
+			} else if lo, hi := s.Plan.Owned(rank); int(b) < lo || int(b) >= hi {
+				out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
+					"rank %d stages block %d, not its own", rank, b)})
 			}
 		}
 	}
@@ -437,47 +485,68 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	return out
 }
 
-// topoOrder returns a deterministic topological order of succ (Kahn's
-// algorithm with a (rank, idx)-ordered ready heap realized as sorted
-// insertion), or ok=false when the graph is cyclic.
-func topoOrder(succ [][]int, nodes []opRef) ([]int, bool) {
-	indeg := make([]int, len(succ))
-	for _, ts := range succ {
-		for _, t := range ts {
+// ready is topoOrder's set of ops whose predecessors have all run: a
+// binary heap, least op number — least (rank, index) — on top.
+type ready []int32
+
+func (h *ready) push(x int32) {
+	q := append(*h, x)
+	for i := len(q) - 1; i > 0 && q[(i-1)/2] > q[i]; i = (i - 1) / 2 {
+		q[(i-1)/2], q[i] = q[i], q[(i-1)/2]
+	}
+	*h = q
+}
+
+func (h *ready) pop() int32 {
+	q := *h
+	top, x := q[0], q[len(q)-1]
+	q = q[:len(q)-1]
+	// Sift the last element down from the root.
+	for i := 0; len(q) > 0; {
+		c := 2*i + 1
+		if c+1 < len(q) && q[c+1] < q[c] {
+			c++
+		}
+		if c >= len(q) || x <= q[c] {
+			q[i] = x
+			break
+		}
+		q[i], i = q[c], c
+	}
+	*h = q
+	return top
+}
+
+// topoOrder returns the deterministic topological order of the eager
+// happens-before graph — Kahn's algorithm, always running the least
+// ready op next — or ok=false when the graph is cyclic.
+func (s *Schedule) topoOrder(m *matchState) ([]int32, bool) {
+	total := int32(len(m.rank))
+	indeg := make([]int32, total)
+	for id := int32(0); id < total; id++ {
+		succ, k := s.successors(m, id, false)
+		for _, t := range succ[:k] {
 			indeg[t]++
 		}
 	}
-	less := func(a, b int) bool {
-		if nodes[a].rank != nodes[b].rank {
-			return nodes[a].rank < nodes[b].rank
-		}
-		return nodes[a].idx < nodes[b].idx
-	}
-	var ready []int
-	for i := range succ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
+	var rdy ready
+	for id, d := range indeg {
+		if d == 0 {
+			rdy = append(rdy, int32(id)) // ascending: already a heap
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-	var order []int
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
+	order := make([]int32, 0, total)
+	for len(rdy) > 0 {
+		v := rdy.pop()
 		order = append(order, v)
-		for _, t := range succ[v] {
-			indeg[t]--
-			if indeg[t] == 0 {
-				// Insert keeping ready sorted; op counts are small
-				// enough that linear insertion is fine.
-				pos := sort.Search(len(ready), func(i int) bool { return less(t, ready[i]) })
-				ready = append(ready, 0)
-				copy(ready[pos+1:], ready[pos:])
-				ready[pos] = t
+		succ, k := s.successors(m, v, false)
+		for _, t := range succ[:k] {
+			if indeg[t]--; indeg[t] == 0 {
+				rdy.push(t)
 			}
 		}
 	}
-	return order, len(order) == len(succ)
+	return order, len(order) == int(total)
 }
 
 // checkAvoidance enforces the repair discipline when an avoid set is
@@ -507,14 +576,14 @@ func (s *Schedule) checkAvoidance(m *matchState) []Finding {
 					}
 				}
 			case collective.OpRecv:
-				sref, ok := m.recvSend[opRef{r, i}]
-				if !ok {
+				sref := m.recvSend[m.base[r]+int32(i)]
+				if sref == none {
 					continue
 				}
-				if s.op(sref).Flags&collective.Deliver == 0 {
+				if from, send := s.op(m, sref); send.Flags&collective.Deliver == 0 {
 					out = append(out, Finding{InvAvoidance, r, fmt.Sprintf(
 						"avoided rank %d receives a forward from %d (tag %d)",
-						r, sref.rank, op.Tag)})
+						r, from, op.Tag)})
 				}
 			}
 		}

@@ -10,7 +10,27 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 )
+
+// PeakRSSMiB reads the process's peak resident set (VmHWM); where /proc
+// is missing it falls back to the memory the Go runtime obtained from
+// the system.
+func PeakRSSMiB() float64 {
+	if data, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+				if kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64); err == nil {
+					return kb / 1024
+				}
+			}
+		}
+	}
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.Sys) / (1 << 20)
+}
 
 // Flags holds the profile destinations registered by Register.
 type Flags struct {
