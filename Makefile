@@ -22,7 +22,7 @@ fmt-check:
 # errdiscipline, tagdiscipline, vtclean, bufferpool, the dataflow-powered
 # bufinflight, deadlockshape and waitcoverage, and the interprocedural
 # allocdiscipline (//lint:hotpath closures stay allocation-free) and
-# enginesafe (no host block reachable from event-engine coroutines).
+# enginesafe (no host block reachable from event-engine rank code).
 # The run covers the whole module including internal/lint itself;
 # full-suite runs also flag stale suppression directives.
 # Exit 1 = findings, 2 = tool error.
@@ -101,7 +101,9 @@ fuzz:
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
 # payloads, heap statistics and per-phase wall included; the last line
 # is the whole run's wall and peak resident set (measured on two cores:
-# 12 s, 0.4 s of it DH negotiation, 1.7 GiB).
+# 6 s — graph 1.5 s, the three cells 2.5–3 s — and 1.0 GiB, most of it
+# the graph's n²/8-byte out-sets; 13–16 s and 1.6–1.7 GiB before ranks
+# were stepped).
 mega:
 	$(GO) run ./cmd/nbr-bench -mega -json results/BENCH_pr6.json
 
@@ -109,7 +111,9 @@ mega:
 # mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
 # algorithm at the rsg216-real shape, the plan path (pattern build and
 # plan verify at the moore10k-scale and rsg540-lat shapes:
-# BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), and the
+# BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), one
+# harness.Measure per algorithm at the same two shapes (MeasureMoore10k,
+# MeasureER540: simulated msgs/s and allocs/msg), and the
 # machine-readable snapshot
 # consumed by the perf-regression harness (ns/op + allocs/op per hot
 # path; diff it across PRs).
@@ -118,6 +122,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
 	$(GO) test -run '^$$' -bench=InterpReal -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
+	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
 	$(GO) run ./cmd/nbr-bench -json results/BENCH_pr5.json -micro
 	$(GO) run ./cmd/nbr-bench -degradation -json results/BENCH_pr7.json
 

@@ -41,6 +41,7 @@ func runMicro(out io.Writer) []microBench {
 		fn   func(b *testing.B)
 	}{
 		{"p2p/sendrecv", microSendRecv},
+		{"p2p/sendrecv-stepped", microSendRecvStepped},
 		{"p2p/match-indexed", microMatchIndexed},
 		{"p2p/match-wildcard", microMatchWildcard},
 		{"p2p/gather-send", microGatherSend},
@@ -105,6 +106,52 @@ func microSendRecv(b *testing.B) {
 				p.Send(0, tags.BenchPong, len(payload), payload, nil)
 			}
 		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// pingPong is microSendRecv's round trip as an mpirt.Stepper: the event
+// loop calls Step where it would switch into the rank's coroutine, and
+// a receive with nothing queued suspends instead of parking.
+type pingPong struct {
+	left    int
+	sent    bool // rank 0: this round's ping is out
+	payload []byte
+}
+
+func (s *pingPong) Step(p *mpirt.Proc) bool {
+	for ; s.left > 0; s.left-- {
+		switch p.Rank() {
+		case 0:
+			if !s.sent {
+				p.Send(1, tags.BenchPing, len(s.payload), s.payload, nil)
+				s.sent = true
+			}
+			m, ok := p.RecvStep(1, tags.BenchPong)
+			if !ok {
+				return false
+			}
+			m.Release()
+			s.sent = false
+		case 1:
+			m, ok := p.RecvStep(0, tags.BenchPing)
+			if !ok {
+				return false
+			}
+			m.Release()
+			p.Send(0, tags.BenchPong, len(s.payload), s.payload, nil)
+		}
+	}
+	return true
+}
+
+// microSendRecvStepped is microSendRecv with stepped ranks.
+func microSendRecvStepped(b *testing.B) {
+	b.ReportAllocs()
+	payload := make([]byte, 64)
+	if _, err := mpirt.RunSteppers(microCfg(1, 2), func(*mpirt.Proc) mpirt.Stepper {
+		return &pingPong{left: b.N, payload: payload}
 	}); err != nil {
 		b.Fatal(err)
 	}

@@ -38,11 +38,14 @@ import (
 // calling rank: it sends m bytes of sbuf to every outgoing neighbor and
 // fills rbuf with indegree·m bytes, ordered by ascending incoming
 // neighbor rank (MPI's buffer layout). In phantom mode sbuf and rbuf
-// are ignored and may be nil.
+// are ignored and may be nil. Begin is Run for a rank the event loop
+// steps (mpirt.Stepper): it resets ps to the same pass, for the caller
+// to Step.
 type Op interface {
 	Name() string
 	Graph() *vgraph.Graph
 	Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte)
+	Begin(ps *Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte)
 }
 
 // checkUniform validates the uniform Run contract before delegating to
@@ -91,6 +94,12 @@ type Allgather struct {
 func (a *Allgather) Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
 	checkUniform(m)
 	a.plan.run(p, sbuf, a.uniform(m), rbuf)
+}
+
+// Begin implements Op.
+func (a *Allgather) Begin(ps *Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
+	checkUniform(m)
+	ps.Reset(a.plan, p, sbuf, a.uniform(m), rbuf)
 }
 
 // RunV implements VOp.

@@ -6,34 +6,54 @@ import (
 	"nbrallgather/internal/mpirt"
 )
 
-// run executes the calling rank's program of the plan: the one place a
-// collective touches the runtime. Ops run strictly in program order,
-// and ChargeCopy is charged by three rules only — once, for the whole
-// payload, before a Packed send; once per block when a Packed Deliver
-// message is unpacked; once per OpCopy — so the virtual clock sees the
-// same call sequence whichever emitter produced the plan: the modelled
-// copies, not the host's two per byte (gather in, deliver out). Phantom
-// mode moves no bytes and tracks no holdings.
-func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+// Pass is one rank's execution of a plan — the one place a collective
+// touches the runtime — resumable at its only blocking point, a waited
+// receive. Ops run strictly in program order, and ChargeCopy is charged
+// by three rules only — once, for the whole payload, before a Packed
+// send; once per block when a Packed Deliver message is unpacked; once
+// per OpCopy — so the virtual clock sees the same call sequence
+// whichever emitter produced the plan: the modelled copies, not the
+// host's two per byte (gather in, deliver out). Phantom mode moves no
+// bytes and tracks no holdings. Reset readies a Pass, zero or used.
+type Pass struct {
+	pl     *Plan
+	counts []int
+	ops    []PlanOp
+	i, w   int // program counter: the op, and how far into its waits
+	// posted has bit j set while receive op j is posted and not waited;
+	// this runtime matches a receive when it is waited on.
+	posted []uint64
+	st     *payloads
+}
+
+// Reset points the pass at the start of rank p's program of pl.
+func (ps *Pass) Reset(pl *Plan, p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	pl.checkArgs(p, sbuf, counts, rbuf)
 	r := p.Rank()
 	ops := pl.Ops(r)
-	posted := 0 // one past the last receive's op index
+	last := 0 // one past the last receive's op index
 	for i := range ops {
 		if ops[i].Kind == OpRecv {
-			posted = i + 1
+			last = i + 1
 		}
 	}
-	reqs := make([]*mpirt.Request, posted)
-	var st *payloads
+	*ps = Pass{pl: pl, counts: counts, ops: ops, posted: append(ps.posted[:0], make([]uint64, (last+63)/64)...)}
 	if !p.Phantom() {
-		st = newPayloads(pl, r, sbuf, counts, rbuf)
+		ps.st = newPayloads(pl, r, sbuf, counts, rbuf)
 	}
-	for i := range ops {
+}
+
+// Step runs the pass on: true once the program has ended, false when a
+// waited receive suspended (RecvStep) — call again at the rank's next turn.
+func (ps *Pass) Step(p mpirt.Endpoint) (done bool) {
+	pl, st, ops, counts := ps.pl, ps.st, ps.ops, ps.counts
+	r := p.Rank()
+	for ; ps.i < len(ops); ps.i++ {
+		i := ps.i
 		op := &ops[i]
 		switch op.Kind {
 		case OpRecv:
-			reqs[i] = p.Irecv(int(op.Peer), int(op.Tag))
+			ps.posted[i/64] |= 1 << (i % 64)
 		case OpSend:
 			blocks := pl.Blocks(op)
 			size := blockBytes(blocks, counts)
@@ -50,14 +70,20 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 			}
 			p.SendSnapshot(int(op.Peer), int(op.Tag), size, snap, meta)
 		case OpWait:
-			for j, hi := op.Waits(); j < hi; j++ {
-				if j >= len(reqs) || reqs[j] == nil {
+			lo, hi := op.Waits()
+			for j := lo + ps.w; j < hi; j++ {
+				if j >= 64*len(ps.posted) || ps.posted[j/64]&(1<<(j%64)) == 0 {
 					panic(fmt.Sprintf("collective: rank %d wait at op %d names op %d, not a pending receive", r, i, j))
 				}
-				msg := reqs[j].Wait()
-				reqs[j] = nil
+				msg, ok := p.RecvStep(int(ops[j].Peer), int(ops[j].Tag))
+				if !ok {
+					return false
+				}
+				ps.w++
+				ps.posted[j/64] &^= 1 << (j % 64)
 				pl.arrive(p, st, &ops[j], msg, counts)
 			}
+			ps.w = 0
 		case OpCopy:
 			b := pl.Blocks(op)[0]
 			if op.Flags&Deliver != 0 {
@@ -79,6 +105,18 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 		for i := range st.kept {
 			st.kept[i].Release()
 		}
+	}
+	return true
+}
+
+// run is one blocking pass: on a rank with a stack a waited receive
+// parks inside Step. A stepped rank has none, and stepping its suspended
+// receive again here would spin.
+func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
+	var ps Pass
+	ps.Reset(pl, p, sbuf, counts, rbuf)
+	if !ps.Step(p) {
+		panic(fmt.Sprintf("collective: rank %d ran a blocking pass without a stack: a stepped rank must Begin and Step it", p.Rank()))
 	}
 }
 

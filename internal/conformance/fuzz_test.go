@@ -2,8 +2,11 @@ package conformance
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"nbrallgather/internal/collective"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
@@ -18,6 +21,59 @@ type fixedKills struct {
 
 func (f fixedKills) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
 	return f.RunKills(eng, chaos, f.kills)
+}
+
+// gatherStepper is caseBody's CollAllgather rank body as an
+// mpirt.Stepper: the pass is begun once and stepped by the event loop,
+// and the result checked against the same ground truth.
+type gatherStepper struct {
+	c     Case
+	op    collective.Op
+	ps    collective.Pass
+	rbuf  []byte
+	begun bool
+}
+
+func (s *gatherStepper) Step(p *mpirt.Proc) bool {
+	r := p.Rank()
+	if !s.begun {
+		sbuf := make([]byte, s.c.M)
+		fillRank(sbuf, r)
+		s.rbuf = make([]byte, s.c.Graph.InDegree(r)*s.c.M)
+		s.op.Begin(&s.ps, p, sbuf, s.c.M, s.rbuf)
+		s.begun = true
+	}
+	if !s.ps.Step(p) {
+		return false
+	}
+	checkBuf("stepped allgather rbuf", r, s.rbuf, expectedGatherv(s.c.Graph, r, uniform(s.c.Graph.N(), s.c.M)))
+	return true
+}
+
+// steppedEqual runs an allgather case on the event engine twice — the
+// coroutine body, then stepped — and returns any difference in outcome
+// or in the report: there must be none, they are one simulation.
+func steppedEqual(c Case) error {
+	op, _, err := buildVOp(c)
+	if err != nil {
+		return nil // rejected input: Diff has reported it the same way
+	}
+	want, errC := c.Run(mpirt.EngineEvent, 0, nil)
+	got, errS := mpirt.RunSteppers(mpirt.Config{Cluster: c.Cluster, Engine: mpirt.EngineEvent},
+		func(*mpirt.Proc) mpirt.Stepper { return &gatherStepper{c: c, op: op} })
+	if errC != nil || errS != nil {
+		if errC == nil || errS == nil || errC.Error() != errS.Error() {
+			return fmt.Errorf("stepped outcome diverges: coroutine %v, stepped %v", errC, errS)
+		}
+		return nil
+	}
+	for _, rep := range []*mpirt.Report{want, got} {
+		rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("stepped report diverges:\nstepped   %+v\ncoroutine %+v", got, want)
+	}
+	return nil
 }
 
 // fuzzCheck picks the oracle a fuzz input's scheduling mode selects:
@@ -38,7 +94,8 @@ func fuzzCheck(mode uint8) Check {
 // optional kill from the fuzz input and fails on any divergence: under
 // plain scheduling, one engine passing where the other fails, unequal
 // deadlock cycles, or unequal traffic censuses on deterministic
-// programs; under chaos, a seed whose outcome, decision schedule or
+// programs; for a plain allgather, a stepped rank body whose event-engine
+// report is not the coroutine body's; under chaos, a seed whose outcome, decision schedule or
 // virtual time differs between two recordings or under forced replay.
 // Inputs that are rejected or fail identically every time are
 // consistent by definition and are not divergences. Seeds run in the
@@ -85,6 +142,11 @@ func FuzzEngineDivergence(f *testing.F) {
 		}
 		if err := fuzzCheck(mode)(r, seed); err != nil && !errors.Is(err, errBothFailed) && !errors.Is(err, errSameFailure) {
 			t.Fatalf("mode %d kill %d seed %d: %v", mode%3, kill, seed, err)
+		}
+		if kill == 0 && co.coll == CollAllgather {
+			if err := steppedEqual(c); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

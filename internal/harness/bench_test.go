@@ -1,0 +1,62 @@
+package harness
+
+import (
+	"runtime"
+	"testing"
+
+	"nbrallgather/internal/collective"
+	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/topology"
+	"nbrallgather/internal/vgraph"
+)
+
+// benchMeasure times one Measure per algorithm — naive, DH, CN(K=4), as
+// nbr-perf's cell runs them — and reports what the simulator is bought
+// for: simulated messages per host second, and heap allocations per
+// simulated message (runtime start-up included).
+func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
+	dh, err := collective.NewDistanceHalving(g, cfg.Cluster.L())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cn, err := collective.NewCommonNeighbor(g, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, op := range []collective.Op{collective.NewNaive(g), dh, cn} {
+		b.Run(op.Name(), func(b *testing.B) {
+			var before, after runtime.MemStats
+			var msgs int64
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Measure(cfg, op)
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs += res.MsgsPerTrial * int64(res.Trials)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
+		})
+	}
+}
+
+// BenchmarkMeasureMoore10k is the moore10k-scale cell: per-rank start-up
+// and the event loop dominate.
+func BenchmarkMeasureMoore10k(b *testing.B) {
+	cfg, g := moore10k(b)
+	benchMeasure(b, cfg, g)
+}
+
+// BenchmarkMeasureER540 is the rsg540-lat cell: 540 ranks, δ = 0.3,
+// 1 KiB phantom, three trials — matching and the loop dominate.
+func BenchmarkMeasureER540(b *testing.B) {
+	g, err := vgraph.ErdosRenyi(540, 0.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMeasure(b, Config{Cluster: topology.Niagara(15, 18), MsgSize: 1 << 10, Trials: 3, Phantom: true, Engine: mpirt.EngineEvent}, g)
+}

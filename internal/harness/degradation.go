@@ -102,15 +102,9 @@ func runDegradedOnce(cfg Config, op collective.VOp, faults []netmodel.LinkFault)
 	var verdict error
 	var mu sync.Mutex
 	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
-	rep, err := mpirt.Run(mpirt.Config{
-		Cluster:    cfg.Cluster,
-		Params:     cfg.Params,
-		Phantom:    cfg.Phantom,
-		WallLimit:  cfg.WallLimit,
-		Chaos:      cfg.Chaos,
-		LinkFaults: faults,
-		Engine:     cfg.Engine,
-	}, func(p *mpirt.Proc) {
+	rc := cfg.runtime()
+	rc.LinkFaults = faults
+	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
 		r := p.Rank()
 		p.SyncResetTime()
 		fr, ferr := collective.RunFTV(p, op, sbufs[r], counts, rbufs[r])

@@ -105,15 +105,9 @@ func runRecoveryOnce(cfg Config, op collective.VOp, kills []mpirt.Kill) (float64
 	// Buffers are pre-allocated per rank (see rankBuffers) so the timed
 	// region starts at SyncResetTime with no allocation noise.
 	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
-	rep, err := mpirt.Run(mpirt.Config{
-		Cluster:   cfg.Cluster,
-		Params:    cfg.Params,
-		Phantom:   cfg.Phantom,
-		WallLimit: cfg.WallLimit,
-		Chaos:     cfg.Chaos,
-		Kills:     kills,
-		Engine:    cfg.Engine,
-	}, func(p *mpirt.Proc) {
+	rc := cfg.runtime()
+	rc.Kills = kills
+	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
 		r := p.Rank()
 		p.SyncResetTime()
 		fr, ferr := collective.RunFTV(p, op, sbufs[r], counts, rbufs[r])

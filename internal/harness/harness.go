@@ -91,36 +91,17 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	if trials == 0 {
 		trials = 3
 	}
+	if trials < 0 {
+		return Result{}, fmt.Errorf("harness: %d trials must be positive", trials)
+	}
 	if cfg.MsgSize < 1 {
 		return Result{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
 	}
-	times := make([]float64, trials)
-	// Per-rank payload buffers are allocated before the runtime starts
-	// so the measured region (and every trial iteration) does no buffer
-	// allocation work; phantom runs carry nil buffers.
-	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
-	rep, err := mpirt.Run(mpirt.Config{
-		Cluster:   cfg.Cluster,
-		Params:    cfg.Params,
-		Phantom:   cfg.Phantom,
-		WallLimit: cfg.WallLimit,
-		Chaos:     cfg.Chaos,
-		Engine:    cfg.Engine,
-	}, func(p *mpirt.Proc) {
-		r := p.Rank()
-		for tr := 0; tr < trials; tr++ {
-			p.SyncResetTime()
-			op.Run(p, sbufs[r], cfg.MsgSize, rbufs[r])
-			t := p.CollectiveTime()
-			if r == 0 {
-				times[tr] = t
-			}
-		}
-	})
+	ms, rep, err := runMeasurement(cfg, op, trials)
 	if err != nil {
 		return Result{}, err
 	}
-	res := stats(times)
+	res := stats(ms.times)
 	res.Trials = trials
 	res.MsgsPerTrial = rep.Msgs() / int64(trials)
 	res.BytesPerTrial = rep.Bytes() / int64(trials)
@@ -128,6 +109,83 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	res.MaxRankMsgs = rep.MaxRankMsgs
 	res.Wall = rep.Wall
 	return res, nil
+}
+
+// runMeasurement executes trials of op: every rank is a measureLoop, on
+// every driver.
+func runMeasurement(cfg Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
+	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
+	// Per-rank payload buffers are allocated before the runtime starts
+	// so the measured region (and every trial iteration) does no buffer
+	// allocation work; phantom runs carry nil buffers.
+	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
+	loops := make([]measureLoop, op.Graph().N())
+	rep, err := mpirt.RunSteppers(cfg.runtime(), func(p *mpirt.Proc) mpirt.Stepper {
+		l := &loops[p.Rank()]
+		l.ms = ms
+		return l
+	})
+	return ms, rep, err
+}
+
+// runtime is the mpirt configuration cfg measures under.
+func (cfg Config) runtime() mpirt.Config {
+	return mpirt.Config{
+		Cluster:   cfg.Cluster,
+		Params:    cfg.Params,
+		Phantom:   cfg.Phantom,
+		WallLimit: cfg.WallLimit,
+		Chaos:     cfg.Chaos,
+		Engine:    cfg.Engine,
+	}
+}
+
+// measurement is what the ranks of one Measure share.
+type measurement struct {
+	op           collective.Op
+	msgSize      int
+	times        []float64 // per trial, written by rank 0
+	sbufs, rbufs [][]byte
+}
+
+// measureLoop is one rank's body of Measure — per trial: SyncResetTime,
+// one pass of the op, CollectiveTime — as a state machine the event loop
+// steps: a suspended rank is trial, phase and the pass's program
+// counter, not a stack.
+type measureLoop struct {
+	ms    *measurement
+	trial int
+	phase uint8 // of the trial: 0 syncing, 1 in the pass, 2 timing
+	pass  collective.Pass
+}
+
+// Step implements mpirt.Stepper.
+func (l *measureLoop) Step(p *mpirt.Proc) bool {
+	ms, r := l.ms, p.Rank()
+	for ; l.trial < len(ms.times); l.trial++ {
+		if l.phase == 0 {
+			if !p.SyncResetTimeStep() {
+				return false
+			}
+			ms.op.Begin(&l.pass, p, ms.sbufs[r], ms.msgSize, ms.rbufs[r])
+			l.phase = 1
+		}
+		if l.phase == 1 {
+			if !l.pass.Step(p) {
+				return false
+			}
+			l.phase = 2
+		}
+		t, ok := p.CollectiveTimeStep()
+		if !ok {
+			return false
+		}
+		if r == 0 {
+			ms.times[l.trial] = t
+		}
+		l.phase = 0
+	}
+	return true
 }
 
 // rankBuffers pre-allocates every rank's send and receive buffer with

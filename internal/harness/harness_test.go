@@ -65,6 +65,9 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(Config{Cluster: c, MsgSize: 0}, collective.NewNaive(g)); err == nil {
 		t.Error("accepted zero message size")
 	}
+	if _, err := Measure(Config{Cluster: c, MsgSize: 8, Trials: -1}, collective.NewNaive(g)); err == nil {
+		t.Error("accepted a negative trial count")
+	}
 	small, err := vgraph.ErdosRenyi(4, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,161 @@
+package harness
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"nbrallgather/internal/collective"
+	"nbrallgather/internal/conformance"
+	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/topology"
+	"nbrallgather/internal/vgraph"
+)
+
+// coroutineMeasurement is the rank body Measure had before its ranks
+// were stepped — SyncResetTime, op.Run, CollectiveTime per trial, on a
+// coroutine per rank — kept as the reference measureLoop is compared to.
+func coroutineMeasurement(cfg Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
+	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
+	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
+	rep, err := mpirt.Run(cfg.runtime(), func(p *mpirt.Proc) {
+		r := p.Rank()
+		for tr := range ms.times {
+			p.SyncResetTime()
+			op.Run(p, ms.sbufs[r], cfg.MsgSize, ms.rbufs[r])
+			if t := p.CollectiveTime(); r == 0 {
+				ms.times[tr] = t
+			}
+		}
+	})
+	return ms, rep, err
+}
+
+// moore10k is the moore10k-scale cell: a 128×80 Moore grid on 160
+// 64-rank nodes, 4 KiB phantom, one trial.
+func moore10k(tb testing.TB) (Config, *vgraph.Graph) {
+	tb.Helper()
+	g, err := vgraph.Moore([]int{128, 80}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{Cluster: topology.Niagara(160, 32), MsgSize: 4 << 10, Trials: 1, Phantom: true, Engine: mpirt.EngineEvent}, g
+}
+
+// TestSteppedEqualsCoroutine is the equivalence proof of the stepped
+// Measure: for every algorithm of the table, on the nine conformance
+// shapes and a 32×32 Moore grid, phantom and with real payloads, one
+// trial and three, the event engine produces the same Report field for
+// field (host wall time and sync.Pool luck aside), the same per-trial
+// times and the same receive buffers whether the ranks are coroutines
+// running the blocking body or measureLoops stepped by the loop.
+func TestSteppedEqualsCoroutine(t *testing.T) {
+	shapes, err := conformance.Shapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shapes) != 9 {
+		t.Fatalf("%d conformance shapes, want 9", len(shapes))
+	}
+	moore, err := vgraph.Moore([]int{32, 32}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes = append(shapes, conformance.Shape{Name: "32n2s16l/moore32x32", Cluster: topology.Niagara(32, 16), Graph: moore})
+	for _, sh := range shapes {
+		for _, algo := range collective.Algos() {
+			op, err := collective.New(algo, sh.Graph, sh.Cluster, collective.PlanParams{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, phantom := range []bool{true, false} {
+				for _, trials := range []int{1, 3} {
+					t.Run(fmt.Sprintf("%s/%s/phantom=%v/trials=%d", sh.Name, algo, phantom, trials), func(t *testing.T) {
+						cfg := Config{Cluster: sh.Cluster, MsgSize: 24, Phantom: phantom, Engine: mpirt.EngineEvent}
+						want, wantRep, err := coroutineMeasurement(cfg, op, trials)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gotRep, err := runMeasurement(cfg, op, trials)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, rep := range []*mpirt.Report{wantRep, gotRep} {
+							rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
+						}
+						if !reflect.DeepEqual(gotRep, wantRep) {
+							t.Errorf("reports differ:\nstepped   %+v\ncoroutine %+v", gotRep, wantRep)
+						}
+						if !reflect.DeepEqual(got.times, want.times) {
+							t.Errorf("per-trial times differ: stepped %v, coroutine %v", got.times, want.times)
+						}
+						for r := range want.rbufs {
+							if !bytes.Equal(got.rbufs[r], want.rbufs[r]) {
+								t.Fatalf("rank %d receive buffer differs", r)
+							}
+							for i, u := range sh.Graph.In(r) {
+								if !phantom && got.rbufs[r][i*cfg.MsgSize] != byte(u) {
+									t.Fatalf("rank %d slot %d does not hold rank %d's block", r, i, u)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// rank0Probe is an op that samples the goroutine count whenever rank 0
+// begins a pass — from inside rank 0's Step, the barrier before it
+// having seen every rank run.
+type rank0Probe struct {
+	collective.Op
+	goroutines *int
+}
+
+func (o rank0Probe) Begin(ps *collective.Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
+	if p.Rank() == 0 {
+		*o.goroutines = max(*o.goroutines, runtime.NumGoroutine())
+	}
+	o.Op.Begin(ps, p, sbuf, m, rbuf)
+}
+
+// TestMeasureSpawnsNoRankGoroutines: a Measure of 10 240 ranks runs on
+// the loop's goroutine and a handful of helpers — a coroutine per rank
+// would show as more than 10 240 here.
+func TestMeasureSpawnsNoRankGoroutines(t *testing.T) {
+	cfg, g := moore10k(t)
+	before, during := runtime.NumGoroutine(), 0
+	if _, err := Measure(cfg, rank0Probe{collective.NewNaive(g), &during}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d goroutines while measuring %d ranks, %d before", during, g.N(), before)
+	if during == 0 || during > before+8 {
+		t.Fatalf("%d goroutines while measuring %d ranks (%d before): want no goroutine per rank", during, g.N(), before)
+	}
+}
+
+// TestMeasureAllocationBudget bounds what one simulated message costs
+// the heap in the moore10k-scale naive cell, start-up included: with a
+// coroutine and a Request per receive it was 3.9 mallocs and 443 bytes.
+func TestMeasureAllocationBudget(t *testing.T) {
+	cfg, g := moore10k(t)
+	op := collective.NewNaive(g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Measure(cfg, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	msgs := float64(res.MsgsPerTrial * int64(res.Trials))
+	mallocs := float64(after.Mallocs-before.Mallocs) / msgs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / msgs
+	t.Logf("%.2f mallocs and %.0f bytes per simulated message", mallocs, bytes)
+	if mallocs > 2 || bytes > 300 {
+		t.Fatalf("%.2f mallocs and %.0f bytes per simulated message, budget 2 and 300", mallocs, bytes)
+	}
+}

@@ -14,7 +14,9 @@ const AllocDisciplineName = "allocdiscipline"
 // direct calls and concrete-method calls follow their single callee,
 // interface calls follow every in-run implementation, and calls through
 // function values are unresolvable — reported as such, because "cannot
-// prove" must read as a finding, not as silence. Externals resolve
+// prove" must read as a finding, not as silence. A //lint:allocok on an
+// interface call site reviews it as a dynamic boundary the same way: no
+// implementation is charged to the caller's root through it. Externals resolve
 // through vetted tables (summary.go); anything unvetted is likewise
 // reported as unprovable.
 //
@@ -63,6 +65,13 @@ func runAllocDiscipline(p *Pass) {
 		}
 		for _, site := range n.Summary.ExtUnknown {
 			p.Report(site.Pos, "call to %s on hot path: cannot prove allocation-free — reachable from //lint:hotpath via %s", site.What, chain)
+		}
+		for _, cs := range n.Calls {
+			if prog.reviewedDispatch(n, cs) {
+				// The boundary's directive earned its keep by cutting
+				// the closure here.
+				p.suppressed(p.Pkg.Fset.Position(cs.Call.Pos()))
+			}
 		}
 		for _, pos := range n.DynCalls {
 			p.Report(pos, "dynamic call on hot path: callee unknown, cannot prove allocation-free — reachable from //lint:hotpath via %s", chain)

@@ -182,7 +182,8 @@ func buildProgram(pkgs []*Package) *Program {
 	prog.hot, prog.pruned = prog.reachableFrom(
 		func(n *FuncNode) bool { return n.Hotpath },
 		nil,
-		func(n *FuncNode) bool { return n.AllocOK })
+		func(n *FuncNode) bool { return n.AllocOK },
+		prog.reviewedDispatch)
 	// A function-level //lint:blockok excludes its function from the
 	// engine closure entirely: it neither roots the traversal (every
 	// function of an algorithm package is otherwise a root) nor admits
@@ -190,8 +191,21 @@ func buildProgram(pkgs []*Package) *Program {
 	prog.engine, prog.enginePruned = prog.reachableFrom(
 		func(n *FuncNode) bool { return isEngineRoot(n) && !n.BlockOK },
 		isEngineBoundary,
-		func(n *FuncNode) bool { return n.BlockOK })
+		func(n *FuncNode) bool { return n.BlockOK },
+		nil)
 	return prog
+}
+
+// reviewedDispatch reports whether cs is an interface-dispatched call
+// carrying a site-level //lint:allocok: a reviewed dynamic boundary of
+// the hot-path contract, like the same directive on a call through a
+// function value. Class-hierarchy analysis would otherwise charge every
+// implementation in the run to the caller's root — the event loop's
+// Stepper.Step call is the case: what a rank body does per pass is not
+// the loop's per-event path, and its per-message path has roots of its
+// own (RecvStep, SendSnapshot).
+func (prog *Program) reviewedDispatch(n *FuncNode, cs CallSite) bool {
+	return cs.Iface && siteReviewed(prog.dirIdx[n.Pkg], n.Pkg.Fset, cs.Call.Pos(), "allocok")
 }
 
 // readDirectives picks up function-level //lint: markers from the
@@ -353,8 +367,9 @@ func (prog *Program) addIfaceEdges(node *FuncNode, call *ast.CallExpr, f *types.
 // traversal does not descend into nodes satisfying prune (nil for no
 // pruning) — the reviewed regions of the respective contract, e.g.
 // function-level //lint:allocok for the hot path — and returns the set
-// it stopped at.
-func (prog *Program) reachableFrom(isRoot func(*FuncNode) bool, cut func(*FuncNode) bool, prune func(*FuncNode) bool) (map[*FuncNode][]*FuncNode, map[*FuncNode]bool) {
+// it stopped at. Call edges satisfying skip (nil for none) are not
+// followed at all.
+func (prog *Program) reachableFrom(isRoot func(*FuncNode) bool, cut func(*FuncNode) bool, prune func(*FuncNode) bool, skip func(*FuncNode, CallSite) bool) (map[*FuncNode][]*FuncNode, map[*FuncNode]bool) {
 	closure := map[*FuncNode][]*FuncNode{}
 	pruned := map[*FuncNode]bool{}
 	var queue []*FuncNode
@@ -369,7 +384,7 @@ func (prog *Program) reachableFrom(isRoot func(*FuncNode) bool, cut func(*FuncNo
 		queue = queue[1:]
 		for _, cs := range n.Calls {
 			t := cs.Node
-			if t == nil {
+			if t == nil || (skip != nil && skip(n, cs)) {
 				continue
 			}
 			if cut != nil && cut(t) {
@@ -424,10 +439,11 @@ func (prog *Program) engineChain(n *FuncNode) (string, bool) {
 	return chainString(chain), true
 }
 
-// isEngineRoot marks the functions whose bodies run inside event-engine
-// coroutines: all algorithm code in the collective and pattern packages
-// (rank bodies must run unmodified on either engine), and the engine's
-// own drivers in mpirt.
+// isEngineRoot marks the functions whose bodies run inside the event
+// engine: all algorithm code in the collective and pattern packages
+// (rank bodies must run unmodified on either engine), the engine's own
+// drivers in mpirt, and — wherever it is declared — every mpirt.Stepper
+// implementation's Step, which the loop calls directly.
 func isEngineRoot(n *FuncNode) bool {
 	path := n.Pkg.Path
 	if pathContains(path, "internal/collective") || pathContains(path, "internal/pattern") {
@@ -439,17 +455,35 @@ func isEngineRoot(n *FuncNode) bool {
 			return true
 		}
 	}
-	return false
+	return isStepperStep(n.Fn)
+}
+
+// isStepperStep matches the method mpirt.Stepper declares:
+// Step(*mpirt.Proc) bool on any receiver.
+func isStepperStep(f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || f.Name() != "Step" || sig.Recv() == nil || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
+	}
+	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Proc" && named.Obj().Pkg() != nil &&
+		pathContains(named.Obj().Pkg().Path(), "internal/mpirt") &&
+		types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool])
 }
 
 // isEngineBoundary cuts the engine traversal at the runtime's host-side
-// entry: mpirt.Run (and the engine loops it spawns) runs on the host
-// thread and blocks legitimately — awaitRanks, the watchdog, the chaos
-// token loop. Driver helpers living in algorithm packages (e.g.
-// pattern.BuildDistributed) call Run; everything past that boundary is
-// host-side, not coroutine code.
+// entries: mpirt.Run and RunSteppers (and the engine loops they spawn)
+// run on the host thread and block legitimately — awaitRanks, the
+// watchdog, the chaos token loop. Driver helpers living in algorithm
+// packages (e.g. pattern.BuildDistributed) call Run; everything past
+// that boundary is host-side, not rank code.
 func isEngineBoundary(n *FuncNode) bool {
-	return pathContains(n.Pkg.Path, "internal/mpirt") && n.Fn.Name() == "Run" &&
+	name := n.Fn.Name()
+	return pathContains(n.Pkg.Path, "internal/mpirt") && (name == "Run" || name == "RunSteppers") &&
 		n.Decl.Recv == nil
 }
 

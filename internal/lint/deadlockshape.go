@@ -30,18 +30,20 @@ var DeadlockShapeAnalyzer = &Analyzer{
 // collectiveMethods are the runtime calls every live rank must make
 // together.
 var collectiveMethods = map[string]bool{
-	"Barrier":        true,
-	"SyncResetTime":  true,
-	"CollectiveTime": true,
-	"Agree":          true,
-	"Shrink":         true,
+	"Barrier":            true,
+	"SyncResetTime":      true,
+	"SyncResetTimeStep":  true,
+	"CollectiveTime":     true,
+	"CollectiveTimeStep": true,
+	"Agree":              true,
+	"Shrink":             true,
 }
 
 // blockingSends and blockingRecvs split the blocking point-to-point
 // surface for the ordering check (nonblocking Isend/Irecv never
 // deadlock on ordering).
 var blockingSends = map[string]bool{"Send": true, "SendErr": true, "SendSnapshot": true}
-var blockingRecvs = map[string]bool{"Recv": true, "RecvErr": true}
+var blockingRecvs = map[string]bool{"Recv": true, "RecvErr": true, "RecvStep": true}
 
 func runDeadlockShape(p *Pass) {
 	forEachFuncBody(p, func(body *ast.BlockStmt) {

@@ -109,6 +109,8 @@ func TestGolden(t *testing.T) {
 		{"nbrallgather/internal/collective/allocbad", AllocDisciplineName},
 		{"nbrallgather/internal/collective/enginesafebad", EngineSafeName},
 		{"nbrallgather/internal/mpirt/blockokfix", EngineSafeName},
+		{"nbrallgather/internal/stepallocbad", AllocDisciplineName},
+		{"nbrallgather/internal/stepsleepbad", EngineSafeName},
 		{"nbrallgather/internal/collective/xleakbad", "requestleak"},
 		{"nbrallgather/internal/collective/xwaitbad", "waitcoverage"},
 		{"nbrallgather/internal/collective/xdetermbad", "determinism"},
@@ -247,6 +249,20 @@ func TestBlockOKFunctionDirective(t *testing.T) {
 	}
 	if stale != 1 {
 		t.Errorf("want exactly 1 stale //lint:blockok (coldPark's unconsumed prune), got %d: %v", stale, diags)
+	}
+}
+
+// TestReviewedDispatchConsumed: the //lint:allocok on an interface call
+// that cuts the hot closure earned its keep — a full-suite run must not
+// call it stale — and is the only thing keeping the implementation's
+// set-up allocation off the caller's root.
+func TestReviewedDispatchConsumed(t *testing.T) {
+	pkgs := loadFixtures(t)
+	pkg := findPkg(t, pkgs, "nbrallgather/internal/stepallocbad")
+	for _, d := range RunAnalyzers([]*Package{pkg}, Analyzers()) {
+		if d.Analyzer == StaleDirectiveName || strings.Contains(d.Message, "loop →") {
+			t.Errorf("unexpected finding: %s", d)
+		}
 	}
 }
 

@@ -56,6 +56,7 @@ var commMethods = map[string]bool{
 	"Send":         true,
 	"SendSnapshot": true,
 	"Recv":         true,
+	"RecvStep":     true,
 	"Isend":        true,
 	"Irecv":        true,
 	"Probe":        true,

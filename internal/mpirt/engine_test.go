@@ -112,6 +112,21 @@ func TestEnginesAgreeOnTraffic(t *testing.T) {
 			t.Fatalf("rank %d delivered sets diverge: %v vs %v", r, gotT[r], gotE[r])
 		}
 	}
+	// The same holds for ranks written as Steppers: every driver runs
+	// them to the ground truth — the event loop by stepping, threaded
+	// and chaos through the step-until-done wrapper — with the traffic
+	// of the coroutine body, and on the event engine with its whole
+	// report.
+	ref := ringExchange(t, Config{Engine: EngineEvent}, false)
+	for _, cfg := range []Config{{Engine: EngineEvent}, {Engine: EngineThreaded}, {Chaos: DefaultChaos(5)}} {
+		rep := ringExchange(t, cfg, true)
+		if rep.MsgsByDist != ref.MsgsByDist || rep.BytesByDist != ref.BytesByDist {
+			t.Fatalf("stepped traffic diverges (engine %q, chaos %v): %+v vs %+v", cfg.Engine, cfg.Chaos != nil, rep.MsgsByDist, ref.MsgsByDist)
+		}
+		if cfg.Engine == EngineEvent && !sameReport(rep, ref) {
+			t.Fatalf("stepped report differs from the coroutine body's:\n%+v\n%+v", rep, ref)
+		}
+	}
 }
 
 // TestChaosOnEventBitExact: chaos is a driver of its own, so
@@ -347,6 +362,17 @@ func TestEventTelemetry(t *testing.T) {
 	repT, _ := engineExchange(t, EngineThreaded)
 	if repT.Events != 0 || repT.Parks != 0 || repT.PeakQueue != 0 {
 		t.Fatalf("threaded engine reports event telemetry: %d/%d/%d", repT.Events, repT.Parks, repT.PeakQueue)
+	}
+	// Stepped ranks are counted like coroutines — a suspension is a
+	// park, a Step call an event — and only by the event loop.
+	co := ringExchange(t, Config{Engine: EngineEvent}, false)
+	st := ringExchange(t, Config{Engine: EngineEvent}, true)
+	if st.Parks == 0 || st.Events != st.Parks+8 || st.PeakQueue < 8 ||
+		st.Events != co.Events || st.Parks != co.Parks || st.PeakQueue != co.PeakQueue {
+		t.Fatalf("stepped telemetry %d/%d/%d, coroutine %d/%d/%d", st.Events, st.Parks, st.PeakQueue, co.Events, co.Parks, co.PeakQueue)
+	}
+	if stT := ringExchange(t, Config{Engine: EngineThreaded}, true); stT.Events != 0 || stT.Parks != 0 || stT.PeakQueue != 0 {
+		t.Fatalf("threaded engine reports event telemetry for stepped ranks: %d/%d/%d", stT.Events, stT.Parks, stT.PeakQueue)
 	}
 }
 

@@ -12,17 +12,25 @@ import (
 // drives the run from a calendar queue (calq.go) of rank resumptions
 // keyed by virtual time with a deterministic (vt, rank, seq) tie-break.
 //
-// Ranks still execute on their own stacks — the rank body is arbitrary
-// user code that must be able to block mid-call — but as iter.Pull
-// coroutines of the loop: exactly one entity (the loop or one rank) is
-// ever running, and control moves by a direct coroutine switch that
-// never enters the Go scheduler. A rank runs until it parks (recv with
-// nothing matching, barrier, agreement round) or finishes; parking
-// yields to the loop, which pops the next event and resumes that rank.
-// Coroutines are created lazily, on their first event, so an aborted
-// run never pays for ranks that haven't started; a parked rank costs
-// only its (small) stack, which with phantom payloads is what lets
-// 100k+-rank sweeps fit.
+// Exactly one entity (the loop or one rank) is ever running, and the
+// loop resumes a rank in one of two ways, fixed for the run by what the
+// caller passed. Run(body): the body is arbitrary Go that must be able
+// to block mid-call, so each rank is an iter.Pull coroutine of the loop,
+// created lazily on its first event; parking is a direct coroutine
+// switch that never enters the Go scheduler, the loop's wake is next().
+// RunSteppers(mk): the rank is a Stepper whose suspended state is a few
+// words (for a plan pass: trial, op index, wait index), so it has no
+// stack. The loop calls Step; a wait point of the blocking core that
+// would park publishes the wait and returns "not yet" (Proc.suspend),
+// and the rank's next event calls Step again, which re-enters the same
+// wait point past its park.
+//
+// The two are interchangeable because they differ only in how control
+// gets back to the loop: the wait is published (box.waiter/wSrc/wTag/
+// wVT, the cycle chase, state[r], parks) at the same point of the same
+// code, and every schedule() call — all that orders events — is made by
+// that shared code in the same order. Virtual times, every Report field
+// and replay hashes are == by construction (TestSteppedEqualsCoroutine).
 //
 // Serial execution is what the driver adds to the shared blocking
 // core: the cost-model resources are claimed in one canonical order, so
@@ -43,6 +51,9 @@ type evCoro struct {
 type eventRT struct {
 	rt   *Runtime
 	body func(*Proc)
+	// steps, when non-nil, are the ranks: the loop calls steps[r].Step
+	// where it would otherwise switch into rank r's coroutine.
+	steps []Stepper
 
 	q       calQueue
 	pushSeq uint64
@@ -142,6 +153,9 @@ func (ev *eventRT) park(p *Proc, st waitState, c *sync.Cond) {
 }
 
 func (ev *eventRT) switchOut(p *Proc, st waitState) {
+	if ev.steps != nil {
+		panic(&UsageError{Rank: p.rank, Op: "park", Msg: "blocking call in a stepped rank: it has no stack to park on, use the Step form"})
+	}
 	ev.state[p.rank] = st
 	ev.parks++
 	if !ev.co[p.rank].yield(struct{}{}) { //lint:allocok — THE event-engine park point: iter.Pull's yield is a bare coroutine switch to the loop
@@ -200,7 +214,9 @@ func (ev *eventRT) loop() {
 		ev.wakeQueued[r] = false
 		switch ev.state[r] {
 		case stUnborn:
-			ev.spawn(rt.procs[r])
+			if ev.steps == nil {
+				ev.spawn(rt.procs[r])
+			}
 		case stRecvWait, stBarrierWait, stFTWait, stRunnable:
 		default:
 			// A wake can race a state change only through an abort;
@@ -208,7 +224,13 @@ func (ev *eventRT) loop() {
 			continue
 		}
 		ev.state[r] = stRunning
-		if _, parked := ev.co[r].next(); !parked { //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+		var parked bool
+		if ev.steps != nil {
+			parked = !ev.rankMain(rt.procs[r])
+		} else {
+			_, parked = ev.co[r].next() //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+		}
+		if !parked {
 			ev.state[r] = stFinished
 			ev.nFinished++
 		}
@@ -216,7 +238,7 @@ func (ev *eventRT) loop() {
 }
 
 // teardown unwinds every rank still parked: stop makes its yield return
-// false.
+// false. A suspended stepped rank has nothing to unwind.
 func (ev *eventRT) teardown() {
 	for r := range ev.co {
 		if stop := ev.co[r].stop; stop != nil {
@@ -236,19 +258,31 @@ func (ev *eventRT) spawn(p *Proc) {
 	})
 }
 
-// rankMain is a rank's coroutine body: the user's rank body under the
-// shared exit protocol (rankRecover). A body that leaves by
-// runtime.Goexit takes the driver goroutine with it (iter.Pull hands
-// the exit on to next's caller), so that has to fail the run first;
-// loop's deferred teardown then unwinds the ranks it leaves parked.
-func (ev *eventRT) rankMain(p *Proc) {
+// rankMain is one turn of rank p under the shared exit protocol
+// (rankRecover): the whole body of a coroutine rank, one Step of a
+// stepped one — done is false only when that suspended. A rank that
+// leaves by runtime.Goexit takes the driver goroutine with it (iter.Pull
+// hands the exit on to next's caller), so that has to fail the run
+// first; loop's deferred teardown then unwinds the ranks it leaves
+// parked.
+func (ev *eventRT) rankMain(p *Proc) (done bool) {
 	rec := any("rank body called runtime.Goexit")
-	defer func() {
+	defer func() { //lint:allocok — deferred and never escaping: the closure lives in this frame
 		if r := recover(); r != nil {
 			rec = r
 		}
-		ev.rt.rankRecover(p, rec)
+		if done = done || rec != nil; done {
+			ev.rt.rankRecover(p, rec)
+		}
 	}()
-	ev.body(p)
+	// The rank's own code is vetted from roots of its own (RecvStep,
+	// reduceMax, SendSnapshot), not through these two dynamic calls.
+	if ev.steps == nil {
+		ev.body(p) //lint:allocok — the coroutine's body
+		done = true
+	} else {
+		done = ev.steps[p.rank].Step(p) //lint:allocok — the loop's wake of a stepped rank, as next() is a coroutine's
+	}
 	rec = nil
+	return done
 }

@@ -237,7 +237,7 @@ func (p *Proc) ftRound(ok, clear bool) (bool, []int) {
 	if rt.completeFTLocked() {
 		rt.drv.wake(stFTWait, rt.ftMax)
 	}
-	p.awaitRound(stFTWait, &rt.ftGen, gen)
+	p.awaitRound(stFTWait, &rt.ftGen, gen, false)
 	res, maxVT, alive := rt.ftRes, rt.ftMax, rt.ftAlive
 	rt.bmu.Unlock()
 	p.finishFTRound(maxVT, len(alive))
@@ -410,6 +410,7 @@ type Endpoint interface {
 	Gather(parts [][]byte) Snapshot
 	SendSnapshot(dst, tag, size int, s Snapshot, meta any)
 	Recv(src, tag int) Msg
+	RecvStep(src, tag int) (m Msg, ok bool)
 	Isend(dst, tag, size int, data []byte, meta any) *Request
 	Irecv(src, tag int) *Request
 	Probe(src, tag int) bool
@@ -484,6 +485,16 @@ func (s *SubProc) Recv(src, tag int) Msg {
 	m.Src = s.c.NewRank(m.Src)
 	m.Tag -= s.tagShift
 	return m
+}
+
+// RecvStep is Proc.RecvStep in shrunken-rank space.
+func (s *SubProc) RecvStep(src, tag int) (Msg, bool) {
+	m, ok := s.p.RecvStep(s.xlate(src, "recv"), tag+s.tagShift)
+	if ok {
+		m.Src = s.c.NewRank(m.Src)
+		m.Tag -= s.tagShift
+	}
+	return m, ok
 }
 
 // Isend starts a nonblocking send to shrunken rank dst.

@@ -472,12 +472,42 @@ type Proc struct {
 	// across posted receives so the block-time cycle probe is
 	// allocation-free.
 	cycleScratch []WaitEdge
+
+	// A stepped rank's suspended state (see Stepper): suspended while it
+	// sits in a wait it published and returned from, the barrier
+	// generation that wait is for, how far a SyncResetTimeStep got.
+	suspended bool
+	syncPhase uint8
+	roundGen  int
+}
+
+// Stepper is a rank body the event loop can resume without a stack:
+// Step runs the rank until it finishes (true) or a Step-form wait —
+// RecvStep, SyncResetTimeStep, CollectiveTimeStep — reports that it
+// suspended; Step then returns false at once, and the next Step repeats
+// that same call, which resumes the wait. A blocking form that has to
+// park (Recv, Barrier, Agree, Yield …) is a usage error there.
+type Stepper interface {
+	Step(p *Proc) (done bool)
 }
 
 // Run executes body on cfg.Ranks ranks (on the configured engine) and
 // returns the aggregate report. It returns an error if any rank
 // panicked or a deadlock was detected.
 func Run(cfg Config, body func(*Proc)) (*Report, error) {
+	return launch(cfg, body, nil)
+}
+
+// RunSteppers is Run for ranks written as Steppers; mk builds rank p's,
+// on the calling goroutine, before any rank runs. The event engine steps
+// them from its loop, no coroutine per rank; on the threaded and chaos
+// drivers a Step-form wait blocks, so the rank's goroutine steps until
+// done. Same runtime, same Report.
+func RunSteppers(cfg Config, mk func(*Proc) Stepper) (*Report, error) {
+	return launch(cfg, nil, mk)
+}
+
+func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
@@ -564,6 +594,20 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 	// clocks, message ordering, or any modelled result.
 	start := time.Now() //lint:wallclock
 
+	if mk != nil {
+		steps := make([]Stepper, n)
+		for r, p := range rt.procs {
+			steps[r] = mk(p)
+		}
+		if rt.ev != nil {
+			rt.ev.steps = steps
+		}
+		body = func(p *Proc) {
+			for s := steps[p.rank]; !s.Step(p); {
+			}
+		}
+	}
+
 	limit := time.AfterFunc(cfg.WallLimit, func() { //lint:wallclock — harness safety net, outside the model
 		rt.fail(fmt.Errorf("mpirt: wall-clock limit %v exceeded", cfg.WallLimit))
 	})
@@ -602,6 +646,8 @@ func (rt *Runtime) runRanks(body, exited func(*Proc)) {
 // nil for a clean return) and performs the shared bookkeeping. Every
 // driver routes every rank exit through here so the error surface is
 // identical.
+//
+//lint:allocok — once per rank, at its exit; allocates only to report a failure
 func (rt *Runtime) rankRecover(p *Proc, rec any) {
 	rt.finished.Add(1)
 	if rec != nil {
@@ -1106,17 +1152,44 @@ func (p *Proc) Recv(src, tag int) Msg {
 	return m
 }
 
-// recvErr implements Recv/RecvErr/Request.WaitErr on the threaded and
-// event drivers (chaos matches from its in-flight pool instead; see
-// chaosRecvErr). Messages already queued from a now-dead sender remain
-// deliverable (eager sends completed before the crash); once none
-// match, a posted receive that can never complete fails with its typed
-// error (recvBlocked) rather than waiting forever.
+// RecvStep is Recv for a Stepper: where Recv would park, a stepped rank
+// gets ok=false with the wait published, and its next call — same
+// (src, tag) — resumes after that park. Anywhere else it is Recv.
+//
+//lint:hotpath
+func (p *Proc) RecvStep(src, tag int) (m Msg, ok bool) {
+	m, ok, err := p.recv(src, tag, true)
+	if err != nil {
+		panic(err)
+	}
+	return m, ok
+}
+
+// recvErr is the blocking receive under Recv/RecvErr/Request.WaitErr.
 func (p *Proc) recvErr(src, tag int) (Msg, error) {
-	p.enterOp()
+	m, _, err := p.recv(src, tag, false)
+	return m, err
+}
+
+// recv implements every receive on the threaded and event drivers
+// (chaos matches from its in-flight pool instead; see chaosRecvErr).
+// Messages already queued from a now-dead sender remain deliverable
+// (eager sends completed before the crash); once none match, a posted
+// receive that can never complete fails with its typed error
+// (recvBlocked) rather than waiting forever. step is the caller's
+// promise to call again: a stepped rank then suspends (ok=false) where
+// it would park, and the call that finds p.suspended set resumes past
+// that park — one operation, one cycle chase, however often resumed.
+func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
 	rt := p.rt
+	resumed := p.suspended
+	p.suspended = false
+	if !resumed {
+		p.enterOp()
+	}
 	if rt.chaos != nil {
-		return p.chaosRecvErr(src, tag)
+		m, err := p.chaosRecvErr(src, tag)
+		return m, true, err
 	}
 	rt.checkAborted()
 	p.checkSource(src)
@@ -1124,8 +1197,9 @@ func (p *Proc) recvErr(src, tag int) (Msg, error) {
 	// checked guards the wait-for-graph probe: one cycle chase per
 	// posted receive, run after this rank publishes its wait so that
 	// concurrent probes on other ranks can observe the closing edge.
-	checked := false
+	checked := resumed
 	box.mu.Lock()
+	box.waiter = false // set only by a suspended receive resuming here
 	for {
 		// Indexed matching: a specific (src, tag) receive is one table
 		// lookup, and a wakeup re-checks only that list instead of
@@ -1137,7 +1211,7 @@ func (p *Proc) recvErr(src, tag int) (Msg, error) {
 			out := *m
 			*m = Msg{}
 			msgPool.Put(m)
-			return out, nil
+			return out, true, nil
 		}
 		if err := p.recvBlocked(src); err != nil {
 			box.waiter = false
@@ -1145,7 +1219,7 @@ func (p *Proc) recvErr(src, tag int) (Msg, error) {
 			if err == errAborted {
 				panic(err)
 			}
-			return Msg{}, err
+			return Msg{}, true, err
 		}
 		box.waiter = true
 		box.wSrc, box.wTag = src, tag
@@ -1166,9 +1240,28 @@ func (p *Proc) recvErr(src, tag int) (Msg, error) {
 			box.mu.Lock()
 			continue
 		}
+		if step && p.suspend(stRecvWait) {
+			box.mu.Unlock()
+			return Msg{}, false, nil
+		}
 		rt.drv.park(p, stRecvWait, box.cond)
 		box.waiter = false
 	}
+}
+
+// suspend is a stepped rank's park: its published wait stays published,
+// the loop gets switchOut's bookkeeping, and the caller returns "not
+// yet" instead of switching stacks. False, with nothing done, for a rank
+// the event loop is not stepping: that one parks.
+func (p *Proc) suspend(st waitState) bool {
+	ev := p.rt.ev
+	if ev == nil || ev.steps == nil {
+		return false
+	}
+	p.suspended = true
+	ev.state[p.rank] = st
+	ev.parks++
+	return true
 }
 
 // checkSource panics with the usage error for a receive posted on a
@@ -1231,26 +1324,48 @@ func (p *Proc) Probe(src, tag int) bool {
 // Barrier synchronises all ranks. On release every rank's virtual clock
 // advances to the global maximum plus a small synchronisation cost.
 func (p *Proc) Barrier() {
-	p.reduceMax(p.vt) // side effect: fills reduceVals and syncs
+	p.reduceMax(p.vt, false) // side effect: fills reduceVals and syncs
 }
 
 // SyncResetTime barriers, then zeroes every rank's virtual clock and
 // the cost model's shared resources. Call before a timed section so
 // measurements start from an idle network.
-func (p *Proc) SyncResetTime() {
-	p.barrierSync()
-	p.vt = 0
-	if p.rank == 0 {
-		p.rt.model.Reset()
+func (p *Proc) SyncResetTime() { p.syncResetTime(false) }
+
+// SyncResetTimeStep is SyncResetTime for a Stepper (see RecvStep).
+func (p *Proc) SyncResetTimeStep() bool { return p.syncResetTime(true) }
+
+func (p *Proc) syncResetTime(step bool) bool {
+	if p.syncPhase == 0 {
+		if _, ok := p.reduceMax(0, step); !ok {
+			return false
+		}
+		p.vt = 0
+		if p.rank == 0 {
+			p.rt.model.Reset()
+		}
+		p.syncPhase = 1
 	}
-	p.barrierSync()
+	if _, ok := p.reduceMax(0, step); !ok {
+		return false
+	}
+	p.syncPhase = 0
+	return true
 }
 
 // CollectiveTime barriers and returns, identically on every rank, the
 // completion time of the preceding section: the global maximum of
 // virtual clocks and send-port drains.
 func (p *Proc) CollectiveTime() float64 {
-	return p.reduceMax(math.Max(p.vt, p.rt.model.PortDrain(p.rank)))
+	t, _ := p.collectiveTime(false)
+	return t
+}
+
+// CollectiveTimeStep is CollectiveTime for a Stepper (see RecvStep).
+func (p *Proc) CollectiveTimeStep() (t float64, ok bool) { return p.collectiveTime(true) }
+
+func (p *Proc) collectiveTime(step bool) (float64, bool) {
+	return p.reduceMax(math.Max(p.vt, p.rt.model.PortDrain(p.rank)), step)
 }
 
 // reduceMax performs an allreduce(max) over one float64 per rank using
@@ -1258,44 +1373,59 @@ func (p *Proc) CollectiveTime() float64 {
 // clock is advanced to the returned maximum (a barrier synchronises).
 // The barrier is dead-tolerant: a generation completes once every rank
 // has arrived or died, with the maximum taken over arrivals, so an
-// injected crash cannot wedge survivors in a barrier.
-func (p *Proc) reduceMax(v float64) float64 {
-	p.enterOp()
+// injected crash cannot wedge survivors in a barrier. step is as in
+// recv: a stepped rank suspends with its arrival recorded, and its next
+// call only waits out the generation it arrived in.
+//
+//lint:hotpath
+func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 	rt := p.rt
-	rt.checkAborted()
-	rt.bmu.Lock()
-	rt.reduceVals[p.rank] = v
-	rt.bArr[p.rank] = true
-	rt.bcnt++
-	gen := rt.bgen
-	if rt.completeBarrierLocked() {
-		rt.drv.wake(stBarrierWait, rt.reduceRes)
+	if p.suspended {
+		p.suspended = false
+		rt.bmu.Lock()
+	} else {
+		p.enterOp() // may die, and a death takes bmu
+		rt.checkAborted()
+		rt.bmu.Lock()
+		rt.reduceVals[p.rank] = v
+		rt.bArr[p.rank] = true
+		rt.bcnt++
+		p.roundGen = rt.bgen
+		if rt.completeBarrierLocked() {
+			rt.drv.wake(stBarrierWait, rt.reduceRes) //lint:allocok — once per barrier generation, by its completer
+		}
 	}
-	p.awaitRound(stBarrierWait, &rt.bgen, gen)
+	if !p.awaitRound(stBarrierWait, &rt.bgen, p.roundGen, step) {
+		rt.bmu.Unlock()
+		return 0, false
+	}
 	// reduceRes cannot be clobbered by the next generation before every
 	// rank of this one has read it: completing generation g+1 requires
 	// all live ranks to have left generation g, and a parked rank
 	// cannot die.
-	res := rt.reduceRes
+	res = rt.reduceRes
 	rt.bmu.Unlock()
 	if p.vt < res {
 		p.vt = res
 	}
-	return res
+	return res, true
 }
 
 // awaitRound parks p, with rt.bmu held, until the round generation
 // *gen has moved past g: the completer (whose completion just advanced
-// it) falls straight through, everyone else waits for the wake.
-func (p *Proc) awaitRound(st waitState, gen *int, g int) {
+// it) falls straight through, everyone else waits for the wake — or,
+// stepped (see recv), suspends: false, with rt.bmu still held.
+func (p *Proc) awaitRound(st waitState, gen *int, g int, step bool) bool {
 	rt := p.rt
 	for *gen == g {
 		if rt.aborted.Load() {
 			rt.bmu.Unlock()
 			panic(errAborted)
 		}
+		if step && p.suspend(st) {
+			return false
+		}
 		rt.drv.park(p, st, rt.bcond)
 	}
+	return true
 }
-
-func (p *Proc) barrierSync() { p.reduceMax(0) }
