@@ -113,7 +113,10 @@ mega:
 # plan verify at the moore10k-scale and rsg540-lat shapes:
 # BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), one
 # harness.Measure per algorithm at the same two shapes (MeasureMoore10k,
-# MeasureER540: simulated msgs/s and allocs/msg), and the
+# MeasureER540: simulated msgs/s and allocs/msg, each as Measure runs it
+# and again -unhinted — the passes' slot hints stripped, every message
+# through the mailbox's hashed lists: static matching's after and
+# before), and the
 # machine-readable snapshot
 # consumed by the perf-regression harness (ns/op + allocs/op per hot
 # path; diff it across PRs).

@@ -42,6 +42,7 @@ func runMicro(out io.Writer) []microBench {
 	}{
 		{"p2p/sendrecv", microSendRecv},
 		{"p2p/sendrecv-stepped", microSendRecvStepped},
+		{"p2p/sendrecv-hinted", microSendRecvHinted},
 		{"p2p/match-indexed", microMatchIndexed},
 		{"p2p/match-wildcard", microMatchWildcard},
 		{"p2p/gather-send", microGatherSend},
@@ -118,6 +119,14 @@ type pingPong struct {
 	left    int
 	sent    bool // rank 0: this round's ping is out
 	payload []byte
+	slot    int // the hint every send and receive carries: 0, or -1 for none
+}
+
+func (s *pingPong) send(p *mpirt.Proc, dst, tag int) {
+	part := [1][]byte{s.payload}
+	snap := p.Gather(part[:])
+	p.SendSnapshot(dst, tag, len(s.payload), snap, nil, s.slot)
+	snap.Release()
 }
 
 func (s *pingPong) Step(p *mpirt.Proc) bool {
@@ -125,33 +134,42 @@ func (s *pingPong) Step(p *mpirt.Proc) bool {
 		switch p.Rank() {
 		case 0:
 			if !s.sent {
-				p.Send(1, tags.BenchPing, len(s.payload), s.payload, nil)
+				s.send(p, 1, tags.BenchPing)
 				s.sent = true
 			}
-			m, ok := p.RecvStep(1, tags.BenchPong)
+			m, ok := p.RecvStep(1, tags.BenchPong, s.slot)
 			if !ok {
 				return false
 			}
 			m.Release()
 			s.sent = false
 		case 1:
-			m, ok := p.RecvStep(0, tags.BenchPing)
+			m, ok := p.RecvStep(0, tags.BenchPing, s.slot)
 			if !ok {
 				return false
 			}
 			m.Release()
-			p.Send(0, tags.BenchPong, len(s.payload), s.payload, nil)
+			s.send(p, 0, tags.BenchPong)
 		}
 	}
 	return true
 }
 
 // microSendRecvStepped is microSendRecv with stepped ranks.
-func microSendRecvStepped(b *testing.B) {
+func microSendRecvStepped(b *testing.B) { steppedPingPong(b, -1) }
+
+// microSendRecvHinted is the stepped round trip as a plan pass issues
+// it: each rank posts one receive, and every message is hinted into
+// that mailbox slot instead of hashed onto its (src, tag) list.
+func microSendRecvHinted(b *testing.B) { steppedPingPong(b, 0) }
+
+func steppedPingPong(b *testing.B, slot int) {
 	b.ReportAllocs()
 	payload := make([]byte, 64)
-	if _, err := mpirt.RunSteppers(microCfg(1, 2), func(*mpirt.Proc) mpirt.Stepper {
-		return &pingPong{left: b.N, payload: payload}
+	recvs := []int32{1, 1, 0, 0} // ranks 0 and 1 play, of microCfg(1, 2)'s four
+	if _, err := mpirt.RunSteppers(microCfg(1, 2), func(p *mpirt.Proc) mpirt.Stepper {
+		p.Slots(recvs)
+		return &pingPong{left: b.N, payload: payload, slot: slot}
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -217,7 +235,7 @@ func microGatherSend(b *testing.B) {
 			switch p.Rank() {
 			case 0:
 				snap := p.Gather(parts)
-				p.SendSnapshot(1, tags.BenchPing, len(src), snap, nil)
+				p.SendSnapshot(1, tags.BenchPing, len(src), snap, nil, -1)
 				snap.Release()
 				p.Recv(1, tags.BenchPong)
 			case 1:
@@ -244,7 +262,7 @@ func microSharedSnapshot(b *testing.B) {
 			case r == 0:
 				snap := p.Gather(parts)
 				for dst := 1; dst <= 8; dst++ {
-					p.SendSnapshot(dst, tags.BenchPing, len(src), snap, nil)
+					p.SendSnapshot(dst, tags.BenchPing, len(src), snap, nil, -1)
 				}
 				snap.Release()
 				for dst := 1; dst <= 8; dst++ {

@@ -23,7 +23,10 @@ type Pass struct {
 	// posted has bit j set while receive op j is posted and not waited;
 	// this runtime matches a receive when it is waited on.
 	posted []uint64
-	st     *payloads
+	// slot is the rank's part of the plan's static matching (Plan.Slots),
+	// the hint each send and waited receive carries; nil: no hints.
+	slot []int32
+	st   *payloads
 }
 
 // Reset points the pass at the start of rank p's program of pl.
@@ -38,6 +41,10 @@ func (ps *Pass) Reset(pl *Plan, p mpirt.Endpoint, sbuf []byte, counts []int, rbu
 		}
 	}
 	*ps = Pass{pl: pl, counts: counts, ops: ops, posted: append(ps.posted[:0], make([]uint64, (last+63)/64)...)}
+	if slot, recvs := pl.Slots(); slot != nil {
+		p.Slots(recvs)
+		ps.slot = slot[pl.first[r]:pl.first[r+1]]
+	}
 	if !p.Phantom() {
 		ps.st = newPayloads(pl, r, sbuf, counts, rbuf)
 	}
@@ -68,20 +75,20 @@ func (ps *Pass) Step(p mpirt.Endpoint) (done bool) {
 			if st != nil {
 				snap = st.snapshot(p, op, blocks)
 			}
-			p.SendSnapshot(int(op.Peer), int(op.Tag), size, snap, meta)
+			p.SendSnapshot(int(op.Peer), int(op.Tag), size, snap, meta, ps.hint(i))
 		case OpWait:
 			lo, hi := op.Waits()
 			for j := lo + ps.w; j < hi; j++ {
 				if j >= 64*len(ps.posted) || ps.posted[j/64]&(1<<(j%64)) == 0 {
 					panic(fmt.Sprintf("collective: rank %d wait at op %d names op %d, not a pending receive", r, i, j))
 				}
-				msg, ok := p.RecvStep(int(ops[j].Peer), int(ops[j].Tag))
+				msg, ok := p.RecvStep(int(ops[j].Peer), int(ops[j].Tag), ps.hint(j))
 				if !ok {
 					return false
 				}
 				ps.w++
 				ps.posted[j/64] &^= 1 << (j % 64)
-				pl.arrive(p, st, &ops[j], msg, counts)
+				pl.arrive(p, st, &ops[j], &msg, counts)
 			}
 			ps.w = 0
 		case OpCopy:
@@ -109,6 +116,14 @@ func (ps *Pass) Step(p mpirt.Endpoint) (done bool) {
 	return true
 }
 
+// hint is op i's slot hint, -1 for none.
+func (ps *Pass) hint(i int) int {
+	if ps.slot == nil {
+		return -1
+	}
+	return int(ps.slot[i])
+}
+
 // run is one blocking pass: on a rank with a stack a waited receive
 // parks inside Step. A stepped rank has none, and stepping its suspended
 // receive again here would spin.
@@ -125,7 +140,7 @@ func (pl *Plan) run(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 // result buffer or keeps it as a forward. The layout is read once per
 // message, so the allgather loop does what it always did per block:
 // HasEdge, and in real mode one IndexOfIn.
-func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg, counts []int) {
+func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg *mpirt.Msg, counts []int) {
 	r := p.Rank()
 	blocks := pl.Blocks(rv)
 	if rv.Flags&SelfDescribing != 0 {
@@ -164,7 +179,7 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg mpirt.Msg
 		pos += c
 	}
 	if st != nil && !deliver {
-		st.kept = append(st.kept, msg) // held aliases its payload
+		st.kept = append(st.kept, *msg) // held aliases its payload
 	} else {
 		msg.Release()
 	}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -146,5 +147,40 @@ func TestSteppedPassKill(t *testing.T) {
 	}
 	if died < 10 {
 		t.Fatalf("only %d of 40 kill points landed inside the pass", died)
+	}
+}
+
+// TestPlansBackToBack runs different plans one after the other in one
+// rank body, no barrier between them: a rank that has moved on hints its
+// next plan's slot numbers into mailboxes whose owners still wait, in
+// the previous plan, for other senders' messages under the same numbers
+// (cn2 and cn4 even share tags). Slot residents follow one numbering at
+// a time and everything else goes through the lists, so every pass, on
+// both engines, must still gather exactly its in-neighbours' blocks.
+func TestPlansBackToBack(t *testing.T) {
+	c := topology.Cluster{Nodes: 4, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
+	const m = 8
+	for seed := int64(1); seed <= 4; seed++ {
+		g := erGraph(t, c.Ranks(), 0.4, seed)
+		ops := allOps(t, g, c)
+		ops = append(ops, ops...) // every plan comes round a second time
+		for _, eng := range mpirt.Engines() {
+			_, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: eng}, func(p *mpirt.Proc) {
+				r := p.Rank()
+				sbuf := make([]byte, m)
+				fillPattern(sbuf, r)
+				want := expectedRbuf(g, r, m)
+				for i, op := range ops {
+					rbuf := make([]byte, len(want))
+					op.Run(p, sbuf, m, rbuf)
+					if !bytes.Equal(rbuf, want) {
+						panic(fmt.Sprintf("pass %d (%s): rank %d receive buffer mismatch", i, op.Name(), r))
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("seed %d on %s: %v", seed, eng, err)
+			}
+		}
 	}
 }

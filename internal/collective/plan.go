@@ -1,9 +1,11 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/vgraph"
@@ -103,6 +105,64 @@ type Plan struct {
 	// concatenates edgeOff[u]..edgeOff[u+1]. Either way rank r's result
 	// buffer takes one block per in-neighbor, at its origin's slot.
 	edgeOff []uint32
+
+	// The static matching (Slots), derived on the first pass: not part
+	// of the plan's identity, nor of Bytes.
+	slotsOnce   sync.Once
+	slot, recvs []int32
+}
+
+// Slots returns the plan's static matching, the slot hints of its
+// passes: recvs[r] counts rank r's receives, and slot[i], for op i of
+// the plan counted rank after rank, is a receive's ordinal among its
+// rank's receives, a send's that of the receive it completes at its
+// peer, -1 for other ops. Both are nil unless every send and receive has
+// its one partner on a (src, dst, tag) channel of their own.
+func (pl *Plan) Slots() (slot, recvs []int32) {
+	pl.slotsOnce.Do(pl.deriveSlots)
+	return pl.slot, pl.recvs
+}
+
+func (pl *Plan) deriveSlots() {
+	type post struct{ src, tag, ord int32 }
+	byChannel := func(a, b post) int { return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.tag, b.tag)) }
+	n := pl.Graph.N()
+	slot, recvs, from := make([]int32, len(pl.ops)), make([]int32, n), make([]int, n+1)
+	posts := make([]post, 0, len(pl.ops)/2) // every rank's receives by channel; from[r] bounds rank r's
+	for r := range recvs {
+		for i := pl.first[r]; i < pl.first[r+1]; i++ {
+			slot[i] = -1
+			if op := &pl.ops[i]; op.Kind == OpRecv {
+				slot[i] = recvs[r]
+				posts = append(posts, post{op.Peer, int32(op.Tag), recvs[r]})
+				recvs[r]++
+			}
+		}
+		slices.SortFunc(posts[from[r]:], byChannel)
+		from[r+1] = len(posts)
+	}
+	left := len(posts) // receives no send has claimed: wildcards stay
+	for r := range recvs {
+		for i := pl.first[r]; i < pl.first[r+1]; i++ {
+			op := &pl.ops[i]
+			if op.Kind != OpSend {
+				continue
+			}
+			if op.Peer < 0 || int(op.Peer) >= n {
+				return
+			}
+			theirs := posts[from[op.Peer]:from[op.Peer+1]]
+			at, ok := slices.BinarySearchFunc(theirs, post{src: int32(r), tag: int32(op.Tag)}, byChannel)
+			if !ok || theirs[at].ord < 0 { // no receive, or the channel's first (a second send finds the same) is taken
+				return
+			}
+			slot[i], theirs[at].ord = theirs[at].ord, -1
+			left--
+		}
+	}
+	if left == 0 {
+		pl.slot, pl.recvs = slot, recvs
+	}
 }
 
 // Alltoall reports whether the plan's blocks are the graph's edges.

@@ -55,6 +55,17 @@ type Case struct {
 	// M is the uniform payload size; ragged variants derive per-rank /
 	// per-edge sizes from it deterministically.
 	M int
+	// endpoint, when non-nil, is what the collective runs against in
+	// place of the rank's *mpirt.Proc (tests: the hint-stripping leg).
+	endpoint func(*mpirt.Proc) mpirt.Endpoint
+}
+
+// on is the endpoint rank p's collective runs against.
+func (c Case) on(p *mpirt.Proc) mpirt.Endpoint {
+	if c.endpoint != nil {
+		return c.endpoint(p)
+	}
+	return p
 }
 
 // CaseName returns the case's matrix name.
@@ -412,7 +423,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			sbuf := make([]byte, c.M)
 			fillRank(sbuf, r)
 			rbuf := make([]byte, g.InDegree(r)*c.M)
-			op.Run(p, sbuf, c.M, rbuf)
+			op.Run(c.on(p), sbuf, c.M, rbuf)
 			checkBuf("allgather rbuf", r, rbuf, expectedGatherv(g, r, uniform(g.N(), c.M)))
 		}
 	case CollAllgatherv:
@@ -428,7 +439,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			fillRank(sbuf, r)
 			want := expectedGatherv(g, r, counts)
 			rbuf := make([]byte, len(want))
-			op.RunV(p, sbuf, counts, rbuf)
+			op.RunV(c.on(p), sbuf, counts, rbuf)
 			checkBuf("allgatherv rbuf", r, rbuf, want)
 		}
 	case CollAlltoall:
@@ -443,7 +454,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			sbuf := sendBufAV(g, r, counts)
 			want := expectedScatterv(g, r, counts)
 			rbuf := make([]byte, len(want))
-			op.RunA(p, sbuf, c.M, rbuf)
+			op.RunA(c.on(p), sbuf, c.M, rbuf)
 			checkBuf("alltoall rbuf", r, rbuf, want)
 		}
 	case CollAlltoallv:
@@ -458,7 +469,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			sbuf := sendBufAV(g, r, counts)
 			want := expectedScatterv(g, r, counts)
 			rbuf := make([]byte, len(want))
-			op.RunAV(p, sbuf, counts, rbuf)
+			op.RunAV(c.on(p), sbuf, counts, rbuf)
 			checkBuf("alltoallv rbuf", r, rbuf, want)
 		}
 	case CollPersistent:
@@ -474,7 +485,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			fillRank(sbuf, r)
 			want := expectedGatherv(g, r, counts)
 			rbuf := make([]byte, len(want))
-			pr, err := collective.AllgathervInit(op, p, sbuf, counts, rbuf)
+			pr, err := collective.AllgathervInit(op, c.on(p), sbuf, counts, rbuf)
 			if err != nil {
 				panic(err)
 			}

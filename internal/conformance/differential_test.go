@@ -3,6 +3,7 @@ package conformance
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"nbrallgather/internal/mpirt"
@@ -89,6 +90,46 @@ func TestDiffSweepPlain(t *testing.T) {
 // TestFailStopDifferential: the fail-stop matrix reaches the same
 // recovery outcomes on both engines, and under chaos its kills,
 // fail-notifies and detection totals replay exactly.
+// TestHintedEqualsUnhinted runs the plain matrix on both engines with
+// slot hints — a plan pass addressing mailbox slots — and with every hint
+// stripped, the same messages found by (src, tag) hashing. Each run
+// checks its own receive buffers byte for byte; on the event engine the
+// two reports must be equal field for field, virtual times included, and
+// on the threaded engine (whose virtual times depend on the host) the
+// per-rank and per-resource traffic.
+func TestHintedEqualsUnhinted(t *testing.T) {
+	cases, err := Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if c.Coll == CollPattern {
+			continue // no plan pass: the negotiation is wildcard receives
+		}
+		plain := c
+		plain.endpoint = stripHints
+		want, errW := plain.Run(mpirt.EngineEvent, 0, nil)
+		got, errG := c.Run(mpirt.EngineEvent, 0, nil)
+		if errW != nil || errG != nil {
+			t.Fatalf("%s: hinted %v, unhinted %v", c.Name, errG, errW)
+		}
+		if err := sameRun(c.Name, want, got, nil, nil); err != nil {
+			t.Error(err)
+		}
+		for _, thr := range []Case{c, plain} {
+			thr, err := thr.Run(mpirt.EngineThreaded, 0, nil)
+			if err != nil {
+				t.Fatalf("%s threaded: %v", c.Name, err)
+			}
+			if !reflect.DeepEqual(thr.RankBytes, want.RankBytes) || !reflect.DeepEqual(thr.RankMsgs, want.RankMsgs) ||
+				!reflect.DeepEqual(thr.NICBytes, want.NICBytes) || !reflect.DeepEqual(thr.UplinkBytes, want.UplinkBytes) ||
+				thr.MsgsByDist != want.MsgsByDist || thr.SnapshotBytes != want.SnapshotBytes {
+				t.Errorf("%s: a threaded run moved different traffic than the unhinted event run", c.Name)
+			}
+		}
+	}
+}
+
 func TestFailStopDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential fail-stop sweep is not short")

@@ -23,6 +23,18 @@ func (f fixedKills) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.R
 	return f.RunKills(eng, chaos, f.kills)
 }
 
+// unhinted is a rank's endpoint with every slot hint stripped: the same
+// collective, every message matched through the mailbox's hashed lists.
+type unhinted struct{ *mpirt.Proc }
+
+func (u unhinted) SendSnapshot(dst, tag, size int, s mpirt.Snapshot, meta any, _ int) {
+	u.Proc.SendSnapshot(dst, tag, size, s, meta, -1)
+}
+
+func (u unhinted) RecvStep(src, tag, _ int) (mpirt.Msg, bool) { return u.Proc.RecvStep(src, tag, -1) }
+
+func stripHints(p *mpirt.Proc) mpirt.Endpoint { return unhinted{p} }
+
 // gatherStepper is caseBody's CollAllgather rank body as an
 // mpirt.Stepper: the pass is begun once and stepped by the event loop,
 // and the result checked against the same ground truth.
@@ -36,34 +48,29 @@ type gatherStepper struct {
 
 func (s *gatherStepper) Step(p *mpirt.Proc) bool {
 	r := p.Rank()
+	ep := s.c.on(p)
 	if !s.begun {
 		sbuf := make([]byte, s.c.M)
 		fillRank(sbuf, r)
 		s.rbuf = make([]byte, s.c.Graph.InDegree(r)*s.c.M)
-		s.op.Begin(&s.ps, p, sbuf, s.c.M, s.rbuf)
+		s.op.Begin(&s.ps, ep, sbuf, s.c.M, s.rbuf)
 		s.begun = true
 	}
-	if !s.ps.Step(p) {
+	if !s.ps.Step(ep) {
 		return false
 	}
 	checkBuf("stepped allgather rbuf", r, s.rbuf, expectedGatherv(s.c.Graph, r, uniform(s.c.Graph.N(), s.c.M)))
 	return true
 }
 
-// steppedEqual runs an allgather case on the event engine twice — the
-// coroutine body, then stepped — and returns any difference in outcome
-// or in the report: there must be none, they are one simulation.
-func steppedEqual(c Case) error {
-	op, _, err := buildVOp(c)
-	if err != nil {
-		return nil // rejected input: Diff has reported it the same way
-	}
-	want, errC := c.Run(mpirt.EngineEvent, 0, nil)
-	got, errS := mpirt.RunSteppers(mpirt.Config{Cluster: c.Cluster, Engine: mpirt.EngineEvent},
-		func(*mpirt.Proc) mpirt.Stepper { return &gatherStepper{c: c, op: op} })
-	if errC != nil || errS != nil {
-		if errC == nil || errS == nil || errC.Error() != errS.Error() {
-			return fmt.Errorf("stepped outcome diverges: coroutine %v, stepped %v", errC, errS)
+// sameRun compares two event-engine runs of one program that may differ
+// only in how control or messages travel — coroutine or stepped ranks,
+// slot hints or none: outcome and report must be identical (host wall
+// time and sync.Pool luck aside), they are one simulation.
+func sameRun(what string, want, got *mpirt.Report, errW, errG error) error {
+	if errW != nil || errG != nil {
+		if errW == nil || errG == nil || errW.Error() != errG.Error() {
+			return fmt.Errorf("%s: outcome diverges: %v, reference %v", what, errG, errW)
 		}
 		return nil
 	}
@@ -71,9 +78,36 @@ func steppedEqual(c Case) error {
 		rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
 	}
 	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("stepped report diverges:\nstepped   %+v\ncoroutine %+v", got, want)
+		return fmt.Errorf("%s: report diverges:\ngot       %+v\nreference %+v", what, got, want)
 	}
 	return nil
+}
+
+// steppedEqual runs an allgather case on the event engine as the
+// coroutine body — the reference — then stepped, and both again with
+// every slot hint stripped, and returns any difference in outcome or in
+// the report.
+func steppedEqual(c Case) error {
+	op, _, err := buildVOp(c)
+	if err != nil {
+		return nil // rejected input: Diff has reported it the same way
+	}
+	want, errW := c.Run(mpirt.EngineEvent, 0, nil)
+	stepped := func(c Case) (*mpirt.Report, error) {
+		return mpirt.RunSteppers(mpirt.Config{Cluster: c.Cluster, Engine: mpirt.EngineEvent},
+			func(*mpirt.Proc) mpirt.Stepper { return &gatherStepper{c: c, op: op} })
+	}
+	got, errG := stepped(c)
+	if err := sameRun("stepped", want, got, errW, errG); err != nil {
+		return err
+	}
+	c.endpoint = stripHints
+	got, errG = c.Run(mpirt.EngineEvent, 0, nil)
+	if err := sameRun("unhinted", want, got, errW, errG); err != nil {
+		return err
+	}
+	got, errG = stepped(c)
+	return sameRun("stepped, unhinted", want, got, errW, errG)
 }
 
 // fuzzCheck picks the oracle a fuzz input's scheduling mode selects:
@@ -94,8 +128,9 @@ func fuzzCheck(mode uint8) Check {
 // optional kill from the fuzz input and fails on any divergence: under
 // plain scheduling, one engine passing where the other fails, unequal
 // deadlock cycles, or unequal traffic censuses on deterministic
-// programs; for a plain allgather, a stepped rank body whose event-engine
-// report is not the coroutine body's; under chaos, a seed whose outcome, decision schedule or
+// programs; for a plain allgather, a stepped rank body, or one whose slot
+// hints are stripped, whose event-engine report is not the coroutine
+// body's; under chaos, a seed whose outcome, decision schedule or
 // virtual time differs between two recordings or under forced replay.
 // Inputs that are rejected or fail identically every time are
 // consistent by definition and are not divergences. Seeds run in the

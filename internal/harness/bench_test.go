@@ -13,7 +13,10 @@ import (
 // benchMeasure times one Measure per algorithm — naive, DH, CN(K=4), as
 // nbr-perf's cell runs them — and reports what the simulator is bought
 // for: simulated messages per host second, and heap allocations per
-// simulated message (runtime start-up included).
+// simulated message (runtime start-up included). Each algorithm runs
+// twice, as Measure runs it and with the slot hints of its passes
+// stripped (every message through the mailbox's hashed lists): the
+// after and the before of static matching, side by side.
 func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
 	dh, err := collective.NewDistanceHalving(g, cfg.Cluster.L())
 	if err != nil {
@@ -24,23 +27,28 @@ func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
 		b.Fatal(err)
 	}
 	for _, op := range []collective.Op{collective.NewNaive(g), dh, cn} {
-		b.Run(op.Name(), func(b *testing.B) {
-			var before, after runtime.MemStats
-			var msgs int64
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Measure(cfg, op)
-				if err != nil {
-					b.Fatal(err)
+		for _, leg := range []struct {
+			name string
+			on   func(*mpirt.Proc) mpirt.Endpoint
+		}{{op.Name(), nil}, {op.Name() + "-unhinted", stripHints}} {
+			b.Run(leg.name, func(b *testing.B) {
+				var before, after runtime.MemStats
+				var msgs int64
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, rep, err := runMeasurement(cfg, op, cfg.Trials, leg.on)
+					if err != nil {
+						b.Fatal(err)
+					}
+					msgs += rep.Msgs()
 				}
-				msgs += res.MsgsPerTrial * int64(res.Trials)
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs), "allocs/msg")
+			})
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	if cfg.MsgSize < 1 {
 		return Result{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
 	}
-	ms, rep, err := runMeasurement(cfg, op, trials)
+	ms, rep, err := runMeasurement(cfg, op, trials, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -112,9 +112,10 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 }
 
 // runMeasurement executes trials of op: every rank is a measureLoop, on
-// every driver.
-func runMeasurement(cfg Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
-	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
+// every driver. on, when non-nil, is what a rank's passes run against
+// in place of its *mpirt.Proc (tests).
+func runMeasurement(cfg Config, op collective.Op, trials int, on func(*mpirt.Proc) mpirt.Endpoint) (*measurement, *mpirt.Report, error) {
+	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials), on: on}
 	// Per-rank payload buffers are allocated before the runtime starts
 	// so the measured region (and every trial iteration) does no buffer
 	// allocation work; phantom runs carry nil buffers.
@@ -146,6 +147,7 @@ type measurement struct {
 	msgSize      int
 	times        []float64 // per trial, written by rank 0
 	sbufs, rbufs [][]byte
+	on           func(*mpirt.Proc) mpirt.Endpoint
 }
 
 // measureLoop is one rank's body of Measure — per trial: SyncResetTime,
@@ -162,16 +164,20 @@ type measureLoop struct {
 // Step implements mpirt.Stepper.
 func (l *measureLoop) Step(p *mpirt.Proc) bool {
 	ms, r := l.ms, p.Rank()
+	ep := mpirt.Endpoint(p)
+	if ms.on != nil {
+		ep = ms.on(p)
+	}
 	for ; l.trial < len(ms.times); l.trial++ {
 		if l.phase == 0 {
 			if !p.SyncResetTimeStep() {
 				return false
 			}
-			ms.op.Begin(&l.pass, p, ms.sbufs[r], ms.msgSize, ms.rbufs[r])
+			ms.op.Begin(&l.pass, ep, ms.sbufs[r], ms.msgSize, ms.rbufs[r])
 			l.phase = 1
 		}
 		if l.phase == 1 {
-			if !l.pass.Step(p) {
+			if !l.pass.Step(ep) {
 				return false
 			}
 			l.phase = 2

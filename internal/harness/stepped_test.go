@@ -14,9 +14,22 @@ import (
 	"nbrallgather/internal/vgraph"
 )
 
+// unhinted is a rank's endpoint with every slot hint stripped: the same
+// collective, every message matched through the mailbox's hashed lists.
+type unhinted struct{ *mpirt.Proc }
+
+func (u unhinted) SendSnapshot(dst, tag, size int, s mpirt.Snapshot, meta any, _ int) {
+	u.Proc.SendSnapshot(dst, tag, size, s, meta, -1)
+}
+
+func (u unhinted) RecvStep(src, tag, _ int) (mpirt.Msg, bool) { return u.Proc.RecvStep(src, tag, -1) }
+
+func stripHints(p *mpirt.Proc) mpirt.Endpoint { return unhinted{p} }
+
 // coroutineMeasurement is the rank body Measure had before its ranks
 // were stepped — SyncResetTime, op.Run, CollectiveTime per trial, on a
-// coroutine per rank — kept as the reference measureLoop is compared to.
+// coroutine per rank, no slot hints — kept as the reference measureLoop
+// is compared to.
 func coroutineMeasurement(cfg Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
 	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
 	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
@@ -24,7 +37,7 @@ func coroutineMeasurement(cfg Config, op collective.Op, trials int) (*measuremen
 		r := p.Rank()
 		for tr := range ms.times {
 			p.SyncResetTime()
-			op.Run(p, ms.sbufs[r], cfg.MsgSize, ms.rbufs[r])
+			op.Run(unhinted{p}, ms.sbufs[r], cfg.MsgSize, ms.rbufs[r])
 			if t := p.CollectiveTime(); r == 0 {
 				ms.times[tr] = t
 			}
@@ -50,7 +63,10 @@ func moore10k(tb testing.TB) (Config, *vgraph.Graph) {
 // trial and three, the event engine produces the same Report field for
 // field (host wall time and sync.Pool luck aside), the same per-trial
 // times and the same receive buffers whether the ranks are coroutines
-// running the blocking body or measureLoops stepped by the loop.
+// running the blocking body or measureLoops stepped by the loop, and
+// whether the passes hint mailbox slots (the stepped leg: Measure as it
+// runs) or every message is matched by (src, tag) hashing (the
+// coroutine reference, and a stepped leg with the hints stripped).
 func TestSteppedEqualsCoroutine(t *testing.T) {
 	shapes, err := conformance.Shapes()
 	if err != nil {
@@ -78,26 +94,31 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, gotRep, err := runMeasurement(cfg, op, trials)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, rep := range []*mpirt.Report{wantRep, gotRep} {
-							rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
-						}
-						if !reflect.DeepEqual(gotRep, wantRep) {
-							t.Errorf("reports differ:\nstepped   %+v\ncoroutine %+v", gotRep, wantRep)
-						}
-						if !reflect.DeepEqual(got.times, want.times) {
-							t.Errorf("per-trial times differ: stepped %v, coroutine %v", got.times, want.times)
-						}
-						for r := range want.rbufs {
-							if !bytes.Equal(got.rbufs[r], want.rbufs[r]) {
-								t.Fatalf("rank %d receive buffer differs", r)
+						for _, leg := range []struct {
+							name string
+							on   func(*mpirt.Proc) mpirt.Endpoint
+						}{{"stepped", nil}, {"stepped, unhinted", stripHints}} {
+							got, gotRep, err := runMeasurement(cfg, op, trials, leg.on)
+							if err != nil {
+								t.Fatal(err)
 							}
-							for i, u := range sh.Graph.In(r) {
-								if !phantom && got.rbufs[r][i*cfg.MsgSize] != byte(u) {
-									t.Fatalf("rank %d slot %d does not hold rank %d's block", r, i, u)
+							for _, rep := range []*mpirt.Report{wantRep, gotRep} {
+								rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
+							}
+							if !reflect.DeepEqual(gotRep, wantRep) {
+								t.Errorf("reports differ:\n%s %+v\ncoroutine %+v", leg.name, gotRep, wantRep)
+							}
+							if !reflect.DeepEqual(got.times, want.times) {
+								t.Errorf("per-trial times differ: %s %v, coroutine %v", leg.name, got.times, want.times)
+							}
+							for r := range want.rbufs {
+								if !bytes.Equal(got.rbufs[r], want.rbufs[r]) {
+									t.Fatalf("%s: rank %d receive buffer differs", leg.name, r)
+								}
+								for i, u := range sh.Graph.In(r) {
+									if !phantom && got.rbufs[r][i*cfg.MsgSize] != byte(u) {
+										t.Fatalf("%s: rank %d slot %d does not hold rank %d's block", leg.name, r, i, u)
+									}
 								}
 							}
 						}

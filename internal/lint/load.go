@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package of the target module.
@@ -27,9 +28,8 @@ type Package struct {
 }
 
 // LoadModule parses and type-checks every non-test package under root,
-// reading the module path from root's go.mod. Test files, testdata
-// trees, and hidden directories are skipped: golden analyzer fixtures
-// under testdata must not surface as findings on the module itself.
+// reading the module path from root's go.mod. Test files, hidden
+// directories and testdata trees (golden fixtures) are skipped.
 func LoadModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -38,10 +38,28 @@ func LoadModule(root string) ([]*Package, error) {
 	return LoadDir(root, modPath)
 }
 
+// One FileSet and stdlib source importer per process — the standard library
+// is type-checked once — and one load per (root, module path): read-only.
+var (
+	fset   = token.NewFileSet()
+	loadMu sync.Mutex // guards loads; the source importer is not safe for concurrent use
+	std    = importer.ForCompiler(fset, "source", nil)
+	loads  = map[[2]string]func() ([]*Package, error){}
+)
+
 // LoadDir is LoadModule with an explicit module path, for loading
 // fixture trees that mimic the module's import-path layout.
 func LoadDir(root, modPath string) ([]*Package, error) {
-	fset := token.NewFileSet()
+	loadMu.Lock()
+	defer loadMu.Unlock()
+	key := [2]string{root, modPath}
+	if loads[key] == nil {
+		loads[key] = sync.OnceValues(func() ([]*Package, error) { return loadDir(root, modPath) })
+	}
+	return loads[key]()
+}
+
+func loadDir(root, modPath string) ([]*Package, error) {
 	parsed := map[string]*rawPkg{} // import path → parsed files
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -54,7 +72,7 @@ func LoadDir(root, modPath string) ([]*Package, error) {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		files, perr := parseDir(fset, path)
+		files, perr := parseDir(path)
 		if perr != nil {
 			return perr
 		}
@@ -75,32 +93,26 @@ func LoadDir(root, modPath string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return typeCheck(fset, modPath, parsed)
+	return typeCheck(modPath, parsed)
 }
 
 type rawPkg struct {
-	path  string
-	dir   string
-	files []*ast.File
+	path, dir string
+	files     []*ast.File
 }
 
 // parseDir parses the non-test Go files of one directory.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+func parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
+	var files []*ast.File
+	for _, e := range entries { // sorted by filename
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, n := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -116,7 +128,6 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 type chainImporter struct {
 	modPath string
 	done    map[string]*types.Package
-	std     types.Importer
 }
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
@@ -126,16 +137,12 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 	if path == c.modPath || strings.HasPrefix(path, c.modPath+"/") {
 		return nil, fmt.Errorf("lint: module package %s not yet type-checked (import cycle or missing directory)", path)
 	}
-	return c.std.Import(path)
+	return std.Import(path)
 }
 
 // typeCheck type-checks the parsed packages in dependency order.
-func typeCheck(fset *token.FileSet, modPath string, parsed map[string]*rawPkg) ([]*Package, error) {
-	imp := &chainImporter{
-		modPath: modPath,
-		done:    map[string]*types.Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
+func typeCheck(modPath string, parsed map[string]*rawPkg) ([]*Package, error) {
+	imp := &chainImporter{modPath: modPath, done: map[string]*types.Package{}}
 
 	// Dependency edges among module packages only.
 	deps := map[string][]string{}
@@ -188,14 +195,7 @@ func typeCheck(fset *token.FileSet, modPath string, parsed map[string]*rawPkg) (
 		}
 		imp.done[path] = tpkg
 		checked[path] = true
-		out = append(out, &Package{
-			Path:  path,
-			Dir:   rp.dir,
-			Fset:  fset,
-			Files: rp.files,
-			Types: tpkg,
-			Info:  info,
-		})
+		out = append(out, &Package{Path: path, Dir: rp.dir, Fset: fset, Files: rp.files, Types: tpkg, Info: info})
 		return nil
 	}
 

@@ -14,7 +14,7 @@ func Literals(p *mpirt.Proc, t int) {
 	_ = p.Sub(&mpirt.Comm{}, 5<<13)   // want "integer literal 5 in tag position"
 	_ = p.Probe(mpirt.AnySource, 303) // want "integer literal 303 in tag position"
 
-	p.SendSnapshot(1, 43, 8, mpirt.Snapshot{}, nil) // want "integer literal 43 in tag position"
+	p.SendSnapshot(1, 43, 8, mpirt.Snapshot{}, nil, -1) // want "integer literal 43 in tag position"
 }
 
 // Registry shows the conforming patterns: registry constants, variable

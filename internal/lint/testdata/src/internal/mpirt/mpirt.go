@@ -38,13 +38,13 @@ type Proc struct{}
 func (p *Proc) Rank() int { return 0 }
 func (p *Proc) Size() int { return 1 }
 
-func (p *Proc) Send(dst, tag, size int, data []byte, meta any)           {}
-func (p *Proc) Gather(parts [][]byte) Snapshot                           { return Snapshot{} }
-func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any)    {}
-func (p *Proc) Recv(src, tag int) Msg                                    { return Msg{} }
-func (p *Proc) Isend(dst, tag, size int, data []byte, meta any) *Request { return &Request{} }
-func (p *Proc) Irecv(src, tag int) *Request                              { return &Request{} }
-func (p *Proc) Probe(src, tag int) bool                                  { return false }
+func (p *Proc) Send(dst, tag, size int, data []byte, meta any)                  {}
+func (p *Proc) Gather(parts [][]byte) Snapshot                                  { return Snapshot{} }
+func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int) {}
+func (p *Proc) Recv(src, tag int) Msg                                           { return Msg{} }
+func (p *Proc) Isend(dst, tag, size int, data []byte, meta any) *Request        { return &Request{} }
+func (p *Proc) Irecv(src, tag int) *Request                                     { return &Request{} }
+func (p *Proc) Probe(src, tag int) bool                                         { return false }
 
 func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error { return nil }
 func (p *Proc) RecvErr(src, tag int) (Msg, error)                       { return Msg{}, nil }
@@ -60,12 +60,12 @@ func (p *Proc) Sub(c *Comm, tagShift int) *SubProc { return &SubProc{} }
 // SubProc is a communicator-scoped view of a Proc.
 type SubProc struct{}
 
-func (s *SubProc) Send(dst, tag, size int, data []byte, meta any)           {}
-func (s *SubProc) Gather(parts [][]byte) Snapshot                           { return Snapshot{} }
-func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any) {}
-func (s *SubProc) Recv(src, tag int) Msg                                    { return Msg{} }
-func (s *SubProc) Isend(dst, tag, size int, data []byte, meta any) *Request { return &Request{} }
-func (s *SubProc) Irecv(src, tag int) *Request                              { return &Request{} }
+func (s *SubProc) Send(dst, tag, size int, data []byte, meta any)                     {}
+func (s *SubProc) Gather(parts [][]byte) Snapshot                                     { return Snapshot{} }
+func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any, slot int) {}
+func (s *SubProc) Recv(src, tag int) Msg                                              { return Msg{} }
+func (s *SubProc) Isend(dst, tag, size int, data []byte, meta any) *Request           { return &Request{} }
+func (s *SubProc) Irecv(src, tag int) *Request                                        { return &Request{} }
 
 // RankFailedError mirrors the runtime's typed fail-stop error.
 type RankFailedError struct{ Rank int }

@@ -109,7 +109,7 @@ func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
 	if rt.deadMask[b.wSrc].Load() || rt.revoked.Load() {
 		return WaitEdge{}, 0, false
 	}
-	if b.matchesLocked(b.wSrc, b.wTag) {
+	if b.matchesLocked(b.wSrc, b.wTag, b.wHint) {
 		return WaitEdge{}, 0, false
 	}
 	return WaitEdge{Rank: r, Op: "recv", Peer: b.wSrc, Tag: b.wTag}, b.wVT, true

@@ -408,9 +408,10 @@ type Endpoint interface {
 	ChargeCopy(n int)
 	Send(dst, tag, size int, data []byte, meta any)
 	Gather(parts [][]byte) Snapshot
-	SendSnapshot(dst, tag, size int, s Snapshot, meta any)
+	SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int)
 	Recv(src, tag int) Msg
-	RecvStep(src, tag int) (m Msg, ok bool)
+	RecvStep(src, tag, slot int) (m Msg, ok bool)
+	Slots(recvs []int32)
 	Isend(dst, tag, size int, data []byte, meta any) *Request
 	Irecv(src, tag int) *Request
 	Probe(src, tag int) bool
@@ -473,10 +474,12 @@ func (s *SubProc) Send(dst, tag, size int, data []byte, meta any) {
 }
 
 // Gather snapshots parts; SendSnapshot sends one to shrunken rank dst.
+// Slot hints are dropped: a repair's messages can outlive its pass.
 func (s *SubProc) Gather(parts [][]byte) Snapshot { return s.p.Gather(parts) }
-func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any) {
-	s.p.SendSnapshot(s.xlate(dst, "send"), tag+s.tagShift, size, snap, meta)
+func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any, _ int) {
+	s.p.SendSnapshot(s.xlate(dst, "send"), tag+s.tagShift, size, snap, meta, -1)
 }
+func (s *SubProc) Slots([]int32) {}
 
 // Recv receives from shrunken rank src (AnySource allowed); the
 // returned Msg.Src is in shrunken-rank space.
@@ -488,8 +491,8 @@ func (s *SubProc) Recv(src, tag int) Msg {
 }
 
 // RecvStep is Proc.RecvStep in shrunken-rank space.
-func (s *SubProc) RecvStep(src, tag int) (Msg, bool) {
-	m, ok := s.p.RecvStep(s.xlate(src, "recv"), tag+s.tagShift)
+func (s *SubProc) RecvStep(src, tag, _ int) (Msg, bool) {
+	m, ok := s.p.RecvStep(s.xlate(src, "recv"), tag+s.tagShift, -1)
 	if ok {
 		m.Src = s.c.NewRank(m.Src)
 		m.Tag -= s.tagShift
@@ -536,7 +539,7 @@ func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
 		part := [1][]byte{data}
 		s = p.Gather(part[:])
 	}
-	err := p.sendErr(dst, tag, size, s, meta)
+	err := p.sendErr(dst, tag, size, s, meta, -1)
 	s.Release()
 	return err
 }

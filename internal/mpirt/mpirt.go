@@ -261,15 +261,91 @@ type mailbox struct {
 	table []matchList // len is 0 or a power of two
 	keys  int         // used slots
 	count int         // queued messages across all lists
-	enq   uint64      // enqueue stamp source for Msg.seq
-	// waiter marks a rank parked in recvErr; wSrc and wTag are the
-	// posted (source, tag) while waiter is set, for the wait-for-graph
+	enq   uint64      // enqueue stamp source for Msg.seq and slotMsg.seq
+	// The direct-mapped front (DESIGN.md §9): slots[i] is for the message
+	// of the i-th receive the rank posts under the numbering numb, filed
+	// by a send that was told i; inSlots of them are occupied.
+	slots   []slotMsg
+	numb    *int32
+	inSlots int
+	// waiter marks a rank parked in recvErr; wSrc, wTag and wHint are
+	// the posted receive while waiter is set, for the wait-for-graph
 	// detector and the blocked summary; wVT is the rank's virtual
 	// clock at post time (readable without touching the parked
 	// goroutine's Proc).
 	waiter     bool
 	wSrc, wTag int
+	wHint      hint
 	wVT        float64
+}
+
+// slotMsg is a slot's resident: what a receive returns and the enqueue
+// stamp, 0 in a free slot. The payload is the first size bytes of pooled.
+type slotMsg struct {
+	src, tag int32
+	size     int
+	arrival  float64
+	seq      uint64
+	meta     any
+	pooled   *pbuf
+}
+
+// hint addresses slot `slot` of the n a rank has under the numbering
+// whose receive counts start at *numb (Proc.Slots); slot < 0 is none.
+type hint struct {
+	slot, n int
+	numb    *int32
+}
+
+// fileLocked files *m: in slots[h.slot] when hinted, else — or when the
+// slot cannot take it — in a pooled container on its (src, tag) list.
+// An idle front adopts the sender's numbering. The slot must be free (a
+// sender a pass ahead finds its last message there) and the lists
+// drained: every slot resident is then older than every listed message,
+// and (src, tag) FIFO order needs no stamp comparison.
+func (b *mailbox) fileLocked(m *Msg, h hint) {
+	if h.slot >= 0 && (b.numb == h.numb || b.inSlots == 0) && int(int32(m.Tag)) == m.Tag && (m.Data == nil || m.pooled != nil) {
+		if b.numb != h.numb && h.n > len(b.slots) {
+			b.slots = make([]slotMsg, h.n) //lint:allocok — a rank's slots, once, at its plan's receive count
+		}
+		b.numb = h.numb
+		if e := &b.slots[h.slot]; b.count == 0 && e.seq == 0 {
+			b.enq++
+			b.inSlots++
+			*e = slotMsg{int32(m.Src), int32(m.Tag), m.Size, m.arrival, b.enq, m.Meta, m.pooled}
+			return
+		}
+	}
+	c := msgPool.Get().(*Msg)
+	*c = *m
+	b.enqueueLocked(c)
+}
+
+// frontLocked returns the slot resident a receive of (src, tag) takes,
+// nil when it must look in the lists. Under the front's numbering a
+// channel has one slot, which a hinted receive reads; any other receive
+// scans for the earliest stamp, as wildcards do across lists.
+func (b *mailbox) frontLocked(src, tag int, h hint) *slotMsg {
+	if b.inSlots == 0 {
+		return nil
+	}
+	if h.slot >= 0 && h.numb == b.numb {
+		if e := &b.slots[h.slot]; e.seq != 0 {
+			return e
+		}
+		return nil
+	}
+	var best *slotMsg
+	for i := range b.slots {
+		e := &b.slots[i]
+		if e.seq == 0 || (src != AnySource && int(e.src) != src) || (tag != AnyTag && int(e.tag) != tag) {
+			continue
+		}
+		if best == nil || e.seq < best.seq {
+			best = e
+		}
+	}
+	return best
 }
 
 // slot returns the table slot for exact key (src, tag): its list if
@@ -346,12 +422,23 @@ func (b *mailbox) findLocked(src, tag int) *matchList {
 	return best
 }
 
-// takeLocked removes and returns the earliest-enqueued message
-// matching (src, tag), or nil when none is queued.
-func (b *mailbox) takeLocked(src, tag int) *Msg {
+// takeLocked removes the earliest-enqueued message matching (src, tag)
+// into *out and reports whether there was one: a slot resident (older
+// than anything listed, see fileLocked) or the head of a list, whose
+// container goes back to msgPool.
+func (b *mailbox) takeLocked(src, tag int, h hint, out *Msg) bool {
+	if e := b.frontLocked(src, tag, h); e != nil {
+		*out = Msg{Src: int(e.src), Tag: int(e.tag), Size: e.size, Meta: e.meta, arrival: e.arrival, pooled: e.pooled, seq: e.seq}
+		if e.pooled != nil {
+			out.Data = e.pooled.b[:e.size:e.size]
+		}
+		*e = slotMsg{} // a free slot keeps no payload alive
+		b.inSlots--
+		return true
+	}
 	l := b.findLocked(src, tag)
 	if l == nil {
-		return nil
+		return false
 	}
 	m := l.tail.next
 	if m == l.tail {
@@ -361,13 +448,16 @@ func (b *mailbox) takeLocked(src, tag int) *Msg {
 	}
 	m.next = nil
 	b.count--
-	return m
+	*out = *m
+	*m = Msg{}
+	msgPool.Put(m)
+	return true
 }
 
 // matchesLocked reports whether a message matching (src, tag) is
-// queued, without removing it.
-func (b *mailbox) matchesLocked(src, tag int) bool {
-	return b.findLocked(src, tag) != nil
+// queued, in a slot or a list, without removing it.
+func (b *mailbox) matchesLocked(src, tag int, h hint) bool {
+	return b.frontLocked(src, tag, h) != nil || b.findLocked(src, tag) != nil
 }
 
 // Runtime is the shared state of one execution.
@@ -386,6 +476,7 @@ type Runtime struct {
 	drv   driver
 	chaos *chaosRT
 	ev    *eventRT
+	hints bool // slot hints are honoured: no message can outlive its pass
 
 	// fail-stop state: deadMask marks permanently failed ranks, nDead
 	// counts them, revoked is the ULFM-style revocation epoch.
@@ -467,6 +558,8 @@ type Proc struct {
 	linkDetected   map[netmodel.Resource]bool
 	linkDetectTime float64
 	linkDetections int64
+
+	recvs []int32 // the numbering this rank's slot hints follow (Slots)
 
 	// cycleScratch is this rank's wait-for-graph chase buffer, reused
 	// across posted receives so the block-time cycle probe is
@@ -558,6 +651,7 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		ftVals:     make([]float64, n),
 		ftOK:       true,
 		failedCh:   make(chan struct{}),
+		hints:      cfg.Chaos == nil && len(cfg.Kills) == 0 && !model.HasLinkFaults(),
 		nicMsgs:    make([]atomic.Int64, cfg.Cluster.Nodes),
 		nicBytes:   make([]atomic.Int64, cfg.Cluster.Nodes),
 		glMsgs:     make([]atomic.Int64, cfg.Cluster.Groups()),
@@ -930,12 +1024,32 @@ func (p *Proc) Gather(parts [][]byte) Snapshot {
 // handle may be Released any time after. Sends are eager: the call
 // returns once the message is enqueued at dst; the cost model decides
 // when it becomes receivable. Failures panic with the typed error.
+// slot ≥ 0 hints (−1: none) that the message completes the slot-th
+// receive dst posts under this rank's numbering (Slots), whose mailbox
+// slot it then goes to if it can. Matching is by (src, tag) either way.
 //
 //lint:hotpath
-func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any) {
-	if err := p.sendErr(dst, tag, size, s, meta); err != nil {
+func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int) {
+	if err := p.sendErr(dst, tag, size, s, meta, slot); err != nil {
 		panic(err)
 	}
+}
+
+// Slots declares the numbering this rank's slot hints follow from now
+// on: rank r posts recvs[r] receives under it, a (src, tag) channel has
+// one slot, and the array — the same for every rank — is its identity.
+func (p *Proc) Slots(recvs []int32) { p.recvs = recvs[:p.rt.n] }
+
+// hint resolves a slot argument about rank r's mailbox: dropped where
+// hints are off, a usage error beyond the receives r has declared.
+func (p *Proc) hint(slot, r int, op string) hint {
+	if slot < 0 || !p.rt.hints {
+		return hint{slot: -1}
+	}
+	if p.recvs == nil || slot >= int(p.recvs[r]) {
+		panic(&UsageError{Rank: p.rank, Op: op, Msg: fmt.Sprintf("slot %d beyond the receives declared for rank %d", slot, r)})
+	}
+	return hint{slot, int(p.recvs[r]), &p.recvs[0]}
 }
 
 // Send snapshots data (see Gather) and sends it to dst. data may be nil
@@ -952,7 +1066,7 @@ func (p *Proc) Send(dst, tag, size int, data []byte, meta any) {
 // sendErr implements every send: s is the payload snapshot, zero for a
 // size-only message. Usage errors panic (they abort the run); failure
 // conditions are returned.
-func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any) error {
+func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error {
 	p.enterOp()
 	p.rt.checkAborted()
 	if dst < 0 || dst >= p.rt.n {
@@ -967,6 +1081,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any) error {
 		panic(&UsageError{Rank: p.rank, Op: "send",
 			Msg: fmt.Sprintf("size %d != len(data) %d", size, len(s.data))})
 	}
+	h := p.hint(slot, dst, "send")
 	if p.rt.revoked.Load() {
 		return &CommRevokedError{} //lint:allocok — typed failure error, failure path only
 	}
@@ -1003,16 +1118,14 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any) error {
 		arrival = p.rt.model.Transfer(p.rank, dst, size, p.vt)
 	}
 
-	d := p.rt.cfg.Cluster.Dist(p.rank, dst)
+	d, node, grp := p.rt.model.Route(p.rank, dst)
 	p.rt.msgsByDist[d].Add(1)
 	p.rt.bytesByDist[d].Add(int64(size))
 	if d >= topology.DistGroup {
-		node := p.rt.cfg.Cluster.NodeOf(p.rank)
 		p.rt.nicMsgs[node].Add(1)
 		p.rt.nicBytes[node].Add(int64(size))
 	}
 	if d == topology.DistGlobal {
-		grp := p.rt.cfg.Cluster.GroupOf(p.rank)
 		p.rt.glMsgs[grp].Add(1)
 		p.rt.glBytes[grp].Add(int64(size))
 	}
@@ -1036,11 +1149,10 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any) error {
 		cs.mu.Unlock()
 		return nil
 	}
-	m := msgPool.Get().(*Msg)
-	*m = Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb}
+	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb}
 	box := p.rt.boxes[dst]
 	box.mu.Lock()
-	box.enqueueLocked(m)
+	box.fileLocked(&m, h)
 	if ev := p.rt.ev; ev != nil {
 		// Event engine: wake the destination only if it is parked on a
 		// matching receive, with the wake keyed to the modelled arrival
@@ -1154,11 +1266,13 @@ func (p *Proc) Recv(src, tag int) Msg {
 
 // RecvStep is Recv for a Stepper: where Recv would park, a stepped rank
 // gets ok=false with the wait published, and its next call — same
-// (src, tag) — resumes after that park. Anywhere else it is Recv.
+// arguments — resumes after that park. Anywhere else it is Recv. slot ≥ 0
+// hints (−1: none) that this is the slot-th receive the rank posts under
+// its numbering (Slots): where a send hinted the same put its message.
 //
 //lint:hotpath
-func (p *Proc) RecvStep(src, tag int) (m Msg, ok bool) {
-	m, ok, err := p.recv(src, tag, true)
+func (p *Proc) RecvStep(src, tag, slot int) (m Msg, ok bool) {
+	ok, err := p.recv(src, tag, slot, true, &m)
 	if err != nil {
 		panic(err)
 	}
@@ -1166,8 +1280,8 @@ func (p *Proc) RecvStep(src, tag int) (m Msg, ok bool) {
 }
 
 // recvErr is the blocking receive under Recv/RecvErr/Request.WaitErr.
-func (p *Proc) recvErr(src, tag int) (Msg, error) {
-	m, _, err := p.recv(src, tag, false)
+func (p *Proc) recvErr(src, tag int) (m Msg, err error) {
+	_, err = p.recv(src, tag, -1, false, &m)
 	return m, err
 }
 
@@ -1180,7 +1294,8 @@ func (p *Proc) recvErr(src, tag int) (Msg, error) {
 // promise to call again: a stepped rank then suspends (ok=false) where
 // it would park, and the call that finds p.suspended set resumes past
 // that park — one operation, one cycle chase, however often resumed.
-func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
+// The message lands in *out; slot is RecvStep's hint.
+func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error) {
 	rt := p.rt
 	resumed := p.suspended
 	p.suspended = false
@@ -1188,11 +1303,15 @@ func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
 		p.enterOp()
 	}
 	if rt.chaos != nil {
-		m, err := p.chaosRecvErr(src, tag)
-		return m, true, err
+		*out, err = p.chaosRecvErr(src, tag)
+		return true, err
 	}
 	rt.checkAborted()
 	p.checkSource(src)
+	if src == AnySource || tag == AnyTag {
+		slot = -1 // a wildcard has no slot of its own
+	}
+	h := p.hint(slot, p.rank, "recv")
 	box := rt.boxes[p.rank]
 	// checked guards the wait-for-graph probe: one cycle chase per
 	// posted receive, run after this rank publishes its wait so that
@@ -1201,17 +1320,18 @@ func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
 	box.mu.Lock()
 	box.waiter = false // set only by a suspended receive resuming here
 	for {
-		// Indexed matching: a specific (src, tag) receive is one table
+		// Take the message: a hinted receive reads its slot; otherwise
+		// indexed matching — a specific (src, tag) receive is one table
 		// lookup, and a wakeup re-checks only that list instead of
 		// rescanning a whole queue from zero.
-		if m := box.takeLocked(src, tag); m != nil {
+		if box.takeLocked(src, tag, h, out) {
 			box.waiter = false
 			box.mu.Unlock()
-			p.vt = math.Max(p.vt, m.arrival) + rt.model.RecvOverhead()
-			out := *m
-			*m = Msg{}
-			msgPool.Put(m)
-			return out, true, nil
+			if h.slot >= 0 && (out.Src != src || out.Tag != tag) {
+				panic(&UsageError{Rank: p.rank, Op: "recv", Msg: fmt.Sprintf("slot %d held a message from %d tag %d", h.slot, out.Src, out.Tag)})
+			}
+			p.vt = math.Max(p.vt, out.arrival) + rt.model.RecvOverhead()
+			return true, nil
 		}
 		if err := p.recvBlocked(src); err != nil {
 			box.waiter = false
@@ -1219,10 +1339,10 @@ func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
 			if err == errAborted {
 				panic(err)
 			}
-			return Msg{}, true, err
+			return true, err
 		}
 		box.waiter = true
-		box.wSrc, box.wTag = src, tag
+		box.wSrc, box.wTag, box.wHint = src, tag, h
 		box.wVT = p.vt
 		if !checked && src != AnySource {
 			// The wait is now published; chase the wait-for chain with no
@@ -1242,7 +1362,7 @@ func (p *Proc) recv(src, tag int, step bool) (m Msg, ok bool, err error) {
 		}
 		if step && p.suspend(stRecvWait) {
 			box.mu.Unlock()
-			return Msg{}, false, nil
+			return false, nil
 		}
 		rt.drv.park(p, stRecvWait, box.cond)
 		box.waiter = false
@@ -1318,7 +1438,7 @@ func (p *Proc) Probe(src, tag int) bool {
 	box := p.rt.boxes[p.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
-	return box.matchesLocked(src, tag)
+	return box.matchesLocked(src, tag, hint{slot: -1})
 }
 
 // Barrier synchronises all ranks. On release every rank's virtual clock

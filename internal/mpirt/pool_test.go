@@ -177,7 +177,7 @@ func sharedSnapshotNoAliasing(t *testing.T, cfg Config) {
 			snap := p.Gather([][]byte{src[:m/3], src[m/3:]})
 			shared = snap.pb
 			for dst := 1; dst < n; dst++ {
-				p.SendSnapshot(dst, tagShare, m, snap, nil)
+				p.SendSnapshot(dst, tagShare, m, snap, nil, -1)
 			}
 			for j := range src {
 				src[j] = 0xEE // MPI lets the sender reuse its buffer now
@@ -272,7 +272,7 @@ func TestSnapshotCounters(t *testing.T) {
 		if r == 0 {
 			snap := p.Gather([][]byte{buf[:40], buf[40:]})
 			for dst := 1; dst < n; dst++ {
-				p.SendSnapshot(dst, 5, len(buf), snap, nil)
+				p.SendSnapshot(dst, 5, len(buf), snap, nil, -1)
 			}
 			snap.Release()
 		} else {

@@ -36,7 +36,7 @@ func (s *stages) Step(p *Proc) bool {
 }
 
 func recvStage(src, tag int) stage {
-	return func(p *Proc) bool { _, ok := p.RecvStep(src, tag); return ok }
+	return func(p *Proc) bool { _, ok := p.RecvStep(src, tag, -1); return ok }
 }
 
 func sendStage(dst, tag int) stage {
@@ -76,7 +76,7 @@ func ringExchange(t *testing.T, cfg Config, stepped bool) *Report {
 			(*Proc).SyncResetTimeStep,
 			func(p *Proc) bool { p.Send((r+1)%n, 7, 1, []byte{byte(r)}, nil); return true },
 			func(p *Proc) bool {
-				m, ok := p.RecvStep((r+n-1)%n, 7)
+				m, ok := p.RecvStep((r+n-1)%n, 7, -1)
 				if ok {
 					got[r] = int(m.Data[0])
 				}

@@ -139,6 +139,7 @@ func UniformParams() Params {
 type Model struct {
 	params  Params
 	cluster topology.Cluster
+	places  []place // by rank, resolved once: a message divides nothing
 
 	mu       sync.Mutex
 	portFree []float64 // per-rank send-port availability
@@ -155,6 +156,10 @@ type Model struct {
 	lfAll    []LinkFault
 }
 
+// place is a rank, its socket, its node and its Dragonfly+ group: two
+// ranks' distance is the first of the four they share.
+type place [4]int32
+
 // New builds a model for the cluster. The params are validated.
 func New(c topology.Cluster, p Params) (*Model, error) {
 	if err := c.Validate(); err != nil {
@@ -163,13 +168,28 @@ func New(c topology.Cluster, p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{
+	m := &Model{
 		params:   p,
 		cluster:  c,
+		places:   make([]place, c.Ranks()),
 		portFree: make([]float64, c.Ranks()),
 		nicFree:  make([]float64, c.Nodes),
 		glFree:   make([]float64, c.Groups()),
-	}, nil
+	}
+	for r := range m.places {
+		m.places[r] = place{int32(r), int32(c.SocketOf(r)), int32(c.NodeOf(r)), int32(c.GroupOf(r))}
+	}
+	return m, nil
+}
+
+// Route is topology.Cluster.Dist(src, dst) read off the placement table,
+// with the node NIC and the group uplink src's traffic crosses.
+func (m *Model) Route(src, dst int) (d topology.Distance, nic, uplink int) {
+	a, b := &m.places[src], &m.places[dst]
+	for d < topology.DistGlobal && a[d] != b[d] {
+		d++
+	}
+	return d, int(a[2]), int(a[3])
 }
 
 // Params returns the model's calibration constants.
@@ -211,7 +231,7 @@ func (m *Model) CopyTime(n int) float64 {
 // make deterministic. Down resources never reach Transfer: callers
 // check PathBlocked first and surface a typed error instead.
 func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
-	d := m.cluster.Dist(src, dst)
+	d, node, grp := m.Route(src, dst)
 	p := &m.params
 	faulty := len(m.lfAll) > 0
 
@@ -231,7 +251,6 @@ func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
 	m.portFree[src] = start + portT
 
 	if d >= topology.DistGroup && p.NICBandwidth > 0 {
-		node := m.cluster.NodeOf(src)
 		if start < m.nicFree[node] {
 			start = m.nicFree[node]
 		}
@@ -242,7 +261,6 @@ func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
 		m.nicFree[node] = start + p.NICPerMsg + nicT
 	}
 	if d == topology.DistGlobal && p.GlobalLinkBandwidth > 0 {
-		grp := m.cluster.GroupOf(src)
 		if start < m.glFree[grp] {
 			start = m.glFree[grp]
 		}
@@ -269,6 +287,6 @@ func (m *Model) PortDrain(r int) float64 {
 // between src and dst, with no resource contention. The performance
 // model package uses it for its closed-form predictions.
 func (m *Model) PointToPoint(src, dst, n int) float64 {
-	d := m.cluster.Dist(src, dst)
+	d, _, _ := m.Route(src, dst)
 	return m.params.Alpha[d] + float64(n)/m.params.Beta[d]
 }

@@ -181,3 +181,29 @@ func TestNewRejectsBadInput(t *testing.T) {
 		t.Error("accepted zero params")
 	}
 }
+
+// TestRouteIsClusterDist: the placement table classifies every pair as
+// topology.Cluster.Dist does and names the sender's node and group — on
+// a dense Dragonfly+, a flat network, a scattered allocation and a
+// partly filled last group.
+func TestRouteIsClusterDist(t *testing.T) {
+	for _, c := range []topology.Cluster{
+		topology.Niagara(5, 3),
+		{Nodes: 3, SocketsPerNode: 2, RanksPerSocket: 2},
+		topology.Niagara(7, 2).Scattered(3),
+		{Nodes: 5, SocketsPerNode: 1, RanksPerSocket: 3, NodesPerGroup: 2},
+	} {
+		m, err := New(c, NiagaraParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < c.Ranks(); a++ {
+			for b := 0; b < c.Ranks(); b++ {
+				d, nic, uplink := m.Route(a, b)
+				if d != c.Dist(a, b) || nic != c.NodeOf(a) || uplink != c.GroupOf(a) {
+					t.Fatalf("%v: Route(%d, %d) = %v, %d, %d; want %v, %d, %d", c, a, b, d, nic, uplink, c.Dist(a, b), c.NodeOf(a), c.GroupOf(a))
+				}
+			}
+		}
+	}
+}

@@ -193,6 +193,10 @@ func TestDifferentialTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A plan that has run carries its derived matching: derive
+				// both, and the comparison covers that too.
+				s.Plan.Slots()
+				op.plan.Slots()
 				if !reflect.DeepEqual(s.Plan, op.plan) {
 					t.Fatalf("%s: Extract and the constructor emitted different plans", cs.Name)
 				}
@@ -369,6 +373,63 @@ func TestBrokenTagCollision(t *testing.T) {
 	}
 	if fs[2].Invariant != InvCompleteness {
 		t.Fatalf("expected the doubled delivery to also trip completeness: %v", fs[2])
+	}
+}
+
+// TestBrokenSlotTable seeds the plan's own static matching
+// (collective.Plan.Slots) with the two defects it could have against the
+// verifier's: a table whose sends name each other's receives, and a
+// table missing — or present — where the matching says the opposite.
+func TestBrokenSlotTable(t *testing.T) {
+	b := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {0}}), 0, 0)
+	b.Recv(1, 1, deliver, 1)
+	b.Send(1, 1, deliver, 0)
+	b.Send(1, 2, 0, 0) // a forward nobody needs, so rank 1 posts two receives
+	b.Wait(0, 1)
+	b.EndRank()
+	b.Recv(0, 1, deliver, 0)
+	b.Recv(0, 2, 0, 0)
+	b.Send(0, 1, deliver, 1)
+	b.Wait(0, 2)
+	b.EndRank()
+	s := broken(b)
+	if fs := s.Verify(); len(fs) != 0 {
+		t.Fatalf("fixture is not clean: %v", fs)
+	}
+	slot, recvs := s.Plan.Slots()
+	if want := []int32{0, 0, 1, -1, 0, 1, 0, -1}; !reflect.DeepEqual(slot, want) || !reflect.DeepEqual(recvs, []int32{1, 2}) {
+		t.Fatalf("Plan.Slots() = %v, %v; want %v, [1 2]", slot, recvs, want)
+	}
+	m := s.match()
+	swapped := append([]int32(nil), slot...)
+	swapped[1], swapped[2] = swapped[2], swapped[1] // rank 0's two sends
+	fs := s.checkSlots(m, swapped, []int32{1, 1})
+	want := []Finding{
+		{InvMatching, 0, "rank 0 send→1 tag 1 is hinted slot 1, its matching says 0"},
+		{InvMatching, 0, "rank 0 send→1 tag 2 is hinted slot 0, its matching says 1"},
+		{InvMatching, 1, "plan counts 1 receives, rank 1 posts 2"},
+	}
+	if !reflect.DeepEqual(fs, want) {
+		t.Fatalf("swapped slots: findings %v, want %v", fs, want)
+	}
+	// A clean plan without a table; and a wildcard plan with one.
+	fs = s.checkSlots(m, nil, nil)
+	if len(fs) != 1 || fs[0].Message != "plan has slot hints: false, its matching is exact: true" {
+		t.Fatalf("missing table: findings %v", fs)
+	}
+	w := collective.NewPlanBuilder(mustGraph(t, 2, [][]int{{1}, {}}), 0, 0)
+	w.Send(1, 1, deliver, 0)
+	w.EndRank()
+	w.Recv(collective.AnySource, 1, deliver, 0)
+	w.Wait(0, 1)
+	w.EndRank()
+	ws := broken(w)
+	if fs := ws.Verify(); len(fs) != 0 {
+		t.Fatalf("wildcard fixture is not clean (its plan must derive no table): %v", fs)
+	}
+	fs = ws.checkSlots(ws.match(), []int32{0, 0, -1}, []int32{0, 1})
+	if len(fs) != 1 || fs[0].Message != "plan has slot hints: true, its matching is exact: false" {
+		t.Fatalf("table on a wildcard plan: findings %v", fs)
 	}
 }
 

@@ -22,6 +22,7 @@ type matchState struct {
 	// with; recvSend is the inverse. waits maps a receive post to the
 	// wait completing it.
 	sendRecv, recvSend, waits []int32
+	exact                     bool // all ops paired, each on a channel of its own, no wildcard: what Plan.Slots describes
 	findings                  []Finding
 }
 
@@ -79,6 +80,8 @@ func (s *Schedule) Verify() []Finding {
 	var out []Finding
 	m := s.match()
 	out = append(out, m.findings...)
+	slot, recvs := s.Plan.Slots()
+	out = append(out, s.checkSlots(m, slot, recvs)...)
 	cycle := s.checkDeadlock(m)
 	out = append(out, cycle...)
 	if len(cycle) == 0 {
@@ -172,6 +175,7 @@ func (s *Schedule) match() *matchState {
 		}
 		lo = hi
 	}
+	m.exact = len(wilds) == 0 && len(collisions) == 0
 	slices.SortStableFunc(collisions, func(a, b collision) int { return cmp.Compare(a.seen, b.seen) })
 	for _, c := range collisions {
 		m.findings = append(m.findings, c.Finding)
@@ -219,6 +223,7 @@ func (s *Schedule) match() *matchState {
 		switch op.Kind {
 		case collective.OpSend:
 			if m.sendRecv[id] == none {
+				m.exact = false
 				m.findings = append(m.findings, Finding{InvMatching, r, fmt.Sprintf(
 					"send %d→%d tag %d is never received", r, op.Peer, op.Tag)})
 			}
@@ -229,6 +234,7 @@ func (s *Schedule) match() *matchState {
 					fmt.Sprintf(format, args...)})
 			}
 			if m.recvSend[id] == none {
+				m.exact = false
 				report("is never satisfied")
 			} else if _, send := s.op(m, m.recvSend[id]); send.Flags != op.Flags {
 				report("has flags %03b, its send %03b", op.Flags, send.Flags)
@@ -241,6 +247,36 @@ func (s *Schedule) match() *matchState {
 		}
 	}
 	return m
+}
+
+// checkSlots holds the plan's own static matching (Plan.Slots' slot and
+// recvs, what a pass hints the runtime with) against this one, op for op, so
+// that two matchers cannot disagree silently: a receive's slot is its
+// ordinal on its rank, a send's the slot of its receive, and the plan has
+// a table exactly when the matching is exact.
+func (s *Schedule) checkSlots(m *matchState, slot, recvs []int32) (out []Finding) {
+	if (slot != nil) != m.exact {
+		return []Finding{{InvMatching, -1, fmt.Sprintf("plan has slot hints: %v, its matching is exact: %v", slot != nil, m.exact)}}
+	}
+	for r := 0; slot != nil && r < len(recvs); r++ {
+		ord := int32(0)
+		for id := m.base[r]; id < m.base[r+1]; id++ {
+			want := int32(none)
+			switch _, op := s.op(m, id); op.Kind {
+			case collective.OpRecv:
+				want, ord = ord, ord+1
+			case collective.OpSend:
+				want = slot[m.sendRecv[id]]
+			}
+			if slot[id] != want {
+				out = append(out, Finding{InvMatching, r, fmt.Sprintf("%s is hinted slot %d, its matching says %d", s.opString(m, id), slot[id], want)})
+			}
+		}
+		if recvs[r] != ord {
+			out = append(out, Finding{InvMatching, r, fmt.Sprintf("plan counts %d receives, rank %d posts %d", recvs[r], r, ord)})
+		}
+	}
+	return out
 }
 
 func peerString(p int) string {
