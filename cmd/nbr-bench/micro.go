@@ -358,9 +358,8 @@ func microAllgatherStep(b *testing.B) {
 		rbuf := make([]byte, m)
 		next, prev := (r+1)%n, (r+n-1)%n
 		for i := 0; i < b.N; i++ {
-			req := p.Irecv(prev, tags.BenchStep)
 			p.Send(next, tags.BenchStep, m, sbuf, nil)
-			msg := req.Wait()
+			msg := p.Recv(prev, tags.BenchStep)
 			copy(rbuf, msg.Data)
 			msg.Release()
 		}

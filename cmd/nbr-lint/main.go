@@ -6,14 +6,6 @@
 // Usage:
 //
 //	nbr-lint [-dir .] [-modpath path] [-analyzers a,b] [-json] [-sarif]
-//	         [-baseline findings.json] [-write-baseline findings.json]
-//
-// A baseline turns the gate incremental: -write-baseline records the
-// current findings as JSON, and -baseline fails only on findings not
-// present in that file — adopted-code debt stays visible in the
-// baseline without blocking unrelated changes. A finding matches the
-// baseline on (file, analyzer, message), not line number, so edits
-// that merely move code do not resurrect suppressed debt.
 //
 // Exit codes: 0 — clean; 1 — findings; 2 — the tool itself failed
 // (bad flags, unloadable or untypeable source). CI distinguishes "the
@@ -65,8 +57,6 @@ func run(args []string, out io.Writer) error {
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	baseline := fs.String("baseline", "", "JSON findings file: fail only on findings not in it")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this JSON file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,16 +79,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	findings := toFindings(lint.RunAnalyzers(pkgs, analyzers))
-
-	if *writeBaseline != "" {
-		return lintout.SaveBaseline(*writeBaseline, findings)
-	}
-	if *baseline != "" {
-		findings, err = lintout.FilterBaseline(*baseline, findings)
-		if err != nil {
-			return fmt.Errorf("nbr-lint: %w", err)
-		}
-	}
 
 	if *asSARIF {
 		if err := lintout.WriteSARIF(out, "nbr-lint", sarifRules(analyzers), findings); err != nil {

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -38,7 +37,7 @@ func TestFixturesFail(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"[determinism]", "[requestleak]", "[errdiscipline]", "[tagdiscipline]", "[vtclean]",
+		"[determinism]", "[deadlockshape]", "[errdiscipline]", "[tagdiscipline]", "[vtclean]",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("fixture output missing %s findings:\n%s", want, text)
@@ -139,15 +138,13 @@ func TestSARIFOutput(t *testing.T) {
 			t.Errorf("URI not slash-separated: %q", loc.ArtifactLocation.URI)
 		}
 	}
-	// The dataflow analyzers must be represented among the results.
+	// deadlockshape must be represented among the results.
 	seen := map[string]bool{}
 	for _, res := range run.Results {
 		seen[res.RuleID] = true
 	}
-	for _, want := range []string{"bufinflight", "deadlockshape", "waitcoverage"} {
-		if !seen[want] {
-			t.Errorf("no SARIF result from %s over the fixtures", want)
-		}
+	if !seen["deadlockshape"] {
+		t.Error("no SARIF result from deadlockshape over the fixtures")
 	}
 }
 
@@ -178,57 +175,6 @@ func TestExitCodes(t *testing.T) {
 	errOut.Reset()
 	if code := Main([]string{"-dir", filepath.Join("..", "..")}, &out, &errOut); code != 0 {
 		t.Errorf("clean module must exit 0, got %d (stderr: %s)", code, errOut.String())
-	}
-}
-
-// TestBaseline pins the incremental gate: recording the fixture
-// findings and re-running against that baseline is clean (exit 0), a
-// missing baseline is a tool failure (exit 2), and a baseline with one
-// finding removed surfaces exactly the removed finding (exit 1).
-func TestBaseline(t *testing.T) {
-	fixtures := filepath.Join("..", "..", "internal", "lint", "testdata", "src")
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	var out, errOut strings.Builder
-
-	if code := Main([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-write-baseline", base}, &out, &errOut); code != 0 {
-		t.Fatalf("write-baseline: exit %d, want 0\n%s", code, errOut.String())
-	}
-	if code := Main([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-baseline", base}, &out, &errOut); code != 0 {
-		t.Fatalf("full baseline should absorb every finding: exit %d\n%s%s", code, out.String(), errOut.String())
-	}
-	if code := Main([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-baseline", filepath.Join(t.TempDir(), "absent.json")}, &out, &errOut); code != 2 {
-		t.Fatalf("missing baseline file: exit %d, want 2", code)
-	}
-
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var findings []lintout.Finding
-	if err := json.Unmarshal(data, &findings); err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) < 2 {
-		t.Fatalf("baseline holds %d findings, need at least 2", len(findings))
-	}
-	removed := findings[0]
-	trimmed, err := json.Marshal(findings[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial := filepath.Join(t.TempDir(), "partial.json")
-	if err := os.WriteFile(partial, trimmed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := Main([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-baseline", partial}, &out, &errOut); code != 1 {
-		t.Fatalf("partial baseline: exit %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), removed.Message) {
-		t.Errorf("new-findings output should contain the un-baselined message %q:\n%s", removed.Message, out.String())
-	}
-	if got := strings.Count(out.String(), "\n"); got != 1 {
-		t.Errorf("only the new finding should print, got %d lines:\n%s", got, out.String())
 	}
 }
 

@@ -1,21 +1,18 @@
 // Command nbr-verify runs the static plan verifier
 // (internal/planverify) over the conformance shape matrix — or one
 // named case — and reports invariant violations as plan/<case>: [rule]
-// message, exiting nonzero when any survive the baseline. It proves
-// delivery completeness, matching discipline, rendezvous
-// deadlock-freedom, and perfmodel load bounds for every built schedule
-// without executing it; see DESIGN.md §12.
+// message, exiting nonzero on any finding. It proves delivery
+// completeness, matching discipline, rendezvous deadlock-freedom, and
+// perfmodel load bounds for every built schedule without executing it;
+// see DESIGN.md §12.
 //
 // Usage:
 //
 //	nbr-verify [-case name] [-list] [-load] [-json] [-sarif]
-//	           [-baseline findings.json] [-write-baseline findings.json]
 //
 // -list prints the matrix case names. -load prints the static
 // per-resource load table (max/min and max/mean ratios per case) next
-// to the perfmodel cross-check instead of verifying. The baseline
-// flags share nbr-lint's incremental-gate semantics and file format
-// (internal/lintout), keyed on (file, analyzer, message).
+// to the perfmodel cross-check instead of verifying.
 //
 // Exit codes: 0 — every plan proven clean; 1 — invariant findings;
 // 2 — the tool itself failed (bad flags, unknown case, a builder
@@ -67,8 +64,6 @@ func run(args []string, out io.Writer) error {
 	load := fs.Bool("load", false, "print the static load table instead of verifying")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	baseline := fs.String("baseline", "", "JSON findings file: fail only on findings not in it")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this JSON file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -98,16 +93,6 @@ func run(args []string, out io.Writer) error {
 		}
 		for _, f := range s.Verify() {
 			findings = append(findings, toFinding(c.Name, f))
-		}
-	}
-
-	if *writeBaseline != "" {
-		return lintout.SaveBaseline(*writeBaseline, findings)
-	}
-	if *baseline != "" {
-		findings, err = lintout.FilterBaseline(*baseline, findings)
-		if err != nil {
-			return fmt.Errorf("nbr-verify: %w", err)
 		}
 	}
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,19 +63,6 @@ func TestSARIFOutput(t *testing.T) {
 		if !ids[want] {
 			t.Fatalf("rule %q missing from SARIF driver", want)
 		}
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline on a clean matrix (empty
-// array) and verifies against it.
-func TestBaselineRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "plans.json")
-	var out, errOut strings.Builder
-	if code := Main([]string{"-write-baseline", base}, &out, &errOut); code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, errOut.String())
-	}
-	if code := Main([]string{"-baseline", base}, &out, &errOut); code != 0 {
-		t.Fatalf("-baseline exit = %d: %s", code, errOut.String())
 	}
 }
 

@@ -516,23 +516,19 @@ func TestInterpreterRejectsBrokenPlans(t *testing.T) {
 // replaced, kept as the allocation yardstick.
 func referenceNaive(g *vgraph.Graph, p mpirt.Endpoint, counts []int) {
 	r := p.Rank()
-	in := g.In(r)
-	reqs := make([]*mpirt.Request, 0, len(in))
-	for _, u := range in {
-		reqs = append(reqs, p.Irecv(u, tags.Naive))
-	}
 	for _, v := range g.Out(r) {
 		p.Send(v, tags.Naive, counts[r], nil, nil)
 	}
-	for _, req := range reqs {
-		msg := req.Wait()
+	for _, u := range g.In(r) {
+		msg := p.Recv(u, tags.Naive)
 		msg.Release()
 	}
 }
 
-// TestInterpreterPhantomAllocs: a phantom-mode interpreter pass
-// allocates no more than the hand-written naive body did — one request
-// slice per rank, no maps — for every algorithm's per-rank overhead.
+// TestInterpreterPhantomAllocs: a phantom-mode interpreter pass costs
+// at most one allocation per rank (the pass's posted-receive bitset)
+// over the hand-written Send/Recv body, which allocates nothing of its
+// own — no maps, nothing per message.
 func TestInterpreterPhantomAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -557,8 +553,8 @@ func TestInterpreterPhantomAllocs(t *testing.T) {
 	naive := NewNaive(g)
 	got := measure(func(p *mpirt.Proc) { naive.RunV(p, nil, counts, nil) })
 	t.Logf("interpreter %.0f allocs per run, hand-written naive body %.0f", got, ref)
-	if got > ref {
-		t.Errorf("interpreter pass allocates %.0f objects per run, the hand-written naive body %.0f", got, ref)
+	if got > ref+float64(g.N()) {
+		t.Errorf("interpreter pass allocates %.0f objects per run, over the hand-written naive body's %.0f + 1 per rank", got, ref)
 	}
 }
 

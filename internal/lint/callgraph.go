@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -125,22 +124,6 @@ func calleeNode(p *Pass, call *ast.CallExpr) *FuncNode {
 		return nil
 	}
 	return p.Prog.NodeOf(calleeOf(p, call))
-}
-
-// calleeIgnoresArg reports whether the call's static callee is a module
-// function whose summary proves it ignores the request passed at
-// argument index ai. Passing a request to such a callee does NOT
-// transfer the wait obligation — the callee never touches it.
-func calleeIgnoresArg(p *Pass, call *ast.CallExpr, ai int) bool {
-	n := calleeNode(p, call)
-	if n == nil {
-		return false
-	}
-	sig, ok := n.Fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	return n.Summary.RequestParamFate(paramIndexForArg(sig, ai)) == ParamIgnored
 }
 
 // buildProgram constructs the call graph and summaries for one run.
@@ -485,10 +468,4 @@ func isEngineBoundary(n *FuncNode) bool {
 	name := n.Fn.Name()
 	return pathContains(n.Pkg.Path, "internal/mpirt") && (name == "Run" || name == "RunSteppers") &&
 		n.Decl.Recv == nil
-}
-
-// describePos renders a position for cross-package witness messages.
-func describePos(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

@@ -72,26 +72,10 @@ func TestCallGraphFuncValue(t *testing.T) {
 	}
 }
 
-// TestSummaryFacts pins the remaining per-function facts: request
-// production, parameter fates, and host blocking.
+// TestSummaryFacts pins the remaining per-function fact: host
+// blocking.
 func TestSummaryFacts(t *testing.T) {
 	prog := progOver(t)
-	if !nodeNamed(t, prog, "Wrap").Summary.ReturnsRequest {
-		t.Error("Wrap returns *Request: summary must say so")
-	}
-	fates := []struct {
-		fn   string
-		want ParamFate
-	}{
-		{"WaitsParam", ParamWaited},
-		{"IgnoresParam", ParamIgnored},
-		{"EscapesParam", ParamEscaped},
-	}
-	for _, f := range fates {
-		if got := nodeNamed(t, prog, f.fn).Summary.RequestParamFate(0); got != f.want {
-			t.Errorf("%s param fate = %v, want %v", f.fn, got, f.want)
-		}
-	}
 	if !nodeNamed(t, prog, "Parks").Summary.MayBlock {
 		t.Error("Parks receives from a bare channel: summary must say it may block")
 	}

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"bytes"
 	"go/ast"
+	"go/printer"
+	"go/token"
 	"go/types"
 )
 
@@ -39,9 +42,8 @@ var collectiveMethods = map[string]bool{
 	"Shrink":             true,
 }
 
-// blockingSends and blockingRecvs split the blocking point-to-point
-// surface for the ordering check (nonblocking Isend/Irecv never
-// deadlock on ordering).
+// blockingSends and blockingRecvs split the point-to-point surface for
+// the ordering check.
 var blockingSends = map[string]bool{"Send": true, "SendErr": true, "SendSnapshot": true}
 var blockingRecvs = map[string]bool{"Recv": true, "RecvErr": true, "RecvStep": true}
 
@@ -198,5 +200,141 @@ func checkOneSidedCollective(p *Pass, ifs *ast.IfStmt) {
 	}
 	if elseN > 0 && thenN == 0 {
 		p.Report(elseCall.Pos(), "collective reachable on only one branch of a rank-dependent conditional: ranks taking the other branch never arrive and the collective deadlocks")
+	}
+}
+
+// isRankCall reports whether call invokes the runtime's Rank method.
+func isRankCall(p *Pass, call *ast.CallExpr) bool {
+	f := calleeOf(p, call)
+	return f != nil && f.Name() == "Rank" && pathContains(funcPkgPath(f), "internal/mpirt")
+}
+
+// exprMentionsRank reports whether e contains a Rank() call or a
+// rank-tainted identifier.
+func exprMentionsRank(p *Pass, taint map[types.Object]bool, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if isRankCall(p, n) {
+				found = true
+				return false
+			}
+		case *ast.Ident:
+			if o := p.Pkg.Info.Uses[n]; o != nil && taint[o] {
+				found = true
+				return false
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// rankTaint computes the closure of variables whose value derives from
+// the calling rank: assigned from an expression containing Rank() or an
+// already-tainted variable. Intra-procedural — a rank passed as a
+// parameter into a helper is not tracked across the call.
+func rankTaint(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	taint := map[types.Object]bool{}
+	for changed := true; changed; {
+		changed = false
+		add := func(o types.Object) {
+			if o != nil && !taint[o] {
+				taint[o] = true
+				changed = true
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if i < len(n.Lhs) && exprMentionsRank(p, taint, rhs) {
+						if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {
+							add(objOfIdent(p, id))
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for i, v := range n.Values {
+					if i < len(n.Names) && exprMentionsRank(p, taint, v) {
+						add(p.Pkg.Info.Defs[n.Names[i]])
+					}
+				}
+			}
+			return true
+		})
+	}
+	return taint
+}
+
+// pureRankAliases returns the variables assigned exactly `x.Rank()` —
+// their value IS the calling rank, not merely derived from it. Used for
+// the self-send check, where arithmetic on the rank must not match.
+func pureRankAliases(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			if i >= len(as.Lhs) {
+				break
+			}
+			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+			if !ok || !isRankCall(p, call) {
+				continue
+			}
+			if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
+				if o := objOfIdent(p, id); o != nil {
+					out[o] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// objOfIdent resolves an identifier to its object via Defs or Uses.
+func objOfIdent(p *Pass, id *ast.Ident) types.Object {
+	if o := p.Pkg.Info.Defs[id]; o != nil {
+		return o
+	}
+	return p.Pkg.Info.Uses[id]
+}
+
+// exprText renders an expression to canonical source text, for
+// comparing peer expressions across branches.
+func exprText(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
+		return ""
+	}
+	return buf.String()
+}
+
+// forEachFuncBody applies fn to every function body in the package:
+// declared functions, methods, and function literals (each literal is
+// analyzed as its own function).
+func forEachFuncBody(p *Pass, fn func(*ast.BlockStmt)) {
+	for _, f := range p.Pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn(fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					fn(lit.Body)
+				}
+				return true
+			})
+		}
 	}
 }

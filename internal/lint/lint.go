@@ -1,19 +1,22 @@
 // Package lint is a self-contained static-analysis framework (stdlib
 // go/ast + go/parser + go/types only — no golang.org/x/tools) that
-// enforces the runtime's cross-cutting invariants:
+// enforces the runtime's cross-cutting invariants with eight analyzers:
 //
 //   - determinism: no wall-clock, global math/rand, or map-iteration
 //     order reaching sends, receives, tags, or plan ordering in the
 //     schedule-deterministic packages (bit-exact chaos replay depends
 //     on it);
-//   - requestleak: every nonblocking request reaches a Wait or escapes
-//     the function — a dropped request hides a completion the caller
-//     never observes;
 //   - errdiscipline: module error returns are not silently discarded,
 //     and typed failures are matched with errors.As, never by string;
 //   - tagdiscipline: message tags come from the internal/tags registry,
 //     not scattered integer literals;
-//   - vtclean: virtual-time packages never consult the host clock.
+//   - vtclean: virtual-time packages never consult the host clock;
+//   - deadlockshape: no rank-conditional Send/Recv ordering, self-send
+//     or one-sided collective in a hand-written rank body;
+//   - bufferpool: sync.Pool lives only in the runtime's payload pool;
+//   - allocdiscipline, enginesafe: nothing reachable from a
+//     //lint:hotpath function allocates, nothing reachable from
+//     event-engine rank code blocks the host.
 //
 // Findings are suppressed by a `//lint:<directive>` comment on the
 // offending line or the line directly above it:
@@ -160,13 +163,10 @@ func directiveIndex(pkg *Package) map[string]map[int][]string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		RequestLeakAnalyzer,
 		ErrDisciplineAnalyzer,
 		TagDisciplineAnalyzer,
 		VTCleanAnalyzer,
-		BufInflightAnalyzer,
 		DeadlockShapeAnalyzer,
-		WaitCoverageAnalyzer,
 		BufferPoolAnalyzer,
 		AllocDisciplineAnalyzer,
 		EngineSafeAnalyzer,

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -98,21 +99,16 @@ func TestGolden(t *testing.T) {
 		analyzer string
 	}{
 		{"nbrallgather/internal/collective/determbad", "determinism"},
-		{"nbrallgather/internal/collective/requestleakbad", "requestleak"},
 		{"nbrallgather/internal/collective/errbad", "errdiscipline"},
 		{"nbrallgather/internal/collective/tagbad", "tagdiscipline"},
 		{"nbrallgather/internal/vtbad", "vtclean"},
-		{"nbrallgather/internal/collective/bufinflightbad", "bufinflight"},
 		{"nbrallgather/internal/collective/deadlockshapebad", "deadlockshape"},
-		{"nbrallgather/internal/collective/waitcoveragebad", "waitcoverage"},
 		{"nbrallgather/internal/collective/poolbad", "bufferpool"},
 		{"nbrallgather/internal/collective/allocbad", AllocDisciplineName},
 		{"nbrallgather/internal/collective/enginesafebad", EngineSafeName},
 		{"nbrallgather/internal/mpirt/blockokfix", EngineSafeName},
 		{"nbrallgather/internal/stepallocbad", AllocDisciplineName},
 		{"nbrallgather/internal/stepsleepbad", EngineSafeName},
-		{"nbrallgather/internal/collective/xleakbad", "requestleak"},
-		{"nbrallgather/internal/collective/xwaitbad", "waitcoverage"},
 		{"nbrallgather/internal/collective/xdetermbad", "determinism"},
 	}
 	for _, tc := range cases {
@@ -315,5 +311,67 @@ func TestPathHelpers(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", pathHasSuffix("a/b/c", "b/c")) != "true" {
 		t.Error("pathHasSuffix failed on a/b/c, b/c")
+	}
+}
+
+// TestRuntimeNamesExist pins the analyzers' name tables to the runtime
+// they match by string: every name in them is a method of the real
+// mpirt.Proc or mpirt.Endpoint, and every exported method of the
+// fixture stub's Proc and SubProc exists on the real type with the same
+// parameter and result types. Deleting or renaming a runtime method
+// fails here instead of silently disarming a rule.
+func TestRuntimeNamesExist(t *testing.T) {
+	module, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := findPkg(t, module, "nbrallgather/internal/mpirt").Types.Scope()
+	stub := findPkg(t, loadFixtures(t), "nbrallgather/internal/mpirt").Types.Scope()
+	// methods maps every exported method of the named type (through a
+	// pointer receiver when it is concrete) to its parameter and result
+	// types, names dropped.
+	methods := func(scope *types.Scope, name string) map[string]string {
+		typ := scope.Lookup(name).Type()
+		if !types.IsInterface(typ) {
+			typ = types.NewPointer(typ)
+		}
+		out := map[string]string{}
+		for ms, i := types.NewMethodSet(typ), 0; i < ms.Len(); i++ {
+			f := ms.At(i).Obj()
+			if !f.Exported() {
+				continue
+			}
+			sig := f.Type().(*types.Signature)
+			shape := fmt.Sprintf("variadic=%v", sig.Variadic())
+			for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+				shape += " ("
+				for j := 0; j < tuple.Len(); j++ {
+					shape += types.TypeString(tuple.At(j).Type(), (*types.Package).Name) + ","
+				}
+				shape += ")"
+			}
+			out[f.Name()] = shape
+		}
+		return out
+	}
+	proc, endpoint := methods(real, "Proc"), methods(real, "Endpoint")
+	for table, names := range map[string]map[string]bool{
+		"commMethods": commMethods, "collectiveMethods": collectiveMethods,
+		"blockingSends": blockingSends, "blockingRecvs": blockingRecvs,
+		"isRankCall": {"Rank": true},
+	} {
+		for name := range names {
+			if proc[name] == "" && endpoint[name] == "" {
+				t.Errorf("%s names %s, which neither mpirt.Proc nor mpirt.Endpoint has", table, name)
+			}
+		}
+	}
+	for _, typ := range []string{"Proc", "SubProc"} {
+		have := methods(real, typ)
+		for name, shape := range methods(stub, typ) {
+			if have[name] != shape {
+				t.Errorf("stub %s.%s is %s, the runtime's is %q", typ, name, shape, have[name])
+			}
+		}
 	}
 }

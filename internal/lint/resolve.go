@@ -57,8 +57,6 @@ var commMethods = map[string]bool{
 	"SendSnapshot": true,
 	"Recv":         true,
 	"RecvStep":     true,
-	"Isend":        true,
-	"Irecv":        true,
 	"Probe":        true,
 	"SendErr":      true,
 	"RecvErr":      true,

@@ -8,10 +8,9 @@ import (
 )
 
 // This file computes per-function summaries over the call graph: what a
-// function allocates, whether it can block the host thread, whether it
-// reads the host clock, whether it performs runtime communication, and
-// what it does with request-typed parameters. Direct facts come from a
-// single body scan; transitive bits close over the call graph with a
+// function allocates, whether it can block the host thread and whether
+// it performs runtime communication. Direct facts come from a single
+// body scan; transitive bits close over the call graph with a
 // bottom-up fixpoint (monotone boolean facts, so cycles converge).
 //
 // Externals (functions whose bodies are not in the run) resolve through
@@ -27,21 +26,6 @@ type Site struct {
 	What string
 }
 
-// ParamFate classifies what a function does with a request parameter.
-type ParamFate int
-
-const (
-	// ParamIgnored: the parameter is neither waited nor stored — a
-	// request passed here is dropped.
-	ParamIgnored ParamFate = iota
-	// ParamWaited: some path waits the parameter (directly or via a
-	// callee).
-	ParamWaited
-	// ParamEscaped: the parameter is stored, returned, captured, or
-	// handed to code the analysis cannot see — ownership moved on.
-	ParamEscaped
-)
-
 // Summary holds one function's interprocedural facts.
 type Summary struct {
 	// Direct, own-body sites. Reviewed sites (covered by a suppression
@@ -54,79 +38,11 @@ type Summary struct {
 	// Transitive bits, closed over the call graph.
 	Allocates    bool // may allocate (unsuppressed sites only)
 	MayBlock     bool // may block the host thread (unsuppressed only)
-	ReadsClock   bool // reads the host clock
 	PerformsComm bool // performs a runtime point-to-point operation
-
-	// ReturnsRequest: some result is request-typed — callers inherit
-	// the wait obligation for the returned handle.
-	ReturnsRequest bool
-
-	// Per-parameter request fates, indexed by signature parameter.
-	// Entries for non-request parameters stay false.
-	paramWaits   []bool
-	paramEscapes []bool
-	paramFlows   []paramFlow
 
 	// direct unsuppressed-fact flags feeding the fixpoint.
 	directAlloc bool
 	directBlock bool
-}
-
-// paramFlow records "my parameter from is passed as callee's parameter
-// to" for the fixpoint.
-type paramFlow struct {
-	from   int
-	callee *FuncNode
-	to     int
-}
-
-// RequestParamFate returns the fate of parameter i. Escape dominates
-// wait: if the value may outlive the call the caller cannot assume the
-// wait happened on its path.
-func (s *Summary) RequestParamFate(i int) ParamFate {
-	if i < 0 || i >= len(s.paramEscapes) {
-		return ParamEscaped
-	}
-	if s.paramEscapes[i] {
-		return ParamEscaped
-	}
-	if s.paramWaits[i] {
-		return ParamWaited
-	}
-	return ParamIgnored
-}
-
-// isRequestType reports whether t is *mpirt.Request or a slice of it.
-func isRequestType(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Pointer:
-		if n, ok := t.Elem().(*types.Named); ok {
-			return n.Obj().Name() == "Request" && n.Obj().Pkg() != nil &&
-				pathContains(n.Obj().Pkg().Path(), "internal/mpirt")
-		}
-	case *types.Slice:
-		return isRequestType(t.Elem())
-	}
-	return false
-}
-
-// callReturnsRequest reports whether the call's static callee returns a
-// request — a creation site from the caller's point of view.
-func callReturnsRequest(p *Pass, call *ast.CallExpr) bool {
-	f := calleeOf(p, call)
-	if f == nil {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		if isRequestType(sig.Results().At(i).Type()) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -193,8 +109,8 @@ var blockingPkgs = map[string]bool{
 
 // isMpirtIntrinsic reports whether the external f is the runtime's own
 // API surface (real or fixture stub): intrinsically allocation-clean
-// and block-clean from the caller's side, with comm and wait semantics
-// matched by name elsewhere. When the runtime's bodies are in the run
+// and block-clean from the caller's side, with comm semantics matched
+// by name elsewhere. When the runtime's bodies are in the run
 // they are analyzed for real and this path is not consulted.
 func isMpirtIntrinsic(f *types.Func) bool {
 	return pathContains(funcPkgPath(f), "internal/mpirt")
@@ -203,7 +119,6 @@ func isMpirtIntrinsic(f *types.Func) bool {
 type extFacts struct {
 	allocFree bool
 	blocking  bool
-	clock     bool
 	desc      string
 }
 
@@ -215,9 +130,6 @@ func externalFacts(f *types.Func) extFacts {
 	if isMpirtIntrinsic(f) {
 		facts.allocFree = true
 		return facts
-	}
-	if pkg == "time" && hostClockFuncs[f.Name()] {
-		facts.clock = true
 	}
 	if allocFreePkgs[pkg] || allocFreeFuncs[full] || pkg == "" {
 		facts.allocFree = true
@@ -275,14 +187,6 @@ func (prog *Program) scanDirect(n *FuncNode) {
 	mini := &Pass{Pkg: n.Pkg} // helper view; only Pkg.Info is used
 	idx := prog.dirIdx[n.Pkg]
 	fset := n.Pkg.Fset
-
-	if sig, ok := n.Fn.Type().(*types.Signature); ok {
-		for i := 0; i < sig.Results().Len(); i++ {
-			if isRequestType(sig.Results().At(i).Type()) {
-				s.ReturnsRequest = true
-			}
-		}
-	}
 
 	addAlloc := func(pos token.Pos, what string) {
 		s.Allocs = append(s.Allocs, Site{pos, what})
@@ -396,13 +300,11 @@ func (prog *Program) scanDirect(n *FuncNode) {
 		}
 		return true
 	})
-
-	prog.scanParamFates(mini, n)
 }
 
 // scanCall classifies one call for the direct scan: builtin
-// allocations, conversions, comm, clock reads, boxing at the call
-// boundary, and external facts.
+// allocations, conversions, comm, boxing at the call boundary, and
+// external facts.
 func (prog *Program) scanCall(mini *Pass, n *FuncNode, call *ast.CallExpr, resolved map[*ast.CallExpr]bool, addAlloc, addBlock func(token.Pos, string)) {
 	info := n.Pkg.Info
 	// Builtins.
@@ -431,9 +333,6 @@ func (prog *Program) scanCall(mini *Pass, n *FuncNode, call *ast.CallExpr, resol
 	s := &n.Summary
 	if isMpirtComm(f) {
 		s.PerformsComm = true
-	}
-	if funcPkgPath(f) == "time" && hostClockFuncs[f.Name()] {
-		s.ReadsClock = true
 	}
 	scanBoxing(mini, call, f, addAlloc)
 	if prog.byObj[f] != nil || resolved[call] {
@@ -578,107 +477,6 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // ---------------------------------------------------------------------
-// Request-parameter fates.
-
-// scanParamFates classifies each request-typed parameter of n: waited,
-// escaped, or ignored. Mentions are claimed by the wait intrinsics and
-// by flows into module callees; a nil comparison is neutral; any other
-// mention escapes (assignment, return, append, capture, address-of —
-// all conservatively treated as ownership transfer).
-func (prog *Program) scanParamFates(mini *Pass, n *FuncNode) {
-	sig, ok := n.Fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	s := &n.Summary
-	s.paramWaits = make([]bool, params.Len())
-	s.paramEscapes = make([]bool, params.Len())
-	idxOf := map[types.Object]int{}
-	for i := 0; i < params.Len(); i++ {
-		if isRequestType(params.At(i).Type()) {
-			idxOf[params.At(i)] = i
-		}
-	}
-	if len(idxOf) == 0 {
-		return
-	}
-	handled := map[token.Pos]bool{}
-	claim := func(root ast.Node, obj types.Object) {
-		ast.Inspect(root, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && objOfIdent(mini, id) == obj {
-				handled[id.Pos()] = true
-			}
-			return true
-		})
-	}
-	inspectSkippingPanicArgs(n.Decl.Body, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.CallExpr:
-			for obj, pi := range idxOf {
-				if callWaits(mini, nd, obj) {
-					s.paramWaits[pi] = true
-					claim(nd, obj)
-				}
-			}
-			f := calleeOf(mini, nd)
-			if f == nil {
-				return true
-			}
-			cn := prog.byObj[f]
-			if cn == nil {
-				return true
-			}
-			csig, ok := f.Type().(*types.Signature)
-			if !ok {
-				return true
-			}
-			for ai, arg := range nd.Args {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := objOfIdent(mini, id)
-				pi, tracked := idxOf[obj]
-				if !tracked {
-					continue
-				}
-				ci := paramIndexForArg(csig, ai)
-				if ci >= 0 && isRequestType(csig.Params().At(ci).Type()) {
-					s.paramFlows = append(s.paramFlows, paramFlow{from: pi, callee: cn, to: ci})
-					handled[id.Pos()] = true
-				}
-			}
-		case *ast.BinaryExpr:
-			if nd.Op == token.EQL || nd.Op == token.NEQ {
-				for obj := range idxOf {
-					if rootObj(mini, nd.X) == obj && isNilIdent(nd.Y) ||
-						rootObj(mini, nd.Y) == obj && isNilIdent(nd.X) {
-						claim(nd, obj)
-					}
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		id, ok := nd.(*ast.Ident)
-		if !ok || handled[id.Pos()] {
-			return true
-		}
-		if pi, tracked := idxOf[objOfIdent(mini, id)]; tracked {
-			s.paramEscapes[pi] = true
-		}
-		return true
-	})
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// ---------------------------------------------------------------------
 // Fixpoint.
 
 // propagate folds callee facts into n's transitive bits; reports
@@ -687,14 +485,12 @@ func (prog *Program) propagate(n *FuncNode) bool {
 	s := &n.Summary
 	alloc := s.directAlloc || len(n.DynCalls) > 0
 	block := s.directBlock
-	clock := s.ReadsClock
 	comm := s.PerformsComm
 	for _, cs := range n.Calls {
 		if cs.Node != nil {
 			t := &cs.Node.Summary
 			alloc = alloc || t.Allocates
 			block = block || t.MayBlock
-			clock = clock || t.ReadsClock
 			comm = comm || t.PerformsComm
 		}
 	}
@@ -705,20 +501,8 @@ func (prog *Program) propagate(n *FuncNode) bool {
 	if block && !s.MayBlock {
 		s.MayBlock, changed = true, true
 	}
-	if clock && !s.ReadsClock {
-		s.ReadsClock, changed = true, true
-	}
 	if comm && !s.PerformsComm {
 		s.PerformsComm, changed = true, true
-	}
-	for _, fl := range s.paramFlows {
-		t := &fl.callee.Summary
-		if fl.to < len(t.paramWaits) && t.paramWaits[fl.to] && !s.paramWaits[fl.from] {
-			s.paramWaits[fl.from], changed = true, true
-		}
-		if fl.to < len(t.paramEscapes) && t.paramEscapes[fl.to] && !s.paramEscapes[fl.from] {
-			s.paramEscapes[fl.from], changed = true, true
-		}
 	}
 	return changed
 }

@@ -1,9 +1,7 @@
 // Package cgfix is the call-graph unit-test fixture: interface
-// dispatch, mutual recursion, func-value conservatism, and request
-// parameter fates, each in its smallest form.
+// dispatch, mutual recursion and func-value conservatism, each in its
+// smallest form.
 package cgfix
-
-import "nbrallgather/internal/mpirt"
 
 type ringer interface{ Ring() int }
 
@@ -41,18 +39,6 @@ func Indirect(f func() int) int { return f() }
 
 // Clean is allocation-free through and through.
 func Clean(x int) int { return x + 1 }
-
-// Wrap returns a request: callers inherit the wait obligation.
-func Wrap(p *mpirt.Proc, tag int) *mpirt.Request { return p.Irecv(0, tag) }
-
-// WaitsParam discharges its request parameter.
-func WaitsParam(r *mpirt.Request) { r.Wait() }
-
-// IgnoresParam never touches it.
-func IgnoresParam(r *mpirt.Request) {}
-
-// EscapesParam returns it: escape dominates.
-func EscapesParam(r *mpirt.Request) *mpirt.Request { return r }
 
 // Parks blocks on a bare channel receive.
 func Parks(ch chan int) int { return <-ch }

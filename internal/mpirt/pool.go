@@ -86,9 +86,7 @@ func releasePayload(pb *pbuf) {
 // Release gives up the message's hold on its payload buffer — the last
 // holder's returns it to the pool — and clears Data. Call it once the
 // payload bytes are no longer needed; Data (and any alias into it) must
-// not be read afterwards. The copy a Request retains for repeated Waits
-// holds nothing: only the first completion's Msg releases, and the
-// copy's Data dies with it. On a zero Msg, a phantom-mode message, an
+// not be read afterwards. On a zero Msg, a phantom-mode message, an
 // unpooled payload or a second time Release only clears Data, so
 // callers need no conditionals.
 //

@@ -119,9 +119,8 @@ func TestPoolNoAliasing(t *testing.T) {
 				var held Msg
 				for i := 0; i < iters; i++ {
 					fillPattern(sbuf, r, i)
-					req := p.Irecv(prev, 5)
 					p.Send(next, 5, m, sbuf, nil)
-					msg := req.Wait()
+					msg := p.Recv(prev, 5)
 					checkPattern(t, msg.Data, prev, i, "on receipt")
 					if held.Data != nil {
 						// A full round of sends and receives has recycled
@@ -191,9 +190,8 @@ func sharedSnapshotNoAliasing(t *testing.T, cfg Config) {
 			sbuf := make([]byte, m)
 			for i := 0; i < 10; i++ {
 				fillPattern(sbuf, r, round+i)
-				req := p.Irecv((r+n-1)%n, tagRing)
 				p.Send((r+1)%n, tagRing, m, sbuf, nil)
-				msg := req.Wait()
+				msg := p.Recv((r+n-1)%n, tagRing)
 				checkPattern(t, msg.Data, (r+n-1)%n, round+i, "ring traffic")
 				msg.Release()
 			}
@@ -216,48 +214,6 @@ func sharedSnapshotNoAliasing(t *testing.T, cfg Config) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWaitTwiceReleasesOnce: the copy a Request retains carries no
-// ownership, so waiting twice and releasing both results lets go of the
-// buffer once — it used to enter the pool twice and back two live
-// payloads.
-func TestWaitTwiceReleasesOnce(t *testing.T) {
-	for _, eng := range Engines() {
-		t.Run(string(eng), func(t *testing.T) {
-			_, err := Run(Config{Cluster: topology.Niagara(1, 1), Engine: eng, WallLimit: time.Minute}, func(p *Proc) {
-				if p.Rank() == 0 {
-					p.Send(1, 5, 4096, make([]byte, 4096), nil)
-					return
-				}
-				if p.Rank() != 1 {
-					return
-				}
-				req := p.Irecv(0, 5)
-				m1 := req.Wait()
-				pb := m1.pooled
-				m1.Release()
-				m2 := req.Wait()
-				if m2.pooled != nil {
-					t.Errorf("the Request's retained copy still owns the pool buffer")
-				}
-				m2.Release()
-				if got := pb.refs.Load(); got != 0 {
-					t.Errorf("buffer has %d holders after one receive and two Releases, want 0", got)
-				}
-				pa, a := allocPayload(4096)
-				pb2, b := allocPayload(4096)
-				if &a[0] == &b[0] {
-					t.Errorf("two live payloads share one buffer")
-				}
-				releasePayload(pa)
-				releasePayload(pb2)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -324,9 +280,8 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 		sbuf := make([]byte, 200)
 		fillPattern(sbuf, r, 0)
 		for i := 0; i < 10; i++ {
-			req := p.Irecv((r+n-1)%n, 9)
 			p.Send((r+1)%n, 9, len(sbuf), sbuf, nil)
-			msg := req.Wait()
+			msg := p.Recv((r+n-1)%n, 9)
 			checkPattern(t, msg.Data, (r+n-1)%n, 0, "warm pool")
 			msg.Release()
 		}
