@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc chaos faults linkfaults fuzz mega repro examples clean
+.PHONY: all build vet fmt-check lint lint-sarif verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc chaos faults linkfaults fuzz mega repro repro-check examples clean
 
 all: build lint verify-plans test
 
@@ -48,7 +48,7 @@ verify-plans-sarif:
 # Dynamic check of the allocdiscipline guarantee: the p2p/ and pool/
 # micro-benchmark rows must hold 0 allocs/op once warm.
 alloc-guard:
-	$(GO) run ./cmd/nbr-bench -micro -assert-zero-alloc
+	$(GO) run ./cmd/nbr-bench -fig micro -assert-zero-alloc
 
 test:
 	$(GO) test ./...
@@ -99,7 +99,7 @@ fuzz:
 # the graph's n²/8-byte out-sets; 13–16 s and 1.6–1.7 GiB before ranks
 # were stepped).
 mega:
-	$(GO) run ./cmd/nbr-bench -mega -json results/BENCH_pr6.json
+	$(GO) run ./cmd/nbr-bench -fig mega
 
 # One benchmark per paper table/figure plus ablations (CI scale), the
 # mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
@@ -110,18 +110,15 @@ mega:
 # MeasureER540: simulated msgs/s and allocs/msg, each as Measure runs it
 # and again -unhinted — the passes' slot hints stripped, every message
 # through the mailbox's hashed lists: static matching's after and
-# before), and the
-# machine-readable snapshot
-# consumed by the perf-regression harness (ns/op + allocs/op per hot
-# path; diff it across PRs).
+# before), then the same hot paths and the fault-cost tables printed by
+# nbr-bench (ns/op + allocs/op per hot path).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
 	$(GO) test -run '^$$' -bench=InterpReal -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
-	$(GO) run ./cmd/nbr-bench -json results/BENCH_pr5.json -micro
-	$(GO) run ./cmd/nbr-bench -degradation -json results/BENCH_pr7.json
+	$(GO) run ./cmd/nbr-bench -fig micro,recovery,degradation
 
 # The repo benchmark (BENCHMARK.json) at smoke scale: all four workloads
 # must run end to end with no failed operation.
@@ -137,9 +134,20 @@ loc:
 		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done; \
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
 
-# Regenerate the experiment outputs in results/ (~15 min at medium scale).
+# Regenerate results/medium/ (~35 s on two vCPUs): Fig. 4 at the three
+# Fig. 5 communicator sizes, then every other medium-scale file.
 repro:
-	$(GO) run ./cmd/nbr-repro -scale medium -out results
+	for n in 3 7 15; do $(GO) run ./cmd/nbr-bench -fig 4 -scale medium -nodes $$n -out results/medium || exit 1; done
+	$(GO) run ./cmd/nbr-bench -fig 2,6,7,8,loadbalance,variance -scale medium -out results/medium
+
+# Committed results/ files that take seconds to regenerate must still be
+# what the code prints, outside the host-time DH/CN plan columns
+# (`go test ./cmd/nbr-bench` covers three more).
+repro-check:
+	@mask='{ if (NF == 12 && $$6 ~ /^\(K=/) { $$9 = "-"; $$10 = "-" } $$1 = $$1; print }'; t=$$(mktemp); \
+	$(GO) run ./cmd/nbr-bench -fig 8 -nodes 15 -rps 18 | awk "$$mask" > $$t && awk "$$mask" results/fig8_overhead_540.txt | diff $$t - && \
+	$(GO) run ./cmd/nbr-bench -fig 6 -nodes 16 -rps 16 | awk "$$mask" > $$t && awk "$$mask" results/fig6_moore_512.txt | diff $$t -; \
+	s=$$?; rm -f $$t; exit $$s
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -149,7 +149,7 @@ func BenchmarkFig6Moore(b *testing.B) {
 }
 
 // BenchmarkFig7SpMM regenerates Fig. 7 for the small Table II
-// stand-ins (the full set runs via cmd/nbr-spmm).
+// stand-ins (the full set runs via nbr-bench -fig 7).
 func BenchmarkFig7SpMM(b *testing.B) {
 	c := nbr.Niagara(4, 6) // 48 ranks ≤ smallest matrix order (128)
 	for _, nm := range nbr.TableIIMatrices(1) {

@@ -2,52 +2,27 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"time"
+	"text/tabwriter"
 
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/harness"
+	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
 
-// The -degradation mode quantifies what a wounded fabric costs each
-// self-healing algorithm: healthy completion time against completion
-// time under injected link faults. Degrade-only scenarios (slower
+// The recovery and degradation sections quantify what a fault costs
+// each self-healing algorithm: healthy completion time against
+// completion time with one crashed rank (recovery) or with injected
+// link faults (degradation). Degrade-only scenarios (slower
 // uplinks/NICs) measure pure bandwidth loss on a shared random graph;
 // the nic-down scenario measures the full detect → revoke → agree →
 // topology-aware-rebuild path on a graph that keeps the wounded node
 // feasible (its ranks only talk among themselves).
-
-type degRow struct {
-	Algo            string  `json:"algo"`
-	Scenario        string  `json:"scenario"`
-	BaselineS       float64 `json:"baseline_s"`
-	DegradedS       float64 `json:"degraded_s"`
-	OverheadS       float64 `json:"overhead_s"`
-	Slowdown        float64 `json:"slowdown"`
-	Recovered       bool    `json:"recovered"`
-	Rounds          int     `json:"rounds"`
-	Repair          string  `json:"repair"`
-	LinkDetections  int64   `json:"link_detections"`
-	LinkDetectTimeS float64 `json:"link_detect_time_s"`
-}
-
-type degDoc struct {
-	Schema      string   `json:"schema"`
-	Cluster     string   `json:"cluster"`
-	Ranks       int      `json:"ranks"`
-	MsgBytes    int      `json:"msg_bytes"`
-	Seed        int64    `json:"seed"`
-	Degradation []degRow `json:"degradation"`
-}
 
 // degScenario pairs a fault schedule with the graph it must run on and
 // the CN share-group size that makes the scenario meaningful.
@@ -136,14 +111,56 @@ func allOps(g *vgraph.Graph, c topology.Cluster, cnK int) ([]collective.VOp, err
 	return ops, nil
 }
 
-func runDegradation(out io.Writer, path string, c topology.Cluster, msgSize int, seed int64, wall time.Duration) error {
+// recovery measures one mid-schedule crash per self-healing algorithm
+// at a single representative cell.
+func recovery(w io.Writer, o *opts) error {
+	const density, msg = 0.5, 1 << 10
+	c := o.cluster(o.rsg)
+	kill := mpirt.Kill{Rank: c.Ranks() / 2, AfterOps: 4}
+	fmt.Fprintf(w, "recovery cluster: %s, ER δ=%.2f seed %d, %s payloads, rank %d killed after %d ops\n",
+		c, density, o.seed, harness.FmtBytes(msg), kill.Rank, kill.AfterOps)
+	g, err := vgraph.ErdosRenyi(c.Ranks(), density, o.seed+int64(density*1000))
+	if err != nil {
+		return err
+	}
+	ops, err := allOps(g, c, 2)
+	if err != nil {
+		return err
+	}
+	cfg := harness.Config{Cluster: c, MsgSize: msg, Phantom: true, WallLimit: o.wall}
+	recs, err := sweep.Map(context.Background(), len(ops), func(i int) (harness.RecoveryResult, error) {
+		res, err := harness.MeasureRecovery(cfg, ops[i], kill)
+		if err != nil {
+			return res, fmt.Errorf("recovery %s: %w", ops[i].Name(), err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return firstErr(err)
+	}
+	fmt.Fprintf(w, "\n== Fail-stop recovery overhead (healthy vs one crash, per self-healing algorithm) ==\n")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "algo\thealthy\twith crash\toverhead\trecovered\trounds\tsurvivors\tdead ranks\tdetections\tdetect time\trepair")
+	for i, r := range recs {
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%t\t%d\t%d\t%v\t%d\t%s\t%s\n", ops[i].Name(),
+			harness.FmtTime(r.Baseline), harness.FmtTime(r.Failed), harness.FmtTime(r.Overhead),
+			r.Recovered, r.Rounds, r.Survivors, r.DeadRanks, r.Detections, harness.FmtTime(r.DetectTime), r.Repair)
+	}
+	return tw.Flush()
+}
+
+// degradation measures every scenario of degradationScenarios under
+// every algorithm.
+func degradation(w io.Writer, o *opts) error {
+	c := o.cluster(o.rsg)
 	// A degraded-uplink scenario needs uplinks that carry traffic:
 	// re-group single-group clusters so the fabric has a global tier
 	// to wound.
 	if c.Groups() < 2 && c.Nodes >= 2 {
 		c.NodesPerGroup = (c.Nodes + 1) / 2
 	}
-	scenarios, err := degradationScenarios(c, seed)
+	fmt.Fprintf(w, "degradation cluster: %s, %s payloads, seed %d\n", c, harness.FmtBytes(o.degMsg), o.seed)
+	scenarios, err := degradationScenarios(c, o.seed)
 	if err != nil {
 		return err
 	}
@@ -161,7 +178,7 @@ func runDegradation(out io.Writer, path string, c topology.Cluster, msgSize int,
 			jobs = append(jobs, job{sc, op})
 		}
 	}
-	cfg := harness.Config{Cluster: c, MsgSize: msgSize, Phantom: true, WallLimit: wall}
+	cfg := harness.Config{Cluster: c, MsgSize: o.degMsg, Phantom: true, WallLimit: o.wall}
 	results, err := sweep.Map(context.Background(), len(jobs), func(i int) (harness.DegradationResult, error) {
 		res, err := harness.MeasureDegradation(cfg, jobs[i].op, jobs[i].sc.faults)
 		if err != nil {
@@ -170,47 +187,15 @@ func runDegradation(out io.Writer, path string, c topology.Cluster, msgSize int,
 		return res, nil
 	})
 	if err != nil {
-		var agg *sweep.Error
-		if errors.As(err, &agg) {
-			err = agg.First().Err
-		}
-		return err
+		return firstErr(err)
 	}
-
-	doc := degDoc{
-		Schema:   "nbr-bench/pr7",
-		Cluster:  c.String(),
-		Ranks:    c.Ranks(),
-		MsgBytes: msgSize,
-		Seed:     seed,
+	fmt.Fprintf(w, "\n== Degraded-fabric overhead (healthy vs wounded fabric, per self-healing algorithm) ==\n")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "scenario\talgo\thealthy\tdegraded\toverhead\tslowdown\trecovered\trounds\trepair\tlink detections\tlink detect time")
+	for i, r := range results {
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%.2fx\t%t\t%d\t%s\t%d\t%s\n", jobs[i].sc.name, jobs[i].op.Name(),
+			harness.FmtTime(r.Baseline), harness.FmtTime(r.Degraded), harness.FmtTime(r.Overhead), r.Slowdown,
+			r.Recovered, r.Rounds, r.Repair, r.LinkDetections, harness.FmtTime(r.LinkDetectTime))
 	}
-	for i, res := range results {
-		j := jobs[i]
-		doc.Degradation = append(doc.Degradation, degRow{
-			Algo: j.op.Name(), Scenario: j.sc.name,
-			BaselineS: res.Baseline, DegradedS: res.Degraded,
-			OverheadS: res.Overhead, Slowdown: res.Slowdown,
-			Recovered: res.Recovered, Rounds: res.Rounds, Repair: res.Repair,
-			LinkDetections: res.LinkDetections, LinkDetectTimeS: res.LinkDetectTime,
-		})
-		fmt.Fprintf(out, "degradation %s %s: %s\n", j.sc.name, j.op.Name(), res)
-	}
-
-	if path == "" {
-		return nil
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d degradation rows)\n", path, len(doc.Degradation))
-	return nil
+	return tw.Flush()
 }

@@ -1,26 +1,44 @@
-// Command nbr-bench regenerates the paper's micro-benchmark figures:
+// Command nbr-bench regenerates the paper's figures and tables and the
+// repository's own studies, one section each:
 //
-//	Fig. 4 — neighborhood allgather latency on Random Sparse Graphs
-//	          (DH vs default), densities × message sizes
-//	Fig. 5 — speedup scaling of DH and Common Neighbor over default
-//	          across communicator sizes
-//	Fig. 6 — Moore-neighborhood speedups at small/medium/large messages
+//	2            Fig. 2: the Section V performance model, and the model
+//	             against the simulator
+//	4, 5         Fig. 4: Random Sparse Graph latency; Fig. 5: its speedup
+//	             scaling over three communicator sizes
+//	6            Fig. 6: Moore neighborhoods
+//	7, table2    Fig. 7: the SpMM kernel; Table II: its matrices
+//	8            Fig. 8: pattern creation overhead
+//	loadbalance  per-rank load imbalance on hub graphs (Section IV)
+//	variance     run-to-run variance across seeded topologies
+//	recovery     fail-stop recovery overhead per self-healing algorithm
+//	degradation  degraded-fabric overhead per self-healing algorithm
+//	mega         a ≥100k-rank phantom Moore sweep on the event engine
+//	micro        the mpirt hot-path micro-benchmarks
 //
-// Default configurations are scaled down so a run finishes in minutes
-// on a laptop; pass -full for the paper-scale shapes (2160 ranks over
-// 60 nodes for Figs. 4/5, 2048 ranks over 64 nodes for Fig. 6 — budget
-// tens of minutes and several GB of RAM).
+// -fig picks sections (a comma list, or all); -scale picks every
+// section's cluster and sweep extents, from smoke (seconds) to full
+// (the paper's 2160/2048 ranks: hours, several GB of RAM); -out DIR
+// also writes each section to a file of its own:
+//
+//	nbr-bench -fig 4 -nodes 15 -rps 18
+//	nbr-bench -fig all -scale smoke -out /tmp/r
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"nbrallgather/internal/harness"
 	"nbrallgather/internal/prof"
+	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/topology"
 )
 
@@ -31,135 +49,166 @@ func main() {
 	}
 }
 
+// section is one selectable output. Its file under -out is file.txt;
+// Fig. 4's carries its communicator size (the %d), so one directory
+// holds the sweep at several -nodes, as results/medium/ does.
+type section struct {
+	name, file string
+	run        func(w io.Writer, o *opts) error
+}
+
+var sections = []section{
+	{"2", "fig2_model", fig2},
+	{"4", "fig45_rsg_%dranks", fig4},
+	{"5", "fig5_scaling", fig5},
+	{"6", "fig6_moore", fig6},
+	{"7", "fig7_spmm", fig7},
+	{"8", "fig8_overhead", fig8},
+	{"table2", "table2", table2},
+	{"loadbalance", "loadbalance", loadBalance},
+	{"variance", "variance", variance},
+	{"recovery", "recovery", recovery},
+	{"degradation", "degradation", degradation},
+	{"mega", "mega", mega},
+	{"micro", "micro", micro},
+}
+
+// shape is a Niagara-like cluster: nodes × 2 sockets × rps ranks.
+type shape struct{ nodes, rps int }
+
+// scaleCfg is one -scale row: a cluster per figure and the sweep
+// extents.
+type scaleCfg struct {
+	model shape // Fig. 2's simulated validation (the model itself is always n=2160, L=18)
+	rsg   shape // Figs. 4/5 (Fig. 5 also runs nodes/4 and nodes/2), loadbalance, variance, recovery, degradation
+	moore shape // Fig. 6
+	spmm  shape // Fig. 7
+	ov    shape // Fig. 8
+
+	trials, maxMsg, varianceSeeds, megaRanks int
+	mooreSizes                               []int
+}
+
+var scales = map[string]scaleCfg{
+	"smoke":  {shape{2, 2}, shape{2, 2}, shape{2, 2}, shape{2, 2}, shape{2, 2}, 1, 4 << 10, 2, 1024, []int{4 << 10}},
+	"small":  {shape{8, 6}, shape{8, 6}, shape{8, 6}, shape{4, 6}, shape{8, 6}, 3, 1 << 20, 5, 102400, []int{4 << 10, 256 << 10}},
+	"medium": {shape{15, 6}, shape{15, 18}, shape{16, 16}, shape{4, 16}, shape{15, 18}, 2, 1 << 20, 5, 102400, harness.PaperMooreSizes},
+	"full":   {shape{60, 18}, shape{60, 18}, shape{64, 16}, shape{4, 16}, shape{60, 18}, 3, 4 << 20, 5, 102400, harness.PaperMooreSizes},
+}
+
+// opts is one run's configuration: the -scale row after the flag
+// overrides, plus the flags only some sections read.
+type opts struct {
+	scaleCfg
+	seed                    int64
+	wall                    time.Duration
+	csv, scatter, calibrate bool
+	width, degMsg, megaMsg  int
+	mm                      string
+	assertZeroAlloc         bool
+}
+
+// cluster builds s, scattered across the fabric under -scatter.
+func (o *opts) cluster(s shape) topology.Cluster {
+	c := topology.Niagara(s.nodes, s.rps)
+	if o.scatter {
+		return c.Scattered(o.seed)
+	}
+	return c
+}
+
 func run(args []string, out io.Writer) error {
+	names := make([]string, len(sections))
+	for i, s := range sections {
+		names[i] = s.name
+	}
 	fs := flag.NewFlagSet("nbr-bench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fig := fs.Int("fig", 0, "figure to regenerate: 4, 5 or 6 (0 = all)")
-	nodes := fs.Int("nodes", 8, "number of simulated nodes")
-	rps := fs.Int("rps", 6, "ranks per socket (paper: 18 for Figs. 4/5, 16 for Fig. 6)")
-	trials := fs.Int("trials", 3, "timed repetitions per cell")
-	seed := fs.Int64("seed", 1, "workload generator seed")
-	full := fs.Bool("full", false, "paper-scale configuration (slow)")
-	csv := fs.Bool("csv", false, "emit CSV instead of tables")
-	minMsg := fs.Int("min-msg", 32, "smallest message size in bytes")
-	maxMsg := fs.Int("max-msg", 1<<20, "largest message size in bytes")
-	wall := fs.Duration("wall", 10*time.Minute, "wall-clock budget per measurement")
-	scatter := fs.Bool("scatter", false, "scatter nodes across Dragonfly+ groups (the batch-scheduler placement the paper's jobs got); matters for structured topologies")
-	jsonPath := fs.String("json", "", "write the machine-readable benchmark (per-algorithm Fig. 4 cells plus fail-stop recovery overhead) to this path and exit")
-	micro := fs.Bool("micro", false, "run the mpirt hot-path micro-benchmarks (match, pool, barrier, allgather step); alone they print and exit, with -json they join the snapshot")
-	assertZeroAlloc := fs.Bool("assert-zero-alloc", false, "with -micro, exit nonzero when a p2p/ or pool/ row reports allocs/op > 0 — the dynamic check of the allocdiscipline lint guarantee")
-	mega := fs.Bool("mega", false, "with -json, run the mega-scale phantom sweep (event engine, Moore neighborhood over -mega-ranks ranks) instead of the figure benchmarks")
-	degradation := fs.Bool("degradation", false, "measure degraded-fabric overhead (link faults: slow uplinks/NICs, a down NIC) per self-healing algorithm instead of the figure benchmarks; -json writes the nbr-bench/pr7 document")
-	degMsg := fs.Int("deg-msg", 1<<18, "per-rank payload size in bytes for -degradation")
-	megaRanks := fs.Int("mega-ranks", 102400, "communicator size for -mega (multiple of 64)")
-	megaMsg := fs.Int("mega-msg", 4096, "per-rank payload size in bytes for -mega")
+	figs := fs.String("fig", "4,5,6", "sections to run, a comma list of "+strings.Join(names, ", ")+", or all")
+	scale := fs.String("scale", "small", "every section's cluster and sweep extents: smoke | small | medium | full (paper scale, slow)")
+	outDir := fs.String("out", "", "also write each section to its own file in this directory")
+	nodes := fs.Int("nodes", 0, "simulated nodes, overriding the scale's (Fig. 5: its largest size)")
+	rps := fs.Int("rps", 0, "ranks per socket, overriding the scale's")
+	trials := fs.Int("trials", 0, "timed repetitions per cell, overriding the scale's")
+	maxMsg := fs.Int("max-msg", 0, "largest Fig. 4/5 message size in bytes, overriding the scale's")
+	megaRanks := fs.Int("mega-ranks", 0, "communicator size for mega (a multiple of 64), overriding the scale's")
+	o := &opts{}
+	fs.Int64Var(&o.seed, "seed", 1, "graph, matrix and placement seed")
+	fs.DurationVar(&o.wall, "wall", 30*time.Minute, "wall-clock budget per measurement")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of tables (Figs. 2 and 4–8)")
+	fs.BoolVar(&o.scatter, "scatter", false, "scatter nodes across Dragonfly+ groups (the batch-scheduler placement the paper's jobs got); matters for structured topologies")
+	fs.BoolVar(&o.calibrate, "calibrate", false, "Fig. 2: fit the model's α/β from simulated ping-pong tests (the paper's methodology) instead of the built-in constants")
+	fs.IntVar(&o.width, "k", 32, "Fig. 7 dense operand width (columns of Y)")
+	fs.StringVar(&o.mm, "mm", "", "Fig. 7: run this MatrixMarket file instead of the Table II set")
+	fs.IntVar(&o.degMsg, "deg-msg", 1<<18, "per-rank payload size in bytes for degradation")
+	fs.IntVar(&o.megaMsg, "mega-msg", 4096, "per-rank payload size in bytes for mega")
+	fs.BoolVar(&o.assertZeroAlloc, "assert-zero-alloc", false, "with micro, exit nonzero when a p2p/, pool/ or cache/ row reports allocs/op > 0 — the dynamic check of the allocdiscipline lint guarantee")
 	pf := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *full {
-		*nodes, *rps = 60, 18
+	cfg, ok := scales[*scale]
+	if !ok {
+		return fmt.Errorf("unknown -scale %q (want smoke, small, medium or full)", *scale)
 	}
-	place := func(c topology.Cluster) topology.Cluster {
-		if *scatter {
-			return c.Scattered(*seed)
+	for _, s := range []*shape{&cfg.model, &cfg.rsg, &cfg.moore, &cfg.spmm, &cfg.ov} {
+		s.nodes, s.rps = cmp.Or(*nodes, s.nodes), cmp.Or(*rps, s.rps)
+	}
+	cfg.trials, cfg.maxMsg, cfg.megaRanks = cmp.Or(*trials, cfg.trials), cmp.Or(*maxMsg, cfg.maxMsg), cmp.Or(*megaRanks, cfg.megaRanks)
+	o.scaleCfg = cfg
+
+	picked := strings.Split(*figs, ",")
+	for _, name := range picked {
+		if name != "all" && !slices.Contains(names, name) {
+			return fmt.Errorf("unknown -fig section %q (want %s, or all)", name, strings.Join(names, ", "))
 		}
-		return c
+	}
+	all := slices.Contains(picked, "all")
+	if o.assertZeroAlloc && !all && !slices.Contains(picked, "micro") {
+		return fmt.Errorf("-assert-zero-alloc requires -fig micro")
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
 	}
 
 	return pf.Wrap(func() error {
-		if *mega && *degradation {
-			return fmt.Errorf("-mega and -degradation are mutually exclusive")
+		for _, s := range sections {
+			if all || slices.Contains(picked, s.name) {
+				if err := runSection(out, *outDir, s, o); err != nil {
+					return fmt.Errorf("-fig %s: %w", s.name, err)
+				}
+			}
 		}
-		if *mega {
-			return runMega(out, *jsonPath, *megaRanks, *megaMsg, *wall)
-		}
-		if *degradation {
-			return runDegradation(out, *jsonPath, place(topology.Niagara(*nodes, *rps)), *degMsg, *seed, *wall)
-		}
-		return runFigs(out, place, *fig, *nodes, *rps, *trials, *seed, *full, *csv, *minMsg, *maxMsg, *wall, *jsonPath, *micro, *assertZeroAlloc)
+		return nil
 	})
 }
 
-func runFigs(out io.Writer, place func(topology.Cluster) topology.Cluster, fig, nodes, rps, trials int, seed int64, full, csv bool, minMsg, maxMsg int, wall time.Duration, jsonPath string, micro, assertZeroAlloc bool) error {
-	if jsonPath != "" {
-		return runJSON(out, jsonPath, place(topology.Niagara(nodes, rps)), trials, seed, wall, micro, assertZeroAlloc)
+// runSection prints s to out and, under -out, to its own file too.
+func runSection(out io.Writer, dir string, s section, o *opts) error {
+	if dir == "" {
+		return s.run(out, o)
 	}
-	if micro {
-		rows := runMicro(out)
-		if assertZeroAlloc {
-			return checkZeroAlloc(rows)
-		}
-		return nil
+	name := s.file
+	if strings.Contains(name, "%d") {
+		name = fmt.Sprintf(name, o.cluster(o.rsg).Ranks())
 	}
-	if assertZeroAlloc {
-		return fmt.Errorf("-assert-zero-alloc requires -micro")
+	f, err := os.Create(filepath.Join(dir, name+".txt"))
+	if err != nil {
+		return err
 	}
-
-	run4 := fig == 0 || fig == 4
-	run5 := fig == 0 || fig == 5
-	run6 := fig == 0 || fig == 6
-
-	if run4 {
-		c := place(topology.Niagara(nodes, rps))
-		fmt.Fprintf(out, "Fig. 4 cluster: %s\n", c)
-		rows, err := harness.RandomSparseSweep(c, harness.PaperDensities,
-			harness.MsgSizes(minMsg, maxMsg), trials, seed, wall)
-		if err := report(out, rows, err, csv, "Fig. 4 — Random Sparse Graph latency"); err != nil {
-			return err
-		}
-	}
-	if run5 {
-		scales := []int{nodes / 4, nodes / 2, nodes}
-		if full {
-			scales = []int{15, 30, 60}
-		}
-		for _, nn := range scales {
-			if nn < 1 {
-				continue
-			}
-			c := place(topology.Niagara(nn, rps))
-			fmt.Fprintf(out, "Fig. 5 cluster: %s\n", c)
-			rows, err := harness.RandomSparseSweep(c, harness.PaperDensities,
-				harness.MsgSizes(minMsg, maxMsg), trials, seed, wall)
-			if err := report(out, rows, err, csv, fmt.Sprintf("Fig. 5 — speedup scaling, %d ranks", c.Ranks())); err != nil {
-				return err
-			}
-		}
-	}
-	if run6 {
-		mooreNodes, mooreRPS := nodes, rps
-		if full {
-			mooreNodes, mooreRPS = 64, 16
-		}
-		c := place(topology.Niagara(mooreNodes, mooreRPS))
-		fmt.Fprintf(out, "Fig. 6 cluster: %s\n", c)
-		sizes := []int{4 << 10, 256 << 10, 4 << 20}
-		if !full {
-			sizes = []int{4 << 10, 256 << 10}
-		}
-		rows, err := harness.MooreSweep(c, harness.PaperMooreShapes, sizes, trials, wall)
-		if err := report(out, rows, err, csv, "Fig. 6 — Moore neighborhoods"); err != nil {
-			return err
-		}
-	}
-	return nil
+	err = s.run(io.MultiWriter(out, f), o)
+	return errors.Join(err, f.Close())
 }
 
-// report prints one figure's rows. A sweep error with partial rows is
-// reported but not fatal, so one stalled cell cannot sink the run.
-func report(out io.Writer, rows []harness.Comparison, err error, csv bool, title string) error {
-	if err != nil {
-		if len(rows) == 0 {
-			return err
-		}
-		fmt.Fprintf(out, "nbr-bench: %v (partial results kept)\n", err)
+// firstErr unwraps a sweep's aggregate error to the failure the
+// sequential loop would have hit first.
+func firstErr(err error) error {
+	var agg *sweep.Error
+	if errors.As(err, &agg) {
+		return agg.First().Err
 	}
-	if csv {
-		harness.CSVComparisons(out, rows)
-		return nil
-	}
-	harness.PrintComparisons(out, title, rows)
-	return nil
+	return err
 }

@@ -13,20 +13,27 @@ import (
 	"nbrallgather/internal/topology"
 )
 
-// The -micro section times the runtime hot paths every simulated
+// The micro section times the runtime hot paths every simulated
 // experiment sits on — point-to-point matching, the payload pool via
 // its public Send/Recv/Release path, the barrier, and one end-to-end
 // neighborhood-exchange step — using testing.Benchmark so the numbers
 // are the same ns/op + allocs/op the `go test -bench` suite reports.
-// The perf-regression harness diffs these fields across PRs; the P2P
-// rows are expected to hold 0 allocs/op.
+// The P2P rows are expected to hold 0 allocs/op.
 
 type microBench struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name        string
+	N           int
+	NsPerOp     float64
+	BytesPerOp  int64
+	AllocsPerOp int64
+}
+
+func micro(w io.Writer, o *opts) error {
+	rows := runMicro(w)
+	if o.assertZeroAlloc {
+		return checkZeroAlloc(rows)
+	}
+	return nil
 }
 
 func microCfg(nodes, rps int) mpirt.Config {
@@ -85,7 +92,7 @@ func checkZeroAlloc(rows []microBench) error {
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("nbr-bench: hot-path rows must hold 0 allocs/op: %s", strings.Join(bad, "; "))
+		return fmt.Errorf("hot-path rows must hold 0 allocs/op: %s", strings.Join(bad, "; "))
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("cluster: %s\n", cluster)
 	for _, nm := range nbr.TableIIMatrices(1) {
 		if nm.M.Rows > 500 {
-			continue // demo the small matrices; nbr-spmm runs all
+			continue // demo the small matrices; nbr-bench -fig 7 runs all
 		}
 		kernel, err := nbr.NewSpMMKernel(nm.M, width, cluster.Ranks())
 		if err != nil {

@@ -77,7 +77,7 @@ func uniformCounts(n, m int) []int {
 }
 
 // ucCache memoises one shared uniform-counts slice per op. Every
-// rank's Run, RunFT and AllgatherInit needs the same n-entry slice and
+// rank's Run and AllgatherInit needs the same n-entry slice and
 // the interpreter treats it as read-only, so the ranks share a single
 // copy; without the cache the per-rank O(n) allocation dominates the
 // whole run at mega scale (100k ranks × 100k entries ≈ 80 GB of

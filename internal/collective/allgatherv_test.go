@@ -569,9 +569,9 @@ func (s *spyOp) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	s.Allgather.RunV(p, sbuf, counts, rbuf)
 }
 
-// TestUniformCountsShared: every rank's Run, RunFT and AllgatherInit on
-// one op reads the same memoised uniform-counts array — an n-entry
-// slice per rank per call is O(n²) churn at mega scale.
+// TestUniformCountsShared: every rank's Run, RunFTV over uniformFor and
+// AllgatherInit on one op reads the same memoised uniform-counts array
+// — an n-entry slice per rank per call is O(n²) churn at mega scale.
 func TestUniformCountsShared(t *testing.T) {
 	c := topology.Cluster{Nodes: 1, SocketsPerNode: 2, RanksPerSocket: 2}
 	g := erGraph(t, c.Ranks(), 0.6, 5)
@@ -581,7 +581,7 @@ func TestUniformCountsShared(t *testing.T) {
 	ft, init := make([]*int, n), make([]*int, n)
 	_, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: true}, func(p *mpirt.Proc) {
 		r := p.Rank()
-		if _, err := RunFT(p, spy, nil, m, nil); err != nil {
+		if _, err := RunFTV(p, spy, nil, uniformFor(spy, m), nil); err != nil {
 			panic(err)
 		}
 		ft[r] = spy.seen[r]
@@ -597,7 +597,7 @@ func TestUniformCountsShared(t *testing.T) {
 	want := &spy.uniform(m)[0] // what Run passes the interpreter
 	for r := 0; r < n; r++ {
 		if ft[r] != want || init[r] != want {
-			t.Errorf("rank %d: RunFT counts %p, AllgatherInit counts %p, want the op's memoised %p", r, ft[r], init[r], want)
+			t.Errorf("rank %d: RunFTV counts %p, AllgatherInit counts %p, want the op's memoised %p", r, ft[r], init[r], want)
 		}
 	}
 }

@@ -81,12 +81,6 @@ func attemptFT(f func()) (err error) {
 	return nil
 }
 
-// RunFT is RunFTV with a uniform message size.
-func RunFT(p *mpirt.Proc, op VOp, sbuf []byte, m int, rbuf []byte) (*FTResult, error) {
-	checkUniform(m)
-	return RunFTV(p, op, sbuf, uniformFor(op, m), rbuf)
-}
-
 // RunFTV runs op as a fault-tolerant neighborhood allgatherv: all
 // ranks of p's communicator must call it collectively, with the same
 // op and counts. On a fault-free run it completes exactly like

@@ -36,8 +36,9 @@ func ftOps(t *testing.T, g *vgraph.Graph, c topology.Cluster) []VOp {
 	return []VOp{NewNaive(g), dh, cn, lb}
 }
 
-// runFTCase executes RunFT under injected kills and returns the
-// per-rank results (nil for dead ranks) plus the runtime report.
+// runFTCase executes RunFTV with uniform counts under injected kills and
+// returns the per-rank results (nil for dead ranks) plus the runtime
+// report.
 func runFTCase(t *testing.T, op VOp, c topology.Cluster, kills []mpirt.Kill, chaos *mpirt.Chaos) ([]*FTResult, *mpirt.Report) {
 	t.Helper()
 	g := op.Graph()
@@ -49,9 +50,9 @@ func runFTCase(t *testing.T, op VOp, c topology.Cluster, kills []mpirt.Kill, cha
 		sbuf := make([]byte, ftMsg)
 		fillPattern(sbuf, r)
 		rbuf := make([]byte, g.InDegree(r)*ftMsg)
-		res, ferr := RunFT(p, op, sbuf, ftMsg, rbuf)
+		res, ferr := RunFTV(p, op, sbuf, uniformFor(op, ftMsg), rbuf)
 		if ferr != nil {
-			panic(fmt.Sprintf("rank %d: RunFT: %v", r, ferr))
+			panic(fmt.Sprintf("rank %d: RunFTV: %v", r, ferr))
 		}
 		mu.Lock()
 		results[r] = res
