@@ -103,8 +103,10 @@ mega:
 
 # One benchmark per paper table/figure plus ablations (CI scale), the
 # mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
-# algorithm at the rsg216-real shape, the plan path (pattern build and
-# plan verify at the moore10k-scale and rsg540-lat shapes:
+# algorithm at the rsg216-real shape, plan construction (BuildCN at the
+# rsg540-lat shape, BuildPlan dh/cn at the planner's 64 ranks), the plan
+# path (pattern build and plan verify at the moore10k-scale and
+# rsg540-lat shapes:
 # BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), one
 # harness.Measure per algorithm at the same two shapes (MeasureMoore10k,
 # MeasureER540: simulated msgs/s and allocs/msg, each as Measure runs it
@@ -115,7 +117,7 @@ mega:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
-	$(GO) test -run '^$$' -bench=InterpReal -benchmem ./internal/collective/
+	$(GO) test -run '^$$' -bench='InterpReal|BuildCN$$|BuildPlan' -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
 	$(GO) run ./cmd/nbr-bench -fig micro,recovery,degradation

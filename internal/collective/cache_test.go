@@ -300,20 +300,73 @@ func TestBuildPlanAlgos(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildCN pins the satellite optimisation: the CN builder's
-// per-group destination union now rides the shared bitset instead of
-// re-sorting map-derived edge lists on every negotiation.
+// plannerShape is the planner-zipf workload's graph and cluster: 64
+// ranks, ER δ = 0.12, four ranks per socket.
+func plannerShape(tb testing.TB) (*vgraph.Graph, topology.Cluster) {
+	g, err := vgraph.ErdosRenyi(64, 0.12, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, topology.ForRanks(64, 4)
+}
+
+// TestPlanBuildAllocs: plan construction allocates per build, not per
+// rank or per send. Each ceiling names its layer: the DH negotiation
+// and the CN delegate pass behind a planner cache miss, and the CN
+// pattern plus its plan at the rsg540-lat shape. The CN ceilings sit
+// less than one allocation per rank above what the builds take, so any
+// per-rank allocation trips them.
+func TestPlanBuildAllocs(t *testing.T) {
+	g, c := plannerShape(t)
+	g540 := erGraph(t, 540, 0.3, 1)
+	for _, tc := range []struct {
+		layer string
+		ceil  float64
+		build func() error
+	}{
+		{"BuildPlan(dh), 64 ranks", 400, func() error { _, _, err := BuildPlan("dh", g, c, 0, nil); return err }},
+		{"BuildPlan(cn), 64 ranks", 64, func() error { _, _, err := BuildPlan("cn", g, c, 0, nil); return err }},
+		{"NewCommonNeighbor, 540 ranks", 200, func() error { _, err := NewCommonNeighbor(g540, 4); return err }},
+	} {
+		var err error
+		if got := testing.AllocsPerRun(3, func() { err = tc.build() }); err != nil {
+			t.Fatalf("%s: %v", tc.layer, err)
+		} else if got > tc.ceil {
+			t.Errorf("%s: %.0f allocations per build, ceiling %.0f", tc.layer, got, tc.ceil)
+		} else {
+			t.Logf("%s: %.0f allocations per build", tc.layer, got)
+		}
+	}
+}
+
+// BenchmarkBuildCN is the Common Neighbor builder at the rsg540-lat
+// shape: 540 ranks, ER δ = 0.3, K = 4.
 func BenchmarkBuildCN(b *testing.B) {
-	g, err := vgraph.ErdosRenyi(128, 0.2, 7)
+	g, err := vgraph.ErdosRenyi(540, 0.3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildCN(g, 3); err != nil {
+		if _, err := BuildCN(g, 4); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildPlan is one planner cache miss per algorithm at the
+// planner-zipf shape: negotiation plus plan emission.
+func BenchmarkBuildPlan(b *testing.B) {
+	g, c := plannerShape(b)
+	for _, algo := range []string{"dh", "cn"} {
+		b.Run(algo, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := BuildPlan(algo, g, c, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

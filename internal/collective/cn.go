@@ -3,9 +3,7 @@ package collective
 import (
 	"fmt"
 
-	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/order"
 	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
@@ -65,80 +63,121 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	if avoid != nil && len(avoid) != n {
 		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), n)
 	}
-	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n)}
-	senders := make([]map[int]bool, n)
-	for v := range senders {
-		senders[v] = map[int]bool{}
+	// Partition ranks into groups: consecutive K-chunks of the unavoided
+	// ranks, then every avoided rank as a singleton — one arena, since
+	// no plan depends on the order groups are visited in.
+	ranks := make([]int, 0, n)
+	for r := 0; r < n; r++ {
+		if avoid == nil || !avoid[r] {
+			ranks = append(ranks, r)
+		}
 	}
-	// Partition ranks into groups: consecutive K-chunks, except that
-	// avoided ranks are split out into singletons.
-	var groups [][]int
-	var cur []int
+	healthy := len(ranks)
 	for r := 0; r < n; r++ {
 		if avoid != nil && avoid[r] {
-			groups = append(groups, []int{r})
-			continue
-		}
-		cur = append(cur, r)
-		if len(cur) == k {
-			groups = append(groups, cur)
-			cur = nil
+			ranks = append(ranks, r)
 		}
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
+	var groups [][]int
+	for lo := 0; lo < n; {
+		hi := min(lo+k, healthy)
+		if lo >= healthy {
+			hi = lo + 1
+		}
+		groups = append(groups, ranks[lo:hi:hi])
+		lo = hi
 	}
-	// The group's destination set is the union of its members' outgoing
-	// neighborhoods. Walking the union bitset ascending (with the
-	// graph's presorted adjacency sets answering membership) replaces
-	// the per-build map of contributor lists the old builder had to
-	// collect and re-sort on every negotiation — that canonicalisation
-	// now happens once, at graph construction. Each rank belongs to
-	// exactly one group and destinations ascend, so Sends come out
-	// sorted by destination without a per-member sort.
-	dests := bitset.New(n)
-	var dbuf, cs []int
+	p := &CNPattern{Graph: g, K: k}
+	assignDelegates(g, p, groups, avoid)
+	return p, nil
+}
+
+// assignDelegates fills p.Plans from a partition of the ranks into
+// groups, each ascending. Every outgoing neighbor of a group gets one
+// combined message carrying the payloads of the members that list it
+// (its contributors), from a delegate rotating over the contributors so
+// delivery load spreads across the group; with an avoid set, rotation
+// runs over the unimpaired contributors when any exist. A group's
+// destinations come out of a merge of its members' sorted out-lists,
+// ascending, so each rank's Sends ascend with no sort. Sources,
+// Sends and RecvFrom are sub-slices of three per-build arenas.
+func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool) {
+	n := g.N()
+	p.Plans = make([]CNPlan, n)
+	// Each edge u→v puts u into the Sources of exactly one send, its
+	// group's message to v, so neither arena outgrows the edge count.
+	// A send's Sources end where the next one's begin.
+	srcs := make([]int, 0, g.Edges())
+	type delegated struct {
+		by, dst int32
+		end     int
+	}
+	sends := make([]delegated, 0, g.Edges())
+	var heads [][]int // per member, its out-neighbors not yet merged
+	var pool []int
 	for _, group := range groups {
-		dests.Clear()
+		heads = heads[:0]
 		for _, r := range group {
-			dests.Or(g.OutSet(r))
-		}
-		dbuf = dests.Elems(dbuf[:0])
-		for i, v := range dbuf {
-			cs = cs[:0]
-			for _, r := range group {
-				if g.OutSet(r).Has(v) {
-					cs = append(cs, r)
-				}
-			}
-			// Delegate rotates over the contributors so delivery load
-			// spreads across the group; with an avoid set, rotation
-			// runs over the unimpaired contributors when any exist.
-			pool := cs
-			if avoid != nil {
-				healthy := make([]int, 0, len(cs))
-				for _, c := range cs {
-					if !avoid[c] {
-						healthy = append(healthy, c)
-					}
-				}
-				if len(healthy) > 0 {
-					pool = healthy
-				}
-			}
-			delegate := pool[i%len(pool)]
-			dp := &p.Plans[delegate]
-			dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: append([]int(nil), cs...)})
-			senders[v][delegate] = true
-		}
-		for _, r := range group {
+			heads = append(heads, g.Out(r))
 			p.Plans[r].Group = group
 		}
+		for i := 0; ; i++ {
+			v := n
+			for _, h := range heads {
+				if len(h) > 0 && h[0] < v {
+					v = h[0]
+				}
+			}
+			if v == n {
+				break
+			}
+			lo := len(srcs)
+			pool = pool[:0]
+			for m, h := range heads {
+				if len(h) > 0 && h[0] == v {
+					heads[m] = h[1:]
+					srcs = append(srcs, group[m])
+					if avoid != nil && !avoid[group[m]] {
+						pool = append(pool, group[m])
+					}
+				}
+			}
+			if len(pool) == 0 {
+				pool = srcs[lo:]
+			}
+			sends = append(sends, delegated{int32(pool[i%len(pool)]), int32(v), len(srcs)})
+		}
 	}
-	for v := 0; v < n; v++ {
-		p.Plans[v].RecvFrom = order.SortedKeys(senders[v])
+	// Count passes carve the Sends and RecvFrom arenas. A delegate's
+	// sends all come from its one group, already ascending; filling
+	// RecvFrom by delegate rank makes every list ascend, and a group
+	// gives a destination at most one delegate, so none repeats.
+	nSends, nRecvs := make([]int, n), make([]int, n)
+	for _, s := range sends {
+		nSends[s.by]++
+		nRecvs[s.dst]++
 	}
-	return p, nil
+	sendArena, recvArena := make([]pattern.FinalSend, len(sends)), make([]int, len(sends))
+	for r := range p.Plans {
+		if c := nSends[r]; c > 0 {
+			p.Plans[r].Sends, sendArena = sendArena[:0:c], sendArena[c:]
+		}
+		if c := nRecvs[r]; c > 0 {
+			p.Plans[r].RecvFrom, recvArena = recvArena[:0:c], recvArena[c:]
+		}
+	}
+	lo := 0
+	for _, s := range sends {
+		pl := &p.Plans[s.by]
+		pl.Sends = append(pl.Sends, pattern.FinalSend{Dst: int(s.dst), Sources: srcs[lo:s.end:s.end]})
+		lo = s.end
+	}
+	for r := range p.Plans {
+		for _, fs := range p.Plans[r].Sends {
+			pl := &p.Plans[fs.Dst]
+			pl.RecvFrom = append(pl.RecvFrom, r)
+		}
+	}
 }
 
 // BuildCNRank models one rank's share of the Common Neighbor pattern

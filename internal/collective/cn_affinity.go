@@ -6,7 +6,6 @@ import (
 
 	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/order"
 	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
@@ -57,7 +56,9 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 		}
 		type cand struct{ w, a, b int }
 		var cands []cand
-		perRep := make(map[int][]int, len(clusters))
+		// perRep[rep] lists the representatives rep may pair with;
+		// clusters are disjoint, so ranks index them.
+		perRep := make([][]int, n)
 		for i := 0; i < len(clusters); i++ {
 			for j := i + 1; j < len(clusters); j++ {
 				if w := clusters[i].out.AndCount(clusters[j].out); w > 0 {
@@ -67,14 +68,10 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 				}
 			}
 		}
-		negCands[round] = make([][]int, n)
-		// Indexed writes keyed by the range key are order-independent,
-		// but the sorted iteration keeps the intent machine-checkable.
-		for _, r := range order.SortedKeys(perRep) {
-			l := perRep[r]
+		for _, l := range perRep {
 			sort.Ints(l)
-			negCands[round][r] = l
 		}
+		negCands[round] = perRep
 		sort.Slice(cands, func(x, y int) bool {
 			if cands[x].w != cands[y].w {
 				return cands[x].w > cands[y].w
@@ -95,9 +92,7 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 			merged := &cnCluster{members: append(append([]int(nil), a.members...), b.members...)}
 			sort.Ints(merged.members)
 			merged.out = a.out.Clone()
-			for _, m := range b.out.Elems(nil) {
-				merged.out.Add(m)
-			}
+			merged.out.Or(b.out)
 			next = append(next, merged)
 		}
 		for i, c := range clusters {
@@ -108,44 +103,13 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 		clusters = next
 	}
 
-	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n), NegRounds: negCands}
-	senders := make([]map[int]bool, n)
-	for v := range senders {
-		senders[v] = map[int]bool{}
+	groups := make([][]int, len(clusters))
+	for i, c := range clusters {
+		groups[i] = c.members
 	}
-	for _, c := range clusters {
-		assignDelegates(g, p, c.members, senders)
-	}
-	for v := 0; v < n; v++ {
-		p.Plans[v].RecvFrom = order.SortedKeys(senders[v])
-	}
+	p := &CNPattern{Graph: g, K: k, NegRounds: negCands}
+	assignDelegates(g, p, groups, nil)
 	return p, nil
-}
-
-// assignDelegates fills the group's plans: every common outgoing
-// neighbor of the group gets one combined message from a delegate
-// rotating over its contributors.
-func assignDelegates(g *vgraph.Graph, p *CNPattern, group []int, senders []map[int]bool) {
-	contributors := map[int][]int{}
-	for _, r := range group {
-		for _, v := range g.Out(r) {
-			contributors[v] = append(contributors[v], r)
-		}
-	}
-	for i, v := range order.SortedKeys(contributors) {
-		cs := contributors[v]
-		sort.Ints(cs)
-		delegate := cs[i%len(cs)]
-		dp := &p.Plans[delegate]
-		dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: cs})
-		senders[v][delegate] = true
-	}
-	for _, r := range group {
-		p.Plans[r].Group = group
-		sort.Slice(p.Plans[r].Sends, func(a, b int) bool {
-			return p.Plans[r].Sends[a].Dst < p.Plans[r].Sends[b].Dst
-		})
-	}
 }
 
 // BuildCNAffinityRank models one rank's share of the affinity

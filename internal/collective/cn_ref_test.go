@@ -1,0 +1,277 @@
+package collective
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"nbrallgather/internal/bitset"
+	"nbrallgather/internal/order"
+	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/vgraph"
+)
+
+// The map-based Common Neighbor builders as they stood before the
+// delegate pass became one merge over sorted out-lists: the reference
+// TestCNEqualsReference holds BuildCNAvoiding and BuildCNAffinity to,
+// plan for plan.
+
+func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("collective: common-neighbor group size %d must be positive", k)
+	}
+	n := g.N()
+	if avoid != nil && len(avoid) != n {
+		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), n)
+	}
+	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n)}
+	senders := make([]map[int]bool, n)
+	for v := range senders {
+		senders[v] = map[int]bool{}
+	}
+	// Partition ranks into groups: consecutive K-chunks, except that
+	// avoided ranks are split out into singletons.
+	var groups [][]int
+	var cur []int
+	for r := 0; r < n; r++ {
+		if avoid != nil && avoid[r] {
+			groups = append(groups, []int{r})
+			continue
+		}
+		cur = append(cur, r)
+		if len(cur) == k {
+			groups = append(groups, cur)
+			cur = nil
+		}
+	}
+	if len(cur) > 0 {
+		groups = append(groups, cur)
+	}
+	// The group's destination set is the union of its members' outgoing
+	// neighborhoods. Walking the union bitset ascending (with the
+	// graph's presorted adjacency sets answering membership) replaces
+	// the per-build map of contributor lists the old builder had to
+	// collect and re-sort on every negotiation — that canonicalisation
+	// now happens once, at graph construction. Each rank belongs to
+	// exactly one group and destinations ascend, so Sends come out
+	// sorted by destination without a per-member sort.
+	dests := bitset.New(n)
+	var dbuf, cs []int
+	for _, group := range groups {
+		dests.Clear()
+		for _, r := range group {
+			dests.Or(g.OutSet(r))
+		}
+		dbuf = dests.Elems(dbuf[:0])
+		for i, v := range dbuf {
+			cs = cs[:0]
+			for _, r := range group {
+				if g.OutSet(r).Has(v) {
+					cs = append(cs, r)
+				}
+			}
+			// Delegate rotates over the contributors so delivery load
+			// spreads across the group; with an avoid set, rotation
+			// runs over the unimpaired contributors when any exist.
+			pool := cs
+			if avoid != nil {
+				healthy := make([]int, 0, len(cs))
+				for _, c := range cs {
+					if !avoid[c] {
+						healthy = append(healthy, c)
+					}
+				}
+				if len(healthy) > 0 {
+					pool = healthy
+				}
+			}
+			delegate := pool[i%len(pool)]
+			dp := &p.Plans[delegate]
+			dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: append([]int(nil), cs...)})
+			senders[v][delegate] = true
+		}
+		for _, r := range group {
+			p.Plans[r].Group = group
+		}
+	}
+	for v := 0; v < n; v++ {
+		p.Plans[v].RecvFrom = order.SortedKeys(senders[v])
+	}
+	return p, nil
+}
+
+type refCluster struct {
+	members []int
+	out     *bitset.Set
+}
+
+func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
+	if k < 1 || k&(k-1) != 0 {
+		return nil, fmt.Errorf("collective: affinity group size %d must be a power of two", k)
+	}
+	n := g.N()
+	clusters := make([]*refCluster, n)
+	for r := 0; r < n; r++ {
+		clusters[r] = &refCluster{members: []int{r}, out: g.OutSet(r).Clone()}
+	}
+	rounds := 0
+	for s := 1; s < k; s *= 2 {
+		rounds++
+	}
+	// negCands[round][rank] lists the candidate representatives rank
+	// negotiated with in that round (nil if rank was not a
+	// representative).
+	negCands := make([][][]int, rounds)
+
+	for round := 0; round < rounds; round++ {
+		reps := make([]int, len(clusters)) // representative rank per cluster
+		for i, c := range clusters {
+			reps[i] = c.members[0]
+		}
+		type cand struct{ w, a, b int }
+		var cands []cand
+		perRep := make(map[int][]int, len(clusters))
+		for i := 0; i < len(clusters); i++ {
+			for j := i + 1; j < len(clusters); j++ {
+				if w := clusters[i].out.AndCount(clusters[j].out); w > 0 {
+					cands = append(cands, cand{w, i, j})
+					perRep[reps[i]] = append(perRep[reps[i]], reps[j])
+					perRep[reps[j]] = append(perRep[reps[j]], reps[i])
+				}
+			}
+		}
+		negCands[round] = make([][]int, n)
+		// Indexed writes keyed by the range key are order-independent,
+		// but the sorted iteration keeps the intent machine-checkable.
+		for _, r := range order.SortedKeys(perRep) {
+			l := perRep[r]
+			sort.Ints(l)
+			negCands[round][r] = l
+		}
+		sort.Slice(cands, func(x, y int) bool {
+			if cands[x].w != cands[y].w {
+				return cands[x].w > cands[y].w
+			}
+			if cands[x].a != cands[y].a {
+				return cands[x].a < cands[y].a
+			}
+			return cands[x].b < cands[y].b
+		})
+		taken := make([]bool, len(clusters))
+		var next []*refCluster
+		for _, c := range cands {
+			if taken[c.a] || taken[c.b] {
+				continue
+			}
+			taken[c.a], taken[c.b] = true, true
+			a, b := clusters[c.a], clusters[c.b]
+			merged := &refCluster{members: append(append([]int(nil), a.members...), b.members...)}
+			sort.Ints(merged.members)
+			merged.out = a.out.Clone()
+			for _, m := range b.out.Elems(nil) {
+				merged.out.Add(m)
+			}
+			next = append(next, merged)
+		}
+		for i, c := range clusters {
+			if !taken[i] {
+				next = append(next, c)
+			}
+		}
+		clusters = next
+	}
+
+	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n), NegRounds: negCands}
+	senders := make([]map[int]bool, n)
+	for v := range senders {
+		senders[v] = map[int]bool{}
+	}
+	for _, c := range clusters {
+		refAssignDelegates(g, p, c.members, senders)
+	}
+	for v := 0; v < n; v++ {
+		p.Plans[v].RecvFrom = order.SortedKeys(senders[v])
+	}
+	return p, nil
+}
+
+// assignDelegates fills the group's plans: every common outgoing
+// neighbor of the group gets one combined message from a delegate
+// rotating over its contributors.
+func refAssignDelegates(g *vgraph.Graph, p *CNPattern, group []int, senders []map[int]bool) {
+	contributors := map[int][]int{}
+	for _, r := range group {
+		for _, v := range g.Out(r) {
+			contributors[v] = append(contributors[v], r)
+		}
+	}
+	for i, v := range order.SortedKeys(contributors) {
+		cs := contributors[v]
+		sort.Ints(cs)
+		delegate := cs[i%len(cs)]
+		dp := &p.Plans[delegate]
+		dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: cs})
+		senders[v][delegate] = true
+	}
+	for _, r := range group {
+		p.Plans[r].Group = group
+		sort.Slice(p.Plans[r].Sends, func(a, b int) bool {
+			return p.Plans[r].Sends[a].Dst < p.Plans[r].Sends[b].Dst
+		})
+	}
+}
+
+// TestCNEqualsReference: the merge-based delegate pass builds every
+// plan the map-based builders did — groups, sends, sources, receive
+// lists and affinity negotiation rounds — with and without avoid sets.
+func TestCNEqualsReference(t *testing.T) {
+	var graphs []*vgraph.Graph
+	for _, n := range []int{1, 7, 64, 540} {
+		for _, delta := range []float64{0.05, 0.3, 0.7} {
+			g, err := vgraph.ErdosRenyi(n, delta, int64(n)+int64(delta*100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, g)
+		}
+	}
+	moore, err := vgraph.Moore([]int{16, 16}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, moore)
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range graphs {
+		avoid := make([]bool, g.N())
+		for i := range avoid {
+			avoid[i] = rng.Intn(5) == 0
+		}
+		for _, k := range []int{1, 2, 3, 4, 8} {
+			for _, av := range [][]bool{nil, avoid} {
+				got, err := BuildCNAvoiding(g, k, av)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := refBuildCNAvoiding(g, k, av)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("n=%d edges=%d K=%d avoid=%v: plans differ from the reference", g.N(), g.Edges(), k, av != nil)
+				}
+			}
+		}
+		if g.N() == 540 && g.Density() > 0.5 {
+			continue // the references' pairing at 540 ranks, δ = 0.7 alone takes seconds
+		}
+		for _, k := range []int{2, 4, 8} {
+			got, err := BuildCNAffinity(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := refBuildCNAffinity(g, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d edges=%d affinity K=%d: plans differ from the reference", g.N(), g.Edges(), k)
+			}
+		}
+	}
+}

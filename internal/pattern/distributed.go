@@ -116,7 +116,7 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 	// exchanged.
 	ChargeNeighborListExchange(p, g)
 
-	st := newRankState(g, r, make([]Step, 0, levels(n, l)))
+	st := newRankState(g, r, make([]Step, 0, levels(n, l)), make([]int, 1), make([]owed, g.OutDegree(r)))
 	selfCopies := 0
 
 	for lo, hi, t := 0, n, 0; hi-lo > l; t++ {
@@ -163,7 +163,7 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 		}
 		if s.Origin != NoRank {
 			d := p.Recv(s.Origin, tags.DescBase+t).Meta.(*descMsg)
-			st.onload(&s, d.sources, d.moved)
+			st.onload(&s, d.sources, d.moved, nil)
 			selfCopies += len(s.SelfCopies)
 		}
 		st.steps = append(st.steps, s)
@@ -171,7 +171,7 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 
 	// Final phase derivation, with sender announcements so each rank
 	// learns its remainder-phase senders (the paper's I_on tracking).
-	final := st.final()
+	final := st.final(make([]int, len(st.del)))
 	plan = &final
 	for _, fs := range plan.FinalSends {
 		p.Send(fs.Dst, tags.FinalNote, noteBytes, nil, finalNote{count: len(fs.Sources)})

@@ -211,6 +211,8 @@ type builder struct {
 	cands, sorted []cand
 	moved         []owed
 	xfers         []xfer
+	// copies is the arena every step's SelfCopies is a capped slice of.
+	copies []int
 	// The counting enumeration's scratch, by candidate offset: the
 	// out-neighbors shared with the current rank, and a bit per non-zero
 	// entry.
@@ -225,9 +227,13 @@ func (b *builder) init() {
 	// The level count is known up front: every rank's steps are one
 	// slice of a single allocation.
 	k := levels(b.n, b.l)
-	steps := make([]Step, b.n*k)
+	// So is every rank's initial buffer, and its delivery list: one
+	// entry per out-edge.
+	steps, bufs, dels := make([]Step, b.n*k), make([]int, b.n), make([]owed, b.g.Edges())
 	for r := range b.states {
-		b.states[r] = newRankState(b.g, r, steps[r*k:r*k:(r+1)*k])
+		d := b.g.OutDegree(r)
+		b.states[r] = newRankState(b.g, r, steps[r*k:r*k:(r+1)*k], bufs[r:r+1:r+1], dels[:d:d])
+		dels = dels[d:]
 	}
 	if b.n > b.l {
 		b.active = []block{{0, b.n}}
@@ -440,17 +446,36 @@ func (b *builder) applyTransfers(k block) {
 	}
 	for _, x := range b.xfers {
 		st := &b.states[x.to]
-		st.onload(&st.steps[len(st.steps)-1], x.sources, b.moved[x.lo:x.hi])
+		b.copies = st.onload(&st.steps[len(st.steps)-1], x.sources, b.moved[x.lo:x.hi], b.copies)
 	}
 }
 
 // finish derives final-phase sends/recvs from residual deliveries and
-// assembles the Pattern.
+// assembles the Pattern: every rank's final sources are one arena, and
+// a count pass carves every FinalRecvs from another.
 func (b *builder) finish() (*Pattern, error) {
 	p := &Pattern{Graph: b.g, L: b.l, Plans: make([]RankPlan, b.n), Stats: b.stats}
+	total := 0
 	for r := range b.states {
-		p.Plans[r] = b.states[r].final()
-		p.Stats.MaxBufSources = max(p.Stats.MaxBufSources, len(b.states[r].buf))
+		total += len(b.states[r].del)
+	}
+	srcs, recvs, sends := make([]int, total), make([]int, b.n), 0
+	for r := range b.states {
+		st := &b.states[r]
+		d := len(st.del)
+		p.Plans[r] = st.final(srcs[:d:d])
+		srcs = srcs[d:]
+		p.Stats.MaxBufSources = max(p.Stats.MaxBufSources, len(st.buf))
+		for _, fs := range p.Plans[r].FinalSends {
+			recvs[fs.Dst]++
+		}
+		sends += len(p.Plans[r].FinalSends)
+	}
+	arena := make([]int, sends)
+	for v, c := range recvs {
+		if c > 0 {
+			p.Plans[v].FinalRecvs, arena = arena[:0:c], arena[c:]
+		}
 	}
 	// Senders arrive in rank order, so every FinalRecvs ascends.
 	for r := range p.Plans {

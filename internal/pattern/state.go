@@ -36,13 +36,15 @@ type rankState struct {
 }
 
 // newRankState is rank r before the first level: its own payload, owed
-// to each of its out-neighbors, and room for the levels to come.
-func newRankState(g *vgraph.Graph, r int, steps []Step) rankState {
-	st := rankState{rank: r, steps: steps, buf: []int{r}, del: make([]owed, g.OutDegree(r))}
+// to each of its out-neighbors, and room for the levels to come. buf
+// (one entry) and del (OutDegree(r) entries) are its storage, capped so
+// that growing either reallocates rather than overruns a neighbor's.
+func newRankState(g *vgraph.Graph, r int, steps []Step, buf []int, del []owed) rankState {
+	buf[0] = r
 	for i, d := range g.Out(r) {
-		st.del[i] = owe(d, r)
+		del[i] = owe(d, r)
 	}
-	return st
+	return rankState{rank: r, steps: steps, buf: buf, del: del}
 }
 
 // levels bounds the halving steps of any rank: how often n halves,
@@ -96,17 +98,18 @@ func (st *rankState) offload(lo, hi int, avoid []bool, moved []owed) []owed {
 // joins the rank's own, and the origin's descriptor is merged into the
 // delivery list — except the deliveries to this rank itself, which a
 // local copy satisfies the moment the payload arrives. sources is kept,
-// not copied.
-func (st *rankState) onload(s *Step, sources []int, moved []owed) {
+// not copied; the self-copies are appended to copies, which is returned.
+func (st *rankState) onload(s *Step, sources []int, moved []owed, copies []int) []int {
 	s.RecvSources = sources
 	st.buf = append(st.buf, sources...)
 	// The deliveries to this rank are one run of moved, sources ascending.
 	i, j := run(moved, st.rank, st.rank+1)
 	if i < j {
-		s.SelfCopies = make([]int, j-i)
-		for k, e := range moved[i:j] {
-			s.SelfCopies[k] = e.src()
+		from := len(copies)
+		for _, e := range moved[i:j] {
+			copies = append(copies, e.src())
 		}
+		s.SelfCopies = copies[from:len(copies):len(copies)]
 	}
 	// Merge the rest in from the back, in place: what lies above the
 	// self-copies first, then what lies below them.
@@ -121,14 +124,24 @@ func (st *rankState) onload(s *Step, sources []int, moved []owed) {
 			st.del[w] = part[q]
 		}
 	}
+	return copies
 }
 
 // final turns what the rank still owes when halving stops into its
-// remainder phase. The list is already grouped by destination with
-// sources ascending, so one walk emits FinalSends in destination order.
-func (st *rankState) final() RankPlan {
+// remainder phase, with srcs (len(del) entries) holding the sources.
+// The list is already grouped by destination with sources ascending, so
+// one walk emits FinalSends in destination order.
+func (st *rankState) final(srcs []int) RankPlan {
 	plan := RankPlan{Rank: st.rank, Steps: st.steps, BufSources: st.buf}
-	srcs := make([]int, len(st.del))
+	sends := 0
+	for i, e := range st.del {
+		if (i == 0 || st.del[i-1].dst() != e.dst()) && e.dst() != st.rank {
+			sends++
+		}
+	}
+	if sends > 0 {
+		plan.FinalSends = make([]FinalSend, 0, sends)
+	}
 	for i := 0; i < len(st.del); {
 		d, from := st.del[i].dst(), i
 		for ; i < len(st.del) && st.del[i].dst() == d; i++ {

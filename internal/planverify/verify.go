@@ -286,13 +286,13 @@ func peerString(p int) string {
 	return fmt.Sprintf("%d", p)
 }
 
-// successors returns op id's happens-before successors, in order; there
-// are at most two, so the graph is never materialised. Program order
-// always applies; a matched send precedes the receiver's wait; under
-// rendezvous semantics the receive post additionally precedes the
+// successors returns op id's successors in the rendezvous
+// happens-before graph, in order; there are at most two, so the graph is
+// never materialised. Program order always applies; a matched send
+// precedes the receiver's wait; and the receive post precedes the
 // send's completion (the static analogue of a blocking send waiting for
 // its partner).
-func (s *Schedule) successors(m *matchState, id int32, rendezvous bool) (succ [2]int32, k int) {
+func (s *Schedule) successors(m *matchState, id int32) (succ [2]int32, k int) {
 	if id+1 < m.base[m.rank[id]+1] {
 		succ[0], k = id+1, 1
 	}
@@ -300,7 +300,7 @@ func (s *Schedule) successors(m *matchState, id int32, rendezvous bool) (succ [2
 		if wref := m.waits[rref]; wref != none {
 			succ[k], k = wref, k+1
 		}
-	} else if sref := m.recvSend[id]; rendezvous && sref != none {
+	} else if sref := m.recvSend[id]; sref != none {
 		succ[k], k = sref, k+1
 	}
 	return succ, k
@@ -353,7 +353,7 @@ func (s *Schedule) findCycle(m *matchState) []int32 {
 		parent[start] = none
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if succ, k := s.successors(m, f.node, true); f.next < k {
+			if succ, k := s.successors(m, f.node); f.next < k {
 				t := succ[f.next]
 				f.next++
 				switch color[t] {
@@ -412,20 +412,16 @@ func (h *held) has(rank int, block int32) bool {
 	return *slot != 0
 }
 
-// checkCompleteness symbolically executes the plan in an eager
-// topological order (program order plus matched send→wait edges) and
-// proves that every graph edge receives exactly one delivery, that no
-// rank ships a block its buffer does not hold, and that no delivery
-// lands off-graph. What a rank starts out holding and where a block
-// lands are the plan's layout's to say, not assumed.
+// checkCompleteness symbolically executes the plan and proves that
+// every graph edge receives exactly one delivery, that no rank ships a
+// block its buffer does not hold, and that no delivery lands off-graph.
+// What a rank starts out holding and where a block lands are the plan's
+// layout's to say, not assumed. A rank's holdings grow only by its own
+// waits, so every check depends on program order alone, and the ops run
+// in op-number order: Verify calls this only once checkDeadlock has
+// shown the rendezvous graph, whose edges include the eager ones,
+// acyclic.
 func (s *Schedule) checkCompleteness(m *matchState) []Finding {
-	order, ok := s.topoOrder(m)
-	if !ok {
-		// Unreachable when checkDeadlock passed (its edge set is a
-		// superset), but guard against direct calls on broken IR.
-		return []Finding{{InvCompleteness, -1,
-			"eager happens-before order is cyclic; completeness not evaluable"}}
-	}
 	g := s.Plan.Graph
 	n := g.N()
 	// A rank holds what it owns and what its waits bring in: at most
@@ -471,7 +467,7 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 				"edge %d→%d delivered twice", src, dst)})
 		}
 	}
-	for _, id := range order {
+	for id := int32(0); id < int32(len(m.rank)); id++ {
 		rank, op := s.op(m, id)
 		switch op.Kind {
 		case collective.OpSend:
@@ -519,70 +515,6 @@ func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 		}
 	}
 	return out
-}
-
-// ready is topoOrder's set of ops whose predecessors have all run: a
-// binary heap, least op number — least (rank, index) — on top.
-type ready []int32
-
-func (h *ready) push(x int32) {
-	q := append(*h, x)
-	for i := len(q) - 1; i > 0 && q[(i-1)/2] > q[i]; i = (i - 1) / 2 {
-		q[(i-1)/2], q[i] = q[i], q[(i-1)/2]
-	}
-	*h = q
-}
-
-func (h *ready) pop() int32 {
-	q := *h
-	top, x := q[0], q[len(q)-1]
-	q = q[:len(q)-1]
-	// Sift the last element down from the root.
-	for i := 0; len(q) > 0; {
-		c := 2*i + 1
-		if c+1 < len(q) && q[c+1] < q[c] {
-			c++
-		}
-		if c >= len(q) || x <= q[c] {
-			q[i] = x
-			break
-		}
-		q[i], i = q[c], c
-	}
-	*h = q
-	return top
-}
-
-// topoOrder returns the deterministic topological order of the eager
-// happens-before graph — Kahn's algorithm, always running the least
-// ready op next — or ok=false when the graph is cyclic.
-func (s *Schedule) topoOrder(m *matchState) ([]int32, bool) {
-	total := int32(len(m.rank))
-	indeg := make([]int32, total)
-	for id := int32(0); id < total; id++ {
-		succ, k := s.successors(m, id, false)
-		for _, t := range succ[:k] {
-			indeg[t]++
-		}
-	}
-	var rdy ready
-	for id, d := range indeg {
-		if d == 0 {
-			rdy = append(rdy, int32(id)) // ascending: already a heap
-		}
-	}
-	order := make([]int32, 0, total)
-	for len(rdy) > 0 {
-		v := rdy.pop()
-		order = append(order, v)
-		succ, k := s.successors(m, v, false)
-		for _, t := range succ[:k] {
-			if indeg[t]--; indeg[t] == 0 {
-				rdy.push(t)
-			}
-		}
-	}
-	return order, len(order) == int(total)
 }
 
 // checkAvoidance enforces the repair discipline when an avoid set is
