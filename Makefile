@@ -112,7 +112,8 @@ mega:
 # MeasureER540: simulated msgs/s and allocs/msg, each as Measure runs it
 # and again -unhinted — the passes' slot hints stripped, every message
 # through the mailbox's hashed lists: static matching's after and
-# before), then the same hot paths and the fault-cost tables printed by
+# before), netmodel.Transfer over one, three and five hops and a degraded
+# uplink, then the same hot paths and the fault-cost tables printed by
 # nbr-bench (ns/op + allocs/op per hot path).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
@@ -120,6 +121,7 @@ bench:
 	$(GO) test -run '^$$' -bench='InterpReal|BuildCN$$|BuildPlan' -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
+	$(GO) test -run '^$$' -bench=Transfer -benchmem ./internal/netmodel/
 	$(GO) run ./cmd/nbr-bench -fig micro,recovery,degradation
 
 # The repo benchmark (BENCHMARK.json) at smoke scale: all four workloads
@@ -144,7 +146,7 @@ repro:
 
 # Committed results/ files that take seconds to regenerate must still be
 # what the code prints, outside the host-time DH/CN plan columns
-# (`go test ./cmd/nbr-bench` covers three more).
+# (`go test ./cmd/nbr-bench` covers five more).
 repro-check:
 	@mask='{ if (NF == 12 && $$6 ~ /^\(K=/) { $$9 = "-"; $$10 = "-" } $$1 = $$1; print }'; t=$$(mktemp); \
 	$(GO) run ./cmd/nbr-bench -fig 8 -nodes 15 -rps 18 | awk "$$mask" > $$t && awk "$$mask" results/fig8_overhead_540.txt | diff $$t - && \

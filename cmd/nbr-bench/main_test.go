@@ -324,6 +324,10 @@ func TestCommittedResults(t *testing.T) {
 		{"fig2_model.txt", []string{"-fig", "2", "-scale", "medium"}},
 		{"fig7_spmm_128.txt", []string{"-fig", "7", "-nodes", "4", "-rps", "16"}},
 		{"medium/fig45_rsg_108ranks.txt", []string{"-fig", "4", "-scale", "medium", "-nodes", "3"}},
+		// The only committed numbers that pass through fail-stop
+		// detection and the degraded-link cost path.
+		{"recovery.txt", []string{"-fig", "recovery"}},
+		{"degradation.txt", []string{"-fig", "degradation"}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))

@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"nbrallgather/internal/lintout"
+	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/planverify"
 )
 
@@ -172,8 +173,8 @@ func loadTable(out io.Writer, cases []planverify.Case) error {
 		l := s.Load()
 		fmt.Fprintf(out, "%-28s %8d %10d %10.3f %10.3f %10.3f %10.3f\n",
 			c.Name, l.Msgs(), l.Bytes(),
-			planverify.RatioMaxMin(l.RankBytes), planverify.RatioMaxMean(l.RankBytes),
-			planverify.RatioMaxMin(l.NICBytes), planverify.RatioMaxMin(l.UplinkBytes))
+			planverify.RatioMaxMin(l.BytesOf(netmodel.ResPort)), planverify.RatioMaxMean(l.BytesOf(netmodel.ResPort)),
+			planverify.RatioMaxMin(l.BytesOf(netmodel.ResNIC)), planverify.RatioMaxMin(l.BytesOf(netmodel.ResUplink)))
 		if c.Algo == "dh" {
 			cc := s.CrossCheck()
 			fmt.Fprintf(out, "%-28s %8s δ=%.2f halving ≤ %.0f (Eq.8), N_off=%.2f (Eq.1), static halving mean %.2f\n",

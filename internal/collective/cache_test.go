@@ -154,9 +154,7 @@ func TestCachedTrafficBitIdentical(t *testing.T) {
 		return [][]int64{
 			rep.MsgsByDist[:], rep.BytesByDist[:],
 			{rep.MaxRankMsgs, rep.MaxRankBytes},
-			rep.RankMsgs, rep.RankBytes,
-			rep.NICMsgs, rep.NICBytes,
-			rep.UplinkMsgs, rep.UplinkBytes,
+			rep.ResMsgs, rep.ResBytes,
 		}
 	}
 	for _, engine := range mpirt.Engines() {

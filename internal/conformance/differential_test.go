@@ -121,8 +121,7 @@ func TestHintedEqualsUnhinted(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s threaded: %v", c.Name, err)
 			}
-			if !reflect.DeepEqual(thr.RankBytes, want.RankBytes) || !reflect.DeepEqual(thr.RankMsgs, want.RankMsgs) ||
-				!reflect.DeepEqual(thr.NICBytes, want.NICBytes) || !reflect.DeepEqual(thr.UplinkBytes, want.UplinkBytes) ||
+			if !reflect.DeepEqual(thr.ResBytes, want.ResBytes) || !reflect.DeepEqual(thr.ResMsgs, want.ResMsgs) ||
 				thr.MsgsByDist != want.MsgsByDist || thr.SnapshotBytes != want.SnapshotBytes {
 				t.Errorf("%s: a threaded run moved different traffic than the unhinted event run", c.Name)
 			}

@@ -22,7 +22,6 @@ package mpirt
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/trace"
@@ -160,6 +159,5 @@ func (p *Proc) LinkFailedRanks() []int {
 			out = append(out, r)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

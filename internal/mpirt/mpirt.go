@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -144,21 +145,16 @@ type Report struct {
 	MaxRankMsgs  int64
 	MaxRankBytes int64
 	Ranks        int
-	// Per-resource traffic totals: RankMsgs/RankBytes index the
-	// sender's port by rank; NICMsgs/NICBytes index the node NIC
-	// (sends at distance ≥ DistGroup); UplinkMsgs/UplinkBytes index
-	// the group's global uplink (DistGlobal sends). The accounting is
-	// structural — charged by distance class regardless of whether the
-	// netmodel's bandwidth parameters enable serialization cost — so
-	// the static plan verifier's per-resource byte charges
-	// (internal/planverify) equal these totals bit-for-bit on clean
-	// runs.
-	RankMsgs    []int64
-	RankBytes   []int64
-	NICMsgs     []int64
-	NICBytes    []int64
-	UplinkMsgs  []int64
-	UplinkBytes []int64
+	// ResMsgs and ResBytes are the traffic each fabric resource carried,
+	// indexed in netmodel's numbering (netmodel.Fabric): one entry per
+	// cluster rank's send port (id = rank; ranks beyond Ranks stay 0),
+	// then per node NIC, then per group uplink. A message counts on its
+	// sender's port, and on its sender's NIC and uplink when its path
+	// leaves the node or the group (netmodel.Path). The accounting is
+	// structural — counted whether or not the bandwidth parameters
+	// serialize that hop — so the static plan verifier's counts
+	// (internal/planverify) equal these bit-for-bit on clean runs.
+	ResMsgs, ResBytes []int64
 	// Wall is the host wall-clock the run took.
 	Wall time.Duration
 	// DeadRanks lists the ranks that suffered injected fail-stop
@@ -517,26 +513,14 @@ type Runtime struct {
 
 	msgsByDist  [5]atomic.Int64
 	bytesByDist [5]atomic.Int64
-	// Structural per-resource traffic accounting: nicMsgs/nicBytes per
-	// node (sends at distance ≥ DistGroup cross the sender's NIC),
-	// glMsgs/glBytes per group (DistGlobal sends cross the uplink).
-	// Charged by distance class alone, independent of the netmodel
-	// bandwidth parameters, so the totals equal the static plan
-	// verifier's charges.
-	nicMsgs  []atomic.Int64
-	nicBytes []atomic.Int64
-	glMsgs   []atomic.Int64
-	glBytes  []atomic.Int64
 }
 
 // Proc is the per-rank handle passed to the rank body. All methods must
 // be called only from that rank's goroutine.
 type Proc struct {
-	rt        *Runtime
-	rank      int
-	vt        float64
-	sent      int64
-	sentBytes int64
+	rt   *Runtime
+	rank int
+	vt   float64
 	// this rank's share of Report.SnapshotBytes/PoolHits/PoolMisses
 	snapBytes, poolHits, poolMisses int64
 
@@ -652,10 +636,6 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		ftOK:       true,
 		failedCh:   make(chan struct{}),
 		hints:      cfg.Chaos == nil && len(cfg.Kills) == 0 && !model.HasLinkFaults(),
-		nicMsgs:    make([]atomic.Int64, cfg.Cluster.Nodes),
-		nicBytes:   make([]atomic.Int64, cfg.Cluster.Nodes),
-		glMsgs:     make([]atomic.Int64, cfg.Cluster.Groups()),
-		glBytes:    make([]atomic.Int64, cfg.Cluster.Groups()),
 	}
 	rt.bcond = sync.NewCond(&rt.bmu)
 	for i := range rt.boxes {
@@ -801,32 +781,13 @@ func (rt *Runtime) buildReport(start time.Time) *Report {
 	if ev := rt.ev; ev != nil {
 		rep.Events, rep.Parks, rep.PeakQueue = ev.events, ev.parks, ev.peakQueue
 	}
-	rep.RankMsgs = make([]int64, rt.n)
-	rep.RankBytes = make([]int64, rt.n)
-	rep.NICMsgs = make([]int64, len(rt.nicMsgs))
-	rep.NICBytes = make([]int64, len(rt.nicBytes))
-	rep.UplinkMsgs = make([]int64, len(rt.glMsgs))
-	rep.UplinkBytes = make([]int64, len(rt.glBytes))
-	for i := range rt.nicMsgs {
-		rep.NICMsgs[i] = rt.nicMsgs[i].Load()
-		rep.NICBytes[i] = rt.nicBytes[i].Load()
-	}
-	for i := range rt.glMsgs {
-		rep.UplinkMsgs[i] = rt.glMsgs[i].Load()
-		rep.UplinkBytes[i] = rt.glBytes[i].Load()
-	}
+	rep.ResMsgs, rep.ResBytes = rt.model.Traffic()
+	rep.MaxRankMsgs = slices.Max(rep.ResMsgs[:rt.n]) // rank r's port is id r
+	rep.MaxRankBytes = slices.Max(rep.ResBytes[:rt.n])
 	for _, p := range rt.procs {
 		t := math.Max(p.vt, rt.model.PortDrain(p.rank))
 		if t > rep.Time {
 			rep.Time = t
-		}
-		rep.RankMsgs[p.rank] = p.sent
-		rep.RankBytes[p.rank] = p.sentBytes
-		if p.sent > rep.MaxRankMsgs {
-			rep.MaxRankMsgs = p.sent
-		}
-		if p.sentBytes > rep.MaxRankBytes {
-			rep.MaxRankBytes = p.sentBytes
 		}
 		rep.Detections += p.detections
 		rep.DetectTime += p.detectTime
@@ -1104,6 +1065,8 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		s.pb.refs.Add(1) // the message's hold, let go by Msg.Release
 	}
 
+	// The message's route, once: the model charges and counts over it.
+	pa := p.rt.model.Path(p.rank, dst)
 	var arrival float64
 	if cs := p.rt.chaos; cs != nil {
 		// The sender holds the execution token, so these RNG draws are
@@ -1111,30 +1074,19 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		cs.mu.Lock()
 		backoff, spike := cs.chaosSendFaults(cs.slow[p.rank])
 		p.vt += backoff + cs.slow[p.rank]*p.rt.model.SendOverhead()
-		arrival = p.rt.model.Transfer(p.rank, dst, size, p.vt) + spike
+		arrival = p.rt.model.Charge(&pa, size, p.vt) + spike
 		cs.mu.Unlock()
 	} else {
 		p.vt += p.rt.model.SendOverhead()
-		arrival = p.rt.model.Transfer(p.rank, dst, size, p.vt)
+		arrival = p.rt.model.Charge(&pa, size, p.vt)
 	}
 
-	d, node, grp := p.rt.model.Route(p.rank, dst)
-	p.rt.msgsByDist[d].Add(1)
-	p.rt.bytesByDist[d].Add(int64(size))
-	if d >= topology.DistGroup {
-		p.rt.nicMsgs[node].Add(1)
-		p.rt.nicBytes[node].Add(int64(size))
-	}
-	if d == topology.DistGlobal {
-		p.rt.glMsgs[grp].Add(1)
-		p.rt.glBytes[grp].Add(int64(size))
-	}
-	p.sent++
-	p.sentBytes += int64(size)
+	p.rt.msgsByDist[pa.Dist].Add(1)
+	p.rt.bytesByDist[pa.Dist].Add(int64(size))
 	if p.rt.cfg.Trace != nil {
 		p.rt.cfg.Trace.Record(trace.Event{
 			Src: p.rank, Dst: dst, Tag: tag, Size: size,
-			Depart: p.vt, Arrive: arrival, Dist: d,
+			Depart: p.vt, Arrive: arrival, Dist: pa.Dist,
 		})
 	}
 

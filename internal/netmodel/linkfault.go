@@ -206,11 +206,9 @@ func (m *Model) InjectFaults(faults []LinkFault) error {
 	if len(faults) == 0 {
 		return nil
 	}
-	c := m.cluster
-	if m.lfPort == nil {
-		m.lfPort = make([][]LinkFault, c.Ranks())
-		m.lfNIC = make([][]LinkFault, c.Nodes)
-		m.lfUplink = make([][]LinkFault, c.Groups())
+	groups := m.cluster.Groups()
+	if m.faults == nil {
+		m.faults = make([][]LinkFault, m.Resources())
 	}
 	for _, f := range faults {
 		if f.At < 0 || math.IsNaN(f.At) || math.IsInf(f.At, 0) {
@@ -221,30 +219,17 @@ func (m *Model) InjectFaults(faults []LinkFault) error {
 			if f.Kind == FaultDegraded && (!(f.Factor > 1) || math.IsInf(f.Factor, 0)) {
 				return fmt.Errorf("netmodel: degrade factor %g must be a finite value > 1", f.Factor)
 			}
-			switch f.Res.Kind {
-			case ResPort:
-				if f.Res.Index < 0 || f.Res.Index >= c.Ranks() {
-					return fmt.Errorf("netmodel: port fault rank %d outside [0,%d)", f.Res.Index, c.Ranks())
-				}
-				m.lfPort[f.Res.Index] = append(m.lfPort[f.Res.Index], f)
-			case ResNIC:
-				if f.Res.Index < 0 || f.Res.Index >= c.Nodes {
-					return fmt.Errorf("netmodel: NIC fault node %d outside [0,%d)", f.Res.Index, c.Nodes)
-				}
-				m.lfNIC[f.Res.Index] = append(m.lfNIC[f.Res.Index], f)
-			case ResUplink:
-				if f.Res.Index < 0 || f.Res.Index >= c.Groups() {
-					return fmt.Errorf("netmodel: uplink fault group %d outside [0,%d)", f.Res.Index, c.Groups())
-				}
-				m.lfUplink[f.Res.Index] = append(m.lfUplink[f.Res.Index], f)
-			default:
-				return fmt.Errorf("netmodel: %s fault needs a port/nic/uplink resource, got %s", f.Kind, f.Res.Kind)
+			lo, hi := m.Span(f.Res.Kind)
+			if id := lo + f.Res.Index; f.Res.Index >= 0 && id < hi {
+				m.faults[id] = append(m.faults[id], f)
+			} else {
+				return fmt.Errorf("netmodel: %s fault on %s: the cluster has no such port, nic or uplink", f.Kind, f.Res)
 			}
 		case FaultPartition:
-			in := make([]bool, c.Groups())
+			in := make([]bool, groups)
 			for _, g := range f.Groups {
-				if g < 0 || g >= c.Groups() {
-					return fmt.Errorf("netmodel: partition group %d outside [0,%d)", g, c.Groups())
+				if g < 0 || g >= groups {
+					return fmt.Errorf("netmodel: partition group %d outside [0,%d)", g, groups)
 				}
 				in[g] = true
 			}
@@ -254,86 +239,62 @@ func (m *Model) InjectFaults(faults []LinkFault) error {
 					side = append(side, g)
 				}
 			}
-			if len(side) == 0 || len(side) == c.Groups() {
-				return fmt.Errorf("netmodel: partition side %v must be a proper non-empty subset of %d groups", f.Groups, c.Groups())
+			if len(side) == 0 || len(side) == groups {
+				return fmt.Errorf("netmodel: partition side %v must be a proper non-empty subset of %d groups", f.Groups, groups)
 			}
-			f.Res.Index = len(m.lfParts)
+			f.Res.Index = len(m.cuts)
 			f.Groups = side
-			m.lfParts = append(m.lfParts, partitionCut{at: f.At, in: in, groups: side})
+			m.cuts = append(m.cuts, partitionCut{at: f.At, in: in, groups: side})
 		default:
 			return fmt.Errorf("netmodel: unknown fault kind %d", f.Kind)
 		}
-		m.lfAll = append(m.lfAll, f)
+		m.all = append(m.all, f)
 	}
-	sort.SliceStable(m.lfAll, func(i, j int) bool { return m.lfAll[i].At < m.lfAll[j].At })
+	sort.SliceStable(m.all, func(i, j int) bool { return m.all[i].At < m.all[j].At })
 	return nil
 }
 
 // HasLinkFaults reports whether any fault is installed — the gate the
 // runtime's hot paths use to keep a healthy fabric zero-overhead.
-func (m *Model) HasLinkFaults() bool { return len(m.lfAll) > 0 }
+func (m *Model) HasLinkFaults() bool { return len(m.all) > 0 }
 
-// LinkFaults returns a copy of the installed faults, ascending by At.
-func (m *Model) LinkFaults() []LinkFault {
-	return append([]LinkFault(nil), m.lfAll...)
-}
-
-// faultsDownAt reports whether any down fault in fs is active at t.
-func faultsDownAt(fs []LinkFault, t float64) bool {
+// healthAt folds one resource's faults active at t: whether one is
+// down, and the product of the degrade divisors in list order (1 when
+// healthy).
+func healthAt(fs []LinkFault, t float64) (down bool, factor float64) {
+	factor = 1
 	for _, f := range fs {
-		if f.Kind == FaultDown && f.At <= t {
-			return true
+		if f.At <= t {
+			down = down || f.Kind == FaultDown
+			if f.Kind == FaultDegraded {
+				factor *= f.Factor
+			}
 		}
 	}
-	return false
-}
-
-// faultsFactorAt returns the composed degrade divisor active at t (1
-// when healthy).
-func faultsFactorAt(fs []LinkFault, t float64) float64 {
-	fac := 1.0
-	for _, f := range fs {
-		if f.Kind == FaultDegraded && f.At <= t {
-			fac *= f.Factor
-		}
-	}
-	return fac
+	return down, factor
 }
 
 // PathBlocked reports whether a transfer src→dst is undeliverable at
-// virtual time t, and which resource (or cut) blocks it. It checks
-// every resource the transfer would cross: the sender's port, both
-// endpoint nodes' NICs for off-node traffic, and both groups' uplinks
-// plus partition cuts for inter-group traffic. The runtime consults it
-// before charging a transfer; the repair layer consults it at t = +Inf
-// (PathBlockedFinal) as the reachability oracle.
+// virtual time t, and which resource (or cut) blocks it: the first down
+// hop of Path(src, dst), else, across groups, the first partition cut
+// between them. The runtime consults it before charging a transfer; the
+// repair layer consults it at t = +Inf (PathBlockedFinal) as the
+// reachability oracle.
 func (m *Model) PathBlocked(src, dst int, t float64) (Blocked, bool) {
-	if len(m.lfAll) == 0 {
+	if len(m.all) == 0 {
 		return Blocked{}, false
 	}
-	if faultsDownAt(m.lfPort[src], t) {
-		return Blocked{Res: PortOf(src)}, true
-	}
-	d := m.cluster.Dist(src, dst)
-	if d >= topology.DistGroup {
-		ns, nd := m.cluster.NodeOf(src), m.cluster.NodeOf(dst)
-		if faultsDownAt(m.lfNIC[ns], t) {
-			return Blocked{Res: NICOf(ns)}, true
-		}
-		if faultsDownAt(m.lfNIC[nd], t) {
-			return Blocked{Res: NICOf(nd)}, true
+	pa := m.Path(src, dst)
+	for i, id := range pa.Hops() {
+		if down, _ := healthAt(m.faults[id], t); down {
+			k := hopKind[i]
+			return Blocked{Res: Resource{Kind: k, Index: int(id) - m.base[k]}}, true
 		}
 	}
-	if d == topology.DistGlobal {
-		gs, gd := m.cluster.GroupOf(src), m.cluster.GroupOf(dst)
-		if faultsDownAt(m.lfUplink[gs], t) {
-			return Blocked{Res: UplinkOf(gs)}, true
-		}
-		if faultsDownAt(m.lfUplink[gd], t) {
-			return Blocked{Res: UplinkOf(gd)}, true
-		}
-		for i := range m.lfParts {
-			pc := &m.lfParts[i]
+	if pa.Dist == topology.DistGlobal {
+		gs, gd := int(pa.hops[3])-m.base[ResUplink], int(pa.hops[4])-m.base[ResUplink]
+		for i := range m.cuts {
+			pc := &m.cuts[i]
 			if pc.at <= t && pc.in[gs] != pc.in[gd] {
 				return Blocked{Res: Resource{Kind: ResFabric, Index: i}, Groups: pc.groups}, true
 			}
@@ -356,8 +317,9 @@ func (m *Model) PathBlockedFinal(src, dst int) (Blocked, bool) {
 // delegates, leaders): an impaired rank can still do its own feasible
 // edges, but no extra traffic should be routed through it.
 func (m *Model) ImpairedFinal(r int) bool {
-	if len(m.lfAll) == 0 {
+	if len(m.all) == 0 {
 		return false
 	}
-	return len(m.lfPort[r]) > 0 || len(m.lfNIC[m.cluster.NodeOf(r)]) > 0
+	pl := &m.places[r]
+	return len(m.faults[pl[0]]) > 0 || len(m.faults[pl[2]]) > 0
 }

@@ -23,6 +23,7 @@ package netmodel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"nbrallgather/internal/topology"
@@ -133,32 +134,90 @@ func UniformParams() Params {
 	return p
 }
 
+// Fabric numbers a cluster's serializing resources once — every rank's
+// send port (id = rank), then every node's NIC, then every group's
+// uplink: the Resource kinds in order — and routes messages over them.
+type Fabric struct {
+	cluster topology.Cluster
+	places  [][4]int32         // by rank: port, socket, NIC, uplink; Dist is the first shared
+	base    [ResFabric + 1]int // kind k's ids are [base[k], base[k+1])
+}
+
+// NewFabric numbers the resources of a valid cluster.
+func NewFabric(c topology.Cluster) *Fabric {
+	f := &Fabric{cluster: c, places: make([][4]int32, c.Ranks())}
+	f.base = [...]int{0, c.Ranks(), c.Ranks() + c.Nodes, c.Ranks() + c.Nodes + c.Groups()}
+	for r := range f.places {
+		f.places[r] = [4]int32{int32(r), int32(c.SocketOf(r)),
+			int32(f.base[ResNIC] + c.NodeOf(r)), int32(f.base[ResUplink] + c.GroupOf(r))}
+	}
+	return f
+}
+
+// Resources returns how many resources the fabric numbers.
+func (f *Fabric) Resources() int { return f.base[ResFabric] }
+
+// Span returns the ids [lo, hi) of kind k's resources; ResFabric has none.
+func (f *Fabric) Span(k ResourceKind) (lo, hi int) {
+	k = min(k, ResFabric)
+	return f.base[k], f.base[min(k+1, ResFabric)]
+}
+
+// Path is the route of one message: its distance class and the ids of
+// the resources it crosses, in the order PathBlocked checks them — the
+// sender's port, then (off-node) the source and destination NICs, then
+// (across groups) the source and destination uplinks. The sender
+// occupies, and is charged for, its own port, NIC and uplink (Egress).
+type Path struct {
+	Dist topology.Distance
+	n    int
+	hops [5]int32
+}
+
+// hopsAt is how many hops a distance class crosses, hopKind what each
+// hop is: the one place that says distance ≥ DistGroup leaves the node
+// and DistGlobal the group.
+var (
+	hopsAt  = [...]int{1, 1, 1, 3, 5}
+	hopKind = [...]ResourceKind{ResPort, ResNIC, ResNIC, ResUplink, ResUplink}
+)
+
+// Path routes a message from src to dst.
+func (f *Fabric) Path(src, dst int) Path {
+	a, b := &f.places[src], &f.places[dst]
+	var d topology.Distance
+	for d < topology.DistGlobal && a[d] != b[d] {
+		d++
+	}
+	return Path{Dist: d, n: hopsAt[d], hops: [5]int32{a[0], a[2], b[2], a[3], b[3]}}
+}
+
+// Hops returns the ids of the resources the path crosses.
+func (pa *Path) Hops() []int32 { return pa.hops[:pa.n] }
+
+// Egress reports whether a path's hop i is one its sender occupies: the
+// port, the source NIC or the source uplink.
+func Egress(i int) bool { return 0b01011>>i&1 != 0 }
+
 // Model charges messages against the parameters and shared resources
-// for one cluster. It is safe for concurrent use by all rank
+// of one cluster's Fabric. It is safe for concurrent use by all rank
 // goroutines.
 type Model struct {
-	params  Params
-	cluster topology.Cluster
-	places  []place // by rank, resolved once: a message divides nothing
+	*Fabric
+	params Params
 
-	mu       sync.Mutex
-	portFree []float64 // per-rank send-port availability
-	nicFree  []float64 // per-node NIC availability
-	glFree   []float64 // per-group global-link availability
+	mu    sync.Mutex
+	free  []float64 // per resource: when it next idles
+	msgs  []int64   // per resource: messages charged to it
+	bytes []int64   // per resource: bytes charged to it
 
 	// Link-fault state, immutable after InjectFaults (linkfault.go):
 	// per-resource fault lists, partition cuts, and the full set
 	// ascending by At.
-	lfPort   [][]LinkFault
-	lfNIC    [][]LinkFault
-	lfUplink [][]LinkFault
-	lfParts  []partitionCut
-	lfAll    []LinkFault
+	faults [][]LinkFault
+	cuts   []partitionCut
+	all    []LinkFault
 }
-
-// place is a rank, its socket, its node and its Dragonfly+ group: two
-// ranks' distance is the first of the four they share.
-type place [4]int32
 
 // New builds a model for the cluster. The params are validated.
 func New(c topology.Cluster, p Params) (*Model, error) {
@@ -168,45 +227,21 @@ func New(c topology.Cluster, p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{
-		params:   p,
-		cluster:  c,
-		places:   make([]place, c.Ranks()),
-		portFree: make([]float64, c.Ranks()),
-		nicFree:  make([]float64, c.Nodes),
-		glFree:   make([]float64, c.Groups()),
-	}
-	for r := range m.places {
-		m.places[r] = place{int32(r), int32(c.SocketOf(r)), int32(c.NodeOf(r)), int32(c.GroupOf(r))}
-	}
-	return m, nil
-}
-
-// Route is topology.Cluster.Dist(src, dst) read off the placement table,
-// with the node NIC and the group uplink src's traffic crosses.
-func (m *Model) Route(src, dst int) (d topology.Distance, nic, uplink int) {
-	a, b := &m.places[src], &m.places[dst]
-	for d < topology.DistGlobal && a[d] != b[d] {
-		d++
-	}
-	return d, int(a[2]), int(a[3])
+	f := NewFabric(c)
+	n := f.Resources()
+	return &Model{Fabric: f, params: p, free: make([]float64, n), msgs: make([]int64, n), bytes: make([]int64, n)}, nil
 }
 
 // Params returns the model's calibration constants.
 func (m *Model) Params() Params { return m.params }
 
-// Cluster returns the cluster the model was built for.
-func (m *Model) Cluster() topology.Cluster { return m.cluster }
-
 // Reset clears all resource availability times back to zero. The
 // runtime calls it between timed collectives so each measurement starts
-// from an idle network.
+// from an idle network; the traffic counts run on.
 func (m *Model) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	clear(m.portFree)
-	clear(m.nicFree)
-	clear(m.glFree)
+	clear(m.free)
 }
 
 // SendOverhead returns the CPU time a sender pays per injected message.
@@ -221,54 +256,55 @@ func (m *Model) CopyTime(n int) float64 {
 }
 
 // Transfer charges a message of n bytes from src to dst whose sender is
-// ready (post-overhead) at time ready, and returns the virtual time at
-// which the message is available at the receiver. Shared resources are
-// advanced as a side effect, so concurrent transfers through the same
-// NIC or global link serialize.
-// Degraded links (LinkFault, linkfault.go) divide the effective
-// bandwidth of each resource the transfer crosses; the degrade state is
-// evaluated at the resource's usage start time, which serial engines
-// make deterministic. Down resources never reach Transfer: callers
-// check PathBlocked first and surface a typed error instead.
+// ready (post-overhead) at time ready — Charge over Path(src, dst) — and
+// returns the virtual time at which it is available at the receiver.
 func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
-	d, node, grp := m.Route(src, dst)
+	pa := m.Path(src, dst)
+	return m.Charge(&pa, n, ready)
+}
+
+// Charge counts a message of n bytes on each egress hop of pa and
+// occupies them in order — port, NIC, uplink — each from the latest of
+// the message's start and the hop's free time, so transfers through one
+// resource serialize; it returns the last start plus the port time.
+// The port is held α + n·f/β (single-port sender, the paper's Hockney
+// assumption: latencies serialize too), a NIC NICPerMsg + (n/bw)·f, an
+// uplink (n/bw)·f, each form kept exactly; a zero bandwidth leaves its
+// kind unserialized, though counted. f divides the bandwidth by the
+// degradations (LinkFault) active at the hop's start, 1 when healthy.
+// Down resources never reach Charge: callers check PathBlocked first.
+func (m *Model) Charge(pa *Path, n int, ready float64) (arrival float64) {
 	p := &m.params
-	faulty := len(m.lfAll) > 0
+	faulty := len(m.all) > 0
 
 	m.mu.Lock()
-	start := ready
-	// Single-port sender, exactly the paper's Hockney assumption:
-	// each message occupies the sender's port for α + m/β, so
-	// consecutive sends from one rank serialize including their
-	// latency term.
-	if start < m.portFree[src] {
-		start = m.portFree[src]
-	}
-	portT := p.Alpha[d] + float64(n)/p.Beta[d]
-	if faulty {
-		portT = p.Alpha[d] + float64(n)*faultsFactorAt(m.lfPort[src], start)/p.Beta[d]
-	}
-	m.portFree[src] = start + portT
-
-	if d >= topology.DistGroup && p.NICBandwidth > 0 {
-		if start < m.nicFree[node] {
-			start = m.nicFree[node]
+	start, portT := ready, 0.0
+	for i, id := range pa.Hops() {
+		if !Egress(i) {
+			continue
 		}
-		nicT := float64(n) / p.NICBandwidth
+		m.msgs[id]++
+		m.bytes[id] += int64(n)
+		kind, bw, perMsg := hopKind[i], p.NICBandwidth, p.NICPerMsg
+		if kind == ResUplink {
+			bw, perMsg = p.GlobalLinkBandwidth, 0
+		}
+		if kind != ResPort && !(bw > 0) {
+			continue
+		}
+		if start < m.free[id] {
+			start = m.free[id]
+		}
+		f := 1.0
 		if faulty {
-			nicT *= faultsFactorAt(m.lfNIC[node], start)
+			_, f = healthAt(m.faults[id], start)
 		}
-		m.nicFree[node] = start + p.NICPerMsg + nicT
-	}
-	if d == topology.DistGlobal && p.GlobalLinkBandwidth > 0 {
-		if start < m.glFree[grp] {
-			start = m.glFree[grp]
+		if kind == ResPort {
+			portT = p.Alpha[pa.Dist] + float64(n)*f/p.Beta[pa.Dist]
+			m.free[id] = start + portT
+		} else {
+			m.free[id] = start + perMsg + float64(n)/bw*f
 		}
-		glT := float64(n) / p.GlobalLinkBandwidth
-		if faulty {
-			glT *= faultsFactorAt(m.lfUplink[grp], start)
-		}
-		m.glFree[grp] = start + glT
 	}
 	m.mu.Unlock()
 
@@ -280,13 +316,14 @@ func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
 func (m *Model) PortDrain(r int) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.portFree[r]
+	return m.free[r]
 }
 
-// PointToPoint returns the unloaded Hockney cost α + n/β for a message
-// between src and dst, with no resource contention. The performance
-// model package uses it for its closed-form predictions.
-func (m *Model) PointToPoint(src, dst, n int) float64 {
-	d, _, _ := m.Route(src, dst)
-	return m.params.Alpha[d] + float64(n)/m.params.Beta[d]
+// Traffic returns, by resource id, the messages and bytes Charge
+// counted on each: structural — a hop whose bandwidth is zero still
+// counts — so the static plan verifier's counts equal them.
+func (m *Model) Traffic() (msgs, bytes []int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.msgs), slices.Clone(m.bytes)
 }

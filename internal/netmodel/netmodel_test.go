@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"slices"
 	"testing"
 
 	"nbrallgather/internal/topology"
@@ -47,13 +48,12 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestDistanceMonotoneCost(t *testing.T) {
-	m := mustModel(t, niagara4(), NiagaraParams())
 	// rank 0 vs: itself, socket peer 1, node peer 4, group peer 8
 	// (node 1), global peer 16 (node 2, group 1).
 	const bytes = 4096
 	prev := -1.0
 	for _, dst := range []int{0, 1, 4, 8, 16} {
-		c := m.PointToPoint(0, dst, bytes)
+		c := mustModel(t, niagara4(), NiagaraParams()).Transfer(0, dst, bytes, 0)
 		if c <= prev {
 			t.Fatalf("cost to %d (%.3g) not greater than previous (%.3g)", dst, c, prev)
 		}
@@ -148,10 +148,9 @@ func TestUniformParamsFlat(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := mustModel(t, niagara4(), p)
 	const bytes = 1 << 16
-	cSock := m.PointToPoint(0, 1, bytes)
-	cGlob := m.PointToPoint(0, 16, bytes)
+	cSock := mustModel(t, niagara4(), p).Transfer(0, 1, bytes, 0)
+	cGlob := mustModel(t, niagara4(), p).Transfer(0, 16, bytes, 0)
 	if cSock != cGlob {
 		t.Fatalf("uniform params not distance-blind: %.3g vs %.3g", cSock, cGlob)
 	}
@@ -182,10 +181,11 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRouteIsClusterDist: the placement table classifies every pair as
-// topology.Cluster.Dist does and names the sender's node and group — on
-// a dense Dragonfly+, a flat network, a scattered allocation and a
-// partly filled last group.
+// TestRouteIsClusterDist: the fabric numbers ports, NICs, then uplinks,
+// and Path classifies every pair as topology.Cluster.Dist does and
+// crosses the sender's port, then both nodes' NICs off-node, then both
+// groups' uplinks across groups — on a dense Dragonfly+, a flat
+// network, a scattered allocation and a partly filled last group.
 func TestRouteIsClusterDist(t *testing.T) {
 	for _, c := range []topology.Cluster{
 		topology.Niagara(5, 3),
@@ -197,13 +197,33 @@ func TestRouteIsClusterDist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		port, _ := m.Span(ResPort)
+		nic, _ := m.Span(ResNIC)
+		uplink, n := m.Span(ResUplink)
+		if n != m.Resources() || n != c.Ranks()+c.Nodes+c.Groups() || port != 0 || nic != c.Ranks() || uplink != nic+c.Nodes {
+			t.Fatalf("%v: %d resources, spans at %d, %d, %d", c, m.Resources(), port, nic, uplink)
+		}
 		for a := 0; a < c.Ranks(); a++ {
 			for b := 0; b < c.Ranks(); b++ {
-				d, nic, uplink := m.Route(a, b)
-				if d != c.Dist(a, b) || nic != c.NodeOf(a) || uplink != c.GroupOf(a) {
-					t.Fatalf("%v: Route(%d, %d) = %v, %d, %d; want %v, %d, %d", c, a, b, d, nic, uplink, c.Dist(a, b), c.NodeOf(a), c.GroupOf(a))
+				pa := m.Path(a, b)
+				d := c.Dist(a, b)
+				want := []int32{int32(port + a)}
+				if d >= topology.DistGroup {
+					want = append(want, int32(nic+c.NodeOf(a)), int32(nic+c.NodeOf(b)))
+				}
+				if d == topology.DistGlobal {
+					want = append(want, int32(uplink+c.GroupOf(a)), int32(uplink+c.GroupOf(b)))
+				}
+				got := pa.Hops()
+				if pa.Dist != d || !slices.Equal(got, want) {
+					t.Fatalf("%v: Path(%d, %d) = %v %v; want %v %v", c, a, b, pa.Dist, got, d, want)
 				}
 			}
+		}
+	}
+	for i := range 5 {
+		if Egress(i) != (i == 0 || i == 1 || i == 3) {
+			t.Errorf("Egress(%d) = %v", i, Egress(i))
 		}
 	}
 }

@@ -285,7 +285,7 @@ func TestTooBigBypassesCache(t *testing.T) {
 }
 
 // TestGetZeroAlloc pins the hit path's allocation freedom — the same
-// property `nbr-bench -micro -assert-zero-alloc` guards end to end.
+// property `nbr-bench -fig micro -assert-zero-alloc` guards end to end.
 func TestGetZeroAlloc(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	k := key(1)

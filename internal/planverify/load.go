@@ -4,32 +4,27 @@ import (
 	"fmt"
 
 	"nbrallgather/internal/collective"
+	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/perfmodel"
 	"nbrallgather/internal/tags"
-	"nbrallgather/internal/topology"
 )
 
 // Load is the schedule's static per-resource traffic accounting. It
-// charges exactly what the runtime's structural counters charge — the
-// sender's port for every message, the sender's node NIC for sends at
-// distance ≥ DistGroup, and the sender's group uplink for DistGlobal
-// sends — so on a clean run every field equals the corresponding
-// mpirt.Report slice bit-for-bit.
+// counts what the runtime counts — every message on the egress hops of
+// its netmodel.Path: the sender's port, and its NIC and uplink when the
+// path leaves the node or the group — so on a clean run every field
+// equals the corresponding mpirt.Report field bit-for-bit.
 type Load struct {
 	// MsgsByDist / BytesByDist histogram traffic by topology distance
 	// class (DistSelf … DistGlobal).
 	MsgsByDist  [5]int64
 	BytesByDist [5]int64
-	// RankMsgs / RankBytes charge the sender's port, indexed by rank.
-	RankMsgs  []int64
-	RankBytes []int64
-	// NICMsgs / NICBytes charge the sender's node NIC, indexed by node.
-	NICMsgs  []int64
-	NICBytes []int64
-	// UplinkMsgs / UplinkBytes charge the sender's group uplink,
-	// indexed by Dragonfly+ group.
-	UplinkMsgs  []int64
-	UplinkBytes []int64
+	// ResMsgs / ResBytes are indexed by resource in netmodel's
+	// numbering (netmodel.Fabric): ports, then NICs, then uplinks.
+	ResMsgs, ResBytes []int64
+
+	fabric *netmodel.Fabric
+	ranks  int
 }
 
 // Msgs returns the total message count.
@@ -50,18 +45,21 @@ func (l *Load) Bytes() int64 {
 	return t
 }
 
+// BytesOf returns the bytes on each resource of kind k, by index; the
+// ports stop at the schedule's rank count.
+func (l *Load) BytesOf(k netmodel.ResourceKind) []int64 {
+	lo, hi := l.fabric.Span(k)
+	if k == netmodel.ResPort {
+		hi = lo + l.ranks
+	}
+	return l.ResBytes[lo:hi]
+}
+
 // Load computes the schedule's static resource accounting.
 func (s *Schedule) Load() *Load {
-	c := s.Cluster
+	f := netmodel.NewFabric(s.Cluster)
 	n := s.Plan.Graph.N()
-	l := &Load{
-		RankMsgs:    make([]int64, n),
-		RankBytes:   make([]int64, n),
-		NICMsgs:     make([]int64, c.Nodes),
-		NICBytes:    make([]int64, c.Nodes),
-		UplinkMsgs:  make([]int64, c.Groups()),
-		UplinkBytes: make([]int64, c.Groups()),
-	}
+	l := &Load{ResMsgs: make([]int64, f.Resources()), ResBytes: make([]int64, f.Resources()), fabric: f, ranks: n}
 	for r := 0; r < n; r++ {
 		ops := s.Plan.Ops(r)
 		for i := range ops {
@@ -73,20 +71,14 @@ func (s *Schedule) Load() *Load {
 			for _, b := range s.Plan.Blocks(op) {
 				size += int64(s.Counts[b])
 			}
-			d := c.Dist(r, int(op.Peer))
-			l.MsgsByDist[d]++
-			l.BytesByDist[d] += size
-			l.RankMsgs[r]++
-			l.RankBytes[r] += size
-			if d >= topology.DistGroup {
-				node := c.NodeOf(r)
-				l.NICMsgs[node]++
-				l.NICBytes[node] += size
-			}
-			if d == topology.DistGlobal {
-				grp := c.GroupOf(r)
-				l.UplinkMsgs[grp]++
-				l.UplinkBytes[grp] += size
+			pa := f.Path(r, int(op.Peer))
+			l.MsgsByDist[pa.Dist]++
+			l.BytesByDist[pa.Dist] += size
+			for h, id := range pa.Hops() {
+				if netmodel.Egress(h) {
+					l.ResMsgs[id]++
+					l.ResBytes[id] += size
+				}
 			}
 		}
 	}

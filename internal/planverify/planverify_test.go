@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/conformance"
 	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
@@ -142,21 +144,9 @@ func compareLoad(t *testing.T, label string, l *Load, rep *mpirt.Report) {
 		t.Errorf("%s: distance histograms differ: static %v/%v, simulated %v/%v",
 			label, l.MsgsByDist, l.BytesByDist, rep.MsgsByDist, rep.BytesByDist)
 	}
-	slices := []struct {
-		name        string
-		static, sim []int64
-	}{
-		{"RankMsgs", l.RankMsgs, rep.RankMsgs},
-		{"RankBytes", l.RankBytes, rep.RankBytes},
-		{"NICMsgs", l.NICMsgs, rep.NICMsgs},
-		{"NICBytes", l.NICBytes, rep.NICBytes},
-		{"UplinkMsgs", l.UplinkMsgs, rep.UplinkMsgs},
-		{"UplinkBytes", l.UplinkBytes, rep.UplinkBytes},
-	}
-	for _, s := range slices {
-		if !reflect.DeepEqual(s.static, s.sim) {
-			t.Errorf("%s: %s differ: static %v, simulated %v", label, s.name, s.static, s.sim)
-		}
+	if !reflect.DeepEqual(l.ResMsgs, rep.ResMsgs) || !reflect.DeepEqual(l.ResBytes, rep.ResBytes) {
+		t.Errorf("%s: per-resource traffic differs: static %v/%v, simulated %v/%v",
+			label, l.ResMsgs, l.ResBytes, rep.ResMsgs, rep.ResBytes)
 	}
 }
 
@@ -563,13 +553,14 @@ func TestLoadAccountingSmall(t *testing.T) {
 	if l.MsgsByDist[topology.DistGlobal] != 2 {
 		t.Fatalf("per-node groups must classify cross-node sends as global: %v", l.MsgsByDist)
 	}
-	if l.NICBytes[0] != 3 || l.NICBytes[1] != 5 || l.UplinkBytes[0] != 3 || l.UplinkBytes[1] != 5 {
-		t.Fatalf("resource charges wrong: NIC %v uplink %v", l.NICBytes, l.UplinkBytes)
+	nic, uplink := l.BytesOf(netmodel.ResNIC), l.BytesOf(netmodel.ResUplink)
+	if !slices.Equal(nic, []int64{3, 5}) || !slices.Equal(uplink, []int64{3, 5}) {
+		t.Fatalf("resource charges wrong: NIC %v uplink %v", nic, uplink)
 	}
-	if r := RatioMaxMin(l.RankBytes); r != 5.0/3.0 {
+	if r := RatioMaxMin(l.BytesOf(netmodel.ResPort)); r != 5.0/3.0 {
 		t.Fatalf("RatioMaxMin = %v", r)
 	}
-	if r := RatioMaxMean(l.RankBytes); r != 5.0*2/8 {
+	if r := RatioMaxMean(l.BytesOf(netmodel.ResPort)); r != 5.0*2/8 {
 		t.Fatalf("RatioMaxMean = %v", r)
 	}
 }

@@ -88,7 +88,7 @@ const (
 	CNAffNote  = 73000
 )
 
-// Micro-benchmark traffic (cmd/nbr-bench -micro and the mpirt
+// Micro-benchmark traffic (cmd/nbr-bench -fig micro and the mpirt
 // bench suite). The benchmarks never run inside a collective, but
 // their tags still get a registered block so the discipline holds
 // module-wide.
