@@ -146,11 +146,10 @@ repro:
 
 # Committed results/ files that take seconds to regenerate must still be
 # what the code prints, outside the host-time DH/CN plan columns
-# (`go test ./cmd/nbr-bench` covers five more).
+# (`go test ./cmd/nbr-bench` covers six more).
 repro-check:
 	@mask='{ if (NF == 12 && $$6 ~ /^\(K=/) { $$9 = "-"; $$10 = "-" } $$1 = $$1; print }'; t=$$(mktemp); \
-	$(GO) run ./cmd/nbr-bench -fig 8 -nodes 15 -rps 18 | awk "$$mask" > $$t && awk "$$mask" results/fig8_overhead_540.txt | diff $$t - && \
-	$(GO) run ./cmd/nbr-bench -fig 6 -nodes 16 -rps 16 | awk "$$mask" > $$t && awk "$$mask" results/fig6_moore_512.txt | diff $$t -; \
+	$(GO) run ./cmd/nbr-bench -fig 8 -nodes 15 -rps 18 | awk "$$mask" > $$t && awk "$$mask" results/fig8_overhead_540.txt | diff $$t -; \
 	s=$$?; rm -f $$t; exit $$s
 
 examples:

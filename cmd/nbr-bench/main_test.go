@@ -322,6 +322,7 @@ func TestCommittedResults(t *testing.T) {
 		args []string
 	}{
 		{"fig2_model.txt", []string{"-fig", "2", "-scale", "medium"}},
+		{"fig6_moore_512.txt", []string{"-fig", "6", "-nodes", "16", "-rps", "16"}},
 		{"fig7_spmm_128.txt", []string{"-fig", "7", "-nodes", "4", "-rps", "16"}},
 		{"medium/fig45_rsg_108ranks.txt", []string{"-fig", "4", "-scale", "medium", "-nodes", "3"}},
 		// The only committed numbers that pass through fail-stop

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"nbrallgather/internal/collective"
-	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/netmodel"
 )
 
@@ -61,13 +58,13 @@ func MeasureDegradation(cfg Config, op collective.VOp, faults []netmodel.LinkFau
 	}
 
 	out := DegradationResult{}
-	base, _, _, err := runDegradedOnce(cfg, op, nil)
+	base, _, _, err := runFTVOnce(cfg, op, nil, nil)
 	if err != nil {
 		return out, fmt.Errorf("harness: healthy run: %w", err)
 	}
 	out.Baseline = base
 
-	degraded, res, rep, err := runDegradedOnce(cfg, op, faults)
+	degraded, res, rep, err := runFTVOnce(cfg, op, nil, faults)
 	if err != nil {
 		return out, fmt.Errorf("harness: degraded run: %w", err)
 	}
@@ -84,53 +81,4 @@ func MeasureDegradation(cfg Config, op collective.VOp, faults []netmodel.LinkFau
 		out.Repair = res.Repair
 	}
 	return out, nil
-}
-
-// runDegradedOnce executes one timed RunFTV over the whole communicator
-// on a fabric carrying the given faults and returns rank 0's completion
-// time and recovery outcome. A deterministic repair-layer verdict (the
-// identical PartitionError every rank returns) is propagated as the
-// run's error; any other per-rank failure aborts.
-func runDegradedOnce(cfg Config, op collective.VOp, faults []netmodel.LinkFault) (float64, *collective.FTResult, *mpirt.Report, error) {
-	g := op.Graph()
-	counts := make([]int, g.N())
-	for i := range counts {
-		counts[i] = cfg.MsgSize
-	}
-	var t float64
-	var res *collective.FTResult
-	var verdict error
-	var mu sync.Mutex
-	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
-	rc := cfg.runtime()
-	rc.LinkFaults = faults
-	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
-		r := p.Rank()
-		p.SyncResetTime()
-		fr, ferr := collective.RunFTV(p, op, sbufs[r], counts, rbufs[r])
-		if ferr != nil {
-			var pe *mpirt.PartitionError
-			if errors.As(ferr, &pe) {
-				mu.Lock()
-				verdict = ferr
-				mu.Unlock()
-				return
-			}
-			panic(fmt.Sprintf("harness: rank %d degraded run: %v", r, ferr))
-		}
-		ct := p.CollectiveTime()
-		if r == 0 {
-			mu.Lock()
-			t = ct
-			res = fr
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if verdict != nil {
-		return 0, nil, nil, verdict
-	}
-	return t, res, rep, nil
 }

@@ -157,9 +157,10 @@ func (r SpMMResult) SpeedupCN() float64 { return r.Naive.Mean / r.CN.Mean }
 // measureSpMM times one algorithm over the kernel (phantom payloads;
 // numeric correctness is covered by the spmm tests).
 func measureSpMM(c topology.Cluster, k *spmm.Kernel, op collective.Op, trials int, wall time.Duration) (Result, error) {
-	times := make([]float64, trials)
-	rep, err := mpirt.Run(mpirt.Config{Cluster: c, Phantom: true, WallLimit: wall}, func(p *mpirt.Proc) {
-		for tr := 0; tr < trials; tr++ {
+	cfg := Config{Cluster: c, Phantom: true, WallLimit: wall}
+	times := make([]float64, cfg.simulated(trials))
+	rep, err := mpirt.Run(cfg.runtime(), func(p *mpirt.Proc) {
+		for tr := range times {
 			p.SyncResetTime()
 			k.RunRank(p, op)
 			t := p.CollectiveTime()
@@ -171,13 +172,7 @@ func measureSpMM(c topology.Cluster, k *spmm.Kernel, op collective.Op, trials in
 	if err != nil {
 		return Result{}, err
 	}
-	res := stats(times)
-	res.Trials = trials
-	res.MsgsPerTrial = rep.Msgs() / int64(trials)
-	res.BytesPerTrial = rep.Bytes() / int64(trials)
-	res.OffSocketMsgs = rep.OffSocketMsgs() / int64(trials)
-	res.Wall = rep.Wall
-	return res, nil
+	return result(times, trials, rep), nil
 }
 
 // SpMMSweep runs the Fig. 7 experiment: the Table II matrices, dense

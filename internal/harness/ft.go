@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/netmodel"
 )
 
 // RecoveryResult quantifies the cost of surviving one injected
@@ -62,13 +64,13 @@ func MeasureRecovery(cfg Config, op collective.VOp, kill mpirt.Kill) (RecoveryRe
 	}
 
 	out := RecoveryResult{}
-	base, _, _, err := runRecoveryOnce(cfg, op, nil)
+	base, _, _, err := runFTVOnce(cfg, op, nil, nil)
 	if err != nil {
 		return out, fmt.Errorf("harness: fault-free run: %w", err)
 	}
 	out.Baseline = base
 
-	failed, res, rep, err := runRecoveryOnce(cfg, op, []mpirt.Kill{kill})
+	failed, res, rep, err := runFTVOnce(cfg, op, []mpirt.Kill{kill}, nil)
 	if err != nil {
 		return out, fmt.Errorf("harness: failed run: %w", err)
 	}
@@ -90,10 +92,12 @@ func MeasureRecovery(cfg Config, op collective.VOp, kill mpirt.Kill) (RecoveryRe
 	return out, nil
 }
 
-// runRecoveryOnce executes one timed RunFTV over the whole
-// communicator and returns rank 0's completion time and recovery
-// outcome.
-func runRecoveryOnce(cfg Config, op collective.VOp, kills []mpirt.Kill) (float64, *collective.FTResult, *mpirt.Report, error) {
+// runFTVOnce executes one timed RunFTV over the whole communicator with
+// the given kills and link faults and returns rank 0's completion time
+// and recovery outcome. A deterministic repair-layer verdict (the
+// identical PartitionError every rank returns) is propagated as the
+// run's error; any other per-rank failure aborts.
+func runFTVOnce(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netmodel.LinkFault) (float64, *collective.FTResult, *mpirt.Report, error) {
 	g := op.Graph()
 	counts := make([]int, g.N())
 	for i := range counts {
@@ -101,18 +105,26 @@ func runRecoveryOnce(cfg Config, op collective.VOp, kills []mpirt.Kill) (float64
 	}
 	var t float64
 	var res *collective.FTResult
+	var verdict error
 	var mu sync.Mutex
 	// Buffers are pre-allocated per rank (see rankBuffers) so the timed
 	// region starts at SyncResetTime with no allocation noise.
 	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
 	rc := cfg.runtime()
-	rc.Kills = kills
+	rc.Kills, rc.LinkFaults = kills, faults
 	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
 		r := p.Rank()
 		p.SyncResetTime()
 		fr, ferr := collective.RunFTV(p, op, sbufs[r], counts, rbufs[r])
 		if ferr != nil {
-			panic(fmt.Sprintf("harness: rank %d recovery: %v", r, ferr))
+			var pe *mpirt.PartitionError
+			if errors.As(ferr, &pe) {
+				mu.Lock()
+				verdict = ferr
+				mu.Unlock()
+				return
+			}
+			panic(fmt.Sprintf("harness: rank %d RunFTV: %v", r, ferr))
 		}
 		ct := p.CollectiveTime()
 		if r == 0 {
@@ -124,6 +136,9 @@ func runRecoveryOnce(cfg Config, op collective.VOp, kills []mpirt.Kill) (float64
 	})
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if verdict != nil {
+		return 0, nil, nil, verdict
 	}
 	return t, res, rep, nil
 }

@@ -30,7 +30,8 @@ type Config struct {
 	Params netmodel.Params
 	// MsgSize is the per-rank payload in bytes.
 	MsgSize int
-	// Trials is the number of timed repetitions (default 3).
+	// Trials is the number of timed repetitions (default 3); a phantom
+	// event-engine run simulates one, which they all replay (simulated).
 	Trials int
 	// Phantom selects size-only payloads (the default for timing
 	// sweeps; correctness is covered by the test suite with real
@@ -54,7 +55,7 @@ type Result struct {
 	// Mean, Std, Min, Max are virtual-time latencies in seconds over
 	// the trials.
 	Mean, Std, Min, Max float64
-	// Trials is the number of repetitions measured.
+	// Trials is the number of repetitions measured (see Config.Trials).
 	Trials int
 	// MsgsPerTrial and BytesPerTrial are the total message and payload
 	// counts of one collective invocation.
@@ -66,7 +67,7 @@ type Result struct {
 	// MaxRankMsgs is the heaviest per-rank send count across the whole
 	// run (load-imbalance indicator).
 	MaxRankMsgs int64
-	// Wall is the host time the whole run took.
+	// Wall is the host time the run took, over the trials it simulated.
 	Wall time.Duration
 	// PlanWall is the host time spent negotiating this algorithm's
 	// plan (pattern construction) before the measured run — split out
@@ -97,18 +98,38 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	if cfg.MsgSize < 1 {
 		return Result{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
 	}
-	ms, rep, err := runMeasurement(cfg, op, trials, nil)
+	ms, rep, err := runMeasurement(cfg, op, cfg.simulated(trials), nil)
 	if err != nil {
 		return Result{}, err
 	}
-	res := stats(ms.times)
+	return result(ms.times, trials, rep), nil
+}
+
+// simulated is how many of trials a measurement under cfg runs: one on
+// the event engine, phantom, outside chaos, where trial k replays trial 1
+// (mpirt.SyncResetTime); every one otherwise.
+func (cfg Config) simulated(trials int) int {
+	if eng, err := mpirt.ResolveEngine(cfg.Engine); err == nil && eng == mpirt.EngineEvent && cfg.Phantom && cfg.Chaos == nil {
+		return 1
+	}
+	return trials
+}
+
+// result summarises trials repetitions from the times and Report of
+// those that ran: one time stands for all, bit-identical to a full run.
+func result(times []float64, trials int, rep *mpirt.Report) Result {
+	ran := len(times)
+	for len(times) < trials {
+		times = append(times, times[0])
+	}
+	res := stats(times)
 	res.Trials = trials
-	res.MsgsPerTrial = rep.Msgs() / int64(trials)
-	res.BytesPerTrial = rep.Bytes() / int64(trials)
-	res.OffSocketMsgs = rep.OffSocketMsgs() / int64(trials)
-	res.MaxRankMsgs = rep.MaxRankMsgs
+	res.MsgsPerTrial = rep.Msgs() / int64(ran)
+	res.BytesPerTrial = rep.Bytes() / int64(ran)
+	res.OffSocketMsgs = rep.OffSocketMsgs() / int64(ran)
+	res.MaxRankMsgs = rep.MaxRankMsgs * int64(trials/ran)
 	res.Wall = rep.Wall
-	return res, nil
+	return res
 }
 
 // runMeasurement executes trials of op: every rank is a measureLoop, on
@@ -233,8 +254,6 @@ func stats(xs []float64) Result {
 	}
 	if len(xs) > 1 {
 		r.Std = math.Sqrt(r.Std / float64(len(xs)-1))
-	} else {
-		r.Std = 0
 	}
 	return r
 }

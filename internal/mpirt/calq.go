@@ -54,11 +54,11 @@ func calLess(a, b calEvent) bool { return calCmp(a, b) < 0 }
 
 // calQueue is the ladder queue. The zero value is an empty queue.
 //
-// Contract: pushed keys must be ≥ the key of the last popped event
-// (the engine clamps wake times to its current virtual "now", which is
-// exactly that key). Within that discipline pops come out in calLess
-// order — including events pushed below the current front bar, which
-// are sorted into the live front region.
+// Contract: pushed keys must be ≥ the key of the last popped event, or
+// ≥ 0 after an (empty) queue's rewind (the engine clamps wake times to
+// its virtual "now", which is exactly that key). Within that discipline
+// pops come out in calLess order — including events pushed below the
+// current front bar, which are sorted into the live front region.
 type calQueue struct {
 	// front is the sorted earliest region; front[head:] is live.
 	front []calEvent
@@ -105,6 +105,15 @@ func calBuckets(n int) int {
 
 // len returns the number of queued events.
 func (q *calQueue) len() int { return q.n }
+
+// rewind restarts an empty queue's key range at 0, keeping its buffers
+// (left at the old bar, every new push would take insertFront).
+func (q *calQueue) rewind() {
+	if q.n != 0 {
+		panic("mpirt: calQueue rewound with events queued")
+	}
+	q.bar, q.rung, q.rungNext = 0, q.rung[:0], 0
+}
 
 // push enqueues e.
 func (q *calQueue) push(e calEvent) {
@@ -158,15 +167,23 @@ func (q *calQueue) insertFront(e calEvent) {
 	q.front[q.head+i] = e
 }
 
-// pop removes and returns the least event in (vt, rank, seq) order.
-func (q *calQueue) pop() (calEvent, bool) {
+// peek returns the least event in (vt, rank, seq) order, leaving it.
+func (q *calQueue) peek() (calEvent, bool) {
 	if q.n == 0 {
 		return calEvent{}, false
 	}
 	for q.head == len(q.front) {
 		q.advance()
 	}
-	e := q.front[q.head]
+	return q.front[q.head], true
+}
+
+// pop removes and returns the least event in (vt, rank, seq) order.
+func (q *calQueue) pop() (calEvent, bool) {
+	e, ok := q.peek()
+	if !ok {
+		return e, false
+	}
 	q.head++
 	if q.head == len(q.front) {
 		q.front = q.front[:0]

@@ -210,3 +210,41 @@ func TestCalQueueZeroValue(t *testing.T) {
 		t.Fatalf("len = %d after drain", q.len())
 	}
 }
+
+// TestCalQueueRewind: a drained queue rewound to 0 orders its next batch
+// exactly as a fresh queue would — keys below the old range are legal
+// again — and a queue still holding events refuses to rewind.
+func TestCalQueueRewind(t *testing.T) {
+	prop := func(first, second []uint16) bool {
+		var q calQueue
+		for _, e := range calFromWords(first) {
+			q.push(calEvent{vt: e.vt + 10, rank: e.rank, seq: e.seq})
+		}
+		for q.len() > 0 {
+			q.pop()
+		}
+		q.rewind()
+		evs := calFromWords(second)
+		for _, e := range evs {
+			q.push(e)
+		}
+		for _, want := range calSorted(evs) {
+			if got, ok := q.pop(); !ok || got != want {
+				t.Logf("pop = %+v ok=%v, want %+v", got, ok, want)
+				return false
+			}
+		}
+		return q.len() == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rewind of a non-empty queue did not panic")
+		}
+	}()
+	var q calQueue
+	q.push(calEvent{vt: 1, seq: 1})
+	q.rewind()
+}

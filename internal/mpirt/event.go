@@ -57,9 +57,9 @@ type eventRT struct {
 
 	q       calQueue
 	pushSeq uint64
-	// now is the virtual time of the last popped event; pushes are
-	// clamped to it, which is exactly the monotonicity the calendar
-	// queue's contract requires.
+	// now is the virtual time of the last popped event, or 0 after a
+	// rewind; pushes are clamped to it, which is exactly the
+	// monotonicity the calendar queue's contract requires.
 	now float64
 
 	state      []waitState
@@ -94,6 +94,18 @@ func (ev *eventRT) schedule(r int, vt float64) {
 	}
 	ev.pushSeq++
 	ev.q.push(calEvent{vt: vt, rank: int32(r), seq: ev.pushSeq})
+}
+
+// requeue queues rank r's wake at virtual time vt if a queued wake pops
+// ahead of it, and reports whether it did: then the caller parks.
+func (ev *eventRT) requeue(r int, vt float64) bool {
+	vt = max(vt, ev.now)
+	e, ok := ev.q.peek()
+	if !ok || !calLess(e, calEvent{vt: vt, rank: int32(r), seq: ev.pushSeq + 1}) {
+		return false
+	}
+	ev.schedule(r, vt)
+	return true
 }
 
 // wake schedules every rank parked in round state st — the barrier /

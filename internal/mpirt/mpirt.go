@@ -1321,14 +1321,28 @@ func (p *Proc) Barrier() {
 
 // SyncResetTime barriers, then zeroes every rank's virtual clock and
 // the cost model's shared resources. Call before a timed section so
-// measurements start from an idle network.
+// measurements start from an idle network. On the event engine ranks
+// arrive in (clock, rank) order, as from the loop's start, whatever ran
+// before, and the loop's clock rewinds with theirs: every section that
+// follows one is replayed exactly (DESIGN.md §10).
 func (p *Proc) SyncResetTime() { p.syncResetTime(false) }
 
 // SyncResetTimeStep is SyncResetTime for a Stepper (see RecvStep).
 func (p *Proc) SyncResetTimeStep() bool { return p.syncResetTime(true) }
 
+// syncPhase: 0 idle, then 1 or 2 in the first or second barrier.
 func (p *Proc) syncResetTime(step bool) bool {
 	if p.syncPhase == 0 {
+		p.syncPhase = 1
+		if ev := p.rt.ev; ev != nil && ev.requeue(p.rank, p.vt) {
+			if step && p.suspend(stRunnable) {
+				p.suspended = false // the wake resumes here, not in a wait
+				return false
+			}
+			ev.switchOut(p, stRunnable)
+		}
+	}
+	if p.syncPhase == 1 {
 		if _, ok := p.reduceMax(0, step); !ok {
 			return false
 		}
@@ -1336,7 +1350,7 @@ func (p *Proc) syncResetTime(step bool) bool {
 		if p.rank == 0 {
 			p.rt.model.Reset()
 		}
-		p.syncPhase = 1
+		p.syncPhase = 2
 	}
 	if _, ok := p.reduceMax(0, step); !ok {
 		return false
@@ -1384,6 +1398,12 @@ func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 		rt.bcnt++
 		p.roundGen = rt.bgen
 		if rt.completeBarrierLocked() {
+			if p.syncPhase == 2 && rt.ev != nil {
+				// SyncResetTime's second generation: every clock is 0, and
+				// every other live rank is parked here, so no wake is queued.
+				rt.ev.q.rewind()
+				rt.ev.now = 0
+			}
 			rt.drv.wake(stBarrierWait, rt.reduceRes) //lint:allocok — once per barrier generation, by its completer
 		}
 	}
