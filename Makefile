@@ -95,9 +95,8 @@ fuzz:
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
 # payloads, heap statistics and per-phase wall included; the last line
 # is the whole run's wall and peak resident set (measured on two cores:
-# 6 s — graph 1.5 s, the three cells 2.5–3 s — and 1.0 GiB, most of it
-# the graph's n²/8-byte out-sets; 13–16 s and 1.6–1.7 GiB before ranks
-# were stepped).
+# 1.9–2.1 s and 932–1 050 MiB, most of it the graph's n²/8-byte
+# out-sets; 13–16 s and 1.6–1.7 GiB before ranks were stepped).
 mega:
 	$(GO) run ./cmd/nbr-bench -fig mega
 

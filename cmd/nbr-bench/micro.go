@@ -54,6 +54,7 @@ func runMicro(out io.Writer) []microBench {
 		{"p2p/match-wildcard", microMatchWildcard},
 		{"p2p/gather-send", microGatherSend},
 		{"p2p/shared-snapshot", microSharedSnapshot},
+		{"p2p/compose-send", microComposeSend},
 		{"pool/payload-roundtrip", microPoolRoundtrip},
 		{"cache/hit-lookup", microCacheHit},
 		{"collective/barrier", microBarrier},
@@ -130,8 +131,7 @@ type pingPong struct {
 }
 
 func (s *pingPong) send(p *mpirt.Proc, dst, tag int) {
-	part := [1][]byte{s.payload}
-	snap := p.Gather(part[:])
+	snap := p.Gather(s.payload)
 	p.SendSnapshot(dst, tag, len(s.payload), snap, nil, s.slot)
 	snap.Release()
 }
@@ -228,24 +228,24 @@ func microMatchWildcard(b *testing.B) {
 	}
 }
 
-// microGatherSend is the packed send: eight 1 KiB parts gathered
-// straight into one pooled snapshot, sent, and released on receipt.
-func microGatherSend(b *testing.B) {
+// snapshotSends is rank 0 sending a snapshot made by snap to ranks
+// 1..fan each iteration; each releases its message and answers with a
+// size-only pong.
+func snapshotSends(b *testing.B, fan, size int, snap func(p *mpirt.Proc) mpirt.Snapshot) {
 	b.ReportAllocs()
-	src := make([]byte, 8<<10)
-	parts := make([][]byte, 8)
-	for i := range parts {
-		parts[i] = src[i<<10 : (i+1)<<10]
-	}
-	if _, err := mpirt.Run(microCfg(1, 2), func(p *mpirt.Proc) {
+	if _, err := mpirt.Run(microCfg(1, max(2, fan/2+1)), func(p *mpirt.Proc) {
 		for i := 0; i < b.N; i++ {
-			switch p.Rank() {
-			case 0:
-				snap := p.Gather(parts)
-				p.SendSnapshot(1, tags.BenchPing, len(src), snap, nil, -1)
-				snap.Release()
-				p.Recv(1, tags.BenchPong)
-			case 1:
+			switch r := p.Rank(); {
+			case r == 0:
+				s := snap(p)
+				for dst := 1; dst <= fan; dst++ {
+					p.SendSnapshot(dst, tags.BenchPing, size, s, nil, -1)
+				}
+				s.Release()
+				for dst := 1; dst <= fan; dst++ {
+					p.Recv(dst, tags.BenchPong)
+				}
+			case r <= fan:
 				m := p.Recv(0, tags.BenchPing)
 				m.Release()
 				p.Send(0, tags.BenchPong, 8, nil, nil)
@@ -256,34 +256,34 @@ func microGatherSend(b *testing.B) {
 	}
 }
 
+// microGatherSend is an origin's send: an 8 KiB buffer copied into one
+// pooled snapshot, sent, and released on receipt.
+func microGatherSend(b *testing.B) {
+	src := make([]byte, 8<<10)
+	snapshotSends(b, 1, len(src), func(p *mpirt.Proc) mpirt.Snapshot { return p.Gather(src) })
+}
+
 // microSharedSnapshot is the fan-out: one 8 KiB snapshot sent to eight
 // destinations, each of which releases its message; the last release
 // returns the buffer to the pool.
 func microSharedSnapshot(b *testing.B) {
-	b.ReportAllocs()
 	src := make([]byte, 8<<10)
-	parts := [][]byte{src}
-	if _, err := mpirt.Run(microCfg(1, 5), func(p *mpirt.Proc) { // 10 ranks; 0 feeds 1..8
-		for i := 0; i < b.N; i++ {
-			switch r := p.Rank(); {
-			case r == 0:
-				snap := p.Gather(parts)
-				for dst := 1; dst <= 8; dst++ {
-					p.SendSnapshot(dst, tags.BenchPing, len(src), snap, nil, -1)
-				}
-				snap.Release()
-				for dst := 1; dst <= 8; dst++ {
-					p.Recv(dst, tags.BenchPong)
-				}
-			case r <= 8:
-				m := p.Recv(0, tags.BenchPing)
-				m.Release()
-				p.Send(0, tags.BenchPong, 8, nil, nil)
-			}
+	snapshotSends(b, 8, len(src), func(p *mpirt.Proc) mpirt.Snapshot { return p.Gather(src) })
+}
+
+// microComposeSend is a relay's send: three runs of two 4 KiB snapshots,
+// held throughout, composed without a copy, sent and released on
+// receipt, which hands the composite back to its pool.
+func microComposeSend(b *testing.B) {
+	src := make([]byte, 4<<10)
+	var runs []mpirt.Piece
+	snapshotSends(b, 1, 8<<10, func(p *mpirt.Proc) mpirt.Snapshot {
+		if runs == nil {
+			x, y := p.Gather(src), p.Gather(src)
+			runs = []mpirt.Piece{x.Whole().Slice(0, 1<<10), y.Whole(), x.Whole().Slice(1<<10, 4<<10)}
 		}
-	}); err != nil {
-		b.Fatal(err)
-	}
+		return p.Compose(runs)
+	})
 }
 
 // microPoolRoundtrip cycles a mid-size payload through the pool via

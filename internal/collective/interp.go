@@ -13,7 +13,8 @@ import (
 // send; once per block when a Packed Deliver message is unpacked; once
 // per OpCopy — so the virtual clock sees the same call sequence
 // whichever emitter produced the plan: the modelled copies, not the
-// host's two per byte (gather in, deliver out). Phantom mode moves no
+// host's, which are two per block however often it is relayed (into its
+// origin's snapshot, out into each result buffer). Phantom mode moves no
 // bytes and tracks no holdings. Reset readies a Pass, zero or used.
 type Pass struct {
 	pl     *Plan
@@ -34,10 +35,12 @@ func (ps *Pass) Reset(pl *Plan, p mpirt.Endpoint, sbuf []byte, counts []int, rbu
 	pl.checkArgs(p, sbuf, counts, rbuf)
 	r := p.Rank()
 	ops := pl.Ops(r)
-	last := 0 // one past the last receive's op index
+	last, most := 0, 0 // one past the last receive's op index; the most blocks a send carries
 	for i := range ops {
 		if ops[i].Kind == OpRecv {
 			last = i + 1
+		} else if ops[i].Kind == OpSend {
+			most = max(most, int(ops[i].n))
 		}
 	}
 	*ps = Pass{pl: pl, counts: counts, ops: ops, posted: append(ps.posted[:0], make([]uint64, (last+63)/64)...)}
@@ -46,7 +49,7 @@ func (ps *Pass) Reset(pl *Plan, p mpirt.Endpoint, sbuf []byte, counts []int, rbu
 		ps.slot = slot[pl.first[r]:pl.first[r+1]]
 	}
 	if !p.Phantom() {
-		ps.st = newPayloads(pl, r, sbuf, counts, rbuf)
+		ps.st = newPayloads(pl, r, sbuf, counts, rbuf, most)
 	}
 }
 
@@ -99,7 +102,7 @@ func (ps *Pass) Step(p mpirt.Endpoint) (done bool) {
 					panic(fmt.Sprintf("collective: rank %d self-copy of %s", r, pl.stray(b)))
 				}
 				if st != nil {
-					st.deliver(origin, st.block(b))
+					st.deliver(origin, st.block(p, b).Bytes())
 				}
 			} else if lo, hi := pl.Owned(r); int(b) < lo || int(b) >= hi { // staging is a modelled copy: sends gather from sbuf
 				panic(fmt.Sprintf("collective: rank %d stages block %d, not its own", r, b))
@@ -109,6 +112,7 @@ func (ps *Pass) Step(p mpirt.Endpoint) (done bool) {
 	}
 	if st != nil {
 		st.snap.Release()
+		st.own.Release()
 		for i := range st.kept {
 			st.kept[i].Release()
 		}
@@ -154,9 +158,16 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg *mpirt.Ms
 		panic(fmt.Sprintf("collective: rank %d expected %d bytes from %d, got %d", r, want, msg.Src, msg.Size))
 	}
 	deliver, gather := rv.Flags&Deliver != 0, pl.edgeOff == nil
-	pos := 0
-	for _, b := range blocks {
+	runs, pos := msg.Runs(), 0 // a composite's, one per block
+	for i, b := range blocks {
 		c := counts[b]
+		var d mpirt.Piece
+		if runs != nil {
+			d = runs[i]
+		} else if st != nil {
+			d = msg.Whole().Slice(pos, pos+c)
+		}
+		pos += c
 		if deliver {
 			origin, ok := int(b), false
 			if gather {
@@ -168,18 +179,17 @@ func (pl *Plan) arrive(p mpirt.Endpoint, st *payloads, rv *PlanOp, msg *mpirt.Ms
 				panic(fmt.Sprintf("collective: rank %d received payload of %s from %d", r, pl.stray(b), msg.Src))
 			}
 			if st != nil {
-				st.deliver(origin, msg.Data[pos:pos+c])
+				st.deliver(origin, d.Bytes())
 			}
 			if rv.Flags&Packed != 0 {
 				p.ChargeCopy(c)
 			}
 		} else if st != nil {
-			st.held[b] = msg.Data[pos : pos+c] // a forward stays aliased in the kept message
+			st.held[b] = d // a forward stays a run the kept message holds
 		}
-		pos += c
 	}
 	if st != nil && !deliver {
-		st.kept = append(st.kept, *msg) // held aliases its payload
+		st.kept = append(st.kept, *msg) // held names its runs
 	} else {
 		msg.Release()
 	}
@@ -204,38 +214,35 @@ func blockBytes(blocks []int32, counts []int) int {
 	return size
 }
 
-// payloads is one rank's real-mode byte bookkeeping for one pass. A
-// block stays where it already is — the rank's send buffer, or the
-// forward that brought it, kept until the pass ends — and every send
-// gathers its blocks from there.
+// payloads is one rank's real-mode byte bookkeeping for one pass. Every
+// block the rank holds is a run of an immutable snapshot — its one Gather
+// of the send buffer, or the forward that brought it, kept until the pass
+// ends — and a send composes its blocks' runs, copying nothing.
 type payloads struct {
-	pl   *Plan
-	r    int
-	rbuf []byte
+	pl     *Plan
+	r      int
+	sbuf   []byte
+	counts []int
+	rbuf   []byte
 	// roff[i] is the result-buffer offset of in-neighbor In(r)[i].
 	roff []int
-	// held locates every block the rank holds.
-	held map[int32][]byte
+	// held locates every block the rank holds; own holds its own.
+	held map[int32]mpirt.Piece
+	own  mpirt.Snapshot
 	kept []mpirt.Msg
 	// snap is the latest send's snapshot and sent its block span; a
-	// fan-out, the same span again, shares it: a block's bytes are its
-	// origin's send buffer and cannot change within a pass.
-	snap  mpirt.Snapshot
-	sent  span
-	parts [][]byte // gather scratch
+	// fan-out, the same span again, shares it.
+	snap mpirt.Snapshot
+	sent span
+	runs []mpirt.Piece // compose scratch
 }
 
-func newPayloads(pl *Plan, r int, sbuf []byte, counts []int, rbuf []byte) *payloads {
+func newPayloads(pl *Plan, r int, sbuf []byte, counts []int, rbuf []byte, most int) *payloads {
 	lo, hi := pl.Owned(r)
-	st := &payloads{pl: pl, r: r, rbuf: rbuf, held: make(map[int32][]byte, hi-lo)}
-	pos := 0
-	for b := lo; b < hi; b++ {
-		st.held[int32(b)] = sbuf[pos : pos+counts[b]]
-		pos += counts[b]
-	}
+	st := &payloads{pl: pl, r: r, sbuf: sbuf, counts: counts, rbuf: rbuf, held: make(map[int32]mpirt.Piece, max(hi-lo, len(pl.Hold(r)))), runs: make([]mpirt.Piece, 0, most)}
 	in := pl.Graph.In(r)
 	st.roff = make([]int, len(in))
-	pos = 0
+	pos := 0
 	for i, u := range in {
 		st.roff[i] = pos
 		pos += counts[pl.InBlock(u, r)]
@@ -243,31 +250,41 @@ func newPayloads(pl *Plan, r int, sbuf []byte, counts []int, rbuf []byte) *paylo
 	return st
 }
 
-// block returns the bytes of a held block.
-func (st *payloads) block(b int32) []byte {
-	d, ok := st.held[b]
-	if !ok {
+// block returns a held block. The first own block asked for snapshots
+// the send buffer: a rank that ships none of its bytes copies none.
+func (st *payloads) block(p mpirt.Endpoint, b int32) mpirt.Piece {
+	if d, ok := st.held[b]; ok {
+		return d
+	}
+	lo, hi := st.pl.Owned(st.r)
+	if int(b) < lo || int(b) >= hi {
 		panic(fmt.Sprintf("collective: rank %d uses block %d not in buffer", st.r, b))
 	}
-	return d
+	st.own = p.Gather(st.sbuf)
+	whole, pos := st.own.Whole(), 0
+	for c := lo; c < hi; c++ {
+		st.held[int32(c)] = whole.Slice(pos, pos+st.counts[c])
+		pos += st.counts[c]
+	}
+	return st.held[b]
 }
 
-// snapshot returns a send's payload, gathered from the rank's holdings
-// unless the previous send carried the same span. An unpacked send
-// models shipping in place, which only a prefix of the declared hold
-// order or a single block can do.
+// snapshot returns a send's payload, composed of its blocks' runs unless
+// the previous send carried the same span. An unpacked send models
+// shipping in place, which only a prefix of the declared hold order or a
+// single block can do.
 func (st *payloads) snapshot(p mpirt.Endpoint, op *PlanOp, blocks []int32) mpirt.Snapshot {
 	h := st.pl.hold
 	if op.Flags&Packed == 0 && len(blocks) != 1 && (h == nil || op.off != h[st.r].off || op.n > h[st.r].n) {
 		panic(fmt.Sprintf("collective: rank %d unpacked send of %d blocks is not a hold-buffer prefix", st.r, len(blocks)))
 	}
 	if sp := (span{op.off, op.n}); sp != st.sent {
-		st.parts = st.parts[:0]
+		st.runs = st.runs[:0]
 		for _, b := range blocks {
-			st.parts = append(st.parts, st.block(b))
+			st.runs = append(st.runs, st.block(p, b))
 		}
 		st.snap.Release()
-		st.snap, st.sent = p.Gather(st.parts), sp
+		st.snap, st.sent = p.Compose(st.runs), sp
 	}
 	return st.snap
 }

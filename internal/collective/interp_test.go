@@ -68,16 +68,21 @@ func sixRuns(tb testing.TB, g *vgraph.Graph, c topology.Cluster, cnK, m int) []u
 // TestSenderMayOverwrite pins the eager-snapshot semantics against a
 // later borrowed-send "optimisation": every rank scribbles over its
 // send buffer the moment Run returns — while peers are still receiving —
-// and every receive buffer must come out byte-exact all the same.
+// and every receive buffer must come out byte-exact all the same. Under
+// chaos, duplicated in-flight copies share one composite's holds too.
 func TestSenderMayOverwrite(t *testing.T) {
 	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
 	g := erGraph(t, c.Ranks(), 0.4, 9)
 	const m = 256
+	drivers := map[string]mpirt.Config{"chaos": {Cluster: c, Chaos: mpirt.DefaultChaos(5)}}
 	for _, eng := range mpirt.Engines() {
+		drivers[string(eng)] = mpirt.Config{Cluster: c, Engine: eng}
+	}
+	for drv, cfg := range drivers {
 		for _, op := range sixRuns(t, g, c, 3, m) {
-			t.Run(fmt.Sprintf("%s/%s", eng, op.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", drv, op.name), func(t *testing.T) {
 				rbufs := make([][]byte, g.N())
-				_, err := mpirt.Run(mpirt.Config{Cluster: c, Engine: eng}, func(p *mpirt.Proc) {
+				_, err := mpirt.Run(cfg, func(p *mpirt.Proc) {
 					r := p.Rank()
 					sbuf := make([]byte, op.sendBlocks(r)*m)
 					for i := 0; i < op.sendBlocks(r); i++ {
@@ -103,11 +108,14 @@ func TestSenderMayOverwrite(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytes: a real-mode naive pass copies each sending rank's
-// block into a snapshot once, however many neighbours it feeds — and a
-// naive alltoall pass each segment once, which is everything it sends;
-// no algorithm snapshots more bytes than it sends; phantom mode
-// snapshots nothing. On every driver.
+// TestSnapshotBytes: a real-mode pass of any algorithm copies each
+// sending rank's send buffer into one snapshot, once, however many
+// neighbours it feeds and however often its blocks are relayed — a relay
+// composes references to that snapshot (Proc.Compose) — so SnapshotBytes
+// is Σ over senders of their send-buffer bytes, never more than the pass
+// sends, and each sender takes one pooled snapshot per pass. Naive
+// alltoall sends each segment once: its Bytes() is that same sum. Phantom
+// mode snapshots nothing. On every driver.
 func TestSnapshotBytes(t *testing.T) {
 	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
 	g := erGraph(t, c.Ranks(), 0.4, 9)
@@ -143,16 +151,25 @@ func TestSnapshotBytes(t *testing.T) {
 	for name, cfg := range drivers {
 		for i, op := range runs {
 			rep := run(cfg, op)
-			if rep.SnapshotBytes > rep.Bytes() || rep.SnapshotBytes == 0 {
-				t.Errorf("%s/%s: SnapshotBytes %d, Bytes() %d: want 0 < snapshots ≤ sent", name, op.name, rep.SnapshotBytes, rep.Bytes())
+			own := 0 // Σ over senders of their send-buffer bytes
+			for r := 0; r < g.N(); r++ {
+				if g.OutDegree(r) > 0 {
+					own += op.sendBlocks(r) * m
+				}
 			}
-			if op.name == "naive-alltoall" && rep.SnapshotBytes != rep.Bytes() {
-				t.Errorf("%s/%s: SnapshotBytes %d, want every segment snapshotted once = Bytes() %d", name, op.name, rep.SnapshotBytes, rep.Bytes())
+			if want := int64(own * trials); rep.SnapshotBytes != want {
+				t.Errorf("%s/%s: SnapshotBytes %d, want Σ senders' own bytes × trials = %d", name, op.name, rep.SnapshotBytes, want)
+			}
+			if rep.SnapshotBytes <= 0 || rep.SnapshotBytes > rep.Bytes() {
+				t.Errorf("%s/%s: SnapshotBytes %d outside (0, Bytes() %d]: no algorithm snapshots more than it sends", name, op.name, rep.SnapshotBytes, rep.Bytes())
+			}
+			if op.name == "naive-alltoall" && rep.Bytes() != int64(own*trials) {
+				t.Errorf("%s/naive-alltoall: Bytes() %d, want each segment sent once = %d", name, rep.Bytes(), own*trials)
+			}
+			if got, want := rep.PoolHits+rep.PoolMisses, int64(senders*trials); got != want {
+				t.Errorf("%s/%s: %d pooled snapshots, want one per sender per pass = %d", name, op.name, got, want)
 			}
 			if i == 0 {
-				if want := int64(senders * m * trials); rep.SnapshotBytes != want {
-					t.Errorf("%s/naive: SnapshotBytes %d, want senders·m·trials = %d", name, rep.SnapshotBytes, want)
-				}
 				if want := int64(g.Edges() * m * trials); rep.Bytes() != want {
 					t.Errorf("%s/naive: Bytes() %d, want edges·m·trials = %d", name, rep.Bytes(), want)
 				}
@@ -247,6 +264,7 @@ func BenchmarkInterpReal(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.SetBytes(rep.Bytes() / int64(b.N+1))
+			b.ReportMetric(float64(rep.SnapshotBytes)/float64(b.N+1), "snapshotB/op")
 		})
 	}
 }

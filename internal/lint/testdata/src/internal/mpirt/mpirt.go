@@ -30,7 +30,7 @@ func (p *Proc) Rank() int { return 0 }
 func (p *Proc) Size() int { return 1 }
 
 func (p *Proc) Send(dst, tag, size int, data []byte, meta any)                  {}
-func (p *Proc) Gather(parts [][]byte) Snapshot                                  { return Snapshot{} }
+func (p *Proc) Gather(src []byte) Snapshot                                      { return Snapshot{} }
 func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int) {}
 func (p *Proc) Recv(src, tag int) Msg                                           { return Msg{} }
 func (p *Proc) Probe(src, tag int) bool                                         { return false }
@@ -49,7 +49,7 @@ func (p *Proc) Sub(c *Comm, tagShift int) *SubProc { return &SubProc{} }
 type SubProc struct{}
 
 func (s *SubProc) Send(dst, tag, size int, data []byte, meta any)                     {}
-func (s *SubProc) Gather(parts [][]byte) Snapshot                                     { return Snapshot{} }
+func (s *SubProc) Gather(src []byte) Snapshot                                         { return Snapshot{} }
 func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any, slot int) {}
 func (s *SubProc) Recv(src, tag int) Msg                                              { return Msg{} }
 

@@ -407,7 +407,8 @@ type Endpoint interface {
 	Phantom() bool
 	ChargeCopy(n int)
 	Send(dst, tag, size int, data []byte, meta any)
-	Gather(parts [][]byte) Snapshot
+	Gather(src []byte) Snapshot
+	Compose(runs []Piece) Snapshot
 	SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int)
 	Recv(src, tag int) Msg
 	RecvStep(src, tag, slot int) (m Msg, ok bool)
@@ -471,9 +472,10 @@ func (s *SubProc) Send(dst, tag, size int, data []byte, meta any) {
 	s.p.Send(s.xlate(dst, "send"), tag+s.tagShift, size, data, meta)
 }
 
-// Gather snapshots parts; SendSnapshot sends one to shrunken rank dst.
-// Slot hints are dropped: a repair's messages can outlive its pass.
-func (s *SubProc) Gather(parts [][]byte) Snapshot { return s.p.Gather(parts) }
+// Gather and Compose snapshot; SendSnapshot sends one to shrunken rank
+// dst. Slot hints are dropped: a repair's messages can outlive its pass.
+func (s *SubProc) Gather(src []byte) Snapshot    { return s.p.Gather(src) }
+func (s *SubProc) Compose(runs []Piece) Snapshot { return s.p.Compose(runs) }
 func (s *SubProc) SendSnapshot(dst, tag, size int, snap Snapshot, meta any, _ int) {
 	s.p.SendSnapshot(s.xlate(dst, "send"), tag+s.tagShift, size, snap, meta, -1)
 }
@@ -523,8 +525,7 @@ func (p *Proc) FTEpoch() int {
 func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
 	var s Snapshot
 	if data != nil {
-		part := [1][]byte{data}
-		s = p.Gather(part[:])
+		s = p.Gather(data)
 	}
 	err := p.sendErr(dst, tag, size, s, meta, -1)
 	s.Release()

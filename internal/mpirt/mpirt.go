@@ -63,7 +63,7 @@ type Msg struct {
 	// Size is the payload size in bytes as charged to the cost model.
 	Size int
 	// Data is the payload, a read-only snapshot other receivers may
-	// share; nil in phantom mode even when Size > 0.
+	// share; nil in phantom mode even when Size > 0, and in a composite.
 	Data []byte
 	// Meta carries structured side data (segment maps, protocol
 	// signals). It is not charged to the cost model; real
@@ -71,8 +71,8 @@ type Msg struct {
 	Meta any
 
 	arrival float64
-	// pooled, when non-nil, is the size-classed pool buffer backing
-	// Data; Release lets go of it (see pool.go for the ownership rules).
+	// pooled, when non-nil, is the pool buffer backing Data, or a
+	// composite; Release lets go of it (see pool.go for the ownership rules).
 	pooled *pbuf
 	// seq is the mailbox enqueue stamp: wildcard receives take the
 	// minimum across match lists, reproducing single-queue FIFO order.
@@ -184,6 +184,8 @@ type Report struct {
 	// SnapshotBytes counts the bytes Gather copied — every send-side
 	// payload copy there is — and PoolHits/PoolMisses the snapshots whose
 	// buffer was recycled/allocated; every driver, zero in phantom mode.
+	// Compose copies nothing and counts in none of the three: a
+	// composite's bytes were counted by the Gather that filled each run.
 	SnapshotBytes, PoolHits, PoolMisses int64
 }
 
@@ -276,7 +278,7 @@ type mailbox struct {
 }
 
 // slotMsg is a slot's resident: what a receive returns and the enqueue
-// stamp, 0 in a free slot. The payload is the first size bytes of pooled.
+// stamp, 0 in a free slot. The payload is pooled's first size bytes, or pooled.
 type slotMsg struct {
 	src, tag int32
 	size     int
@@ -425,7 +427,7 @@ func (b *mailbox) findLocked(src, tag int) *matchList {
 func (b *mailbox) takeLocked(src, tag int, h hint, out *Msg) bool {
 	if e := b.frontLocked(src, tag, h); e != nil {
 		*out = Msg{Src: int(e.src), Tag: int(e.tag), Size: e.size, Meta: e.meta, arrival: e.arrival, pooled: e.pooled, seq: e.seq}
-		if e.pooled != nil {
+		if e.pooled != nil && e.pooled.b != nil { // not a composite
 			out.Data = e.pooled.b[:e.size:e.size]
 		}
 		*e = slotMsg{} // a free slot keeps no payload alive
@@ -928,14 +930,6 @@ func (p *Proc) Yield() {
 	p.rt.drv.yield(p)
 }
 
-// Alloc returns a payload buffer of n bytes, or nil in phantom mode.
-func (p *Proc) Alloc(n int) []byte {
-	if p.rt.cfg.Phantom {
-		return nil
-	}
-	return make([]byte, n)
-}
-
 // Snapshot is an eager payload: bytes gathered once into a pool buffer,
 // immutable from then on, held once by this handle and once by every
 // message it is sent in (see pool.go). The zero Snapshot has no bytes.
@@ -951,32 +945,82 @@ func (s *Snapshot) Release() {
 	*s = Snapshot{}
 }
 
-// Gather copies parts, in order, into one snapshot: the eager
-// protocol's copy, the only one on the send side. The caller's memory
-// is never borrowed — it may be overwritten the moment Gather returns,
-// as MPI guarantees of a send buffer. Phantom mode moves no bytes.
+// Whole returns the snapshot as one run, unless it is a composite.
+func (s *Snapshot) Whole() Piece { return Piece{s.data, s.pb} }
+
+// Runs returns a composite payload's byte runs, in order, or nil for a
+// plain one, which Whole is. Read-only while m is held.
+func (m *Msg) Runs() []Piece {
+	if m.pooled == nil {
+		return nil
+	}
+	return m.pooled.runs // nil for a plain buffer
+}
+
+// Whole returns a plain payload as one run (see Runs).
+func (m *Msg) Whole() Piece { return Piece{m.Data, m.pooled} }
+
+// Piece is one run of snapshot bytes and the buffer Gather filled with
+// them. It holds nothing: its source must stay held while it is read or
+// composed. Only Whole and Runs make one: it never names caller memory.
+type Piece struct {
+	data []byte
+	pb   *pbuf
+}
+
+// Bytes returns the run's bytes. Read-only.
+func (c Piece) Bytes() []byte { return c.data }
+
+// Slice returns bytes [lo, hi) of the run, as a run of the same buffer.
+func (c Piece) Slice(lo, hi int) Piece { return Piece{c.data[lo:hi:hi], c.pb} }
+
+// Gather copies src into one snapshot: the eager protocol's copy, the
+// only one on the send side. The caller's memory is never borrowed — it
+// may be overwritten the moment Gather returns, as MPI guarantees of a
+// send buffer. Phantom mode moves no bytes.
 //
 //lint:hotpath
-func (p *Proc) Gather(parts [][]byte) Snapshot {
+func (p *Proc) Gather(src []byte) Snapshot {
 	if p.rt.cfg.Phantom {
 		return Snapshot{}
 	}
-	n := 0
-	for _, part := range parts {
-		n += len(part)
-	}
-	pb, data := allocPayload(n)
+	pb, data := allocPayload(len(src))
 	if pb != nil && pb.recycled {
 		p.poolHits++
-	} else if n > 0 {
+	} else if len(src) > 0 {
 		p.poolMisses++
 	}
-	pos := 0
-	for _, part := range parts {
-		pos += copy(data[pos:], part)
-	}
-	p.snapBytes += int64(n)
+	p.snapBytes += int64(copy(data, src))
 	return Snapshot{data: data, pb: pb}
+}
+
+// Compose makes one snapshot of runs, in order, copying nothing: a
+// composite holding each run's buffer (pool.go), or, for one run that is
+// a whole snapshot, that snapshot. Phantom mode returns the zero Snapshot.
+//
+//lint:hotpath
+func (p *Proc) Compose(runs []Piece) Snapshot {
+	if p.rt.cfg.Phantom {
+		return Snapshot{}
+	}
+	if r := runs; len(r) == 1 && r[0].pb != nil && len(r[0].data) == r[0].pb.n {
+		r[0].pb.refs.Add(1)
+		return Snapshot{data: r[0].data, pb: r[0].pb}
+	}
+	pb, _ := payloadPools[composite].Get().(*pbuf)
+	if pb == nil {
+		pb = &pbuf{class: composite} //lint:allocok — pool-miss refill; amortized across reuses
+	}
+	pb.n = 0
+	for _, r := range runs {
+		if r.pb != nil {
+			r.pb.refs.Add(1)
+		}
+		pb.n += len(r.data)
+	}
+	pb.runs = append(pb.runs[:0], runs...) //lint:allocok — grows to the most runs this composite has carried
+	pb.refs.Store(1)
+	return Snapshot{pb: pb}
 }
 
 // SendSnapshot sends s — size bytes, or size-only if s is zero — to dst:
@@ -1038,9 +1082,13 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		panic(&UsageError{Rank: p.rank, Op: "send",
 			Msg: fmt.Sprintf("negative size %d", size)})
 	}
-	if s.data != nil && len(s.data) != size {
+	n := len(s.data)
+	if s.pb != nil {
+		n = s.pb.n // a composite has no data: Σ len(runs)
+	}
+	if (s.data != nil || s.pb != nil) && n != size {
 		panic(&UsageError{Rank: p.rank, Op: "send",
-			Msg: fmt.Sprintf("size %d != len(data) %d", size, len(s.data))})
+			Msg: fmt.Sprintf("size %d != len(data) %d", size, n)})
 	}
 	h := p.hint(slot, dst, "send")
 	if p.rt.revoked.Load() {

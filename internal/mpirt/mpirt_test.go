@@ -255,8 +255,8 @@ func TestPhantomMode(t *testing.T) {
 		rep, err := Run(Config{Cluster: smallCluster(), Phantom: true, Engine: eng}, func(p *Proc) {
 			switch p.Rank() {
 			case 0:
-				if p.Alloc(10) != nil {
-					panic("Alloc returned real buffer in phantom mode")
+				if s := p.Compose(nil); s.data != nil || s.pb != nil {
+					panic("Compose returned a real snapshot in phantom mode")
 				}
 				p.Send(1, 0, 1<<20, nil, "meta survives")
 			case 1:
@@ -350,6 +350,11 @@ func TestSendValidation(t *testing.T) {
 		"invalid destination": func(p *Proc) { p.Send(99, 0, 0, nil, nil) },
 		"negative size":       func(p *Proc) { p.Send(1, 0, -1, nil, nil) },
 		"size mismatch":       func(p *Proc) { p.Send(1, 0, 5, []byte{1}, nil) },
+		"composite size mismatch": func(p *Proc) {
+			s := p.Gather([]byte{1, 2, 3})
+			run := s.Whole()
+			p.SendSnapshot(1, 0, 3, p.Compose([]Piece{run, run.Slice(0, 1)}), nil, -1)
+		},
 	}
 	for name, f := range cases {
 		for _, eng := range Engines() {

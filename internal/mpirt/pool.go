@@ -22,13 +22,16 @@ import (
 // buffer; one that never does leaves it to the garbage collector (a
 // pool miss, never a correctness problem). Gather writes exactly Size
 // bytes and Data is capped to Size, so stale bytes from a previous life
-// are unobservable and reuse cannot disturb determinism.
+// are unobservable and reuse cannot disturb determinism. A composite
+// (Compose) owns no bytes and holds each run's buffer once; a run names
+// a buffer Gather filled, so composites never nest.
 
 // Payload size classes: 1<<poolMinShift .. 1<<poolMaxShift bytes.
 // Larger payloads (and empty ones) bypass the pool.
 const (
-	poolMinShift = 6  // 64 B
-	poolMaxShift = 20 // 1 MiB
+	poolMinShift = 6                               // 64 B
+	poolMaxShift = 20                              // 1 MiB
+	composite    = poolMaxShift - poolMinShift + 1 // the class composites pool in
 )
 
 // pbuf is a pooled payload buffer. It is pointer-shaped so Get/Put
@@ -39,9 +42,11 @@ type pbuf struct {
 	class    int
 	refs     atomic.Int32 // holders; threaded receivers of a shared snapshot release concurrently
 	recycled bool         // this life began as a pool hit (Report.PoolHits/PoolMisses)
+	n        int          // the snapshot's length: len(data), or Σ len(runs)
+	runs     []Piece      // a composite's bytes; b is then nil
 }
 
-var payloadPools [poolMaxShift - poolMinShift + 1]sync.Pool
+var payloadPools [composite + 1]sync.Pool
 
 // payloadClass returns the pool class whose buffers hold n bytes, or
 // -1 when n is outside the pooled range.
@@ -72,15 +77,22 @@ func allocPayload(n int) (*pbuf, []byte) {
 		pb.recycled = true
 	}
 	pb.refs.Store(1)
+	pb.n = n
 	return pb, pb.b[:n:n]
 }
 
 // releasePayload drops one holder of a pooled buffer (nil: unpooled, a
-// no-op); the last one returns it for reuse.
+// no-op); the last one returns it for reuse, a composite after letting
+// go of its runs.
 func releasePayload(pb *pbuf) {
-	if pb != nil && pb.refs.Add(-1) == 0 {
-		payloadPools[pb.class].Put(pb)
+	if pb == nil || pb.refs.Add(-1) != 0 {
+		return
 	}
+	for _, r := range pb.runs {
+		releasePayload(r.pb)
+	}
+	clear(pb.runs) // a pooled composite keeps no buffer alive
+	payloadPools[pb.class].Put(pb)
 }
 
 // Release gives up the message's hold on its payload buffer — the last

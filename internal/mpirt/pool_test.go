@@ -136,13 +136,94 @@ func TestPoolNoAliasing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharedSnapshotNoAliasing(t, Config{
-				Cluster:   topology.Niagara(1, 4),
-				Chaos:     mode.mk(),
-				Engine:    mode.engine,
-				WallLimit: time.Minute,
-			})
+			cfg := Config{Cluster: topology.Niagara(1, 4), Chaos: mode.mk(), Engine: mode.engine, WallLimit: time.Minute}
+			sharedSnapshotNoAliasing(t, cfg)
+			cfg.Chaos = mode.mk()
+			compositeNoAliasing(t, cfg)
 		})
+	}
+}
+
+// flatten concatenates a message's runs.
+func flatten(m *Msg) []byte {
+	var b []byte
+	for _, r := range m.Runs() {
+		b = append(b, r.Bytes()...)
+	}
+	return b
+}
+
+// compositeNoAliasing composes runs of two snapshots — one of them twice —
+// on rank 0 and sends the composite to every other rank; rank 0 then drops
+// all three handles. While the receivers hold their messages, same-class
+// ring traffic must not recycle either origin buffer; each receiver checks
+// its bytes, and the holder counts — the composite's and each origin's —
+// are read between barriers down to 0: every buffer went back to its pool
+// once, not twice.
+func compositeNoAliasing(t *testing.T, cfg Config) {
+	const m = 96
+	const tagComp, tagRing = 8, 9
+	var comp, a, b *pbuf // rank 0's view
+	holders := func(p *Proc, when string, wc, wa, wb int32) {
+		p.Barrier()
+		if p.Rank() == 0 {
+			if gc, ga, gb := comp.refs.Load(), a.refs.Load(), b.refs.Load(); gc != wc || ga != wa || gb != wb {
+				t.Errorf("%s: holders composite %d, a %d, b %d; want %d, %d, %d", when, gc, ga, gb, wc, wa, wb)
+			}
+		}
+		p.Barrier()
+	}
+	want := make([]byte, 0, 2*m)
+	_, err := Run(cfg, func(p *Proc) {
+		n, r := p.Size(), p.Rank()
+		var held Msg
+		if r == 0 {
+			src := make([]byte, m)
+			fillPattern(src, 0, 97)
+			sa := p.Gather(src)
+			fillPattern(src, 0, 98)
+			sb := p.Gather(src)
+			ra, rb := sa.Whole(), sb.Whole()
+			want = append(append(append(want, ra.Bytes()[:m/3]...), rb.Bytes()...), ra.Bytes()[m/3:]...)
+			snap := p.Compose([]Piece{ra.Slice(0, m/3), rb, ra.Slice(m/3, m)})
+			comp, a, b = snap.pb, sa.pb, sb.pb
+			for dst := 1; dst < n; dst++ {
+				p.SendSnapshot(dst, tagComp, 2*m, snap, nil, -1)
+			}
+			snap.Release()
+			sa.Release()
+			sb.Release()
+		} else {
+			held = p.Recv(0, tagComp)
+			if held.Data != nil || len(held.Runs()) != 3 {
+				t.Errorf("rank %d: composite arrived with Data %v and %d runs, want none and 3", r, held.Data != nil, len(held.Runs()))
+			}
+		}
+		sbuf := make([]byte, m)
+		for i := 0; i < 10; i++ {
+			fillPattern(sbuf, r, i)
+			p.Send((r+1)%n, tagRing, m, sbuf, nil)
+			msg := p.Recv((r+n-1)%n, tagRing)
+			checkPattern(t, msg.Data, (r+n-1)%n, i, "ring traffic")
+			msg.Release()
+		}
+		holders(p, "every receiver holding", int32(n-1), 2, 1)
+		if r != 0 {
+			if got := flatten(&held); string(got) != string(want) {
+				t.Errorf("rank %d: composite bytes changed under later traffic", r)
+			}
+			if r != n-1 {
+				held.Release()
+			}
+		}
+		holders(p, "one receiver holding", 1, 2, 1)
+		if r == n-1 {
+			held.Release()
+		}
+		holders(p, "all released", 0, 0, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -173,7 +254,7 @@ func sharedSnapshotNoAliasing(t *testing.T, cfg Config) {
 		if r == 0 {
 			src := make([]byte, m)
 			fillPattern(src, 0, 99)
-			snap := p.Gather([][]byte{src[:m/3], src[m/3:]})
+			snap := p.Gather(src)
 			shared = snap.pb
 			for dst := 1; dst < n; dst++ {
 				p.SendSnapshot(dst, tagShare, m, snap, nil, -1)
@@ -226,7 +307,7 @@ func TestSnapshotCounters(t *testing.T) {
 		n, r := p.Size(), p.Rank()
 		buf := make([]byte, 100)
 		if r == 0 {
-			snap := p.Gather([][]byte{buf[:40], buf[40:]})
+			snap := p.Gather(buf)
 			for dst := 1; dst < n; dst++ {
 				p.SendSnapshot(dst, 5, len(buf), snap, nil, -1)
 			}
