@@ -103,10 +103,12 @@ mega:
 # One benchmark per paper table/figure plus ablations (CI scale), the
 # mpirt hot-path micro-benchmarks, one real-payload interpreter pass per
 # algorithm at the rsg216-real shape, plan construction (BuildCN at the
-# rsg540-lat shape, BuildPlan dh/cn at the planner's 64 ranks), the plan
-# path (pattern build and plan verify at the moore10k-scale and
-# rsg540-lat shapes:
-# BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540), one
+# rsg540-lat shape, BuildPlan dh/cn at the planner's 64 ranks), the slot
+# table of a fresh rsg540-lat plan (PlanSlots), the plan path (pattern
+# build at the moore10k-scale and rsg540-lat shapes, plan verify of a
+# fresh plan at those and the planner's:
+# BuildMoore10k, BuildER540, VerifyMoore10k, VerifyER540,
+# VerifyPlanner64), one
 # harness.Measure per algorithm at the same two shapes (MeasureMoore10k,
 # MeasureER540: simulated msgs/s and allocs/msg, each as Measure runs it
 # and again -unhinted — the passes' slot hints stripped, every message
@@ -117,7 +119,7 @@ mega:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
-	$(GO) test -run '^$$' -bench='InterpReal|BuildCN$$|BuildPlan' -benchmem ./internal/collective/
+	$(GO) test -run '^$$' -bench='InterpReal|BuildCN$$|BuildPlan|PlanSlots' -benchmem ./internal/collective/
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench=Transfer -benchmem ./internal/netmodel/

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nbrallgather/internal/mpirt"
@@ -365,6 +366,76 @@ func BenchmarkBuildPlan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// rsg540Algos are the algorithms rsg540Plans emits, in its order.
+var rsg540Algos = []string{"naive", "dh", "cn"}
+
+// rsg540Plans emits the rsg540Algos plans of the rsg540-lat shape: 540
+// ranks, ER δ = 0.3, 15 nodes of 18 ranks.
+func rsg540Plans(tb testing.TB) []*Plan {
+	g, err := vgraph.ErdosRenyi(540, 0.3, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plans := make([]*Plan, len(rsg540Algos))
+	for i, algo := range rsg540Algos {
+		if plans[i], err = Emit(algo, g, topology.Niagara(15, 18), PlanParams{}, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return plans
+}
+
+// fresh returns pl with its static matching not yet derived: the plan a
+// verify-on-insert or a first Measure sees.
+func fresh(pl *Plan) *Plan {
+	return &Plan{Graph: pl.Graph, ops: pl.ops, first: pl.first, arena: pl.arena, hold: pl.hold, edgeOff: pl.edgeOff}
+}
+
+// BenchmarkPlanSlots derives the static matching of a fresh rsg540-lat
+// plan per algorithm: what every fresh plan's first pass, and its
+// verification, pays.
+func BenchmarkPlanSlots(b *testing.B) {
+	plans := rsg540Plans(b)
+	for k, algo := range rsg540Algos {
+		b.Run(algo, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pl := fresh(plans[k])
+				b.StartTimer()
+				if slot, _ := pl.Slots(); slot == nil {
+					b.Fatalf("%s: no slot table", algo)
+				}
+			}
+		})
+	}
+}
+
+// TestPlanSlotsAllocs: deriving a fresh plan's static matching allocates
+// a constant number of times, not per rank or per op — the table, the
+// receive counts and one scratch array.
+func TestPlanSlotsAllocs(t *testing.T) {
+	const runs, ceil = 4, 6
+	for k, pl := range rsg540Plans(t) {
+		algo := rsg540Algos[k]
+		plans := make([]*Plan, runs)
+		for i := range plans {
+			plans[i] = fresh(pl)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, pl := range plans {
+			pl.Slots()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.Mallocs - before.Mallocs) / runs; got > ceil {
+			t.Errorf("%s: Slots allocates %d times on a fresh 540-rank plan, ceiling %d", algo, got, ceil)
+		} else {
+			t.Logf("%s: %d allocations per derivation", algo, got)
+		}
 	}
 }
 

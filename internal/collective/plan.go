@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -123,46 +122,65 @@ func (pl *Plan) Slots() (slot, recvs []int32) {
 	return pl.slot, pl.recvs
 }
 
+// deriveSlots matches in linear passes. Rank d's sends fill a bucket no
+// longer than d's receive count, in op order, each parking its source in
+// its slot; then d chains its receives by source, in op order, and each
+// send claims the first receive on its source's chain that has its tag,
+// complementing that receive's ordinal until d is done. No table for an
+// overfull bucket, a receive left unclaimed (a wildcard is), or a send
+// that finds its channel's first receive missing or taken (a second send).
 func (pl *Plan) deriveSlots() {
-	type post struct{ src, tag, ord int32 }
-	byChannel := func(a, b post) int { return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.tag, b.tag)) }
-	n := pl.Graph.N()
-	slot, recvs, from := make([]int32, len(pl.ops)), make([]int32, n), make([]int, n+1)
-	posts := make([]post, 0, len(pl.ops)/2) // every rank's receives by channel; from[r] bounds rank r's
+	n, ops := pl.Graph.N(), pl.ops
+	slot, recvs, scratch := make([]int32, len(ops)), make([]int32, n), make([]int32, 3*n+1+2*len(ops))
+	from, fill, head := scratch[:n+1], scratch[n+1:2*n+1], scratch[2*n+1:3*n+1]
+	sends, next := scratch[3*n+1:3*n+1+len(ops)], scratch[3*n+1+len(ops):]
 	for r := range recvs {
 		for i := pl.first[r]; i < pl.first[r+1]; i++ {
 			slot[i] = -1
-			if op := &pl.ops[i]; op.Kind == OpRecv {
+			if ops[i].Kind == OpRecv {
 				slot[i] = recvs[r]
-				posts = append(posts, post{op.Peer, int32(op.Tag), recvs[r]})
 				recvs[r]++
 			}
 		}
-		slices.SortFunc(posts[from[r]:], byChannel)
-		from[r+1] = len(posts)
+		from[r+1], fill[r], head[r] = from[r]+recvs[r], from[r], -1
 	}
-	left := len(posts) // receives no send has claimed: wildcards stay
 	for r := range recvs {
 		for i := pl.first[r]; i < pl.first[r+1]; i++ {
-			op := &pl.ops[i]
-			if op.Kind != OpSend {
-				continue
+			if d := ops[i].Peer; ops[i].Kind == OpSend {
+				if d < 0 || int(d) >= n || fill[d] == from[d+1] {
+					return
+				}
+				sends[fill[d]], slot[i], fill[d] = int32(i), int32(r), fill[d]+1
 			}
-			if op.Peer < 0 || int(op.Peer) >= n {
-				return
-			}
-			theirs := posts[from[op.Peer]:from[op.Peer+1]]
-			at, ok := slices.BinarySearchFunc(theirs, post{src: int32(r), tag: int32(op.Tag)}, byChannel)
-			if !ok || theirs[at].ord < 0 { // no receive, or the channel's first (a second send finds the same) is taken
-				return
-			}
-			slot[i], theirs[at].ord = theirs[at].ord, -1
-			left--
 		}
 	}
-	if left == 0 {
-		pl.slot, pl.recvs = slot, recvs
+	for d := range recvs {
+		lo, hi := pl.first[d], pl.first[d+1]
+		for i := hi; i > lo; i-- {
+			if op := &ops[i-1]; op.Kind == OpRecv && op.Peer >= 0 && int(op.Peer) < n { // a wildcard stays unclaimed
+				next[i-1], head[op.Peer] = head[op.Peer], int32(i-1)
+			}
+		}
+		for _, j := range sends[from[d]:fill[d]] {
+			c := head[slot[j]]
+			for c >= 0 && ops[c].Tag != ops[j].Tag {
+				c = next[c]
+			}
+			if c < 0 || slot[c] < 0 {
+				return
+			}
+			slot[j], slot[c] = slot[c], ^slot[c]
+		}
+		for i := lo; i < hi; i++ {
+			if ops[i].Kind == OpRecv {
+				if slot[i] >= 0 {
+					return
+				}
+				head[ops[i].Peer], slot[i] = -1, ^slot[i]
+			}
+		}
 	}
+	pl.slot, pl.recvs = slot, recvs
 }
 
 // Alltoall reports whether the plan's blocks are the graph's edges.

@@ -205,25 +205,15 @@ func TestDifferentialTraffic(t *testing.T) {
 // traffic on both engines, and the receive buffers are byte-exact.
 func TestQuickRandomPlans(t *testing.T) {
 	prop := func(seed uint32, nodesU, socketsU, rpsU, densU, grpU uint8) bool {
-		c := topology.Cluster{
-			Nodes:          1 + int(nodesU%3),
-			SocketsPerNode: 1 + int(socketsU%2),
-			RanksPerSocket: 1 + int(rpsU%3),
-		}
-		if c.Nodes > 1 && grpU%2 == 1 {
-			c.NodesPerGroup = 1 // per-node groups exercise the uplinks
-		}
-		n := c.Ranks()
-		if n < 4 {
-			return true // too small for a 3-group CN plan
-		}
-		density := 0.25 + 0.5*float64(densU)/255
-		g, err := vgraph.ErdosRenyi(n, density, int64(seed))
+		c, g, counts, err := quickShape(seed, nodesU, socketsU, rpsU, densU, grpU)
 		if err != nil {
 			t.Logf("graph: %v", err)
 			return false
 		}
-		counts := randomCounts(rand.New(rand.NewSource(int64(seed))), n, 7)
+		if g == nil {
+			return true // too small for a 3-group CN plan
+		}
+		n, density := g.N(), g.Density()
 		for _, algo := range Algos() {
 			s, err := Extract(algo, g, c, counts, nil, Params{})
 			if err != nil {
@@ -249,6 +239,29 @@ func TestQuickRandomPlans(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickShape draws a random neighborhood on a random cluster shape with
+// random counts, zeros included; g is nil when the cluster has fewer
+// than four ranks, too few for a 3-group CN plan.
+func quickShape(seed uint32, nodesU, socketsU, rpsU, densU, grpU uint8) (c topology.Cluster, g *vgraph.Graph, counts []int, err error) {
+	c = topology.Cluster{
+		Nodes:          1 + int(nodesU%3),
+		SocketsPerNode: 1 + int(socketsU%2),
+		RanksPerSocket: 1 + int(rpsU%3),
+	}
+	if c.Nodes > 1 && grpU%2 == 1 {
+		c.NodesPerGroup = 1 // per-node groups exercise the uplinks
+	}
+	n := c.Ranks()
+	if n < 4 {
+		return c, nil, nil, nil
+	}
+	g, err = vgraph.ErdosRenyi(n, 0.25+0.5*float64(densU)/255, int64(seed))
+	if err != nil {
+		return c, nil, nil, err
+	}
+	return c, g, randomCounts(rand.New(rand.NewSource(int64(seed))), n, 7), nil
 }
 
 // TestExtractMatchesBuildPlan: planverify's Params and the planner's

@@ -3,7 +3,6 @@ package planverify
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -73,6 +72,36 @@ func (c chanOp) recv() bool       { return c.rest>>32&1 != 0 }
 func (c chanOp) id() int32        { return int32(uint32(c.rest)) }
 func (c chanOp) on(d chanOp) bool { return c.ends == d.ends && c.tag() == d.tag() }
 
+// byChannel sorts filed, which is in op order, by (ends, rest): stable
+// counting passes by source, then by destination (a peer outside [0, n)
+// counts as n, as its uint32 does), leave only a rank pair's own ops out
+// of order, which an insertion pass puts in (tag, receive, op) order.
+func byChannel(filed []chanOp, n int) {
+	count, tmp := make([]int, n+2), make([]chanOp, len(filed))
+	pass := func(to, from []chanOp, shift uint) {
+		clear(count)
+		for _, c := range from {
+			count[min(uint32(c.ends>>shift), uint32(n))+1]++
+		}
+		for k := range n {
+			count[k+1] += count[k]
+		}
+		for _, c := range from {
+			k := min(uint32(c.ends>>shift), uint32(n))
+			to[count[k]], count[k] = c, count[k]+1
+		}
+	}
+	pass(tmp, filed, 0)  // by source
+	pass(filed, tmp, 32) // by destination
+	for i := 1; i < len(filed); i++ {
+		c, j := filed[i], i
+		for ; j > 0 && (c.ends < filed[j-1].ends || c.ends == filed[j-1].ends && c.rest < filed[j-1].rest); j-- {
+			filed[j] = filed[j-1]
+		}
+		filed[j] = c
+	}
+}
+
 // Verify runs every invariant check and returns the findings in
 // deterministic order: matching, deadlock, completeness, loadbound,
 // then avoidance. An empty slice means the plan is proven clean.
@@ -134,12 +163,7 @@ func (s *Schedule) match() *matchState {
 			}
 		}
 	}
-	slices.SortFunc(filed, func(a, b chanOp) int {
-		if a.ends != b.ends {
-			return cmp.Compare(a.ends, b.ends)
-		}
-		return cmp.Compare(a.rest, b.rest)
-	})
+	byChannel(filed, n)
 	// Pair channel by channel, FIFO. Collisions are reported in the
 	// order their channels first appear in the scan above, which is the
 	// order of each channel's least op number.
@@ -312,10 +336,10 @@ func (s *Schedule) successors(m *matchState, id int32) (succ [2]int32, k int) {
 // runtime needs, matching the runtime wait-for-graph detector's
 // rendezvous-mode semantics.
 func (s *Schedule) checkDeadlock(m *matchState) []Finding {
-	cycle := s.findCycle(m)
-	if cycle == nil {
+	if s.acyclic(m) {
 		return nil
 	}
+	cycle := s.findCycle(m)
 	// Rotate so the minimum (rank, idx) op, the least number, leads.
 	first := slices.Index(cycle, slices.Min(cycle))
 	var parts []string
@@ -325,6 +349,62 @@ func (s *Schedule) checkDeadlock(m *matchState) []Finding {
 	return []Finding{{InvDeadlock, int(m.rank[cycle[first]]), fmt.Sprintf(
 		"happens-before cycle under rendezvous semantics: %s",
 		strings.Join(parts, " → "))}}
+}
+
+// acyclic proves the rendezvous happens-before graph acyclic by running
+// every rank's program counter over a worklist: a rank passes an op once
+// the op's cross-rank predecessors have been passed — a send's receive
+// post, the matched sends of the receives a wait completes (at[r]
+// resumes a wait's scan) — and passing a receive or a send wakes the
+// rank of its send or of its receive's wait. All ops pass exactly when
+// the graph is acyclic; the order they pass in is a topological order.
+func (s *Schedule) acyclic(m *matchState) bool {
+	n, left := len(m.base)-1, len(m.rank)
+	scratch := make([]int32, 4*n)
+	pc, at, queued, work := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:3*n]
+	wake := func(r int32) {
+		if queued[r] == 0 {
+			queued[r], work = 1, append(work, r)
+		}
+	}
+	for r := range pc {
+		pc[r] = m.base[r]
+		wake(int32(r))
+	}
+	passed := func(id int32) bool { return id < pc[m.rank[id]] }
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work, queued[r] = work[:len(work)-1], 0
+		ops := s.Plan.Ops(int(r))
+	run:
+		for ; pc[r] < m.base[r+1]; pc[r], at[r], left = pc[r]+1, 0, left-1 {
+			id := pc[r]
+			switch op := &ops[id-m.base[r]]; op.Kind {
+			case collective.OpSend:
+				if rref := m.sendRecv[id]; rref != none {
+					if !passed(rref) {
+						break run
+					}
+					if wref := m.waits[rref]; wref != none {
+						wake(m.rank[wref])
+					}
+				}
+			case collective.OpRecv:
+				if sref := m.recvSend[id]; sref != none {
+					wake(m.rank[sref])
+				}
+			case collective.OpWait:
+				lo, hi := op.Waits()
+				for j := max(lo, int(at[r])); j < min(hi, len(ops)); j++ {
+					if rref := m.base[r] + int32(j); m.waits[rref] == id && m.recvSend[rref] != none && !passed(m.recvSend[rref]) {
+						at[r] = int32(j)
+						break run
+					}
+				}
+			}
+		}
+	}
+	return left == 0
 }
 
 // findCycle returns the op numbers of one cycle of the rendezvous
@@ -380,139 +460,101 @@ func (s *Schedule) findCycle(m *matchState) []int32 {
 	return nil
 }
 
-// held is the symbolic execution's holdings: one open-addressed set of
-// (rank, block) pairs, sized once for everything the plan can move.
-type held struct {
-	slots []uint64 // rank<<32 | block, plus one; 0 is empty
-	shift uint
-}
-
-func newHeld(entries int) *held {
-	width := uint(bits.Len(uint(2 * entries))) // load at most a half
-	return &held{make([]uint64, 1<<width), 64 - width}
-}
-
-// slot returns where (rank, block) is or would go.
-func (h *held) slot(rank int, block int32) (*uint64, uint64) {
-	key := (uint64(rank)<<32 | uint64(uint32(block))) + 1
-	for i := (key * 0x9E3779B97F4A7C15) >> h.shift; ; i = (i + 1) & uint64(len(h.slots)-1) {
-		if h.slots[i] == key || h.slots[i] == 0 {
-			return &h.slots[i], key
-		}
-	}
-}
-
-func (h *held) add(rank int, block int32) {
-	slot, key := h.slot(rank, block)
-	*slot = key
-}
-
-func (h *held) has(rank int, block int32) bool {
-	slot, _ := h.slot(rank, block)
-	return *slot != 0
-}
-
 // checkCompleteness symbolically executes the plan and proves that
 // every graph edge receives exactly one delivery, that no rank ships a
 // block its buffer does not hold, and that no delivery lands off-graph.
 // What a rank starts out holding and where a block lands are the plan's
 // layout's to say, not assumed. A rank's holdings grow only by its own
-// waits, so every check depends on program order alone, and the ops run
-// in op-number order: Verify calls this only once checkDeadlock has
-// shown the rendezvous graph, whose edges include the eager ones,
-// acyclic.
+// waits and are read only by its own sends and copies, so every check
+// depends on program order alone, and the ops run in op-number order,
+// rank after rank: Verify calls this only once checkDeadlock has shown
+// the rendezvous graph, whose edges include the eager ones, acyclic.
+// The walked rank's state is stamps, (rank+1)<<32: holder[b] while it
+// holds block b; got[u], plus u's deliveries, while u is its in-neighbor.
 func (s *Schedule) checkCompleteness(m *matchState) []Finding {
 	g := s.Plan.Graph
-	n := g.N()
-	// A rank holds what it owns and what its waits bring in: at most
-	// every block of every matched send.
-	entries := s.Plan.NumBlocks()
-	for id, rref := range m.sendRecv {
-		if rref != none { // only sends have an entry
-			_, send := s.op(m, int32(id))
-			entries += len(s.Plan.Blocks(send))
-		}
-	}
-	holdings := newHeld(entries)
-	for r := 0; r < n; r++ {
-		for b, hi := s.Plan.Owned(r); b < hi; b++ {
-			holdings.add(r, int32(b))
-		}
-	}
-	// deliveries counts result-buffer deliveries per edge, the edges
-	// numbered by out-list position (an n×n matrix is 800 MiB at
-	// 10 240 ranks).
-	outOff := make([]int, n+1)
-	for r := 0; r < n; r++ {
-		outOff[r+1] = outOff[r] + g.OutDegree(r)
-	}
-	deliveries := make([]int, outOff[n])
+	n, nb := g.N(), s.Plan.NumBlocks()
+	stamps := make([]int64, nb+n)
+	holder, got := stamps[:nb], stamps[nb:]
 	var out []Finding
 	deliver := func(b int32, dst, via int) {
-		src, ok := s.Plan.Lands(b, dst)
-		if !ok {
+		src, to := int(b), dst
+		if s.Plan.Alltoall() {
+			src, to = s.Plan.Edge(b)
+		}
+		if to != dst || got[src]>>32 != int64(dst+1) {
 			why := fmt.Sprintf("edge %d→%d does not exist", src, dst)
 			if s.Plan.Alltoall() {
-				es, ed := s.Plan.Edge(b)
-				why = fmt.Sprintf("it is the segment of edge %d→%d", es, ed)
+				why = fmt.Sprintf("it is the segment of edge %d→%d", src, to)
 			}
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
 				"rank %d delivers block %d to %d but %s", via, b, dst, why)})
 			return
 		}
-		j := g.IndexOfOut(src, dst)
-		deliveries[outOff[src]+j]++
-		if deliveries[outOff[src]+j] == 2 {
+		if got[src]++; uint32(got[src]) == 2 {
 			out = append(out, Finding{InvCompleteness, via, fmt.Sprintf(
 				"edge %d→%d delivered twice", src, dst)})
 		}
 	}
-	for id := int32(0); id < int32(len(m.rank)); id++ {
-		rank, op := s.op(m, id)
-		switch op.Kind {
-		case collective.OpSend:
-			for _, b := range s.Plan.Blocks(op) {
-				if !holdings.has(rank, b) {
-					out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
-						"rank %d sends block %d to %d (tag %d) before holding it",
-						rank, b, op.Peer, op.Tag)})
-				}
-			}
-		case collective.OpWait:
-			for j, hi := op.Waits(); j < hi; j++ {
-				rref := m.base[rank] + int32(j)
-				if rref >= m.base[rank+1] || m.recvSend[rref] == none || m.waits[rref] != id {
-					continue // unmatched receive or stray wait, already reported
-				}
-				via, send := s.op(m, m.recvSend[rref])
-				for _, b := range s.Plan.Blocks(send) {
-					if send.Flags&collective.Deliver != 0 {
-						deliver(b, rank, via)
+	var missing []uint64 // src<<32 | dst of each edge never delivered
+	for rank := 0; rank < n; rank++ {
+		me := int64(rank+1) << 32
+		for b, hi := s.Plan.Owned(rank); b < hi; b++ {
+			holder[b] = me
+		}
+		for _, u := range g.In(rank) {
+			got[u] = me
+		}
+		ops := s.Plan.Ops(rank)
+		for i := range ops {
+			op, id := &ops[i], m.base[rank]+int32(i)
+			switch op.Kind {
+			case collective.OpSend:
+				for _, b := range s.Plan.Blocks(op) {
+					if holder[b] != me {
+						out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
+							"rank %d sends block %d to %d (tag %d) before holding it",
+							rank, b, op.Peer, op.Tag)})
 					}
-					holdings.add(rank, b)
+				}
+			case collective.OpWait:
+				for j, hi := op.Waits(); j < hi; j++ {
+					rref := m.base[rank] + int32(j)
+					if rref >= m.base[rank+1] || m.recvSend[rref] == none || m.waits[rref] != id {
+						continue // unmatched receive or stray wait, already reported
+					}
+					via, send := s.op(m, m.recvSend[rref])
+					for _, b := range s.Plan.Blocks(send) {
+						if send.Flags&collective.Deliver != 0 {
+							deliver(b, rank, via)
+						}
+						holder[b] = me
+					}
+				}
+			case collective.OpCopy:
+				b := s.Plan.Blocks(op)[0]
+				if holder[b] != me {
+					out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
+						"rank %d copies block %d before holding it", rank, b)})
+				}
+				if op.Flags&collective.Deliver != 0 {
+					deliver(b, rank, rank)
+				} else if lo, hi := s.Plan.Owned(rank); int(b) < lo || int(b) >= hi {
+					out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
+						"rank %d stages block %d, not its own", rank, b)})
 				}
 			}
-		case collective.OpCopy:
-			b := s.Plan.Blocks(op)[0]
-			if !holdings.has(rank, b) {
-				out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
-					"rank %d copies block %d before holding it", rank, b)})
-			}
-			if op.Flags&collective.Deliver != 0 {
-				deliver(b, rank, rank)
-			} else if lo, hi := s.Plan.Owned(rank); int(b) < lo || int(b) >= hi {
-				out = append(out, Finding{InvCompleteness, rank, fmt.Sprintf(
-					"rank %d stages block %d, not its own", rank, b)})
+		}
+		for _, u := range g.In(rank) {
+			if got[u] == me {
+				missing = append(missing, uint64(u)<<32|uint64(rank))
 			}
 		}
 	}
-	for src := 0; src < n; src++ {
-		for j, dst := range g.Out(src) {
-			if deliveries[outOff[src]+j] == 0 {
-				out = append(out, Finding{InvCompleteness, -1, fmt.Sprintf(
-					"edge %d→%d never delivered", src, dst)})
-			}
-		}
+	slices.Sort(missing)
+	for _, e := range missing {
+		out = append(out, Finding{InvCompleteness, -1, fmt.Sprintf(
+			"edge %d→%d never delivered", e>>32, uint32(e))})
 	}
 	return out
 }
