@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc chaos faults linkfaults fuzz mega repro repro-check examples clean
+.PHONY: all build vet fmt-check lint lint-sarif verify-plans verify-plans-sarif alloc-guard test race cover bench perf-smoke loc chaos faults fuzz mega repro repro-check examples clean
 
 all: build lint verify-plans test
 
@@ -62,27 +62,22 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Conformance, per family: one chaos sweep — every case against its
-# ground truth under adversarial schedules and injected faults; chaos is
-# a driver of its own and takes no engine — plus one plain differential,
-# threaded vs event, the only place the engines can differ. Failing
-# chaos seeds print a `nbr-chaos [-faults|-linkfaults] -case ... -replay N`
-# reproduce line.
+# Conformance, per family — the matrix (chaos) and the faults: one
+# chaos sweep — every case against its ground truth under adversarial
+# schedules and injected faults; chaos is a driver of its own and takes
+# no engine — plus one plain differential, threaded vs event, the only
+# place the engines can differ. Failing chaos seeds print a
+# `nbr-chaos [-faults] -case ... -replay N` reproduce line.
 chaos:
 	$(GO) run ./cmd/nbr-chaos -seeds 10
 	$(GO) run ./cmd/nbr-chaos -engine both -seeds 1
 
-# Both fault families: link faults (below), then fail-stop (every
-# algorithm × crash-before/mid/agent/leader/multi/raw).
-faults: linkfaults
+# The fault family: fail-stop (every algorithm × crash-before/mid/
+# agent/leader/multi/raw), then link faults (every algorithm × {down
+# NIC/port/uplink, partitions, degraded fabrics} × before/mid/raw).
+faults:
 	$(GO) run ./cmd/nbr-chaos -faults -seeds 10
 	$(GO) run ./cmd/nbr-chaos -faults -engine both -seeds 10
-
-# Link-fault family alone (every algorithm × {down NIC/port/uplink,
-# partitions, degraded fabrics} × before/mid/raw).
-linkfaults:
-	$(GO) run ./cmd/nbr-chaos -linkfaults -seeds 10
-	$(GO) run ./cmd/nbr-chaos -linkfaults -engine both -seeds 10
 
 # Brief fuzz of the MatrixMarket parser and the divergence oracles
 # (plain: threaded vs event; chaos: a seed against its own replay;
@@ -90,7 +85,7 @@ linkfaults:
 fuzz:
 	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=20s ./internal/sparse
 	$(GO) test -fuzz=FuzzEngineDivergence -fuzztime=20s ./internal/conformance
-	$(GO) test -fuzz=FuzzLinkFaultDivergence -fuzztime=20s ./internal/conformance
+	$(GO) test -fuzz=FuzzFaultDivergence -fuzztime=20s ./internal/conformance
 
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
 # payloads, heap statistics and per-phase wall included; the last line

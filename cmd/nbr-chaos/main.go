@@ -1,38 +1,33 @@
 // Command nbr-chaos drives the deterministic chaos harness from the
-// command line: it sweeps the differential conformance matrix (every
-// collective algorithm × collective kind × cluster/graph shape) over a
-// range of adversarial scheduling seeds, and replays any (case, seed)
-// pair bit-exactly for debugging.
+// command line: it sweeps a conformance case family over a range of
+// adversarial scheduling seeds, and replays any (case, seed) pair
+// bit-exactly for debugging. There are two families: the differential
+// matrix (every collective algorithm × collective kind × cluster/graph
+// shape, the default) and, with -faults, the fault family — injected
+// rank crashes (ULFM recovery) and link faults (down or degraded NICs,
+// ports and uplinks, fabric partitions, topology-aware repair).
 //
 // Sweep (the acceptance run):
 //
 //	nbr-chaos -seeds 50
-//
-// Sweep the fail-stop family (injected rank crashes, ULFM recovery):
-//
 //	nbr-chaos -faults -seeds 10
 //
 // Replay a failure printed by the sweep or by the conformance tests:
 //
 //	nbr-chaos -case 2n2s3l/er35/dh/allgather -replay 17 -dump
 //	nbr-chaos -faults -case failstop/2n2s3l/er35/dh/allgatherv/agent -replay 3
+//	nbr-chaos -faults -case linkfault/cn/nicdown/before -replay 3
 //
 // Replay runs the seed twice and verifies the recorded schedules are
 // hash-identical, then forces the recorded schedule back through the
 // scheduler (divergence detection on) — the full determinism contract.
-// Fail-stop replays record the injected kills in the schedule, so the
-// printed decision counts include the crash points.
+// Fault replays record the injected kills and link-fault detections in
+// the schedule, so the printed decision counts include them.
 //
-// Ad-hoc fault injection overrides a fail-stop case's derived kill
+// Ad-hoc fault injection overrides a fault case's derived kill
 // schedule ("rank@afterOps" or "rank@afterOps@vt", comma-separated):
 //
 //	nbr-chaos -faults -case failstop/2n2s3l/er35/cn/allgatherv/mid -replay 0 -kill 5@3,1@0
-//
-// Sweep the link-fault family (down NICs/ports/uplinks, degraded
-// fabrics, partitions, topology-aware repair):
-//
-//	nbr-chaos -linkfaults -seeds 10
-//	nbr-chaos -linkfaults -case linkfault/cn/nicdown/before -replay 3
 //
 // Everything above runs under the chaos driver, which takes no engine.
 // -engine sweeps the same family under plain scheduling instead: on
@@ -42,8 +37,8 @@
 // -schedule-only are chaos options and are rejected with -engine:
 //
 //	nbr-chaos -engine both -seeds 1
-//	nbr-chaos -faults -engine both -seeds 5
-//	nbr-chaos -linkfaults -engine threaded -seeds 5
+//	nbr-chaos -faults -engine both -seeds 10
+//	nbr-chaos -faults -engine threaded -seeds 5
 package main
 
 import (
@@ -72,12 +67,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nbr-chaos", flag.ContinueOnError)
 	fs.SetOutput(out)
 	seeds := fs.Int("seeds", 50, "number of seeds to sweep")
-	seedBase := fs.Int64("seed-base", 0, "first seed of the sweep")
+	seedBase := fs.Int64("seed-base", 0, "first seed of the sweep (non-negative, like -replay)")
 	caseName := fs.String("case", "", "restrict to one case of the family (see -list)")
 	replay := fs.Int64("replay", -1, "replay one chaos seed instead of sweeping: record, re-run, compare, force-replay")
 	scheduleOnly := fs.Bool("schedule-only", false, "chaos with adversarial scheduling only, no fault injection")
-	faults := fs.Bool("faults", false, "run the fail-stop case family (injected rank crashes) instead of the conformance matrix")
-	linkFaults := fs.Bool("linkfaults", false, "run the link-fault case family (down/degraded NICs, ports, uplinks, partitions) instead of the conformance matrix")
+	faults := fs.Bool("faults", false, "run the fault case family (injected rank crashes and link faults) instead of the conformance matrix")
 	killSpec := fs.String("kill", "", "with -faults -case, override the kill schedule: rank@afterOps[@vt], comma-separated")
 	dump := fs.Bool("dump", false, "with -replay, print the recorded decision schedule")
 	list := fs.Bool("list", false, "list the family's cases and exit")
@@ -107,9 +101,14 @@ func run(args []string, out io.Writer) error {
 	if *engineFlag != "" && (*replay >= 0 || *scheduleOnly) {
 		return fmt.Errorf("-replay and -schedule-only are chaos options; -engine selects plain scheduling")
 	}
+	if *seedBase < 0 {
+		// A failing seed's reproduce line is -replay N, which takes only
+		// non-negative seeds.
+		return fmt.Errorf("-seed-base %d must be non-negative", *seedBase)
+	}
 
 	return pf.Wrap(func() error {
-		fam, err := loadFamily(*faults, *linkFaults)
+		fam, err := loadFamily(*faults)
 		if err != nil {
 			return err
 		}
@@ -127,15 +126,14 @@ func run(args []string, out io.Writer) error {
 			fam.cases = []conformance.Runner{c}
 		}
 		if *killSpec != "" {
-			fc, ok := fam.cases[0].(conformance.FailStopCase)
+			fc, ok := fam.cases[0].(conformance.FaultCase)
 			if !ok || *caseName == "" {
-				return fmt.Errorf("-kill requires -faults and -case (an ad-hoc schedule applies to one fail-stop case)")
+				return fmt.Errorf("-kill requires -faults and -case (an ad-hoc schedule applies to one fault case)")
 			}
-			kills, err := parseKills(*killSpec)
-			if err != nil {
+			if fc.Kills, err = parseKills(*killSpec); err != nil {
 				return err
 			}
-			fam.cases[0] = adHocKills{fc, kills}
+			fam.cases[0] = fc
 		}
 		if *replay >= 0 {
 			return replaySeed(out, fam.cases, *replay, mk, *dump)
@@ -152,16 +150,10 @@ type family struct {
 	cases []conformance.Runner
 }
 
-func loadFamily(faults, linkFaults bool) (family, error) {
-	switch {
-	case faults && linkFaults:
-		return family{}, fmt.Errorf("-faults and -linkfaults are mutually exclusive")
-	case faults:
-		cs, err := conformance.FailStopMatrix()
-		return family{"-faults ", "fail-stop ", "recovered or failed fast with typed errors", runners(cs)}, err
-	case linkFaults:
-		cs, err := conformance.LinkFaultMatrix()
-		return family{"-linkfaults ", "link-fault ", "recovered, degraded gracefully, or returned identical partition verdicts", runners(cs)}, err
+func loadFamily(faults bool) (family, error) {
+	if faults {
+		cs, err := conformance.FaultMatrix()
+		return family{"-faults ", "fault ", "recovered, degraded gracefully, returned identical partition verdicts, or failed fast with typed errors", runners(cs)}, err
 	}
 	cs, err := conformance.Matrix()
 	return family{"", "", "byte-identical to ground truth", runners(cs)}, err
@@ -173,17 +165,6 @@ func runners[C conformance.Runner](cs []C) []conformance.Runner {
 		out[i] = c
 	}
 	return out
-}
-
-// adHocKills is a fail-stop case run under the -kill schedule instead
-// of its seed-derived one.
-type adHocKills struct {
-	conformance.FailStopCase
-	kills []mpirt.Kill
-}
-
-func (a adHocKills) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
-	return a.RunKills(eng, chaos, a.kills)
 }
 
 func sweep(out io.Writer, fam family, nseeds int, base int64, check conformance.Check, mode string, verbose bool) error {
@@ -214,13 +195,14 @@ func sweep(out io.Writer, fam family, nseeds int, base int64, check conformance.
 
 func replaySeed(out io.Writer, cases []conformance.Runner, seed int64, mk func(int64) *mpirt.Chaos, dump bool) error {
 	for _, c := range cases {
-		switch c := c.(type) {
-		case adHocKills:
-			fmt.Fprintf(out, "%s: kill schedule %s\n", c.Name, formatKills(c.kills))
-		case conformance.FailStopCase:
-			fmt.Fprintf(out, "%s: kill schedule %s\n", c.Name, formatKills(conformance.FailStopKills(c, seed)))
-		case conformance.LinkFaultCase:
-			fmt.Fprintf(out, "%s: fault schedule %v\n", c.Name, conformance.LinkFaultSchedule(c, seed))
+		if fc, ok := c.(conformance.FaultCase); ok {
+			kills, faults := fc.Faults(seed)
+			if len(kills) > 0 {
+				fmt.Fprintf(out, "%s: kill schedule %s\n", fc.Name, formatKills(kills))
+			}
+			if len(faults) > 0 {
+				fmt.Fprintf(out, "%s: fault schedule %v\n", fc.Name, faults)
+			}
 		}
 		err := replayTriple(out, c.CaseName(), seed, func(replayFrom *trace.Schedule) (*trace.Schedule, error) {
 			ch := mk(seed)

@@ -124,8 +124,8 @@ func TestReplayTripleRejectsDivergentCycle(t *testing.T) {
 
 // TestRunEngineBoth drives the cross-engine differential — plain
 // scheduling, threaded vs event — from the command line: a matrix
-// sweep, a fail-stop sweep, and one fail-stop case under an ad-hoc
-// kill schedule.
+// sweep, a fault sweep and one fail-stop case under an ad-hoc kill
+// schedule.
 func TestRunEngineBoth(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engine", "both", "-seeds", "1"},
@@ -139,6 +139,18 @@ func TestRunEngineBoth(t *testing.T) {
 		if !strings.Contains(out.String(), "threaded vs event") || !strings.Contains(out.String(), "PASS:") {
 			t.Errorf("run %v did not report a differential PASS:\n%s", args, out.String())
 		}
+	}
+}
+
+// TestRunLinkFaultsEngineBoth runs one link-fault case differentially.
+func TestRunLinkFaultsEngineBoth(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-faults", "-engine", "both", "-case", "linkfault/cn/uplinkdown/before", "-seeds", "2"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "fault sweep threaded vs event") || !strings.Contains(out.String(), "PASS:") {
+		t.Errorf("differential sweep did not compare the engines:\n%s", out.String())
 	}
 }
 
@@ -203,61 +215,68 @@ func TestProfilingFlags(t *testing.T) {
 	}
 }
 
-// TestRunLinkFaultsSweep sweeps the link-fault family over one seed —
-// the CI link-fault acceptance run at reduced depth.
-func TestRunLinkFaultsSweep(t *testing.T) {
+// TestRunFaultsSweep sweeps the fault family over one seed — the CI
+// fault acceptance run at reduced depth.
+func TestRunFaultsSweep(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-linkfaults", "-seeds", "1"}, &out); err != nil {
+	if err := run([]string{"-faults", "-seeds", "1"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "PASS:") {
-		t.Errorf("link-fault sweep did not report PASS:\n%s", out.String())
+	if !strings.Contains(out.String(), "PASS: 144 fault runs under chaos") {
+		t.Errorf("fault sweep did not report PASS over both halves:\n%s", out.String())
 	}
 }
 
-// TestRunLinkFaultsList pins the -linkfaults case-name grammar.
-func TestRunLinkFaultsList(t *testing.T) {
+// TestRunFaultsList pins the -faults case-name grammar: the fail-stop
+// cases, then the link-fault ones.
+func TestRunFaultsList(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-linkfaults", "-list"}, &out); err != nil {
+	if err := run([]string{"-faults", "-list"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "linkfault/cn/nicdown/before") {
-		t.Errorf("link-fault listing missing expected name:\n%s", out.String())
+	list := out.String()
+	fs := strings.Index(list, "failstop/2n2s3l/er35/dh/allgatherv/agent\n")
+	lf := strings.Index(list, "linkfault/cn/nicdown/before\n")
+	if fs < 0 || lf < fs || strings.LastIndex(list, "failstop/") > strings.Index(list, "linkfault/") {
+		t.Errorf("fault listing is not the fail-stop cases, then the link-fault ones:\n%s", list)
 	}
 }
 
-// TestRunLinkFaultsReplay pins record → re-run → force-replay for a
-// link-fault case whose schedule records detection decisions.
-func TestRunLinkFaultsReplay(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-linkfaults", "-case", "linkfault/dh/partition/before", "-replay", "3", "-dump"}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "replay exact") {
-		t.Errorf("replay did not report exactness:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "link-fault") {
-		t.Errorf("-dump shows no link-fault decision:\n%s", out.String())
-	}
-}
-
-// TestRunLinkFaultsEngineBoth runs one link-fault case differentially.
-func TestRunLinkFaultsEngineBoth(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-linkfaults", "-engine", "both", "-case", "linkfault/cn/uplinkdown/before", "-seeds", "2"}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "link-fault sweep threaded vs event") || !strings.Contains(out.String(), "PASS:") {
-		t.Errorf("differential sweep did not compare the engines:\n%s", out.String())
+// TestRunFaultsReplay pins record → re-run → force-replay for a fault
+// case of each half: the printed schedule line names the kills of a
+// fail-stop case and the link faults of a link-fault case, whose
+// schedule records detection decisions.
+func TestRunFaultsReplay(t *testing.T) {
+	for _, tc := range []struct{ name, schedule, dump string }{
+		{"failstop/2n2s3l/er35/dh/allgatherv/agent", ": kill schedule ", "kill"},
+		{"linkfault/dh/partition/before", ": fault schedule ", "link-fault"},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-faults", "-case", tc.name, "-replay", "3", "-dump"}, &out)
+		if err != nil {
+			t.Fatalf("run %s: %v\n%s", tc.name, err, out.String())
+		}
+		if !strings.HasPrefix(out.String(), tc.name+tc.schedule) || strings.Count(out.String(), " schedule ") != 2 {
+			t.Errorf("replay of %s does not open with its one%sline:\n%s", tc.name, tc.schedule, out.String())
+		}
+		if !strings.Contains(out.String(), "replay exact") {
+			t.Errorf("replay did not report exactness:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), tc.dump) {
+			t.Errorf("-dump shows no %s decision:\n%s", tc.dump, out.String())
+		}
 	}
 }
 
-// TestRunLinkFaultsExclusiveWithFaults pins the mode exclusivity.
-func TestRunLinkFaultsExclusiveWithFaults(t *testing.T) {
+// TestRunRejectsNegativeSeedBase: a failing seed's reproduce line is
+// -replay N, and -replay takes only non-negative seeds.
+func TestRunRejectsNegativeSeedBase(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-linkfaults", "-faults"}, &out); err == nil {
-		t.Fatal("-linkfaults with -faults accepted")
+	err := run([]string{"-faults", "-seed-base", "-3", "-seeds", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-seed-base -3 must be non-negative") {
+		t.Fatalf("got %v, want the negative -seed-base rejected", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected run swept anyway:\n%s", out.String())
 	}
 }

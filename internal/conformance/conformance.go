@@ -8,10 +8,10 @@
 // because chaos execution is a pure function of the seed,
 // `nbr-chaos -replay` reproduces the identical schedule.
 //
-// Three case families — the matrix here, fail-stop crashes
-// (failstop.go) and link faults (linkfault.go) — share one Runner
+// Two case families — the matrix here and the faults (faults.go: rank
+// crashes and link faults, one FaultCase) — share one Runner
 // interface, so there is one Failure, one Find, one Sweep and one
-// cross-engine Diff (differential.go) for all of them.
+// cross-engine Diff (differential.go) for both.
 package conformance
 
 import (

@@ -87,9 +87,6 @@ func TestDiffSweepPlain(t *testing.T) {
 	}
 }
 
-// TestFailStopDifferential: the fail-stop matrix reaches the same
-// recovery outcomes on both engines, and under chaos its kills,
-// fail-notifies and detection totals replay exactly.
 // TestHintedEqualsUnhinted runs the plain matrix on both engines with
 // slot hints — a plan pass addressing mailbox slots — and with every hint
 // stripped, the same messages found by (src, tag) hashing. Each run
@@ -126,22 +123,6 @@ func TestHintedEqualsUnhinted(t *testing.T) {
 				t.Errorf("%s: a threaded run moved different traffic than the unhinted event run", c.Name)
 			}
 		}
-	}
-}
-
-func TestFailStopDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential fail-stop sweep is not short")
-	}
-	cases, err := FailStopMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range Sweep(cases, diffTestSeeds[:1], replayExact(mpirt.DefaultChaos), nil) {
-		t.Errorf("chaos: %s", f)
-	}
-	for _, f := range Sweep(cases, []int64{5}, Diff, nil) {
-		t.Errorf("plain: %s", f)
 	}
 }
 
