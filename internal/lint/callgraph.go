@@ -86,8 +86,9 @@ type Program struct {
 	Funcs []*FuncNode // deterministic declaration order
 	byObj map[*types.Func]*FuncNode
 
-	// methodsByName indexes declared methods for interface dispatch.
-	methodsByName map[string][]*FuncNode
+	// named lists the run's declared non-interface named types, in
+	// declaration order, for interface dispatch.
+	named []*types.Named
 
 	// dirIdx caches each package's //lint: directive index; the summary
 	// scan consults it to keep reviewed sites out of the transitive
@@ -129,15 +130,15 @@ func calleeNode(p *Pass, call *ast.CallExpr) *FuncNode {
 // buildProgram constructs the call graph and summaries for one run.
 func buildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		byObj:         map[*types.Func]*FuncNode{},
-		methodsByName: map[string][]*FuncNode{},
-		dirIdx:        map[*Package]map[string]map[int][]string{},
+		byObj:  map[*types.Func]*FuncNode{},
+		dirIdx: map[*Package]map[string]map[int][]string{},
 	}
 	for _, pkg := range pkgs {
 		idx := directiveIndex(pkg)
 		prog.dirIdx[pkg] = idx
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
+				prog.addNamed(pkg, decl)
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -150,11 +151,6 @@ func buildProgram(pkgs []*Package) *Program {
 				node.readDirectives(idx)
 				prog.Funcs = append(prog.Funcs, node)
 				prog.byObj[obj] = node
-				if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-					if !types.IsInterface(sig.Recv().Type()) {
-						prog.methodsByName[obj.Name()] = append(prog.methodsByName[obj.Name()], node)
-					}
-				}
 			}
 		}
 	}
@@ -314,11 +310,31 @@ func (n *FuncNode) addEdge(call *ast.CallExpr, f *types.Func, target *FuncNode, 
 	n.Calls = append(n.Calls, CallSite{Call: call, Callee: f, Node: target, Iface: iface})
 }
 
-// addIfaceEdges expands an interface method call to every declared
-// method in the run whose receiver type implements the interface —
-// class-hierarchy analysis. When no implementation is in the run the
-// call degrades to the interface method itself as an external callee
-// (intrinsics still apply, e.g. the fixture stubs' Endpoint).
+// addNamed records the non-generic, non-interface named types decl
+// declares.
+func (prog *Program) addNamed(pkg *Package, decl ast.Decl) {
+	gd, ok := decl.(*ast.GenDecl)
+	if !ok || gd.Tok != token.TYPE {
+		return
+	}
+	for _, spec := range gd.Specs {
+		tn, ok := pkg.Info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if t, ok := tn.Type().(*types.Named); ok && !types.IsInterface(t) && t.TypeParams().Len() == 0 {
+			prog.named = append(prog.named, t)
+		}
+	}
+}
+
+// addIfaceEdges expands an interface method call to the method every
+// named type of the run that implements the interface resolves it to —
+// class-hierarchy analysis over method sets, so a method promoted from
+// an embedded struct is a target like a declared one. When no
+// implementation is in the run the call degrades to the interface
+// method itself as an external callee (intrinsics still apply, e.g. the
+// fixture stubs' Endpoint).
 func (prog *Program) addIfaceEdges(node *FuncNode, call *ast.CallExpr, f *types.Func, recv types.Type) {
 	iface, ok := recv.Underlying().(*types.Interface)
 	if !ok {
@@ -326,20 +342,35 @@ func (prog *Program) addIfaceEdges(node *FuncNode, call *ast.CallExpr, f *types.
 		return
 	}
 	found := false
-	for _, m := range prog.methodsByName[f.Name()] {
-		sig, ok := m.Fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
+	for _, t := range prog.named {
+		var impl types.Type = t
+		if !types.Implements(impl, iface) {
+			if impl = types.NewPointer(t); !types.Implements(impl, iface) {
+				continue
+			}
 		}
-		rt := sig.Recv().Type()
-		if types.Implements(rt, iface) || types.Implements(types.NewPointer(rt), iface) {
-			node.addEdge(call, m.Fn, m, true)
-			found = true
+		obj, _, _ := types.LookupFieldOrMethod(impl, true, f.Pkg(), f.Name())
+		fn, _ := obj.(*types.Func)
+		m := prog.NodeOf(fn)
+		if m == nil || node.callsVia(call, m) {
+			continue // external, or promoted to an earlier type too
 		}
+		node.addEdge(call, m.Fn, m, true)
+		found = true
 	}
 	if !found {
 		node.addEdge(call, f, nil, true)
 	}
+}
+
+// callsVia reports whether call already has an edge to m.
+func (n *FuncNode) callsVia(call *ast.CallExpr, m *FuncNode) bool {
+	for i := len(n.Calls) - 1; i >= 0 && n.Calls[i].Call == call; i-- {
+		if n.Calls[i].Node == m {
+			return true
+		}
+	}
+	return false
 }
 
 // reachableFrom computes the closure of functions reachable from the
@@ -461,9 +492,9 @@ func isStepperStep(f *types.Func) bool {
 // isEngineBoundary cuts the engine traversal at the runtime's host-side
 // entries: mpirt.Run and RunSteppers (and the engine loops they spawn)
 // run on the host thread and block legitimately — awaitRanks, the
-// watchdog, the chaos token loop. Driver helpers living in algorithm
-// packages (e.g. pattern.BuildDistributed) call Run; everything past
-// that boundary is host-side, not rank code.
+// watchdog, the serial drivers' host goroutine. Driver helpers living
+// in algorithm packages (e.g. pattern.BuildDistributed) call Run;
+// everything past that boundary is host-side, not rank code.
 func isEngineBoundary(n *FuncNode) bool {
 	name := n.Fn.Name()
 	return pathContains(n.Pkg.Path, "internal/mpirt") && (name == "Run" || name == "RunSteppers") &&

@@ -4,19 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
 
 	"nbrallgather/internal/trace"
 )
 
 // Chaos configures the deterministic-simulation layer: a seeded
 // cooperative scheduler that takes full control of message-matching
-// order plus a fault-injection model. With a non-nil Chaos the runtime
-// stops relying on the Go scheduler's accidental interleavings:
-// exactly one rank executes at a time, every blocking point yields an
-// execution token, and a single seeded RNG decides which rank runs
+// order plus a fault-injection model. With a non-nil Chaos the ranks
+// are coroutines of one serial loop, as on the event engine: exactly
+// one rank executes at a time, every blocking point switches back to
+// the loop, and a single seeded RNG decides which rank runs
 // next and which in-flight message satisfies which posted receive —
 // including AnySource races, arbitrarily delayed and reordered eager
 // sends, and duplicate-then-deduplicate deliveries. Because every
@@ -95,9 +92,8 @@ func ScheduleOnly(seed int64) *Chaos {
 	return &Chaos{Seed: seed, DupProb: 0.05}
 }
 
-// chaosWake is what the execution token carries to a parked rank: a
-// delivered message, a failure/revocation error, or neither (a plain
-// resume).
+// chaosWake is what the scheduler hands a rank it resumes: a delivered
+// message, a failure/revocation error, or neither (a plain resume).
 type chaosWake struct {
 	msg *Msg
 	err error
@@ -118,29 +114,26 @@ type delivKey struct {
 	seq uint64
 }
 
-// chaosRT is the runtime extension holding all chaos-mode state. Every
-// field is guarded by mu; because execution is serial (one token),
-// contention is nil — the mutex exists for the memory-model handoff
-// between rank goroutines.
+// chaosRT is the chaos driver: the serial drivers' coroutine host, with
+// a loop that resumes whichever rank the seeded scheduler decides on.
+// Execution is serial, so the state needs no lock: each coroutine
+// switch orders every access.
 type chaosRT struct {
-	rt  *Runtime
+	coHost
 	cfg Chaos
 
-	mu sync.Mutex
 	// schedRNG drives scheduling picks; faultRNG drives fault,
 	// duplication, and slowdown draws. They must be independent
 	// streams: replay mode consumes no scheduling picks, and the fault
 	// sequence has to stay identical to the recorded run's anyway.
 	schedRNG *rand.Rand
 	faultRNG *rand.Rand
-	state    []waitState
-	reqSrc   []int // posted receive source, valid in stRecvWait
-	reqTag   []int // posted receive tag, valid in stRecvWait
-	token    []chan chaosWake
 	// wakeErr holds a pending error for a rank flipped runnable by a
 	// revocation while it was blocked in a receive; delivered with the
 	// rank's next resume.
 	wakeErr []error
+	// handoff is what the latest decision hands the rank it resumes.
+	handoff chaosWake
 	// inflight holds the undelivered copies per destination rank, in
 	// send order (so for one sender, sendSeq is nondecreasing along a
 	// list). Keeping the pool destination-indexed lets every
@@ -152,7 +145,6 @@ type chaosRT struct {
 	sendSeq   []uint64
 	slow      []float64 // per-rank time multiplier, ≥ 1
 	replayPos int
-	decisions int
 	// scheduling scratch, reused across decisions to keep the serial
 	// scheduler allocation-free: opts is the candidate list, seenSrc
 	// marks senders already offering a deliverable copy to the rank
@@ -160,15 +152,12 @@ type chaosRT struct {
 	opts    []chaosOption
 	seenSrc []bool
 	touched []int
-	// cycleScratch is the deadlock detector's chase buffer (serial use
-	// under mu).
-	cycleScratch []WaitEdge
 	// flightFree recycles flightMsg containers between deliveries.
 	flightFree []*flightMsg
 }
 
-// newFlightLocked draws a flightMsg container from the freelist.
-func (cs *chaosRT) newFlightLocked(m *Msg, dst int, seq uint64, dup bool) *flightMsg {
+// newFlight draws a flightMsg container from the freelist.
+func (cs *chaosRT) newFlight(m *Msg, dst int, seq uint64, dup bool) *flightMsg {
 	if n := len(cs.flightFree); n > 0 {
 		fm := cs.flightFree[n-1]
 		cs.flightFree = cs.flightFree[:n-1]
@@ -178,25 +167,22 @@ func (cs *chaosRT) newFlightLocked(m *Msg, dst int, seq uint64, dup bool) *fligh
 	return &flightMsg{msg: m, dst: dst, sendSeq: seq, dup: dup}
 }
 
-// freeFlightLocked recycles a container once its message has been
-// handed off (or its duplicate dropped).
-func (cs *chaosRT) freeFlightLocked(fm *flightMsg) {
+// freeFlight recycles a container once its message has been handed off
+// (or its duplicate dropped).
+func (cs *chaosRT) freeFlight(fm *flightMsg) {
 	fm.msg = nil
 	cs.flightFree = append(cs.flightFree, fm)
 }
 
-// newChaosRT initialises chaos state for n ranks. Slow-rank assignment
-// is drawn first so it consumes a fixed prefix of the RNG stream.
+// newChaosRT initialises chaos state for n ranks, all runnable.
+// Slow-rank assignment is drawn first so it consumes a fixed prefix of
+// the RNG stream.
 func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 	cs := &chaosRT{
-		rt:        rt,
+		coHost:    newCoHost(rt),
 		cfg:       cfg,
 		schedRNG:  rand.New(rand.NewSource(cfg.Seed)),
 		faultRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x6e624eb7)),
-		state:     make([]waitState, rt.n),
-		reqSrc:    make([]int, rt.n),
-		reqTag:    make([]int, rt.n),
-		token:     make([]chan chaosWake, rt.n),
 		wakeErr:   make([]error, rt.n),
 		inflight:  make([][]*flightMsg, rt.n),
 		delivered: make(map[delivKey]bool),
@@ -206,7 +192,6 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 	}
 	for r := 0; r < rt.n; r++ {
 		cs.state[r] = stRunnable
-		cs.token[r] = make(chan chaosWake, 1)
 		cs.slow[r] = 1
 		if cfg.SlowProb > 0 && cs.faultRNG.Float64() < cfg.SlowProb {
 			f := cfg.SlowFactor
@@ -219,18 +204,16 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 	return cs
 }
 
-// run executes the ranks as goroutines that only ever run one at a
-// time: each starts parked, so the seeded scheduler — not goroutine
-// spawn order — decides who runs first, and passes the token on when
-// its body returns or panics.
-func (cs *chaosRT) run(body func(*Proc)) {
-	cs.mu.Lock()
-	cs.scheduleLocked()
-	cs.mu.Unlock()
-	cs.rt.runRanks(func(p *Proc) {
-		p.chaosPark()
-		body(p)
-	}, func(p *Proc) { cs.release(p, stFinished) })
+// run hosts the ranks as coroutines created on their first resume, so
+// the seeded scheduler — not spawn order — decides who runs first.
+func (cs *chaosRT) run(body func(*Proc)) { cs.host(body, cs.loop) }
+
+// loop resumes the rank each decision names until none does: the run
+// completed, deadlocked, or aborted.
+func (cs *chaosRT) loop() {
+	for r, ok := cs.decide(); ok; r, ok = cs.decide() {
+		cs.resume(r)
+	}
 }
 
 // chaosOption is one candidate scheduling action: resume a runnable
@@ -249,19 +232,17 @@ const (
 	optFail
 )
 
-// scheduleLocked makes one scheduling decision and hands the token to
-// the chosen rank (none when the run completed, deadlocked, or
-// aborted). It must run with cs.mu held — by the rank that is giving
-// the token up, or by run at start-up. When every live rank is blocked
-// in a receive with no deliverable message, it fails the run with a
-// deadlock error — exact detection, no watchdog heuristics needed.
-func (cs *chaosRT) scheduleLocked() {
+// decide makes one scheduling decision: the rank to resume, with what
+// it is handed in cs.handoff, or ok=false when the run completed,
+// deadlocked, or aborted. When every live rank is blocked with nothing
+// deliverable, it fails the run with a deadlock error — exact
+// detection, no watchdog heuristics needed.
+func (cs *chaosRT) decide() (rank int, ok bool) {
 	for {
 		if cs.rt.aborted.Load() {
-			return
+			return 0, false
 		}
 		opts := cs.opts[:0]
-		finished := 0
 		for r, st := range cs.state {
 			switch st {
 			case stRunnable:
@@ -276,9 +257,10 @@ func (cs *chaosRT) scheduleLocked() {
 				// earliest deliverable copy per sender is simply the first
 				// matching one — the same winner, emitted in the same
 				// order, as a quadratic earliest-of-sender scan.
+				b := cs.rt.boxes[r]
 				deliverable := false
 				for i, fm := range cs.inflight[r] {
-					if !chaosMatch(cs.reqSrc[r], cs.reqTag[r], fm.msg) {
+					if !chaosMatch(b.wSrc, b.wTag, fm.msg) {
 						continue
 					}
 					if cs.seenSrc[fm.msg.Src] {
@@ -299,7 +281,7 @@ func (cs *chaosRT) scheduleLocked() {
 				// crash case; the seeded pick decides. An AnySource
 				// receive fails only when every peer is dead and nothing
 				// is deliverable.
-				if src := cs.reqSrc[r]; src != AnySource {
+				if src := b.wSrc; src != AnySource {
 					if cs.rt.deadMask[src].Load() {
 						opts = append(opts, chaosOption{kind: optFail, rank: r, src: src})
 					}
@@ -308,30 +290,24 @@ func (cs *chaosRT) scheduleLocked() {
 						opts = append(opts, chaosOption{kind: optFail, rank: r, src: d})
 					}
 				}
-			case stFinished:
-				finished++
 			}
 		}
 		cs.opts = opts // retain the scratch capacity across decisions
 		if len(opts) == 0 {
-			if finished == cs.rt.n {
-				return // run complete
+			if cs.nFinished < cs.rt.n {
+				cs.rt.failDeadlock(cs.rt.n - cs.nFinished)
 			}
-			cs.rt.fail(fmt.Errorf("%w: %s", ErrDeadlock, cs.blockedSummaryLocked()))
-			return
+			return 0, false
 		}
 
 		var pick chaosOption
 		if cs.cfg.Replay != nil {
-			var ok bool
-			pick, ok = cs.replayPickLocked(opts)
-			if !ok {
-				return // replayPickLocked failed the run
+			if pick, ok = cs.replayPick(opts); !ok {
+				return 0, false // replayPick failed the run
 			}
 		} else {
 			pick = opts[cs.schedRNG.Intn(len(opts))]
 		}
-		cs.decisions++
 
 		if pick.kind == optResume {
 			kind := trace.DecisionResume
@@ -341,49 +317,45 @@ func (cs *chaosRT) scheduleLocked() {
 				werr = cs.wakeErr[pick.rank]
 				cs.wakeErr[pick.rank] = nil
 			}
-			cs.recordLocked(trace.Decision{Kind: kind, Rank: pick.rank})
-			cs.state[pick.rank] = stRunning
-			cs.token[pick.rank] <- chaosWake{err: werr} //lint:blockok — token hand-off to a rank proven parked; this send IS the chaos scheduling point
-			return
+			cs.record(trace.Decision{Kind: kind, Rank: pick.rank})
+			cs.handoff = chaosWake{err: werr}
+			return pick.rank, true
 		}
 		if pick.kind == optFail {
-			cs.recordLocked(trace.Decision{
+			cs.record(trace.Decision{
 				Kind: trace.DecisionFailNotify, Rank: pick.rank, Src: pick.src,
 			})
-			cs.state[pick.rank] = stRunning
-			cs.token[pick.rank] <- chaosWake{err: &RankFailedError{Rank: pick.src}} //lint:blockok — token hand-off to a rank proven parked
-			return
+			cs.handoff = chaosWake{err: &RankFailedError{Rank: pick.src}}
+			return pick.rank, true
 		}
 		fm := cs.inflight[pick.rank][pick.fi]
-		cs.removeInflightLocked(pick.rank, pick.fi)
+		cs.removeInflight(pick.rank, pick.fi)
 		key := delivKey{fm.msg.Src, fm.sendSeq}
 		if cs.delivered[key] {
 			// A duplicate of an already-delivered message: drop it and
 			// decide again. This is the dedup machinery under test.
-			cs.recordLocked(trace.Decision{
+			cs.record(trace.Decision{
 				Kind: trace.DecisionDropDup, Rank: pick.rank,
 				Src: fm.msg.Src, Tag: fm.msg.Tag, SendSeq: fm.sendSeq, Size: fm.msg.Size,
 			})
-			cs.freeFlightLocked(fm)
+			cs.freeFlight(fm)
 			continue
 		}
 		cs.delivered[key] = true
-		cs.recordLocked(trace.Decision{
+		cs.record(trace.Decision{
 			Kind: trace.DecisionDeliver, Rank: pick.rank,
 			Src: fm.msg.Src, Tag: fm.msg.Tag, SendSeq: fm.sendSeq, Size: fm.msg.Size,
 		})
-		cs.state[pick.rank] = stRunning
-		msg := fm.msg
-		cs.freeFlightLocked(fm)
-		cs.token[pick.rank] <- chaosWake{msg: msg} //lint:blockok — token hand-off to a rank proven parked
-		return
+		cs.handoff = chaosWake{msg: fm.msg}
+		cs.freeFlight(fm)
+		return pick.rank, true
 	}
 }
 
-// replayPickLocked resolves the next recorded decision against the
+// replayPick resolves the next recorded decision against the
 // current options. Drop decisions are consumed inline; a decision the
 // current state cannot honour fails the run with a divergence error.
-func (cs *chaosRT) replayPickLocked(opts []chaosOption) (chaosOption, bool) {
+func (cs *chaosRT) replayPick(opts []chaosOption) (chaosOption, bool) {
 	var d trace.Decision
 	for {
 		var ok bool
@@ -394,7 +366,7 @@ func (cs *chaosRT) replayPickLocked(opts []chaosOption) (chaosOption, bool) {
 		}
 		cs.replayPos++
 		// Kills and link-fault observations are recorded inline by the
-		// token-holding rank, not chosen by the scheduler; skip them
+		// running rank, not chosen by the scheduler; skip them
 		// when resolving a scheduling pick.
 		if d.Kind != trace.DecisionKill && d.Kind != trace.DecisionLinkFault {
 			break
@@ -431,13 +403,13 @@ func (cs *chaosRT) replayPickLocked(opts []chaosOption) (chaosOption, bool) {
 	return chaosOption{}, false
 }
 
-func (cs *chaosRT) recordLocked(d trace.Decision) {
+func (cs *chaosRT) record(d trace.Decision) {
 	if cs.cfg.Record != nil {
 		cs.cfg.Record.Record(d)
 	}
 }
 
-func (cs *chaosRT) removeInflightLocked(dst, i int) {
+func (cs *chaosRT) removeInflight(dst, i int) {
 	fl := cs.inflight[dst]
 	cs.inflight[dst] = append(fl[:i], fl[i+1:]...)
 	cs.inflightN--
@@ -448,131 +420,45 @@ func chaosMatch(src, tag int, m *Msg) bool {
 	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 }
 
-// blockedSummaryLocked describes the stuck state for the deadlock
-// error: per blocked rank, the pending operation kind, the posted
-// (source, tag), and whether the peer is dead.
-func (cs *chaosRT) blockedSummaryLocked() string {
-	var parts []string
-	var barrier, ft []int
-	for r, st := range cs.state {
-		switch st {
-		case stRecvWait:
-			src, dead := "any", ""
-			if s := cs.reqSrc[r]; s != AnySource {
-				src = fmt.Sprintf("%d", s)
-				if cs.rt.deadMask[s].Load() {
-					dead = " [peer dead]"
-				}
-			}
-			tag := "any"
-			if t := cs.reqTag[r]; t != AnyTag {
-				tag = fmt.Sprintf("%d", t)
-			}
-			parts = append(parts, fmt.Sprintf("rank %d: recv src=%s tag=%s%s", r, src, tag, dead))
-		case stBarrierWait:
-			barrier = append(barrier, r)
-		case stFTWait:
-			ft = append(ft, r)
-		}
-	}
-	sort.Ints(barrier)
-	sort.Ints(ft)
-	if len(parts) > 8 {
-		parts = append(parts[:8], "…")
-	}
-	if len(barrier) > 0 {
-		parts = append(parts, fmt.Sprintf("ranks %v in barrier", barrier))
-	}
-	if len(ft) > 0 {
-		parts = append(parts, fmt.Sprintf("ranks %v in agree/shrink", ft))
-	}
-	if dead := cs.rt.deadRanksOf(); len(dead) > 0 {
-		parts = append(parts, fmt.Sprintf("dead ranks %v", dead))
-	}
-	parts = append(parts, fmt.Sprintf("%d in flight", cs.inflightN))
-	return strings.Join(parts, "; ")
-}
-
-// chaosPark blocks the calling rank until the scheduler hands it the
-// token, returning the wake payload (message, failure error, or
-// neither for a plain resume). Aborting the run also unparks every
-// rank.
-func (p *Proc) chaosPark() chaosWake {
-	//lint:blockok — THE sanctioned chaos park point: ranks block here until the scheduler hands back the token
-	select {
-	case w := <-p.rt.chaos.token[p.rank]:
-		return w
-	case <-p.rt.failedCh:
-		panic(errAborted)
-	}
-}
-
-// park gives the token up in wait-state st: the seeded scheduler picks
-// who runs next, and resumes this rank once a wake has flipped it
-// runnable.
-//
-//lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the plain drivers
-func (cs *chaosRT) park(p *Proc, st waitState, c *sync.Cond) {
-	c.L.Unlock()
-	cs.release(p, st)
-	p.chaosPark()
-	c.L.Lock()
-}
-
-func (cs *chaosRT) yield(p *Proc) {
-	cs.release(p, stRunnable)
-	p.chaosPark()
-}
-
-// release gives the token up, leaving p in state st.
-func (cs *chaosRT) release(p *Proc, st waitState) {
-	cs.mu.Lock()
-	cs.state[p.rank] = st
-	cs.scheduleLocked()
-	cs.mu.Unlock()
-}
+// yield parks p runnable: the next decision may resume it or anyone
+// else.
+func (cs *chaosRT) yield(p *Proc) { cs.switchOut(p, stRunnable) }
 
 // wake flips the waiters of a completed round runnable; the scheduler
 // resumes them in seeded order.
 func (cs *chaosRT) wake(st waitState, _ float64) {
-	cs.mu.Lock()
 	for r := range cs.state {
 		if cs.state[r] == st {
 			cs.state[r] = stRunnable
 		}
 	}
-	cs.mu.Unlock()
 }
 
-// died records the injected crash in the schedule. The dying rank
-// holds the token, so the kill's position in the decision stream is
+// died records the injected crash in the schedule. The dying rank is
+// the one running, so the kill's position in the decision stream is
 // deterministic; nobody needs waking — the scheduler offers parked
 // receives their fail-notify options from the dead mask.
 func (cs *chaosRT) died(r int) {
-	cs.mu.Lock()
-	cs.recordLocked(trace.Decision{Kind: trace.DecisionKill, Rank: r})
-	cs.mu.Unlock()
+	cs.record(trace.Decision{Kind: trace.DecisionKill, Rank: r})
 }
 
 // wakeRevoked flips every recv-blocked rank runnable with a pending
 // revocation error, so it observes the revoke instead of waiting on a
 // message that may never come.
 func (cs *chaosRT) wakeRevoked() {
-	cs.mu.Lock()
 	for r, st := range cs.state {
 		if st == stRecvWait {
 			cs.state[r] = stRunnable
 			cs.wakeErr[r] = &CommRevokedError{}
 		}
 	}
-	cs.mu.Unlock()
 }
 
 // chaosSendFaults draws the transient-failure and latency-spike faults
 // for one send. It returns the extra virtual time charged to the
 // sender before injection (retry backoffs) and the extra arrival delay
-// (latency spike). Must run with cs.mu held — the draws are part of
-// the deterministic serial stream.
+// (latency spike). The draws are part of the deterministic serial
+// stream.
 //
 //lint:allocok — chaos-mode fault sampling, exempt from hot-path discipline
 func (cs *chaosRT) chaosSendFaults(scale float64) (backoffTime, spike float64) {
@@ -593,60 +479,64 @@ func (cs *chaosRT) chaosSendFaults(scale float64) (backoffTime, spike float64) {
 }
 
 // chaosEnqueue places a sent message (and possibly a duplicate) into
-// the in-flight pool. Must run with cs.mu held.
+// the in-flight pool.
 //
 //lint:allocok — chaos-mode in-flight pool, exempt from hot-path discipline
 func (cs *chaosRT) chaosEnqueue(src, dst int, m *Msg) {
 	seq := cs.sendSeq[src]
 	cs.sendSeq[src]++
-	cs.inflight[dst] = append(cs.inflight[dst], cs.newFlightLocked(m, dst, seq, false))
+	cs.inflight[dst] = append(cs.inflight[dst], cs.newFlight(m, dst, seq, false))
 	cs.inflightN++
 	if cs.cfg.DupProb > 0 && cs.faultRNG.Float64() < cs.cfg.DupProb {
-		cs.inflight[dst] = append(cs.inflight[dst], cs.newFlightLocked(m, dst, seq, true))
+		cs.inflight[dst] = append(cs.inflight[dst], cs.newFlight(m, dst, seq, true))
 		cs.inflightN++
 	}
 }
 
-// chaosRecvErr is recvErr under the chaos scheduler: post the request,
-// give the token up, and block until the scheduler matches a message
-// to it or notifies it of a peer failure / revocation. What the plain
-// drivers read off the dead mask at post time is here a seeded
+// chaosRecvErr is recvErr under the chaos scheduler: publish the posted
+// receive in the mailbox's wait fields, as the plain drivers do, park,
+// and take what the scheduler hands over on resume — a message it
+// matched to the receive, or a peer failure / revocation. What the
+// plain drivers read off the dead mask at post time is here a seeded
 // decision (a receive on a dead source may lose the race against a
 // message still in flight), so only the revocation and link-down rungs
 // of the receive ladder run inline.
 //
 //lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the plain drivers
 func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
-	p.rt.checkAborted()
-	cs := p.rt.chaos
+	rt := p.rt
+	rt.checkAborted()
+	cs := rt.chaos
 	p.checkSource(src)
-	if p.rt.revoked.Load() {
+	if rt.revoked.Load() {
 		return Msg{}, &CommRevokedError{}
 	}
-	cs.mu.Lock()
-	if src != AnySource && p.rt.model.HasLinkFaults() && !cs.deliverableLocked(p.rank, src, tag) {
-		// Same rule as the plain drivers, evaluated at the token-holding
+	if src != AnySource && rt.model.HasLinkFaults() && !cs.deliverable(p.rank, src, tag) {
+		// Same rule as the plain drivers, evaluated at the running
 		// rank's deterministic position in the serial stream: nothing
 		// matching in flight and the src→self path down means the receive
 		// can never complete. In-flight copies stay deliverable — their
 		// eager transfer finished before the fault.
-		if blk, bad := p.rt.model.PathBlocked(src, p.rank, p.vt); bad {
-			cs.mu.Unlock()
+		if blk, bad := rt.model.PathBlocked(src, p.rank, p.vt); bad {
 			return Msg{}, p.linkBlockedErr(blk, src, p.rank)
 		}
 	}
-	cs.reqSrc[p.rank], cs.reqTag[p.rank] = src, tag
-	cs.state[p.rank] = stRecvWait
-	// A wait-for cycle can only close when a rank blocks, and all chaos
-	// state is under cs.mu, so this single check at post time is exact.
-	// It sits at a deterministic position in the decision stream:
-	// record and replay prove the identical cycle.
-	if derr := cs.detectRecvCycleLocked(p.rank); derr != nil {
-		cs.rt.fail(derr)
+	b := rt.boxes[p.rank]
+	b.mu.Lock()
+	b.waiter, b.wSrc, b.wTag, b.wHint, b.wVT = true, src, tag, hint{slot: -1}, p.vt
+	b.mu.Unlock()
+	// A wait-for cycle can only close when a rank blocks, so this one
+	// check at post time is exact. It sits at a deterministic position
+	// in the decision stream: record and replay prove the identical
+	// cycle.
+	if src != AnySource {
+		rt.checkCycle(p)
 	}
-	cs.scheduleLocked()
-	cs.mu.Unlock()
-	w := p.chaosPark()
+	cs.switchOut(p, stRecvWait)
+	b.mu.Lock()
+	b.waiter = false
+	b.mu.Unlock()
+	w := cs.handoff
 	if w.err != nil {
 		var rf *RankFailedError
 		if errors.As(w.err, &rf) {
@@ -662,28 +552,20 @@ func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 	if w.msg.arrival > p.vt {
 		p.vt = w.msg.arrival
 	}
-	p.vt += p.slowScale() * p.rt.model.RecvOverhead()
+	p.vt += p.slowScale() * rt.model.RecvOverhead()
 	return *w.msg, nil
 }
 
-// deliverableLocked reports whether an undelivered in-flight copy to
-// rank r matches (src, tag); delivered duplicates only ever get
-// dropped. Serial execution makes the answer deterministic.
-func (cs *chaosRT) deliverableLocked(r, src, tag int) bool {
+// deliverable reports whether an undelivered in-flight copy to rank r
+// matches (src, tag); delivered duplicates only ever get dropped.
+// Serial execution makes the answer deterministic.
+func (cs *chaosRT) deliverable(r, src, tag int) bool {
 	for _, fm := range cs.inflight[r] {
 		if chaosMatch(src, tag, fm.msg) && !cs.delivered[delivKey{fm.msg.Src, fm.sendSeq}] {
 			return true
 		}
 	}
 	return false
-}
-
-// chaosProbe reports whether a matching message is in flight.
-func (p *Proc) chaosProbe(src, tag int) bool {
-	cs := p.rt.chaos
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.deliverableLocked(p.rank, src, tag)
 }
 
 // slowScale returns the rank's chaos slowdown multiplier (1 outside

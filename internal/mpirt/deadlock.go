@@ -13,9 +13,12 @@ import (
 // functional, so cycle detection is a pointer chase: the chase runs the
 // moment a rank blocks, which is the only instant a new cycle can form.
 // A proven cycle fails the run immediately at the current virtual time —
-// no wall-clock watchdog sample is needed — and, under the chaos
-// scheduler, at a deterministic position in the decision stream, so
-// record and replay report the identical cycle.
+// no wall-clock watchdog sample is needed — and, on the serial drivers,
+// at a deterministic point: under the chaos scheduler, at a fixed
+// position in the decision stream, so record and replay report the
+// identical cycle. Every driver publishes its posted receives in the
+// mailbox's wait fields, so one detector and one summary serve all
+// three.
 
 // WaitEdge is one edge of a deadlock cycle: Rank is blocked in Op
 // waiting on Peer with the given tag.
@@ -93,12 +96,13 @@ func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 	return out
 }
 
-// recvEdge returns rank r's outgoing wait-for edge on the plain drivers, or
-// ok=false when r is not provably stuck: not parked in a receive,
-// waiting on AnySource (any live peer could satisfy it), waiting on a
-// dead peer (the receive fails rather than blocks), or a matching
-// message is already queued. Takes boxes[r].mu; callers must hold no
-// box lock.
+// recvEdge returns rank r's outgoing wait-for edge, or ok=false when r
+// is not provably stuck: not parked in a receive, waiting on AnySource
+// (any live peer could satisfy it), waiting on a dead peer (the receive
+// fails rather than blocks), or a matching message is already pending —
+// in the in-flight pool under chaos, in the mailbox otherwise (a
+// delivered chaos duplicate only ever gets dropped, so it does not
+// count). Takes boxes[r].mu; callers must hold no box lock.
 func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
 	b := rt.boxes[r]
 	b.mu.Lock()
@@ -109,7 +113,11 @@ func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
 	if rt.deadMask[b.wSrc].Load() || rt.revoked.Load() {
 		return WaitEdge{}, 0, false
 	}
-	if b.matchesLocked(b.wSrc, b.wTag, b.wHint) {
+	pending := b.matchesLocked(b.wSrc, b.wTag, b.wHint)
+	if cs := rt.chaos; cs != nil {
+		pending = cs.deliverable(r, b.wSrc, b.wTag)
+	}
+	if pending {
 		return WaitEdge{}, 0, false
 	}
 	return WaitEdge{Rank: r, Op: "recv", Peer: b.wSrc, Tag: b.wTag}, b.wVT, true
@@ -162,64 +170,13 @@ func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockErro
 			vt = evt
 		}
 	}
-	return &DeadlockError{Cycle: canonicalCycle(path), VT: vt} //lint:allocok — constructed only on a detected deadlock
+	return &DeadlockError{Cycle: canonicalCycle(path), VT: vt, Summary: rt.blockedSummary()} //lint:allocok — constructed only on a detected deadlock
 }
 
-// detectRecvCycleLocked is the chaos-mode detector. All scheduler state
-// is under cs.mu (held by the caller), so the check is atomic: rank r
-// is stuck iff it is recv-parked on a specific live source and no
-// undelivered in-flight copy matches (delivered duplicates only ever
-// get dropped, never delivered).
-func (cs *chaosRT) detectRecvCycleLocked(start int) *DeadlockError {
-	if cs.rt.revoked.Load() {
-		return nil
-	}
-	edge := func(r int) (WaitEdge, bool) {
-		if cs.state[r] != stRecvWait {
-			return WaitEdge{}, false
-		}
-		src, tag := cs.reqSrc[r], cs.reqTag[r]
-		if src == AnySource || cs.rt.deadMask[src].Load() {
-			return WaitEdge{}, false
-		}
-		if cs.deliverableLocked(r, src, tag) {
-			return WaitEdge{}, false
-		}
-		return WaitEdge{Rank: r, Op: "recv", Peer: src, Tag: tag}, true
-	}
-	// cs.cycleScratch is safe to reuse here: execution is serial and
-	// the whole detector runs under cs.mu.
-	path := cs.cycleScratch[:0]
-	r := start
-	for {
-		cyc := -1
-		for i := range path {
-			if path[i].Rank == r {
-				cyc = i
-				break
-			}
-		}
-		if cyc >= 0 {
-			path = path[cyc:]
-			break
-		}
-		e, ok := edge(r)
-		if !ok {
-			cs.cycleScratch = path
-			return nil
-		}
-		path = append(path, e)
-		r = e.Peer
-	}
-	vt := 0.0
-	for _, e := range path {
-		if pvt := cs.rt.procs[e.Rank].vt; pvt > vt {
-			vt = pvt
-		}
-	}
-	return &DeadlockError{
-		Cycle:   canonicalCycle(path),
-		VT:      vt,
-		Summary: cs.blockedSummaryLocked(),
+// checkCycle fails the run if p's just-published receive closed a
+// wait-for cycle.
+func (rt *Runtime) checkCycle(p *Proc) {
+	if derr := rt.detectRecvCycle(p.rank, &p.cycleScratch); derr != nil {
+		rt.fail(derr)
 	}
 }

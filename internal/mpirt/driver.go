@@ -18,7 +18,8 @@ const (
 	// stRunning: the rank is executing.
 	stRunning
 	// stRunnable: ready to run with nothing to wait for — a chaos rank
-	// awaiting the token, an event rank in Yield with its wake queued.
+	// the scheduler may pick next, an event rank in Yield with its wake
+	// queued.
 	stRunnable
 	// stRecvWait: parked in recvErr on a posted receive.
 	stRecvWait
@@ -42,9 +43,10 @@ const (
 //   - A wake is delivered no earlier than the call that caused it: the
 //     core changes state under the waiter's lock and then calls the
 //     wake, so a waiter that re-checks under that lock cannot miss it.
-//   - The serial drivers (event, chaos) unwind a parked rank with
-//     errAborted when the run fails; the threaded driver returns from
-//     park and lets the caller's re-check do it.
+//   - The serial drivers (event, chaos) host ranks as coroutines of one
+//     loop (coHost): park switches back to the loop, and they unwind a
+//     parked rank with errAborted when the run fails; the threaded
+//     driver returns from park and lets the caller's re-check do it.
 type driver interface {
 	// run executes body on every rank and returns once all ranks have
 	// finished, or the run failed and stragglers were abandoned.
@@ -75,7 +77,7 @@ func (t threadedRT) run(body func(*Proc)) {
 	done := make(chan struct{})
 	defer close(done)
 	go t.watchdog(done)
-	t.rt.runRanks(body, func(*Proc) {})
+	t.rt.runRanks(body)
 }
 
 //lint:blockok — THE threaded park point: the rank's goroutine waits on the condition its wait was published under
@@ -149,7 +151,6 @@ func (rt *Runtime) failDeadlock(live int) {
 	var scratch []WaitEdge
 	for r := 0; r < rt.n; r++ {
 		if derr := rt.detectRecvCycle(r, &scratch); derr != nil {
-			derr.Summary = rt.blockedSummary()
 			rt.fail(derr)
 			return
 		}

@@ -316,32 +316,37 @@ func TestEventTeardownUnwindsEveryCoroutine(t *testing.T) {
 }
 
 // TestEventGoexitFailsRun: a rank body leaving through runtime.Goexit
-// (t.FailNow inside a body) ends the event loop's goroutine with it;
-// Run must report that rather than return a report of half a run, and
-// the ranks it leaves parked — here rank 2 parks in a receive, is woken
-// and exits while the rest sit in the barrier — must still be unwound.
+// (t.FailNow inside a body) must fail the run on every driver, naming
+// the rank, rather than return a report of half a run or a deadlock
+// among the ranks it left behind. On the serial drivers the Goexit ends
+// the loop's goroutine with it, and the ranks it leaves parked — here
+// rank 2 parks in a receive, is woken and exits while the rest sit in
+// the barrier — must still be unwound.
 func TestEventGoexitFailsRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	_, err := Run(Config{Cluster: smallCluster(), Engine: EngineEvent}, func(p *Proc) {
-		switch p.Rank() {
-		case 2:
-			p.Recv(3, 1)
-			runtime.Goexit()
-		case 3:
-			p.Send(2, 1, 0, nil, nil)
+	allDrivers(t, func(t *testing.T, cfg Config) {
+		before := runtime.NumGoroutine()
+		cfg.Cluster = smallCluster()
+		_, err := Run(cfg, func(p *Proc) {
+			switch p.Rank() {
+			case 2:
+				p.Recv(3, 1)
+				runtime.Goexit()
+			case 3:
+				p.Send(2, 1, 0, nil, nil)
+			}
+			p.Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 2") || !strings.Contains(err.Error(), "Goexit") {
+			t.Fatalf("expected rank 2's Goexit to fail the run, got %v", err)
 		}
-		p.Barrier()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%d goroutines before the run, %d after: parked ranks abandoned", before, n)
+		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "rank 2") || !strings.Contains(err.Error(), "Goexit") {
-		t.Fatalf("expected rank 2's Goexit to fail the run, got %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines before the run, %d after: parked coroutines abandoned", before, n)
-	}
 }
 
 // TestEventTelemetry: the event loop's counters are exact — identical

@@ -37,6 +37,30 @@ import (
 // runs are deterministic, and deadlock detection is exact — an empty
 // queue with unfinished ranks IS a deadlock — so there is no sampling
 // watchdog.
+//
+// The coroutine half — coHost: spawn, resume, switchOut, park,
+// teardown and the driver goroutine — is shared with the chaos driver
+// (chaos.go), whose loop resumes the rank a seeded decision names
+// instead of the next event's.
+
+// coHost hosts ranks as coroutines of one driver goroutine — the
+// substrate both serial drivers embed: the event loop resumes ranks in
+// virtual-time order, the chaos scheduler in a seeded one. Exactly one
+// entity (the driver's loop or one rank) runs at a time, and each
+// coroutine switch orders every access to the host's and the driver's
+// state.
+type coHost struct {
+	rt   *Runtime
+	body func(*Proc)
+	// steps, when non-nil, are the ranks: resume calls steps[r].Step
+	// where it would otherwise switch into rank r's coroutine.
+	steps []Stepper
+
+	state     []waitState
+	co        []evCoro
+	nFinished int
+	parks     int64 // Report.Parks
+}
 
 // evCoro is one rank's coroutine.
 type evCoro struct {
@@ -45,15 +69,13 @@ type evCoro struct {
 	stop  func()                  // the loop unwinds the rank if parked
 }
 
-// eventRT is the event engine's state. All fields are owned by "the
-// running entity": the loop and the rank coroutines hand execution
-// around one at a time, and each coroutine switch orders every access.
+func newCoHost(rt *Runtime) coHost {
+	return coHost{rt: rt, state: make([]waitState, rt.n), co: make([]evCoro, rt.n)}
+}
+
+// eventRT is the event engine's state, owned like coHost's.
 type eventRT struct {
-	rt   *Runtime
-	body func(*Proc)
-	// steps, when non-nil, are the ranks: the loop calls steps[r].Step
-	// where it would otherwise switch into rank r's coroutine.
-	steps []Stepper
+	coHost
 
 	q       calQueue
 	pushSeq uint64
@@ -62,22 +84,14 @@ type eventRT struct {
 	// monotonicity the calendar queue's contract requires.
 	now float64
 
-	state      []waitState
 	wakeQueued []bool // one pending wake per rank, max
-	co         []evCoro
-	nFinished  int
 
-	// Report telemetry: events popped, parks taken, deepest queue.
-	events, parks, peakQueue int64
+	// Report telemetry: events popped, deepest queue.
+	events, peakQueue int64
 }
 
 func newEventRT(rt *Runtime) *eventRT {
-	return &eventRT{
-		rt:         rt,
-		state:      make([]waitState, rt.n),
-		wakeQueued: make([]bool, rt.n),
-		co:         make([]evCoro, rt.n),
-	}
+	return &eventRT{coHost: newCoHost(rt), wakeQueued: make([]bool, rt.n)}
 }
 
 // schedule queues a wake for rank r at virtual time vt (clamped to the
@@ -156,21 +170,21 @@ func (ev *eventRT) wakeRevoked() {
 	}
 }
 
-// park switches to the loop and returns at this rank's next event. A
+// park switches to the loop and returns at this rank's next resume. A
 // false yield is the loop's stop(): the run failed, the rank unwinds.
-func (ev *eventRT) park(p *Proc, st waitState, c *sync.Cond) {
+func (h *coHost) park(p *Proc, st waitState, c *sync.Cond) {
 	c.L.Unlock() //lint:allocok — c.L is the sync.Mutex of the mailbox or the round state
-	ev.switchOut(p, st)
+	h.switchOut(p, st)
 	c.L.Lock() //lint:allocok — as above
 }
 
-func (ev *eventRT) switchOut(p *Proc, st waitState) {
-	if ev.steps != nil {
+func (h *coHost) switchOut(p *Proc, st waitState) {
+	if h.steps != nil {
 		panic(&UsageError{Rank: p.rank, Op: "park", Msg: "blocking call in a stepped rank: it has no stack to park on, use the Step form"})
 	}
-	ev.state[p.rank] = st
-	ev.parks++
-	if !ev.co[p.rank].yield(struct{}{}) { //lint:allocok — THE event-engine park point: iter.Pull's yield is a bare coroutine switch to the loop
+	h.state[p.rank] = st
+	h.parks++
+	if !h.co[p.rank].yield(struct{}{}) { //lint:allocok — THE serial drivers' park point: iter.Pull's yield is a bare coroutine switch to the loop
 		panic(errAborted)
 	}
 }
@@ -184,18 +198,23 @@ func (ev *eventRT) yield(p *Proc) {
 	ev.switchOut(p, stRunnable)
 }
 
-// run hosts the loop on a driver goroutine of its own: a rank body
-// hogging the host holds the loop inside its coroutine switch, and
-// awaitRanks can still abandon both at WallLimit.
-func (ev *eventRT) run(body func(*Proc)) {
-	ev.body = body
+func (ev *eventRT) run(body func(*Proc)) { ev.host(body, ev.loop) }
+
+// host runs loop on a driver goroutine of its own: a rank body hogging
+// the host holds the loop inside its coroutine switch, and awaitRanks
+// can still abandon both at WallLimit. The teardown is deferred, so
+// that it also runs when a rank body's runtime.Goexit ends the driver
+// goroutine from inside next.
+func (h *coHost) host(body func(*Proc), loop func()) {
+	h.body = body
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ev.loop()
+		defer h.teardown()
+		loop()
 	}()
-	ev.rt.awaitRanks(&wg)
+	h.rt.awaitRanks(&wg)
 }
 
 // loop is the engine: pop the next event, run that rank until it
@@ -205,9 +224,6 @@ func (ev *eventRT) run(body func(*Proc)) {
 //
 //lint:hotpath
 func (ev *eventRT) loop() {
-	// Deferred, so that it also runs when a rank body's runtime.Goexit
-	// ends this goroutine from inside next.
-	defer ev.teardown()
 	rt := ev.rt
 	for r := 0; r < rt.n; r++ {
 		ev.schedule(r, 0)
@@ -225,48 +241,53 @@ func (ev *eventRT) loop() {
 		r := int(e.rank)
 		ev.wakeQueued[r] = false
 		switch ev.state[r] {
-		case stUnborn:
-			if ev.steps == nil {
-				ev.spawn(rt.procs[r])
-			}
-		case stRecvWait, stBarrierWait, stFTWait, stRunnable:
+		case stUnborn, stRecvWait, stBarrierWait, stFTWait, stRunnable:
+			ev.resume(r)
 		default:
 			// A wake can race a state change only through an abort;
 			// nothing to resume.
-			continue
 		}
-		ev.state[r] = stRunning
-		var parked bool
-		if ev.steps != nil {
-			parked = !ev.rankMain(rt.procs[r])
-		} else {
-			_, parked = ev.co[r].next() //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+	}
+}
+
+// resume runs rank r until it parks or finishes, creating its coroutine
+// on its first resume.
+func (h *coHost) resume(r int) {
+	p := h.rt.procs[r]
+	h.state[r] = stRunning
+	var parked bool
+	if h.steps != nil {
+		parked = !h.rankMain(p)
+	} else {
+		if h.co[r].next == nil {
+			h.spawn(p)
 		}
-		if !parked {
-			ev.state[r] = stFinished
-			ev.nFinished++
-		}
+		_, parked = h.co[r].next() //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+	}
+	if !parked {
+		h.state[r] = stFinished
+		h.nFinished++
 	}
 }
 
 // teardown unwinds every rank still parked: stop makes its yield return
 // false. A suspended stepped rank has nothing to unwind.
-func (ev *eventRT) teardown() {
-	for r := range ev.co {
-		if stop := ev.co[r].stop; stop != nil {
-			stop() //lint:allocok — abort teardown, once per started rank
+func (h *coHost) teardown() {
+	for r := range h.co {
+		if stop := h.co[r].stop; stop != nil {
+			stop()
 		}
 	}
 }
 
 // spawn creates rank p's coroutine.
 //
-//lint:allocok — one coroutine per rank, created once on its first event
-func (ev *eventRT) spawn(p *Proc) {
-	co := &ev.co[p.rank]
+//lint:allocok — one coroutine per rank, created once on its first resume
+func (h *coHost) spawn(p *Proc) {
+	co := &h.co[p.rank]
 	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
 		co.yield = yield
-		ev.rankMain(p)
+		h.rankMain(p)
 	})
 }
 
@@ -275,25 +296,25 @@ func (ev *eventRT) spawn(p *Proc) {
 // stepped one — done is false only when that suspended. A rank that
 // leaves by runtime.Goexit takes the driver goroutine with it (iter.Pull
 // hands the exit on to next's caller), so that has to fail the run
-// first; loop's deferred teardown then unwinds the ranks it leaves
+// first; host's deferred teardown then unwinds the ranks it leaves
 // parked.
-func (ev *eventRT) rankMain(p *Proc) (done bool) {
+func (h *coHost) rankMain(p *Proc) (done bool) {
 	rec := any("rank body called runtime.Goexit")
 	defer func() { //lint:allocok — deferred and never escaping: the closure lives in this frame
 		if r := recover(); r != nil {
 			rec = r
 		}
 		if done = done || rec != nil; done {
-			ev.rt.rankRecover(p, rec)
+			h.rt.rankRecover(p, rec)
 		}
 	}()
 	// The rank's own code is vetted from roots of its own (RecvStep,
 	// reduceMax, SendSnapshot), not through these two dynamic calls.
-	if ev.steps == nil {
-		ev.body(p) //lint:allocok — the coroutine's body
+	if h.steps == nil {
+		h.body(p) //lint:allocok — the coroutine's body
 		done = true
 	} else {
-		done = ev.steps[p.rank].Step(p) //lint:allocok — the loop's wake of a stepped rank, as next() is a coroutine's
+		done = h.steps[p.rank].Step(p) //lint:allocok — the loop's wake of a stepped rank, as next() is a coroutine's
 	}
 	rec = nil
 	return done

@@ -21,7 +21,7 @@ import (
 	"sort"
 )
 
-// errKilled unwinds the goroutine of a rank that suffered an injected
+// errKilled unwinds a rank that suffered an injected
 // fail-stop crash. It is not an error of the run: Run treats it as a
 // normal (if permanent) rank exit.
 var errKilled = fmt.Errorf("mpirt: rank killed (fail-stop injection)")
@@ -92,7 +92,7 @@ func (p *Proc) enterOp() {
 	}
 }
 
-// die marks the rank dead and unwinds its goroutine. The runtime-level
+// die marks the rank dead and unwinds it. The runtime-level
 // death mark wakes peers blocked on this rank so they observe the
 // failure instead of the watchdog.
 //

@@ -15,8 +15,8 @@
 //
 // Under the chaos scheduler, first observations are recorded inline in
 // the decision schedule (trace.DecisionLinkFault) by the observing rank
-// while it holds the execution token, so recorded link-fault schedules
-// replay bit-exactly.
+// while it is the one running, so recorded link-fault schedules replay
+// bit-exactly.
 package mpirt
 
 import (
@@ -94,7 +94,7 @@ func (p *Proc) linkBlockedErr(blk netmodel.Blocked, src, dst int) error {
 // resource to this rank's virtual clock, memoised per (observer,
 // resource) — the same modelled heartbeat/ack cost as per-peer failure
 // detection. Under chaos, the first observation is recorded inline in
-// the decision schedule (the observer holds the execution token, so the
+// the decision schedule (the observer is the one rank running, so the
 // record's position in the stream is deterministic).
 func (p *Proc) chargeLinkDetect(res netmodel.Resource) {
 	if p.linkDetected == nil {
@@ -109,12 +109,10 @@ func (p *Proc) chargeLinkDetect(res netmodel.Resource) {
 	p.linkDetectTime += dt
 	p.linkDetections++
 	if cs := p.rt.chaos; cs != nil {
-		cs.mu.Lock()
-		cs.recordLocked(trace.Decision{
+		cs.record(trace.Decision{
 			Kind: trace.DecisionLinkFault, Rank: p.rank,
 			Src: int(res.Kind), Tag: res.Index,
 		})
-		cs.mu.Unlock()
 	}
 }
 

@@ -19,10 +19,12 @@
 // The blocking primitives are written once, against a small seam (see
 // driver) that three drivers implement: the serial event loop — the
 // default, deterministic, and the one every published number comes
-// from — the goroutine-per-rank threaded engine kept as the
-// host-parallel oracle for -race and differential testing, and the
-// seeded chaos scheduler. All three detect deadlocks and convert rank
-// panics into errors returned from Run.
+// from — the seeded chaos scheduler, which hosts ranks on the same
+// coroutines and resumes them in an adversarial seeded order, and the
+// goroutine-per-rank threaded engine kept as the host-parallel oracle
+// for -race and differential testing. All three detect deadlocks with
+// one wait-for-graph detector and one summary, and convert rank panics
+// into errors returned from Run.
 package mpirt
 
 import (
@@ -47,11 +49,13 @@ const (
 	AnyTag    = -1
 )
 
-// ErrDeadlock is wrapped into the Run error when the watchdog finds all
-// live ranks blocked with no deliverable messages.
+// ErrDeadlock is wrapped into the Run error when a driver proves the
+// run deadlocked: a wait-for cycle closed, or every live rank is blocked
+// with nothing deliverable (the serial drivers know it exactly; the
+// threaded engine's watchdog samples it).
 var ErrDeadlock = errors.New("mpirt: deadlock detected")
 
-// errAborted unwinds rank goroutines once the runtime has failed.
+// errAborted unwinds ranks once the runtime has failed.
 var errAborted = errors.New("mpirt: runtime aborted")
 
 // Msg is one received message.
@@ -102,9 +106,10 @@ type Config struct {
 	// analysis (phase breakdowns, distance histograms).
 	Trace *trace.Trace
 	// Chaos, when non-nil, runs the execution under the deterministic
-	// chaos scheduler — whatever Engine says: serial token-passing
-	// execution with seeded adversarial message-matching order, fault
-	// injection, and full schedule record/replay. See the Chaos type.
+	// chaos scheduler — whatever Engine says: serial execution of the
+	// ranks as coroutines with seeded adversarial scheduling and
+	// message-matching order, fault injection, and full schedule
+	// record/replay. See the Chaos type.
 	Chaos *Chaos
 	// Kills schedules injected fail-stop crashes: each victim rank dies
 	// permanently once it has passed the kill's operation count and
@@ -580,8 +585,8 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 // RunSteppers is Run for ranks written as Steppers; mk builds rank p's,
 // on the calling goroutine, before any rank runs. The event engine steps
 // them from its loop, no coroutine per rank; on the threaded and chaos
-// drivers a Step-form wait blocks, so the rank's goroutine steps until
-// done. Same runtime, same Report.
+// drivers a Step-form wait blocks, so the rank's goroutine or coroutine
+// steps until done. Same runtime, same Report.
 func RunSteppers(cfg Config, mk func(*Proc) Stepper) (*Report, error) {
 	return launch(cfg, nil, mk)
 }
@@ -696,23 +701,24 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	return rt.buildReport(start), nil
 }
 
-// runRanks runs body on one goroutine per rank — the threaded and
-// chaos drivers' substrate — and waits for them all. exited is the
-// driver's hand-off after a rank's exit, and runs once the exit is
-// classified: whatever it decides next (the chaos scheduler may find
-// the ranks left behind deadlocked), an aborting rank's own error has
-// already reached Runtime.fail, which keeps the first.
-func (rt *Runtime) runRanks(body, exited func(*Proc)) {
+// runRanks runs body on one goroutine per rank — the threaded driver —
+// and waits for them all. A rank that leaves by runtime.Goexit fails
+// the run, as on the coroutine host (coHost.rankMain).
+func (rt *Runtime) runRanks(body func(*Proc)) {
 	var wg sync.WaitGroup
 	wg.Add(rt.n)
 	for _, p := range rt.procs {
 		go func() {
 			defer wg.Done()
+			rec := any("rank body called runtime.Goexit")
 			defer func() {
-				rt.rankRecover(p, recover())
-				exited(p)
+				if r := recover(); r != nil {
+					rec = r
+				}
+				rt.rankRecover(p, rec)
 			}()
 			body(p)
+			rec = nil
 		}()
 	}
 	rt.awaitRanks(&wg)
@@ -751,9 +757,9 @@ func (rt *Runtime) rankRecover(p *Proc, rec any) {
 	rt.progress.Add(1)
 }
 
-// awaitRanks waits for every spawned rank goroutine, with a short
-// grace period on failure before abandoning ranks stuck in host-level
-// blocking (they exit at their next runtime call; the shared state
+// awaitRanks waits for wg — the threaded engine's rank goroutines, or
+// a serial driver's loop goroutine — with a short grace period on
+// failure before abandoning ranks stuck in host-level blocking (they exit at their next runtime call; the shared state
 // stays valid).
 func (rt *Runtime) awaitRanks(wg *sync.WaitGroup) {
 	allDone := make(chan struct{})
@@ -881,10 +887,13 @@ func (rt *Runtime) blockedSummary() string {
 		parts = append(parts, fmt.Sprintf("dead ranks %v", dead))
 	}
 	if len(parts) == 0 {
-		return "blocked ranks are between states"
+		parts = append(parts, "blocked ranks are between states")
 	}
 	if len(parts) > 10 {
 		parts = append(parts[:10], "…")
+	}
+	if cs := rt.chaos; cs != nil {
+		parts = append(parts, fmt.Sprintf("%d in flight", cs.inflightN))
 	}
 	return strings.Join(parts, "; ")
 }
@@ -1117,13 +1126,11 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 	pa := p.rt.model.Path(p.rank, dst)
 	var arrival float64
 	if cs := p.rt.chaos; cs != nil {
-		// The sender holds the execution token, so these RNG draws are
+		// The sender is the one rank running, so these RNG draws are
 		// part of the deterministic serial stream.
-		cs.mu.Lock()
 		backoff, spike := cs.chaosSendFaults(cs.slow[p.rank])
 		p.vt += backoff + cs.slow[p.rank]*p.rt.model.SendOverhead()
 		arrival = p.rt.model.Charge(&pa, size, p.vt) + spike
-		cs.mu.Unlock()
 	} else {
 		p.vt += p.rt.model.SendOverhead()
 		arrival = p.rt.model.Charge(&pa, size, p.vt)
@@ -1144,9 +1151,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		// later delivery decision releases it. The container is not
 		// recycled — duplicated in-flight copies share this one *Msg.
 		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb} //lint:allocok — chaos-mode container, deliberately unpooled
-		cs.mu.Lock()
 		cs.chaosEnqueue(p.rank, dst, m)
-		cs.mu.Unlock()
 		return nil
 	}
 	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb}
@@ -1273,10 +1278,7 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 			// publishes last proves the cycle.
 			checked = true
 			box.mu.Unlock()
-			if derr := rt.detectRecvCycle(p.rank, &p.cycleScratch); derr != nil {
-				derr.Summary = rt.blockedSummary()
-				rt.fail(derr)
-			}
+			rt.checkCycle(p)
 			box.mu.Lock()
 			continue
 		}
@@ -1352,8 +1354,8 @@ func (p *Proc) recvBlocked(src int) error {
 //lint:hotpath
 func (p *Proc) Probe(src, tag int) bool {
 	p.enterOp()
-	if p.rt.chaos != nil {
-		return p.chaosProbe(src, tag)
+	if cs := p.rt.chaos; cs != nil {
+		return cs.deliverable(p.rank, src, tag)
 	}
 	box := p.rt.boxes[p.rank]
 	box.mu.Lock()

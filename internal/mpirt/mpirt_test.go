@@ -26,6 +26,14 @@ func bothEngines(t *testing.T, f func(t *testing.T, eng Engine)) {
 	}
 }
 
+// allDrivers runs f once per driver: each engine, then chaos (a
+// schedule-only seed), with cfg selecting it.
+func allDrivers(t *testing.T, f func(t *testing.T, cfg Config)) {
+	t.Helper()
+	bothEngines(t, func(t *testing.T, eng Engine) { f(t, Config{Engine: eng}) })
+	t.Run("chaos", func(t *testing.T) { f(t, Config{Chaos: ScheduleOnly(1)}) })
+}
+
 // run executes body on the small cluster under each engine; check, if
 // given, inspects each engine's report.
 func run(t *testing.T, body func(*Proc), check ...func(t *testing.T, rep *Report)) {

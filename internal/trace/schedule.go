@@ -8,7 +8,7 @@ import (
 )
 
 // A Schedule records the complete sequence of scheduling decisions a
-// chaos-mode mpirt run makes: which rank the execution token went to,
+// chaos-mode mpirt run makes: which rank ran next,
 // which in-flight message was matched to which blocked receive, and
 // which duplicated deliveries were deduplicated. Because chaos-mode
 // execution is serial and every nondeterministic choice is drawn from
@@ -25,7 +25,7 @@ type Schedule struct {
 type DecisionKind uint8
 
 const (
-	// DecisionResume hands the execution token to a runnable rank.
+	// DecisionResume resumes a runnable rank.
 	DecisionResume DecisionKind = iota
 	// DecisionDeliver matches one in-flight message to a blocked
 	// receive and resumes the receiver.
@@ -47,8 +47,8 @@ const (
 	// DecisionLinkFault marks a rank's first observation of a down link
 	// resource: Rank paid the detection timeout for the resource encoded
 	// as (Src = resource kind, Tag = resource index). Like kills, these
-	// are recorded inline by the observing rank — which holds the
-	// execution token — not chosen by the scheduler, so replay skips
+	// are recorded inline by the observing rank — the one running — not
+	// chosen by the scheduler, so replay skips
 	// them when resolving a pick and the determinism fingerprint covers
 	// them.
 	DecisionLinkFault
@@ -186,7 +186,7 @@ func (s *Schedule) Diverge(o *Schedule) int {
 	return -1
 }
 
-// Counts tallies the decisions by kind: token resumes, message
+// Counts tallies the decisions by kind: resumes, message
 // deliveries, and deduplicated duplicates.
 func (s *Schedule) Counts() (resumes, delivers, drops int) {
 	s.mu.Lock()

@@ -20,7 +20,8 @@
 // sub-packages under internal/ hold the implementations:
 //
 //   - internal/topology, internal/netmodel — cluster shape and cost model
-//   - internal/mpirt — the goroutine-per-rank MPI-like runtime
+//   - internal/mpirt — the MPI-like runtime: one blocking core under
+//     the event, chaos and threaded drivers
 //   - internal/vgraph — virtual topologies and workload generators
 //   - internal/pattern — Distance Halving pattern builders (Algorithms 1–3)
 //   - internal/collective — one algorithm table over one plan IR and one
