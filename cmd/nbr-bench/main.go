@@ -12,6 +12,8 @@
 //	variance     run-to-run variance across seeded topologies
 //	recovery     fail-stop recovery overhead per self-healing algorithm
 //	degradation  degraded-fabric overhead per self-healing algorithm
+//	critical     where the virtual time goes: each algorithm's critical
+//	             path per phase on the cells that depart from the paper
 //	mega         a ≥100k-rank phantom Moore sweep on the event engine
 //	micro        the mpirt hot-path micro-benchmarks
 //
@@ -69,6 +71,7 @@ var sections = []section{
 	{"variance", "variance", variance},
 	{"recovery", "recovery", recovery},
 	{"degradation", "degradation", degradation},
+	{"critical", "critical", critical},
 	{"mega", "mega", mega},
 	{"micro", "micro", micro},
 }

@@ -71,6 +71,13 @@ func TestRunSections(t *testing.T) {
 		{"table2", []string{"-fig", "table2"}, "== Table II", []string{"dwt_193", "Heart1", "comsol"}},
 		{"recovery", []string{"-fig", "recovery", "-scale", "smoke"}, "recovery cluster: 2 nodes",
 			[]string{"rank 4 killed after 4 ops", "distance-halving"}},
+		// One ER cell and one Moore cell of the critical path (the section
+		// checks that each path sums to its time); the Moore case sets the
+		// cluster by -nodes/-rps and checks its per-phase rows.
+		{"critical", []string{"-fig", "critical", "-scale", "smoke"}, "== Critical path",
+			[]string{"-- ER δ=0.05, 32B --", "-- Moore r=1,d=2, 4KB --", "distance-halving: ", "dh-final", "dh-build: "}},
+		{"critical-moore", []string{"-fig", "critical", "-nodes", "2", "-rps", "2"}, "== Critical path",
+			[]string{"Moore cells: 2 nodes × 2 sockets × 2 ranks (8 ranks", "-- Moore r=2,d=3, 4KB --", "  dh-step+0  ", "  cn-deliv  ", "  lb-gather  "}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := mustRun(t, tc.args...)
@@ -329,6 +336,8 @@ func TestCommittedResults(t *testing.T) {
 		// detection and the degraded-link cost path.
 		{"recovery.txt", []string{"-fig", "recovery"}},
 		{"degradation.txt", []string{"-fig", "degradation"}},
+		// Every row's path is checked to sum to its time as it prints.
+		{"critical.txt", []string{"-fig", "critical", "-nodes", "15", "-rps", "18"}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))

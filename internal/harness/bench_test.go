@@ -37,7 +37,7 @@ func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, rep, err := runMeasurement(cfg, op, cfg.Trials, leg.on)
+					_, rep, err := runMeasurement(cfg, cfg.runtime(), op, cfg.Trials, leg.on)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -98,7 +98,7 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	if cfg.MsgSize < 1 {
 		return Result{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
 	}
-	ms, rep, err := runMeasurement(cfg, op, cfg.simulated(trials), nil)
+	ms, rep, err := runMeasurement(cfg, cfg.runtime(), op, cfg.simulated(trials), nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -132,17 +132,17 @@ func result(times []float64, trials int, rep *mpirt.Report) Result {
 	return res
 }
 
-// runMeasurement executes trials of op: every rank is a measureLoop, on
-// every driver. on, when non-nil, is what a rank's passes run against
-// in place of its *mpirt.Proc (tests).
-func runMeasurement(cfg Config, op collective.Op, trials int, on func(*mpirt.Proc) mpirt.Endpoint) (*measurement, *mpirt.Report, error) {
+// runMeasurement executes trials of op under rc, cfg's runtime: every
+// rank is a measureLoop, on every driver. on, when non-nil, is what a
+// rank's passes run against in place of its *mpirt.Proc (tests).
+func runMeasurement(cfg Config, rc mpirt.Config, op collective.Op, trials int, on func(*mpirt.Proc) mpirt.Endpoint) (*measurement, *mpirt.Report, error) {
 	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials), on: on}
 	// Per-rank payload buffers are allocated before the runtime starts
 	// so the measured region (and every trial iteration) does no buffer
 	// allocation work; phantom runs carry nil buffers.
 	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
 	loops := make([]measureLoop, op.Graph().N())
-	rep, err := mpirt.RunSteppers(cfg.runtime(), func(p *mpirt.Proc) mpirt.Stepper {
+	rep, err := mpirt.RunSteppers(rc, func(p *mpirt.Proc) mpirt.Stepper {
 		l := &loops[p.Rank()]
 		l.ms = ms
 		return l

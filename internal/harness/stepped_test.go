@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -30,10 +31,10 @@ func stripHints(p *mpirt.Proc) mpirt.Endpoint { return unhinted{p} }
 // were stepped — SyncResetTime, op.Run, CollectiveTime per trial, on a
 // coroutine per rank, no slot hints — kept as the reference measureLoop
 // is compared to.
-func coroutineMeasurement(cfg Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
+func coroutineMeasurement(cfg Config, rc mpirt.Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
 	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
 	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
-	rep, err := mpirt.Run(cfg.runtime(), func(p *mpirt.Proc) {
+	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
 		r := p.Rank()
 		for tr := range ms.times {
 			p.SyncResetTime()
@@ -66,7 +67,9 @@ func moore10k(tb testing.TB) (Config, *vgraph.Graph) {
 // running the blocking body or measureLoops stepped by the loop, and
 // whether the passes hint mailbox slots (the stepped leg: Measure as it
 // runs) or every message is matched by (src, tag) hashing (the
-// coroutine reference, and a stepped leg with the hints stripped).
+// coroutine reference, and a stepped leg with the hints stripped). The
+// Reports include the critical path of the last trial, which must also
+// tile its time.
 func TestSteppedEqualsCoroutine(t *testing.T) {
 	shapes, err := conformance.Shapes()
 	if err != nil {
@@ -90,15 +93,20 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 				for _, trials := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%s/%s/phantom=%v/trials=%d", sh.Name, algo, phantom, trials), func(t *testing.T) {
 						cfg := Config{Cluster: sh.Cluster, MsgSize: 24, Phantom: phantom, Engine: mpirt.EngineEvent}
-						want, wantRep, err := coroutineMeasurement(cfg, op, trials)
+						rc := cfg.runtime()
+						rc.CriticalPath = true
+						want, wantRep, err := coroutineMeasurement(cfg, rc, op, trials)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if sum := pathSum(wantRep.Path); math.Abs(sum-wantRep.Time) > 1e-12 {
+							t.Errorf("critical path sums to %g, Time %g", sum, wantRep.Time)
 						}
 						for _, leg := range []struct {
 							name string
 							on   func(*mpirt.Proc) mpirt.Endpoint
 						}{{"stepped", nil}, {"stepped, unhinted", stripHints}} {
-							got, gotRep, err := runMeasurement(cfg, op, trials, leg.on)
+							got, gotRep, err := runMeasurement(cfg, rc, op, trials, leg.on)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -127,6 +135,19 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pathSum adds up a critical path: each transit's α, size/β and
+// queueing, and the local spans.
+func pathSum(path []mpirt.Span) (sum float64) {
+	for _, s := range path {
+		if s.Src < 0 {
+			sum += s.To - s.From
+		} else {
+			sum += s.Alpha + s.Wire + s.Queue
+		}
+	}
+	return sum
 }
 
 // rank0Probe is an op that samples the goroutine count whenever rank 0

@@ -31,7 +31,7 @@ func TestPhantomTrialsIdentical(t *testing.T) {
 			for _, m := range []int{24, 64 << 10} {
 				t.Run(fmt.Sprintf("%s/%s/%dB", sh.Name, algo, m), func(t *testing.T) {
 					cfg := Config{Cluster: sh.Cluster, MsgSize: m, Trials: k, Phantom: true}
-					all, allRep, err := runMeasurement(cfg, op, k, nil)
+					all, allRep, err := runMeasurement(cfg, cfg.runtime(), op, k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -40,7 +40,7 @@ func TestPhantomTrialsIdentical(t *testing.T) {
 							t.Fatalf("trial %d took %v, trial 0 %v: %v", tr, x, all.times[0], all.times)
 						}
 					}
-					_, oneRep, err := runMeasurement(cfg, op, 1, nil)
+					_, oneRep, err := runMeasurement(cfg, cfg.runtime(), op, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

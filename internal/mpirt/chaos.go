@@ -549,9 +549,7 @@ func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
 		// message or an error; a bare resume here is a scheduler bug.
 		panic(fmt.Sprintf("mpirt: chaos scheduler resumed recv-blocked rank %d without a message", p.rank))
 	}
-	if w.msg.arrival > p.vt {
-		p.vt = w.msg.arrival
-	}
+	p.lift(w.msg)
 	p.vt += p.slowScale() * rt.model.RecvOverhead()
 	return *w.msg, nil
 }

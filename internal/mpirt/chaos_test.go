@@ -179,7 +179,8 @@ func TestChaosReplay(t *testing.T) {
 	// Corrupt the schedule: divergence must be detected, not silently
 	// rescheduled.
 	bad := trace.NewSchedule()
-	for i, d := range rec.Decisions() {
+	for i := range rec.Len() {
+		d, _ := rec.At(i)
 		if i == rec.Len()/2 && d.Kind == trace.DecisionDeliver {
 			d.Src = (d.Src + 1) % 8
 			d.SendSeq += 100

@@ -40,7 +40,6 @@ import (
 
 	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/topology"
-	"nbrallgather/internal/trace"
 )
 
 // Wildcards for Recv matching, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
@@ -74,7 +73,7 @@ type Msg struct {
 	// implementations would encode it into a small header.
 	Meta any
 
-	arrival float64
+	depart, arrival float64 // sender's clock after its overhead; modelled receivable time
 	// pooled, when non-nil, is the pool buffer backing Data, or a
 	// composite; Release lets go of it (see pool.go for the ownership rules).
 	pooled *pbuf
@@ -102,9 +101,9 @@ type Config struct {
 	// (default 120 s), on every driver. This is a harness safety net,
 	// distinct from virtual time.
 	WallLimit time.Duration
-	// Trace, when non-nil, records every sent message for post-hoc
-	// analysis (phase breakdowns, distance histograms).
-	Trace *trace.Trace
+	// CriticalPath records every receive that waited for its message and
+	// walks the record into Report.Path; off, nothing is recorded.
+	CriticalPath bool
 	// Chaos, when non-nil, runs the execution under the deterministic
 	// chaos scheduler — whatever Engine says: serial execution of the
 	// ranks as coroutines with seeded adversarial scheduling and
@@ -170,6 +169,9 @@ type Report struct {
 	// charges Config.DetectTimeout to the observer's clock).
 	Detections int64
 	DetectTime float64
+	// Path is the critical path of the run's last section when
+	// Config.CriticalPath is set: Spans that tile [0, Time] in order.
+	Path []Span
 	// LinkDetections counts first-time down-resource observations
 	// across (rank, resource) pairs; LinkDetectTime is their total
 	// virtual-time cost.
@@ -285,12 +287,12 @@ type mailbox struct {
 // slotMsg is a slot's resident: what a receive returns and the enqueue
 // stamp, 0 in a free slot. The payload is pooled's first size bytes, or pooled.
 type slotMsg struct {
-	src, tag int32
-	size     int
-	arrival  float64
-	seq      uint64
-	meta     any
-	pooled   *pbuf
+	src, tag        int32
+	size            int
+	depart, arrival float64
+	seq             uint64
+	meta            any
+	pooled          *pbuf
 }
 
 // hint addresses slot `slot` of the n a rank has under the numbering
@@ -315,7 +317,7 @@ func (b *mailbox) fileLocked(m *Msg, h hint) {
 		if e := &b.slots[h.slot]; b.count == 0 && e.seq == 0 {
 			b.enq++
 			b.inSlots++
-			*e = slotMsg{int32(m.Src), int32(m.Tag), m.Size, m.arrival, b.enq, m.Meta, m.pooled}
+			*e = slotMsg{int32(m.Src), int32(m.Tag), m.Size, m.depart, m.arrival, b.enq, m.Meta, m.pooled}
 			return
 		}
 	}
@@ -431,7 +433,7 @@ func (b *mailbox) findLocked(src, tag int) *matchList {
 // container goes back to msgPool.
 func (b *mailbox) takeLocked(src, tag int, h hint, out *Msg) bool {
 	if e := b.frontLocked(src, tag, h); e != nil {
-		*out = Msg{Src: int(e.src), Tag: int(e.tag), Size: e.size, Meta: e.meta, arrival: e.arrival, pooled: e.pooled, seq: e.seq}
+		*out = Msg{Src: int(e.src), Tag: int(e.tag), Size: e.size, Meta: e.meta, depart: e.depart, arrival: e.arrival, pooled: e.pooled, seq: e.seq}
 		if e.pooled != nil && e.pooled.b != nil { // not a composite
 			out.Data = e.pooled.b[:e.size:e.size]
 		}
@@ -552,6 +554,10 @@ type Proc struct {
 
 	recvs []int32 // the numbering this rank's slot hints follow (Slots)
 
+	// edges is this rank's critical-path record since the last
+	// SyncResetTime; nil when Config.CriticalPath is off.
+	edges []Span
+
 	// cycleScratch is this rank's wait-for-graph chase buffer, reused
 	// across posted receives so the block-time cycle probe is
 	// allocation-free.
@@ -652,6 +658,9 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	}
 	for r := 0; r < n; r++ {
 		p := &Proc{rt: rt, rank: r}
+		if cfg.CriticalPath {
+			p.edges = []Span{}
+		}
 		for _, k := range cfg.Kills {
 			if k.Rank == r {
 				p.kills = append(p.kills, k)
@@ -804,6 +813,9 @@ func (rt *Runtime) buildReport(start time.Time) *Report {
 		rep.SnapshotBytes += p.snapBytes
 		rep.PoolHits += p.poolHits
 		rep.PoolMisses += p.poolMisses
+	}
+	if rt.cfg.CriticalPath {
+		rep.Path = rt.walk(rep.Time)
 	}
 	return rep
 }
@@ -1138,23 +1150,17 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 
 	p.rt.msgsByDist[pa.Dist].Add(1)
 	p.rt.bytesByDist[pa.Dist].Add(int64(size))
-	if p.rt.cfg.Trace != nil {
-		p.rt.cfg.Trace.Record(trace.Event{
-			Src: p.rank, Dst: dst, Tag: tag, Size: size,
-			Depart: p.vt, Arrive: arrival, Dist: pa.Dist,
-		})
-	}
 
 	if cs := p.rt.chaos; cs != nil {
 		// Chaos mode: the message enters the scheduler's in-flight pool
 		// (possibly duplicated) instead of the destination mailbox; a
 		// later delivery decision releases it. The container is not
 		// recycled — duplicated in-flight copies share this one *Msg.
-		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb} //lint:allocok — chaos-mode container, deliberately unpooled
+		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb} //lint:allocok — chaos-mode container, deliberately unpooled
 		cs.chaosEnqueue(p.rank, dst, m)
 		return nil
 	}
-	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, arrival: arrival, pooled: s.pb}
+	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb}
 	box := p.rt.boxes[dst]
 	box.mu.Lock()
 	box.fileLocked(&m, h)
@@ -1255,7 +1261,8 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 			if h.slot >= 0 && (out.Src != src || out.Tag != tag) {
 				panic(&UsageError{Rank: p.rank, Op: "recv", Msg: fmt.Sprintf("slot %d held a message from %d tag %d", h.slot, out.Src, out.Tag)})
 			}
-			p.vt = math.Max(p.vt, out.arrival) + rt.model.RecvOverhead()
+			p.lift(out)
+			p.vt += rt.model.RecvOverhead()
 			return true, nil
 		}
 		if err := p.recvBlocked(src); err != nil {
@@ -1397,6 +1404,7 @@ func (p *Proc) syncResetTime(step bool) bool {
 			return false
 		}
 		p.vt = 0
+		p.edges = p.edges[:0]
 		if p.rank == 0 {
 			p.rt.model.Reset()
 		}

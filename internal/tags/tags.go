@@ -111,3 +111,40 @@ const (
 func FTShift(epoch, round int) int {
 	return (epoch*64 + round) << 13
 }
+
+// blocks names the registry's blocks for Phase: tags [lo, lo+n), each
+// step of a ladder stride tags wide (stride 0: one phase, no steps).
+var blocks = []struct {
+	name          string
+	lo, n, stride int
+}{
+	{"naive", Naive, 1, 0}, {"dh-final", DHFinal, 1, 0}, {"dh-step", DHStep, 64, 1},
+	{"cn-share", CNShare, 1, 0}, {"cn-deliv", CNDeliv, 1, 0},
+	{"a2a-naive", A2ANaive, 1, 0}, {"a2a-final", A2AFinal, 1, 0}, {"a2a-step", A2AStep, 64, 1},
+	{"lb-direct", LBDirect, 1, 0}, {"lb-gather", LBGather, 1, 0}, {"lb-node", LBNode, 1, 0}, {"lb-dist", LBDist, 1, 0},
+	{"build-prop-reply", PropBase, 64 * 4, 4}, {"build-desc", DescBase, 64, 1}, {"build-note", NoteBase, 64, 1},
+	{"build-final", FinalNote, 1, 0}, {"build-exchange", Exchange, 8192, 1},
+	{"cn-group", CNGroup, 1, 0}, {"cn-note", CNNote, 1, 0}, {"cn-pair", CNPairBase, 64, 1},
+	{"cn-merge", CNMerge, 1, 0}, {"cn-aff-note", CNAffNote, 1, 0},
+	{"bench", BenchPing, BenchRotBase + 7 - BenchPing, 0},
+}
+
+// Phase names the protocol phase of a tag: its block's name, the step
+// within a ladder block — halving or negotiation step, Bruck distance,
+// pairing round — or −1 in a block of one phase, and the fail-stop epoch
+// FTShift moved it to (0 outside recovery). A tag in no block is
+// "other", its step the tag itself.
+func Phase(tag int) (name string, step, epoch int) {
+	if tag >= FTShift(1, 0) {
+		epoch, tag = tag>>13/64, tag&(1<<13-1)
+	}
+	for _, b := range blocks {
+		if tag >= b.lo && tag < b.lo+b.n {
+			if b.stride == 0 {
+				return b.name, -1, epoch
+			}
+			return b.name, (tag - b.lo) / b.stride, epoch
+		}
+	}
+	return "other", tag, epoch
+}

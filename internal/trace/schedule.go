@@ -1,10 +1,13 @@
+// Package trace records the scheduling decisions of a chaos-mode mpirt
+// run (Schedule) so that a seed's run can be replayed exactly.
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync"
+	"slices"
 )
 
 // A Schedule records the complete sequence of scheduling decisions a
@@ -15,9 +18,9 @@ import (
 // the seeded chaos RNG, the schedule is a pure function of (program,
 // seed): recording two runs of the same seed must produce equal
 // schedules, and a recorded schedule can be fed back to force an exact
-// replay even while debugging with modified scheduling code.
+// replay even while debugging with modified scheduling code. A chaos
+// run is serial, so a Schedule needs no lock.
 type Schedule struct {
-	mu        sync.Mutex
 	decisions []Decision
 }
 
@@ -48,32 +51,19 @@ const (
 	// resource: Rank paid the detection timeout for the resource encoded
 	// as (Src = resource kind, Tag = resource index). Like kills, these
 	// are recorded inline by the observing rank — the one running — not
-	// chosen by the scheduler, so replay skips
-	// them when resolving a pick and the determinism fingerprint covers
-	// them.
+	// chosen by the scheduler, so replay skips them when resolving a pick
+	// and the determinism fingerprint covers them.
 	DecisionLinkFault
 )
 
+var kindNames = [...]string{"resume", "deliver", "drop-dup", "kill", "fail-notify", "revoke-notify", "link-fault"}
+
 // String returns a short label for the kind.
 func (k DecisionKind) String() string {
-	switch k {
-	case DecisionResume:
-		return "resume"
-	case DecisionDeliver:
-		return "deliver"
-	case DecisionDropDup:
-		return "drop-dup"
-	case DecisionKill:
-		return "kill"
-	case DecisionFailNotify:
-		return "fail-notify"
-	case DecisionRevokeNotify:
-		return "revoke-notify"
-	case DecisionLinkFault:
-		return "link-fault"
-	default:
-		return fmt.Sprintf("DecisionKind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("DecisionKind(%d)", uint8(k))
 }
 
 // Decision is one scheduling decision. For DecisionResume only Rank is
@@ -93,93 +83,47 @@ type Decision struct {
 func NewSchedule() *Schedule { return &Schedule{} }
 
 // Record appends one decision.
-func (s *Schedule) Record(d Decision) {
-	s.mu.Lock()
-	s.decisions = append(s.decisions, d)
-	s.mu.Unlock()
-}
+func (s *Schedule) Record(d Decision) { s.decisions = append(s.decisions, d) }
 
 // Len returns the number of recorded decisions.
-func (s *Schedule) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.decisions)
-}
+func (s *Schedule) Len() int { return len(s.decisions) }
 
 // At returns decision i and whether it exists.
 func (s *Schedule) At(i int) (Decision, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.decisions) {
 		return Decision{}, false
 	}
 	return s.decisions[i], true
 }
 
-// Decisions returns a snapshot of all decisions in order.
-func (s *Schedule) Decisions() []Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Decision(nil), s.decisions...)
-}
-
 // Reset discards all recorded decisions.
-func (s *Schedule) Reset() {
-	s.mu.Lock()
-	s.decisions = s.decisions[:0]
-	s.mu.Unlock()
-}
+func (s *Schedule) Reset() { s.decisions = s.decisions[:0] }
 
 // Hash returns an FNV-1a digest of the decision sequence. Two runs of
 // the same seed must produce the same hash — this is the determinism
 // and replay fingerprint the chaos harness compares.
 func (s *Schedule) Hash() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	h := fnv.New64a()
-	var buf [8]byte
-	wr := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	var buf []byte
 	for _, d := range s.decisions {
-		wr(uint64(d.Kind))
-		wr(uint64(d.Rank))
-		wr(uint64(int64(d.Src)))
-		wr(uint64(int64(d.Tag)))
-		wr(d.SendSeq)
-		wr(uint64(d.Size))
+		buf = buf[:0]
+		for _, v := range [...]uint64{uint64(d.Kind), uint64(d.Rank), uint64(d.Src), uint64(d.Tag), d.SendSeq, uint64(d.Size)} {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		h.Write(buf)
 	}
 	return h.Sum64()
 }
 
 // Equal reports whether two schedules recorded identical decision
 // sequences.
-func (s *Schedule) Equal(o *Schedule) bool {
-	a, b := s.Decisions(), o.Decisions()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s *Schedule) Equal(o *Schedule) bool { return slices.Equal(s.decisions, o.decisions) }
 
 // Diverge returns the index of the first differing decision between two
 // schedules, or -1 if one is a prefix of the other (or they are equal).
 func (s *Schedule) Diverge(o *Schedule) int {
-	a, b := s.Decisions(), o.Decisions()
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
+	for i := range min(len(s.decisions), len(o.decisions)) {
+		if s.decisions[i] != o.decisions[i] {
 			return i
 		}
 	}
@@ -189,25 +133,11 @@ func (s *Schedule) Diverge(o *Schedule) int {
 // Counts tallies the decisions by kind: resumes, message
 // deliveries, and deduplicated duplicates.
 func (s *Schedule) Counts() (resumes, delivers, drops int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, d := range s.decisions {
-		switch d.Kind {
-		case DecisionResume:
-			resumes++
-		case DecisionDeliver:
-			delivers++
-		case DecisionDropDup:
-			drops++
-		}
-	}
-	return
+	return s.CountKind(DecisionResume), s.CountKind(DecisionDeliver), s.CountKind(DecisionDropDup)
 }
 
 // CountKind returns the number of decisions of one kind.
 func (s *Schedule) CountKind(k DecisionKind) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, d := range s.decisions {
 		if d.Kind == k {
@@ -220,7 +150,7 @@ func (s *Schedule) CountKind(k DecisionKind) int {
 // Write renders the schedule as one line per decision, the format
 // `nbr-chaos -replay -dump` prints.
 func (s *Schedule) Write(w io.Writer) error {
-	for i, d := range s.Decisions() {
+	for i, d := range s.decisions {
 		var err error
 		switch d.Kind {
 		case DecisionResume:
