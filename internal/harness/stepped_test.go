@@ -12,6 +12,7 @@ import (
 	"nbrallgather/internal/conformance"
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/topology"
+	"nbrallgather/internal/trace"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -69,7 +70,9 @@ func moore10k(tb testing.TB) (Config, *vgraph.Graph) {
 // runs) or every message is matched by (src, tag) hashing (the
 // coroutine reference, and a stepped leg with the hints stripped). The
 // Reports include the critical path of the last trial, which must also
-// tile its time.
+// tile its time. The chaos scheduler steps the same measureLoops: under
+// DefaultChaos at seeds 0 and 1, on the nine conformance shapes, the
+// stepped Measure also records the coroutine body's decision schedule.
 func TestSteppedEqualsCoroutine(t *testing.T) {
 	shapes, err := conformance.Shapes()
 	if err != nil {
@@ -82,25 +85,22 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes = append(shapes, conformance.Shape{Name: "32n2s16l/moore32x32", Cluster: topology.Niagara(32, 16), Graph: moore})
-	for _, sh := range shapes {
+	moore32 := conformance.Shape{Name: "32n2s16l/moore32x32", Cluster: topology.Niagara(32, 16), Graph: moore}
+	for _, sh := range append(shapes, moore32) {
 		for _, algo := range collective.Algos() {
 			op, err := collective.New(algo, sh.Graph, sh.Cluster, collective.PlanParams{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, phantom := range []bool{true, false} {
+				cfg := Config{Cluster: sh.Cluster, MsgSize: 24, Phantom: phantom, Engine: mpirt.EngineEvent}
 				for _, trials := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%s/%s/phantom=%v/trials=%d", sh.Name, algo, phantom, trials), func(t *testing.T) {
-						cfg := Config{Cluster: sh.Cluster, MsgSize: 24, Phantom: phantom, Engine: mpirt.EngineEvent}
 						rc := cfg.runtime()
 						rc.CriticalPath = true
 						want, wantRep, err := coroutineMeasurement(cfg, rc, op, trials)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if sum := pathSum(wantRep.Path); math.Abs(sum-wantRep.Time) > 1e-12 {
-							t.Errorf("critical path sums to %g, Time %g", sum, wantRep.Time)
 						}
 						for _, leg := range []struct {
 							name string
@@ -110,28 +110,67 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, rep := range []*mpirt.Report{wantRep, gotRep} {
-								rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
-							}
-							if !reflect.DeepEqual(gotRep, wantRep) {
-								t.Errorf("reports differ:\n%s %+v\ncoroutine %+v", leg.name, gotRep, wantRep)
-							}
-							if !reflect.DeepEqual(got.times, want.times) {
-								t.Errorf("per-trial times differ: %s %v, coroutine %v", leg.name, got.times, want.times)
-							}
-							for r := range want.rbufs {
-								if !bytes.Equal(got.rbufs[r], want.rbufs[r]) {
-									t.Fatalf("%s: rank %d receive buffer differs", leg.name, r)
-								}
-								for i, u := range sh.Graph.In(r) {
-									if !phantom && got.rbufs[r][i*cfg.MsgSize] != byte(u) {
-										t.Fatalf("%s: rank %d slot %d does not hold rank %d's block", leg.name, r, i, u)
-									}
-								}
-							}
+							sameMeasurement(t, leg.name, sh, cfg, got, gotRep, want, wantRep)
 						}
 					})
 				}
+				if sh.Name == moore32.Name {
+					continue
+				}
+				for seed := int64(0); seed < 2; seed++ {
+					t.Run(fmt.Sprintf("%s/%s/phantom=%v/chaos=%d", sh.Name, algo, phantom, seed), func(t *testing.T) {
+						var scheds [2]*trace.Schedule
+						chaos := func(i int) mpirt.Config {
+							scheds[i] = trace.NewSchedule()
+							rc := cfg.runtime()
+							rc.CriticalPath = true
+							rc.Chaos = mpirt.DefaultChaos(seed)
+							rc.Chaos.Record = scheds[i]
+							return rc
+						}
+						want, wantRep, err := coroutineMeasurement(cfg, chaos(0), op, 2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gotRep, err := runMeasurement(cfg, chaos(1), op, 2, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !scheds[1].Equal(scheds[0]) {
+							t.Errorf("schedules differ at decision %d of %d (coroutine %d)", scheds[1].Diverge(scheds[0]), scheds[1].Len(), scheds[0].Len())
+						}
+						sameMeasurement(t, "stepped", sh, cfg, got, gotRep, want, wantRep)
+					})
+				}
+			}
+		}
+	}
+}
+
+// sameMeasurement fails t unless a stepped measurement (got, leg) equals
+// the coroutine reference (want) — Report, per-trial times and receive
+// buffers — and the reference's critical path tiles its time.
+func sameMeasurement(t *testing.T, leg string, sh conformance.Shape, cfg Config, got *measurement, gotRep *mpirt.Report, want *measurement, wantRep *mpirt.Report) {
+	t.Helper()
+	if sum := pathSum(wantRep.Path); math.Abs(sum-wantRep.Time) > 1e-12 {
+		t.Errorf("critical path sums to %g, Time %g", sum, wantRep.Time)
+	}
+	for _, rep := range []*mpirt.Report{wantRep, gotRep} {
+		rep.Wall, rep.PoolHits, rep.PoolMisses = 0, 0, 0
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("reports differ:\n%s %+v\ncoroutine %+v", leg, gotRep, wantRep)
+	}
+	if !reflect.DeepEqual(got.times, want.times) {
+		t.Errorf("per-trial times differ: %s %v, coroutine %v", leg, got.times, want.times)
+	}
+	for r := range want.rbufs {
+		if !bytes.Equal(got.rbufs[r], want.rbufs[r]) {
+			t.Fatalf("%s: rank %d receive buffer differs", leg, r)
+		}
+		for i, u := range sh.Graph.In(r) {
+			if !cfg.Phantom && got.rbufs[r][i*cfg.MsgSize] != byte(u) {
+				t.Fatalf("%s: rank %d slot %d does not hold rank %d's block", leg, r, i, u)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package mpirt
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -11,9 +10,9 @@ import (
 // Chaos configures the deterministic-simulation layer: a seeded
 // cooperative scheduler that takes full control of message-matching
 // order plus a fault-injection model. With a non-nil Chaos the ranks
-// are coroutines of one serial loop, as on the event engine: exactly
-// one rank executes at a time, every blocking point switches back to
-// the loop, and a single seeded RNG decides which rank runs
+// are coroutines (RunSteppers: Steppers) of one serial loop, as on the
+// event engine: exactly one rank executes at a time, every blocking
+// point returns to the loop, and a single seeded RNG decides which rank runs
 // next and which in-flight message satisfies which posted receive —
 // including AnySource races, arbitrarily delayed and reordered eager
 // sends, and duplicate-then-deduplicate deliveries. Because every
@@ -92,13 +91,6 @@ func ScheduleOnly(seed int64) *Chaos {
 	return &Chaos{Seed: seed, DupProb: 0.05}
 }
 
-// chaosWake is what the scheduler hands a rank it resumes: a delivered
-// message, a failure/revocation error, or neither (a plain resume).
-type chaosWake struct {
-	msg *Msg
-	err error
-}
-
 // flightMsg is one in-flight copy of an eager send, held by the chaos
 // scheduler until a delivery decision releases it.
 type flightMsg struct {
@@ -116,8 +108,11 @@ type delivKey struct {
 
 // chaosRT is the chaos driver: the serial drivers' coroutine host, with
 // a loop that resumes whichever rank the seeded scheduler decides on.
-// Execution is serial, so the state needs no lock: each coroutine
-// switch orders every access.
+// Ranks receive through the one receive (Proc.recv): a delivery decision
+// files its copy into the receiver's mailbox, and a notify decision
+// leaves a note the receiver's ladder reads (recvBlocked). Execution is
+// serial, so the state needs no lock: each coroutine switch orders
+// every access.
 type chaosRT struct {
 	coHost
 	cfg Chaos
@@ -128,12 +123,11 @@ type chaosRT struct {
 	// sequence has to stay identical to the recorded run's anyway.
 	schedRNG *rand.Rand
 	faultRNG *rand.Rand
-	// wakeErr holds a pending error for a rank flipped runnable by a
-	// revocation while it was blocked in a receive; delivered with the
-	// rank's next resume.
-	wakeErr []error
-	// handoff is what the latest decision hands the rank it resumes.
-	handoff chaosWake
+	// note is what a notify decision leaves the rank it resumes, 0 for
+	// nothing: 1 + the dead peer of a fail-notify, which its receive
+	// then fails with, or noteRevoked for a receiver a revocation
+	// flipped runnable, whose resume is then a revoke-notify.
+	note []int
 	// inflight holds the undelivered copies per destination rank, in
 	// send order (so for one sender, sendSeq is nondecreasing along a
 	// list). Keeping the pool destination-indexed lets every
@@ -143,7 +137,6 @@ type chaosRT struct {
 	inflightN int
 	delivered map[delivKey]bool
 	sendSeq   []uint64
-	slow      []float64 // per-rank time multiplier, ≥ 1
 	replayPos int
 	// scheduling scratch, reused across decisions to keep the serial
 	// scheduler allocation-free: opts is the candidate list, seenSrc
@@ -174,38 +167,35 @@ func (cs *chaosRT) freeFlight(fm *flightMsg) {
 	cs.flightFree = append(cs.flightFree, fm)
 }
 
-// newChaosRT initialises chaos state for n ranks, all runnable.
-// Slow-rank assignment is drawn first so it consumes a fixed prefix of
-// the RNG stream.
+const noteRevoked = -1
+
+// newChaosRT initialises chaos state for n ranks, all runnable, and
+// sets each slow rank's Proc.slow. Slow-rank assignment is drawn first
+// so it consumes a fixed prefix of the RNG stream.
 func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 	cs := &chaosRT{
 		coHost:    newCoHost(rt),
 		cfg:       cfg,
 		schedRNG:  rand.New(rand.NewSource(cfg.Seed)),
 		faultRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x6e624eb7)),
-		wakeErr:   make([]error, rt.n),
+		note:      make([]int, rt.n),
 		inflight:  make([][]*flightMsg, rt.n),
 		delivered: make(map[delivKey]bool),
 		sendSeq:   make([]uint64, rt.n),
-		slow:      make([]float64, rt.n),
 		seenSrc:   make([]bool, rt.n),
 	}
-	for r := 0; r < rt.n; r++ {
+	for r, p := range rt.procs {
 		cs.state[r] = stRunnable
-		cs.slow[r] = 1
 		if cfg.SlowProb > 0 && cs.faultRNG.Float64() < cfg.SlowProb {
-			f := cfg.SlowFactor
-			if f < 1 {
-				f = 1
-			}
-			cs.slow[r] = f
+			p.slow = max(cfg.SlowFactor, 1)
 		}
 	}
 	return cs
 }
 
-// run hosts the ranks as coroutines created on their first resume, so
-// the seeded scheduler — not spawn order — decides who runs first.
+// run hosts the ranks as coroutines created on their first resume, or
+// steps them, so the seeded scheduler — not spawn order — decides who
+// runs first.
 func (cs *chaosRT) run(body func(*Proc)) { cs.host(body, cs.loop) }
 
 // loop resumes the rank each decision names until none does: the run
@@ -232,11 +222,12 @@ const (
 	optFail
 )
 
-// decide makes one scheduling decision: the rank to resume, with what
-// it is handed in cs.handoff, or ok=false when the run completed,
-// deadlocked, or aborted. When every live rank is blocked with nothing
-// deliverable, it fails the run with a deadlock error — exact
-// detection, no watchdog heuristics needed.
+// decide makes one scheduling decision: the rank to resume — with the
+// message it delivers filed in the rank's mailbox, or the note it
+// leaves — or ok=false when the run completed, deadlocked, or aborted.
+// When every live rank is blocked with nothing deliverable, it fails
+// the run with a deadlock error — exact detection, no watchdog
+// heuristics needed.
 func (cs *chaosRT) decide() (rank int, ok bool) {
 	for {
 		if cs.rt.aborted.Load() {
@@ -311,21 +302,18 @@ func (cs *chaosRT) decide() (rank int, ok bool) {
 
 		if pick.kind == optResume {
 			kind := trace.DecisionResume
-			var werr error
-			if cs.wakeErr[pick.rank] != nil {
+			if cs.note[pick.rank] == noteRevoked {
 				kind = trace.DecisionRevokeNotify
-				werr = cs.wakeErr[pick.rank]
-				cs.wakeErr[pick.rank] = nil
+				cs.note[pick.rank] = 0
 			}
 			cs.record(trace.Decision{Kind: kind, Rank: pick.rank})
-			cs.handoff = chaosWake{err: werr}
 			return pick.rank, true
 		}
 		if pick.kind == optFail {
 			cs.record(trace.Decision{
 				Kind: trace.DecisionFailNotify, Rank: pick.rank, Src: pick.src,
 			})
-			cs.handoff = chaosWake{err: &RankFailedError{Rank: pick.src}}
+			cs.note[pick.rank] = 1 + pick.src
 			return pick.rank, true
 		}
 		fm := cs.inflight[pick.rank][pick.fi]
@@ -346,7 +334,10 @@ func (cs *chaosRT) decide() (rank int, ok bool) {
 			Kind: trace.DecisionDeliver, Rank: pick.rank,
 			Src: fm.msg.Src, Tag: fm.msg.Tag, SendSeq: fm.sendSeq, Size: fm.msg.Size,
 		})
-		cs.handoff = chaosWake{msg: fm.msg}
+		b := cs.rt.boxes[pick.rank]
+		b.mu.Lock()
+		b.fileLocked(fm.msg, hint{slot: -1})
+		b.mu.Unlock()
 		cs.freeFlight(fm)
 		return pick.rank, true
 	}
@@ -442,14 +433,14 @@ func (cs *chaosRT) died(r int) {
 	cs.record(trace.Decision{Kind: trace.DecisionKill, Rank: r})
 }
 
-// wakeRevoked flips every recv-blocked rank runnable with a pending
-// revocation error, so it observes the revoke instead of waiting on a
-// message that may never come.
+// wakeRevoked flips every recv-blocked rank runnable with a revoke
+// note, so it observes the revoke instead of waiting on a message that
+// may never come.
 func (cs *chaosRT) wakeRevoked() {
 	for r, st := range cs.state {
 		if st == stRecvWait {
 			cs.state[r] = stRunnable
-			cs.wakeErr[r] = &CommRevokedError{}
+			cs.note[r] = noteRevoked
 		}
 	}
 }
@@ -493,65 +484,23 @@ func (cs *chaosRT) chaosEnqueue(src, dst int, m *Msg) {
 	}
 }
 
-// chaosRecvErr is recvErr under the chaos scheduler: publish the posted
-// receive in the mailbox's wait fields, as the plain drivers do, park,
-// and take what the scheduler hands over on resume — a message it
-// matched to the receive, or a peer failure / revocation. What the
-// plain drivers read off the dead mask at post time is here a seeded
-// decision (a receive on a dead source may lose the race against a
-// message still in flight), so only the revocation and link-down rungs
-// of the receive ladder run inline.
-//
-//lint:allocok — chaos mode is the fault-injection harness; alloc discipline targets the plain drivers
-func (p *Proc) chaosRecvErr(src, tag int) (Msg, error) {
-	rt := p.rt
-	rt.checkAborted()
-	cs := rt.chaos
-	p.checkSource(src)
-	if rt.revoked.Load() {
-		return Msg{}, &CommRevokedError{}
+// recvBlocked is the receive ladder's chaos rung: the dead peer a
+// fail-notify decision left, charged as a detection; else, on a
+// specific source, the src→self path down — but only while nothing
+// matching is in flight, since in-flight copies stay deliverable (their
+// eager transfer finished before the fault). The dead-mask rungs do not
+// run: a receive on a dead source may still lose the race against a
+// message in flight, and the seeded pick decides.
+func (cs *chaosRT) recvBlocked(p *Proc, src, tag int) error {
+	if d := cs.note[p.rank] - 1; d >= 0 {
+		cs.note[p.rank] = 0
+		p.chargeDetect(d)
+		return &RankFailedError{Rank: d}
 	}
-	if src != AnySource && rt.model.HasLinkFaults() && !cs.deliverable(p.rank, src, tag) {
-		// Same rule as the plain drivers, evaluated at the running
-		// rank's deterministic position in the serial stream: nothing
-		// matching in flight and the src→self path down means the receive
-		// can never complete. In-flight copies stay deliverable — their
-		// eager transfer finished before the fault.
-		if blk, bad := rt.model.PathBlocked(src, p.rank, p.vt); bad {
-			return Msg{}, p.linkBlockedErr(blk, src, p.rank)
-		}
+	if src != AnySource && cs.rt.model.HasLinkFaults() && !cs.deliverable(p.rank, src, tag) {
+		return p.linkRecvBlocked(src)
 	}
-	b := rt.boxes[p.rank]
-	b.mu.Lock()
-	b.waiter, b.wSrc, b.wTag, b.wHint, b.wVT = true, src, tag, hint{slot: -1}, p.vt
-	b.mu.Unlock()
-	// A wait-for cycle can only close when a rank blocks, so this one
-	// check at post time is exact. It sits at a deterministic position
-	// in the decision stream: record and replay prove the identical
-	// cycle.
-	if src != AnySource {
-		rt.checkCycle(p)
-	}
-	cs.switchOut(p, stRecvWait)
-	b.mu.Lock()
-	b.waiter = false
-	b.mu.Unlock()
-	w := cs.handoff
-	if w.err != nil {
-		var rf *RankFailedError
-		if errors.As(w.err, &rf) {
-			p.chargeDetect(rf.Rank)
-		}
-		return Msg{}, w.err
-	}
-	if w.msg == nil {
-		// The scheduler resumes a recv-blocked rank only by delivering a
-		// message or an error; a bare resume here is a scheduler bug.
-		panic(fmt.Sprintf("mpirt: chaos scheduler resumed recv-blocked rank %d without a message", p.rank))
-	}
-	p.lift(w.msg)
-	p.vt += p.slowScale() * rt.model.RecvOverhead()
-	return *w.msg, nil
+	return nil
 }
 
 // deliverable reports whether an undelivered in-flight copy to rank r
@@ -564,13 +513,4 @@ func (cs *chaosRT) deliverable(r, src, tag int) bool {
 		}
 	}
 	return false
-}
-
-// slowScale returns the rank's chaos slowdown multiplier (1 outside
-// chaos mode or for unaffected ranks).
-func (p *Proc) slowScale() float64 {
-	if p.rt.chaos == nil {
-		return 1
-	}
-	return p.rt.chaos.slow[p.rank]
 }

@@ -100,9 +100,10 @@ func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 // is not provably stuck: not parked in a receive, waiting on AnySource
 // (any live peer could satisfy it), waiting on a dead peer (the receive
 // fails rather than blocks), or a matching message is already pending —
-// in the in-flight pool under chaos, in the mailbox otherwise (a
-// delivered chaos duplicate only ever gets dropped, so it does not
-// count). Takes boxes[r].mu; callers must hold no box lock.
+// in the in-flight pool under chaos, whose mailboxes only ever hold the
+// one message a delivery files for the rank it resumes (a delivered
+// chaos duplicate only ever gets dropped, so it does not count), in the
+// mailbox otherwise. Takes boxes[r].mu; callers must hold no box lock.
 func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
 	b := rt.boxes[r]
 	b.mu.Lock()

@@ -44,9 +44,11 @@ const (
 //     core changes state under the waiter's lock and then calls the
 //     wake, so a waiter that re-checks under that lock cannot miss it.
 //   - The serial drivers (event, chaos) host ranks as coroutines of one
-//     loop (coHost): park switches back to the loop, and they unwind a
-//     parked rank with errAborted when the run fails; the threaded
-//     driver returns from park and lets the caller's re-check do it.
+//     loop, or step them (coHost, Runtime.host): park switches back to
+//     the loop, a Step-form wait suspends instead (Proc.suspend), and
+//     they unwind a parked rank with errAborted when the run fails; the
+//     threaded driver returns from park and lets the caller's re-check
+//     do it.
 type driver interface {
 	// run executes body on every rank and returns once all ranks have
 	// finished, or the run failed and stragglers were abandoned.

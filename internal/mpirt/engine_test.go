@@ -113,18 +113,30 @@ func TestEnginesAgreeOnTraffic(t *testing.T) {
 		}
 	}
 	// The same holds for ranks written as Steppers: every driver runs
-	// them to the ground truth — the event loop by stepping, threaded
-	// and chaos through the step-until-done wrapper — with the traffic
-	// of the coroutine body, and on the event engine with its whole
-	// report.
+	// them to the ground truth — the serial loops by stepping, threaded
+	// through the step-until-done wrapper — with the traffic of the
+	// coroutine body. The event engine gives the coroutine body's whole
+	// report, and chaos its whole report and decision schedule.
 	ref := ringExchange(t, Config{Engine: EngineEvent}, false)
-	for _, cfg := range []Config{{Engine: EngineEvent}, {Engine: EngineThreaded}, {Chaos: DefaultChaos(5)}} {
+	chaos := func(rec *trace.Schedule) Config {
+		c := DefaultChaos(5)
+		c.Record = rec
+		return Config{Chaos: c}
+	}
+	refSched := trace.NewSchedule()
+	refChaos := ringExchange(t, chaos(refSched), false)
+	sched := trace.NewSchedule()
+	for _, cfg := range []Config{{Engine: EngineEvent}, {Engine: EngineThreaded}, chaos(sched)} {
 		rep := ringExchange(t, cfg, true)
 		if rep.MsgsByDist != ref.MsgsByDist || rep.BytesByDist != ref.BytesByDist {
 			t.Fatalf("stepped traffic diverges (engine %q, chaos %v): %+v vs %+v", cfg.Engine, cfg.Chaos != nil, rep.MsgsByDist, ref.MsgsByDist)
 		}
 		if cfg.Engine == EngineEvent && !sameReport(rep, ref) {
 			t.Fatalf("stepped report differs from the coroutine body's:\n%+v\n%+v", rep, ref)
+		}
+		if cfg.Chaos != nil && (!sched.Equal(refSched) || !sameReport(rep, refChaos)) {
+			t.Fatalf("stepped chaos run differs from the coroutine body's: schedules equal %v (%d vs %d decisions)\n%+v\n%+v",
+				sched.Equal(refSched), sched.Len(), refSched.Len(), rep, refChaos)
 		}
 	}
 }

@@ -38,10 +38,10 @@ import (
 // queue with unfinished ranks IS a deadlock — so there is no sampling
 // watchdog.
 //
-// The coroutine half — coHost: spawn, resume, switchOut, park,
-// teardown and the driver goroutine — is shared with the chaos driver
-// (chaos.go), whose loop resumes the rank a seeded decision names
-// instead of the next event's.
+// The host half — coHost: spawn, resume, switchOut, park, teardown,
+// the driver goroutine, and the Steppers it steps — is shared with the
+// chaos driver (chaos.go), whose loop resumes the rank a seeded decision
+// names instead of the next event's, either way.
 
 // coHost hosts ranks as coroutines of one driver goroutine — the
 // substrate both serial drivers embed: the event loop resumes ranks in

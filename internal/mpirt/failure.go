@@ -142,7 +142,7 @@ func (p *Proc) chargeDetect(dead int) {
 	}
 	p.detected[dead] = true
 	dt := p.rt.cfg.DetectTimeout
-	p.vt += dt * p.slowScale()
+	p.vt += dt * p.slow
 	p.detectTime += dt
 	p.detections++
 }
@@ -255,7 +255,7 @@ func (p *Proc) finishFTRound(maxVT float64, survivors int) {
 	if survivors > 2 {
 		hops = math.Ceil(math.Log2(float64(survivors)))
 	}
-	p.vt += 2 * hops * (p.rt.model.SendOverhead() + p.rt.model.RecvOverhead()) * p.slowScale()
+	p.vt += 2 * hops * (p.rt.model.SendOverhead() + p.rt.model.RecvOverhead()) * p.slow
 }
 
 // completeFTLocked checks whether the pending agreement round is

@@ -154,10 +154,11 @@ func TestSendRecvErrTyped(t *testing.T) {
 
 // TestRevokeWakesBlockedRecv pins Revoke's liveness contract: a rank
 // blocked in a receive on a live peer returns CommRevokedError once
-// any rank revokes, regardless of ordering.
+// any rank revokes, regardless of ordering — on every driver.
 func TestRevokeWakesBlockedRecv(t *testing.T) {
-	bothEngines(t, func(t *testing.T, eng Engine) {
-		_, err := Run(Config{Engine: eng, Cluster: failureCluster(), Ranks: 2}, func(p *Proc) {
+	allDrivers(t, func(t *testing.T, cfg Config) {
+		cfg.Cluster, cfg.Ranks = failureCluster(), 2
+		_, err := Run(cfg, func(p *Proc) {
 			switch p.Rank() {
 			case 0:
 				_, rerr := p.RecvErr(1, 42)
@@ -315,6 +316,64 @@ func TestChaosKillDeterminism(t *testing.T) {
 	o3 := run(ch3)
 	if fmt.Sprint(o1) != fmt.Sprint(o3) {
 		t.Fatalf("replay diverged:\n%v\n%v", o1, o3)
+	}
+}
+
+// TestChaosDeadSourceRace pins the race the chaos scheduler keeps open
+// between a message in flight and its sender's death (the plain drivers
+// queue the message before the death, so it is always delivered there):
+// rank 1 sends tag 5 to rank 0 and dies at its next operation, so rank
+// 0's RecvErr(1, 5) may be delivered the message or be told its source
+// failed — a seeded decision either way. Over seeds 0–19 both outcomes occur (8
+// deliveries, 12 failures), each seed replays its recorded schedule to
+// the same outcome, and a failed receive charges exactly one detection.
+func TestChaosDeadSourceRace(t *testing.T) {
+	const detect = 100e-6 // the DetectTimeout default
+	run := func(ch *Chaos) (delivered bool, rep *Report) {
+		rep, err := Run(Config{Cluster: failureCluster(), Ranks: 2, Chaos: ch, Kills: []Kill{{Rank: 1, AfterOps: 1}}}, func(p *Proc) {
+			if p.Rank() == 1 {
+				p.Send(0, 5, 1, []byte{1}, nil)
+				p.Barrier() // the second operation: rank 1 dies entering it
+				return
+			}
+			m, rerr := p.RecvErr(1, 5)
+			switch {
+			case rerr == nil && m.Src == 1 && m.Data[0] == 1:
+				delivered = true
+			case !isRankFailed(rerr, 1):
+				panic(fmt.Sprintf("RecvErr(1, 5) = %+v, %v; want the message or rank 1's failure", m, rerr))
+			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", ch.Seed, err)
+		}
+		return delivered, rep
+	}
+	var outcomes [2]int // failed, delivered
+	for seed := int64(0); seed < 20; seed++ {
+		rec := trace.NewSchedule()
+		ch := ScheduleOnly(seed)
+		ch.Record = rec
+		delivered, rep := run(ch)
+		if delivered {
+			outcomes[1]++
+			if rep.Detections != 0 || rep.DetectTime != 0 {
+				t.Errorf("seed %d: delivered receive charged %d detections (%g s)", seed, rep.Detections, rep.DetectTime)
+			}
+		} else {
+			outcomes[0]++
+			if rep.Detections != 1 || rep.DetectTime != detect {
+				t.Errorf("seed %d: failed receive charged %d detections (%g s), want one of %g s", seed, rep.Detections, rep.DetectTime, detect)
+			}
+		}
+		replay := ScheduleOnly(seed)
+		replay.Replay = rec
+		if again, _ := run(replay); again != delivered {
+			t.Errorf("seed %d: replay delivered=%v, recorded run delivered=%v", seed, again, delivered)
+		}
+	}
+	if outcomes != [2]int{12, 8} {
+		t.Fatalf("seeds 0–19: %d failed, %d delivered; want 12 and 8", outcomes[0], outcomes[1])
 	}
 }
 

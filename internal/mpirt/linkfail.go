@@ -105,7 +105,7 @@ func (p *Proc) chargeLinkDetect(res netmodel.Resource) {
 	}
 	p.linkDetected[res] = true
 	dt := p.rt.cfg.DetectTimeout
-	p.vt += dt * p.slowScale()
+	p.vt += dt * p.slow
 	p.linkDetectTime += dt
 	p.linkDetections++
 	if cs := p.rt.chaos; cs != nil {

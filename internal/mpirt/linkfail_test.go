@@ -74,15 +74,12 @@ func TestSendAcrossDownNIC(t *testing.T) {
 
 // TestRecvAcrossDownPath pins that a receive posted against a down
 // path with nothing queued fails with the typed error instead of
-// parking forever — on both engines.
+// parking forever — on every driver.
 func TestRecvAcrossDownPath(t *testing.T) {
-	bothEngines(t, func(t *testing.T, eng Engine) {
-		rep, err := Run(Config{
-			Cluster:    failureCluster(),
-			Ranks:      8,
-			Engine:     eng,
-			LinkFaults: []netmodel.LinkFault{netmodel.LinkDown(netmodel.NICOf(0), 0)},
-		}, func(p *Proc) {
+	allDrivers(t, func(t *testing.T, cfg Config) {
+		cfg.Cluster, cfg.Ranks = failureCluster(), 8
+		cfg.LinkFaults = []netmodel.LinkFault{netmodel.LinkDown(netmodel.NICOf(0), 0)}
+		rep, err := Run(cfg, func(p *Proc) {
 			if p.Rank() != 4 {
 				return
 			}
@@ -148,18 +145,15 @@ func TestPartitionErrorFields(t *testing.T) {
 // TestQueuedMessageSurvivesLinkFault pins the queued-message rule: a
 // transfer charged before the fault's virtual time stays deliverable
 // (its eager transfer completed), while operations after the fault
-// observe the failure.
+// observe the failure — on every driver.
 func TestQueuedMessageSurvivesLinkFault(t *testing.T) {
-	bothEngines(t, func(t *testing.T, eng Engine) {
+	allDrivers(t, func(t *testing.T, cfg Config) {
 		// The fault lands just after t=0: the first send (charged at
 		// vt=0) beats it; by the second send the sender's clock has
 		// advanced past it.
-		_, err := Run(Config{
-			Cluster:    failureCluster(),
-			Ranks:      8,
-			Engine:     eng,
-			LinkFaults: []netmodel.LinkFault{netmodel.LinkDown(netmodel.NICOf(0), 1e-9)},
-		}, func(p *Proc) {
+		cfg.Cluster, cfg.Ranks = failureCluster(), 8
+		cfg.LinkFaults = []netmodel.LinkFault{netmodel.LinkDown(netmodel.NICOf(0), 1e-9)}
+		_, err := Run(cfg, func(p *Proc) {
 			switch p.Rank() {
 			case 0:
 				p.Send(4, 1, 4, []byte{9, 9, 9, 9}, nil)

@@ -22,9 +22,10 @@
 // from — the seeded chaos scheduler, which hosts ranks on the same
 // coroutines and resumes them in an adversarial seeded order, and the
 // goroutine-per-rank threaded engine kept as the host-parallel oracle
-// for -race and differential testing. All three detect deadlocks with
-// one wait-for-graph detector and one summary, and convert rank panics
-// into errors returned from Run.
+// for -race and differential testing. All three receive through one
+// Proc.recv, detect deadlocks with one wait-for-graph detector and one
+// summary, and convert rank panics into errors returned from Run; only
+// the threaded one blocks a Step-form wait, the serial two step ranks.
 package mpirt
 
 import (
@@ -477,10 +478,12 @@ type Runtime struct {
 	failedCh chan struct{}
 	// drv executes the ranks; chaos and ev are drv's concrete value
 	// when it is that driver (nil otherwise), for the per-message
-	// paths that must not pay an interface call.
+	// paths that must not pay an interface call, and host is the
+	// coroutine host either serial driver embeds (nil when threaded).
 	drv   driver
 	chaos *chaosRT
 	ev    *eventRT
+	host  *coHost
 	hints bool // slot hints are honoured: no message can outlive its pass
 
 	// fail-stop state: deadMask marks permanently failed ranks, nDead
@@ -530,6 +533,9 @@ type Proc struct {
 	rt   *Runtime
 	rank int
 	vt   float64
+	// slow multiplies the rank's local work, overheads and detections:
+	// a chaos slow rank's factor, 1 everywhere else.
+	slow float64
 	// this rank's share of Report.SnapshotBytes/PoolHits/PoolMisses
 	snapBytes, poolHits, poolMisses int64
 
@@ -571,7 +577,7 @@ type Proc struct {
 	roundGen  int
 }
 
-// Stepper is a rank body the event loop can resume without a stack:
+// Stepper is a rank body the serial loops can resume without a stack:
 // Step runs the rank until it finishes (true) or a Step-form wait —
 // RecvStep, SyncResetTimeStep, CollectiveTimeStep — reports that it
 // suspended; Step then returns false at once, and the next Step repeats
@@ -589,10 +595,11 @@ func Run(cfg Config, body func(*Proc)) (*Report, error) {
 }
 
 // RunSteppers is Run for ranks written as Steppers; mk builds rank p's,
-// on the calling goroutine, before any rank runs. The event engine steps
-// them from its loop, no coroutine per rank; on the threaded and chaos
-// drivers a Step-form wait blocks, so the rank's goroutine or coroutine
-// steps until done. Same runtime, same Report.
+// on the calling goroutine, before any rank runs. The serial drivers —
+// the event loop and the chaos scheduler — step them from their loops,
+// no coroutine per rank; on the threaded driver a Step-form wait
+// blocks, so the rank's goroutine steps until done. Same runtime, same
+// Report.
 func RunSteppers(cfg Config, mk func(*Proc) Stepper) (*Report, error) {
 	return launch(cfg, nil, mk)
 }
@@ -657,7 +664,7 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		rt.boxes[i] = b
 	}
 	for r := 0; r < n; r++ {
-		p := &Proc{rt: rt, rank: r}
+		p := &Proc{rt: rt, rank: r, slow: 1}
 		if cfg.CriticalPath {
 			p.edges = []Span{}
 		}
@@ -671,10 +678,10 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	switch {
 	case cfg.Chaos != nil:
 		rt.chaos = newChaosRT(rt, *cfg.Chaos)
-		rt.drv = rt.chaos
+		rt.drv, rt.host = rt.chaos, &rt.chaos.coHost
 	case eng == EngineEvent:
 		rt.ev = newEventRT(rt)
-		rt.drv = rt.ev
+		rt.drv, rt.host = rt.ev, &rt.ev.coHost
 	default:
 		rt.drv = threadedRT{rt}
 	}
@@ -689,10 +696,10 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		for r, p := range rt.procs {
 			steps[r] = mk(p)
 		}
-		if rt.ev != nil {
-			rt.ev.steps = steps
+		if rt.host != nil {
+			rt.host.steps = steps
 		}
-		body = func(p *Proc) {
+		body = func(p *Proc) { // the threaded driver's rank
 			for s := steps[p.rank]; !s.Step(p); {
 			}
 		}
@@ -932,7 +939,7 @@ func (p *Proc) VT() float64 { return p.vt }
 // rank's virtual clock. Chaos-mode slow ranks pay a multiplier.
 func (p *Proc) AdvanceVT(d float64) {
 	if d > 0 {
-		p.vt += d * p.slowScale()
+		p.vt += d * p.slow
 	}
 }
 
@@ -1136,17 +1143,14 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 
 	// The message's route, once: the model charges and counts over it.
 	pa := p.rt.model.Path(p.rank, dst)
-	var arrival float64
+	var backoff, spike float64
 	if cs := p.rt.chaos; cs != nil {
 		// The sender is the one rank running, so these RNG draws are
 		// part of the deterministic serial stream.
-		backoff, spike := cs.chaosSendFaults(cs.slow[p.rank])
-		p.vt += backoff + cs.slow[p.rank]*p.rt.model.SendOverhead()
-		arrival = p.rt.model.Charge(&pa, size, p.vt) + spike
-	} else {
-		p.vt += p.rt.model.SendOverhead()
-		arrival = p.rt.model.Charge(&pa, size, p.vt)
+		backoff, spike = cs.chaosSendFaults(p.slow)
 	}
+	p.vt += backoff + p.slow*p.rt.model.SendOverhead()
+	arrival := p.rt.model.Charge(&pa, size, p.vt) + spike
 
 	p.rt.msgsByDist[pa.Dist].Add(1)
 	p.rt.bytesByDist[pa.Dist].Add(int64(size))
@@ -1216,8 +1220,9 @@ func (p *Proc) recvErr(src, tag int) (m Msg, err error) {
 	return m, err
 }
 
-// recv implements every receive on the threaded and event drivers
-// (chaos matches from its in-flight pool instead; see chaosRecvErr).
+// recv implements every receive, on every driver. Under chaos the
+// mailbox holds at most the one message a delivery decision filed for
+// the rank it then resumes; matching happens in the scheduler.
 // Messages already queued from a now-dead sender remain deliverable
 // (eager sends completed before the crash); once none match, a posted
 // receive that can never complete fails with its typed error
@@ -1232,10 +1237,6 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 	p.suspended = false
 	if !resumed {
 		p.enterOp()
-	}
-	if rt.chaos != nil {
-		*out, err = p.chaosRecvErr(src, tag)
-		return true, err
 	}
 	rt.checkAborted()
 	p.checkSource(src)
@@ -1262,10 +1263,10 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 				panic(&UsageError{Rank: p.rank, Op: "recv", Msg: fmt.Sprintf("slot %d held a message from %d tag %d", h.slot, out.Src, out.Tag)})
 			}
 			p.lift(out)
-			p.vt += rt.model.RecvOverhead()
+			p.vt += p.slow * rt.model.RecvOverhead()
 			return true, nil
 		}
-		if err := p.recvBlocked(src); err != nil {
+		if err := p.recvBlocked(src, tag); err != nil {
 			box.waiter = false
 			box.mu.Unlock()
 			if err == errAborted {
@@ -1301,15 +1302,15 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 // suspend is a stepped rank's park: its published wait stays published,
 // the loop gets switchOut's bookkeeping, and the caller returns "not
 // yet" instead of switching stacks. False, with nothing done, for a rank
-// the event loop is not stepping: that one parks.
+// no serial loop is stepping: that one parks.
 func (p *Proc) suspend(st waitState) bool {
-	ev := p.rt.ev
-	if ev == nil || ev.steps == nil {
+	h := p.rt.host
+	if h == nil || h.steps == nil {
 		return false
 	}
 	p.suspended = true
-	ev.state[p.rank] = st
-	ev.parks++
+	h.state[p.rank] = st
+	h.parks++
 	return true
 }
 
@@ -1322,23 +1323,26 @@ func (p *Proc) checkSource(src int) {
 	}
 }
 
-// recvBlocked is the receive error ladder: why a receive posted on src
-// with nothing matching queued must not park. In order — the run
+// recvBlocked is the receive error ladder: why a receive posted on (src,
+// tag) with nothing matching queued must not park. In order — the run
 // aborted (errAborted, for the caller to panic with), the communicator
-// revoked, the source dead, every peer of an AnySource receive dead,
-// the src→self path down; nil when waiting is sound. Failure
-// detections are charged to the clock here. It runs with the rank's
-// mailbox locked, at post time and after every wake, so the serial
-// drivers evaluate it at deterministic points.
+// revoked, then under chaos its own rung (chaosRT.recvBlocked: a death
+// is a seeded decision there), else the source dead, every peer of an
+// AnySource receive dead, the src→self path down; nil when waiting is
+// sound. Failure detections are charged to the clock here. It runs with
+// the rank's mailbox locked, at post time and after every wake, so the
+// serial drivers evaluate it at deterministic points.
 //
 //lint:allocok — typed failure errors, failure path only
-func (p *Proc) recvBlocked(src int) error {
+func (p *Proc) recvBlocked(src, tag int) error {
 	rt := p.rt
 	switch {
 	case rt.aborted.Load():
 		return errAborted
 	case rt.revoked.Load():
 		return &CommRevokedError{}
+	case rt.chaos != nil:
+		return rt.chaos.recvBlocked(p, src, tag)
 	case src == AnySource:
 		if d := rt.firstDeadPeer(p.rank); d >= 0 {
 			p.chargeDetect(d)

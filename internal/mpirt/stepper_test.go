@@ -7,14 +7,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nbrallgather/internal/trace"
 )
 
-// Tests that a stepped rank (RunSteppers on the event engine: no
-// coroutine, the loop calls Step) fails exactly the way a coroutine
-// rank does. Each case is written once, as a list of stages using the
-// Step-form waits, and run as a coroutine body — the reference, where a
-// Step-form wait parks and never reports a suspension — and as a
-// Stepper.
+// Tests that a stepped rank (RunSteppers on a serial driver: no
+// coroutine, the event loop or the chaos scheduler calls Step) fails
+// exactly the way a coroutine rank does. Each case is written once, as
+// a list of stages using the Step-form waits, and run as a coroutine
+// body — the reference, where a Step-form wait parks and never reports
+// a suspension — and as a Stepper.
 
 // stage is one resumable piece of a rank body: false means a Step-form
 // wait suspended, call again.
@@ -103,6 +105,15 @@ func sameReport(a, b *Report) bool {
 	return reflect.DeepEqual(x, y)
 }
 
+// serialDrivers runs f once per driver whose loop steps a Stepper: on
+// the event engine at t's own level, then under chaos (a schedule-only
+// seed) in a "chaos" subtest.
+func serialDrivers(t *testing.T, f func(t *testing.T, cfg Config)) {
+	t.Helper()
+	f(t, Config{Engine: EngineEvent})
+	t.Run("chaos", func(t *testing.T) { f(t, Config{Chaos: ScheduleOnly(1)}) })
+}
+
 // bothBodies runs f on the coroutine reference and on the stepped body.
 func bothBodies(t *testing.T, f func(t *testing.T, stepped bool)) {
 	t.Helper()
@@ -133,27 +144,30 @@ func stripStack(err error) string {
 // resumed from a suspended receive — fails the run with the rank, the
 // value and a stack, and leaves nothing behind.
 func TestSteppedPanicPropagates(t *testing.T) {
-	first := map[bool]string{}
-	bothBodies(t, func(t *testing.T, stepped bool) {
-		before := runtime.NumGoroutine()
-		_, err := runStages(Config{Cluster: smallCluster(), Engine: EngineEvent}, stepped, func(r int) []stage {
-			switch r {
-			case 2:
-				return []stage{recvStage(3, 1), func(*Proc) bool { panic("boom") }}
-			case 3:
-				return []stage{sendStage(2, 1), barrierStage}
+	serialDrivers(t, func(t *testing.T, cfg Config) {
+		cfg.Cluster = smallCluster()
+		first := map[bool]string{}
+		bothBodies(t, func(t *testing.T, stepped bool) {
+			before := runtime.NumGoroutine()
+			_, err := runStages(cfg, stepped, func(r int) []stage {
+				switch r {
+				case 2:
+					return []stage{recvStage(3, 1), func(*Proc) bool { panic("boom") }}
+				case 3:
+					return []stage{sendStage(2, 1), barrierStage}
+				}
+				return []stage{barrierStage}
+			})
+			if err == nil || !strings.HasPrefix(err.Error(), "mpirt: rank 2 panicked: boom\n") || !strings.Contains(err.Error(), "goroutine ") {
+				t.Fatalf("want rank 2's panic with a stack, got %v", err)
 			}
-			return []stage{barrierStage}
+			settleGoroutines(t, before)
+			first[stepped] = stripStack(err)
 		})
-		if err == nil || !strings.HasPrefix(err.Error(), "mpirt: rank 2 panicked: boom\n") || !strings.Contains(err.Error(), "goroutine ") {
-			t.Fatalf("want rank 2's panic with a stack, got %v", err)
+		if first[false] != first[true] {
+			t.Fatalf("error differs: coroutine %q, stepped %q", first[false], first[true])
 		}
-		settleGoroutines(t, before)
-		first[stepped] = stripStack(err)
 	})
-	if first[false] != first[true] {
-		t.Fatalf("error differs: coroutine %q, stepped %q", first[false], first[true])
-	}
 }
 
 // TestSteppedGoexitFailsRun: TestEventGoexitFailsRun's program. The
@@ -208,12 +222,13 @@ func TestSteppedWallLimit(t *testing.T) {
 	})
 }
 
-// TestSteppedReceiverWokenByFailure: died() and wakeRevoked() find a
-// receiver by its published wait (state stRecvWait, box.waiter), which a
-// suspended rank leaves set exactly as a parked one does. Rank 1 is
-// suspended on rank 0 when rank 0 dies (its third operation) or revokes
-// the communicator; the typed error must reach rank 1 and fail the run
-// identically on both paths.
+// TestSteppedReceiverWokenByFailure: died() and wakeRevoked() — and the
+// chaos scheduler's fail-notify options — find a receiver by its
+// published wait (state stRecvWait, box.waiter), which a suspended rank
+// leaves set exactly as a parked one does. Rank 1 is suspended on rank 0
+// when rank 0 dies (its third operation) or revokes the communicator;
+// the typed error must reach rank 1 and fail the run identically on
+// both paths, on both serial drivers.
 func TestSteppedReceiverWokenByFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -228,37 +243,53 @@ func TestSteppedReceiverWokenByFailure(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			first := map[bool]string{}
-			bothBodies(t, func(t *testing.T, stepped bool) {
-				_, err := runStages(Config{Cluster: failureCluster(), Ranks: 3, Kills: tc.kills, Engine: EngineEvent}, stepped, func(r int) []stage {
-					switch r {
-					case 0:
-						return []stage{sendStage(2, 1), recvStage(2, 2), tc.last}
-					case 1:
-						return []stage{recvStage(0, 5)}
+			serialDrivers(t, func(t *testing.T, cfg Config) {
+				cfg.Cluster, cfg.Ranks, cfg.Kills = failureCluster(), 3, tc.kills
+				first := map[bool]string{}
+				bothBodies(t, func(t *testing.T, stepped bool) {
+					_, err := runStages(cfg, stepped, func(r int) []stage {
+						switch r {
+						case 0:
+							return []stage{sendStage(2, 1), recvStage(2, 2), tc.last}
+						case 1:
+							return []stage{recvStage(0, 5)}
+						}
+						return []stage{recvStage(0, 1), sendStage(0, 2)}
+					})
+					if !tc.check(err) || !strings.Contains(err.Error(), "rank 1 aborted") {
+						t.Fatalf("want rank 1 aborted by the typed failure, got %v", err)
 					}
-					return []stage{recvStage(0, 1), sendStage(0, 2)}
+					first[stepped] = err.Error()
 				})
-				if !tc.check(err) || !strings.Contains(err.Error(), "rank 1 aborted") {
-					t.Fatalf("want rank 1 aborted by the typed failure, got %v", err)
+				if first[false] != first[true] {
+					t.Fatalf("error differs: coroutine %q, stepped %q", first[false], first[true])
 				}
-				first[stepped] = err.Error()
 			})
-			if first[false] != first[true] {
-				t.Fatalf("error differs: coroutine %q, stepped %q", first[false], first[true])
-			}
 		})
 	}
 }
 
 // TestSteppedBlockingCallIsUsageError: a stepped rank has no stack to
-// park on, so a blocking wait that has to park is reported, not hung.
+// park on, so a blocking wait that has to park is reported, not hung —
+// by the first rank to reach the barrier: rank 0 on the event engine,
+// the first rank the schedule resumes under chaos.
 func TestSteppedBlockingCallIsUsageError(t *testing.T) {
-	_, err := runStages(Config{Cluster: smallCluster(), Ranks: 2, Engine: EngineEvent}, true, func(r int) []stage {
-		return []stage{func(p *Proc) bool { p.Barrier(); return true }}
+	serialDrivers(t, func(t *testing.T, cfg Config) {
+		cfg.Cluster, cfg.Ranks = smallCluster(), 2
+		rec := trace.NewSchedule()
+		if cfg.Chaos != nil {
+			cfg.Chaos.Record = rec
+		}
+		_, err := runStages(cfg, true, func(r int) []stage {
+			return []stage{func(p *Proc) bool { p.Barrier(); return true }}
+		})
+		want := 0
+		if d, ok := rec.At(0); ok {
+			want = d.Rank
+		}
+		var ue *UsageError
+		if !errors.As(err, &ue) || ue.Rank != want {
+			t.Fatalf("want rank %d's usage error, got %v", want, err)
+		}
 	})
-	var ue *UsageError
-	if !errors.As(err, &ue) || ue.Rank != 0 {
-		t.Fatalf("want rank 0's usage error, got %v", err)
-	}
 }
