@@ -109,8 +109,10 @@ mega:
 # and again -unhinted — the passes' slot hints stripped, every message
 # through the mailbox's hashed lists: static matching's after and
 # before), netmodel.Transfer over one, three and five hops and a degraded
-# uplink, then the same hot paths and the fault-cost tables printed by
-# nbr-bench (ns/op + allocs/op per hot path).
+# uplink, the plan cache's hit path and its two-client Zipf churn at a
+# quarter budget (GetHit, ChurnZipf: ns/op and hit rate), then the same
+# hot paths and the fault-cost tables printed by nbr-bench (ns/op +
+# allocs/op per hot path).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
@@ -118,6 +120,7 @@ bench:
 	$(GO) test -run '^$$' -bench='Build|Verify' -benchmem ./internal/pattern/ ./internal/planverify/
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench=Transfer -benchmem ./internal/netmodel/
+	$(GO) test -run '^$$' -bench='GetHit|Churn' -benchmem ./internal/plancache/
 	$(GO) run ./cmd/nbr-bench -fig micro,recovery,degradation
 
 # The repo benchmark (BENCHMARK.json) at smoke scale: all four workloads

@@ -323,7 +323,7 @@ func TestPlanBuildAllocs(t *testing.T) {
 		ceil  float64
 		build func() error
 	}{
-		{"BuildPlan(dh), 64 ranks", 400, func() error { _, _, err := BuildPlan("dh", g, c, 0, nil); return err }},
+		{"BuildPlan(dh), 64 ranks", 120, func() error { _, _, err := BuildPlan("dh", g, c, 0, nil); return err }},
 		{"BuildPlan(cn), 64 ranks", 64, func() error { _, _, err := BuildPlan("cn", g, c, 0, nil); return err }},
 		{"NewCommonNeighbor, 540 ranks", 200, func() error { _, err := NewCommonNeighbor(g540, 4); return err }},
 	} {

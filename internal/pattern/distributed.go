@@ -171,7 +171,7 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 
 	// Final phase derivation, with sender announcements so each rank
 	// learns its remainder-phase senders (the paper's I_on tracking).
-	final := st.final(make([]int, len(st.del)))
+	final := st.final(make([]int, len(st.del)), make([]FinalSend, st.sendCount()))
 	plan = &final
 	for _, fs := range plan.FinalSends {
 		p.Send(fs.Dst, tags.FinalNote, noteBytes, nil, finalNote{count: len(fs.Sources)})

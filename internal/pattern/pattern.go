@@ -206,9 +206,10 @@ type builder struct {
 	// One level's matching, by rank, NoRank where unmatched; a level's
 	// blocks are disjoint, so they share the two arrays.
 	agentOf, originOf []int
-	// cands and sorted are match's candidate buffers, moved the
-	// transfers' descriptors back to back: scratch reused by every block.
+	// cands and sorted are match's candidate buffers, start preferred's
+	// buckets, moved the transfers' descriptors: scratch for every block.
 	cands, sorted []cand
+	start         []int
 	moved         []owed
 	xfers         []xfer
 	// copies is the arena every step's SelfCopies is a capped slice of.
@@ -328,18 +329,18 @@ func (b *builder) preferred(cands []cand) []cand {
 		maxW = max(maxW, c.w)
 	}
 	// start[w] is where the next candidate of weight w goes.
-	start := make([]int, maxW+1)
+	b.start = append(b.start[:0], make([]int, maxW+1)...)
 	for _, c := range cands {
-		start[c.w]++
+		b.start[c.w]++
 	}
 	at := 0
 	for w := maxW; w >= 0; w-- {
-		start[w], at = at, at+start[w]
+		b.start[w], at = at, at+b.start[w]
 	}
 	b.sorted = slices.Grow(b.sorted[:0], len(cands))[:len(cands)]
 	for _, c := range cands {
-		b.sorted[start[c.w]] = c
-		start[c.w]++
+		b.sorted[b.start[c.w]] = c
+		b.start[c.w]++
 	}
 	return b.sorted
 }
@@ -422,13 +423,15 @@ type xfer struct {
 	to      int
 	sources []int
 	lo, hi  int
+	nb, nd  int // the agent's grown buffer and delivery list lengths
 }
 
 // applyTransfers realises this step's agreed agent/origin relations for
 // every rank of the block: buffers travel to agents along with the
 // descriptor D (the h2 run of each delivery list). Offloads must read
 // the pre-step buffer of every participant, so: first collect all
-// transfers, then apply.
+// transfers, then apply. Agents grow into two per-block arenas, exact
+// but for the self-copies onload drops from the delivery lists.
 func (b *builder) applyTransfers(k block) {
 	b.moved, b.xfers = b.moved[:0], b.xfers[:0]
 	for r := k.lo; r < k.hi; r++ {
@@ -442,34 +445,49 @@ func (b *builder) applyTransfers(k block) {
 		b.moved = st.offload(s.H2Lo, s.H2Hi, b.avoid, b.moved)
 		// The agent keeps the origin's buffer prefix, not a copy of it:
 		// a buffer only ever grows, and never into the capped slice.
-		b.xfers = append(b.xfers, xfer{s.Agent, st.buf[:len(st.buf):len(st.buf)], from, len(b.moved)})
+		b.xfers = append(b.xfers, xfer{s.Agent, st.buf[:len(st.buf):len(st.buf)], from, len(b.moved), 0, 0})
 	}
+	nb, nd := 0, 0
+	for i := range b.xfers {
+		x, st := &b.xfers[i], &b.states[b.xfers[i].to]
+		x.nb, x.nd = len(st.buf)+len(x.sources), len(st.del)+x.hi-x.lo
+		if x.nd <= cap(st.del) {
+			x.nd = 0
+		}
+		nb, nd = nb+x.nb, nd+x.nd
+	}
+	bufs, dels := make([]int, nb), make([]owed, nd)
 	for _, x := range b.xfers {
 		st := &b.states[x.to]
+		st.buf, bufs = append(bufs[:0:x.nb], st.buf...), bufs[x.nb:]
+		if x.nd > 0 {
+			st.del, dels = append(dels[:0:x.nd], st.del...), dels[x.nd:]
+		}
 		b.copies = st.onload(&st.steps[len(st.steps)-1], x.sources, b.moved[x.lo:x.hi], b.copies)
 	}
 }
 
 // finish derives final-phase sends/recvs from residual deliveries and
-// assembles the Pattern: every rank's final sources are one arena, and
-// a count pass carves every FinalRecvs from another.
+// assembles the Pattern: a count pass sizes one arena for every rank's
+// final sources and one for its FinalSends, and another carves every
+// FinalRecvs.
 func (b *builder) finish() (*Pattern, error) {
 	p := &Pattern{Graph: b.g, L: b.l, Plans: make([]RankPlan, b.n), Stats: b.stats}
-	total := 0
+	total, sends := 0, 0
 	for r := range b.states {
 		total += len(b.states[r].del)
+		sends += b.states[r].sendCount()
 	}
-	srcs, recvs, sends := make([]int, total), make([]int, b.n), 0
+	srcs, fsends, recvs := make([]int, total), make([]FinalSend, sends), make([]int, b.n)
 	for r := range b.states {
 		st := &b.states[r]
 		d := len(st.del)
-		p.Plans[r] = st.final(srcs[:d:d])
-		srcs = srcs[d:]
+		p.Plans[r] = st.final(srcs[:d:d], fsends)
+		srcs, fsends = srcs[d:], fsends[len(p.Plans[r].FinalSends):]
 		p.Stats.MaxBufSources = max(p.Stats.MaxBufSources, len(st.buf))
 		for _, fs := range p.Plans[r].FinalSends {
 			recvs[fs.Dst]++
 		}
-		sends += len(p.Plans[r].FinalSends)
 	}
 	arena := make([]int, sends)
 	for v, c := range recvs {

@@ -128,20 +128,13 @@ func (st *rankState) onload(s *Step, sources []int, moved []owed, copies []int) 
 }
 
 // final turns what the rank still owes when halving stops into its
-// remainder phase, with srcs (len(del) entries) holding the sources.
-// The list is already grouped by destination with sources ascending, so
-// one walk emits FinalSends in destination order.
-func (st *rankState) final(srcs []int) RankPlan {
+// remainder phase, with srcs (len(del) entries) holding the sources and
+// sends room for at least sendCount FinalSends. The list is already
+// grouped by destination with sources ascending, so one walk emits
+// FinalSends in destination order.
+func (st *rankState) final(srcs []int, sends []FinalSend) RankPlan {
 	plan := RankPlan{Rank: st.rank, Steps: st.steps, BufSources: st.buf}
-	sends := 0
-	for i, e := range st.del {
-		if (i == 0 || st.del[i-1].dst() != e.dst()) && e.dst() != st.rank {
-			sends++
-		}
-	}
-	if sends > 0 {
-		plan.FinalSends = make([]FinalSend, 0, sends)
-	}
+	sends = sends[:0]
 	for i := 0; i < len(st.del); {
 		d, from := st.del[i].dst(), i
 		for ; i < len(st.del) && st.del[i].dst() == d; i++ {
@@ -150,8 +143,23 @@ func (st *rankState) final(srcs []int) RankPlan {
 		if d == st.rank {
 			plan.FinalSelfCopies = srcs[from:i:i]
 		} else {
-			plan.FinalSends = append(plan.FinalSends, FinalSend{Dst: d, Sources: srcs[from:i:i]})
+			sends = append(sends, FinalSend{Dst: d, Sources: srcs[from:i:i]})
 		}
 	}
+	if len(sends) > 0 {
+		plan.FinalSends = sends[:len(sends):len(sends)]
+	}
 	return plan
+}
+
+// sendCount is the number of FinalSends final emits: one per
+// destination other than the rank itself.
+func (st *rankState) sendCount() int {
+	sends := 0
+	for i, e := range st.del {
+		if (i == 0 || st.del[i-1].dst() != e.dst()) && e.dst() != st.rank {
+			sends++
+		}
+	}
+	return sends
 }

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 
 	"nbrallgather/internal/bitset"
 )
@@ -56,15 +57,10 @@ func (p *Pattern) Validate() error {
 		if p.Plans[r].Rank != r {
 			return fmt.Errorf("pattern: plan %d has Rank %d", r, p.Plans[r].Rank)
 		}
-		if len(p.Plans[r].Steps) > maxSteps {
-			maxSteps = len(p.Plans[r].Steps)
-		}
+		maxSteps = max(maxSteps, len(p.Plans[r].Steps))
 	}
 	for t := 0; t < maxSteps; t++ {
-		type shipment struct {
-			sources []int
-		}
-		ships := make(map[int]shipment) // receiver → shipment
+		ships := make(map[int][]int) // receiver → shipped sources
 		for r := 0; r < n; r++ {
 			plan := &p.Plans[r]
 			if t >= len(plan.Steps) {
@@ -88,7 +84,7 @@ func (p *Pattern) Validate() error {
 				if _, dup := ships[s.Agent]; dup {
 					return fmt.Errorf("pattern: rank %d step %d agent %d already receives another origin", r, t, s.Agent)
 				}
-				ships[s.Agent] = shipment{sources: append([]int(nil), bufs[r]...)}
+				ships[s.Agent] = slices.Clone(bufs[r])
 			}
 			if s.Origin != NoRank {
 				if s.Origin < s.H2Lo || s.Origin >= s.H2Hi {
@@ -113,14 +109,14 @@ func (p *Pattern) Validate() error {
 				}
 				continue
 			}
-			sh, ok := ships[r]
+			sources, ok := ships[r]
 			if !ok {
 				return fmt.Errorf("pattern: rank %d step %d expects origin %d but no shipment", r, t, s.Origin)
 			}
-			if !equalInts(sh.sources, s.RecvSources) {
-				return fmt.Errorf("pattern: rank %d step %d RecvSources %v != origin buffer %v", r, t, s.RecvSources, sh.sources)
+			if !slices.Equal(sources, s.RecvSources) {
+				return fmt.Errorf("pattern: rank %d step %d RecvSources %v != origin buffer %v", r, t, s.RecvSources, sources)
 			}
-			for _, src := range sh.sources {
+			for _, src := range sources {
 				if !has[r].Has(src) {
 					has[r].Add(src)
 					bufs[r] = append(bufs[r], src)
@@ -144,7 +140,7 @@ func (p *Pattern) Validate() error {
 	}
 	for r := 0; r < n; r++ {
 		plan := &p.Plans[r]
-		if !equalInts(plan.BufSources, bufs[r]) {
+		if !slices.Equal(plan.BufSources, bufs[r]) {
 			return fmt.Errorf("pattern: rank %d BufSources %v != replayed buffer %v", r, plan.BufSources, bufs[r])
 		}
 		for _, src := range plan.FinalSelfCopies {
@@ -181,7 +177,7 @@ func (p *Pattern) Validate() error {
 	for v := 0; v < n; v++ {
 		want := finalSenders[v].Elems(nil)
 		got := p.Plans[v].FinalRecvs
-		if !equalInts(want, got) {
+		if !slices.Equal(want, got) {
 			return fmt.Errorf("pattern: rank %d FinalRecvs %v != actual final senders %v", v, got, want)
 		}
 	}
@@ -195,16 +191,4 @@ func (p *Pattern) Validate() error {
 		}
 	}
 	return nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -19,8 +19,7 @@
 //     operations — so it is safe to call from inside mpirt rank bodies
 //     (the event engine runs ranks as cooperative coroutines; a
 //     channel wait there would block the host). Two racing callers may
-//     build the same key twice; the first insert wins and both see the
-//     same artifact afterwards.
+//     build the same key twice; the first insert wins.
 //   - GetOrBuild is the service path: misses are coalesced through a
 //     singleflight table (a thundering herd of identical requests
 //     plans exactly once) and gated by admission control — at most
@@ -29,10 +28,17 @@
 //     *OverloadError so planning load degrades gracefully instead of
 //     collapsing.
 //
-// Eviction is size-bounded LRU: every artifact carries a cost in bytes
-// (estimated resident size) and inserting past MaxBytes evicts from the
-// cold end until the budget holds. Hit/miss/coalesce/eviction/overload
-// counters are exported through Stats.
+// Every artifact carries a cost in bytes (estimated resident size), and
+// inserting past MaxBytes evicts from the LRU end until the budget
+// holds. An insert that would evict first passes the insert gate
+// (TinyLFU's frequency test): the new key must have been requested at
+// least as often as every victim it would displace, else it is returned
+// to its caller uncached. Resident entries count their requests;
+// absent keys count their misses in a fixed table indexed by digest;
+// both counts halve every 32 requests per resident entry, so the
+// gate follows a shifting popularity. With no reuse every count is
+// one, ties admit, and the cache is plain LRU. Hit/miss/coalesce/
+// eviction/rejection/overload counters are exported through Stats.
 //
 // The package is deliberately value-agnostic (artifacts are `any`): the
 // collective layer owns the keying and cost estimation, keeping the
@@ -191,9 +197,9 @@ type Stats struct {
 	Hits, Misses, Coalesced, Overloads int64
 	// Inserts and Evictions count artifacts entering and leaving the
 	// cache; BuildErrors counts failed builds (including OnInsert
-	// rejections); TooBig counts artifacts over the whole budget that
-	// were returned uncached.
-	Inserts, Evictions, BuildErrors, TooBig int64
+	// rejections); TooBig counts artifacts over the whole budget and
+	// Rejected those the insert gate refused, both returned uncached.
+	Inserts, Evictions, BuildErrors, TooBig, Rejected int64
 	// Bytes and Entries describe current occupancy; Capacity echoes
 	// MaxBytes.
 	Bytes, Capacity int64
@@ -226,6 +232,7 @@ type entry struct {
 	val        any
 	cost       int64
 	prev, next *entry
+	freq       uint64 // requests, halved with the gate's window; touch writes this line
 	chain      *entry // next entry with the same digest
 }
 
@@ -256,7 +263,16 @@ type Cache struct {
 	onInsert    func(Key, any) error
 
 	stats Stats
+	// The insert gate: misses of absent keys by digest slot, and the
+	// request count (Hits+Misses) at which every count next halves.
+	seen  [1 << seenBits]uint64
+	ageAt int64
 }
+
+// seenBits sizes the gate's miss table: the top bits of a digest pick
+// the slot. ageWindow is the gate's window in requests per resident
+// entry: every count halves once that many have passed.
+const seenBits, ageWindow = 12, 32
 
 // New builds a cache from cfg, applying defaults for zero fields.
 func New(cfg Config) *Cache {
@@ -290,7 +306,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 	c.mu.Lock()
 	e := c.find(h, k)
 	if e == nil {
-		c.stats.Misses++
+		c.missLocked(h)
 		c.mu.Unlock()
 		return nil, false
 	}
@@ -318,7 +334,8 @@ func (c *Cache) Peek(k Key) (any, bool) {
 // goroutine, so it is the lookup to use from inside mpirt rank bodies
 // (see the package comment). Racing callers may build the same key
 // concurrently; the first completed insert wins and later builders
-// adopt the published artifact, so all callers observe one identity.
+// adopt the published artifact. An artifact the insert gate refuses is
+// returned uncached, so callers then see one identity per build.
 func (c *Cache) GetOrBuildLocal(k Key, build Builder) (any, error) {
 	if v, ok := c.Get(k); ok {
 		return v, nil
@@ -387,7 +404,7 @@ func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
 		// flight may have started, or the slot may be gone again.
 	}
 	c.active++
-	c.stats.Misses++
+	c.missLocked(h)
 	f := &flight{done: make(chan struct{})}
 	c.inflight[k] = f
 	c.mu.Unlock()
@@ -426,17 +443,20 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Len returns the number of cached artifacts.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
+// missLocked counts a miss of the key whose digest is h.
+func (c *Cache) missLocked(h uint64) {
+	c.stats.Misses++
+	*c.seenAt(h)++
 }
 
+// seenAt is the gate's miss count of the absent keys whose digest is h.
+func (c *Cache) seenAt(h uint64) *uint64 { return &c.seen[h>>(64-seenBits)] }
+
 // insertLocked publishes (k, v), h being k's digest, and evicts past the
-// byte budget. The first insert of a key wins: if k is already present
-// (a racing GetOrBuildLocal builder lost), the existing artifact is
-// returned so every caller converges on one identity.
+// byte budget if the insert gate admits it. The first insert of a key
+// wins: if k is already present (a racing GetOrBuildLocal builder
+// lost), the existing artifact is returned so every caller converges
+// on one identity.
 func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
 	if e := c.find(h, k); e != nil {
 		c.touch(e)
@@ -449,7 +469,13 @@ func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
 		c.stats.TooBig++
 		return v
 	}
-	e := &entry{key: k, hash: h, val: v, cost: cost, chain: c.entries[h]}
+	slot := c.seenAt(h)
+	if c.bytes+cost > c.maxBytes && !c.admitLocked(*slot, cost) {
+		c.stats.Rejected++
+		return v
+	}
+	e := &entry{key: k, hash: h, val: v, cost: cost, freq: *slot, chain: c.entries[h]}
+	*slot = 0
 	c.entries[h] = e
 	c.n++
 	c.pushFront(e)
@@ -461,7 +487,34 @@ func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
 	return v
 }
 
+// admitLocked is the insert gate: whether a key requested freq times
+// may displace the LRU-tail entries that free cost bytes. It first
+// halves every count once the window, ageWindow requests per resident
+// entry, is over; the first evicting insert only opens the window.
+func (c *Cache) admitLocked(freq uint64, cost int64) bool {
+	if now := c.stats.Hits + c.stats.Misses; now >= c.ageAt {
+		if c.ageAt > 0 {
+			for e := c.head; e != nil; e = e.next {
+				e.freq >>= 1
+			}
+			for i := range c.seen {
+				c.seen[i] >>= 1
+			}
+			freq >>= 1
+		}
+		c.ageAt = now + ageWindow*int64(c.n)
+	}
+	for e, need := c.tail, c.bytes+cost-c.maxBytes; need > 0; e, need = e.prev, need-e.cost {
+		if freq < e.freq {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *Cache) evictLocked(e *entry) {
+	slot := c.seenAt(e.hash)
+	*slot = max(*slot, e.freq)
 	c.unlink(e)
 	if head := c.entries[e.hash]; head != e {
 		for head.chain != e {
@@ -487,8 +540,9 @@ func (c *Cache) find(h uint64, k Key) *entry {
 	return e
 }
 
-// touch moves e to the MRU end.
+// touch counts a request of e and moves e to the MRU end.
 func (c *Cache) touch(e *entry) {
+	e.freq++
 	if c.head == e {
 		return
 	}

@@ -114,8 +114,8 @@ func TestLocalRaceConverges(t *testing.T) {
 			t.Fatalf("goroutine %d diverged from the published artifact", i)
 		}
 	}
-	if got := c.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
+	if got := c.Stats().Entries; got != 1 {
+		t.Fatalf("Entries = %d, want 1", got)
 	}
 }
 
@@ -327,6 +327,214 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
+// TestInsertGateScanResistance: a burst of one-off keys ten times the
+// capacity, each requested once, cannot displace a hot set whose every
+// key was requested again twice — LRU alone would have flushed it.
+func TestInsertGateScanResistance(t *testing.T) {
+	const capacity = 8
+	c := New(Config{MaxBytes: capacity})
+	unit := func() (any, int64, error) { return 0, 1, nil }
+	for i := 0; i < capacity; i++ {
+		if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for touch := 0; touch < 2; touch++ {
+		for i := 0; i < capacity; i++ {
+			if _, ok := c.Get(key(i)); !ok {
+				t.Fatalf("hot key %d missing before the burst", i)
+			}
+		}
+	}
+	for i := 0; i < 10*capacity; i++ {
+		if _, err := c.GetOrBuildLocal(key(1000+i), unit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		if _, ok := c.Peek(key(i)); !ok {
+			t.Errorf("hot key %d flushed by the one-off burst", i)
+		}
+	}
+	if st := c.Stats(); st.Rejected != 10*capacity || st.Evictions != 0 {
+		t.Fatalf("stats %+v, want every one-off key rejected and no eviction", st)
+	}
+}
+
+// TestInsertGateDeterminism: the gate's counts are a pure function of
+// the request sequence, so two caches fed one single-client sequence
+// end in the same state.
+func TestInsertGateDeterminism(t *testing.T) {
+	const population = 300
+	var caches [2]*Cache
+	for i := range caches {
+		c := New(Config{MaxBytes: population / 4 * 10})
+		rng := rand.New(rand.NewSource(5))
+		zipf := rand.NewZipf(rng, 1.1, 1, population-1)
+		for j := 0; j < 20*population; j++ {
+			k := key(int(zipf.Uint64()))
+			cost := int64(5 + k.Param%11)
+			build := func() (any, int64, error) { return k.Param, cost, nil }
+			var err error
+			if j%2 == 0 {
+				_, err = c.GetOrBuild(k, build)
+			} else {
+				_, err = c.GetOrBuildLocal(k, build)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		caches[i] = c
+	}
+	a, b := caches[0].Stats(), caches[1].Stats()
+	if a != b {
+		t.Fatalf("stats diverged:\n%+v\n%+v", a, b)
+	}
+	if a.Rejected == 0 || a.Evictions == 0 {
+		t.Fatalf("stats %+v: the sequence never exercised the gate", a)
+	}
+	for i := 0; i < population; i++ {
+		_, inA := caches[0].Peek(key(i))
+		_, inB := caches[1].Peek(key(i))
+		if inA != inB {
+			t.Fatalf("key %d resident in one cache only (%v, %v)", i, inA, inB)
+		}
+	}
+}
+
+// TestInsertGateRefusal: an artifact the gate refuses still reaches its
+// caller on either build path, after one OnInsert call, and is counted
+// and not cached. A key's second miss ties with the LRU victim's count
+// and is admitted.
+func TestInsertGateRefusal(t *testing.T) {
+	var hooks atomic.Int64
+	c := New(Config{MaxBytes: 2, OnInsert: func(Key, any) error { hooks.Add(1); return nil }})
+	for i := 1; i <= 2; i++ {
+		if _, err := c.GetOrBuild(key(i), func() (any, int64, error) { return i, 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+		c.Get(key(i)) // two requests each, key 1 the LRU end
+	}
+	for i, lookup := range []func(Key, Builder) (any, error){c.GetOrBuild, c.GetOrBuildLocal} {
+		hooks.Store(0)
+		k, want := key(3+i), &struct{ id int }{3 + i}
+		v, err := lookup(k, func() (any, int64, error) { return want, 1, nil })
+		if err != nil || v != want {
+			t.Fatalf("refused build of %v returned %v, %v; want the built artifact", k, v, err)
+		}
+		if n := hooks.Load(); n != 1 {
+			t.Fatalf("OnInsert ran %d times for one refused build, want 1", n)
+		}
+		if _, ok := c.Peek(k); ok {
+			t.Fatalf("refused artifact of %v was cached", k)
+		}
+		if st := c.Stats(); st.Rejected != int64(i+1) || st.Inserts != 2 || st.Entries != 2 {
+			t.Fatalf("stats %+v after refusing %v", st, k)
+		}
+	}
+	if _, err := c.GetOrBuildLocal(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, true, true} {
+		if _, ok := c.Peek(key(i + 1)); ok != want {
+			t.Fatalf("after the tie, key %d resident = %v, want %v; stats %+v", i+1, ok, want, c.Stats())
+		}
+	}
+}
+
+// TestInsertGateRemembersEvicted: an evicted entry's count goes back to
+// the miss table, so a hot key pushed out by an equally hot one wins its
+// place back on its next request instead of starting over at one.
+func TestInsertGateRemembersEvicted(t *testing.T) {
+	c := New(Config{MaxBytes: 1})
+	unit := func() (any, int64, error) { return 0, 1, nil }
+	request := func(i int) bool {
+		t.Helper()
+		if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := c.Peek(key(i))
+		return ok
+	}
+	for j := 0; j < 10; j++ {
+		request(1)
+	}
+	for j := 1; j < 10; j++ {
+		if request(2) {
+			t.Fatalf("key 2 admitted on its request %d, before matching key 1's 10", j)
+		}
+	}
+	if !request(2) {
+		t.Fatal("key 2's 10th request tied key 1's count and was refused")
+	}
+	if !request(1) {
+		t.Fatalf("evicted key 1 came back with a fresh count; stats %+v", c.Stats())
+	}
+}
+
+// TestInsertGateForgets: the counts halve as requests pass, so a new
+// working set displaces an old one that was requested far more often
+// but no longer is, within a few windows rather than after matching
+// the old counts.
+func TestInsertGateForgets(t *testing.T) {
+	const capacity, oldHits = 8, 1000
+	c := New(Config{MaxBytes: capacity})
+	unit := func() (any, int64, error) { return 0, 1, nil }
+	for i := 0; i < capacity; i++ {
+		for j := 0; j < oldHits; j++ {
+			if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 1; round <= oldHits/4; round++ {
+		resident := 0
+		for i := 100; i < 100+capacity; i++ {
+			if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Peek(key(i)); ok {
+				resident++
+			}
+		}
+		if resident == capacity {
+			t.Logf("new working set resident after %d rounds", round)
+			return
+		}
+	}
+	t.Fatalf("after %d rounds the old working set still holds the cache: %+v", oldHits/4, c.Stats())
+}
+
+// TestInsertGateReplayFloors: at a quarter budget under Zipf(1.1) — the
+// planner-zipf churn cache, and its 256-key sibling on the simulation
+// workloads — the gate lifts the hit rate above plain LRU's 0.75 and
+// 0.83 after a warm-up.
+func TestInsertGateReplayFloors(t *testing.T) {
+	for _, tc := range []struct {
+		population int
+		floor      float64
+	}{{256, 0.79}, {2000, 0.85}} {
+		const cost = 100
+		c := New(Config{MaxBytes: int64(tc.population / 4 * cost)})
+		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(tc.population-1))
+		var warm Stats
+		for i := 0; i < 100*tc.population; i++ {
+			if i == 20*tc.population {
+				warm = c.Stats()
+			}
+			_, _ = c.GetOrBuildLocal(key(int(zipf.Uint64())), func() (any, int64, error) { return i, cost, nil })
+		}
+		st := c.Stats()
+		hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
+		if rate := float64(hits) / float64(hits+misses); rate < tc.floor {
+			t.Errorf("%d keys: hit rate %.4f after warm-up, floor %.2f", tc.population, rate, tc.floor)
+		} else {
+			t.Logf("%d keys: hit rate %.4f after warm-up (floor %.2f)", tc.population, rate, tc.floor)
+		}
+	}
+}
+
 // TestDigestCollisionsChain drives the index with keys forced onto one
 // digest (no two real keys are known to collide): each stays findable
 // under its own identity, and evicting the chain's head, middle and
@@ -437,4 +645,32 @@ func BenchmarkGetHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Get(k)
 	}
+}
+
+// BenchmarkChurnZipf is planner-zipf's churn phase in miniature: two
+// clients draw Zipf(1.1) keys over 2 000 plans through GetOrBuild on a
+// cache that holds a quarter of them, and a miss builds a synthetic
+// artifact. It reports the hit rate beside ns/op.
+func BenchmarkChurnZipf(b *testing.B) {
+	const population, cost, clients = 2000, 100, 2
+	c := New(Config{MaxBytes: population / 4 * cost})
+	build := func() (any, int64, error) { return new([cost]byte), cost, nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(w))), 1.1, 1, population-1)
+			for i := w; i < b.N; i += clients {
+				if _, err := c.GetOrBuild(key(int(zipf.Uint64())), build); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.ReportMetric(c.Stats().HitRate(), "hit-rate")
 }
