@@ -21,6 +21,19 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Rows returns count empty sets of capacity n that share one backing
+// array: a table of rows is two allocations, not 2·count.
+func Rows(count, n int) []Set {
+	n = max(n, 0)
+	w := (n + 63) / 64
+	words := make([]uint64, count*w)
+	rows := make([]Set, count)
+	for i := range rows {
+		rows[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return rows
+}
+
 // N returns the set's capacity.
 func (s *Set) N() int { return s.n }
 

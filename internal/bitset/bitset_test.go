@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -163,5 +164,26 @@ func TestZeroCapacity(t *testing.T) {
 	s2 := New(-5)
 	if s2.N() != 0 {
 		t.Fatal("negative capacity not clamped")
+	}
+}
+
+// TestRowsIndependent: rows share one backing array, yet a bit set in
+// one row — at either end of a word boundary — shows in no other.
+func TestRowsIndependent(t *testing.T) {
+	rows := Rows(3, 100)
+	rows[0].Add(99)
+	rows[1].Add(0)
+	rows[2].Add(63)
+	rows[2].Add(64)
+	for i, want := range [][]int{{99}, {0}, {63, 64}} {
+		if got := rows[i].Elems(nil); !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v, want %v", i, got, want)
+		}
+		if rows[i].N() != 100 {
+			t.Fatalf("row %d capacity %d", i, rows[i].N())
+		}
+	}
+	if len(Rows(0, 100)) != 0 || Rows(2, -1)[1].N() != 0 {
+		t.Fatal("empty shapes")
 	}
 }

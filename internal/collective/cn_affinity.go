@@ -36,9 +36,12 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 		return nil, fmt.Errorf("collective: affinity group size %d must be a power of two", k)
 	}
 	n := g.N()
-	clusters := make([]*cnCluster, n)
+	clusters, unions := make([]*cnCluster, n), bitset.Rows(n, n)
 	for r := 0; r < n; r++ {
-		clusters[r] = &cnCluster{members: []int{r}, out: g.OutSet(r).Clone()}
+		for _, v := range g.Out(r) {
+			unions[r].Add(v)
+		}
+		clusters[r] = &cnCluster{members: []int{r}, out: &unions[r]}
 	}
 	rounds := 0
 	for s := 1; s < k; s *= 2 {
@@ -72,26 +75,35 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 			sort.Ints(l)
 		}
 		negCands[round] = perRep
-		sort.Slice(cands, func(x, y int) bool {
-			if cands[x].w != cands[y].w {
-				return cands[x].w > cands[y].w
-			}
-			if cands[x].a != cands[y].a {
-				return cands[x].a < cands[y].a
-			}
-			return cands[x].b < cands[y].b
-		})
+		// Heaviest first, ties by (a, b): cands ascend by (a, b), so a
+		// stable distribution by weight is that order with no sort.
+		maxW := 0
+		for _, c := range cands {
+			maxW = max(maxW, c.w)
+		}
+		at := make([]int, maxW+2) // at[maxW-w+1] counts, then places, weight w
+		for _, c := range cands {
+			at[maxW-c.w+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		sorted := make([]cand, len(cands))
+		for _, c := range cands {
+			sorted[at[maxW-c.w]] = c
+			at[maxW-c.w]++
+		}
 		taken := make([]bool, len(clusters))
 		var next []*cnCluster
-		for _, c := range cands {
+		for _, c := range sorted {
 			if taken[c.a] || taken[c.b] {
 				continue
 			}
 			taken[c.a], taken[c.b] = true, true
 			a, b := clusters[c.a], clusters[c.b]
-			merged := &cnCluster{members: append(append([]int(nil), a.members...), b.members...)}
+			// a's union is no longer read on its own: b joins it in place.
+			merged := &cnCluster{members: append(append([]int(nil), a.members...), b.members...), out: a.out}
 			sort.Ints(merged.members)
-			merged.out = a.out.Clone()
 			merged.out.Or(b.out)
 			next = append(next, merged)
 		}

@@ -18,6 +18,21 @@ import (
 // TestCNEqualsReference holds BuildCNAvoiding and BuildCNAffinity to,
 // plan for plan.
 
+// refOutSets returns every rank's out-set as a bit row: the graph's
+// own, or rows built from Out where the graph keeps none.
+func refOutSets(g *vgraph.Graph) []*bitset.Set {
+	sets := make([]*bitset.Set, g.N())
+	for r := range sets {
+		if sets[r] = g.OutSet(r); sets[r] == nil {
+			sets[r] = bitset.New(g.N())
+			for _, v := range g.Out(r) {
+				sets[r].Add(v)
+			}
+		}
+	}
+	return sets
+}
+
 func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("collective: common-neighbor group size %d must be positive", k)
@@ -57,18 +72,19 @@ func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error
 	// now happens once, at graph construction. Each rank belongs to
 	// exactly one group and destinations ascend, so Sends come out
 	// sorted by destination without a per-member sort.
+	outSets := refOutSets(g)
 	dests := bitset.New(n)
 	var dbuf, cs []int
 	for _, group := range groups {
 		dests.Clear()
 		for _, r := range group {
-			dests.Or(g.OutSet(r))
+			dests.Or(outSets[r])
 		}
 		dbuf = dests.Elems(dbuf[:0])
 		for i, v := range dbuf {
 			cs = cs[:0]
 			for _, r := range group {
-				if g.OutSet(r).Has(v) {
+				if outSets[r].Has(v) {
 					cs = append(cs, r)
 				}
 			}
@@ -112,9 +128,9 @@ func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 		return nil, fmt.Errorf("collective: affinity group size %d must be a power of two", k)
 	}
 	n := g.N()
-	clusters := make([]*refCluster, n)
+	clusters, outSets := make([]*refCluster, n), refOutSets(g)
 	for r := 0; r < n; r++ {
-		clusters[r] = &refCluster{members: []int{r}, out: g.OutSet(r).Clone()}
+		clusters[r] = &refCluster{members: []int{r}, out: outSets[r].Clone()}
 	}
 	rounds := 0
 	for s := 1; s < k; s *= 2 {

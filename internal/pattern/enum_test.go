@@ -6,23 +6,59 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/vgraph"
 )
 
-// buildForced builds with candidates pinned to one enumeration.
+// testRows builds bit rows from Out for a graph that keeps none, so the
+// intersect enumeration can run on it; nil for a graph with rows.
+func testRows(g *vgraph.Graph) []*bitset.Set {
+	if g.OutSet(0) != nil {
+		return nil
+	}
+	rows := make([]*bitset.Set, g.N())
+	for r := range rows {
+		rows[r] = bitset.New(g.N())
+		for _, v := range g.Out(r) {
+			rows[r].Add(v)
+		}
+	}
+	return rows
+}
+
+// buildForced builds with candidates pinned to one enumeration; the
+// cost rule's choice (enum 0) runs as Build does, on the graph alone.
 func buildForced(g *vgraph.Graph, l int, policy Policy, avoid []bool, enum int8) *Pattern {
-	p, err := (&builder{g: g, n: g.N(), l: l, policy: policy, avoid: avoid, enum: enum}).build()
+	b := &builder{g: g, n: g.N(), l: l, policy: policy, avoid: avoid, enum: enum}
+	if enum == enumIntersect {
+		b.rows = testRows(g)
+	}
+	p, err := b.build()
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
 
+// enumerationsEquivalent reports whether every enumeration builds the
+// intersect one's pattern on g, and candidates' contract holds.
+func enumerationsEquivalent(t *testing.T, g *vgraph.Graph, l int, policy Policy, avoid []bool) bool {
+	want := buildForced(g, l, policy, avoid, enumIntersect)
+	for _, enum := range []int8{enumCount, 0} {
+		got := buildForced(g, l, policy, avoid, enum)
+		if got.Stats != want.Stats || !reflect.DeepEqual(got, want) {
+			t.Logf("n=%d rows=%v l=%d policy=%d avoid=%v: enumeration %d differs from intersect", g.N(), g.OutSet(0) != nil, l, policy, avoid != nil, enum)
+			return false
+		}
+	}
+	return want.Validate() == nil && candidatesAscend(t, g, avoid)
+}
+
 // TestEnumerationsEquivalent: intersecting out-sets and counting over
 // in-lists find the same candidates, so whichever the cost rule picks
 // per proposer, the pattern is the same — over ER graphs from sparse to
 // near-complete, Moore grids, both policies, with and without avoid
-// sets.
+// sets, on graphs with bit rows and on graphs too sparse to keep them.
 func TestEnumerationsEquivalent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -46,18 +82,56 @@ func TestEnumerationsEquivalent(t *testing.T) {
 				avoid[i] = rng.Intn(5) == 0
 			}
 		}
-		want := buildForced(g, l, policy, avoid, enumIntersect)
-		for _, enum := range []int8{enumCount, 0} {
-			got := buildForced(g, l, policy, avoid, enum)
-			if got.Stats != want.Stats || !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d: n=%d l=%d policy=%d avoid=%v: enumeration %d differs from intersect", seed, g.N(), l, policy, avoid != nil, enum)
-				return false
-			}
+		if !enumerationsEquivalent(t, g, l, policy, avoid) {
+			t.Logf("seed %d", seed)
+			return false
 		}
-		return want.Validate() == nil && candidatesAscend(t, g, avoid)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+	// The draws above mostly keep rows; these are below the threshold.
+	moore, err := vgraph.Moore([]int{24, 40}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := vgraph.ErdosRenyi(700, 0.012, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every rank talks to four hubs and the hubs to everyone: too
+	// sparse for rows, yet the cost rule alone would intersect for the
+	// proposers whose out-neighbors are the hubs.
+	spokes := make([][]int, 1024)
+	for v := range spokes {
+		spokes[v] = append(spokes[v], (v+1)%len(spokes))
+		for h := 0; h < 4; h++ {
+			if v != h {
+				spokes[v] = append(spokes[v], h)
+				spokes[h] = append(spokes[h], v)
+			}
+		}
+	}
+	hubs, err := vgraph.FromOutLists(len(spokes), spokes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*vgraph.Graph{moore, sparse, hubs} {
+		if g.OutSet(0) != nil {
+			t.Fatalf("n=%d, %d edges: graph keeps rows, want none", g.N(), g.Edges())
+		}
+		avoid := make([]bool, g.N())
+		for i := range avoid {
+			avoid[i] = i%5 == 0
+		}
+		for _, policy := range []Policy{PolicyLoadAware, PolicyFirstFit} {
+			for _, av := range [][]bool{nil, avoid} {
+				if !enumerationsEquivalent(t, g, 4, policy, av) {
+					t.Fatal("row-less graph")
+				}
+			}
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"slices"
 	"sort"
 
+	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -220,6 +221,9 @@ type builder struct {
 	shared []int32
 	marks  []uint64
 	enum   int8 // set only by tests: pins candidates to one enumeration
+	// rows, set only by tests, stands in for the bit rows of a graph
+	// that keeps none, so intersecting can run on it.
+	rows []*bitset.Set
 }
 
 func (b *builder) init() {
@@ -361,15 +365,16 @@ func within(list []int, lo, hi int) []int {
 // count how often each candidate turns up. The cheaper one runs:
 // counting on bounded-degree graphs, where it keeps a level linear in
 // ranks, intersecting on dense ones, where a word covers 64 neighbors.
+// A graph without bit rows always counts.
 func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
-	count := b.enum == enumCount || b.enum == 0 && b.countCheaper(r, wlo, whi)
+	count := b.enum == enumCount || b.enum == 0 && (b.g.OutSet(r) == nil || b.countCheaper(r, wlo, whi))
 	if !count {
-		ro := b.g.OutSet(r)
+		ro := b.outSet(r)
 		for c := clo; c < chi; c++ {
 			if b.avoid != nil && b.avoid[c] {
 				continue
 			}
-			if w := ro.AndCountRange(b.g.OutSet(c), wlo, whi); w > 0 {
+			if w := ro.AndCountRange(b.outSet(c), wlo, whi); w > 0 {
 				cands = append(cands, cand{int32(w), int32(r), int32(c)})
 			}
 		}
@@ -399,6 +404,14 @@ func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
 		b.marks[i] = 0
 	}
 	return cands
+}
+
+// outSet is rank r's bit row: the graph's, or a test's stand-in.
+func (b *builder) outSet(r int) *bitset.Set {
+	if b.rows != nil {
+		return b.rows[r]
+	}
+	return b.g.OutSet(r)
 }
 
 // countCheaper is candidates' cost rule, for both builders: the

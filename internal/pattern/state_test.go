@@ -131,7 +131,7 @@ func TestPreferredIsTheComparatorOrder(t *testing.T) {
 // first split: each enumeration emits every proposer's acceptors in
 // ascending order, and the two emit the same list.
 func candidatesAscend(t *testing.T, g *vgraph.Graph, avoid []bool) bool {
-	n := g.N()
+	n, rows := g.N(), testRows(g)
 	mid := Halves(0, n)
 	for p := 0; p < n; p++ {
 		alo, ahi := mid, n
@@ -140,7 +140,7 @@ func candidatesAscend(t *testing.T, g *vgraph.Graph, avoid []bool) bool {
 		}
 		var lists [2][]cand
 		for i, enum := range []int8{enumIntersect, enumCount} {
-			b := &builder{g: g, n: n, avoid: avoid, enum: enum}
+			b := &builder{g: g, n: n, avoid: avoid, enum: enum, rows: rows}
 			lists[i] = b.candidates(nil, p, alo, ahi, alo, ahi)
 			if !slices.IsSortedFunc(lists[i], func(x, y cand) int { return int(x.a - y.a) }) {
 				t.Logf("n=%d proposer %d: enumeration %d is not ascending: %v", n, p, enum, lists[i])

@@ -5,11 +5,18 @@
 // (Section VII-B). Graphs are directed: an edge u→v means v is an
 // outgoing neighbor of u, i.e. u's message must reach v in a
 // neighborhood allgather.
+//
+// A graph's memory is O(n + E): sorted out- and in-lists. It also keeps
+// one n-bit row per rank, for word-wise intersections, only where the
+// rows are no larger than the lists — n²/8 bytes ≤ 8·E, an average
+// out-degree of at least n/64. Dense random graphs have rows; Moore and
+// Cartesian grids at scale do not. That follows from the input alone.
 package vgraph
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"nbrallgather/internal/bitset"
@@ -20,18 +27,19 @@ type Graph struct {
 	n   int
 	out [][]int // sorted, deduplicated adjacency (outgoing neighbors)
 	in  [][]int // sorted, deduplicated reverse adjacency
-	// outSets mirrors out as bit sets for fast half-restricted
-	// intersection queries during pattern construction.
-	outSets []*bitset.Set
+	// rows mirrors out as bit rows in one arena, for half-restricted
+	// intersections during pattern construction; nil on a graph too
+	// sparse to keep them (see the package doc).
+	rows []bitset.Set
 	// fp is the content fingerprint, computed once at construction so
 	// plan-cache keying never re-canonicalises the adjacency.
 	fp uint64
 }
 
 // FromOutLists builds a graph from per-rank outgoing-neighbor lists.
-// Lists are copied, sorted and deduplicated; self-loops are rejected
-// (MPI permits them, but a self edge in an allgather is a local copy
-// and the paper's graphs exclude them).
+// It takes ownership of out: each list is sorted and deduplicated in
+// place. Self-loops are rejected (MPI permits them, but a self edge in
+// an allgather is a local copy and the paper's graphs exclude them).
 func FromOutLists(n int, out [][]int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("vgraph: size %d must be positive", n)
@@ -39,15 +47,9 @@ func FromOutLists(n int, out [][]int) (*Graph, error) {
 	if len(out) != n {
 		return nil, fmt.Errorf("vgraph: got %d adjacency lists for %d ranks", len(out), n)
 	}
-	g := &Graph{
-		n:       n,
-		out:     make([][]int, n),
-		in:      make([][]int, n),
-		outSets: make([]*bitset.Set, n),
-	}
 	indeg := make([]int, n)
+	e := 0
 	for u, lst := range out {
-		set := bitset.New(n)
 		for _, v := range lst {
 			if v < 0 || v >= n {
 				return nil, fmt.Errorf("vgraph: rank %d lists out-neighbor %d outside [0,%d)", u, v, n)
@@ -55,23 +57,35 @@ func FromOutLists(n int, out [][]int) (*Graph, error) {
 			if v == u {
 				return nil, fmt.Errorf("vgraph: rank %d lists itself as an out-neighbor", u)
 			}
-			set.Add(v)
 		}
-		g.outSets[u] = set
-		g.out[u] = set.Elems(make([]int, 0, set.Count()))
-		for _, v := range g.out[u] {
+		slices.Sort(lst)
+		lst = slices.Compact(lst)
+		out[u] = lst[:len(lst):len(lst)] // lists may share an arena: no append may reach the next
+		for _, v := range lst {
 			indeg[v]++
 		}
+		e += len(lst)
 	}
-	for v := range g.in {
-		g.in[v] = make([]int, 0, indeg[v])
+	g := &Graph{n: n, out: out, in: make([][]int, n)}
+	// The in-lists are capped slices of one arena, and sorted: u
+	// ascends in the filling loop.
+	arena := make([]int, e)
+	for v, d := range indeg {
+		g.in[v], arena = arena[:0:d], arena[d:]
 	}
-	for u := range g.out {
-		for _, v := range g.out[u] {
+	for u, lst := range out {
+		for _, v := range lst {
 			g.in[v] = append(g.in[v], u)
 		}
 	}
-	// in-lists are already sorted: u ascends in the outer loop.
+	if n*n <= 64*e { // n²/8 bytes of rows ≤ 8·E bytes of lists
+		g.rows = bitset.Rows(n, n)
+		for u, lst := range out {
+			for _, v := range lst {
+				g.rows[u].Add(v)
+			}
+		}
+	}
 	g.fp = fingerprint(n, g.out)
 	return g, nil
 }
@@ -115,9 +129,15 @@ func (g *Graph) Out(r int) []int { return g.out[r] }
 // returned slice must not be modified.
 func (g *Graph) In(r int) []int { return g.in[r] }
 
-// OutSet returns rank r's outgoing neighbors as a bit set. The returned
+// OutSet returns rank r's outgoing neighbors as a bit row, or nil on a
+// graph too sparse to keep rows (see the package doc). The returned
 // set must not be modified.
-func (g *Graph) OutSet(r int) *bitset.Set { return g.outSets[r] }
+func (g *Graph) OutSet(r int) *bitset.Set {
+	if g.rows == nil {
+		return nil
+	}
+	return &g.rows[r]
+}
 
 // OutDegree returns len(Out(r)).
 func (g *Graph) OutDegree(r int) int { return len(g.out[r]) }
@@ -130,7 +150,11 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	return g.outSets[u].Has(v)
+	if g.rows != nil {
+		return g.rows[u].Has(v)
+	}
+	_, ok := slices.BinarySearch(g.out[u], v)
+	return ok
 }
 
 // Edges returns the number of directed edges.
@@ -263,28 +287,38 @@ func Moore(dims []int, r int) (*Graph, error) {
 		}
 		n *= d
 	}
+	// A dimension contributes its 2r+1 nearest coordinates, or its
+	// whole extent when that is no more: the walk then visits each
+	// neighbor once, and every rank has the same degree.
+	span, deg := make([]int, len(dims)), 1
+	for k, d := range dims {
+		span[k] = min(2*r+1, d)
+		deg *= span[k]
+	}
+	deg-- // the rank itself
 	coord := make([]int, len(dims))
-	off := make([]int, len(dims))
-	out := make([][]int, n)
-	for u := 0; u < n; u++ {
-		unflatten(u, dims, coord)
-		seen := bitset.New(n)
-		var walk func(k int)
-		walk = func(k int) {
-			if k == len(dims) {
-				v := flattenOffset(coord, off, dims)
-				if v != u {
-					seen.Add(v)
-				}
-				return
+	out, arena := make([][]int, n), make([]int, n*deg)
+	var u int
+	var walk func(k, v int)
+	walk = func(k, v int) {
+		if k == len(dims) {
+			if v != u {
+				out[u] = append(out[u], v)
 			}
-			for o := -r; o <= r; o++ {
-				off[k] = o
-				walk(k + 1)
-			}
+			return
 		}
-		walk(0)
-		out[u] = seen.Elems(nil)
+		for i := 0; i < span[k]; i++ {
+			c := i
+			if span[k] < dims[k] {
+				c = (coord[k] + i - r + dims[k]) % dims[k]
+			}
+			walk(k+1, v*dims[k]+c)
+		}
+	}
+	for u = 0; u < n; u++ {
+		unflatten(u, dims, coord)
+		out[u], arena = arena[:0:deg], arena[deg:]
+		walk(0, 0)
 	}
 	return FromOutLists(n, out)
 }
@@ -305,11 +339,11 @@ func Cartesian(dims []int, periodic bool) (*Graph, error) {
 		}
 		n *= d
 	}
-	coord := make([]int, len(dims))
-	out := make([][]int, n)
+	coord, deg := make([]int, len(dims)), 2*len(dims)
+	out, arena := make([][]int, n), make([]int, n*deg)
 	for u := 0; u < n; u++ {
 		unflatten(u, dims, coord)
-		seen := bitset.New(n)
+		out[u], arena = arena[:0:deg], arena[deg:]
 		for k := range dims {
 			for _, off := range [2]int{-1, 1} {
 				c := coord[k] + off
@@ -324,11 +358,10 @@ func Cartesian(dims []int, periodic bool) (*Graph, error) {
 				v := flatten(coord, dims)
 				coord[k] = old
 				if v != u {
-					seen.Add(v)
+					out[u] = append(out[u], v)
 				}
 			}
 		}
-		out[u] = seen.Elems(nil)
 	}
 	return FromOutLists(n, out)
 }
@@ -384,18 +417,6 @@ func unflatten(idx int, dims, coord []int) {
 		coord[k] = idx % dims[k]
 		idx /= dims[k]
 	}
-}
-
-func flattenOffset(coord, off, dims []int) int {
-	idx := 0
-	for k := range dims {
-		c := (coord[k] + off[k]) % dims[k]
-		if c < 0 {
-			c += dims[k]
-		}
-		idx = idx*dims[k] + c
-	}
-	return idx
 }
 
 func iroot(n, k int) int {

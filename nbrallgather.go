@@ -147,7 +147,8 @@ func Cartesian(dims []int, periodic bool) (*Graph, error) {
 }
 
 // GraphFromOutLists builds a virtual topology from per-rank outgoing
-// neighbor lists (the MPI_Dist_graph_create_adjacent equivalent).
+// neighbor lists (the MPI_Dist_graph_create_adjacent equivalent). It
+// takes ownership of out, sorting and deduplicating each list in place.
 func GraphFromOutLists(n int, out [][]int) (*Graph, error) {
 	return vgraph.FromOutLists(n, out)
 }
