@@ -45,10 +45,11 @@ verify-plans:
 verify-plans-sarif:
 	$(GO) run ./cmd/nbr-verify -sarif > nbr-verify.sarif; test $$? -ne 2
 
-# Dynamic check of the allocdiscipline guarantee: the p2p/ and pool/
-# micro-benchmark rows must hold 0 allocs/op once warm.
+# Dynamic check of the allocdiscipline guarantee: the runtime's
+# matching, pool, snapshot and park/resume paths and the plan cache's
+# hit path must hold 0 allocs/op once warm (also part of `make test`).
 alloc-guard:
-	$(GO) run ./cmd/nbr-bench -fig micro -assert-zero-alloc
+	$(GO) test -count=1 -run ZeroAlloc ./internal/mpirt/ ./internal/plancache/
 
 test:
 	$(GO) test ./...
@@ -90,8 +91,9 @@ fuzz:
 # Mega-scale sweep: ≥100k ranks of Moore neighborhood with phantom
 # payloads, heap statistics and per-phase wall included; the last line
 # is the whole run's wall and peak resident set (measured on two cores:
-# 1.9–2.1 s and 932–1 050 MiB, most of it the graph's n²/8-byte
-# out-sets; 13–16 s and 1.6–1.7 GiB before ranks were stepped).
+# 2.6–3.4 s and 523–644 MiB, most of it the DH pattern, the three cells'
+# compiled plans and slot tables, and the running cell's per-rank state;
+# the graph itself is O(edges) and builds in ~50 ms).
 mega:
 	$(GO) run ./cmd/nbr-bench -fig mega
 
@@ -110,9 +112,8 @@ mega:
 # through the mailbox's hashed lists: static matching's after and
 # before), netmodel.Transfer over one, three and five hops and a degraded
 # uplink, the plan cache's hit path and its two-client Zipf churn at a
-# quarter budget (GetHit, ChurnZipf: ns/op and hit rate), then the same
-# hot paths and the fault-cost tables printed by nbr-bench (ns/op +
-# allocs/op per hot path).
+# quarter budget (GetHit, ChurnZipf: ns/op and hit rate), then the
+# fault-cost tables printed by nbr-bench.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -bench=. -benchmem ./internal/mpirt/
@@ -121,7 +122,7 @@ bench:
 	$(GO) test -run '^$$' -bench=Measure -benchmem ./internal/harness/
 	$(GO) test -run '^$$' -bench=Transfer -benchmem ./internal/netmodel/
 	$(GO) test -run '^$$' -bench='GetHit|Churn' -benchmem ./internal/plancache/
-	$(GO) run ./cmd/nbr-bench -fig micro,recovery,degradation
+	$(GO) run ./cmd/nbr-bench -fig recovery,degradation
 
 # The repo benchmark (BENCHMARK.json) at smoke scale: all four workloads
 # must run end to end with no failed operation.

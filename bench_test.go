@@ -506,29 +506,3 @@ func BenchmarkPatternBuildScaling(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRuntimeP2P measures the runtime's raw message throughput
-// (host time), the floor under every simulated experiment.
-func BenchmarkRuntimeP2P(b *testing.B) {
-	c := nbr.Niagara(1, 2)
-	b.Run("pingpong", func(b *testing.B) {
-		b.ReportAllocs()
-		_, err := nbr.Run(nbr.RunConfig{Cluster: c, WallLimit: 5 * time.Minute}, func(p *nbr.Proc) {
-			for i := 0; i < b.N; i++ {
-				switch p.Rank() {
-				case 0:
-					p.Send(1, 0, 8, nil, nil)
-					p.Recv(1, 1)
-				case 1:
-					p.Recv(0, 0)
-					p.Send(0, 1, 8, nil, nil)
-				default:
-					return
-				}
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
-}

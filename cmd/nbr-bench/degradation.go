@@ -128,8 +128,8 @@ func recovery(w io.Writer, o *opts) error {
 		return err
 	}
 	cfg := harness.Config{Cluster: c, MsgSize: msg, Phantom: true, WallLimit: o.wall}
-	recs, err := sweep.Map(context.Background(), len(ops), func(i int) (harness.RecoveryResult, error) {
-		res, err := harness.MeasureRecovery(cfg, ops[i], kill)
+	recs, err := sweep.Map(context.Background(), len(ops), func(i int) (harness.FaultResult, error) {
+		res, err := harness.MeasureFault(cfg, ops[i], []mpirt.Kill{kill}, nil)
 		if err != nil {
 			return res, fmt.Errorf("recovery %s: %w", ops[i].Name(), err)
 		}
@@ -143,7 +143,7 @@ func recovery(w io.Writer, o *opts) error {
 	fmt.Fprintln(tw, "algo\thealthy\twith crash\toverhead\trecovered\trounds\tsurvivors\tdead ranks\tdetections\tdetect time\trepair")
 	for i, r := range recs {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%t\t%d\t%d\t%v\t%d\t%s\t%s\n", ops[i].Name(),
-			harness.FmtTime(r.Baseline), harness.FmtTime(r.Failed), harness.FmtTime(r.Overhead),
+			harness.FmtTime(r.Baseline), harness.FmtTime(r.Faulted), harness.FmtTime(r.Overhead),
 			r.Recovered, r.Rounds, r.Survivors, r.DeadRanks, r.Detections, harness.FmtTime(r.DetectTime), r.Repair)
 	}
 	return tw.Flush()
@@ -179,8 +179,8 @@ func degradation(w io.Writer, o *opts) error {
 		}
 	}
 	cfg := harness.Config{Cluster: c, MsgSize: o.degMsg, Phantom: true, WallLimit: o.wall}
-	results, err := sweep.Map(context.Background(), len(jobs), func(i int) (harness.DegradationResult, error) {
-		res, err := harness.MeasureDegradation(cfg, jobs[i].op, jobs[i].sc.faults)
+	results, err := sweep.Map(context.Background(), len(jobs), func(i int) (harness.FaultResult, error) {
+		res, err := harness.MeasureFault(cfg, jobs[i].op, nil, jobs[i].sc.faults)
 		if err != nil {
 			return res, fmt.Errorf("degradation %s/%s: %w", jobs[i].sc.name, jobs[i].op.Name(), err)
 		}
@@ -194,7 +194,7 @@ func degradation(w io.Writer, o *opts) error {
 	fmt.Fprintln(tw, "scenario\talgo\thealthy\tdegraded\toverhead\tslowdown\trecovered\trounds\trepair\tlink detections\tlink detect time")
 	for i, r := range results {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%.2fx\t%t\t%d\t%s\t%d\t%s\n", jobs[i].sc.name, jobs[i].op.Name(),
-			harness.FmtTime(r.Baseline), harness.FmtTime(r.Degraded), harness.FmtTime(r.Overhead), r.Slowdown,
+			harness.FmtTime(r.Baseline), harness.FmtTime(r.Faulted), harness.FmtTime(r.Overhead), r.Slowdown,
 			r.Recovered, r.Rounds, r.Repair, r.LinkDetections, harness.FmtTime(r.LinkDetectTime))
 	}
 	return tw.Flush()

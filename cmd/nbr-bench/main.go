@@ -15,7 +15,6 @@
 //	critical     where the virtual time goes: each algorithm's critical
 //	             path per phase on the cells that depart from the paper
 //	mega         a ≥100k-rank phantom Moore sweep on the event engine
-//	micro        the mpirt hot-path micro-benchmarks
 //
 // -fig picks sections (a comma list, or all); -scale picks every
 // section's cluster and sweep extents, from smoke (seconds) to full
@@ -73,7 +72,6 @@ var sections = []section{
 	{"degradation", "degradation", degradation},
 	{"critical", "critical", critical},
 	{"mega", "mega", mega},
-	{"micro", "micro", micro},
 }
 
 // shape is a Niagara-like cluster: nodes × 2 sockets × rps ranks.
@@ -108,7 +106,6 @@ type opts struct {
 	csv, scatter, calibrate bool
 	width, degMsg, megaMsg  int
 	mm                      string
-	assertZeroAlloc         bool
 }
 
 // cluster builds s, scattered across the fabric under -scatter.
@@ -145,7 +142,6 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&o.mm, "mm", "", "Fig. 7: run this MatrixMarket file instead of the Table II set")
 	fs.IntVar(&o.degMsg, "deg-msg", 1<<18, "per-rank payload size in bytes for degradation")
 	fs.IntVar(&o.megaMsg, "mega-msg", 4096, "per-rank payload size in bytes for mega")
-	fs.BoolVar(&o.assertZeroAlloc, "assert-zero-alloc", false, "with micro, exit nonzero when a p2p/, pool/ or cache/ row reports allocs/op > 0 — the dynamic check of the allocdiscipline lint guarantee")
 	pf := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -168,9 +164,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	all := slices.Contains(picked, "all")
-	if o.assertZeroAlloc && !all && !slices.Contains(picked, "micro") {
-		return fmt.Errorf("-assert-zero-alloc requires -fig micro")
-	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err

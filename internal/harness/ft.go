@@ -10,20 +10,24 @@ import (
 	"nbrallgather/internal/netmodel"
 )
 
-// RecoveryResult quantifies the cost of surviving one injected
-// fail-stop crash: the fault-free completion time of the self-healing
-// collective against the completion time with the crash, plus the
-// detection and agreement costs that virtual time absorbed.
-type RecoveryResult struct {
-	// Baseline is the fault-free RunFTV completion time in seconds.
+// FaultResult quantifies what injected faults cost one self-healing
+// allgather: the healthy completion time against the completion time
+// with the faults — crashed ranks, degraded resources that slow their
+// transfers, down resources that force the repair path — plus the
+// detection charges and the repair the run converged to.
+type FaultResult struct {
+	// Baseline is the healthy RunFTV completion time in seconds.
 	Baseline float64
-	// Failed is the completion time with the injected kill: detection,
-	// revoke, agreement, shrink and the survivor re-run all included.
-	Failed float64
-	// Overhead is Failed − Baseline.
+	// Faulted is the completion time with the faults injected: slowed
+	// transfers, detection, revoke, agreement, shrink and the repair
+	// rounds all included.
+	Faulted float64
+	// Overhead is Faulted − Baseline; Slowdown is Faulted / Baseline.
 	Overhead float64
-	// Recovered reports whether the failed run actually took the
-	// recovery path (a kill can land after the collective completed).
+	Slowdown float64
+	// Recovered reports whether the faulted run took the repair path (a
+	// kill can land after the collective completed, and degraded-only
+	// fabrics typically complete on the first attempt).
 	Recovered bool
 	// Rounds is the number of shrink-and-re-run rounds.
 	Rounds int
@@ -32,53 +36,62 @@ type RecoveryResult struct {
 	// DeadRanks lists the crashed ranks.
 	DeadRanks []int
 	// Detections and DetectTime aggregate the modelled failure
-	// detections charged to virtual clocks.
-	Detections int64
-	DetectTime float64
+	// detections charged to virtual clocks; LinkDetections and
+	// LinkDetectTime the down-resource ones.
+	Detections     int64
+	DetectTime     float64
+	LinkDetections int64
+	LinkDetectTime float64
 	// Repair names the algorithm the final round ran.
 	Repair string
 }
 
-func (r RecoveryResult) String() string {
-	return fmt.Sprintf("baseline %.3gs, with failure %.3gs (+%.3gs; %d rounds, %d survivors, repair %s)",
-		r.Baseline, r.Failed, r.Overhead, r.Rounds, r.Survivors, r.Repair)
-}
-
-// MeasureRecovery times op's self-healing allgather twice — fault-free
-// and with kill injected — and reports the recovery overhead. The
-// victim must not be rank 0: rank 0 resets the cost model and records
-// the completion time, so it has to survive.
-func MeasureRecovery(cfg Config, op collective.VOp, kill mpirt.Kill) (RecoveryResult, error) {
+// MeasureFault times op's self-healing allgather twice — healthy, then
+// with kills and link faults injected — and reports what the faults
+// cost. At least one fault must be given. No victim may be rank 0: rank
+// 0 resets the cost model and records the completion time, so it has to
+// survive. The link faults must leave the fabric satisfiable for op's
+// graph: an unresolvable partition surfaces the repair layer's
+// PartitionError as this function's error.
+func MeasureFault(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netmodel.LinkFault) (FaultResult, error) {
 	g := op.Graph()
 	if g.N() != cfg.Cluster.Ranks() {
-		return RecoveryResult{}, fmt.Errorf("harness: graph has %d ranks, cluster %d", g.N(), cfg.Cluster.Ranks())
+		return FaultResult{}, fmt.Errorf("harness: graph has %d ranks, cluster %d", g.N(), cfg.Cluster.Ranks())
 	}
-	if kill.Rank == 0 {
-		return RecoveryResult{}, fmt.Errorf("harness: recovery victim must not be rank 0 (it records the measurement)")
+	if len(kills) == 0 && len(faults) == 0 {
+		return FaultResult{}, fmt.Errorf("harness: no fault to measure")
 	}
-	if kill.Rank < 0 || kill.Rank >= g.N() {
-		return RecoveryResult{}, fmt.Errorf("harness: victim rank %d outside [0,%d)", kill.Rank, g.N())
+	for _, k := range kills {
+		if k.Rank == 0 {
+			return FaultResult{}, fmt.Errorf("harness: victim must not be rank 0 (it records the measurement)")
+		}
+		if k.Rank < 0 || k.Rank >= g.N() {
+			return FaultResult{}, fmt.Errorf("harness: victim rank %d outside [0,%d)", k.Rank, g.N())
+		}
 	}
 	if cfg.MsgSize < 1 {
-		return RecoveryResult{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
+		return FaultResult{}, fmt.Errorf("harness: message size %d must be positive", cfg.MsgSize)
 	}
 
-	out := RecoveryResult{}
+	out := FaultResult{}
 	base, _, _, err := runFTVOnce(cfg, op, nil, nil)
 	if err != nil {
-		return out, fmt.Errorf("harness: fault-free run: %w", err)
+		return out, fmt.Errorf("harness: healthy run: %w", err)
 	}
 	out.Baseline = base
 
-	failed, res, rep, err := runFTVOnce(cfg, op, []mpirt.Kill{kill}, nil)
+	faulted, res, rep, err := runFTVOnce(cfg, op, kills, faults)
 	if err != nil {
-		return out, fmt.Errorf("harness: failed run: %w", err)
+		return out, fmt.Errorf("harness: faulted run: %w", err)
 	}
-	out.Failed = failed
-	out.Overhead = failed - base
+	out.Faulted = faulted
+	out.Overhead = faulted - base
+	if base > 0 {
+		out.Slowdown = faulted / base
+	}
 	out.DeadRanks = rep.DeadRanks
-	out.Detections = rep.Detections
-	out.DetectTime = rep.DetectTime
+	out.Detections, out.DetectTime = rep.Detections, rep.DetectTime
+	out.LinkDetections, out.LinkDetectTime = rep.LinkDetections, rep.LinkDetectTime
 	if res != nil {
 		out.Recovered = res.Recovered
 		out.Rounds = res.Rounds

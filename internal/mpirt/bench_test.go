@@ -1,11 +1,15 @@
 // Micro-benchmarks of the runtime hot paths the simulator spends its
-// wall clock in: point-to-point matching (indexed and wildcard), the
-// payload buffer pool, the barrier, and one end-to-end allgather-like
-// step. Run with -benchmem; the P2P paths are expected to stay at
-// 0 allocs/op (see DESIGN.md §9).
+// wall clock in: point-to-point matching (indexed, wildcard, stepped
+// and slot-hinted), the payload pool and snapshots, the barrier, and
+// one end-to-end allgather-like step. Run with -benchmem. Each hot path
+// is written once, as a run of iters operations on a fresh runtime; its
+// Benchmark times it, and TestHotPathsZeroAlloc holds the matching and
+// pool paths to 0 allocs/op once warm (see DESIGN.md §9).
 package mpirt
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -16,40 +20,48 @@ func benchCfg(nodes, rps int) Config {
 	return Config{Cluster: topology.Niagara(nodes, rps), WallLimit: 5 * time.Minute}
 }
 
-// BenchmarkSendRecv is the raw eager-send/receive round trip between
-// two ranks — the floor under every simulated collective.
-func BenchmarkSendRecv(b *testing.B) {
+// bench times iters = b.N operations of run.
+func bench(b *testing.B, run func(iters int) error) {
 	b.ReportAllocs()
-	payload := make([]byte, 64)
-	_, err := Run(benchCfg(1, 2), func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			switch p.Rank() {
-			case 0:
-				p.Send(1, 0, len(payload), payload, nil)
-				m := p.Recv(1, 1)
-				m.Release()
-			case 1:
-				m := p.Recv(0, 0)
-				m.Release()
-				p.Send(0, 1, len(payload), payload, nil)
-			}
-		}
-	})
-	if err != nil {
+	if err := run(b.N); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkEventParkResume is the event engine's hand-off in
-// isolation: two ranks ping-pong, so every message costs each side one
-// park and one resume — two coroutine switches through the loop and
-// one queue push/pop — and nothing may allocate.
-func BenchmarkEventParkResume(b *testing.B) {
-	b.ReportAllocs()
+// sendRecv is the raw eager round trip of size-byte payloads between
+// two ranks — the floor under every simulated collective; at 1500 bytes
+// it cycles a mid-size payload through the pool by the public path:
+// snapshot on Send, Release on receipt.
+func sendRecv(size int) func(iters int) error {
+	payload := make([]byte, size)
+	return func(iters int) error {
+		_, err := Run(benchCfg(1, 2), func(p *Proc) {
+			for i := 0; i < iters; i++ {
+				switch p.Rank() {
+				case 0:
+					p.Send(1, 0, len(payload), payload, nil)
+					m := p.Recv(1, 1)
+					m.Release()
+				case 1:
+					m := p.Recv(0, 0)
+					m.Release()
+					p.Send(0, 1, len(payload), payload, nil)
+				}
+			}
+		})
+		return err
+	}
+}
+
+// parkResume is the event engine's hand-off in isolation: two ranks
+// ping-pong phantom messages, so every message costs each side one park
+// and one resume — two coroutine switches through the loop and one
+// queue push/pop.
+func parkResume(iters int) error {
 	cfg := benchCfg(1, 2)
 	cfg.Engine, cfg.Phantom = EngineEvent, true
 	_, err := Run(cfg, func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < iters; i++ {
 			switch p.Rank() {
 			case 0:
 				p.Send(1, 0, 8, nil, nil)
@@ -60,17 +72,14 @@ func BenchmarkEventParkResume(b *testing.B) {
 			}
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	return err
 }
 
-// BenchmarkMatchIndexed receives from a mailbox holding pending
-// messages on many other (src, tag) lists. With the indexed match
-// lists this is O(1) per receive regardless of backlog; the old linear
-// queue rescanned every pending message.
-func BenchmarkMatchIndexed(b *testing.B) {
-	b.ReportAllocs()
+// matchIndexed receives from a mailbox holding pending messages on many
+// other (src, tag) lists. With the indexed match lists this is O(1) per
+// receive regardless of backlog; the old linear queue rescanned every
+// pending message.
+func matchIndexed(iters int) error {
 	const backlog = 64
 	_, err := Run(benchCfg(1, 2), func(p *Proc) {
 		switch p.Rank() {
@@ -80,29 +89,26 @@ func BenchmarkMatchIndexed(b *testing.B) {
 			for t := 0; t < backlog; t++ {
 				p.Send(1, 1000+t, 8, nil, nil)
 			}
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < iters; i++ {
 				p.Send(1, 0, 8, nil, nil)
 				p.Recv(1, 1)
 			}
 		case 1:
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < iters; i++ {
 				p.Recv(0, 0)
 				p.Send(0, 1, 8, nil, nil)
 			}
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	return err
 }
 
-// BenchmarkMatchWildcard is the AnySource/AnyTag path: the one receive
-// shape that must scan the match lists to reproduce the single-queue
-// FIFO arrival order.
-func BenchmarkMatchWildcard(b *testing.B) {
-	b.ReportAllocs()
+// matchWildcard is the AnySource/AnyTag path: the one receive shape
+// that must scan the match lists to reproduce the single-queue FIFO
+// arrival order.
+func matchWildcard(iters int) error {
 	_, err := Run(benchCfg(1, 2), func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < iters; i++ {
 			switch p.Rank() {
 			case 0:
 				p.Send(1, i%7, 8, nil, nil)
@@ -113,10 +119,132 @@ func BenchmarkMatchWildcard(b *testing.B) {
 			}
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
+	return err
+}
+
+// pingPong is sendRecv's round trip as a Stepper: the event loop calls
+// Step where it would switch into the rank's coroutine, and a receive
+// with nothing queued suspends instead of parking.
+type pingPong struct {
+	left    int
+	sent    bool // rank 0: this round's ping is out
+	payload []byte
+	slot    int // the hint every send and receive carries: 0, or -1 for none
+}
+
+func (s *pingPong) send(p *Proc, dst, tag int) {
+	snap := p.Gather(s.payload)
+	p.SendSnapshot(dst, tag, len(s.payload), snap, nil, s.slot)
+	snap.Release()
+}
+
+func (s *pingPong) Step(p *Proc) bool {
+	for ; s.left > 0; s.left-- {
+		switch p.Rank() {
+		case 0:
+			if !s.sent {
+				s.send(p, 1, 0)
+				s.sent = true
+			}
+			m, ok := p.RecvStep(1, 1, s.slot)
+			if !ok {
+				return false
+			}
+			m.Release()
+			s.sent = false
+		case 1:
+			m, ok := p.RecvStep(0, 0, s.slot)
+			if !ok {
+				return false
+			}
+			m.Release()
+			s.send(p, 0, 1)
+		}
+	}
+	return true
+}
+
+// steppedPingPong runs pingPong with every message hinted into mailbox
+// slot slot: 0 is the round trip as a plan pass issues it — each rank
+// posts one receive and every message lands in that slot instead of
+// being hashed onto its (src, tag) list — and −1 sends no hint.
+func steppedPingPong(slot int) func(iters int) error {
+	payload := make([]byte, 64)
+	recvs := []int32{1, 1, 0, 0} // ranks 0 and 1 play, of benchCfg(1, 2)'s four
+	return func(iters int) error {
+		_, err := RunSteppers(benchCfg(1, 2), func(p *Proc) Stepper {
+			p.Slots(recvs)
+			return &pingPong{left: iters, payload: payload, slot: slot}
+		})
+		return err
 	}
 }
+
+// snapshotSends is rank 0 sending a snapshot made by snap to ranks
+// 1..fan each iteration; each releases its message and answers with a
+// size-only pong.
+func snapshotSends(iters, fan, size int, snap func(p *Proc) Snapshot) error {
+	_, err := Run(benchCfg(1, max(2, fan/2+1)), func(p *Proc) {
+		for i := 0; i < iters; i++ {
+			switch r := p.Rank(); {
+			case r == 0:
+				s := snap(p)
+				for dst := 1; dst <= fan; dst++ {
+					p.SendSnapshot(dst, 0, size, s, nil, -1)
+				}
+				s.Release()
+				for dst := 1; dst <= fan; dst++ {
+					p.Recv(dst, 1)
+				}
+			case r <= fan:
+				m := p.Recv(0, 0)
+				m.Release()
+				p.Send(0, 1, 8, nil, nil)
+			}
+		}
+	})
+	return err
+}
+
+// gatherSend is an origin's send: an 8 KiB buffer copied into one
+// pooled snapshot, sent, and released on receipt.
+func gatherSend(iters int) error {
+	src := make([]byte, 8<<10)
+	return snapshotSends(iters, 1, len(src), func(p *Proc) Snapshot { return p.Gather(src) })
+}
+
+// sharedSnapshot is the fan-out: one 8 KiB snapshot sent to eight
+// destinations, each of which releases its message; the last release
+// returns the buffer to the pool.
+func sharedSnapshot(iters int) error {
+	src := make([]byte, 8<<10)
+	return snapshotSends(iters, 8, len(src), func(p *Proc) Snapshot { return p.Gather(src) })
+}
+
+// composeSend is a relay's send: three runs of two 4 KiB snapshots,
+// held throughout, composed without a copy, sent and released on
+// receipt, which hands the composite back to its pool.
+func composeSend(iters int) error {
+	src := make([]byte, 4<<10)
+	var runs []Piece
+	return snapshotSends(iters, 1, 8<<10, func(p *Proc) Snapshot {
+		if runs == nil {
+			x, y := p.Gather(src), p.Gather(src)
+			runs = []Piece{x.Whole().Slice(0, 1<<10), y.Whole(), x.Whole().Slice(1<<10, 4<<10)}
+		}
+		return p.Compose(runs)
+	})
+}
+
+func BenchmarkSendRecv(b *testing.B)        { bench(b, sendRecv(64)) }
+func BenchmarkEventParkResume(b *testing.B) { bench(b, parkResume) }
+func BenchmarkMatchIndexed(b *testing.B)    { bench(b, matchIndexed) }
+func BenchmarkMatchWildcard(b *testing.B)   { bench(b, matchWildcard) }
+func BenchmarkSendRecvStepped(b *testing.B) { bench(b, steppedPingPong(-1)) }
+func BenchmarkSendRecvHinted(b *testing.B)  { bench(b, steppedPingPong(0)) }
+func BenchmarkGatherSend(b *testing.B)      { bench(b, gatherSend) }
+func BenchmarkSharedSnapshot(b *testing.B)  { bench(b, sharedSnapshot) }
+func BenchmarkComposeSend(b *testing.B)     { bench(b, composeSend) }
 
 // BenchmarkBufferPool is the size-classed payload pool in isolation:
 // one get/put cycle per op at a mid-size class.
@@ -165,5 +293,56 @@ func BenchmarkAllgatherStep(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestHotPathsZeroAlloc is the dynamic check of the allocdiscipline
+// guarantee: the //lint:hotpath closure — matching, the payload pool,
+// snapshots, the event loop's park and resume — allocates nothing once
+// warm. A path's allocs/op is what -benchmem reads, rounded down, over
+// ops warm operations: the mallocs of a run of warm+ops operations less
+// those of a run of warm. Both runs start from pools a first run of warm
+// filled, so their set-up costs cancel.
+func TestHotPathsZeroAlloc(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector makes sync.Pool drop items at random")
+			}
+		}
+	}
+	// No collection may empty a pool between the runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, ops = 1000, 1000
+	mallocs := func(t *testing.T, run func(int) error, iters int) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run(iters); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(iters int) error
+	}{
+		{"p2p/sendrecv", sendRecv(64)},
+		{"p2p/sendrecv-stepped", steppedPingPong(-1)},
+		{"p2p/sendrecv-hinted", steppedPingPong(0)},
+		{"p2p/match-indexed", matchIndexed},
+		{"p2p/match-wildcard", matchWildcard},
+		{"p2p/gather-send", gatherSend},
+		{"p2p/shared-snapshot", sharedSnapshot},
+		{"p2p/compose-send", composeSend},
+		{"pool/payload-roundtrip", sendRecv(1500)},
+		{"event/park-resume", parkResume},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mallocs(t, tc.run, warm)
+			if a := (mallocs(t, tc.run, warm+ops) - mallocs(t, tc.run, warm)) / ops; a > 0 {
+				t.Errorf("%d allocs/op over %d warm ops, want 0", a, ops)
+			}
+		})
 	}
 }

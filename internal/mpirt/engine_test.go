@@ -392,27 +392,3 @@ func TestEventTelemetry(t *testing.T) {
 		t.Fatalf("threaded engine reports event telemetry for stepped ranks: %d/%d/%d", stT.Events, stT.Parks, stT.PeakQueue)
 	}
 }
-
-// TestEventParkResumeZeroAlloc: a park/resume round trip — send, park
-// in Recv, get resumed by the reply — allocates nothing once warm.
-func TestEventParkResumeZeroAlloc(t *testing.T) {
-	const rounds = 1000
-	_, err := Run(Config{Cluster: smallCluster(), Ranks: 2, Phantom: true, Engine: EngineEvent}, func(p *Proc) {
-		if p.Rank() == 1 {
-			for i := 0; i <= rounds; i++ { // AllocsPerRun adds one warm-up call
-				p.Recv(0, 0)
-				p.Send(0, 1, 8, nil, nil)
-			}
-			return
-		}
-		if a := testing.AllocsPerRun(rounds, func() {
-			p.Send(1, 0, 8, nil, nil)
-			p.Recv(1, 1)
-		}); a != 0 {
-			t.Errorf("park/resume round trip allocates %v per op, want 0", a)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -284,8 +284,8 @@ func TestTooBigBypassesCache(t *testing.T) {
 	}
 }
 
-// TestGetZeroAlloc pins the hit path's allocation freedom — the same
-// property `nbr-bench -fig micro -assert-zero-alloc` guards end to end.
+// TestGetZeroAlloc pins the hit path's allocation freedom; `make
+// alloc-guard` runs it beside the runtime's TestHotPathsZeroAlloc.
 func TestGetZeroAlloc(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	k := key(1)

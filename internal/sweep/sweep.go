@@ -51,7 +51,7 @@ type Error struct {
 
 func (e *Error) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sweep: %d of item(s) failed", len(e.Items))
+	fmt.Fprintf(&b, "sweep: %d item(s) failed", len(e.Items))
 	for i, it := range e.Items {
 		if i == 3 {
 			fmt.Fprintf(&b, "; …")

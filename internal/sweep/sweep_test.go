@@ -56,6 +56,9 @@ func TestMapErrors(t *testing.T) {
 	if agg.First().Index != 1 {
 		t.Errorf("First().Index = %d, want 1", agg.First().Index)
 	}
+	if want := "sweep: 3 item(s) failed; item 1: item 1: boom; item 4: item 4: boom; item 7: item 7: boom"; err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
+	}
 	if !errors.Is(err, sentinel) {
 		t.Errorf("errors.Is(err, sentinel) = false, want true (Unwrap must expose item errors)")
 	}

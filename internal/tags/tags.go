@@ -88,10 +88,9 @@ const (
 	CNAffNote  = 73000
 )
 
-// Micro-benchmark traffic (cmd/nbr-bench -fig micro and the mpirt
-// bench suite). The benchmarks never run inside a collective, but
-// their tags still get a registered block so the discipline holds
-// module-wide.
+// Micro-benchmark traffic (cmd/nbr-perf's mpirt layer rows). The
+// benchmarks never run inside a collective, but their tags still get a
+// registered block so the discipline holds module-wide.
 const (
 	BenchPing    = 80000
 	BenchPong    = 80001
