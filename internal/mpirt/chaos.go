@@ -334,10 +334,7 @@ func (cs *chaosRT) decide() (rank int, ok bool) {
 			Kind: trace.DecisionDeliver, Rank: pick.rank,
 			Src: fm.msg.Src, Tag: fm.msg.Tag, SendSeq: fm.sendSeq, Size: fm.msg.Size,
 		})
-		b := cs.rt.boxes[pick.rank]
-		b.mu.Lock()
-		b.fileLocked(fm.msg, hint{slot: -1})
-		b.mu.Unlock()
+		cs.rt.boxes[pick.rank].fileLocked(fm.msg, hint{slot: -1})
 		cs.freeFlight(fm)
 		return pick.rank, true
 	}

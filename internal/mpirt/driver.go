@@ -49,13 +49,16 @@ const (
 //     they unwind a parked rank with errAborted when the run fails; the
 //     threaded driver returns from park and lets the caller's re-check
 //     do it.
+//   - Only the threaded driver locks: the mailboxes, the round state and
+//     the cost model are guarded by hostLocks that launch makes no-ops
+//     for the serial drivers, where one rank runs at a time.
 type driver interface {
 	// run executes body on every rank and returns once all ranks have
 	// finished, or the run failed and stragglers were abandoned.
 	run(body func(*Proc))
 	// park blocks p in wait-state st until a wake. c is the condition
 	// the wait was published under: c.L is held on entry and on
-	// return, and released while parked.
+	// return, and released while parked (a no-op on the serial drivers).
 	park(p *Proc, st waitState, c *sync.Cond)
 	// yield lets other ranks run without waiting on anything.
 	yield(p *Proc)
@@ -67,6 +70,26 @@ type driver interface {
 	died(r int)
 	// wakeRevoked makes every parked receive observe the revocation.
 	wakeRevoked()
+}
+
+// hostLock guards state the ranks share. Only the threaded driver runs
+// ranks concurrently; launch sets serial for the others, and then Lock
+// and Unlock do nothing.
+type hostLock struct {
+	mu     sync.Mutex
+	serial bool
+}
+
+func (l *hostLock) Lock() {
+	if !l.serial {
+		l.mu.Lock()
+	}
+}
+
+func (l *hostLock) Unlock() {
+	if !l.serial {
+		l.mu.Unlock()
+	}
 }
 
 // threadedRT is the goroutine-per-rank driver: parks are condition

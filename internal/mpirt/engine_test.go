@@ -3,6 +3,7 @@ package mpirt
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,20 +47,24 @@ func TestEngineResolve(t *testing.T) {
 	}
 }
 
-// engineExchange runs the chaos_test allgather body on one engine and
-// returns the report plus every rank's received-source sets.
-func engineExchange(t *testing.T, eng Engine) (*Report, [8][]int) {
+// engineExchange runs the chaos_test allgather body on the driver cfg
+// selects and returns the report plus every rank's received-source sets.
+func engineExchange(t *testing.T, cfg Config) (*Report, [8][]int) {
 	t.Helper()
 	var got [8][]int
-	rep, err := Run(Config{
-		Cluster:   smallCluster(),
-		WallLimit: 20 * time.Second,
-		Engine:    eng,
-	}, allgatherBody(t, &got))
+	cfg.Cluster, cfg.WallLimit = smallCluster(), 20*time.Second
+	rep, err := Run(cfg, allgatherBody(t, &got))
 	if err != nil {
-		t.Fatalf("engine %q: %v", eng, err)
+		t.Fatalf("engine %q, chaos %v: %v", cfg.Engine, cfg.Chaos != nil, err)
 	}
 	return rep, got
+}
+
+// sameTraffic reports whether two runs charged the same traffic: by
+// distance class and on every fabric resource.
+func sameTraffic(a, b *Report) bool {
+	return a.MsgsByDist == b.MsgsByDist && a.BytesByDist == b.BytesByDist &&
+		slices.Equal(a.ResMsgs, b.ResMsgs) && slices.Equal(a.ResBytes, b.ResBytes)
 }
 
 // TestEventEngineSelfDeterministic: without chaos the event engine is
@@ -68,8 +73,8 @@ func engineExchange(t *testing.T, eng Engine) (*Report, [8][]int) {
 // host-order-dependent without chaos, so this property is the event
 // engine's alone.)
 func TestEventEngineSelfDeterministic(t *testing.T) {
-	rep1, got1 := engineExchange(t, EngineEvent)
-	rep2, got2 := engineExchange(t, EngineEvent)
+	rep1, got1 := engineExchange(t, Config{Engine: EngineEvent})
+	rep2, got2 := engineExchange(t, Config{Engine: EngineEvent})
 	if rep1.Time != rep2.Time {
 		t.Fatalf("event engine vt diverges across runs: %g vs %g", rep1.Time, rep2.Time)
 	}
@@ -89,27 +94,31 @@ func TestEventEngineSelfDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnTraffic: both engines run the same program to the
+// TestEnginesAgreeOnTraffic: every driver runs the same program to the
 // same ground truth — equal message and byte counts by distance class
-// and complete, duplicate-free delivery. (Virtual times are only
+// and on every fabric resource, and complete, duplicate-free delivery.
+// Under -race the threaded leg also checks that its ranks' concurrent
+// charges of the cost model are serialised. (Virtual times are only
 // comparable under chaos; see TestChaosOnEventBitExact.)
 func TestEnginesAgreeOnTraffic(t *testing.T) {
-	repT, gotT := engineExchange(t, EngineThreaded)
-	repE, gotE := engineExchange(t, EngineEvent)
-	if repT.MsgsByDist != repE.MsgsByDist || repT.BytesByDist != repE.BytesByDist {
-		t.Fatalf("traffic diverges:\nthreaded %+v %+v\nevent    %+v %+v",
-			repT.MsgsByDist, repT.BytesByDist, repE.MsgsByDist, repE.BytesByDist)
-	}
-	for r := range gotT {
-		var haveT, haveE [8]bool
-		for _, s := range gotT[r] {
-			haveT[s] = true
+	repE, gotE := engineExchange(t, Config{Engine: EngineEvent})
+	for _, cfg := range []Config{{Engine: EngineThreaded}, {Chaos: DefaultChaos(5)}} {
+		rep, got := engineExchange(t, cfg)
+		if !sameTraffic(rep, repE) {
+			t.Fatalf("traffic diverges (engine %q, chaos %v):\n%+v %+v %v %v\nevent %+v %+v %v %v", cfg.Engine, cfg.Chaos != nil,
+				rep.MsgsByDist, rep.BytesByDist, rep.ResMsgs, rep.ResBytes, repE.MsgsByDist, repE.BytesByDist, repE.ResMsgs, repE.ResBytes)
 		}
-		for _, s := range gotE[r] {
-			haveE[s] = true
-		}
-		if haveT != haveE {
-			t.Fatalf("rank %d delivered sets diverge: %v vs %v", r, gotT[r], gotE[r])
+		for r := range got {
+			var have, haveE [8]bool
+			for _, s := range got[r] {
+				have[s] = true
+			}
+			for _, s := range gotE[r] {
+				haveE[s] = true
+			}
+			if have != haveE {
+				t.Fatalf("rank %d delivered sets diverge (engine %q, chaos %v): %v vs %v", r, cfg.Engine, cfg.Chaos != nil, got[r], gotE[r])
+			}
 		}
 	}
 	// The same holds for ranks written as Steppers: every driver runs
@@ -128,8 +137,8 @@ func TestEnginesAgreeOnTraffic(t *testing.T) {
 	sched := trace.NewSchedule()
 	for _, cfg := range []Config{{Engine: EngineEvent}, {Engine: EngineThreaded}, chaos(sched)} {
 		rep := ringExchange(t, cfg, true)
-		if rep.MsgsByDist != ref.MsgsByDist || rep.BytesByDist != ref.BytesByDist {
-			t.Fatalf("stepped traffic diverges (engine %q, chaos %v): %+v vs %+v", cfg.Engine, cfg.Chaos != nil, rep.MsgsByDist, ref.MsgsByDist)
+		if !sameTraffic(rep, ref) {
+			t.Fatalf("stepped traffic diverges (engine %q, chaos %v): %+v %v vs %+v %v", cfg.Engine, cfg.Chaos != nil, rep.MsgsByDist, rep.ResMsgs, ref.MsgsByDist, ref.ResMsgs)
 		}
 		if cfg.Engine == EngineEvent && !sameReport(rep, ref) {
 			t.Fatalf("stepped report differs from the coroutine body's:\n%+v\n%+v", rep, ref)
@@ -365,8 +374,8 @@ func TestEventGoexitFailsRun(t *testing.T) {
 // run to run, consistent with each other — and stay zero on the
 // threaded engine.
 func TestEventTelemetry(t *testing.T) {
-	rep1, _ := engineExchange(t, EngineEvent)
-	rep2, _ := engineExchange(t, EngineEvent)
+	rep1, _ := engineExchange(t, Config{Engine: EngineEvent})
+	rep2, _ := engineExchange(t, Config{Engine: EngineEvent})
 	if rep1.Events != rep2.Events || rep1.Parks != rep2.Parks || rep1.PeakQueue != rep2.PeakQueue {
 		t.Fatalf("telemetry diverges across runs: %d/%d/%d vs %d/%d/%d",
 			rep1.Events, rep1.Parks, rep1.PeakQueue, rep2.Events, rep2.Parks, rep2.PeakQueue)
@@ -376,7 +385,7 @@ func TestEventTelemetry(t *testing.T) {
 	if rep1.Parks == 0 || rep1.Events != rep1.Parks+8 || rep1.PeakQueue < 8 {
 		t.Fatalf("telemetry inconsistent: events %d parks %d peak queue %d", rep1.Events, rep1.Parks, rep1.PeakQueue)
 	}
-	repT, _ := engineExchange(t, EngineThreaded)
+	repT, _ := engineExchange(t, Config{Engine: EngineThreaded})
 	if repT.Events != 0 || repT.Parks != 0 || repT.PeakQueue != 0 {
 		t.Fatalf("threaded engine reports event telemetry: %d/%d/%d", repT.Events, repT.Parks, repT.PeakQueue)
 	}

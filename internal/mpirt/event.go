@@ -143,13 +143,8 @@ func (ev *eventRT) died(dead int) {
 			continue
 		}
 		b := rt.boxes[r]
-		b.mu.Lock()
-		wake := b.waiter && (b.wSrc == dead ||
-			(b.wSrc == AnySource && rt.firstDeadPeer(r) >= 0))
-		wvt := b.wVT
-		b.mu.Unlock()
-		if wake {
-			ev.schedule(r, wvt)
+		if b.waiter && (b.wSrc == dead || (b.wSrc == AnySource && rt.firstDeadPeer(r) >= 0)) {
+			ev.schedule(r, b.wVT)
 		}
 	}
 }
@@ -159,24 +154,16 @@ func (ev *eventRT) died(dead int) {
 func (ev *eventRT) wakeRevoked() {
 	rt := ev.rt
 	for r := 0; r < rt.n; r++ {
-		if ev.state[r] != stRecvWait {
-			continue
+		if ev.state[r] == stRecvWait {
+			ev.schedule(r, rt.boxes[r].wVT)
 		}
-		b := rt.boxes[r]
-		b.mu.Lock()
-		wvt := b.wVT
-		b.mu.Unlock()
-		ev.schedule(r, wvt)
 	}
 }
 
 // park switches to the loop and returns at this rank's next resume. A
 // false yield is the loop's stop(): the run failed, the rank unwinds.
-func (h *coHost) park(p *Proc, st waitState, c *sync.Cond) {
-	c.L.Unlock() //lint:allocok — c.L is the sync.Mutex of the mailbox or the round state
-	h.switchOut(p, st)
-	c.L.Lock() //lint:allocok — as above
-}
+// c.L is a serial hostLock: there is nothing to release.
+func (h *coHost) park(p *Proc, st waitState, _ *sync.Cond) { h.switchOut(p, st) }
 
 func (h *coHost) switchOut(p *Proc, st waitState) {
 	if h.steps != nil {

@@ -262,7 +262,7 @@ type matchList struct {
 // there are no deletions and a busy key reaches a steady state with no
 // table churn at all.
 type mailbox struct {
-	mu    sync.Mutex
+	mu    hostLock
 	cond  *sync.Cond
 	table []matchList // len is 0 or a power of two
 	keys  int         // used slots
@@ -492,10 +492,13 @@ type Runtime struct {
 	nDead    atomic.Int64
 	revoked  atomic.Bool
 
+	// netMu serialises the threaded driver's calls into model.
+	netMu hostLock
+
 	// barrier state; bArr marks which ranks have arrived in the
 	// pending generation (a generation completes when every rank has
 	// arrived or died).
-	bmu        sync.Mutex
+	bmu        hostLock
 	bcond      *sync.Cond
 	bgen       int
 	bcnt       int
@@ -522,9 +525,6 @@ type Runtime struct {
 	blocked  atomic.Int64
 	finished atomic.Int64
 	progress atomic.Uint64
-
-	msgsByDist  [5]atomic.Int64
-	bytesByDist [5]atomic.Int64
 }
 
 // Proc is the per-rank handle passed to the rank body. All methods must
@@ -627,6 +627,7 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
+	serial := cfg.Chaos != nil || eng == EngineEvent
 	if cfg.WallLimit == 0 {
 		cfg.WallLimit = 120 * time.Second
 	}
@@ -656,10 +657,12 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		ftOK:       true,
 		failedCh:   make(chan struct{}),
 		hints:      cfg.Chaos == nil && len(cfg.Kills) == 0 && !model.HasLinkFaults(),
+		netMu:      hostLock{serial: serial},
+		bmu:        hostLock{serial: serial},
 	}
 	rt.bcond = sync.NewCond(&rt.bmu)
 	for i := range rt.boxes {
-		b := &mailbox{}
+		b := &mailbox{mu: hostLock{serial: serial}}
 		b.cond = sync.NewCond(&b.mu)
 		rt.boxes[i] = b
 	}
@@ -796,10 +799,7 @@ func (rt *Runtime) awaitRanks(wg *sync.WaitGroup) {
 // buildReport assembles the Report from a completed (non-failed) run.
 func (rt *Runtime) buildReport(start time.Time) *Report {
 	rep := &Report{Wall: time.Since(start), Ranks: rt.n} //lint:wallclock — reporting only
-	for d := range rep.MsgsByDist {
-		rep.MsgsByDist[d] = rt.msgsByDist[d].Load()
-		rep.BytesByDist[d] = rt.bytesByDist[d].Load()
-	}
+	rep.MsgsByDist, rep.BytesByDist = rt.model.DistTraffic()
 	rep.DeadRanks = rt.deadRanksOf()
 	rep.RoundScans = rt.roundScans
 	if ev := rt.ev; ev != nil {
@@ -926,7 +926,8 @@ func (p *Proc) Size() int { return p.rt.n }
 // Cluster returns the machine shape.
 func (p *Proc) Cluster() topology.Cluster { return p.rt.cfg.Cluster }
 
-// Model returns the shared cost model.
+// Model returns the shared cost model, to read: only the runtime
+// charges it.
 func (p *Proc) Model() *netmodel.Model { return p.rt.model }
 
 // Phantom reports whether payloads are size-only.
@@ -1141,8 +1142,6 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		s.pb.refs.Add(1) // the message's hold, let go by Msg.Release
 	}
 
-	// The message's route, once: the model charges and counts over it.
-	pa := p.rt.model.Path(p.rank, dst)
 	var backoff, spike float64
 	if cs := p.rt.chaos; cs != nil {
 		// The sender is the one rank running, so these RNG draws are
@@ -1150,10 +1149,9 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		backoff, spike = cs.chaosSendFaults(p.slow)
 	}
 	p.vt += backoff + p.slow*p.rt.model.SendOverhead()
-	arrival := p.rt.model.Charge(&pa, size, p.vt) + spike
-
-	p.rt.msgsByDist[pa.Dist].Add(1)
-	p.rt.bytesByDist[pa.Dist].Add(int64(size))
+	p.rt.netMu.Lock()
+	arrival := p.rt.model.Transfer(p.rank, dst, size, p.vt) + spike
+	p.rt.netMu.Unlock()
 
 	if cs := p.rt.chaos; cs != nil {
 		// Chaos mode: the message enters the scheduler's in-flight pool
@@ -1178,9 +1176,9 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		}
 	} else {
 		box.cond.Broadcast()
+		p.rt.progress.Add(1) // the threaded watchdog's view
 	}
 	box.mu.Unlock()
-	p.rt.progress.Add(1)
 	return nil
 }
 
@@ -1410,7 +1408,9 @@ func (p *Proc) syncResetTime(step bool) bool {
 		p.vt = 0
 		p.edges = p.edges[:0]
 		if p.rank == 0 {
+			p.rt.netMu.Lock()
 			p.rt.model.Reset()
+			p.rt.netMu.Unlock()
 		}
 		p.syncPhase = 2
 	}
@@ -1433,7 +1433,10 @@ func (p *Proc) CollectiveTime() float64 {
 func (p *Proc) CollectiveTimeStep() (t float64, ok bool) { return p.collectiveTime(true) }
 
 func (p *Proc) collectiveTime(step bool) (float64, bool) {
-	return p.reduceMax(math.Max(p.vt, p.rt.model.PortDrain(p.rank)), step)
+	p.rt.netMu.Lock()
+	drain := p.rt.model.PortDrain(p.rank)
+	p.rt.netMu.Unlock()
+	return p.reduceMax(math.Max(p.vt, drain), step)
 }
 
 // reduceMax performs an allreduce(max) over one float64 per rank using

@@ -323,13 +323,16 @@ func TestRankPanicPropagates(t *testing.T) {
 }
 
 // TestWallLimitAborts: a rank body hogging the host (not parked in the
-// runtime) must not keep Run past WallLimit on either engine — on the
-// event engine the hog holds the loop inside its coroutine switch, so
-// Run has to be able to walk away from both.
+// runtime) must not keep Run past WallLimit on any driver — on the
+// serial ones the hog holds the loop inside its coroutine switch, so
+// Run has to be able to walk away from both. The limit's timer is the
+// one caller that reaches a serial run's lock-free state from another
+// goroutine (Runtime.fail); -race checks that it stays race-free.
 func TestWallLimitAborts(t *testing.T) {
-	bothEngines(t, func(t *testing.T, eng Engine) {
+	allDrivers(t, func(t *testing.T, cfg Config) {
 		start := time.Now()
-		_, err := Run(Config{Cluster: smallCluster(), WallLimit: 300 * time.Millisecond, Engine: eng}, func(p *Proc) {
+		cfg.Cluster, cfg.WallLimit = smallCluster(), 300*time.Millisecond
+		_, err := Run(cfg, func(p *Proc) {
 			if p.Rank() == 0 {
 				time.Sleep(5 * time.Second) // hog: not blocked in recv, so no deadlock verdict
 			}

@@ -24,7 +24,6 @@ package netmodel
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"nbrallgather/internal/topology"
 )
@@ -200,16 +199,18 @@ func (pa *Path) Hops() []int32 { return pa.hops[:pa.n] }
 func Egress(i int) bool { return 0b01011>>i&1 != 0 }
 
 // Model charges messages against the parameters and shared resources
-// of one cluster's Fabric. It is safe for concurrent use by all rank
-// goroutines.
+// of one cluster's Fabric. It has one owner and no lock: Charge,
+// PortDrain, Reset and Traffic must not run concurrently with Charge or
+// Reset (mpirt serialises them where its ranks run concurrently).
 type Model struct {
 	*Fabric
 	params Params
 
-	mu    sync.Mutex
 	free  []float64 // per resource: when it next idles
 	msgs  []int64   // per resource: messages charged to it
 	bytes []int64   // per resource: bytes charged to it
+	// messages and bytes charged, by distance class
+	distMsgs, distBytes [5]int64
 
 	// Link-fault state, immutable after InjectFaults (linkfault.go):
 	// per-resource fault lists, partition cuts, and the full set
@@ -239,8 +240,6 @@ func (m *Model) Params() Params { return m.params }
 // runtime calls it between timed collectives so each measurement starts
 // from an idle network; the traffic counts run on.
 func (m *Model) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	clear(m.free)
 }
 
@@ -263,10 +262,11 @@ func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
 	return m.Charge(&pa, n, ready)
 }
 
-// Charge counts a message of n bytes on each egress hop of pa and
-// occupies them in order — port, NIC, uplink — each from the latest of
-// the message's start and the hop's free time, so transfers through one
-// resource serialize; it returns the last start plus the port time.
+// Charge counts a message of n bytes in pa's distance class and on
+// each egress hop of pa, and occupies the hops in order — port, NIC,
+// uplink — each from the latest of the message's start and the hop's
+// free time, so transfers through one resource serialize; it returns
+// the last start plus the port time.
 // The port is held α + n·f/β (single-port sender, the paper's Hockney
 // assumption: latencies serialize too), a NIC NICPerMsg + (n/bw)·f, an
 // uplink (n/bw)·f, each form kept exactly; a zero bandwidth leaves its
@@ -276,8 +276,8 @@ func (m *Model) Transfer(src, dst, n int, ready float64) (arrival float64) {
 func (m *Model) Charge(pa *Path, n int, ready float64) (arrival float64) {
 	p := &m.params
 	faulty := len(m.all) > 0
-
-	m.mu.Lock()
+	m.distMsgs[pa.Dist]++
+	m.distBytes[pa.Dist] += int64(n)
 	start, portT := ready, 0.0
 	for i, id := range pa.Hops() {
 		if !Egress(i) {
@@ -306,24 +306,20 @@ func (m *Model) Charge(pa *Path, n int, ready float64) (arrival float64) {
 			m.free[id] = start + perMsg + float64(n)/bw*f
 		}
 	}
-	m.mu.Unlock()
-
 	return start + portT
 }
 
 // PortDrain returns the time at which rank r's send port becomes idle —
 // the completion time of its in-flight sends.
-func (m *Model) PortDrain(r int) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.free[r]
-}
+func (m *Model) PortDrain(r int) float64 { return m.free[r] }
 
 // Traffic returns, by resource id, the messages and bytes Charge
 // counted on each: structural — a hop whose bandwidth is zero still
 // counts — so the static plan verifier's counts equal them.
 func (m *Model) Traffic() (msgs, bytes []int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return slices.Clone(m.msgs), slices.Clone(m.bytes)
 }
+
+// DistTraffic returns the messages and bytes Charge counted, by
+// distance class.
+func (m *Model) DistTraffic() (msgs, bytes [5]int64) { return m.distMsgs, m.distBytes }

@@ -301,7 +301,7 @@ func randomFaults(rng *rand.Rand, c topology.Cluster) []LinkFault {
 // uniform, Niagara without NIC or uplink serialization} × random fault
 // sets × random transfer sequences, the Model agrees with refModel bit
 // for bit — every arrival, every resource's availability and PortDrain,
-// every per-resource count, every PathBlocked verdict and blocking
+// every per-resource and per-distance count, every PathBlocked verdict and blocking
 // resource (at the transfer's time and in the end state), every
 // ImpairedFinal, and whether InjectFaults accepts the set.
 func TestModelEqualsReference(t *testing.T) {
@@ -333,6 +333,7 @@ func TestModelEqualsReference(t *testing.T) {
 			return false
 		}
 		ready := 0.0
+		var distMsgs, distBytes [5]int64
 		for range 1 + rng.Intn(40) {
 			src, dst := rng.Intn(c.Ranks()), rng.Intn(c.Ranks())
 			n := []int{0, 1, 1024, 65536, 1 << 20}[rng.Intn(5)] + rng.Intn(64)
@@ -346,6 +347,8 @@ func TestModelEqualsReference(t *testing.T) {
 			}
 			a, ra := m.Transfer(src, dst, n, ready), ref.Transfer(src, dst, n, ready)
 			ref.count(src, dst, n)
+			distMsgs[c.Dist(src, dst)]++
+			distBytes[c.Dist(src, dst)] += int64(n)
 			if math.Float64bits(a) != math.Float64bits(ra) {
 				return bad("Transfer(%d, %d, %d, %g) = %v, reference %v", src, dst, n, ready, a, ra)
 			}
@@ -364,6 +367,9 @@ func TestModelEqualsReference(t *testing.T) {
 			!slices.Equal(bytes, slices.Concat(ref.rankBytes, ref.nicBytes, ref.glBytes)) {
 			return bad("traffic %v / %v, reference ports %v %v, nics %v %v, uplinks %v %v", msgs, bytes,
 				ref.rankMsgs, ref.rankBytes, ref.nicMsgs, ref.nicBytes, ref.glMsgs, ref.glBytes)
+		}
+		if dm, db := m.DistTraffic(); dm != distMsgs || db != distBytes {
+			return bad("traffic by distance %v / %v, want %v / %v", dm, db, distMsgs, distBytes)
 		}
 		for r := range c.Ranks() {
 			if m.ImpairedFinal(r) != ref.ImpairedFinal(r) {
