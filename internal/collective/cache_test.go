@@ -5,191 +5,53 @@ import (
 	"runtime"
 	"testing"
 
-	"nbrallgather/internal/mpirt"
-	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/plancache"
 	"nbrallgather/internal/topology"
 	"nbrallgather/internal/vgraph"
 )
 
-// installCache swaps in a fresh plan cache for the test and restores
-// whatever was installed before (nil in the normal suite).
-func installCache(t *testing.T) *plancache.Cache {
-	t.Helper()
-	pc := plancache.New(plancache.Config{MaxBytes: 64 << 20})
-	prev := UsePlanCache(pc)
-	t.Cleanup(func() { UsePlanCache(prev) })
-	return pc
-}
-
-func TestUsePlanCacheInstallRestore(t *testing.T) {
-	if ActivePlanCache() != nil {
-		t.Fatal("suite entered with a cache installed")
-	}
-	pc := plancache.New(plancache.Config{MaxBytes: 1 << 20})
-	if prev := UsePlanCache(pc); prev != nil {
-		t.Fatalf("previous cache = %v, want nil", prev)
-	}
-	if ActivePlanCache() != pc {
-		t.Fatal("ActivePlanCache did not return the installed cache")
-	}
-	if prev := UsePlanCache(nil); prev != pc {
-		t.Fatal("uninstall did not return the installed cache")
-	}
-	if ActivePlanCache() != nil {
-		t.Fatal("cache still installed after uninstall")
-	}
-}
-
-// TestCachedPlansDeepEqual: for every cached algorithm, the artifact a
-// cold cache builds is structurally identical to an uncached
-// negotiation, and a second construction is a hit returning the very
-// same artifact.
+// TestCachedPlansDeepEqual: the planner service's path — PlanKey keys,
+// BuildPlan builds, GetOrBuild caches — serves the plan BuildPlan
+// builds, and a second request in the same size class is a hit on the
+// very same artifact.
 func TestCachedPlansDeepEqual(t *testing.T) {
 	g := erGraph(t, 24, 0.3, 9)
 	c := topology.Cluster{Nodes: 3, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 3}
-
-	t.Run("dh", func(t *testing.T) {
-		fresh, err := NewDistanceHalving(g, c.L())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc := installCache(t)
-		first, err := NewDistanceHalving(g, c.L())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
-			t.Fatal("cached DH plan differs from fresh negotiation")
-		}
-		second, err := NewDistanceHalving(g, c.L())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Plan() != first.Plan() {
-			t.Fatal("second construction did not reuse the cached plan")
-		}
-		if st := pc.Stats(); st.Hits == 0 || st.Misses == 0 {
-			t.Fatalf("stats = %+v, want one miss then a hit", st)
-		}
-	})
-
-	t.Run("cn", func(t *testing.T) {
-		fresh, err := NewCommonNeighbor(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		installCache(t)
-		first, err := NewCommonNeighbor(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
-			t.Fatal("cached CN plan differs from fresh negotiation")
-		}
-		second, err := NewCommonNeighbor(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Plan() != first.Plan() {
-			t.Fatal("second construction did not reuse the cached plan")
-		}
-	})
-
-	t.Run("leader", func(t *testing.T) {
-		fresh, err := NewLeaderBasedK(g, c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		installCache(t)
-		first, err := NewLeaderBasedK(g, c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fresh.Plan(), first.Plan()) {
-			t.Fatal("cached leader plan differs from fresh negotiation")
-		}
-		second, err := NewLeaderBasedK(g, c, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Plan() != first.Plan() {
-			t.Fatal("second construction did not reuse the cached plan")
-		}
-	})
-}
-
-// TestCachedTrafficBitIdentical: running an op whose plan came from the
-// cache must move bit-for-bit identical traffic to the same op built
-// fresh — on both execution engines. Message/byte counters are exactly
-// deterministic (virtual times are not; see README), so the comparison
-// pins the full structural footprint.
-func TestCachedTrafficBitIdentical(t *testing.T) {
-	g := erGraph(t, 16, 0.35, 21)
-	c := topology.Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 4, NodesPerGroup: 2}
-	const m = 96
-
-	build := func(t *testing.T) []Op {
-		t.Helper()
-		dh, err := NewDistanceHalving(g, c.L())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cn, err := NewCommonNeighbor(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := NewLeaderBasedK(g, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []Op{dh, cn, lb}
-	}
-
-	freshOps := build(t)
-	installCache(t)
-	build(t) // populate the cache
-	cachedOps := build(t)
-
-	counters := func(rep *mpirt.Report) [][]int64 {
-		return [][]int64{
-			rep.MsgsByDist[:], rep.BytesByDist[:],
-			{rep.MaxRankMsgs, rep.MaxRankBytes},
-			rep.ResMsgs, rep.ResBytes,
-		}
-	}
-	for _, engine := range mpirt.Engines() {
-		for i := range freshOps {
-			fresh, cached := freshOps[i], cachedOps[i]
-			runOne := func(op Op) *mpirt.Report {
-				rep, err := mpirt.Run(mpirt.Config{Cluster: c, Ranks: g.N(), Engine: engine}, func(p *mpirt.Proc) {
-					r := p.Rank()
-					sbuf := make([]byte, m)
-					fillPattern(sbuf, r)
-					rbuf := make([]byte, g.InDegree(r)*m)
-					op.Run(p, sbuf, m, rbuf)
-				})
-				if err != nil {
-					t.Fatalf("%s on %s engine: %v", op.Name(), engine, err)
-				}
-				return rep
+	for _, algo := range []string{"dh", "cn", "leader"} {
+		t.Run(algo, func(t *testing.T) {
+			pc := plancache.New(plancache.Config{MaxBytes: 64 << 20})
+			build := func() (any, int64, error) { return BuildPlan(algo, g, c, 0, nil) }
+			first, err := pc.GetOrBuild(PlanKey(algo, g, c, 1000, 0, nil), build)
+			if err != nil {
+				t.Fatal(err)
 			}
-			fr, cr := runOne(fresh), runOne(cached)
-			if !reflect.DeepEqual(counters(fr), counters(cr)) {
-				t.Errorf("%s on %s engine: cached plan moved different traffic than fresh plan",
-					fresh.Name(), engine)
+			fresh, _, err := build()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if !reflect.DeepEqual(fresh, first) {
+				t.Fatalf("cached %s plan differs from a fresh build", algo)
+			}
+			second, err := pc.GetOrBuild(PlanKey(algo, g, c, 1024, 0, nil), build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second != first {
+				t.Fatal("second request in the size class did not reuse the cached plan")
+			}
+			if st := pc.Stats(); st.Hits != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want one miss then a hit", st)
+			}
+		})
 	}
 }
 
-// TestRebuildFTRepairCaching: repeated identical recoveries — same
-// survivor graph, same avoid set — reuse one negotiated repair plan,
-// keyed under the avoid-set hash.
-func TestRebuildFTRepairCaching(t *testing.T) {
+// TestRebuildFTRepairDeterministic: two identical recoveries — same
+// survivor graph, same avoid set — re-emit equal plans and keep the
+// distance-halving row, and a different avoid set re-emits another.
+func TestRebuildFTRepairDeterministic(t *testing.T) {
 	g := erGraph(t, 16, 0.35, 33)
 	c := ftCluster()
-	pc := installCache(t)
 
 	dh, err := NewDistanceHalving(g, c.L())
 	if err != nil {
@@ -208,35 +70,18 @@ func TestRebuildFTRepairCaching(t *testing.T) {
 	avoid := make([]bool, g2.N())
 	avoid[2] = true
 
-	before := pc.Stats()
-	first := dh.rebuild(g2, alive, avoid)
-	mid := pc.Stats()
-	second := dh.rebuild(g2, alive, avoid)
-	after := pc.Stats()
-
-	if mid.Misses != before.Misses+1 {
-		t.Fatalf("first repair: misses %d → %d, want one build", before.Misses, mid.Misses)
+	first, ok1 := dh.rebuild(g2, alive, avoid).(*Allgather)
+	second, ok2 := dh.rebuild(g2, alive, avoid).(*Allgather)
+	if !ok1 || !ok2 || first.algo != dh.algo || second.algo != dh.algo {
+		t.Fatal("repair degraded from distance-halving")
 	}
-	if after.Misses != mid.Misses {
-		t.Fatalf("second identical repair negotiated again (misses %d → %d)", mid.Misses, after.Misses)
+	if !reflect.DeepEqual(first.Plan(), second.Plan()) {
+		t.Fatal("identical recoveries emitted different plans")
 	}
-	if after.Hits != mid.Hits+1 {
-		t.Fatalf("second repair: hits %d → %d, want a cache hit", mid.Hits, after.Hits)
-	}
-	fp, ok1 := first.(*Allgather)
-	sp, ok2 := second.(*Allgather)
-	if !ok1 || !ok2 || fp.algo != dh.algo || sp.algo != dh.algo {
-		t.Fatalf("repair degraded to %s / %s, want distance-halving", first.Name(), second.Name())
-	}
-	if fp.Plan() != sp.Plan() {
-		t.Fatal("identical recoveries hold different plan instances")
-	}
-	// A different avoid set must key separately.
 	avoid2 := make([]bool, g2.N())
 	avoid2[3] = true
-	dh.rebuild(g2, alive, avoid2)
-	if st := pc.Stats(); st.Misses != after.Misses+1 {
-		t.Fatal("distinct avoid set did not trigger a fresh negotiation")
+	if reflect.DeepEqual(first.Plan(), dh.rebuild(g2, alive, avoid2).(*Allgather).Plan()) {
+		t.Fatal("a different avoid set emitted the same plan")
 	}
 }
 
@@ -272,27 +117,37 @@ func TestPlanKeyDistinct(t *testing.T) {
 	if PlanKey("dh", g, c, 1024, c.L(), nil) != base {
 		t.Error("explicit default param does not share the default key")
 	}
-	// The in-process constructor key differs only by size class.
-	ck := row("dh").cacheKey(planReq{g: g, prm: PlanParams{L: c.L(), Policy: pattern.PolicyLoadAware}})
-	ck.Size = plancache.SizeClass(1024)
-	if ck != base {
-		t.Error("PlanKey(dh) does not align with the constructor key")
-	}
 }
 
 // TestBuildPlanAlgos: BuildPlan negotiates every algorithm the service
-// fronts and reports a positive resident cost.
+// fronts, reports a positive resident cost, and builds exactly the plan
+// the matching constructor's op runs at the defaults.
 func TestBuildPlanAlgos(t *testing.T) {
 	g := erGraph(t, 16, 0.3, 4)
 	c := topology.ForRanks(16, 4)
+	ctor := map[string]func() (*Allgather, error){
+		"naive":  func() (*Allgather, error) { return NewNaive(g), nil },
+		"dh":     func() (*Allgather, error) { return NewDistanceHalving(g, c.L()) },
+		"cn":     func() (*Allgather, error) { return NewCommonNeighbor(g, 3) },
+		"leader": func() (*Allgather, error) { return NewLeaderBased(g, c) },
+	}
 	for _, algo := range []string{"naive", "dh", "cn", "leader"} {
-		v, cost, err := BuildPlan(algo, g, c, 0, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if v == nil || cost <= 0 {
-			t.Fatalf("%s: artifact %v cost %d", algo, v, cost)
-		}
+		t.Run(algo, func(t *testing.T) {
+			v, cost, err := BuildPlan(algo, g, c, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == nil || cost <= 0 {
+				t.Fatalf("artifact %v cost %d", v, cost)
+			}
+			op, err := ctor[algo]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(v, op.Plan()) {
+				t.Fatal("BuildPlan differs from the constructor's plan")
+			}
+		})
 	}
 	if _, _, err := BuildPlan("bogus", g, c, 0, nil); err == nil {
 		t.Fatal("unknown algorithm accepted")

@@ -3,9 +3,7 @@ package collective
 import (
 	"fmt"
 
-	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/pattern"
-	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
 
@@ -177,37 +175,5 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool
 			pl := &p.Plans[fs.Dst]
 			pl.RecvFrom = append(pl.RecvFrom, r)
 		}
-	}
-}
-
-// BuildCNRank models one rank's share of the Common Neighbor pattern
-// construction cost (the Fig. 8 comparator): the calculate_A
-// neighbor-list allgather, an intra-group list exchange, and delegate
-// announcements to receivers. It must be called from within an mpirt
-// rank body by every rank, with a prebuilt CN pattern for the plan
-// content.
-func BuildCNRank(p *mpirt.Proc, pat *CNPattern) {
-	g := pat.Graph
-	r := p.Rank()
-	pattern.ChargeNeighborListExchange(p, g)
-	plan := &pat.Plans[r]
-	listBytes := 8 * (g.OutDegree(r) + 1)
-	for _, mbr := range plan.Group {
-		if mbr != r {
-			p.Send(mbr, tags.CNGroup, listBytes, nil, nil)
-		}
-	}
-	for _, mbr := range plan.Group {
-		if mbr != r {
-			p.Recv(mbr, tags.CNGroup)
-		}
-	}
-	for _, fs := range plan.Sends {
-		p.Send(fs.Dst, tags.CNNote, 8, nil, len(fs.Sources))
-	}
-	expect := g.InDegree(r)
-	for expect > 0 {
-		msg := p.Recv(mpirt.AnySource, tags.CNNote)
-		expect -= msg.Meta.(int)
 	}
 }

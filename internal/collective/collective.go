@@ -76,7 +76,7 @@ func (a *bound) Graph() *vgraph.Graph { return a.plan.Graph }
 func (a *bound) Plan() *Plan { return a.plan }
 
 // Pattern returns the Distance Halving pattern the plan was emitted
-// from: nil for other algorithms and for a plan out of the plan cache.
+// from: nil for other algorithms.
 func (a *bound) Pattern() *pattern.Pattern { return a.pat }
 
 func (a *bound) uniform(m int) []int { return a.uc.get(a.plan.NumBlocks(), m) }
@@ -113,36 +113,18 @@ func (a *algorithm) op(pl *Plan, pat *pattern.Pattern, q planReq) *Allgather {
 	return &Allgather{bound: bound{name: a.title(q), plan: pl, pat: pat}, algo: a, req: q}
 }
 
-// bind emits the row's plan for q — or fetches it from the installed
-// plan cache (UsePlanCache), where it costs Plan.Bytes() and is keyed by
-// a.cacheKey(q), hashed only then — and binds an op to it. Safe inside rank
-// bodies.
+// bind emits the row's plan for q and binds an op to it. Safe inside
+// rank bodies.
 func (a *algorithm) bind(q planReq) (*Allgather, error) {
-	var pat *pattern.Pattern
-	build := func() (any, int64, error) {
-		pl, p, err := a.emit(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		pat = p
-		return pl, pl.Bytes(), nil
-	}
-	var v any
-	var err error
-	if pc := ActivePlanCache(); pc != nil {
-		v, err = pc.GetOrBuildLocal(a.cacheKey(q), build)
-	} else {
-		v, _, err = build()
-	}
+	pl, pat, err := a.emit(q)
 	if err != nil {
 		return nil, err
 	}
-	return a.op(v.(*Plan), pat, q), nil
+	return a.op(pl, pat, q), nil
 }
 
 // New binds the named algorithm (see Algos) to graph g mapped rank for
-// rank onto cluster c, consulting the installed plan cache before
-// negotiating. A zero prm field selects the conformance-suite default.
+// rank onto cluster c. A zero prm field selects the conformance-suite default.
 // A non-nil avoid set (indexed by rank) marks the ranks the plan keeps
 // out of relay roles: the op a repair over g would run.
 func New(name string, g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) (*Allgather, error) {

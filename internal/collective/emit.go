@@ -111,9 +111,9 @@ var algorithms = []algorithm{{
 	emit:     func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDH) },
 	alltoall: func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDHAlltoall) },
 }, {
-	// The placement vector is part of the key: two recoveries with
+	// The placement vector is part of the key: two requests with
 	// different survivor placements must never share a plan even when
-	// their projected graphs fingerprint equally.
+	// their graphs fingerprint equally.
 	name: "leader",
 	knob: func(prm PlanParams, k int) PlanParams { prm.Leaders = k; return prm },
 	title: func(q planReq) string {
@@ -176,8 +176,8 @@ func Algos() []string {
 func HasAlltoall(name string) bool { a := row(name); return a != nil && a.alltoall != nil }
 
 // Emit negotiates algo over g (mapped rank for rank onto c) and emits
-// its plan, from scratch — no cache consultation. A non-nil avoid set
-// selects the link-aware repair builders.
+// its plan. A non-nil avoid set selects the link-aware repair
+// builders.
 func Emit(algo string, g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) (*Plan, error) {
 	a, err := lookup(algo)
 	if err != nil {

@@ -201,11 +201,10 @@ func identityComm(n int) *mpirt.Comm {
 // i ↔ original rank alive[i]) with an avoid set (indexed by shrunken
 // rank, nil for none) marking link-impaired survivors the new plan must
 // keep out of relay roles. Survivors keep their physical placement, and
-// a group cannot outgrow the communicator. The re-emitted plan caches
-// under the avoid-set key, so repeated recoveries over the same
-// survivor graph and fault set reuse one negotiation. If the row cannot
-// be re-emitted, the collective degrades to naive over the shrunken
-// communicator — always well-defined.
+// a group cannot outgrow the communicator. Identical recoveries emit
+// identical plans. If the row cannot be re-emitted, the collective
+// degrades to naive over the shrunken communicator — always
+// well-defined.
 func (a *Allgather) rebuild(g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
 	q := planReq{g: g2, c: a.req.c, prm: a.req.prm, place: make([]int, len(alive)), avoid: avoid}
 	q.prm.CNGroup = min(q.prm.CNGroup, g2.N())

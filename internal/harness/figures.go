@@ -47,10 +47,6 @@ func runCompareCells(c topology.Cluster, cells []compareCell, trials int, wall t
 	return prefixOnErr(rows, err)
 }
 
-// sparseTableII is indirected for tests that substitute smaller
-// matrices.
-var sparseTableII = sparse.TableII
-
 // PaperDensities are the Erdős–Rényi densities of Figs. 4 and 5.
 var PaperDensities = []float64{0.05, 0.1, 0.3, 0.5, 0.7}
 
@@ -88,15 +84,6 @@ type MooreShape struct {
 }
 
 func (s MooreShape) String() string { return fmt.Sprintf("r=%d,d=%d", s.R, s.D) }
-
-// Neighbors returns (2r+1)^d − 1.
-func (s MooreShape) Neighbors() int {
-	n := 1
-	for i := 0; i < s.D; i++ {
-		n *= 2*s.R + 1
-	}
-	return n - 1
-}
 
 // PaperMooreShapes are the Fig. 6 neighborhood configurations.
 var PaperMooreShapes = []MooreShape{{1, 2}, {2, 2}, {3, 2}, {1, 3}, {2, 3}}
@@ -175,14 +162,8 @@ func measureSpMM(c topology.Cluster, k *spmm.Kernel, op collective.Op, trials in
 	return result(times, trials, rep), nil
 }
 
-// SpMMSweep runs the Fig. 7 experiment: the Table II matrices, dense
-// width k, on the given cluster.
-func SpMMSweep(c topology.Cluster, denseWidth, trials int, seed int64, wall time.Duration) ([]SpMMResult, error) {
-	return SpMMSweepMatrices(c, sparseTableII(seed), denseWidth, trials, wall)
-}
-
-// SpMMSweepMatrices runs the Fig. 7 experiment over an explicit matrix
-// set (e.g. real MatrixMarket files).
+// SpMMSweepMatrices runs the Fig. 7 experiment over a matrix set: the
+// Table II matrices (sparse.TableII) or real MatrixMarket files.
 func SpMMSweepMatrices(c topology.Cluster, mats []sparse.NamedMatrix, denseWidth, trials int, wall time.Duration) ([]SpMMResult, error) {
 	rows, err := sweep.Map(context.Background(), len(mats), func(i int) (SpMMResult, error) {
 		return spmmCell(c, mats[i], denseWidth, trials, wall)

@@ -153,29 +153,38 @@ func TestMooreSweepShape(t *testing.T) {
 	}
 }
 
+// TestMooreShapeNeighbors: each Fig. 6 shape, on the 512-rank grid of
+// results/fig6_moore_512.txt, gives every rank the paper's (2r+1)^d − 1
+// neighbors.
 func TestMooreShapeNeighbors(t *testing.T) {
-	cases := map[MooreShape]int{
+	want := map[MooreShape]int{
 		{R: 1, D: 2}: 8, {R: 2, D: 2}: 24, {R: 3, D: 2}: 48,
 		{R: 1, D: 3}: 26, {R: 2, D: 3}: 124,
 	}
-	for s, want := range cases {
-		if got := s.Neighbors(); got != want {
-			t.Errorf("%s: %d neighbors, want %d", s, got, want)
+	for _, s := range PaperMooreShapes {
+		dims, err := vgraph.MooreDims(512, s.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := vgraph.Moore(dims, s.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < g.N(); r++ {
+			if got := g.OutDegree(r); got != want[s] {
+				t.Fatalf("%s: rank %d has %d neighbors, want %d", s, r, got, want[s])
+			}
 		}
 	}
 }
 
 func TestSpMMSweepSmall(t *testing.T) {
-	c := testCluster()
-	old := sparseTableII
-	sparseTableII = func(seed int64) []sparse.NamedMatrix {
-		return []sparse.NamedMatrix{
-			{Name: "tiny-banded", PaperRows: 60, PaperNNZ: 300, Structure: "banded", M: sparse.Banded(60, 300, seed)},
-			{Name: "tiny-uniform", PaperRows: 50, PaperNNZ: 600, Structure: "uniform", M: sparse.Uniform(50, 600, seed)},
-		}
+	const seed = 9
+	mats := []sparse.NamedMatrix{
+		{Name: "tiny-banded", PaperRows: 60, PaperNNZ: 300, Structure: "banded", M: sparse.Banded(60, 300, seed)},
+		{Name: "tiny-uniform", PaperRows: 50, PaperNNZ: 600, Structure: "uniform", M: sparse.Uniform(50, 600, seed)},
 	}
-	defer func() { sparseTableII = old }()
-	rows, err := SpMMSweep(c, 4, 1, 9, time.Minute)
+	rows, err := SpMMSweepMatrices(testCluster(), mats, 4, 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

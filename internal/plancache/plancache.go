@@ -7,19 +7,12 @@
 // (topology, graph, algorithm, size class, avoid set) without
 // re-negotiating from scratch.
 //
-// The cache provides three lookups with different concurrency
-// contracts:
+// The cache provides two lookups with different concurrency contracts:
 //
 //   - Get is the allocation-free hit path: the key is digested to one
 //     word before the lock, then one mutex acquisition, one word-keyed
 //     map probe, an intrusive LRU touch. It is safe from any goroutine
 //     and never blocks beyond the mutex.
-//   - GetOrBuildLocal consults the cache and, on a miss, builds inline
-//     on the caller's stack. It uses only the mutex — no channel
-//     operations — so it is safe to call from inside mpirt rank bodies
-//     (the event engine runs ranks as cooperative coroutines; a
-//     channel wait there would block the host). Two racing callers may
-//     build the same key twice; the first insert wins.
 //   - GetOrBuild is the service path: misses are coalesced through a
 //     singleflight table (a thundering herd of identical requests
 //     plans exactly once) and gated by admission control — at most
@@ -183,8 +176,7 @@ type Config struct {
 	// the cache — the verify-on-insert hook: return an error to reject
 	// the artifact (the build fails with that error and nothing is
 	// cached). It runs outside the cache lock, once per successful
-	// build on the GetOrBuild path; racing GetOrBuildLocal callers may
-	// invoke it more than once for the same key.
+	// build.
 	OnInsert func(Key, any) error
 }
 
@@ -329,48 +321,10 @@ func (c *Cache) Peek(k Key) (any, bool) {
 	return nil, false
 }
 
-// GetOrBuildLocal returns the artifact for k, building it inline on a
-// miss. It performs no channel operations and never waits on another
-// goroutine, so it is the lookup to use from inside mpirt rank bodies
-// (see the package comment). Racing callers may build the same key
-// concurrently; the first completed insert wins and later builders
-// adopt the published artifact. An artifact the insert gate refuses is
-// returned uncached, so callers then see one identity per build.
-func (c *Cache) GetOrBuildLocal(k Key, build Builder) (any, error) {
-	if v, ok := c.Get(k); ok {
-		return v, nil
-	}
-	v, cost, err := build()
-	if err != nil {
-		c.mu.Lock()
-		c.stats.BuildErrors++
-		c.mu.Unlock()
-		return nil, err
-	}
-	if c.onInsert != nil {
-		// Re-check first: if a racing builder already published this
-		// key its artifact was already verified.
-		if v, ok := c.Peek(k); ok {
-			return v, nil
-		}
-		if verr := c.onInsert(k, v); verr != nil {
-			c.mu.Lock()
-			c.stats.BuildErrors++
-			c.mu.Unlock()
-			return nil, verr
-		}
-	}
-	h := k.digest()
-	c.mu.Lock()
-	v = c.insertLocked(k, h, v, cost)
-	c.mu.Unlock()
-	return v, nil
-}
-
 // GetOrBuild returns the artifact for k, coalescing concurrent misses
 // (one build serves every waiter) and holding builds to the admission
-// bounds. It blocks on channel/condition waits and must not be called
-// from inside mpirt rank bodies — use GetOrBuildLocal there.
+// bounds. It blocks on channel/condition waits, so it must not be
+// called from inside mpirt rank bodies.
 func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
 	h := k.digest()
 	c.mu.Lock()
@@ -421,7 +375,7 @@ func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
 	c.active--
 	c.slotFree.Signal()
 	if err == nil {
-		v = c.insertLocked(k, h, v, cost)
+		c.insertLocked(k, h, v, cost)
 	} else {
 		c.stats.BuildErrors++
 	}
@@ -453,26 +407,21 @@ func (c *Cache) missLocked(h uint64) {
 func (c *Cache) seenAt(h uint64) *uint64 { return &c.seen[h>>(64-seenBits)] }
 
 // insertLocked publishes (k, v), h being k's digest, and evicts past the
-// byte budget if the insert gate admits it. The first insert of a key
-// wins: if k is already present (a racing GetOrBuildLocal builder
-// lost), the existing artifact is returned so every caller converges
-// on one identity.
-func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
-	if e := c.find(h, k); e != nil {
-		c.touch(e)
-		return e.val
-	}
+// byte budget if the insert gate admits it. k is absent: its one flight
+// is the only builder, and it inserts in the critical section that ends
+// the flight.
+func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) {
 	if cost < 0 {
 		cost = 0
 	}
 	if cost > c.maxBytes {
 		c.stats.TooBig++
-		return v
+		return
 	}
 	slot := c.seenAt(h)
 	if c.bytes+cost > c.maxBytes && !c.admitLocked(*slot, cost) {
 		c.stats.Rejected++
-		return v
+		return
 	}
 	e := &entry{key: k, hash: h, val: v, cost: cost, freq: *slot, chain: c.entries[h]}
 	*slot = 0
@@ -484,7 +433,6 @@ func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) any {
 	for c.bytes > c.maxBytes && c.tail != e {
 		c.evictLocked(c.tail)
 	}
-	return v
 }
 
 // admitLocked is the insert gate: whether a key requested freq times

@@ -22,9 +22,9 @@ func TestGetMissThenHit(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	want := "artifact"
-	v, err := c.GetOrBuildLocal(k, func() (any, int64, error) { return want, 100, nil })
+	v, err := c.GetOrBuild(k, func() (any, int64, error) { return want, 100, nil })
 	if err != nil || v != want {
-		t.Fatalf("GetOrBuildLocal = %v, %v", v, err)
+		t.Fatalf("GetOrBuild = %v, %v", v, err)
 	}
 	v, ok := c.Get(k)
 	if !ok || v != want {
@@ -84,41 +84,6 @@ func TestSingleflightStress(t *testing.T) {
 	}
 }
 
-// TestLocalRaceConverges: racing GetOrBuildLocal callers may build
-// twice, but every caller converges on the first inserted artifact.
-func TestLocalRaceConverges(t *testing.T) {
-	const goroutines = 32
-	c := New(Config{MaxBytes: 1 << 20})
-	k := key(3)
-	results := make([]any, goroutines)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			v, err := c.GetOrBuildLocal(k, func() (any, int64, error) {
-				return &struct{ id int }{i}, 32, nil
-			})
-			if err != nil {
-				t.Errorf("goroutine %d: %v", i, err)
-			}
-			results[i] = v
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("goroutine %d diverged from the published artifact", i)
-		}
-	}
-	if got := c.Stats().Entries; got != 1 {
-		t.Fatalf("Entries = %d, want 1", got)
-	}
-}
-
 // TestEvictionBudgetProperty: whatever the insertion sequence, the
 // cache never exceeds its byte budget.
 func TestEvictionBudgetProperty(t *testing.T) {
@@ -132,7 +97,7 @@ func TestEvictionBudgetProperty(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				c.Get(k)
 			} else {
-				_, _ = c.GetOrBuildLocal(k, func() (any, int64, error) { return i, cost, nil })
+				_, _ = c.GetOrBuild(k, func() (any, int64, error) { return i, cost, nil })
 			}
 			if st := c.Stats(); st.Bytes > budget {
 				t.Logf("seed %d: bytes %d exceeded budget %d after %d ops", seed, st.Bytes, budget, i+1)
@@ -158,7 +123,7 @@ func TestZipfHotKeysSurvive(t *testing.T) {
 	zipf := rand.NewZipf(rng, 1.3, 1, population-1)
 	for i := 0; i < 20000; i++ {
 		k := key(int(zipf.Uint64()))
-		_, _ = c.GetOrBuildLocal(k, func() (any, int64, error) { return i, cost, nil })
+		_, _ = c.GetOrBuild(k, func() (any, int64, error) { return i, cost, nil })
 	}
 	for hot := 0; hot < 3; hot++ {
 		if _, ok := c.Peek(key(hot)); !ok {
@@ -272,7 +237,7 @@ func TestBuildErrorNotCached(t *testing.T) {
 
 func TestTooBigBypassesCache(t *testing.T) {
 	c := New(Config{MaxBytes: 100})
-	v, err := c.GetOrBuildLocal(key(1), func() (any, int64, error) { return "huge", 1000, nil })
+	v, err := c.GetOrBuild(key(1), func() (any, int64, error) { return "huge", 1000, nil })
 	if err != nil || v != "huge" {
 		t.Fatalf("got %v, %v", v, err)
 	}
@@ -289,7 +254,7 @@ func TestTooBigBypassesCache(t *testing.T) {
 func TestGetZeroAlloc(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	k := key(1)
-	if _, err := c.GetOrBuildLocal(k, func() (any, int64, error) { return "v", 8, nil }); err != nil {
+	if _, err := c.GetOrBuild(k, func() (any, int64, error) { return "v", 8, nil }); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -307,14 +272,14 @@ func TestLRUOrder(t *testing.T) {
 	// make key 2 the eviction victim when key 3 arrives.
 	c := New(Config{MaxBytes: 2})
 	for i := 1; i <= 2; i++ {
-		if _, err := c.GetOrBuildLocal(key(i), func() (any, int64, error) { return i, 1, nil }); err != nil {
+		if _, err := c.GetOrBuild(key(i), func() (any, int64, error) { return i, 1, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, ok := c.Get(key(1)); !ok {
 		t.Fatal("key 1 missing")
 	}
-	if _, err := c.GetOrBuildLocal(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
+	if _, err := c.GetOrBuild(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Peek(key(2)); ok {
@@ -335,7 +300,7 @@ func TestInsertGateScanResistance(t *testing.T) {
 	c := New(Config{MaxBytes: capacity})
 	unit := func() (any, int64, error) { return 0, 1, nil }
 	for i := 0; i < capacity; i++ {
-		if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+		if _, err := c.GetOrBuild(key(i), unit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +312,7 @@ func TestInsertGateScanResistance(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10*capacity; i++ {
-		if _, err := c.GetOrBuildLocal(key(1000+i), unit); err != nil {
+		if _, err := c.GetOrBuild(key(1000+i), unit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,14 +339,7 @@ func TestInsertGateDeterminism(t *testing.T) {
 		for j := 0; j < 20*population; j++ {
 			k := key(int(zipf.Uint64()))
 			cost := int64(5 + k.Param%11)
-			build := func() (any, int64, error) { return k.Param, cost, nil }
-			var err error
-			if j%2 == 0 {
-				_, err = c.GetOrBuild(k, build)
-			} else {
-				_, err = c.GetOrBuildLocal(k, build)
-			}
-			if err != nil {
+			if _, err := c.GetOrBuild(k, func() (any, int64, error) { return k.Param, cost, nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -404,8 +362,7 @@ func TestInsertGateDeterminism(t *testing.T) {
 }
 
 // TestInsertGateRefusal: an artifact the gate refuses still reaches its
-// caller on either build path, after one OnInsert call, and is counted
-// and not cached. A key's second miss ties with the LRU victim's count
+// caller, after one OnInsert call, and is counted and not cached. A key's second miss ties with the LRU victim's count
 // and is admitted.
 func TestInsertGateRefusal(t *testing.T) {
 	var hooks atomic.Int64
@@ -416,24 +373,22 @@ func TestInsertGateRefusal(t *testing.T) {
 		}
 		c.Get(key(i)) // two requests each, key 1 the LRU end
 	}
-	for i, lookup := range []func(Key, Builder) (any, error){c.GetOrBuild, c.GetOrBuildLocal} {
-		hooks.Store(0)
-		k, want := key(3+i), &struct{ id int }{3 + i}
-		v, err := lookup(k, func() (any, int64, error) { return want, 1, nil })
-		if err != nil || v != want {
-			t.Fatalf("refused build of %v returned %v, %v; want the built artifact", k, v, err)
-		}
-		if n := hooks.Load(); n != 1 {
-			t.Fatalf("OnInsert ran %d times for one refused build, want 1", n)
-		}
-		if _, ok := c.Peek(k); ok {
-			t.Fatalf("refused artifact of %v was cached", k)
-		}
-		if st := c.Stats(); st.Rejected != int64(i+1) || st.Inserts != 2 || st.Entries != 2 {
-			t.Fatalf("stats %+v after refusing %v", st, k)
-		}
+	hooks.Store(0)
+	k, want := key(3), &struct{ id int }{3}
+	v, err := c.GetOrBuild(k, func() (any, int64, error) { return want, 1, nil })
+	if err != nil || v != want {
+		t.Fatalf("refused build of %v returned %v, %v; want the built artifact", k, v, err)
 	}
-	if _, err := c.GetOrBuildLocal(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
+	if n := hooks.Load(); n != 1 {
+		t.Fatalf("OnInsert ran %d times for one refused build, want 1", n)
+	}
+	if _, ok := c.Peek(k); ok {
+		t.Fatalf("refused artifact of %v was cached", k)
+	}
+	if st := c.Stats(); st.Rejected != 1 || st.Inserts != 2 || st.Entries != 2 {
+		t.Fatalf("stats %+v after refusing %v", st, k)
+	}
+	if _, err := c.GetOrBuild(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{false, true, true} {
@@ -451,7 +406,7 @@ func TestInsertGateRemembersEvicted(t *testing.T) {
 	unit := func() (any, int64, error) { return 0, 1, nil }
 	request := func(i int) bool {
 		t.Helper()
-		if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+		if _, err := c.GetOrBuild(key(i), unit); err != nil {
 			t.Fatal(err)
 		}
 		_, ok := c.Peek(key(i))
@@ -483,7 +438,7 @@ func TestInsertGateForgets(t *testing.T) {
 	unit := func() (any, int64, error) { return 0, 1, nil }
 	for i := 0; i < capacity; i++ {
 		for j := 0; j < oldHits; j++ {
-			if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+			if _, err := c.GetOrBuild(key(i), unit); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -491,7 +446,7 @@ func TestInsertGateForgets(t *testing.T) {
 	for round := 1; round <= oldHits/4; round++ {
 		resident := 0
 		for i := 100; i < 100+capacity; i++ {
-			if _, err := c.GetOrBuildLocal(key(i), unit); err != nil {
+			if _, err := c.GetOrBuild(key(i), unit); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := c.Peek(key(i)); ok {
@@ -523,7 +478,7 @@ func TestInsertGateReplayFloors(t *testing.T) {
 			if i == 20*tc.population {
 				warm = c.Stats()
 			}
-			_, _ = c.GetOrBuildLocal(key(int(zipf.Uint64())), func() (any, int64, error) { return i, cost, nil })
+			_, _ = c.GetOrBuild(key(int(zipf.Uint64())), func() (any, int64, error) { return i, cost, nil })
 		}
 		st := c.Stats()
 		hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
@@ -637,7 +592,7 @@ func contains(s, sub string) bool {
 func BenchmarkGetHit(b *testing.B) {
 	c := New(Config{MaxBytes: 1 << 20})
 	k := key(1)
-	if _, err := c.GetOrBuildLocal(k, func() (any, int64, error) { return "v", 8, nil }); err != nil {
+	if _, err := c.GetOrBuild(k, func() (any, int64, error) { return "v", 8, nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -78,11 +78,9 @@ const (
 	Exchange = 60000 // + distance
 )
 
-// Common-neighbor group-formation protocols (consecutive and affinity
-// grouping cost models).
+// Common-neighbor group-formation protocol (the affinity grouping cost
+// model).
 const (
-	CNGroup    = 70000
-	CNNote     = 70001
 	CNPairBase = 71000 // + round
 	CNMerge    = 72000
 	CNAffNote  = 73000
@@ -94,7 +92,6 @@ const (
 const (
 	BenchPing    = 80000
 	BenchPong    = 80001
-	BenchStep    = 80002
 	BenchParked  = 81000 // + index: parked backlog, never received
 	BenchRotBase = 82000 // + i%7: wildcard-receive rotation
 )
@@ -123,7 +120,7 @@ var blocks = []struct {
 	{"lb-direct", LBDirect, 1, 0}, {"lb-gather", LBGather, 1, 0}, {"lb-node", LBNode, 1, 0}, {"lb-dist", LBDist, 1, 0},
 	{"build-prop-reply", PropBase, 64 * 4, 4}, {"build-desc", DescBase, 64, 1}, {"build-note", NoteBase, 64, 1},
 	{"build-final", FinalNote, 1, 0}, {"build-exchange", Exchange, 8192, 1},
-	{"cn-group", CNGroup, 1, 0}, {"cn-note", CNNote, 1, 0}, {"cn-pair", CNPairBase, 64, 1},
+	{"cn-pair", CNPairBase, 64, 1},
 	{"cn-merge", CNMerge, 1, 0}, {"cn-aff-note", CNAffNote, 1, 0},
 	{"bench", BenchPing, BenchRotBase + 7 - BenchPing, 0},
 }

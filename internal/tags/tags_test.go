@@ -27,8 +27,6 @@ var registryBlocks = []struct {
 	{"build-note", NoteBase, NoteBase + 64},
 	{"build-final", FinalNote, FinalNote + 1},
 	{"build-exchange", Exchange, Exchange + 8192},
-	{"cn-group", CNGroup, CNGroup + 1},
-	{"cn-note", CNNote, CNNote + 1},
 	{"cn-pair", CNPairBase, CNPairBase + 64},
 	{"cn-merge", CNMerge, CNMerge + 1},
 	{"cn-aff-note", CNAffNote, CNAffNote + 1},
