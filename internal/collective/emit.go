@@ -111,9 +111,9 @@ var algorithms = []algorithm{{
 	emit:     func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDH) },
 	alltoall: func(q planReq) (*Plan, *pattern.Pattern, error) { return negotiateDH(q, emitDHAlltoall) },
 }, {
-	// The placement vector is part of the key: two requests with
-	// different survivor placements must never share a plan even when
-	// their graphs fingerprint equally.
+	// The key folds the cluster's shape, which the hierarchy reads. A
+	// survivor placement (an FT repair's) is not keyed: PlanKey's
+	// requests never carry one, and a repair builds without the cache.
 	name: "leader",
 	knob: func(prm PlanParams, k int) PlanParams { prm.Leaders = k; return prm },
 	title: func(q planReq) string {
@@ -123,7 +123,7 @@ var algorithms = []algorithm{{
 		return "leader-based"
 	},
 	key: func(q planReq) (uint64, int) {
-		return plancache.HashWords(4, q.c.Fingerprint(), plancache.HashInts(q.place)), q.prm.Leaders
+		return plancache.HashWords(4, q.c.Fingerprint()), q.prm.Leaders
 	},
 	emit: func(q planReq) (*Plan, *pattern.Pattern, error) {
 		pl, err := emitLeader(q.g, q.c, q.prm.Leaders, q.place, q.avoid)

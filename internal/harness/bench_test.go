@@ -16,7 +16,8 @@ import (
 // simulated message (runtime start-up included). Each algorithm runs
 // twice, as Measure runs it and with the slot hints of its passes
 // stripped (every message through the mailbox's hashed lists): the
-// after and the before of static matching, side by side.
+// after and the before of static matching, side by side. Each iteration
+// puts its rank-buffer slab back, as Measure does.
 func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
 	dh, err := collective.NewDistanceHalving(g, cfg.Cluster.L())
 	if err != nil {
@@ -37,10 +38,11 @@ func benchMeasure(b *testing.B, cfg Config, g *vgraph.Graph) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, rep, err := runMeasurement(cfg, cfg.runtime(), op, cfg.Trials, leg.on)
+					ms, rep, err := runMeasurement(cfg, cfg.runtime(), op, cfg.Trials, leg.on)
 					if err != nil {
 						b.Fatal(err)
 					}
+					mpirt.PutSlab(ms.slab)
 					msgs += rep.Msgs()
 				}
 				b.StopTimer()
@@ -67,4 +69,15 @@ func BenchmarkMeasureER540(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchMeasure(b, Config{Cluster: topology.Niagara(15, 18), MsgSize: 1 << 10, Trials: 3, Phantom: true, Engine: mpirt.EngineEvent}, g)
+}
+
+// BenchmarkMeasureReal216 is the rsg216-real cell: 216 ranks, δ = 0.3,
+// 8 KiB real payloads, four trials — payload copies and the rank
+// buffers dominate.
+func BenchmarkMeasureReal216(b *testing.B) {
+	g, err := vgraph.ErdosRenyi(216, 0.3, 1_000_003)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMeasure(b, Config{Cluster: topology.Niagara(6, 18), MsgSize: 8 << 10, Trials: 4, Engine: mpirt.EngineEvent}, g)
 }

@@ -120,9 +120,9 @@ func runFTVOnce(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netm
 	var res *collective.FTResult
 	var verdict error
 	var mu sync.Mutex
-	// Buffers are pre-allocated per rank (see rankBuffers) so the timed
-	// region starts at SyncResetTime with no allocation noise.
-	sbufs, rbufs := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
+	// Buffers are cut per rank from one slab (see rankBuffers) so the
+	// timed region starts at SyncResetTime with no allocation noise.
+	sbufs, rbufs, slab := rankBuffers(g, cfg.MsgSize, cfg.Phantom)
 	rc := cfg.runtime()
 	rc.Kills, rc.LinkFaults = kills, faults
 	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
@@ -150,6 +150,7 @@ func runFTVOnce(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netm
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	mpirt.PutSlab(slab)
 	if verdict != nil {
 		return 0, nil, nil, verdict
 	}

@@ -100,8 +100,9 @@ func Measure(cfg Config, op collective.Op) (Result, error) {
 	}
 	ms, rep, err := runMeasurement(cfg, cfg.runtime(), op, cfg.simulated(trials), nil)
 	if err != nil {
-		return Result{}, err
+		return Result{}, err // an aborted run may leave ranks writing to the slab: no PutSlab
 	}
+	mpirt.PutSlab(ms.slab)
 	return result(ms.times, trials, rep), nil
 }
 
@@ -134,13 +135,12 @@ func result(times []float64, trials int, rep *mpirt.Report) Result {
 
 // runMeasurement executes trials of op under rc, cfg's runtime: every
 // rank is a measureLoop, on every driver. on, when non-nil, is what a
-// rank's passes run against in place of its *mpirt.Proc (tests).
+// rank's passes run against in place of its *mpirt.Proc (tests). The
+// returned measurement keeps its slab, so a caller may read its receive
+// buffers before it puts the slab back.
 func runMeasurement(cfg Config, rc mpirt.Config, op collective.Op, trials int, on func(*mpirt.Proc) mpirt.Endpoint) (*measurement, *mpirt.Report, error) {
 	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials), on: on}
-	// Per-rank payload buffers are allocated before the runtime starts
-	// so the measured region (and every trial iteration) does no buffer
-	// allocation work; phantom runs carry nil buffers.
-	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
+	ms.sbufs, ms.rbufs, ms.slab = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
 	loops := make([]measureLoop, op.Graph().N())
 	rep, err := mpirt.RunSteppers(rc, func(p *mpirt.Proc) mpirt.Stepper {
 		l := &loops[p.Rank()]
@@ -168,6 +168,7 @@ type measurement struct {
 	msgSize      int
 	times        []float64 // per trial, written by rank 0
 	sbufs, rbufs [][]byte
+	slab         *mpirt.Slab // what sbufs and rbufs are cut from; nil in phantom mode
 	on           func(*mpirt.Proc) mpirt.Endpoint
 }
 
@@ -215,26 +216,32 @@ func (l *measureLoop) Step(p *mpirt.Proc) bool {
 	return true
 }
 
-// rankBuffers pre-allocates every rank's send and receive buffer with
-// the deterministic byte(r+i) fill. Phantom runs get nil buffers: the
-// runtime moves no payload bytes, so allocating them would only skew
-// the wall clock.
-func rankBuffers(g *vgraph.Graph, msgSize int, phantom bool) (sbufs, rbufs [][]byte) {
+// rankBuffers cuts every rank's send and receive buffer out of one
+// pooled slab before the runtime starts, so no trial does buffer work.
+// The send buffers get the deterministic byte(r+i) fill; the receive
+// buffers keep the slab's stale bytes, since every block a rank receives
+// overwrites its slot on every trial and Measure reads none of them.
+// Phantom runs get nil buffers and no slab: the runtime moves no payload
+// bytes. The caller returns the slab with mpirt.PutSlab once the run is
+// over.
+func rankBuffers(g *vgraph.Graph, msgSize int, phantom bool) (sbufs, rbufs [][]byte, slab *mpirt.Slab) {
 	n := g.N()
 	sbufs = make([][]byte, n)
 	rbufs = make([][]byte, n)
 	if phantom {
-		return sbufs, rbufs
+		return sbufs, rbufs, nil
 	}
+	slab = mpirt.GetSlab((n + g.Edges()) * msgSize)
+	b := slab.B
 	for r := 0; r < n; r++ {
-		sbuf := make([]byte, msgSize)
+		sbuf := b[:msgSize:msgSize]
 		for i := range sbuf {
 			sbuf[i] = byte(r + i)
 		}
-		sbufs[r] = sbuf
-		rbufs[r] = make([]byte, g.InDegree(r)*msgSize)
+		end := msgSize + g.InDegree(r)*msgSize
+		sbufs[r], rbufs[r], b = sbuf, b[msgSize:end:end], b[end:]
 	}
-	return sbufs, rbufs
+	return sbufs, rbufs, slab
 }
 
 func stats(xs []float64) Result {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,50 @@ func TestMeasureRealPayloads(t *testing.T) {
 	}
 	if res.Mean <= 0 {
 		t.Fatal("no time measured")
+	}
+}
+
+// TestMeasureRealReusesRankBuffers: a real-payload Measure cuts its
+// rank buffers from a pooled slab, so a second Measure of the same shape
+// reports the same Result and allocates a small fraction of them (the
+// race detector drops pooled items at random, so there only the Results
+// are compared).
+func TestMeasureRealReusesRankBuffers(t *testing.T) {
+	c := testCluster()
+	g := testGraph(t, c, 0.4)
+	op, err := collective.NewDistanceHalving(g, c.L())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cluster: c, MsgSize: 32 << 10, Trials: 2}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection may empty the pool between the runs
+	first, err := Measure(cfg, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := Measure(cfg, op)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Wall, second.Wall = 0, 0
+	if first != second {
+		t.Fatalf("back-to-back Results differ:\n%+v\n%+v", first, second)
+	}
+	bufBytes := uint64((g.N() + g.Edges()) * cfg.MsgSize)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second Measure allocated %d bytes; its rank buffers are %d", alloc, bufBytes)
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return
+			}
+		}
+	}
+	if alloc >= bufBytes/4 {
+		t.Fatalf("second Measure allocated %d bytes, want < ¼ of its %d rank-buffer bytes", alloc, bufBytes)
 	}
 }
 

@@ -34,7 +34,7 @@ func stripHints(p *mpirt.Proc) mpirt.Endpoint { return unhinted{p} }
 // is compared to.
 func coroutineMeasurement(cfg Config, rc mpirt.Config, op collective.Op, trials int) (*measurement, *mpirt.Report, error) {
 	ms := &measurement{op: op, msgSize: cfg.MsgSize, times: make([]float64, trials)}
-	ms.sbufs, ms.rbufs = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
+	ms.sbufs, ms.rbufs, ms.slab = rankBuffers(op.Graph(), cfg.MsgSize, cfg.Phantom)
 	rep, err := mpirt.Run(rc, func(p *mpirt.Proc) {
 		r := p.Rank()
 		for tr := range ms.times {
@@ -106,12 +106,14 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 							name string
 							on   func(*mpirt.Proc) mpirt.Endpoint
 						}{{"stepped", nil}, {"stepped, unhinted", stripHints}} {
-							got, gotRep, err := runMeasurement(cfg, rc, op, trials, leg.on)
+							got, gotRep, err := runMeasurement(cfg, rc, poisoned{op}, trials, leg.on)
 							if err != nil {
 								t.Fatal(err)
 							}
 							sameMeasurement(t, leg.name, sh, cfg, got, gotRep, want, wantRep)
+							mpirt.PutSlab(got.slab)
 						}
+						mpirt.PutSlab(want.slab)
 					})
 				}
 				if sh.Name == moore32.Name {
@@ -132,7 +134,7 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, gotRep, err := runMeasurement(cfg, chaos(1), op, 2, nil)
+						got, gotRep, err := runMeasurement(cfg, chaos(1), poisoned{op}, 2, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -140,6 +142,8 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 							t.Errorf("schedules differ at decision %d of %d (coroutine %d)", scheds[1].Diverge(scheds[0]), scheds[1].Len(), scheds[0].Len())
 						}
 						sameMeasurement(t, "stepped", sh, cfg, got, gotRep, want, wantRep)
+						mpirt.PutSlab(got.slab)
+						mpirt.PutSlab(want.slab)
 					})
 				}
 			}
@@ -147,9 +151,24 @@ func TestSteppedEqualsCoroutine(t *testing.T) {
 	}
 }
 
+// poisoned is an op whose every pass first scribbles over the rank's
+// receive buffer. The stepped legs run it, so a block one of their
+// passes fails to deliver shows as poison, not as the bytes an earlier
+// pass or measurement left in a recycled slab.
+type poisoned struct{ collective.Op }
+
+func (o poisoned) Begin(ps *collective.Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
+	for i := range rbuf {
+		rbuf[i] = 0xa5
+	}
+	o.Op.Begin(ps, p, sbuf, m, rbuf)
+}
+
 // sameMeasurement fails t unless a stepped measurement (got, leg) equals
 // the coroutine reference (want) — Report, per-trial times and receive
-// buffers — and the reference's critical path tiles its time.
+// buffers — and the reference's critical path tiles its time. The
+// stepped leg ran a poisoned op, so equal buffers mean its every pass
+// delivered every block.
 func sameMeasurement(t *testing.T, leg string, sh conformance.Shape, cfg Config, got *measurement, gotRep *mpirt.Report, want *measurement, wantRep *mpirt.Report) {
 	t.Helper()
 	if sum := pathSum(wantRep.Path); math.Abs(sum-wantRep.Time) > 1e-12 {

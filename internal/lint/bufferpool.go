@@ -7,17 +7,18 @@ import (
 )
 
 // BufferPoolAnalyzer keeps buffer recycling centralized. The runtime's
-// payload pool (internal/mpirt/pool.go) is the module's single
-// sync.Pool site: its ownership contract — an immutable snapshot, its
-// holders counted, Data capacity-capped at Size — is what makes
-// recycling invisible to determinism and to the race detector. An
-// ad-hoc sync.Pool elsewhere reintroduces exactly the aliasing and
-// lifetime hazards that contract rules out, without any analyzer
-// understanding its ownership story. New pooling needs must route
-// through mpirt (or claim a reviewed //lint:ignore bufferpool).
+// pool file (internal/mpirt/pool.go) is the module's single sync.Pool
+// site: its contracts — a payload is an immutable snapshot, its holders
+// counted, Data capacity-capped at Size; a rank-buffer slab's contents
+// are stale, written before they are read — are what make recycling
+// invisible to determinism and to the race detector. An ad-hoc
+// sync.Pool elsewhere reintroduces exactly the aliasing and lifetime
+// hazards those contracts rule out, without any analyzer understanding
+// its ownership story. New pooling needs must route through mpirt (or
+// claim a reviewed //lint:ignore bufferpool).
 var BufferPoolAnalyzer = &Analyzer{
 	Name: "bufferpool",
-	Doc:  "flags sync.Pool use outside the runtime's payload pool (internal/mpirt/pool.go)",
+	Doc:  "flags sync.Pool use outside the runtime's pools (internal/mpirt/pool.go: payload buffers, Msg containers, rank-buffer slabs)",
 	Run:  runBufferPool,
 }
 

@@ -13,7 +13,7 @@
 //   - vtclean: virtual-time packages never consult the host clock;
 //   - deadlockshape: no rank-conditional Send/Recv ordering, self-send
 //     or one-sided collective in a hand-written rank body;
-//   - bufferpool: sync.Pool lives only in the runtime's payload pool;
+//   - bufferpool: sync.Pool lives only in the runtime's pool file;
 //   - allocdiscipline, enginesafe: nothing reachable from a
 //     //lint:hotpath function allocates, nothing reachable from
 //     event-engine rank code blocks the host.

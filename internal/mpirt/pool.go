@@ -8,13 +8,17 @@ import (
 
 // This file is the runtime's only memory pool (enforced by the
 // nbr-lint bufferpool analyzer: sync.Pool must not appear anywhere
-// else in the module). Two pools back the point-to-point hot path:
+// else in the module). Two pools back the point-to-point hot path, and
+// a third the buffers a run's caller hands its ranks:
 //
 //   - payload buffers, size-classed in powers of two, so the eager
 //     snapshot every send takes stops allocating once traffic reaches
 //     steady state;
 //   - Msg containers, recycled on the plain drivers the moment Recv hands
-//     the caller its value copy.
+//     the caller its value copy;
+//   - byte slabs (GetSlab), which a real-payload measurement cuts every
+//     rank's send and receive buffer from, so back-to-back measurements
+//     neither allocate nor zero them again.
 //
 // Ownership contract (DESIGN.md §9): a pooled payload is an immutable
 // snapshot with a count of holders — the sender's Snapshot handle and
@@ -113,3 +117,30 @@ func (m *Msg) Release() {
 // copy. Chaos mode bypasses it — duplicated in-flight copies share
 // one *Msg whose lifetime the scheduler, not the receiver, ends.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
+
+// slabPool recycles the byte slabs of GetSlab and PutSlab.
+var slabPool sync.Pool
+
+// Slab is a pooled byte slab. Its contents are stale: B holds whatever
+// the slab's previous user left there, so a user writes every byte
+// before it reads it.
+type Slab struct{ B []byte }
+
+// GetSlab returns a slab of n bytes, recycled when the pool holds one
+// at least that large; a smaller one is left to the collector.
+func GetSlab(n int) *Slab {
+	s, _ := slabPool.Get().(*Slab)
+	if s == nil || cap(s.B) < n {
+		s = &Slab{B: make([]byte, n)}
+	}
+	s.B = s.B[:n]
+	return s
+}
+
+// PutSlab returns s to the pool (nil: a no-op). Nothing cut from s may
+// be used afterwards.
+func PutSlab(s *Slab) {
+	if s != nil {
+		slabPool.Put(s)
+	}
+}

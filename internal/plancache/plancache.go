@@ -116,23 +116,6 @@ func HashWords(ws ...uint64) uint64 {
 	return h
 }
 
-// HashInts fingerprints an int slice (length-prefixed, so [1],[ ] and
-// [ ],[1] differ). A nil slice hashes to 0, distinguishing "absent"
-// from "empty".
-func HashInts(xs []int) uint64 {
-	if xs == nil {
-		return 0
-	}
-	h := (fnvOffset ^ uint64(len(xs))) * fnvPrime
-	for _, x := range xs {
-		h = (h ^ uint64(uint(x))) * fnvPrime
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 // Builder produces the artifact for a missing key, returning the value
 // and its estimated resident cost in bytes.
 type Builder func() (val any, cost int64, err error)
@@ -307,18 +290,6 @@ func (c *Cache) Get(k Key) (any, bool) {
 	v := e.val
 	c.mu.Unlock()
 	return v, true
-}
-
-// Peek returns the cached artifact without touching the LRU or the
-// counters (diagnostics only).
-func (c *Cache) Peek(k Key) (any, bool) {
-	h := k.digest()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.find(h, k); e != nil {
-		return e.val, true
-	}
-	return nil, false
 }
 
 // GetOrBuild returns the artifact for k, coalescing concurrent misses

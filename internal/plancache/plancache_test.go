@@ -15,6 +15,18 @@ func key(i int) Key {
 	return Key{Topo: uint64(i) * 31, Graph: uint64(i), Algo: "t", Param: i}
 }
 
+// peek reports whether k is resident, returning its artifact, without
+// touching the LRU or the counters.
+func (c *Cache) peek(k Key) (any, bool) {
+	h := k.digest()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.find(h, k); e != nil {
+		return e.val, true
+	}
+	return nil, false
+}
+
 func TestGetMissThenHit(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
 	k := key(1)
@@ -126,7 +138,7 @@ func TestZipfHotKeysSurvive(t *testing.T) {
 		_, _ = c.GetOrBuild(k, func() (any, int64, error) { return i, cost, nil })
 	}
 	for hot := 0; hot < 3; hot++ {
-		if _, ok := c.Peek(key(hot)); !ok {
+		if _, ok := c.peek(key(hot)); !ok {
 			t.Errorf("hot key %d evicted; stats %+v", hot, c.Stats())
 		}
 	}
@@ -204,7 +216,7 @@ func TestOnInsertHook(t *testing.T) {
 	if _, err := c.GetOrBuild(key(13), func() (any, int64, error) { return 1, 8, nil }); !errors.Is(err, reject) {
 		t.Fatalf("err = %v, want rejection", err)
 	}
-	if _, ok := c.Peek(key(13)); ok {
+	if _, ok := c.peek(key(13)); ok {
 		t.Fatal("rejected artifact was cached")
 	}
 	if _, err := c.GetOrBuild(key(1), func() (any, int64, error) { return 1, 8, nil }); err != nil {
@@ -241,7 +253,7 @@ func TestTooBigBypassesCache(t *testing.T) {
 	if err != nil || v != "huge" {
 		t.Fatalf("got %v, %v", v, err)
 	}
-	if _, ok := c.Peek(key(1)); ok {
+	if _, ok := c.peek(key(1)); ok {
 		t.Fatal("over-budget artifact was cached")
 	}
 	if c.Stats().TooBig != 1 {
@@ -282,11 +294,11 @@ func TestLRUOrder(t *testing.T) {
 	if _, err := c.GetOrBuild(key(3), func() (any, int64, error) { return 3, 1, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Peek(key(2)); ok {
+	if _, ok := c.peek(key(2)); ok {
 		t.Fatal("LRU victim (key 2) survived")
 	}
 	for _, i := range []int{1, 3} {
-		if _, ok := c.Peek(key(i)); !ok {
+		if _, ok := c.peek(key(i)); !ok {
 			t.Fatalf("key %d evicted, want resident", i)
 		}
 	}
@@ -317,7 +329,7 @@ func TestInsertGateScanResistance(t *testing.T) {
 		}
 	}
 	for i := 0; i < capacity; i++ {
-		if _, ok := c.Peek(key(i)); !ok {
+		if _, ok := c.peek(key(i)); !ok {
 			t.Errorf("hot key %d flushed by the one-off burst", i)
 		}
 	}
@@ -353,8 +365,8 @@ func TestInsertGateDeterminism(t *testing.T) {
 		t.Fatalf("stats %+v: the sequence never exercised the gate", a)
 	}
 	for i := 0; i < population; i++ {
-		_, inA := caches[0].Peek(key(i))
-		_, inB := caches[1].Peek(key(i))
+		_, inA := caches[0].peek(key(i))
+		_, inB := caches[1].peek(key(i))
 		if inA != inB {
 			t.Fatalf("key %d resident in one cache only (%v, %v)", i, inA, inB)
 		}
@@ -382,7 +394,7 @@ func TestInsertGateRefusal(t *testing.T) {
 	if n := hooks.Load(); n != 1 {
 		t.Fatalf("OnInsert ran %d times for one refused build, want 1", n)
 	}
-	if _, ok := c.Peek(k); ok {
+	if _, ok := c.peek(k); ok {
 		t.Fatalf("refused artifact of %v was cached", k)
 	}
 	if st := c.Stats(); st.Rejected != 1 || st.Inserts != 2 || st.Entries != 2 {
@@ -392,7 +404,7 @@ func TestInsertGateRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{false, true, true} {
-		if _, ok := c.Peek(key(i + 1)); ok != want {
+		if _, ok := c.peek(key(i + 1)); ok != want {
 			t.Fatalf("after the tie, key %d resident = %v, want %v; stats %+v", i+1, ok, want, c.Stats())
 		}
 	}
@@ -409,7 +421,7 @@ func TestInsertGateRemembersEvicted(t *testing.T) {
 		if _, err := c.GetOrBuild(key(i), unit); err != nil {
 			t.Fatal(err)
 		}
-		_, ok := c.Peek(key(i))
+		_, ok := c.peek(key(i))
 		return ok
 	}
 	for j := 0; j < 10; j++ {
@@ -449,7 +461,7 @@ func TestInsertGateForgets(t *testing.T) {
 			if _, err := c.GetOrBuild(key(i), unit); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.Peek(key(i)); ok {
+			if _, ok := c.peek(key(i)); ok {
 				resident++
 			}
 		}
@@ -556,18 +568,6 @@ func TestSizeClass(t *testing.T) {
 		if got := SizeClass(tc.bytes); got != tc.class {
 			t.Errorf("SizeClass(%d) = %d, want %d", tc.bytes, got, tc.class)
 		}
-	}
-}
-
-func TestHashInts(t *testing.T) {
-	if HashInts(nil) != 0 {
-		t.Error("nil must hash to 0")
-	}
-	if HashInts([]int{}) == 0 {
-		t.Error("empty must hash nonzero (distinct from nil)")
-	}
-	if HashInts([]int{1, 2}) == HashInts([]int{2, 1}) {
-		t.Error("order must matter")
 	}
 }
 
