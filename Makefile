@@ -132,11 +132,14 @@ perf-smoke:
 
 # Non-test Go lines per package and in total (testdata fixtures are
 # not product code: the rows sum to the total), so "net LOC went down"
-# is a command.
+# is a command. Fails when the total exceeds the ceiling below: a change
+# that grows the code raises that number in its own diff.
 loc:
 	@for d in internal/* cmd/*; do printf '%6d %s\n' \
 		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done; \
-	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
+	t=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
+	printf '%6d total\n' $$t; \
+	test $$t -le 20988 || { echo "loc: $$t lines exceed the ceiling of 20988"; exit 1; }
 
 # Regenerate results/medium/ (~35 s on two vCPUs): Fig. 4 at the three
 # Fig. 5 communicator sizes, then every other medium-scale file.

@@ -359,7 +359,7 @@ func BenchmarkExtAllgatherv(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name string
-		op   nbr.VOp
+		op   nbr.Op
 	}{{"naive", nbr.NewNaive(g)}, {"dh", dh}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -99,8 +99,8 @@ func degradationScenarios(c topology.Cluster, seed int64) ([]degScenario, error)
 
 // allOps builds every algorithm of the table over g with CN share-group
 // size cnK: the set the recovery and degradation tables measure.
-func allOps(g *vgraph.Graph, c topology.Cluster, cnK int) ([]collective.VOp, error) {
-	var ops []collective.VOp
+func allOps(g *vgraph.Graph, c topology.Cluster, cnK int) ([]collective.Op, error) {
+	var ops []collective.Op
 	for _, algo := range collective.Algos() {
 		op, err := collective.New(algo, g, c, collective.PlanParams{CNGroup: cnK}, nil)
 		if err != nil {
@@ -166,7 +166,7 @@ func degradation(w io.Writer, o *opts) error {
 	}
 	type job struct {
 		sc degScenario
-		op collective.VOp
+		op collective.Op
 	}
 	var jobs []job
 	for _, sc := range scenarios {

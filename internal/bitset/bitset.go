@@ -128,25 +128,6 @@ func (s *Set) Elems(dst []int) []int {
 	return dst
 }
 
-// ElemsRange appends the elements of s ∩ [lo, hi) in ascending order.
-func (s *Set) ElemsRange(dst []int, lo, hi int) []int {
-	lo, hi = s.clamp(lo, hi)
-	if lo >= hi {
-		return dst
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	for i := loW; i <= hiW; i++ {
-		w := s.words[i] & rangeMask(i, lo, hi)
-		base := i << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, base+b)
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
 func (s *Set) clamp(lo, hi int) (int, int) {
 	if lo < 0 {
 		lo = 0

@@ -8,18 +8,6 @@ import (
 	"nbrallgather/internal/vgraph"
 )
 
-// VOp is a neighborhood allgatherv implementation: like Op, but every
-// rank contributes counts[rank] bytes (the MPI_Neighbor_allgatherv
-// shape). counts is identical on all ranks, as MPI's recvcounts
-// argument makes receive sizes known everywhere. The receive buffer is
-// the concatenation of incoming neighbors' payloads in ascending rank
-// order, each at its own size. All four algorithms in this package
-// implement VOp; their uniform Run is RunV with memoised uniform counts.
-type VOp interface {
-	Op
-	RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte)
-}
-
 // checkCounts validates caller-supplied counts, the O(n) half of the
 // RunV contract. The uniform Run skips it (n² per collective): its
 // counts are the op's own n copies of an m checkUniform found positive.
@@ -106,7 +94,7 @@ func (c *ucCache) get(n, m int) []int {
 
 // uniformFor returns the counts of op's uniform allgather with message
 // size m: the op's memoised shared slice when it keeps one.
-func uniformFor(op VOp, m int) []int {
+func uniformFor(op Op, m int) []int {
 	if u, ok := op.(interface{ uniform(m int) []int }); ok {
 		return u.uniform(m)
 	}

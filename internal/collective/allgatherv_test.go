@@ -45,7 +45,7 @@ func expectedRbufV(g *vgraph.Graph, r int, counts []int) []byte {
 	return out
 }
 
-func runAndCheckV(t *testing.T, c topology.Cluster, g *vgraph.Graph, op VOp, counts []int) {
+func runAndCheckV(t *testing.T, c topology.Cluster, g *vgraph.Graph, op Op, counts []int) {
 	t.Helper()
 	_, err := mpirt.Run(mpirt.Config{Cluster: c, Ranks: g.N()}, func(p *mpirt.Proc) {
 		r := p.Rank()
@@ -63,7 +63,7 @@ func runAndCheckV(t *testing.T, c topology.Cluster, g *vgraph.Graph, op VOp, cou
 	}
 }
 
-func vOps(t *testing.T, g *vgraph.Graph, l int) []VOp {
+func vOps(t *testing.T, g *vgraph.Graph, l int) []Op {
 	t.Helper()
 	dh, err := NewDistanceHalving(g, l)
 	if err != nil {
@@ -77,7 +77,7 @@ func vOps(t *testing.T, g *vgraph.Graph, l int) []VOp {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []VOp{NewNaive(g), dh, cn, cnAff}
+	return []Op{NewNaive(g), dh, cn, cnAff}
 }
 
 func TestAllgathervCorrect(t *testing.T) {

@@ -29,14 +29,18 @@ import (
 //   - the remainder phase's FinalSends/FinalRecvs/SelfCopies sets apply
 //     verbatim, with per-edge payloads substituted for source payloads.
 
-// AOp is a neighborhood alltoall implementation. sbuf holds
+// AOp is a neighborhood alltoall implementation. For RunA, sbuf holds
 // outdegree·m bytes: segment i is addressed to Out(rank)[i]. rbuf
-// receives indegree·m bytes: segment j comes from In(rank)[j]. In
-// phantom mode the buffers are ignored.
+// receives indegree·m bytes: segment j comes from In(rank)[j]. RunAV
+// is the alltoallv form: sbuf concatenates the segments addressed to
+// Out(rank) in ascending neighbor order with per-edge sizes; rbuf
+// receives In(rank)'s segments likewise. In phantom mode the buffers
+// are ignored.
 type AOp interface {
 	Name() string
 	Graph() *vgraph.Graph
 	RunA(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte)
+	RunAV(p mpirt.Endpoint, sbuf []byte, counts CountFunc, rbuf []byte)
 }
 
 // CountFunc gives the payload size in bytes of the alltoallv segment
@@ -50,14 +54,6 @@ func UniformCount(m int) CountFunc {
 	return func(int, int) int { return m }
 }
 
-// AVOp is a neighborhood alltoallv implementation. sbuf concatenates
-// the segments addressed to Out(rank) in ascending neighbor order with
-// per-edge sizes; rbuf receives In(rank)'s segments likewise.
-type AVOp interface {
-	AOp
-	RunAV(p mpirt.Endpoint, sbuf []byte, counts CountFunc, rbuf []byte)
-}
-
 // Alltoall is the alltoall form of a row of the algorithm table bound
 // to a virtual topology.
 type Alltoall struct{ bound }
@@ -68,7 +64,7 @@ func (a *Alltoall) RunA(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) {
 	a.plan.run(p, sbuf, a.uniform(m), rbuf)
 }
 
-// RunAV implements AVOp.
+// RunAV implements AOp.
 func (a *Alltoall) RunAV(p mpirt.Endpoint, sbuf []byte, counts CountFunc, rbuf []byte) {
 	a.plan.run(p, sbuf, EdgeCounts(a.plan.Graph, counts), rbuf)
 }
@@ -121,12 +117,6 @@ func NewNaiveAlltoall(g *vgraph.Graph) *Alltoall {
 // threshold l) and binds the alltoall that relays through its agents.
 func NewDistanceHalvingAlltoall(g *vgraph.Graph, l int) (*Alltoall, error) {
 	return NewAlltoall("dh", g, topology.Cluster{}, PlanParams{L: l})
-}
-
-// NewDistanceHalvingAlltoallFromPattern binds the alltoall to an
-// existing pattern.
-func NewDistanceHalvingAlltoallFromPattern(pat *pattern.Pattern) *Alltoall {
-	return &Alltoall{bound{name: "distance-halving-alltoall", plan: emitDHAlltoall(pat), pat: pat}}
 }
 
 // emitDHAlltoall replays the pattern's per-edge responsibility movement

@@ -213,7 +213,7 @@ func TestAlltoallvCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range []AVOp{NewNaiveAlltoall(g), dh} {
+		for _, op := range []AOp{NewNaiveAlltoall(g), dh} {
 			t.Run(fmt.Sprintf("%s/d=%v", op.Name(), delta), func(t *testing.T) {
 				_, err := mpirt.Run(mpirt.Config{Cluster: c, Ranks: g.N()}, func(p *mpirt.Proc) {
 					r := p.Rank()

@@ -15,7 +15,7 @@ import (
 // checks every rank's receive buffer; sbuf/want are derived from the
 // edge pattern. Returns an error instead of failing so quick.Check can
 // report the shrunken input.
-func runAVAndVerify(c topology.Cluster, g *vgraph.Graph, op AVOp, counts CountFunc) error {
+func runAVAndVerify(c topology.Cluster, g *vgraph.Graph, op AOp, counts CountFunc) error {
 	_, err := mpirt.Run(mpirt.Config{Cluster: c, Ranks: g.N()}, func(p *mpirt.Proc) {
 		r := p.Rank()
 		var sbuf []byte
@@ -73,7 +73,7 @@ func TestAlltoallvQuickProperty(t *testing.T) {
 			t.Logf("DH build n=%d: %v", n, err)
 			return false
 		}
-		for _, op := range []AVOp{NewNaiveAlltoall(g), dh} {
+		for _, op := range []AOp{NewNaiveAlltoall(g), dh} {
 			if err := runAVAndVerify(c, g, op, counts); err != nil {
 				t.Logf("%s n=%d edges=%#x off=%d: %v", op.Name(), n, edgeBits, countOff, err)
 				return false
@@ -96,7 +96,7 @@ func TestAlltoallvAllZeroCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []AVOp{NewNaiveAlltoall(g), dh} {
+	for _, op := range []AOp{NewNaiveAlltoall(g), dh} {
 		if err := runAVAndVerify(c, g, op, UniformCount(0)); err != nil {
 			t.Fatalf("%s with all-zero counts: %v", op.Name(), err)
 		}
@@ -115,7 +115,7 @@ func TestAlltoallvSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []AVOp{NewNaiveAlltoall(g), dh} {
+	for _, op := range []AOp{NewNaiveAlltoall(g), dh} {
 		if err := runAVAndVerify(c, g, op, UniformCount(5)); err != nil {
 			t.Fatalf("%s on single-rank communicator: %v", op.Name(), err)
 		}

@@ -202,7 +202,7 @@ func BenchmarkBuildCN(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildCN(g, 4); err != nil {
+		if _, err := BuildCNAvoiding(g, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,9 +236,11 @@ func rsg540Plans(tb testing.TB) []*Plan {
 	}
 	plans := make([]*Plan, len(rsg540Algos))
 	for i, algo := range rsg540Algos {
-		if plans[i], err = Emit(algo, g, topology.Niagara(15, 18), PlanParams{}, nil); err != nil {
+		op, err := New(algo, g, topology.Niagara(15, 18), PlanParams{}, nil)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		plans[i] = op.Plan()
 	}
 	return plans
 }

@@ -33,26 +33,20 @@ type CNPattern struct {
 	NegRounds [][][]int
 }
 
-// BuildCN constructs the Common Neighbor pattern: ranks form
+// BuildCNAvoiding constructs the Common Neighbor pattern: ranks form
 // consecutive groups of K (consecutive ranks share sockets under dense
 // placement, so group sharing is cheap), each group's members exchange
 // payloads, and every common outgoing neighbor of the group receives
 // one combined message from a delegate chosen round-robin among the
-// members that list it as their own neighbor.
-func BuildCN(g *vgraph.Graph, k int) (*CNPattern, error) {
-	return BuildCNAvoiding(g, k, nil)
-}
-
-// BuildCNAvoiding constructs the Common Neighbor pattern while keeping
-// avoided ranks out of every relay role — the link-aware repair path.
-// An avoided rank (port or node-NIC fault) forms a singleton group: it
-// neither shares its payload across the group (the share exchange may
-// cross its wounded resource) nor delegates for anyone else, so its
-// only sends are its own direct graph edges, which the repair layer
-// has already checked for feasibility. The remaining ranks form
-// consecutive groups of K among themselves, and delegate rotation
-// prefers unimpaired contributors. A nil avoid slice is the
-// unrestricted builder.
+// members that list it as their own neighbor. A non-nil avoid set
+// keeps avoided ranks out of every relay role — the link-aware repair
+// path. An avoided rank (port or node-NIC fault) forms a singleton
+// group: it neither shares its payload across the group (the share
+// exchange may cross its wounded resource) nor delegates for anyone
+// else, so its only sends are its own direct graph edges, which the
+// repair layer has already checked for feasibility. The remaining
+// ranks form consecutive groups of K among themselves, and delegate
+// rotation prefers unimpaired contributors.
 func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("collective: common-neighbor group size %d must be positive", k)

@@ -40,12 +40,17 @@ import (
 // neighbor rank (MPI's buffer layout). In phantom mode sbuf and rbuf
 // are ignored and may be nil. Begin is Run for a rank the event loop
 // steps (mpirt.Stepper): it resets ps to the same pass, for the caller
-// to Step.
+// to Step. RunV is the allgatherv form (MPI_Neighbor_allgatherv): every
+// rank contributes counts[rank] bytes, counts is identical on all ranks
+// (MPI's recvcounts), and rbuf concatenates the incoming neighbors'
+// payloads in ascending rank order, each at its own size. Run is RunV
+// with memoised uniform counts.
 type Op interface {
 	Name() string
 	Graph() *vgraph.Graph
 	Run(p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte)
 	Begin(ps *Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte)
+	RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte)
 }
 
 // checkUniform validates the uniform Run contract before delegating to
@@ -102,7 +107,7 @@ func (a *Allgather) Begin(ps *Pass, p mpirt.Endpoint, sbuf []byte, m int, rbuf [
 	ps.Reset(a.plan, p, sbuf, a.uniform(m), rbuf)
 }
 
-// RunV implements VOp.
+// RunV implements Op.
 func (a *Allgather) RunV(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) {
 	checkCounts(a.plan.Graph, counts)
 	a.plan.run(p, sbuf, counts, rbuf)
@@ -158,7 +163,7 @@ func NewDistanceHalvingFromPattern(pat *pattern.Pattern) *Allgather {
 }
 
 // NewCommonNeighbor builds the message-combining baseline (see
-// BuildCN, emitCN) for group size k and binds the collective to it.
+// BuildCNAvoiding, emitCN) for group size k and binds the collective to it.
 func NewCommonNeighbor(g *vgraph.Graph, k int) (*Allgather, error) {
 	return row("cn").bind(planReq{g: g, prm: PlanParams{CNGroup: k}})
 }

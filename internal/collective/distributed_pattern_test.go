@@ -71,7 +71,7 @@ func TestAlltoallFromDistributedPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runAndCheckA(t, c, g, NewDistanceHalvingAlltoallFromPattern(pat), 12)
+	runAndCheckA(t, c, g, &Alltoall{bound{name: "distance-halving-alltoall", plan: emitDHAlltoall(pat), pat: pat}}, 12)
 }
 
 // TestDHPhaseBreakdown counts a Distance Halving plan's sends per phase

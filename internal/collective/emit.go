@@ -55,7 +55,7 @@ type planReq struct {
 type emitFunc func(planReq) (*Plan, *pattern.Pattern, error)
 
 // algorithm is one row of the algorithm table: everything that differs
-// between two algorithms. Emit, New, PlanKey, BuildPlan, Algos and the
+// between two algorithms. New, PlanKey, BuildPlan, Algos and the
 // repair path (ft.go) all read it, so a new algorithm is one row.
 type algorithm struct {
 	// name is what requests, conformance cases and cache keys call it.
@@ -174,18 +174,6 @@ func Algos() []string {
 
 // HasAlltoall reports whether the named algorithm has an alltoall form.
 func HasAlltoall(name string) bool { a := row(name); return a != nil && a.alltoall != nil }
-
-// Emit negotiates algo over g (mapped rank for rank onto c) and emits
-// its plan. A non-nil avoid set selects the link-aware repair
-// builders.
-func Emit(algo string, g *vgraph.Graph, c topology.Cluster, prm PlanParams, avoid []bool) (*Plan, error) {
-	a, err := lookup(algo)
-	if err != nil {
-		return nil, err
-	}
-	pl, _, err := a.emit(request(g, c, prm, avoid))
-	return pl, err
-}
 
 // emitNaive: post a receive per in-neighbor, send every out-neighbor
 // the block that lands there — the own block, or in the alltoall layout

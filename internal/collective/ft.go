@@ -91,7 +91,7 @@ func attemptFT(f func()) (err error) {
 // projected graph. The detection, revoke, agreement and re-run costs
 // all land on the virtual clocks, so recovery overhead is measurable
 // in the Report.
-func RunFTV(p *mpirt.Proc, op VOp, sbuf []byte, counts []int, rbuf []byte) (*FTResult, error) {
+func RunFTV(p *mpirt.Proc, op Op, sbuf []byte, counts []int, rbuf []byte) (*FTResult, error) {
 	g := op.Graph()
 	if len(counts) != g.N() {
 		panic(fmt.Sprintf("collective: got %d counts for %d ranks", len(counts), g.N()))
@@ -134,9 +134,9 @@ func RunFTV(p *mpirt.Proc, op VOp, sbuf []byte, counts []int, rbuf []byte) (*FTR
 		// are feasible — fall back to naive over exactly those edges.
 		degraded := model.HasLinkFaults() && sameRanks(alive, lastAlive)
 		lastAlive = alive
-		op2 := VOp(NewNaive(g2))
+		op2 := Op(NewNaive(g2))
 		if rb, ok := op.(interface {
-			rebuild(*vgraph.Graph, []int, []bool) VOp
+			rebuild(*vgraph.Graph, []int, []bool) Op
 		}); ok && !degraded {
 			op2 = rb.rebuild(g2, alive, linkAvoidSet(model, alive))
 		}
@@ -205,7 +205,7 @@ func identityComm(n int) *mpirt.Comm {
 // identical plans. If the row cannot be re-emitted, the collective
 // degrades to naive over the shrunken communicator — always
 // well-defined.
-func (a *Allgather) rebuild(g2 *vgraph.Graph, alive []int, avoid []bool) VOp {
+func (a *Allgather) rebuild(g2 *vgraph.Graph, alive []int, avoid []bool) Op {
 	q := planReq{g: g2, c: a.req.c, prm: a.req.prm, place: make([]int, len(alive)), avoid: avoid}
 	q.prm.CNGroup = min(q.prm.CNGroup, g2.N())
 	q.prm.Leaders = min(q.prm.Leaders, q.c.RanksPerNode())

@@ -19,7 +19,7 @@ func ftCluster() topology.Cluster {
 }
 
 // ftOps builds one instance of each self-healing algorithm over g.
-func ftOps(t *testing.T, g *vgraph.Graph, c topology.Cluster) []VOp {
+func ftOps(t *testing.T, g *vgraph.Graph, c topology.Cluster) []Op {
 	t.Helper()
 	dh, err := NewDistanceHalving(g, c.RanksPerSocket)
 	if err != nil {
@@ -33,13 +33,13 @@ func ftOps(t *testing.T, g *vgraph.Graph, c topology.Cluster) []VOp {
 	if err != nil {
 		t.Fatalf("leader-based: %v", err)
 	}
-	return []VOp{NewNaive(g), dh, cn, lb}
+	return []Op{NewNaive(g), dh, cn, lb}
 }
 
 // runFTCase executes RunFTV with uniform counts under injected kills and
 // returns the per-rank results (nil for dead ranks) plus the runtime
 // report.
-func runFTCase(t *testing.T, op VOp, c topology.Cluster, kills []mpirt.Kill, chaos *mpirt.Chaos) ([]*FTResult, *mpirt.Report) {
+func runFTCase(t *testing.T, op Op, c topology.Cluster, kills []mpirt.Kill, chaos *mpirt.Chaos) ([]*FTResult, *mpirt.Report) {
 	t.Helper()
 	g := op.Graph()
 	n := g.N()
@@ -72,7 +72,7 @@ func runFTCase(t *testing.T, op VOp, c topology.Cluster, kills []mpirt.Kill, cha
 // returned must report the identical outcome and hold bitwise-correct
 // buffers for the survivor-projected graph. It returns true when the
 // recovery path was exercised.
-func checkFTResults(t *testing.T, op VOp, results []*FTResult, kills []mpirt.Kill) bool {
+func checkFTResults(t *testing.T, op Op, results []*FTResult, kills []mpirt.Kill) bool {
 	t.Helper()
 	g := op.Graph()
 	killed := map[int]bool{}

@@ -14,7 +14,7 @@ import (
 // iterative stencil and solver loops that dominate neighborhood
 // collective usage.
 type Persistent struct {
-	op     VOp
+	op     Op
 	p      mpirt.Endpoint
 	sbuf   []byte
 	counts []int
@@ -26,7 +26,7 @@ type Persistent struct {
 // calling rank. The same buffers are reused by every Start; callers
 // update sbuf in place between iterations, exactly as MPI persistent
 // semantics prescribe.
-func AllgatherInit(op VOp, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) (*Persistent, error) {
+func AllgatherInit(op Op, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) (*Persistent, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("collective: message size %d must be positive", m)
 	}
@@ -38,7 +38,7 @@ func AllgatherInit(op VOp, p mpirt.Endpoint, sbuf []byte, m int, rbuf []byte) (*
 
 // AllgathervInit binds a persistent neighborhood allgatherv. counts is
 // captured by reference and must not change between Starts.
-func AllgathervInit(op VOp, p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) (*Persistent, error) {
+func AllgathervInit(op Op, p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []byte) (*Persistent, error) {
 	if len(counts) != op.Graph().N() {
 		return nil, fmt.Errorf("collective: %d counts for %d ranks", len(counts), op.Graph().N())
 	}

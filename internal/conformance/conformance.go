@@ -385,9 +385,9 @@ func at(b []byte, i int) int {
 	return -1
 }
 
-// buildVOp constructs the allgather-family operation for a case, with
+// buildOp constructs the allgather-family operation for a case, with
 // the conformance-suite parameters.
-func buildVOp(c Case) (collective.VOp, *pattern.Pattern, error) {
+func buildOp(c Case) (collective.Op, *pattern.Pattern, error) {
 	op, err := collective.New(c.Algo, c.Graph, c.Cluster, collective.PlanParams{}, nil)
 	if err != nil {
 		return nil, nil, err
@@ -395,8 +395,8 @@ func buildVOp(c Case) (collective.VOp, *pattern.Pattern, error) {
 	return op, op.Pattern(), nil
 }
 
-// buildAVOp constructs the alltoall-family operation for a case.
-func buildAVOp(c Case) (collective.AVOp, *pattern.Pattern, error) {
+// buildAOp constructs the alltoall-family operation for a case.
+func buildAOp(c Case) (collective.AOp, *pattern.Pattern, error) {
 	op, err := collective.NewAlltoall(c.Algo, c.Graph, c.Cluster, collective.PlanParams{})
 	if err != nil {
 		return nil, nil, err
@@ -413,7 +413,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 
 	switch c.Coll {
 	case CollAllgather:
-		op, pt, err := buildVOp(c)
+		op, pt, err := buildOp(c)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +427,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			checkBuf("allgather rbuf", r, rbuf, expectedGatherv(g, r, uniform(g.N(), c.M)))
 		}
 	case CollAllgatherv:
-		op, pt, err := buildVOp(c)
+		op, pt, err := buildOp(c)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +443,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			checkBuf("allgatherv rbuf", r, rbuf, want)
 		}
 	case CollAlltoall:
-		op, pt, err := buildAVOp(c)
+		op, pt, err := buildAOp(c)
 		if err != nil {
 			return nil, err
 		}
@@ -458,7 +458,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			checkBuf("alltoall rbuf", r, rbuf, want)
 		}
 	case CollAlltoallv:
-		op, pt, err := buildAVOp(c)
+		op, pt, err := buildAOp(c)
 		if err != nil {
 			return nil, err
 		}
@@ -473,7 +473,7 @@ func caseBody(c Case) (func(*mpirt.Proc), error) {
 			checkBuf("alltoallv rbuf", r, rbuf, want)
 		}
 	case CollPersistent:
-		op, pt, err := buildVOp(c)
+		op, pt, err := buildOp(c)
 		if err != nil {
 			return nil, err
 		}

@@ -394,7 +394,7 @@ func firstAgent(b Case) int {
 
 // Run executes the case (see Runner) under the schedule seed derives.
 func (c FaultCase) Run(eng mpirt.Engine, seed int64, chaos *mpirt.Chaos) (*mpirt.Report, error) {
-	op, _, err := buildVOp(c.Base)
+	op, _, err := buildOp(c.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +440,7 @@ type ftOutcome struct {
 
 // runFT drives the self-healing path and records every returning
 // rank's outcome for check.
-func runFT(b Case, cfg mpirt.Config, op collective.VOp) ([]ftOutcome, *mpirt.Report, error) {
+func runFT(b Case, cfg mpirt.Config, op collective.Op) ([]ftOutcome, *mpirt.Report, error) {
 	counts := ragged(b.Graph.N(), b.M)
 	outcomes := make([]ftOutcome, b.Graph.N())
 	var mu sync.Mutex
@@ -559,7 +559,7 @@ func (c FaultCase) check(outcomes []ftOutcome, killed map[int]bool, linkFaults b
 // path the fabric's final state blocks — and revokes so peers blocked
 // on it cannot starve, or observes a peer's revocation. The run must
 // never deadlock or abort.
-func runRaw(b Case, cfg mpirt.Config, op collective.VOp, killed map[int]bool) (*mpirt.Report, error) {
+func runRaw(b Case, cfg mpirt.Config, op collective.Op, killed map[int]bool) (*mpirt.Report, error) {
 	counts := ragged(b.Graph.N(), b.M)
 	var mu sync.Mutex
 	var violations []string

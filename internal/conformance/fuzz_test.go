@@ -77,7 +77,7 @@ func sameRun(what string, want, got *mpirt.Report, errW, errG error) error {
 // every slot hint stripped, and returns any difference in outcome or in
 // the report.
 func steppedEqual(c Case) error {
-	op, _, err := buildVOp(c)
+	op, _, err := buildOp(c)
 	if err != nil {
 		return nil // rejected input: Diff has reported it the same way
 	}

@@ -53,7 +53,7 @@ type FaultResult struct {
 // survive. The link faults must leave the fabric satisfiable for op's
 // graph: an unresolvable partition surfaces the repair layer's
 // PartitionError as this function's error.
-func MeasureFault(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netmodel.LinkFault) (FaultResult, error) {
+func MeasureFault(cfg Config, op collective.Op, kills []mpirt.Kill, faults []netmodel.LinkFault) (FaultResult, error) {
 	g := op.Graph()
 	if g.N() != cfg.Cluster.Ranks() {
 		return FaultResult{}, fmt.Errorf("harness: graph has %d ranks, cluster %d", g.N(), cfg.Cluster.Ranks())
@@ -110,7 +110,7 @@ func MeasureFault(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []ne
 // and recovery outcome. A deterministic repair-layer verdict (the
 // identical PartitionError every rank returns) is propagated as the
 // run's error; any other per-rank failure aborts.
-func runFTVOnce(cfg Config, op collective.VOp, kills []mpirt.Kill, faults []netmodel.LinkFault) (float64, *collective.FTResult, *mpirt.Report, error) {
+func runFTVOnce(cfg Config, op collective.Op, kills []mpirt.Kill, faults []netmodel.LinkFault) (float64, *collective.FTResult, *mpirt.Report, error) {
 	g := op.Graph()
 	counts := make([]int, g.N())
 	for i := range counts {

@@ -1,6 +1,7 @@
 package mpirt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -247,4 +248,32 @@ func TestCalQueueRewind(t *testing.T) {
 	var q calQueue
 	q.push(calEvent{vt: 1, seq: 1})
 	q.rewind()
+}
+
+// BenchmarkCalQueueHold is the classic hold model: pop the least event
+// and push the same rank a random latency later, with n wakes pending
+// (the rsg540-lat, moore10k-scale and mega rank counts).
+func BenchmarkCalQueueHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	lat := make([]float64, 4096)
+	for i := range lat {
+		lat[i] = rng.ExpFloat64() * 1e-6
+	}
+	for _, n := range []int{540, 10240, 102400} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var q calQueue
+			seq := uint64(0)
+			for r := 0; r < n; r++ {
+				seq++
+				q.push(calEvent{vt: lat[r%len(lat)], rank: int32(r), seq: seq})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, _ := q.pop()
+				seq++
+				q.push(calEvent{vt: e.vt + lat[i%len(lat)], rank: e.rank, seq: seq})
+			}
+		})
+	}
 }

@@ -9,7 +9,7 @@
 // MPI ULFM prescribes: an operation that can no longer complete
 // because its peer is dead raises ERR_PROC_FAILED — here a typed
 // *RankFailedError — instead of hanging. The first detection per
-// (observer, dead peer) pair charges Config.DetectTimeout to the
+// (observer, dead peer) pair charges detectTimeout to the
 // observer's virtual clock: the modelled cost of the heartbeat/ack
 // timeout that a real detector would burn, kept in virtual time so
 // fail-stop runs remain deterministic and wall-clock free.
@@ -20,6 +20,12 @@ import (
 	"math"
 	"sort"
 )
+
+// detectTimeout is the virtual-time cost one rank pays the first time
+// it detects a given peer's death (the modelled heartbeat/ack timeout).
+// Link-fault detections (first observation of a down resource) charge
+// the same timeout.
+const detectTimeout = 100e-6
 
 // errKilled unwinds a rank that suffered an injected
 // fail-stop crash. It is not an error of the run: Run treats it as a
@@ -141,26 +147,14 @@ func (p *Proc) chargeDetect(dead int) {
 		return
 	}
 	p.detected[dead] = true
-	dt := p.rt.cfg.DetectTimeout
-	p.vt += dt * p.slow
-	p.detectTime += dt
+	p.vt += detectTimeout * p.slow
+	p.detectTime += detectTimeout
 	p.detections++
 }
 
 // Failed reports whether rank r is known to have failed.
 func (p *Proc) Failed(r int) bool {
 	return r >= 0 && r < p.rt.n && p.rt.deadMask[r].Load()
-}
-
-// FailedRanks returns the ranks that have failed so far, ascending.
-func (p *Proc) FailedRanks() []int {
-	var dead []int
-	for r := 0; r < p.rt.n; r++ {
-		if p.rt.deadMask[r].Load() {
-			dead = append(dead, r)
-		}
-	}
-	return dead
 }
 
 // firstDeadPeer returns the lowest dead rank if every rank other than
@@ -181,9 +175,6 @@ func (rt *Runtime) firstDeadPeer(self int) int {
 	}
 	return first
 }
-
-// Revoked reports whether the communicator is currently revoked.
-func (p *Proc) Revoked() bool { return p.rt.revoked.Load() }
 
 // Revoke marks the communicator revoked, ULFM-style: every pending and
 // future point-to-point operation on it fails with *CommRevokedError

@@ -328,7 +328,7 @@ func TestChaosKillDeterminism(t *testing.T) {
 // deliveries, 12 failures), each seed replays its recorded schedule to
 // the same outcome, and a failed receive charges exactly one detection.
 func TestChaosDeadSourceRace(t *testing.T) {
-	const detect = 100e-6 // the DetectTimeout default
+	const detect = 100e-6 // detectTimeout
 	run := func(ch *Chaos) (delivered bool, rep *Report) {
 		rep, err := Run(Config{Cluster: failureCluster(), Ranks: 2, Chaos: ch, Kills: []Kill{{Rank: 1, AfterOps: 1}}}, func(p *Proc) {
 			if p.Rank() == 1 {

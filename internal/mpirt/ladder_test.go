@@ -15,7 +15,7 @@ import (
 // charge the same virtual time, on the threaded engine, the event
 // engine and under chaos scheduling (no faults injected).
 func TestBlockingCoreLadder(t *testing.T) {
-	const detect = 100e-6 // the default Config.DetectTimeout
+	const detect = 100e-6 // detectTimeout
 	genMax := 3e-6        // a variable: the sum below must round as the clocks do
 	dieAtFirstOp := func(p *Proc) { p.Barrier() }
 	// awaitArrivals holds p back until the pending round of the counter

@@ -104,9 +104,8 @@ func (p *Proc) chargeLinkDetect(res netmodel.Resource) {
 		return
 	}
 	p.linkDetected[res] = true
-	dt := p.rt.cfg.DetectTimeout
-	p.vt += dt * p.slow
-	p.linkDetectTime += dt
+	p.vt += detectTimeout * p.slow
+	p.linkDetectTime += detectTimeout
 	p.linkDetections++
 	if cs := p.rt.chaos; cs != nil {
 		cs.record(trace.Decision{
@@ -141,21 +140,4 @@ func (p *Proc) linkRecvBlocked(src int) error {
 		return nil
 	}
 	return p.linkBlockedErr(blk, src, p.rank)
-}
-
-// LinkFailedRanks returns, ascending, the ranks whose end-state health
-// is impaired (their port or their node's NIC carries a fault) — a
-// diagnostic companion to FailedRanks.
-func (p *Proc) LinkFailedRanks() []int {
-	m := p.rt.model
-	if !m.HasLinkFaults() {
-		return nil
-	}
-	var out []int
-	for r := 0; r < p.rt.n; r++ {
-		if m.ImpairedFinal(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

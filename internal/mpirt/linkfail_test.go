@@ -56,8 +56,14 @@ func TestSendAcrossDownNIC(t *testing.T) {
 			if ierr := p.SendErr(1, 2, 8, make([]byte, 8), nil); ierr != nil {
 				panic(fmt.Sprintf("intra-node SendErr = %v, want nil", ierr))
 			}
-			if got := p.LinkFailedRanks(); fmt.Sprint(got) != "[4 5 6 7]" {
-				panic(fmt.Sprintf("LinkFailedRanks = %v, want node 1's ranks", got))
+			var impaired []int
+			for r := 0; r < p.Size(); r++ {
+				if p.Model().ImpairedFinal(r) {
+					impaired = append(impaired, r)
+				}
+			}
+			if fmt.Sprint(impaired) != "[4 5 6 7]" {
+				panic(fmt.Sprintf("end-state impaired ranks = %v, want node 1's ranks", impaired))
 			}
 		})
 		if err != nil {

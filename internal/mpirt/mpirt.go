@@ -117,11 +117,6 @@ type Config struct {
 	// observe them through the ULFM-style error surface (see
 	// RankFailedError, Revoke, Agree, Shrink).
 	Kills []Kill
-	// DetectTimeout is the virtual-time cost one rank pays the first
-	// time it detects a given peer's death (the modelled heartbeat/ack
-	// timeout). 0 selects the 100 µs default. Link-fault detections
-	// (first observation of a down resource) charge the same timeout.
-	DetectTimeout float64
 	// LinkFaults schedules link-level health events on the fabric: down
 	// or degraded ports/NICs/uplinks and group partitions, each taking
 	// effect at a virtual time. Down paths surface LinkFailedError /
@@ -167,7 +162,7 @@ type Report struct {
 	DeadRanks []int
 	// Detections counts first-time failure detections across ranks;
 	// DetectTime is their total virtual-time cost (each detection
-	// charges Config.DetectTimeout to the observer's clock).
+	// charges detectTimeout to the observer's clock).
 	Detections int64
 	DetectTime float64
 	// Path is the critical path of the run's last section when
@@ -631,9 +626,6 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	if cfg.WallLimit == 0 {
 		cfg.WallLimit = 120 * time.Second
 	}
-	if cfg.DetectTimeout == 0 {
-		cfg.DetectTimeout = 100e-6
-	}
 	for _, k := range cfg.Kills {
 		if k.Rank < 0 || k.Rank >= n {
 			return nil, fmt.Errorf("mpirt: kill rank %d out of range 0..%d", k.Rank, n-1)
@@ -950,7 +942,7 @@ func (p *Proc) ChargeCopy(n int) { p.AdvanceVT(p.rt.model.CopyTime(n)) }
 
 // Yield cooperatively lets other ranks run without blocking on a
 // message, advancing virtual time, or counting as a blocking
-// operation. Polling loops (Probe, Failed, Revoked) only make
+// operation. Polling loops (Probe, Failed) only make
 // progress on the threaded engine by accident of goroutine
 // preemption; on the serial drivers (event, chaos) the poller holds
 // the execution until it yields, so any poll loop must call Yield.

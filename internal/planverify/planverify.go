@@ -81,11 +81,11 @@ func Extract(algo string, g *vgraph.Graph, c topology.Cluster, counts []int, avo
 	if avoid != nil && len(avoid) != n {
 		return nil, fmt.Errorf("planverify: avoid set has %d entries for %d ranks", len(avoid), n)
 	}
-	plan, err := collective.Emit(algo, g, c, prm, avoid)
+	op, err := collective.New(algo, g, c, prm, avoid)
 	if err != nil {
 		return nil, err
 	}
-	return &Schedule{Algo: algo, Cluster: c, Plan: plan, Counts: counts, Avoid: avoid}, nil
+	return &Schedule{Algo: algo, Cluster: c, Plan: op.Plan(), Counts: counts, Avoid: avoid}, nil
 }
 
 // ExtractAlltoall is Extract for algo's neighborhood alltoall form

@@ -149,12 +149,6 @@ func (c Cluster) Groups() int {
 	return (c.Nodes + c.NodesPerGroup - 1) / c.NodesPerGroup
 }
 
-// SameSocket reports whether ranks a and b share a socket.
-func (c Cluster) SameSocket(a, b int) bool { return c.SocketOf(a) == c.SocketOf(b) }
-
-// SameNode reports whether ranks a and b share a node.
-func (c Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
-
 // Dist classifies the distance between ranks a and b.
 func (c Cluster) Dist(a, b int) Distance {
 	switch {
@@ -169,14 +163,6 @@ func (c Cluster) Dist(a, b int) Distance {
 	default:
 		return DistGlobal
 	}
-}
-
-// SocketRange returns the half-open rank interval [lo, hi) hosted by the
-// socket containing rank r. Every rank in the interval satisfies
-// SameSocket with r.
-func (c Cluster) SocketRange(r int) (lo, hi int) {
-	lo = (r / c.RanksPerSocket) * c.RanksPerSocket
-	return lo, lo + c.RanksPerSocket
 }
 
 // String summarises the cluster shape.

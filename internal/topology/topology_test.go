@@ -89,24 +89,6 @@ func TestFlatNetworkNeverGlobal(t *testing.T) {
 	}
 }
 
-func TestSocketRange(t *testing.T) {
-	c := Cluster{Nodes: 2, SocketsPerNode: 2, RanksPerSocket: 5}
-	for r := 0; r < c.Ranks(); r++ {
-		lo, hi := c.SocketRange(r)
-		if r < lo || r >= hi {
-			t.Fatalf("SocketRange(%d) = [%d,%d) excludes the rank", r, lo, hi)
-		}
-		if hi-lo != c.L() {
-			t.Fatalf("SocketRange(%d) has width %d, want %d", r, hi-lo, c.L())
-		}
-		for x := lo; x < hi; x++ {
-			if !c.SameSocket(r, x) {
-				t.Fatalf("rank %d in SocketRange(%d) but not SameSocket", x, r)
-			}
-		}
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	bad := []Cluster{
 		{Nodes: 0, SocketsPerNode: 1, RanksPerSocket: 1},

@@ -179,17 +179,6 @@ func (g *Graph) AvgOutDegree() float64 {
 	return float64(g.Edges()) / float64(g.n)
 }
 
-// MaxOutDegree returns the largest outgoing degree.
-func (g *Graph) MaxOutDegree() int {
-	m := 0
-	for _, l := range g.out {
-		if len(l) > m {
-			m = len(l)
-		}
-	}
-	return m
-}
-
 // IndexOfIn returns the position of source u within In(v), or -1. The
 // position defines where u's payload lands in v's allgather receive
 // buffer, matching MPI's ordering guarantee.

@@ -59,15 +59,13 @@ type NetParams = netmodel.Params
 // neighbor of u).
 type Graph = vgraph.Graph
 
-// Op is a neighborhood allgather implementation bound to a graph.
+// Op is a neighborhood allgather implementation bound to a graph: Run
+// for uniform sizes, RunV for per-rank ones.
 type Op = collective.Op
 
-// VOp is a neighborhood allgatherv implementation (per-rank message
-// sizes); all algorithms in this library implement it.
-type VOp = collective.VOp
-
 // AOp is a neighborhood alltoall implementation (distinct payload per
-// outgoing neighbor) — the paper's named future-work extension.
+// outgoing neighbor) — the paper's named future-work extension: RunA
+// for uniform sizes, RunAV for per-edge ones.
 type AOp = collective.AOp
 
 // Pattern is a Distance Halving communication pattern.
@@ -155,18 +153,18 @@ func GraphFromOutLists(n int, out [][]int) (*Graph, error) {
 
 // NewNaive returns the direct point-to-point algorithm (the default
 // behaviour of Open MPI and other mainstream MPI implementations).
-func NewNaive(g *Graph) VOp { return collective.NewNaive(g) }
+func NewNaive(g *Graph) Op { return collective.NewNaive(g) }
 
 // NewDistanceHalving builds the paper's communication pattern centrally
 // (stop threshold l = ranks per socket) and returns the Distance
 // Halving collective.
-func NewDistanceHalving(g *Graph, l int) (VOp, error) {
+func NewDistanceHalving(g *Graph, l int) (Op, error) {
 	return collective.NewDistanceHalving(g, l)
 }
 
 // NewCommonNeighbor returns the message-combining baseline of
 // Ghazimirsaeed et al. with consecutive groups of size k.
-func NewCommonNeighbor(g *Graph, k int) (VOp, error) {
+func NewCommonNeighbor(g *Graph, k int) (Op, error) {
 	return collective.NewCommonNeighbor(g, k)
 }
 
@@ -174,7 +172,7 @@ func NewCommonNeighbor(g *Graph, k int) (VOp, error) {
 // affinity-formed groups (hierarchical shared-neighbor matching,
 // faithful to the original collaborative mechanism). k must be a power
 // of two.
-func NewCommonNeighborAffinity(g *Graph, k int) (VOp, error) {
+func NewCommonNeighborAffinity(g *Graph, k int) (Op, error) {
 	return collective.NewCommonNeighborAffinity(g, k)
 }
 
@@ -182,13 +180,13 @@ func NewCommonNeighborAffinity(g *Graph, k int) (VOp, error) {
 // related work's large-message designs: per-node leaders gather,
 // exchange one combined message per communicating node pair, and
 // distribute; intra-node edges go direct.
-func NewLeaderBased(g *Graph, c Cluster) (VOp, error) {
+func NewLeaderBased(g *Graph, c Cluster) (Op, error) {
 	return collective.NewLeaderBased(g, c)
 }
 
 // NewLeaderBasedK is NewLeaderBased with up to k load-balanced leaders
 // per node (the published design's multi-leader mechanism).
-func NewLeaderBasedK(g *Graph, c Cluster, k int) (VOp, error) {
+func NewLeaderBasedK(g *Graph, c Cluster, k int) (Op, error) {
 	return collective.NewLeaderBasedK(g, c, k)
 }
 
@@ -209,16 +207,13 @@ func NewDistanceHalvingAlltoall(g *Graph, l int) (AOp, error) {
 // CountFunc gives the alltoallv segment size for an edge src → dst.
 type CountFunc = collective.CountFunc
 
-// AVOp is a neighborhood alltoallv implementation (per-edge sizes).
-type AVOp = collective.AVOp
-
 // Persistent is an MPI-4-style persistent collective handle
 // (Init/Start/Wait).
 type Persistent = collective.Persistent
 
 // AllgatherInit binds a persistent neighborhood allgather for the
 // calling rank; Start/Wait rounds reuse the bound buffers.
-func AllgatherInit(op VOp, p *Proc, sbuf []byte, m int, rbuf []byte) (*Persistent, error) {
+func AllgatherInit(op Op, p *Proc, sbuf []byte, m int, rbuf []byte) (*Persistent, error) {
 	return collective.AllgatherInit(op, p, sbuf, m, rbuf)
 }
 
@@ -244,7 +239,7 @@ func BuildPatternWithPolicy(g *Graph, l int, p AgentPolicy) (*Pattern, error) {
 
 // NewDistanceHalvingFromPattern binds the Distance Halving collective
 // to a prebuilt pattern.
-func NewDistanceHalvingFromPattern(p *Pattern) VOp {
+func NewDistanceHalvingFromPattern(p *Pattern) Op {
 	return collective.NewDistanceHalvingFromPattern(p)
 }
 
