@@ -55,29 +55,6 @@ func (s *Set) check(i int) {
 	}
 }
 
-// Count returns the number of elements present.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
-// Clear removes every element.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Or sets s to the union s ∪ t. Both sets must have equal capacity.
 func (s *Set) Or(t *Set) {
 	s.match(t)
@@ -96,20 +73,28 @@ func (s *Set) AndCount(t *Set) int {
 	return c
 }
 
-// AndCountRange returns |s ∩ t ∩ [lo, hi)|: the number of common
-// elements within the half-open range. Both sets must have equal
-// capacity. Ranges outside [0, N) are clamped.
-func (s *Set) AndCountRange(t *Set, lo, hi int) int {
-	s.match(t)
-	lo, hi = s.clamp(lo, hi)
+// Masked returns the words of s covering [lo, hi), copied into dst with
+// the bits outside the range cleared, and the first one's index: one
+// side of a range-restricted intersection, hoisted out of a loop of
+// AndCountWords. The range is clamped to [0, N).
+func (s *Set) Masked(dst []uint64, lo, hi int) (first int, words []uint64) {
+	lo, hi = max(lo, 0), min(hi, s.n)
 	if lo >= hi {
-		return 0
+		return 0, dst[:0]
 	}
-	c := 0
-	loW, hiW := lo>>6, (hi-1)>>6
-	for i := loW; i <= hiW; i++ {
-		w := s.words[i] & t.words[i] & rangeMask(i, lo, hi)
-		c += bits.OnesCount64(w)
+	first = lo >> 6
+	words = append(dst[:0], s.words[first:(hi-1)>>6+1]...)
+	words[0] &= ^uint64(0) << (uint(lo) & 63)
+	words[len(words)-1] &= ^uint64(0) >> (uint(-hi) & 63)
+	return first, words
+}
+
+// AndCountWords returns |s ∩ M| for M the words and first index Masked
+// returned for a set of s's capacity. It inlines into the caller's loop.
+func (s *Set) AndCountWords(first int, m []uint64) int {
+	c, ws := 0, s.words[first:first+len(m)]
+	for i, w := range m {
+		c += bits.OnesCount64(w & ws[i])
 	}
 	return c
 }
@@ -128,32 +113,8 @@ func (s *Set) Elems(dst []int) []int {
 	return dst
 }
 
-func (s *Set) clamp(lo, hi int) (int, int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	return lo, hi
-}
-
 func (s *Set) match(t *Set) {
 	if s.n != t.n {
 		panic("bitset: capacity mismatch")
 	}
-}
-
-// rangeMask returns the mask of bits of word i that fall inside the
-// global half-open range [lo, hi).
-func rangeMask(i, lo, hi int) uint64 {
-	m := ^uint64(0)
-	base := i << 6
-	if lo > base {
-		m &= ^uint64(0) << (uint(lo-base) & 63)
-	}
-	if hi < base+64 {
-		m &= ^uint64(0) >> (uint(base+64-hi) & 63)
-	}
-	return m
 }

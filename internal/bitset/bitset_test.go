@@ -21,12 +21,8 @@ func TestBasicOps(t *testing.T) {
 			t.Fatalf("Add(%d) not visible", i)
 		}
 	}
-	if s.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", s.Count())
-	}
-	s.Clear()
-	if s.Count() != 0 {
-		t.Fatalf("Clear left %d elements", s.Count())
+	if el := s.Elems(nil); len(el) != 8 {
+		t.Fatalf("Elems = %v, want 8 elements", el)
 	}
 }
 
@@ -63,21 +59,23 @@ func buildPair(n int, seed int64) (*Set, reference) {
 	return s, ref
 }
 
+// TestRangeOpsAgainstModel: Masked then AndCountWords is |s ∩ t ∩ [lo, hi)|,
+// for ranges that clamp, are empty, or start and end mid-word.
 func TestRangeOpsAgainstModel(t *testing.T) {
 	f := func(nSeed uint8, seed int64, loRaw, hiRaw uint16) bool {
 		n := 1 + int(nSeed)%200
 		s, ref := buildPair(n, seed)
 		s2, ref2 := buildPair(n, seed^0x5a5a)
-		lo := int(loRaw) % (n + 20)
-		hi := int(hiRaw) % (n + 20)
-		// Model AndCountRange.
+		lo := int(loRaw)%(n+40) - 20
+		hi := int(hiRaw)%(n+40) - 20
 		want := 0
 		for x := range ref {
 			if ref2[x] && x >= lo && x < hi {
 				want++
 			}
 		}
-		return s.AndCountRange(s2, lo, hi) == want
+		first, m := s.Masked(nil, lo, hi)
+		return s2.AndCountWords(first, m) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -110,19 +108,6 @@ func TestCapacityMismatchPanics(t *testing.T) {
 	New(10).AndCount(New(11))
 }
 
-func TestCloneIndependent(t *testing.T) {
-	s := New(64)
-	s.Add(5)
-	c := s.Clone()
-	c.Add(6)
-	if s.Has(6) {
-		t.Fatal("Clone shares storage")
-	}
-	if !c.Has(5) {
-		t.Fatal("Clone dropped element")
-	}
-}
-
 func TestElemsFullWord(t *testing.T) {
 	s := New(64)
 	for i := 0; i < 64; i++ {
@@ -136,7 +121,7 @@ func TestElemsFullWord(t *testing.T) {
 
 func TestZeroCapacity(t *testing.T) {
 	s := New(0)
-	if s.Count() != 0 {
+	if len(s.Elems(nil)) != 0 {
 		t.Fatal("zero-capacity set misbehaves")
 	}
 	s2 := New(-5)

@@ -193,8 +193,9 @@ func TestPlanBuildAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildCN is the Common Neighbor builder at the rsg540-lat
-// shape: 540 ranks, ER δ = 0.3, K = 4.
+// BenchmarkBuildCN is the Common Neighbor collective at the rsg540-lat
+// shape — 540 ranks, ER δ = 0.3, K = 4 — built as the workload's
+// plan_build_s times it: the delegate pass plus the plan's emission.
 func BenchmarkBuildCN(b *testing.B) {
 	g, err := vgraph.ErdosRenyi(540, 0.3, 1)
 	if err != nil {
@@ -202,7 +203,7 @@ func BenchmarkBuildCN(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildCNAvoiding(g, 4, nil); err != nil {
+		if _, err := NewCommonNeighbor(g, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/vgraph"
@@ -58,16 +60,13 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 	// Partition ranks into groups: consecutive K-chunks of the unavoided
 	// ranks, then every avoided rank as a singleton — one arena, since
 	// no plan depends on the order groups are visited in.
-	ranks := make([]int, 0, n)
-	for r := 0; r < n; r++ {
-		if avoid == nil || !avoid[r] {
-			ranks = append(ranks, r)
-		}
-	}
-	healthy := len(ranks)
-	for r := 0; r < n; r++ {
-		if avoid != nil && avoid[r] {
-			ranks = append(ranks, r)
+	ranks, healthy := make([]int, 0, n), 0
+	for _, avoided := range []bool{false, true} {
+		healthy = len(ranks) // the unavoided, once both passes ran
+		for r := 0; r < n; r++ {
+			if (avoid != nil && avoid[r]) == avoided {
+				ranks = append(ranks, r)
+			}
 		}
 	}
 	var groups [][]int
@@ -87,74 +86,80 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 // assignDelegates fills p.Plans from a partition of the ranks into
 // groups, each ascending. Every outgoing neighbor of a group gets one
 // combined message carrying the payloads of the members that list it
-// (its contributors), from a delegate rotating over the contributors so
-// delivery load spreads across the group; with an avoid set, rotation
-// runs over the unimpaired contributors when any exist. A group's
-// destinations come out of a merge of its members' sorted out-lists,
-// ascending, so each rank's Sends ascend with no sort. Sources,
-// Sends and RecvFrom are sub-slices of three per-build arenas.
+// (its contributors), from a delegate rotating over them so delivery
+// load spreads across the group: the group's i-th destination, ascending,
+// goes to contributor i mod their count — over the unimpaired ones, with
+// an avoid set, when any exist. Sources, Sends and RecvFrom are
+// sub-slices of three per-build arenas.
 func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool) {
 	n := g.N()
 	p.Plans = make([]CNPlan, n)
 	// Each edge u→v puts u into the Sources of exactly one send, its
 	// group's message to v, so neither arena outgrows the edge count.
 	// A send's Sources end where the next one's begin.
-	srcs := make([]int, 0, g.Edges())
-	type delegated struct {
-		by, dst int32
-		end     int
-	}
+	srcs := make([]int, g.Edges())
+	type delegated struct{ by, dst, end int32 }
 	sends := make([]delegated, 0, g.Edges())
-	var heads [][]int // per member, its out-neighbors not yet merged
-	var pool []int
+	// Per destination, its contributor count, then its run's next free
+	// slot; a bit per destination the group reaches. Zero between groups.
+	at, marks := make([]int32, n), make([]uint64, (n+63)/64)
+	nSends, nRecvs := make([]int32, n), make([]int32, n)
+	var healthy []int
+	end := 0
 	for _, group := range groups {
-		heads = heads[:0]
+		first, last := len(marks), -1 // the marked words
 		for _, r := range group {
-			heads = append(heads, g.Out(r))
 			p.Plans[r].Group = group
+			for _, v := range g.Out(r) {
+				at[v]++
+				marks[v>>6] |= 1 << (v & 63)
+				first, last = min(first, v>>6), max(last, v>>6)
+			}
 		}
-		for i := 0; ; i++ {
-			v := n
-			for _, h := range heads {
-				if len(h) > 0 && h[0] < v {
-					v = h[0]
+		// The group's destinations, ascending, each with its run of srcs.
+		from, lo := len(sends), end
+		for w := first; w <= last; w++ {
+			for m := marks[w]; m != 0; m &= m - 1 {
+				v := w<<6 + bits.TrailingZeros64(m)
+				c := int(at[v])
+				at[v] = int32(end)
+				end += c
+				sends = append(sends, delegated{dst: int32(v), end: int32(end)})
+				nRecvs[v]++
+			}
+			marks[w] = 0
+		}
+		// Members fill the runs in group order, so each ascends.
+		for _, r := range group {
+			for _, v := range g.Out(r) {
+				srcs[at[v]] = r
+				at[v]++
+			}
+		}
+		for i := range sends[from:] {
+			s := &sends[from+i]
+			at[s.dst] = 0
+			pool := srcs[lo:s.end]
+			if avoid != nil {
+				healthy = slices.DeleteFunc(append(healthy[:0], pool...), func(r int) bool { return avoid[r] })
+				if len(healthy) > 0 {
+					pool = healthy
 				}
 			}
-			if v == n {
-				break
-			}
-			lo := len(srcs)
-			pool = pool[:0]
-			for m, h := range heads {
-				if len(h) > 0 && h[0] == v {
-					heads[m] = h[1:]
-					srcs = append(srcs, group[m])
-					if avoid != nil && !avoid[group[m]] {
-						pool = append(pool, group[m])
-					}
-				}
-			}
-			if len(pool) == 0 {
-				pool = srcs[lo:]
-			}
-			sends = append(sends, delegated{int32(pool[i%len(pool)]), int32(v), len(srcs)})
+			s.by = int32(pool[uint32(i)%uint32(len(pool))]) // a 32-bit divide costs a fraction of a 64-bit one
+			nSends[s.by]++
+			lo = int(s.end)
 		}
 	}
-	// Count passes carve the Sends and RecvFrom arenas. A delegate's
-	// sends all come from its one group, already ascending; filling
-	// RecvFrom by delegate rank makes every list ascend, and a group
-	// gives a destination at most one delegate, so none repeats.
-	nSends, nRecvs := make([]int, n), make([]int, n)
-	for _, s := range sends {
-		nSends[s.by]++
-		nRecvs[s.dst]++
-	}
+	// The counts carve the Sends and RecvFrom arenas. A delegate's sends
+	// come from its one group, ascending; filling RecvFrom by delegate
+	// rank makes each list ascend, and none repeats.
 	sendArena, recvArena := make([]pattern.FinalSend, len(sends)), make([]int, len(sends))
 	for r := range p.Plans {
-		if c := nSends[r]; c > 0 {
+		if c := int(nSends[r]); c > 0 {
 			p.Plans[r].Sends, sendArena = sendArena[:0:c], sendArena[c:]
 		}
-		if c := nRecvs[r]; c > 0 {
+		if c := int(nRecvs[r]); c > 0 {
 			p.Plans[r].RecvFrom, recvArena = recvArena[:0:c], recvArena[c:]
 		}
 	}
@@ -162,7 +167,7 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool
 	for _, s := range sends {
 		pl := &p.Plans[s.by]
 		pl.Sends = append(pl.Sends, pattern.FinalSend{Dst: int(s.dst), Sources: srcs[lo:s.end:s.end]})
-		lo = s.end
+		lo = int(s.end)
 	}
 	for r := range p.Plans {
 		for _, fs := range p.Plans[r].Sends {

@@ -73,10 +73,9 @@ func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error
 	// exactly one group and destinations ascend, so Sends come out
 	// sorted by destination without a per-member sort.
 	outSets := refOutSets(g)
-	dests := bitset.New(n)
 	var dbuf, cs []int
 	for _, group := range groups {
-		dests.Clear()
+		dests := bitset.New(n)
 		for _, r := range group {
 			dests.Or(outSets[r])
 		}
@@ -130,7 +129,8 @@ func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 	n := g.N()
 	clusters, outSets := make([]*refCluster, n), refOutSets(g)
 	for r := 0; r < n; r++ {
-		clusters[r] = &refCluster{members: []int{r}, out: outSets[r].Clone()}
+		clusters[r] = &refCluster{members: []int{r}, out: bitset.New(n)}
+		clusters[r].out.Or(outSets[r])
 	}
 	rounds := 0
 	for s := 1; s < k; s *= 2 {
@@ -185,7 +185,8 @@ func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 			a, b := clusters[c.a], clusters[c.b]
 			merged := &refCluster{members: append(append([]int(nil), a.members...), b.members...)}
 			sort.Ints(merged.members)
-			merged.out = a.out.Clone()
+			merged.out = bitset.New(n)
+			merged.out.Or(a.out)
 			for _, m := range b.out.Elems(nil) {
 				merged.out.Add(m)
 			}

@@ -309,8 +309,9 @@ func (b *PlanBuilder) intern(blocks []int, holder int) span {
 			return span{h.off, k}
 		}
 	}
+	nb := pl.NumBlocks()
 	for _, v := range blocks {
-		if nb := pl.NumBlocks(); v < 0 || v >= nb {
+		if v < 0 || v >= nb {
 			panic(fmt.Sprintf("collective: plan block %d outside [0,%d)", v, nb))
 		}
 	}
@@ -328,7 +329,12 @@ func (b *PlanBuilder) add(kind OpKind, flags OpFlags, peer, tag int, s span) {
 	if int(int16(tag)) != tag {
 		panic(fmt.Sprintf("collective: plan tag %d does not fit 16 bits", tag))
 	}
-	b.pl.ops = append(b.pl.ops, PlanOp{Kind: kind, Flags: flags, Tag: int16(tag), Peer: int32(peer), off: s.off, n: s.n})
+	// Filled in place: a composite literal is built on the stack by narrow
+	// stores, then read back by one wide load that stalls on them.
+	pl := b.pl
+	pl.ops = append(pl.ops, PlanOp{})
+	op := &pl.ops[len(pl.ops)-1]
+	op.Kind, op.Flags, op.Tag, op.Peer, op.off, op.n = kind, flags, int16(tag), int32(peer), s.off, s.n
 }
 
 // Len returns the number of ops emitted for the current rank so far —

@@ -71,7 +71,7 @@ func TestBuildAvoidingKeepsRelayRolesOffAvoidedRanks(t *testing.T) {
 // set is the unrestricted builder.
 func TestBuildAvoidingNilMatchesBuild(t *testing.T) {
 	g := mustER(t, 16, 0.5, 1)
-	base, err := BuildWithPolicy(g, 4, PolicyLoadAware)
+	base, err := BuildAvoiding(g, 4, PolicyLoadAware, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

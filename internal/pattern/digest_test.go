@@ -54,7 +54,10 @@ func digest(p *pattern.Pattern) uint64 {
 // moved self-copy all pass Validate and every conformance run. Each
 // constant folds four builds of one graph — both policies, each without
 // and with an avoid set (every fifth rank from 1) — and was computed at
-// the commit before the delivery-list builder (22d183b).
+// the commit before the delivery-list builder (22d183b); the two random
+// shapes of the benchmark, whose bit rows run the multi-word intersect
+// over an unaligned half boundary (270 = 4·64 + 14 at 540 ranks), were
+// pinned at the commit before the hoisted AND-popcount kernel.
 func TestPatternDigestPinned(t *testing.T) {
 	type row struct {
 		name string
@@ -78,6 +81,8 @@ func TestPatternDigestPinned(t *testing.T) {
 		"1n2s4l/moore": 0xc0fd0faaff4e1cb4,
 		"moore32x32r1": 0xd729a8d0d90a79f1,
 		"moore32x32r2": 0x56b29f30b58f4c58,
+		"er540d30l18":  0xefaa9ac0dd1b2653,
+		"er64d12l4":    0x16eb347ff7743e71,
 	}
 	var rows []row
 	for _, sh := range shapes {
@@ -90,6 +95,19 @@ func TestPatternDigestPinned(t *testing.T) {
 		}
 		name := fmt.Sprintf("moore32x32r%d", r)
 		rows = append(rows, row{name, g, 16, want[name]})
+	}
+	// rsg540-lat's graph and the planner's.
+	for _, er := range []struct {
+		name  string
+		n     int
+		delta float64
+		l     int
+	}{{"er540d30l18", 540, 0.3, 18}, {"er64d12l4", 64, 0.12, 4}} {
+		g, err := vgraph.ErdosRenyi(er.n, er.delta, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{er.name, g, er.l, want[er.name]})
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("%d graphs for %d pinned digests", len(rows), len(want))

@@ -200,7 +200,8 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 // builder's, scratch and cost rule included.
 func candidatesOf(g *vgraph.Graph, r, clo, chi, wlo, whi int) []int {
 	b := &builder{g: g}
-	cs := b.preferred(b.candidates(nil, r, clo, chi, wlo, whi))
+	count, _ := b.enumeration(r, clo, chi, wlo, whi)
+	cs := b.preferred(b.candidates(nil, proposer{r, count}, clo, chi, wlo, whi))
 	ranks := make([]int, len(cs))
 	for i, c := range cs {
 		ranks[i] = int(c.a)

@@ -155,7 +155,7 @@ func TestEnumerationChoice(t *testing.T) {
 		b := &builder{g: tc.g, n: n}
 		mid := Halves(0, n)
 		for p := 0; p < mid; p++ {
-			if got := b.countCheaper(p, mid, n); got != tc.count {
+			if got, _ := b.enumeration(p, mid, n, mid, n); got != tc.count {
 				t.Fatalf("n=%d proposer %d: counting chosen = %v, want %v", n, p, got, tc.count)
 			}
 		}
@@ -196,4 +196,15 @@ func BenchmarkBuildER540(b *testing.B) {
 	}
 	b.ResetTimer()
 	benchBuild(b, g, 18)
+}
+
+// BenchmarkBuildPlanner64 is the planner-zipf shape: 64 ranks, ER
+// δ = 0.12, L = 4 — the DH negotiation behind a planner cache miss.
+func BenchmarkBuildPlanner64(b *testing.B) {
+	g, err := vgraph.ErdosRenyi(64, 0.12, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	benchBuild(b, g, 4)
 }

@@ -152,13 +152,7 @@ const (
 // Build constructs the pattern centrally and deterministically with
 // the paper's load-aware agent selection.
 func Build(g *vgraph.Graph, l int) (*Pattern, error) {
-	return BuildWithPolicy(g, l, PolicyLoadAware)
-}
-
-// BuildWithPolicy constructs the pattern with an explicit agent
-// selection policy.
-func BuildWithPolicy(g *vgraph.Graph, l int, policy Policy) (*Pattern, error) {
-	return BuildAvoiding(g, l, policy, nil)
+	return BuildAvoiding(g, l, PolicyLoadAware, nil)
 }
 
 // BuildAvoiding constructs the pattern while steering relay traffic
@@ -207,9 +201,12 @@ type builder struct {
 	// One level's matching, by rank, NoRank where unmatched; a level's
 	// blocks are disjoint, so they share the two arrays.
 	agentOf, originOf []int
-	// cands and sorted are match's candidate buffers, start preferred's
-	// buckets, moved the transfers' descriptors: scratch for every block.
+	// Scratch for every block: match's proposers and candidates, the
+	// kernel's masked proposer words, preferred's buckets and sorted
+	// candidates, and the transfers' descriptors.
+	props         []proposer
 	cands, sorted []cand
+	masked        []uint64
 	start         []int
 	moved         []owed
 	xfers         []xfer
@@ -279,6 +276,12 @@ type cand struct {
 	w, p, a int32
 }
 
+// proposer is a rank wanting an agent and how candidates lists its pairs.
+type proposer struct {
+	r     int
+	count bool
+}
+
 const enumIntersect, enumCount int8 = 1, 2
 
 // match computes the stable matching between proposers [plo, phi) and
@@ -295,26 +298,32 @@ func (b *builder) match(plo, phi, alo, ahi int) {
 	for a := alo; a < ahi; a++ {
 		b.originOf[a] = NoRank
 	}
-	cands := b.cands[:0]
+	// Proposers first, with a bound on their pairs: the candidate scratch
+	// then grows at most once a match (once a build on a dense graph).
+	props, need := b.props[:0], 0
 	for p := plo; p < phi; p++ {
-		if b.avoid != nil && b.avoid[p] {
-			// An avoided proposer would have to ship its buffer across
-			// its wounded resource; its deliveries stay with it as
-			// direct final sends.
+		// An avoided proposer would have to ship its buffer across its
+		// wounded resource; its deliveries stay with it as direct final
+		// sends.
+		if (b.avoid != nil && b.avoid[p]) || !b.states[p].wantsAgent(alo, ahi, b.avoid) {
 			continue
 		}
-		if !b.states[p].wantsAgent(alo, ahi, b.avoid) {
-			continue
-		}
+		count, bound := b.enumeration(p, alo, ahi, alo, ahi)
+		props, need = append(props, proposer{p, count}), need+bound
+	}
+	b.props = props
+	b.stats.AgentAttempts += len(props)
+	cands := slices.Grow(b.cands[:0], need)
+	for _, p := range props {
 		cands = b.candidates(cands, p, alo, ahi, alo, ahi)
-		b.stats.AgentAttempts++
 	}
 	b.cands = cands
+	agentOf, originOf := b.agentOf, b.originOf
 	for _, c := range b.preferred(cands) {
-		if b.agentOf[c.p] != NoRank || b.originOf[c.a] != NoRank {
+		if agentOf[c.p] != NoRank || originOf[c.a] != NoRank {
 			continue
 		}
-		b.agentOf[c.p], b.originOf[c.a] = int(c.a), int(c.p)
+		agentOf[c.p], originOf[c.a] = int(c.a), int(c.p)
 		b.stats.AgentSuccesses++
 	}
 }
@@ -332,21 +341,23 @@ func (b *builder) preferred(cands []cand) []cand {
 	for _, c := range cands {
 		maxW = max(maxW, c.w)
 	}
-	// start[w] is where the next candidate of weight w goes.
-	b.start = append(b.start[:0], make([]int, maxW+1)...)
+	// start[w] counts the candidates of weight w, then is where the next
+	// one goes.
+	start := append(b.start[:0], make([]int, maxW+1)...)
 	for _, c := range cands {
-		b.start[c.w]++
+		start[c.w]++
 	}
 	at := 0
 	for w := maxW; w >= 0; w-- {
-		b.start[w], at = at, at+b.start[w]
+		start[w], at = at, at+start[w]
 	}
-	b.sorted = slices.Grow(b.sorted[:0], len(cands))[:len(cands)]
+	sorted := slices.Grow(b.sorted[:0], len(cands))[:len(cands)]
 	for _, c := range cands {
-		b.sorted[b.start[c.w]] = c
-		b.start[c.w]++
+		sorted[start[c.w]] = c
+		start[c.w]++
 	}
-	return b.sorted
+	b.start, b.sorted = start, sorted
+	return sorted
 }
 
 // within returns the part of an ascending rank list inside [lo, hi).
@@ -355,36 +366,38 @@ func within(list []int, lo, hi int) []int {
 	return list[:sort.SearchInts(list, hi)]
 }
 
-// candidates appends rank r's scored pairs, ascending by candidate:
-// every unavoided c in [clo, chi) with w(r, c) > 0, the weight counted
-// over [wlo, whi). A proposer's two ranges are both the opposite half;
-// the distributed builder's acceptors rank origins of the opposite half
-// by the neighbors shared in their own. Two enumerations yield the same
-// list: intersect r's out-set with every candidate's over the weight
-// range, or walk the in-lists of r's out-neighbors in that range and
-// count how often each candidate turns up. The cheaper one runs:
-// counting on bounded-degree graphs, where it keeps a level linear in
-// ranks, intersecting on dense ones, where a word covers 64 neighbors.
-// A graph without bit rows always counts.
-func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
-	count := b.enum == enumCount || b.enum == 0 && (b.g.OutSet(r) == nil || b.countCheaper(r, wlo, whi))
-	if !count {
-		ro := b.outSet(r)
+// candidates appends p's scored pairs, ascending by candidate: every
+// unavoided c in [clo, chi) with w(p.r, c) > 0, the weight counted over
+// [wlo, whi). A proposer's two ranges are both the opposite half; the
+// distributed builder's acceptors rank origins of the opposite half by
+// the neighbors shared in their own. Two enumerations yield the list:
+// mask p's words over the weight range once, then AND+popcount each
+// candidate's row (a pair is written before it is known to be kept), or
+// walk the in-lists of p's out-neighbors there and count each candidate.
+func (b *builder) candidates(cands []cand, p proposer, clo, chi, wlo, whi int) []cand {
+	r := int32(p.r)
+	if !p.count {
+		first, m := b.outSet(p.r).Masked(b.masked, wlo, whi)
+		b.masked = m
+		at := len(cands)
+		cands = slices.Grow(cands, chi-clo)[:at+chi-clo]
 		for c := clo; c < chi; c++ {
 			if b.avoid != nil && b.avoid[c] {
 				continue
 			}
-			if w := ro.AndCountRange(b.outSet(c), wlo, whi); w > 0 {
-				cands = append(cands, cand{int32(w), int32(r), int32(c)})
+			w := b.outSet(c).AndCountWords(first, m)
+			cands[at] = cand{int32(w), r, int32(c)}
+			if w > 0 {
+				at++
 			}
 		}
-		return cands
+		return cands[:at]
 	}
 	if len(b.shared) < chi-clo {
 		b.shared, b.marks = make([]int32, chi-clo), make([]uint64, (chi-clo+63)/64)
 	}
 	first, last := len(b.marks), -1 // the marked words
-	for _, d := range within(b.g.Out(r), wlo, whi) {
+	for _, d := range within(b.g.Out(p.r), wlo, whi) {
 		for _, c := range within(b.g.In(d), clo, chi) {
 			if b.avoid != nil && b.avoid[c] {
 				continue
@@ -398,7 +411,7 @@ func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
 	for i := first; i <= last; i++ {
 		for m := b.marks[i]; m != 0; m &= m - 1 {
 			off := i<<6 + bits.TrailingZeros64(m)
-			cands = append(cands, cand{b.shared[off], int32(r), int32(clo + off)})
+			cands = append(cands, cand{b.shared[off], r, int32(clo + off)})
 			b.shared[off] = 0
 		}
 		b.marks[i] = 0
@@ -406,19 +419,16 @@ func (b *builder) candidates(cands []cand, r, clo, chi, wlo, whi int) []cand {
 	return cands
 }
 
-// outSet is rank r's bit row: the graph's, or a test's stand-in.
-func (b *builder) outSet(r int) *bitset.Set {
-	if b.rows != nil {
-		return b.rows[r]
+// enumeration is candidates' cost rule, for both builders: count when
+// the in-degrees counting would walk are fewer than the words
+// intersecting would read (the weight range's, once per candidate), so
+// bounded-degree graphs count and dense ones intersect; a graph without
+// bit rows always counts. bound is at least the pairs candidates will
+// append (one per candidate, or the in-degrees summed), or 0 if unknown.
+func (b *builder) enumeration(r, clo, chi, wlo, whi int) (count bool, bound int) {
+	if b.enum != 0 || b.g.OutSet(r) == nil {
+		return b.enum != enumIntersect, 0
 	}
-	return b.g.OutSet(r)
-}
-
-// countCheaper is candidates' cost rule, for both builders: the
-// in-degrees counting would walk against the words intersecting would
-// read — the weight range's, once per candidate, and the candidates'
-// half has as many ranks as the weight range, give or take one.
-func (b *builder) countCheaper(r, wlo, whi int) bool {
 	limit := (whi - wlo) * ((whi-1)>>6 - wlo>>6 + 1)
 	out, work := b.g.Out(r), 0
 	for _, d := range out[sort.SearchInts(out, wlo):] {
@@ -427,7 +437,18 @@ func (b *builder) countCheaper(r, wlo, whi int) bool {
 		}
 		work += b.g.InDegree(d)
 	}
-	return work < limit
+	if work < limit {
+		return true, min(work, chi-clo)
+	}
+	return false, chi - clo
+}
+
+// outSet is rank r's bit row: the graph's, or a test's stand-in.
+func (b *builder) outSet(r int) *bitset.Set {
+	if b.rows != nil {
+		return b.rows[r]
+	}
+	return b.g.OutSet(r)
 }
 
 // xfer is one agreed offload: the origin's buffer content as it stood
@@ -446,7 +467,14 @@ type xfer struct {
 // transfers, then apply. Agents grow into two per-block arenas, exact
 // but for the self-copies onload drops from the delivery lists.
 func (b *builder) applyTransfers(k block) {
-	b.moved, b.xfers = b.moved[:0], b.xfers[:0]
+	// The descriptors hold at most the agented ranks' deliveries.
+	need := 0
+	for r := k.lo; r < k.hi; r++ {
+		if b.agentOf[r] != NoRank {
+			need += len(b.states[r].del)
+		}
+	}
+	b.moved, b.xfers = slices.Grow(b.moved[:0], need), b.xfers[:0]
 	for r := k.lo; r < k.hi; r++ {
 		st := &b.states[r]
 		s := &st.steps[len(st.steps)-1]

@@ -419,11 +419,11 @@ func TestStatsSuccessRateEmpty(t *testing.T) {
 // patterns, with success rates at least as high (any candidate works).
 func TestFirstFitPolicyValid(t *testing.T) {
 	g := mustER(t, 48, 0.4, 8)
-	la, err := BuildWithPolicy(g, 4, PolicyLoadAware)
+	la, err := BuildAvoiding(g, 4, PolicyLoadAware, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := BuildWithPolicy(g, 4, PolicyFirstFit)
+	ff, err := BuildAvoiding(g, 4, PolicyFirstFit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

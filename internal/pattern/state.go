@@ -112,17 +112,23 @@ func (st *rankState) onload(s *Step, sources []int, moved []owed, copies []int) 
 		s.SelfCopies = copies[from:len(copies):len(copies)]
 	}
 	// Merge the rest in from the back, in place: what lies above the
-	// self-copies first, then what lies below them.
+	// self-copies first, then what lies below them. The compare picks the
+	// value and which index moves; the data drives no branch.
 	old := len(st.del)
 	st.del = slices.Grow(st.del, len(moved)-(j-i))[:old+len(moved)-(j-i)]
-	w, a := len(st.del)-1, old-1
+	del, w, a := st.del, len(st.del)-1, old-1
 	for _, part := range [2][]owed{moved[j:], moved[:i]} {
-		for q := len(part) - 1; q >= 0; q, w = q-1, w-1 {
-			for ; a >= 0 && st.del[a] > part[q]; a, w = a-1, w-1 {
-				st.del[w] = st.del[a]
+		q := len(part) - 1
+		for ; q >= 0 && a >= 0; w-- {
+			x, y := del[a], part[q]
+			v, fromDel := y, 0
+			if x > y {
+				v, fromDel = x, 1
 			}
-			st.del[w] = part[q]
+			del[w] = v
+			a, q = a-fromDel, q-1+fromDel
 		}
+		w -= copy(del[w-q:w+1], part[:q+1]) // what is left lies below
 	}
 	return copies
 }

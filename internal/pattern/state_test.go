@@ -141,7 +141,8 @@ func candidatesAscend(t *testing.T, g *vgraph.Graph, avoid []bool) bool {
 		var lists [2][]cand
 		for i, enum := range []int8{enumIntersect, enumCount} {
 			b := &builder{g: g, n: n, avoid: avoid, enum: enum, rows: rows}
-			lists[i] = b.candidates(nil, p, alo, ahi, alo, ahi)
+			count, _ := b.enumeration(p, alo, ahi, alo, ahi)
+			lists[i] = b.candidates(nil, proposer{p, count}, alo, ahi, alo, ahi)
 			if !slices.IsSortedFunc(lists[i], func(x, y cand) int { return int(x.a - y.a) }) {
 				t.Logf("n=%d proposer %d: enumeration %d is not ascending: %v", n, p, enum, lists[i])
 				return false

@@ -82,8 +82,7 @@ func TestGoldenSectionV(t *testing.T) {
 	// The headline message-count comparison: Distance Halving's
 	// 8 + 19.19 ≈ 27 formula messages against the naive algorithm's
 	// δ(n−L) = 600 (the paper's prose rounds the former to ≈23).
-	off, in, naive := p.MessageCounts(d)
-	pin("MessageCounts off", off, 8)
-	pin("MessageCounts in", in, 19.192927860000001)
-	pin("MessageCounts naive", naive, 600)
+	pin("NOff", p.NOff(d), 8)
+	pin("NIn", p.NIn(d), 19.192927860000001)
+	pin("naive δ·n", d*float64(p.N), 600)
 }

@@ -122,13 +122,6 @@ func (p Params) Speedup(delta float64, m int) float64 {
 	return p.TNaive(delta, m) / p.TDH(delta, m)
 }
 
-// MessageCounts returns the Section V worked-example quantities: the
-// expected per-rank message counts for Distance Halving (off-socket +
-// intra-socket) and for the naive algorithm (δ·n).
-func (p Params) MessageCounts(delta float64) (dhOff, dhIn, naive float64) {
-	return p.NOff(delta), p.NIn(delta), delta * float64(p.N)
-}
-
 // NiagaraModel returns the model instantiated with the paper's cluster
 // shape for the Fig. 2 study (n ranks over two-socket nodes, L ranks
 // per socket) and ping-pong constants representative of EDR InfiniBand.

@@ -43,7 +43,7 @@ func TestValidate(t *testing.T) {
 // printed and assert the prose's claims as bands (see EXPERIMENTS.md).
 func TestSectionVWorkedExample(t *testing.T) {
 	p := Params{N: 2000, S: 2, L: 20, Alpha: 1.4e-6, Beta: 5e9}
-	dhOff, dhIn, naive := p.MessageCounts(0.3)
+	dhOff, dhIn, naive := p.NOff(0.3), p.NIn(0.3), 0.3*float64(p.N)
 	if dhOff < 6 || dhOff > 9 {
 		t.Errorf("off-socket messages %.2f, paper's example says ≈7", dhOff)
 	}
@@ -59,7 +59,7 @@ func TestSectionVWorkedExample(t *testing.T) {
 	// Ceiling claim: the DH message count stays bounded (≈27 in the
 	// paper) for every δ while naive grows to n.
 	for d := 0.0; d <= 1.0; d += 0.01 {
-		off, in, _ := p.MessageCounts(d)
+		off, in := p.NOff(d), p.NIn(d)
 		if off+in > 28.5 {
 			t.Fatalf("δ=%.2f: DH sends %.1f messages, far above the paper's ≈27 ceiling", d, off+in)
 		}

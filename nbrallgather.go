@@ -234,7 +234,7 @@ const (
 // BuildPatternWithPolicy constructs a pattern under an explicit agent
 // selection policy (the load-aware vs first-fit ablation).
 func BuildPatternWithPolicy(g *Graph, l int, p AgentPolicy) (*Pattern, error) {
-	return pattern.BuildWithPolicy(g, l, p)
+	return pattern.BuildAvoiding(g, l, p, nil)
 }
 
 // NewDistanceHalvingFromPattern binds the Distance Halving collective
