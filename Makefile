@@ -139,7 +139,7 @@ loc:
 		$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; done; \
 	t=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
 	printf '%6d total\n' $$t; \
-	test $$t -le 20988 || { echo "loc: $$t lines exceed the ceiling of 20988"; exit 1; }
+	test $$t -le 20984 || { echo "loc: $$t lines exceed the ceiling of 20984"; exit 1; }
 
 # Regenerate results/medium/ (~35 s on two vCPUs): Fig. 4 at the three
 # Fig. 5 communicator sizes, then every other medium-scale file.

@@ -167,9 +167,9 @@ func plannerShape(tb testing.TB) (*vgraph.Graph, topology.Cluster) {
 // TestPlanBuildAllocs: plan construction allocates per build, not per
 // rank or per send. Each ceiling names its layer: the DH negotiation
 // and the CN delegate pass behind a planner cache miss, and the CN
-// pattern plus its plan at the rsg540-lat shape. The CN ceilings sit
-// less than one allocation per rank above what the builds take, so any
-// per-rank allocation trips them.
+// pattern plus its plan at the rsg540-lat shape. The CN ceilings are
+// what the builds take (at 540 ranks, under the race detector: two more
+// than a plain build), so any new allocation trips them.
 func TestPlanBuildAllocs(t *testing.T) {
 	g, c := plannerShape(t)
 	g540 := erGraph(t, 540, 0.3, 1)
@@ -179,8 +179,8 @@ func TestPlanBuildAllocs(t *testing.T) {
 		build func() error
 	}{
 		{"BuildPlan(dh), 64 ranks", 120, func() error { _, _, err := BuildPlan("dh", g, c, 0, nil); return err }},
-		{"BuildPlan(cn), 64 ranks", 64, func() error { _, _, err := BuildPlan("cn", g, c, 0, nil); return err }},
-		{"NewCommonNeighbor, 540 ranks", 200, func() error { _, err := NewCommonNeighbor(g540, 4); return err }},
+		{"BuildPlan(cn), 64 ranks", 21, func() error { _, _, err := BuildPlan("cn", g, c, 0, nil); return err }},
+		{"NewCommonNeighbor, 540 ranks", 28, func() error { _, err := NewCommonNeighbor(g540, 4); return err }},
 	} {
 		var err error
 		if got := testing.AllocsPerRun(3, func() { err = tc.build() }); err != nil {

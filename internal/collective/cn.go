@@ -5,37 +5,21 @@ import (
 	"math/bits"
 	"slices"
 
-	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
 
-// CNPlan is one rank's plan under the Common Neighbor algorithm.
-type CNPlan struct {
-	// Group lists the rank's group members (including itself),
-	// ascending.
-	Group []int
-	// Sends are the combined deliveries this rank is the delegate for,
-	// sorted by destination; Sources are the group members whose
-	// payload the message carries.
-	Sends []pattern.FinalSend
-	// RecvFrom lists the distinct ranks this rank receives combined
-	// messages from, ascending.
-	RecvFrom []int
-}
-
-// CNPattern is the full Common Neighbor plan for one (graph, K) pair.
+// CNPattern is an affinity-grouped Common Neighbor build: its plan and
+// the negotiation the build cost model replays.
 type CNPattern struct {
-	Graph *vgraph.Graph
-	K     int
-	Plans []CNPlan
-	// NegRounds records, for affinity-built patterns, the candidate
-	// representatives each rank negotiated with in each pairing round
-	// (indexed [round][rank]; nil for non-representatives). The build
-	// cost model replays it; nil for consecutive grouping.
+	Plan *Plan
+	// NegRounds records the candidate representatives each rank
+	// negotiated with in each pairing round (indexed [round][rank]; nil
+	// for non-representatives).
 	NegRounds [][][]int
 }
 
-// BuildCNAvoiding constructs the Common Neighbor pattern: ranks form
+// BuildCNAvoiding emits the Common Neighbor plan: ranks form
 // consecutive groups of K (consecutive ranks share sockets under dense
 // placement, so group sharing is cheap), each group's members exchange
 // payloads, and every common outgoing neighbor of the group receives
@@ -49,7 +33,7 @@ type CNPattern struct {
 // repair layer has already checked for feasibility. The remaining
 // ranks form consecutive groups of K among themselves, and delegate
 // rotation prefers unimpaired contributors.
-func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
+func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*Plan, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("collective: common-neighbor group size %d must be positive", k)
 	}
@@ -78,38 +62,41 @@ func BuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
 		groups = append(groups, ranks[lo:hi:hi])
 		lo = hi
 	}
-	p := &CNPattern{Graph: g, K: k}
-	assignDelegates(g, p, groups, avoid)
-	return p, nil
+	return assignDelegates(g, groups, avoid), nil
 }
 
-// assignDelegates fills p.Plans from a partition of the ranks into
+// assignDelegates emits the plan over a partition of the ranks into
 // groups, each ascending. Every outgoing neighbor of a group gets one
 // combined message carrying the payloads of the members that list it
 // (its contributors), from a delegate rotating over them so delivery
 // load spreads across the group: the group's i-th destination, ascending,
 // goes to contributor i mod their count — over the unimpaired ones, with
-// an avoid set, when any exist. Sources, Sends and RecvFrom are
-// sub-slices of three per-build arenas.
-func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool) {
+// an avoid set, when any exist. Each rank's program: the share phase
+// exchanges own blocks within the group (forwards: the payload extends
+// the receiver's holdings), then the delegates ship packed
+// self-describing deliveries.
+func assignDelegates(g *vgraph.Graph, groups [][]int, avoid []bool) *Plan {
 	n := g.N()
-	p.Plans = make([]CNPlan, n)
-	// Each edge u→v puts u into the Sources of exactly one send, its
-	// group's message to v, so neither arena outgrows the edge count.
-	// A send's Sources end where the next one's begin.
-	srcs := make([]int, g.Edges())
+	// Each edge u→v puts u into the sources of exactly one send, its
+	// group's message to v, so neither list outgrows the edge count. A
+	// send's sources end where the next one's begin.
+	srcs := make([]int32, g.Edges())
 	type delegated struct{ by, dst, end int32 }
 	sends := make([]delegated, 0, g.Edges())
 	// Per destination, its contributor count, then its run's next free
 	// slot; a bit per destination the group reaches. Zero between groups.
 	at, marks := make([]int32, n), make([]uint64, (n+63)/64)
-	nSends, nRecvs := make([]int32, n), make([]int32, n)
-	var healthy []int
-	end := 0
-	for _, group := range groups {
+	// Per rank, its group, and its sends' and delegates' counts (one
+	// slot spare: the counts become bounds below).
+	groupOf, nSends, nRecvs := make([]int32, n), make([]int32, n+1), make([]int32, n+1)
+	var healthy []int32
+	end, ops := int32(0), 0
+	for gi, group := range groups {
+		// Per member: its share receives and sends, two waits at most.
+		ops += 2 * len(group) * len(group)
 		first, last := len(marks), -1 // the marked words
 		for _, r := range group {
-			p.Plans[r].Group = group
+			groupOf[r] = int32(gi)
 			for _, v := range g.Out(r) {
 				at[v]++
 				marks[v>>6] |= 1 << (v & 63)
@@ -121,10 +108,10 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool
 		for w := first; w <= last; w++ {
 			for m := marks[w]; m != 0; m &= m - 1 {
 				v := w<<6 + bits.TrailingZeros64(m)
-				c := int(at[v])
-				at[v] = int32(end)
+				c := at[v]
+				at[v] = end
 				end += c
-				sends = append(sends, delegated{dst: int32(v), end: int32(end)})
+				sends = append(sends, delegated{dst: int32(v), end: end})
 				nRecvs[v]++
 			}
 			marks[w] = 0
@@ -132,7 +119,7 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool
 		// Members fill the runs in group order, so each ascends.
 		for _, r := range group {
 			for _, v := range g.Out(r) {
-				srcs[at[v]] = r
+				srcs[at[v]] = int32(r)
 				at[v]++
 			}
 		}
@@ -141,38 +128,72 @@ func assignDelegates(g *vgraph.Graph, p *CNPattern, groups [][]int, avoid []bool
 			at[s.dst] = 0
 			pool := srcs[lo:s.end]
 			if avoid != nil {
-				healthy = slices.DeleteFunc(append(healthy[:0], pool...), func(r int) bool { return avoid[r] })
+				healthy = slices.DeleteFunc(append(healthy[:0], pool...), func(r int32) bool { return avoid[r] })
 				if len(healthy) > 0 {
 					pool = healthy
 				}
 			}
-			s.by = int32(pool[uint32(i)%uint32(len(pool))]) // a 32-bit divide costs a fraction of a 64-bit one
+			s.by = pool[uint32(i)%uint32(len(pool))] // a 32-bit divide costs a fraction of a 64-bit one
 			nSends[s.by]++
-			lo = int(s.end)
+			lo = s.end
 		}
 	}
-	// The counts carve the Sends and RecvFrom arenas. A delegate's sends
-	// come from its one group, ascending; filling RecvFrom by delegate
-	// rank makes each list ascend, and none repeats.
-	sendArena, recvArena := make([]pattern.FinalSend, len(sends)), make([]int, len(sends))
-	for r := range p.Plans {
-		if c := int(nSends[r]); c > 0 {
-			p.Plans[r].Sends, sendArena = sendArena[:0:c], sendArena[c:]
-		}
-		if c := int(nRecvs[r]); c > 0 {
-			p.Plans[r].RecvFrom, recvArena = recvArena[:0:c], recvArena[c:]
-		}
+	ops += 2 * len(sends) // a delivery's send and its receive
+	// Summed, the counts bound each rank's run of mine (its sends, by
+	// destination: they come from its one group, ascending) and of from
+	// (the delegates sending to it, ascending), filled from the back.
+	for r := 1; r <= n; r++ {
+		nSends[r] += nSends[r-1]
+		nRecvs[r] += nRecvs[r-1]
 	}
-	lo := 0
-	for _, s := range sends {
-		pl := &p.Plans[s.by]
-		pl.Sends = append(pl.Sends, pattern.FinalSend{Dst: int(s.dst), Sources: srcs[lo:s.end:s.end]})
-		lo = int(s.end)
+	mine, from := make([]int32, len(sends)), make([]int32, len(sends))
+	for i := len(sends) - 1; i >= 0; i-- {
+		nSends[sends[i].by]--
+		mine[nSends[sends[i].by]] = int32(i)
 	}
-	for r := range p.Plans {
-		for _, fs := range p.Plans[r].Sends {
-			pl := &p.Plans[fs.Dst]
-			pl.RecvFrom = append(pl.RecvFrom, r)
+	for r := n - 1; r >= 0; r-- {
+		for _, i := range mine[nSends[r]:nSends[r+1]] {
+			v := sends[i].dst
+			nRecvs[v]--
+			from[nRecvs[v]] = int32(r)
 		}
 	}
+	const deliv = Deliver | SelfDescribing | Packed
+	b := NewPlanBuilder(g, ops, g.Edges())
+	pl := b.pl
+	for r := 0; r < n; r++ {
+		group := groups[groupOf[r]]
+		for _, m := range group {
+			if m != r {
+				b.add(OpRecv, 0, m, tags.CNShare, span{uint32(m), 1})
+			}
+		}
+		shares := b.Len()
+		for _, m := range group {
+			if m != r {
+				b.add(OpSend, 0, m, tags.CNShare, span{uint32(r), 1})
+			}
+		}
+		b.Wait(0, shares)
+		lo := b.Len()
+		for _, d := range from[nRecvs[r]:nRecvs[r+1]] {
+			b.add(OpRecv, deliv, int(d), tags.CNDeliv, span{uint32(len(pl.arena)), 0})
+		}
+		hi := b.Len()
+		for _, i := range mine[nSends[r]:nSends[r+1]] {
+			s, run := sends[i], int32(0)
+			if i > 0 {
+				run = sends[i-1].end
+			}
+			sp := span{uint32(srcs[run]), 1}
+			if s.end-run > 1 {
+				sp = span{uint32(len(pl.arena)), uint32(s.end - run)}
+				pl.arena = append(pl.arena, srcs[run:s.end]...)
+			}
+			b.add(OpSend, deliv, int(s.dst), tags.CNDeliv, sp)
+		}
+		b.Wait(lo, hi)
+		b.EndRank()
+	}
+	return b.Plan()
 }

@@ -119,9 +119,7 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 	for i, c := range clusters {
 		groups[i] = c.members
 	}
-	p := &CNPattern{Graph: g, K: k, NegRounds: negCands}
-	assignDelegates(g, p, groups, nil)
-	return p, nil
+	return &CNPattern{Plan: assignDelegates(g, groups, nil), NegRounds: negCands}, nil
 }
 
 // BuildCNAffinityRank models one rank's share of the affinity
@@ -133,11 +131,10 @@ func BuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 // receivers. Must be called from within an mpirt rank body by every
 // rank, with a pattern from BuildCNAffinity.
 func BuildCNAffinityRank(p *mpirt.Proc, pat *CNPattern) {
-	g := pat.Graph
+	g := pat.Plan.Graph
 	r := p.Rank()
 	pattern.ChargeNeighborListExchange(p, g)
 
-	plan := &pat.Plans[r]
 	for round, cands := range pat.NegRounds {
 		mine := cands[r]
 		// Pairing negotiation: one signal out and one back per
@@ -149,23 +146,29 @@ func BuildCNAffinityRank(p *mpirt.Proc, pat *CNPattern) {
 			p.Recv(mpirt.AnySource, tags.CNPairBase+round)
 		}
 	}
+	// The plan names the rest: the rank's share sends go to the other
+	// members of its final group, its delivery sends to the receivers
+	// it delegates for, each carrying its contributors' blocks.
+	ops := pat.Plan.Ops(r)
 	// Intra-group merge: members ship their (grown) neighbor lists to
 	// the rest of the final group, log2(K) wavefronts approximated as
 	// one exchange with each other member.
 	listBytes := 8 * (g.OutDegree(r) + 1)
-	for _, mbr := range plan.Group {
-		if mbr != r {
-			p.Send(mbr, tags.CNMerge, listBytes, nil, nil)
+	for _, op := range ops {
+		if op.Kind == OpSend && op.Tag == tags.CNShare {
+			p.Send(int(op.Peer), tags.CNMerge, listBytes, nil, nil)
 		}
 	}
-	for _, mbr := range plan.Group {
-		if mbr != r {
-			p.Recv(mbr, tags.CNMerge)
+	for _, op := range ops {
+		if op.Kind == OpSend && op.Tag == tags.CNShare {
+			p.Recv(int(op.Peer), tags.CNMerge)
 		}
 	}
 	// Delegate announcements (receivers learn their senders).
-	for _, fs := range plan.Sends {
-		p.Send(fs.Dst, tags.CNAffNote, 8, nil, len(fs.Sources))
+	for _, op := range ops {
+		if op.Kind == OpSend && op.Tag == tags.CNDeliv {
+			p.Send(int(op.Peer), tags.CNAffNote, 8, nil, int(op.n))
+		}
 	}
 	expect := g.InDegree(r)
 	for expect > 0 {

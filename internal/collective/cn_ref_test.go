@@ -10,13 +10,79 @@ import (
 	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/order"
 	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
 
 // The map-based Common Neighbor builders as they stood before the
-// delegate pass became one merge over sorted out-lists: the reference
-// TestCNEqualsReference holds BuildCNAvoiding and BuildCNAffinity to,
-// plan for plan.
+// delegate pass became one merge over sorted out-lists, and the emitter
+// that turned their per-rank plans into a Plan before the delegate pass
+// emitted it: the reference TestCNEqualsReference holds BuildCNAvoiding
+// and BuildCNAffinity to, plan for plan.
+
+// refCNPlan is one rank's plan under the Common Neighbor algorithm.
+type refCNPlan struct {
+	// Group lists the rank's group members (including itself),
+	// ascending.
+	Group []int
+	// Sends are the combined deliveries this rank is the delegate for,
+	// sorted by destination; Sources are the group members whose
+	// payload the message carries.
+	Sends []pattern.FinalSend
+	// RecvFrom lists the distinct ranks this rank receives combined
+	// messages from, ascending.
+	RecvFrom []int
+}
+
+// refCNPattern is the full Common Neighbor plan for one (graph, K) pair.
+type refCNPattern struct {
+	Graph     *vgraph.Graph
+	K         int
+	Plans     []refCNPlan
+	NegRounds [][][]int
+}
+
+// emitCN: the share phase exchanges own blocks within each K-group
+// (forwards: the payload extends the receiver's holdings), then
+// delegates ship packed self-describing deliveries.
+func emitCN(pat *refCNPattern) *Plan {
+	const deliv = Deliver | SelfDescribing | Packed
+	ops, blocks := 0, 0
+	for r := range pat.Plans {
+		plan := &pat.Plans[r]
+		ops += 2*len(plan.Group) + len(plan.RecvFrom) + len(plan.Sends)
+		for _, fs := range plan.Sends {
+			blocks += len(fs.Sources)
+		}
+	}
+	b := NewPlanBuilder(pat.Graph, ops, blocks)
+	for r := range pat.Plans {
+		plan := &pat.Plans[r]
+		for _, m := range plan.Group {
+			if m != r {
+				b.Recv(m, tags.CNShare, 0, m)
+			}
+		}
+		shares := b.Len()
+		for _, m := range plan.Group {
+			if m != r {
+				b.Send(m, tags.CNShare, 0, r)
+			}
+		}
+		b.Wait(0, shares)
+		lo := b.Len()
+		for _, src := range plan.RecvFrom {
+			b.Recv(src, tags.CNDeliv, deliv)
+		}
+		hi := b.Len()
+		for _, fs := range plan.Sends {
+			b.Send(fs.Dst, tags.CNDeliv, deliv, fs.Sources...)
+		}
+		b.Wait(lo, hi)
+		b.EndRank()
+	}
+	return b.Plan()
+}
 
 // refOutSets returns every rank's out-set as a bit row: the graph's
 // own, or rows built from Out where the graph keeps none.
@@ -33,7 +99,7 @@ func refOutSets(g *vgraph.Graph) []*bitset.Set {
 	return sets
 }
 
-func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error) {
+func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*refCNPattern, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("collective: common-neighbor group size %d must be positive", k)
 	}
@@ -41,7 +107,7 @@ func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*CNPattern, error
 	if avoid != nil && len(avoid) != n {
 		return nil, fmt.Errorf("collective: avoid set has %d entries for %d ranks", len(avoid), n)
 	}
-	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n)}
+	p := &refCNPattern{Graph: g, K: k, Plans: make([]refCNPlan, n)}
 	senders := make([]map[int]bool, n)
 	for v := range senders {
 		senders[v] = map[int]bool{}
@@ -122,7 +188,7 @@ type refCluster struct {
 	out     *bitset.Set
 }
 
-func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
+func refBuildCNAffinity(g *vgraph.Graph, k int) (*refCNPattern, error) {
 	if k < 1 || k&(k-1) != 0 {
 		return nil, fmt.Errorf("collective: affinity group size %d must be a power of two", k)
 	}
@@ -200,7 +266,7 @@ func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 		clusters = next
 	}
 
-	p := &CNPattern{Graph: g, K: k, Plans: make([]CNPlan, n), NegRounds: negCands}
+	p := &refCNPattern{Graph: g, K: k, Plans: make([]refCNPlan, n), NegRounds: negCands}
 	senders := make([]map[int]bool, n)
 	for v := range senders {
 		senders[v] = map[int]bool{}
@@ -217,7 +283,7 @@ func refBuildCNAffinity(g *vgraph.Graph, k int) (*CNPattern, error) {
 // assignDelegates fills the group's plans: every common outgoing
 // neighbor of the group gets one combined message from a delegate
 // rotating over its contributors.
-func refAssignDelegates(g *vgraph.Graph, p *CNPattern, group []int, senders []map[int]bool) {
+func refAssignDelegates(g *vgraph.Graph, p *refCNPattern, group []int, senders []map[int]bool) {
 	contributors := map[int][]int{}
 	for _, r := range group {
 		for _, v := range g.Out(r) {
@@ -240,9 +306,11 @@ func refAssignDelegates(g *vgraph.Graph, p *CNPattern, group []int, senders []ma
 	}
 }
 
-// TestCNEqualsReference: the merge-based delegate pass builds every
-// plan the map-based builders did — groups, sends, sources, receive
-// lists and affinity negotiation rounds — with and without avoid sets.
+// TestCNEqualsReference: the delegate pass emits the plan the reference
+// emitter wrote over the map-based builders' per-rank plans — every op,
+// block list and capacity, so Plan.Bytes and the plan cache's costs
+// agree — and the affinity negotiation rounds, with and without avoid
+// sets.
 func TestCNEqualsReference(t *testing.T) {
 	var graphs []*vgraph.Graph
 	for _, n := range []int{1, 7, 64, 540} {
@@ -259,6 +327,10 @@ func TestCNEqualsReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs = append(graphs, moore)
+	same := func(got, want *Plan) bool {
+		return reflect.DeepEqual(got, want) && got.Bytes() == want.Bytes() &&
+			cap(got.ops) == cap(want.ops) && cap(got.arena) == cap(want.arena)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, g := range graphs {
 		avoid := make([]bool, g.N())
@@ -272,8 +344,8 @@ func TestCNEqualsReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, _ := refBuildCNAvoiding(g, k, av)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("n=%d edges=%d K=%d avoid=%v: plans differ from the reference", g.N(), g.Edges(), k, av != nil)
+				if !same(got, emitCN(want)) {
+					t.Errorf("n=%d edges=%d K=%d avoid=%v: plan differs from the reference", g.N(), g.Edges(), k, av != nil)
 				}
 			}
 		}
@@ -286,8 +358,8 @@ func TestCNEqualsReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := refBuildCNAffinity(g, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d edges=%d affinity K=%d: plans differ from the reference", g.N(), g.Edges(), k)
+			if !same(got.Plan, emitCN(want)) || !reflect.DeepEqual(got.NegRounds, want.NegRounds) {
+				t.Errorf("n=%d edges=%d affinity K=%d: plan differs from the reference", g.N(), g.Edges(), k)
 			}
 		}
 	}

@@ -163,7 +163,7 @@ func NewDistanceHalvingFromPattern(pat *pattern.Pattern) *Allgather {
 }
 
 // NewCommonNeighbor builds the message-combining baseline (see
-// BuildCNAvoiding, emitCN) for group size k and binds the collective to it.
+// BuildCNAvoiding) for group size k and binds the collective to it.
 func NewCommonNeighbor(g *vgraph.Graph, k int) (*Allgather, error) {
 	return row("cn").bind(planReq{g: g, prm: PlanParams{CNGroup: k}})
 }
@@ -175,7 +175,7 @@ func NewCommonNeighborAffinity(g *vgraph.Graph, k int) (*Allgather, error) {
 	if err != nil {
 		return nil, err
 	}
-	return row("cn").op(emitCN(pat), nil, planReq{g: g, prm: PlanParams{CNGroup: k}}), nil
+	return row("cn").op(pat.Plan, nil, planReq{g: g, prm: PlanParams{CNGroup: k}}), nil
 }
 
 // NewLeaderBased builds the single-leader hierarchy (see emitLeader).

@@ -88,11 +88,8 @@ var algorithms = []algorithm{{
 	title: func(q planReq) string { return fmt.Sprintf("common-neighbor(K=%d)", q.prm.CNGroup) },
 	key:   func(q planReq) (uint64, int) { return plancache.HashWords(3, uint64(q.prm.CNGroup)), q.prm.CNGroup },
 	emit: func(q planReq) (*Plan, *pattern.Pattern, error) {
-		pat, err := BuildCNAvoiding(q.g, q.prm.CNGroup, q.avoid)
-		if err != nil {
-			return nil, nil, err
-		}
-		return emitCN(pat), nil, nil
+		pl, err := BuildCNAvoiding(q.g, q.prm.CNGroup, q.avoid)
+		return pl, nil, err
 	},
 }, {
 	// The key depends only on the graph, the stop threshold, the agent
@@ -259,48 +256,6 @@ func emitDH(pat *pattern.Pattern) *Plan {
 		}
 		for _, src := range plan.FinalSelfCopies {
 			b.Copy(src, Deliver)
-		}
-		b.Wait(lo, hi)
-		b.EndRank()
-	}
-	return b.Plan()
-}
-
-// emitCN: the share phase exchanges own blocks within each K-group
-// (forwards: the payload extends the receiver's holdings), then
-// delegates ship packed self-describing deliveries.
-func emitCN(pat *CNPattern) *Plan {
-	const deliv = Deliver | SelfDescribing | Packed
-	ops, blocks := 0, 0
-	for r := range pat.Plans {
-		plan := &pat.Plans[r]
-		ops += 2*len(plan.Group) + len(plan.RecvFrom) + len(plan.Sends)
-		for _, fs := range plan.Sends {
-			blocks += len(fs.Sources)
-		}
-	}
-	b := NewPlanBuilder(pat.Graph, ops, blocks)
-	for r := range pat.Plans {
-		plan := &pat.Plans[r]
-		for _, m := range plan.Group {
-			if m != r {
-				b.Recv(m, tags.CNShare, 0, m)
-			}
-		}
-		shares := b.Len()
-		for _, m := range plan.Group {
-			if m != r {
-				b.Send(m, tags.CNShare, 0, r)
-			}
-		}
-		b.Wait(0, shares)
-		lo := b.Len()
-		for _, src := range plan.RecvFrom {
-			b.Recv(src, tags.CNDeliv, deliv)
-		}
-		hi := b.Len()
-		for _, fs := range plan.Sends {
-			b.Send(fs.Dst, tags.CNDeliv, deliv, fs.Sources...)
 		}
 		b.Wait(lo, hi)
 		b.EndRank()

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/tags"
@@ -52,15 +53,9 @@ type FTResult struct {
 // *LinkFailedError, *PartitionError). Usage errors, injected deaths
 // and ordinary panics stay fatal.
 func ftAbsorbable(rec any) error {
-	switch e := rec.(type) {
-	case *mpirt.RankFailedError:
-		return e
-	case *mpirt.CommRevokedError:
-		return e
-	case *mpirt.LinkFailedError:
-		return e
-	case *mpirt.PartitionError:
-		return e
+	switch rec.(type) {
+	case *mpirt.RankFailedError, *mpirt.CommRevokedError, *mpirt.LinkFailedError, *mpirt.PartitionError:
+		return rec.(error)
 	}
 	return nil
 }
@@ -128,11 +123,11 @@ func RunFTV(p *mpirt.Proc, op Op, sbuf []byte, counts []int, rbuf []byte) (*FTRe
 			return nil, ferr
 		}
 		// Graceful-degradation floor: a repaired attempt that failed
-		// again without any new death means the rebuilt relay schedule
-		// still crosses a wounded resource the avoid set cannot express
-		// (e.g. a share group straddling a partition). The direct edges
-		// are feasible — fall back to naive over exactly those edges.
-		degraded := model.HasLinkFaults() && sameRanks(alive, lastAlive)
+		// again with the same survivors (no new death) means the rebuilt
+		// relay schedule still crosses a wounded resource the avoid set
+		// cannot express (e.g. a share group straddling a partition).
+		// The direct edges are feasible — fall back to naive over them.
+		degraded := model.HasLinkFaults() && slices.Equal(alive, lastAlive)
 		lastAlive = alive
 		op2 := Op(NewNaive(g2))
 		if rb, ok := op.(interface {

@@ -1,7 +1,9 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nbrallgather/internal/order"
@@ -120,14 +122,7 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 	// greedy: heaviest pairs (most sources) first, each onto the
 	// currently least-loaded leader of its node.
 	keys := order.SortedKeysFunc(pairSources, func(a, b pair) bool {
-		sa, sb := len(pairSources[a]), len(pairSources[b])
-		if sa != sb {
-			return sa > sb
-		}
-		if a.x != b.x {
-			return a.x < b.x
-		}
-		return a.y < b.y
+		return cmp.Or(cmp.Compare(len(pairSources[b]), len(pairSources[a])), cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y)) < 0
 	})
 	// leaderRanks lists node ny's leader ranks that exist in the
 	// communicator: its first k member ranks in communicator order
@@ -144,23 +139,16 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 	sendLoad := map[int]int{} // leader rank -> assigned segment count
 	recvLoad := map[int]int{}
 	pickLeader := func(node int, load map[int]int) int {
-		// Two passes: unimpaired leader candidates first, then — only
-		// when a node's whole leader block is avoided — everyone.
-		best, bestLoad := -1, 0
-		ls := leaderRanks(node)
-		for _, l := range ls {
+		// The least-loaded unimpaired leader candidate, first on ties;
+		// only when a node's whole leader block is avoided, anyone's.
+		best, bestKey := -1, [2]int{}
+		for _, l := range leaderRanks(node) {
+			key := [2]int{0, load[l]}
 			if avoid != nil && avoid[l] {
-				continue
+				key[0] = 1
 			}
-			if best == -1 || load[l] < bestLoad {
-				best, bestLoad = l, load[l]
-			}
-		}
-		if best == -1 {
-			for _, l := range ls {
-				if best == -1 || load[l] < bestLoad {
-					best, bestLoad = l, load[l]
-				}
+			if best == -1 || key[0] < bestKey[0] || key[0] == bestKey[0] && key[1] < bestKey[1] {
+				best, bestKey = l, key
 			}
 		}
 		return best
@@ -202,12 +190,7 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 
 	// Node-pair exchange between the routed leaders. Deterministic
 	// order: by (x, y).
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].x != keys[j].x {
-			return keys[i].x < keys[j].x
-		}
-		return keys[i].y < keys[j].y
-	})
+	slices.SortFunc(keys, func(a, b pair) int { return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y)) })
 	for _, kp := range keys {
 		srcs := append([]int(nil), pairSources[kp]...)
 		sort.Ints(srcs)
@@ -217,9 +200,7 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 		plans[rt.dstLeader].nodeRecvs = append(plans[rt.dstLeader].nodeRecvs, rt.srcLeader)
 	}
 	for r := range plans {
-		sort.Slice(plans[r].nodeSends, func(i, j int) bool {
-			return plans[r].nodeSends[i].Dst < plans[r].nodeSends[j].Dst
-		})
+		slices.SortFunc(plans[r].nodeSends, func(a, b pattern.FinalSend) int { return cmp.Compare(a.Dst, b.Dst) })
 		sort.Ints(plans[r].nodeRecvs)
 	}
 
@@ -250,11 +231,8 @@ func leaderTables(g *vgraph.Graph, c topology.Cluster, k int, place []int, avoid
 		sort.Ints(plans[v].fromLeaders)
 	}
 	for r := range plans {
-		sort.Slice(plans[r].distribute, func(i, j int) bool {
-			if plans[r].distribute[i].Dst != plans[r].distribute[j].Dst {
-				return plans[r].distribute[i].Dst < plans[r].distribute[j].Dst
-			}
-			return plans[r].distribute[i].Sources[0] < plans[r].distribute[j].Sources[0]
+		slices.SortFunc(plans[r].distribute, func(a, b pattern.FinalSend) int {
+			return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Sources[0], b.Sources[0]))
 		})
 	}
 	return plans, nil

@@ -20,6 +20,8 @@
 package collective
 
 import (
+	"slices"
+
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/netmodel"
 	"nbrallgather/internal/vgraph"
@@ -60,29 +62,11 @@ func linkAvoidSet(m *netmodel.Model, alive []int) []bool {
 		return nil
 	}
 	avoid := make([]bool, len(alive))
-	any := false
 	for i, o := range alive {
-		if m.ImpairedFinal(o) {
-			avoid[i] = true
-			any = true
-		}
+		avoid[i] = m.ImpairedFinal(o)
 	}
-	if !any {
+	if !slices.Contains(avoid, true) {
 		return nil
 	}
 	return avoid
-}
-
-// sameRanks reports whether two ascending rank lists are identical —
-// the recovery loop's "no new deaths since the last attempt" test.
-func sameRanks(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,7 +3,6 @@ package pattern
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/mpirt"
@@ -74,28 +73,20 @@ func BuildDistributed(cfg mpirt.Config, g *vgraph.Graph) (*Pattern, *mpirt.Repor
 		return nil, nil, fmt.Errorf("pattern: graph has %d ranks but config runs %d", g.N(), cfg.Ranks)
 	}
 	l := cfg.Cluster.L()
-	plans := make([]RankPlan, g.N())
-	var attempts, successes, maxBuf atomic.Int64
+	plans, counts := make([]RankPlan, g.N()), make([]Stats, g.N())
 	rep, err := mpirt.Run(cfg, func(p *mpirt.Proc) {
 		plan, a, s := BuildRank(p, g, l)
-		plans[p.Rank()] = *plan
-		attempts.Add(int64(a))
-		successes.Add(int64(s))
-		for {
-			cur := maxBuf.Load()
-			if int64(len(plan.BufSources)) <= cur ||
-				maxBuf.CompareAndSwap(cur, int64(len(plan.BufSources))) {
-				break
-			}
-		}
+		plans[p.Rank()], counts[p.Rank()] = *plan, Stats{a, s, len(plan.BufSources)}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	pat := &Pattern{Graph: g, L: l, Plans: plans}
-	pat.Stats.AgentAttempts = int(attempts.Load())
-	pat.Stats.AgentSuccesses = int(successes.Load())
-	pat.Stats.MaxBufSources = int(maxBuf.Load())
+	for _, c := range counts {
+		pat.Stats.AgentAttempts += c.AgentAttempts
+		pat.Stats.AgentSuccesses += c.AgentSuccesses
+		pat.Stats.MaxBufSources = max(pat.Stats.MaxBufSources, c.MaxBufSources)
+	}
 	return pat, rep, nil
 }
 

@@ -33,8 +33,10 @@ package pattern
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/vgraph"
@@ -197,20 +199,20 @@ type builder struct {
 	states []rankState
 	// active lists, ascending, the blocks still larger than L.
 	active []block
-	stats  Stats
+	stats  Stats // this worker's matches; finish adds the helper's
 	// One level's matching, by rank, NoRank where unmatched; a level's
 	// blocks are disjoint, so they share the two arrays.
 	agentOf, originOf []int
-	// Scratch for every block: match's proposers and candidates, the
-	// kernel's masked proposer words, preferred's buckets and sorted
-	// candidates, and the transfers' descriptors.
+	// This worker's scratch for its blocks: match's proposers and
+	// candidates, the kernel's masked proposer words, preferred's buckets
+	// and sorted candidates, and the transfers' descriptors.
 	props         []proposer
 	cands, sorted []cand
 	masked        []uint64
 	start         []int
 	moved         []owed
 	xfers         []xfer
-	// copies is the arena every step's SelfCopies is a capped slice of.
+	// copies is the arena this worker's SelfCopies are capped slices of.
 	copies []int
 	// The counting enumeration's scratch, by candidate offset: the
 	// out-neighbors shared with the current rank, and a bit per non-zero
@@ -218,6 +220,9 @@ type builder struct {
 	shared []int32
 	marks  []uint64
 	enum   int8 // set only by tests: pins candidates to one enumeration
+	split  int8 // set only by tests: splitNever or splitAlways overrides grain
+	// helper is the second worker of a split level, made on the first.
+	helper *builder
 	// rows, set only by tests, stands in for the bit rows of a graph
 	// that keeps none, so intersecting can run on it.
 	rows []*bitset.Set
@@ -242,26 +247,42 @@ func (b *builder) init() {
 	}
 }
 
+// grain is the fewest ranks a level must span for its work to be split
+// across two workers: below it the fork costs more than it saves.
+const grain = 128
+
 // step performs one global halving level: splits every active block,
 // matches agents between its halves (both directions), and applies the
-// offload/onload bookkeeping.
+// offload/onload bookkeeping. A level of grain ranks or more forks once
+// when a second CPU is there. With one block, its two matchings run side
+// by side: they write disjoint halves of agentOf and originOf, and read
+// only the delivery lists and the graph. With more, each worker halves
+// one contiguous run of blocks of about half the level's ranks: a
+// block's matching, transfers and steps touch only its own ranks' states.
 func (b *builder) step() {
+	ranks := 0
+	for _, k := range b.active {
+		ranks += k.hi - k.lo
+	}
+	switch {
+	case b.split == splitNever || b.split == 0 && (ranks < grain || runtime.GOMAXPROCS(0) < 2):
+		b.halve(b.active)
+	case len(b.active) == 1:
+		k := b.active[0]
+		mid := Halves(k.lo, k.hi)
+		b.fork(func(w *builder) { w.match(k.lo, mid, mid, k.hi) }, func(w *builder) { w.match(mid, k.hi, k.lo, mid) })
+		b.settle(k)
+	default:
+		cut, at := 1, b.active[0].hi-b.active[0].lo
+		for ; cut < len(b.active)-1 && 2*at < ranks; cut++ {
+			at += b.active[cut].hi - b.active[cut].lo
+		}
+		lo, hi := b.active[:cut], b.active[cut:]
+		b.fork(func(w *builder) { w.halve(lo) }, func(w *builder) { w.halve(hi) })
+	}
 	var next []block
 	for _, k := range b.active {
 		mid := Halves(k.lo, k.hi)
-		// Two independent matchings: lower-half proposers with
-		// upper-half acceptors, then the reverse (the paper's two
-		// find_agent/find_origin phases).
-		b.match(k.lo, mid, mid, k.hi)
-		b.match(mid, k.hi, k.lo, mid)
-		for r := k.lo; r < k.hi; r++ {
-			s := Step{H1Lo: k.lo, H1Hi: mid, H2Lo: mid, H2Hi: k.hi, Agent: b.agentOf[r], Origin: b.originOf[r]}
-			if r >= mid {
-				s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, k.hi, k.lo, mid
-			}
-			b.states[r].steps = append(b.states[r].steps, s)
-		}
-		b.applyTransfers(k)
 		for _, h := range []block{{k.lo, mid}, {mid, k.hi}} {
 			if h.hi-h.lo > b.l {
 				next = append(next, h)
@@ -269,6 +290,49 @@ func (b *builder) step() {
 		}
 	}
 	b.active = next
+}
+
+// halve runs one level over blocks: two independent matchings per block
+// — lower-half proposers with upper-half acceptors, then the reverse
+// (the paper's two find_agent/find_origin phases) — then its transfers.
+func (b *builder) halve(blocks []block) {
+	for _, k := range blocks {
+		mid := Halves(k.lo, k.hi)
+		b.match(k.lo, mid, mid, k.hi)
+		b.match(mid, k.hi, k.lo, mid)
+		b.settle(k)
+	}
+}
+
+// settle records the level's step of every rank of block k and applies
+// the transfers its matchings agreed.
+func (b *builder) settle(k block) {
+	mid := Halves(k.lo, k.hi)
+	for r := k.lo; r < k.hi; r++ {
+		s := Step{H1Lo: k.lo, H1Hi: mid, H2Lo: mid, H2Hi: k.hi, Agent: b.agentOf[r], Origin: b.originOf[r]}
+		if r >= mid {
+			s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, k.hi, k.lo, mid
+		}
+		b.states[r].steps = append(b.states[r].steps, s)
+	}
+	b.applyTransfers(k)
+}
+
+// fork runs first on this builder and, on a second goroutine, second on
+// its helper: a builder sharing the graph, the states and the matching
+// arrays, with scratch and Stats of its own. It returns once both have.
+//
+//lint:blockok — joins a CPU-bound helper that takes no lock and never enters mpirt, so the wait ends in bounded host time on any engine, including the FT repair builds inside rank bodies
+func (b *builder) fork(first, second func(w *builder)) {
+	if b.helper == nil {
+		b.helper = &builder{g: b.g, n: b.n, l: b.l, policy: b.policy, avoid: b.avoid, states: b.states,
+			agentOf: b.agentOf, originOf: b.originOf, enum: b.enum, rows: b.rows}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func(h *builder) { second(h); wg.Done() }(b.helper)
+	first(b)
+	wg.Wait()
 }
 
 // cand is one scored proposer/acceptor pair of a matching.
@@ -283,6 +347,7 @@ type proposer struct {
 }
 
 const enumIntersect, enumCount int8 = 1, 2
+const splitNever, splitAlways int8 = 1, 2
 
 // match computes the stable matching between proposers [plo, phi) and
 // acceptors [alo, ahi) under the symmetric weight
@@ -514,6 +579,10 @@ func (b *builder) applyTransfers(k block) {
 // FinalRecvs.
 func (b *builder) finish() (*Pattern, error) {
 	p := &Pattern{Graph: b.g, L: b.l, Plans: make([]RankPlan, b.n), Stats: b.stats}
+	if h := b.helper; h != nil {
+		p.Stats.AgentAttempts += h.stats.AgentAttempts
+		p.Stats.AgentSuccesses += h.stats.AgentSuccesses
+	}
 	total, sends := 0, 0
 	for r := range b.states {
 		total += len(b.states[r].del)
