@@ -9,7 +9,7 @@ import (
 
 	"nbrallgather/internal/bitset"
 	"nbrallgather/internal/order"
-	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/tags"
 	"nbrallgather/internal/vgraph"
 )
@@ -28,7 +28,7 @@ type refCNPlan struct {
 	// Sends are the combined deliveries this rank is the delegate for,
 	// sorted by destination; Sources are the group members whose
 	// payload the message carries.
-	Sends []pattern.FinalSend
+	Sends []combined
 	// RecvFrom lists the distinct ranks this rank receives combined
 	// messages from, ascending.
 	RecvFrom []int
@@ -170,7 +170,7 @@ func refBuildCNAvoiding(g *vgraph.Graph, k int, avoid []bool) (*refCNPattern, er
 			}
 			delegate := pool[i%len(pool)]
 			dp := &p.Plans[delegate]
-			dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: append([]int(nil), cs...)})
+			dp.Sends = append(dp.Sends, combined{Dst: v, Sources: append([]int(nil), cs...)})
 			senders[v][delegate] = true
 		}
 		for _, r := range group {
@@ -295,7 +295,7 @@ func refAssignDelegates(g *vgraph.Graph, p *refCNPattern, group []int, senders [
 		sort.Ints(cs)
 		delegate := cs[i%len(cs)]
 		dp := &p.Plans[delegate]
-		dp.Sends = append(dp.Sends, pattern.FinalSend{Dst: v, Sources: cs})
+		dp.Sends = append(dp.Sends, combined{Dst: v, Sources: cs})
 		senders[v][delegate] = true
 	}
 	for _, r := range group {
@@ -303,6 +303,55 @@ func refAssignDelegates(g *vgraph.Graph, p *refCNPattern, group []int, senders [
 		sort.Slice(p.Plans[r].Sends, func(a, b int) bool {
 			return p.Plans[r].Sends[a].Dst < p.Plans[r].Sends[b].Dst
 		})
+	}
+}
+
+// samePlan reports whether two plans are equal op for op and capacity
+// for capacity.
+func samePlan(got, want *Plan) bool {
+	return reflect.DeepEqual(got, want) && got.Bytes() == want.Bytes() &&
+		cap(got.ops) == cap(want.ops) && cap(got.arena) == cap(want.arena)
+}
+
+// TestSplitCNEqualsSerial: a Common Neighbor build whose group pass and
+// emission run as two halves, or as the grain chooses, emits the serial
+// build's plan, on the rsg540-lat graph with and without an avoid set and
+// on the moore10k-scale grid.
+func TestSplitCNEqualsSerial(t *testing.T) {
+	defer func() { cnSplit = 0 }()
+	g540 := erGraph(t, 540, 0.3, 1)
+	dims, err := vgraph.MooreDims(10240, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moore, err := vgraph.Moore(dims, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	avoid := make([]bool, g540.N())
+	for i := range avoid {
+		avoid[i] = rng.Intn(5) == 0
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *vgraph.Graph
+		avoid []bool
+	}{{"er540d30", g540, nil}, {"moore10k", moore, nil}, {"er540d30/avoid", g540, avoid}} {
+		build := func(split int8) *Plan {
+			cnSplit = split
+			pl, err := BuildCNAvoiding(tc.g, 4, tc.avoid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}
+		want := build(sweep.SplitNever)
+		for _, split := range []int8{sweep.SplitAlways, 0} {
+			if !samePlan(build(split), want) {
+				t.Errorf("%s: split=%d emits a plan other than the serial one", tc.name, split)
+			}
+		}
 	}
 }
 
@@ -327,10 +376,7 @@ func TestCNEqualsReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs = append(graphs, moore)
-	same := func(got, want *Plan) bool {
-		return reflect.DeepEqual(got, want) && got.Bytes() == want.Bytes() &&
-			cap(got.ops) == cap(want.ops) && cap(got.arena) == cap(want.arena)
-	}
+	same := samePlan
 	rng := rand.New(rand.NewSource(5))
 	for _, g := range graphs {
 		avoid := make([]bool, g.N())

@@ -203,59 +203,60 @@ func emitDirect(b *PlanBuilder, tag int) *Plan {
 // Each halving step ships the buffer as held before that step's
 // arrival — a prefix of the hold order, in place — to the agent while
 // merging the origin's; the remainder phase packs one self-describing
-// delivery per destination.
+// delivery per destination. The pattern's source runs go into the
+// plan's arena as they are.
 func emitDH(pat *pattern.Pattern) *Plan {
 	const final = Deliver | SelfDescribing | Packed
 	ops, blocks := 0, 0
 	for r := range pat.Plans {
 		plan := &pat.Plans[r]
-		ops += 2 + len(plan.FinalRecvs) + len(plan.FinalSends) + len(plan.FinalSelfCopies)
-		for t := range plan.Steps {
-			ops += len(plan.Steps[t].SelfCopies)
-			if plan.Steps[t].Origin != pattern.NoRank {
+		ops += 2 + int(plan.FinalRecvs.Len) + len(plan.FinalSends) + int(plan.FinalSelfCopies.Len)
+		for _, st := range plan.Steps {
+			ops += int(st.Copies.Len)
+			if st.Origin != pattern.NoRank {
 				ops += 2
 			}
-			if plan.Steps[t].Agent != pattern.NoRank {
+			if st.Agent != pattern.NoRank {
 				ops++
 			}
 		}
-		blocks += len(plan.BufSources)
+		blocks += int(plan.BufSources.Len)
 		for _, fs := range plan.FinalSends {
-			blocks += len(fs.Sources)
+			blocks += int(fs.Sources.Len)
 		}
 	}
 	b := NewPlanBuilder(pat.Graph, ops, blocks)
 	for r := range pat.Plans {
-		b.Hold(r, pat.Plans[r].BufSources)
+		b.Hold(r, pat.Plans[r].Sources(pat.Plans[r].BufSources))
 	}
 	for r := range pat.Plans {
 		plan := &pat.Plans[r]
 		b.Copy(r, 0)
-		for t := range plan.Steps {
-			st := &plan.Steps[t]
+		for t, st := range plan.Steps {
 			recv := b.Len()
 			if st.Origin != pattern.NoRank {
-				b.Recv(st.Origin, tags.DHStep+t, 0, st.RecvSources...)
+				b.add(OpRecv, 0, int(st.Origin), tags.DHStep+t, intern(b, plan.Sources(st.Recv), int(st.Origin)))
 			}
 			posted := b.Len()
 			if st.Agent != pattern.NoRank {
-				b.Send(st.Agent, tags.DHStep+t, 0, plan.BufSources[:st.SendCount]...)
+				sent := pattern.Run{Off: plan.BufSources.Off, Len: st.SendCount}
+				b.add(OpSend, 0, int(st.Agent), tags.DHStep+t, intern(b, plan.Sources(sent), r))
 			}
 			b.Wait(recv, posted)
-			for _, src := range st.SelfCopies {
-				b.Copy(src, Deliver)
+			for _, src := range plan.Sources(st.Copies) {
+				b.Copy(int(src), Deliver)
 			}
 		}
 		lo := b.Len()
-		for _, sender := range plan.FinalRecvs {
-			b.Recv(sender, tags.DHFinal, final)
+		for _, sender := range plan.Sources(plan.FinalRecvs) {
+			b.Recv(int(sender), tags.DHFinal, final)
 		}
 		hi := b.Len()
 		for _, fs := range plan.FinalSends {
-			b.Send(fs.Dst, tags.DHFinal, final, fs.Sources...)
+			b.add(OpSend, final, int(fs.Dst), tags.DHFinal, intern(b, plan.Sources(fs.Sources), r))
 		}
-		for _, src := range plan.FinalSelfCopies {
-			b.Copy(src, Deliver)
+		for _, src := range plan.Sources(plan.FinalSelfCopies) {
+			b.Copy(int(src), Deliver)
 		}
 		b.Wait(lo, hi)
 		b.EndRank()

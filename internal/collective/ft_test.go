@@ -180,7 +180,7 @@ func TestFTAgentKill(t *testing.T) {
 	for _, pl := range dh.pat.Plans {
 		for _, st := range pl.Steps {
 			if st.Agent != pattern.NoRank {
-				agent = st.Agent
+				agent = int(st.Agent)
 				break
 			}
 		}

@@ -248,7 +248,7 @@ func (cs *chaosRT) decide() (rank int, ok bool) {
 				// earliest deliverable copy per sender is simply the first
 				// matching one — the same winner, emitted in the same
 				// order, as a quadratic earliest-of-sender scan.
-				b := cs.rt.boxes[r]
+				b := &cs.rt.boxes[r]
 				deliverable := false
 				for i, fm := range cs.inflight[r] {
 					if !chaosMatch(b.wSrc, b.wTag, fm.msg) {

@@ -105,7 +105,7 @@ func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 // chaos duplicate only ever gets dropped, so it does not count), in the
 // mailbox otherwise. Takes boxes[r].mu; callers must hold no box lock.
 func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
-	b := rt.boxes[r]
+	b := &rt.boxes[r]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.waiter || b.wSrc == AnySource {

@@ -123,12 +123,15 @@ func (t threadedRT) died(int) { t.rt.broadcastBoxes() }
 
 func (t threadedRT) wakeRevoked() { t.rt.broadcastBoxes() }
 
-// broadcastBoxes wakes every goroutine parked on a mailbox.
+// broadcastBoxes wakes every goroutine parked on a mailbox: none before
+// the threaded driver has made the conditions.
 func (rt *Runtime) broadcastBoxes() {
-	for _, b := range rt.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
+	for i := range rt.boxes {
+		if b := &rt.boxes[i]; b.cond != nil {
+			b.mu.Lock()
+			b.cond.Broadcast()
+			b.mu.Unlock()
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func (ev *eventRT) died(dead int) {
 		if ev.state[r] != stRecvWait {
 			continue
 		}
-		b := rt.boxes[r]
+		b := &rt.boxes[r]
 		if b.waiter && (b.wSrc == dead || (b.wSrc == AnySource && rt.firstDeadPeer(r) >= 0)) {
 			ev.schedule(r, b.wVT)
 		}

@@ -466,7 +466,7 @@ type Runtime struct {
 	cfg      Config
 	n        int
 	model    *netmodel.Model
-	boxes    []*mailbox
+	boxes    []mailbox
 	procs    []*Proc
 	aborted  atomic.Bool
 	failErr  atomic.Pointer[error]
@@ -639,7 +639,7 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		cfg:        cfg,
 		n:          n,
 		model:      model,
-		boxes:      make([]*mailbox, n),
+		boxes:      make([]mailbox, n),
 		procs:      make([]*Proc, n),
 		reduceVals: make([]float64, n),
 		deadMask:   make([]atomic.Bool, n),
@@ -653,13 +653,11 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		bmu:        hostLock{serial: serial},
 	}
 	rt.bcond = sync.NewCond(&rt.bmu)
-	for i := range rt.boxes {
-		b := &mailbox{mu: hostLock{serial: serial}}
-		b.cond = sync.NewCond(&b.mu)
-		rt.boxes[i] = b
-	}
+	procs := make([]Proc, n)
 	for r := 0; r < n; r++ {
-		p := &Proc{rt: rt, rank: r, slow: 1}
+		rt.boxes[r].mu.serial = serial
+		p := &procs[r]
+		p.rt, p.rank, p.slow = rt, r, 1
 		if cfg.CriticalPath {
 			p.edges = []Span{}
 		}
@@ -679,6 +677,9 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		rt.drv, rt.host = rt.ev, &rt.ev.coHost
 	default:
 		rt.drv = threadedRT{rt}
+		for i := range rt.boxes {
+			rt.boxes[i].cond = sync.NewCond(&rt.boxes[i].mu)
+		}
 	}
 
 	// Wall-clock reporting only: Report.Wall measures host execution
@@ -863,7 +864,8 @@ func (rt *Runtime) checkAborted() {
 //lint:allocok — deadlock diagnostic, runs once just before abort
 func (rt *Runtime) blockedSummary() string {
 	var parts []string
-	for r, b := range rt.boxes {
+	for r := range rt.boxes {
+		b := &rt.boxes[r]
 		b.mu.Lock()
 		if b.waiter {
 			src, dead := "any", ""
@@ -1155,7 +1157,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		return nil
 	}
 	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb}
-	box := p.rt.boxes[dst]
+	box := &p.rt.boxes[dst]
 	box.mu.Lock()
 	box.fileLocked(&m, h)
 	if ev := p.rt.ev; ev != nil {
@@ -1234,7 +1236,7 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 		slot = -1 // a wildcard has no slot of its own
 	}
 	h := p.hint(slot, p.rank, "recv")
-	box := rt.boxes[p.rank]
+	box := &rt.boxes[p.rank]
 	// checked guards the wait-for-graph probe: one cycle chase per
 	// posted receive, run after this rank publishes its wait so that
 	// concurrent probes on other ranks can observe the closing edge.
@@ -1358,7 +1360,7 @@ func (p *Proc) Probe(src, tag int) bool {
 	if cs := p.rt.chaos; cs != nil {
 		return cs.deliverable(p.rank, src, tag)
 	}
-	box := p.rt.boxes[p.rank]
+	box := &p.rt.boxes[p.rank]
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	return box.matchesLocked(src, tag, hint{slot: -1})

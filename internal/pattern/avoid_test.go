@@ -58,9 +58,9 @@ func TestBuildAvoidingKeepsRelayRolesOffAvoidedRanks(t *testing.T) {
 				// Responsibility for an avoided destination never
 				// transfers: only the original source delivers, as one
 				// segment over its own graph edge.
-				if len(fs.Sources) != 1 || fs.Sources[0] != plan.Rank {
+				if srcs := plan.Sources(fs.Sources); len(srcs) != 1 || int(srcs[0]) != plan.Rank {
 					t.Fatalf("n=%d seed=%d: delivery to avoided rank %d carries sources %v from rank %d, want the direct send",
-						tc.n, tc.seed, fs.Dst, fs.Sources, plan.Rank)
+						tc.n, tc.seed, fs.Dst, srcs, plan.Rank)
 				}
 			}
 		}

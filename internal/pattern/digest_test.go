@@ -9,34 +9,36 @@ import (
 	"nbrallgather/internal/vgraph"
 )
 
-// digest folds every field of every RankPlan, and the Stats, into one
-// FNV-1a word; slice lengths are folded too, so moving an element from
-// one list to the next changes it.
+// digest folds every field of every RankPlan — its steps' halves
+// through pattern.Level, its lists through Sources — and the Stats,
+// into one FNV-1a word; list lengths are folded too, so moving an
+// element from one list to the next changes it.
 func digest(p *pattern.Pattern) uint64 {
 	h := uint64(14695981039346656037)
 	add := func(v int) { h = (h ^ uint64(int64(v))) * 1099511628211 }
-	list := func(s []int) {
-		add(len(s))
-		for _, v := range s {
-			add(v)
-		}
-	}
 	add(p.L)
 	add(len(p.Plans))
 	for i := range p.Plans {
 		pl := &p.Plans[i]
+		list := func(r pattern.Run) {
+			add(int(r.Len))
+			for _, v := range pl.Sources(r) {
+				add(int(v))
+			}
+		}
 		add(pl.Rank)
 		add(len(pl.Steps))
-		for _, s := range pl.Steps {
-			for _, v := range []int{s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi, s.Agent, s.Origin, s.SendCount} {
+		for t, s := range pl.Steps {
+			h1lo, h1hi, h2lo, h2hi := pattern.Level(p.Graph.N(), t, pl.Rank)
+			for _, v := range []int{h1lo, h1hi, h2lo, h2hi, int(s.Agent), int(s.Origin), int(s.SendCount)} {
 				add(v)
 			}
-			list(s.RecvSources)
-			list(s.SelfCopies)
+			list(s.Recv)
+			list(s.Copies)
 		}
 		add(len(pl.FinalSends))
 		for _, fs := range pl.FinalSends {
-			add(fs.Dst)
+			add(int(fs.Dst))
 			list(fs.Sources)
 		}
 		list(pl.FinalRecvs)

@@ -42,7 +42,7 @@ const noteBytes = 8
 // descMsg is the meta payload of the descriptor transfer: the origin's
 // buffer source order plus the deliveries it offloads.
 type descMsg struct {
-	sources []int
+	sources []int32
 	moved   []owed
 }
 
@@ -76,7 +76,7 @@ func BuildDistributed(cfg mpirt.Config, g *vgraph.Graph) (*Pattern, *mpirt.Repor
 	plans, counts := make([]RankPlan, g.N()), make([]Stats, g.N())
 	rep, err := mpirt.Run(cfg, func(p *mpirt.Proc) {
 		plan, a, s := BuildRank(p, g, l)
-		plans[p.Rank()], counts[p.Rank()] = *plan, Stats{a, s, len(plan.BufSources)}
+		plans[p.Rank()], counts[p.Rank()] = *plan, Stats{a, s, int(plan.BufSources.Len)}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -107,31 +107,25 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 	// exchanged.
 	ChargeNeighborListExchange(p, g)
 
-	st := newRankState(g, r, make([]Step, 0, levels(n, l)), make([]int, 1), make([]owed, g.OutDegree(r)))
-	selfCopies := 0
+	st := newRankState(g, r, make([]Step, 0, levels(n, l)), make([]int32, 1), make([]owed, g.OutDegree(r)), make([]int32, 0, g.InDegree(r)))
 
 	for lo, hi, t := 0, n, 0; hi-lo > l; t++ {
-		mid := Halves(lo, hi)
-		s := Step{H1Lo: lo, H1Hi: mid, H2Lo: mid, H2Hi: hi, Agent: NoRank, Origin: NoRank}
-		if r < mid {
-			hi = mid
-		} else {
-			s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi = mid, hi, lo, mid
-			lo = mid
-		}
+		h1lo, h1hi, h2lo, h2hi := Level(n, t, r)
+		lo, hi = h1lo, h1hi
+		s := Step{Agent: NoRank, Origin: NoRank}
 
 		// Two negotiation phases: the lower half proposes first
 		// (Algorithm 1 lines 14–24).
 		for phase := 0; phase < 2; phase++ {
-			if (phase == 0) == (r < mid) { // this rank's half proposes
-				if st.wantsAgent(s.H2Lo, s.H2Hi, nil) {
+			if (phase == 0) == (h1lo < h2lo) { // this rank's half proposes
+				if st.wantsAgent(h2lo, h2hi, nil) {
 					attempts++
 				}
-				if s.Agent = findAgent(p, g, t, phase, r, s.H2Lo, s.H2Hi); s.Agent != NoRank {
+				if s.Agent = int32(findAgent(p, g, t, phase, r, h2lo, h2hi)); s.Agent != NoRank {
 					successes++
 				}
 			} else {
-				s.Origin = findOrigin(p, g, t, phase, r, s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi)
+				s.Origin = int32(findOrigin(p, g, t, phase, r, h1lo, h1hi, h2lo, h2hi))
 			}
 		}
 
@@ -139,46 +133,48 @@ func BuildRank(p *mpirt.Proc, g *vgraph.Graph, l int) (plan *RankPlan, attempts,
 		// selected agent; symmetrically absorb notifications from
 		// incoming neighbors in h2. Content is advisory; the cost is
 		// what matters here.
-		for _, v := range within(g.Out(r), s.H2Lo, s.H2Hi) {
+		for _, v := range within(g.Out(r), h2lo, h2hi) {
 			p.Send(v, tags.NoteBase+t, noteBytes, nil, nil)
 		}
-		for range within(g.In(r), s.H2Lo, s.H2Hi) {
+		for range within(g.In(r), h2lo, h2hi) {
 			p.Recv(mpirt.AnySource, tags.NoteBase+t)
 		}
 
 		// Descriptor exchange (Algorithm 1 lines 31–49).
 		if s.Agent != NoRank {
-			s.SendCount = len(st.buf)
-			d := &descMsg{sources: slices.Clone(st.buf), moved: st.offload(s.H2Lo, s.H2Hi, nil, nil)}
-			p.Send(s.Agent, tags.DescBase+t, descMsgBytes(d), nil, d)
+			s.SendCount = int32(len(st.buf))
+			d := &descMsg{sources: slices.Clone(st.buf), moved: st.offload(h2lo, h2hi, nil, nil)}
+			p.Send(int(s.Agent), tags.DescBase+t, descMsgBytes(d), nil, d)
 		}
 		if s.Origin != NoRank {
-			d := p.Recv(s.Origin, tags.DescBase+t).Meta.(*descMsg)
-			st.onload(&s, d.sources, d.moved, nil)
-			selfCopies += len(s.SelfCopies)
+			d := p.Recv(int(s.Origin), tags.DescBase+t).Meta.(*descMsg)
+			st.onload(&s, d.sources, d.moved)
 		}
 		st.steps = append(st.steps, s)
 	}
 
 	// Final phase derivation, with sender announcements so each rank
 	// learns its remainder-phase senders (the paper's I_on tracking).
-	final := st.final(make([]int, len(st.del)), make([]FinalSend, st.sendCount()))
+	final := st.final(make([]int32, len(st.buf)+len(st.copies)+len(st.del)), make([]FinalSend, st.sendCount(nil)))
 	plan = &final
 	for _, fs := range plan.FinalSends {
-		p.Send(fs.Dst, tags.FinalNote, noteBytes, nil, finalNote{count: len(fs.Sources)})
+		p.Send(int(fs.Dst), tags.FinalNote, noteBytes, nil, finalNote{count: int(fs.Sources.Len)})
 	}
 
-	expect := g.InDegree(r) - selfCopies - len(plan.FinalSelfCopies)
-	senders := map[int]bool{}
+	expect := g.InDegree(r) - len(st.copies) - int(plan.FinalSelfCopies.Len)
+	senders := map[int32]bool{}
 	for expect > 0 {
 		msg := p.Recv(mpirt.AnySource, tags.FinalNote)
 		expect -= msg.Meta.(finalNote).count
-		senders[msg.Src] = true
+		senders[int32(msg.Src)] = true
 	}
 	if expect < 0 {
 		panic(fmt.Sprintf("pattern: rank %d over-announced final edges by %d", r, -expect))
 	}
-	plan.FinalRecvs = order.SortedKeys(senders)
+	if len(senders) > 0 {
+		plan.FinalRecvs = Run{int32(len(plan.Src)), int32(len(senders))}
+		plan.Src = append(plan.Src, order.SortedKeys(senders)...)
+	}
 	return plan, attempts, successes
 }
 

@@ -33,11 +33,7 @@ func buildForced(g *vgraph.Graph, l int, policy Policy, avoid []bool, enum int8)
 	if enum == enumIntersect {
 		b.rows = testRows(g)
 	}
-	p, err := b.build()
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return b.build()
 }
 
 // enumerationsEquivalent reports whether every enumeration builds the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,9 +79,9 @@ func TestBuildProperty(t *testing.T) {
 	}
 }
 
-// TestStepHalvesNested checks the halving geometry: every step's h1
-// contains the rank, halves are complementary and nested, and the last
-// h1 has at most L ranks.
+// TestStepHalvesNested checks the halving geometry Level derives: every
+// step's h1 contains the rank, halves are complementary and nested, and
+// the last h1 has at most L ranks.
 func TestStepHalvesNested(t *testing.T) {
 	g := mustER(t, 37, 0.4, 9)
 	l := 3
@@ -89,26 +90,25 @@ func TestStepHalvesNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, plan := range p.Plans {
-		lo, hi := 0, g.N()
-		for i, s := range plan.Steps {
+		lo, hi, parent := 0, g.N(), 0
+		for i := range plan.Steps {
 			mid := Halves(lo, hi)
 			wantH1 := [2]int{lo, mid}
 			wantH2 := [2]int{mid, hi}
 			if r >= mid {
 				wantH1, wantH2 = wantH2, wantH1
 			}
-			if s.H1Lo != wantH1[0] || s.H1Hi != wantH1[1] || s.H2Lo != wantH2[0] || s.H2Hi != wantH2[1] {
+			h1lo, h1hi, h2lo, h2hi := Level(g.N(), i, r)
+			if h1lo != wantH1[0] || h1hi != wantH1[1] || h2lo != wantH2[0] || h2hi != wantH2[1] {
 				t.Fatalf("rank %d step %d: halves [%d,%d)/[%d,%d), want [%d,%d)/[%d,%d)",
-					r, i, s.H1Lo, s.H1Hi, s.H2Lo, s.H2Hi, wantH1[0], wantH1[1], wantH2[0], wantH2[1])
+					r, i, h1lo, h1hi, h2lo, h2hi, wantH1[0], wantH1[1], wantH2[0], wantH2[1])
 			}
-			lo, hi = s.H1Lo, s.H1Hi
+			lo, hi, parent = h1lo, h1hi, h1hi-h1lo+h2hi-h2lo
 		}
 		if hi-lo > l {
 			t.Fatalf("rank %d stopped with |h1| = %d > L = %d", r, hi-lo, l)
 		}
 		if len(plan.Steps) > 0 {
-			last := plan.Steps[len(plan.Steps)-1]
-			parent := last.H1Hi - last.H1Lo + (last.H2Hi - last.H2Lo)
 			if parent <= l {
 				t.Fatalf("rank %d performed a step although parent block %d ≤ L", r, parent)
 			}
@@ -239,8 +239,8 @@ func TestBufferGrowthBounded(t *testing.T) {
 		if bound > g.N() {
 			bound = g.N()
 		}
-		if len(plan.BufSources) > bound {
-			t.Fatalf("rank %d buffer has %d sources, bound %d", r, len(plan.BufSources), bound)
+		if int(plan.BufSources.Len) > bound {
+			t.Fatalf("rank %d buffer has %d sources, bound %d", r, plan.BufSources.Len, bound)
 		}
 	}
 	if p.Stats.MaxBufSources == 0 {
@@ -320,8 +320,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			for r := range p.Plans {
 				for i := range p.Plans[r].Steps {
 					s := &p.Plans[r].Steps[i]
-					if s.Agent != NoRank && s.Agent != s.H2Lo {
-						s.Agent = s.H2Lo
+					if _, _, h2lo, _ := Level(p.Graph.N(), i, r); s.Agent != NoRank && int(s.Agent) != h2lo {
+						s.Agent = int32(h2lo)
 						return true
 					}
 				}
@@ -329,15 +329,24 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			return false
 		},
 		"double self copy": func(p *Pattern) bool {
+			// dup relists run's sources, then its first once more, at the
+			// end of a copy of the plan's arena.
+			dup := func(pl *RankPlan, run *Run) bool {
+				if run.Len == 0 {
+					return false
+				}
+				list, at := pl.Sources(*run), int32(len(pl.Src))
+				pl.Src = append(append(slices.Clone(pl.Src), list...), list[0])
+				*run = Run{at, run.Len + 1}
+				return true
+			}
 			for r := range p.Plans {
-				if len(p.Plans[r].FinalSelfCopies) > 0 {
-					p.Plans[r].FinalSelfCopies = append(p.Plans[r].FinalSelfCopies, p.Plans[r].FinalSelfCopies[0])
+				pl := &p.Plans[r]
+				if dup(pl, &pl.FinalSelfCopies) {
 					return true
 				}
-				for i := range p.Plans[r].Steps {
-					s := &p.Plans[r].Steps[i]
-					if len(s.SelfCopies) > 0 {
-						s.SelfCopies = append(s.SelfCopies, s.SelfCopies[0])
+				for i := range pl.Steps {
+					if dup(pl, &pl.Steps[i].Copies) {
 						return true
 					}
 				}

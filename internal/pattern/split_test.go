@@ -3,15 +3,20 @@ package pattern
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"nbrallgather/internal/sweep"
 	"nbrallgather/internal/vgraph"
 )
 
-// TestParallelBuildEqualsSerial: a level split across two workers
-// builds the serial builder's pattern, Stats included, whatever the
-// grain would choose — on the benchmark's two random shapes, Moore grids
-// up to the 10 240-rank one, an avoid set and the first-fit policy.
+// TestParallelBuildEqualsSerial: levels and a finish split across two
+// workers build the serial builder's pattern, Stats included, whatever
+// the grain would choose — on the benchmark's two random shapes, Moore
+// grids up to the 10 240-rank one, an avoid set, the first-fit policy,
+// and a graph of at most L ranks, where only the finish can split.
+// BuildAvoiding builds it too, two builds at a time: a planner-sized
+// row's builders come from the pool, reused across rows.
 func TestParallelBuildEqualsSerial(t *testing.T) {
 	er := func(n int, delta float64) *vgraph.Graph {
 		g, err := vgraph.ErdosRenyi(n, delta, 1)
@@ -50,27 +55,35 @@ func TestParallelBuildEqualsSerial(t *testing.T) {
 		{"moore10k", moore(10240), 32, PolicyLoadAware, nil},
 		{"er540d30l18/avoid", g540, 18, PolicyLoadAware, avoid},
 		{"er540d30l18/firstfit", g540, 18, PolicyFirstFit, nil},
+		{"er540d30l540/finish", g540, 540, PolicyLoadAware, nil},
 	} {
 		build := func(split int8) (*Pattern, bool) {
 			b := &builder{g: tc.g, n: tc.g.N(), l: tc.l, policy: tc.policy, avoid: tc.avoid, split: split}
-			p, err := b.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, b.helper != nil
+			return b.build(), b.helper != nil
 		}
-		want, forked := build(splitNever)
+		want, forked := build(sweep.SplitNever)
 		if forked {
 			t.Fatalf("%s: a serial build forked", tc.name)
 		}
-		for _, split := range []int8{splitAlways, 0} {
+		for _, split := range []int8{sweep.SplitAlways, 0} {
 			got, forked := build(split)
-			if split == splitAlways && !forked {
+			if split == sweep.SplitAlways && !forked {
 				t.Fatalf("%s: a split build never forked", tc.name)
 			}
 			if got.Stats != want.Stats || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: split=%d builds a pattern other than the serial one", tc.name, split)
 			}
 		}
+		var wg sync.WaitGroup // two pooled builds at once: each takes scratch of its own
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := BuildAvoiding(tc.g, tc.l, tc.policy, tc.avoid); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: a pooled build differs from a fresh one (%v)", tc.name, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -28,23 +28,28 @@ type rankState struct {
 	// level (one to begin with; a level adds at most the one agent of a
 	// block's holder, in the sibling block), and an origin and its agent
 	// share the parent block.
-	buf []int
+	buf []int32
 	// del lists the deliveries this rank is responsible for, ascending:
 	// grouped by destination, sources ascending within one. A level
 	// concerns one run of it, found by binary search.
 	del []owed
+	// copies lists the steps' self-copies in step order, at most one per
+	// in-edge: a step's Copies indexes it until final moves it to the
+	// arena.
+	copies []int32
 }
 
 // newRankState is rank r before the first level: its own payload, owed
 // to each of its out-neighbors, and room for the levels to come. buf
-// (one entry) and del (OutDegree(r) entries) are its storage, capped so
-// that growing either reallocates rather than overruns a neighbor's.
-func newRankState(g *vgraph.Graph, r int, steps []Step, buf []int, del []owed) rankState {
-	buf[0] = r
+// (one entry), del (OutDegree(r) entries) and copies (room for
+// InDegree(r)) are its storage, capped so that growing any of them
+// reallocates rather than overruns a neighbor's.
+func newRankState(g *vgraph.Graph, r int, steps []Step, buf []int32, del []owed, copies []int32) rankState {
+	buf[0] = int32(r)
 	for i, d := range g.Out(r) {
 		del[i] = owe(d, r)
 	}
-	return rankState{rank: r, steps: steps, buf: buf, del: del}
+	return rankState{rank: r, steps: steps, buf: buf, del: del, copies: copies}
 }
 
 // levels bounds the halving steps of any rank: how often n halves,
@@ -97,19 +102,18 @@ func (st *rankState) offload(lo, hi int, avoid []bool, moved []owed) []owed {
 // onload is the agent's side of step s: the origin's buffer content
 // joins the rank's own, and the origin's descriptor is merged into the
 // delivery list — except the deliveries to this rank itself, which a
-// local copy satisfies the moment the payload arrives. sources is kept,
-// not copied; the self-copies are appended to copies, which is returned.
-func (st *rankState) onload(s *Step, sources []int, moved []owed, copies []int) []int {
-	s.RecvSources = sources
+// local copy satisfies the moment the payload arrives: those join the
+// rank's self-copies.
+func (st *rankState) onload(s *Step, sources []int32, moved []owed) {
+	s.Recv = Run{int32(len(st.buf)), int32(len(sources))}
 	st.buf = append(st.buf, sources...)
 	// The deliveries to this rank are one run of moved, sources ascending.
 	i, j := run(moved, st.rank, st.rank+1)
 	if i < j {
-		from := len(copies)
+		s.Copies = Run{int32(len(st.copies)), int32(j - i)}
 		for _, e := range moved[i:j] {
-			copies = append(copies, e.src())
+			st.copies = append(st.copies, int32(e.src()))
 		}
-		s.SelfCopies = copies[from:len(copies):len(copies)]
 	}
 	// Merge the rest in from the back, in place: what lies above the
 	// self-copies first, then what lies below them. The compare picks the
@@ -130,26 +134,36 @@ func (st *rankState) onload(s *Step, sources []int, moved []owed, copies []int) 
 		}
 		w -= copy(del[w-q:w+1], part[:q+1]) // what is left lies below
 	}
-	return copies
 }
 
 // final turns what the rank still owes when halving stops into its
-// remainder phase, with srcs (len(del) entries) holding the sources and
-// sends room for at least sendCount FinalSends. The list is already
-// grouped by destination with sources ascending, so one walk emits
-// FinalSends in destination order.
-func (st *rankState) final(srcs []int, sends []FinalSend) RankPlan {
-	plan := RankPlan{Rank: st.rank, Steps: st.steps, BufSources: st.buf}
+// remainder phase, laid out in src: the buffer, the self-copies, the
+// final sources (len(del) entries), then whatever room is left, which is
+// FinalRecvs for the caller to fill. sends has room for sendCount
+// FinalSends. The list is already grouped by destination with sources
+// ascending, so one walk emits FinalSends in destination order.
+func (st *rankState) final(src []int32, sends []FinalSend) RankPlan {
+	nb, at := int32(len(st.buf)), int32(len(st.buf)+len(st.copies))
+	copy(src[copy(src, st.buf):], st.copies)
+	for i := range st.steps {
+		if st.steps[i].Copies.Len > 0 {
+			st.steps[i].Copies.Off += nb
+		}
+	}
+	plan := RankPlan{Rank: st.rank, Steps: st.steps, BufSources: Run{0, nb}, Src: src}
+	if end := at + int32(len(st.del)); int(end) < len(src) {
+		plan.FinalRecvs = Run{end, int32(len(src)) - end}
+	}
 	sends = sends[:0]
 	for i := 0; i < len(st.del); {
 		d, from := st.del[i].dst(), i
 		for ; i < len(st.del) && st.del[i].dst() == d; i++ {
-			srcs[i] = st.del[i].src()
+			src[int(at)+i] = int32(st.del[i].src())
 		}
-		if d == st.rank {
-			plan.FinalSelfCopies = srcs[from:i:i]
+		if r := (Run{at + int32(from), int32(i - from)}); d == st.rank {
+			plan.FinalSelfCopies = r
 		} else {
-			sends = append(sends, FinalSend{Dst: d, Sources: srcs[from:i:i]})
+			sends = append(sends, FinalSend{Dst: int32(d), Sources: r})
 		}
 	}
 	if len(sends) > 0 {
@@ -159,12 +173,15 @@ func (st *rankState) final(srcs []int, sends []FinalSend) RankPlan {
 }
 
 // sendCount is the number of FinalSends final emits: one per
-// destination other than the rank itself.
-func (st *rankState) sendCount() int {
+// destination other than the rank itself, each counted into tally too
+// unless it is nil.
+func (st *rankState) sendCount(tally []int32) int {
 	sends := 0
 	for i, e := range st.del {
-		if (i == 0 || st.del[i-1].dst() != e.dst()) && e.dst() != st.rank {
-			sends++
+		if d := e.dst(); (i == 0 || st.del[i-1].dst() != d) && d != st.rank {
+			if sends++; tally != nil {
+				tally[d]++
+			}
 		}
 	}
 	return sends

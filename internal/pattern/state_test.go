@@ -49,7 +49,7 @@ func TestDeliveryListsAfterEveryLevel(t *testing.T) {
 			copied := 0
 			for r := range b.states {
 				st := &b.states[r]
-				held := map[int]bool{}
+				held := map[int32]bool{}
 				for _, src := range st.buf {
 					if held[src] {
 						t.Logf("seed %d level %d: rank %d holds source %d twice", seed, level, r, src)
@@ -62,15 +62,15 @@ func TestDeliveryListsAfterEveryLevel(t *testing.T) {
 						t.Logf("seed %d level %d: rank %d's list does not ascend at %d", seed, level, r, i)
 						return false
 					}
-					if prev, dup := owner[e]; dup || !b.g.HasEdge(e.src(), e.dst()) || !held[e.src()] {
+					if prev, dup := owner[e]; dup || !b.g.HasEdge(e.src(), e.dst()) || !held[int32(e.src())] {
 						t.Logf("seed %d level %d: rank %d owes %d→%d (also owed by %d: %v, source held: %v)",
-							seed, level, r, e.src(), e.dst(), prev, dup, held[e.src()])
+							seed, level, r, e.src(), e.dst(), prev, dup, held[int32(e.src())])
 						return false
 					}
 					owner[e] = r
 				}
 				for _, s := range st.steps {
-					copied += len(s.SelfCopies)
+					copied += int(s.Copies.Len)
 				}
 			}
 			if len(owner)+copied != b.g.Edges() {

@@ -10,9 +10,9 @@ import (
 // Validate symbolically replays the pattern and checks the invariants
 // that make the collective correct, without running the mpirt runtime:
 //
-//  1. step consistency — if a's step t names agent g, then g's step t
-//     names origin a, the halves are complementary, and g's
-//     RecvSources equal a's buffer at send time;
+//  1. step consistency — if a's step t names agent g in the opposite
+//     half, then g's step t names origin a, and g's RecvSources equal
+//     a's buffer at send time;
 //  2. data availability — a rank never ships or finally delivers a
 //     source whose payload its buffer does not contain;
 //  3. edge coverage — every edge u→v of the graph is satisfied exactly
@@ -45,10 +45,10 @@ func (p *Pattern) Validate() error {
 	}
 
 	// Replay buffers step by step across all ranks.
-	bufs := make([][]int, n)
+	bufs := make([][]int32, n)
 	has := make([]*bitset.Set, n)
 	for r := 0; r < n; r++ {
-		bufs[r] = []int{r}
+		bufs[r] = []int32{int32(r)}
 		has[r] = bitset.New(n)
 		has[r].Add(r)
 	}
@@ -60,25 +60,23 @@ func (p *Pattern) Validate() error {
 		maxSteps = max(maxSteps, len(p.Plans[r].Steps))
 	}
 	for t := 0; t < maxSteps; t++ {
-		ships := make(map[int][]int) // receiver → shipped sources
+		ships := make(map[int32][]int32) // receiver → shipped sources
 		for r := 0; r < n; r++ {
 			plan := &p.Plans[r]
 			if t >= len(plan.Steps) {
 				continue
 			}
 			s := plan.Steps[t]
-			if r < s.H1Lo || r >= s.H1Hi {
-				return fmt.Errorf("pattern: rank %d step %d half [%d,%d) excludes itself", r, t, s.H1Lo, s.H1Hi)
-			}
+			_, _, h2lo, h2hi := Level(n, t, r)
 			if s.Agent != NoRank {
-				if s.Agent < s.H2Lo || s.Agent >= s.H2Hi {
-					return fmt.Errorf("pattern: rank %d step %d agent %d outside h2 [%d,%d)", r, t, s.Agent, s.H2Lo, s.H2Hi)
+				if int(s.Agent) < h2lo || int(s.Agent) >= h2hi {
+					return fmt.Errorf("pattern: rank %d step %d agent %d outside h2 [%d,%d)", r, t, s.Agent, h2lo, h2hi)
 				}
 				ag := &p.Plans[s.Agent]
-				if t >= len(ag.Steps) || ag.Steps[t].Origin != r {
+				if t >= len(ag.Steps) || int(ag.Steps[t].Origin) != r {
 					return fmt.Errorf("pattern: rank %d step %d agent %d does not list it as origin", r, t, s.Agent)
 				}
-				if s.SendCount != len(bufs[r]) {
+				if int(s.SendCount) != len(bufs[r]) {
 					return fmt.Errorf("pattern: rank %d step %d SendCount %d != buffer length %d", r, t, s.SendCount, len(bufs[r]))
 				}
 				if _, dup := ships[s.Agent]; dup {
@@ -87,11 +85,11 @@ func (p *Pattern) Validate() error {
 				ships[s.Agent] = slices.Clone(bufs[r])
 			}
 			if s.Origin != NoRank {
-				if s.Origin < s.H2Lo || s.Origin >= s.H2Hi {
+				if int(s.Origin) < h2lo || int(s.Origin) >= h2hi {
 					return fmt.Errorf("pattern: rank %d step %d origin %d outside h2", r, t, s.Origin)
 				}
 				op := &p.Plans[s.Origin]
-				if t >= len(op.Steps) || op.Steps[t].Agent != r {
+				if t >= len(op.Steps) || int(op.Steps[t].Agent) != r {
 					return fmt.Errorf("pattern: rank %d step %d origin %d does not list it as agent", r, t, s.Origin)
 				}
 			}
@@ -104,29 +102,29 @@ func (p *Pattern) Validate() error {
 			}
 			s := plan.Steps[t]
 			if s.Origin == NoRank {
-				if len(s.RecvSources) != 0 {
+				if s.Recv.Len != 0 {
 					return fmt.Errorf("pattern: rank %d step %d has RecvSources without origin", r, t)
 				}
 				continue
 			}
-			sources, ok := ships[r]
+			sources, ok := ships[int32(r)]
 			if !ok {
 				return fmt.Errorf("pattern: rank %d step %d expects origin %d but no shipment", r, t, s.Origin)
 			}
-			if !slices.Equal(sources, s.RecvSources) {
-				return fmt.Errorf("pattern: rank %d step %d RecvSources %v != origin buffer %v", r, t, s.RecvSources, sources)
+			if !slices.Equal(sources, plan.Sources(s.Recv)) {
+				return fmt.Errorf("pattern: rank %d step %d RecvSources %v != origin buffer %v", r, t, plan.Sources(s.Recv), sources)
 			}
 			for _, src := range sources {
-				if !has[r].Has(src) {
-					has[r].Add(src)
+				if !has[r].Has(int(src)) {
+					has[r].Add(int(src))
 					bufs[r] = append(bufs[r], src)
 				}
 			}
-			for _, src := range s.SelfCopies {
-				if !has[r].Has(src) {
+			for _, src := range plan.Sources(s.Copies) {
+				if !has[r].Has(int(src)) {
 					return fmt.Errorf("pattern: rank %d step %d self-copy of %d not in buffer", r, t, src)
 				}
-				if err := cover(src, r, fmt.Sprintf("step-%d self-copy", t)); err != nil {
+				if err := cover(int(src), r, fmt.Sprintf("step-%d self-copy", t)); err != nil {
 					return err
 				}
 			}
@@ -140,44 +138,45 @@ func (p *Pattern) Validate() error {
 	}
 	for r := 0; r < n; r++ {
 		plan := &p.Plans[r]
-		if !slices.Equal(plan.BufSources, bufs[r]) {
-			return fmt.Errorf("pattern: rank %d BufSources %v != replayed buffer %v", r, plan.BufSources, bufs[r])
+		if !slices.Equal(plan.Sources(plan.BufSources), bufs[r]) {
+			return fmt.Errorf("pattern: rank %d BufSources %v != replayed buffer %v", r, plan.Sources(plan.BufSources), bufs[r])
 		}
-		for _, src := range plan.FinalSelfCopies {
-			if !has[r].Has(src) {
+		for _, src := range plan.Sources(plan.FinalSelfCopies) {
+			if !has[r].Has(int(src)) {
 				return fmt.Errorf("pattern: rank %d final self-copy of %d not in buffer", r, src)
 			}
-			if err := cover(src, r, "final self-copy"); err != nil {
+			if err := cover(int(src), r, "final self-copy"); err != nil {
 				return err
 			}
 		}
 		prevDst := -1
 		for _, fs := range plan.FinalSends {
-			if fs.Dst == r {
+			dst := int(fs.Dst)
+			if dst == r {
 				return fmt.Errorf("pattern: rank %d final send to itself", r)
 			}
-			if fs.Dst <= prevDst {
+			if dst <= prevDst {
 				return fmt.Errorf("pattern: rank %d final sends not sorted by destination", r)
 			}
-			prevDst = fs.Dst
-			if len(fs.Sources) == 0 {
-				return fmt.Errorf("pattern: rank %d empty final send to %d", r, fs.Dst)
+			prevDst = dst
+			if fs.Sources.Len == 0 {
+				return fmt.Errorf("pattern: rank %d empty final send to %d", r, dst)
 			}
-			for _, src := range fs.Sources {
-				if !has[r].Has(src) {
-					return fmt.Errorf("pattern: rank %d final send to %d includes source %d not in buffer", r, fs.Dst, src)
+			for _, src := range plan.Sources(fs.Sources) {
+				if !has[r].Has(int(src)) {
+					return fmt.Errorf("pattern: rank %d final send to %d includes source %d not in buffer", r, dst, src)
 				}
-				if err := cover(src, fs.Dst, fmt.Sprintf("final send from %d", r)); err != nil {
+				if err := cover(int(src), dst, fmt.Sprintf("final send from %d", r)); err != nil {
 					return err
 				}
 			}
-			finalSenders[fs.Dst].Add(r)
+			finalSenders[dst].Add(r)
 		}
 	}
 	for v := 0; v < n; v++ {
 		want := finalSenders[v].Elems(nil)
-		got := p.Plans[v].FinalRecvs
-		if !slices.Equal(want, got) {
+		got := p.Plans[v].Sources(p.Plans[v].FinalRecvs)
+		if !slices.EqualFunc(want, got, func(a int, b int32) bool { return a == int(b) }) {
 			return fmt.Errorf("pattern: rank %d FinalRecvs %v != actual final senders %v", v, got, want)
 		}
 	}
