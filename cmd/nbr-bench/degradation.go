@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"nbrallgather/internal/collective"
@@ -56,18 +57,8 @@ func degradationScenarios(c topology.Cluster, seed int64) ([]degScenario, error)
 	// an edge (a rank with no out-edges is fine; an unreachable segment
 	// is not — the ring guarantees delivery coverage).
 	for r := perNode; r < 2*perNode; r++ {
-		next := perNode + (r+1-perNode)%perNode
-		if next != r {
-			found := false
-			for _, v := range lists[r] {
-				if v == next {
-					found = true
-					break
-				}
-			}
-			if !found {
-				lists[r] = append(lists[r], next)
-			}
+		if next := perNode + (r+1-perNode)%perNode; next != r && !slices.Contains(lists[r], next) {
+			lists[r] = append(lists[r], next)
 		}
 	}
 	relay, err := vgraph.FromOutLists(n, lists)

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,25 +28,7 @@ func main() {
 }
 
 // Main runs the tool and maps its outcome to the exit-code contract.
-func Main(args []string, out, errOut io.Writer) int {
-	err := run(args, out)
-	if err == nil {
-		return 0
-	}
-	fmt.Fprintln(errOut, err)
-	var ef errFindings
-	if errors.As(err, &ef) {
-		return 1
-	}
-	return 2
-}
-
-// errFindings marks a clean run of the tool that found violations.
-type errFindings struct{ n int }
-
-func (e errFindings) Error() string {
-	return fmt.Sprintf("nbr-lint: %d finding(s)", e.n)
-}
+func Main(args []string, out, errOut io.Writer) int { return lintout.Main(run, args, out, errOut) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nbr-lint", flag.ContinueOnError)
@@ -55,13 +36,12 @@ func run(args []string, out io.Writer) error {
 	dir := fs.String("dir", ".", "module or fixture root to lint")
 	modpath := fs.String("modpath", "", "module path override (default: read from <dir>/go.mod)")
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
+	format := lintout.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *asJSON && *asSARIF {
-		return fmt.Errorf("nbr-lint: -json and -sarif are mutually exclusive")
+	if err := format.Check("nbr-lint"); err != nil {
+		return err
 	}
 
 	analyzers, err := selectAnalyzers(*names)
@@ -78,25 +58,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	findings := toFindings(lint.RunAnalyzers(pkgs, analyzers))
-
-	if *asSARIF {
-		if err := lintout.WriteSARIF(out, "nbr-lint", sarifRules(analyzers), findings); err != nil {
-			return err
-		}
-	} else if *asJSON {
-		if err := lintout.WriteJSON(out, findings); err != nil {
-			return err
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		return errFindings{n: len(findings)}
-	}
-	return nil
+	return format.Write(out, "nbr-lint", sarifRules(analyzers), toFindings(lint.RunAnalyzers(pkgs, analyzers)))
 }
 
 // toFindings renders diagnostics in the machine-readable shape shared

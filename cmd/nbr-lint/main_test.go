@@ -31,9 +31,8 @@ func TestFixturesFail(t *testing.T) {
 	if err == nil {
 		t.Fatalf("fixture tree should produce findings, got none:\n%s", out.String())
 	}
-	var ef errFindings
-	if !errors.As(err, &ef) {
-		t.Fatalf("expected errFindings, got %v", err)
+	if !errors.As(err, new(lintout.Found)) {
+		t.Fatalf("expected lintout.Found, got %v", err)
 	}
 	text := out.String()
 	for _, want := range []string{

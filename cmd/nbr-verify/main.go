@@ -20,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,25 +36,7 @@ func main() {
 }
 
 // Main runs the tool and maps its outcome to the exit-code contract.
-func Main(args []string, out, errOut io.Writer) int {
-	err := run(args, out)
-	if err == nil {
-		return 0
-	}
-	fmt.Fprintln(errOut, err)
-	var ef errFindings
-	if errors.As(err, &ef) {
-		return 1
-	}
-	return 2
-}
-
-// errFindings marks a clean run of the tool that found violations.
-type errFindings struct{ n int }
-
-func (e errFindings) Error() string {
-	return fmt.Sprintf("nbr-verify: %d finding(s)", e.n)
-}
+func Main(args []string, out, errOut io.Writer) int { return lintout.Main(run, args, out, errOut) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nbr-verify", flag.ContinueOnError)
@@ -63,13 +44,12 @@ func run(args []string, out io.Writer) error {
 	caseName := fs.String("case", "", "verify a single matrix case by name (default: all)")
 	list := fs.Bool("list", false, "list matrix case names and exit")
 	load := fs.Bool("load", false, "print the static load table instead of verifying")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
+	format := lintout.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *asJSON && *asSARIF {
-		return fmt.Errorf("nbr-verify: -json and -sarif are mutually exclusive")
+	if err := format.Check("nbr-verify"); err != nil {
+		return err
 	}
 
 	cases, err := selectCases(*caseName)
@@ -97,23 +77,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *asSARIF {
-		if err := lintout.WriteSARIF(out, "nbr-verify", rules(), findings); err != nil {
-			return err
-		}
-	} else if *asJSON {
-		if err := lintout.WriteJSON(out, findings); err != nil {
-			return err
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		return errFindings{n: len(findings)}
-	}
-	return nil
+	return format.Write(out, "nbr-verify", rules(), findings)
 }
 
 // selectCases resolves the matrix, optionally narrowed to one case.

@@ -15,9 +15,7 @@ type Set struct {
 
 // New returns an empty set with capacity n.
 func New(n int) *Set {
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 

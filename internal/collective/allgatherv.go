@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"nbrallgather/internal/mpirt"
@@ -57,11 +58,7 @@ func (pl *Plan) checkArgs(p mpirt.Endpoint, sbuf []byte, counts []int, rbuf []by
 
 // uniformCounts materialises the allgather special case.
 func uniformCounts(n, m int) []int {
-	c := make([]int, n)
-	for i := range c {
-		c[i] = m
-	}
-	return c
+	return slices.Repeat([]int{m}, n)
 }
 
 // ucCache memoises one shared uniform-counts slice per op. Every

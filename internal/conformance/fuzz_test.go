@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nbrallgather/internal/collective"
@@ -48,7 +49,7 @@ func (s *gatherStepper) Step(p *mpirt.Proc) bool {
 	if !s.ps.Step(ep) {
 		return false
 	}
-	checkBuf("stepped allgather rbuf", r, s.rbuf, expectedGatherv(s.c.Graph, r, uniform(s.c.Graph.N(), s.c.M)))
+	checkBuf("stepped allgather rbuf", r, s.rbuf, expectedGatherv(s.c.Graph, r, slices.Repeat([]int{s.c.M}, s.c.Graph.N())))
 	return true
 }
 

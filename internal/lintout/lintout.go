@@ -7,6 +7,9 @@ package lintout
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"path/filepath"
 )
@@ -26,6 +29,64 @@ type Finding struct {
 type Rule struct {
 	ID  string
 	Doc string
+}
+
+// Found is the error of a clean run of tool that found N violations.
+type Found struct {
+	Tool string
+	N    int
+}
+
+func (e Found) Error() string { return fmt.Sprintf("%s: %d finding(s)", e.Tool, e.N) }
+
+// Main runs a checker and maps its outcome to the exit-code contract:
+// 0 clean, 1 findings (Found), 2 the tool itself failed.
+func Main(run func([]string, io.Writer) error, args []string, out, errOut io.Writer) int {
+	err := run(args, out)
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(errOut, err)
+	if errors.As(err, new(Found)) {
+		return 1
+	}
+	return 2
+}
+
+// Format is a checker's choice of output: text, -json or -sarif.
+type Format struct{ json, sarif *bool }
+
+// Flags registers -json and -sarif on fs.
+func Flags(fs *flag.FlagSet) Format {
+	return Format{fs.Bool("json", false, "emit findings as a JSON array"), fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")}
+}
+
+// Check rejects -json with -sarif.
+func (f Format) Check(tool string) error {
+	if *f.json && *f.sarif {
+		return fmt.Errorf("%s: -json and -sarif are mutually exclusive", tool)
+	}
+	return nil
+}
+
+// Write renders findings as the flags chose, as file:line: [analyzer]
+// message lines by default, and returns Found if there are any.
+func (f Format) Write(out io.Writer, tool string, rules []Rule, findings []Finding) error {
+	var err error
+	switch {
+	case *f.sarif:
+		err = WriteSARIF(out, tool, rules, findings)
+	case *f.json:
+		err = WriteJSON(out, findings)
+	default:
+		for _, f := range findings {
+			fmt.Fprintf(out, "%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
+		}
+	}
+	if err == nil && len(findings) > 0 {
+		err = Found{tool, len(findings)}
+	}
+	return err
 }
 
 // WriteJSON renders the findings as an indented JSON array.
@@ -110,10 +171,7 @@ func WriteSARIF(out io.Writer, tool string, rules []Rule, findings []Finding) er
 	}
 	results := make([]SARIFResult, 0, len(findings))
 	for _, f := range findings {
-		line := f.Line
-		if line < 1 {
-			line = 1
-		}
+		line := max(f.Line, 1)
 		results = append(results, SARIFResult{
 			RuleID:  f.Analyzer,
 			Level:   "error",

@@ -93,14 +93,7 @@ type calQueue struct {
 // calBuckets bounds the rung size: enough buckets that each sorts a
 // handful of events, few enough that empty-bucket skipping stays cheap.
 func calBuckets(n int) int {
-	nb := n / 8
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > 8192 {
-		nb = 8192
-	}
-	return nb
+	return min(max(n/8, 1), 8192)
 }
 
 // len returns the number of queued events.
@@ -139,14 +132,7 @@ func (q *calQueue) push(e calEvent) {
 // bucketOf maps a key into the active rung, clamped so floating-point
 // edge effects can never index out of range.
 func (q *calQueue) bucketOf(vt float64) int {
-	i := int((vt - q.rungLo) / q.width)
-	if i < q.rungNext {
-		i = q.rungNext
-	}
-	if i >= len(q.rung) {
-		i = len(q.rung) - 1
-	}
-	return i
+	return min(max(int((vt-q.rungLo)/q.width), q.rungNext), len(q.rung)-1)
 }
 
 // insertFront places e into the live front region, keeping it sorted.
@@ -240,10 +226,7 @@ func (q *calQueue) advance() {
 	q.rungHi = q.ovHi
 	q.width = (q.ovHi - q.ovLo) / float64(nb)
 	for _, e := range ov {
-		i := int((e.vt - q.rungLo) / q.width)
-		if i >= nb {
-			i = nb - 1
-		}
+		i := min(int((e.vt-q.rungLo)/q.width), nb-1)
 		q.rung[i] = append(q.rung[i], e)
 	}
 }

@@ -313,9 +313,7 @@ func (rt *Runtime) completeBarrierLocked() bool {
 			max = rt.reduceVals[r]
 		}
 	}
-	for r := range rt.bArr {
-		rt.bArr[r] = false
-	}
+	clear(rt.bArr)
 	rt.reduceRes = max
 	rt.bcnt = 0
 	rt.bgen++

@@ -382,10 +382,7 @@ func (c *Cache) seenAt(h uint64) *uint64 { return &c.seen[h>>(64-seenBits)] }
 // is the only builder, and it inserts in the critical section that ends
 // the flight.
 func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) {
-	if cost < 0 {
-		cost = 0
-	}
-	if cost > c.maxBytes {
+	if cost = max(cost, 0); cost > c.maxBytes {
 		c.stats.TooBig++
 		return
 	}

@@ -105,9 +105,7 @@ func (m *CSR) MulDense(x []float64, k int, dst []float64) []float64 {
 	if len(dst) != m.Rows*k {
 		panic(fmt.Sprintf("sparse: dst has %d values, want %d", len(dst), m.Rows*k))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
 		out := dst[i*k : (i+1)*k]
@@ -184,11 +182,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim {
 		return nil, fmt.Errorf("sparse: implausible size line %d %d %d", rows, cols, nnz)
 	}
-	capHint := nnz
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	ts := make([]Triplet, 0, capHint)
+	ts := make([]Triplet, 0, min(nnz, 1<<16))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -233,11 +227,7 @@ func Banded(n, nnz int, seed int64) *CSR {
 	// Choose half bandwidth so the band holds ~1.4× the off-diagonal
 	// target: a ~70%-filled band mimics FEM fill patterns while
 	// keeping rejection sampling fast.
-	offDiag := nnz - n
-	if offDiag < 0 {
-		offDiag = 0
-	}
-	hbw := offDiag*7/(10*n) + 1
+	hbw := max(nnz-n, 0)*7/(10*n) + 1
 	var ts []Triplet
 	seen := map[[2]int]bool{}
 	// Diagonal always present, as in SPD FEM matrices.

@@ -78,23 +78,13 @@ func (k *Kernel) Graph() *vgraph.Graph { return k.g }
 
 // OwnerOf returns the rank owning matrix row j.
 func (k *Kernel) OwnerOf(j int) int {
-	p := j / k.rowsPer
-	if p >= k.NRanks {
-		p = k.NRanks - 1
-	}
-	return p
+	return min(j/k.rowsPer, k.NRanks-1)
 }
 
 // BlockRange returns the half-open row interval owned by rank p.
 func (k *Kernel) BlockRange(p int) (lo, hi int) {
-	lo = p * k.rowsPer
-	hi = lo + k.rowsPer
-	if hi > k.X.Rows {
-		hi = k.X.Rows
-	}
-	if lo > hi {
-		lo = hi
-	}
+	hi = min(p*k.rowsPer+k.rowsPer, k.X.Rows)
+	lo = min(p*k.rowsPer, hi)
 	return lo, hi
 }
 
