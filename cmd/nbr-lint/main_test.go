@@ -176,19 +176,3 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("clean module must exit 0, got %d (stderr: %s)", code, errOut.String())
 	}
 }
-
-// TestSARIFIncludesInterproceduralRules pins that the SARIF rule table
-// carries the call-graph-backed analyzers.
-func TestSARIFIncludesInterproceduralRules(t *testing.T) {
-	fixtures := filepath.Join("..", "..", "internal", "lint", "testdata", "src")
-	var out strings.Builder
-	err := run([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-sarif"}, &out)
-	if err == nil {
-		t.Fatal("fixture tree should produce findings")
-	}
-	for _, rule := range []string{`"allocdiscipline"`, `"enginesafe"`} {
-		if !strings.Contains(out.String(), rule) {
-			t.Errorf("SARIF output missing rule %s", rule)
-		}
-	}
-}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"time"
 
 	"nbrallgather/internal/collective"
 	"nbrallgather/internal/mpirt"
@@ -38,6 +39,12 @@ const (
 	CollPersistent = "persistent" // persistent allgatherv handle, 3 rounds
 	CollPattern    = "pattern"    // distributed pattern builder vs central
 )
+
+// caseWallLimit bounds one case's host wall time. A case runs in
+// milliseconds, so a rank body that blocks the host (and with it the
+// serial loop) fails its case in seconds with the reproduce line,
+// instead of stalling the sweep at the runtime's 120 s default.
+const caseWallLimit = 5 * time.Second
 
 // The algorithm a Case exercises is a collective.Algos name; the
 // alltoall collectives run those with collective.HasAlltoall and
@@ -232,7 +239,7 @@ func (c Case) Run(eng mpirt.Engine, _ int64, chaos *mpirt.Chaos) (*mpirt.Report,
 	if err != nil {
 		return nil, err
 	}
-	return mpirt.Run(mpirt.Config{Cluster: c.Cluster, Chaos: chaos, Engine: eng}, body)
+	return mpirt.Run(mpirt.Config{Cluster: c.Cluster, Chaos: chaos, Engine: eng, WallLimit: caseWallLimit}, body)
 }
 
 // A Check runs one (case, seed) pair and returns its violation, if
@@ -472,7 +479,7 @@ func runPatternCase(c Case, chaos *mpirt.Chaos, eng mpirt.Engine) (*mpirt.Report
 	if err != nil {
 		return nil, err
 	}
-	dist, rep, err := pattern.BuildDistributed(mpirt.Config{Cluster: c.Cluster, Phantom: true, Chaos: chaos, Engine: eng}, c.Graph)
+	dist, rep, err := pattern.BuildDistributed(mpirt.Config{Cluster: c.Cluster, Phantom: true, Chaos: chaos, Engine: eng, WallLimit: caseWallLimit}, c.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("distributed build: %w", err)
 	}

@@ -406,6 +406,7 @@ func (c FaultCase) Run(eng mpirt.Engine, seed int64, chaos *mpirt.Chaos) (*mpirt
 		Kills:      kills,
 		LinkFaults: faults,
 		Engine:     eng,
+		WallLimit:  caseWallLimit,
 	}
 	killed := map[int]bool{}
 	for _, k := range kills {

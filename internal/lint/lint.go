@@ -1,9 +1,10 @@
 // Package lint is a self-contained static-analysis framework (stdlib
 // go/ast + go/parser + go/types only — no golang.org/x/tools) that
-// enforces the runtime's cross-cutting invariants with eight analyzers:
+// enforces the runtime's cross-cutting invariants with six analyzers,
+// each a walk over one package's syntax and types:
 //
-//   - determinism: no wall-clock, global math/rand, or map-iteration
-//     order reaching sends, receives, tags, or plan ordering in the
+//   - determinism: no global math/rand, and no map-iteration order
+//     reaching sends, receives, or appends that outlive the loop in the
 //     schedule-deterministic packages (bit-exact chaos replay depends
 //     on it);
 //   - errdiscipline: module error returns are not silently discarded,
@@ -13,10 +14,12 @@
 //   - vtclean: virtual-time packages never consult the host clock;
 //   - deadlockshape: no rank-conditional Send/Recv ordering, self-send
 //     or one-sided collective in a hand-written rank body;
-//   - bufferpool: sync.Pool lives only in the runtime's pool file;
-//   - allocdiscipline, enginesafe: nothing reachable from a
-//     //lint:hotpath function allocates, nothing reachable from
-//     event-engine rank code blocks the host.
+//   - bufferpool: sync.Pool lives only in the runtime's pool file.
+//
+// The runtime's dynamic contracts have dynamic gates, not analyzers:
+// TestHotPathsZeroAlloc holds every hot root to 0 allocs/op, and a
+// rank body that blocks the host fails its conformance case at the
+// case's wall limit (DESIGN.md §8 has the audit that moved them).
 //
 // Findings are suppressed by a `//lint:<directive>` comment on the
 // offending line or the line directly above it:
@@ -30,10 +33,11 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -63,29 +67,19 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the whole-run interprocedural view (call graph and
-	// per-function summaries over every package of the run), shared by
-	// all passes. Nil only for hand-built passes in unit tests.
-	Prog     *Program
 	diags    *[]Diagnostic
 	suppress map[string]map[int][]string // filename → line → directive words
 	// used records which directives actually suppressed a finding,
 	// shared by every pass over the package so a full-suite run can
-	// report the stale ones. Keyed filename → line → directive word.
-	used map[string]map[int]map[string]bool
+	// report the stale ones.
+	used map[directive]bool
 }
 
-func (p *Pass) markUsed(filename string, line int, word string) {
-	if p.used == nil {
-		return
-	}
-	if p.used[filename] == nil {
-		p.used[filename] = map[int]map[string]bool{}
-	}
-	if p.used[filename][line] == nil {
-		p.used[filename][line] = map[string]bool{}
-	}
-	p.used[filename][line][word] = true
+// directive is one //lint: word at one line.
+type directive struct {
+	file string
+	line int
+	word string
 }
 
 // Report records a finding at pos unless a suppression directive
@@ -111,15 +105,9 @@ func (p *Pass) suppressed(pos token.Position) bool {
 	// line below it (standalone comment above the statement).
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
 		for _, word := range lines[line] {
-			if word == "ignore "+p.Analyzer.Name {
-				p.markUsed(pos.Filename, line, word)
+			if word == "ignore "+p.Analyzer.Name || slices.Contains(p.Analyzer.Directives, word) {
+				p.used[directive{pos.Filename, line, word}] = true
 				return true
-			}
-			for _, d := range p.Analyzer.Directives {
-				if word == d {
-					p.markUsed(pos.Filename, line, word)
-					return true
-				}
 			}
 		}
 	}
@@ -132,12 +120,10 @@ func directiveIndex(pkg *Package) map[string]map[int][]string {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "lint:") {
+				word, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "lint:")
+				if !ok {
 					continue
 				}
-				word := strings.TrimPrefix(text, "lint:")
 				// Strip a trailing justification: everything after the
 				// directive word (or, for ignore, the analyzer name).
 				fields := strings.Fields(word)
@@ -168,20 +154,14 @@ func Analyzers() []*Analyzer {
 		VTCleanAnalyzer,
 		DeadlockShapeAnalyzer,
 		BufferPoolAnalyzer,
-		AllocDisciplineAnalyzer,
-		EngineSafeAnalyzer,
 	}
 }
 
 // coversFullSuite reports whether the run includes every registered
 // analyzer — the precondition for judging a suppression stale.
 func coversFullSuite(analyzers []*Analyzer) bool {
-	have := map[string]bool{}
-	for _, a := range analyzers {
-		have[a.Name] = true
-	}
 	for _, a := range Analyzers() {
-		if !have[a.Name] {
+		if !slices.Contains(analyzers, a) {
 			return false
 		}
 	}
@@ -195,16 +175,15 @@ const StaleDirectiveName = "staledirective"
 // reportStaleDirectives emits a finding for every //lint: directive
 // that suppressed nothing across a full-suite run — a suppression that
 // outlived the finding it justified is review debt and must go.
-func reportStaleDirectives(idx map[string]map[int][]string, used map[string]map[int]map[string]bool, diags *[]Diagnostic) {
+func reportStaleDirectives(idx map[string]map[int][]string, used map[directive]bool, diags *[]Diagnostic) {
 	for filename, lines := range idx {
 		for line, words := range lines {
 			for _, word := range words {
-				if used[filename][line][word] {
+				if used[directive{filename, line, word}] {
 					continue
 				}
-				pos := token.Position{Filename: filename, Line: line}
 				*diags = append(*diags, Diagnostic{
-					Pos:      pos,
+					Pos:      token.Position{Filename: filename, Line: line},
 					Analyzer: StaleDirectiveName,
 					Message:  fmt.Sprintf("//lint:%s suppresses no finding — remove the stale directive", word),
 				})
@@ -214,35 +193,26 @@ func reportStaleDirectives(idx map[string]map[int][]string, used map[string]map[
 }
 
 // RunAnalyzers applies the given analyzers to every package and returns
-// all findings sorted by file, line, then analyzer. A run covering the
+// all findings sorted by file, line, analyzer, then message. A run covering the
 // full suite additionally reports stale suppression directives (a
 // subset run cannot tell stale from not-exercised).
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	full := coversFullSuite(analyzers)
-	// The interprocedural view spans every package of the run: a
-	// //lint:hotpath root in mpirt pulls callees anywhere in the module
-	// into its closure, and summaries cross package boundaries.
-	prog := buildProgram(pkgs)
 	for _, pkg := range pkgs {
-		idx := prog.dirIdx[pkg]
-		used := map[string]map[int]map[string]bool{}
+		idx := directiveIndex(pkg)
+		used := map[directive]bool{}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, diags: &diags, suppress: idx, used: used}
+			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags, suppress: idx, used: used}
 			a.Run(pass)
 		}
 		if full {
 			reportStaleDirectives(idx, used, &diags)
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos.Filename != diags[j].Pos.Filename {
-			return diags[i].Pos.Filename < diags[j].Pos.Filename
-		}
-		if diags[i].Pos.Line != diags[j].Pos.Line {
-			return diags[i].Pos.Line < diags[j].Pos.Line
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 	return diags
 }

@@ -73,16 +73,8 @@ func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-// returnsError reports whether the call's static callee has error as
-// its last result.
+// lastResultIsError reports whether f has error as its last result.
 func lastResultIsError(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	if res.Len() == 0 {
-		return false
-	}
-	return isErrorType(res.At(res.Len() - 1).Type())
+	res := f.Type().(*types.Signature).Results()
+	return res.Len() > 0 && isErrorType(res.At(res.Len()-1).Type())
 }

@@ -3,17 +3,12 @@ package determbad
 
 import (
 	"math/rand"
-	"time"
 
 	"nbrallgather/internal/mpirt"
 )
 
 // Bad collects every determinism violation class.
 func Bad(p *mpirt.Proc, m map[int]int, tag int) []int {
-	start := time.Now() // want "time.Now in schedule-deterministic package"
-	_ = start
-	time.Sleep(time.Millisecond) // want "time.Sleep in schedule-deterministic package"
-
 	_ = rand.Intn(7) // want "global rand.Intn"
 
 	for k := range m { // want "map iteration order reaches a runtime send/recv"

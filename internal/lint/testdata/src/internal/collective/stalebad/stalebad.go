@@ -5,7 +5,7 @@ package stalebad
 
 import "time"
 
-// Fresh carries a live suppression: determinism would flag time.Now
+// Fresh carries a live suppression: vtclean would flag time.Now
 // here, so the directive earns its keep.
 func Fresh() int64 {
 	return time.Now().UnixNano() //lint:wallclock — fixture: exercised suppression

@@ -1,10 +1,11 @@
 // Micro-benchmarks of the runtime hot paths the simulator spends its
 // wall clock in: point-to-point matching (indexed, wildcard, stepped
-// and slot-hinted), the payload pool and snapshots, the barrier, and
-// one end-to-end allgather-like step. Run with -benchmem. Each hot path
-// is written once, as a run of iters operations on a fresh runtime; its
-// Benchmark times it, and TestHotPathsZeroAlloc holds the matching and
-// pool paths to 0 allocs/op once warm (see DESIGN.md §9).
+// and slot-hinted), probes, the error-returning sends and receives, the
+// payload pool and snapshots, the barrier, and one end-to-end
+// allgather-like step. Run with -benchmem. Each hot path is written
+// once, as a run of iters operations on a fresh runtime; its Benchmark
+// times it, and TestHotPathsZeroAlloc holds every one of them to 0
+// allocs/op once warm (see DESIGN.md §9).
 package mpirt
 
 import (
@@ -119,6 +120,82 @@ func matchWildcard(iters int) error {
 			}
 		}
 	})
+	return err
+}
+
+// probeRecv is the phantom round trip with rank 1 probing before each
+// receive: once a (src, tag) nothing sends on, once the ping's.
+func probeRecv(iters int) error {
+	_, err := Run(benchCfg(1, 2), func(p *Proc) {
+		for i := 0; i < iters; i++ {
+			switch p.Rank() {
+			case 0:
+				p.Send(1, 0, 8, nil, nil)
+				p.Recv(1, 1)
+			case 1:
+				p.Probe(0, 2)
+				p.Probe(0, 0)
+				p.Recv(0, 0)
+				p.Send(0, 1, 8, nil, nil)
+			}
+		}
+	})
+	return err
+}
+
+// sendRecvErr is sendRecv(64) through SendErr and RecvErr, the calls
+// the fault-tolerant collectives make.
+func sendRecvErr(iters int) error {
+	payload := make([]byte, 64)
+	_, err := Run(benchCfg(1, 2), func(p *Proc) {
+		for i := 0; i < iters; i++ {
+			var m Msg
+			var err error
+			switch p.Rank() {
+			case 0:
+				if err = p.SendErr(1, 0, len(payload), payload, nil); err == nil {
+					m, err = p.RecvErr(1, 1)
+				}
+			case 1:
+				if m, err = p.RecvErr(0, 0); err == nil {
+					err = p.SendErr(0, 1, len(payload), payload, nil)
+				}
+			}
+			m.Release()
+			if err != nil {
+				panic(err)
+			}
+		}
+	})
+	return err
+}
+
+// barrier is iters full-communicator barriers on a two-node cluster.
+func barrier(iters int) error {
+	_, err := Run(benchCfg(2, 4), func(p *Proc) {
+		for i := 0; i < iters; i++ {
+			p.Barrier()
+		}
+	})
+	return err
+}
+
+// barrierSteps is barrier as a Stepper, through CollectiveTimeStep: a
+// rank that is not its generation's completer suspends in reduceMax and
+// finishes the generation on its next Step.
+type barrierSteps struct{ left int }
+
+func (s *barrierSteps) Step(p *Proc) bool {
+	for ; s.left > 0; s.left-- {
+		if _, ok := p.CollectiveTimeStep(); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func steppedBarrier(iters int) error {
+	_, err := RunSteppers(benchCfg(2, 4), func(*Proc) Stepper { return &barrierSteps{left: iters} })
 	return err
 }
 
@@ -245,6 +322,10 @@ func BenchmarkSendRecvHinted(b *testing.B)  { bench(b, steppedPingPong(0)) }
 func BenchmarkGatherSend(b *testing.B)      { bench(b, gatherSend) }
 func BenchmarkSharedSnapshot(b *testing.B)  { bench(b, sharedSnapshot) }
 func BenchmarkComposeSend(b *testing.B)     { bench(b, composeSend) }
+func BenchmarkProbe(b *testing.B)           { bench(b, probeRecv) }
+func BenchmarkSendRecvErr(b *testing.B)     { bench(b, sendRecvErr) }
+func BenchmarkBarrier(b *testing.B)         { bench(b, barrier) }
+func BenchmarkBarrierStepped(b *testing.B)  { bench(b, steppedBarrier) }
 
 // BenchmarkBufferPool is the size-classed payload pool in isolation:
 // one get/put cycle per op at a mid-size class.
@@ -254,20 +335,6 @@ func BenchmarkBufferPool(b *testing.B) {
 		pb, buf := allocPayload(1500)
 		buf[0] = byte(i)
 		releasePayload(pb)
-	}
-}
-
-// BenchmarkBarrier measures the full-communicator barrier on a
-// two-node cluster.
-func BenchmarkBarrier(b *testing.B) {
-	b.ReportAllocs()
-	_, err := Run(benchCfg(2, 4), func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Barrier()
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -296,10 +363,17 @@ func BenchmarkAllgatherStep(b *testing.B) {
 	}
 }
 
-// TestHotPathsZeroAlloc is the dynamic check of the allocdiscipline
-// guarantee: the //lint:hotpath closure — matching, the payload pool,
-// snapshots, the event loop's park and resume — allocates nothing once
-// warm. A path's allocs/op is what -benchmem reads, rounded down, over
+// TestHotPathsZeroAlloc is the runtime's hot-path contract: once warm,
+// no row allocates. Each row pins hot roots — sendrecv and its stepped,
+// hinted and pool rows: Send, Recv, RecvStep, SendSnapshot, Gather and
+// Msg.Release; match-indexed and match-wildcard: the mailbox's two
+// match paths; gather-send, shared-snapshot and compose-send: Gather,
+// Compose and the snapshot holder counts; probe: Probe; sendrecv-err:
+// SendErr and RecvErr; barrier and barrier-stepped: reduceMax through
+// Barrier and through CollectiveTimeStep; park-resume: the event loop.
+// The plan cache's Cache.Get is pinned by its own TestGetZeroAlloc.
+// Failure paths (typed errors, deadlock reports, chaos, fault
+// injection) are cold and may allocate. A path's allocs/op is what -benchmem reads, rounded down, over
 // ops warm operations: the mallocs of a run of warm+ops operations less
 // those of a run of warm. Both runs start from pools a first run of warm
 // filled, so their set-up costs cancel.
@@ -335,6 +409,10 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 		{"p2p/gather-send", gatherSend},
 		{"p2p/shared-snapshot", sharedSnapshot},
 		{"p2p/compose-send", composeSend},
+		{"p2p/probe", probeRecv},
+		{"p2p/sendrecv-err", sendRecvErr},
+		{"sync/barrier", barrier},
+		{"sync/barrier-stepped", steppedBarrier},
 		{"pool/payload-roundtrip", sendRecv(1500)},
 		{"event/park-resume", parkResume},
 	} {

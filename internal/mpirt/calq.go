@@ -117,7 +117,7 @@ func (q *calQueue) push(e calEvent) {
 	}
 	if q.rungNext < len(q.rung) && e.vt <= q.rungHi {
 		i := q.bucketOf(e.vt)
-		q.rung[i] = append(q.rung[i], e) //lint:allocok — amortized bucket growth; capacity is reused at steady state
+		q.rung[i] = append(q.rung[i], e)
 		return
 	}
 	if len(q.overflow) == 0 || e.vt < q.ovLo {
@@ -126,7 +126,7 @@ func (q *calQueue) push(e calEvent) {
 	if len(q.overflow) == 0 || e.vt > q.ovHi {
 		q.ovHi = e.vt
 	}
-	q.overflow = append(q.overflow, e) //lint:allocok — amortized overflow growth; capacity is reused at steady state
+	q.overflow = append(q.overflow, e)
 }
 
 // bucketOf maps a key into the active rung, clamped so floating-point
@@ -137,8 +137,6 @@ func (q *calQueue) bucketOf(vt float64) int {
 
 // insertFront places e into the live front region, keeping it sorted.
 // The front is one spilled bucket — small — so the memmove is cheap.
-//
-//lint:allocok — amortized front maintenance; buffers reuse capacity at steady state
 func (q *calQueue) insertFront(e calEvent) {
 	if len(q.front) == cap(q.front) && q.head >= len(q.front)/2 {
 		// Full, and at least half is the popped prefix: reclaim it
@@ -182,8 +180,6 @@ func (q *calQueue) pop() (calEvent, bool) {
 // advance refills the front: spill the next non-empty rung bucket, or
 // re-ladder the overflow when the rung is exhausted. Called only when
 // events remain (q.n > 0), so it always makes progress.
-//
-//lint:allocok — amortized re-laddering; O(1) per event, buffers reuse capacity
 func (q *calQueue) advance() {
 	for q.rungNext < len(q.rung) {
 		b := q.rungNext

@@ -447,8 +447,6 @@ func (cs *chaosRT) wakeRevoked() {
 // sender before injection (retry backoffs) and the extra arrival delay
 // (latency spike). The draws are part of the deterministic serial
 // stream.
-//
-//lint:allocok — chaos-mode fault sampling, exempt from hot-path discipline
 func (cs *chaosRT) chaosSendFaults(scale float64) (backoffTime, spike float64) {
 	if cs.cfg.FailProb > 0 {
 		backoff := cs.cfg.Backoff
@@ -468,8 +466,6 @@ func (cs *chaosRT) chaosSendFaults(scale float64) (backoffTime, spike float64) {
 
 // chaosEnqueue places a sent message (and possibly a duplicate) into
 // the in-flight pool.
-//
-//lint:allocok — chaos-mode in-flight pool, exempt from hot-path discipline
 func (cs *chaosRT) chaosEnqueue(src, dst int, m *Msg) {
 	seq := cs.sendSeq[src]
 	cs.sendSeq[src]++

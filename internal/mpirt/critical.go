@@ -21,7 +21,7 @@ type Span struct {
 func (p *Proc) lift(m *Msg) {
 	if m.arrival > p.vt {
 		if p.edges != nil {
-			p.edges = append(p.edges, Span{Rank: p.rank, Src: m.Src, Tag: m.Tag, Size: m.Size, //lint:allocok — opt-in critical-path record
+			p.edges = append(p.edges, Span{Rank: p.rank, Src: m.Src, Tag: m.Tag, Size: m.Size,
 				From: m.depart, To: m.arrival, Posted: p.vt})
 		}
 		p.vt = m.arrival

@@ -78,8 +78,6 @@ func (e *DeadlockError) SameCycle(o *DeadlockError) bool {
 // canonicalCycle rotates the cycle so the smallest rank leads, giving
 // every detection of the same cycle — across goroutine interleavings,
 // chaos seeds, and replays — one canonical representation.
-//
-//lint:allocok — builds the report for a detected deadlock; runs once
 func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 	if len(cycle) == 0 {
 		return cycle
@@ -157,7 +155,7 @@ func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockErro
 			*scratch = path
 			return nil
 		}
-		path = append(path, e) //lint:allocok — scratch reuses the caller's capacity across checks
+		path = append(path, e)
 		r = e.Peer
 	}
 	vt := 0.0
@@ -171,7 +169,7 @@ func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockErro
 			vt = evt
 		}
 	}
-	return &DeadlockError{Cycle: canonicalCycle(path), VT: vt, Summary: rt.blockedSummary()} //lint:allocok — constructed only on a detected deadlock
+	return &DeadlockError{Cycle: canonicalCycle(path), VT: vt, Summary: rt.blockedSummary()}
 }
 
 // checkCycle fails the run if p's just-published receive closed a

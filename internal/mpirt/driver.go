@@ -105,7 +105,8 @@ func (t threadedRT) run(body func(*Proc)) {
 	t.rt.runRanks(body)
 }
 
-//lint:blockok — THE threaded park point: the rank's goroutine waits on the condition its wait was published under
+// park is the threaded engine's park point: the rank's goroutine waits
+// on the condition its wait was published under.
 func (t threadedRT) park(_ *Proc, _ waitState, c *sync.Cond) {
 	t.rt.blocked.Add(1)
 	c.Wait()
@@ -173,8 +174,6 @@ func (t threadedRT) watchdog(done <-chan struct{}) {
 // failDeadlock fails the run with the deadlock its caller established
 // (the watchdog's stale samples, the event loop's empty queue),
 // reporting the canonical wait-for cycle when one is visible.
-//
-//lint:allocok — deadlock reporting, runs once just before abort
 func (rt *Runtime) failDeadlock(live int) {
 	var scratch []WaitEdge
 	for r := 0; r < rt.n; r++ {

@@ -171,7 +171,7 @@ func (h *coHost) switchOut(p *Proc, st waitState) {
 	}
 	h.state[p.rank] = st
 	h.parks++
-	if !h.co[p.rank].yield(struct{}{}) { //lint:allocok — THE serial drivers' park point: iter.Pull's yield is a bare coroutine switch to the loop
+	if !h.co[p.rank].yield(struct{}{}) { // the serial drivers' park point: iter.Pull's yield is a bare coroutine switch to the loop
 		panic(errAborted)
 	}
 }
@@ -208,8 +208,6 @@ func (h *coHost) host(body func(*Proc), loop func()) {
 // parks or finishes, repeat. An empty queue before every rank has
 // finished is a proven deadlock — every possible wake is queued as an
 // event, so no event means no rank can ever run again.
-//
-//lint:hotpath
 func (ev *eventRT) loop() {
 	rt := ev.rt
 	for r := 0; r < rt.n; r++ {
@@ -249,7 +247,7 @@ func (h *coHost) resume(r int) {
 		if h.co[r].next == nil {
 			h.spawn(p)
 		}
-		_, parked = h.co[r].next() //lint:allocok — the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
+		_, parked = h.co[r].next() // the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
 	}
 	if !parked {
 		h.state[r] = stFinished
@@ -267,9 +265,7 @@ func (h *coHost) teardown() {
 	}
 }
 
-// spawn creates rank p's coroutine.
-//
-//lint:allocok — one coroutine per rank, created once on its first resume
+// spawn creates rank p's coroutine, once, on its first resume.
 func (h *coHost) spawn(p *Proc) {
 	co := &h.co[p.rank]
 	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -287,7 +283,7 @@ func (h *coHost) spawn(p *Proc) {
 // parked.
 func (h *coHost) rankMain(p *Proc) (done bool) {
 	rec := any("rank body called runtime.Goexit")
-	defer func() { //lint:allocok — deferred and never escaping: the closure lives in this frame
+	defer func() {
 		if r := recover(); r != nil {
 			rec = r
 		}
@@ -298,10 +294,10 @@ func (h *coHost) rankMain(p *Proc) (done bool) {
 	// The rank's own code is vetted from roots of its own (RecvStep,
 	// reduceMax, SendSnapshot), not through these two dynamic calls.
 	if h.steps == nil {
-		h.body(p) //lint:allocok — the coroutine's body
+		h.body(p)
 		done = true
 	} else {
-		done = h.steps[p.rank].Step(p) //lint:allocok — the loop's wake of a stepped rank, as next() is a coroutine's
+		done = h.steps[p.rank].Step(p) // the loop's wake of a stepped rank, as next() is a coroutine's
 	}
 	rec = nil
 	return done

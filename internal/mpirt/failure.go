@@ -101,8 +101,6 @@ func (p *Proc) enterOp() {
 // die marks the rank dead and unwinds it. The runtime-level
 // death mark wakes peers blocked on this rank so they observe the
 // failure instead of the watchdog.
-//
-//lint:allocok — fail-stop injection, once per dying rank
 func (p *Proc) die() {
 	p.dead = true
 	p.rt.markDead(p.rank)
@@ -137,8 +135,6 @@ func (rt *Runtime) markDead(r int) {
 // to this rank's virtual clock. Detection is memoised per (observer,
 // dead) pair: a real detector pays the heartbeat timeout once, then
 // knows.
-//
-//lint:allocok — dead-peer detection accounting, paid once per discovered failure
 func (p *Proc) chargeDetect(dead int) {
 	if p.detected == nil {
 		p.detected = make(map[int]bool)
@@ -509,8 +505,6 @@ func (p *Proc) FTEpoch() int {
 // *CommRevokedError if the communicator is revoked. Usage errors
 // still panic (and abort the run). It is the shared-snapshot path:
 // Gather, one send, the handle's Release.
-//
-//lint:hotpath
 func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
 	var s Snapshot
 	if data != nil {
@@ -526,8 +520,6 @@ func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
 // (charging the detection timeout to virtual time on first
 // detection), and returns *CommRevokedError if the communicator is
 // revoked while waiting.
-//
-//lint:hotpath
 func (p *Proc) RecvErr(src, tag int) (Msg, error) {
 	return p.recvErr(src, tag)
 }

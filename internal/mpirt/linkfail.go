@@ -80,8 +80,6 @@ func (e *PartitionError) Is(target error) bool { return target == ErrLinkFailed 
 
 // linkBlockedErr builds the typed error for a blocked transfer and
 // charges the one-time detection cost to the observer.
-//
-//lint:allocok — link-fault error construction, failure path only
 func (p *Proc) linkBlockedErr(blk netmodel.Blocked, src, dst int) error {
 	p.chargeLinkDetect(blk.Res)
 	if blk.IsPartition() {

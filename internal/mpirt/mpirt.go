@@ -307,7 +307,7 @@ type hint struct {
 func (b *mailbox) fileLocked(m *Msg, h hint) {
 	if h.slot >= 0 && (b.numb == h.numb || b.inSlots == 0) && int(int32(m.Tag)) == m.Tag && (m.Data == nil || m.pooled != nil) {
 		if b.numb != h.numb && h.n > len(b.slots) {
-			b.slots = make([]slotMsg, h.n) //lint:allocok — a rank's slots, once, at its plan's receive count
+			b.slots = make([]slotMsg, h.n) // a rank's slots, once, at its plan's receive count
 		}
 		b.numb = h.numb
 		if e := &b.slots[h.slot]; b.count == 0 && e.seq == 0 {
@@ -368,7 +368,7 @@ func (b *mailbox) slot(src, tag int) *matchList {
 // grow doubles the table (from 8 slots) and re-places the used lists.
 func (b *mailbox) grow() {
 	old := b.table
-	b.table = make([]matchList, max(8, 2*len(old))) //lint:allocok — amortized index growth, bounded by the live (src, tag) key population
+	b.table = make([]matchList, max(8, 2*len(old))) // amortized growth, bounded by the live (src, tag) key population
 	for i := range old {
 		if l := &old[i]; l.src1 != 0 {
 			*b.slot(l.src1-1, l.tag) = *l
@@ -740,8 +740,6 @@ func (rt *Runtime) runRanks(body func(*Proc)) {
 // nil for a clean return) and performs the shared bookkeeping. Every
 // driver routes every rank exit through here so the error surface is
 // identical.
-//
-//lint:allocok — once per rank, at its exit; allocates only to report a failure
 func (rt *Runtime) rankRecover(p *Proc, rec any) {
 	rt.finished.Add(1)
 	if rec != nil {
@@ -860,8 +858,6 @@ func (rt *Runtime) checkAborted() {
 // blockedSummary describes, for the deadlock error, what every parked
 // rank is waiting for: the pending operation kind, the peer rank and
 // tag of posted receives, and whether that peer is dead.
-//
-//lint:allocok — deadlock diagnostic, runs once just before abort
 func (rt *Runtime) blockedSummary() string {
 	var parts []string
 	for r := range rt.boxes {
@@ -1001,8 +997,6 @@ func (c Piece) Slice(lo, hi int) Piece { return Piece{c.data[lo:hi:hi], c.pb} }
 // only one on the send side. The caller's memory is never borrowed — it
 // may be overwritten the moment Gather returns, as MPI guarantees of a
 // send buffer. Phantom mode moves no bytes.
-//
-//lint:hotpath
 func (p *Proc) Gather(src []byte) Snapshot {
 	if p.rt.cfg.Phantom {
 		return Snapshot{}
@@ -1020,8 +1014,6 @@ func (p *Proc) Gather(src []byte) Snapshot {
 // Compose makes one snapshot of runs, in order, copying nothing: a
 // composite holding each run's buffer (pool.go), or, for one run that is
 // a whole snapshot, that snapshot. Phantom mode returns the zero Snapshot.
-//
-//lint:hotpath
 func (p *Proc) Compose(runs []Piece) Snapshot {
 	if p.rt.cfg.Phantom {
 		return Snapshot{}
@@ -1032,7 +1024,7 @@ func (p *Proc) Compose(runs []Piece) Snapshot {
 	}
 	pb, _ := payloadPools[composite].Get().(*pbuf)
 	if pb == nil {
-		pb = &pbuf{class: composite} //lint:allocok — pool-miss refill; amortized across reuses
+		pb = &pbuf{class: composite}
 	}
 	pb.n = 0
 	for _, r := range runs {
@@ -1041,7 +1033,7 @@ func (p *Proc) Compose(runs []Piece) Snapshot {
 		}
 		pb.n += len(r.data)
 	}
-	pb.runs = append(pb.runs[:0], runs...) //lint:allocok — grows to the most runs this composite has carried
+	pb.runs = append(pb.runs[:0], runs...) // grows to the most runs this composite has carried
 	pb.refs.Store(1)
 	return Snapshot{pb: pb}
 }
@@ -1055,8 +1047,6 @@ func (p *Proc) Compose(runs []Piece) Snapshot {
 // slot ≥ 0 hints (−1: none) that the message completes the slot-th
 // receive dst posts under this rank's numbering (Slots), whose mailbox
 // slot it then goes to if it can. Matching is by (src, tag) either way.
-//
-//lint:hotpath
 func (p *Proc) SendSnapshot(dst, tag, size int, s Snapshot, meta any, slot int) {
 	if err := p.sendErr(dst, tag, size, s, meta, slot); err != nil {
 		panic(err)
@@ -1083,8 +1073,6 @@ func (p *Proc) hint(slot, r int, op string) hint {
 // Send snapshots data (see Gather) and sends it to dst. data may be nil
 // (phantom mode or metadata-only protocol signals). Failure conditions
 // panic with the typed failure error (use SendErr to handle them).
-//
-//lint:hotpath
 func (p *Proc) Send(dst, tag, size int, data []byte, meta any) {
 	if err := p.SendErr(dst, tag, size, data, meta); err != nil {
 		panic(err)
@@ -1115,13 +1103,13 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 	}
 	h := p.hint(slot, dst, "send")
 	if p.rt.revoked.Load() {
-		return &CommRevokedError{} //lint:allocok — typed failure error, failure path only
+		return &CommRevokedError{}
 	}
 	if p.rt.deadMask[dst].Load() {
 		// An eager send to a dead peer fails fast: the modelled ack
 		// never comes, so the sender pays the detection timeout once.
 		p.chargeDetect(dst)
-		return &RankFailedError{Rank: dst} //lint:allocok — typed failure error, failure path only
+		return &RankFailedError{Rank: dst}
 	}
 	if p.rt.model.HasLinkFaults() {
 		// A send across a down link fails fast with the typed error
@@ -1152,7 +1140,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		// (possibly duplicated) instead of the destination mailbox; a
 		// later delivery decision releases it. The container is not
 		// recycled — duplicated in-flight copies share this one *Msg.
-		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb} //lint:allocok — chaos-mode container, deliberately unpooled
+		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb} // chaos-mode container, deliberately unpooled
 		cs.chaosEnqueue(p.rank, dst, m)
 		return nil
 	}
@@ -1181,8 +1169,6 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 // with respect to each sender. Receiving from a dead peer (with no
 // matching message left) or on a revoked communicator panics with the
 // typed failure error; use RecvErr to handle it.
-//
-//lint:hotpath
 func (p *Proc) Recv(src, tag int) Msg {
 	m, err := p.recvErr(src, tag)
 	if err != nil {
@@ -1196,8 +1182,6 @@ func (p *Proc) Recv(src, tag int) Msg {
 // arguments — resumes after that park. Anywhere else it is Recv. slot ≥ 0
 // hints (−1: none) that this is the slot-th receive the rank posts under
 // its numbering (Slots): where a send hinted the same put its message.
-//
-//lint:hotpath
 func (p *Proc) RecvStep(src, tag, slot int) (m Msg, ok bool) {
 	ok, err := p.recv(src, tag, slot, true, &m)
 	if err != nil {
@@ -1324,8 +1308,6 @@ func (p *Proc) checkSource(src int) {
 // sound. Failure detections are charged to the clock here. It runs with
 // the rank's mailbox locked, at post time and after every wake, so the
 // serial drivers evaluate it at deterministic points.
-//
-//lint:allocok — typed failure errors, failure path only
 func (p *Proc) recvBlocked(src, tag int) error {
 	rt := p.rt
 	switch {
@@ -1353,8 +1335,6 @@ func (p *Proc) recvBlocked(src, tag int) error {
 // queued, without receiving it and without advancing the clock. A dead
 // peer with no queued message probes false — probing never blocks, so
 // it needs no error path.
-//
-//lint:hotpath
 func (p *Proc) Probe(src, tag int) bool {
 	p.enterOp()
 	if cs := p.rt.chaos; cs != nil {
@@ -1441,8 +1421,6 @@ func (p *Proc) collectiveTime(step bool) (float64, bool) {
 // injected crash cannot wedge survivors in a barrier. step is as in
 // recv: a stepped rank suspends with its arrival recorded, and its next
 // call only waits out the generation it arrived in.
-//
-//lint:hotpath
 func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 	rt := p.rt
 	if p.suspended {
@@ -1463,7 +1441,7 @@ func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 				rt.ev.q.rewind()
 				rt.ev.now = 0
 			}
-			rt.drv.wake(stBarrierWait, rt.reduceRes) //lint:allocok — once per barrier generation, by its completer
+			rt.drv.wake(stBarrierWait, rt.reduceRes)
 		}
 	}
 	if !p.awaitRound(stBarrierWait, &rt.bgen, p.roundGen, step) {

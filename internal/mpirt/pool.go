@@ -71,11 +71,11 @@ func payloadClass(n int) int {
 func allocPayload(n int) (*pbuf, []byte) {
 	c := payloadClass(n)
 	if c < 0 {
-		return nil, make([]byte, n) //lint:allocok — oversized payload bypasses the pool by design
+		return nil, make([]byte, n) // oversized payloads bypass the pool by design
 	}
 	pb, _ := payloadPools[c].Get().(*pbuf)
 	if pb == nil {
-		pb = &pbuf{b: make([]byte, 1<<(uint(c)+poolMinShift)), class: c} //lint:allocok — pool-miss refill; amortized across reuses
+		pb = &pbuf{b: make([]byte, 1<<(uint(c)+poolMinShift)), class: c}
 	} else {
 		pb.recycled = true
 	}
@@ -104,8 +104,6 @@ func releasePayload(pb *pbuf) {
 // not be read afterwards. On a zero Msg, a phantom-mode message, an
 // unpooled payload or a second time Release only clears Data, so
 // callers need no conditionals.
-//
-//lint:hotpath
 func (m *Msg) Release() {
 	releasePayload(m.pooled)
 	m.pooled, m.Data = nil, nil

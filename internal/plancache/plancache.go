@@ -274,8 +274,6 @@ func New(cfg Config) *Cache {
 
 // Get is the hit path: it returns the cached artifact for k and whether
 // it was present, touching the LRU on a hit. It allocates nothing.
-//
-//lint:hotpath
 func (c *Cache) Get(k Key) (any, bool) {
 	h := k.digest()
 	c.mu.Lock()

@@ -93,9 +93,10 @@ func Split(ranks int, force int8) bool {
 }
 
 // Both runs first here and second on a second goroutine, and returns
-// once both have: the one join point of the split plan builders.
-//
-//lint:blockok — joins a CPU-bound helper that takes no lock and never enters mpirt, so the wait ends in bounded host time on any engine, including the FT repair builds inside rank bodies
+// once both have: the one join point of the split plan builders. The
+// helper is CPU-bound, takes no lock and never enters mpirt, so the
+// wait ends in bounded host time on any engine, including the FT repair
+// builds inside rank bodies.
 func Both(first, second func()) {
 	var wg sync.WaitGroup
 	wg.Add(1)
