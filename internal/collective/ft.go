@@ -31,7 +31,7 @@ type FTResult struct {
 	// Rounds counts recovery attempts (shrink + re-run) performed.
 	Rounds int
 	// AliveOld / DeadOld partition the original ranks by survival at
-	// the final successful round.
+	// the final successful round, each in ascending order.
 	AliveOld []int
 	DeadOld  []int
 	// Comm is the survivor communicator; Graph the survivor-projected

@@ -289,9 +289,17 @@ func (st *payloads) snapshot(p mpirt.Endpoint, op *PlanOp, blocks []int32) mpirt
 	return st.snap
 }
 
+// streamMin is the smallest block deliver streams past the cache (a
+// pass never reads its result buffer); below it the fence costs more.
+const streamMin = 4 << 10
+
 // deliver copies a landed block's bytes to its origin's slot in the
 // result buffer.
 func (st *payloads) deliver(origin int, data []byte) {
 	i := st.pl.Graph.IndexOfIn(st.r, origin)
-	copy(st.rbuf[st.roff[i]:st.roff[i]+len(data)], data)
+	if dst := st.rbuf[st.roff[i] : st.roff[i]+len(data)]; len(data) < streamMin {
+		copy(dst, data)
+	} else {
+		streamCopy(dst, data)
+	}
 }

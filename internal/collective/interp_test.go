@@ -231,7 +231,9 @@ func TestInterpreterRealAllocs(t *testing.T) {
 
 // BenchmarkInterpReal is one real-payload pass of the interpreter at the
 // repo benchmark's rsg216-real shape: 216 ranks, ER δ=0.3, 8 KiB blocks.
-// Throughput is payload bytes sent per pass.
+// Throughput is payload bytes sent per pass. The deliver rows time the
+// pass's result-buffer copies alone, plain and streamed, over the same
+// buffers at 1, 4, 8 and 64 KiB blocks: both sides of streamMin.
 func BenchmarkInterpReal(b *testing.B) {
 	c := topology.Niagara(6, 18)
 	g, err := vgraph.ErdosRenyi(c.Ranks(), 0.3, 7)
@@ -239,9 +241,10 @@ func BenchmarkInterpReal(b *testing.B) {
 		b.Fatal(err)
 	}
 	const m = 8 << 10
+	slab := make([]byte, g.Edges()*m)
 	sbufs, rbufs := make([][]byte, g.N()), make([][]byte, g.N())
-	for r := range sbufs {
-		sbufs[r], rbufs[r] = make([]byte, m), make([]byte, g.InDegree(r)*m)
+	for r, pos := 0, 0; r < g.N(); r, pos = r+1, pos+g.InDegree(r)*m {
+		sbufs[r], rbufs[r] = make([]byte, m), slab[pos:pos+g.InDegree(r)*m:pos+g.InDegree(r)*m]
 		fillPattern(sbufs[r], r)
 	}
 	ops := fourOps(b, g, c, 4)
@@ -267,4 +270,5 @@ func BenchmarkInterpReal(b *testing.B) {
 			b.ReportMetric(float64(rep.SnapshotBytes)/float64(b.N+1), "snapshotB/op")
 		})
 	}
+	benchDeliver(b, slab)
 }

@@ -518,6 +518,9 @@ func (c FaultCase) check(outcomes []ftOutcome, killed map[int]bool, linkFaults b
 				r, res.Recovered, res.Rounds, res.AliveOld, res.Repair,
 				ref.Recovered, ref.Rounds, ref.AliveOld, ref.Repair)
 		}
+		if !slices.IsSorted(res.AliveOld) || !slices.IsSorted(res.DeadOld) {
+			return fmt.Errorf("rank %d reports survivors %v and dead %v: both must be ascending", r, res.AliveOld, res.DeadOld)
+		}
 		for _, d := range res.DeadOld {
 			if !killed[d] {
 				return fmt.Errorf("rank %d reports non-killed rank %d dead", r, d)

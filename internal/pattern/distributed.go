@@ -201,8 +201,7 @@ func candidatesOf(g *vgraph.Graph, r, clo, chi, wlo, whi int) []int {
 // h2 = [h2lo, h2hi) is the opposite half agents live in.
 func findAgent(p *mpirt.Proc, g *vgraph.Graph, step, phase, r, h2lo, h2hi int) int {
 	cands := candidatesOf(g, r, h2lo, h2hi, h2lo, h2hi)
-	propTag := tags.PropBase + step*4 + phase*2
-	replyTag := tags.ReplyBase + step*4 + phase*2
+	propTag, replyTag := tags.Prop(step, phase), tags.Reply(step, phase)
 	for i, c := range cands {
 		p.Send(c, propTag, signalBytes, nil, sigREQ)
 		reply := p.Recv(c, replyTag)
@@ -229,8 +228,7 @@ func findOrigin(p *mpirt.Proc, g *vgraph.Graph, step, phase, r, h1lo, h1hi, h2lo
 	// order.
 	cands := candidatesOf(g, r, h2lo, h2hi, h1lo, h1hi)
 
-	propTag := tags.PropBase + step*4 + phase*2
-	replyTag := tags.ReplyBase + step*4 + phase*2
+	propTag, replyTag := tags.Prop(step, phase), tags.Reply(step, phase)
 
 	remaining := map[int]bool{}
 	for _, c := range cands {
