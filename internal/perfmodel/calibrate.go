@@ -6,6 +6,7 @@ import (
 
 	"nbrallgather/internal/mpirt"
 	"nbrallgather/internal/netmodel"
+	"nbrallgather/internal/tags"
 	"nbrallgather/internal/topology"
 )
 
@@ -28,20 +29,19 @@ func Calibrate(c topology.Cluster, np netmodel.Params, sizes []int) (Params, err
 	_, err := mpirt.Run(mpirt.Config{
 		Cluster: c, Params: np, Phantom: true, WallLimit: 2 * time.Minute,
 	}, func(p *mpirt.Proc) {
-		const pingTag, pongTag = 1, 2
 		for i, m := range sizes {
 			p.SyncResetTime()
 			const reps = 8
 			switch p.Rank() {
 			case 0:
 				for k := 0; k < reps; k++ {
-					p.Send(peer, pingTag, m, nil, nil)
-					p.Recv(peer, pongTag)
+					p.Send(peer, tags.BenchPing, m, nil, nil)
+					p.Recv(peer, tags.BenchPong)
 				}
 			case peer:
 				for k := 0; k < reps; k++ {
-					p.Recv(0, pingTag)
-					p.Send(0, pongTag, m, nil, nil)
+					p.Recv(0, tags.BenchPing)
+					p.Send(0, tags.BenchPong, m, nil, nil)
 				}
 			}
 			t := p.CollectiveTime()
