@@ -16,8 +16,11 @@ import (
 	"time"
 
 	nbr "nbrallgather"
+	"nbrallgather/internal/collective"
 	"nbrallgather/internal/harness"
 	"nbrallgather/internal/mpirt"
+	"nbrallgather/internal/netmodel"
+	"nbrallgather/internal/pattern"
 	"nbrallgather/internal/perfmodel"
 	"nbrallgather/internal/spmm"
 )
@@ -99,7 +102,7 @@ func BenchmarkFig5SpeedupScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cn, err := nbr.NewCommonNeighbor(g, 4)
+		cn, err := collective.NewCommonNeighbor(g, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +241,7 @@ func BenchmarkAblationPatternBuilder(b *testing.B) {
 	b.Run("central", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := nbr.BuildPattern(g, c.L()); err != nil {
+			if _, err := pattern.Build(g, c.L()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -247,7 +250,7 @@ func BenchmarkAblationPatternBuilder(b *testing.B) {
 		b.ReportAllocs()
 		var sim float64
 		for i := 0; i < b.N; i++ {
-			_, rep, err := nbr.BuildPatternDistributed(nbr.RunConfig{Cluster: c, Phantom: true}, g)
+			_, rep, err := pattern.BuildDistributed(mpirt.Config{Cluster: c, Phantom: true}, g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -264,13 +267,13 @@ func BenchmarkAblationAgentPolicy(b *testing.B) {
 	g := benchGraph(b, c, 0.5)
 	for _, tc := range []struct {
 		name   string
-		policy nbr.AgentPolicy
-	}{{"load-aware", nbr.PolicyLoadAware}, {"first-fit", nbr.PolicyFirstFit}} {
-		pat, err := nbr.BuildPatternWithPolicy(g, c.L(), tc.policy)
+		policy pattern.Policy
+	}{{"load-aware", pattern.PolicyLoadAware}, {"first-fit", pattern.PolicyFirstFit}} {
+		pat, err := pattern.BuildAvoiding(g, c.L(), tc.policy, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		op := nbr.NewDistanceHalvingFromPattern(pat)
+		op := collective.NewDistanceHalvingFromPattern(pat)
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var last nbr.MeasureResult
@@ -289,11 +292,11 @@ func BenchmarkAblationStopThreshold(b *testing.B) {
 	c := benchCluster()
 	g := benchGraph(b, c, 0.5)
 	for _, l := range []int{c.L(), 1} {
-		pat, err := nbr.BuildPattern(g, l)
+		pat, err := pattern.Build(g, l)
 		if err != nil {
 			b.Fatal(err)
 		}
-		op := nbr.NewDistanceHalvingFromPattern(pat)
+		op := collective.NewDistanceHalvingFromPattern(pat)
 		b.Run(fmt.Sprintf("L=%d", l), func(b *testing.B) {
 			b.ReportAllocs()
 			var last nbr.MeasureResult
@@ -317,8 +320,8 @@ func BenchmarkAblationFlatNetwork(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name   string
-		params nbr.NetParams
-	}{{"niagara", nbr.NiagaraNetParams()}, {"flat", nbr.UniformNetParams()}} {
+		params netmodel.Params
+	}{{"niagara", netmodel.NiagaraParams()}, {"flat", netmodel.UniformParams()}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s float64
@@ -425,7 +428,7 @@ func BenchmarkExtAlltoall(b *testing.B) {
 func BenchmarkAblationCNGrouping(b *testing.B) {
 	c := benchCluster()
 	g := benchGraph(b, c, 0.5)
-	cons, err := nbr.NewCommonNeighbor(g, 4)
+	cons, err := collective.NewCommonNeighbor(g, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -464,11 +467,11 @@ func BenchmarkAblationLeaderBased(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lb1, err := nbr.NewLeaderBased(g, c)
+	lb1, err := collective.NewLeaderBased(g, c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lb4, err := nbr.NewLeaderBasedK(g, c, 4)
+	lb4, err := collective.NewLeaderBasedK(g, c, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -499,7 +502,7 @@ func BenchmarkPatternBuildScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("ranks=%d", c.Ranks()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := nbr.BuildPattern(g, c.L()); err != nil {
+				if _, err := pattern.Build(g, c.L()); err != nil {
 					b.Fatal(err)
 				}
 			}

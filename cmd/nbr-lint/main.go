@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	nbr-lint [-dir .] [-modpath path] [-analyzers a,b] [-json] [-sarif]
+//	nbr-lint [-dir .] [-modpath path] [-analyzers a,b] [-sarif]
 //
 // Exit codes: 0 — clean; 1 — findings; 2 — the tool itself failed
 // (bad flags, unloadable or untypeable source). CI distinguishes "the
@@ -38,9 +38,6 @@ func run(args []string, out io.Writer) error {
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	format := lintout.Flags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := format.Check("nbr-lint"); err != nil {
 		return err
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -62,24 +63,22 @@ func TestAnalyzerSubset(t *testing.T) {
 	}
 }
 
-// TestJSONOutput checks the machine-readable mode round-trips.
-func TestJSONOutput(t *testing.T) {
+// TestTextOutput checks every default-format line is one complete
+// finding: file:line: [analyzer] message.
+func TestTextOutput(t *testing.T) {
 	fixtures := filepath.Join("..", "..", "internal", "lint", "testdata", "src")
 	var out strings.Builder
-	err := run([]string{"-dir", fixtures, "-modpath", "nbrallgather", "-json"}, &out)
+	err := run([]string{"-dir", fixtures, "-modpath", "nbrallgather"}, &out)
 	if err == nil {
 		t.Fatal("fixture tree should produce findings")
 	}
-	var findings []lintout.Finding
-	if jerr := json.Unmarshal([]byte(out.String()), &findings); jerr != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", jerr, out.String())
+	if out.Len() == 0 {
+		t.Fatal("text output is empty")
 	}
-	if len(findings) == 0 {
-		t.Fatal("JSON output is empty")
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line <= 0 || f.Analyzer == "" || f.Message == "" {
-			t.Fatalf("incomplete finding: %+v", f)
+	line := regexp.MustCompile(`^\S+\.go:[1-9][0-9]*: \[[a-z]+\] \S`)
+	for _, l := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		if !line.MatchString(l) {
+			t.Fatalf("incomplete finding: %q", l)
 		}
 	}
 }
@@ -167,8 +166,8 @@ func TestExitCodes(t *testing.T) {
 	}
 	out.Reset()
 	errOut.Reset()
-	if code := Main([]string{"-json", "-sarif"}, &out, &errOut); code != 2 {
-		t.Errorf("conflicting output modes must exit 2, got %d", code)
+	if code := Main([]string{"-json"}, &out, &errOut); code != 2 {
+		t.Errorf("undefined flag must exit 2, got %d", code)
 	}
 	out.Reset()
 	errOut.Reset()

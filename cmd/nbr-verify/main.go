@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	nbr-verify [-case name] [-list] [-load] [-json] [-sarif]
+//	nbr-verify [-case name] [-list] [-load] [-sarif]
 //
 // -list prints the matrix case names. -load prints the static
 // per-resource load table (max/min and max/mean ratios per case) next
@@ -46,9 +46,6 @@ func run(args []string, out io.Writer) error {
 	load := fs.Bool("load", false, "print the static load table instead of verifying")
 	format := lintout.Flags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := format.Check("nbr-verify"); err != nil {
 		return err
 	}
 

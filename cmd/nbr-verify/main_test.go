@@ -77,10 +77,10 @@ func TestLoadTable(t *testing.T) {
 	}
 }
 
-// TestFlagConflict rejects -json with -sarif.
-func TestFlagConflict(t *testing.T) {
+// TestUnknownFlag maps a flag the tool does not define to exit 2.
+func TestUnknownFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := Main([]string{"-json", "-sarif"}, &out, &errOut); code != 2 {
-		t.Fatalf("conflicting flags exit = %d, want 2", code)
+	if code := Main([]string{"-json"}, &out, &errOut); code != 2 {
+		t.Fatalf("undefined flag exit = %d, want 2", code)
 	}
 }

@@ -25,21 +25,6 @@ func ExampleNewDistanceHalving() {
 	// distance halving is faster: true
 }
 
-// ExampleBuildPattern shows the pattern a rank follows: halving steps
-// with negotiated agents, then remainder deliveries.
-func ExampleBuildPattern() {
-	graph, _ := nbr.ErdosRenyi(32, 0.4, 3)
-	pat, _ := nbr.BuildPattern(graph, 4) // stop at 4 ranks per socket
-	plan := pat.Plans[0]
-	fmt.Printf("rank 0 halves the communicator %d times\n", len(plan.Steps))
-	fmt.Printf("pattern is valid: %v\n", pat.Validate() == nil)
-	fmt.Printf("agent negotiation success: %.0f%%\n", 100*pat.Stats.SuccessRate())
-	// Output:
-	// rank 0 halves the communicator 3 times
-	// pattern is valid: true
-	// agent negotiation success: 80%
-}
-
 // ExampleMoore builds the structured stencil workload of the paper's
 // Fig. 6.
 func ExampleMoore() {
@@ -48,18 +33,6 @@ func ExampleMoore() {
 	fmt.Printf("grid %v, every rank has %d neighbors\n", dims, graph.OutDegree(0))
 	// Output:
 	// grid [8 8], every rank has 24 neighbors
-}
-
-// ExampleNiagaraModel evaluates the paper's Section V analytical model.
-func ExampleNiagaraModel() {
-	model := nbr.NiagaraModel(2160, 18)
-	fmt.Printf("predicted speedup, dense graph, 32B messages: %.0fx\n",
-		model.Speedup(0.7, 32))
-	fmt.Printf("naive sends %.0f messages per rank, DH %.0f\n",
-		0.7*2160, model.NOff(0.7)+model.NIn(0.7))
-	// Output:
-	// predicted speedup, dense graph, 32B messages: 52x
-	// naive sends 1512 messages per rank, DH 26
 }
 
 // ExampleRun uses the runtime directly for custom communication.

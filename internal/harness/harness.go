@@ -257,7 +257,7 @@ func stats(xs []float64) Result {
 	}
 	r.Mean /= float64(len(xs))
 	for _, x := range xs {
-		r.Std += (x - r.Mean) * (x - r.Mean)
+		r.Std += float64((x - r.Mean) * (x - r.Mean))
 	}
 	if len(xs) > 1 {
 		r.Std = math.Sqrt(r.Std / float64(len(xs)-1))

@@ -74,7 +74,7 @@ func meanCV(xs []float64) (mean, cv float64) {
 	}
 	var ss float64
 	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
+		ss += float64((x - mean) * (x - mean))
 	}
 	return mean, math.Sqrt(ss/float64(len(xs)-1)) / mean
 }

@@ -14,15 +14,15 @@ import (
 	"path/filepath"
 )
 
-// Finding is the machine-readable shape of one diagnostic. For
+// Finding is one diagnostic in the shape both tools share. For
 // source checkers File is a path and Line a source line; for plan
 // checkers File names the verified case (a pseudo-path) and Line the
 // rank the finding anchors to, when one applies.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Analyzer string
+	Message  string
 }
 
 // Rule describes one analyzer (or invariant) for the SARIF rule table.
@@ -53,32 +53,21 @@ func Main(run func([]string, io.Writer) error, args []string, out, errOut io.Wri
 	return 2
 }
 
-// Format is a checker's choice of output: text, -json or -sarif.
-type Format struct{ json, sarif *bool }
+// Format is a checker's choice of output: text or -sarif.
+type Format struct{ sarif *bool }
 
-// Flags registers -json and -sarif on fs.
+// Flags registers -sarif on fs.
 func Flags(fs *flag.FlagSet) Format {
-	return Format{fs.Bool("json", false, "emit findings as a JSON array"), fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")}
-}
-
-// Check rejects -json with -sarif.
-func (f Format) Check(tool string) error {
-	if *f.json && *f.sarif {
-		return fmt.Errorf("%s: -json and -sarif are mutually exclusive", tool)
-	}
-	return nil
+	return Format{fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")}
 }
 
 // Write renders findings as the flags chose, as file:line: [analyzer]
 // message lines by default, and returns Found if there are any.
 func (f Format) Write(out io.Writer, tool string, rules []Rule, findings []Finding) error {
 	var err error
-	switch {
-	case *f.sarif:
+	if *f.sarif {
 		err = WriteSARIF(out, tool, rules, findings)
-	case *f.json:
-		err = WriteJSON(out, findings)
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintf(out, "%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
 		}
@@ -87,16 +76,6 @@ func (f Format) Write(out io.Writer, tool string, rules []Rule, findings []Findi
 		err = Found{tool, len(findings)}
 	}
 	return err
-}
-
-// WriteJSON renders the findings as an indented JSON array.
-func WriteJSON(out io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{} // zero findings render as [], not null
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
 }
 
 // Minimal SARIF 2.1.0 emission: one run, one rule per analyzer, one

@@ -454,7 +454,7 @@ func (cs *chaosRT) chaosSendFaults(scale float64) (backoffTime, spike float64) {
 			if cs.faultRNG.Float64() >= cs.cfg.FailProb {
 				break
 			}
-			backoffTime += backoff * scale
+			backoffTime += float64(backoff * scale)
 			backoff *= 2
 		}
 	}

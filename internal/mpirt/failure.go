@@ -143,7 +143,7 @@ func (p *Proc) chargeDetect(dead int) {
 		return
 	}
 	p.detected[dead] = true
-	p.vt += detectTimeout * p.slow
+	p.vt += float64(detectTimeout * p.slow)
 	p.detectTime += detectTimeout
 	p.detections++
 }
@@ -242,7 +242,7 @@ func (p *Proc) finishFTRound(maxVT float64, survivors int) {
 	if survivors > 2 {
 		hops = math.Ceil(math.Log2(float64(survivors)))
 	}
-	p.vt += 2 * hops * (p.rt.model.SendOverhead() + p.rt.model.RecvOverhead()) * p.slow
+	p.vt += float64(2 * hops * (p.rt.model.SendOverhead() + p.rt.model.RecvOverhead()) * p.slow)
 }
 
 // completeFTLocked checks whether the pending agreement round is

@@ -102,7 +102,7 @@ func (p *Proc) chargeLinkDetect(res netmodel.Resource) {
 		return
 	}
 	p.linkDetected[res] = true
-	p.vt += detectTimeout * p.slow
+	p.vt += float64(detectTimeout * p.slow)
 	p.linkDetectTime += detectTimeout
 	p.linkDetections++
 	if cs := p.rt.chaos; cs != nil {

@@ -930,7 +930,7 @@ func (p *Proc) VT() float64 { return p.vt }
 // rank's virtual clock. Chaos-mode slow ranks pay a multiplier.
 func (p *Proc) AdvanceVT(d float64) {
 	if d > 0 {
-		p.vt += d * p.slow
+		p.vt += float64(d * p.slow)
 	}
 }
 
@@ -1130,7 +1130,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 		// part of the deterministic serial stream.
 		backoff, spike = cs.chaosSendFaults(p.slow)
 	}
-	p.vt += backoff + p.slow*p.rt.model.SendOverhead()
+	p.vt += backoff + float64(p.slow*p.rt.model.SendOverhead())
 	p.rt.netMu.Lock()
 	arrival := p.rt.model.Transfer(p.rank, dst, size, p.vt) + spike
 	p.rt.netMu.Unlock()
@@ -1239,7 +1239,7 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 				panic(&UsageError{Rank: p.rank, Op: "recv", Msg: fmt.Sprintf("slot %d held a message from %d tag %d", h.slot, out.Src, out.Tag)})
 			}
 			p.lift(out)
-			p.vt += p.slow * rt.model.RecvOverhead()
+			p.vt += float64(p.slow * rt.model.RecvOverhead())
 			return true, nil
 		}
 		if err := p.recvBlocked(src, tag); err != nil {

@@ -303,7 +303,7 @@ func (m *Model) Charge(pa *Path, n int, ready float64) (arrival float64) {
 			portT = p.Alpha[pa.Dist] + float64(n)*f/p.Beta[pa.Dist]
 			m.free[id] = start + portT
 		} else {
-			m.free[id] = start + perMsg + float64(n)/bw*f
+			m.free[id] = start + perMsg + float64(float64(n)/bw*f)
 		}
 	}
 	return start + portT

@@ -376,6 +376,21 @@ func ExampleBuild() {
 	// valid: true
 }
 
+// ExampleBuild_halving shows the pattern a rank follows: halving steps
+// with negotiated agents, then remainder deliveries.
+func ExampleBuild_halving() {
+	graph, _ := vgraph.ErdosRenyi(32, 0.4, 3)
+	pat, _ := Build(graph, 4) // stop at 4 ranks per socket
+	plan := pat.Plans[0]
+	fmt.Printf("rank 0 halves the communicator %d times\n", len(plan.Steps))
+	fmt.Printf("pattern is valid: %v\n", pat.Validate() == nil)
+	fmt.Printf("agent negotiation success: %.0f%%\n", 100*pat.Stats.SuccessRate())
+	// Output:
+	// rank 0 halves the communicator 3 times
+	// pattern is valid: true
+	// agent negotiation success: 80%
+}
+
 // TestDistributedRandomShapes drives the negotiation protocol across
 // random cluster shapes and densities, asserting it terminates (no
 // deadlock) and yields valid patterns.

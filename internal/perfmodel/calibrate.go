@@ -62,11 +62,11 @@ func Calibrate(c topology.Cluster, np netmodel.Params, sizes []int) (Params, err
 		x, y := float64(m), times[i]
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	invBeta := (n*sxy - sx*sy) / (n*sxx - sx*sx)
-	alpha := (sy - invBeta*sx) / n
+	invBeta := (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
+	alpha := (sy - float64(invBeta*sx)) / n
 	if alpha <= 0 || invBeta <= 0 {
 		return Params{}, fmt.Errorf("perfmodel: degenerate fit (α=%g, 1/β=%g)", alpha, invBeta)
 	}

@@ -103,7 +103,7 @@ func (p Params) TNaive(delta float64, m int) float64 {
 // geometric sum 2^(E[n_off]+1) − 1.
 func (p Params) TOffDH(delta float64, m int) float64 {
 	noff := p.NOff(delta)
-	return noff*p.Alpha + (math.Pow(2, noff+1)-1)*float64(m)/p.Beta
+	return float64(noff*p.Alpha) + (math.Pow(2, noff+1)-1)*float64(m)/p.Beta
 }
 
 // TInDH is Eq. (7): one rank's intra-socket (remainder phase) time.

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -200,4 +201,16 @@ func TestCalibrateRejects(t *testing.T) {
 	if _, err := Calibrate(topology.Niagara(2, 4), netmodel.NiagaraParams(), []int{8}); err == nil {
 		t.Error("accepted single-size ladder")
 	}
+}
+
+// ExampleNiagaraModel evaluates the paper's Section V analytical model.
+func ExampleNiagaraModel() {
+	model := NiagaraModel(2160, 18)
+	fmt.Printf("predicted speedup, dense graph, 32B messages: %.0fx\n",
+		model.Speedup(0.7, 32))
+	fmt.Printf("naive sends %.0f messages per rank, DH %.0f\n",
+		0.7*2160, model.NOff(0.7)+model.NIn(0.7))
+	// Output:
+	// predicted speedup, dense graph, 32B messages: 52x
+	// naive sends 1512 messages per rank, DH 26
 }

@@ -7,6 +7,13 @@ import (
 	"time"
 
 	nbr "nbrallgather"
+	"nbrallgather/internal/collective"
+	"nbrallgather/internal/harness"
+	"nbrallgather/internal/netmodel"
+	"nbrallgather/internal/pattern"
+	"nbrallgather/internal/perfmodel"
+	"nbrallgather/internal/topology"
+	"nbrallgather/internal/vgraph"
 )
 
 // TestPublicAPIEndToEnd drives the façade the way the README's
@@ -53,7 +60,7 @@ func TestPublicAPICompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := nbr.Compare(nbr.MeasureConfig{Cluster: cluster, MsgSize: 64, Trials: 1, Phantom: true}, graph, "api")
+	row, err := harness.Compare(nbr.MeasureConfig{Cluster: cluster, MsgSize: 64, Trials: 1, Phantom: true}, graph, "api")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +75,14 @@ func TestPublicAPIPatternBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := nbr.BuildPattern(graph, cluster.L())
+	central, err := pattern.Build(graph, cluster.L())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := central.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	dist, rep, err := nbr.BuildPatternDistributed(nbr.RunConfig{Cluster: cluster, Phantom: true}, graph)
+	dist, rep, err := pattern.BuildDistributed(nbr.RunConfig{Cluster: cluster, Phantom: true}, graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +92,14 @@ func TestPublicAPIPatternBuilders(t *testing.T) {
 	if rep.Msgs() == 0 || rep.Time <= 0 {
 		t.Fatal("distributed build reported no cost")
 	}
-	ff, err := nbr.BuildPatternWithPolicy(graph, cluster.L(), nbr.PolicyFirstFit)
+	ff, err := pattern.BuildAvoiding(graph, cluster.L(), pattern.PolicyFirstFit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ff.Validate(); err != nil {
 		t.Fatalf("first-fit pattern invalid: %v", err)
 	}
-	op := nbr.NewDistanceHalvingFromPattern(ff)
+	op := collective.NewDistanceHalvingFromPattern(ff)
 	if _, err := nbr.Measure(nbr.MeasureConfig{Cluster: cluster, MsgSize: 16, Trials: 1, Phantom: true}, op); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestPublicAPISpMM(t *testing.T) {
 }
 
 func TestPublicAPIModel(t *testing.T) {
-	model := nbr.NiagaraModel(2160, 18)
+	model := perfmodel.NiagaraModel(2160, 18)
 	if s := model.Speedup(0.7, 32); s < 5 {
 		t.Fatalf("model predicts %vx for dense small messages, expected large", s)
 	}
@@ -157,7 +164,7 @@ func TestPublicAPIMoore(t *testing.T) {
 }
 
 func TestPublicAPIFromOutLists(t *testing.T) {
-	g, err := nbr.GraphFromOutLists(3, [][]int{{1}, {2}, {0}})
+	g, err := vgraph.FromOutLists(3, [][]int{{1}, {2}, {0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,39 +209,49 @@ func TestSpeedupShapeMatchesPaper(t *testing.T) {
 	t.Logf("small-message DH speedup: δ=0.3 → %.2fx, δ=0.7 → %.2fx", s3, s7)
 }
 
-// TestFacadeSurface touches every re-exported constructor so the
-// façade cannot drift from the internal packages.
+// TestFacadeSurface touches every exported name, so the façade cannot
+// drift from the internal packages and an export nobody calls shows up
+// here first.
 func TestFacadeSurface(t *testing.T) {
-	flat := nbr.Flat(2, 2, 2)
-	if flat.Groups() != 1 {
-		t.Fatal("Flat cluster has groups")
-	}
-	if err := nbr.NiagaraNetParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nbr.UniformNetParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cart, err := nbr.Cartesian([]int{4, 4}, true)
-	if err != nil || cart.OutDegree(0) != 4 {
-		t.Fatalf("Cartesian: %v", err)
-	}
+	var (
+		_ nbr.Cluster = nbr.Niagara(1, 1)
+		_ *nbr.Graph
+		_ nbr.Op
+		_ nbr.AOp
+		_ *nbr.Proc
+		_ nbr.RunConfig
+		_ *nbr.RunReport
+		_ nbr.MeasureConfig
+		_ nbr.MeasureResult
+		_ *nbr.CSR
+		_ *nbr.SpMMKernel
+		_ []nbr.TableIIEntry
+	)
 	cluster := nbr.Niagara(2, 4)
 	g, err := nbr.ErdosRenyi(cluster.Ranks(), 0.5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nbr.NewCommonNeighbor(g, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nbr.NewCommonNeighborAffinity(g, 4); err != nil {
-		t.Fatal(err)
-	}
-	lb, err := nbr.NewLeaderBased(g, cluster)
+	dims, err := nbr.MooreDims(cluster.Ranks(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nbr.Measure(nbr.MeasureConfig{Cluster: cluster, MsgSize: 8, Trials: 1, Phantom: true}, lb); err != nil {
+	if _, err := nbr.Moore(dims, 1); err != nil {
+		t.Fatal(err)
+	}
+	aff, err := nbr.NewCommonNeighborAffinity(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nbr.Measure(nbr.MeasureConfig{Cluster: cluster, MsgSize: 8, Trials: 1, Phantom: true}, aff); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nbr.NewSpMMKernel(nbr.TableIIMatrices(1)[0].M, 2, cluster.Ranks()); err != nil {
+		t.Fatal(err)
+	}
+	naive := nbr.NewNaive(g)
+	dh, err := nbr.NewDistanceHalving(g, cluster.L())
+	if err != nil {
 		t.Fatal(err)
 	}
 	a2a := nbr.NewNaiveAlltoall(g)
@@ -245,11 +262,57 @@ func TestFacadeSurface(t *testing.T) {
 	_, err = nbr.Run(nbr.RunConfig{Cluster: cluster, Phantom: true}, func(p *nbr.Proc) {
 		a2a.RunA(p, nil, 16, nil)
 		dhA2a.RunA(p, nil, 16, nil)
+		naive.Run(p, nil, 8, nil)
+		dh.Run(p, nil, 8, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildingBlocks drives, through their own packages, the building
+// blocks the façade does not export: the flat cluster, the cost-model
+// presets, the Cartesian graph, consecutive-group Common Neighbor, the
+// leader-based baseline and the persistent allgather.
+func TestBuildingBlocks(t *testing.T) {
+	flat := topology.Flat(2, 2, 2)
+	if flat.Groups() != 1 {
+		t.Fatal("Flat cluster has groups")
+	}
+	if err := netmodel.NiagaraParams().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := netmodel.UniformParams().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cart, err := vgraph.Cartesian([]int{4, 4}, true)
+	if err != nil || cart.OutDegree(0) != 4 {
+		t.Fatalf("Cartesian: %v", err)
+	}
+	cluster := nbr.Niagara(2, 4)
+	g, err := nbr.ErdosRenyi(cluster.Ranks(), 0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collective.NewCommonNeighbor(g, 4); err != nil {
+		t.Fatal(err)
+	}
+	lb, err := collective.NewLeaderBased(g, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nbr.Measure(nbr.MeasureConfig{Cluster: cluster, MsgSize: 8, Trials: 1, Phantom: true}, lb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collective.NewLeaderBasedK(g, cluster, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, err = nbr.Run(nbr.RunConfig{Cluster: cluster, Phantom: true}, func(p *nbr.Proc) {
 		dh, err := nbr.NewDistanceHalving(g, cluster.L())
 		if err != nil {
 			panic(err)
 		}
-		req, err := nbr.AllgatherInit(dh, p, nil, 8, nil)
+		req, err := collective.AllgatherInit(dh, p, nil, 8, nil)
 		if err != nil {
 			panic(err)
 		}
