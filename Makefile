@@ -62,8 +62,9 @@ test:
 	$(GO) test ./...
 
 # The race detector is the threaded engine's job: the only driver with
-# real host concurrency, kept as the oracle for this and the plain
-# differential.
+# real host concurrency (rank bodies run in parallel; every runtime call
+# holds the one runtime mutex), kept as the oracle for this and the
+# plain differential.
 race:
 	$(GO) test -race ./...
 
@@ -148,7 +149,7 @@ loc:
 	t=$$({ find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; \
 		find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; } | xargs cat | wc -l); \
 	printf '%6d total\n' $$t; \
-	test $$t -le 19946 || { echo "loc: $$t lines exceed the ceiling of 19946"; exit 1; }
+	test $$t -le 19826 || { echo "loc: $$t lines exceed the ceiling of 19826"; exit 1; }
 
 # Regenerate results/medium/ (~35 s on two vCPUs): Fig. 4 at the three
 # Fig. 5 communicator sizes, then every other medium-scale file.

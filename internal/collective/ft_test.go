@@ -236,18 +236,34 @@ func TestFTLeaderKill(t *testing.T) {
 }
 
 // TestFTMultiKill runs two kill sets. In the first, rank 1 dies before
-// the collective; its second kill, rank 5 after 20 operations, never
-// fires on this graph, so every algorithm reports one dead rank. In the
-// second, ranks 5 and 1 die before the collective and every algorithm
-// reports both (checkFTResults pins their order).
+// the collective and rank 5 inside the repair round: at its first
+// operation past 104 µs of virtual time. Rank 1's death costs its
+// observers the 100 µs detection timeout, and the agreement that starts
+// the repair lifts every survivor past it, so rank 5 dies early in the
+// repaired re-run on all four algorithms (on this graph the window is
+// 103.5–105 µs) and each needs a second round. In the second set, ranks
+// 5 and 1 die before the collective and one round repairs both.
+// checkFTResults pins the order of the dead.
 func TestFTMultiKill(t *testing.T) {
 	c := ftCluster()
 	g := erGraph(t, c.Ranks(), 0.4, 11)
-	for _, kills := range [][]mpirt.Kill{{{Rank: 1}, {Rank: 5, AfterOps: 20}}, {{Rank: 5}, {Rank: 1}}} {
+	for _, set := range []struct {
+		kills  []mpirt.Kill
+		rounds int
+	}{
+		{[]mpirt.Kill{{Rank: 1}, {Rank: 5, VT: 104e-6}}, 2},
+		{[]mpirt.Kill{{Rank: 5}, {Rank: 1}}, 1},
+	} {
 		for _, op := range ftOps(t, g, c) {
-			results, _ := runFTCase(t, op, c, kills, nil)
-			if !checkFTResults(t, op, results, kills) {
-				t.Fatalf("%s: multi-kill %v did not trigger recovery", op.Name(), kills)
+			results, _ := runFTCase(t, op, c, set.kills, nil)
+			if !checkFTResults(t, op, results, set.kills) {
+				t.Fatalf("%s: multi-kill %v did not trigger recovery", op.Name(), set.kills)
+			}
+			for r, res := range results {
+				if res != nil && (res.Rounds != set.rounds || !slices.Equal(res.DeadOld, []int{1, 5})) {
+					t.Fatalf("%s: multi-kill %v: rank %d reports %d rounds and dead %v, want %d and [1 5]",
+						op.Name(), set.kills, r, res.Rounds, res.DeadOld, set.rounds)
+				}
 			}
 		}
 	}

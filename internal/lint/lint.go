@@ -25,7 +25,7 @@
 // offending line or the line directly above it:
 //
 //	//lint:ordered      — iteration order is normalised (e.g. sorted)
-//	//lint:wallclock    — deliberate host-clock use (reporting, watchdog)
+//	//lint:wallclock    — deliberate host-clock use (reporting, wall limit)
 //	//lint:ignore NAME  — silence analyzer NAME at this site
 //
 // Directives carry review weight: each one asserts the invariant holds

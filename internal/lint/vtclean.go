@@ -8,9 +8,9 @@ import (
 // Everything the model computes — latencies, clock advances, report
 // times — must derive from the simulated clocks so results are machine-
 // independent and replayable; host time is legitimate only at the
-// edges (CLI drivers, the benchmark harness, the watchdog that guards
-// the host process itself — the latter inside the runtime, annotated
-// with //lint:wallclock). The rule matters doubly on the serial event
+// edges (CLI drivers, the benchmark harness, the wall-clock limit that
+// guards the host process itself — the latter inside the runtime,
+// annotated with //lint:wallclock). The rule matters doubly on the serial event
 // engine, where a host sleep does not just skew one rank's results but
 // blocks the single event loop for every rank: code waiting for
 // simulated progress must advance the virtual clock (Proc.Yield), not

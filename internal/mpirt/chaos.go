@@ -185,7 +185,7 @@ func newChaosRT(rt *Runtime, cfg Chaos) *chaosRT {
 		seenSrc:   make([]bool, rt.n),
 	}
 	for r, p := range rt.procs {
-		cs.state[r] = stRunnable
+		rt.state[r] = stRunnable
 		if cfg.SlowProb > 0 && cs.faultRNG.Float64() < cfg.SlowProb {
 			p.slow = max(cfg.SlowFactor, 1)
 		}
@@ -226,15 +226,14 @@ const (
 // message it delivers filed in the rank's mailbox, or the note it
 // leaves — or ok=false when the run completed, deadlocked, or aborted.
 // When every live rank is blocked with nothing deliverable, it fails
-// the run with a deadlock error — exact detection, no watchdog
-// heuristics needed.
+// the run with a deadlock error: detection is exact.
 func (cs *chaosRT) decide() (rank int, ok bool) {
 	for {
 		if cs.rt.aborted.Load() {
 			return 0, false
 		}
 		opts := cs.opts[:0]
-		for r, st := range cs.state {
+		for r, st := range cs.rt.state {
 			switch st {
 			case stRunnable:
 				opts = append(opts, chaosOption{kind: optResume, rank: r})
@@ -410,37 +409,11 @@ func chaosMatch(src, tag int, m *Msg) bool {
 
 // yield parks p runnable: the next decision may resume it or anyone
 // else.
-func (cs *chaosRT) yield(p *Proc) { cs.switchOut(p, stRunnable) }
+func (cs *chaosRT) yield(p *Proc) { cs.park(p, stRunnable) }
 
-// wake flips the waiters of a completed round runnable; the scheduler
-// resumes them in seeded order.
-func (cs *chaosRT) wake(st waitState, _ float64) {
-	for r := range cs.state {
-		if cs.state[r] == st {
-			cs.state[r] = stRunnable
-		}
-	}
-}
-
-// died records the injected crash in the schedule. The dying rank is
-// the one running, so the kill's position in the decision stream is
-// deterministic; nobody needs waking — the scheduler offers parked
-// receives their fail-notify options from the dead mask.
-func (cs *chaosRT) died(r int) {
-	cs.record(trace.Decision{Kind: trace.DecisionKill, Rank: r})
-}
-
-// wakeRevoked flips every recv-blocked rank runnable with a revoke
-// note, so it observes the revoke instead of waiting on a message that
-// may never come.
-func (cs *chaosRT) wakeRevoked() {
-	for r, st := range cs.state {
-		if st == stRecvWait {
-			cs.state[r] = stRunnable
-			cs.note[r] = noteRevoked
-		}
-	}
-}
+// ready flips rank r runnable; the scheduler resumes it in seeded
+// order.
+func (cs *chaosRT) ready(r int, _ float64) { cs.rt.state[r] = stRunnable }
 
 // chaosSendFaults draws the transient-failure and latency-spike faults
 // for one send. It returns the extra virtual time charged to the

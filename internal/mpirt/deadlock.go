@@ -12,13 +12,13 @@ import (
 // Because each blocked rank has at most one outgoing edge the graph is
 // functional, so cycle detection is a pointer chase: the chase runs the
 // moment a rank blocks, which is the only instant a new cycle can form.
-// A proven cycle fails the run immediately at the current virtual time —
-// no wall-clock watchdog sample is needed — and, on the serial drivers,
-// at a deterministic point: under the chaos scheduler, at a fixed
-// position in the decision stream, so record and replay report the
-// identical cycle. Every driver publishes its posted receives in the
-// mailbox's wait fields, so one detector and one summary serve all
-// three.
+// A proven cycle fails the run immediately at the current virtual time
+// and, on the serial drivers, at a deterministic point: under the chaos
+// scheduler, at a fixed position in the decision stream, so record and
+// replay report the identical cycle. Every driver publishes its posted
+// receives in the mailbox's wait fields, and the core reads them one
+// rank at a time (see driver), so one detector and one summary serve
+// all three.
 
 // WaitEdge is one edge of a deadlock cycle: Rank is blocked in Op
 // waiting on Peer with the given tag.
@@ -101,42 +101,42 @@ func canonicalCycle(cycle []WaitEdge) []WaitEdge {
 // in the in-flight pool under chaos, whose mailboxes only ever hold the
 // one message a delivery files for the rank it resumes (a delivered
 // chaos duplicate only ever gets dropped, so it does not count), in the
-// mailbox otherwise. Takes boxes[r].mu; callers must hold no box lock.
-func (rt *Runtime) recvEdge(r int) (WaitEdge, float64, bool) {
+// mailbox otherwise. A woken rank that has not run yet keeps its wait
+// published, but whatever woke it makes the edge fail one of these
+// tests.
+func (rt *Runtime) recvEdge(r int) (WaitEdge, bool) {
 	b := &rt.boxes[r]
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if !b.waiter || b.wSrc == AnySource {
-		return WaitEdge{}, 0, false
+		return WaitEdge{}, false
 	}
 	if rt.deadMask[b.wSrc].Load() || rt.revoked.Load() {
-		return WaitEdge{}, 0, false
+		return WaitEdge{}, false
 	}
 	pending := b.matchesLocked(b.wSrc, b.wTag, b.wHint)
 	if cs := rt.chaos; cs != nil {
 		pending = cs.deliverable(r, b.wSrc, b.wTag)
 	}
 	if pending {
-		return WaitEdge{}, 0, false
+		return WaitEdge{}, false
 	}
-	return WaitEdge{Rank: r, Op: "recv", Peer: b.wSrc, Tag: b.wTag}, b.wVT, true
+	return WaitEdge{Rank: r, Op: "recv", Peer: b.wSrc, Tag: b.wTag}, true
 }
 
 // detectRecvCycle chases the wait-for chain starting at rank start and
 // returns a proven deadlock, or nil. Called by a rank that has just
 // published its posted receive, before it parks: a new cycle must pass
 // through a newly blocked rank, so checking at block time catches every
-// cycle the moment it closes. Box locks are taken one at a time; a
-// second verification pass over the candidate cycle closes the window
-// in which an edge observed earlier could have been satisfied, since
-// only a cycle member, a revoke, or a rank death can unblock a member —
-// and the verify pass re-checks all three.
-// scratch is the caller's reusable chase buffer: the chase runs on
-// every posted receive, so it must not allocate on the (overwhelmingly
-// common) no-cycle path. Revisit detection is a linear scan of the
-// path — wait-for chains are at most n long and almost always 1–2.
-func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockError {
-	path := (*scratch)[:0]
+// cycle the moment it closes. The chase reads every edge in one
+// runtime call, so the chain it sees is the one that exists: no edge
+// can be satisfied under it. The cycle's virtual time is the latest
+// member's post time.
+// The chase runs on every posted receive, so it reuses rt.chase and
+// does not allocate on the (overwhelmingly common) no-cycle path; one
+// buffer serves every rank, since the core sees one at a time. Revisit
+// detection is a linear scan of the path — wait-for chains are at most
+// n long and almost always 1–2.
+func (rt *Runtime) detectRecvCycle(start int) *DeadlockError {
+	path := rt.chase[:0]
 	r := start
 	for {
 		cyc := -1
@@ -150,9 +150,9 @@ func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockErro
 			path = path[cyc:]
 			break
 		}
-		e, _, ok := rt.recvEdge(r)
+		e, ok := rt.recvEdge(r)
 		if !ok {
-			*scratch = path
+			rt.chase = path
 			return nil
 		}
 		path = append(path, e)
@@ -160,22 +160,7 @@ func (rt *Runtime) detectRecvCycle(start int, scratch *[]WaitEdge) *DeadlockErro
 	}
 	vt := 0.0
 	for _, e := range path {
-		e2, evt, ok := rt.recvEdge(e.Rank)
-		if !ok || e2 != e {
-			*scratch = path
-			return nil
-		}
-		if evt > vt {
-			vt = evt
-		}
+		vt = max(vt, rt.boxes[e.Rank].wVT)
 	}
 	return &DeadlockError{Cycle: canonicalCycle(path), VT: vt, Summary: rt.blockedSummary()}
-}
-
-// checkCycle fails the run if p's just-published receive closed a
-// wait-for cycle.
-func (rt *Runtime) checkCycle(p *Proc) {
-	if derr := rt.detectRecvCycle(p.rank, &p.cycleScratch); derr != nil {
-		rt.fail(derr)
-	}
 }

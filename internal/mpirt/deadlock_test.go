@@ -12,9 +12,9 @@ import (
 
 // TestDeadlockCycleThreaded pins the threaded wait-for-graph detector:
 // a 2-cycle of specific-source receives is proven and reported the
-// moment it forms. Rank 2 spins without blocking, so the watchdog's
-// all-blocked condition never holds — only the instant detector can
-// produce the DeadlockError this test demands.
+// moment it forms. Rank 2 spins without blocking, so the runnable count
+// never reaches 0 — only the cycle chase at block time can produce the
+// DeadlockError this test demands.
 func TestDeadlockCycleThreaded(t *testing.T) {
 	_, err := Run(Config{Cluster: failureCluster(), Ranks: 3, WallLimit: 30 * time.Second, Engine: EngineThreaded}, func(p *Proc) {
 		switch p.Rank() {
@@ -53,6 +53,50 @@ func TestDeadlockCycleThreaded(t *testing.T) {
 	if !strings.Contains(err.Error(), "rank 0 --recv(tag 5)--> rank 1") {
 		t.Fatalf("error %q does not render the cycle edges", err)
 	}
+}
+
+// TestDeadlockExact: every driver proves a deadlock no wait-for cycle
+// shows the instant its last runnable rank stops — the serial loops by
+// their empty queue, the threaded driver by its runnable count — with
+// the same summary. In the first program rank 0 waits on rank 1, which
+// finished, so the last rank to stop may exit or park; in the second
+// the others wait in a barrier rank 0 never joins, so the last to stop
+// always parks. Twenty runs of each take well under 1 s on every
+// driver: a detector that sampled for stale progress would need several
+// samples per run.
+func TestDeadlockExact(t *testing.T) {
+	programs := []struct {
+		body func(*Proc)
+		want string
+	}{
+		{func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Recv(1, 99) // rank 1 never sends tag 99
+			}
+		}, "1 live ranks all blocked (rank 0: recv src=1 tag=99"},
+		{func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Recv(1, 99)
+			} else {
+				p.Barrier()
+			}
+		}, "8 live ranks all blocked (rank 0: recv src=1 tag=99; rank 1: barrier;"},
+	}
+	allDrivers(t, func(t *testing.T, cfg Config) {
+		cfg.Cluster, cfg.WallLimit = smallCluster(), 2*time.Second
+		start := time.Now()
+		for i := 0; i < 20; i++ {
+			for _, prog := range programs {
+				_, err := Run(cfg, prog.body)
+				if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), prog.want) {
+					t.Fatalf("run %d: want ErrDeadlock naming %q, got %v", i, prog.want, err)
+				}
+			}
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("40 deadlocked runs took %v: detection is not exact", d)
+		}
+	})
 }
 
 // cycleBody3 is a 3-rank receive cycle (rank i waits on rank i+1 mod 3)

@@ -14,14 +14,14 @@ const (
 	// EngineEvent.
 	EngineDefault Engine = ""
 
-	// EngineThreaded runs every rank as a free-running goroutine:
-	// blocked ranks wait on condition variables and a sampling
-	// watchdog backstops deadlock detection. Shared cost-model
-	// resources are claimed in host-scheduling order, so its virtual
-	// times are not reproducible; it is kept as the host-parallel
-	// oracle — the target of `go test -race` and the other half of the
-	// plain differential (internal/conformance) — not as a measurement
-	// path.
+	// EngineThreaded runs every rank as a free-running goroutine; each
+	// runtime call holds one runtime mutex, released while the rank is
+	// parked, and a count of runnable ranks detects deadlock exactly, as
+	// the event loop does. Shared cost-model resources are claimed in
+	// host-scheduling order, so its virtual times are not reproducible;
+	// it is kept as the host-parallel oracle — the target of `go test
+	// -race` and the other half of the plain differential
+	// (internal/conformance) — not as a measurement path.
 	EngineThreaded Engine = "threaded"
 
 	// EngineEvent runs each rank as a coroutine of one serial loop

@@ -97,8 +97,8 @@ func TestEventEngineSelfDeterministic(t *testing.T) {
 // TestEnginesAgreeOnTraffic: every driver runs the same program to the
 // same ground truth — equal message and byte counts by distance class
 // and on every fabric resource, and complete, duplicate-free delivery.
-// Under -race the threaded leg also checks that its ranks' concurrent
-// charges of the cost model are serialised. (Virtual times are only
+// Under -race the threaded leg also checks that its ranks charge the
+// cost model only under the runtime mutex. (Virtual times are only
 // comparable under chaos; see TestChaosOnEventBitExact.)
 func TestEnginesAgreeOnTraffic(t *testing.T) {
 	repE, gotE := engineExchange(t, Config{Engine: EngineEvent})
@@ -192,9 +192,8 @@ func TestChaosOnEventBitExact(t *testing.T) {
 
 // TestEventDeadlockCycleMatchesThreaded: the wait-for-graph proof is
 // engine-independent — both substrates report the same canonical cycle
-// for the same stuck program. The event engine proves it from an empty
-// event queue (no watchdog, no wall-clock); the threaded engine from
-// the instant detector.
+// for the same stuck program, each with the chase a rank runs when it
+// blocks.
 func TestEventDeadlockCycleMatchesThreaded(t *testing.T) {
 	cycle := func(eng Engine) *DeadlockError {
 		t.Helper()

@@ -3,14 +3,13 @@ package mpirt
 import (
 	"iter"
 	"math"
-	"sync"
 )
 
 // This file implements the event driver (Config{Engine: EngineEvent},
 // the default): instead of running every rank as a free-running
-// goroutine synchronised by condition variables, a single event loop
-// drives the run from a calendar queue (calq.go) of rank resumptions
-// keyed by virtual time with a deterministic (vt, rank, seq) tie-break.
+// goroutine under the runtime mutex, a single event loop drives the run
+// from a calendar queue (calq.go) of rank resumptions keyed by virtual
+// time with a deterministic (vt, rank, seq) tie-break.
 //
 // Exactly one entity (the loop or one rank) is ever running, and the
 // loop resumes a rank in one of two ways, fixed for the run by what the
@@ -28,20 +27,19 @@ import (
 // The two are interchangeable because they differ only in how control
 // gets back to the loop: the wait is published (box.waiter/wSrc/wTag/
 // wVT, the cycle chase, state[r], parks) at the same point of the same
-// code, and every schedule() call — all that orders events — is made by
+// code, and every ready() call — all that orders events — is made by
 // that shared code in the same order. Virtual times, every Report field
 // and replay hashes are == by construction (TestSteppedEqualsCoroutine).
 //
 // Serial execution is what the driver adds to the shared blocking
 // core: the cost-model resources are claimed in one canonical order, so
-// runs are deterministic, and deadlock detection is exact — an empty
-// queue with unfinished ranks IS a deadlock — so there is no sampling
-// watchdog.
+// runs are deterministic, and an empty queue with unfinished ranks IS
+// a deadlock — the verdict the threaded driver's runnable count gives.
 //
-// The host half — coHost: spawn, resume, switchOut, park, teardown,
-// the driver goroutine, and the Steppers it steps — is shared with the
-// chaos driver (chaos.go), whose loop resumes the rank a seeded decision
-// names instead of the next event's, either way.
+// The host half — coHost: spawn, resume, park, teardown, the driver
+// goroutine, and the Steppers it steps — is shared with the chaos driver
+// (chaos.go), whose loop resumes the rank a seeded decision names
+// instead of the next event's, either way.
 
 // coHost hosts ranks as coroutines of one driver goroutine — the
 // substrate both serial drivers embed: the event loop resumes ranks in
@@ -56,7 +54,6 @@ type coHost struct {
 	// where it would otherwise switch into rank r's coroutine.
 	steps []Stepper
 
-	state     []waitState
 	co        []evCoro
 	nFinished int
 	parks     int64 // Report.Parks
@@ -70,7 +67,7 @@ type evCoro struct {
 }
 
 func newCoHost(rt *Runtime) coHost {
-	return coHost{rt: rt, state: make([]waitState, rt.n), co: make([]evCoro, rt.n)}
+	return coHost{rt: rt, co: make([]evCoro, rt.n)}
 }
 
 // eventRT is the event engine's state, owned like coHost's.
@@ -94,11 +91,11 @@ func newEventRT(rt *Runtime) *eventRT {
 	return &eventRT{coHost: newCoHost(rt), wakeQueued: make([]bool, rt.n)}
 }
 
-// schedule queues a wake for rank r at virtual time vt (clamped to the
+// ready queues a wake for rank r at virtual time vt (clamped to the
 // loop's current time). At most one wake per rank is ever pending: a
 // parked rank needs only one resumption, after which it re-examines
 // its condition, so further wake causes coalesce.
-func (ev *eventRT) schedule(r int, vt float64) {
+func (ev *eventRT) ready(r int, vt float64) {
 	if ev.wakeQueued[r] {
 		return
 	}
@@ -118,58 +115,17 @@ func (ev *eventRT) requeue(r int, vt float64) bool {
 	if !ok || !calLess(e, calEvent{vt: vt, rank: int32(r), seq: ev.pushSeq + 1}) {
 		return false
 	}
-	ev.schedule(r, vt)
+	ev.ready(r, vt)
 	return true
-}
-
-// wake schedules every rank parked in round state st — the barrier /
-// agreement completer calls this for the generation it just closed and
-// keeps running; the waiters resume at the generation's virtual time.
-func (ev *eventRT) wake(st waitState, vt float64) {
-	for r := 0; r < ev.rt.n; r++ {
-		if ev.state[r] == st {
-			ev.schedule(r, vt)
-		}
-	}
-}
-
-// died schedules every parked receiver that can now observe rank
-// dead's failure: a posted receive on dead itself, or an AnySource
-// receive once every peer is gone.
-func (ev *eventRT) died(dead int) {
-	rt := ev.rt
-	for r := 0; r < rt.n; r++ {
-		if ev.state[r] != stRecvWait {
-			continue
-		}
-		b := &rt.boxes[r]
-		if b.waiter && (b.wSrc == dead || (b.wSrc == AnySource && rt.firstDeadPeer(r) >= 0)) {
-			ev.schedule(r, b.wVT)
-		}
-	}
-}
-
-// wakeRevoked schedules every parked receiver so it observes the
-// revocation instead of waiting on messages that will never arrive.
-func (ev *eventRT) wakeRevoked() {
-	rt := ev.rt
-	for r := 0; r < rt.n; r++ {
-		if ev.state[r] == stRecvWait {
-			ev.schedule(r, rt.boxes[r].wVT)
-		}
-	}
 }
 
 // park switches to the loop and returns at this rank's next resume. A
 // false yield is the loop's stop(): the run failed, the rank unwinds.
-// c.L is a serial hostLock: there is nothing to release.
-func (h *coHost) park(p *Proc, st waitState, _ *sync.Cond) { h.switchOut(p, st) }
-
-func (h *coHost) switchOut(p *Proc, st waitState) {
+func (h *coHost) park(p *Proc, st waitState) {
 	if h.steps != nil {
 		panic(&UsageError{Rank: p.rank, Op: "park", Msg: "blocking call in a stepped rank: it has no stack to park on, use the Step form"})
 	}
-	h.state[p.rank] = st
+	h.rt.state[p.rank] = st
 	h.parks++
 	if !h.co[p.rank].yield(struct{}{}) { // the serial drivers' park point: iter.Pull's yield is a bare coroutine switch to the loop
 		panic(errAborted)
@@ -181,27 +137,23 @@ func (h *coHost) switchOut(p *Proc, st waitState) {
 // sort a low rank's re-wake ahead of same-vt events already queued for
 // higher ranks, and a Yield poll loop would starve them forever.
 func (ev *eventRT) yield(p *Proc) {
-	ev.schedule(p.rank, math.Nextafter(ev.now, math.Inf(1)))
-	ev.switchOut(p, stRunnable)
+	ev.ready(p.rank, math.Nextafter(ev.now, math.Inf(1)))
+	ev.park(p, stRunnable)
 }
 
 func (ev *eventRT) run(body func(*Proc)) { ev.host(body, ev.loop) }
 
 // host runs loop on a driver goroutine of its own: a rank body hogging
-// the host holds the loop inside its coroutine switch, and awaitRanks
-// can still abandon both at WallLimit. The teardown is deferred, so
-// that it also runs when a rank body's runtime.Goexit ends the driver
-// goroutine from inside next.
+// the host holds the loop inside its coroutine switch, and goWait can
+// still abandon both at WallLimit. The teardown is deferred, so that it
+// also runs when a rank body's runtime.Goexit ends the driver goroutine
+// from inside next.
 func (h *coHost) host(body func(*Proc), loop func()) {
 	h.body = body
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	h.rt.goWait(1, func(int) {
 		defer h.teardown()
 		loop()
-	}()
-	h.rt.awaitRanks(&wg)
+	})
 }
 
 // loop is the engine: pop the next event, run that rank until it
@@ -211,7 +163,7 @@ func (h *coHost) host(body func(*Proc), loop func()) {
 func (ev *eventRT) loop() {
 	rt := ev.rt
 	for r := 0; r < rt.n; r++ {
-		ev.schedule(r, 0)
+		ev.ready(r, 0)
 	}
 	for ev.nFinished < rt.n && !rt.aborted.Load() {
 		// The queue only shrinks by pops, so its peak is seen here.
@@ -225,7 +177,7 @@ func (ev *eventRT) loop() {
 		ev.now = e.vt
 		r := int(e.rank)
 		ev.wakeQueued[r] = false
-		switch ev.state[r] {
+		switch rt.state[r] {
 		case stUnborn, stRecvWait, stBarrierWait, stFTWait, stRunnable:
 			ev.resume(r)
 		default:
@@ -239,7 +191,7 @@ func (ev *eventRT) loop() {
 // on its first resume.
 func (h *coHost) resume(r int) {
 	p := h.rt.procs[r]
-	h.state[r] = stRunning
+	h.rt.state[r] = stRunning
 	var parked bool
 	if h.steps != nil {
 		parked = !h.rankMain(p)
@@ -250,7 +202,7 @@ func (h *coHost) resume(r int) {
 		_, parked = h.co[r].next() // the loop's wake: iter.Pull's next is a bare coroutine switch into rank r
 	}
 	if !parked {
-		h.state[r] = stFinished
+		h.rt.state[r] = stFinished
 		h.nFinished++
 	}
 }

@@ -18,7 +18,6 @@ package mpirt
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // detectTimeout is the virtual-time cost one rank pays the first time
@@ -98,9 +97,9 @@ func (p *Proc) enterOp() {
 	}
 }
 
-// die marks the rank dead and unwinds it. The runtime-level
-// death mark wakes peers blocked on this rank so they observe the
-// failure instead of the watchdog.
+// die marks the rank dead and unwinds it, the lock released first. The
+// runtime-level death mark wakes peers blocked on this rank so they
+// observe the failure.
 func (p *Proc) die() {
 	p.dead = true
 	p.rt.markDead(p.rank)
@@ -113,22 +112,19 @@ func (p *Proc) die() {
 // observe the failure. The dying rank is still the one executing, so
 // on the serial drivers the wakes only queue work for after it unwinds.
 func (rt *Runtime) markDead(r int) {
+	rt.lock()
+	defer rt.unlock()
 	if rt.deadMask[r].Swap(true) {
 		return
 	}
-	// Counted before bmu is taken: an arrival that reads the old count
-	// defers to the completion checks below, which then see it.
-	rt.nDead.Add(1)
-	rt.bmu.Lock()
+	rt.nDead++
 	if rt.completeBarrierLocked() {
-		rt.drv.wake(stBarrierWait, rt.reduceRes)
+		rt.wake(stBarrierWait, rt.reduceRes)
 	}
 	if rt.completeFTLocked() {
-		rt.drv.wake(stFTWait, rt.ftMax)
+		rt.wake(stFTWait, rt.ftMax)
 	}
-	rt.bmu.Unlock()
-	rt.drv.died(r)
-	rt.progress.Add(1)
+	rt.died(r)
 }
 
 // chargeDetect charges the one-time failure-detection timeout for dead
@@ -179,10 +175,11 @@ func (rt *Runtime) firstDeadPeer(self int) int {
 // they observe the revocation instead of waiting on messages that will
 // never arrive.
 func (p *Proc) Revoke() {
+	p.rt.lock()
 	if !p.rt.revoked.Swap(true) {
-		p.rt.drv.wakeRevoked()
+		p.rt.wakeRevoked()
 	}
-	p.rt.progress.Add(1)
+	p.rt.unlock()
 }
 
 // Agree is fault-tolerant agreement (ULFM MPI_Comm_agree): a logical
@@ -214,7 +211,7 @@ func (p *Proc) ftRound(ok, clear bool) (bool, []int) {
 	p.enterOp()
 	rt := p.rt
 	rt.checkAborted()
-	rt.bmu.Lock()
+	rt.lock()
 	rt.ftArr[p.rank] = true
 	rt.ftCnt++
 	rt.ftOK = rt.ftOK && ok
@@ -222,11 +219,11 @@ func (p *Proc) ftRound(ok, clear bool) (bool, []int) {
 	rt.ftVals[p.rank] = p.vt
 	gen := rt.ftGen
 	if rt.completeFTLocked() {
-		rt.drv.wake(stFTWait, rt.ftMax)
+		rt.wake(stFTWait, rt.ftMax)
 	}
 	p.awaitRound(stFTWait, &rt.ftGen, gen, false)
 	res, maxVT, alive := rt.ftRes, rt.ftMax, rt.ftAlive
-	rt.bmu.Unlock()
+	rt.unlock()
 	p.finishFTRound(maxVT, len(alive))
 	return res, alive
 }
@@ -248,12 +245,12 @@ func (p *Proc) finishFTRound(maxVT float64, survivors int) {
 // completeFTLocked checks whether the pending agreement round is
 // covered (every rank contributed or is dead); if so it publishes the
 // round results, resets the round state, advances the generation, and
-// returns true. The caller holds rt.bmu and is responsible for waking
-// waiters when it returns true. It runs on every arrival and death, so
+// returns true. The caller holds the runtime lock and is responsible
+// for waking waiters when it returns true. It runs on every arrival and death, so
 // the scan is gated on what coverage implies: contributions plus deaths
 // reach n, which happens once per round when nobody dies.
 func (rt *Runtime) completeFTLocked() bool {
-	if rt.ftCnt == 0 || rt.ftCnt+int(rt.nDead.Load()) < rt.n {
+	if rt.ftCnt == 0 || rt.ftCnt+rt.nDead < rt.n {
 		return false
 	}
 	for r := 0; r < rt.n; r++ {
@@ -293,7 +290,7 @@ func (rt *Runtime) completeFTLocked() bool {
 // arrived or died, with the maximum taken over arrivals. Same contract
 // and same gate as completeFTLocked.
 func (rt *Runtime) completeBarrierLocked() bool {
-	if rt.bcnt == 0 || rt.bcnt+int(rt.nDead.Load()) < rt.n {
+	if rt.bcnt == 0 || rt.bcnt+rt.nDead < rt.n {
 		return false
 	}
 	max := math.Inf(-1)
@@ -520,8 +517,9 @@ func (p *Proc) SendErr(dst, tag, size int, data []byte, meta any) error {
 // (charging the detection timeout to virtual time on first
 // detection), and returns *CommRevokedError if the communicator is
 // revoked while waiting.
-func (p *Proc) RecvErr(src, tag int) (Msg, error) {
-	return p.recvErr(src, tag)
+func (p *Proc) RecvErr(src, tag int) (m Msg, err error) {
+	_, err = p.recv(src, tag, -1, false, &m)
+	return m, err
 }
 
 // deadRanksOf lists the dead ranks from the mask, ascending.
@@ -532,6 +530,5 @@ func (rt *Runtime) deadRanksOf() []int {
 			dead = append(dead, r)
 		}
 	}
-	sort.Ints(dead)
 	return dead
 }

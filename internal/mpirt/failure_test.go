@@ -234,10 +234,10 @@ func TestBarrierDeadTolerant(t *testing.T) {
 // error names each blocked rank's pending receive (peer and tag) and
 // lists dead ranks. The blocked shape is an acyclic chain ending in a
 // barrier (0 waits on 1, 1 waits on 2, 2 in a barrier nobody else
-// joins), so it is the threaded watchdog, the event loop's empty queue
-// or the chaos scheduler's empty option list — not the wait-for-graph
-// detector, which only proves cycles — that reports it, with the one
-// summary every driver shares.
+// joins), so it is the threaded driver's runnable count, the event
+// loop's empty queue or the chaos scheduler's empty option list — not
+// the wait-for-graph detector, which only proves cycles — that reports
+// it, with the one summary every driver shares.
 func TestBlockedSummaryNamesPeers(t *testing.T) {
 	allDrivers(t, func(t *testing.T, cfg Config) {
 		cfg.Cluster, cfg.Ranks, cfg.Kills = failureCluster(), 4, []Kill{{Rank: 3}}

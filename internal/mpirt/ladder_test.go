@@ -23,9 +23,9 @@ func TestBlockingCoreLadder(t *testing.T) {
 	// after them on every driver.
 	awaitArrivals := func(p *Proc, cnt *int, k int) {
 		for {
-			p.rt.bmu.Lock()
+			p.rt.lock()
 			c := *cnt
-			p.rt.bmu.Unlock()
+			p.rt.unlock()
 			if c == k {
 				return
 			}

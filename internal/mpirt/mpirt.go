@@ -26,6 +26,9 @@
 // Proc.recv, detect deadlocks with one wait-for-graph detector and one
 // summary, and convert rank panics into errors returned from Run; only
 // the threaded one blocks a Step-form wait, the serial two step ranks.
+// The core sees one rank at a time on all three: each threaded runtime
+// call holds the one runtime mutex, and a count of runnable ranks makes
+// the threaded deadlock verdict as exact as the serial loops'.
 package mpirt
 
 import (
@@ -51,8 +54,7 @@ const (
 
 // ErrDeadlock is wrapped into the Run error when a driver proves the
 // run deadlocked: a wait-for cycle closed, or every live rank is blocked
-// with nothing deliverable (the serial drivers know it exactly; the
-// threaded engine's watchdog samples it).
+// with nothing deliverable.
 var ErrDeadlock = errors.New("mpirt: deadlock detected")
 
 // errAborted unwinds ranks once the runtime has failed.
@@ -257,8 +259,6 @@ type matchList struct {
 // there are no deletions and a busy key reaches a steady state with no
 // table churn at all.
 type mailbox struct {
-	mu    hostLock
-	cond  *sync.Cond
 	table []matchList // len is 0 or a power of two
 	keys  int         // used slots
 	count int         // queued messages across all lists
@@ -269,11 +269,10 @@ type mailbox struct {
 	slots   []slotMsg
 	numb    *int32
 	inSlots int
-	// waiter marks a rank parked in recvErr; wSrc, wTag and wHint are
+	// waiter marks a rank parked in recv; wSrc, wTag and wHint are
 	// the posted receive while waiter is set, for the wait-for-graph
 	// detector and the blocked summary; wVT is the rank's virtual
-	// clock at post time (readable without touching the parked
-	// goroutine's Proc).
+	// clock at post time.
 	waiter     bool
 	wSrc, wTag int
 	wHint      hint
@@ -472,40 +471,38 @@ type Runtime struct {
 	failErr  atomic.Pointer[error]
 	failedCh chan struct{}
 	// drv executes the ranks; chaos and ev are drv's concrete value
-	// when it is that driver (nil otherwise), for the per-message
-	// paths that must not pay an interface call, and host is the
-	// coroutine host either serial driver embeds (nil when threaded).
+	// when it is that driver (nil otherwise), for the per-message paths
+	// that must not pay an interface call, and host is the coroutine
+	// host either serial driver embeds (nil when threaded).
 	drv   driver
 	chaos *chaosRT
 	ev    *eventRT
+	mu    sync.Locker // the threaded driver's runtime mutex (see lock)
 	host  *coHost
 	hints bool // slot hints are honoured: no message can outlive its pass
+
+	state []waitState // each rank's, kept by its driver, read by the core's wakes
+	chase []WaitEdge  // the wait-for-graph chase buffer (detectRecvCycle)
 
 	// fail-stop state: deadMask marks permanently failed ranks, nDead
 	// counts them, revoked is the ULFM-style revocation epoch.
 	deadMask []atomic.Bool
-	nDead    atomic.Int64
+	nDead    int
 	revoked  atomic.Bool
-
-	// netMu serialises the threaded driver's calls into model.
-	netMu hostLock
 
 	// barrier state; bArr marks which ranks have arrived in the
 	// pending generation (a generation completes when every rank has
 	// arrived or died).
-	bmu        hostLock
-	bcond      *sync.Cond
 	bgen       int
 	bcnt       int
 	bArr       []bool
-	roundScans int64 // Report.RoundScans, guarded by bmu
+	roundScans int64 // Report.RoundScans
 
 	// collective-time reduction scratch
 	reduceVals []float64
 	reduceRes  float64
 
-	// fault-tolerant agreement round state (Agree/Shrink), guarded by
-	// bmu.
+	// fault-tolerant agreement round state (Agree/Shrink)
 	ftArr   []bool
 	ftCnt   int
 	ftGen   int
@@ -515,11 +512,6 @@ type Runtime struct {
 	ftRes   bool
 	ftMax   float64
 	ftAlive []int
-
-	// threaded-driver watchdog state
-	blocked  atomic.Int64
-	finished atomic.Int64
-	progress atomic.Uint64
 }
 
 // Proc is the per-rank handle passed to the rank body. All methods must
@@ -558,11 +550,6 @@ type Proc struct {
 	// edges is this rank's critical-path record since the last
 	// SyncResetTime; nil when Config.CriticalPath is off.
 	edges []Span
-
-	// cycleScratch is this rank's wait-for-graph chase buffer, reused
-	// across posted receives so the block-time cycle probe is
-	// allocation-free.
-	cycleScratch []WaitEdge
 
 	// A stepped rank's suspended state (see Stepper): suspended while it
 	// sits in a wait it published and returned from, the barrier
@@ -622,7 +609,6 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	serial := cfg.Chaos != nil || eng == EngineEvent
 	if cfg.WallLimit == 0 {
 		cfg.WallLimit = 120 * time.Second
 	}
@@ -641,6 +627,7 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		model:      model,
 		boxes:      make([]mailbox, n),
 		procs:      make([]*Proc, n),
+		state:      make([]waitState, n),
 		reduceVals: make([]float64, n),
 		deadMask:   make([]atomic.Bool, n),
 		bArr:       make([]bool, n),
@@ -649,13 +636,9 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		ftOK:       true,
 		failedCh:   make(chan struct{}),
 		hints:      cfg.Chaos == nil && len(cfg.Kills) == 0 && !model.HasLinkFaults(),
-		netMu:      hostLock{serial: serial},
-		bmu:        hostLock{serial: serial},
 	}
-	rt.bcond = sync.NewCond(&rt.bmu)
 	procs := make([]Proc, n)
 	for r := 0; r < n; r++ {
-		rt.boxes[r].mu.serial = serial
 		p := &procs[r]
 		p.rt, p.rank, p.slow = rt, r, 1
 		if cfg.CriticalPath {
@@ -676,10 +659,8 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 		rt.ev = newEventRT(rt)
 		rt.drv, rt.host = rt.ev, &rt.ev.coHost
 	default:
-		rt.drv = threadedRT{rt}
-		for i := range rt.boxes {
-			rt.boxes[i].cond = sync.NewCond(&rt.boxes[i].mu)
-		}
+		t := newThreadedRT(rt)
+		rt.drv, rt.mu = t, &t.mu
 	}
 
 	// Wall-clock reporting only: Report.Wall measures host execution
@@ -713,35 +694,13 @@ func launch(cfg Config, body func(*Proc), mk func(*Proc) Stepper) (*Report, erro
 	return rt.buildReport(start), nil
 }
 
-// runRanks runs body on one goroutine per rank — the threaded driver —
-// and waits for them all. A rank that leaves by runtime.Goexit fails
-// the run, as on the coroutine host (coHost.rankMain).
-func (rt *Runtime) runRanks(body func(*Proc)) {
-	var wg sync.WaitGroup
-	wg.Add(rt.n)
-	for _, p := range rt.procs {
-		go func() {
-			defer wg.Done()
-			rec := any("rank body called runtime.Goexit")
-			defer func() {
-				if r := recover(); r != nil {
-					rec = r
-				}
-				rt.rankRecover(p, rec)
-			}()
-			body(p)
-			rec = nil
-		}()
-	}
-	rt.awaitRanks(&wg)
-}
-
 // rankRecover classifies a rank's exit (rec is its recover() value,
 // nil for a clean return) and performs the shared bookkeeping. Every
 // driver routes every rank exit through here so the error surface is
-// identical.
+// identical. It is a runtime call: the threaded rank leaves the
+// runnable count under the mutex.
 func (rt *Runtime) rankRecover(p *Proc, rec any) {
-	rt.finished.Add(1)
+	rt.lock()
 	if rec != nil {
 		err := asErr(rec)
 		switch {
@@ -762,16 +721,27 @@ func (rt *Runtime) rankRecover(p *Proc, rec any) {
 			rt.fail(fmt.Errorf("mpirt: rank %d panicked: %v\n%s", p.rank, rec, buf))
 		}
 	}
-	// A finished rank may leave peers blocked on it; kick
-	// the watchdog's progress view so it re-evaluates.
-	rt.progress.Add(1)
+	if t, ok := rt.drv.(*threadedRT); ok {
+		t.live--
+		t.stop(p.rank, stFinished)
+	}
+	rt.unlock()
 }
 
-// awaitRanks waits for wg — the threaded engine's rank goroutines, or
-// a serial driver's loop goroutine — with a short grace period on
-// failure before abandoning ranks stuck in host-level blocking (they exit at their next runtime call; the shared state
-// stays valid).
-func (rt *Runtime) awaitRanks(wg *sync.WaitGroup) {
+// goWait runs f(0), …, f(k-1) on goroutines of their own — the threaded
+// driver's ranks, or a serial driver's loop — and waits for them, on
+// failure only for a short grace period: ranks stuck in host-level
+// blocking are then abandoned (they exit at their next runtime call;
+// the shared state stays valid).
+func (rt *Runtime) goWait(k int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := range k {
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
 	allDone := make(chan struct{})
 	go func() {
 		wg.Wait()
@@ -836,17 +806,29 @@ func isFailureError(err error) bool {
 		errors.Is(err, ErrLinkFailed)
 }
 
+// fail records the run's first failure. Closing failedCh ends every
+// threaded park; the serial drivers unwind their parked ranks
+// themselves. It takes no lock: the wall-limit timer calls it too.
 func (rt *Runtime) fail(err error) {
 	if rt.aborted.CompareAndSwap(false, true) {
 		rt.failErr.Store(&err)
 		close(rt.failedCh)
 	}
-	// Wake every goroutine parked on a condition so it observes the
-	// abort (the serial drivers unwind their parked ranks themselves).
-	rt.broadcastBoxes()
-	rt.bmu.Lock()
-	rt.bcond.Broadcast()
-	rt.bmu.Unlock()
+}
+
+// lock and unlock bracket a runtime call with the threaded driver's
+// mutex. The serial drivers run one rank at a time and have none; mu is
+// a sync.Locker, not a *sync.Mutex, so that both inline to a nil check.
+func (rt *Runtime) lock() {
+	if rt.mu != nil {
+		rt.mu.Lock()
+	}
+}
+
+func (rt *Runtime) unlock() {
+	if rt.mu != nil {
+		rt.mu.Unlock()
+	}
 }
 
 func (rt *Runtime) checkAborted() {
@@ -861,9 +843,7 @@ func (rt *Runtime) checkAborted() {
 func (rt *Runtime) blockedSummary() string {
 	var parts []string
 	for r := range rt.boxes {
-		b := &rt.boxes[r]
-		b.mu.Lock()
-		if b.waiter {
+		if b := &rt.boxes[r]; b.waiter {
 			src, dead := "any", ""
 			if b.wSrc != AnySource {
 				src = fmt.Sprintf("%d", b.wSrc)
@@ -877,9 +857,7 @@ func (rt *Runtime) blockedSummary() string {
 			}
 			parts = append(parts, fmt.Sprintf("rank %d: recv src=%s tag=%s%s", r, src, tag, dead))
 		}
-		b.mu.Unlock()
 	}
-	rt.bmu.Lock()
 	for r := 0; r < rt.n; r++ {
 		if rt.deadMask[r].Load() {
 			continue
@@ -891,12 +869,8 @@ func (rt *Runtime) blockedSummary() string {
 			parts = append(parts, fmt.Sprintf("rank %d: agree/shrink", r))
 		}
 	}
-	rt.bmu.Unlock()
 	if dead := rt.deadRanksOf(); len(dead) > 0 {
 		parts = append(parts, fmt.Sprintf("dead ranks %v", dead))
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "blocked ranks are between states")
 	}
 	if len(parts) > 10 {
 		parts = append(parts[:10], "…")
@@ -1102,65 +1076,69 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 			Msg: fmt.Sprintf("size %d != len(data) %d", size, n)})
 	}
 	h := p.hint(slot, dst, "send")
-	if p.rt.revoked.Load() {
-		return &CommRevokedError{}
-	}
-	if p.rt.deadMask[dst].Load() {
-		// An eager send to a dead peer fails fast: the modelled ack
-		// never comes, so the sender pays the detection timeout once.
-		p.chargeDetect(dst)
-		return &RankFailedError{Rank: dst}
-	}
-	if p.rt.model.HasLinkFaults() {
-		// A send across a down link fails fast with the typed error
-		// instead of injecting a message that can never be delivered —
-		// on the event engine, an undeliverable message must not leave
-		// the ladder queue live forever.
-		if err := p.linkSendBlocked(dst); err != nil {
-			return err
-		}
+	rt := p.rt
+	rt.lock()
+	if err := p.sendBlocked(dst); err != nil {
+		rt.unlock()
+		return err
 	}
 	if s.pb != nil {
 		s.pb.refs.Add(1) // the message's hold, let go by Msg.Release
 	}
 
 	var backoff, spike float64
-	if cs := p.rt.chaos; cs != nil {
+	if cs := rt.chaos; cs != nil {
 		// The sender is the one rank running, so these RNG draws are
 		// part of the deterministic serial stream.
 		backoff, spike = cs.chaosSendFaults(p.slow)
 	}
-	p.vt += backoff + float64(p.slow*p.rt.model.SendOverhead())
-	p.rt.netMu.Lock()
-	arrival := p.rt.model.Transfer(p.rank, dst, size, p.vt) + spike
-	p.rt.netMu.Unlock()
+	p.vt += backoff + float64(p.slow*rt.model.SendOverhead())
+	arrival := rt.model.Transfer(p.rank, dst, size, p.vt) + spike
 
-	if cs := p.rt.chaos; cs != nil {
+	if cs := rt.chaos; cs != nil {
 		// Chaos mode: the message enters the scheduler's in-flight pool
 		// (possibly duplicated) instead of the destination mailbox; a
 		// later delivery decision releases it. The container is not
 		// recycled — duplicated in-flight copies share this one *Msg.
 		m := &Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb} // chaos-mode container, deliberately unpooled
 		cs.chaosEnqueue(p.rank, dst, m)
-		return nil
-	}
-	m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb}
-	box := &p.rt.boxes[dst]
-	box.mu.Lock()
-	box.fileLocked(&m, h)
-	if ev := p.rt.ev; ev != nil {
-		// Event engine: wake the destination only if it is parked on a
-		// matching receive, with the wake keyed to the modelled arrival
-		// so resumption order follows virtual time.
-		if box.waiter && (box.wSrc == AnySource || box.wSrc == p.rank) &&
-			(box.wTag == AnyTag || box.wTag == tag) {
-			ev.schedule(dst, arrival)
-		}
 	} else {
-		box.cond.Broadcast()
-		p.rt.progress.Add(1) // the threaded watchdog's view
+		m := Msg{Src: p.rank, Tag: tag, Size: size, Data: s.data, Meta: meta, depart: p.vt, arrival: arrival, pooled: s.pb}
+		box := &rt.boxes[dst]
+		box.fileLocked(&m, h)
+		// Wake the destination only if it is parked on a receive this
+		// message completes: by (src, tag), or by the slot both were
+		// hinted to, where a mismatch is the receiver's usage error. On
+		// the event engine the wake is keyed to the modelled arrival, so
+		// resumption order follows virtual time.
+		if box.waiter && ((box.wSrc == AnySource || box.wSrc == p.rank) &&
+			(box.wTag == AnyTag || box.wTag == tag) || h.slot >= 0 && box.wHint == h) {
+			if ev := rt.ev; ev != nil {
+				ev.ready(dst, arrival)
+			} else {
+				rt.drv.ready(dst, arrival)
+			}
+		}
 	}
-	box.mu.Unlock()
+	rt.unlock()
+	return nil
+}
+
+// sendBlocked is the send error ladder: why a send to dst must fail
+// fast instead of filing its message — the communicator revoked, dst
+// dead (the modelled ack never comes, so the sender pays the detection
+// timeout once), or the path down (an undeliverable message must not
+// leave the event queue live forever); nil when the send goes ahead.
+func (p *Proc) sendBlocked(dst int) error {
+	switch {
+	case p.rt.revoked.Load():
+		return &CommRevokedError{}
+	case p.rt.deadMask[dst].Load():
+		p.chargeDetect(dst)
+		return &RankFailedError{Rank: dst}
+	case p.rt.model.HasLinkFaults():
+		return p.linkSendBlocked(dst)
+	}
 	return nil
 }
 
@@ -1170,7 +1148,7 @@ func (p *Proc) sendErr(dst, tag, size int, s Snapshot, meta any, slot int) error
 // matching message left) or on a revoked communicator panics with the
 // typed failure error; use RecvErr to handle it.
 func (p *Proc) Recv(src, tag int) Msg {
-	m, err := p.recvErr(src, tag)
+	m, err := p.RecvErr(src, tag)
 	if err != nil {
 		panic(err)
 	}
@@ -1188,12 +1166,6 @@ func (p *Proc) RecvStep(src, tag, slot int) (m Msg, ok bool) {
 		panic(err)
 	}
 	return m, ok
-}
-
-// recvErr is the blocking receive under Recv and RecvErr.
-func (p *Proc) recvErr(src, tag int) (m Msg, err error) {
-	_, err = p.recv(src, tag, -1, false, &m)
-	return m, err
 }
 
 // recv implements every receive, on every driver. Under chaos the
@@ -1222,10 +1194,9 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 	h := p.hint(slot, p.rank, "recv")
 	box := &rt.boxes[p.rank]
 	// checked guards the wait-for-graph probe: one cycle chase per
-	// posted receive, run after this rank publishes its wait so that
-	// concurrent probes on other ranks can observe the closing edge.
+	// posted receive, run once this rank has published its wait.
 	checked := resumed
-	box.mu.Lock()
+	rt.lock()
 	box.waiter = false // set only by a suspended receive resuming here
 	for {
 		// Take the message: a hinted receive reads its slot; otherwise
@@ -1234,7 +1205,7 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 		// rescanning a whole queue from zero.
 		if box.takeLocked(src, tag, h, out) {
 			box.waiter = false
-			box.mu.Unlock()
+			rt.unlock()
 			if h.slot >= 0 && (out.Src != src || out.Tag != tag) {
 				panic(&UsageError{Rank: p.rank, Op: "recv", Msg: fmt.Sprintf("slot %d held a message from %d tag %d", h.slot, out.Src, out.Tag)})
 			}
@@ -1244,7 +1215,7 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 		}
 		if err := p.recvBlocked(src, tag); err != nil {
 			box.waiter = false
-			box.mu.Unlock()
+			rt.unlock()
 			if err == errAborted {
 				panic(err)
 			}
@@ -1254,30 +1225,24 @@ func (p *Proc) recv(src, tag, slot int, step bool, out *Msg) (ok bool, err error
 		box.wSrc, box.wTag, box.wHint = src, tag, h
 		box.wVT = p.vt
 		if !checked && src != AnySource {
-			// The wait is now published; chase the wait-for chain with no
-			// box lock held, then re-scan the queue — on the threaded
-			// driver a delivery may have landed during the unlocked
-			// window. waiter stays set across the re-scan so a concurrent
-			// chase on another rank still sees this edge; whichever rank
-			// publishes last proves the cycle.
 			checked = true
-			box.mu.Unlock()
-			rt.checkCycle(p)
-			box.mu.Lock()
-			continue
+			if derr := rt.detectRecvCycle(p.rank); derr != nil {
+				rt.fail(derr)
+				continue // the ladder's abort rung unwinds the rank
+			}
 		}
 		if step && p.suspend(stRecvWait) {
-			box.mu.Unlock()
+			rt.unlock()
 			return false, nil
 		}
-		rt.drv.park(p, stRecvWait, box.cond)
+		rt.drv.park(p, stRecvWait)
 		box.waiter = false
 	}
 }
 
 // suspend is a stepped rank's park: its published wait stays published,
-// the loop gets switchOut's bookkeeping, and the caller returns "not
-// yet" instead of switching stacks. False, with nothing done, for a rank
+// the loop gets park's bookkeeping, and the caller returns "not yet"
+// instead of switching stacks. False, with nothing done, for a rank
 // no serial loop is stepping: that one parks.
 func (p *Proc) suspend(st waitState) bool {
 	h := p.rt.host
@@ -1285,7 +1250,7 @@ func (p *Proc) suspend(st waitState) bool {
 		return false
 	}
 	p.suspended = true
-	h.state[p.rank] = st
+	p.rt.state[p.rank] = st
 	h.parks++
 	return true
 }
@@ -1305,9 +1270,9 @@ func (p *Proc) checkSource(src int) {
 // revoked, then under chaos its own rung (chaosRT.recvBlocked: a death
 // is a seeded decision there), else the source dead, every peer of an
 // AnySource receive dead, the src→self path down; nil when waiting is
-// sound. Failure detections are charged to the clock here. It runs with
-// the rank's mailbox locked, at post time and after every wake, so the
-// serial drivers evaluate it at deterministic points.
+// sound. Failure detections are charged to the clock here. It runs at
+// post time and after every wake, so the serial drivers evaluate it at
+// deterministic points.
 func (p *Proc) recvBlocked(src, tag int) error {
 	rt := p.rt
 	switch {
@@ -1340,10 +1305,10 @@ func (p *Proc) Probe(src, tag int) bool {
 	if cs := p.rt.chaos; cs != nil {
 		return cs.deliverable(p.rank, src, tag)
 	}
-	box := &p.rt.boxes[p.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	return box.matchesLocked(src, tag, hint{slot: -1})
+	p.rt.lock()
+	ok := p.rt.boxes[p.rank].matchesLocked(src, tag, hint{slot: -1})
+	p.rt.unlock()
+	return ok
 }
 
 // Barrier synchronises all ranks. On release every rank's virtual clock
@@ -1372,7 +1337,7 @@ func (p *Proc) syncResetTime(step bool) bool {
 				p.suspended = false // the wake resumes here, not in a wait
 				return false
 			}
-			ev.switchOut(p, stRunnable)
+			ev.park(p, stRunnable)
 		}
 	}
 	if p.syncPhase == 1 {
@@ -1382,9 +1347,9 @@ func (p *Proc) syncResetTime(step bool) bool {
 		p.vt = 0
 		p.edges = p.edges[:0]
 		if p.rank == 0 {
-			p.rt.netMu.Lock()
+			p.rt.lock()
 			p.rt.model.Reset()
-			p.rt.netMu.Unlock()
+			p.rt.unlock()
 		}
 		p.syncPhase = 2
 	}
@@ -1407,9 +1372,9 @@ func (p *Proc) CollectiveTime() float64 {
 func (p *Proc) CollectiveTimeStep() (t float64, ok bool) { return p.collectiveTime(true) }
 
 func (p *Proc) collectiveTime(step bool) (float64, bool) {
-	p.rt.netMu.Lock()
+	p.rt.lock()
 	drain := p.rt.model.PortDrain(p.rank)
-	p.rt.netMu.Unlock()
+	p.rt.unlock()
 	return p.reduceMax(math.Max(p.vt, drain), step)
 }
 
@@ -1425,11 +1390,11 @@ func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 	rt := p.rt
 	if p.suspended {
 		p.suspended = false
-		rt.bmu.Lock()
+		rt.lock()
 	} else {
-		p.enterOp() // may die, and a death takes bmu
+		p.enterOp() // may die, and a death takes the lock
 		rt.checkAborted()
-		rt.bmu.Lock()
+		rt.lock()
 		rt.reduceVals[p.rank] = v
 		rt.bArr[p.rank] = true
 		rt.bcnt++
@@ -1441,11 +1406,11 @@ func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 				rt.ev.q.rewind()
 				rt.ev.now = 0
 			}
-			rt.drv.wake(stBarrierWait, rt.reduceRes)
+			rt.wake(stBarrierWait, rt.reduceRes)
 		}
 	}
 	if !p.awaitRound(stBarrierWait, &rt.bgen, p.roundGen, step) {
-		rt.bmu.Unlock()
+		rt.unlock()
 		return 0, false
 	}
 	// reduceRes cannot be clobbered by the next generation before every
@@ -1453,28 +1418,29 @@ func (p *Proc) reduceMax(v float64, step bool) (res float64, ok bool) {
 	// all live ranks to have left generation g, and a parked rank
 	// cannot die.
 	res = rt.reduceRes
-	rt.bmu.Unlock()
+	rt.unlock()
 	if p.vt < res {
 		p.vt = res
 	}
 	return res, true
 }
 
-// awaitRound parks p, with rt.bmu held, until the round generation
-// *gen has moved past g: the completer (whose completion just advanced
-// it) falls straight through, everyone else waits for the wake — or,
-// stepped (see recv), suspends: false, with rt.bmu still held.
+// awaitRound parks p, with the runtime lock held, until the round
+// generation *gen has moved past g: the completer (whose completion
+// just advanced it) falls straight through, everyone else waits for the
+// wake — or, stepped (see recv), suspends: false, with the lock still
+// held.
 func (p *Proc) awaitRound(st waitState, gen *int, g int, step bool) bool {
 	rt := p.rt
 	for *gen == g {
 		if rt.aborted.Load() {
-			rt.bmu.Unlock()
+			rt.unlock()
 			panic(errAborted)
 		}
 		if step && p.suspend(st) {
 			return false
 		}
-		rt.drv.park(p, st, rt.bcond)
+		rt.drv.park(p, st)
 	}
 	return true
 }
