@@ -119,8 +119,9 @@ mega:
 # and again -unhinted — the passes' slot hints stripped, every message
 # through the mailbox's hashed lists: static matching's after and
 # before), netmodel.Transfer over one, three and five hops and a degraded
-# uplink, the plan cache's hit path and its two-client Zipf churn at a
-# quarter budget (GetHit, ChurnZipf: ns/op and hit rate), then the
+# uplink, the plan cache's hit path, alone and from every -cpu client
+# over 2 000 resident keys, and its two-client Zipf churn at a quarter
+# budget (GetHit, GetHitParallel, ChurnZipf: ns/op and hit rate), then the
 # fault-cost tables printed by nbr-bench.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
@@ -149,7 +150,7 @@ loc:
 	t=$$({ find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; \
 		find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; } | xargs cat | wc -l); \
 	printf '%6d total\n' $$t; \
-	test $$t -le 19826 || { echo "loc: $$t lines exceed the ceiling of 19826"; exit 1; }
+	test $$t -le 19936 || { echo "loc: $$t lines exceed the ceiling of 19936"; exit 1; }
 
 # Regenerate results/medium/ (~35 s on two vCPUs): Fig. 4 at the three
 # Fig. 5 communicator sizes, then every other medium-scale file.

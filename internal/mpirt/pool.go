@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // This file is the runtime's only memory pool (enforced by the
@@ -115,18 +116,35 @@ func (m *Msg) Release() {
 // one *Msg whose lifetime the scheduler, not the receiver, ends.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
-// slabPool recycles the byte slabs of GetSlab and PutSlab.
-var slabPool sync.Pool
+// slabPool recycles the byte slabs of GetSlab and PutSlab. A pooled
+// slab sits in the private slot of the P that put it, where a Get on
+// another P misses it; lastSlab finds the last one put back there too,
+// through a weak pointer, so no slab lives longer than the pool keeps it.
+var (
+	slabPool sync.Pool
+	slabMu   sync.Mutex
+	lastSlab weak.Pointer[Slab]
+)
 
 // Slab is a pooled byte slab. Its contents are stale: B holds whatever
 // the slab's previous user left there, so a user writes every byte
 // before it reads it.
-type Slab struct{ B []byte }
+type Slab struct {
+	B   []byte
+	out atomic.Bool // a recycled slab is held: the pool's copy or lastSlab is stale
+}
 
 // GetSlab returns a slab of n bytes, recycled when the pool holds one
 // at least that large; a smaller one is left to the collector.
 func GetSlab(n int) *Slab {
 	s, _ := slabPool.Get().(*Slab)
+	if s == nil || !s.out.CompareAndSwap(false, true) {
+		slabMu.Lock()
+		if s = lastSlab.Value(); s != nil && !s.out.CompareAndSwap(false, true) {
+			s = nil
+		}
+		slabMu.Unlock()
+	}
 	if s == nil || cap(s.B) < n {
 		s = &Slab{B: make([]byte, n)}
 	}
@@ -138,6 +156,10 @@ func GetSlab(n int) *Slab {
 // be used afterwards.
 func PutSlab(s *Slab) {
 	if s != nil {
+		s.out.Store(false)
+		slabMu.Lock()
+		lastSlab = weak.Make(s)
+		slabMu.Unlock()
 		slabPool.Put(s)
 	}
 }

@@ -373,3 +373,20 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabHandedOutOnce: a slab put back is found again even when the
+// pool's Get misses it, and a slab handed out is never handed out a
+// second time while its holder has it, even though the pool or the
+// weak fallback still names it.
+func TestSlabHandedOutOnce(t *testing.T) {
+	s := GetSlab(1 << 10)
+	PutSlab(s)
+	a := GetSlab(1 << 10)
+	if a != s {
+		t.Fatal("the slab just put back was not handed out again")
+	}
+	if b := GetSlab(1 << 10); b == a {
+		t.Fatal("one slab handed out twice")
+	}
+	PutSlab(a)
+}

@@ -10,9 +10,9 @@
 // The cache provides two lookups with different concurrency contracts:
 //
 //   - Get is the allocation-free hit path: the key is digested to one
-//     word before the lock, then one mutex acquisition, one word-keyed
-//     map probe, an intrusive LRU touch. It is safe from any goroutine
-//     and never blocks beyond the mutex.
+//     word and probed in an open-addressed index without a lock, and a
+//     hit is counted in the calling goroutine's stripe of the hit
+//     counter: on a hot entry, it writes no line another client reads.
 //   - GetOrBuild is the service path: misses are coalesced through a
 //     singleflight table (a thundering herd of identical requests
 //     plans exactly once) and gated by admission control — at most
@@ -22,15 +22,17 @@
 //     collapsing.
 //
 // Every artifact carries a cost in bytes (estimated resident size), and
-// inserting past MaxBytes evicts from the LRU end until the budget
-// holds. An insert that would evict first passes the insert gate
+// inserting past MaxBytes evicts from the tail of a recency list until
+// the budget holds; a hit only marks its entry referenced, and the next
+// insert that meets it at the tail moves it to the front (a second
+// chance). An insert that would evict first passes the insert gate
 // (TinyLFU's frequency test): the new key must have been requested at
 // least as often as every victim it would displace, else it is returned
-// to its caller uncached. Resident entries count their requests;
-// absent keys count their misses in a fixed table indexed by digest;
-// both counts halve every 32 requests per resident entry, so the
-// gate follows a shifting popularity. With no reuse every count is
-// one, ties admit, and the cache is plain LRU. Hit/miss/coalesce/
+// to its caller uncached. Resident entries count their requests; absent
+// keys count their misses in a fixed table indexed by digest; both
+// 4-bit counts halve every 32 requests per resident entry, so the gate
+// follows a shifting popularity. With no reuse every count is one, ties
+// admit, and the cache is plain second-chance. Hit/miss/coalesce/
 // eviction/rejection/overload counters are exported through Stats.
 //
 // The package is deliberately value-agnostic (artifacts are `any`): the
@@ -41,8 +43,11 @@ package plancache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Key is the content address of one built plan. Two requests with equal
@@ -69,12 +74,10 @@ type Key struct {
 	Param int
 }
 
-// digest folds the key to the word the cache indexes by. Every lookup
-// computes it before taking the lock, so the mutex covers a one-word
-// map probe instead of hashing and comparing a 56-byte struct with a
-// string in it: two clients on one cache stop convoying on the lock
-// (EXPERIMENTS.md, "The planner hit path under two clients"). Keys
-// whose digests collide share a map slot and chain through entry.chain.
+// digest folds the key to the word the cache indexes by: it picks the
+// index slot a probe starts at, and a probe compares the full key only
+// where the digest matches. Keys whose digests collide sit further
+// along one probe sequence.
 func (k Key) digest() uint64 {
 	h := HashWords(k.Topo, k.Graph, k.Avoid, uint64(k.Size), uint64(k.Param))
 	for i := 0; i < len(k.Algo); i++ {
@@ -200,15 +203,55 @@ func (s Stats) CoalescingFactor() float64 {
 	return float64(s.Misses+s.Coalesced) / float64(s.Misses)
 }
 
-// entry is one cached artifact on the intrusive LRU list (MRU at head).
+// entry is one cached artifact. A hit reads key, hash, val and cost
+// without the lock: they never change once the entry is indexed. prev
+// and next, the recency list (most recent at head), belong to c.mu.
 type entry struct {
 	key        Key
 	hash       uint64 // key.digest()
 	val        any
 	cost       int64
 	prev, next *entry
-	freq       uint64 // requests, halved with the gate's window; touch writes this line
-	chain      *entry // next entry with the same digest
+	slot       uint64        // e's index slot; under c.mu
+	meta       atomic.Uint32 // referenced bit | request count (≤ maxFreq)
+}
+
+// The gate's counts saturate at four bits, as in TinyLFU; the bit above
+// marks an entry hit since the gate's walk last passed it.
+const (
+	maxFreq    = 15
+	referenced = 16
+)
+
+// hit counts a request served by e: it sets the referenced bit and
+// raises the count below its cap, writing nothing once both are done.
+func (e *entry) hit() {
+	for m := e.meta.Load(); m != referenced|maxFreq; m = e.meta.Load() {
+		if e.meta.CompareAndSwap(m, referenced|min(m&maxFreq+1, maxFreq)) {
+			return
+		}
+	}
+}
+
+// index is an open-addressed table of entries, probed linearly from
+// the digest's low bits. Under c.mu a slot goes from nil to an entry to
+// a tombstone, never back: growth publishes a fresh table. So a probe
+// without the lock passes every entry resident when it began.
+type index struct {
+	slots []atomic.Pointer[entry]
+	used  int // non-nil slots; under c.mu
+}
+
+var tombstone = new(entry) // fills the slot of an evicted entry
+
+const stripeBits = 5 // the hit counter's 32 stripes, each a padded 128 bytes
+
+// stripe picks the calling goroutine's hit-counter stripe by hashing an
+// address on its stack: goroutines run on disjoint stacks, so two
+// clients rarely share a stripe. Readers sum every stripe.
+func stripe() uint64 {
+	var probe byte
+	return uint64(uintptr(unsafe.Pointer(&probe))) * 0x9e3779b97f4a7c15 >> (64 - stripeBits)
 }
 
 // flight is one in-progress build on the singleflight table. Waiters
@@ -221,26 +264,32 @@ type flight struct {
 
 // Cache is a concurrent content-addressed plan cache. Use New.
 type Cache struct {
-	mu       sync.Mutex
-	slotFree *sync.Cond        // signalled when a planner slot frees up
-	entries  map[uint64]*entry // by Key.digest(); collisions chain
-	n        int               // resident entries
-	inflight map[Key]*flight
-	head     *entry // MRU
-	tail     *entry // LRU
-	bytes    int64
-	active   int // builds holding a planner slot
-	queued   int // callers waiting for a slot
-
+	index       atomic.Pointer[index] // read by every hit
 	maxBytes    int64
 	maxPlanners int
 	maxQueue    int
 	onInsert    func(Key, any) error
+	_           [64]byte // keeps the first hit stripe off this line
 
-	stats Stats
+	hits [1 << stripeBits]struct {
+		n atomic.Int64
+		_ [120]byte
+	}
+
+	mu       sync.Mutex
+	slotFree *sync.Cond // signalled when a planner slot frees up
+	n        int        // resident entries
+	inflight map[Key]*flight
+	head     *entry // most recent
+	tail     *entry // next victim, bar a second chance
+	bytes    int64
+	active   int // builds holding a planner slot
+	queued   int // callers waiting for a slot
+
+	stats Stats // all but Hits, which the stripes count
 	// The insert gate: misses of absent keys by digest slot, and the
 	// request count (Hits+Misses) at which every count next halves.
-	seen  [1 << seenBits]uint64
+	seen  [1 << seenBits]uint8
 	ageAt int64
 }
 
@@ -261,7 +310,6 @@ func New(cfg Config) *Cache {
 		cfg.MaxQueue = 4 * cfg.MaxPlanners
 	}
 	c := &Cache{
-		entries:     make(map[uint64]*entry),
 		inflight:    make(map[Key]*flight),
 		maxBytes:    cfg.MaxBytes,
 		maxPlanners: cfg.MaxPlanners,
@@ -269,25 +317,23 @@ func New(cfg Config) *Cache {
 		onInsert:    cfg.OnInsert,
 	}
 	c.slotFree = sync.NewCond(&c.mu)
+	c.index.Store(&index{slots: make([]atomic.Pointer[entry], 8)})
 	return c
 }
 
 // Get is the hit path: it returns the cached artifact for k and whether
-// it was present, touching the LRU on a hit. It allocates nothing.
+// it was present. A hit takes no lock and allocates nothing; a miss is
+// counted under the lock.
 func (c *Cache) Get(k Key) (any, bool) {
 	h := k.digest()
-	c.mu.Lock()
-	e := c.find(h, k)
-	if e == nil {
-		c.missLocked(h)
-		c.mu.Unlock()
-		return nil, false
+	if e := c.find(h, k); e != nil {
+		c.hit(e)
+		return e.val, true
 	}
-	c.stats.Hits++
-	c.touch(e)
-	v := e.val
+	c.mu.Lock()
+	c.missLocked(h)
 	c.mu.Unlock()
-	return v, true
+	return nil, false
 }
 
 // GetOrBuild returns the artifact for k, coalescing concurrent misses
@@ -296,14 +342,16 @@ func (c *Cache) Get(k Key) (any, bool) {
 // called from inside mpirt rank bodies.
 func (c *Cache) GetOrBuild(k Key, build Builder) (any, error) {
 	h := k.digest()
+	if e := c.find(h, k); e != nil {
+		c.hit(e)
+		return e.val, nil
+	}
 	c.mu.Lock()
 	for {
 		if e := c.find(h, k); e != nil {
-			c.stats.Hits++
-			c.touch(e)
-			v := e.val
+			c.hit(e)
 			c.mu.Unlock()
-			return v, nil
+			return e.val, nil
 		}
 		if f := c.inflight[k]; f != nil {
 			c.stats.Coalesced++
@@ -360,20 +408,38 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
+	s.Hits = c.hitCount()
 	s.Bytes = c.bytes
 	s.Capacity = c.maxBytes
 	s.Entries = c.n
 	return s
 }
 
+// hit counts a request served by the resident entry e.
+func (c *Cache) hit(e *entry) {
+	c.hits[stripe()].n.Add(1)
+	e.hit()
+}
+
+// hitCount sums the hit counter's stripes.
+func (c *Cache) hitCount() int64 {
+	var n int64
+	for i := range c.hits {
+		n += c.hits[i].n.Load()
+	}
+	return n
+}
+
 // missLocked counts a miss of the key whose digest is h.
 func (c *Cache) missLocked(h uint64) {
 	c.stats.Misses++
-	*c.seenAt(h)++
+	if s := c.seenAt(h); *s < maxFreq {
+		*s++
+	}
 }
 
 // seenAt is the gate's miss count of the absent keys whose digest is h.
-func (c *Cache) seenAt(h uint64) *uint64 { return &c.seen[h>>(64-seenBits)] }
+func (c *Cache) seenAt(h uint64) *uint8 { return &c.seen[h>>(64-seenBits)] }
 
 // insertLocked publishes (k, v), h being k's digest, and evicts past the
 // byte budget if the insert gate admits it. k is absent: its one flight
@@ -389,11 +455,12 @@ func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) {
 		c.stats.Rejected++
 		return
 	}
-	e := &entry{key: k, hash: h, val: v, cost: cost, freq: *slot, chain: c.entries[h]}
+	e := &entry{key: k, hash: h, val: v, cost: cost}
+	e.meta.Store(uint32(*slot))
 	*slot = 0
-	c.entries[h] = e
-	c.n++
+	c.put(e)
 	c.pushFront(e)
+	c.n++
 	c.bytes += cost
 	c.stats.Inserts++
 	for c.bytes > c.maxBytes && c.tail != e {
@@ -402,14 +469,19 @@ func (c *Cache) insertLocked(k Key, h uint64, v any, cost int64) {
 }
 
 // admitLocked is the insert gate: whether a key requested freq times
-// may displace the LRU-tail entries that free cost bytes. It first
+// may displace the tail entries that free cost bytes. A referenced
+// entry met on the walk, bar the head, gets its second chance there:
+// its bit is cleared and it moves to the front, so the walk vets exactly
+// the entries eviction then takes from the tail. A walk gives at most
+// c.n chances, however often hits set the bits again. The gate first
 // halves every count once the window, ageWindow requests per resident
-// entry, is over; the first evicting insert only opens the window.
-func (c *Cache) admitLocked(freq uint64, cost int64) bool {
-	if now := c.stats.Hits + c.stats.Misses; now >= c.ageAt {
+// entry, is over; the first evicting insert only opens it.
+func (c *Cache) admitLocked(freq uint8, cost int64) bool {
+	if now := c.hitCount() + c.stats.Misses; now >= c.ageAt {
 		if c.ageAt > 0 {
 			for e := c.head; e != nil; e = e.next {
-				e.freq >>= 1
+				for m := e.meta.Load(); !e.meta.CompareAndSwap(m, m&referenced|(m&maxFreq)>>1); m = e.meta.Load() {
+				}
 			}
 			for i := range c.seen {
 				c.seen[i] >>= 1
@@ -418,50 +490,66 @@ func (c *Cache) admitLocked(freq uint64, cost int64) bool {
 		}
 		c.ageAt = now + ageWindow*int64(c.n)
 	}
-	for e, need := c.tail, c.bytes+cost-c.maxBytes; need > 0; e, need = e.prev, need-e.cost {
-		if freq < e.freq {
+	for e, need, chances := c.tail, c.bytes+cost-c.maxBytes, c.n; need > 0; {
+		if p := e.prev; p != nil && chances > 0 && e.meta.Load()&referenced != 0 {
+			chances--
+			e.meta.And(^uint32(referenced))
+			c.unlink(e)
+			c.pushFront(e)
+			e = p
+			continue
+		}
+		if freq < uint8(e.meta.Load()&maxFreq) {
 			return false
 		}
+		e, need = e.prev, need-e.cost
 	}
 	return true
 }
 
 func (c *Cache) evictLocked(e *entry) {
 	slot := c.seenAt(e.hash)
-	*slot = max(*slot, e.freq)
+	*slot = max(*slot, uint8(e.meta.Load()&maxFreq))
 	c.unlink(e)
-	if head := c.entries[e.hash]; head != e {
-		for head.chain != e {
-			head = head.chain
-		}
-		head.chain = e.chain
-	} else if e.chain != nil {
-		c.entries[e.hash] = e.chain
-	} else {
-		delete(c.entries, e.hash)
-	}
+	c.index.Load().slots[e.slot].Store(tombstone)
 	c.n--
 	c.bytes -= e.cost
 	c.stats.Evictions++
 }
 
-// find returns the entry of k, whose digest is h, or nil.
+// find returns the entry of k, whose digest is h, or nil, without the
+// lock: an entry evicted meanwhile may be returned, a hit before that.
 func (c *Cache) find(h uint64, k Key) *entry {
-	e := c.entries[h]
-	for e != nil && e.key != k {
-		e = e.chain
+	t := c.index.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if e := t.slots[i].Load(); e == nil || e.hash == h && e.key == k && e != tombstone {
+			return e
+		}
 	}
-	return e
 }
 
-// touch counts a request of e and moves e to the MRU end.
-func (c *Cache) touch(e *entry) {
-	e.freq++
-	if c.head == e {
-		return
+// put indexes the absent entry e. Before it would fill half the table,
+// the live entries move to a fresh one, leaving the tombstones behind.
+func (c *Cache) put(e *entry) {
+	t := c.index.Load()
+	if 2*(t.used+1) > len(t.slots) {
+		t = &index{slots: make([]atomic.Pointer[entry], 1<<bits.Len(uint(4*c.n+3)))}
+		for r := c.head; r != nil; r = r.next {
+			t.place(r)
+		}
+		c.index.Store(t)
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	t.place(e)
+}
+
+// place stores e in the first nil slot of its probe sequence.
+func (t *index) place(e *entry) {
+	mask := uint64(len(t.slots) - 1)
+	for e.slot = e.hash & mask; t.slots[e.slot].Load() != nil; e.slot = (e.slot + 1) & mask {
+	}
+	t.slots[e.slot].Store(e)
+	t.used++
 }
 
 func (c *Cache) pushFront(e *entry) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,6 +280,111 @@ func TestGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGetOrBuildHitZeroAlloc is TestGetZeroAlloc's row for the
+// service's own path: a GetOrBuild hit allocates nothing either.
+func TestGetOrBuildHitZeroAlloc(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	k := key(1)
+	build := func() (any, int64, error) { return "v", 8, nil }
+	if _, err := c.GetOrBuild(k, build); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if v, err := c.GetOrBuild(k, build); err != nil || v != "v" {
+			t.Fatalf("hit = %v, %v", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("GetOrBuild hit allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestHitPathTakesNoLock: a hit on a resident key, through Get and
+// through GetOrBuild, returns while another goroutine holds the lock.
+func TestHitPathTakesNoLock(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	k := key(1)
+	if _, err := c.GetOrBuild(k, func() (any, int64, error) { return "v", 8, nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		if v, ok := c.Get(k); !ok || v != "v" {
+			done <- fmt.Errorf("Get = %v, %v", v, ok)
+			return
+		}
+		v, err := c.GetOrBuild(k, func() (any, int64, error) { return nil, 0, errors.New("rebuilt a resident key") })
+		if err == nil && v != "v" {
+			err = fmt.Errorf("GetOrBuild = %v", v)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a hit on a resident key waited for the cache lock")
+	}
+}
+
+// TestConcurrentAccountingExact: eight clients hit, miss, coalesce,
+// insert and evict at once under Zipf(1.1) at a quarter budget. Every
+// request is counted exactly once, every artifact served is its own
+// key's, the budget holds, and Entries counts exactly the resident keys.
+func TestConcurrentAccountingExact(t *testing.T) {
+	const population, clients, requests = 300, 8, 4000
+	c := New(Config{MaxBytes: population / 4 * 10, MaxPlanners: clients})
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(w))), 1.1, 1, population-1)
+			for i := 0; i < requests; i++ {
+				k := key(int(zipf.Uint64()))
+				var v any
+				var ok bool
+				if i%3 == 0 {
+					v, ok = c.Get(k)
+				} else {
+					var err error
+					v, err = c.GetOrBuild(k, func() (any, int64, error) { return k.Param, int64(5 + k.Param%11), nil })
+					ok = err == nil
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if ok && v != k.Param {
+					t.Errorf("key %d served the artifact of key %v", k.Param, v)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if n := st.Hits + st.Misses + st.Coalesced; n != clients*requests {
+		t.Errorf("Hits+Misses+Coalesced = %d, want the %d requests issued: %+v", n, clients*requests, st)
+	}
+	if st.Bytes > st.Capacity {
+		t.Errorf("resident bytes %d over the budget %d", st.Bytes, st.Capacity)
+	}
+	resident := 0
+	for i := 0; i < population; i++ {
+		if _, ok := c.peek(key(i)); ok {
+			resident++
+		}
+	}
+	if st.Entries != resident || st.Evictions == 0 {
+		t.Errorf("Entries = %d, %d keys resident; stats %+v", st.Entries, resident, st)
+	}
+}
+
 func TestLRUOrder(t *testing.T) {
 	// Budget for exactly two unit-cost entries: touching key 1 must
 	// make key 2 the eviction victim when key 3 arrives.
@@ -504,8 +610,10 @@ func TestInsertGateReplayFloors(t *testing.T) {
 
 // TestDigestCollisionsChain drives the index with keys forced onto one
 // digest (no two real keys are known to collide): each stays findable
-// under its own identity, and evicting the chain's head, middle and
-// tail in any order leaves the rest linked and the occupancy exact.
+// under its own identity along the one probe sequence, and evicting the
+// sequence's first, middle and last entry in any order leaves the rest
+// findable behind tombstones, one live slot per resident key, and the
+// occupancy exact.
 func TestDigestCollisionsChain(t *testing.T) {
 	const h = 7
 	for _, order := range [][]int{{1, 2, 3}, {3, 2, 1}, {2, 1, 3}, {2, 3, 1}} {
@@ -520,8 +628,15 @@ func TestDigestCollisionsChain(t *testing.T) {
 					t.Fatalf("order %v, %s: key %d -> %+v, want resident=%v", order, when, i, e, resident[i])
 				}
 			}
-			if st := c.Stats(); st.Entries != live || st.Bytes != int64(10*live) || len(c.entries) != min(live, 1) {
-				t.Fatalf("order %v, %s: %+v in %d slots, want %d entries in one", order, when, st, len(c.entries), live)
+			slots := 0
+			ix := c.index.Load()
+			for i := range ix.slots {
+				if e := ix.slots[i].Load(); e != nil && e != tombstone {
+					slots++
+				}
+			}
+			if st := c.Stats(); st.Entries != live || st.Bytes != int64(10*live) || slots != live {
+				t.Fatalf("order %v, %s: %+v in %d live slots, want %d entries in as many", order, when, st, slots, live)
 			}
 		}
 		for i := 1; i <= 3; i++ {
@@ -600,6 +715,36 @@ func BenchmarkGetHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Get(k)
 	}
+}
+
+// BenchmarkGetHitParallel is planner-zipf's hot phase in miniature:
+// every client draws Zipf(1.1) keys over 2 000 resident plans through
+// Get, so it times the hit path alone under as many clients as -cpu.
+func BenchmarkGetHitParallel(b *testing.B) {
+	const population = 2000
+	c := New(Config{MaxBytes: 1 << 30})
+	for i := 0; i < population; i++ {
+		if _, err := c.GetOrBuild(key(i), func() (any, int64, error) { return i, 100, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, population-1)
+	keys := make([]Key, 1<<14)
+	for i := range keys {
+		keys[i] = key(int(zipf.Uint64()))
+	}
+	var clients atomic.Int64
+	runtime.GC() // the set-up's garbage is not the hit path's
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(clients.Add(1)) * 4099; pb.Next(); i++ {
+			if _, ok := c.Get(keys[i%len(keys)]); !ok {
+				b.Error("miss on a resident key")
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkChurnZipf is planner-zipf's churn phase in miniature: two
